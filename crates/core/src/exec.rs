@@ -19,7 +19,7 @@
 use crate::locality::WarpLocator;
 use crate::pivot::PivotCache;
 use crate::plan::{partition_leaf_runs, Artificial, CombinePlan, IssuedKind, Run};
-use eirene_baselines::common::{charge_request_io, BatchRun, ResponseBuf};
+use eirene_baselines::common::{charge_request_io, BatchRun};
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{
     meta_count, meta_is_dead, meta_is_leaf, MIN_OCCUPANCY, OFF_LOW, OFF_META, OFF_VERSION,
@@ -29,7 +29,7 @@ use eirene_btree::txops::{
     LeafDelete, LeafUpsert, NO_VALUE,
 };
 use eirene_primitives::PrimCost;
-use eirene_sim::{Device, KernelStats, Phase, TraceEventKind};
+use eirene_sim::{Device, DeviceConfig, KernelStats, Phase, TraceEventKind};
 use eirene_stm::{Abort, Stm};
 use eirene_workloads::{Batch, OpKind, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,7 +120,8 @@ pub fn execute(
 ) -> BatchRun {
     let pivot = pivot.filter(|_| opts.coalesce);
     let n = batch.len();
-    let responses = ResponseBuf::new(n);
+    // Written only by result calculation, after both kernels.
+    let mut responses = vec![Response::Done; n];
     // Old value per run, retrieved by the run's issued request.
     let old_vals: Vec<AtomicU64> = (0..plan.runs.len())
         .map(|_| AtomicU64::new(NO_VALUE))
@@ -183,7 +184,6 @@ pub fn execute(
     // ------------------------- Query kernel ----------------------------
     let query_stats = launch_grouped(
         device,
-        handle,
         opts,
         &qk_items,
         pivot,
@@ -236,7 +236,6 @@ pub fn execute(
     // ------------------------- Update kernel ---------------------------
     let update_stats = launch_grouped(
         device,
-        handle,
         opts,
         &uk_items,
         pivot,
@@ -267,7 +266,8 @@ pub fn execute(
     );
 
     // ----------------------- Result calculation ------------------------
-    let resolve_cost = resolve(batch, plan, &old_vals, &responses, &range_results);
+    let cfg = device.config();
+    let resolve_cost = resolve(cfg, batch, plan, &old_vals, &mut responses, &range_results);
 
     // Install range responses.
     for (idx, r) in plan.ranges.iter().enumerate() {
@@ -276,11 +276,10 @@ pub fn execute(
             .iter()
             .map(|&v| (v != NO_VALUE).then_some(v as u32))
             .collect();
-        responses.set(r.orig_idx as usize, Response::Range(vec));
+        responses[r.orig_idx as usize] = Response::Range(vec);
     }
 
     // ----------------------------- Stats --------------------------------
-    let cfg = device.config();
     let mut stats = plan
         .cost
         .into_phased_kernel_stats("eirene-combine", cfg, Phase::Combine);
@@ -295,10 +294,7 @@ pub fn execute(
         stats.merge(&staging.into_phased_kernel_stats("eirene-dispatch", cfg, Phase::RunDispatch));
     }
 
-    BatchRun {
-        responses: responses.into_vec(),
-        stats,
-    }
+    BatchRun { responses, stats }
 }
 
 /// Executes one issued update with the optimistic protocol of Alg. 1.
@@ -474,7 +470,6 @@ impl HasKey for (u32, u64, IssuedKind) {
 /// blocks (`opts.rg_size`), the per-request baseline.
 fn launch_grouped<T: HasKey>(
     device: &Device,
-    _handle: &TreeHandle,
     opts: &ExecOptions,
     items: &[T],
     pivot: Option<&PivotCache>,
@@ -550,25 +545,20 @@ fn launch_grouped<T: HasKey>(
 
 /// Result calculation (Alg. 1 line 6, RESULT_CAL): resolves every point
 /// request from its run's dependence chain and patches range slots from
-/// artificial queries. Runs on the host in parallel; the modelled device
-/// cost is a streaming pass over the batch.
+/// artificial queries. A plain loop on the calling thread; the modelled
+/// device cost is a streaming pass over the batch.
 fn resolve(
+    cfg: &DeviceConfig,
     batch: &Batch,
     plan: &CombinePlan,
     old_vals: &[AtomicU64],
-    responses: &ResponseBuf,
+    responses: &mut [Response],
     range_results: &[parking_lot_free::SlotVec],
 ) -> PrimCost {
-    use rayon::prelude::*;
-    plan.runs.par_iter().enumerate().for_each(|(run_i, run)| {
+    for (run_i, run) in plan.runs.iter().enumerate() {
         resolve_run(batch, plan, run_i, run, old_vals, responses, range_results);
-    });
-    PrimCost::streaming(
-        &eirene_sim::DeviceConfig::default(),
-        batch.len() as u64,
-        1,
-        4,
-    )
+    }
+    PrimCost::streaming(cfg, batch.len() as u64, 1, 4)
 }
 
 /// State of a key while replaying its run in timestamp order.
@@ -586,7 +576,7 @@ fn resolve_run(
     run_i: usize,
     run: &Run,
     old_vals: &[AtomicU64],
-    responses: &ResponseBuf,
+    responses: &mut [Response],
     range_results: &[parking_lot_free::SlotVec],
 ) {
     let old = old_vals[run_i].load(Ordering::Relaxed);
@@ -617,19 +607,11 @@ fn resolve_run(
         match req.op {
             OpKind::Query => {
                 let v = value_at(state);
-                responses.set(
-                    orig as usize,
-                    Response::Value((v != NO_VALUE).then_some(v as u32)),
-                );
+                responses[orig as usize] = Response::Value((v != NO_VALUE).then_some(v as u32));
             }
-            OpKind::Upsert(v) => {
-                state = KeyState::Value(v);
-                responses.set(orig as usize, Response::Done);
-            }
-            OpKind::Delete => {
-                state = KeyState::Deleted;
-                responses.set(orig as usize, Response::Done);
-            }
+            // Upserts and deletes answer `Done`, the buffer's initial value.
+            OpKind::Upsert(v) => state = KeyState::Value(v),
+            OpKind::Delete => state = KeyState::Deleted,
             OpKind::Range { .. } => unreachable!("ranges are not in runs"),
         }
     }

@@ -244,6 +244,35 @@ mod tests {
     }
 
     #[test]
+    fn result_calc_is_costed_on_the_launching_device() {
+        // A latency model other than the A100 default: the `ResultCalc`
+        // row must follow it (it was once costed on `DeviceConfig::default()`).
+        let slow = DeviceConfig {
+            mem_latency: 3 * DeviceConfig::default().mem_latency,
+            transaction_bytes: DeviceConfig::default().transaction_bytes / 2,
+            ..DeviceConfig::test_small()
+        };
+        let batch = Batch::new((0..4096u32).map(|i| Request::query(i, i as u64)).collect());
+        let result_calc = |device: DeviceConfig| {
+            let opts = EireneOptions {
+                device: device.clone(),
+                ..EireneOptions::test_small()
+            };
+            let run = EireneTree::new(&pairs(3000), opts).run_batch(&batch);
+            let row = *run.stats.totals.phases.row(Phase::ResultCalc);
+            let want = eirene_primitives::PrimCost::streaming(&device, 4096, 1, 4);
+            assert_eq!(
+                (row.cycles, row.mem_transactions),
+                (want.cycles, want.mem_transactions)
+            );
+            row
+        };
+        let (base, scaled) = (result_calc(DeviceConfig::test_small()), result_calc(slow));
+        assert_eq!(scaled.mem_transactions, 2 * base.mem_transactions);
+        assert!(scaled.cycles > 2 * base.cycles, "{scaled:?} vs {base:?}");
+    }
+
+    #[test]
     fn same_key_requests_resolve_in_timestamp_order() {
         let mut t = EireneTree::new(&pairs(100), EireneOptions::test_small());
         let batch = Batch::new(vec![

@@ -1,28 +1,24 @@
-//! Device-style parallel primitives with cost accounting.
+//! Device-style primitives with cost accounting.
 //!
 //! The paper's combining phase sorts each request batch with CUB's radix
 //! sort (§7) and explicitly *includes the sorting time* in every Eirene
-//! measurement (§8.1). This crate provides the equivalents:
+//! measurement (§8.1). This crate provides the equivalent:
+//! [`radix_sort_pairs`], a stable LSD radix sort over `u64` keys with `u32`
+//! payloads (the composite `(key, timestamp-rank)` sort the combining phase
+//! needs).
 //!
-//! * [`radix_sort_pairs`] — a parallel, stable LSD radix sort over `u64`
-//!   keys with `u32` payloads (the composite `(key, timestamp-rank)` sort
-//!   the combining phase needs);
-//! * [`exclusive_scan`] — a parallel exclusive prefix sum;
-//! * [`stable_partition`] — a stable parallel partition (used to split the
-//!   combined batch into the query-kernel and update-kernel arrays).
-//!
-//! The computations are executed for real on host threads (rayon); their
+//! The computation is executed for real, as a plain loop on the calling
+//! host thread — no thread is created or woken on the request path; its
 //! *device cost* is charged analytically through [`PrimCost`], using the
 //! same latency model as instrumented kernels: radix sort streams the batch
-//! once per digit pass (read + scatter write), scan/partition stream it a
-//! constant number of times. This keeps the combining overhead visible in
-//! every throughput and response-time figure without paying for per-element
-//! instrumentation on the host.
+//! once per digit pass (read + scatter write). Other host-executed phases
+//! (combining scans, result calculation, pivot staging) charge themselves
+//! through [`PrimCost::streaming`] the same way. This keeps the combining
+//! overhead visible in every throughput and response-time figure without
+//! paying for per-element instrumentation on the host.
 
 mod cost;
-mod scan;
 mod sort;
 
 pub use cost::PrimCost;
-pub use scan::{exclusive_scan, stable_partition};
 pub use sort::radix_sort_pairs;

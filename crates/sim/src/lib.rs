@@ -5,8 +5,10 @@
 //! behavioural model that preserves what the paper actually measures:
 //!
 //! * **Real concurrency.** Kernels launch one closure per warp and warps run
-//!   in parallel on host threads (rayon) over a *shared* word-addressable
-//!   global-memory arena backed by `AtomicU64`. Locks genuinely contend,
+//!   in parallel on the device's persistent pool of host threads over a
+//!   *shared* word-addressable global-memory arena backed by `AtomicU64`
+//!   (the pool is the workspace's only host threading substrate below the
+//!   serve layer). Locks genuinely contend,
 //!   STM transactions genuinely abort, versions genuinely change under a
 //!   reader's feet — the conflict behaviour that drives the paper's QoS
 //!   story is real, not synthesized.

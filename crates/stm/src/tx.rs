@@ -385,30 +385,38 @@ mod tests {
         assert_eq!(dev.mem().read(a), 77);
     }
 
+    /// Runs `body(wid)` for every warp id below `warps` on four OS threads
+    /// (warp ids dealt round-robin), so transactions genuinely overlap.
+    fn on_threads(warps: u64, body: impl Fn(u64) + Sync) {
+        const THREADS: u64 = 4;
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let body = &body;
+                s.spawn(move || (t..warps).step_by(THREADS as usize).for_each(body));
+            }
+        });
+    }
+
     #[test]
     fn concurrent_increments_are_atomic() {
-        use rayon::prelude::*;
         let dev = device();
         let stm = Stm::new(dev.mem(), 1024);
         let cells: Vec<Addr> = (0..16).map(|_| dev.mem().alloc(1)).collect();
-        let total: u64 = (0..64u64)
-            .into_par_iter()
-            .map(|wid| {
-                let mut ctx = WarpCtx::new(dev.mem(), dev.config(), wid as usize);
-                let mut done = 0;
-                for i in 0..100 {
-                    let cell = cells[(wid as usize + i) % cells.len()];
-                    let r = stm.run(&mut ctx, usize::MAX >> 1, |tx, ctx| {
-                        let v = tx.read(ctx, cell)?;
-                        tx.write(ctx, cell, v + 1)
-                    });
-                    if r.is_ok() {
-                        done += 1;
-                    }
+        let done = std::sync::atomic::AtomicU64::new(0);
+        on_threads(64, |wid| {
+            let mut ctx = WarpCtx::new(dev.mem(), dev.config(), wid as usize);
+            for i in 0..100 {
+                let cell = cells[(wid as usize + i) % cells.len()];
+                let r = stm.run(&mut ctx, usize::MAX >> 1, |tx, ctx| {
+                    let v = tx.read(ctx, cell)?;
+                    tx.write(ctx, cell, v + 1)
+                });
+                if r.is_ok() {
+                    done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
-                done
-            })
-            .sum();
+            }
+        });
+        let total = done.into_inner();
         assert_eq!(total, 6400);
         let sum: u64 = cells.iter().map(|&c| dev.mem().read(c)).sum();
         assert_eq!(sum, 6400, "lost or duplicated increments");
@@ -419,14 +427,13 @@ mod tests {
         // Classic STM atomicity property: random transfers between
         // accounts must conserve the total; a dirty read, lost update, or
         // partial rollback would break conservation.
-        use rayon::prelude::*;
         let dev = device();
         let stm = Stm::new(dev.mem(), 1024);
         let accounts: Vec<Addr> = (0..32).map(|_| dev.mem().alloc(1)).collect();
         for &a in &accounts {
             dev.mem().write(a, 1000);
         }
-        (0..48u64).into_par_iter().for_each(|wid| {
+        on_threads(48, |wid| {
             let mut ctx = WarpCtx::new(dev.mem(), dev.config(), wid as usize);
             for i in 0..80u64 {
                 let from = accounts[((wid * 7 + i) % 32) as usize];
@@ -456,7 +463,6 @@ mod tests {
         // Readers must never see a state where money is in flight: with
         // the TL2-style post-validated read, any snapshot of (a, b) taken
         // inside a committed transaction shows a conserved sum.
-        use rayon::prelude::*;
         let dev = device();
         let stm = Stm::new(dev.mem(), 512);
         let a = dev.mem().alloc(1);
@@ -464,7 +470,7 @@ mod tests {
         dev.mem().write(a, 500);
         dev.mem().write(b, 500);
         let bad = std::sync::atomic::AtomicU64::new(0);
-        (0..16u64).into_par_iter().for_each(|wid| {
+        on_threads(16, |wid| {
             let mut ctx = WarpCtx::new(dev.mem(), dev.config(), wid as usize);
             for i in 0..200u64 {
                 if wid % 2 == 0 {
