@@ -1,0 +1,320 @@
+//! Golden simulated costs of the tree mutation paths.
+//!
+//! The paper's figures are instruction counts, conflict counts and
+//! traversal steps — numbers the simulator produces, not the host. Under
+//! the deterministic scheduler a `(seed, workload)` pair replays
+//! bit-identically (`crates/check/tests/determinism.rs`), so these counts
+//! can be pinned as literals: a refactor or host-side optimisation that
+//! changes which words the STM-protected split / borrow / merge /
+//! root-collapse code touches, in which phase, or how many nodes it
+//! allocates and retires, fails here instead of drifting the figures
+//! silently. A PR that *means* to move a simulated number updates the
+//! literal in the same diff and says why.
+//!
+//! Three fixed-seed scenarios, each through `EireneTree` (optimistic leaf
+//! region + full-STM fallback) and `StmTree` (every request one
+//! transaction): split-heavy inserts, delete churn that merges the tree
+//! down and refills it, and a skewed 45/35/10/10 mix.
+
+use eirene::baselines::common::ConcurrentTree;
+use eirene::baselines::StmTree;
+use eirene::btree::validate::{validate_with, ValidateOpts};
+use eirene::core::{EireneOptions, EireneTree};
+use eirene::sim::{DeviceConfig, KernelStats, Phase};
+use eirene::workloads::{Batch, OpKind, Request};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+
+fn pairs(n: u64) -> Vec<(u64, u64)> {
+    (1..=n).map(|i| (2 * i, 2 * i + 1)).collect()
+}
+
+fn device(seed: u64) -> DeviceConfig {
+    DeviceConfig::test_small().with_deterministic_sched(seed)
+}
+
+/// New odd keys packed into the lower fifth of a 600-key tree: every
+/// touched leaf fills and splits, inner nodes follow.
+fn split_heavy() -> (Vec<(u64, u64)>, Vec<Batch>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5B117);
+    let mut ts = 0u64;
+    let batches = (0..3)
+        .map(|_| {
+            Batch::new(
+                (0..512)
+                    .map(|_| {
+                        ts += 1;
+                        Request::upsert(2 * rng.gen_range(0..240u32) + 1, rng.gen(), ts)
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    (pairs(600), batches)
+}
+
+/// Deletes all but a sliver of a three-level tree (borrows, merges, root
+/// collapse), then reinserts half of it into the recycled nodes.
+fn delete_churn() -> (Vec<(u64, u64)>, Vec<Batch>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xC4021);
+    let mut ts = 0u64;
+    let mut keys: Vec<u32> = (1..=1500u32).map(|i| 2 * i).collect();
+    // Fisher-Yates with the fixed-seed generator.
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.gen_range(0..=i));
+    }
+    let (gone, kept) = keys.split_at(1440);
+    assert_eq!(kept.len(), 60);
+    let mut batches: Vec<Batch> = gone
+        .chunks(480)
+        .map(|chunk| {
+            Batch::new(
+                chunk
+                    .iter()
+                    .map(|&k| {
+                        ts += 1;
+                        Request::delete(k, ts)
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    batches.push(Batch::new(
+        gone[..720]
+            .iter()
+            .map(|&k| {
+                ts += 1;
+                Request::upsert(k, k + 7, ts)
+            })
+            .collect(),
+    ));
+    (pairs(1500), batches)
+}
+
+/// 45/35/10/10 query/upsert/delete/range(8) with log-uniform key
+/// popularity (integer arithmetic only, so the stream is the same on
+/// every host): hot keys combine, cold keys split and merge.
+fn mixed_skew() -> (Vec<(u64, u64)>, Vec<Batch>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5CE3);
+    let domain = 2048u64;
+    let mut ts = 0u64;
+    let batches = (0..4)
+        .map(|_| {
+            Batch::new(
+                (0..640)
+                    .map(|_| {
+                        ts += 1;
+                        let bits = rng.gen_range(1..=11u32);
+                        let rank = rng.gen_range(0..1u64 << bits);
+                        let key = (rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % domain + 1) as u32;
+                        let op = match rng.gen_range(0..100u32) {
+                            0..=44 => OpKind::Query,
+                            45..=79 => OpKind::Upsert(rng.gen()),
+                            80..=89 => OpKind::Delete,
+                            _ => OpKind::Range { len: 8 },
+                        };
+                        Request { key, op, ts }
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    (pairs(1024), batches)
+}
+
+/// Runs the batches and renders everything the paper's figures count:
+/// one line per non-empty phase row, then steps, conflicts, the slab
+/// counters and the validated shape.
+fn fingerprint(tree: &mut dyn ConcurrentTree, batches: &[Batch]) -> String {
+    let mut stats = KernelStats::default();
+    for b in batches {
+        stats.merge(&tree.run_batch(b).stats);
+    }
+    let t = &stats.totals;
+    let mut out = String::new();
+    for (phase, row) in t.phases.iter() {
+        if !row.is_zero() {
+            out += &format!(
+                "{}: mem {} control {} atomic {}\n",
+                phase.name(),
+                row.mem_insts,
+                row.control_insts,
+                row.atomic_insts
+            );
+        }
+    }
+    assert_eq!(t.phase_sums().mem_insts, t.mem_insts, "rows sum to totals");
+    out += &format!(
+        "steps: vertical {} horizontal {} descents {}\n",
+        t.vertical_steps, t.horizontal_steps, t.vertical_traversals
+    );
+    out += &format!(
+        "conflicts: aborts {} version {}\n",
+        t.stm_aborts, t.version_conflicts
+    );
+    let s = tree.device().mem().slab_stats();
+    out += &format!(
+        "slab: live {} retired {} free {} reused {} bump {}\n",
+        s.live, s.retired, s.free, s.reused, s.bump_allocs
+    );
+    let shape = validate_with(tree.device().mem(), tree.handle(), ValidateOpts::merging())
+        .unwrap_or_else(|e| panic!("{}: {e}", tree.name()));
+    out += &format!(
+        "shape: height {} leaves {} inner {} keys {}\n",
+        shape.height,
+        shape.leaves,
+        shape.nodes - shape.leaves,
+        shape.keys
+    );
+    // The structure-modification row is the point of the pin; a scenario
+    // that stopped reaching it would pin nothing.
+    assert!(
+        !t.phases.row(Phase::StructureMod).is_zero(),
+        "{}: scenario no longer modifies the structure",
+        tree.name()
+    );
+    out
+}
+
+fn eirene(p: &[(u64, u64)], seed: u64) -> EireneTree {
+    EireneTree::new(
+        p,
+        EireneOptions {
+            device: device(seed),
+            ..EireneOptions::test_small()
+        },
+    )
+}
+
+fn stm(p: &[(u64, u64)], seed: u64) -> StmTree {
+    StmTree::new(p, device(seed), 1 << 13)
+}
+
+/// Compares line by line, ignoring the literals' indentation.
+fn check(got: String, want: &str) {
+    let lines = |s: &str| s.lines().map(str::trim).collect::<Vec<_>>().join("\n");
+    assert_eq!(lines(&got), lines(want), "\n--- got ---\n{got}");
+}
+
+#[test]
+fn eirene_split_heavy() {
+    let (p, batches) = split_heavy();
+    check(
+        fingerprint(&mut eirene(&p, 11), &batches),
+        "other: mem 1266 control 0 atomic 0
+         combine: mem 1329 control 45540 atomic 0
+         vertical_traversal: mem 1798 control 2662 atomic 0
+         horizontal_traversal: mem 829 control 1626 atomic 0
+         leaf_op: mem 13172 control 9190 atomic 0
+         structure_mod: mem 3418 control 280 atomic 43
+         stm_access: mem 35721 control 103219 atomic 3476
+         stm_commit: mem 15215 control 21436 atomic 0
+         result_calc: mem 96 control 6144 atomic 0
+         run_dispatch: mem 40 control 775 atomic 0
+         steps: vertical 415 horizontal 84 descents 1096
+         conflicts: aborts 993 version 0
+         slab: live 78 retired 0 free 21 reused 0 bump 99
+         shape: height 3 leaves 70 inner 8 keys 840",
+    );
+}
+
+#[test]
+fn stm_split_heavy() {
+    let (p, batches) = split_heavy();
+    check(
+        fingerprint(&mut stm(&p, 12), &batches),
+        "other: mem 3072 control 0 atomic 0
+         vertical_traversal: mem 31043 control 42980 atomic 0
+         horizontal_traversal: mem 1684 control 1684 atomic 0
+         leaf_op: mem 19084 control 15254 atomic 0
+         structure_mod: mem 3230 control 256 atomic 99
+         stm_access: mem 109807 control 293119 atomic 4783
+         stm_commit: mem 39849 control 67452 atomic 0
+         steps: vertical 7064 horizontal 0 descents 4486
+         conflicts: aborts 2918 version 0
+         slab: live 82 retired 73 free 0 reused 0 bump 155
+         shape: height 3 leaves 73 inner 9 keys 840",
+    );
+}
+
+#[test]
+fn eirene_delete_churn() {
+    let (p, batches) = delete_churn();
+    check(
+        fingerprint(&mut eirene(&p, 21), &batches),
+        "other: mem 4320 control 0 atomic 0
+         combine: mem 2025 control 69120 atomic 0
+         vertical_traversal: mem 25956 control 44122 atomic 0
+         horizontal_traversal: mem 2961 control 5515 atomic 0
+         leaf_op: mem 61455 control 31479 atomic 0
+         structure_mod: mem 31027 control 5896 atomic 101
+         stm_access: mem 220976 control 646333 atomic 21682
+         stm_commit: mem 80222 control 107518 atomic 0
+         result_calc: mem 135 control 8640 atomic 0
+         run_dispatch: mem 74 control 3488 atomic 0
+         steps: vertical 6950 horizontal 196 descents 7308
+         conflicts: aborts 5820 version 0
+         slab: live 98 retired 0 free 39 reused 101 bump 137
+         shape: height 3 leaves 90 inner 8 keys 780",
+    );
+}
+
+#[test]
+fn stm_delete_churn() {
+    let (p, batches) = delete_churn();
+    check(
+        fingerprint(&mut stm(&p, 22), &batches),
+        "other: mem 4320 control 0 atomic 0
+         vertical_traversal: mem 92461 control 143736 atomic 0
+         horizontal_traversal: mem 2676 control 2675 atomic 0
+         leaf_op: mem 61230 control 24313 atomic 0
+         structure_mod: mem 35544 control 7832 atomic 214
+         stm_access: mem 380280 control 1077718 atomic 24681
+         stm_commit: mem 104546 control 143388 atomic 0
+         steps: vertical 22204 horizontal 0 descents 24196
+         conflicts: aborts 21342 version 0
+         slab: live 72 retired 279 free 0 reused 0 bump 351
+         shape: height 3 leaves 65 inner 7 keys 780",
+    );
+}
+
+#[test]
+fn eirene_mixed_skew() {
+    let (p, batches) = mixed_skew();
+    check(
+        fingerprint(&mut eirene(&p, 31), &batches),
+        "other: mem 2398 control 0 atomic 0
+         combine: mem 2236 control 77640 atomic 0
+         vertical_traversal: mem 462 control 1448 atomic 0
+         horizontal_traversal: mem 1877 control 4162 atomic 0
+         leaf_op: mem 13168 control 17004 atomic 0
+         structure_mod: mem 510 control 48 atomic 6
+         stm_access: mem 27081 control 76316 atomic 2677
+         stm_commit: mem 12549 control 19744 atomic 0
+         result_calc: mem 160 control 10240 atomic 0
+         run_dispatch: mem 52 control 1198 atomic 0
+         steps: vertical 188 horizontal 649 descents 88
+         conflicts: aborts 5 version 0
+         slab: live 100 retired 0 free 0 reused 1 bump 100
+         shape: height 3 leaves 91 inner 9 keys 1131",
+    );
+}
+
+#[test]
+fn stm_mixed_skew() {
+    let (p, batches) = mixed_skew();
+    check(
+        fingerprint(&mut stm(&p, 32), &batches),
+        "other: mem 5120 control 0 atomic 0
+         vertical_traversal: mem 42013 control 62810 atomic 0
+         horizontal_traversal: mem 3122 control 2949 atomic 0
+         leaf_op: mem 33498 control 26108 atomic 0
+         structure_mod: mem 975 control 88 atomic 11
+         stm_access: mem 157735 control 412894 atomic 5021
+         stm_commit: mem 65804 control 121158 atomic 0
+         steps: vertical 9612 horizontal 87 descents 4382
+         conflicts: aborts 1811 version 0
+         slab: live 105 retired 1 free 0 reused 0 bump 106
+         shape: height 3 leaves 94 inner 11 keys 1127",
+    );
+}
