@@ -26,7 +26,7 @@ use eirene_btree::node::{
     OFF_NEXT, OFF_RF, OFF_VALS, OFF_VERSION,
 };
 use eirene_sim::{Addr, Device, DeviceConfig, Phase, TraceEventKind, WarpCtx};
-use eirene_workloads::{Batch, OpKind, Response};
+use eirene_workloads::{range_window, Batch, OpKind, Response};
 
 /// The lock-based tree.
 pub struct LockTree {
@@ -296,55 +296,18 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
             resp
         }
         OpKind::Upsert(v) => {
-            let (addr, leaf) = locked_descend(ctx, handle, key, true);
-            let prev = ctx.set_phase(Phase::LeafOp);
-            ctx.control(NODE_SEARCH_CONTROL);
-            if let Some(slot) = leaf.find(key) {
-                ctx.write(addr + OFF_VALS + slot as u64, v as u64);
-            } else {
-                let c = leaf.count();
-                debug_assert!(c < FANOUT, "preemptive split guarantees room");
-                let slot = (0..c).take_while(|&i| leaf.keys[i] < key).count();
-                let mut i = c;
-                while i > slot {
-                    ctx.write(addr + OFF_KEYS + i as u64, leaf.keys[i - 1]);
-                    ctx.write(addr + OFF_VALS + i as u64, leaf.vals[i - 1]);
-                    i -= 1;
-                }
-                ctx.write(addr + OFF_KEYS + slot as u64, key);
-                ctx.write(addr + OFF_VALS + slot as u64, v as u64);
-                ctx.write(addr + OFF_META, pack_meta(true, true, c + 1));
-                ctx.control((c - slot) as u64 + 2);
-            }
-            unlock(ctx, addr, true);
-            ctx.set_phase(prev);
+            locked_upsert(ctx, handle, key, v as u64);
             Response::Done
         }
         OpKind::Delete => {
-            let (addr, leaf) = locked_descend(ctx, handle, key, false);
-            let prev = ctx.set_phase(Phase::LeafOp);
-            ctx.control(NODE_SEARCH_CONTROL);
-            match leaf.find(key) {
-                None => unlock(ctx, addr, false),
-                Some(slot) => {
-                    let c = leaf.count();
-                    for i in slot..c - 1 {
-                        ctx.write(addr + OFF_KEYS + i as u64, leaf.keys[i + 1]);
-                        ctx.write(addr + OFF_VALS + i as u64, leaf.vals[i + 1]);
-                    }
-                    ctx.write(addr + OFF_KEYS + (c - 1) as u64, u64::MAX);
-                    ctx.write(addr + OFF_META, pack_meta(true, true, c - 1));
-                    ctx.control((c - slot) as u64 + 2);
-                    unlock(ctx, addr, true);
-                }
-            }
-            ctx.set_phase(prev);
+            locked_delete(ctx, handle, key);
             Response::Done
         }
         OpKind::Range { len } => {
-            let lo = key;
-            let hi = lo.saturating_add(len as u64 - 1);
             let mut out = vec![None; len as usize];
+            let Some((lo, hi)) = range_window(key, len) else {
+                return Response::Range(out);
+            };
             let mut leaf = descend_seq(ctx, handle, lo);
             let prev = ctx.set_phase(Phase::LeafOp);
             loop {

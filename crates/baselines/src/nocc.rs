@@ -16,7 +16,7 @@ use crate::common::{
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{pack_meta, ParsedNode, FANOUT, OFF_KEYS, OFF_META, OFF_VALS};
 use eirene_sim::{Addr, Device, DeviceConfig, Phase, WarpCtx};
-use eirene_workloads::{Batch, OpKind, Response};
+use eirene_workloads::{range_window, Batch, OpKind, Response};
 
 /// The no-concurrency-control tree.
 pub struct NoCcTree {
@@ -119,9 +119,10 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
             Response::Done
         }
         OpKind::Range { len } => {
-            let lo = key;
-            let hi = lo.saturating_add(len as u64 - 1);
             let mut out = vec![None; len as usize];
+            let Some((lo, hi)) = range_window(key, len) else {
+                return Response::Range(out);
+            };
             let (_, mut leaf) = descend_plain(ctx, handle, lo);
             let prev = ctx.set_phase(Phase::LeafOp);
             loop {

@@ -17,14 +17,15 @@
 use crate::common::{
     charge_request_io, warp_span, warps_for, BatchRun, ConcurrentTree, ResponseBuf, TreeBase,
 };
+use eirene_btree::access::TxAccess;
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{meta_count, OFF_KEYS, OFF_META, OFF_NEXT, OFF_VALS};
-use eirene_btree::txops::{
-    tx_delete_rebalancing, tx_descend, tx_query_at_leaf, tx_upsert_at_leaf, LeafUpsert, NO_VALUE,
+use eirene_btree::ops::{
+    delete_rebalancing, descend, query_at_leaf, upsert_at_leaf, LeafUpsert, NO_VALUE,
 };
 use eirene_sim::{Device, DeviceConfig, Phase, WarpCtx};
 use eirene_stm::{Stm, Tx, TxResult};
-use eirene_workloads::{Batch, OpKind, Response};
+use eirene_workloads::{range_window, Batch, OpKind, Response};
 
 /// The STM-based tree.
 pub struct StmTree {
@@ -58,13 +59,15 @@ fn tx_process(
 ) -> TxResult<Response> {
     match op {
         OpKind::Query => {
-            let (addr, count) = tx_descend(tx, ctx, handle, key, false)?;
-            let v = tx_query_at_leaf(tx, ctx, addr, count, key)?;
+            let a = &mut TxAccess::new(tx, ctx);
+            let (addr, count) = descend(a, handle, key, false)?;
+            let v = query_at_leaf(a, addr, count, key)?;
             Ok(Response::Value((v != NO_VALUE).then_some(v as u32)))
         }
         OpKind::Upsert(v) => {
-            let (addr, count) = tx_descend(tx, ctx, handle, key, true)?;
-            match tx_upsert_at_leaf(tx, ctx, addr, count, key, v as u64)? {
+            let a = &mut TxAccess::new(tx, ctx);
+            let (addr, count) = descend(a, handle, key, true)?;
+            match upsert_at_leaf(a, addr, count, key, v as u64)? {
                 LeafUpsert::Done(_) => Ok(Response::Done),
                 LeafUpsert::Full => unreachable!("insert-capable descent guarantees room"),
             }
@@ -73,14 +76,15 @@ fn tx_process(
             // The merging descent keeps every node above the occupancy
             // floor, so deletes shrink the tree instead of stranding
             // near-empty nodes.
-            tx_delete_rebalancing(tx, ctx, handle, key)?;
+            delete_rebalancing(&mut TxAccess::new(tx, ctx), handle, key)?;
             Ok(Response::Done)
         }
         OpKind::Range { len } => {
-            let lo = key;
-            let hi = lo.saturating_add(len as u64 - 1);
             let mut out = vec![None; len as usize];
-            let (mut addr, mut count) = tx_descend(tx, ctx, handle, lo, false)?;
+            let Some((lo, hi)) = range_window(key, len) else {
+                return Ok(Response::Range(out));
+            };
+            let (mut addr, mut count) = descend(&mut TxAccess::new(tx, ctx), handle, lo, false)?;
             let prev = ctx.set_phase(Phase::LeafOp);
             let mut scan = |tx: &mut Tx<'_>, ctx: &mut WarpCtx<'_>, out: &mut Vec<Option<u32>>| {
                 loop {

@@ -514,15 +514,26 @@ mod tests {
         // and under the honest occupancy model (no imaginary speedup for
         // empty warp seats) its makespan is then bounded by per-warp
         // serial time.
-        let spec = spec_for(12, 1 << 17, default_mix(), 5);
-        let stm = measure(TreeKind::Stm, &spec, 1);
-        let eirene = measure(TreeKind::Eirene, &spec, 1);
-        assert!(
-            eirene.throughput > stm.throughput,
-            "eirene {:.1e} <= stm {:.1e}",
-            eirene.throughput,
-            stm.throughput
-        );
+        //
+        // Both throughputs are simulated, but under OS scheduling a
+        // starved host stretches the update kernel's makespan and the
+        // verdict followed host load. The deterministic scheduler makes
+        // it a pure function of (seed, workload); it serializes warps, so
+        // the device shrinks (8 warp seats, 2^13 requests — ~400 updates,
+        // 13 request groups, seats still full) instead of the occupancy.
+        let spec = spec_for(12, 1 << 13, default_mix(), 5);
+        let cfg = DeviceConfig::test_small().with_deterministic_sched(5);
+        let throughput = |kind| {
+            let point = Point::new(kind, spec.clone(), 1);
+            let state = PointState {
+                point: &point,
+                pairs: OnceLock::new(),
+                source: Mutex::new(BatchSource::new(&spec)),
+            };
+            run_repeat(&state, 0, &cfg).tput
+        };
+        let (stm, eirene) = (throughput(TreeKind::Stm), throughput(TreeKind::Eirene));
+        assert!(eirene > stm, "eirene {eirene:.1e} <= stm {stm:.1e}");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   takes 2^20 delete/re-insert operations over a fixed 2^14-key working
 //!   set. Merged-away and emptied nodes must recycle through the slab
 //!   arena, so the final live-node count has to stay within
-//!   [`MEM_OCCUPANCY_FACTOR`]x of the post-build count — a leak (e.g.
+//!   `MEM_OCCUPANCY_FACTOR`x of the post-build count — a leak (e.g.
 //!   retiring without reuse, or never retiring) fails the suite.
 //!
 //! Sim results go to `BENCH_sim.json` (`--out` to override), the ingress

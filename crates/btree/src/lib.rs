@@ -11,16 +11,23 @@
 //! * host-side bulk build from sorted pairs, including the RF (range
 //!   field) initialization required by locality-aware warp reorganization
 //!   (§5);
-//! * uninstrumented reference operations (get/insert/delete/range) used by
-//!   tests and by the bulk loader;
+//! * the tree algorithm itself, written once ([`ops`]: top-down descent
+//!   with preemptive split, at-floor borrow/merge, root collapse,
+//!   right-hop, leaf upsert/delete/query) over an access policy
+//!   ([`access`]): transactional for the device kernels, direct for the
+//!   host;
+//! * host-side reference operations ([`refops`]: get/upsert/delete are
+//!   the direct-policy instantiation of [`ops`]; range/contents read the
+//!   leaf chain) used by tests, examples, the fuzzers and shard migration;
 //! * structural validation ([`validate`]) asserting the B+tree invariants
 //!   (sorted keys, consistent child separators, balanced height, linked
 //!   leaves, occupancy bounds).
 
+pub mod access;
 pub mod build;
 pub mod node;
+pub mod ops;
 pub mod refops;
-pub mod txops;
 pub mod validate;
 
 pub use build::{bulk_build, TreeHandle};

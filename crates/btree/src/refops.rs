@@ -1,294 +1,57 @@
 //! Host-side reference operations: uninstrumented, single-threaded tree
-//! ops used by the bulk loader's consumers, differential tests, and
-//! examples. Device kernels implement the same logic through `WarpCtx`.
+//! ops used by tests, examples, the differential fuzzers and quiesced
+//! shard migration. `get` / `upsert` / `delete` are the shared algorithm
+//! of [`ops`] under the [`Direct`] policy — the same splits, borrows,
+//! merges and root collapses the device kernels perform through
+//! `TxAccess`, so a host-built tree and a device-built tree have the same
+//! shape. `range` and `contents` are plain leaf-chain readers.
 
+use crate::access::Direct;
 use crate::build::TreeHandle;
-use crate::node::{NodeRef, FANOUT, META_DEAD, MIN_OCCUPANCY, OFF_META};
-use eirene_sim::{Addr, GlobalMemory};
-
-/// Result of a recursive insert at one level.
-enum Ins {
-    Done(Option<u64>),
-    /// Child split: (fence key of new right sibling, its address,
-    /// previous value if the key existed).
-    Split(u64, Addr, Option<u64>),
-}
+use crate::node::NodeRef;
+use crate::ops::{self, LeafUpsert, NO_VALUE};
+use eirene_sim::GlobalMemory;
+use eirene_workloads::range_window;
 
 /// Looks up `key`, returning its value if present.
 pub fn get(mem: &GlobalMemory, tree: &TreeHandle, key: u64) -> Option<u64> {
-    let mut node = NodeRef {
-        addr: tree.root(mem),
-    };
-    while !node.is_leaf(mem) {
-        node = NodeRef {
-            addr: node.val(mem, child_slot(mem, node, key)),
-        };
-    }
-    let c = node.count(mem);
-    (0..c)
-        .find(|&i| node.key(mem, i) == key)
-        .map(|i| node.val(mem, i))
+    let a = &mut Direct(mem);
+    let Ok((leaf, count)) = ops::descend(a, tree, key, false);
+    let Ok(v) = ops::query_at_leaf(a, leaf, count, key);
+    (v != NO_VALUE).then_some(v)
 }
 
-/// Inserts or updates `key`, returning the previous value if any.
+/// Inserts or updates `key`, returning the previous value if any. Full
+/// nodes on the path split on the way down. `u64::MAX` is the in-memory
+/// "no value" sentinel and cannot be stored.
 pub fn upsert(mem: &GlobalMemory, tree: &TreeHandle, key: u64, val: u64) -> Option<u64> {
-    let root = NodeRef {
-        addr: tree.root(mem),
-    };
-    match insert_rec(mem, root, key, val) {
-        Ins::Done(old) => old,
-        Ins::Split(fence, right, old) => {
-            // Root split: a new root with two fences.
-            let new_root = NodeRef::alloc(mem, false);
-            new_root.set_key(mem, 0, first_key_bound(mem, root));
-            new_root.set_val(mem, 0, root.addr);
-            new_root.set_key(mem, 1, fence);
-            new_root.set_val(mem, 1, right);
-            new_root.set_count(mem, 2);
-            let height = tree.height(mem);
-            tree.set_root(mem, new_root.addr, height + 1);
-            old
-        }
+    debug_assert_ne!(val, NO_VALUE, "u64::MAX is the no-value sentinel");
+    let a = &mut Direct(mem);
+    let Ok((leaf, count)) = ops::descend(a, tree, key, true);
+    match ops::upsert_at_leaf(a, leaf, count, key, val) {
+        Ok(LeafUpsert::Done(old)) => (old != NO_VALUE).then_some(old),
+        Ok(LeafUpsert::Full) => unreachable!("insert-capable descent guarantees room"),
     }
 }
 
-/// Result of a recursive delete at one level.
-enum Del {
-    NotFound,
-    Done(u64),
-    /// Deleted, and the node dropped below [`MIN_OCCUPANCY`]; the parent
-    /// must borrow into it or merge it with a sibling.
-    Underflow(u64),
-}
-
-/// Deletes `key`, returning its previous value if it was present.
-/// Underflowing nodes rebalance: a node that drops below
-/// [`MIN_OCCUPANCY`] borrows an entry from an adjacent sibling when one
-/// can spare it, and merges right-into-left otherwise. Merged-away nodes
-/// are tombstoned (`META_DEAD`) and retired into the arena's epoch
-/// quarantine, so stale readers keep seeing intact NEXT/HIGH words until
-/// reclamation. An inner root left with a single child collapses,
-/// shrinking the height.
+/// Deletes `key`, returning its previous value if it was present. Nodes
+/// at the [`MIN_OCCUPANCY`](crate::node::MIN_OCCUPANCY) floor on the path
+/// are rebalanced on the way down (see [`ops::delete_rebalancing`]);
+/// merged-away nodes go to the arena's epoch quarantine at once.
 pub fn delete(mem: &GlobalMemory, tree: &TreeHandle, key: u64) -> Option<u64> {
-    let root = NodeRef {
-        addr: tree.root(mem),
-    };
-    let old = match delete_rec(mem, root, key) {
-        Del::NotFound => return None,
-        Del::Done(old) | Del::Underflow(old) => old,
-    };
-    collapse_root(mem, tree);
-    Some(old)
-}
-
-fn delete_rec(mem: &GlobalMemory, node: NodeRef, key: u64) -> Del {
-    if node.is_leaf(mem) {
-        return leaf_delete(mem, node, key);
-    }
-    let slot = child_slot(mem, node, key);
-    let child = NodeRef {
-        addr: node.val(mem, slot),
-    };
-    match delete_rec(mem, child, key) {
-        Del::NotFound => Del::NotFound,
-        Del::Done(old) => Del::Done(old),
-        Del::Underflow(old) => {
-            fix_underflow(mem, node, slot);
-            if node.count(mem) < MIN_OCCUPANCY {
-                Del::Underflow(old)
-            } else {
-                Del::Done(old)
-            }
-        }
-    }
-}
-
-fn leaf_delete(mem: &GlobalMemory, leaf: NodeRef, key: u64) -> Del {
-    let c = leaf.count(mem);
-    let Some(slot) = (0..c).find(|&i| leaf.key(mem, i) == key) else {
-        return Del::NotFound;
-    };
-    let old = leaf.val(mem, slot);
-    for i in slot..c - 1 {
-        leaf.set_key(mem, i, leaf.key(mem, i + 1));
-        leaf.set_val(mem, i, leaf.val(mem, i + 1));
-    }
-    leaf.set_key(mem, c - 1, u64::MAX);
-    leaf.set_count(mem, c - 1);
-    if c - 1 < MIN_OCCUPANCY {
-        Del::Underflow(old)
-    } else {
-        Del::Done(old)
-    }
-}
-
-/// Restores the occupancy of `parent`'s child at `slot`: borrow one entry
-/// from the sibling that can spare it, else merge right-into-left. A
-/// parent with a single child (only possible near the root, which is
-/// exempt) leaves the child as-is.
-fn fix_underflow(mem: &GlobalMemory, parent: NodeRef, slot: usize) {
-    let pc = parent.count(mem);
-    let child = NodeRef {
-        addr: parent.val(mem, slot),
-    };
-    let right = (slot + 1 < pc).then(|| NodeRef {
-        addr: parent.val(mem, slot + 1),
-    });
-    let left = (slot > 0).then(|| NodeRef {
-        addr: parent.val(mem, slot - 1),
-    });
-    if let Some(r) = right {
-        if r.count(mem) > MIN_OCCUPANCY {
-            return borrow_from_right(mem, parent, slot, child, r);
-        }
-    }
-    if let Some(l) = left {
-        if l.count(mem) > MIN_OCCUPANCY {
-            return borrow_from_left(mem, parent, slot, l, child);
-        }
-    }
-    if let Some(r) = right {
-        merge_into_left(mem, parent, slot + 1, child, r);
-    } else if let Some(l) = left {
-        merge_into_left(mem, parent, slot, l, child);
-    }
-    // No sibling: single-child parent, nothing to rebalance against.
-}
-
-/// Moves `right`'s first entry to `child`'s end and re-fences.
-fn borrow_from_right(
-    mem: &GlobalMemory,
-    parent: NodeRef,
-    slot: usize,
-    child: NodeRef,
-    right: NodeRef,
-) {
-    let rc = right.count(mem);
-    let cc = child.count(mem);
-    child.set_key(mem, cc, right.key(mem, 0));
-    child.set_val(mem, cc, right.val(mem, 0));
-    child.set_count(mem, cc + 1);
-    for i in 0..rc - 1 {
-        right.set_key(mem, i, right.key(mem, i + 1));
-        right.set_val(mem, i, right.val(mem, i + 1));
-    }
-    right.set_key(mem, rc - 1, u64::MAX);
-    right.set_count(mem, rc - 1);
-    // The boundary between the two siblings moved up to right's new
-    // minimum: parent fence, right's low, and child's high all track it.
-    let fence = right.key(mem, 0);
-    parent.set_key(mem, slot + 1, fence);
-    right.set_low(mem, fence);
-    child.set_high(mem, fence);
-    child.bump_version(mem);
-    right.bump_version(mem);
-}
-
-/// Moves `left`'s last entry to `child`'s front and re-fences.
-fn borrow_from_left(
-    mem: &GlobalMemory,
-    parent: NodeRef,
-    slot: usize,
-    left: NodeRef,
-    child: NodeRef,
-) {
-    let lc = left.count(mem);
-    let cc = child.count(mem);
-    let (k, v) = (left.key(mem, lc - 1), left.val(mem, lc - 1));
-    let mut i = cc;
-    while i > 0 {
-        child.set_key(mem, i, child.key(mem, i - 1));
-        child.set_val(mem, i, child.val(mem, i - 1));
-        i -= 1;
-    }
-    child.set_key(mem, 0, k);
-    child.set_val(mem, 0, v);
-    child.set_count(mem, cc + 1);
-    left.set_key(mem, lc - 1, u64::MAX);
-    left.set_count(mem, lc - 1);
-    // The boundary moved down to the borrowed key.
-    parent.set_key(mem, slot, k);
-    child.set_low(mem, k);
-    left.set_high(mem, k);
-    child.bump_version(mem);
-    left.bump_version(mem);
-}
-
-/// Merges `right` (the parent entry at `right_slot`) into `left`, its
-/// chain predecessor. `left` absorbs the entries and the key range;
-/// `right` is tombstoned and retired — its NEXT/HIGH stay readable for
-/// same-epoch stale readers until the arena recycles it.
-fn merge_into_left(
-    mem: &GlobalMemory,
-    parent: NodeRef,
-    right_slot: usize,
-    left: NodeRef,
-    right: NodeRef,
-) {
-    let lc = left.count(mem);
-    let rc = right.count(mem);
-    debug_assert!(lc + rc <= FANOUT, "merge would overflow");
-    debug_assert_eq!(left.is_leaf(mem), right.is_leaf(mem));
-    for i in 0..rc {
-        left.set_key(mem, lc + i, right.key(mem, i));
-        left.set_val(mem, lc + i, right.val(mem, i));
-    }
-    left.set_count(mem, lc + rc);
-    left.set_next(mem, right.next(mem));
-    left.set_high(mem, right.high(mem));
-    left.bump_version(mem);
-    // Remove the parent's entry for the absorbed node.
-    let pc = parent.count(mem);
-    for i in right_slot..pc - 1 {
-        parent.set_key(mem, i, parent.key(mem, i + 1));
-        parent.set_val(mem, i, parent.val(mem, i + 1));
-    }
-    parent.set_key(mem, pc - 1, u64::MAX);
-    parent.set_count(mem, pc - 1);
-    // Tombstone, then quarantine: an optimistic reader that raced here
-    // sees META_DEAD and restarts; the block is recycled only after the
-    // next epoch advance.
-    mem.fetch_or(right.addr + OFF_META, META_DEAD);
-    right.bump_version(mem);
-    right.retire(mem);
-}
-
-/// Collapses single-child inner roots, shrinking the recorded height.
-/// The promoted child already spans the full key range (low 0 after the
-/// leftmost clamp, high unbounded as the rightmost), so no re-fencing is
-/// needed.
-fn collapse_root(mem: &GlobalMemory, tree: &TreeHandle) {
-    loop {
-        let root = NodeRef {
-            addr: tree.root(mem),
-        };
-        if root.is_leaf(mem) || root.count(mem) != 1 {
-            return;
-        }
-        let child = NodeRef {
-            addr: root.val(mem, 0),
-        };
-        let height = tree.height(mem);
-        tree.set_root(mem, child.addr, height - 1);
-        mem.fetch_or(root.addr + OFF_META, META_DEAD);
-        root.bump_version(mem);
-        root.retire(mem);
-    }
+    let Ok(old) = ops::delete_rebalancing(&mut Direct(mem), tree, key);
+    (old != NO_VALUE).then_some(old)
 }
 
 /// Returns the values of keys in `[lo, lo + len - 1]`, one optional slot
 /// per key offset.
 pub fn range(mem: &GlobalMemory, tree: &TreeHandle, lo: u64, len: u32) -> Vec<Option<u64>> {
-    let hi = lo.saturating_add(len as u64 - 1);
     let mut out = vec![None; len as usize];
-    let mut node = NodeRef {
-        addr: tree.root(mem),
+    let Some((lo, hi)) = range_window(lo, len) else {
+        return out;
     };
-    while !node.is_leaf(mem) {
-        node = NodeRef {
-            addr: node.val(mem, child_slot(mem, node, lo)),
-        };
-    }
+    let Ok((leaf, _)) = ops::descend(&mut Direct(mem), tree, lo, false);
+    let mut node = NodeRef { addr: leaf };
     loop {
         let c = node.count(mem);
         for i in 0..c {
@@ -331,139 +94,6 @@ pub fn contents(mem: &GlobalMemory, tree: &TreeHandle) -> Vec<(u64, u64)> {
         node = NodeRef { addr: next };
     }
     out
-}
-
-/// Inner-node descent slot (host-side twin of `ParsedNode::child_slot`).
-pub fn child_slot(mem: &GlobalMemory, node: NodeRef, key: u64) -> usize {
-    let c = node.count(mem);
-    debug_assert!(c > 0);
-    let mut slot = 0;
-    for i in 0..c {
-        if node.key(mem, i) <= key {
-            slot = i;
-        } else {
-            break;
-        }
-    }
-    slot
-}
-
-fn first_key_bound(mem: &GlobalMemory, node: NodeRef) -> u64 {
-    // Fence for the left half after a root split: its first stored key
-    // (fences only need to lower-bound the subtree for search to work;
-    // the leftmost path is clamped).
-    node.key(mem, 0)
-}
-
-fn insert_rec(mem: &GlobalMemory, node: NodeRef, key: u64, val: u64) -> Ins {
-    if node.is_leaf(mem) {
-        return leaf_insert(mem, node, key, val);
-    }
-    let slot = child_slot(mem, node, key);
-    let child = NodeRef {
-        addr: node.val(mem, slot),
-    };
-    match insert_rec(mem, child, key, val) {
-        Ins::Done(old) => Ins::Done(old),
-        Ins::Split(fence, right, old) => {
-            // Clamp case: along the leftmost spine a child can hold keys
-            // below its recorded fence; its split fence may then undercut
-            // the parent entry. Lower the stale fence to the child's true
-            // lower bound before inserting, or key order would break.
-            if fence < node.key(mem, slot) {
-                debug_assert_eq!(slot, 0, "only the clamped slot can undercut");
-                node.set_key(mem, slot, child.low(mem));
-            }
-            let c = node.count(mem);
-            if c < FANOUT {
-                entry_insert(mem, node, slot + 1, fence, right);
-                Ins::Done(old)
-            } else {
-                let (rnode, rfence) = split_inner(mem, node);
-                // Insert the new fence into the correct half.
-                if fence >= rfence {
-                    let rslot = child_slot(mem, rnode, fence);
-                    entry_insert(mem, rnode, rslot + 1, fence, right);
-                } else {
-                    entry_insert(mem, node, slot + 1, fence, right);
-                }
-                Ins::Split(rfence, rnode.addr, old)
-            }
-        }
-    }
-}
-
-fn leaf_insert(mem: &GlobalMemory, leaf: NodeRef, key: u64, val: u64) -> Ins {
-    let c = leaf.count(mem);
-    for i in 0..c {
-        if leaf.key(mem, i) == key {
-            let old = leaf.val(mem, i);
-            leaf.set_val(mem, i, val);
-            return Ins::Done(Some(old));
-        }
-    }
-    if c < FANOUT {
-        let slot = (0..c).take_while(|&i| leaf.key(mem, i) < key).count();
-        entry_insert(mem, leaf, slot, key, val);
-        return Ins::Done(None);
-    }
-    // Split the leaf, then insert into the proper half.
-    let (right, rfence) = split_leaf(mem, leaf);
-    let target = if key >= rfence { right } else { leaf };
-    let tc = target.count(mem);
-    let slot = (0..tc).take_while(|&i| target.key(mem, i) < key).count();
-    entry_insert(mem, target, slot, key, val);
-    Ins::Split(rfence, right.addr, None)
-}
-
-/// Inserts (key, val) at `slot`, shifting later entries right. The node
-/// must have spare capacity.
-fn entry_insert(mem: &GlobalMemory, node: NodeRef, slot: usize, key: u64, val: u64) {
-    let c = node.count(mem);
-    debug_assert!(c < FANOUT && slot <= c);
-    let mut i = c;
-    while i > slot {
-        node.set_key(mem, i, node.key(mem, i - 1));
-        node.set_val(mem, i, node.val(mem, i - 1));
-        i -= 1;
-    }
-    node.set_key(mem, slot, key);
-    node.set_val(mem, slot, val);
-    node.set_count(mem, c + 1);
-}
-
-/// Splits a full leaf: upper half moves to a new right sibling, versions
-/// bump (the validation signal of §4.2), chain links update. Returns the
-/// new node and its fence key.
-pub fn split_leaf(mem: &GlobalMemory, leaf: NodeRef) -> (NodeRef, u64) {
-    split_node(mem, leaf, true)
-}
-
-/// Splits a full inner node analogously.
-pub fn split_inner(mem: &GlobalMemory, node: NodeRef) -> (NodeRef, u64) {
-    split_node(mem, node, false)
-}
-
-fn split_node(mem: &GlobalMemory, node: NodeRef, leaf: bool) -> (NodeRef, u64) {
-    let c = node.count(mem);
-    debug_assert_eq!(c, FANOUT, "only full nodes split");
-    let half = c / 2;
-    let right = NodeRef::alloc(mem, leaf);
-    for i in half..c {
-        right.set_key(mem, i - half, node.key(mem, i));
-        right.set_val(mem, i - half, node.val(mem, i));
-        node.set_key(mem, i, u64::MAX);
-    }
-    right.set_count(mem, c - half);
-    node.set_count(mem, half);
-    right.set_next(mem, node.next(mem));
-    right.set_rf(mem, node.rf(mem));
-    right.set_high(mem, node.high(mem));
-    right.set_low(mem, right.key(mem, 0));
-    node.set_next(mem, right.addr);
-    node.set_high(mem, right.key(mem, 0));
-    node.bump_version(mem);
-    (right, right.key(mem, 0))
 }
 
 #[cfg(test)]

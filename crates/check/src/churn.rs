@@ -19,10 +19,10 @@
 //! * **drained quarantine**: the batch-boundary epoch advance reclaims
 //!   everything retired during the batch, so nothing stays parked.
 //!
-//! The serve leg ([`run_churn_serve_fuzz`]) pushes the same churn stream
+//! The serve leg (`run_churn_serve_leg`) pushes the same churn stream
 //! through a sharded service with racing submitters and a forced
 //! split + merge rebalance, piggybacking on
-//! [`run_serve_case`](crate::run_serve_case) (which checks the per-shard
+//! [`run_serve_case`] (which checks the per-shard
 //! arena gauges on every serve-fuzz case).
 
 use crate::diff::{build_tree, FuzzTree, Violation};

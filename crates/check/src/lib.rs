@@ -14,7 +14,7 @@
 //!   response against the [`SequentialOracle`](eirene_workloads::SequentialOracle),
 //!   re-validates the structural invariants with `btree::validate`, and
 //!   diffs the final key/value contents.
-//! * [`shrink`] reduces a failing batch delta-debugging-style to a minimal
+//! * [`mod@shrink`] reduces a failing batch delta-debugging-style to a minimal
 //!   reproducer.
 //! * [`harness`] is the fuzz driver wired into `eirene-bench fuzz` and the
 //!   CI smoke job; failures print a self-contained reproducer with every

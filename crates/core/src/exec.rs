@@ -20,18 +20,19 @@ use crate::locality::WarpLocator;
 use crate::pivot::PivotCache;
 use crate::plan::{partition_leaf_runs, Artificial, CombinePlan, IssuedKind, Run};
 use eirene_baselines::common::{charge_request_io, BatchRun};
+use eirene_btree::access::{NodeAccess, TxAccess};
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{
     meta_count, meta_is_dead, meta_is_leaf, MIN_OCCUPANCY, OFF_LOW, OFF_META, OFF_VERSION,
 };
-use eirene_btree::txops::{
-    tx_delete_at_leaf, tx_delete_rebalancing, tx_descend, tx_hop_right, tx_upsert_at_leaf,
-    LeafDelete, LeafUpsert, NO_VALUE,
+use eirene_btree::ops::{
+    delete_at_leaf, delete_rebalancing, descend, hop_right, upsert_at_leaf, LeafDelete, LeafUpsert,
+    NO_VALUE,
 };
 use eirene_primitives::PrimCost;
 use eirene_sim::{Device, DeviceConfig, KernelStats, Phase, TraceEventKind};
 use eirene_stm::{Abort, Stm};
-use eirene_workloads::{Batch, OpKind, Response};
+use eirene_workloads::{range_window, Batch, OpKind, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the update kernel protects leaf-region operations. The paper's
@@ -93,8 +94,8 @@ impl Default for ExecOptions {
 enum QkItem {
     /// Issued point query for run `run`.
     Query { run: u32, key: u64 },
-    /// Range query `range_idx` over `[lo, lo+len)`.
-    Range { range_idx: u32, lo: u64, len: u32 },
+    /// Range query `range_idx` over the inclusive window `[lo, hi]`.
+    Range { range_idx: u32, lo: u64, hi: u64 },
 }
 
 impl QkItem {
@@ -139,38 +140,25 @@ pub fn execute(
             kind => uk_items.push((is.run, is.key as u64, kind)),
         }
     }
-    // Merge ranges into the query-kernel stream by key (both sorted).
+    // Merge ranges into the query-kernel stream by key (both sorted). An
+    // empty window never reaches the kernel: its response is the empty
+    // vector installed below.
+    let range_items = plan.ranges.iter().enumerate().filter_map(|(idx, r)| {
+        range_window(r.lo as u64, r.len).map(|(lo, hi)| QkItem::Range {
+            range_idx: idx as u32,
+            lo,
+            hi,
+        })
+    });
     let mut merged: Vec<QkItem> = Vec::with_capacity(qk_items.len() + plan.ranges.len());
-    {
-        let mut qi = qk_items.into_iter().peekable();
-        let mut ri = plan.ranges.iter().enumerate().peekable();
-        loop {
-            match (qi.peek(), ri.peek()) {
-                (Some(q), Some((_, r))) => {
-                    if q.sort_key() <= r.lo as u64 {
-                        merged.push(qi.next().expect("peeked"));
-                    } else {
-                        let (idx, r) = ri.next().expect("peeked");
-                        merged.push(QkItem::Range {
-                            range_idx: idx as u32,
-                            lo: r.lo as u64,
-                            len: r.len,
-                        });
-                    }
-                }
-                (Some(_), None) => merged.push(qi.next().expect("peeked")),
-                (None, Some(_)) => {
-                    let (idx, r) = ri.next().expect("peeked");
-                    merged.push(QkItem::Range {
-                        range_idx: idx as u32,
-                        lo: r.lo as u64,
-                        len: r.len,
-                    });
-                }
-                (None, None) => break,
-            }
+    let mut queries = qk_items.into_iter().peekable();
+    for range in range_items {
+        while let Some(q) = queries.next_if(|q| q.sort_key() <= range.sort_key()) {
+            merged.push(q);
         }
+        merged.push(range);
     }
+    merged.extend(queries);
     let qk_items = merged;
 
     // Range results are accumulated here (written by the query kernel,
@@ -204,10 +192,9 @@ pub fn execute(
                 old_vals[run as usize].store(v, Ordering::Relaxed);
                 ctx.end_request();
             }
-            QkItem::Range { range_idx, lo, len } => {
+            QkItem::Range { range_idx, lo, hi } => {
                 ctx.begin_request();
                 charge_request_io(ctx);
-                let hi = lo + len as u64 - 1;
                 let (_, mut leaf) = loc.locate(ctx, handle, lo);
                 let prev = ctx.set_phase(Phase::LeafOp);
                 loop {
@@ -315,16 +302,19 @@ fn update_one(
             // guaranteed because aborting releases ownership.
             loc.invalidate();
             let old = stm
-                .run(ctx, usize::MAX >> 1, |tx, ctx| match kind {
-                    IssuedKind::Upsert(v) => {
-                        let (addr, count) = tx_descend(tx, ctx, handle, key, true)?;
-                        match tx_upsert_at_leaf(tx, ctx, addr, count, key, v as u64)? {
-                            LeafUpsert::Done(old) => Ok(old),
-                            LeafUpsert::Full => unreachable!("descent guarantees room"),
+                .run(ctx, usize::MAX >> 1, |tx, ctx| {
+                    let a = &mut TxAccess::new(tx, ctx);
+                    match kind {
+                        IssuedKind::Upsert(v) => {
+                            let (addr, count) = descend(a, handle, key, true)?;
+                            match upsert_at_leaf(a, addr, count, key, v as u64)? {
+                                LeafUpsert::Done(old) => Ok(old),
+                                LeafUpsert::Full => unreachable!("descent guarantees room"),
+                            }
                         }
+                        IssuedKind::Delete => delete_rebalancing(a, handle, key),
+                        IssuedKind::Query => unreachable!("queries run in the query kernel"),
                     }
-                    IssuedKind::Delete => tx_delete_rebalancing(tx, ctx, handle, key),
-                    IssuedKind::Query => unreachable!("queries run in the query kernel"),
                 })
                 .expect("unbounded retries cannot exhaust");
             return old;
@@ -339,32 +329,33 @@ fn update_one(
         let attempt = {
             let mut tx = stm.begin();
             let r = (|| {
-                let v2 = tx.read(ctx, addr + OFF_VERSION)?;
-                ctx.control(1);
+                let a = &mut TxAccess::new(&mut tx, ctx);
+                let v2 = a.read(addr + OFF_VERSION)?;
+                a.control(1);
                 if v2 != leafvers {
                     return Ok(None); // stale leaf reference (line 38)
                 }
-                let meta = tx.read(ctx, addr + OFF_META)?;
-                ctx.control(1);
+                let meta = a.read(addr + OFF_META)?;
+                a.control(1);
                 if !meta_is_leaf(meta) || meta_is_dead(meta) {
                     // The unprotected hint was garbage, or the leaf was
                     // merged away and awaits reclamation.
                     return Ok(None);
                 }
                 let count = meta_count(meta);
-                let (laddr, lcount) = tx_hop_right(&mut tx, ctx, addr, count, key)?;
+                let (laddr, lcount) = hop_right(a, addr, count, key)?;
                 // Ownership proof: hop_right established key < high; the
                 // low fence closes the other side. A leaf located right of
                 // the target (possible only from a torn hint) fails here
                 // and retries vertically.
-                let low = tx.read(ctx, laddr + OFF_LOW)?;
-                ctx.control(1);
+                let low = a.read(laddr + OFF_LOW)?;
+                a.control(1);
                 if key < low {
                     return Ok(None);
                 }
                 match kind {
                     IssuedKind::Upsert(v) => {
-                        match tx_upsert_at_leaf(&mut tx, ctx, laddr, lcount, key, v as u64)? {
+                        match upsert_at_leaf(a, laddr, lcount, key, v as u64)? {
                             LeafUpsert::Done(old) => Ok(Some(old)),
                             LeafUpsert::Full => {
                                 need_smo = true;
@@ -373,7 +364,7 @@ fn update_one(
                         }
                     }
                     IssuedKind::Delete => {
-                        match tx_delete_at_leaf(&mut tx, ctx, laddr, lcount, key, MIN_OCCUPANCY)? {
+                        match delete_at_leaf(a, laddr, lcount, key, MIN_OCCUPANCY)? {
                             LeafDelete::Done(old) => Ok(Some(old)),
                             LeafDelete::Underflow => {
                                 need_smo = true;
@@ -442,7 +433,7 @@ impl HasKey for QkItem {
         match self {
             QkItem::Query { key, .. } => *key,
             // A range touches keys up to its inclusive upper bound.
-            QkItem::Range { lo, len, .. } => lo + *len as u64 - 1,
+            QkItem::Range { hi, .. } => *hi,
         }
     }
 

@@ -3,7 +3,7 @@
 
 use eirene_primitives::{radix_sort_pairs, PrimCost};
 use eirene_sim::DeviceConfig;
-use eirene_workloads::{Batch, Key, OpKind, Value};
+use eirene_workloads::{range_window, Batch, Key, OpKind, Value};
 
 /// The request issued to the tree on behalf of a whole run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -205,9 +205,10 @@ pub fn build_plan(batch: &Batch, cfg: &DeviceConfig) -> CombinePlan {
     for (run_i, run) in runs.iter().enumerate() {
         let k = run.key as u64;
         while ri < ranges.len() && (ranges[ri].lo as u64) <= k {
-            let r = &ranges[ri];
-            let hi = r.lo as u64 + r.len as u64 - 1;
-            active.push((hi, ri as u32));
+            // A zero-length range covers no key: it never becomes active.
+            if let Some((_, hi)) = range_window(ranges[ri].lo as u64, ranges[ri].len) {
+                active.push((hi, ri as u32));
+            }
             ri += 1;
         }
         active.retain(|&(hi, _)| hi >= k);

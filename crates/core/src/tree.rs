@@ -124,7 +124,7 @@ impl EireneTree {
         build_plan(batch, self.base.device.config())
     }
 
-    /// Executes a batch with an already-built [`CombinePlan`].
+    /// Executes a batch with an already-built [`CombinePlan`](crate::plan::CombinePlan).
     ///
     /// [`build_plan`](crate::plan::build_plan) needs only the batch and the
     /// device configuration — not the tree — so a caller can combine batch

@@ -14,7 +14,7 @@
 //!   bulk enqueue per shard. Admission is lock-free by default
 //!   ([`AdmissionMode`]): a bare atomic timestamp counter plus a
 //!   watermark of in-flight submissions that lets each combiner restore
-//!   timestamp order (see the [`service`] module docs).
+//!   timestamp order (see the `service` module docs).
 //! - **Epoch pipelining** — per shard, a combiner thread forms and plans
 //!   epoch N+1 (host work) while the executor runs epoch N on the device,
 //!   exploiting that [`build_plan`](eirene_core::plan::build_plan) needs
@@ -25,7 +25,7 @@
 //! - **Cross-shard ranges** — range queries spanning shard boundaries are
 //!   split into per-shard sub-queries sharing one timestamp and merged
 //!   positionally, preserving global linearizability (see the
-//!   [`service`] module docs for the argument).
+//!   `service` module docs for the argument).
 //! - **Reports** — per-shard telemetry ([`ShardReport`]) with the
 //!   serving-only `ingress` / `queue_wait` phases, end-to-end latency
 //!   histograms, captured schedules, and aggregate views
@@ -40,7 +40,7 @@
 //!   tenant ([`Client::for_tenant`]); combiners admit lanes by weighted
 //!   round-robin and enforce per-tenant quotas, so an abusive tenant
 //!   sheds at its own quota while well-behaved tenants keep their
-//!   latency (see the [`lane`](crate::service) docs).
+//!   latency (see the `lane` module docs).
 //! - **Live observability** — with [`ObserveConfig`] enabled, each shard
 //!   emits a [`ShardSample`] of counters, gauges, and latency summaries
 //!   at every epoch boundary, records per-ticket lifecycle spans

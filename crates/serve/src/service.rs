@@ -68,7 +68,7 @@ use crate::rebalance::{
     RebalanceSpec, Wake,
 };
 use crate::report::{ServeReport, ShardReport};
-use crate::shard::{hash_shard, RangePart, ShardId, ShardMap, Sharding};
+use crate::shard::{hash_shard, window_end, RangePart, ShardId, ShardMap, Sharding};
 use crate::ticket::{CellRef, Completion, Outcome, RangeMerge, Ticket, TicketBatch};
 use eirene_baselines::common::ConcurrentTree;
 use eirene_core::plan::{build_plan, CombinePlan};
@@ -418,15 +418,15 @@ impl Inner {
             Sharding::Hash => match op {
                 OpKind::Range { len } => {
                     let n = self.shards.len();
-                    if len == 0 {
+                    let Some(hi) = window_end(key, len) else {
                         return Route::Empty;
-                    }
+                    };
                     if n == 1 {
                         return Route::One(0);
                     }
                     // Clip at the domain edge like split_range: slots past
                     // the edge stay None, matching the oracle.
-                    let clipped = key.saturating_add(len - 1) - key + 1;
+                    let clipped = hi - key + 1;
                     Route::Split(
                         (0..n)
                             .map(|shard| RangePart {

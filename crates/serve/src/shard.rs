@@ -1,7 +1,7 @@
 //! Key-range shard map: routing, cross-shard range splitting, and the
 //! hash-scatter alternative.
 
-use eirene_workloads::Key;
+use eirene_workloads::{range_window, Key};
 
 /// Identifier of a shard (index into the service's shard array).
 pub type ShardId = usize;
@@ -157,10 +157,9 @@ impl ShardMap {
     /// parts.
     pub fn split_range(&self, lo: Key, len: u32) -> Vec<RangePart> {
         let mut parts = Vec::new();
-        if len == 0 {
+        let Some(hi) = window_end(lo, len) else {
             return parts;
-        }
-        let hi = lo.saturating_add(len - 1);
+        };
         let mut cur = lo;
         loop {
             let shard = self.shard_of(cur);
@@ -177,6 +176,12 @@ impl ShardMap {
             cur = part_hi + 1;
         }
     }
+}
+
+/// Last key of the range window `[lo, lo + len - 1]`, clipped at the edge
+/// of the key domain; `None` for an empty window.
+pub(crate) fn window_end(lo: Key, len: u32) -> Option<Key> {
+    range_window(lo as u64, len).map(|(_, hi)| hi.min(Key::MAX as u64) as Key)
 }
 
 /// How keys map to shards.

@@ -126,17 +126,17 @@ impl GlobalMemory {
 
     /// Retires a block previously returned by
     /// [`alloc_reuse`](Self::alloc_reuse). The block's contents stay
-    /// intact and readable until the next [`advance_epoch`]
-    /// (Self::advance_epoch) — same-epoch stale readers may still
-    /// dereference it — and it only becomes available to `alloc_reuse`
-    /// after that advance.
+    /// intact and readable until the next
+    /// [`advance_epoch`](Self::advance_epoch) — same-epoch stale readers
+    /// may still dereference it — and it only becomes available to
+    /// `alloc_reuse` after that advance.
     pub fn retire(&self, addr: Addr, words: usize, align: usize) {
         self.slab.retire(addr, words, align);
     }
 
     /// Advances the reclamation epoch at a quiescent point (no in-flight
     /// kernel may still hold pointers into retired blocks — see module
-    /// docs of [`crate::slab`]). Every block retired before the call
+    /// docs of the `slab` module). Every block retired before the call
     /// becomes reusable; under `cfg(debug_assertions)` each is first
     /// overwritten with [`POISON_WORD`](crate::POISON_WORD) so stale
     /// readers that outlive the epoch trip an assert. Returns the new

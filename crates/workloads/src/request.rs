@@ -9,6 +9,15 @@ pub type Value = u32;
 /// produced by the generators never collide with it.
 pub const NULL_VALUE: u64 = u64::MAX;
 
+/// The inclusive key window `[lo, hi]` a range query of `len` keys
+/// starting at `lo` covers: `None` when `len == 0` (the response is the
+/// empty vector and no tree is touched), saturating at the top of the key
+/// space otherwise (slots past it stay `None`).
+#[inline]
+pub fn range_window(lo: u64, len: u32) -> Option<(u64, u64)> {
+    (len > 0).then(|| (lo, lo.saturating_add(len as u64 - 1)))
+}
+
 /// Kind of operation carried by a request.
 ///
 /// The paper groups `update`, `insertion`, and `deletion` under *update
@@ -169,6 +178,17 @@ mod tests {
         assert_eq!(b.requests[1].ts, 1);
         assert_eq!(b.requests[2].ts, 2);
         assert_eq!(b.requests[2].op, OpKind::Delete);
+    }
+
+    #[test]
+    fn range_window_is_inclusive_empty_aware_and_saturating() {
+        assert_eq!(range_window(10, 4), Some((10, 13)));
+        assert_eq!(range_window(0, 1), Some((0, 0)));
+        assert_eq!(range_window(0, 0), None);
+        assert_eq!(
+            range_window(u64::MAX - 1, 8),
+            Some((u64::MAX - 1, u64::MAX))
+        );
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! synchronized tree must still satisfy the structural invariants.
 
 use eirene::baselines::common::{BatchRun, ConcurrentTree};
-use eirene::baselines::{LockTree, StmTree};
+use eirene::baselines::{LockTree, NoCcTree, StmTree};
 use eirene::btree::refops;
 use eirene::btree::validate::validate;
 use eirene::core::{EireneOptions, EireneTree};
 use eirene::sim::DeviceConfig;
-use eirene::workloads::{Batch, OpKind, Oracle, Request, SequentialOracle};
+use eirene::workloads::{Batch, OpKind, Oracle, Request, Response, SequentialOracle};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
@@ -203,4 +203,42 @@ fn concurrent_descending_inserts_below_minimum_stay_valid() {
             );
         }
     }
+}
+
+#[test]
+fn zero_length_ranges_answer_empty_on_every_tree() {
+    // Regression: `Range { len: 0 }` used to underflow `lo + len - 1` in
+    // all four trees (debug: overflow panic; release: an out-of-bounds
+    // slot write inside the kernel). The empty window must answer
+    // `Range(vec![])` without disturbing live updates to the same key.
+    let p = pairs(2000);
+    let init: Vec<(u32, u32)> = p.iter().map(|&(k, v)| (k as u32, v as u32)).collect();
+    let keys = [0u32, 2001, u32::MAX];
+    // Updates and empty ranges on the same keys, then reads of what the
+    // updates left behind beside more empty ranges — two batches, because
+    // the baselines order same-key requests only across batches. The last
+    // range saturates at the top of the key space.
+    let first = keys
+        .iter()
+        .flat_map(|&k| [(k, OpKind::Upsert(k ^ 7)), (k, OpKind::Range { len: 0 })]);
+    let second = keys
+        .iter()
+        .flat_map(|&k| [(k, OpKind::Range { len: 0 }), (k, OpKind::Query)])
+        .chain([(u32::MAX - 1, OpKind::Range { len: 4 })]);
+    let batches = [Batch::from_ops(first), Batch::from_ops(second)];
+    let mut trees = all_trees(&p);
+    trees.push(Box::new(NoCcTree::new(&p, DeviceConfig::test_small())));
+    for mut tree in trees {
+        let mut oracle = SequentialOracle::load(&init);
+        for batch in &batches {
+            let want = oracle.run_batch(batch);
+            let got = tree.run_batch(batch).responses;
+            assert_eq!(got, want, "{}", tree.name());
+        }
+        validate(tree.device().mem(), tree.handle())
+            .unwrap_or_else(|e| panic!("{}: {e}", tree.name()));
+    }
+    // What the oracle answers is the contract: empty vector, not a panic.
+    let want = SequentialOracle::load(&init).run_batch(&batches[0]);
+    assert_eq!(want[1], Response::Range(vec![]));
 }
