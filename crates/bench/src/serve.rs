@@ -294,12 +294,12 @@ fn render_dashboard(label: &str, device: &DeviceConfig, collector: &SeriesCollec
         return;
     }
     eprintln!(
-        "monitor[{label}] t={secs:.1}s  {:>5} {:>6} {:>10} {:>6} {:>6} {:>5} {:>4} {:>8} {:>7} {:>4} {:>8} {:>7} {:>8} {:>5} {:>4} {:>8} {:>9} {:>9}",
+        "monitor[{label}] t={secs:.1}s  {:>5} {:>6} {:>10} {:>6} {:>6} {:>5} {:>4} {:>8} {:>7} {:>4} {:>8} {:>7} {:>8} {:>5} {:>4} {:>8} {:>9} {:>9}  closed full/linger/idle/drain",
         "shard", "epoch", "clock(us)", "batch", "queue", "pend", "lag", "keys", "nodes", "retd", "dsaved", "pvhit", "enq", "shed", "tmo", "done", "p50(us)", "p99(us)",
     );
     for s in &latest {
         eprintln!(
-            "monitor[{label}] t={secs:.1}s  {:>5} {:>6} {:>10.1} {:>6} {:>6} {:>5} {:>4} {:>8} {:>7} {:>4} {:>8} {:>7} {:>8} {:>5} {:>4} {:>8} {:>9.1} {:>9.1}",
+            "monitor[{label}] t={secs:.1}s  {:>5} {:>6} {:>10.1} {:>6} {:>6} {:>5} {:>4} {:>8} {:>7} {:>4} {:>8} {:>7} {:>8} {:>5} {:>4} {:>8} {:>9.1} {:>9.1}  {}/{}/{}/{}",
             s.shard,
             s.epoch,
             cycles_to_us(device, s.clock_cycles),
@@ -318,6 +318,10 @@ fn render_dashboard(label: &str, device: &DeviceConfig, collector: &SeriesCollec
             s.completed,
             cycles_to_us(device, s.latency.p50),
             cycles_to_us(device, s.latency.p99),
+            s.closed.full,
+            s.closed.linger,
+            s.closed.idle,
+            s.closed.drain,
         );
     }
     // Topology summary: events already printed as they fired; the frame

@@ -18,7 +18,10 @@
 //! - **Epoch pipelining** — per shard, a combiner thread forms and plans
 //!   epoch N+1 (host work) while the executor runs epoch N on the device,
 //!   exploiting that [`build_plan`](eirene_core::plan::build_plan) needs
-//!   no tree access.
+//!   no tree access. A partial epoch keeps gathering while the executor
+//!   is busy (that batching costs nothing) and closes once the executor
+//!   has sat idle for one epoch's service time, at most
+//!   [`ServeConfig::linger`] after its first request.
 //! - **Admission control** — bounded per-shard queues with a
 //!   shed-or-block [`AdmitPolicy`], plus per-request deadlines surfaced
 //!   as [`Outcome::TimedOut`] without executing.
@@ -73,8 +76,8 @@ mod ticket;
 pub use control::{AimdSpec, BatchController, EpochFeedback, EpochSizing};
 pub use lane::{QosConfig, TenantId, TenantSpec};
 pub use observe::{
-    reconcile_samples, LatencySummary, ObserveConfig, SeriesCollector, ServiceObserver,
-    ShardSample, SloBreach, SloMonitor, SloObjective, SloSpec,
+    reconcile_samples, CloseCounts, LatencySummary, ObserveConfig, SeriesCollector,
+    ServiceObserver, ShardSample, SloBreach, SloMonitor, SloObjective, SloSpec,
 };
 pub use queue::AdmitPolicy;
 pub use rebalance::{RebalanceAction, RebalanceEvent, RebalanceKind, RebalanceSpec};

@@ -64,6 +64,44 @@ pub(crate) struct ShardMetrics {
     pub pivot_cache_hits: MetricId,
     /// Per-tenant shed counters; `tenant_shed[t]` sums into `shed`.
     pub tenant_shed: Vec<MetricId>,
+    /// Epochs by close cause, indexed by [`CloseCause`]; bumped together
+    /// with `epochs`, so the four always sum to it.
+    closed: [MetricId; 4],
+}
+
+/// Why the combiner stopped gathering an epoch and handed it over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum CloseCause {
+    /// The batch target was reached.
+    Full,
+    /// `linger` elapsed on a partial epoch (at once when it is zero).
+    Linger,
+    /// The executor had sat idle for one epoch's service time.
+    Idle,
+    /// The queue closed (shutdown): whatever was gathered goes out.
+    Drain,
+}
+
+/// Executed epochs by the reason their combiner closed them (cumulative).
+/// The four counts sum to the shard's epoch count at every sample.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CloseCounts {
+    /// Batch target reached.
+    pub full: u64,
+    /// [`ServeConfig::linger`](crate::ServeConfig::linger) elapsed on a
+    /// partial epoch (every partial epoch when it is zero).
+    pub linger: u64,
+    /// Closed early: the executor had been idle for one epoch's service
+    /// time, so lingering on would only have added latency.
+    pub idle: u64,
+    /// Queue closed at shutdown with entries still gathered.
+    pub drain: u64,
+}
+
+impl CloseCounts {
+    pub fn total(&self) -> u64 {
+        self.full + self.linger + self.idle + self.drain
+    }
 }
 
 impl ShardMetrics {
@@ -90,6 +128,13 @@ impl ShardMetrics {
         let tenant_shed = (0..tenants.max(1))
             .map(|t| reg.register_counter(&format!("tenant{t}_shed")))
             .collect();
+        let closed = [
+            "closed_full",
+            "closed_linger",
+            "closed_idle",
+            "closed_drain",
+        ]
+        .map(|name| reg.register_counter(name));
         ShardMetrics {
             reg,
             enqueued,
@@ -111,6 +156,23 @@ impl ShardMetrics {
             descents_saved,
             pivot_cache_hits,
             tenant_shed,
+            closed,
+        }
+    }
+
+    /// Counts one executed epoch under the cause that closed it.
+    pub fn record_epoch(&self, cause: CloseCause) {
+        self.reg.add(self.epochs, 1);
+        self.reg.add(self.closed[cause as usize], 1);
+    }
+
+    pub fn closed(&self) -> CloseCounts {
+        let [full, linger, idle, drain] = self.closed.map(|id| self.reg.get(id));
+        CloseCounts {
+            full,
+            linger,
+            idle,
+            drain,
         }
     }
 
@@ -240,6 +302,12 @@ pub struct ShardSample {
     pub completed: u64,
     /// High-water mark of the ingress-queue depth.
     pub max_queue_depth: u64,
+    /// Cumulative epochs by close cause; sums to the epochs executed so
+    /// far. The signal a dashboard watches to see *why* batches are the
+    /// size they are: mostly `idle` under light closed-loop load, `full`
+    /// under backlog, `linger` when arrivals trickle in behind a busy
+    /// executor.
+    pub closed: CloseCounts,
     /// Completion-latency histogram of *this epoch's* entries.
     pub epoch_latency: CycleHistogram,
     /// Summary of the cumulative completion-latency histogram.
@@ -279,6 +347,10 @@ impl ShardSample {
             ("timed_out", JsonValue::from(self.timed_out)),
             ("completed", JsonValue::from(self.completed)),
             ("max_queue_depth", JsonValue::from(self.max_queue_depth)),
+            ("closed_full", JsonValue::from(self.closed.full)),
+            ("closed_linger", JsonValue::from(self.closed.linger)),
+            ("closed_idle", JsonValue::from(self.closed.idle)),
+            ("closed_drain", JsonValue::from(self.closed.drain)),
             (
                 "epoch_latency",
                 LatencySummary::from_hist(&self.epoch_latency).to_json(),
@@ -612,8 +684,9 @@ impl ObserveConfig {
 
 /// Cross-checks a collected sample series against the final report:
 /// terminal samples must exist for every shard and reconcile *exactly*
-/// with the report's totals, and epoch ids must be strictly increasing
-/// per shard. Returns a description of the first mismatch.
+/// with the report's totals, epoch ids must be strictly increasing per
+/// shard, and every sample's close-cause counts must sum to the epochs
+/// executed by then. Returns a description of the first mismatch.
 pub fn reconcile_samples(samples: &[ShardSample], report: &ServeReport) -> Result<(), String> {
     let mut last_epoch: Vec<Option<u64>> = vec![None; report.shards.len()];
     let mut terminal: Vec<Option<&ShardSample>> = vec![None; report.shards.len()];
@@ -630,6 +703,14 @@ pub fn reconcile_samples(samples: &[ShardSample], report: &ServeReport) -> Resul
             }
         }
         last_epoch[s.shard] = Some(s.epoch);
+        // The terminal sample takes the id after the last epoch.
+        let epochs = s.epoch - u64::from(s.terminal);
+        if s.closed.total() != epochs {
+            return Err(format!(
+                "shard {}: close causes {:?} do not sum to the {epochs} epoch(s) executed",
+                s.shard, s.closed
+            ));
+        }
         if s.terminal {
             terminal[s.shard] = Some(s);
         }
@@ -669,6 +750,12 @@ pub fn reconcile_samples(samples: &[ShardSample], report: &ServeReport) -> Resul
             return Err(format!(
                 "shard {}: terminal sample batch_target = {} but report says {}",
                 shard.shard, t.batch_target, shard.batch_target
+            ));
+        }
+        if t.closed != shard.closed {
+            return Err(format!(
+                "shard {}: terminal sample closed = {:?} but report says {:?}",
+                shard.shard, t.closed, shard.closed
             ));
         }
         if t.tenant_shed != shard.tenant_shed {
@@ -713,6 +800,10 @@ mod tests {
             timed_out: 0,
             completed: enqueued,
             max_queue_depth: 0,
+            closed: CloseCounts {
+                full: epoch,
+                ..CloseCounts::default()
+            },
             latency: LatencySummary::from_hist(&epoch_latency),
             epoch_latency,
         }
@@ -788,6 +879,12 @@ mod tests {
         m.add(m.tenant_shed[2], 5);
         assert_eq!(m.get(m.tenant_shed[2]), 5);
         assert_eq!(m.get(m.batch_target), 0);
+        m.record_epoch(CloseCause::Idle);
+        m.record_epoch(CloseCause::Idle);
+        m.record_epoch(CloseCause::Drain);
+        let closed = m.closed();
+        assert_eq!((closed.idle, closed.drain), (2, 1));
+        assert_eq!(closed.total(), m.get(m.epochs));
         // Even tenant-less services carry the implicit tenant 0.
         assert_eq!(ShardMetrics::new(0).tenant_shed.len(), 1);
     }

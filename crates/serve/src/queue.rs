@@ -23,6 +23,10 @@
 //!   round-robin. Sharing the mutex lets a lane push wake a combiner
 //!   blocked in [`drain`](IngressQueue::drain) through the same condvar
 //!   as a direct enqueue.
+//! - **Executor wake** ([`IngressQueue::wake`]) rides the same condvar: a
+//!   shard's executor going idle interrupts its combiner's bounded
+//!   (linger) wait, so the combiner can re-evaluate whether to close the
+//!   epoch — without polling.
 
 use crate::lane::{LaneReject, LaneSet, QosConfig, TenantId};
 use crate::ticket::Completion;
@@ -68,6 +72,8 @@ struct QueueState {
     /// `entries.len() + reserved <= capacity` always holds.
     reserved: usize,
     closed: bool,
+    /// Set by [`IngressQueue::wake`], consumed by the next `drain`.
+    woken: bool,
     /// Tenant lanes (QoS mode only).
     lanes: Option<LaneSet>,
 }
@@ -388,12 +394,26 @@ impl IngressQueue {
             .is_none_or(|l| l.quiesced())
     }
 
+    /// Interrupts the consumer's bounded wait in [`drain`](Self::drain)
+    /// (the shard's executor calls this when it goes idle). The flag is
+    /// sticky until the next `drain` returns, so a wake that lands between
+    /// the consumer's decision to wait and the wait itself is not lost. An
+    /// unbounded (`wait: None`) drain waits for arrivals only and sleeps
+    /// through it.
+    pub(crate) fn wake(&self) {
+        let mut st = self.state.lock().unwrap();
+        st.woken = true;
+        self.not_empty.notify_one();
+    }
+
     /// Drains up to `max` entries in arrival order. With `wait: None` the
     /// call blocks until at least one entry exists (directly queued *or*
     /// staged on a lane — lane arrivals need the combiner awake to admit
     /// them) or the queue closes; `Some(d)` bounds that wait
-    /// (`Duration::ZERO` = non-blocking). `finished` is set once the
-    /// queue is closed and fully drained, lanes included.
+    /// (`Duration::ZERO` = non-blocking; a `d` too large to add to the
+    /// clock = no time bound) and also returns early on a
+    /// [`wake`](Self::wake). `finished` is set once the queue is closed
+    /// and fully drained, lanes included.
     pub(crate) fn drain(&self, max: usize, wait: Option<Duration>) -> Drained {
         let mut st = self.state.lock().unwrap();
         let idle = |st: &QueueState| st.entries.is_empty() && st.lane_pending() == 0 && !st.closed;
@@ -405,8 +425,12 @@ impl IngressQueue {
                     }
                 }
                 Some(d) if !d.is_zero() => {
-                    let deadline = Instant::now() + d;
-                    while idle(&st) {
+                    let deadline = Instant::now().checked_add(d);
+                    while idle(&st) && !st.woken {
+                        let Some(deadline) = deadline else {
+                            st = self.not_empty.wait(st).unwrap();
+                            continue;
+                        };
                         let now = Instant::now();
                         if now >= deadline {
                             break;
@@ -422,6 +446,7 @@ impl IngressQueue {
                 Some(_) => {}
             }
         }
+        st.woken = false;
         let n = st.entries.len().min(max);
         let entries: Vec<Entry> = st.entries.drain(..n).collect();
         if n > 0 {
@@ -640,6 +665,34 @@ mod tests {
         assert_eq!(pushed, 2);
         assert_eq!(rest.len(), 3);
         assert_eq!(q.drain(8, Some(Duration::ZERO)).entries.len(), 2);
+    }
+
+    #[test]
+    fn wake_interrupts_a_bounded_wait_once() {
+        let q = IngressQueue::new(4);
+        // Sticky: a wake that lands before the wait still ends it, and a
+        // wait too long to add to the clock is unbounded, not a panic.
+        q.wake();
+        let d = q.drain(8, Some(Duration::MAX));
+        assert!(d.entries.is_empty());
+        assert!(!d.finished);
+        // Consumed: the next bounded wait runs its full course.
+        let start = Instant::now();
+        q.drain(8, Some(Duration::from_millis(30)));
+        assert!(start.elapsed() >= Duration::from_millis(30));
+    }
+
+    #[test]
+    fn wake_does_not_end_an_unbounded_wait() {
+        let q = Arc::new(IngressQueue::new(4));
+        let q2 = q.clone();
+        let drainer = std::thread::spawn(move || q2.drain(8, None));
+        std::thread::sleep(Duration::from_millis(20));
+        q.wake();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!drainer.is_finished(), "only an arrival ends wait: None");
+        q.push_blocking(entry(5)).unwrap();
+        assert_eq!(drainer.join().unwrap().entries.len(), 1);
     }
 
     #[test]

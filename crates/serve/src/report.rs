@@ -1,6 +1,6 @@
 //! Final reports returned by [`Service::shutdown`](crate::Service::shutdown).
 
-use crate::observe::SloBreach;
+use crate::observe::{CloseCounts, SloBreach};
 use crate::rebalance::RebalanceEvent;
 use crate::shard::ShardId;
 use eirene_sim::{CycleHistogram, DeviceConfig, KernelStats, PhaseStats, ScheduleLog};
@@ -15,6 +15,9 @@ pub struct ShardReport {
     pub stats: KernelStats,
     /// Epochs executed.
     pub epochs: u64,
+    /// Those epochs by the reason their combiner closed them; sums to
+    /// `epochs` and matches the terminal sample's `closed`.
+    pub closed: CloseCounts,
     /// Entries admitted to the ingress queue (split-range parts count
     /// individually).
     pub enqueued: u64,
@@ -251,6 +254,12 @@ impl ServeReport {
                 s.latency.count(),
                 s.executed,
                 "shard {}: one latency sample per executed entry",
+                s.shard
+            );
+            assert_eq!(
+                s.closed.total(),
+                s.epochs,
+                "shard {}: every epoch closes for exactly one cause",
                 s.shard
             );
             assert!(

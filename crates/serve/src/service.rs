@@ -55,12 +55,31 @@
 //! runs the planned epoch on the shard's device. The combiner therefore
 //! plans epoch N+1 while epoch N executes — the paper's pipelined-epoch
 //! model at service scope.
+//!
+//! # When an epoch closes
+//!
+//! A combiner that has gathered at least one entry hands the epoch over
+//! at the first of three exits ([`linger_step`] decides the last two):
+//! the batch target is reached; [`ServeConfig::linger`] has elapsed; or
+//! the executor is *idle* and has been for one epoch's smoothed service
+//! time. While the executor is busy, gathering costs nothing — the epoch
+//! could not start anyway — so the combiner batches what arrives, as the
+//! paper's combiner does. Once it is idle, every further microsecond of
+//! waiting is pure added latency, worth paying only as long as one more
+//! epoch's worth of work might still join: the grace is
+//! `min(linger, service time)`, counted from the later of the first
+//! gathered entry and the instant the executor went idle. Counting from
+//! the idle instant is what keeps closed-loop clients in phase: a client
+//! whose window arrived mid-epoch would otherwise see its grace already
+//! spent when the executor frees up, go out alone, and leave the clients
+//! that epoch just released to form their own half-sized epoch behind
+//! it — forever.
 
 use crate::control::{BatchController, EpochFeedback, EpochSizing};
 use crate::lane::{LaneReject, QosConfig, TenantId};
 use crate::observe::{
-    LatencySummary, ObserveConfig, ServiceObserver, ShardMetrics, ShardSample, SloBreach,
-    SloMonitor,
+    CloseCause, LatencySummary, ObserveConfig, ServiceObserver, ShardMetrics, ShardSample,
+    SloBreach, SloMonitor,
 };
 use crate::queue::{AdmitPolicy, Drained, Entry, IngressQueue};
 use crate::rebalance::{
@@ -162,8 +181,12 @@ pub struct ServeConfig {
     pub policy: AdmitPolicy,
     /// Lock-free (default) or global-lock-baseline admission.
     pub admission: AdmissionMode,
-    /// How long a combiner waits for an epoch to fill toward the batch
-    /// target once it has at least one request.
+    /// Upper bound on how long a combiner waits for an epoch to fill
+    /// toward the batch target once it has at least one request; the
+    /// combiner closes earlier once its executor has been idle for one
+    /// epoch's service time (see "When an epoch closes" in the `service`
+    /// module docs). Zero never waits. A value too large to add to the
+    /// clock (`Duration::MAX`) means "until full or the executor idles".
     pub linger: Duration,
     /// Start with the epoch gate held: combiners do not consume until
     /// [`Service::release`]. Tests use this to make epoch composition
@@ -226,6 +249,23 @@ impl ServeConfig {
 struct ShardState {
     queue: IngressQueue,
     metrics: ShardMetrics,
+    /// Written by the shard's combiner (hand-over) and executor (finish),
+    /// read by the combiner's linger decision.
+    executor: Mutex<ExecutorState>,
+}
+
+/// What a shard's executor publishes for its combiner's linger decision
+/// ([`linger_step`]).
+#[derive(Clone, Copy, Debug, Default)]
+struct ExecutorState {
+    /// Epochs handed over and not yet finished: 0 is idle; up to two are
+    /// in flight behind the depth-1 channel (one executing, one queued).
+    inflight: u32,
+    /// When `inflight` last fell to 0.
+    idle_since: Option<Instant>,
+    /// Smoothed host service time per epoch, from receipt to the last
+    /// ticket resolved. `None` until the first epoch has been measured.
+    service: Option<Duration>,
 }
 
 impl ShardState {
@@ -233,6 +273,36 @@ impl ShardState {
         ShardState {
             queue: IngressQueue::with_lanes(capacity, qos),
             metrics: ShardMetrics::new(qos.num_tenants()),
+            executor: Mutex::new(ExecutorState::default()),
+        }
+    }
+
+    fn executor(&self) -> ExecutorState {
+        *self.executor.lock().unwrap()
+    }
+
+    /// Combiner side: call *before* sending the epoch, so the executor's
+    /// matching [`epoch_finished`](Self::epoch_finished) never runs first.
+    fn epoch_handed_over(&self) {
+        self.executor.lock().unwrap().inflight += 1;
+    }
+
+    /// Executor side: folds one epoch's service time into the smoothed
+    /// estimate and, if that was the last epoch in flight, stamps the idle
+    /// instant and wakes a lingering combiner to act on it.
+    fn epoch_finished(&self, took: Duration) {
+        let idle = {
+            let mut ex = self.executor.lock().unwrap();
+            ex.inflight -= 1;
+            ex.service = Some(ex.service.map_or(took, |old| (old * 3 + took) / 4));
+            let idle = ex.inflight == 0;
+            if idle {
+                ex.idle_since = Some(Instant::now());
+            }
+            idle
+        };
+        if idle {
+            self.queue.wake();
         }
     }
 
@@ -895,6 +965,8 @@ struct Epoch {
     batch: Batch,
     plan: CombinePlan,
     entries: Vec<Entry>,
+    /// Why the combiner stopped gathering.
+    close: CloseCause,
     /// Ingress-queue depth left behind after forming this epoch. Always
     /// snapshotted (cheap): the adaptive controller feeds on it even with
     /// observability off.
@@ -972,8 +1044,9 @@ impl Client {
     /// Submits with a deadline: if the deadline passes before the request's
     /// epoch forms, it resolves [`Outcome::TimedOut`] without executing.
     pub fn submit_with_deadline(&self, key: Key, op: OpKind, deadline: Duration) -> Ticket {
-        self.inner
-            .submit(key, op, Some(Instant::now() + deadline), 0, self.tenant)
+        // A deadline too far off to represent is no deadline.
+        let deadline = Instant::now().checked_add(deadline);
+        self.inner.submit(key, op, deadline, 0, self.tenant)
     }
 
     /// Submits with a virtual arrival time in device cycles (open-loop
@@ -1372,12 +1445,7 @@ fn combiner_loop(
             // drew an earlier timestamp is still enqueueing (or blocked on
             // a full queue elsewhere). Slots clear in microseconds in the
             // common case; back off harder if the stall persists.
-            stalls += 1;
-            if stalls > 16 {
-                std::thread::sleep(Duration::from_micros(50));
-            } else {
-                std::thread::yield_now();
-            }
+            back_off(&mut stalls);
             continue;
         }
         stalls = 0;
@@ -1385,28 +1453,46 @@ fn combiner_loop(
         // short-deadline request must not sit out a long linger window
         // waiting for the epoch to fill.
         let mut ready = expire_ready(state, ready);
-        // Linger for the epoch to fill toward the batch target.
-        if ready.len() < batch_limit && !finished && !linger.is_zero() {
-            let deadline = Instant::now() + linger;
-            loop {
+        // Linger for the epoch to fill toward the batch target: up to
+        // `linger`, less once the executor sits idle (module docs).
+        let mut lingered = CloseCause::Linger;
+        if !linger.is_zero() {
+            let start = Instant::now();
+            let mut stuck = 0u32;
+            while ready.len() < batch_limit && !finished {
                 let now = Instant::now();
-                if now >= deadline || ready.len() >= batch_limit || finished {
-                    break;
-                }
+                let wake = match linger_step(now, start, linger, state.executor()) {
+                    LingerStep::Close(cause) => {
+                        lingered = cause;
+                        break;
+                    }
+                    LingerStep::WakeAt(at) => at,
+                };
                 // Wake no later than the earliest deadline among the
                 // gathered entries, so one expiring mid-linger resolves
                 // then — not when the linger runs out.
                 let wake = ready
                     .iter()
                     .filter_map(|e| e.deadline)
-                    .fold(deadline, |acc, d| acc.min(d));
+                    .fold(wake, |acc, d| Some(acc.map_or(d, |a| a.min(d))));
+                // Sleep on the queue only with an empty heap. Entries parked
+                // there have already left the queue — the drain that
+                // brought them ran under a watermark read before they
+                // arrived, so it could not release them — and no arrival
+                // will wake this loop on their behalf: try them against a
+                // fresh watermark now. The wait also ends on an arrival,
+                // or when the executor goes idle (`epoch_finished` wakes
+                // the queue).
+                let wait = if heap.is_empty() {
+                    wake.map_or(Duration::MAX, |w| w.saturating_duration_since(now))
+                } else {
+                    Duration::ZERO
+                };
                 let wm = inner.watermark();
                 let Drained {
                     entries,
                     finished: f,
-                } = state
-                    .queue
-                    .drain(usize::MAX, Some(wake.saturating_duration_since(now)));
+                } = state.queue.drain(usize::MAX, Some(wait));
                 finished = f;
                 heap.extend(entries.into_iter().map(|e| Reverse(ByTs(e))));
                 if qos && !finished {
@@ -1421,10 +1507,25 @@ fn combiner_loop(
                         &mut heap,
                     );
                 }
+                let gathered = ready.len();
                 ready = pop_ready(&mut heap, wm, batch_limit, ready);
+                if wait.is_zero() && ready.len() == gathered && !heap.is_empty() {
+                    // Still held back by a submitter in flight, as in the
+                    // head-of-line stall above.
+                    back_off(&mut stuck);
+                } else {
+                    stuck = 0;
+                }
                 ready = expire_ready(state, ready);
             }
         }
+        let close = if ready.len() >= batch_limit {
+            CloseCause::Full
+        } else if finished {
+            CloseCause::Drain
+        } else {
+            lingered
+        };
         debug_assert!(
             ready.windows(2).all(|w| w[0].req.ts < w[1].req.ts),
             "epoch must carry a strictly ascending timestamp slice"
@@ -1450,6 +1551,7 @@ fn combiner_loop(
             batch,
             plan,
             entries: live,
+            close,
             queue_depth: state.queue.depth() as u64,
             reorder_pending: heap.len() as u64,
             lane_depth: if qos {
@@ -1459,9 +1561,22 @@ fn combiner_loop(
             },
             gauges,
         };
+        state.epoch_handed_over();
         if tx.send(ExecMsg::Epoch(Box::new(epoch))).is_err() {
             return; // executor gone
         }
+    }
+}
+
+/// One step of the wait for an in-flight submitter's watermark slot to
+/// clear: slots clear in microseconds in the common case, so yield first
+/// and sleep only if the stall persists.
+fn back_off(stalls: &mut u32) {
+    *stalls += 1;
+    if *stalls > 16 {
+        std::thread::sleep(Duration::from_micros(50));
+    } else {
+        std::thread::yield_now();
     }
 }
 
@@ -1654,6 +1769,47 @@ fn pop_ready(
     out
 }
 
+/// What a lingering combiner does next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LingerStep {
+    /// Stop gathering and hand the epoch over.
+    Close(CloseCause),
+    /// Keep gathering; re-decide at this instant at the latest (`None`:
+    /// only when an arrival or the executor wakes the queue).
+    WakeAt(Option<Instant>),
+}
+
+/// The linger decision, free of clocks and threads: whether a combiner
+/// that began gathering at `start` should close its partial epoch at
+/// `now`. `linger` always bounds the wait (unbounded if `start + linger`
+/// overflows the clock). Short of that the epoch closes only while the
+/// executor is idle, `min(linger, service time)` after the later of
+/// `start` and the instant it went idle; a busy executor, or one that has
+/// not measured an epoch yet, waits out the linger.
+fn linger_step(
+    now: Instant,
+    start: Instant,
+    linger: Duration,
+    executor: ExecutorState,
+) -> LingerStep {
+    let deadline = start.checked_add(linger);
+    if deadline.is_some_and(|d| now >= d) {
+        return LingerStep::Close(CloseCause::Linger);
+    }
+    let grace_end = match (executor.inflight, executor.service) {
+        (0, Some(service)) => executor
+            .idle_since
+            .map_or(start, |idle| idle.max(start))
+            .checked_add(service.min(linger)),
+        _ => None,
+    };
+    match grace_end {
+        Some(end) if now >= end => LingerStep::Close(CloseCause::Idle),
+        Some(end) => LingerStep::WakeAt(Some(deadline.map_or(end, |d| d.min(end)))),
+        None => LingerStep::WakeAt(deadline),
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn executor_loop(
     shard: ShardId,
@@ -1750,6 +1906,7 @@ fn executor_loop(
                 continue;
             }
         };
+        let received = Instant::now();
         // Virtual-clock model: an epoch cannot start before the shard is
         // free *and* its last member has arrived.
         let arrived = epoch.entries.iter().map(|e| e.arrival).max().unwrap_or(0);
@@ -1801,6 +1958,7 @@ fn executor_loop(
         for (entry, resp) in epoch.entries.iter().zip(run.responses) {
             entry.completion.resolve_ok(resp);
         }
+        state.epoch_finished(received.elapsed());
         clock = end;
         busy_cycles += makespan;
         epochs += 1;
@@ -1817,7 +1975,7 @@ fn executor_loop(
             });
         }
         let m = &state.metrics;
-        m.add(m.epochs, 1);
+        m.record_epoch(epoch.close);
         m.add(m.completed, n);
         // Combine-path gauges mirror the cumulative device totals, so the
         // terminal sample (and hence the report) reconciles exactly.
@@ -1898,6 +2056,7 @@ fn executor_loop(
         shard,
         stats,
         epochs,
+        closed: terminal.closed,
         enqueued: terminal.enqueued,
         executed,
         shed: terminal.shed,
@@ -1952,6 +2111,7 @@ fn shard_sample(
         timed_out: m.get(m.timed_out),
         completed: m.get(m.completed),
         max_queue_depth: m.get(m.max_depth),
+        closed: m.closed(),
         batch_target: m.get(m.batch_target),
         lane_pending: m.get(m.lane_pending),
         key_count: m.get(m.key_count),
@@ -2758,6 +2918,16 @@ mod tests {
         let samples = collector.samples();
         assert!(!samples.is_empty());
         reconcile_samples(&samples, &report).expect("samples reconcile");
+        // Every epoch closed for exactly one cause, and a series that
+        // miscounts one no longer reconciles.
+        for s in &report.shards {
+            assert_eq!(s.closed.total(), s.epochs);
+        }
+        let mut tampered = samples.clone();
+        let bumped = tampered.iter_mut().find(|s| s.batch_size > 0).unwrap();
+        bumped.closed.linger += 1;
+        let err = reconcile_samples(&tampered, &report).unwrap_err();
+        assert!(err.contains("close causes"), "{err}");
         // Terminal samples exist for every shard, even idle ones.
         assert_eq!(
             samples.iter().filter(|s| s.terminal).count(),
@@ -2827,6 +2997,173 @@ mod tests {
             assert!(s.breaches.is_empty());
         }
         report.assert_consistent();
+    }
+
+    #[test]
+    fn linger_step_closes_on_linger_or_an_idle_executor() {
+        use CloseCause::{Idle, Linger};
+        // Instants are offsets in µs from one base; nothing sleeps.
+        let base = Instant::now();
+        let at = |us: u64| base + Duration::from_micros(us);
+        let exec = |inflight: u32, idle_since: Option<u64>, service: Option<u64>| ExecutorState {
+            inflight,
+            idle_since: idle_since.map(at),
+            service: service.map(Duration::from_micros),
+        };
+        let close = LingerStep::Close;
+        let wake = |us: u64| LingerStep::WakeAt(Some(at(us)));
+        let ms = Duration::from_millis(1);
+        const START: u64 = 10_000;
+        // (case, now, linger, executor, expected) — gathering began at START.
+        let table = [
+            (
+                "busy: gathers until linger",
+                START + 999,
+                ms,
+                exec(1, Some(5_000), Some(200)),
+                wake(START + 1000),
+            ),
+            (
+                "busy: closes at linger",
+                START + 1000,
+                ms,
+                exec(2, None, Some(200)),
+                close(Linger),
+            ),
+            (
+                "idle: waits out the grace",
+                START + 199,
+                ms,
+                exec(0, Some(5_000), Some(200)),
+                wake(START + 200),
+            ),
+            (
+                "idle: grace elapsed closes",
+                START + 200,
+                ms,
+                exec(0, Some(5_000), Some(200)),
+                close(Idle),
+            ),
+            (
+                "grace counts from a later idle instant",
+                START + 300,
+                ms,
+                exec(0, Some(START + 150), Some(200)),
+                wake(START + 350),
+            ),
+            (
+                "and closes once it has run from there",
+                START + 350,
+                ms,
+                exec(0, Some(START + 150), Some(200)),
+                close(Idle),
+            ),
+            (
+                "unmeasured service time: as without the exit",
+                START + 999,
+                ms,
+                exec(0, None, None),
+                wake(START + 1000),
+            ),
+            (
+                "unmeasured service time: closes at linger",
+                START + 1000,
+                ms,
+                exec(0, None, None),
+                close(Linger),
+            ),
+            (
+                "zero linger never lingers",
+                START,
+                Duration::ZERO,
+                exec(1, None, None),
+                close(Linger),
+            ),
+            (
+                "zero linger never lingers, idle or not",
+                START,
+                Duration::ZERO,
+                exec(0, Some(START), Some(200)),
+                close(Linger),
+            ),
+            (
+                "grace is capped by linger",
+                START + 999,
+                ms,
+                exec(0, Some(5_000), Some(5_000)),
+                wake(START + 1000),
+            ),
+            (
+                "a late idle instant cannot push past linger",
+                START + 950,
+                ms,
+                exec(0, Some(START + 900), Some(200)),
+                wake(START + 1000),
+            ),
+            (
+                "unbounded linger, busy: only a wake ends the wait",
+                START + 5_000_000,
+                Duration::MAX,
+                exec(1, None, Some(200)),
+                LingerStep::WakeAt(None),
+            ),
+            (
+                "unbounded linger, idle: the grace still closes it",
+                START + 200,
+                Duration::MAX,
+                exec(0, Some(5_000), Some(200)),
+                close(Idle),
+            ),
+        ];
+        for (case, now, linger, executor, want) in table {
+            assert_eq!(
+                linger_step(at(now), at(START), linger, executor),
+                want,
+                "{case}"
+            );
+        }
+        // Whatever the executor says, nothing waits past `linger`.
+        for inflight in 0..3 {
+            for idle_since in [None, Some(0), Some(START + 400), Some(START + 5_000)] {
+                for service in [None, Some(0), Some(300), Some(50_000)] {
+                    let executor = exec(inflight, idle_since, service);
+                    for now in [START, START + 500, START + 999] {
+                        match linger_step(at(now), at(START), ms, executor) {
+                            LingerStep::WakeAt(at_most) => {
+                                assert!(at_most.is_some_and(|w| w <= at(START + 1000)))
+                            }
+                            LingerStep::Close(cause) => assert_eq!(cause, Idle),
+                        }
+                    }
+                    assert_eq!(
+                        linger_step(at(START + 1000), at(START), ms, executor),
+                        close(Linger)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn executor_state_counts_inflight_and_smooths_service_time() {
+        let state = ShardState::new(4, &QosConfig::disabled());
+        state.epoch_handed_over();
+        state.epoch_handed_over();
+        state.epoch_finished(Duration::from_micros(400));
+        let ex = state.executor();
+        assert_eq!(ex.inflight, 1);
+        assert_eq!(ex.idle_since, None, "one epoch is still in flight");
+        assert_eq!(ex.service, Some(Duration::from_micros(400)));
+        state.epoch_finished(Duration::from_micros(800));
+        let ex = state.executor();
+        assert_eq!(ex.inflight, 0);
+        assert!(ex.idle_since.is_some());
+        // (3 * 400 + 800) / 4
+        assert_eq!(ex.service, Some(Duration::from_micros(500)));
+        // Going idle woke the queue: a bounded drain returns at once.
+        let start = Instant::now();
+        state.queue.drain(1, Some(Duration::from_secs(5)));
+        assert!(start.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

@@ -37,17 +37,27 @@ impl Outcome {
 /// are ignored (a split range can race a timeout against a merge).
 #[derive(Debug)]
 pub(crate) struct TicketCell {
-    state: Mutex<Option<Outcome>>,
+    state: Mutex<CellState>,
     cv: Condvar,
     /// The admission timestamp, once drawn ([`TS_UNSET`] before that and
     /// for requests that resolve without admission, e.g. empty ranges).
     ts: AtomicU64,
 }
 
+#[derive(Debug, Default)]
+struct CellState {
+    outcome: Option<Outcome>,
+    /// Threads parked in [`Ticket::wait`]. `resolve` notifies only when
+    /// this is non-zero: a condvar notify enters the kernel even with
+    /// nobody parked, and an executor resolves a whole epoch of tickets
+    /// whose owners are almost never waiting on that very cell yet.
+    waiters: u32,
+}
+
 impl Default for TicketCell {
     fn default() -> Self {
         TicketCell {
-            state: Mutex::new(None),
+            state: Mutex::new(CellState::default()),
             cv: Condvar::new(),
             ts: AtomicU64::new(TS_UNSET),
         }
@@ -57,9 +67,11 @@ impl Default for TicketCell {
 impl TicketCell {
     pub(crate) fn resolve(&self, outcome: Outcome) {
         let mut state = self.state.lock().unwrap();
-        if state.is_none() {
-            *state = Some(outcome);
-            self.cv.notify_all();
+        if state.outcome.is_none() {
+            state.outcome = Some(outcome);
+            if state.waiters > 0 {
+                self.cv.notify_all();
+            }
         }
     }
 
@@ -144,16 +156,21 @@ impl Ticket {
     pub fn wait(&self) -> Outcome {
         let mut state = self.cell.state.lock().unwrap();
         loop {
-            if let Some(o) = state.as_ref() {
+            if let Some(o) = state.outcome.as_ref() {
                 return o.clone();
             }
+            // Counted under the cell's mutex before parking, so a
+            // resolver either sees the waiter or has already stored the
+            // outcome this loop just missed — never neither.
+            state.waiters += 1;
             state = self.cell.cv.wait(state).unwrap();
+            state.waiters -= 1;
         }
     }
 
     /// The outcome if already resolved, without blocking.
     pub fn try_get(&self) -> Option<Outcome> {
-        self.cell.state.lock().unwrap().clone()
+        self.cell.state.lock().unwrap().outcome.clone()
     }
 
     /// The global admission timestamp this request linearizes at, or
@@ -274,6 +291,27 @@ mod tests {
         cell.resolve(Outcome::Rejected); // ignored: first resolution wins
         assert_eq!(t.try_get(), Some(Outcome::Done(Response::Done)));
         assert_eq!(t.wait(), Outcome::Done(Response::Done));
+    }
+
+    #[test]
+    fn parked_waiters_are_counted_and_woken() {
+        let (t, cell) = Ticket::new();
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let t = t.clone();
+                std::thread::spawn(move || t.wait())
+            })
+            .collect();
+        // Resolve only once both are parked: the notify then has to reach
+        // both, and it is the waiter count that triggers it.
+        while cell.state.lock().unwrap().waiters < 2 {
+            std::thread::yield_now();
+        }
+        cell.resolve(Outcome::TimedOut);
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), Outcome::TimedOut);
+        }
+        assert_eq!(cell.state.lock().unwrap().waiters, 0);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! QoS-loop integration tests: deadline expiry *during* the combiner's
 //! linger wait (the bug where deadlines were only checked at epoch
-//! formation), tenant-lane isolation under an abusive tenant, and the
+//! formation), the linger as a bound rather than a sleep (an idle
+//! executor closes the epoch early; an unrepresentably long linger is
+//! legal), tenant-lane isolation under an abusive tenant, and the
 //! adaptive controller actually moving its target end to end.
 
 use eirene_serve::{
     AdmitPolicy, AimdSpec, EpochSizing, Outcome, QosConfig, ServeConfig, ServeReport, Service,
-    ShardMap,
+    ShardMap, Ticket,
 };
 use eirene_workloads::OpKind;
 use std::time::{Duration, Instant};
@@ -19,6 +21,33 @@ fn mix(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Polls `ticket` until it resolves or `limit` passes. A combiner thread
+/// that died would leave `Ticket::wait` parked forever; this fails the
+/// test instead.
+fn resolve_within(ticket: &Ticket, limit: Duration) -> Option<Outcome> {
+    let start = Instant::now();
+    loop {
+        if let Some(outcome) = ticket.try_get() {
+            return Some(outcome);
+        }
+        if start.elapsed() >= limit {
+            return None;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+fn one_shard(linger: Duration, target: usize) -> Service {
+    let pairs: Vec<(u64, u64)> = (1..=256u64).map(|k| (k, k + 1)).collect();
+    let cfg = ServeConfig {
+        map: ShardMap::from_starts(vec![0]).expect("valid shard starts"),
+        sizing: EpochSizing::Fixed(target),
+        linger,
+        ..ServeConfig::test_small(1)
+    };
+    Service::new(&pairs, cfg)
+}
+
 /// Regression for the linger-deadline bug: deadlines used to be checked
 /// only when an epoch *formed*, so a request whose deadline fell inside
 /// a long linger wait sat unresolved until the linger ran out. The
@@ -28,16 +57,9 @@ fn mix(mut x: u64) -> u64 {
 fn deadline_expires_during_linger_not_after_it() {
     let linger = Duration::from_millis(1500);
     let deadline = Duration::from_millis(100);
-    let pairs: Vec<(u64, u64)> = (1..=256u64).map(|k| (k, k + 1)).collect();
-    let cfg = ServeConfig {
-        map: ShardMap::from_starts(vec![0]).expect("valid shard starts"),
-        // A huge target the single request can never fill: without the
-        // fix the combiner lingers the full 1.5s before checking.
-        sizing: EpochSizing::Fixed(1 << 14),
-        linger,
-        ..ServeConfig::test_small(1)
-    };
-    let svc = Service::new(&pairs, cfg);
+    // A huge target the single request can never fill: without the fix
+    // the combiner lingers the full 1.5s before checking.
+    let svc = one_shard(linger, 1 << 14);
     let client = svc.client();
     let start = Instant::now();
     let ticket = client.submit_with_deadline(7, OpKind::Query, deadline);
@@ -56,6 +78,78 @@ fn deadline_expires_during_linger_not_after_it() {
     report.assert_consistent();
     assert_eq!(report.timed_out(), 1);
     assert_eq!(report.executed(), 0);
+}
+
+/// The linger is an upper bound, not a sleep: once one epoch has been
+/// measured, a lone request on the idle service goes out after about one
+/// epoch's service time (well under a millisecond here), not after the
+/// 250 ms linger it could never fill. Margins are wide on both sides.
+#[test]
+fn idle_executor_closes_a_lone_request_long_before_linger() {
+    let linger = Duration::from_millis(250);
+    let svc = one_shard(linger, 1 << 14);
+    let client = svc.client();
+    // Warm-up epoch: nothing is measured yet, so this one waits out the
+    // whole linger — the behaviour every epoch used to have.
+    let start = Instant::now();
+    assert!(matches!(
+        client.submit(7, OpKind::Query).wait(),
+        Outcome::Done(_)
+    ));
+    assert!(
+        start.elapsed() >= linger,
+        "unmeasured executor: full linger"
+    );
+
+    let start = Instant::now();
+    assert!(matches!(
+        client.submit(9, OpKind::Query).wait(),
+        Outcome::Done(_)
+    ));
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_millis(50),
+        "lone request on an idle, measured service took {waited:?} (linger {linger:?})"
+    );
+    let report = svc.shutdown();
+    report.assert_consistent();
+    let closed = report.shards[0].closed;
+    assert_eq!((closed.linger, closed.idle), (1, 1), "{closed:?}");
+}
+
+/// `Duration::MAX` is a legal linger meaning "until full, or until the
+/// executor idles": `Instant::now() + linger` used to overflow, killing
+/// the combiner thread and hanging every ticket of the shard.
+#[test]
+fn unrepresentable_linger_waits_for_a_full_epoch_without_panicking() {
+    let svc = one_shard(Duration::MAX, 2);
+    let client = svc.client();
+    // The first request lingers with no deadline at all; the second
+    // fills the target and closes the epoch.
+    let first = client.submit(7, OpKind::Query);
+    // Long enough that the combiner is lingering on `first` alone (the
+    // test holds for any interleaving; this one is the regression).
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(first.try_get(), None, "a partial epoch with no bound waits");
+    let second = client.submit(8, OpKind::Query);
+    let limit = Duration::from_secs(5);
+    for ticket in [&first, &second] {
+        let outcome = resolve_within(ticket, limit);
+        assert!(
+            matches!(outcome, Some(Outcome::Done(_))),
+            "ticket unresolved or failed under linger = Duration::MAX: {outcome:?}"
+        );
+    }
+    // With an epoch measured, a lone request no longer needs company —
+    // and a deadline just as far off is no deadline, not an overflow.
+    let lone = client.submit_with_deadline(9, OpKind::Query, Duration::MAX);
+    assert!(matches!(
+        resolve_within(&lone, limit),
+        Some(Outcome::Done(_))
+    ));
+    let report = svc.shutdown();
+    report.assert_consistent();
+    assert_eq!(report.executed(), 3);
 }
 
 /// The adaptive controller must actually move under load: a closed-loop

@@ -9,7 +9,9 @@ use eirene::baselines::common::ConcurrentTree;
 use eirene::btree::refops;
 use eirene::btree::validate::validate;
 use eirene::core::{EireneOptions, EireneTree};
-use eirene::serve::{AdmitPolicy, EpochSizing, Outcome, ServeConfig, Service, ShardMap, Ticket};
+use eirene::serve::{
+    AdmitPolicy, EpochSizing, Outcome, ServeConfig, ServeReport, Service, ShardMap, Ticket,
+};
 use eirene::sim::DeviceConfig;
 use eirene::workloads::{
     Batch, Distribution, Mix, OpKind, Oracle, Request, Response, SequentialOracle, WorkloadGen,
@@ -505,18 +507,35 @@ fn concurrent_clients_preserve_session_order() {
 
 #[test]
 fn lock_free_multi_client_stress_matches_timestamp_order_replay() {
-    // Eight threads race mixed single and batched submissions through the
-    // lock-free front door with the epoch pipeline running live. The
-    // service linearizes at admission timestamps, so replaying the whole
-    // concurrent history through the flat oracle in timestamp order must
-    // reproduce every ticket's response and the final contents, and the
-    // report accounting must balance with nothing shed or timed out.
+    multi_client_stress(Duration::from_micros(20), false);
+}
+
+#[test]
+fn default_linger_closed_loop_stress_matches_timestamp_order_replay() {
+    // The default 1 ms linger with clients that wait for their replies:
+    // executors go idle between bursts, so most epochs close on the
+    // idle-executor exit and the rest when the linger runs out behind a
+    // busy one — the two paths the short-linger scenarios never take.
+    let report = multi_client_stress(ServeConfig::default().linger, true);
+    let idle: u64 = report.shards.iter().map(|s| s.closed.idle).sum();
+    assert!(idle > 0, "closed-loop clients must meet an idle executor");
+}
+
+/// Eight threads race mixed single and batched submissions through the
+/// lock-free front door with the epoch pipeline running live. The
+/// service linearizes at admission timestamps, so replaying the whole
+/// concurrent history through the flat oracle in timestamp order must
+/// reproduce every ticket's response and the final contents, and the
+/// report accounting must balance with nothing shed or timed out.
+/// `closed_loop` clients wait for each chunk's last reply before
+/// submitting the next chunk.
+fn multi_client_stress(linger: Duration, closed_loop: bool) -> ServeReport {
     const THREADS: u64 = 8;
     const OPS: usize = 160; // per thread
     let init = pairs(150);
     let cfg = ServeConfig {
         hold_gate: false,
-        linger: Duration::from_micros(20),
+        linger,
         ..serve_config(DeviceConfig::test_small())
     };
     let svc = Service::new(&init, cfg);
@@ -567,6 +586,9 @@ fn lock_free_multi_client_stress_matches_timestamp_order_replay() {
                             }
                         }
                         i += take;
+                        if closed_loop {
+                            out.last().expect("chunks are non-empty").2.wait();
+                        }
                     }
                     out
                 })
@@ -609,6 +631,7 @@ fn lock_free_multi_client_stress_matches_timestamp_order_replay() {
         .map(|(&k, &v)| (k as u64, v as u64))
         .collect();
     assert_eq!(report.contents(), oracle_contents, "final state diverges");
+    report
 }
 
 #[test]
