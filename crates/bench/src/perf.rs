@@ -154,7 +154,8 @@ fn ingress_cell(per_thread: usize, admission: AdmissionMode, chunk: usize) -> f6
 }
 
 /// Small launches on one long-lived device: measures per-launch overhead.
-fn launch_heavy(launches: usize) -> (f64, usize) {
+/// Returns the wall time, the launch count and the OS yields they took.
+fn launch_heavy(launches: usize) -> (f64, usize, u64) {
     const WARPS: usize = 32;
     const STRIDE: usize = 64;
     let dev = Device::new(1 << 16, DeviceConfig::default());
@@ -169,7 +170,7 @@ fn launch_heavy(launches: usize) -> (f64, usize) {
             ctx.control(4);
         });
     }
-    (start.elapsed().as_secs_f64(), launches)
+    (start.elapsed().as_secs_f64(), launches, dev.os_yields())
 }
 
 /// Deterministic-mode fuzz batches: measures det-scheduler throughput.
@@ -210,6 +211,8 @@ struct MemChurn {
     retired: u64,
     reused: u64,
     bump_allocs: u64,
+    /// `sched_yield`s the tree's device took: warp interleaving in situ.
+    os_yields: u64,
 }
 
 /// Sustained delete/re-insert churn over a fixed working set on one
@@ -265,6 +268,7 @@ fn mem_churn(total_ops: usize, working_set: u32) -> Option<(f64, MemChurn)> {
         retired: st.retired,
         reused: st.reused,
         bump_allocs: st.bump_allocs,
+        os_yields: tree.device().os_yields(),
     };
     if st.retired != 0 {
         eprintln!(
@@ -301,9 +305,10 @@ fn run_mem(smoke: bool, mem_out: &str) -> i32 {
     };
     let ratio = m.final_live as f64 / m.post_build_live.max(1) as f64;
     eprintln!(
-        "perf: mem_churn      {wall:8.3}s  ({:.0} ops/s, occupancy {ratio:.2}x of {} post-build \
-         nodes, {} reuses, {} bump allocs)",
+        "perf: mem_churn      {wall:8.3}s  ({:.0} ops/s, {:.2} OS yields/req, occupancy \
+         {ratio:.2}x of {} post-build nodes, {} reuses, {} bump allocs)",
         m.ops as f64 / wall.max(1e-9),
+        m.os_yields as f64 / m.ops as f64,
         m.post_build_live,
         m.reused,
         m.bump_allocs,
@@ -430,10 +435,11 @@ pub fn run(args: &[String]) -> i32 {
     eprintln!("perf: {mode} suite, jobs {j}");
     let total = Instant::now();
 
-    let (launch_wall, launches) = launch_heavy(if smoke { 300 } else { 3000 });
+    let (launch_wall, launches, launch_yields) = launch_heavy(if smoke { 300 } else { 3000 });
     eprintln!(
-        "perf: launch_heavy   {launch_wall:8.3}s  ({:.0} launches/s)",
-        launches as f64 / launch_wall.max(1e-9)
+        "perf: launch_heavy   {launch_wall:8.3}s  ({:.0} launches/s, {:.2} OS yields/launch)",
+        launches as f64 / launch_wall.max(1e-9),
+        launch_yields as f64 / launches as f64
     );
 
     let Some((fuzz_wall, cases)) = fuzz_heavy(if smoke { 6 } else { 40 }) else {

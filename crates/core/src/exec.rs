@@ -176,6 +176,9 @@ pub fn execute(
         &qk_items,
         pivot,
         "eirene-query",
+        // No synchronization because nothing is written: results cannot
+        // depend on warp interleaving, so the launch need not pay for any.
+        true,
         |ctx, loc, item| match *item {
             QkItem::Query { run, key } => {
                 ctx.begin_request();
@@ -227,6 +230,7 @@ pub fn execute(
         &uk_items,
         pivot,
         "eirene-update",
+        false,
         |ctx, loc, item| {
             let (run, key, kind) = *item;
             ctx.begin_request();
@@ -465,6 +469,7 @@ fn launch_grouped<T: HasKey>(
     items: &[T],
     pivot: Option<&PivotCache>,
     name: &str,
+    read_only: bool,
     body: impl Fn(&mut eirene_sim::WarpCtx<'_>, &mut WarpLocator<'_>, &T) + Sync,
 ) -> KernelStats {
     let n = items.len();
@@ -513,7 +518,7 @@ fn launch_grouped<T: HasKey>(
         warp_groups.push((glo, groups.len()));
     }
     let coalesced = pivot.is_some();
-    device.launch(name, warp_groups.len(), |wid, ctx| {
+    let kernel = |wid: usize, ctx: &mut eirene_sim::WarpCtx<'_>| {
         let mut loc = WarpLocator::with_cache(opts.locality, pivot);
         let (wg_lo, wg_hi) = warp_groups[wid];
         for &(lo, hi) in &groups[wg_lo..wg_hi] {
@@ -531,7 +536,12 @@ fn launch_grouped<T: HasKey>(
                 }
             }
         }
-    })
+    };
+    if read_only {
+        device.launch_read_only(name, warp_groups.len(), kernel)
+    } else {
+        device.launch(name, warp_groups.len(), kernel)
+    }
 }
 
 /// Result calculation (Alg. 1 line 6, RESULT_CAL): resolves every point

@@ -133,7 +133,9 @@ impl<'c> WarpLocator<'c> {
                 // Overshoot: refresh the starting leaf's RF with the high
                 // bound of the node at step height+1, then give up and
                 // descend vertically (§5).
-                ctx.write(start_addr + OFF_RF, node.high.min(node.rf));
+                // A hint store: RF only steers `begin_rg`'s horizontal-or-
+                // vertical choice, so the read-only query kernel may issue it.
+                ctx.write_hint(start_addr + OFF_RF, node.high.min(node.rf));
                 ctx.control(1);
                 ctx.set_phase(prev);
                 return None;

@@ -32,15 +32,23 @@ pub struct DeviceConfig {
     /// Bytes per coalesced memory transaction (128 on NVIDIA hardware).
     pub transaction_bytes: usize,
     /// Host threads that execute warps concurrently. `0` = auto
-    /// (`max(8, 2 × cores)`). Oversubscription is deliberate: combined
-    /// with `yield_interval` it produces fine-grained warp interleaving —
-    /// and therefore genuine lock/STM contention — even on hosts with few
-    /// cores.
+    /// (`max(8, 2 × cores)`). Oversubscription is deliberate: it fixes how
+    /// many warps — and so how many open transactions and held latches —
+    /// are in flight at once, which is what creates lock/STM conflicts even
+    /// on hosts with few cores. `yield_interval` then decides how finely
+    /// those warps alternate.
     pub worker_threads: usize,
-    /// Inject a cooperative `yield_now` after this many instrumented
-    /// device operations (0 disables). This is what makes warps interleave
-    /// at memory-access granularity rather than running to completion one
-    /// after another.
+    /// The *finest* interleaving granularity: a warp reports a tick to the
+    /// launch's scheduler after this many instrumented device operations
+    /// (0 disables ticks, and with them every yield). The deterministic
+    /// scheduler hands the token over on every tick. The OS scheduler
+    /// ([`OsScheduler`](crate::OsScheduler)) spends a `sched_yield` on a
+    /// tick only where it can change an outcome: never in a launch declared
+    /// read-only, on every 4th tick of a warp while a read-write launch is
+    /// *cool* (no conflict seen lately), and on every tick while it is
+    /// *hot* — the 16 ticks after a warp reports a lock conflict, STM abort
+    /// or version conflict — when a waiter's spin cost depends on the
+    /// holder running again at memory-access granularity.
     pub yield_interval: u32,
     /// Record per-warp [`TraceEvent`](eirene_telemetry::TraceEvent)s
     /// (lock conflicts, STM aborts, version invalidations, node splits,

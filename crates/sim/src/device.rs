@@ -3,7 +3,9 @@
 use crate::config::DeviceConfig;
 use crate::mem::GlobalMemory;
 use crate::pool::WorkerPool;
-use crate::sched::{launch_seed, DetScheduler, LaunchSchedule, SchedMode, ScheduleLog};
+use crate::sched::{
+    launch_seed, DetScheduler, LaunchSchedule, OsScheduler, SchedMode, ScheduleLog,
+};
 use crate::stats::{KernelStats, WarpStats};
 use crate::warp::WarpCtx;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,6 +89,9 @@ pub struct Device {
     /// launch and reused for every subsequent one: launch overhead is a
     /// few condvar wakes, not `effective_workers()` thread spawns/joins.
     pool: OnceLock<WorkerPool>,
+    /// `sched_yield`s taken by OS-mode launches (host-side observability;
+    /// deliberately outside [`KernelStats`]).
+    os_yields: AtomicU64,
 }
 
 impl Device {
@@ -99,6 +104,7 @@ impl Device {
             sched_log: Mutex::new(ScheduleLog::default()),
             replay: Mutex::new(None),
             pool: OnceLock::new(),
+            os_yields: AtomicU64::new(0),
         }
     }
 
@@ -120,6 +126,13 @@ impl Device {
 
     pub fn config(&self) -> &DeviceConfig {
         &self.cfg
+    }
+
+    /// Total `sched_yield`s taken by this device's OS-mode launches: what
+    /// warp interleaving cost the host. A host-side count, not a simulated
+    /// statistic — it varies run to run and stays out of [`KernelStats`].
+    pub fn os_yields(&self) -> u64 {
+        self.os_yields.load(Ordering::Relaxed)
     }
 
     /// Drains the schedules captured by deterministic launches since the
@@ -150,8 +163,9 @@ impl Device {
     ///
     /// In OS mode warps execute on a pool of **oversubscribed** OS threads
     /// ([`DeviceConfig::effective_workers`]); combined with the cooperative
-    /// yields injected by [`WarpCtx`], co-resident warps interleave at
-    /// memory-access granularity — so device-side synchronization exhibits
+    /// yields a per-launch [`OsScheduler`] takes at [`WarpCtx`] ticks —
+    /// coarsely until a warp reports a conflict, at memory-access
+    /// granularity while one is live — device-side synchronization exhibits
     /// real contention regardless of how many host cores exist. In
     /// deterministic mode warps multiplex over a small **host-independent**
     /// number of pool slots ([`DeviceConfig::det_workers`]) and a seeded
@@ -165,13 +179,44 @@ impl Device {
     where
         F: Fn(usize, &mut WarpCtx) + Sync,
     {
+        self.launch_declared(name, num_warps, false, kernel)
+    }
+
+    /// [`launch`](Self::launch) for a kernel that declares it writes no
+    /// device memory ([`WarpCtx::write_hint`] stores excepted). No result
+    /// can then depend on how the warps interleave, so an OS-mode launch
+    /// takes no yields at all. Deterministic mode schedules exactly as
+    /// `launch` does.
+    ///
+    /// # Panics
+    /// As `launch`; additionally a `write`, `write_block` or `atomic_*`
+    /// issued by the kernel panics in the issuing warp, in either mode.
+    pub fn launch_read_only<F>(&self, name: &str, num_warps: usize, kernel: F) -> KernelStats
+    where
+        F: Fn(usize, &mut WarpCtx) + Sync,
+    {
+        self.launch_declared(name, num_warps, true, kernel)
+    }
+
+    fn launch_declared<F>(
+        &self,
+        name: &str,
+        num_warps: usize,
+        read_only: bool,
+        kernel: F,
+    ) -> KernelStats
+    where
+        F: Fn(usize, &mut WarpCtx) + Sync,
+    {
         match self.cfg.sched {
-            SchedMode::Os => self.launch_os(name, num_warps, kernel),
-            SchedMode::Deterministic { seed } => self.launch_det(name, num_warps, seed, kernel),
+            SchedMode::Os => self.launch_os(name, num_warps, read_only, kernel),
+            SchedMode::Deterministic { seed } => {
+                self.launch_det(name, num_warps, seed, read_only, kernel)
+            }
         }
     }
 
-    fn launch_os<F>(&self, name: &str, num_warps: usize, kernel: F) -> KernelStats
+    fn launch_os<F>(&self, name: &str, num_warps: usize, read_only: bool, kernel: F) -> KernelStats
     where
         F: Fn(usize, &mut WarpCtx) + Sync,
     {
@@ -179,6 +224,8 @@ impl Device {
             return self.aggregate(name, Vec::new());
         }
         let kernel = &kernel;
+        // Per launch, so concurrent launches never heat each other.
+        let sched = OsScheduler::for_launch(read_only);
         let mut warp_stats: Vec<Option<WarpStats>> = vec![None; num_warps];
         let slots = SendPtr(warp_stats.as_mut_ptr());
         let failure: Mutex<Option<KernelPanic>> = Mutex::new(None);
@@ -190,7 +237,8 @@ impl Device {
             if poisoned.load(Ordering::Relaxed) {
                 return;
             }
-            let mut ctx = WarpCtx::new(&self.mem, &self.cfg, wid);
+            let mut ctx =
+                WarpCtx::with_scheduler(&self.mem, &self.cfg, wid, &sched).deny_writes(read_only);
             match catch_unwind(AssertUnwindSafe(|| kernel(wid, &mut ctx))) {
                 // SAFETY: each wid is claimed by exactly one worker.
                 Ok(()) => unsafe { *slots.get().add(wid) = Some(ctx.into_stats()) },
@@ -203,6 +251,7 @@ impl Device {
                 }
             }
         });
+        self.os_yields.fetch_add(sched.yields(), Ordering::Relaxed);
         if let Some(f) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
             resume_kernel_panic(name, f);
         }
@@ -213,7 +262,14 @@ impl Device {
         self.aggregate(name, warp_stats)
     }
 
-    fn launch_det<F>(&self, name: &str, num_warps: usize, seed: u64, kernel: F) -> KernelStats
+    fn launch_det<F>(
+        &self,
+        name: &str,
+        num_warps: usize,
+        seed: u64,
+        read_only: bool,
+        kernel: F,
+    ) -> KernelStats
     where
         F: Fn(usize, &mut WarpCtx) + Sync,
     {
@@ -268,7 +324,8 @@ impl Device {
             &|_slot| {
                 while let Some(wid) = sched_ref.next_assignment() {
                     sched_ref.warp_begin(wid);
-                    let mut ctx = WarpCtx::with_scheduler(&self.mem, &self.cfg, wid, sched_ref);
+                    let mut ctx = WarpCtx::with_scheduler(&self.mem, &self.cfg, wid, sched_ref)
+                        .deny_writes(read_only);
                     let r = catch_unwind(AssertUnwindSafe(|| kernel(wid, &mut ctx)));
                     match r {
                         // SAFETY: each wid is assigned to exactly one slot.
@@ -496,6 +553,37 @@ mod tests {
             msg.contains("warp 2") && msg.contains("det fault"),
             "unhelpful panic message: {msg}"
         );
+    }
+
+    #[test]
+    fn misdeclared_read_only_kernel_is_reraised_like_any_kernel_panic() {
+        for cfg in [
+            DeviceConfig::test_small(),
+            DeviceConfig::test_small().with_deterministic_sched(3),
+        ] {
+            let dev = Device::new(1 << 12, cfg);
+            let a = dev.mem().alloc(1);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                dev.launch_read_only("liar", 8, |wid, ctx| {
+                    ctx.read(a);
+                    if wid == 5 {
+                        ctx.atomic_add(a, 1);
+                    }
+                });
+            }))
+            .expect_err("a write under a read-only declaration must fail the launch");
+            let msg = panic_message(err.as_ref());
+            assert!(
+                msg.contains("'liar'") && msg.contains("warp 5") && msg.contains("read-only"),
+                "unhelpful panic message: {msg}"
+            );
+            assert_eq!(dev.mem().read(a), 0);
+            // The device stays usable, and an honest kernel passes.
+            let stats = dev.launch_read_only("honest", 8, |_, ctx| {
+                ctx.read(a);
+            });
+            assert_eq!(stats.totals.mem_insts, 8);
+        }
     }
 
     #[test]

@@ -1,53 +1,153 @@
-//! Pluggable warp scheduling: OS yields by default, seeded deterministic
-//! cooperative stepping for reproducible concurrency testing.
+//! Pluggable warp scheduling: contention-adaptive OS yields by default,
+//! seeded deterministic cooperative stepping for reproducible concurrency
+//! testing.
 //!
 //! Every instrumented device operation passes through
-//! [`WarpCtx::maybe_yield`](crate::WarpCtx), which delegates to a
-//! [`Scheduler`]. Two implementations exist:
+//! [`WarpCtx::maybe_yield`](crate::WarpCtx), which reports a *tick* to a
+//! [`Scheduler`] every [`yield_interval`](crate::DeviceConfig::yield_interval)
+//! operations. The interval is the **finest** granularity at which warps can
+//! interleave; what a tick costs is the scheduler's decision:
 //!
-//! * [`OsScheduler`] — the production default: a bare
-//!   `std::thread::yield_now()`, leaving interleaving to the OS. Fast and
-//!   genuinely parallel, but a failing interleaving is unreproducible.
-//! * [`DetScheduler`] — one warp runs at a time; at every yield point the
-//!   token returns to a coordinator that picks the next warp from a seeded
-//!   PRNG (or from a recorded schedule). A given `(seed, kernel)` pair
-//!   therefore replays the *same* interleaving bit-for-bit, and the chosen
-//!   warp sequence is captured as a [`LaunchSchedule`] that can be
-//!   serialized and replayed later.
+//! * [`OsScheduler`] — the production default, one per OS-mode launch. Warps
+//!   run genuinely in parallel on oversubscribed pool threads, and a tick
+//!   becomes a `sched_yield` only where the interleaving can matter:
+//!   - a **read-only** launch never yields — it writes no device memory, so
+//!     no request's result depends on how its warps interleave;
+//!   - a read-write launch is **cool** until a warp reports a conflict and
+//!     yields on every [`COOL_STRIDE`]th tick of each warp: the same
+//!     `worker_threads` warps stay in flight, so as many transactions and
+//!     latches are open at once as ever — which is what creates conflicts;
+//!   - a conflict ([`Scheduler::conflict`]: failed latch, STM abort, stale
+//!     leaf version) makes the launch **hot** for the next [`HOT_SLICES`]
+//!     ticks, during which every tick yields: a waiter's spin cost depends
+//!     on the holder getting the CPU back at memory-access granularity.
+//!
+//!   Fast, but a failing interleaving is unreproducible.
+//! * [`DetScheduler`] — one warp runs at a time; at every tick the token
+//!   returns to a coordinator that picks the next warp from a seeded PRNG
+//!   (or from a recorded schedule). A given `(seed, kernel)` pair therefore
+//!   replays the *same* interleaving bit-for-bit, and the chosen warp
+//!   sequence is captured as a [`LaunchSchedule`] that can be serialized and
+//!   replayed later. It hands the token over on every tick and ignores
+//!   conflict reports, so its cadence is `yield_interval` alone.
 //!
 //! Deterministic mode serializes execution, so it is meant for correctness
 //! work (the differential fuzzer in `eirene-check`, regression replay), not
 //! for timing figures — the cycle model is unaffected either way.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Yield-point hook used by [`WarpCtx`](crate::WarpCtx). Implementations
-/// decide what "this warp offers to interleave here" means.
+/// Tick hook used by [`WarpCtx`](crate::WarpCtx). Implementations decide
+/// what "this warp offers to interleave here" means.
 pub trait Scheduler: Sync {
-    /// Called by the thread running warp `warp_id` at each cooperative
-    /// yield point. May block until the warp is scheduled again.
-    fn yield_point(&self, warp_id: usize);
+    /// Called by the thread running warp `warp_id` after every
+    /// `yield_interval` instrumented operations; `tick` counts the warp's
+    /// calls so far, starting at 1. May block until the warp is scheduled
+    /// again.
+    fn yield_point(&self, warp_id: usize, tick: u32);
+
+    /// A warp lost a synchronization race (failed latch acquisition, STM
+    /// abort, stale version). Schedulers that adapt their interleaving to
+    /// contention listen here; the default ignores it.
+    fn conflict(&self) {}
 }
 
-/// Default scheduler: hand the decision to the OS.
-pub struct OsScheduler;
+/// A cool read-write launch yields on every `COOL_STRIDE`th tick of a warp.
+pub(crate) const COOL_STRIDE: u32 = 4;
 
-impl Scheduler for OsScheduler {
+/// Ticks (launch-wide) that yield unconditionally after a conflict report.
+pub(crate) const HOT_SLICES: u32 = 16;
+
+/// The whole yield policy of [`OsScheduler`]: whether tick number `tick` of
+/// a warp gives up the CPU, given what the launch declared and observed.
+#[inline]
+pub(crate) fn os_tick_yields(read_only: bool, hot: bool, tick: u32) -> bool {
+    !read_only && (hot || tick.is_multiple_of(COOL_STRIDE))
+}
+
+/// Default scheduler: real parallelism, with `sched_yield`s spent only while
+/// they can change an outcome (see the module docs for the three regimes).
+/// One instance per launch, so concurrent launches (two shard devices in
+/// `serve`) never heat each other.
+pub struct OsScheduler {
+    read_only: bool,
+    /// Every tick yields regardless of `hot` — no launch to observe.
+    pinned_hot: bool,
+    /// Hot ticks left; 0 = cool. Relaxed: a heuristic that publishes no
+    /// data, and a lost update only stretches or trims a hot window.
+    hot: AtomicU32,
+    /// `sched_yield`s actually taken (host-side observability only).
+    yields: AtomicU64,
+}
+
+impl OsScheduler {
+    /// Scheduler for one launch; `read_only` is the kernel's declaration
+    /// that it writes no device memory.
+    pub const fn for_launch(read_only: bool) -> Self {
+        OsScheduler {
+            read_only,
+            pinned_hot: false,
+            hot: AtomicU32::new(0),
+            yields: AtomicU64::new(0),
+        }
+    }
+
+    /// Scheduler for contexts created outside any launch: nothing to adapt
+    /// to, so every tick yields.
+    pub const fn out_of_launch() -> Self {
+        OsScheduler {
+            read_only: false,
+            pinned_hot: true,
+            hot: AtomicU32::new(0),
+            yields: AtomicU64::new(0),
+        }
+    }
+
+    /// Consumes one tick: spends a hot slice if any is left and returns
+    /// whether this tick yields. Everything but the syscall, so the policy
+    /// is testable without threads.
     #[inline]
-    fn yield_point(&self, _warp_id: usize) {
-        std::thread::yield_now();
+    fn tick_yields(&self, tick: u32) -> bool {
+        let hot = self.pinned_hot
+            || self
+                .hot
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |h| h.checked_sub(1))
+                .is_ok();
+        os_tick_yields(self.read_only, hot, tick)
+    }
+
+    /// `sched_yield`s taken through this scheduler so far.
+    pub fn yields(&self) -> u64 {
+        self.yields.load(Ordering::Relaxed)
     }
 }
 
-/// Shared instance for contexts created outside a deterministic launch.
-pub static OS_SCHEDULER: OsScheduler = OsScheduler;
+impl Scheduler for OsScheduler {
+    #[inline]
+    fn yield_point(&self, _warp_id: usize, tick: u32) {
+        if self.tick_yields(tick) {
+            self.yields.fetch_add(1, Ordering::Relaxed);
+            std::thread::yield_now();
+        }
+    }
+
+    #[inline]
+    fn conflict(&self) {
+        self.hot.store(HOT_SLICES, Ordering::Relaxed);
+    }
+}
+
+/// Shared instance for contexts created outside a launch
+/// ([`WarpCtx::new`](crate::WarpCtx::new)).
+pub static OS_SCHEDULER: OsScheduler = OsScheduler::out_of_launch();
 
 /// Which scheduler a [`Device`](crate::Device) launches kernels under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedMode {
-    /// OS-scheduled worker threads with plain `yield_now` interleaving
-    /// points (today's default behavior).
+    /// OS-scheduled worker threads under a per-launch [`OsScheduler`]:
+    /// contention-adaptive `sched_yield` interleaving points.
     #[default]
     Os,
     /// Seeded deterministic cooperative stepping: warps execute one at a
@@ -426,7 +526,7 @@ impl DetScheduler {
 }
 
 impl Scheduler for DetScheduler {
-    fn yield_point(&self, warp_id: usize) {
+    fn yield_point(&self, warp_id: usize, _tick: u32) {
         let mut st = self.lock();
         st.turn = Turn::Coordinator;
         self.cv.notify_all();
@@ -439,6 +539,67 @@ impl Scheduler for DetScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn yield_decision_table() {
+        // (read_only, hot, tick) -> yields?
+        for (read_only, hot, tick, want) in [
+            (true, false, 4, false),
+            (true, true, 1, false),
+            (true, true, 4, false),
+            (false, false, 1, false),
+            (false, false, 3, false),
+            (false, false, 4, true),
+            (false, false, 5, false),
+            (false, false, 8, true),
+            (false, true, 1, true),
+            (false, true, 2, true),
+            (false, true, 4, true),
+        ] {
+            assert_eq!(
+                os_tick_yields(read_only, hot, tick),
+                want,
+                "read_only={read_only} hot={hot} tick={tick}"
+            );
+        }
+    }
+
+    #[test]
+    fn read_only_launch_never_yields_even_after_a_conflict() {
+        let sched = OsScheduler::for_launch(true);
+        assert!((1..=64).all(|t| !sched.tick_yields(t)));
+        sched.conflict();
+        assert!((1..=64).all(|t| !sched.tick_yields(t)));
+    }
+
+    #[test]
+    fn cool_launch_yields_on_every_fourth_tick_only() {
+        let sched = OsScheduler::for_launch(false);
+        let yielded: Vec<u32> = (1..=20).filter(|&t| sched.tick_yields(t)).collect();
+        assert_eq!(yielded, [4, 8, 12, 16, 20]);
+    }
+
+    #[test]
+    fn conflict_heats_sixteen_slices_then_the_launch_cools() {
+        let sched = OsScheduler::for_launch(false);
+        assert!(!sched.tick_yields(1), "cool before any conflict");
+        sched.conflict();
+        // Tick 1 never yields while cool, so every `true` here is heat.
+        assert!((0..HOT_SLICES).all(|_| sched.tick_yields(1)));
+        assert!(!sched.tick_yields(1), "cooled after HOT_SLICES ticks");
+        assert!(sched.tick_yields(COOL_STRIDE), "cool cadence resumes");
+        // A conflict during a hot window restarts it rather than stacking.
+        sched.conflict();
+        sched.tick_yields(1);
+        sched.conflict();
+        assert!((0..HOT_SLICES).all(|_| sched.tick_yields(1)));
+        assert!(!sched.tick_yields(1));
+    }
+
+    #[test]
+    fn out_of_launch_scheduler_yields_on_every_tick() {
+        assert!((1..=64).all(|t| OS_SCHEDULER.tick_yields(t)));
+    }
 
     #[test]
     fn schedule_log_roundtrips_through_text() {
@@ -493,7 +654,7 @@ mod tests {
                     sched.warp_begin(w);
                     for _ in 0..5 {
                         order.lock().unwrap().push(w as u32);
-                        sched.yield_point(w);
+                        sched.yield_point(w, 0);
                     }
                     order.lock().unwrap().push(w as u32);
                     sched.warp_finished(w);
@@ -521,7 +682,7 @@ mod tests {
                     sched.warp_begin(w);
                     for _ in 0..yields {
                         order.lock().unwrap().push(w as u32);
-                        sched.yield_point(w);
+                        sched.yield_point(w, 0);
                     }
                     order.lock().unwrap().push(w as u32);
                     sched.warp_finished(w);
@@ -543,7 +704,7 @@ mod tests {
                         sched.warp_begin(w);
                         for _ in 0..yields {
                             order.lock().unwrap().push(w as u32);
-                            sched.yield_point(w);
+                            sched.yield_point(w, 0);
                         }
                         order.lock().unwrap().push(w as u32);
                         sched.warp_finished(w);
@@ -594,7 +755,7 @@ mod tests {
                     while let Some(w) = sched.next_assignment() {
                         sched.warp_begin(w);
                         for _ in 0..2 {
-                            sched.yield_point(w);
+                            sched.yield_point(w, 0);
                         }
                         sched.warp_finished(w);
                     }
@@ -623,7 +784,7 @@ mod tests {
                         sched.warp_begin(w);
                         for _ in 0..4 {
                             order.lock().unwrap().push(w as u32);
-                            sched.yield_point(w);
+                            sched.yield_point(w, 0);
                         }
                         order.lock().unwrap().push(w as u32);
                         sched.warp_finished(w);
@@ -656,7 +817,7 @@ mod tests {
                         sched.warp_begin(w);
                         for _ in 0..4 {
                             order.lock().unwrap().push(w as u32);
-                            sched.yield_point(w);
+                            sched.yield_point(w, 0);
                         }
                         sched.warp_finished(w);
                     });

@@ -54,20 +54,25 @@ pub struct WarpCtx<'a> {
     phase: Phase,
     req_start: u64,
     ops_since_yield: u32,
+    /// Scheduler ticks reported so far (one per `yield_interval` ops).
+    ticks: u32,
+    /// The launch declared that it writes no device memory; the write
+    /// paths enforce it.
+    read_only: bool,
     sched: &'a dyn Scheduler,
 }
 
 impl<'a> WarpCtx<'a> {
-    /// Creates a context under the default OS scheduler. Normally called by
-    /// [`Device::launch`](crate::Device::launch); public so lower-level
-    /// crates can unit-test device code without a full launch.
+    /// Creates a context under the out-of-launch OS scheduler, which yields
+    /// on every tick. Public so lower-level crates can unit-test device code
+    /// without a full launch.
     pub fn new(mem: &'a GlobalMemory, cfg: &'a DeviceConfig, warp_id: usize) -> Self {
         Self::with_scheduler(mem, cfg, warp_id, &OS_SCHEDULER)
     }
 
-    /// Creates a context whose yield points report to `sched` — used by
-    /// deterministic launches, where the scheduler decides which warp runs
-    /// after every yield.
+    /// Creates a context whose ticks and conflicts report to `sched` — the
+    /// launch's own scheduler, which decides what a tick costs (OS mode) or
+    /// which warp runs next (deterministic mode).
     pub fn with_scheduler(
         mem: &'a GlobalMemory,
         cfg: &'a DeviceConfig,
@@ -84,15 +89,25 @@ impl<'a> WarpCtx<'a> {
             // Stagger the first yield per warp so co-scheduled warps do
             // not advance in lockstep with each other.
             ops_since_yield: (warp_id as u32).wrapping_mul(7) % cfg.yield_interval.max(1),
+            ticks: 0,
+            read_only: false,
             sched,
         }
     }
 
-    /// Cooperative interleaving point: with oversubscribed worker threads,
-    /// periodic yields make warps alternate at memory-access granularity,
-    /// so locks and transactions genuinely contend even on few-core hosts.
-    /// Under a deterministic scheduler this is where the warp hands the
-    /// execution token back.
+    /// Marks the context as belonging to a launch declared read-only:
+    /// `write*` and `atomic_*` panic from here on.
+    pub(crate) fn deny_writes(mut self, read_only: bool) -> Self {
+        self.read_only = read_only;
+        self
+    }
+
+    /// Cooperative interleaving point: every `yield_interval` ops the warp
+    /// reports a tick to its scheduler. With oversubscribed worker threads
+    /// the OS scheduler turns ticks into yields as finely as the launch's
+    /// contention warrants, so locks and transactions genuinely contend
+    /// even on few-core hosts. Under a deterministic scheduler every tick
+    /// hands the execution token back.
     #[inline]
     fn maybe_yield(&mut self) {
         if self.cfg.yield_interval == 0 {
@@ -101,7 +116,8 @@ impl<'a> WarpCtx<'a> {
         self.ops_since_yield += 1;
         if self.ops_since_yield >= self.cfg.yield_interval {
             self.ops_since_yield = 0;
-            self.sched.yield_point(self.warp_id);
+            self.ticks = self.ticks.wrapping_add(1);
+            self.sched.yield_point(self.warp_id, self.ticks);
         }
     }
 
@@ -169,9 +185,30 @@ impl<'a> WarpCtx<'a> {
         self.mem.read(addr)
     }
 
+    /// Fails a device-memory mutation issued under a read-only launch. The
+    /// launch re-raises the panic with the kernel's name.
+    #[inline]
+    fn assert_writable(&self, op: &str) {
+        assert!(
+            !self.read_only,
+            "warp {} issued `{op}` in a launch declared read-only",
+            self.warp_id
+        );
+    }
+
     /// Instrumented single-word write.
     #[inline]
     pub fn write(&mut self, addr: Addr, value: u64) {
+        self.assert_writable("write");
+        self.write_hint(addr, value);
+    }
+
+    /// Instrumented single-word store of an *advisory* word, charged
+    /// exactly like [`write`](Self::write) but legal in a read-only launch:
+    /// by contract no request's result depends on a hint, and every reader
+    /// tolerates a stale value (the leaf RF fence of §5 is the one user).
+    #[inline]
+    pub fn write_hint(&mut self, addr: Addr, value: u64) {
         self.charge_mem(addr, 1);
         self.mem.write(addr, value);
     }
@@ -186,6 +223,7 @@ impl<'a> WarpCtx<'a> {
 
     /// Warp-cooperative coalesced write of contiguous words.
     pub fn write_block(&mut self, base: Addr, values: &[u64]) {
+        self.assert_writable("write_block");
         self.charge_mem(base, values.len());
         self.mem.write_slice(base, values);
     }
@@ -204,6 +242,7 @@ impl<'a> WarpCtx<'a> {
     /// Instrumented compare-and-swap.
     #[inline]
     pub fn atomic_cas(&mut self, addr: Addr, current: u64, new: u64) -> Result<u64, u64> {
+        self.assert_writable("atomic_cas");
         self.charge_atomic();
         self.mem.cas(addr, current, new)
     }
@@ -211,6 +250,7 @@ impl<'a> WarpCtx<'a> {
     /// Instrumented fetch-add.
     #[inline]
     pub fn atomic_add(&mut self, addr: Addr, delta: u64) -> u64 {
+        self.assert_writable("atomic_add");
         self.charge_atomic();
         self.mem.fetch_add(addr, delta)
     }
@@ -218,6 +258,7 @@ impl<'a> WarpCtx<'a> {
     /// Instrumented fetch-or.
     #[inline]
     pub fn atomic_or(&mut self, addr: Addr, bits: u64) -> u64 {
+        self.assert_writable("atomic_or");
         self.charge_atomic();
         self.mem.fetch_or(addr, bits)
     }
@@ -225,6 +266,7 @@ impl<'a> WarpCtx<'a> {
     /// Instrumented fetch-and.
     #[inline]
     pub fn atomic_and(&mut self, addr: Addr, bits: u64) -> u64 {
+        self.assert_writable("atomic_and");
         self.charge_atomic();
         self.mem.fetch_and(addr, bits)
     }
@@ -273,6 +315,7 @@ impl<'a> WarpCtx<'a> {
     #[inline]
     pub fn lock_conflict(&mut self) {
         charge!(self, lock_conflicts += 1);
+        self.sched.conflict();
         self.emit(TraceEventKind::LockConflict, 0);
     }
 
@@ -280,6 +323,7 @@ impl<'a> WarpCtx<'a> {
     #[inline]
     pub fn stm_abort(&mut self) {
         charge!(self, stm_aborts += 1);
+        self.sched.conflict();
         self.emit(TraceEventKind::StmAbort, 0);
     }
 
@@ -288,6 +332,7 @@ impl<'a> WarpCtx<'a> {
     #[inline]
     pub fn version_conflict(&mut self) {
         charge!(self, version_conflicts += 1);
+        self.sched.conflict();
         self.emit(TraceEventKind::VersionConflict, 0);
     }
 
@@ -332,6 +377,113 @@ mod tests {
 
     fn setup() -> (GlobalMemory, DeviceConfig) {
         (GlobalMemory::new(4096), DeviceConfig::default())
+    }
+
+    /// Records what a context reports, yielding nothing.
+    #[derive(Default)]
+    struct Recorder {
+        ticks: std::sync::Mutex<Vec<(usize, u32)>>,
+        conflicts: std::sync::atomic::AtomicU32,
+    }
+
+    impl Scheduler for Recorder {
+        fn yield_point(&self, warp_id: usize, tick: u32) {
+            self.ticks.lock().unwrap().push((warp_id, tick));
+        }
+
+        fn conflict(&self) {
+            self.conflicts
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn ticks_are_numbered_per_warp_every_yield_interval_ops() {
+        let (mem, cfg) = setup();
+        let a = mem.alloc(1);
+        let rec = Recorder::default();
+        // Warp 0 has no stagger: ticks land exactly every 24 ops.
+        let mut ctx = WarpCtx::with_scheduler(&mem, &cfg, 0, &rec);
+        for _ in 0..3 * cfg.yield_interval {
+            ctx.read(a);
+        }
+        assert_eq!(*rec.ticks.lock().unwrap(), [(0, 1), (0, 2), (0, 3)]);
+    }
+
+    #[test]
+    fn zero_yield_interval_reports_no_ticks() {
+        let mem = GlobalMemory::new(4096);
+        let cfg = DeviceConfig {
+            yield_interval: 0,
+            ..DeviceConfig::default()
+        };
+        let a = mem.alloc(1);
+        let rec = Recorder::default();
+        let mut ctx = WarpCtx::with_scheduler(&mem, &cfg, 3, &rec);
+        for _ in 0..500 {
+            ctx.read(a);
+            ctx.atomic_add(a, 1);
+        }
+        assert!(rec.ticks.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn conflicts_reach_the_scheduler() {
+        let (mem, cfg) = setup();
+        let rec = Recorder::default();
+        let mut ctx = WarpCtx::with_scheduler(&mem, &cfg, 0, &rec);
+        ctx.lock_conflict();
+        ctx.stm_abort();
+        ctx.version_conflict();
+        assert_eq!(rec.conflicts.into_inner(), 3);
+    }
+
+    #[test]
+    fn default_context_yields_on_every_tick() {
+        let (mem, cfg) = setup();
+        let a = mem.alloc(1);
+        let before = OS_SCHEDULER.yields();
+        let mut ctx = WarpCtx::new(&mem, &cfg, 0);
+        for _ in 0..3 * cfg.yield_interval {
+            ctx.read(a);
+        }
+        // Other tests share the static, so the count can only be a floor.
+        assert!(OS_SCHEDULER.yields() >= before + 3);
+    }
+
+    #[test]
+    fn read_only_context_rejects_every_mutation_and_nothing_else() {
+        let (mem, cfg) = setup();
+        let a = mem.alloc(4);
+        type Op = fn(&mut WarpCtx<'_>, Addr);
+        let mutations: [(&str, Op); 6] = [
+            ("write", |c, a| c.write(a, 1)),
+            ("write_block", |c, a| c.write_block(a, &[1, 2])),
+            ("atomic_cas", |c, a| _ = c.atomic_cas(a, 0, 1)),
+            ("atomic_add", |c, a| _ = c.atomic_add(a, 1)),
+            ("atomic_or", |c, a| _ = c.atomic_or(a, 1)),
+            ("atomic_and", |c, a| _ = c.atomic_and(a, 1)),
+        ];
+        for (name, op) in mutations {
+            let err = std::panic::catch_unwind(|| {
+                let mut ctx = WarpCtx::new(&mem, &cfg, 9).deny_writes(true);
+                op(&mut ctx, a);
+            })
+            .expect_err(name);
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                msg.contains("warp 9") && msg.contains(&format!("`{name}`")),
+                "{msg}"
+            );
+            assert_eq!(mem.read(a), 0, "{name} must not reach memory");
+        }
+        let mut ctx = WarpCtx::new(&mem, &cfg, 9).deny_writes(true);
+        ctx.read(a);
+        ctx.read_block(a, &mut [0; 4]);
+        ctx.control(3);
+        ctx.write_hint(a + 1, 7);
+        assert_eq!(mem.read(a + 1), 7);
+        assert_eq!(ctx.stats.mem_insts, 3);
     }
 
     #[test]
