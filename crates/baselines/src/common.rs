@@ -161,6 +161,7 @@ impl ResponseBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eirene_sim::WarpStats;
 
     #[test]
     fn response_buf_roundtrip() {
@@ -204,7 +205,8 @@ mod tests {
         let pairs: Vec<(u64, u64)> = (1..=100u64).map(|i| (2 * i, 2 * i + 1)).collect();
         let base = TreeBase::build(&pairs, DeviceConfig::test_small(), 16, 0);
         let root = base.handle.root(base.device.mem());
-        let mut ctx = WarpCtx::new(base.device.mem(), base.device.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(base.device.mem(), base.device.config(), 0, &mut stats);
         let snap = seqlock_load(&mut ctx, root);
         assert!(snap.count() > 0);
         assert_eq!(ctx.stats.version_conflicts, 0);

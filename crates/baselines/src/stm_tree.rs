@@ -24,7 +24,7 @@ use eirene_btree::ops::{
     delete_rebalancing, descend, query_at_leaf, upsert_at_leaf, LeafUpsert, NO_VALUE,
 };
 use eirene_sim::{Device, DeviceConfig, Phase, WarpCtx};
-use eirene_stm::{Stm, Tx, TxResult};
+use eirene_stm::{Stm, Tx, TxResult, TxScratch};
 use eirene_workloads::{range_window, Batch, OpKind, Response};
 
 /// The STM-based tree.
@@ -134,12 +134,13 @@ impl ConcurrentTree for StmTree {
             .base
             .device
             .launch("stm-gbtree", warps_for(n, ws), |wid, ctx| {
+                let mut scratch = TxScratch::default();
                 for i in warp_span(n, wid, ws) {
                     let req = batch.requests[i];
                     ctx.begin_request();
                     charge_request_io(ctx);
                     let resp = stm
-                        .run(ctx, usize::MAX >> 1, |tx, ctx| {
+                        .run(ctx, &mut scratch, usize::MAX >> 1, |tx, ctx| {
                             tx_process(tx, ctx, &handle, req.key as u64, req.op)
                         })
                         .expect("unbounded retries cannot exhaust");

@@ -6,8 +6,8 @@ use eirene_bench::harness::{default_mix, spec_for};
 use eirene_btree::build::{arena_budget, bulk_build};
 use eirene_core::plan::build_plan;
 use eirene_primitives::radix_sort_pairs;
-use eirene_sim::{Device, DeviceConfig, GlobalMemory, WarpCtx};
-use eirene_stm::Stm;
+use eirene_sim::{Device, DeviceConfig, GlobalMemory, WarpCtx, WarpStats};
+use eirene_stm::{Stm, TxScratch};
 use eirene_workloads::WorkloadGen;
 use rand::{Rng, SeedableRng};
 
@@ -68,12 +68,14 @@ fn bench_stm_tx(c: &mut Criterion) {
     let stm = Stm::new(dev.mem(), 1 << 10);
     let cells: Vec<u64> = (0..64).map(|_| dev.mem().alloc(1)).collect();
     c.bench_function("stm_read_write_commit", |b| {
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
         let mut i = 0usize;
         b.iter(|| {
             let cell = cells[i % cells.len()];
             i += 1;
-            stm.run(&mut ctx, 8, |tx, ctx| {
+            stm.run(&mut ctx, &mut scratch, 8, |tx, ctx| {
                 let v = tx.read(ctx, cell)?;
                 tx.write(ctx, cell, v + 1)
             })

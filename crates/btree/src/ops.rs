@@ -611,8 +611,8 @@ mod tests {
     use crate::build::{arena_budget, bulk_build};
     use crate::refops;
     use crate::validate::validate;
-    use eirene_sim::{Device, DeviceConfig, WarpCtx};
-    use eirene_stm::Stm;
+    use eirene_sim::{Device, DeviceConfig, WarpCtx, WarpStats};
+    use eirene_stm::{Stm, TxScratch};
 
     fn setup(n: u64) -> (Device, TreeHandle, Stm) {
         let dev = Device::new(
@@ -628,9 +628,11 @@ mod tests {
     #[test]
     fn tx_descend_reaches_correct_leaf() {
         let (dev, t, stm) = setup(1000);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
         let v = stm
-            .run(&mut ctx, 4, |tx, ctx| {
+            .run(&mut ctx, &mut scratch, 4, |tx, ctx| {
                 let (addr, count) = descend(&mut TxAccess::new(tx, ctx), &t, 500, false)?;
                 query_at_leaf(&mut TxAccess::new(tx, ctx), addr, count, 500)
             })
@@ -641,8 +643,10 @@ mod tests {
     #[test]
     fn tx_upsert_and_delete_roundtrip() {
         let (dev, t, stm) = setup(200);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
-        stm.run(&mut ctx, 4, |tx, ctx| {
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
+        stm.run(&mut ctx, &mut scratch, 4, |tx, ctx| {
             let (addr, count) = descend(&mut TxAccess::new(tx, ctx), &t, 7, true)?;
             match upsert_at_leaf(&mut TxAccess::new(tx, ctx), addr, count, 7, 70)? {
                 LeafUpsert::Done(old) => {
@@ -654,7 +658,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(refops::get(dev.mem(), &t, 7), Some(70));
-        stm.run(&mut ctx, 4, |tx, ctx| {
+        stm.run(&mut ctx, &mut scratch, 4, |tx, ctx| {
             let old = delete_rebalancing(&mut TxAccess::new(tx, ctx), &t, 7)?;
             assert_eq!(old, 70);
             Ok(())
@@ -667,9 +671,11 @@ mod tests {
     #[test]
     fn tx_inserts_split_and_stay_valid() {
         let (dev, t, stm) = setup(100);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
         for i in 0..100u64 {
-            stm.run(&mut ctx, 8, |tx, ctx| {
+            stm.run(&mut ctx, &mut scratch, 8, |tx, ctx| {
                 let (addr, count) = descend(&mut TxAccess::new(tx, ctx), &t, 2 * i + 1, true)?;
                 match upsert_at_leaf(&mut TxAccess::new(tx, ctx), addr, count, 2 * i + 1, i)? {
                     LeafUpsert::Done(_) => Ok(()),
@@ -687,7 +693,9 @@ mod tests {
     #[test]
     fn aborted_split_rolls_back_cleanly() {
         let (dev, t, stm) = setup(100);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
         let before = refops::contents(dev.mem(), &t);
         // Force the leaf containing key 2 full, then run a tx that splits
         // and deliberately aborts.
@@ -696,7 +704,7 @@ mod tests {
         }
         let snapshot = refops::contents(dev.mem(), &t);
         assert!(snapshot.len() > before.len());
-        let mut tx = stm.begin();
+        let mut tx = stm.begin(&mut scratch);
         let r = descend(&mut TxAccess::new(&mut tx, &mut ctx), &t, 5_000_000, true);
         assert!(r.is_ok());
         tx.rollback(&mut ctx);
@@ -711,13 +719,15 @@ mod tests {
     #[test]
     fn aborted_split_retires_its_orphan_sibling() {
         let (dev, t, stm) = setup(100);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
         // Fill the rightmost leaf to FANOUT so a split-capable descent
         // towards a huge key must split it.
         let mut k = 1_000u64;
         loop {
             let count = stm
-                .run(&mut ctx, 4, |tx, ctx| {
+                .run(&mut ctx, &mut scratch, 4, |tx, ctx| {
                     Ok(descend(&mut TxAccess::new(tx, ctx), &t, 5_000_000, false)?.1)
                 })
                 .unwrap();
@@ -729,7 +739,7 @@ mod tests {
         }
         let snapshot = refops::contents(dev.mem(), &t);
         let retired_before = dev.mem().slab_stats().retired;
-        let mut tx = stm.begin();
+        let mut tx = stm.begin(&mut scratch);
         descend(&mut TxAccess::new(&mut tx, &mut ctx), &t, 5_000_000, true).unwrap();
         tx.rollback(&mut ctx);
         assert_eq!(
@@ -749,7 +759,9 @@ mod tests {
     #[test]
     fn leaf_delete_escapes_at_the_occupancy_floor() {
         let (dev, t, stm) = setup(100);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
         // Drain the leftmost leaf one key at a time with the floor-aware
         // leaf delete; once it reaches the floor the op must escape
         // without modifying the leaf.
@@ -757,7 +769,7 @@ mod tests {
         for i in 1..=FANOUT as u64 {
             let key = 2 * i;
             let r = stm
-                .run(&mut ctx, 4, |tx, ctx| {
+                .run(&mut ctx, &mut scratch, 4, |tx, ctx| {
                     let (addr, count) = descend(&mut TxAccess::new(tx, ctx), &t, key, false)?;
                     delete_at_leaf(&mut TxAccess::new(tx, ctx), addr, count, key, MIN_OCCUPANCY)
                 })
@@ -777,7 +789,7 @@ mod tests {
             "the underflow escape must leave the leaf untouched"
         );
         // The merge-capable path finishes the job.
-        stm.run(&mut ctx, 8, |tx, ctx| {
+        stm.run(&mut ctx, &mut scratch, 8, |tx, ctx| {
             delete_rebalancing(&mut TxAccess::new(tx, ctx), &t, key)
         })
         .unwrap();
@@ -789,12 +801,14 @@ mod tests {
     #[test]
     fn tx_deletes_merge_shrink_and_recycle() {
         let (dev, t, stm) = setup(1000);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
         let h0 = t.height(dev.mem());
         assert!(h0 >= 3);
         for i in 1..=995u64 {
             let old = stm
-                .run(&mut ctx, 16, |tx, ctx| {
+                .run(&mut ctx, &mut scratch, 16, |tx, ctx| {
                     delete_rebalancing(&mut TxAccess::new(tx, ctx), &t, 2 * i)
                 })
                 .unwrap();
@@ -817,7 +831,9 @@ mod tests {
     #[test]
     fn hop_right_walks_to_covering_leaf() {
         let (dev, t, stm) = setup(1000);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
         // Start from the leftmost leaf and hop to key 1500.
         let mut leftmost = crate::node::NodeRef {
             addr: t.root(dev.mem()),
@@ -828,7 +844,7 @@ mod tests {
             };
         }
         let v = stm
-            .run(&mut ctx, 4, |tx, ctx| {
+            .run(&mut ctx, &mut scratch, 4, |tx, ctx| {
                 let count = leftmost.count(dev.mem());
                 let (addr, count) =
                     hop_right(&mut TxAccess::new(tx, ctx), leftmost.addr, count, 1500)?;

@@ -31,7 +31,7 @@ use eirene_btree::ops::{
 };
 use eirene_primitives::PrimCost;
 use eirene_sim::{Device, DeviceConfig, KernelStats, Phase, TraceEventKind};
-use eirene_stm::{Abort, Stm};
+use eirene_stm::{Abort, Stm, TxScratch};
 use eirene_workloads::{range_window, Batch, OpKind, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -163,11 +163,7 @@ pub fn execute(
 
     // Range results are accumulated here (written by the query kernel,
     // patched by result calculation) and installed into `responses` last.
-    let range_results: Vec<parking_lot_free::SlotVec> = plan
-        .ranges
-        .iter()
-        .map(|r| parking_lot_free::SlotVec::new(r.len as usize))
-        .collect();
+    let range_results = RangeSlots::new(plan.ranges.iter().map(|r| r.len as usize));
 
     // ------------------------- Query kernel ----------------------------
     let query_stats = launch_grouped(
@@ -179,7 +175,7 @@ pub fn execute(
         // No synchronization because nothing is written: results cannot
         // depend on warp interleaving, so the launch need not pay for any.
         true,
-        |ctx, loc, item| match *item {
+        |ctx, WarpState { loc, .. }, item| match *item {
             QkItem::Query { run, key } => {
                 ctx.begin_request();
                 charge_request_io(ctx);
@@ -199,12 +195,13 @@ pub fn execute(
                 ctx.begin_request();
                 charge_request_io(ctx);
                 let (_, mut leaf) = loc.locate(ctx, handle, lo);
+                let slots = range_results.of(range_idx);
                 let prev = ctx.set_phase(Phase::LeafOp);
                 loop {
                     for i in 0..leaf.count() {
                         let k = leaf.keys[i];
                         if k >= lo && k <= hi {
-                            range_results[range_idx as usize].set((k - lo) as usize, leaf.vals[i]);
+                            slots[(k - lo) as usize].store(leaf.vals[i], Ordering::Relaxed);
                         }
                     }
                     ctx.control(leaf.count() as u64 + 2);
@@ -231,7 +228,7 @@ pub fn execute(
         pivot,
         "eirene-update",
         false,
-        |ctx, loc, item| {
+        |ctx, warp, item| {
             let (run, key, kind) = *item;
             ctx.begin_request();
             charge_request_io(ctx);
@@ -241,7 +238,7 @@ pub fn execute(
             }
             let old = match opts.protection {
                 UpdateProtection::OptimisticStm => {
-                    update_one(ctx, handle, stm, opts, loc, key, kind)
+                    update_one(ctx, handle, stm, opts, warp, key, kind)
                 }
                 UpdateProtection::FineGrainedLocks => match kind {
                     IssuedKind::Upsert(v) => {
@@ -262,12 +259,11 @@ pub fn execute(
 
     // Install range responses.
     for (idx, r) in plan.ranges.iter().enumerate() {
-        let slots = range_results[idx].snapshot();
-        let vec: Vec<Option<u32>> = slots
-            .iter()
-            .map(|&v| (v != NO_VALUE).then_some(v as u32))
-            .collect();
-        responses[r.orig_idx as usize] = Response::Range(vec);
+        let values = range_results.of(idx as u32).iter().map(|slot| {
+            let v = slot.load(Ordering::Relaxed);
+            (v != NO_VALUE).then_some(v as u32)
+        });
+        responses[r.orig_idx as usize] = Response::Range(values.collect());
     }
 
     // ----------------------------- Stats --------------------------------
@@ -294,10 +290,11 @@ fn update_one(
     handle: &TreeHandle,
     stm: &Stm,
     opts: &ExecOptions,
-    loc: &mut WarpLocator,
+    warp: &mut WarpState<'_>,
     key: u64,
     kind: IssuedKind,
 ) -> u64 {
+    let WarpState { loc, scratch } = warp;
     let mut retries = 0u32;
     loop {
         if retries >= opts.retry_threshold {
@@ -306,7 +303,7 @@ fn update_one(
             // guaranteed because aborting releases ownership.
             loc.invalidate();
             let old = stm
-                .run(ctx, usize::MAX >> 1, |tx, ctx| {
+                .run(ctx, scratch, usize::MAX >> 1, |tx, ctx| {
                     let a = &mut TxAccess::new(tx, ctx);
                     match kind {
                         IssuedKind::Upsert(v) => {
@@ -331,7 +328,7 @@ fn update_one(
         let mut need_smo = false;
         let outer = ctx.set_phase(Phase::LeafOp);
         let attempt = {
-            let mut tx = stm.begin();
+            let mut tx = stm.begin(scratch);
             let r = (|| {
                 let a = &mut TxAccess::new(&mut tx, ctx);
                 let v2 = a.read(addr + OFF_VERSION)?;
@@ -421,6 +418,14 @@ fn update_one(
     }
 }
 
+/// What an iteration warp carries from one request to the next.
+struct WarpState<'c> {
+    /// Last accessed leaf, for the horizontal-or-vertical choice (§5).
+    loc: WarpLocator<'c>,
+    /// Logs and leased ids of the warp's transactions.
+    scratch: TxScratch,
+}
+
 /// Work items that expose the key the RF decision needs.
 trait HasKey: Sync {
     fn item_key(&self) -> u64;
@@ -456,7 +461,8 @@ impl HasKey for (u32, u64, IssuedKind) {
 }
 
 /// Launches `items` over iteration warps: contiguous blocks of request
-/// groups per warp, so adjacent RGs share a [`WarpLocator`] buffer (§5).
+/// groups per warp, so adjacent RGs share one [`WarpState`]: the leaf
+/// buffer of §5 and the logs every transaction of the warp reuses.
 ///
 /// With a pivot cache (`pivot = Some`), request groups are *leaf runs* —
 /// maximal ascending-key groups targeting the same leaf under the
@@ -470,7 +476,7 @@ fn launch_grouped<T: HasKey>(
     pivot: Option<&PivotCache>,
     name: &str,
     read_only: bool,
-    body: impl Fn(&mut eirene_sim::WarpCtx<'_>, &mut WarpLocator<'_>, &T) + Sync,
+    body: impl Fn(&mut eirene_sim::WarpCtx<'_>, &mut WarpState<'_>, &T) + Sync,
 ) -> KernelStats {
     let n = items.len();
     if n == 0 {
@@ -519,15 +525,18 @@ fn launch_grouped<T: HasKey>(
     }
     let coalesced = pivot.is_some();
     let kernel = |wid: usize, ctx: &mut eirene_sim::WarpCtx<'_>| {
-        let mut loc = WarpLocator::with_cache(opts.locality, pivot);
+        let mut warp = WarpState {
+            loc: WarpLocator::with_cache(opts.locality, pivot),
+            scratch: TxScratch::default(),
+        };
         let (wg_lo, wg_hi) = warp_groups[wid];
         for &(lo, hi) in &groups[wg_lo..wg_hi] {
             // RF decision per group uses the group's maximal key (§5);
             // keys are ascending, so it is the last item's key.
-            loc.begin_rg(items[hi - 1].item_key());
+            warp.loc.begin_rg(items[hi - 1].item_key());
             for (i, item) in items[lo..hi].iter().enumerate() {
                 let verticals_before = ctx.stats.vertical_traversals;
-                body(ctx, &mut loc, item);
+                body(ctx, &mut warp, item);
                 // A run-mate that finished without a fresh vertical
                 // traversal rode the run's descent: an upper-level walk
                 // the per-request baseline would have paid.
@@ -554,7 +563,7 @@ fn resolve(
     plan: &CombinePlan,
     old_vals: &[AtomicU64],
     responses: &mut [Response],
-    range_results: &[parking_lot_free::SlotVec],
+    range_results: &RangeSlots,
 ) -> PrimCost {
     for (run_i, run) in plan.runs.iter().enumerate() {
         resolve_run(batch, plan, run_i, run, old_vals, responses, range_results);
@@ -578,7 +587,7 @@ fn resolve_run(
     run: &Run,
     old_vals: &[AtomicU64],
     responses: &mut [Response],
-    range_results: &[parking_lot_free::SlotVec],
+    range_results: &RangeSlots,
 ) {
     let old = old_vals[run_i].load(Ordering::Relaxed);
     let reqs = &plan.point_sorted[run.start as usize..(run.start + run.len) as usize];
@@ -592,6 +601,9 @@ fn resolve_run(
             KeyState::Value(v) => v as u64,
         }
     };
+    let patch = |a: &Artificial, state: KeyState| {
+        range_results.of(a.range_idx)[a.offset as usize].store(value_at(state), Ordering::Relaxed);
+    };
     for &orig in reqs {
         let req = &batch.requests[orig as usize];
         // Artificial queries with earlier timestamp *ranks* resolve first.
@@ -601,8 +613,7 @@ fn resolve_run(
         // `ts <` comparison would resolve an equal-ts artificial query
         // after the point request and hand the range the *new* value.
         while ai < arts.len() && arts[ai].rank < plan.rank[orig as usize] {
-            let a = &arts[ai];
-            range_results[a.range_idx as usize].set(a.offset as usize, value_at(state));
+            patch(&arts[ai], state);
             ai += 1;
         }
         match req.op {
@@ -617,39 +628,37 @@ fn resolve_run(
         }
     }
     while ai < arts.len() {
-        let a = &arts[ai];
-        range_results[a.range_idx as usize].set(a.offset as usize, value_at(state));
+        patch(&arts[ai], state);
         ai += 1;
     }
 }
 
-/// Minimal lock-free helpers local to this module.
-mod parking_lot_free {
-    use std::sync::atomic::{AtomicU64, Ordering};
+/// Result slots of every range query of a batch in one buffer (`NO_VALUE`
+/// = empty), written across warps by the query kernel and patched by the
+/// resolution pass.
+struct RangeSlots {
+    slots: Vec<AtomicU64>,
+    /// Range `i` owns `slots[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+}
 
-    /// A fixed-size vector of atomically-written u64 slots (NO_VALUE =
-    /// empty), used for range-query result assembly across warps and the
-    /// resolution pass.
-    pub struct SlotVec {
-        slots: Vec<AtomicU64>,
+impl RangeSlots {
+    fn new(lens: impl Iterator<Item = usize>) -> Self {
+        let mut starts = vec![0];
+        starts.extend(lens.scan(0, |end, len| {
+            *end += len;
+            Some(*end)
+        }));
+        let total = *starts.last().expect("starts with 0");
+        RangeSlots {
+            slots: (0..total).map(|_| AtomicU64::new(NO_VALUE)).collect(),
+            starts,
+        }
     }
 
-    impl SlotVec {
-        pub fn new(len: usize) -> Self {
-            SlotVec {
-                slots: (0..len).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            }
-        }
-
-        pub fn set(&self, idx: usize, v: u64) {
-            self.slots[idx].store(v, Ordering::Relaxed);
-        }
-
-        pub fn snapshot(&self) -> Vec<u64> {
-            self.slots
-                .iter()
-                .map(|s| s.load(Ordering::Relaxed))
-                .collect()
-        }
+    /// The slots of range `range_idx`, one per key of its window.
+    fn of(&self, range_idx: u32) -> &[AtomicU64] {
+        let i = range_idx as usize;
+        &self.slots[self.starts[i]..self.starts[i + 1]]
     }
 }

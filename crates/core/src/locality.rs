@@ -234,7 +234,7 @@ impl<'c> WarpLocator<'c> {
 mod tests {
     use super::*;
     use eirene_btree::build::{arena_budget, bulk_build};
-    use eirene_sim::{Device, DeviceConfig};
+    use eirene_sim::{Device, DeviceConfig, WarpStats};
 
     fn tree(n: u64) -> (Device, TreeHandle) {
         let dev = Device::new(arena_budget(n as usize, 64), DeviceConfig::test_small());
@@ -246,7 +246,8 @@ mod tests {
     #[test]
     fn first_locate_descends_vertically() {
         let (dev, t) = tree(5000);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
         let mut loc = WarpLocator::new(true);
         let (_, leaf) = loc.locate(&mut ctx, &t, 500);
         assert_eq!(leaf.find(500).map(|i| leaf.vals[i]), Some(501));
@@ -257,7 +258,8 @@ mod tests {
     #[test]
     fn adjacent_keys_walk_horizontally() {
         let (dev, t) = tree(5000);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
         let mut loc = WarpLocator::new(true);
         loc.locate(&mut ctx, &t, 500);
         let v_before = ctx.stats.vertical_traversals;
@@ -274,7 +276,8 @@ mod tests {
     #[test]
     fn distant_key_overshoots_and_falls_back_vertical() {
         let (dev, t) = tree(5000);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
         let mut loc = WarpLocator::new(true);
         let (start_addr, _) = loc.locate(&mut ctx, &t, 2);
         let rf_before = dev.mem().read(start_addr + OFF_RF);
@@ -289,7 +292,8 @@ mod tests {
     #[test]
     fn begin_rg_honors_rf_bound() {
         let (dev, t) = tree(5000);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
         let mut loc = WarpLocator::new(true);
         loc.locate(&mut ctx, &t, 2);
         // A far-away RG max key must force a vertical start.
@@ -302,7 +306,8 @@ mod tests {
     #[test]
     fn disabled_locator_always_descends() {
         let (dev, t) = tree(2000);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
         let mut loc = WarpLocator::new(false);
         loc.locate(&mut ctx, &t, 100);
         loc.locate(&mut ctx, &t, 102);
@@ -314,7 +319,8 @@ mod tests {
     #[test]
     fn locate_works_for_absent_keys() {
         let (dev, t) = tree(1000);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
         let mut loc = WarpLocator::new(true);
         let (_, leaf) = loc.locate(&mut ctx, &t, 501); // odd key, absent
         assert_eq!(leaf.find(501), None);

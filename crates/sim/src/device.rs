@@ -4,29 +4,13 @@ use crate::config::DeviceConfig;
 use crate::mem::GlobalMemory;
 use crate::pool::WorkerPool;
 use crate::sched::{
-    launch_seed, DetScheduler, LaunchSchedule, OsScheduler, SchedMode, ScheduleLog,
+    launch_seed, DetScheduler, LaunchSchedule, OsScheduler, SchedMode, ScheduleLog, Scheduler,
 };
 use crate::stats::{KernelStats, WarpStats};
 use crate::warp::WarpCtx;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-/// Raw pointer wrapper for disjoint per-warp result slots.
-struct SendPtr<T>(*mut T);
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-impl<T> SendPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 /// First panic captured out of a kernel launch: the offending warp id plus
 /// the original payload.
@@ -40,6 +24,29 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         s.as_str()
     } else {
         "non-string panic payload"
+    }
+}
+
+/// What a launch records while its warps run: counters per worker slot —
+/// every field of [`WarpStats`] is an order-independent fold, so a few slot
+/// accumulators sum to what one `WarpStats` per warp did — and the one
+/// per-warp datum the SM makespan model needs, each warp's own cycles.
+struct LaunchStats {
+    /// A slot is run by one pool item, which holds its lock throughout.
+    /// Kernel panics are caught below the guard, so none poisons it.
+    slots: Vec<Mutex<WarpStats>>,
+    warp_cycles: Vec<AtomicU64>,
+    /// First kernel panic, with the warp it came from.
+    failure: Mutex<Option<KernelPanic>>,
+}
+
+impl LaunchStats {
+    fn new(slots: usize, num_warps: usize) -> Self {
+        LaunchStats {
+            slots: (0..slots).map(|_| Mutex::default()).collect(),
+            warp_cycles: (0..num_warps).map(|_| AtomicU64::new(0)).collect(),
+            failure: Mutex::new(None),
+        }
     }
 }
 
@@ -96,7 +103,22 @@ pub struct Device {
 
 impl Device {
     /// Creates a device with an arena of `arena_words` 64-bit words.
+    ///
+    /// # Panics
+    /// If a geometry field the cost model divides by is too small — named
+    /// here rather than met as a division by zero inside some warp.
     pub fn new(arena_words: usize, cfg: DeviceConfig) -> Self {
+        for (field, value, min) in [
+            ("num_sms", cfg.num_sms, 1),
+            ("warp_size", cfg.warp_size, 1),
+            ("warps_per_sm", cfg.warps_per_sm, 1),
+            ("transaction_bytes", cfg.transaction_bytes, 8),
+        ] {
+            assert!(
+                value >= min,
+                "DeviceConfig::{field} is {value}, below {min}"
+            );
+        }
         Device {
             mem: GlobalMemory::new(arena_words),
             cfg,
@@ -216,50 +238,67 @@ impl Device {
         }
     }
 
+    /// Runs warp `wid` into the slot accumulator `acc`; `false` if the
+    /// kernel panicked (the launch keeps its first panic).
+    fn run_warp<F>(
+        &self,
+        run: &LaunchStats,
+        acc: &mut WarpStats,
+        sched: &dyn Scheduler,
+        read_only: bool,
+        kernel: &F,
+        wid: usize,
+    ) -> bool
+    where
+        F: Fn(usize, &mut WarpCtx) + Sync,
+    {
+        let mut ctx =
+            WarpCtx::with_scheduler(&self.mem, &self.cfg, wid, acc, sched).deny_writes(read_only);
+        match catch_unwind(AssertUnwindSafe(|| kernel(wid, &mut ctx))) {
+            Ok(()) => {
+                // Ordered before `aggregate` by the pool's completion count.
+                run.warp_cycles[wid].store(ctx.cycles(), Ordering::Relaxed);
+                true
+            }
+            Err(payload) => {
+                let mut f = run.failure.lock().unwrap_or_else(|e| e.into_inner());
+                f.get_or_insert((wid, payload));
+                false
+            }
+        }
+    }
+
     fn launch_os<F>(&self, name: &str, num_warps: usize, read_only: bool, kernel: F) -> KernelStats
     where
         F: Fn(usize, &mut WarpCtx) + Sync,
     {
         if num_warps == 0 {
-            return self.aggregate(name, Vec::new());
+            return self.aggregate(name, LaunchStats::new(0, 0));
         }
-        let kernel = &kernel;
         // Per launch, so concurrent launches never heat each other.
         let sched = OsScheduler::for_launch(read_only);
-        let mut warp_stats: Vec<Option<WarpStats>> = vec![None; num_warps];
-        let slots = SendPtr(warp_stats.as_mut_ptr());
-        let failure: Mutex<Option<KernelPanic>> = Mutex::new(None);
-        let poisoned = AtomicBool::new(false);
-        // Each pool item is one warp; pool workers claim warp ids off an
-        // atomic counter, exactly as the old spawn-per-launch workers did —
-        // minus the spawns.
-        self.pool().run(num_warps, &|wid| {
-            if poisoned.load(Ordering::Relaxed) {
-                return;
-            }
-            let mut ctx =
-                WarpCtx::with_scheduler(&self.mem, &self.cfg, wid, &sched).deny_writes(read_only);
-            match catch_unwind(AssertUnwindSafe(|| kernel(wid, &mut ctx))) {
-                // SAFETY: each wid is claimed by exactly one worker.
-                Ok(()) => unsafe { *slots.get().add(wid) = Some(ctx.into_stats()) },
-                Err(payload) => {
-                    poisoned.store(true, Ordering::Relaxed);
-                    let mut f = failure.lock().unwrap_or_else(|e| e.into_inner());
-                    if f.is_none() {
-                        *f = Some((wid, payload));
-                    }
+        let workers = self.pool().workers().min(num_warps);
+        let run = LaunchStats::new(workers, num_warps);
+        let next_warp = AtomicUsize::new(0);
+        // Each pool item is one worker slot claiming warp ids off an atomic
+        // counter until none are left.
+        self.pool().run(workers, &|slot| {
+            let mut acc = run.slots[slot]
+                .lock()
+                .expect("kernel panics are caught below the guard");
+            loop {
+                let wid = next_warp.fetch_add(1, Ordering::Relaxed);
+                if wid >= num_warps {
+                    break;
+                }
+                if !self.run_warp(&run, &mut acc, &sched, read_only, &kernel, wid) {
+                    // The launch has failed: leave unclaimed warps unrun.
+                    next_warp.store(num_warps, Ordering::Relaxed);
                 }
             }
         });
         self.os_yields.fetch_add(sched.yields(), Ordering::Relaxed);
-        if let Some(f) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            resume_kernel_panic(name, f);
-        }
-        let warp_stats: Vec<WarpStats> = warp_stats
-            .into_iter()
-            .map(|s| s.expect("warp ran"))
-            .collect();
-        self.aggregate(name, warp_stats)
+        self.aggregate(name, run)
     }
 
     fn launch_det<F>(
@@ -275,7 +314,7 @@ impl Device {
     {
         let launch_idx = self.launches.fetch_add(1, Ordering::Relaxed);
         if num_warps == 0 {
-            return self.aggregate(name, Vec::new());
+            return self.aggregate(name, LaunchStats::new(0, 0));
         }
         // Replay takes precedence over fresh PRNG decisions.
         let recorded: Option<Vec<u32>> = {
@@ -314,35 +353,22 @@ impl Device {
             None => DetScheduler::seeded(num_warps, launch_seed(seed, launch_idx)),
         }
         .with_worker_limit(workers);
-        let kernel = &kernel;
-        let sched_ref = &sched;
-        let mut warp_stats: Vec<Option<WarpStats>> = vec![None; num_warps];
-        let slots = SendPtr(warp_stats.as_mut_ptr());
-        let failure: Mutex<Option<KernelPanic>> = Mutex::new(None);
+        let run = LaunchStats::new(workers, num_warps);
         self.pool().run_with_driver(
             workers,
-            &|_slot| {
-                while let Some(wid) = sched_ref.next_assignment() {
-                    sched_ref.warp_begin(wid);
-                    let mut ctx = WarpCtx::with_scheduler(&self.mem, &self.cfg, wid, sched_ref)
-                        .deny_writes(read_only);
-                    let r = catch_unwind(AssertUnwindSafe(|| kernel(wid, &mut ctx)));
-                    match r {
-                        // SAFETY: each wid is assigned to exactly one slot.
-                        Ok(()) => unsafe { *slots.get().add(wid) = Some(ctx.into_stats()) },
-                        Err(payload) => {
-                            let mut f = failure.lock().unwrap_or_else(|e| e.into_inner());
-                            if f.is_none() {
-                                *f = Some((wid, payload));
-                            }
-                        }
-                    }
+            &|slot| {
+                let mut acc = run.slots[slot]
+                    .lock()
+                    .expect("kernel panics are caught below the guard");
+                while let Some(wid) = sched.next_assignment() {
+                    sched.warp_begin(wid);
+                    self.run_warp(&run, &mut acc, &sched, read_only, &kernel, wid);
                     // Hand the token back even on panic, or the
                     // coordinator would wait forever.
-                    sched_ref.warp_finished(wid);
+                    sched.warp_finished(wid);
                 }
             },
-            || sched_ref.drive(),
+            || sched.drive(),
         );
         self.sched_log
             .lock()
@@ -353,22 +379,17 @@ impl Device {
                 num_warps: num_warps as u32,
                 choices: sched.take_choices(),
             });
-        if let Some(f) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            resume_kernel_panic(name, f);
-        }
+        // Re-raises a kernel panic, so a real kernel failure keeps
+        // precedence over the divergence check below.
+        let stats = self.aggregate(name, run);
         // A replayed choice the scheduler could not honor means the log
         // came from a different det worker limit (machine/version): the
         // launch drained on a fallback interleaving, which must not pass
-        // for a faithful replay. Checked after the kernel-panic path so a
-        // real kernel failure keeps precedence.
+        // for a faithful replay.
         if let Some(msg) = sched.replay_divergence() {
             panic!("kernel '{name}': {msg}");
         }
-        let warp_stats: Vec<WarpStats> = warp_stats
-            .into_iter()
-            .map(|s| s.expect("warp ran"))
-            .collect();
-        self.aggregate(name, warp_stats)
+        stats
     }
 
     /// Sequential launch, for deterministic debugging and tests that need
@@ -377,28 +398,43 @@ impl Device {
     where
         F: FnMut(usize, &mut WarpCtx),
     {
-        let warp_stats: Vec<WarpStats> = (0..num_warps)
-            .map(|wid| {
-                let mut ctx = WarpCtx::new(&self.mem, &self.cfg, wid);
-                kernel(wid, &mut ctx);
-                ctx.into_stats()
-            })
-            .collect();
-        self.aggregate(name, warp_stats)
+        let run = LaunchStats::new(1, num_warps);
+        let mut acc = run.slots[0].lock().expect("nobody else holds a fresh lock");
+        for wid in 0..num_warps {
+            let mut ctx = WarpCtx::new(&self.mem, &self.cfg, wid, &mut acc);
+            kernel(wid, &mut ctx);
+            run.warp_cycles[wid].store(ctx.cycles(), Ordering::Relaxed);
+        }
+        drop(acc);
+        self.aggregate(name, run)
     }
 
-    fn aggregate(&self, name: &str, warp_stats: Vec<WarpStats>) -> KernelStats {
-        let warps = warp_stats.len() as u64;
+    /// Folds what a launch recorded into its [`KernelStats`], or re-raises
+    /// the kernel's panic if a warp failed.
+    fn aggregate(&self, name: &str, run: LaunchStats) -> KernelStats {
+        if let Some(f) = run.failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            resume_kernel_panic(name, f);
+        }
+        let warps = run.warp_cycles.len() as u64;
         let mut totals = WarpStats::default();
-        // Per SM: summed cycles and the number of warps it actually hosts.
-        let mut per_sm = vec![(0u64, 0usize); self.cfg.num_sms];
-        for (wid, ws) in warp_stats.into_iter().enumerate() {
-            let sm = &mut per_sm[wid % self.cfg.num_sms];
-            sm.0 += ws.cycles;
-            sm.1 += 1;
+        for slot in run.slots {
             // Move-based merge: trace event vectors are appended, not
             // cloned (and no allocation happens when tracing is off).
-            totals.absorb(ws);
+            totals.absorb(
+                slot.into_inner()
+                    .expect("kernel panics are caught below the guard"),
+            );
+        }
+        // A slot logs its warps' events in the order it ran them; a stable
+        // sort restores warp-id-major order and keeps each warp's own
+        // events in program order.
+        totals.events.sort_by_key(|e| e.warp);
+        // Per SM: summed cycles and the number of warps it actually hosts.
+        let mut per_sm = vec![(0u64, 0usize); self.cfg.num_sms];
+        for (wid, cycles) in run.warp_cycles.into_iter().enumerate() {
+            let sm = &mut per_sm[wid % self.cfg.num_sms];
+            sm.0 += cycles.into_inner();
+            sm.1 += 1;
         }
         // An SM's makespan is its cycle sum divided by the warps making
         // concurrent progress on it: the configured occupancy, but never
@@ -439,6 +475,24 @@ impl std::fmt::Debug for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn degenerate_geometry_is_rejected_by_field_name() {
+        type Break = fn(&mut DeviceConfig);
+        let cases: [(&str, Break); 4] = [
+            ("num_sms", |c| c.num_sms = 0),
+            ("warp_size", |c| c.warp_size = 0),
+            ("warps_per_sm", |c| c.warps_per_sm = 0),
+            ("transaction_bytes", |c| c.transaction_bytes = 7),
+        ];
+        for (field, break_it) in cases {
+            let mut cfg = DeviceConfig::test_small();
+            break_it(&mut cfg);
+            let err = catch_unwind(|| Device::new(1 << 12, cfg)).expect_err(field);
+            let msg = panic_message(err.as_ref());
+            assert!(msg.contains(&format!("DeviceConfig::{field}")), "{msg}");
+        }
+    }
 
     #[test]
     fn launch_runs_every_warp() {

@@ -14,7 +14,7 @@
 //!   story is real, not synthesized.
 //! * **Instrumentation.** Every device memory instruction, coalesced
 //!   transaction, control-flow instruction, atomic, and conflict is counted
-//!   per warp ([`WarpStats`]) and aggregated per kernel ([`KernelStats`]) —
+//!   as warps run ([`WarpStats`]) and aggregated per kernel ([`KernelStats`]) —
 //!   the quantities Nsight Compute reports in Figures 1, 9, 10 and 12.
 //! * **Timing.** A simple latency/occupancy model
 //!   ([`DeviceConfig`], [`KernelStats::makespan_cycles`]) converts those

@@ -13,10 +13,11 @@
 //! overhead becomes a few condvar wakes instead of N thread spawns.
 //!
 //! The same pool serves both scheduling modes:
-//! * OS mode: one item per warp; workers claim warp ids and run the
-//!   kernel closure directly while the launching thread waits — the same
-//!   claimer population as the old scoped-thread launch, so OS-mode
-//!   contention interleavings keep their historical distribution.
+//! * OS mode: one item per worker slot; a slot claims warp ids off the
+//!   launch's own counter and runs the kernel closure directly while the
+//!   launching thread waits — the same claimer population as the old
+//!   scoped-thread launch, so OS-mode contention interleavings keep their
+//!   historical distribution.
 //! * Deterministic mode: one item per *det worker slot* (at most the
 //!   host-independent `DeviceConfig::det_workers()`, which never exceeds
 //!   the pool size), each running an assignment loop against the
@@ -121,6 +122,11 @@ impl WorkerPool {
             handles,
             launch: Mutex::new(()),
         }
+    }
+
+    /// Number of worker threads.
+    pub fn workers(&self) -> usize {
+        self.handles.len()
     }
 
     /// Runs `task(idx)` for every `idx in 0..num_items` across the pool.

@@ -1,4 +1,5 @@
-//! Execution counters: per-warp during a kernel, aggregated per kernel.
+//! Execution counters: accumulated by warps during a kernel, aggregated
+//! per kernel.
 //!
 //! These are the quantities the paper profiles with Nsight Compute:
 //! memory instructions and control-flow instructions per request
@@ -17,7 +18,9 @@ use eirene_telemetry::{CycleHistogram, PhaseStats, PhaseTable, TraceEvent};
 #[cfg(test)]
 use eirene_telemetry::Phase;
 
-/// Counters accumulated by a single warp while executing a kernel.
+/// Counters accumulated while executing a kernel: by every warp a worker
+/// slot ran during a launch, or by one warp when a [`WarpCtx`](crate::WarpCtx)
+/// is given an accumulator of its own.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct WarpStats {
     /// Warp-issued memory instructions (one per warp-level load/store,
@@ -54,9 +57,9 @@ pub struct WarpStats {
     pub pivot_cache_hits: u64,
     /// Pivot-cache snapshot rebuilds (lazy, at batch boundaries).
     pub pivot_cache_rebuilds: u64,
-    /// Requests this warp completed (for per-request normalization).
+    /// Requests completed (for per-request normalization).
     pub requests: u64,
-    /// Simulated cycles consumed by this warp.
+    /// Simulated cycles consumed.
     pub cycles: u64,
     /// Per-phase breakdown of the shared counters above. Every update that
     /// flows through `WarpCtx` lands in exactly one row, so the rows sum
@@ -96,7 +99,7 @@ impl WarpStats {
 
     /// Move-based variant of [`merge`](Self::merge): consumes `other` and
     /// *appends* its trace events instead of cloning them. This is the
-    /// aggregation path used by kernel launches, where per-warp stats are
+    /// aggregation path used by kernel launches, where per-slot stats are
     /// owned exactly once.
     pub fn absorb(&mut self, mut other: WarpStats) {
         self.merge_counters(&other);

@@ -10,9 +10,11 @@ use eirene_telemetry::{Phase, TraceEvent, TraceEventKind};
 /// Execution context handed to a kernel closure, one per warp.
 ///
 /// A `WarpCtx` wraps the shared [`GlobalMemory`] with instrumentation: each
-/// operation updates the warp's [`WarpStats`] (instruction and transaction
-/// counts, conflict counters) and advances the warp's simulated cycle count
-/// according to the [`DeviceConfig`] latency model.
+/// operation updates a borrowed [`WarpStats`] (instruction and transaction
+/// counts, conflict counters) and advances its simulated cycle count
+/// according to the [`DeviceConfig`] latency model. A launch lends every
+/// warp a worker runs the same accumulator, so only differences of its
+/// counters — [`cycles`](Self::cycles), response times — are this warp's.
 ///
 /// Phase scoping: the context carries a current [`Phase`]; every charge is
 /// attributed both to the kernel totals and to the current phase's row, so
@@ -48,9 +50,11 @@ pub struct WarpCtx<'a> {
     mem: &'a GlobalMemory,
     cfg: &'a DeviceConfig,
     warp_id: usize,
-    /// Counters for this warp; algorithm code bumps step counters directly
-    /// and reports conflicts through the phase-aware methods below.
-    pub stats: WarpStats,
+    /// Counters this warp adds to; algorithm code bumps step counters
+    /// directly and reports conflicts through the phase-aware methods below.
+    pub stats: &'a mut WarpStats,
+    /// `stats.cycles` when this warp started.
+    cycle_base: u64,
     phase: Phase,
     req_start: u64,
     ops_since_yield: u32,
@@ -66,8 +70,13 @@ impl<'a> WarpCtx<'a> {
     /// Creates a context under the out-of-launch OS scheduler, which yields
     /// on every tick. Public so lower-level crates can unit-test device code
     /// without a full launch.
-    pub fn new(mem: &'a GlobalMemory, cfg: &'a DeviceConfig, warp_id: usize) -> Self {
-        Self::with_scheduler(mem, cfg, warp_id, &OS_SCHEDULER)
+    pub fn new(
+        mem: &'a GlobalMemory,
+        cfg: &'a DeviceConfig,
+        warp_id: usize,
+        stats: &'a mut WarpStats,
+    ) -> Self {
+        Self::with_scheduler(mem, cfg, warp_id, stats, &OS_SCHEDULER)
     }
 
     /// Creates a context whose ticks and conflicts report to `sched` — the
@@ -77,13 +86,15 @@ impl<'a> WarpCtx<'a> {
         mem: &'a GlobalMemory,
         cfg: &'a DeviceConfig,
         warp_id: usize,
+        stats: &'a mut WarpStats,
         sched: &'a dyn Scheduler,
     ) -> Self {
         WarpCtx {
             mem,
             cfg,
             warp_id,
-            stats: WarpStats::default(),
+            cycle_base: stats.cycles,
+            stats,
             phase: Phase::Other,
             req_start: 0,
             // Stagger the first yield per warp so co-scheduled warps do
@@ -144,14 +155,15 @@ impl<'a> WarpCtx<'a> {
         std::mem::replace(&mut self.phase, phase)
     }
 
-    /// Appends an event to the warp's trace when tracing is enabled.
+    /// Appends an event to the trace when tracing is enabled.
     #[inline]
     pub fn emit(&mut self, kind: TraceEventKind, arg: u64) {
         if self.cfg.trace {
+            let cycle = self.cycles();
             self.stats.events.push(TraceEvent {
                 kind,
                 warp: self.warp_id as u32,
-                cycle: self.stats.cycles,
+                cycle,
                 arg,
             });
         }
@@ -336,10 +348,10 @@ impl<'a> WarpCtx<'a> {
         self.emit(TraceEventKind::VersionConflict, 0);
     }
 
-    /// Current simulated cycle count of this warp.
+    /// Simulated cycles this warp has consumed so far.
     #[inline]
     pub fn cycles(&self) -> u64 {
-        self.stats.cycles
+        self.stats.cycles - self.cycle_base
     }
 
     /// Marks the start of one request's processing.
@@ -363,11 +375,6 @@ impl<'a> WarpCtx<'a> {
     pub fn record_request_cycles(&mut self, cycles: u64) {
         self.stats.latency.record(cycles);
         self.stats.requests += 1;
-    }
-
-    /// Consumes the context, returning the accumulated statistics.
-    pub fn into_stats(self) -> WarpStats {
-        self.stats
     }
 }
 
@@ -403,7 +410,8 @@ mod tests {
         let a = mem.alloc(1);
         let rec = Recorder::default();
         // Warp 0 has no stagger: ticks land exactly every 24 ops.
-        let mut ctx = WarpCtx::with_scheduler(&mem, &cfg, 0, &rec);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::with_scheduler(&mem, &cfg, 0, &mut stats, &rec);
         for _ in 0..3 * cfg.yield_interval {
             ctx.read(a);
         }
@@ -419,7 +427,8 @@ mod tests {
         };
         let a = mem.alloc(1);
         let rec = Recorder::default();
-        let mut ctx = WarpCtx::with_scheduler(&mem, &cfg, 3, &rec);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::with_scheduler(&mem, &cfg, 3, &mut stats, &rec);
         for _ in 0..500 {
             ctx.read(a);
             ctx.atomic_add(a, 1);
@@ -431,7 +440,8 @@ mod tests {
     fn conflicts_reach_the_scheduler() {
         let (mem, cfg) = setup();
         let rec = Recorder::default();
-        let mut ctx = WarpCtx::with_scheduler(&mem, &cfg, 0, &rec);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::with_scheduler(&mem, &cfg, 0, &mut stats, &rec);
         ctx.lock_conflict();
         ctx.stm_abort();
         ctx.version_conflict();
@@ -443,7 +453,8 @@ mod tests {
         let (mem, cfg) = setup();
         let a = mem.alloc(1);
         let before = OS_SCHEDULER.yields();
-        let mut ctx = WarpCtx::new(&mem, &cfg, 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&mem, &cfg, 0, &mut stats);
         for _ in 0..3 * cfg.yield_interval {
             ctx.read(a);
         }
@@ -466,7 +477,8 @@ mod tests {
         ];
         for (name, op) in mutations {
             let err = std::panic::catch_unwind(|| {
-                let mut ctx = WarpCtx::new(&mem, &cfg, 9).deny_writes(true);
+                let mut stats = WarpStats::default();
+                let mut ctx = WarpCtx::new(&mem, &cfg, 9, &mut stats).deny_writes(true);
                 op(&mut ctx, a);
             })
             .expect_err(name);
@@ -477,7 +489,8 @@ mod tests {
             );
             assert_eq!(mem.read(a), 0, "{name} must not reach memory");
         }
-        let mut ctx = WarpCtx::new(&mem, &cfg, 9).deny_writes(true);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&mem, &cfg, 9, &mut stats).deny_writes(true);
         ctx.read(a);
         ctx.read_block(a, &mut [0; 4]);
         ctx.control(3);
@@ -491,7 +504,8 @@ mod tests {
         let (mem, cfg) = setup();
         let a = mem.alloc(4);
         mem.write(a, 42);
-        let mut ctx = WarpCtx::new(&mem, &cfg, 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&mem, &cfg, 0, &mut stats);
         assert_eq!(ctx.read(a), 42);
         assert_eq!(ctx.stats.mem_insts, 1);
         assert_eq!(ctx.stats.mem_transactions, 1);
@@ -502,7 +516,8 @@ mod tests {
     fn block_read_coalesces() {
         let (mem, cfg) = setup();
         let a = mem.alloc_aligned(36, 16);
-        let mut ctx = WarpCtx::new(&mem, &cfg, 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&mem, &cfg, 0, &mut stats);
         let mut out = [0u64; 36];
         ctx.read_block(a, &mut out);
         // 36 words / 32 lanes = 2 warp instructions; 36 aligned words touch
@@ -516,7 +531,8 @@ mod tests {
     fn atomics_charge_atomic_latency() {
         let (mem, cfg) = setup();
         let a = mem.alloc(1);
-        let mut ctx = WarpCtx::new(&mem, &cfg, 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&mem, &cfg, 0, &mut stats);
         assert_eq!(ctx.atomic_cas(a, 0, 1), Ok(0));
         assert_eq!(ctx.atomic_add(a, 1), 1);
         assert_eq!(ctx.stats.atomic_insts, 2);
@@ -527,7 +543,8 @@ mod tests {
     fn request_brackets_record_response_times() {
         let (mem, cfg) = setup();
         let a = mem.alloc(1);
-        let mut ctx = WarpCtx::new(&mem, &cfg, 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&mem, &cfg, 0, &mut stats);
         ctx.begin_request();
         ctx.read(a);
         ctx.end_request();
@@ -545,7 +562,8 @@ mod tests {
     #[test]
     fn control_charges_control_latency() {
         let (mem, cfg) = setup();
-        let mut ctx = WarpCtx::new(&mem, &cfg, 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&mem, &cfg, 0, &mut stats);
         ctx.control(7);
         assert_eq!(ctx.stats.control_insts, 7);
         assert_eq!(ctx.stats.cycles, 7 * cfg.control_latency);
@@ -555,7 +573,8 @@ mod tests {
     fn writes_are_visible_through_raw_mem() {
         let (mem, cfg) = setup();
         let a = mem.alloc(2);
-        let mut ctx = WarpCtx::new(&mem, &cfg, 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&mem, &cfg, 0, &mut stats);
         ctx.write(a + 1, 99);
         assert_eq!(mem.read(a + 1), 99);
         assert_eq!(ctx.raw_mem().read(a + 1), 99);
@@ -565,7 +584,8 @@ mod tests {
     fn phase_rows_sum_to_totals() {
         let (mem, cfg) = setup();
         let a = mem.alloc(64);
-        let mut ctx = WarpCtx::new(&mem, &cfg, 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&mem, &cfg, 0, &mut stats);
         let prev = ctx.set_phase(Phase::VerticalTraversal);
         assert_eq!(prev, Phase::Other);
         let mut buf = [0u64; 16];
@@ -610,7 +630,8 @@ mod tests {
     fn events_are_recorded_only_when_tracing() {
         let (mem, _) = setup();
         let cfg_off = DeviceConfig::default();
-        let mut ctx = WarpCtx::new(&mem, &cfg_off, 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&mem, &cfg_off, 0, &mut stats);
         ctx.lock_conflict();
         assert!(ctx.stats.events.is_empty());
 
@@ -618,7 +639,8 @@ mod tests {
             trace: true,
             ..DeviceConfig::default()
         };
-        let mut ctx = WarpCtx::new(&mem, &cfg_on, 3);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&mem, &cfg_on, 3, &mut stats);
         ctx.charge_cycles(100);
         ctx.lock_conflict();
         ctx.emit(TraceEventKind::CombineHit, 5);

@@ -3,9 +3,11 @@
 //! the counters a sequential reference launch produces (for a kernel with
 //! no cross-warp conflicts, where counters are interleaving-independent),
 //! and back-to-back launches on one device must not leak statistics from
-//! one epoch into the next.
+//! one epoch into the next. The same holds for how a launch keeps its
+//! books: warps of one worker share an accumulator, and nothing a caller
+//! can read — trace events included — may show it.
 
-use eirene_sim::{Device, KernelStats, Phase, WarpCtx};
+use eirene_sim::{Device, DeviceConfig, KernelStats, Phase, TraceEventKind, WarpCtx, WarpStats};
 
 const WARPS: usize = 24;
 const BLOCK: usize = 16;
@@ -82,4 +84,74 @@ fn back_to_back_launches_do_not_leak_stats_across_epochs() {
     let reference = fresh.launch("second", WARPS, disjoint_kernel(fresh_b));
     assert_eq!(counters_of(&second), counters_of(&reference));
     assert_eq!(second.totals.requests, WARPS as u64);
+}
+
+/// A traced conflict-free kernel with uneven work: warp `wid` serves
+/// `wid % 3 + 1` requests of growing length and logs an event in each, so
+/// event cycles and response times differ from warp to warp.
+fn traced_kernel(cell: u64) -> impl Fn(usize, &mut WarpCtx) + Sync {
+    move |wid, ctx| {
+        for r in 0..wid % 3 + 1 {
+            ctx.begin_request();
+            for _ in 0..=wid + 10 * r {
+                ctx.read(cell);
+            }
+            ctx.emit(TraceEventKind::CombineHit, r as u64);
+            ctx.control(3);
+            ctx.end_request();
+        }
+    }
+}
+
+#[test]
+fn shared_accumulators_are_invisible_in_traces_and_response_times() {
+    let traced = |workers: usize| DeviceConfig {
+        trace: true,
+        worker_threads: workers,
+        ..DeviceConfig::test_small()
+    };
+    let launch = |cfg: DeviceConfig, seq: bool| {
+        let dev = Device::new(1 << 12, cfg);
+        let cell = dev.mem().alloc(1);
+        if seq {
+            dev.launch_seq("traced", WARPS, traced_kernel(cell))
+        } else {
+            dev.launch("traced", WARPS, traced_kernel(cell))
+        }
+    };
+
+    // The reference keeps one `WarpStats` per warp and merges them in warp
+    // order, as every launch used to.
+    let cfg = traced(1);
+    let dev = Device::new(1 << 12, cfg.clone());
+    let kernel = traced_kernel(dev.mem().alloc(1));
+    let mut per_warp = WarpStats::default();
+    for wid in 0..WARPS {
+        let mut stats = WarpStats::default();
+        kernel(wid, &mut WarpCtx::new(dev.mem(), &cfg, wid, &mut stats));
+        per_warp.merge(&stats);
+    }
+    assert_eq!(per_warp.events.len(), (0..WARPS).map(|w| w % 3 + 1).sum());
+    assert!(per_warp.events.windows(2).all(|p| p[0].warp <= p[1].warp));
+
+    let runs = [
+        ("os, 1 worker", launch(traced(1), false)),
+        ("os, 4 workers", launch(traced(4), false)),
+        (
+            "det",
+            launch(traced(4).with_deterministic_sched(0xACC), false),
+        ),
+        ("seq", launch(traced(1), true)),
+    ];
+    for (what, stats) in &runs {
+        assert_eq!(stats.totals.events, per_warp.events, "{what}: events");
+        let (got, want) = (&stats.totals.latency, &per_warp.latency);
+        assert_eq!(
+            (got.min(), got.max(), got.sum(), got.count()),
+            (want.min(), want.max(), want.sum(), want.count()),
+            "{what}: response times"
+        );
+        assert_eq!(stats.totals, per_warp, "{what}: totals");
+        assert_eq!(stats.makespan_cycles, runs[0].1.makespan_cycles, "{what}");
+    }
 }

@@ -28,4 +28,4 @@
 
 mod tx;
 
-pub use tx::{Abort, Stm, Tx, TxResult};
+pub use tx::{Abort, Stm, Tx, TxResult, TxScratch};

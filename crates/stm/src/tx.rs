@@ -10,6 +10,13 @@ pub struct Abort;
 /// Result of a transactional operation.
 pub type TxResult<T> = Result<T, Abort>;
 
+/// Distinguishes `Stm` instances, so a [`TxScratch`] never spends ids it
+/// leased from one instance on another.
+static NEXT_STM_INSTANCE: AtomicU64 = AtomicU64::new(1);
+
+/// Transaction ids a [`TxScratch`] takes from [`Stm::next_tx_id`] at once.
+const TX_ID_BLOCK: u64 = 64;
+
 /// STM instance: an ownership table in device memory.
 ///
 /// `stripes` must be a power of two. Each record protects the arena words
@@ -18,7 +25,38 @@ pub type TxResult<T> = Result<T, Abort>;
 pub struct Stm {
     table_base: Addr,
     mask: u64,
+    /// Start of the next unleased block of transaction ids.
     next_tx_id: AtomicU64,
+    instance: u64,
+}
+
+/// Reusable working memory of one transaction at a time: the logs a
+/// [`Tx`] fills, plus a private block of transaction ids leased from the
+/// `Stm` it last began on. Hold one per warp (or per worker) and pass it to
+/// every [`Stm::begin`] / [`Stm::run`]: once the logs have grown to the
+/// largest transaction seen, beginning, running and ending a transaction
+/// touches neither the allocator nor a cache line shared with other warps.
+#[derive(Debug, Default)]
+pub struct TxScratch {
+    /// (record address, observed version).
+    reads: Vec<(Addr, u64)>,
+    /// (word address, old value) — undo log, rolled back in reverse.
+    undo: Vec<(Addr, u64)>,
+    /// (record address, pre-lock version) for stripes this tx owns.
+    owned: Vec<(Addr, u64)>,
+    /// (block address, words, align) retirements deferred to commit: a
+    /// retire inside an aborting transaction would be a use-after-free
+    /// (the rolled-back tree still links the block), so retirement is a
+    /// commit-time effect and a rollback simply drops the list.
+    retires: Vec<(Addr, usize, usize)>,
+    /// The mirror image: blocks this transaction allocated but has not
+    /// yet published (e.g. a split's fresh sibling). On commit they are
+    /// reachable and the list is dropped; on rollback the undo log
+    /// unlinks them, so they are retired instead of leaking.
+    abort_retires: Vec<(Addr, usize, usize)>,
+    /// Leased ids not yet spent, valid on `Stm` instance `lease_of` only.
+    lease: std::ops::Range<u64>,
+    lease_of: u64,
 }
 
 impl Stm {
@@ -33,6 +71,7 @@ impl Stm {
             table_base,
             mask: stripes as u64 - 1,
             next_tx_id: AtomicU64::new(1),
+            instance: NEXT_STM_INSTANCE.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -47,17 +86,27 @@ impl Stm {
         self.table_base + (h & self.mask)
     }
 
-    /// Starts a transaction.
-    pub fn begin(&self) -> Tx<'_> {
-        let id = self.next_tx_id.fetch_add(1, Ordering::Relaxed);
+    /// Starts a transaction whose logs live in `scratch`. Whatever an
+    /// earlier transaction left there is discarded.
+    pub fn begin<'t>(&'t self, scratch: &'t mut TxScratch) -> Tx<'t> {
+        if scratch.lease.is_empty() || scratch.lease_of != self.instance {
+            // Blocks are disjoint per `Stm`, so markers stay unique among
+            // its transactions however many scratches draw from it.
+            let start = self.next_tx_id.fetch_add(TX_ID_BLOCK, Ordering::Relaxed);
+            scratch.lease = start..start + TX_ID_BLOCK;
+            scratch.lease_of = self.instance;
+        }
+        let id = scratch.lease.start;
+        scratch.lease.start += 1;
+        scratch.reads.clear();
+        scratch.undo.clear();
+        scratch.owned.clear();
+        scratch.retires.clear();
+        scratch.abort_retires.clear();
         Tx {
             stm: self,
             marker: (id << 1) | 1,
-            reads: Vec::new(),
-            undo: Vec::new(),
-            owned: Vec::new(),
-            retires: Vec::new(),
-            abort_retires: Vec::new(),
+            log: scratch,
         }
     }
 
@@ -67,11 +116,12 @@ impl Stm {
     pub fn run<T>(
         &self,
         ctx: &mut WarpCtx<'_>,
+        scratch: &mut TxScratch,
         max_retries: usize,
         mut body: impl FnMut(&mut Tx<'_>, &mut WarpCtx<'_>) -> TxResult<T>,
     ) -> TxResult<T> {
         for attempt in 0..=max_retries {
-            let mut tx = self.begin();
+            let mut tx = self.begin(scratch);
             match body(&mut tx, ctx) {
                 Ok(value) => {
                     if let Ok(()) = tx.commit(ctx) {
@@ -102,28 +152,13 @@ impl std::fmt::Debug for Stm {
 pub struct Tx<'s> {
     stm: &'s Stm,
     marker: u64,
-    /// (record address, observed version).
-    reads: Vec<(Addr, u64)>,
-    /// (word address, old value) — undo log, rolled back in reverse.
-    undo: Vec<(Addr, u64)>,
-    /// (record address, pre-lock version) for stripes this tx owns.
-    owned: Vec<(Addr, u64)>,
-    /// (block address, words, align) retirements deferred to commit: a
-    /// retire inside an aborting transaction would be a use-after-free
-    /// (the rolled-back tree still links the block), so retirement is a
-    /// commit-time effect and a rollback simply drops the list.
-    retires: Vec<(Addr, usize, usize)>,
-    /// The mirror image: blocks this transaction allocated but has not
-    /// yet published (e.g. a split's fresh sibling). On commit they are
-    /// reachable and the list is dropped; on rollback the undo log
-    /// unlinks them, so they are retired instead of leaking.
-    abort_retires: Vec<(Addr, usize, usize)>,
+    log: &'s mut TxScratch,
 }
 
 impl<'s> Tx<'s> {
     #[inline]
     fn owns(&self, rec: Addr) -> bool {
-        self.owned.iter().any(|&(r, _)| r == rec)
+        self.log.owned.iter().any(|&(r, _)| r == rec)
     }
 
     /// Transactional read with eager conflict detection.
@@ -159,7 +194,7 @@ impl<'s> Tx<'s> {
         if r2 != r1 {
             return Err(Abort); // writer interfered mid-read
         }
-        self.reads.push((rec, r1));
+        self.log.reads.push((rec, r1));
         Ok(value)
     }
 
@@ -182,10 +217,10 @@ impl<'s> Tx<'s> {
                 ctx.set_phase(prev);
                 return Err(Abort);
             }
-            self.owned.push((rec, cur));
+            self.log.owned.push((rec, cur));
         }
         let old = ctx.read(addr);
-        self.undo.push((addr, old));
+        self.log.undo.push((addr, old));
         ctx.set_phase(prev);
         ctx.write(addr, value);
         Ok(())
@@ -196,7 +231,7 @@ impl<'s> Tx<'s> {
         let prev = ctx.set_phase(Phase::StmCommit);
         // Validate: every read record still shows the version we saw,
         // unless we later acquired it ourselves.
-        for &(rec, ver) in &self.reads {
+        for &(rec, ver) in &self.log.reads {
             ctx.control(2);
             let cur = ctx.read(rec);
             let ok = cur == ver || (cur == self.marker && self.pre_lock_version(rec) == Some(ver));
@@ -207,12 +242,12 @@ impl<'s> Tx<'s> {
             }
         }
         // Publish: bump versions and release locks.
-        for &(rec, ver) in &self.owned {
+        for &(rec, ver) in &self.log.owned {
             ctx.write(rec, ver.wrapping_add(2));
         }
         // The tree no longer references deferred-retired blocks (the
         // unlinking writes just published), so quarantine them now.
-        for &(addr, words, align) in &self.retires {
+        for &(addr, words, align) in &self.log.retires {
             ctx.raw_mem().retire(addr, words, align);
         }
         ctx.set_phase(prev);
@@ -223,7 +258,7 @@ impl<'s> Tx<'s> {
     /// transaction aborts, the block stays live (the rollback restores
     /// the links to it) and the request is dropped.
     pub fn defer_retire(&mut self, addr: Addr, words: usize, align: usize) {
-        self.retires.push((addr, words, align));
+        self.log.retires.push((addr, words, align));
     }
 
     /// Registers a freshly allocated, not-yet-published block for
@@ -231,27 +266,31 @@ impl<'s> Tx<'s> {
     /// drops the registration (the block became reachable when the links
     /// to it published).
     pub fn retire_on_abort(&mut self, addr: Addr, words: usize, align: usize) {
-        self.abort_retires.push((addr, words, align));
+        self.log.abort_retires.push((addr, words, align));
     }
 
     fn pre_lock_version(&self, rec: Addr) -> Option<u64> {
-        self.owned.iter().find(|&&(r, _)| r == rec).map(|&(_, v)| v)
+        self.log
+            .owned
+            .iter()
+            .find(|&&(r, _)| r == rec)
+            .map(|&(_, v)| v)
     }
 
     /// Rolls back all writes (in reverse) and releases owned stripes with
     /// their versions unchanged.
     pub fn rollback(self, ctx: &mut WarpCtx<'_>) {
         let prev = ctx.set_phase(Phase::StmCommit);
-        for &(addr, old) in self.undo.iter().rev() {
+        for &(addr, old) in self.log.undo.iter().rev() {
             ctx.write(addr, old);
         }
-        for &(rec, ver) in &self.owned {
+        for &(rec, ver) in &self.log.owned {
             ctx.write(rec, ver);
         }
         // Blocks this tx allocated were never published (the undo log
         // just unlinked any references), so quarantine them instead of
         // leaking them into the bump arena.
-        for &(addr, words, align) in &self.abort_retires {
+        for &(addr, words, align) in &self.log.abort_retires {
             ctx.raw_mem().retire(addr, words, align);
         }
         ctx.set_phase(prev);
@@ -259,19 +298,19 @@ impl<'s> Tx<'s> {
 
     /// Number of words read so far (diagnostics).
     pub fn read_set_len(&self) -> usize {
-        self.reads.len()
+        self.log.reads.len()
     }
 
     /// Number of words written so far (diagnostics).
     pub fn write_set_len(&self) -> usize {
-        self.undo.len()
+        self.log.undo.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eirene_sim::{Device, DeviceConfig};
+    use eirene_sim::{Device, DeviceConfig, WarpStats};
 
     fn device() -> Device {
         Device::new(1 << 16, DeviceConfig::test_small())
@@ -282,8 +321,10 @@ mod tests {
         let dev = device();
         let stm = Stm::new(dev.mem(), 256);
         let a = dev.mem().alloc(1);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
-        stm.run(&mut ctx, 4, |tx, ctx| {
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
+        stm.run(&mut ctx, &mut scratch, 4, |tx, ctx| {
             tx.write(ctx, a, 42)?;
             Ok(())
         })
@@ -298,8 +339,10 @@ mod tests {
         let a = dev.mem().alloc(2);
         dev.mem().write(a, 7);
         dev.mem().write(a + 1, 8);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
-        let mut tx = stm.begin();
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
+        let mut tx = stm.begin(&mut scratch);
         tx.write(&mut ctx, a, 100).unwrap();
         tx.write(&mut ctx, a + 1, 200).unwrap();
         tx.rollback(&mut ctx);
@@ -312,8 +355,10 @@ mod tests {
         let dev = device();
         let stm = Stm::new(dev.mem(), 256);
         let a = dev.mem().alloc(1);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
-        let mut tx = stm.begin();
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
+        let mut tx = stm.begin(&mut scratch);
         tx.write(&mut ctx, a, 5).unwrap();
         assert_eq!(tx.read(&mut ctx, a), Ok(5));
         tx.commit(&mut ctx).unwrap();
@@ -324,11 +369,14 @@ mod tests {
         let dev = device();
         let stm = Stm::new(dev.mem(), 256);
         let a = dev.mem().alloc(1);
-        let mut ctx1 = WarpCtx::new(dev.mem(), dev.config(), 0);
-        let mut ctx2 = WarpCtx::new(dev.mem(), dev.config(), 1);
-        let mut t1 = stm.begin();
+        let mut stats1 = WarpStats::default();
+        let mut ctx1 = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats1);
+        let mut stats2 = WarpStats::default();
+        let mut ctx2 = WarpCtx::new(dev.mem(), dev.config(), 1, &mut stats2);
+        let (mut scratch1, mut scratch2) = (TxScratch::default(), TxScratch::default());
+        let mut t1 = stm.begin(&mut scratch1);
         t1.write(&mut ctx1, a, 1).unwrap();
-        let mut t2 = stm.begin();
+        let mut t2 = stm.begin(&mut scratch2);
         assert_eq!(t2.write(&mut ctx2, a, 2), Err(Abort));
         assert_eq!(t2.read(&mut ctx2, a), Err(Abort));
         t2.rollback(&mut ctx2);
@@ -341,12 +389,15 @@ mod tests {
         let dev = device();
         let stm = Stm::new(dev.mem(), 256);
         let a = dev.mem().alloc(1);
-        let mut ctx1 = WarpCtx::new(dev.mem(), dev.config(), 0);
-        let mut ctx2 = WarpCtx::new(dev.mem(), dev.config(), 1);
+        let mut stats1 = WarpStats::default();
+        let mut ctx1 = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats1);
+        let mut stats2 = WarpStats::default();
+        let mut ctx2 = WarpCtx::new(dev.mem(), dev.config(), 1, &mut stats2);
+        let (mut scratch1, mut scratch2) = (TxScratch::default(), TxScratch::default());
         // T1 reads a, then T2 commits a write to a, then T1 must fail.
-        let mut t1 = stm.begin();
+        let mut t1 = stm.begin(&mut scratch1);
         assert_eq!(t1.read(&mut ctx1, a), Ok(0));
-        let mut t2 = stm.begin();
+        let mut t2 = stm.begin(&mut scratch2);
         t2.write(&mut ctx2, a, 9).unwrap();
         t2.commit(&mut ctx2).unwrap();
         assert_eq!(t1.commit(&mut ctx1), Err(Abort));
@@ -357,8 +408,10 @@ mod tests {
         let dev = device();
         let stm = Stm::new(dev.mem(), 256);
         let a = dev.mem().alloc(1);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
-        let mut tx = stm.begin();
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
+        let mut tx = stm.begin(&mut scratch);
         assert_eq!(tx.read(&mut ctx, a), Ok(0));
         tx.write(&mut ctx, a, 3).unwrap();
         assert_eq!(tx.commit(&mut ctx), Ok(()));
@@ -370,9 +423,11 @@ mod tests {
         let dev = device();
         let stm = Stm::new(dev.mem(), 256);
         let a = dev.mem().alloc(1);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
         let mut attempts = 0;
-        let r = stm.run(&mut ctx, 5, |tx, ctx| {
+        let r = stm.run(&mut ctx, &mut scratch, 5, |tx, ctx| {
             attempts += 1;
             if attempts < 3 {
                 return Err(Abort); // simulate conflicts
@@ -398,16 +453,64 @@ mod tests {
     }
 
     #[test]
+    fn leased_markers_are_distinct_across_threads_and_blocks() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        const THREADS: usize = 8;
+        const BEGINS: usize = 10_000; // many id blocks per scratch
+        let mut markers: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut scratch = TxScratch::default();
+                        (0..BEGINS)
+                            .map(|_| stm.begin(&mut scratch).marker)
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("no begin panics"))
+                .collect()
+        });
+        assert!(markers.iter().all(|m| m & 1 == 1), "markers are odd");
+        markers.sort_unstable();
+        markers.dedup();
+        assert_eq!(markers.len(), THREADS * BEGINS);
+    }
+
+    #[test]
+    fn a_lease_is_never_spent_on_another_stm() {
+        let dev = device();
+        let (stm_a, stm_b) = (Stm::new(dev.mem(), 256), Stm::new(dev.mem(), 256));
+        let (mut wanderer, mut resident) = (TxScratch::default(), TxScratch::default());
+        let on_a = stm_a.begin(&mut wanderer).marker;
+        // `resident` takes the block of `stm_b` that `wanderer`'s lease on
+        // `stm_a` numerically overlaps.
+        let mut on_b = vec![stm_b.begin(&mut resident).marker];
+        assert_eq!(on_a, on_b[0], "both instances number from the same start");
+        on_b.push(stm_b.begin(&mut wanderer).marker);
+        on_b.push(stm_b.begin(&mut resident).marker);
+        on_b.push(stm_b.begin(&mut wanderer).marker);
+        on_b.sort_unstable();
+        on_b.dedup();
+        assert_eq!(on_b.len(), 4, "a marker was reused on one Stm");
+    }
+
+    #[test]
     fn concurrent_increments_are_atomic() {
         let dev = device();
         let stm = Stm::new(dev.mem(), 1024);
         let cells: Vec<Addr> = (0..16).map(|_| dev.mem().alloc(1)).collect();
         let done = std::sync::atomic::AtomicU64::new(0);
         on_threads(64, |wid| {
-            let mut ctx = WarpCtx::new(dev.mem(), dev.config(), wid as usize);
+            let mut stats = WarpStats::default();
+            let mut ctx = WarpCtx::new(dev.mem(), dev.config(), wid as usize, &mut stats);
+            let mut scratch = TxScratch::default();
             for i in 0..100 {
                 let cell = cells[(wid as usize + i) % cells.len()];
-                let r = stm.run(&mut ctx, usize::MAX >> 1, |tx, ctx| {
+                let r = stm.run(&mut ctx, &mut scratch, usize::MAX >> 1, |tx, ctx| {
                     let v = tx.read(ctx, cell)?;
                     tx.write(ctx, cell, v + 1)
                 });
@@ -434,14 +537,16 @@ mod tests {
             dev.mem().write(a, 1000);
         }
         on_threads(48, |wid| {
-            let mut ctx = WarpCtx::new(dev.mem(), dev.config(), wid as usize);
+            let mut stats = WarpStats::default();
+            let mut ctx = WarpCtx::new(dev.mem(), dev.config(), wid as usize, &mut stats);
+            let mut scratch = TxScratch::default();
             for i in 0..80u64 {
                 let from = accounts[((wid * 7 + i) % 32) as usize];
                 let to = accounts[((wid * 13 + i * 3 + 1) % 32) as usize];
                 if from == to {
                     continue;
                 }
-                stm.run(&mut ctx, usize::MAX >> 1, |tx, ctx| {
+                stm.run(&mut ctx, &mut scratch, usize::MAX >> 1, |tx, ctx| {
                     let f = tx.read(ctx, from)?;
                     let t = tx.read(ctx, to)?;
                     let amount = 1 + (i % 7);
@@ -471,10 +576,12 @@ mod tests {
         dev.mem().write(b, 500);
         let bad = std::sync::atomic::AtomicU64::new(0);
         on_threads(16, |wid| {
-            let mut ctx = WarpCtx::new(dev.mem(), dev.config(), wid as usize);
+            let mut stats = WarpStats::default();
+            let mut ctx = WarpCtx::new(dev.mem(), dev.config(), wid as usize, &mut stats);
+            let mut scratch = TxScratch::default();
             for i in 0..200u64 {
                 if wid % 2 == 0 {
-                    stm.run(&mut ctx, usize::MAX >> 1, |tx, ctx| {
+                    stm.run(&mut ctx, &mut scratch, usize::MAX >> 1, |tx, ctx| {
                         let va = tx.read(ctx, a)?;
                         let vb = tx.read(ctx, b)?;
                         if va > 0 {
@@ -486,7 +593,7 @@ mod tests {
                     .unwrap();
                 } else {
                     let sum = stm
-                        .run(&mut ctx, usize::MAX >> 1, |tx, ctx| {
+                        .run(&mut ctx, &mut scratch, usize::MAX >> 1, |tx, ctx| {
                             Ok(tx.read(ctx, a)? + tx.read(ctx, b)?)
                         })
                         .unwrap();
@@ -506,15 +613,17 @@ mod tests {
         let stm = Stm::new(dev.mem(), 256);
         let a = dev.mem().alloc(1);
         let block = dev.mem().alloc_reuse(38, 16);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
         // Rollback: the retirement request is dropped, nothing quarantined.
-        let mut tx = stm.begin();
+        let mut tx = stm.begin(&mut scratch);
         tx.write(&mut ctx, a, 1).unwrap();
         tx.defer_retire(block, 38, 16);
         tx.rollback(&mut ctx);
         assert_eq!(dev.mem().slab_stats().retired, 0);
         // Commit: the block is quarantined and recycles after an advance.
-        let mut tx = stm.begin();
+        let mut tx = stm.begin(&mut scratch);
         tx.write(&mut ctx, a, 2).unwrap();
         tx.defer_retire(block, 38, 16);
         tx.commit(&mut ctx).unwrap();
@@ -528,17 +637,19 @@ mod tests {
         let dev = device();
         let stm = Stm::new(dev.mem(), 256);
         let a = dev.mem().alloc(1);
-        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
         // Commit: the fresh block became reachable, nothing quarantined.
         let fresh = dev.mem().alloc_reuse(38, 16);
-        let mut tx = stm.begin();
+        let mut tx = stm.begin(&mut scratch);
         tx.write(&mut ctx, a, 1).unwrap();
         tx.retire_on_abort(fresh, 38, 16);
         tx.commit(&mut ctx).unwrap();
         assert_eq!(dev.mem().slab_stats().retired, 0);
         // Rollback: the orphan is quarantined and recycles after advance.
         let orphan = dev.mem().alloc_reuse(38, 16);
-        let mut tx = stm.begin();
+        let mut tx = stm.begin(&mut scratch);
         tx.write(&mut ctx, a, 2).unwrap();
         tx.retire_on_abort(orphan, 38, 16);
         tx.rollback(&mut ctx);
@@ -554,11 +665,14 @@ mod tests {
         let dev = device();
         let stm = Stm::new(dev.mem(), 256);
         let a = dev.mem().alloc(1);
-        let mut raw_ctx = WarpCtx::new(dev.mem(), dev.config(), 0);
+        let mut raw_stats = WarpStats::default();
+        let mut raw_ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut raw_stats);
         raw_ctx.read(a);
         let raw = raw_ctx.stats.mem_insts;
-        let mut tx_ctx = WarpCtx::new(dev.mem(), dev.config(), 1);
-        let mut tx = stm.begin();
+        let mut tx_stats = WarpStats::default();
+        let mut tx_ctx = WarpCtx::new(dev.mem(), dev.config(), 1, &mut tx_stats);
+        let mut scratch = TxScratch::default();
+        let mut tx = stm.begin(&mut scratch);
         tx.read(&mut tx_ctx, a).unwrap();
         tx.commit(&mut tx_ctx).unwrap();
         assert!(tx_ctx.stats.mem_insts >= 2 * raw);

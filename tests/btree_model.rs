@@ -7,8 +7,8 @@ use eirene::btree::build::{arena_budget, bulk_build, TreeHandle};
 use eirene::btree::node::NodeRef;
 use eirene::btree::validate::validate;
 use eirene::btree::{ops, refops};
-use eirene::sim::{DeviceConfig, GlobalMemory, WarpCtx};
-use eirene::stm::Stm;
+use eirene::sim::{DeviceConfig, GlobalMemory, WarpCtx, WarpStats};
+use eirene::stm::{Stm, TxScratch};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -108,7 +108,8 @@ proptest! {
         let ttree = bulk_build(&twin, &pairs);
         let stm = Stm::new(&twin, 1 << 12);
         let cfg = DeviceConfig::test_small();
-        let mut ctx = WarpCtx::new(&twin, &cfg, 0);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(&twin, &cfg, 0, &mut stats);
         // Keys fold onto the loaded domain plus a margin of absent keys.
         // Upserts split nodes; delete runs drain whole leaves, so streams
         // also borrow, merge and collapse the root.
@@ -174,7 +175,7 @@ proptest! {
 
 /// One upsert through the transactional policy, as the kernels run it.
 fn tx_upsert(stm: &Stm, ctx: &mut WarpCtx<'_>, tree: &TreeHandle, key: u64, val: u64) -> u64 {
-    stm.run(ctx, 0, |tx, ctx| {
+    stm.run(ctx, &mut TxScratch::default(), 0, |tx, ctx| {
         let a = &mut TxAccess::new(tx, ctx);
         let (leaf, count) = ops::descend(a, tree, key, true)?;
         match ops::upsert_at_leaf(a, leaf, count, key, val)? {
@@ -186,7 +187,7 @@ fn tx_upsert(stm: &Stm, ctx: &mut WarpCtx<'_>, tree: &TreeHandle, key: u64, val:
 }
 
 fn tx_delete(stm: &Stm, ctx: &mut WarpCtx<'_>, tree: &TreeHandle, key: u64) -> u64 {
-    stm.run(ctx, 0, |tx, ctx| {
+    stm.run(ctx, &mut TxScratch::default(), 0, |tx, ctx| {
         ops::delete_rebalancing(&mut TxAccess::new(tx, ctx), tree, key)
     })
     .expect("one warp cannot conflict with itself")

@@ -15,7 +15,7 @@ use eirene::baselines::common::ConcurrentTree;
 use eirene::baselines::{LockTree, StmTree};
 use eirene::core::{EireneOptions, EireneTree};
 use eirene::sim::{Device, DeviceConfig, WarpStats};
-use eirene::stm::Stm;
+use eirene::stm::{Stm, TxScratch};
 use eirene::workloads::{Batch, Request};
 
 fn conflicts(t: &WarpStats) -> u64 {
@@ -61,8 +61,9 @@ fn stm_counter_increments_abort_and_stay_exact() {
     const WARPS: usize = 64;
     const INCREMENTS: u64 = 200;
     let stats = dev.launch("stm-counter", WARPS, |_, ctx| {
+        let mut scratch = TxScratch::default();
         for _ in 0..INCREMENTS {
-            stm.run(ctx, usize::MAX >> 1, |tx, ctx| {
+            stm.run(ctx, &mut scratch, usize::MAX >> 1, |tx, ctx| {
                 let v = tx.read(ctx, cell)?;
                 tx.write(ctx, cell, v + 1)
             })
