@@ -7,12 +7,10 @@
 //! `results/`.
 
 pub mod ablate;
-pub mod combine;
 pub mod figures;
 pub mod fuzz;
 pub mod harness;
 pub mod metrics;
-pub mod perf;
 pub mod serve;
 
 pub use harness::{Measurement, Point, Scale, TreeKind};

@@ -25,9 +25,6 @@ fn usage() -> ! {
          eirene-bench fuzz --churn [--cases N] [--rounds N] [--serve-cases N] \
          [--occupancy-factor N] [--seed N] [--repro-seed H] [--deterministic]   \
          (churn/reclamation fuzz on one long-lived tree)\n       \
-         eirene-bench perf [--smoke] [--jobs N] [--out PATH] [--serve-out PATH] \
-         [--mem-out PATH] [--mem-only]   \
-         (wall-clock suite, writes BENCH_sim.json + BENCH_serve.json + BENCH_mem.json)\n       \
          eirene-bench serve [--smoke] [--shards a,b,c] [--loads f,f] [--tree-exp N] \
          [--requests N] [--batch-limit N] [--straddle F] [--clients N] [--seed N]   \
          (sharded-serving throughput/QoS sweep)"
@@ -42,9 +39,6 @@ fn main() {
     }
     if args[0] == "fuzz" {
         std::process::exit(eirene_bench::fuzz::run(&args[1..]));
-    }
-    if args[0] == "perf" {
-        std::process::exit(eirene_bench::perf::run(&args[1..]));
     }
     if args[0] == "serve" {
         std::process::exit(eirene_bench::serve::run(&args[1..]));

@@ -11,10 +11,10 @@
 //! - **Async submission** — [`Client::submit`] returns a [`Ticket`]
 //!   redeemable for the request's [`Outcome`]; [`Client::submit_many`]
 //!   admits a whole request vector with one timestamp range-claim and one
-//!   bulk enqueue per shard. Admission is lock-free by default
-//!   ([`AdmissionMode`]): a bare atomic timestamp counter plus a
-//!   watermark of in-flight submissions that lets each combiner restore
-//!   timestamp order (see the `service` module docs).
+//!   bulk enqueue per shard. Admission is lock-free: a bare atomic
+//!   timestamp counter plus a watermark of in-flight submissions that
+//!   lets each combiner restore timestamp order (see the `service`
+//!   module docs).
 //! - **Epoch pipelining** — per shard, a combiner thread forms and plans
 //!   epoch N+1 (host work) while the executor runs epoch N on the device,
 //!   exploiting that [`build_plan`](eirene_core::plan::build_plan) needs
@@ -82,7 +82,7 @@ pub use observe::{
 pub use queue::AdmitPolicy;
 pub use rebalance::{RebalanceAction, RebalanceEvent, RebalanceKind, RebalanceSpec};
 pub use report::{ServeReport, ShardReport};
-pub use service::{AdmissionMode, Client, FaultPlan, ServeConfig, Service};
+pub use service::{Client, FaultPlan, ServeConfig, Service};
 pub use shard::{hash_shard, RangePart, ShardId, ShardMap, ShardMapError, Sharding};
 pub use ticket::{Outcome, Ticket};
 

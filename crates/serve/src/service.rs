@@ -43,10 +43,6 @@
 //! slot clears, so no combiner can close an epoch between two parts of
 //! one range.
 //!
-//! [`ServeConfig::admission`] can reinstate a global admission lock
-//! ([`AdmissionMode::GlobalLock`]) — the ingress benchmark's baseline,
-//! not a recommended mode.
-//!
 //! # Pipelining
 //!
 //! Each shard runs two threads joined by a depth-1 channel: the *combiner*
@@ -102,7 +98,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -116,19 +112,6 @@ pub(crate) const SENTINEL_KEY: u64 = u64::MAX - 1;
 /// Host control-flow instructions charged per admitted request for the
 /// `ingress` telemetry phase (route lookup, timestamp fetch, queue push).
 const INGRESS_CONTROL_PER_REQUEST: u64 = 8;
-
-/// How clients draw timestamps and enqueue.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AdmissionMode {
-    /// Lock-free: a bare atomic timestamp counter plus the in-flight
-    /// watermark protocol (see the module docs). The default.
-    #[default]
-    LockFree,
-    /// Every submission serializes behind one global mutex — the pre-
-    /// reorder design, kept as the measurable baseline for
-    /// `eirene-bench perf`'s ingress scenario.
-    GlobalLock,
-}
 
 /// Test-only fault injection for the admission path. `Default` injects
 /// nothing; benchmarks never set this.
@@ -179,8 +162,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// What admission does when a shard's queue is full.
     pub policy: AdmitPolicy,
-    /// Lock-free (default) or global-lock-baseline admission.
-    pub admission: AdmissionMode,
     /// Upper bound on how long a combiner waits for an epoch to fill
     /// toward the batch target once it has at least one request; the
     /// combiner closes earlier once its executor has been idle for one
@@ -217,7 +198,6 @@ impl Default for ServeConfig {
             fault: FaultPlan::default(),
             queue_depth: 1 << 16,
             policy: AdmitPolicy::Block,
-            admission: AdmissionMode::LockFree,
             linger: Duration::from_millis(1),
             hold_gate: false,
             headroom_nodes: 1 << 14,
@@ -421,15 +401,10 @@ struct Inner {
     shards: Vec<Arc<ShardState>>,
     next_ts: AtomicU64,
     inflight: Inflight,
-    /// Taken for the whole admission path in
-    /// [`AdmissionMode::GlobalLock`] only; the lock-free mode never
-    /// touches it.
-    baseline_lock: Mutex<()>,
     /// `true` while the epoch gate is held (combiners blocked).
     gate: Mutex<bool>,
     gate_cv: Condvar,
     policy: AdmitPolicy,
-    admission: AdmissionMode,
     qos: QosConfig,
     fault: FaultPlan,
     /// Counts shed-mode single admissions, solely to locate the one the
@@ -448,13 +423,6 @@ impl Inner {
     fn release_gate(&self) {
         *self.gate.lock().unwrap() = false;
         self.gate_cv.notify_all();
-    }
-
-    fn serialize_admission(&self) -> Option<MutexGuard<'_, ()>> {
-        match self.admission {
-            AdmissionMode::LockFree => None,
-            AdmissionMode::GlobalLock => Some(self.baseline_lock.lock().unwrap()),
-        }
     }
 
     /// The reorder low watermark: every request with a timestamp below it
@@ -616,7 +584,6 @@ impl Inner {
         tenant: TenantId,
     ) -> Ticket {
         let (ticket, cell) = Ticket::new();
-        let _serial = self.serialize_admission();
         // Hold the topology read lock across route + enqueue: a boundary
         // cannot move between routing this request and booking it on the
         // routed shard.
@@ -717,7 +684,6 @@ impl Inner {
         let num_shards = self.shards.len();
         let batch = TicketBatch::new(n);
         let mut buckets: Vec<Vec<Entry>> = (0..num_shards).map(|_| Vec::new()).collect();
-        let _serial = self.serialize_admission();
         let topo = self.topology.read().unwrap();
         for (i, (key, op, arrival)) in ops.enumerate() {
             let cell = batch.cell_ref(i);
@@ -791,7 +757,6 @@ impl Inner {
         let mut grants: Vec<Option<crate::queue::Reservation<'_>>> =
             (0..num_shards).map(|_| None).collect();
         let mut avail = vec![0usize; num_shards];
-        let _serial = self.serialize_admission();
         let topo = self.topology.read().unwrap();
 
         // Under Shed the per-shard demand must be known before any entry
@@ -1164,11 +1129,9 @@ impl Service {
             shards: states.clone(),
             next_ts: AtomicU64::new(0),
             inflight: Inflight::new(),
-            baseline_lock: Mutex::new(()),
             gate: Mutex::new(cfg.hold_gate),
             gate_cv: Condvar::new(),
             policy: cfg.policy,
-            admission: cfg.admission,
             qos: cfg.qos.clone(),
             fault: cfg.fault.clone(),
             admit_seq: AtomicU64::new(0),
@@ -2553,14 +2516,6 @@ mod tests {
     }
 
     #[test]
-    fn global_lock_admission_mode_still_linearizes() {
-        let mut cfg = small_cfg(boundary_map());
-        cfg.hold_gate = true;
-        cfg.admission = AdmissionMode::GlobalLock;
-        check_ops_against_oracle(cfg, false);
-    }
-
-    #[test]
     fn split_ranges_merge_across_shards() {
         let pairs = initial_pairs();
         let mut cfg = small_cfg(boundary_map());
@@ -3191,11 +3146,9 @@ mod tests {
             shards: vec![Arc::new(ShardState::new(4, &QosConfig::disabled()))],
             next_ts: AtomicU64::new(10),
             inflight: Inflight::new(),
-            baseline_lock: Mutex::new(()),
             gate: Mutex::new(false),
             gate_cv: Condvar::new(),
             policy: AdmitPolicy::Block,
-            admission: AdmissionMode::LockFree,
             qos: QosConfig::disabled(),
             fault: FaultPlan::default(),
             admit_seq: AtomicU64::new(0),
