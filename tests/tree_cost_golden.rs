@@ -14,7 +14,11 @@
 //! Three fixed-seed scenarios, each through `EireneTree` (optimistic leaf
 //! region + full-STM fallback) and `StmTree` (every request one
 //! transaction): split-heavy inserts, delete churn that merges the tree
-//! down and refills it, and a skewed 45/35/10/10 mix.
+//! down and refills it, and a skewed 45/35/10/10 mix. Every scenario is
+//! pinned twice: under the seeded deterministic scheduler with its eight
+//! worker slots (transactions overlap and abort — the conflict counts are
+//! part of the pin), and on a single worker slot (`*_single_slot`: no
+//! overlap, no aborts — the tree algorithm alone).
 
 use eirene::baselines::common::ConcurrentTree;
 use eirene::baselines::StmTree;
@@ -31,6 +35,24 @@ fn pairs(n: u64) -> Vec<(u64, u64)> {
 
 fn device(seed: u64) -> DeviceConfig {
     DeviceConfig::test_small().with_deterministic_sched(seed)
+}
+
+/// One worker, OS mode: the slot claims warp ids in order and runs each
+/// warp to completion, so the run is as repeatable as a deterministic one
+/// (no second thread, and no scheduler PRNG whose stream a changed op count
+/// would shift). No two transactions are ever open together, nothing
+/// aborts, and what is left is the cost of the algorithm itself: it cannot
+/// depend on which words of *different* transactions share an ownership
+/// record, so these pins hold the tree code still while a change to the
+/// STM's record mapping moves the multi-slot ones. The one way the mapping
+/// still shows is a transaction meeting the same record through two of its
+/// own words (it takes the record once), and that stays inside the two
+/// `stm_*` rows.
+fn single_slot() -> DeviceConfig {
+    DeviceConfig {
+        worker_threads: 1,
+        ..DeviceConfig::test_small()
+    }
 }
 
 /// New odd keys packed into the lower fifth of a 600-key tree: every
@@ -176,18 +198,18 @@ fn fingerprint(tree: &mut dyn ConcurrentTree, batches: &[Batch]) -> String {
     out
 }
 
-fn eirene(p: &[(u64, u64)], seed: u64) -> EireneTree {
+fn eirene(p: &[(u64, u64)], device: DeviceConfig) -> EireneTree {
     EireneTree::new(
         p,
         EireneOptions {
-            device: device(seed),
+            device,
             ..EireneOptions::test_small()
         },
     )
 }
 
-fn stm(p: &[(u64, u64)], seed: u64) -> StmTree {
-    StmTree::new(p, device(seed), 1 << 13)
+fn stm(p: &[(u64, u64)], device: DeviceConfig) -> StmTree {
+    StmTree::new(p, device, 1 << 13)
 }
 
 /// Compares line by line, ignoring the literals' indentation.
@@ -200,7 +222,7 @@ fn check(got: String, want: &str) {
 fn eirene_split_heavy() {
     let (p, batches) = split_heavy();
     check(
-        fingerprint(&mut eirene(&p, 11), &batches),
+        fingerprint(&mut eirene(&p, device(11)), &batches),
         "other: mem 1266 control 0 atomic 0
          combine: mem 1329 control 45540 atomic 0
          vertical_traversal: mem 1798 control 2662 atomic 0
@@ -222,7 +244,7 @@ fn eirene_split_heavy() {
 fn stm_split_heavy() {
     let (p, batches) = split_heavy();
     check(
-        fingerprint(&mut stm(&p, 12), &batches),
+        fingerprint(&mut stm(&p, device(12)), &batches),
         "other: mem 3072 control 0 atomic 0
          vertical_traversal: mem 31043 control 42980 atomic 0
          horizontal_traversal: mem 1684 control 1684 atomic 0
@@ -241,7 +263,7 @@ fn stm_split_heavy() {
 fn eirene_delete_churn() {
     let (p, batches) = delete_churn();
     check(
-        fingerprint(&mut eirene(&p, 21), &batches),
+        fingerprint(&mut eirene(&p, device(21)), &batches),
         "other: mem 4320 control 0 atomic 0
          combine: mem 2025 control 69120 atomic 0
          vertical_traversal: mem 25956 control 44122 atomic 0
@@ -263,7 +285,7 @@ fn eirene_delete_churn() {
 fn stm_delete_churn() {
     let (p, batches) = delete_churn();
     check(
-        fingerprint(&mut stm(&p, 22), &batches),
+        fingerprint(&mut stm(&p, device(22)), &batches),
         "other: mem 4320 control 0 atomic 0
          vertical_traversal: mem 92461 control 143736 atomic 0
          horizontal_traversal: mem 2676 control 2675 atomic 0
@@ -282,7 +304,7 @@ fn stm_delete_churn() {
 fn eirene_mixed_skew() {
     let (p, batches) = mixed_skew();
     check(
-        fingerprint(&mut eirene(&p, 31), &batches),
+        fingerprint(&mut eirene(&p, device(31)), &batches),
         "other: mem 2398 control 0 atomic 0
          combine: mem 2236 control 77640 atomic 0
          vertical_traversal: mem 462 control 1448 atomic 0
@@ -304,7 +326,7 @@ fn eirene_mixed_skew() {
 fn stm_mixed_skew() {
     let (p, batches) = mixed_skew();
     check(
-        fingerprint(&mut stm(&p, 32), &batches),
+        fingerprint(&mut stm(&p, device(32)), &batches),
         "other: mem 5120 control 0 atomic 0
          vertical_traversal: mem 42013 control 62810 atomic 0
          horizontal_traversal: mem 3122 control 2949 atomic 0
@@ -316,5 +338,128 @@ fn stm_mixed_skew() {
          conflicts: aborts 1811 version 0
          slab: live 105 retired 1 free 0 reused 0 bump 106
          shape: height 3 leaves 94 inner 11 keys 1127",
+    );
+}
+
+#[test]
+fn eirene_split_heavy_single_slot() {
+    let (p, batches) = split_heavy();
+    check(
+        fingerprint(&mut eirene(&p, single_slot()), &batches),
+        "other: mem 1266 control 0 atomic 0
+         combine: mem 1329 control 45540 atomic 0
+         vertical_traversal: mem 740 control 1582 atomic 0
+         horizontal_traversal: mem 819 control 1618 atomic 0
+         leaf_op: mem 13015 control 9093 atomic 0
+         structure_mod: mem 1978 control 184 atomic 23
+         stm_access: mem 29967 control 84993 atomic 2951
+         stm_commit: mem 13630 control 21358 atomic 0
+         result_calc: mem 96 control 6144 atomic 0
+         run_dispatch: mem 43 control 831 atomic 0
+         steps: vertical 234 horizontal 83 descents 97
+         conflicts: aborts 0 version 0
+         slab: live 79 retired 0 free 0 reused 0 bump 79
+         shape: height 3 leaves 70 inner 9 keys 840",
+    );
+}
+
+#[test]
+fn stm_split_heavy_single_slot() {
+    let (p, batches) = split_heavy();
+    check(
+        fingerprint(&mut stm(&p, single_slot()), &batches),
+        "other: mem 3072 control 0 atomic 0
+         vertical_traversal: mem 19053 control 28750 atomic 0
+         horizontal_traversal: mem 1536 control 1536 atomic 0
+         leaf_op: mem 16833 control 14076 atomic 0
+         structure_mod: mem 2096 control 192 atomic 24
+         stm_access: mem 76709 control 202903 atomic 3916
+         stm_commit: mem 37191 control 66550 atomic 0
+         steps: vertical 4678 horizontal 0 descents 1560
+         conflicts: aborts 0 version 0
+         slab: live 80 retired 0 free 0 reused 0 bump 80
+         shape: height 3 leaves 72 inner 8 keys 840",
+    );
+}
+
+#[test]
+fn eirene_delete_churn_single_slot() {
+    let (p, batches) = delete_churn();
+    check(
+        fingerprint(&mut eirene(&p, single_slot()), &batches),
+        "other: mem 4320 control 0 atomic 0
+         combine: mem 2025 control 69120 atomic 0
+         vertical_traversal: mem 13057 control 25840 atomic 0
+         horizontal_traversal: mem 2937 control 5477 atomic 0
+         leaf_op: mem 61100 control 31052 atomic 0
+         structure_mod: mem 22675 control 4220 atomic 82
+         stm_access: mem 173158 control 508654 atomic 19296
+         stm_commit: mem 73773 control 108954 atomic 0
+         result_calc: mem 135 control 8640 atomic 0
+         run_dispatch: mem 76 control 3732 atomic 0
+         steps: vertical 3496 horizontal 190 descents 1544
+         conflicts: aborts 0 version 0
+         slab: live 100 retired 0 free 37 reused 82 bump 137
+         shape: height 3 leaves 89 inner 11 keys 780",
+    );
+}
+
+#[test]
+fn stm_delete_churn_single_slot() {
+    let (p, batches) = delete_churn();
+    check(
+        fingerprint(&mut stm(&p, single_slot()), &batches),
+        "other: mem 4320 control 0 atomic 0
+         vertical_traversal: mem 31289 control 50040 atomic 0
+         horizontal_traversal: mem 2160 control 2160 atomic 0
+         leaf_op: mem 54593 control 20312 atomic 0
+         structure_mod: mem 19944 control 3924 atomic 58
+         stm_access: mem 197167 control 567219 atomic 19334
+         stm_commit: mem 89181 control 139694 atomic 0
+         steps: vertical 7336 horizontal 0 descents 2591
+         conflicts: aborts 0 version 0
+         slab: live 76 retired 119 free 0 reused 0 bump 195
+         shape: height 3 leaves 69 inner 7 keys 780",
+    );
+}
+
+#[test]
+fn eirene_mixed_skew_single_slot() {
+    let (p, batches) = mixed_skew();
+    check(
+        fingerprint(&mut eirene(&p, single_slot()), &batches),
+        "other: mem 2398 control 0 atomic 0
+         combine: mem 2236 control 77640 atomic 0
+         vertical_traversal: mem 434 control 1366 atomic 0
+         horizontal_traversal: mem 1873 control 4154 atomic 0
+         leaf_op: mem 13130 control 16954 atomic 0
+         structure_mod: mem 508 control 48 atomic 5
+         stm_access: mem 26964 control 76014 atomic 2677
+         stm_commit: mem 12549 control 19744 atomic 0
+         result_calc: mem 160 control 10240 atomic 0
+         run_dispatch: mem 52 control 1174 atomic 0
+         steps: vertical 177 horizontal 649 descents 83
+         conflicts: aborts 0 version 0
+         slab: live 100 retired 0 free 0 reused 0 bump 100
+         shape: height 3 leaves 91 inner 9 keys 1131",
+    );
+}
+
+#[test]
+fn stm_mixed_skew_single_slot() {
+    let (p, batches) = mixed_skew();
+    check(
+        fingerprint(&mut stm(&p, single_slot()), &batches),
+        "other: mem 5120 control 0 atomic 0
+         vertical_traversal: mem 32390 control 49842 atomic 0
+         horizontal_traversal: mem 2706 control 2560 atomic 0
+         leaf_op: mem 32712 control 24761 atomic 0
+         structure_mod: mem 1208 control 112 atomic 13
+         stm_access: mem 134570 control 353309 atomic 5233
+         stm_commit: mem 65554 control 120642 atomic 0
+         steps: vertical 7719 horizontal 73 descents 2574
+         conflicts: aborts 0 version 0
+         slab: live 108 retired 0 free 0 reused 0 bump 108
+         shape: height 3 leaves 97 inner 11 keys 1131",
     );
 }
