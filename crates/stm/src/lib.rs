@@ -5,11 +5,12 @@
 //! (§3, §7 of the paper): encounter-time (eager) locking with undo logging
 //! and eager conflict detection.
 //!
-//! * Every arena word hashes to a stripe in an **ownership table** that
-//!   itself lives in device memory, so the extra memory traffic STM incurs
-//!   (ownership-record reads on every transactional access — the 2.98×
-//!   memory-instruction blow-up of Fig. 1) is counted by the same
-//!   instrumentation as ordinary accesses.
+//! * Every pair of arena words maps by address to a stripe of an
+//!   **ownership table** (neighbouring pairs own neighbouring records, see
+//!   [`Stm::record_addr`]). The table itself lives in device memory, so the
+//!   extra memory traffic STM incurs (ownership-record reads on every
+//!   transactional access — the 2.98× memory-instruction blow-up of Fig. 1)
+//!   is counted by the same instrumentation as ordinary accesses.
 //! * A stripe record is either an even **version number** or an odd **lock
 //!   marker** naming the owning transaction. Writers CAS the record from
 //!   version to marker at first write (acquiring ownership), write in

@@ -20,8 +20,8 @@ const TX_ID_BLOCK: u64 = 64;
 /// STM instance: an ownership table in device memory.
 ///
 /// `stripes` must be a power of two. Each record protects the arena words
-/// that hash onto it. Records are even version numbers when free and odd
-/// `(tx_id << 1) | 1` markers when owned.
+/// that map onto it ([`record_addr`](Self::record_addr)). Records are even
+/// version numbers when free and odd `(tx_id << 1) | 1` markers when owned.
 pub struct Stm {
     table_base: Addr,
     mask: u64,
@@ -75,15 +75,18 @@ impl Stm {
         }
     }
 
-    /// Ownership-record address for an arena word. Fibonacci hashing
-    /// spreads adjacent node words over the table so one hot node does not
-    /// serialize on a single stripe — except for words within the same
-    /// cache-line-sized group, which intentionally share a record.
+    /// Ownership-record address for an arena word: the classic
+    /// shifted-address map. Words `2k` and `2k + 1` share a record, and
+    /// consecutive pairs own consecutive records, so the records of a node
+    /// sit beside each other the way its words do — a 16-aligned 48-word
+    /// node stride owns 24 adjacent records, three 64-byte lines of the
+    /// table — and a transaction over one node touches a few table lines,
+    /// not one per pair. Distinct pairs inside any window of `2 · stripes`
+    /// words never share a record; the aliases are the words exactly a
+    /// multiple of `2 · stripes` apart.
     #[inline]
     pub fn record_addr(&self, addr: Addr) -> Addr {
-        let group = addr >> 1; // two words share a stripe
-        let h = group.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
-        self.table_base + (h & self.mask)
+        self.table_base + ((addr >> 1) & self.mask)
     }
 
     /// Starts a transaction whose logs live in `scratch`. Whatever an
@@ -314,6 +317,49 @@ mod tests {
 
     fn device() -> Device {
         Device::new(1 << 16, DeviceConfig::test_small())
+    }
+
+    #[test]
+    fn records_sit_beside_the_words_they_protect() {
+        let dev = device();
+        const STRIPES: u64 = 256;
+        let stm = Stm::new(dev.mem(), STRIPES as usize);
+        let rec = |addr: Addr| stm.record_addr(addr);
+        // Starts chosen to cover a window that begins mid-table, at an odd
+        // word, and one that wraps the table.
+        for start in [0u64, 1, 48, 2 * STRIPES - 16, 12_345] {
+            let first_pair = start.div_ceil(2);
+            let mut seen: Vec<Addr> = (first_pair..first_pair + STRIPES)
+                .map(|pair| {
+                    assert_eq!(rec(2 * pair), rec(2 * pair + 1), "pair {pair} is split");
+                    rec(2 * pair)
+                })
+                .collect();
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(
+                seen.len() as u64,
+                STRIPES,
+                "two pairs of the 2 · stripes window at {start} share a record"
+            );
+        }
+        // A 16-aligned node stride of 48 words: 24 consecutive records, i.e.
+        // exactly three 64-byte lines of the (16-word-aligned) table.
+        for node in [64u64, 64 + 48, 16 * 1000] {
+            let recs: Vec<Addr> = (0..24).map(|pair| rec(node + 2 * pair)).collect();
+            assert!(
+                recs.windows(2).all(|w| w[1] == w[0] + 1),
+                "node {node}: {recs:?}"
+            );
+            assert_eq!(recs[0] % 8, 0, "node {node}: records start mid-line");
+            assert_eq!((recs[23] - recs[0] + 1) * 8, 3 * 64, "bytes spanned");
+        }
+        // The documented aliases: words a multiple of 2 · stripes apart.
+        for addr in [0u64, 7, 100] {
+            assert_eq!(rec(addr), rec(addr + 2 * STRIPES));
+            assert_eq!(rec(addr), rec(addr + 6 * STRIPES));
+            assert_ne!(rec(addr), rec(addr + STRIPES));
+        }
     }
 
     #[test]
