@@ -130,24 +130,26 @@ impl ConcurrentTree for StmTree {
         let buf = ResponseBuf::new(n);
         let handle = self.base.handle;
         let stm = &self.stm;
-        let stats = self
-            .base
-            .device
-            .launch("stm-gbtree", warps_for(n, ws), |wid, ctx| {
-                let mut scratch = TxScratch::default();
+        // One set of transaction logs per worker slot, not per warp.
+        let stats = self.base.device.launch_with(
+            "stm-gbtree",
+            warps_for(n, ws),
+            false,
+            |wid, ctx, scratch: &mut TxScratch| {
                 for i in warp_span(n, wid, ws) {
                     let req = batch.requests[i];
                     ctx.begin_request();
                     charge_request_io(ctx);
                     let resp = stm
-                        .run(ctx, &mut scratch, usize::MAX >> 1, |tx, ctx| {
+                        .run(ctx, scratch, usize::MAX >> 1, |tx, ctx| {
                             tx_process(tx, ctx, &handle, req.key as u64, req.op)
                         })
                         .expect("unbounded retries cannot exhaust");
                     buf.set(i, resp);
                     ctx.end_request();
                 }
-            });
+            },
+        );
         BatchRun {
             responses: buf.into_vec(),
             stats,

@@ -175,7 +175,7 @@ pub fn execute(
         // No synchronization because nothing is written: results cannot
         // depend on warp interleaving, so the launch need not pay for any.
         true,
-        |ctx, WarpState { loc, .. }, item| match *item {
+        |ctx, loc, _: &mut (), item| match *item {
             QkItem::Query { run, key } => {
                 ctx.begin_request();
                 charge_request_io(ctx);
@@ -228,7 +228,7 @@ pub fn execute(
         pivot,
         "eirene-update",
         false,
-        |ctx, warp, item| {
+        |ctx, loc, scratch: &mut TxScratch, item| {
             let (run, key, kind) = *item;
             ctx.begin_request();
             charge_request_io(ctx);
@@ -237,9 +237,15 @@ pub fn execute(
                 ctx.emit(TraceEventKind::CombineHit, run_len as u64);
             }
             let old = match opts.protection {
-                UpdateProtection::OptimisticStm => {
-                    update_one(ctx, handle, stm, opts, warp, key, kind)
-                }
+                UpdateProtection::OptimisticStm => update_one(
+                    ctx,
+                    handle,
+                    stm,
+                    opts,
+                    WarpState { loc, scratch },
+                    key,
+                    kind,
+                ),
                 UpdateProtection::FineGrainedLocks => match kind {
                     IssuedKind::Upsert(v) => {
                         eirene_baselines::lock::locked_upsert(ctx, handle, key, v as u64)
@@ -290,7 +296,7 @@ fn update_one(
     handle: &TreeHandle,
     stm: &Stm,
     opts: &ExecOptions,
-    warp: &mut WarpState<'_>,
+    warp: WarpState<'_, '_>,
     key: u64,
     kind: IssuedKind,
 ) -> u64 {
@@ -418,12 +424,15 @@ fn update_one(
     }
 }
 
-/// What an iteration warp carries from one request to the next.
-struct WarpState<'c> {
-    /// Last accessed leaf, for the horizontal-or-vertical choice (§5).
-    loc: WarpLocator<'c>,
-    /// Logs and leased ids of the warp's transactions.
-    scratch: TxScratch,
+/// What an issued update is handed besides the tree, each with the lifetime
+/// of its owner.
+struct WarpState<'a, 'c> {
+    /// The iteration warp's last accessed leaf, for the
+    /// horizontal-or-vertical choice (§5).
+    loc: &'a mut WarpLocator<'c>,
+    /// Logs and leased ids of the worker slot's transactions: a warp runs
+    /// ≈ 5 of them, a slot ≈ 500, so the logs are grown once per slot.
+    scratch: &'a mut TxScratch,
 }
 
 /// Work items that expose the key the RF decision needs.
@@ -461,22 +470,23 @@ impl HasKey for (u32, u64, IssuedKind) {
 }
 
 /// Launches `items` over iteration warps: contiguous blocks of request
-/// groups per warp, so adjacent RGs share one [`WarpState`]: the leaf
-/// buffer of §5 and the logs every transaction of the warp reuses.
+/// groups per warp, so adjacent RGs share one [`WarpLocator`], the leaf
+/// buffer of §5. `body` also gets the `S` of the worker slot the warp
+/// happens to run on ([`Device::launch_with`]).
 ///
 /// With a pivot cache (`pivot = Some`), request groups are *leaf runs* —
 /// maximal ascending-key groups targeting the same leaf under the
 /// snapshot's fences — so each group pays one descent and applies the
 /// rest of its items in-leaf; without one, groups are fixed-size RG
 /// blocks (`opts.rg_size`), the per-request baseline.
-fn launch_grouped<T: HasKey>(
+fn launch_grouped<T: HasKey, S: Default + Send>(
     device: &Device,
     opts: &ExecOptions,
     items: &[T],
     pivot: Option<&PivotCache>,
     name: &str,
     read_only: bool,
-    body: impl Fn(&mut eirene_sim::WarpCtx<'_>, &mut WarpState<'_>, &T) + Sync,
+    body: impl Fn(&mut eirene_sim::WarpCtx<'_>, &mut WarpLocator<'_>, &mut S, &T) + Sync,
 ) -> KernelStats {
     let n = items.len();
     if n == 0 {
@@ -524,19 +534,16 @@ fn launch_grouped<T: HasKey>(
         warp_groups.push((glo, groups.len()));
     }
     let coalesced = pivot.is_some();
-    let kernel = |wid: usize, ctx: &mut eirene_sim::WarpCtx<'_>| {
-        let mut warp = WarpState {
-            loc: WarpLocator::with_cache(opts.locality, pivot),
-            scratch: TxScratch::default(),
-        };
+    let kernel = |wid: usize, ctx: &mut eirene_sim::WarpCtx<'_>, slot: &mut S| {
+        let mut loc = WarpLocator::with_cache(opts.locality, pivot);
         let (wg_lo, wg_hi) = warp_groups[wid];
         for &(lo, hi) in &groups[wg_lo..wg_hi] {
             // RF decision per group uses the group's maximal key (§5);
             // keys are ascending, so it is the last item's key.
-            warp.loc.begin_rg(items[hi - 1].item_key());
+            loc.begin_rg(items[hi - 1].item_key());
             for (i, item) in items[lo..hi].iter().enumerate() {
                 let verticals_before = ctx.stats.vertical_traversals;
-                body(ctx, &mut warp, item);
+                body(ctx, &mut loc, slot, item);
                 // A run-mate that finished without a fresh vertical
                 // traversal rode the run's descent: an upper-level walk
                 // the per-request baseline would have paid.
@@ -546,11 +553,7 @@ fn launch_grouped<T: HasKey>(
             }
         }
     };
-    if read_only {
-        device.launch_read_only(name, warp_groups.len(), kernel)
-    } else {
-        device.launch(name, warp_groups.len(), kernel)
-    }
+    device.launch_with(name, warp_groups.len(), read_only, kernel)
 }
 
 /// Result calculation (Alg. 1 line 6, RESULT_CAL): resolves every point

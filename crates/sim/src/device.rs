@@ -27,20 +27,34 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// What a launch records while its warps run: counters per worker slot —
-/// every field of [`WarpStats`] is an order-independent fold, so a few slot
-/// accumulators sum to what one `WarpStats` per warp did — and the one
-/// per-warp datum the SM makespan model needs, each warp's own cycles.
-struct LaunchStats {
+/// What one worker slot of a launch owns while it runs warps: everything a
+/// slot touches per tick or per request lives here, so no warp writes a
+/// cache line another slot reads.
+#[derive(Default)]
+struct Slot<S> {
+    /// Counters of every warp the slot ran. Every field of [`WarpStats`]
+    /// is an order-independent fold, so a few slot accumulators sum to
+    /// what one `WarpStats` per warp did.
+    stats: WarpStats,
+    /// `sched_yield`s those warps took.
+    os_yields: u64,
+    /// The kernel's own per-slot state, lent to each warp in turn.
+    state: S,
+}
+
+/// What a launch records while its warps run: one [`Slot`] per worker slot,
+/// and the one per-warp datum the SM makespan model needs, each warp's own
+/// cycles.
+struct LaunchStats<S> {
     /// A slot is run by one pool item, which holds its lock throughout.
     /// Kernel panics are caught below the guard, so none poisons it.
-    slots: Vec<Mutex<WarpStats>>,
+    slots: Vec<Mutex<Slot<S>>>,
     warp_cycles: Vec<AtomicU64>,
     /// First kernel panic, with the warp it came from.
     failure: Mutex<Option<KernelPanic>>,
 }
 
-impl LaunchStats {
+impl<S: Default> LaunchStats<S> {
     fn new(slots: usize, num_warps: usize) -> Self {
         LaunchStats {
             slots: (0..slots).map(|_| Mutex::default()).collect(),
@@ -96,8 +110,8 @@ pub struct Device {
     /// launch and reused for every subsequent one: launch overhead is a
     /// few condvar wakes, not `effective_workers()` thread spawns/joins.
     pool: OnceLock<WorkerPool>,
-    /// `sched_yield`s taken by OS-mode launches (host-side observability;
-    /// deliberately outside [`KernelStats`]).
+    /// `sched_yield`s taken by finished launches, added once per launch
+    /// (host-side observability; deliberately outside [`KernelStats`]).
     os_yields: AtomicU64,
 }
 
@@ -150,9 +164,11 @@ impl Device {
         &self.cfg
     }
 
-    /// Total `sched_yield`s taken by this device's OS-mode launches: what
-    /// warp interleaving cost the host. A host-side count, not a simulated
-    /// statistic — it varies run to run and stays out of [`KernelStats`].
+    /// Total `sched_yield`s taken by this device's launches so far: what
+    /// warp interleaving cost the host. Each warp counts its own and a
+    /// launch adds the sum when it completes, so the total is exact between
+    /// launches. A host-side count, not a simulated statistic — it varies
+    /// run to run and stays out of [`KernelStats`].
     pub fn os_yields(&self) -> u64 {
         self.os_yields.load(Ordering::Relaxed)
     }
@@ -201,7 +217,9 @@ impl Device {
     where
         F: Fn(usize, &mut WarpCtx) + Sync,
     {
-        self.launch_declared(name, num_warps, false, kernel)
+        self.launch_with(name, num_warps, false, |wid, ctx, _: &mut ()| {
+            kernel(wid, ctx)
+        })
     }
 
     /// [`launch`](Self::launch) for a kernel that declares it writes no
@@ -217,10 +235,22 @@ impl Device {
     where
         F: Fn(usize, &mut WarpCtx) + Sync,
     {
-        self.launch_declared(name, num_warps, true, kernel)
+        self.launch_with(name, num_warps, true, |wid, ctx, _: &mut ()| {
+            kernel(wid, ctx)
+        })
     }
 
-    fn launch_declared<F>(
+    /// The launch every other one is a case of: `kernel` also receives a
+    /// `&mut S` that belongs to the worker slot running the warp. Each slot
+    /// starts from `S::default()`, lends the same value to every warp it
+    /// runs, one after the other, and drops it when the launch ends — the
+    /// place for working memory worth keeping warm across warps (a
+    /// transaction's logs), which a launch of hundreds of short warps would
+    /// otherwise build hundreds of times. How many slots there are, and
+    /// which warps share one, is the launcher's business: a kernel's
+    /// results must not depend on what an earlier warp left in `S`.
+    /// `read_only` is the declaration of [`launch_read_only`](Self::launch_read_only).
+    pub fn launch_with<S, F>(
         &self,
         name: &str,
         num_warps: usize,
@@ -228,7 +258,8 @@ impl Device {
         kernel: F,
     ) -> KernelStats
     where
-        F: Fn(usize, &mut WarpCtx) + Sync,
+        S: Default + Send,
+        F: Fn(usize, &mut WarpCtx, &mut S) + Sync,
     {
         match self.cfg.sched {
             SchedMode::Os => self.launch_os(name, num_warps, read_only, kernel),
@@ -238,23 +269,30 @@ impl Device {
         }
     }
 
-    /// Runs warp `wid` into the slot accumulator `acc`; `false` if the
-    /// kernel panicked (the launch keeps its first panic).
-    fn run_warp<F>(
+    /// Runs warp `wid` on `slot`; `false` if the kernel panicked (the
+    /// launch keeps its first panic).
+    fn run_warp<S, F>(
         &self,
-        run: &LaunchStats,
-        acc: &mut WarpStats,
+        run: &LaunchStats<S>,
+        slot: &mut Slot<S>,
         sched: &dyn Scheduler,
         read_only: bool,
         kernel: &F,
         wid: usize,
     ) -> bool
     where
-        F: Fn(usize, &mut WarpCtx) + Sync,
+        F: Fn(usize, &mut WarpCtx, &mut S) + Sync,
     {
+        let Slot {
+            stats,
+            os_yields,
+            state,
+        } = slot;
         let mut ctx =
-            WarpCtx::with_scheduler(&self.mem, &self.cfg, wid, acc, sched).deny_writes(read_only);
-        match catch_unwind(AssertUnwindSafe(|| kernel(wid, &mut ctx))) {
+            WarpCtx::with_scheduler(&self.mem, &self.cfg, wid, stats, sched).deny_writes(read_only);
+        let outcome = catch_unwind(AssertUnwindSafe(|| kernel(wid, &mut ctx, state)));
+        *os_yields += ctx.os_yields();
+        match outcome {
             Ok(()) => {
                 // Ordered before `aggregate` by the pool's completion count.
                 run.warp_cycles[wid].store(ctx.cycles(), Ordering::Relaxed);
@@ -268,22 +306,29 @@ impl Device {
         }
     }
 
-    fn launch_os<F>(&self, name: &str, num_warps: usize, read_only: bool, kernel: F) -> KernelStats
+    fn launch_os<S, F>(
+        &self,
+        name: &str,
+        num_warps: usize,
+        read_only: bool,
+        kernel: F,
+    ) -> KernelStats
     where
-        F: Fn(usize, &mut WarpCtx) + Sync,
+        S: Default + Send,
+        F: Fn(usize, &mut WarpCtx, &mut S) + Sync,
     {
         if num_warps == 0 {
-            return self.aggregate(name, LaunchStats::new(0, 0));
+            return self.aggregate(name, LaunchStats::<S>::new(0, 0));
         }
         // Per launch, so concurrent launches never heat each other.
         let sched = OsScheduler::for_launch(read_only);
         let workers = self.pool().workers().min(num_warps);
-        let run = LaunchStats::new(workers, num_warps);
+        let run = LaunchStats::<S>::new(workers, num_warps);
         let next_warp = AtomicUsize::new(0);
         // Each pool item is one worker slot claiming warp ids off an atomic
         // counter until none are left.
-        self.pool().run(workers, &|slot| {
-            let mut acc = run.slots[slot]
+        self.pool().run(workers, &|idx| {
+            let mut slot = run.slots[idx]
                 .lock()
                 .expect("kernel panics are caught below the guard");
             loop {
@@ -291,17 +336,16 @@ impl Device {
                 if wid >= num_warps {
                     break;
                 }
-                if !self.run_warp(&run, &mut acc, &sched, read_only, &kernel, wid) {
+                if !self.run_warp(&run, &mut slot, &sched, read_only, &kernel, wid) {
                     // The launch has failed: leave unclaimed warps unrun.
                     next_warp.store(num_warps, Ordering::Relaxed);
                 }
             }
         });
-        self.os_yields.fetch_add(sched.yields(), Ordering::Relaxed);
         self.aggregate(name, run)
     }
 
-    fn launch_det<F>(
+    fn launch_det<S, F>(
         &self,
         name: &str,
         num_warps: usize,
@@ -310,11 +354,12 @@ impl Device {
         kernel: F,
     ) -> KernelStats
     where
-        F: Fn(usize, &mut WarpCtx) + Sync,
+        S: Default + Send,
+        F: Fn(usize, &mut WarpCtx, &mut S) + Sync,
     {
         let launch_idx = self.launches.fetch_add(1, Ordering::Relaxed);
         if num_warps == 0 {
-            return self.aggregate(name, LaunchStats::new(0, 0));
+            return self.aggregate(name, LaunchStats::<S>::new(0, 0));
         }
         // Replay takes precedence over fresh PRNG decisions.
         let recorded: Option<Vec<u32>> = {
@@ -353,16 +398,16 @@ impl Device {
             None => DetScheduler::seeded(num_warps, launch_seed(seed, launch_idx)),
         }
         .with_worker_limit(workers);
-        let run = LaunchStats::new(workers, num_warps);
+        let run = LaunchStats::<S>::new(workers, num_warps);
         self.pool().run_with_driver(
             workers,
-            &|slot| {
-                let mut acc = run.slots[slot]
+            &|idx| {
+                let mut slot = run.slots[idx]
                     .lock()
                     .expect("kernel panics are caught below the guard");
                 while let Some(wid) = sched.next_assignment() {
                     sched.warp_begin(wid);
-                    self.run_warp(&run, &mut acc, &sched, read_only, &kernel, wid);
+                    self.run_warp(&run, &mut slot, &sched, read_only, &kernel, wid);
                     // Hand the token back even on panic, or the
                     // coordinator would wait forever.
                     sched.warp_finished(wid);
@@ -398,33 +443,53 @@ impl Device {
     where
         F: FnMut(usize, &mut WarpCtx),
     {
-        let run = LaunchStats::new(1, num_warps);
-        let mut acc = run.slots[0].lock().expect("nobody else holds a fresh lock");
+        self.launch_seq_with(name, num_warps, |wid, ctx, _: &mut ()| kernel(wid, ctx))
+    }
+
+    /// [`launch_seq`](Self::launch_seq) with the per-slot state of
+    /// [`launch_with`](Self::launch_with): one slot, so every warp is lent
+    /// the same `S`.
+    pub fn launch_seq_with<S, F>(&self, name: &str, num_warps: usize, mut kernel: F) -> KernelStats
+    where
+        S: Default,
+        F: FnMut(usize, &mut WarpCtx, &mut S),
+    {
+        let run = LaunchStats::<S>::new(1, num_warps);
+        let mut slot = run.slots[0].lock().expect("nobody else holds a fresh lock");
+        let Slot {
+            stats,
+            os_yields,
+            state,
+        } = &mut *slot;
         for wid in 0..num_warps {
-            let mut ctx = WarpCtx::new(&self.mem, &self.cfg, wid, &mut acc);
-            kernel(wid, &mut ctx);
+            let mut ctx = WarpCtx::new(&self.mem, &self.cfg, wid, stats);
+            kernel(wid, &mut ctx, state);
             run.warp_cycles[wid].store(ctx.cycles(), Ordering::Relaxed);
+            *os_yields += ctx.os_yields();
         }
-        drop(acc);
+        drop(slot);
         self.aggregate(name, run)
     }
 
     /// Folds what a launch recorded into its [`KernelStats`], or re-raises
     /// the kernel's panic if a warp failed.
-    fn aggregate(&self, name: &str, run: LaunchStats) -> KernelStats {
+    fn aggregate<S>(&self, name: &str, run: LaunchStats<S>) -> KernelStats {
         if let Some(f) = run.failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
             resume_kernel_panic(name, f);
         }
         let warps = run.warp_cycles.len() as u64;
         let mut totals = WarpStats::default();
+        let mut os_yields = 0;
         for slot in run.slots {
+            let slot = slot
+                .into_inner()
+                .expect("kernel panics are caught below the guard");
             // Move-based merge: trace event vectors are appended, not
             // cloned (and no allocation happens when tracing is off).
-            totals.absorb(
-                slot.into_inner()
-                    .expect("kernel panics are caught below the guard"),
-            );
+            totals.absorb(slot.stats);
+            os_yields += slot.os_yields;
         }
+        self.os_yields.fetch_add(os_yields, Ordering::Relaxed);
         // A slot logs its warps' events in the order it ran them; a stable
         // sort restores warp-id-major order and keeps each warp's own
         // events in program order.

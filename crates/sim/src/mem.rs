@@ -33,6 +33,15 @@ pub struct GlobalMemory {
 impl GlobalMemory {
     /// Creates a zeroed arena of `num_words` 64-bit words.
     ///
+    /// In an optimized build the zero fill below is folded into a zeroed
+    /// allocation, which for an arena of any size is fresh pages from the
+    /// OS: creation is microseconds whatever `num_words` is, and each page
+    /// is zeroed *lazily*, by the page fault of whoever touches it first.
+    /// For most pages that is the bulk build; for a large table nobody
+    /// initializes (an STM ownership table) it is whichever kernel first
+    /// reads a record there, which then pays the fault inside its launch.
+    /// A debug build really writes every word here.
+    ///
     /// # Panics
     /// Panics if `num_words` is not larger than the reserved prefix.
     pub fn new(num_words: usize) -> Self {

@@ -36,7 +36,7 @@
 //! for timing figures — the cycle model is unaffected either way.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Tick hook used by [`WarpCtx`](crate::WarpCtx). Implementations decide
@@ -45,8 +45,10 @@ pub trait Scheduler: Sync {
     /// Called by the thread running warp `warp_id` after every
     /// `yield_interval` instrumented operations; `tick` counts the warp's
     /// calls so far, starting at 1. May block until the warp is scheduled
-    /// again.
-    fn yield_point(&self, warp_id: usize, tick: u32);
+    /// again. Returns whether the tick cost the host a `sched_yield`: the
+    /// warp counts those itself, so a scheduler shared by every warp of a
+    /// launch has nothing to write on a tick.
+    fn yield_point(&self, warp_id: usize, tick: u32) -> bool;
 
     /// A warp lost a synchronization race (failed latch acquisition, STM
     /// abort, stale version). Schedulers that adapt their interleaving to
@@ -75,11 +77,12 @@ pub struct OsScheduler {
     read_only: bool,
     /// Every tick yields regardless of `hot` — no launch to observe.
     pinned_hot: bool,
-    /// Hot ticks left; 0 = cool. Relaxed: a heuristic that publishes no
-    /// data, and a lost update only stretches or trims a hot window.
+    /// Hot ticks left; 0 = cool. The only shared word a tick touches, and a
+    /// cool tick only loads it, so the line stays shared among the workers
+    /// until a conflict heats the launch. Relaxed: a heuristic that
+    /// publishes no data, and a lost update only stretches or trims a hot
+    /// window.
     hot: AtomicU32,
-    /// `sched_yield`s actually taken (host-side observability only).
-    yields: AtomicU64,
 }
 
 impl OsScheduler {
@@ -90,7 +93,6 @@ impl OsScheduler {
             read_only,
             pinned_hot: false,
             hot: AtomicU32::new(0),
-            yields: AtomicU64::new(0),
         }
     }
 
@@ -101,7 +103,6 @@ impl OsScheduler {
             read_only: false,
             pinned_hot: true,
             hot: AtomicU32::new(0),
-            yields: AtomicU64::new(0),
         }
     }
 
@@ -117,20 +118,16 @@ impl OsScheduler {
                 .is_ok();
         os_tick_yields(self.read_only, hot, tick)
     }
-
-    /// `sched_yield`s taken through this scheduler so far.
-    pub fn yields(&self) -> u64 {
-        self.yields.load(Ordering::Relaxed)
-    }
 }
 
 impl Scheduler for OsScheduler {
     #[inline]
-    fn yield_point(&self, _warp_id: usize, tick: u32) {
-        if self.tick_yields(tick) {
-            self.yields.fetch_add(1, Ordering::Relaxed);
+    fn yield_point(&self, _warp_id: usize, tick: u32) -> bool {
+        let yields = self.tick_yields(tick);
+        if yields {
             std::thread::yield_now();
         }
+        yields
     }
 
     #[inline]
@@ -140,7 +137,8 @@ impl Scheduler for OsScheduler {
 }
 
 /// Shared instance for contexts created outside a launch
-/// ([`WarpCtx::new`](crate::WarpCtx::new)).
+/// ([`WarpCtx::new`](crate::WarpCtx::new)): unit tests of device code and
+/// `Device::launch_seq`. Pinned hot, so it has no state to share.
 pub static OS_SCHEDULER: OsScheduler = OsScheduler::out_of_launch();
 
 /// Which scheduler a [`Device`](crate::Device) launches kernels under.
@@ -526,13 +524,15 @@ impl DetScheduler {
 }
 
 impl Scheduler for DetScheduler {
-    fn yield_point(&self, warp_id: usize, _tick: u32) {
+    fn yield_point(&self, warp_id: usize, _tick: u32) -> bool {
         let mut st = self.lock();
         st.turn = Turn::Coordinator;
         self.cv.notify_all();
         while st.turn != Turn::Warp(warp_id) {
             st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
+        // A token hand-over, not a `sched_yield`.
+        false
     }
 }
 

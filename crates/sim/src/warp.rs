@@ -60,6 +60,9 @@ pub struct WarpCtx<'a> {
     ops_since_yield: u32,
     /// Scheduler ticks reported so far (one per `yield_interval` ops).
     ticks: u32,
+    /// Ticks that cost a `sched_yield`. Counted here, in the warp's own
+    /// memory: the scheduler is shared by every warp of the launch.
+    os_yields: u64,
     /// The launch declared that it writes no device memory; the write
     /// paths enforce it.
     read_only: bool,
@@ -69,7 +72,8 @@ pub struct WarpCtx<'a> {
 impl<'a> WarpCtx<'a> {
     /// Creates a context under the out-of-launch OS scheduler, which yields
     /// on every tick. Public so lower-level crates can unit-test device code
-    /// without a full launch.
+    /// without a full launch; [`Device::launch_seq`](crate::Device::launch_seq)
+    /// is the one non-test caller.
     pub fn new(
         mem: &'a GlobalMemory,
         cfg: &'a DeviceConfig,
@@ -101,6 +105,7 @@ impl<'a> WarpCtx<'a> {
             // not advance in lockstep with each other.
             ops_since_yield: (warp_id as u32).wrapping_mul(7) % cfg.yield_interval.max(1),
             ticks: 0,
+            os_yields: 0,
             read_only: false,
             sched,
         }
@@ -128,8 +133,16 @@ impl<'a> WarpCtx<'a> {
         if self.ops_since_yield >= self.cfg.yield_interval {
             self.ops_since_yield = 0;
             self.ticks = self.ticks.wrapping_add(1);
-            self.sched.yield_point(self.warp_id, self.ticks);
+            self.os_yields += u64::from(self.sched.yield_point(self.warp_id, self.ticks));
         }
+    }
+
+    /// `sched_yield`s this warp has taken so far. Host-side: it varies run
+    /// to run, so it stays out of [`WarpStats`]; a launch sums it into
+    /// [`Device::os_yields`](crate::Device::os_yields).
+    #[inline]
+    pub fn os_yields(&self) -> u64 {
+        self.os_yields
     }
 
     #[inline]
@@ -394,8 +407,9 @@ mod tests {
     }
 
     impl Scheduler for Recorder {
-        fn yield_point(&self, warp_id: usize, tick: u32) {
+        fn yield_point(&self, warp_id: usize, tick: u32) -> bool {
             self.ticks.lock().unwrap().push((warp_id, tick));
+            false
         }
 
         fn conflict(&self) {
@@ -452,14 +466,13 @@ mod tests {
     fn default_context_yields_on_every_tick() {
         let (mem, cfg) = setup();
         let a = mem.alloc(1);
-        let before = OS_SCHEDULER.yields();
         let mut stats = WarpStats::default();
         let mut ctx = WarpCtx::new(&mem, &cfg, 0, &mut stats);
         for _ in 0..3 * cfg.yield_interval {
             ctx.read(a);
         }
-        // Other tests share the static, so the count can only be a floor.
-        assert!(OS_SCHEDULER.yields() >= before + 3);
+        // The warp's own count: exact, whatever other tests do meanwhile.
+        assert_eq!(ctx.os_yields(), 3);
     }
 
     #[test]

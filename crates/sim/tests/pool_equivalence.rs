@@ -5,9 +5,11 @@
 //! and back-to-back launches on one device must not leak statistics from
 //! one epoch into the next. The same holds for how a launch keeps its
 //! books: warps of one worker share an accumulator, and nothing a caller
-//! can read — trace events included — may show it.
+//! can read — trace events included — may show it. What a worker slot does
+//! show, on purpose, is the state a kernel asks it to keep across warps.
 
 use eirene_sim::{Device, DeviceConfig, KernelStats, Phase, TraceEventKind, WarpCtx, WarpStats};
+use std::sync::Mutex;
 
 const WARPS: usize = 24;
 const BLOCK: usize = 16;
@@ -153,5 +155,60 @@ fn shared_accumulators_are_invisible_in_traces_and_response_times() {
         );
         assert_eq!(stats.totals, per_warp, "{what}: totals");
         assert_eq!(stats.makespan_cycles, runs[0].1.makespan_cycles, "{what}");
+    }
+}
+
+/// Per-slot state that reports, when its slot lets go of it, which warps it
+/// was lent to.
+#[derive(Default)]
+struct Lent(Vec<usize>);
+
+/// One entry per dropped [`Lent`]. Only the test below touches it.
+static RETURNED: Mutex<Vec<Vec<usize>>> = Mutex::new(Vec::new());
+
+impl Drop for Lent {
+    fn drop(&mut self) {
+        RETURNED.lock().unwrap().push(std::mem::take(&mut self.0));
+    }
+}
+
+#[test]
+fn slot_state_is_lent_to_every_warp_of_its_slot_and_dropped_once() {
+    let workers = |n: usize| DeviceConfig {
+        worker_threads: n,
+        ..DeviceConfig::test_small()
+    };
+    // (mode, config, sequential launch?, worker slots the launch must use)
+    let modes = [
+        ("os, 1 worker", workers(1), false, 1),
+        ("os, 4 workers", workers(4), false, 4),
+        ("det", workers(4).with_deterministic_sched(0x1E47), false, 4),
+        ("seq", workers(4), true, 1),
+    ];
+    for (what, cfg, seq, slots) in modes {
+        let dev = Device::new(1 << 12, cfg);
+        let cell = dev.mem().alloc(1);
+        let kernel = |wid: usize, ctx: &mut WarpCtx, lent: &mut Lent| {
+            for _ in 0..40 {
+                ctx.read(cell);
+            }
+            lent.0.push(wid);
+        };
+        let stats = if seq {
+            dev.launch_seq_with("lend", WARPS, kernel)
+        } else {
+            dev.launch_with("lend", WARPS, false, kernel)
+        };
+        assert_eq!(stats.totals.mem_insts, 40 * WARPS as u64, "{what}");
+        // The launch has returned, so every slot has dropped its state.
+        let returned = std::mem::take(&mut *RETURNED.lock().unwrap());
+        assert_eq!(returned.len(), slots, "{what}: one drop per slot");
+        let mut lent_to: Vec<usize> = returned.iter().flatten().copied().collect();
+        lent_to.sort_unstable();
+        assert!(lent_to.iter().copied().eq(0..WARPS), "{what}: {returned:?}");
+        if slots == 1 {
+            // One slot claims warp ids in order (OS, sequential).
+            assert!(returned[0].iter().copied().eq(0..WARPS), "{what}");
+        }
     }
 }

@@ -32,10 +32,14 @@ pub struct Stm {
 
 /// Reusable working memory of one transaction at a time: the logs a
 /// [`Tx`] fills, plus a private block of transaction ids leased from the
-/// `Stm` it last began on. Hold one per warp (or per worker) and pass it to
-/// every [`Stm::begin`] / [`Stm::run`]: once the logs have grown to the
-/// largest transaction seen, beginning, running and ending a transaction
-/// touches neither the allocator nor a cache line shared with other warps.
+/// `Stm` it last began on. Hold one per worker slot
+/// (`Device::launch_with`) and pass it to every [`Stm::begin`] /
+/// [`Stm::run`]: once the logs have grown to the largest transaction seen,
+/// beginning, running and ending a transaction touches neither the
+/// allocator nor a cache line shared with other warps. Per slot rather than
+/// per warp because growing the logs is the cost: an iteration warp runs
+/// ≈ 5 transactions and would regrow them 4 → 8 → 16 → 32 every time, a
+/// slot runs ≈ 500 per launch and grows them once.
 #[derive(Debug, Default)]
 pub struct TxScratch {
     /// (record address, observed version).
