@@ -263,18 +263,10 @@ pub fn partition_leaf_runs(keys: &[u64], fences: &[u64]) -> Vec<(usize, usize)> 
     if keys.is_empty() {
         return out;
     }
-    // Bucket of a key = number of fences <= key; keys ascend, so the
-    // fence cursor only moves forward (O(keys + fences) total).
-    let advance = |mut b: usize, key: u64| -> usize {
-        while b < fences.len() && fences[b] <= key {
-            b += 1;
-        }
-        b
-    };
     let mut start = 0usize;
-    let mut bucket = advance(0, keys[0]);
+    let mut bucket = advance_bucket(fences, 0, keys[0]);
     for (i, &key) in keys.iter().enumerate().skip(1) {
-        let b = advance(bucket, key);
+        let b = advance_bucket(fences, bucket, key);
         if b != bucket {
             out.push((start, i));
             start = i;
@@ -283,6 +275,40 @@ pub fn partition_leaf_runs(keys: &[u64], fences: &[u64]) -> Vec<(usize, usize)> 
     }
     out.push((start, keys.len()));
     out
+}
+
+/// Fences stepped over one by one before [`advance_bucket`] gallops: a
+/// batch as dense as the leaves (a `tree_*` epoch) moves a fence or two per
+/// key and never leaves the linear steps.
+const LINEAR_FENCE_STEPS: usize = 4;
+
+/// The bucket of `key` — the number of fences `<= key` — given that it is
+/// at least `b` (keys ascend, so the fence cursor only moves forward). A
+/// few linear steps, then an exponential probe and a binary search inside
+/// the bracket it found: O(log gap) per key, so a 30-key epoch over 10 000
+/// leaves does not walk every fence.
+#[inline]
+fn advance_bucket(fences: &[u64], mut b: usize, key: u64) -> usize {
+    for _ in 0..LINEAR_FENCE_STEPS {
+        if fences.get(b).is_none_or(|&f| f > key) {
+            return b;
+        }
+        b += 1;
+    }
+    // `fences[..b] <= key`; double the stride until a fence above `key` (or
+    // the end) brackets the answer.
+    let mut step = 1usize;
+    let end = loop {
+        match fences.get(b + step) {
+            Some(&f) if f <= key => {
+                b += step + 1;
+                step *= 2;
+            }
+            Some(_) => break b + step,
+            None => break fences.len(),
+        }
+    };
+    b + fences[b..end].partition_point(|&f| f <= key)
 }
 
 fn close_run(run: &Run, last_state: &mut Option<IssuedKind>) -> Issued {
@@ -299,6 +325,7 @@ fn close_run(run: &Run, last_state: &mut Option<IssuedKind>) -> Issued {
 mod tests {
     use super::*;
     use eirene_workloads::Request;
+    use proptest::prelude::*;
 
     fn plan_of(reqs: Vec<Request>) -> CombinePlan {
         build_plan(&Batch::new(reqs), &DeviceConfig::default())
@@ -467,6 +494,93 @@ mod tests {
             partition_leaf_runs(&[1, 2, 12], &[5, 10]),
             vec![(0, 2), (2, 3)]
         );
+    }
+
+    /// The linear walk `partition_leaf_runs` used before it galloped,
+    /// O(keys + fences): kept as the reference the galloping one must match
+    /// group for group.
+    fn partition_leaf_runs_linear(keys: &[u64], fences: &[u64]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        if keys.is_empty() {
+            return out;
+        }
+        let advance = |mut b: usize, key: u64| -> usize {
+            while b < fences.len() && fences[b] <= key {
+                b += 1;
+            }
+            b
+        };
+        let mut start = 0usize;
+        let mut bucket = advance(0, keys[0]);
+        for (i, &key) in keys.iter().enumerate().skip(1) {
+            let b = advance(bucket, key);
+            if b != bucket {
+                out.push((start, i));
+                start = i;
+                bucket = b;
+            }
+        }
+        out.push((start, keys.len()));
+        out
+    }
+
+    #[test]
+    fn galloping_leaf_runs_match_the_linear_walk_at_the_edges() {
+        let dense: Vec<u64> = (0..100_000u64).map(|i| 10 * i).collect();
+        let cases: [(&str, &[u64], &[u64]); 8] = [
+            ("no fences", &[1, 2, 3], &[]),
+            ("no keys", &[], &[5, 10]),
+            ("one key, 100 000 fences", &[777_777], &dense),
+            ("all below the first fence", &[1, 2, 3], &dense[1..]),
+            ("all above the last fence", &[2_000_000, 2_000_001], &dense),
+            ("a key equal to a fence", &[9, 10, 11, 50, 50, 51], &dense),
+            ("last fence exactly", &[999_990, u64::MAX], &dense),
+            ("single fence", &[0, 4, 5, 6], &[5]),
+        ];
+        for (what, keys, fences) in cases {
+            assert_eq!(
+                partition_leaf_runs(keys, fences),
+                partition_leaf_runs_linear(keys, fences),
+                "{what}"
+            );
+        }
+        // A gap of so many fences between two keys — each side of the
+        // switch from linear steps to galloping (4), each side of a probe,
+        // and far beyond — starting on a fence and just past one.
+        for gap in [0u64, 1, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 10_000] {
+            for first in [5_000u64, 5_003] {
+                let keys = [first, first + 10 * gap, first + 10 * gap + 1];
+                assert_eq!(
+                    partition_leaf_runs(&keys, &dense),
+                    partition_leaf_runs_linear(&keys, &dense),
+                    "gap {gap} from {first}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_galloping_leaf_runs_match_the_linear_walk(
+            keys in proptest::collection::vec(0..4_200u64, 0..200),
+            fences in proptest::collection::vec(0..4_000u64, 0..600),
+            clump in 1..8u64,
+        ) {
+            // Ascending keys with duplicates (more of them as `clump`
+            // grows), a few above the last fence; strictly ascending
+            // fences, from sparser than the keys to 30 per key.
+            let mut keys: Vec<u64> = keys.into_iter().map(|k| k / clump * clump).collect();
+            keys.sort_unstable();
+            let mut fences = fences;
+            fences.sort_unstable();
+            fences.dedup();
+            prop_assert_eq!(
+                partition_leaf_runs(&keys, &fences),
+                partition_leaf_runs_linear(&keys, &fences)
+            );
+        }
     }
 
     #[test]

@@ -30,8 +30,13 @@
 //! (value `<= t`, contradicting `t < watermark`) or its clearance — which
 //! only happens after the request is fully enqueued. ∎
 //!
-//! A combiner therefore drains its queue into the heap and emits an epoch
-//! only from entries with `ts < watermark`, in ascending order. Epochs
+//! The invariant is about the *queue*; the heap inherits it only through a
+//! drain made after the read. A combiner therefore reads the watermark,
+//! drains its queue into the heap, and emits an epoch only from entries
+//! with `ts < watermark`, in ascending order; a turn that leaves the queue
+//! alone (the heap already holds two epochs' worth) pops under the
+//! watermark of its last drain, because entries below a fresher one may
+//! still be queued behind larger timestamps the heap already has. Epochs
 //! carry strictly ascending timestamp slices and successive epochs are
 //! mutually ordered, so each shard still executes its slice of the
 //! history in global timestamp order and the whole service linearizes at
@@ -1347,7 +1352,10 @@ impl Ord for ByTs {
 /// The heap normally holds no more than ~two epochs of entries (draining
 /// pauses above that), but keeps draining regardless whenever emission is
 /// stalled — that keeps blocked `AdmitPolicy::Block` submitters (which
-/// hold watermark slots while waiting for queue room) live. Admitted
+/// hold watermark slots while waiting for queue room) live. A turn that
+/// does not drain releases entries only below the watermark of the last
+/// drain: a fresher one says nothing about what the heap has not been
+/// given yet (module docs). Admitted
 /// entries in the heap were each within the queue bound at their
 /// admission instant; the hard admission check itself stays at the queue.
 ///
@@ -1368,6 +1376,8 @@ fn combiner_loop(
     let mut heap: BinaryHeap<Reverse<ByTs>> = BinaryHeap::new();
     let mut finished = false;
     let heap_target = controller.max_target().saturating_mul(2).max(64);
+    // The watermark the last drain ran under.
+    let mut drained_wm = 0u64;
     let mut stalls = 0u32;
     let qos = inner.qos.enabled();
     loop {
@@ -1379,11 +1389,19 @@ fn combiner_loop(
             admit_lanes(inner, state, shard, batch_limit, &mut heap);
         }
         // Watermark BEFORE the drain: every entry below it is enqueued at
-        // this instant, so the drain below cannot miss one (module docs).
-        // Lane entries admitted above drew their timestamps before this
-        // read, so they are covered too.
-        let wm = inner.watermark();
-        if !finished && (heap.len() < heap_target || stalls > 0) {
+        // this instant, so a drain that follows cannot miss one (module
+        // docs). Lane entries admitted above drew their timestamps before
+        // this read, so they are covered too.
+        let fresh = inner.watermark();
+        let wm = if finished {
+            // The queue is closed and empty: the heap holds all there is.
+            fresh
+        } else if heap.len() >= heap_target && stalls == 0 {
+            // No drain this turn: entries below the fresh watermark may
+            // still sit in the queue behind larger timestamps already in
+            // the heap. Release only what the last drain vouched for.
+            drained_wm
+        } else {
             let wait = if heap.is_empty() {
                 None // block until something arrives or the queue closes
             } else {
@@ -1395,7 +1413,9 @@ fn combiner_loop(
             } = state.queue.drain(usize::MAX, wait);
             finished = f;
             heap.extend(entries.into_iter().map(|e| Reverse(ByTs(e))));
-        }
+            drained_wm = fresh;
+            fresh
+        };
         if heap.is_empty() {
             if finished {
                 return;
@@ -1458,6 +1478,7 @@ fn combiner_loop(
                 } = state.queue.drain(usize::MAX, Some(wait));
                 finished = f;
                 heap.extend(entries.into_iter().map(|e| Reverse(ByTs(e))));
+                drained_wm = wm;
                 if qos && !finished {
                     // A lane arrival also wakes the drain; admit it (its
                     // timestamp lands above `wm`, so it joins the *next*
@@ -1812,6 +1833,8 @@ fn executor_loop(
         .then(|| observe.slo.map(SloMonitor::new))
         .flatten();
     let mut breaches: Vec<SloBreach> = Vec::new();
+    // Last timestamp of the previous epoch (debug builds check the order).
+    let mut last_ts = None;
     while let Ok(msg) = rx.recv() {
         let epoch = match msg {
             ExecMsg::Epoch(epoch) => *epoch,
@@ -1870,6 +1893,14 @@ fn executor_loop(
             }
         };
         let received = Instant::now();
+        // What the reorder stage exists for: successive epochs are mutually
+        // ordered (within an epoch the combiner asserts it).
+        let first_ts = epoch.entries.first().map(|e| e.req.ts);
+        debug_assert!(
+            last_ts < first_ts,
+            "shard {shard}: epoch starts at ts {first_ts:?}, after one that ended at {last_ts:?}"
+        );
+        last_ts = epoch.entries.last().map(|e| e.req.ts);
         // Virtual-clock model: an epoch cannot start before the shard is
         // free *and* its last member has arrived.
         let arrived = epoch.entries.iter().map(|e| e.arrival).max().unwrap_or(0);

@@ -5,6 +5,7 @@ use crate::mem::GlobalMemory;
 use crate::pool::WorkerPool;
 use crate::sched::{
     launch_seed, DetScheduler, LaunchSchedule, OsScheduler, SchedMode, ScheduleLog, Scheduler,
+    OS_SCHEDULER,
 };
 use crate::stats::{KernelStats, WarpStats};
 use crate::warp::WarpCtx;
@@ -75,6 +76,35 @@ fn resume_kernel_panic(name: &str, failure: KernelPanic) -> ! {
     ))
 }
 
+/// The whole policy of who runs an OS-mode launch: one too small for a
+/// pool hand-off to pay for itself runs its warps, in warp-id order, on the
+/// thread that launched it. The hand-off is two condvar wakes (≈ 40 µs,
+/// what the benchmark's `sim.launch_host_us.w1` read while a 1-warp launch
+/// still paid it) and buys little even when paid: the first worker to wake
+/// drains a short launch before the others are scheduled. The numbers
+/// below are from the sizing of the change (2 vCPUs, 4 workers).
+///
+/// * **Read-only, 64.** Results cannot depend on how the warps interleave,
+///   the pool ran 2 886 of 3 000 launches of 9–32 warps (3 000 of 3 000 at
+///   33–64) on a single slot anyway, and 64 light warps ≈ 64 µs of work
+///   against the ≈ 40 µs hand-off is break-even even on a host with many
+///   idle cores. On a 2-vCPU host the launcher wins far beyond it (query
+///   kernel, 4 workers: 58 warps 32 vs 91 µs, 115 warps 49–57 vs 105–136,
+///   230 warps 87–109 vs 144–202, 460 warps 168–177 vs 186–189, 900 warps
+///   338–382 vs 331–366) — recorded, not exploited.
+/// * **Read-write, 4.** Below five warps the pool's own schedule is serial
+///   a quarter to half of the time already (2, 3, 4 warps: one slot in
+///   50 %, 24 %, 15 % of launches — decided by wake latency, not by the
+///   yield policy), Eirene's update warps own disjoint leaf runs, and a
+///   thread-per-request baseline needs more than 128 requests to exceed
+///   it, so no figure, ablation or contention guard runs a launch this
+///   small. Launches of 5–8 warps use 3–4 slots in 90 % of runs: running
+///   those here would change what runs concurrently, so they stay pooled.
+#[inline]
+pub(crate) fn runs_on_launcher(read_only: bool, num_warps: usize) -> bool {
+    num_warps <= if read_only { 64 } else { 4 }
+}
+
 /// A simulated GPU: a global-memory arena plus a configuration, able to
 /// launch kernels.
 ///
@@ -89,8 +119,10 @@ fn resume_kernel_panic(name: &str, failure: KernelPanic) -> ! {
 /// launch overhead.
 ///
 /// Scheduling: under [`SchedMode::Os`] (default) warps run in parallel on
-/// OS threads. Under [`SchedMode::Deterministic`] the launch serializes
-/// warps beneath a seeded cooperative scheduler
+/// OS threads — except in a launch too small to share (at most 64
+/// read-only or 4 read-write warps), which runs on the thread that issued
+/// it. Under [`SchedMode::Deterministic`] the launch serializes warps
+/// beneath a seeded cooperative scheduler
 /// ([`DetScheduler`](crate::DetScheduler)) so the interleaving — and with
 /// it every conflict, allocation, and statistic — replays bit-for-bit for
 /// a given seed; each launch's warp-grant sequence is captured and can be
@@ -204,11 +236,15 @@ impl Device {
     /// yields a per-launch [`OsScheduler`] takes at [`WarpCtx`] ticks —
     /// coarsely until a warp reports a conflict, at memory-access
     /// granularity while one is live — device-side synchronization exhibits
-    /// real contention regardless of how many host cores exist. In
-    /// deterministic mode warps multiplex over a small **host-independent**
-    /// number of pool slots ([`DeviceConfig::det_workers`]) and a seeded
-    /// scheduler serializes their stepping, so a `(seed, config, kernel)`
-    /// triple replays the same interleaving on any machine.
+    /// real contention regardless of how many host cores exist. A launch of
+    /// at most 64 read-only or 4 read-write warps skips all of that: the
+    /// launching thread runs its warps in warp-id order, without a yield
+    /// (`runs_on_launcher` in this file has the reasons for the two
+    /// numbers). In deterministic mode warps multiplex over a small
+    /// **host-independent** number of pool slots
+    /// ([`DeviceConfig::det_workers`]) and a seeded scheduler serializes
+    /// their stepping, so a `(seed, config, kernel)` triple replays the same
+    /// interleaving on any machine.
     ///
     /// # Panics
     /// If the kernel panics in any warp, the launch re-raises the first
@@ -248,7 +284,10 @@ impl Device {
     /// transaction's logs), which a launch of hundreds of short warps would
     /// otherwise build hundreds of times. How many slots there are, and
     /// which warps share one, is the launcher's business: a kernel's
-    /// results must not depend on what an earlier warp left in `S`.
+    /// results must not depend on what an earlier warp left in `S`, and a
+    /// kernel must not make one warp wait for another to *start* — under
+    /// the deterministic scheduler, and in a launch run by its launching
+    /// thread, the other warp may not run until this one returns.
     /// `read_only` is the declaration of [`launch_read_only`](Self::launch_read_only).
     pub fn launch_with<S, F>(
         &self,
@@ -270,19 +309,17 @@ impl Device {
     }
 
     /// Runs warp `wid` on `slot`; `false` if the kernel panicked (the
-    /// launch keeps its first panic).
-    fn run_warp<S, F>(
+    /// launch keeps its first panic). Every launch runs every warp through
+    /// here.
+    fn run_warp<S>(
         &self,
         run: &LaunchStats<S>,
         slot: &mut Slot<S>,
         sched: &dyn Scheduler,
         read_only: bool,
-        kernel: &F,
+        kernel: impl FnOnce(usize, &mut WarpCtx, &mut S),
         wid: usize,
-    ) -> bool
-    where
-        F: Fn(usize, &mut WarpCtx, &mut S) + Sync,
-    {
+    ) -> bool {
         let Slot {
             stats,
             os_yields,
@@ -294,7 +331,8 @@ impl Device {
         *os_yields += ctx.os_yields();
         match outcome {
             Ok(()) => {
-                // Ordered before `aggregate` by the pool's completion count.
+                // Ordered before `aggregate` by the pool's completion count
+                // (or by program order, on the launching thread).
                 run.warp_cycles[wid].store(ctx.cycles(), Ordering::Relaxed);
                 true
             }
@@ -304,6 +342,30 @@ impl Device {
                 false
             }
         }
+    }
+
+    /// Runs the whole launch on the calling thread: one slot, warps in
+    /// warp-id order, the rest unrun once one panics. Same bookkeeping as a
+    /// pooled launch — [`run_warp`](Self::run_warp) into a one-slot
+    /// [`LaunchStats`], folded by [`aggregate`](Self::aggregate).
+    fn launch_serial<S: Default>(
+        &self,
+        name: &str,
+        num_warps: usize,
+        sched: &dyn Scheduler,
+        read_only: bool,
+        mut kernel: impl FnMut(usize, &mut WarpCtx, &mut S),
+    ) -> KernelStats {
+        let run = LaunchStats::<S>::new(1, num_warps);
+        {
+            let mut slot = run.slots[0].lock().expect("nobody else holds a fresh lock");
+            for wid in 0..num_warps {
+                if !self.run_warp(&run, &mut slot, sched, read_only, &mut kernel, wid) {
+                    break;
+                }
+            }
+        }
+        self.aggregate(name, run)
     }
 
     fn launch_os<S, F>(
@@ -317,8 +379,12 @@ impl Device {
         S: Default + Send,
         F: Fn(usize, &mut WarpCtx, &mut S) + Sync,
     {
-        if num_warps == 0 {
-            return self.aggregate(name, LaunchStats::<S>::new(0, 0));
+        if runs_on_launcher(read_only, num_warps) {
+            // No warp of a serial launch is runnable elsewhere, so no tick
+            // is worth a yield — the read-only regime, whatever the kernel
+            // declared. Neither the pool nor its launch mutex is touched.
+            let sched = OsScheduler::for_launch(true);
+            return self.launch_serial(name, num_warps, &sched, read_only, &kernel);
         }
         // Per launch, so concurrent launches never heat each other.
         let sched = OsScheduler::for_launch(read_only);
@@ -438,7 +504,10 @@ impl Device {
     }
 
     /// Sequential launch, for deterministic debugging and tests that need
-    /// reproducible interleavings (no cross-warp races).
+    /// reproducible interleavings (no cross-warp races): warps run in
+    /// warp-id order on the calling thread in either mode, under the
+    /// out-of-launch scheduler (every tick yields). A kernel panic is
+    /// re-raised as by [`launch`](Self::launch).
     pub fn launch_seq<F>(&self, name: &str, num_warps: usize, mut kernel: F) -> KernelStats
     where
         F: FnMut(usize, &mut WarpCtx),
@@ -449,26 +518,12 @@ impl Device {
     /// [`launch_seq`](Self::launch_seq) with the per-slot state of
     /// [`launch_with`](Self::launch_with): one slot, so every warp is lent
     /// the same `S`.
-    pub fn launch_seq_with<S, F>(&self, name: &str, num_warps: usize, mut kernel: F) -> KernelStats
+    pub fn launch_seq_with<S, F>(&self, name: &str, num_warps: usize, kernel: F) -> KernelStats
     where
         S: Default,
         F: FnMut(usize, &mut WarpCtx, &mut S),
     {
-        let run = LaunchStats::<S>::new(1, num_warps);
-        let mut slot = run.slots[0].lock().expect("nobody else holds a fresh lock");
-        let Slot {
-            stats,
-            os_yields,
-            state,
-        } = &mut *slot;
-        for wid in 0..num_warps {
-            let mut ctx = WarpCtx::new(&self.mem, &self.cfg, wid, stats);
-            kernel(wid, &mut ctx, state);
-            run.warp_cycles[wid].store(ctx.cycles(), Ordering::Relaxed);
-            *os_yields += ctx.os_yields();
-        }
-        drop(slot);
-        self.aggregate(name, run)
+        self.launch_serial(name, num_warps, &OS_SCHEDULER, false, kernel)
     }
 
     /// Folds what a launch recorded into its [`KernelStats`], or re-raises
@@ -635,22 +690,47 @@ mod tests {
     }
 
     #[test]
+    fn small_launches_run_on_the_launcher() {
+        for (read_only, warps, expect) in [
+            (false, 1, true),
+            (false, 4, true),
+            (false, 5, false),
+            (false, 864, false),
+            (true, 1, true),
+            (true, 64, true),
+            (true, 65, false),
+            (true, 864, false),
+        ] {
+            assert_eq!(
+                runs_on_launcher(read_only, warps),
+                expect,
+                "read_only {read_only}, {warps} warps"
+            );
+        }
+    }
+
+    #[test]
     fn kernel_panic_reports_offending_warp() {
         let dev = Device::new(1 << 12, DeviceConfig::test_small());
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            dev.launch("boom", 8, |wid, _ctx| {
-                if wid == 3 {
-                    panic!("injected fault");
-                }
-            });
-        }))
-        .expect_err("launch must propagate the kernel panic");
-        let msg = panic_message(err.as_ref());
-        assert!(
-            msg.contains("warp 3") && msg.contains("injected fault"),
-            "unhelpful panic message: {msg}"
-        );
-        assert!(msg.contains("boom"), "missing kernel name: {msg}");
+        let kernel = |wid: usize, _: &mut WarpCtx| {
+            if wid == 3 {
+                panic!("injected fault");
+            }
+        };
+        for what in ["pooled", "on the launcher", "launch_seq"] {
+            let err = catch_unwind(AssertUnwindSafe(|| match what {
+                "pooled" => dev.launch("boom", 8, kernel),
+                "on the launcher" => dev.launch("boom", 4, kernel),
+                _ => dev.launch_seq("boom", 8, kernel),
+            }))
+            .expect_err("launch must propagate the kernel panic");
+            let msg = panic_message(err.as_ref());
+            assert!(
+                msg.contains("warp 3") && msg.contains("injected fault"),
+                "{what}: unhelpful panic message: {msg}"
+            );
+            assert!(msg.contains("boom"), "{what}: missing kernel name: {msg}");
+        }
     }
 
     #[test]
@@ -702,6 +782,13 @@ mod tests {
                 ctx.read(a);
             });
             assert_eq!(stats.totals.mem_insts, 8);
+            // `launch_seq` shares the runner but declares nothing.
+            dev.launch_seq("seq", 8, |wid, ctx| {
+                if wid == 5 {
+                    ctx.atomic_add(a, 1);
+                }
+            });
+            assert_eq!(dev.mem().read(a), 1);
         }
     }
 

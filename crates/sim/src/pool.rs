@@ -12,12 +12,19 @@
 //! wakes the workers, and waits for an exact completion count. Launch
 //! overhead becomes a few condvar wakes instead of N thread spawns.
 //!
+//! A launch too small for the hand-off to pay for itself never gets here:
+//! at most 64 read-only or 4 read-write warps run on the thread that
+//! launched them (`runs_on_launcher` in `device.rs`), which neither spawns
+//! this pool nor takes its launch mutex. The hand-off costs two condvar
+//! wakes, ≈ 40 µs, and such a launch was drained by the first worker to
+//! wake anyway.
+//!
 //! The same pool serves both scheduling modes:
-//! * OS mode: one item per worker slot; a slot claims warp ids off the
-//!   launch's own counter and runs the kernel closure directly while the
-//!   launching thread waits — the same claimer population as the old
-//!   scoped-thread launch, so OS-mode contention interleavings keep their
-//!   historical distribution.
+//! * OS mode, pooled launches: one item per worker slot; a slot claims warp
+//!   ids off the launch's own counter and runs the kernel closure directly
+//!   while the launching thread waits — the same claimer population as the
+//!   old scoped-thread launch, so OS-mode contention interleavings keep
+//!   their historical distribution.
 //! * Deterministic mode: one item per *det worker slot* (at most the
 //!   host-independent `DeviceConfig::det_workers()`, which never exceeds
 //!   the pool size), each running an assignment loop against the
@@ -130,13 +137,15 @@ impl WorkerPool {
     }
 
     /// Runs `task(idx)` for every `idx in 0..num_items` across the pool.
-    /// Only pool workers claim items — the calling thread just waits, as
-    /// with the old per-launch `thread::scope` substrate. (Having the
-    /// caller claim too would add a claimer the old code never had; on
-    /// few-core hosts it then races ahead of the parked workers and runs
-    /// most warps back-to-back, visibly deflating cross-warp contention
-    /// that conflict-sensitive counters depend on.) Blocks until every
-    /// item has completed.
+    /// Only pool workers claim items of a pooled launch — the calling
+    /// thread just waits, as with the old per-launch `thread::scope`
+    /// substrate. (Having the caller claim too would add a claimer the old
+    /// code never had; on few-core hosts it then races ahead of the parked
+    /// workers and runs most warps back-to-back, visibly deflating
+    /// cross-warp contention that conflict-sensitive counters depend on.
+    /// That door stays closed: the launching thread runs a launch whole, if
+    /// it is small enough, or none of it.) Blocks until every item has
+    /// completed.
     pub fn run(&self, num_items: usize, task: &(dyn Fn(usize) + Sync)) {
         self.run_inner(num_items, task, || {});
     }

@@ -73,7 +73,7 @@ impl<'a> WarpCtx<'a> {
     /// Creates a context under the out-of-launch OS scheduler, which yields
     /// on every tick. Public so lower-level crates can unit-test device code
     /// without a full launch; [`Device::launch_seq`](crate::Device::launch_seq)
-    /// is the one non-test caller.
+    /// runs its warps under the same scheduler.
     pub fn new(
         mem: &'a GlobalMemory,
         cfg: &'a DeviceConfig,

@@ -9,7 +9,7 @@
 //! show, on purpose, is the state a kernel asks it to keep across warps.
 
 use eirene_sim::{Device, DeviceConfig, KernelStats, Phase, TraceEventKind, WarpCtx, WarpStats};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 const WARPS: usize = 24;
 const BLOCK: usize = 16;
@@ -112,50 +112,135 @@ fn shared_accumulators_are_invisible_in_traces_and_response_times() {
         worker_threads: workers,
         ..DeviceConfig::test_small()
     };
-    let launch = |cfg: DeviceConfig, seq: bool| {
-        let dev = Device::new(1 << 12, cfg);
-        let cell = dev.mem().alloc(1);
-        if seq {
-            dev.launch_seq("traced", WARPS, traced_kernel(cell))
-        } else {
-            dev.launch("traced", WARPS, traced_kernel(cell))
+    // The kernel only reads, so it may also be declared read-only: both
+    // sides of each threshold below which a launch runs on its launcher.
+    for (warps, read_only) in [
+        (WARPS, false),
+        (4, false),
+        (5, false),
+        (64, true),
+        (65, true),
+    ] {
+        let launch = |cfg: DeviceConfig, seq: bool| {
+            let dev = Device::new(1 << 12, cfg);
+            let kernel = traced_kernel(dev.mem().alloc(1));
+            if seq {
+                dev.launch_seq("traced", warps, kernel)
+            } else if read_only {
+                dev.launch_read_only("traced", warps, kernel)
+            } else {
+                dev.launch("traced", warps, kernel)
+            }
+        };
+
+        // The reference keeps one `WarpStats` per warp and merges them in
+        // warp order, as every launch used to.
+        let cfg = traced(1);
+        let dev = Device::new(1 << 12, cfg.clone());
+        let kernel = traced_kernel(dev.mem().alloc(1));
+        let mut per_warp = WarpStats::default();
+        for wid in 0..warps {
+            let mut stats = WarpStats::default();
+            kernel(wid, &mut WarpCtx::new(dev.mem(), &cfg, wid, &mut stats));
+            per_warp.merge(&stats);
         }
-    };
+        assert_eq!(per_warp.events.len(), (0..warps).map(|w| w % 3 + 1).sum());
+        assert!(per_warp.events.windows(2).all(|p| p[0].warp <= p[1].warp));
 
-    // The reference keeps one `WarpStats` per warp and merges them in warp
-    // order, as every launch used to.
-    let cfg = traced(1);
-    let dev = Device::new(1 << 12, cfg.clone());
-    let kernel = traced_kernel(dev.mem().alloc(1));
-    let mut per_warp = WarpStats::default();
-    for wid in 0..WARPS {
-        let mut stats = WarpStats::default();
-        kernel(wid, &mut WarpCtx::new(dev.mem(), &cfg, wid, &mut stats));
-        per_warp.merge(&stats);
+        let runs = [
+            ("os, 1 worker", launch(traced(1), false)),
+            ("os, 4 workers", launch(traced(4), false)),
+            (
+                "det",
+                launch(traced(4).with_deterministic_sched(0xACC), false),
+            ),
+            ("seq", launch(traced(1), true)),
+        ];
+        for (mode, stats) in &runs {
+            let what = format!("{mode}, {warps} warps");
+            assert_eq!(stats.totals.events, per_warp.events, "{what}: events");
+            let (got, want) = (&stats.totals.latency, &per_warp.latency);
+            assert_eq!(
+                (got.min(), got.max(), got.sum(), got.count()),
+                (want.min(), want.max(), want.sum(), want.count()),
+                "{what}: response times"
+            );
+            assert_eq!(stats.totals, per_warp, "{what}: totals");
+            assert_eq!(stats.makespan_cycles, runs[0].1.makespan_cycles, "{what}");
+        }
     }
-    assert_eq!(per_warp.events.len(), (0..WARPS).map(|w| w % 3 + 1).sum());
-    assert!(per_warp.events.windows(2).all(|p| p[0].warp <= p[1].warp));
+}
 
-    let runs = [
-        ("os, 1 worker", launch(traced(1), false)),
-        ("os, 4 workers", launch(traced(4), false)),
-        (
-            "det",
-            launch(traced(4).with_deterministic_sched(0xACC), false),
-        ),
-        ("seq", launch(traced(1), true)),
-    ];
-    for (what, stats) in &runs {
-        assert_eq!(stats.totals.events, per_warp.events, "{what}: events");
-        let (got, want) = (&stats.totals.latency, &per_warp.latency);
-        assert_eq!(
-            (got.min(), got.max(), got.sum(), got.count()),
-            (want.min(), want.max(), want.sum(), want.count()),
-            "{what}: response times"
-        );
-        assert_eq!(stats.totals, per_warp, "{what}: totals");
-        assert_eq!(stats.makespan_cycles, runs[0].1.makespan_cycles, "{what}");
+/// A launch at or below the threshold of its kind runs every warp on the
+/// thread that issued it, in warp-id order, without a yield; one warp more
+/// and no warp does.
+#[test]
+fn small_launches_run_on_the_launching_thread() {
+    let dev = Device::new(
+        1 << 12,
+        DeviceConfig {
+            worker_threads: 4,
+            ..DeviceConfig::test_small()
+        },
+    );
+    let cell = dev.mem().alloc(1);
+    let launcher = std::thread::current().id();
+    for (read_only, threshold) in [(false, 4), (true, 64)] {
+        for warps in [1, threshold, threshold + 1] {
+            let ran_on = Mutex::new(Vec::new());
+            let yields_before = dev.os_yields();
+            let stats = dev.launch_with("who", warps, read_only, |wid, ctx, _: &mut ()| {
+                // Enough ticks that a pooled read-write launch would yield.
+                for _ in 0..200 {
+                    ctx.read(cell);
+                }
+                ran_on
+                    .lock()
+                    .unwrap()
+                    .push((wid, std::thread::current().id()));
+            });
+            assert_eq!(stats.totals.mem_insts, 200 * warps as u64);
+            let ran_on = ran_on.into_inner().unwrap();
+            let what = format!("read_only {read_only}, {warps} warps");
+            if warps <= threshold {
+                let expect: Vec<_> = (0..warps).map(|wid| (wid, launcher)).collect();
+                assert_eq!(ran_on, expect, "{what}");
+                assert_eq!(dev.os_yields(), yields_before, "{what}: yielded");
+            } else {
+                assert_eq!(ran_on.len(), warps, "{what}");
+                assert!(ran_on.iter().all(|&(_, t)| t != launcher), "{what}");
+            }
+        }
     }
+}
+
+/// Two threads issuing small launches on one device do not wait for each
+/// other: each launch's first warp blocks until the other launch has
+/// started too, which a shared launch mutex would turn into a deadlock.
+#[test]
+fn concurrent_small_launches_do_not_serialise() {
+    let dev = Device::new(1 << 12, DeviceConfig::test_small());
+    let cells = dev.mem().alloc(2);
+    let both_running = Barrier::new(2);
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let (dev, both_running) = (&dev, &both_running);
+            s.spawn(move || {
+                for round in 0..20 {
+                    let stats = dev.launch("small", 4, |wid, ctx| {
+                        if wid == 0 {
+                            both_running.wait();
+                        }
+                        ctx.atomic_add(cells + t, 1);
+                    });
+                    assert_eq!(stats.warps, 4, "thread {t}, round {round}");
+                    assert_eq!(stats.totals.atomic_insts, 4, "thread {t}, round {round}");
+                }
+            });
+        }
+    });
+    assert_eq!(dev.mem().read(cells), 80);
+    assert_eq!(dev.mem().read(cells + 1), 80);
 }
 
 /// Per-slot state that reports, when its slot lets go of it, which warps it
@@ -178,14 +263,21 @@ fn slot_state_is_lent_to_every_warp_of_its_slot_and_dropped_once() {
         worker_threads: n,
         ..DeviceConfig::test_small()
     };
-    // (mode, config, sequential launch?, worker slots the launch must use)
+    // (mode, config, sequential launch?, warps, slots the launch must use)
     let modes = [
-        ("os, 1 worker", workers(1), false, 1),
-        ("os, 4 workers", workers(4), false, 4),
-        ("det", workers(4).with_deterministic_sched(0x1E47), false, 4),
-        ("seq", workers(4), true, 1),
+        ("os, 1 worker", workers(1), false, WARPS, 1),
+        ("os, 4 workers", workers(4), false, WARPS, 4),
+        ("os, 4 workers, on the launcher", workers(4), false, 4, 1),
+        (
+            "det",
+            workers(4).with_deterministic_sched(0x1E47),
+            false,
+            WARPS,
+            4,
+        ),
+        ("seq", workers(4), true, WARPS, 1),
     ];
-    for (what, cfg, seq, slots) in modes {
+    for (what, cfg, seq, warps, slots) in modes {
         let dev = Device::new(1 << 12, cfg);
         let cell = dev.mem().alloc(1);
         let kernel = |wid: usize, ctx: &mut WarpCtx, lent: &mut Lent| {
@@ -195,20 +287,20 @@ fn slot_state_is_lent_to_every_warp_of_its_slot_and_dropped_once() {
             lent.0.push(wid);
         };
         let stats = if seq {
-            dev.launch_seq_with("lend", WARPS, kernel)
+            dev.launch_seq_with("lend", warps, kernel)
         } else {
-            dev.launch_with("lend", WARPS, false, kernel)
+            dev.launch_with("lend", warps, false, kernel)
         };
-        assert_eq!(stats.totals.mem_insts, 40 * WARPS as u64, "{what}");
+        assert_eq!(stats.totals.mem_insts, 40 * warps as u64, "{what}");
         // The launch has returned, so every slot has dropped its state.
         let returned = std::mem::take(&mut *RETURNED.lock().unwrap());
         assert_eq!(returned.len(), slots, "{what}: one drop per slot");
         let mut lent_to: Vec<usize> = returned.iter().flatten().copied().collect();
         lent_to.sort_unstable();
-        assert!(lent_to.iter().copied().eq(0..WARPS), "{what}: {returned:?}");
+        assert!(lent_to.iter().copied().eq(0..warps), "{what}: {returned:?}");
         if slots == 1 {
-            // One slot claims warp ids in order (OS, sequential).
-            assert!(returned[0].iter().copied().eq(0..WARPS), "{what}");
+            // One slot claims warp ids in order (OS, launcher, sequential).
+            assert!(returned[0].iter().copied().eq(0..warps), "{what}");
         }
     }
 }
