@@ -286,12 +286,12 @@ fn render_dashboard(label: &str, device: &DeviceConfig, collector: &SeriesCollec
         return;
     }
     eprintln!(
-        "monitor[{label}] t={secs:.1}s  {:>5} {:>6} {:>10} {:>6} {:>6} {:>5} {:>4} {:>8} {:>7} {:>4} {:>8} {:>7} {:>8} {:>5} {:>4} {:>8} {:>9} {:>9}  closed full/linger/idle/drain",
+        "monitor[{label}] t={secs:.1}s  {:>5} {:>6} {:>10} {:>6} {:>6} {:>5} {:>4} {:>8} {:>7} {:>4} {:>8} {:>7} {:>8} {:>5} {:>4} {:>8} {:>9} {:>9}  closed full/linger/idle/returned/drain",
         "shard", "epoch", "clock(us)", "batch", "queue", "pend", "lag", "keys", "nodes", "retd", "dsaved", "pvhit", "enq", "shed", "tmo", "done", "p50(us)", "p99(us)",
     );
     for s in &latest {
         eprintln!(
-            "monitor[{label}] t={secs:.1}s  {:>5} {:>6} {:>10.1} {:>6} {:>6} {:>5} {:>4} {:>8} {:>7} {:>4} {:>8} {:>7} {:>8} {:>5} {:>4} {:>8} {:>9.1} {:>9.1}  {}/{}/{}/{}",
+            "monitor[{label}] t={secs:.1}s  {:>5} {:>6} {:>10.1} {:>6} {:>6} {:>5} {:>4} {:>8} {:>7} {:>4} {:>8} {:>7} {:>8} {:>5} {:>4} {:>8} {:>9.1} {:>9.1}  {}/{}/{}/{}/{}",
             s.shard,
             s.epoch,
             cycles_to_us(device, s.clock_cycles),
@@ -313,6 +313,7 @@ fn render_dashboard(label: &str, device: &DeviceConfig, collector: &SeriesCollec
             s.closed.full,
             s.closed.linger,
             s.closed.idle,
+            s.closed.returned,
             s.closed.drain,
         );
     }

@@ -65,8 +65,8 @@ pub(crate) struct ShardMetrics {
     /// Per-tenant shed counters; `tenant_shed[t]` sums into `shed`.
     pub tenant_shed: Vec<MetricId>,
     /// Epochs by close cause, indexed by [`CloseCause`]; bumped together
-    /// with `epochs`, so the four always sum to it.
-    closed: [MetricId; 4],
+    /// with `epochs`, so the five always sum to it.
+    closed: [MetricId; 5],
 }
 
 /// Why the combiner stopped gathering an epoch and handed it over.
@@ -76,14 +76,18 @@ pub(crate) enum CloseCause {
     Full,
     /// `linger` elapsed on a partial epoch (at once when it is zero).
     Linger,
-    /// The executor had sat idle for one epoch's service time.
+    /// The executor had sat idle for one epoch's service time: the grace
+    /// ran out.
     Idle,
+    /// The executor sat idle and every caller the last epoch released had
+    /// pushed again: nothing more could join.
+    Returned,
     /// The queue closed (shutdown): whatever was gathered goes out.
     Drain,
 }
 
 /// Executed epochs by the reason their combiner closed them (cumulative).
-/// The four counts sum to the shard's epoch count at every sample.
+/// The five counts sum to the shard's epoch count at every sample.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CloseCounts {
     /// Batch target reached.
@@ -92,15 +96,21 @@ pub struct CloseCounts {
     /// partial epoch (every partial epoch when it is zero).
     pub linger: u64,
     /// Closed early: the executor had been idle for one epoch's service
-    /// time, so lingering on would only have added latency.
+    /// time (the grace ran out), so lingering on would only have added
+    /// latency.
     pub idle: u64,
+    /// Closed earlier still: the executor was idle and as many submissions
+    /// had arrived since the previous epoch's tickets began to resolve as
+    /// that epoch carried — in a closed loop, everyone who could still
+    /// join had.
+    pub returned: u64,
     /// Queue closed at shutdown with entries still gathered.
     pub drain: u64,
 }
 
 impl CloseCounts {
     pub fn total(&self) -> u64 {
-        self.full + self.linger + self.idle + self.drain
+        self.full + self.linger + self.idle + self.returned + self.drain
     }
 }
 
@@ -132,6 +142,7 @@ impl ShardMetrics {
             "closed_full",
             "closed_linger",
             "closed_idle",
+            "closed_returned",
             "closed_drain",
         ]
         .map(|name| reg.register_counter(name));
@@ -167,11 +178,12 @@ impl ShardMetrics {
     }
 
     pub fn closed(&self) -> CloseCounts {
-        let [full, linger, idle, drain] = self.closed.map(|id| self.reg.get(id));
+        let [full, linger, idle, returned, drain] = self.closed.map(|id| self.reg.get(id));
         CloseCounts {
             full,
             linger,
             idle,
+            returned,
             drain,
         }
     }
@@ -304,9 +316,9 @@ pub struct ShardSample {
     pub max_queue_depth: u64,
     /// Cumulative epochs by close cause; sums to the epochs executed so
     /// far. The signal a dashboard watches to see *why* batches are the
-    /// size they are: mostly `idle` under light closed-loop load, `full`
-    /// under backlog, `linger` when arrivals trickle in behind a busy
-    /// executor.
+    /// size they are: mostly `returned` under closed-loop load, `idle`
+    /// when callers come and go, `full` under backlog, `linger` when
+    /// arrivals trickle in behind a busy executor.
     pub closed: CloseCounts,
     /// Completion-latency histogram of *this epoch's* entries.
     pub epoch_latency: CycleHistogram,
@@ -350,6 +362,7 @@ impl ShardSample {
             ("closed_full", JsonValue::from(self.closed.full)),
             ("closed_linger", JsonValue::from(self.closed.linger)),
             ("closed_idle", JsonValue::from(self.closed.idle)),
+            ("closed_returned", JsonValue::from(self.closed.returned)),
             ("closed_drain", JsonValue::from(self.closed.drain)),
             (
                 "epoch_latency",
@@ -881,9 +894,10 @@ mod tests {
         assert_eq!(m.get(m.batch_target), 0);
         m.record_epoch(CloseCause::Idle);
         m.record_epoch(CloseCause::Idle);
+        m.record_epoch(CloseCause::Returned);
         m.record_epoch(CloseCause::Drain);
         let closed = m.closed();
-        assert_eq!((closed.idle, closed.drain), (2, 1));
+        assert_eq!((closed.idle, closed.returned, closed.drain), (2, 1, 1));
         assert_eq!(closed.total(), m.get(m.epochs));
         // Even tenant-less services carry the implicit tenant 0.
         assert_eq!(ShardMetrics::new(0).tenant_shed.len(), 1);

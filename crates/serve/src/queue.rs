@@ -74,6 +74,14 @@ struct QueueState {
     closed: bool,
     /// Set by [`IngressQueue::wake`], consumed by the next `drain`.
     woken: bool,
+    /// Successful push calls by submitters (ingress or lane), cumulative:
+    /// one per call, however many entries it carried; a refused push, one
+    /// that met a closed queue, or a peer combiner's
+    /// [`forward`](Reservation::forward) does not count. A closed-loop
+    /// caller comes back with exactly one such call per shard it touches
+    /// (a lone `submit` of a split range: one per part), which is what
+    /// the combiner's `Returned` exit counts.
+    pushes: u64,
     /// Tenant lanes (QoS mode only).
     lanes: Option<LaneSet>,
 }
@@ -92,6 +100,10 @@ impl QueueState {
 #[derive(Debug)]
 pub(crate) struct Drained {
     pub entries: Vec<Entry>,
+    /// [`IngressQueue::pushes`] under the same lock as the pop: with an
+    /// unbounded `max`, every ingress push it counts has all its entries
+    /// in `entries` or in an earlier drain.
+    pub pushes: u64,
     /// The queue is closed and nothing more will ever come (lanes
     /// included): the combiner may finish once its reorder stage is
     /// empty too.
@@ -129,7 +141,16 @@ impl Reservation<'_> {
     pub(crate) fn push(&mut self, entry: Entry) -> Result<usize, Entry> {
         debug_assert!(self.count >= 1, "push on an exhausted Reservation");
         self.count -= 1;
-        self.queue.fill_reserved(entry)
+        self.queue.fill_reserved(entry, true)
+    }
+
+    /// [`push`](Reservation::push) for a peer shard's combiner handing an
+    /// entry on: no caller came back with it, so it is not counted in
+    /// [`IngressQueue::pushes`].
+    pub(crate) fn forward(&mut self, entry: Entry) -> Result<usize, Entry> {
+        debug_assert!(self.count >= 1, "forward on an exhausted Reservation");
+        self.count -= 1;
+        self.queue.fill_reserved(entry, false)
     }
 
     /// Fills `entries.len()` reserved slots under one lock acquisition.
@@ -190,6 +211,12 @@ impl IngressQueue {
         self.state.lock().unwrap().entries.len()
     }
 
+    /// Cumulative successful submitter push calls, ingress and lane: one
+    /// per call.
+    pub(crate) fn pushes(&self) -> u64 {
+        self.state.lock().unwrap().pushes
+    }
+
     /// Atomically reserves `n` slots (all or nothing). Returns `None` on
     /// a closed queue or insufficient room; concurrent reservers can
     /// never jointly over-commit the capacity.
@@ -233,7 +260,7 @@ impl IngressQueue {
         self.not_full.notify_all();
     }
 
-    fn fill_reserved(&self, entry: Entry) -> Result<usize, Entry> {
+    fn fill_reserved(&self, entry: Entry, counted: bool) -> Result<usize, Entry> {
         let mut st = self.state.lock().unwrap();
         debug_assert!(st.reserved >= 1, "push_reserved without a reservation");
         st.reserved -= 1;
@@ -241,6 +268,7 @@ impl IngressQueue {
             return Err(entry);
         }
         st.entries.push_back(entry);
+        st.pushes += u64::from(counted);
         self.not_empty.notify_one();
         Ok(st.entries.len())
     }
@@ -254,6 +282,7 @@ impl IngressQueue {
             return Err(entries);
         }
         st.entries.extend(entries);
+        st.pushes += 1;
         self.not_empty.notify_one();
         Ok((n, st.entries.len()))
     }
@@ -269,6 +298,7 @@ impl IngressQueue {
             return Err(entry);
         }
         st.entries.push_back(entry);
+        st.pushes += 1;
         self.not_empty.notify_one();
         Ok(st.entries.len())
     }
@@ -298,6 +328,7 @@ impl IngressQueue {
             pushed += 1;
             high = high.max(st.entries.len());
         }
+        st.pushes += 1;
         self.not_empty.notify_one();
         Ok((pushed, high))
     }
@@ -309,6 +340,7 @@ impl IngressQueue {
         let lanes = st.lanes.as_mut().expect("push_lane without lanes");
         let res = lanes.push(tenant, entry);
         if res.is_ok() {
+            st.pushes += 1;
             self.not_empty.notify_one();
         }
         res
@@ -333,6 +365,7 @@ impl IngressQueue {
             }
         }
         if accepted > 0 {
+            st.pushes += 1;
             self.not_empty.notify_one();
         }
         (accepted, reject)
@@ -454,6 +487,7 @@ impl IngressQueue {
         }
         Drained {
             entries,
+            pushes: st.pushes,
             finished: st.closed && st.entries.is_empty() && st.lane_pending() == 0,
         }
     }
@@ -592,6 +626,48 @@ mod tests {
         let (pushed, depth) = r.push_many(vec![entry(0), entry(1), entry(2)]).unwrap();
         assert_eq!((pushed, depth), (3, 3));
         assert_eq!(drain_ts(&q, 8), [0, 1, 2]);
+    }
+
+    #[test]
+    fn every_push_path_counts_one_per_successful_call() {
+        let qos = QosConfig::uniform(1, 2);
+        let q = IngressQueue::with_lanes(9, &qos);
+        assert_eq!(q.pushes(), 0);
+        q.try_reserve(1).unwrap().push(entry(0)).unwrap();
+        assert_eq!(q.pushes(), 1);
+        let mut r = q.try_reserve(3).unwrap();
+        r.push_many(vec![entry(1), entry(2), entry(3)]).unwrap();
+        assert_eq!(q.pushes(), 2, "a bulk fill is one call");
+        q.push_blocking(entry(4)).unwrap();
+        q.push_blocking_many(vec![entry(5), entry(6)]).unwrap();
+        assert_eq!(q.pushes(), 4);
+        q.push_lane(0, entry(u64::MAX)).unwrap();
+        assert_eq!(q.pushes(), 5);
+        // A peer combiner's forward lands the entry but is nobody's return.
+        q.try_reserve(1).unwrap().forward(entry(7)).unwrap();
+        assert_eq!((q.pushes(), q.depth()), (5, 8));
+        // One lane slot left: the bulk push lands one entry and counts
+        // once; the next is refused whole and does not count.
+        let (accepted, _) = q.push_lane_many(0, vec![entry(u64::MAX), entry(u64::MAX)]);
+        assert_eq!((accepted, q.pushes()), (1, 6));
+        assert!(q.push_lane(0, entry(u64::MAX)).is_err());
+        let (accepted, _) = q.push_lane_many(0, vec![entry(u64::MAX)]);
+        assert_eq!((accepted, q.pushes()), (0, 6));
+        // Reserving, cancelling and draining are not pushes, and the drain
+        // reports the count it ran under.
+        drop(q.try_reserve(1).unwrap());
+        let d = q.drain(usize::MAX, Some(Duration::ZERO));
+        assert_eq!((d.entries.len(), d.pushes, q.pushes()), (8, 6, 6));
+        // Nothing lands on a closed queue, through any door.
+        let mut r = q.try_reserve(4).unwrap();
+        q.close();
+        assert!(r.push(entry(8)).is_err());
+        assert!(r.forward(entry(8)).is_err());
+        assert!(r.push_many(vec![entry(8), entry(9)]).is_err());
+        assert!(q.push_blocking(entry(10)).is_err());
+        assert!(q.push_blocking_many(vec![entry(11)]).is_err());
+        assert!(q.push_lane(0, entry(u64::MAX)).is_err());
+        assert_eq!(q.pushes(), 6);
     }
 
     #[test]

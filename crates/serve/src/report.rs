@@ -23,6 +23,10 @@ pub struct ShardReport {
     pub enqueued: u64,
     /// Entries that executed in some epoch.
     pub executed: u64,
+    /// Epochs whose first timestamp did not exceed the previous epoch's
+    /// last: the order the combiner's reorder stage exists to keep, and
+    /// what the service's linearizability rests on. Always 0.
+    pub epoch_order_violations: u64,
     /// Requests shed because this shard's queue was full.
     pub shed: u64,
     /// Entries whose deadline expired before their epoch formed.
@@ -260,6 +264,11 @@ impl ServeReport {
                 s.closed.total(),
                 s.epochs,
                 "shard {}: every epoch closes for exactly one cause",
+                s.shard
+            );
+            assert_eq!(
+                s.epoch_order_violations, 0,
+                "shard {}: successive epochs must be timestamp-ordered",
                 s.shard
             );
             assert!(

@@ -60,9 +60,10 @@
 //! # When an epoch closes
 //!
 //! A combiner that has gathered at least one entry hands the epoch over
-//! at the first of three exits ([`linger_step`] decides the last two):
-//! the batch target is reached; [`ServeConfig::linger`] has elapsed; or
-//! the executor is *idle* and has been for one epoch's smoothed service
+//! at the first of four exits ([`linger_step`] decides the last three):
+//! the batch target is reached; [`ServeConfig::linger`] has elapsed; the
+//! executor is *idle* and every caller the last epoch released is back;
+//! or the executor is idle and has been for one epoch's smoothed service
 //! time. While the executor is busy, gathering costs nothing — the epoch
 //! could not start anyway — so the combiner batches what arrives, as the
 //! paper's combiner does. Once it is idle, every further microsecond of
@@ -75,6 +76,49 @@
 //! spent when the executor frees up, go out alone, and leave the clients
 //! that epoch just released to form their own half-sized epoch behind
 //! it — forever.
+//!
+//! The grace is a guess at how long the released callers take to come
+//! back; the third exit counts them instead. Just before it resolves an
+//! epoch's first ticket the executor publishes how many distinct
+//! submissions the epoch carried (`released`) and the shard queue's
+//! cumulative push-call count at that instant (`pushes_at_release`). A
+//! caller blocked on those tickets cannot push again before that
+//! snapshot, and comes back with one push call, so once the queue has
+//! seen `released` more calls — and all of them are drained and
+//! gathered — a closed loop has nobody left to wait for, and the epoch
+//! closes `Returned` without sitting out the grace. The count is of
+//! returns *since release*, not of callers *gathered*: a window that
+//! arrived mid-epoch is already gathered when the executor frees up and
+//! was pushed before the snapshot, so it does not count — it waits for
+//! the caller just released and the two stay merged. (Closing "once as
+//! many callers are gathered as the last epoch carried" lets that window
+//! leave alone, sets the bar to one, and locks the clients out of phase
+//! for good.) A count that comes up short — a caller that went away, QoS
+//! lanes whose timestamps are drawn here so one submission is not one
+//! adjacent run, a window cut by the batch target — only falls back to
+//! the grace, never past it; an open-loop arrival that is mistaken for a
+//! return closes an epoch the executor was idle for anyway (argued, not
+//! measured: the benchmark has no open-loop serve workload). Pushes a
+//! peer's combiner forwards here (lane entries a rebalance re-homed, the
+//! peer parts of a lane-staged split range) are nobody's return and are
+//! not counted.
+//!
+//! Between the count being reached and its last entry being gathered the
+//! grace does not close the epoch either. Those entries sit in the
+//! reorder heap above the watermark, held back until their submitter has
+//! enqueued the rest of its window — microseconds, unless it lost its CPU
+//! on the way, which on a busy host is routine — and the grace, a guess
+//! at whether the released callers will come back, has nothing left to
+//! guess once the count says they have: closing ahead of them makes a
+//! half-sized epoch now, another right behind it, and a bar of one that
+//! keeps it so. This is the one place an idle executor waits longer than
+//! `min(linger, service time)`: for as long as the parked entries
+//! themselves have to (they cannot run before that slot clears, in this
+//! epoch or any other), within `linger`. A submitter holds its slot only
+//! while it also holds the topology read lock, so a rebalance — which
+//! quiesces a shard under the write lock — never finds a combiner waiting
+//! this way; staged lane entries, which the combiner cannot admit during
+//! a rebalance, keep the `Returned` exit shut but not the grace.
 
 use crate::control::{BatchController, EpochFeedback, EpochSizing};
 use crate::lane::{LaneReject, QosConfig, TenantId};
@@ -82,7 +126,7 @@ use crate::observe::{
     CloseCause, LatencySummary, ObserveConfig, ServiceObserver, ShardMetrics, ShardSample,
     SloBreach, SloMonitor,
 };
-use crate::queue::{AdmitPolicy, Drained, Entry, IngressQueue};
+use crate::queue::{AdmitPolicy, Entry, IngressQueue};
 use crate::rebalance::{
     decide, Decision, RebalanceAction, RebalanceEvent, RebalanceKind, RebalanceShared,
     RebalanceSpec, Wake,
@@ -169,10 +213,14 @@ pub struct ServeConfig {
     pub policy: AdmitPolicy,
     /// Upper bound on how long a combiner waits for an epoch to fill
     /// toward the batch target once it has at least one request; the
-    /// combiner closes earlier once its executor has been idle for one
-    /// epoch's service time (see "When an epoch closes" in the `service`
-    /// module docs). Zero never waits. A value too large to add to the
-    /// clock (`Duration::MAX`) means "until full or the executor idles".
+    /// combiner closes earlier once its executor is idle and either every
+    /// caller the last epoch released has submitted again or one epoch's
+    /// service time has passed (see "When an epoch closes" in the
+    /// `service` module docs). Zero never waits. A value too large to add to the
+    /// clock (`Duration::MAX`) means "until full or the executor idles" —
+    /// where an idle executor whose released callers are all back waits
+    /// for the last of them to finish its submission call, however long
+    /// that takes, instead of for the service time.
     pub linger: Duration,
     /// Start with the epoch gate held: combiners do not consume until
     /// [`Service::release`]. Tests use this to make epoch composition
@@ -251,6 +299,15 @@ struct ExecutorState {
     /// Smoothed host service time per epoch, from receipt to the last
     /// ticket resolved. `None` until the first epoch has been measured.
     service: Option<Duration>,
+    /// Distinct submissions in the epoch whose tickets resolved last: the
+    /// callers it released. 0 until an epoch has resolved.
+    released: u64,
+    /// The shard queue's cumulative push-call count
+    /// ([`IngressQueue::pushes`]) just before the first of those tickets
+    /// resolved. A released caller can only push after this snapshot, so
+    /// `pushes - pushes_at_release` counts the ones that are back (and
+    /// whoever else arrived since).
+    pushes_at_release: u64,
 }
 
 impl ShardState {
@@ -270,6 +327,18 @@ impl ShardState {
     /// matching [`epoch_finished`](Self::epoch_finished) never runs first.
     fn epoch_handed_over(&self) {
         self.executor.lock().unwrap().inflight += 1;
+    }
+
+    /// Executor side: call *before* the epoch's first ticket resolves — a
+    /// released caller can be back before [`epoch_finished`] runs, and its
+    /// push must land after the snapshot to count as a return.
+    ///
+    /// [`epoch_finished`]: Self::epoch_finished
+    fn epoch_releasing(&self, released: u64) {
+        let pushes = self.queue.pushes();
+        let mut ex = self.executor.lock().unwrap();
+        ex.released = released;
+        ex.pushes_at_release = pushes;
     }
 
     /// Executor side: folds one epoch's service time into the smoothed
@@ -937,6 +1006,11 @@ struct Epoch {
     entries: Vec<Entry>,
     /// Why the combiner stopped gathering.
     close: CloseCause,
+    /// Distinct submissions among `entries`: runs of adjacent entries
+    /// sharing one ticket block (a `submit_many` draws one contiguous
+    /// timestamp block, so in an ascending epoch its entries are
+    /// adjacent). What [`ExecutorState::released`] is set from.
+    released: u64,
     /// Ingress-queue depth left behind after forming this epoch. Always
     /// snapshotted (cheap): the adaptive controller feeds on it even with
     /// observability off.
@@ -1376,8 +1450,10 @@ fn combiner_loop(
     let mut heap: BinaryHeap<Reverse<ByTs>> = BinaryHeap::new();
     let mut finished = false;
     let heap_target = controller.max_target().saturating_mul(2).max(64);
-    // The watermark the last drain ran under.
+    // The watermark the last drain ran under, and the queue's push-call
+    // count as that drain left it.
     let mut drained_wm = 0u64;
+    let mut pushes = 0u64;
     let mut stalls = 0u32;
     let qos = inner.qos.enabled();
     loop {
@@ -1407,12 +1483,10 @@ fn combiner_loop(
             } else {
                 Some(Duration::ZERO)
             };
-            let Drained {
-                entries,
-                finished: f,
-            } = state.queue.drain(usize::MAX, wait);
-            finished = f;
-            heap.extend(entries.into_iter().map(|e| Reverse(ByTs(e))));
+            let drained = state.queue.drain(usize::MAX, wait);
+            finished = drained.finished;
+            pushes = drained.pushes;
+            heap.extend(drained.entries.into_iter().map(|e| Reverse(ByTs(e))));
             drained_wm = fresh;
             fresh
         };
@@ -1444,7 +1518,13 @@ fn combiner_loop(
             let mut stuck = 0u32;
             while ready.len() < batch_limit && !finished {
                 let now = Instant::now();
-                let wake = match linger_step(now, start, linger, state.executor()) {
+                // Everything `pushes` counts is gathered once nothing is
+                // short of `ready`: parked in the heap, or (by a counted
+                // lane push) staged in the lanes.
+                let staged = if qos { state.queue.lane_pending() } else { 0 };
+                let executor = state.executor();
+                let step = linger_step(now, start, linger, executor, pushes, heap.len(), staged);
+                let wake = match step {
                     LingerStep::Close(cause) => {
                         lingered = cause;
                         break;
@@ -1472,12 +1552,10 @@ fn combiner_loop(
                     Duration::ZERO
                 };
                 let wm = inner.watermark();
-                let Drained {
-                    entries,
-                    finished: f,
-                } = state.queue.drain(usize::MAX, Some(wait));
-                finished = f;
-                heap.extend(entries.into_iter().map(|e| Reverse(ByTs(e))));
+                let drained = state.queue.drain(usize::MAX, Some(wait));
+                finished = drained.finished;
+                pushes = drained.pushes;
+                heap.extend(drained.entries.into_iter().map(|e| Reverse(ByTs(e))));
                 drained_wm = wm;
                 if qos && !finished {
                     // A lane arrival also wakes the drain; admit it (its
@@ -1531,11 +1609,16 @@ fn combiner_loop(
                 inflight: inner.inflight.occupancy(),
             }
         });
+        let released = 1 + live
+            .windows(2)
+            .filter(|w| !w[0].completion.same_submission(&w[1].completion))
+            .count() as u64;
         let epoch = Epoch {
             batch,
             plan,
             entries: live,
             close,
+            released,
             queue_depth: state.queue.depth() as u64,
             reorder_pending: heap.len() as u64,
             lane_depth: if qos {
@@ -1646,7 +1729,7 @@ fn admit_lanes(
                         let tenant = entry.tenant;
                         let peer = &inner.shards[s];
                         match peer.queue.try_reserve(1) {
-                            Some(mut grant) => match grant.push(entry) {
+                            Some(mut grant) => match grant.forward(entry) {
                                 Ok(depth) => peer.record_enqueue(1, depth),
                                 Err(e) => e.completion.resolve_fail(Outcome::Rejected),
                             },
@@ -1726,7 +1809,7 @@ fn admit_lane_split(
             match grants
                 .next()
                 .expect("one grant per peer part")
-                .push(part_entry)
+                .forward(part_entry)
             {
                 Ok(depth) => peer.record_enqueue(1, depth),
                 Err(e) => e.completion.resolve_fail(Outcome::Rejected),
@@ -1767,30 +1850,48 @@ enum LingerStep {
 /// that began gathering at `start` should close its partial epoch at
 /// `now`. `linger` always bounds the wait (unbounded if `start + linger`
 /// overflows the clock). Short of that the epoch closes only while the
-/// executor is idle, `min(linger, service time)` after the later of
-/// `start` and the instant it went idle; a busy executor, or one that has
-/// not measured an epoch yet, waits out the linger.
+/// executor is idle. `Returned`, at once, when every caller the last epoch
+/// released is back: `pushes` (the queue's push-call count as of the
+/// combiner's last drain) has moved `released` past `pushes_at_release`,
+/// and nothing it counts is still short of the gathered epoch — `parked`
+/// in the reorder heap or `staged` in the lanes. `Idle` otherwise, one
+/// grace — `min(linger, service time)` — after the later of `start` and
+/// the instant it went idle; except that with all of them back and some
+/// still parked, the wait is for those (module docs). A busy executor, or
+/// one that has not measured an epoch yet, waits out the linger.
 fn linger_step(
     now: Instant,
     start: Instant,
     linger: Duration,
     executor: ExecutorState,
+    pushes: u64,
+    parked: usize,
+    staged: usize,
 ) -> LingerStep {
     let deadline = start.checked_add(linger);
     if deadline.is_some_and(|d| now >= d) {
         return LingerStep::Close(CloseCause::Linger);
     }
-    let grace_end = match (executor.inflight, executor.service) {
-        (0, Some(service)) => executor
-            .idle_since
-            .map_or(start, |idle| idle.max(start))
-            .checked_add(service.min(linger)),
-        _ => None,
+    let (0, Some(service)) = (executor.inflight, executor.service) else {
+        return LingerStep::WakeAt(deadline);
     };
+    // A drain older than the snapshot reads as nobody back yet.
+    let returned = pushes.saturating_sub(executor.pushes_at_release);
+    let all_back = executor.released > 0 && returned >= executor.released;
+    if all_back && parked + staged == 0 {
+        return LingerStep::Close(CloseCause::Returned);
+    }
+    let grace_end = executor
+        .idle_since
+        .map_or(start, |idle| idle.max(start))
+        .checked_add(service.min(linger));
     match grace_end {
-        Some(end) if now >= end => LingerStep::Close(CloseCause::Idle),
-        Some(end) => LingerStep::WakeAt(Some(deadline.map_or(end, |d| d.min(end)))),
-        None => LingerStep::WakeAt(deadline),
+        // The grace guesses how long the released callers take to come
+        // back. With all of them back and one still enqueueing, there is
+        // nothing left to guess: closing ahead of it is how windows split.
+        Some(end) if now >= end && !(all_back && parked > 0) => LingerStep::Close(CloseCause::Idle),
+        Some(end) if now < end => LingerStep::WakeAt(Some(deadline.map_or(end, |d| d.min(end)))),
+        _ => LingerStep::WakeAt(deadline),
     }
 }
 
@@ -1833,8 +1934,10 @@ fn executor_loop(
         .then(|| observe.slo.map(SloMonitor::new))
         .flatten();
     let mut breaches: Vec<SloBreach> = Vec::new();
-    // Last timestamp of the previous epoch (debug builds check the order).
+    // Last timestamp of the previous epoch, and how often the next one did
+    // not start above it (the report carries the count; debug builds stop).
     let mut last_ts = None;
+    let mut epoch_order_violations = 0u64;
     while let Ok(msg) = rx.recv() {
         let epoch = match msg {
             ExecMsg::Epoch(epoch) => *epoch,
@@ -1896,6 +1999,7 @@ fn executor_loop(
         // What the reorder stage exists for: successive epochs are mutually
         // ordered (within an epoch the combiner asserts it).
         let first_ts = epoch.entries.first().map(|e| e.req.ts);
+        epoch_order_violations += u64::from(last_ts >= first_ts);
         debug_assert!(
             last_ts < first_ts,
             "shard {shard}: epoch starts at ts {first_ts:?}, after one that ended at {last_ts:?}"
@@ -1906,6 +2010,13 @@ fn executor_loop(
         let arrived = epoch.entries.iter().map(|e| e.arrival).max().unwrap_or(0);
         let start = clock.max(arrived);
         let run = tree.run_planned(&epoch.batch, &epoch.plan);
+        // Release the callers first: the bookkeeping below reads only the
+        // entries and the two clock values, and nobody should wait on it.
+        state.epoch_releasing(epoch.released);
+        for (entry, resp) in epoch.entries.iter().zip(run.responses) {
+            entry.completion.resolve_ok(resp);
+        }
+        state.epoch_finished(received.elapsed());
         let makespan = run.stats.makespan_cycles.ceil() as u64;
         let end = start + makespan;
         let mut queue_wait = 0u64;
@@ -1949,10 +2060,6 @@ fn executor_loop(
             0,
             queue_wait,
         ));
-        for (entry, resp) in epoch.entries.iter().zip(run.responses) {
-            entry.completion.resolve_ok(resp);
-        }
-        state.epoch_finished(received.elapsed());
         clock = end;
         busy_cycles += makespan;
         epochs += 1;
@@ -2053,6 +2160,7 @@ fn executor_loop(
         closed: terminal.closed,
         enqueued: terminal.enqueued,
         executed,
+        epoch_order_violations,
         shed: terminal.shed,
         timed_out: terminal.timed_out,
         max_queue_depth: terminal.max_queue_depth,
@@ -2987,7 +3095,7 @@ mod tests {
 
     #[test]
     fn linger_step_closes_on_linger_or_an_idle_executor() {
-        use CloseCause::{Idle, Linger};
+        use CloseCause::{Idle, Linger, Returned};
         // Instants are offsets in µs from one base; nothing sleeps.
         let base = Instant::now();
         let at = |us: u64| base + Duration::from_micros(us);
@@ -2995,18 +3103,30 @@ mod tests {
             inflight,
             idle_since: idle_since.map(at),
             service: service.map(Duration::from_micros),
+            ..ExecutorState::default()
         };
+        // The last epoch released `released` callers when the queue had
+        // seen `pushes_at_release` push calls.
+        let after =
+            |executor: ExecutorState, released: u64, pushes_at_release: u64| ExecutorState {
+                released,
+                pushes_at_release,
+                ..executor
+            };
+        let idle = exec(0, Some(5_000), Some(200));
         let close = LingerStep::Close;
         let wake = |us: u64| LingerStep::WakeAt(Some(at(us)));
         let ms = Duration::from_millis(1);
         const START: u64 = 10_000;
-        // (case, now, linger, executor, expected) — gathering began at START.
+        // (case, now, linger, executor, (pushes, parked, staged), expected) —
+        // gathering began at START.
         let table = [
             (
                 "busy: gathers until linger",
                 START + 999,
                 ms,
                 exec(1, Some(5_000), Some(200)),
+                (0, 0, 0),
                 wake(START + 1000),
             ),
             (
@@ -3014,20 +3134,23 @@ mod tests {
                 START + 1000,
                 ms,
                 exec(2, None, Some(200)),
+                (0, 0, 0),
                 close(Linger),
             ),
             (
                 "idle: waits out the grace",
                 START + 199,
                 ms,
-                exec(0, Some(5_000), Some(200)),
+                idle,
+                (0, 0, 0),
                 wake(START + 200),
             ),
             (
                 "idle: grace elapsed closes",
                 START + 200,
                 ms,
-                exec(0, Some(5_000), Some(200)),
+                idle,
+                (0, 0, 0),
                 close(Idle),
             ),
             (
@@ -3035,6 +3158,7 @@ mod tests {
                 START + 300,
                 ms,
                 exec(0, Some(START + 150), Some(200)),
+                (0, 0, 0),
                 wake(START + 350),
             ),
             (
@@ -3042,6 +3166,7 @@ mod tests {
                 START + 350,
                 ms,
                 exec(0, Some(START + 150), Some(200)),
+                (0, 0, 0),
                 close(Idle),
             ),
             (
@@ -3049,6 +3174,7 @@ mod tests {
                 START + 999,
                 ms,
                 exec(0, None, None),
+                (0, 0, 0),
                 wake(START + 1000),
             ),
             (
@@ -3056,6 +3182,7 @@ mod tests {
                 START + 1000,
                 ms,
                 exec(0, None, None),
+                (0, 0, 0),
                 close(Linger),
             ),
             (
@@ -3063,6 +3190,7 @@ mod tests {
                 START,
                 Duration::ZERO,
                 exec(1, None, None),
+                (0, 0, 0),
                 close(Linger),
             ),
             (
@@ -3070,6 +3198,7 @@ mod tests {
                 START,
                 Duration::ZERO,
                 exec(0, Some(START), Some(200)),
+                (0, 0, 0),
                 close(Linger),
             ),
             (
@@ -3077,6 +3206,7 @@ mod tests {
                 START + 999,
                 ms,
                 exec(0, Some(5_000), Some(5_000)),
+                (0, 0, 0),
                 wake(START + 1000),
             ),
             (
@@ -3084,6 +3214,7 @@ mod tests {
                 START + 950,
                 ms,
                 exec(0, Some(START + 900), Some(200)),
+                (0, 0, 0),
                 wake(START + 1000),
             ),
             (
@@ -3091,43 +3222,280 @@ mod tests {
                 START + 5_000_000,
                 Duration::MAX,
                 exec(1, None, Some(200)),
+                (0, 0, 0),
                 LingerStep::WakeAt(None),
             ),
             (
                 "unbounded linger, idle: the grace still closes it",
                 START + 200,
                 Duration::MAX,
-                exec(0, Some(5_000), Some(200)),
+                idle,
+                (0, 0, 0),
                 close(Idle),
             ),
+            (
+                "parked entries nobody is counted back for: the grace closes as ever",
+                START + 200,
+                ms,
+                idle,
+                (0, 1, 0),
+                close(Idle),
+            ),
+            (
+                "one of two back and still parked: likewise",
+                START + 200,
+                ms,
+                after(idle, 2, 40),
+                (41, 1, 0),
+                close(Idle),
+            ),
+            (
+                "all back, one still parked: the grace waits for it, within linger",
+                START + 200,
+                ms,
+                after(idle, 2, 40),
+                (42, 1, 0),
+                wake(START + 1000),
+            ),
+            (
+                "and the linger still bounds that",
+                START + 1000,
+                ms,
+                after(idle, 2, 40),
+                (42, 1, 0),
+                close(Linger),
+            ),
+            (
+                "unbounded linger, all back, one parked: until its slot clears",
+                START + 200,
+                Duration::MAX,
+                after(idle, 2, 40),
+                (42, 1, 0),
+                LingerStep::WakeAt(None),
+            ),
+            (
+                "all back, one staged in a lane: the count is not exact, the grace decides",
+                START + 10,
+                ms,
+                after(idle, 2, 40),
+                (42, 0, 1),
+                wake(START + 200),
+            ),
+            (
+                "and closes on time: a rebalance may be what keeps it staged",
+                START + 200,
+                Duration::MAX,
+                after(idle, 2, 40),
+                (42, 0, 1),
+                close(Idle),
+            ),
+            (
+                "idle, both released callers back: closes before the grace",
+                START + 10,
+                ms,
+                after(idle, 2, 40),
+                (42, 0, 0),
+                close(Returned),
+            ),
+            (
+                "idle, one of two back: waits exactly as without the exit",
+                START + 10,
+                ms,
+                after(idle, 2, 40),
+                (41, 0, 0),
+                wake(START + 200),
+            ),
+            (
+                "and the grace still closes it",
+                START + 200,
+                ms,
+                after(idle, 2, 40),
+                (41, 0, 0),
+                close(Idle),
+            ),
+            (
+                "all back after the grace ran out: still their return",
+                START + 200,
+                ms,
+                after(idle, 2, 40),
+                (42, 0, 0),
+                close(Returned),
+            ),
+            (
+                "all back at the linger: the bound wins",
+                START + 1000,
+                ms,
+                after(idle, 2, 40),
+                (42, 0, 0),
+                close(Linger),
+            ),
+            (
+                "busy executor: returns do not close",
+                START + 10,
+                ms,
+                after(exec(1, Some(5_000), Some(200)), 2, 40),
+                (42, 0, 0),
+                wake(START + 1000),
+            ),
+            (
+                "unmeasured first epoch: returns do not close",
+                START + 10,
+                ms,
+                after(exec(0, None, None), 2, 40),
+                (42, 0, 0),
+                wake(START + 1000),
+            ),
+            (
+                "a counted push still parked in the heap defers it",
+                START + 10,
+                ms,
+                after(idle, 2, 40),
+                (42, 1, 0),
+                wake(START + 200),
+            ),
+            (
+                "nothing released (no epoch resolved): an empty bar closes nothing",
+                START + 10,
+                ms,
+                after(idle, 0, 3),
+                (7, 0, 0),
+                wake(START + 200),
+            ),
+            (
+                "out of phase: the window gathered before the release is in the snapshot",
+                START + 10,
+                ms,
+                after(idle, 1, 41),
+                (41, 0, 0),
+                wake(START + 200),
+            ),
+            (
+                "and goes out with the released caller's next push",
+                START + 60,
+                ms,
+                after(idle, 1, 41),
+                (42, 0, 0),
+                close(Returned),
+            ),
+            (
+                "a drain older than the snapshot reads as nobody back",
+                START + 10,
+                ms,
+                after(idle, 1, 41),
+                (39, 0, 0),
+                wake(START + 200),
+            ),
         ];
-        for (case, now, linger, executor, want) in table {
+        for (case, now, linger, executor, (pushes, parked, staged), want) in table {
             assert_eq!(
-                linger_step(at(now), at(START), linger, executor),
+                linger_step(at(now), at(START), linger, executor, pushes, parked, staged),
                 want,
                 "{case}"
             );
         }
-        // Whatever the executor says, nothing waits past `linger`.
+        // The decision as it was before the `Returned` exit, to hold the
+        // new one against.
+        let before = |now: u64, executor: ExecutorState| {
+            let (now, start) = (at(now), at(START));
+            let deadline = start + ms;
+            if now >= deadline {
+                return close(Linger);
+            }
+            match (executor.inflight, executor.service) {
+                (0, Some(service)) => {
+                    let end =
+                        executor.idle_since.map_or(start, |idle| idle.max(start)) + service.min(ms);
+                    if now >= end {
+                        close(Idle)
+                    } else {
+                        LingerStep::WakeAt(Some(end.min(deadline)))
+                    }
+                }
+                _ => LingerStep::WakeAt(Some(deadline)),
+            }
+        };
+        // Whatever the executor and the counters say: `Returned` closes
+        // an idle executor's epoch then and there, where the old decision
+        // was still waiting or closing on the grace; every caller back and
+        // one still parked is the one state that waits longer, and only
+        // to `linger`; everything else decides exactly as before.
         for inflight in 0..3 {
             for idle_since in [None, Some(0), Some(START + 400), Some(START + 5_000)] {
                 for service in [None, Some(0), Some(300), Some(50_000)] {
-                    let executor = exec(inflight, idle_since, service);
-                    for now in [START, START + 500, START + 999] {
-                        match linger_step(at(now), at(START), ms, executor) {
-                            LingerStep::WakeAt(at_most) => {
-                                assert!(at_most.is_some_and(|w| w <= at(START + 1000)))
+                    for (released, at_release, pushes, parked, staged) in [
+                        (0, 0, 0, 0, 0),
+                        (0, 2, 9, 0, 0),
+                        (0, 2, 9, 1, 1),
+                        (1, 2, 2, 0, 0),
+                        (1, 2, 3, 0, 0),
+                        (3, 2, 4, 0, 0),
+                        (3, 2, 4, 1, 0),
+                        (3, 2, 5, 0, 0),
+                        (3, 2, 5, 1, 0),
+                        (3, 2, 5, 0, 1),
+                        (3, 2, 5, 1, 1),
+                        (3, 7, 5, 0, 0),
+                    ] {
+                        let executor =
+                            after(exec(inflight, idle_since, service), released, at_release);
+                        let is_idle = inflight == 0 && service.is_some();
+                        let all_back = released > 0 && pushes >= at_release + released;
+                        for now in [START, START + 300, START + 500, START + 999, START + 1000] {
+                            let got = linger_step(
+                                at(now),
+                                at(START),
+                                ms,
+                                executor,
+                                pushes,
+                                parked,
+                                staged,
+                            );
+                            let was = before(now, executor);
+                            if was == close(Linger) {
+                                assert_eq!(got, was);
+                            } else if is_idle && all_back && parked + staged == 0 {
+                                assert_eq!(got, close(Returned));
+                            } else if is_idle && all_back && parked > 0 {
+                                assert_eq!(
+                                    got,
+                                    if was == close(Idle) {
+                                        wake(START + 1000)
+                                    } else {
+                                        was
+                                    }
+                                );
+                            } else {
+                                assert_eq!(got, was);
                             }
-                            LingerStep::Close(cause) => assert_eq!(cause, Idle),
                         }
                     }
-                    assert_eq!(
-                        linger_step(at(START + 1000), at(START), ms, executor),
-                        close(Linger)
-                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn epoch_releasing_snapshots_the_push_count_before_anyone_is_back() {
+        let state = ShardState::new(4, &QosConfig::disabled());
+        let entry = || {
+            let (_ticket, cell) = Ticket::new();
+            Entry {
+                req: Request::query(1, 0),
+                deadline: None,
+                arrival: 0,
+                tenant: 0,
+                completion: Completion::Direct(cell),
+            }
+        };
+        state.queue.push_blocking(entry()).unwrap();
+        state.epoch_handed_over();
+        state.epoch_releasing(2);
+        // A caller back before `epoch_finished` runs still counts.
+        state.queue.push_blocking(entry()).unwrap();
+        state.epoch_finished(Duration::from_micros(100));
+        let ex = state.executor();
+        assert_eq!((ex.released, ex.pushes_at_release), (2, 1));
+        assert_eq!(state.queue.pushes() - ex.pushes_at_release, 1);
     }
 
     #[test]

@@ -261,6 +261,18 @@ pub(crate) enum Completion {
 }
 
 impl Completion {
+    /// Whether both entries came in through one submission call: they
+    /// then share its ticket block (a lone `submit` allocates its own).
+    pub(crate) fn same_submission(&self, other: &Completion) -> bool {
+        fn block(c: &Completion) -> &Arc<[TicketCell]> {
+            match c {
+                Completion::Direct(cell) => &cell.cells,
+                Completion::Part { merge, .. } => &merge.cell.cells,
+            }
+        }
+        Arc::ptr_eq(block(self), block(other))
+    }
+
     pub(crate) fn resolve_ok(&self, resp: Response) {
         match self {
             Completion::Direct(cell) => cell.resolve(Outcome::Done(resp)),

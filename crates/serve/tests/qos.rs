@@ -1,15 +1,17 @@
 //! QoS-loop integration tests: deadline expiry *during* the combiner's
 //! linger wait (the bug where deadlines were only checked at epoch
 //! formation), the linger as a bound rather than a sleep (an idle
-//! executor closes the epoch early; an unrepresentably long linger is
+//! executor closes the epoch early — when the callers it released are
+//! back, else after one service time; an unrepresentably long linger is
 //! legal), tenant-lane isolation under an abusive tenant, and the
 //! adaptive controller actually moving its target end to end.
 
 use eirene_serve::{
-    AdmitPolicy, AimdSpec, EpochSizing, Outcome, QosConfig, ServeConfig, ServeReport, Service,
-    ShardMap, Ticket,
+    AdmitPolicy, AimdSpec, EpochSizing, Outcome, QosConfig, RebalanceAction, RebalanceSpec,
+    ServeConfig, ServeReport, Service, ShardMap, Ticket,
 };
 use eirene_workloads::OpKind;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// SplitMix64, for cheap uniform test keys.
@@ -82,39 +84,210 @@ fn deadline_expires_during_linger_not_after_it() {
 
 /// The linger is an upper bound, not a sleep: once one epoch has been
 /// measured, a lone request on the idle service goes out after about one
-/// epoch's service time (well under a millisecond here), not after the
-/// 250 ms linger it could never fill. Margins are wide on both sides.
+/// epoch's service time (well under a millisecond here) when the epoch
+/// before it released more callers than have come back, and at once when
+/// it is that epoch's only caller returning — never after the 250 ms
+/// linger it could not fill. Margins are wide on both sides.
 #[test]
 fn idle_executor_closes_a_lone_request_long_before_linger() {
     let linger = Duration::from_millis(250);
     let svc = one_shard(linger, 1 << 14);
     let client = svc.client();
-    // Warm-up epoch: nothing is measured yet, so this one waits out the
-    // whole linger — the behaviour every epoch used to have.
+    // Warm-up epoch, two callers' worth: nothing is measured yet, so it
+    // waits out the whole linger — the behaviour every epoch used to have.
     let start = Instant::now();
-    assert!(matches!(
-        client.submit(7, OpKind::Query).wait(),
-        Outcome::Done(_)
-    ));
+    let warm_up = [7, 8].map(|key| client.submit(key, OpKind::Query));
+    for ticket in &warm_up {
+        assert!(matches!(ticket.wait(), Outcome::Done(_)));
+    }
     assert!(
         start.elapsed() >= linger,
         "unmeasured executor: full linger"
     );
 
-    let start = Instant::now();
-    assert!(matches!(
-        client.submit(9, OpKind::Query).wait(),
-        Outcome::Done(_)
-    ));
-    let waited = start.elapsed();
-    assert!(
-        waited < Duration::from_millis(50),
-        "lone request on an idle, measured service took {waited:?} (linger {linger:?})"
-    );
+    // One of the two comes back (the grace runs out on the other), then
+    // that epoch's single caller does.
+    for key in [9, 10] {
+        let start = Instant::now();
+        assert!(matches!(
+            client.submit(key, OpKind::Query).wait(),
+            Outcome::Done(_)
+        ));
+        let waited = start.elapsed();
+        assert!(
+            waited < Duration::from_millis(50),
+            "lone request on an idle, measured service took {waited:?} (linger {linger:?})"
+        );
+    }
     let report = svc.shutdown();
     report.assert_consistent();
     let closed = report.shards[0].closed;
-    assert_eq!((closed.linger, closed.idle), (1, 1), "{closed:?}");
+    assert_eq!(
+        (closed.linger, closed.idle, closed.returned),
+        (1, 1, 1),
+        "{closed:?}"
+    );
+}
+
+/// A closed-loop caller is all there is to wait for: once its previous
+/// window's epoch has released it, its next window closes the epoch the
+/// moment it is gathered — by count, not by sitting out a grace of one
+/// service time per window.
+#[test]
+fn lone_closed_loop_caller_does_not_wait_out_the_grace() {
+    const WINDOWS: u64 = 40;
+    let linger = Duration::from_millis(250);
+    let svc = one_shard(linger, 1 << 14);
+    let client = svc.client();
+    let window = |w: u64| -> Vec<(u32, OpKind)> {
+        (0..32)
+            .map(|i| ((mix(w * 32 + i) % 256) as u32 + 1, OpKind::Query))
+            .collect()
+    };
+    let run = |w: u64| {
+        for ticket in client.submit_many(&window(w)) {
+            assert!(matches!(ticket.wait(), Outcome::Done(_)));
+        }
+    };
+    run(0); // unmeasured: waits out the linger
+    let start = Instant::now();
+    (1..WINDOWS).for_each(run);
+    let took = start.elapsed();
+    let report = svc.shutdown();
+    report.assert_consistent();
+    let shard = &report.shards[0];
+    assert_eq!(shard.epochs, WINDOWS, "one epoch per window");
+    let closed = shard.closed;
+    assert_eq!(
+        (closed.linger, closed.returned, closed.idle),
+        (1, WINDOWS - 1, 0),
+        "every epoch after the first closes on its caller's return: {closed:?}"
+    );
+    assert!(
+        took < linger * (WINDOWS as u32 - 1) / 8,
+        "{} windows took {took:?}",
+        WINDOWS - 1
+    );
+}
+
+/// Two closed-loop callers with windows of 32 over two shards: each
+/// shard's epoch carries ~16 requests of either window while they share
+/// one, ~16 in all once they fall out of phase. Waiting for the callers
+/// *released* (not for as many as were gathered) is what keeps a window
+/// that arrived mid-epoch from leaving alone.
+#[test]
+fn two_closed_loop_callers_stay_merged() {
+    const WINDOWS: u64 = 150;
+    let domain = 1u64 << 12;
+    let pairs: Vec<(u64, u64)> = (1..=domain).map(|k| (k, k + 1)).collect();
+    let cfg = ServeConfig {
+        map: ShardMap::from_starts(vec![0, (domain / 2) as u32]).expect("valid shard starts"),
+        sizing: EpochSizing::Fixed(4096),
+        ..ServeConfig::test_small(2)
+    };
+    let svc = Service::new(&pairs, cfg);
+    std::thread::scope(|scope| {
+        for caller in 0..2u64 {
+            let client = svc.client();
+            scope.spawn(move || {
+                for w in 0..WINDOWS {
+                    let ops: Vec<(u32, OpKind)> = (0..32)
+                        .map(|i| {
+                            let k = mix((caller * WINDOWS + w) * 32 + i) % domain;
+                            (k as u32 + 1, OpKind::Query)
+                        })
+                        .collect();
+                    for ticket in client.submit_many(&ops) {
+                        assert!(matches!(ticket.wait(), Outcome::Done(_)));
+                    }
+                }
+            });
+        }
+    });
+    let report = svc.shutdown();
+    report.assert_consistent();
+    let epochs: u64 = report.shards.iter().map(|s| s.epochs).sum();
+    let mean = report.executed() as f64 / epochs as f64;
+    assert!(
+        mean >= 24.0,
+        "{} requests in {epochs} epochs ({mean:.1} per epoch): the windows split",
+        report.executed()
+    );
+}
+
+/// A rebalance quiesces its shard pair under the topology write lock, and
+/// a combiner cannot admit staged lane entries meanwhile. The epoch it
+/// gathered before the lock was taken is what the quiesce waits for: it
+/// has to go out on the grace, staged entries or not, instead of holding
+/// every submitter behind that lock for the rest of the linger (for good,
+/// were the linger `Duration::MAX`).
+#[test]
+fn rebalance_does_not_wait_out_the_linger_over_staged_lanes() {
+    const REBALANCES: u64 = 30;
+    let linger = Duration::from_secs(3);
+    let domain = 1u64 << 12;
+    let pairs: Vec<(u64, u64)> = (1..=domain).map(|k| (k, k + 1)).collect();
+    let cfg = ServeConfig {
+        map: ShardMap::from_starts(vec![0, (domain / 2) as u32]).expect("valid shard starts"),
+        sizing: EpochSizing::Fixed(16),
+        qos: QosConfig::uniform(2, 1 << 10),
+        rebalance: Some(RebalanceSpec::manual()),
+        linger,
+        hold_gate: true,
+        ..ServeConfig::test_small(2)
+    };
+    let svc = Service::new(&pairs, cfg);
+    let window = |seed: u64, len: u64| -> Vec<(u32, OpKind)> {
+        (0..len)
+            .map(|i| ((mix(seed * 64 + i) % domain) as u32 + 1, OpKind::Query))
+            .collect()
+    };
+    // Behind the gate, enough for each shard's first epoch to leave full:
+    // its executor has a service time before anything lingers.
+    let warm_up = svc.client().submit_many(&window(0, 64));
+    svc.release();
+    for ticket in &warm_up {
+        assert!(matches!(ticket.wait(), Outcome::Done(_)));
+    }
+    let start = Instant::now();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for tenant in 0..2 {
+            let client = svc.client().for_tenant(tenant);
+            let done = &done;
+            scope.spawn(move || {
+                // Windows of 4 from two callers never fill the target of
+                // 16: every epoch closes on the linger decision.
+                for w in 1.. {
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    for ticket in client.submit_many(&window(w * 2 + tenant as u64, 4)) {
+                        assert!(matches!(ticket.wait(), Outcome::Done(_)));
+                    }
+                }
+            });
+        }
+        // Each shard in turn gives half its keys to the other.
+        for n in 1..=REBALANCES {
+            svc.force_rebalance(RebalanceAction::Split {
+                shard: (n % 2) as usize,
+            });
+            while svc.rebalance_attempts() < n {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    let took = start.elapsed();
+    let report = svc.shutdown();
+    report.assert_consistent();
+    assert!(!report.rebalances.is_empty(), "no boundary moved");
+    assert!(
+        took < linger,
+        "{REBALANCES} rebalances under closed-loop lane traffic took {took:?}: \
+         some epoch sat out the {linger:?} linger"
+    );
 }
 
 /// `Duration::MAX` is a legal linger meaning "until full, or until the

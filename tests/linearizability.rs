@@ -513,11 +513,16 @@ fn lock_free_multi_client_stress_matches_timestamp_order_replay() {
 #[test]
 fn default_linger_closed_loop_stress_matches_timestamp_order_replay() {
     // The default 1 ms linger with clients that wait for their replies:
-    // executors go idle between bursts, so most epochs close on the
-    // idle-executor exit and the rest when the linger runs out behind a
-    // busy one — the two paths the short-linger scenarios never take.
+    // executors go idle between bursts, so most epochs close on an
+    // idle-executor exit (the released callers are back, or the grace ran
+    // out) and the rest when the linger runs out behind a busy one — the
+    // paths the short-linger scenarios never take.
     let report = multi_client_stress(ServeConfig::default().linger, true);
-    let idle: u64 = report.shards.iter().map(|s| s.closed.idle).sum();
+    let idle: u64 = report
+        .shards
+        .iter()
+        .map(|s| s.closed.idle + s.closed.returned)
+        .sum();
     assert!(idle > 0, "closed-loop clients must meet an idle executor");
 }
 
