@@ -194,11 +194,11 @@ impl LaneSet {
 mod tests {
     use super::*;
     use crate::queue::Entry;
-    use crate::ticket::{Completion, Ticket};
+    use crate::ticket::{Completion, TicketBatch};
     use eirene_workloads::Request;
 
     fn entry(tenant: TenantId, key: u32) -> Entry {
-        let (_t, cell) = Ticket::new();
+        let cell = TicketBatch::new(1).cell_ref(0);
         Entry {
             req: Request::query(key, u64::MAX),
             deadline: None,

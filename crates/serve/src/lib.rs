@@ -68,6 +68,7 @@ mod lane;
 mod observe;
 mod queue;
 mod rebalance;
+mod reorder;
 mod report;
 mod service;
 mod shard;

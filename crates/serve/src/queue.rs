@@ -14,10 +14,13 @@
 //!   Reservations are RAII: a guard dropped with unfilled slots — normal
 //!   return, early shed, or a *panicking* submitter — releases them, so a
 //!   killed submitter can never strand capacity and wedge admission.
-//! - **Bulk pushes** ([`Reservation::push_many`],
-//!   [`IngressQueue::push_blocking_many`]) take the queue lock once per
-//!   batch instead of once per request — the amortization behind
-//!   [`Client::submit_many`](crate::Client::submit_many).
+//! - **Every push is a bulk push**: [`Reservation::push_many`] (shed
+//!   policy), [`IngressQueue::push_blocking_many`] (block policy) and
+//!   [`IngressQueue::push_lane_many`] (QoS staging) take the queue lock
+//!   once per call, however many entries it carries — the amortization
+//!   behind [`Client::submit_many`](crate::Client::submit_many), of which
+//!   a lone `submit` is the one-element case. The one single-entry door is
+//!   [`Reservation::forward`], a peer combiner handing an entry on.
 //! - **Tenant lanes** (QoS mode) live *inside* the queue's mutex: staged,
 //!   not-yet-timestamped entries the combiner admits with weighted
 //!   round-robin. Sharing the mutex lets a lane push wake a combiner
@@ -79,8 +82,8 @@ struct QueueState {
     /// that met a closed queue, or a peer combiner's
     /// [`forward`](Reservation::forward) does not count. A closed-loop
     /// caller comes back with exactly one such call per shard it touches
-    /// (a lone `submit` of a split range: one per part), which is what
-    /// the combiner's `Returned` exit counts.
+    /// (a split range: one per part), which is what the combiner's
+    /// `Returned` exit counts.
     pushes: u64,
     /// Tenant lanes (QoS mode only).
     lanes: Option<LaneSet>,
@@ -119,9 +122,10 @@ pub(crate) struct LaneBulkReject {
 }
 
 /// RAII capacity grant on one [`IngressQueue`]. Fill it with
-/// [`push`](Reservation::push) / [`push_many`](Reservation::push_many);
-/// any slots still held when the guard drops — including an unwinding
-/// submitter — are released back to the queue.
+/// [`push_many`](Reservation::push_many) (or, from a peer combiner,
+/// [`forward`](Reservation::forward)); any slots still held when the
+/// guard drops — including an unwinding submitter — are released back to
+/// the queue.
 #[derive(Debug)]
 #[must_use = "dropping a Reservation immediately releases the reserved capacity"]
 pub(crate) struct Reservation<'q> {
@@ -135,22 +139,15 @@ impl Reservation<'_> {
         self.count
     }
 
-    /// Fills one reserved slot. Fails only on a closed queue (the entry
+    /// Fills one reserved slot for a peer shard's combiner handing an
+    /// entry on: no caller came back with it, so it is not counted in
+    /// [`IngressQueue::pushes`]. Fails only on a closed queue (the entry
     /// comes back; the slot is consumed either way — a closed queue has
     /// no capacity to return to). Returns the resulting depth.
-    pub(crate) fn push(&mut self, entry: Entry) -> Result<usize, Entry> {
-        debug_assert!(self.count >= 1, "push on an exhausted Reservation");
-        self.count -= 1;
-        self.queue.fill_reserved(entry, true)
-    }
-
-    /// [`push`](Reservation::push) for a peer shard's combiner handing an
-    /// entry on: no caller came back with it, so it is not counted in
-    /// [`IngressQueue::pushes`].
     pub(crate) fn forward(&mut self, entry: Entry) -> Result<usize, Entry> {
         debug_assert!(self.count >= 1, "forward on an exhausted Reservation");
         self.count -= 1;
-        self.queue.fill_reserved(entry, false)
+        self.queue.fill_reserved(entry)
     }
 
     /// Fills `entries.len()` reserved slots under one lock acquisition.
@@ -260,15 +257,14 @@ impl IngressQueue {
         self.not_full.notify_all();
     }
 
-    fn fill_reserved(&self, entry: Entry, counted: bool) -> Result<usize, Entry> {
+    fn fill_reserved(&self, entry: Entry) -> Result<usize, Entry> {
         let mut st = self.state.lock().unwrap();
-        debug_assert!(st.reserved >= 1, "push_reserved without a reservation");
+        debug_assert!(st.reserved >= 1, "forward without a reservation");
         st.reserved -= 1;
         if st.closed {
             return Err(entry);
         }
         st.entries.push_back(entry);
-        st.pushes += u64::from(counted);
         self.not_empty.notify_one();
         Ok(st.entries.len())
     }
@@ -276,7 +272,7 @@ impl IngressQueue {
     fn fill_reserved_many(&self, entries: Vec<Entry>) -> Result<(usize, usize), Vec<Entry>> {
         let n = entries.len();
         let mut st = self.state.lock().unwrap();
-        debug_assert!(st.reserved >= n, "push_reserved_many without reservations");
+        debug_assert!(st.reserved >= n, "push_many without reservations");
         st.reserved -= n;
         if st.closed {
             return Err(entries);
@@ -287,23 +283,7 @@ impl IngressQueue {
         Ok((n, st.entries.len()))
     }
 
-    /// Blocking push (block policy): waits for room. Returns the entry
-    /// only if the queue closed while waiting.
-    pub(crate) fn push_blocking(&self, entry: Entry) -> Result<usize, Entry> {
-        let mut st = self.state.lock().unwrap();
-        while !st.closed && st.room(self.capacity) == 0 {
-            st = self.not_full.wait(st).unwrap();
-        }
-        if st.closed {
-            return Err(entry);
-        }
-        st.entries.push_back(entry);
-        st.pushes += 1;
-        self.not_empty.notify_one();
-        Ok(st.entries.len())
-    }
-
-    /// Blocking bulk push: takes the lock once and pushes every entry,
+    /// Blocking bulk push (block policy): takes the lock once and pushes every entry,
     /// waiting on the consumer whenever the queue is full. If the queue
     /// closes mid-way the unpushed tail comes back. Returns
     /// `(pushed, high-water depth)`.
@@ -333,21 +313,9 @@ impl IngressQueue {
         Ok((pushed, high))
     }
 
-    /// Stages one entry on `tenant`'s lane (QoS mode). Returns the lane
-    /// depth, or the refused entry with its cause.
-    pub(crate) fn push_lane(&self, tenant: TenantId, entry: Entry) -> Result<usize, LaneReject> {
-        let mut st = self.state.lock().unwrap();
-        let lanes = st.lanes.as_mut().expect("push_lane without lanes");
-        let res = lanes.push(tenant, entry);
-        if res.is_ok() {
-            st.pushes += 1;
-            self.not_empty.notify_one();
-        }
-        res
-    }
-
-    /// Bulk lane staging under one lock. Returns the accepted count and
-    /// the refused entries partitioned by cause.
+    /// Stages entries on `tenant`'s lane (QoS mode) under one lock.
+    /// Returns the accepted count and the refused entries partitioned by
+    /// cause.
     pub(crate) fn push_lane_many(
         &self,
         tenant: TenantId,
@@ -509,18 +477,37 @@ impl IngressQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ticket::Ticket;
+    use crate::ticket::TicketBatch;
     use eirene_workloads::Request;
     use std::sync::Arc;
 
     fn entry(ts: u64) -> Entry {
-        let (_t, cell) = Ticket::new();
+        let cell = TicketBatch::new(1).cell_ref(0);
         Entry {
             req: Request::query(1, ts),
             deadline: None,
             arrival: 0,
             tenant: 0,
             completion: Completion::Direct(cell),
+        }
+    }
+
+    // The one-element forms of the three bulk pushes, as a lone `submit`
+    // makes them; the first two return the resulting depth.
+    fn fill(r: &mut Reservation<'_>, e: Entry) -> Result<usize, Vec<Entry>> {
+        r.push_many(vec![e]).map(|(_, depth)| depth)
+    }
+
+    fn push_blocking(q: &IngressQueue, e: Entry) -> Result<usize, Vec<Entry>> {
+        q.push_blocking_many(vec![e])
+            .map(|(_, high)| high)
+            .map_err(|(_, _, rest)| rest)
+    }
+
+    fn push_lane(q: &IngressQueue, tenant: TenantId, e: Entry) -> Result<(), LaneBulkReject> {
+        match q.push_lane_many(tenant, vec![e]) {
+            (1, _) => Ok(()),
+            (_, reject) => Err(reject),
         }
     }
 
@@ -540,8 +527,8 @@ mod tests {
         // Capacity is fully promised: a third reservation must fail even
         // though nothing has been pushed yet.
         assert!(q.try_reserve(1).is_none());
-        assert_eq!(r1.push(entry(0)).unwrap(), 1);
-        assert_eq!(r2.push(entry(1)).unwrap(), 2);
+        assert_eq!(fill(&mut r1, entry(0)).unwrap(), 1);
+        assert_eq!(fill(&mut r2, entry(1)).unwrap(), 2);
         assert!(q.try_reserve(1).is_none());
         assert_eq!(q.depth(), 2);
     }
@@ -569,7 +556,7 @@ mod tests {
         });
         assert!(t.join().is_err());
         let mut r = q.try_reserve(1).expect("capacity recovered after panic");
-        assert_eq!(r.push(entry(7)).unwrap(), 1);
+        assert_eq!(fill(&mut r, entry(7)).unwrap(), 1);
         assert_eq!(drain_ts(&q, 4), [7]);
     }
 
@@ -578,7 +565,7 @@ mod tests {
         let q = IngressQueue::new(4);
         {
             let mut r = q.try_reserve(3).unwrap();
-            r.push(entry(0)).unwrap();
+            fill(&mut r, entry(0)).unwrap();
             assert_eq!(r.count(), 2);
             // Two unfilled slots release here.
         }
@@ -597,7 +584,7 @@ mod tests {
         let r = q.reserve_up_to(2);
         assert_eq!(r.count(), 2);
         drop(r);
-        assert_eq!(q.push_blocking(entry(9)).unwrap(), 1);
+        assert_eq!(push_blocking(&q, entry(9)).unwrap(), 1);
         assert_eq!(q.reserve_up_to(9).count(), 3);
     }
 
@@ -633,15 +620,17 @@ mod tests {
         let qos = QosConfig::uniform(1, 2);
         let q = IngressQueue::with_lanes(9, &qos);
         assert_eq!(q.pushes(), 0);
-        q.try_reserve(1).unwrap().push(entry(0)).unwrap();
+        // One per call, whether it carries one entry (a lone `submit`) or
+        // a window.
+        fill(&mut q.try_reserve(1).unwrap(), entry(0)).unwrap();
         assert_eq!(q.pushes(), 1);
         let mut r = q.try_reserve(3).unwrap();
         r.push_many(vec![entry(1), entry(2), entry(3)]).unwrap();
         assert_eq!(q.pushes(), 2, "a bulk fill is one call");
-        q.push_blocking(entry(4)).unwrap();
+        push_blocking(&q, entry(4)).unwrap();
         q.push_blocking_many(vec![entry(5), entry(6)]).unwrap();
         assert_eq!(q.pushes(), 4);
-        q.push_lane(0, entry(u64::MAX)).unwrap();
+        push_lane(&q, 0, entry(u64::MAX)).unwrap();
         assert_eq!(q.pushes(), 5);
         // A peer combiner's forward lands the entry but is nobody's return.
         q.try_reserve(1).unwrap().forward(entry(7)).unwrap();
@@ -650,9 +639,8 @@ mod tests {
         // once; the next is refused whole and does not count.
         let (accepted, _) = q.push_lane_many(0, vec![entry(u64::MAX), entry(u64::MAX)]);
         assert_eq!((accepted, q.pushes()), (1, 6));
-        assert!(q.push_lane(0, entry(u64::MAX)).is_err());
-        let (accepted, _) = q.push_lane_many(0, vec![entry(u64::MAX)]);
-        assert_eq!((accepted, q.pushes()), (0, 6));
+        assert!(push_lane(&q, 0, entry(u64::MAX)).is_err());
+        assert_eq!(q.pushes(), 6);
         // Reserving, cancelling and draining are not pushes, and the drain
         // reports the count it ran under.
         drop(q.try_reserve(1).unwrap());
@@ -661,12 +649,12 @@ mod tests {
         // Nothing lands on a closed queue, through any door.
         let mut r = q.try_reserve(4).unwrap();
         q.close();
-        assert!(r.push(entry(8)).is_err());
+        assert!(fill(&mut r, entry(8)).is_err());
         assert!(r.forward(entry(8)).is_err());
         assert!(r.push_many(vec![entry(8), entry(9)]).is_err());
-        assert!(q.push_blocking(entry(10)).is_err());
-        assert!(q.push_blocking_many(vec![entry(11)]).is_err());
-        assert!(q.push_lane(0, entry(u64::MAX)).is_err());
+        assert!(push_blocking(&q, entry(10)).is_err());
+        assert!(q.push_blocking_many(vec![entry(11), entry(12)]).is_err());
+        assert!(push_lane(&q, 0, entry(u64::MAX)).is_err());
         assert_eq!(q.pushes(), 6);
     }
 
@@ -675,7 +663,7 @@ mod tests {
         let q = IngressQueue::new(16);
         for ts in 0..5 {
             let mut r = q.try_reserve(1).unwrap();
-            r.push(entry(ts)).unwrap();
+            fill(&mut r, entry(ts)).unwrap();
         }
         assert_eq!(drain_ts(&q, 3), [0, 1, 2]);
         let d = q.drain(3, Some(Duration::ZERO));
@@ -688,9 +676,9 @@ mod tests {
     #[test]
     fn blocked_pusher_wakes_on_drain() {
         let q = Arc::new(IngressQueue::new(1));
-        q.push_blocking(entry(0)).unwrap();
+        push_blocking(&q, entry(0)).unwrap();
         let q2 = q.clone();
-        let pusher = std::thread::spawn(move || q2.push_blocking(entry(1)).is_ok());
+        let pusher = std::thread::spawn(move || push_blocking(&q2, entry(1)).is_ok());
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(q.drain(1, None).entries.len(), 1);
         assert!(pusher.join().unwrap());
@@ -715,9 +703,9 @@ mod tests {
     #[test]
     fn close_fails_pending_and_future_pushes() {
         let q = Arc::new(IngressQueue::new(1));
-        q.push_blocking(entry(0)).unwrap();
+        push_blocking(&q, entry(0)).unwrap();
         let q2 = q.clone();
-        let pusher = std::thread::spawn(move || q2.push_blocking(entry(1)).is_err());
+        let pusher = std::thread::spawn(move || push_blocking(&q2, entry(1)).is_err());
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(pusher.join().unwrap(), "blocked pusher must fail on close");
@@ -767,7 +755,7 @@ mod tests {
         q.wake();
         std::thread::sleep(Duration::from_millis(20));
         assert!(!drainer.is_finished(), "only an arrival ends wait: None");
-        q.push_blocking(entry(5)).unwrap();
+        push_blocking(&q, entry(5)).unwrap();
         assert_eq!(drainer.join().unwrap().entries.len(), 1);
     }
 
@@ -778,7 +766,7 @@ mod tests {
         let q2 = q.clone();
         let drainer = std::thread::spawn(move || q2.drain(8, None));
         std::thread::sleep(Duration::from_millis(20));
-        q.push_lane(1, entry(u64::MAX)).unwrap();
+        push_lane(&q, 1, entry(u64::MAX)).unwrap();
         // The drainer wakes (lane pending breaks the idle predicate) with
         // no direct entries; the combiner then admits from the lanes.
         let d = drainer.join().unwrap();
@@ -793,12 +781,10 @@ mod tests {
     fn lane_quiesce_tracks_drain_in_progress() {
         let qos = QosConfig::uniform(1, 4);
         let q = IngressQueue::with_lanes(8, &qos);
-        q.push_lane(0, entry(u64::MAX)).unwrap();
+        push_lane(&q, 0, entry(u64::MAX)).unwrap();
         q.close_lanes();
-        assert!(matches!(
-            q.push_lane(0, entry(u64::MAX)),
-            Err(LaneReject::Closed(_))
-        ));
+        let refused = push_lane(&q, 0, entry(u64::MAX)).unwrap_err();
+        assert_eq!((refused.over_quota.len(), refused.closed.len()), (0, 1));
         assert!(!q.lanes_quiesced());
         let batch = q.drain_lanes(8);
         assert_eq!(batch.len(), 1);
@@ -807,7 +793,7 @@ mod tests {
         assert!(q.lanes_quiesced());
         // Direct entries still flow after lanes close.
         let mut r = q.try_reserve(1).unwrap();
-        r.push(entry(3)).unwrap();
+        fill(&mut r, entry(3)).unwrap();
         assert_eq!(drain_ts(&q, 4), [3]);
     }
 

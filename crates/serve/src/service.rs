@@ -121,7 +121,7 @@
 //! a rebalance, keep the `Returned` exit shut but not the grace.
 
 use crate::control::{BatchController, EpochFeedback, EpochSizing};
-use crate::lane::{LaneReject, QosConfig, TenantId};
+use crate::lane::{QosConfig, TenantId};
 use crate::observe::{
     CloseCause, LatencySummary, ObserveConfig, ServiceObserver, ShardMetrics, ShardSample,
     SloBreach, SloMonitor,
@@ -131,6 +131,7 @@ use crate::rebalance::{
     decide, Decision, RebalanceAction, RebalanceEvent, RebalanceKind, RebalanceShared,
     RebalanceSpec, Wake,
 };
+use crate::reorder::Reorder;
 use crate::report::{ServeReport, ShardReport};
 use crate::shard::{hash_shard, window_end, RangePart, ShardId, ShardMap, Sharding};
 use crate::ticket::{CellRef, Completion, Outcome, RangeMerge, Ticket, TicketBatch};
@@ -143,8 +144,6 @@ use eirene_sim::{
 };
 use eirene_telemetry::{LifecycleSpan, SpanRing};
 use eirene_workloads::{Batch, Key, OpKind, Request, Response};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -166,18 +165,13 @@ const INGRESS_CONTROL_PER_REQUEST: u64 = 8;
 /// nothing; benchmarks never set this.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// Panic inside the Nth (0-based) shed-mode single admission, *after*
-    /// the capacity reservation and *before* the enqueue — the window
-    /// where a killed submitter used to leak the reservation and wedge
-    /// admission at capacity forever. `eirene-check` uses this to prove
-    /// the RAII reservation guard releases on unwind.
+    /// Panic inside the Nth (0-based) shed-mode submission call, *after*
+    /// the capacity reservations and the timestamp draw and *before* the
+    /// enqueue — the window where a killed submitter used to leak the
+    /// reservation and wedge admission at capacity forever, and where it
+    /// holds its in-flight slot. `eirene-check` uses this to prove both
+    /// RAII guards release on unwind.
     pub panic_on_admit: Option<u64>,
-}
-
-impl FaultPlan {
-    pub fn is_armed(&self) -> bool {
-        self.panic_on_admit.is_some()
-    }
 }
 
 /// Configuration of a [`Service`].
@@ -418,8 +412,8 @@ impl Inflight {
     }
 
     /// Minimum published lower bound over occupied slots ([`SLOT_FREE`]
-    /// when none). Callers must read `next_ts` *before* calling this —
-    /// the order the watermark proof depends on.
+    /// when none). Only [`Inner::read_watermark`] calls this, after it
+    /// has read `next_ts` — the order the watermark proof depends on.
     fn min_active(&self) -> u64 {
         self.slots
             .iter()
@@ -461,6 +455,18 @@ enum Route {
     Split(Vec<RangePart>),
 }
 
+impl Route {
+    /// The shards the request lands on, one entry each.
+    fn shards(&self) -> impl Iterator<Item = ShardId> + '_ {
+        let (one, parts): (Option<ShardId>, &[RangePart]) = match self {
+            Route::Empty => (None, &[]),
+            Route::One(shard) => (Some(*shard), &[]),
+            Route::Split(parts) => (None, parts),
+        };
+        one.into_iter().chain(parts.iter().map(|p| p.shard))
+    }
+}
+
 struct Inner {
     /// The live shard map. Admission paths hold the read lock from
     /// routing until every part of a request is enqueued (so its shard
@@ -481,7 +487,7 @@ struct Inner {
     policy: AdmitPolicy,
     qos: QosConfig,
     fault: FaultPlan,
-    /// Counts shed-mode single admissions, solely to locate the one the
+    /// Counts shed-mode submission calls, solely to locate the one the
     /// [`FaultPlan`] kills. Untouched (and unread) when no fault is armed.
     admit_seq: AtomicU64,
 }
@@ -503,9 +509,33 @@ impl Inner {
     /// is fully enqueued (module docs). Can transiently regress between
     /// calls; that only delays emission, never reorders it.
     fn watermark(&self) -> u64 {
+        self.read_watermark().1
+    }
+
+    /// `(next_ts, watermark)` from one read of each, in the order the
+    /// proof depends on.
+    fn read_watermark(&self) -> (u64, u64) {
         // next_ts MUST be read before the slot scan — see the proof.
         let n = self.next_ts.load(Ordering::SeqCst);
-        n.min(self.inflight.min_active())
+        (n, n.min(self.inflight.min_active()))
+    }
+
+    /// Opens an admission: publishes the current `next_ts` as the lower
+    /// bound of every timestamp drawn while the returned slot is held.
+    /// The slot must outlive the enqueue of everything those timestamps
+    /// go to.
+    fn open_admission(&self) -> InflightGuard<'_> {
+        let lb = self.next_ts.load(Ordering::SeqCst);
+        self.inflight.claim(lb)
+    }
+
+    /// The pipeline-state gauges of [`EpochGauges`], as of now.
+    fn gauges(&self) -> EpochGauges {
+        let (n, wm) = self.read_watermark();
+        EpochGauges {
+            watermark_lag: n - wm,
+            inflight: self.inflight.occupancy(),
+        }
     }
 
     /// Routes one request under `map` (the caller's topology read guard).
@@ -556,8 +586,8 @@ impl Inner {
     }
 
     /// Trips the armed admission fault, if any (tests only): dies between
-    /// the capacity reservation and the enqueue, the exact window the
-    /// RAII reservation guard exists to cover.
+    /// the capacity reservations and the enqueue with the in-flight slot
+    /// held, the exact window the two RAII guards exist to cover.
     fn maybe_trip_fault(&self) {
         if let Some(n) = self.fault.panic_on_admit {
             if self.admit_seq.fetch_add(1, Ordering::Relaxed) == n {
@@ -566,89 +596,7 @@ impl Inner {
         }
     }
 
-    /// Admits one entry to `shard` under the configured policy, updating
-    /// the admission counters. Shed-vs-admit is race-free: capacity is
-    /// claimed with an atomic reservation before the push, and the
-    /// reservation guard releases on any exit — including an unwinding
-    /// submitter.
-    fn admit_single(&self, shard: ShardId, entry: Entry) {
-        let state = &self.shards[shard];
-        match self.policy {
-            AdmitPolicy::Shed => match state.queue.try_reserve(1) {
-                Some(mut grant) => {
-                    self.maybe_trip_fault();
-                    match grant.push(entry) {
-                        Ok(depth) => state.record_enqueue(1, depth),
-                        Err(e) => e.completion.resolve_fail(Outcome::Rejected),
-                    }
-                }
-                None => {
-                    state.record_shed(1, entry.tenant);
-                    entry.completion.resolve_fail(Outcome::Rejected);
-                }
-            },
-            AdmitPolicy::Block => match state.queue.push_blocking(entry) {
-                Ok(depth) => state.record_enqueue(1, depth),
-                Err(e) => e.completion.resolve_fail(Outcome::Rejected),
-            },
-        }
-    }
-
-    /// Admits a split range: all parts or none. Under [`AdmitPolicy::Shed`]
-    /// one slot is reserved per involved queue before any push (parts lie
-    /// on distinct shards); on the first full shard the earlier grants
-    /// drop (releasing their slots), that shard's shed counter bumps, and
-    /// the whole range resolves `Rejected`.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_split(
-        &self,
-        parts: &[RangePart],
-        len: u32,
-        ts: u64,
-        deadline: Option<Instant>,
-        arrival: u64,
-        tenant: TenantId,
-        cell: CellRef,
-    ) {
-        let mut grants = Vec::with_capacity(parts.len());
-        if self.policy == AdmitPolicy::Shed {
-            for p in parts {
-                match self.shards[p.shard].queue.try_reserve(1) {
-                    Some(g) => grants.push(g),
-                    None => {
-                        // Dropping `grants` releases the earlier slots.
-                        self.shards[p.shard].record_shed(1, tenant);
-                        cell.resolve(Outcome::Rejected);
-                        return;
-                    }
-                }
-            }
-        }
-        let merge = Arc::new(RangeMerge::new(len as usize, parts.len(), cell));
-        let mut grants = grants.into_iter();
-        for p in parts {
-            let entry = Entry {
-                req: Request::range(p.lo, p.len, ts),
-                deadline,
-                arrival,
-                tenant,
-                completion: Completion::Part {
-                    merge: merge.clone(),
-                    offset: p.offset,
-                },
-            };
-            let state = &self.shards[p.shard];
-            let pushed = match self.policy {
-                AdmitPolicy::Shed => grants.next().expect("one grant per part").push(entry),
-                AdmitPolicy::Block => state.queue.push_blocking(entry),
-            };
-            match pushed {
-                Ok(depth) => state.record_enqueue(1, depth),
-                Err(e) => e.completion.resolve_fail(Outcome::Rejected),
-            }
-        }
-    }
-
+    /// A lone submission is a window of one.
     fn submit(
         &self,
         key: Key,
@@ -657,97 +605,17 @@ impl Inner {
         arrival: u64,
         tenant: TenantId,
     ) -> Ticket {
-        let (ticket, cell) = Ticket::new();
-        // Hold the topology read lock across route + enqueue: a boundary
-        // cannot move between routing this request and booking it on the
-        // routed shard.
-        let topo = self.topology.read().unwrap();
-        if self.qos.enabled() {
-            self.submit_lane(&topo, key, op, deadline, arrival, tenant, cell);
-            return ticket;
-        }
-        match self.route(&topo, key, op) {
-            Route::Empty => cell.resolve(Outcome::Done(Response::Range(Vec::new()))),
-            Route::One(shard) => {
-                // Hot path: no intermediate Vec, one slot claim, one
-                // fetch_add, one queue push.
-                let lb = self.next_ts.load(Ordering::SeqCst);
-                let _slot = self.inflight.claim(lb);
-                let ts = self.next_ts.fetch_add(1, Ordering::SeqCst);
-                cell.set_ts(ts);
-                let entry = Entry {
-                    req: Request { key, op, ts },
-                    deadline,
-                    arrival,
-                    tenant,
-                    completion: Completion::Direct(cell),
-                };
-                self.admit_single(shard, entry);
-            }
-            Route::Split(parts) => {
-                let len = match op {
-                    OpKind::Range { len } => len,
-                    _ => unreachable!("only ranges split"),
-                };
-                let lb = self.next_ts.load(Ordering::SeqCst);
-                let _slot = self.inflight.claim(lb);
-                let ts = self.next_ts.fetch_add(1, Ordering::SeqCst);
-                cell.set_ts(ts);
-                self.admit_split(&parts, len, ts, deadline, arrival, tenant, cell);
-            }
-        }
-        ticket
+        self.submit_many(1, std::iter::once((key, op, arrival)), deadline, tenant)
+            .pop()
+            .expect("one ticket per op")
     }
 
-    /// QoS-lane path: the request parks — *untimestamped* — on its home
-    /// shard's lane for the submitting tenant; the shard's combiner draws
-    /// the timestamp at admission ([`admit_lanes`]). A split range's home
-    /// is its first part's shard: the combiner re-routes and fans the
-    /// parts out when it admits the entry.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_lane(
-        &self,
-        map: &ShardMap,
-        key: Key,
-        op: OpKind,
-        deadline: Option<Instant>,
-        arrival: u64,
-        tenant: TenantId,
-        cell: CellRef,
-    ) {
-        let home = match self.route(map, key, op) {
-            Route::Empty => {
-                cell.resolve(Outcome::Done(Response::Range(Vec::new())));
-                return;
-            }
-            Route::One(shard) => shard,
-            Route::Split(parts) => parts[0].shard,
-        };
-        let entry = Entry {
-            req: Request {
-                key,
-                op,
-                ts: u64::MAX,
-            },
-            deadline,
-            arrival,
-            tenant,
-            completion: Completion::Direct(cell),
-        };
-        let state = &self.shards[home];
-        match state.queue.push_lane(tenant, entry) {
-            Ok(_) => {}
-            Err(LaneReject::OverQuota(e)) => {
-                state.record_shed(1, tenant);
-                e.completion.resolve_fail(Outcome::Rejected);
-            }
-            Err(LaneReject::Closed(e)) => e.completion.resolve_fail(Outcome::Rejected),
-        }
-    }
-
-    /// Bulk lane staging: routes every op to its home shard and pushes
-    /// each shard's slice under one lane lock. Quota sheds resolve
-    /// `Rejected` individually; the rest await combiner admission.
+    /// QoS-lane path: every op parks — *untimestamped* — on its home
+    /// shard's lane for the submitting tenant, each shard's slice pushed
+    /// under one lane lock; the shard's combiner draws the timestamps at
+    /// admission ([`admit_lanes`]). A split range's home is its first
+    /// part's shard: the combiner re-routes and fans the parts out when
+    /// it admits the entry. Quota sheds resolve `Rejected` individually.
     fn submit_many_lanes(
         &self,
         n: usize,
@@ -761,13 +629,9 @@ impl Inner {
         let topo = self.topology.read().unwrap();
         for (i, (key, op, arrival)) in ops.enumerate() {
             let cell = batch.cell_ref(i);
-            let home = match self.route(&topo, key, op) {
-                Route::Empty => {
-                    cell.resolve(Outcome::Done(Response::Range(Vec::new())));
-                    continue;
-                }
-                Route::One(shard) => shard,
-                Route::Split(parts) => parts[0].shard,
+            let Some(home) = self.route(&topo, key, op).shards().next() else {
+                cell.resolve(Outcome::Done(Response::Range(Vec::new())));
+                continue;
             };
             buckets[home].push(Entry {
                 req: Request {
@@ -850,15 +714,7 @@ impl Inner {
                     .collect();
                 let mut demand = vec![0usize; num_shards];
                 for (_, _, _, route) in &routed {
-                    match route {
-                        Route::Empty => {}
-                        Route::One(shard) => demand[*shard] += 1,
-                        Route::Split(parts) => {
-                            for p in parts {
-                                demand[p.shard] += 1;
-                            }
-                        }
-                    }
+                    route.shards().for_each(|shard| demand[shard] += 1);
                 }
                 for (shard, &d) in demand.iter().enumerate() {
                     if d > 0 {
@@ -871,62 +727,43 @@ impl Inner {
             }
         };
 
-        let lb = self.next_ts.load(Ordering::SeqCst);
-        let _slot = self.inflight.claim(lb);
+        let _slot = self.open_admission();
         let base = self.next_ts.fetch_add(n as u64, Ordering::SeqCst);
+        if self.policy == AdmitPolicy::Shed {
+            self.maybe_trip_fault();
+        }
 
         {
             let mut admit_one = |i: usize, key: Key, op: OpKind, arrival: u64, route: Route| {
                 let cell = batch.cell_ref(i);
                 let ts = base + i as u64;
+                if self.policy == AdmitPolicy::Shed {
+                    // All or nothing: a request spends one credit on every
+                    // shard it lands on, or is shed whole.
+                    if let Some(full) = route.shards().find(|&shard| avail[shard] == 0) {
+                        self.shards[full].record_shed(1, tenant);
+                        cell.resolve(Outcome::Rejected);
+                        return;
+                    }
+                    route.shards().for_each(|shard| avail[shard] -= 1);
+                }
                 match route {
                     Route::Empty => cell.resolve(Outcome::Done(Response::Range(Vec::new()))),
                     Route::One(shard) => {
-                        if self.policy == AdmitPolicy::Shed && avail[shard] == 0 {
-                            self.shards[shard].record_shed(1, tenant);
-                            cell.resolve(Outcome::Rejected);
-                        } else {
-                            if self.policy == AdmitPolicy::Shed {
-                                avail[shard] -= 1;
-                            }
-                            cell.set_ts(ts);
-                            buckets[shard].push(Entry {
-                                req: Request { key, op, ts },
-                                deadline,
-                                arrival,
-                                tenant,
-                                completion: Completion::Direct(cell),
-                            });
-                        }
+                        cell.set_ts(ts);
+                        buckets[shard].push(Entry {
+                            req: Request { key, op, ts },
+                            deadline,
+                            arrival,
+                            tenant,
+                            completion: Completion::Direct(cell),
+                        });
                     }
                     Route::Split(parts) => {
-                        let len = match op {
-                            OpKind::Range { len } => len,
-                            _ => unreachable!("only ranges split"),
-                        };
-                        if self.policy == AdmitPolicy::Shed {
-                            if let Some(full) = parts.iter().find(|p| avail[p.shard] == 0) {
-                                self.shards[full.shard].record_shed(1, tenant);
-                                cell.resolve(Outcome::Rejected);
-                                return;
-                            }
-                            for p in &parts {
-                                avail[p.shard] -= 1;
-                            }
-                        }
-                        cell.set_ts(ts);
-                        let merge = Arc::new(RangeMerge::new(len as usize, parts.len(), cell));
-                        for p in &parts {
-                            buckets[p.shard].push(Entry {
-                                req: Request::range(p.lo, p.len, ts),
-                                deadline,
-                                arrival,
-                                tenant,
-                                completion: Completion::Part {
-                                    merge: merge.clone(),
-                                    offset: p.offset,
-                                },
-                            });
+                        for (shard, part) in
+                            split_entries(&parts, op, ts, deadline, arrival, tenant, cell)
+                        {
+                            buckets[shard].push(part);
                         }
                     }
                 }
@@ -985,6 +822,38 @@ impl Inner {
         }
         tickets
     }
+}
+
+/// The per-shard entries of one split range: every part carries the
+/// range's timestamp `ts` and reports into one shared [`RangeMerge`]
+/// behind `cell`.
+fn split_entries(
+    parts: &[RangePart],
+    op: OpKind,
+    ts: u64,
+    deadline: Option<Instant>,
+    arrival: u64,
+    tenant: TenantId,
+    cell: CellRef,
+) -> impl Iterator<Item = (ShardId, Entry)> + '_ {
+    let OpKind::Range { len } = op else {
+        unreachable!("only ranges split")
+    };
+    cell.set_ts(ts);
+    let merge = Arc::new(RangeMerge::new(len as usize, parts.len(), cell));
+    parts.iter().map(move |p| {
+        let part = Entry {
+            req: Request::range(p.lo, p.len, ts),
+            deadline,
+            arrival,
+            tenant,
+            completion: Completion::Part {
+                merge: merge.clone(),
+                offset: p.offset,
+            },
+        };
+        (p.shard, part)
+    })
 }
 
 /// Pipeline-state gauges the combiner snapshots at epoch emission when
@@ -1398,40 +1267,15 @@ impl Service {
     }
 }
 
-/// Min-heap wrapper ordering pending entries by admission timestamp.
-/// Timestamps are globally unique and a split range puts at most one part
-/// on each shard, so ties cannot occur within one shard's heap.
-struct ByTs(Entry);
-
-impl PartialEq for ByTs {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.req.ts == other.0.req.ts
-    }
-}
-impl Eq for ByTs {}
-impl PartialOrd for ByTs {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ByTs {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.req.ts.cmp(&other.0.req.ts)
-    }
-}
-
-/// The combiner: drains arrival-ordered entries into the timestamp
-/// min-heap, emits watermark-gated ascending epochs, and plans them.
+/// The combiner: drains arrival-ordered entries into the reorder stage
+/// ([`Reorder`]), emits watermark-gated ascending epochs, and plans them.
 ///
-/// The heap normally holds no more than ~two epochs of entries (draining
-/// pauses above that), but keeps draining regardless whenever emission is
-/// stalled — that keeps blocked `AdmitPolicy::Block` submitters (which
-/// hold watermark slots while waiting for queue room) live. A turn that
-/// does not drain releases entries only below the watermark of the last
-/// drain: a fresher one says nothing about what the heap has not been
-/// given yet (module docs). Admitted
-/// entries in the heap were each within the queue bound at their
-/// admission instant; the hard admission check itself stays at the queue.
+/// Draining pauses while the stage holds two epochs' worth (at the largest
+/// batch target, at least 64 entries) and emission is not stalled; a turn
+/// that does not drain releases only what the last drain vouched for, which
+/// [`Reorder::pop`] sees to. Entries parked in the stage were each within
+/// the queue bound at their admission instant; the hard admission check
+/// itself stays at the queue.
 ///
 /// With QoS lanes the combiner is also the *admitter*: each pass it
 /// WRR-drains up to one batch target of staged entries and timestamps
@@ -1447,13 +1291,10 @@ fn combiner_loop(
     observe: bool,
     tx: SyncSender<ExecMsg>,
 ) {
-    let mut heap: BinaryHeap<Reverse<ByTs>> = BinaryHeap::new();
-    let mut finished = false;
-    let heap_target = controller.max_target().saturating_mul(2).max(64);
-    // The watermark the last drain ran under, and the queue's push-call
-    // count as that drain left it.
-    let mut drained_wm = 0u64;
-    let mut pushes = 0u64;
+    let mut reorder = Reorder::new(controller.max_target().saturating_mul(2).max(64));
+    // What the last drain reported: nothing more will ever come, and the
+    // queue's push-call count as it left it.
+    let (mut finished, mut pushes) = (false, 0u64);
     let mut stalls = 0u32;
     let qos = inner.qos.enabled();
     loop {
@@ -1462,41 +1303,26 @@ fn combiner_loop(
         // EpochSizing::Fixed).
         let batch_limit = controller.target().max(1);
         if qos && !finished {
-            admit_lanes(inner, state, shard, batch_limit, &mut heap);
+            admit_lanes(inner, state, shard, batch_limit, &mut reorder);
         }
-        // Watermark BEFORE the drain: every entry below it is enqueued at
-        // this instant, so a drain that follows cannot miss one (module
-        // docs). Lane entries admitted above drew their timestamps before
-        // this read, so they are covered too.
-        let fresh = inner.watermark();
-        let wm = if finished {
-            // The queue is closed and empty: the heap holds all there is.
-            fresh
-        } else if heap.len() >= heap_target && stalls == 0 {
-            // No drain this turn: entries below the fresh watermark may
-            // still sit in the queue behind larger timestamps already in
-            // the heap. Release only what the last drain vouched for.
-            drained_wm
-        } else {
-            let wait = if heap.is_empty() {
+        // A finished queue is closed and empty — the stage holds all there
+        // is — and draining it again only moves the watermark.
+        if finished || reorder.wants_drain(stalls > 0) {
+            let wait = if reorder.is_empty() {
                 None // block until something arrives or the queue closes
             } else {
                 Some(Duration::ZERO)
             };
-            let drained = state.queue.drain(usize::MAX, wait);
-            finished = drained.finished;
-            pushes = drained.pushes;
-            heap.extend(drained.entries.into_iter().map(|e| Reverse(ByTs(e))));
-            drained_wm = fresh;
-            fresh
-        };
-        if heap.is_empty() {
+            (finished, pushes) = drain_into(inner, state, &mut reorder, wait);
+        }
+        if reorder.is_empty() {
             if finished {
                 return;
             }
             continue;
         }
-        let ready = pop_ready(&mut heap, wm, batch_limit, Vec::new());
+        let mut ready = Vec::new();
+        reorder.pop(batch_limit, &mut ready);
         if ready.is_empty() {
             // Head-of-line entry above the watermark: some submitter that
             // drew an earlier timestamp is still enqueueing (or blocked on
@@ -1523,7 +1349,7 @@ fn combiner_loop(
                 // lane push) staged in the lanes.
                 let staged = if qos { state.queue.lane_pending() } else { 0 };
                 let executor = state.executor();
-                let step = linger_step(now, start, linger, executor, pushes, heap.len(), staged);
+                let step = linger_step(now, start, linger, executor, pushes, reorder.len(), staged);
                 let wake = match step {
                     LingerStep::Close(cause) => {
                         lingered = cause;
@@ -1538,40 +1364,36 @@ fn combiner_loop(
                     .iter()
                     .filter_map(|e| e.deadline)
                     .fold(wake, |acc, d| Some(acc.map_or(d, |a| a.min(d))));
-                // Sleep on the queue only with an empty heap. Entries parked
-                // there have already left the queue — the drain that
+                // Sleep on the queue only with an empty stage. Entries
+                // parked there have already left the queue — the drain that
                 // brought them ran under a watermark read before they
                 // arrived, so it could not release them — and no arrival
                 // will wake this loop on their behalf: try them against a
                 // fresh watermark now. The wait also ends on an arrival,
                 // or when the executor goes idle (`epoch_finished` wakes
                 // the queue).
-                let wait = if heap.is_empty() {
+                let wait = if reorder.is_empty() {
                     wake.map_or(Duration::MAX, |w| w.saturating_duration_since(now))
                 } else {
                     Duration::ZERO
                 };
-                let wm = inner.watermark();
-                let drained = state.queue.drain(usize::MAX, Some(wait));
-                finished = drained.finished;
-                pushes = drained.pushes;
-                heap.extend(drained.entries.into_iter().map(|e| Reverse(ByTs(e))));
-                drained_wm = wm;
+                (finished, pushes) = drain_into(inner, state, &mut reorder, Some(wait));
                 if qos && !finished {
                     // A lane arrival also wakes the drain; admit it (its
-                    // timestamp lands above `wm`, so it joins the *next*
-                    // pop) instead of spinning on a non-empty lane.
+                    // timestamp lands above the drain's watermark, so it
+                    // joins the *next* pop) instead of spinning on a
+                    // non-empty lane.
                     admit_lanes(
                         inner,
                         state,
                         shard,
                         batch_limit.saturating_sub(ready.len()).max(1),
-                        &mut heap,
+                        &mut reorder,
                     );
                 }
                 let gathered = ready.len();
-                ready = pop_ready(&mut heap, wm, batch_limit, ready);
-                if wait.is_zero() && ready.len() == gathered && !heap.is_empty() {
+                reorder.pop(batch_limit, &mut ready);
+                if wait.is_zero() && ready.len() == gathered && !reorder.is_empty() {
                     // Still held back by a submitter in flight, as in the
                     // head-of-line stall above.
                     back_off(&mut stuck);
@@ -1600,15 +1422,7 @@ fn combiner_loop(
         }
         let batch = Batch::new(live.iter().map(|e| e.req).collect());
         let plan = build_plan(&batch, plan_cfg);
-        let gauges = observe.then(|| {
-            // Same read order as watermark(): next_ts before the slots.
-            let n = inner.next_ts.load(Ordering::SeqCst);
-            let wm = n.min(inner.inflight.min_active());
-            EpochGauges {
-                watermark_lag: n - wm,
-                inflight: inner.inflight.occupancy(),
-            }
-        });
+        let gauges = observe.then(|| inner.gauges());
         let released = 1 + live
             .windows(2)
             .filter(|w| !w[0].completion.same_submission(&w[1].completion))
@@ -1620,7 +1434,7 @@ fn combiner_loop(
             close,
             released,
             queue_depth: state.queue.depth() as u64,
-            reorder_pending: heap.len() as u64,
+            reorder_pending: reorder.len() as u64,
             lane_depth: if qos {
                 state.queue.lane_pending() as u64
             } else {
@@ -1633,6 +1447,23 @@ fn combiner_loop(
             return; // executor gone
         }
     }
+}
+
+/// The one way entries reach the reorder stage from the queue: read the
+/// watermark, *then* drain everything the queue holds, and offer both —
+/// the order [`Reorder::offer`] requires. Lane entries this combiner
+/// admitted earlier drew their timestamps before this read, so they are
+/// covered too. Returns the drain's `(finished, pushes)`.
+fn drain_into(
+    inner: &Inner,
+    state: &ShardState,
+    reorder: &mut Reorder,
+    wait: Option<Duration>,
+) -> (bool, u64) {
+    let wm = inner.watermark();
+    let drained = state.queue.drain(usize::MAX, wait);
+    reorder.offer(drained.entries, wm);
+    (drained.finished, drained.pushes)
 }
 
 /// One step of the wait for an in-flight submitter's watermark slot to
@@ -1666,8 +1497,8 @@ fn expire_ready(state: &ShardState, ready: Vec<Entry>) -> Vec<Entry> {
 
 /// Admits one WRR-drained batch of staged lane entries: draws timestamps
 /// just-in-time under the in-flight-slot protocol (one slot covers the
-/// whole batch) and pushes each entry into the home heap — or, for a
-/// split range's peer parts, into the peer shards' ingress queues with
+/// whole batch) and parks each entry in the home reorder stage — or, for
+/// a split range's peer parts, in the peer shards' ingress queues with
 /// all-or-nothing shed-on-full reservations. The admitting combiner never
 /// blocks on a peer queue: blocking there could deadlock two combiners
 /// admitting toward each other's full queues.
@@ -1676,7 +1507,7 @@ fn admit_lanes(
     state: &ShardState,
     shard: ShardId,
     budget: usize,
-    heap: &mut BinaryHeap<Reverse<ByTs>>,
+    reorder: &mut Reorder,
 ) {
     // Never block on the topology here: the rebalancer holds the write
     // lock while quiescing this very combiner's shard, and a combiner
@@ -1696,10 +1527,9 @@ fn admit_lanes(
     {
         // Publish the slot before drawing any timestamp: peer combiners
         // must not emit an epoch past these entries until every one —
-        // cross-shard parts included — sits in its queue or heap.
-        let lb = inner.next_ts.load(Ordering::SeqCst);
-        let _slot = inner.inflight.claim(lb);
-        for mut entry in drained {
+        // cross-shard parts included — sits in its queue or reorder stage.
+        let _slot = inner.open_admission();
+        for entry in drained {
             if entry.deadline.is_some_and(|d| now >= d) {
                 // Dead on admission. Count it enqueued + timed out so the
                 // per-tenant books still balance (enqueued = executed +
@@ -1709,131 +1539,87 @@ fn admit_lanes(
                 entry.completion.resolve_fail(Outcome::TimedOut);
                 continue;
             }
-            match inner.route(&topo, entry.req.key, entry.req.op) {
-                Route::Empty => unreachable!("empty ranges resolve at submission"),
-                Route::One(s) => {
-                    let ts = inner.next_ts.fetch_add(1, Ordering::SeqCst);
-                    entry.req.ts = ts;
-                    if let Completion::Direct(cell) = &entry.completion {
-                        cell.set_ts(ts);
-                    }
-                    if s == shard {
-                        state.record_enqueue(1, 0);
-                        heap.push(Reverse(ByTs(entry)));
-                    } else {
-                        // A rebalance moved the boundary between staging
-                        // and admission: forward to the owning shard,
-                        // shed-on-full (a combiner never blocks on a peer
-                        // queue). The in-flight slot above still covers
-                        // the drawn timestamp until the push lands.
-                        let tenant = entry.tenant;
-                        let peer = &inner.shards[s];
-                        match peer.queue.try_reserve(1) {
-                            Some(mut grant) => match grant.forward(entry) {
-                                Ok(depth) => peer.record_enqueue(1, depth),
-                                Err(e) => e.completion.resolve_fail(Outcome::Rejected),
-                            },
-                            None => {
-                                peer.record_shed(1, tenant);
-                                entry.completion.resolve_fail(Outcome::Rejected);
-                            }
-                        }
-                    }
-                }
-                Route::Split(parts) => admit_lane_split(inner, state, shard, heap, entry, &parts),
-            }
+            let route = inner.route(&topo, entry.req.key, entry.req.op);
+            admit_lane_entry(inner, state, shard, reorder, entry, route);
         }
     }
     state.queue.lane_drain_done();
 }
 
-/// Fans one lane-staged split range out: home part straight into this
-/// combiner's heap, peer parts into their shards' queues through RAII
-/// reservations taken up front (all-or-nothing; any full peer sheds the
-/// whole range without blocking).
-fn admit_lane_split(
+/// Timestamps one lane-staged request and places it: what lives on this
+/// shard goes straight into this combiner's reorder stage; what lives on
+/// a peer — the other parts of a split range, or the whole request when a
+/// rebalance moved the boundary between staging and admission — goes into
+/// the peer's queue through RAII reservations taken up front
+/// (all-or-nothing; any full peer sheds the whole request without
+/// blocking). The caller's in-flight slot covers the timestamp until the
+/// last push lands.
+fn admit_lane_entry(
     inner: &Inner,
     state: &ShardState,
     shard: ShardId,
-    heap: &mut BinaryHeap<Reverse<ByTs>>,
+    reorder: &mut Reorder,
     entry: Entry,
-    parts: &[RangePart],
+    route: Route,
 ) {
     let Entry {
-        req,
+        mut req,
         deadline,
         arrival,
         tenant,
         completion,
     } = entry;
-    let cell = match completion {
-        Completion::Direct(cell) => cell,
-        Completion::Part { .. } => unreachable!("lane entries are whole requests"),
+    let Completion::Direct(cell) = completion else {
+        unreachable!("lane entries are whole requests")
     };
-    let len = match req.op {
-        OpKind::Range { len } => len,
-        _ => unreachable!("only ranges split"),
-    };
-    let mut grants = Vec::with_capacity(parts.len());
-    for p in parts.iter().filter(|p| p.shard != shard) {
-        match inner.shards[p.shard].queue.try_reserve(1) {
+    let mut grants = Vec::new();
+    for peer in route.shards().filter(|&s| s != shard) {
+        match inner.shards[peer].queue.try_reserve(1) {
             Some(g) => grants.push(g),
             None => {
                 // Dropping `grants` releases the earlier reservations.
-                inner.shards[p.shard].record_shed(1, tenant);
+                inner.shards[peer].record_shed(1, tenant);
                 cell.resolve(Outcome::Rejected);
                 return;
             }
         }
     }
     let ts = inner.next_ts.fetch_add(1, Ordering::SeqCst);
-    cell.set_ts(ts);
-    let merge = Arc::new(RangeMerge::new(len as usize, parts.len(), cell));
     let mut grants = grants.into_iter();
-    for p in parts {
-        let part_entry = Entry {
-            req: Request::range(p.lo, p.len, ts),
-            deadline,
-            arrival,
-            tenant,
-            completion: Completion::Part {
-                merge: merge.clone(),
-                offset: p.offset,
-            },
-        };
-        if p.shard == shard {
+    let mut place = |s: ShardId, e: Entry| {
+        if s == shard {
             state.record_enqueue(1, 0);
-            heap.push(Reverse(ByTs(part_entry)));
+            reorder.admit(e);
         } else {
-            let peer = &inner.shards[p.shard];
-            match grants
-                .next()
-                .expect("one grant per peer part")
-                .forward(part_entry)
-            {
+            let peer = &inner.shards[s];
+            match grants.next().expect("one grant per peer part").forward(e) {
                 Ok(depth) => peer.record_enqueue(1, depth),
                 Err(e) => e.completion.resolve_fail(Outcome::Rejected),
             }
         }
-    }
-}
-
-/// Pops heap entries below the watermark, ascending, until `limit`.
-fn pop_ready(
-    heap: &mut BinaryHeap<Reverse<ByTs>>,
-    watermark: u64,
-    limit: usize,
-    mut out: Vec<Entry>,
-) -> Vec<Entry> {
-    while out.len() < limit {
-        match heap.peek() {
-            Some(Reverse(p)) if p.0.req.ts < watermark => {
-                out.push(heap.pop().expect("peeked entry").0 .0);
-            }
-            _ => break,
+    };
+    match route {
+        Route::Empty => unreachable!("empty ranges resolve at submission"),
+        Route::One(s) => {
+            req.ts = ts;
+            cell.set_ts(ts);
+            let completion = Completion::Direct(cell);
+            place(
+                s,
+                Entry {
+                    req,
+                    deadline,
+                    arrival,
+                    tenant,
+                    completion,
+                },
+            );
+        }
+        Route::Split(parts) => {
+            split_entries(&parts, req.op, ts, deadline, arrival, tenant, cell)
+                .for_each(|(s, part)| place(s, part));
         }
     }
-    out
 }
 
 /// What a lingering combiner does next.
@@ -2377,27 +2163,15 @@ fn quiesce_pair(inner: &Inner, shared: &RebalanceShared, pair: [ShardId; 2]) -> 
     }
 }
 
-fn exec_probe(tx: &SyncSender<ExecMsg>, lo: Key, hi: Key) -> Vec<Key> {
+/// One request/reply round trip with a shard's executor: `msg` wraps a
+/// fresh reply channel into the request. An executor that is gone
+/// answers `R::default()`.
+fn exec_call<R: Default>(tx: &SyncSender<ExecMsg>, msg: impl FnOnce(Sender<R>) -> ExecMsg) -> R {
     let (reply, rx) = std::sync::mpsc::channel();
-    if tx.send(ExecMsg::Probe { lo, hi, reply }).is_err() {
-        return Vec::new();
+    if tx.send(msg(reply)).is_err() {
+        return R::default();
     }
     rx.recv().unwrap_or_default()
-}
-
-fn exec_extract(tx: &SyncSender<ExecMsg>, lo: Key, hi: Key) -> Vec<(u64, u64)> {
-    let (reply, rx) = std::sync::mpsc::channel();
-    if tx.send(ExecMsg::Extract { lo, hi, reply }).is_err() {
-        return Vec::new();
-    }
-    rx.recv().unwrap_or_default()
-}
-
-fn exec_absorb(tx: &SyncSender<ExecMsg>, pairs: Vec<(u64, u64)>) {
-    let (reply, rx) = std::sync::mpsc::channel();
-    if tx.send(ExecMsg::Absorb { pairs, reply }).is_ok() {
-        let _ = rx.recv();
-    }
 }
 
 /// Executes one topology change end to end: write-lock the topology
@@ -2422,7 +2196,9 @@ fn execute_rebalance(
         return false;
     }
     let mut topo = inner.topology.write().unwrap();
-    let event = match action {
+    // The move: boundary `boundary` goes to `new_start`, and the keys in
+    // `moved` (inclusive) go from shard `from` to shard `to`.
+    let (kind, boundary, new_start, from, to, moved) = match action {
         RebalanceAction::Split { shard } => {
             if shard >= n {
                 return false;
@@ -2447,89 +2223,66 @@ fn execute_rebalance(
             // Median key of the *actual* keys, not the span midpoint:
             // under skew the hot mass sits in a narrow band, and halving
             // the keys (instead of the range) is what halves the load.
-            let keys = exec_probe(&exec_txs[shard], lo, hi);
+            let keys: Vec<Key> =
+                exec_call(&exec_txs[shard], |reply| ExecMsg::Probe { lo, hi, reply });
             if keys.is_empty() {
                 return false;
             }
-            let median = keys[keys.len() / 2];
+            // b > lo keeps the donor non-empty.
+            let b = keys[keys.len() / 2].max(lo + 1);
             if give_right {
-                // Donor keeps [lo, b-1], receiver gains [b, hi]; b > lo
-                // keeps the donor non-empty.
-                let b = median.max(lo + 1);
-                let old_start = topo.start_of(receiver);
-                let Ok(new_map) = topo.with_boundary(receiver, b) else {
-                    return false;
-                };
-                let moved = exec_extract(&exec_txs[shard], b, hi);
-                exec_absorb(&exec_txs[receiver], moved.clone());
-                *topo = new_map;
-                RebalanceEvent {
-                    seq: *seq + 1,
-                    kind: RebalanceKind::Split,
-                    boundary: receiver,
-                    old_start,
-                    new_start: b,
-                    from: shard,
-                    to: receiver,
-                    moved_keys: moved.len() as u64,
-                    forced,
-                }
+                // Donor keeps [lo, b-1], receiver gains [b, hi].
+                (RebalanceKind::Split, receiver, b, shard, receiver, (b, hi))
             } else {
                 // Donor keeps [b, hi], receiver gains [lo, b-1].
-                let b = median.max(lo + 1);
-                let Ok(new_map) = topo.with_boundary(shard, b) else {
-                    return false;
-                };
-                let moved = exec_extract(&exec_txs[shard], lo, b - 1);
-                exec_absorb(&exec_txs[receiver], moved.clone());
-                *topo = new_map;
-                RebalanceEvent {
-                    seq: *seq + 1,
-                    kind: RebalanceKind::Split,
-                    boundary: shard,
-                    old_start: lo,
-                    new_start: b,
-                    from: shard,
-                    to: receiver,
-                    moved_keys: moved.len() as u64,
-                    forced,
-                }
+                (RebalanceKind::Split, shard, b, shard, receiver, (lo, b - 1))
             }
         }
         RebalanceAction::Merge { left } => {
             if left + 1 >= n {
                 return false;
             }
-            let lo = topo.start_of(left);
-            let new_start = lo + 1;
-            let old_start = topo.start_of(left + 1);
-            if old_start == new_start {
+            // The shard count is fixed, so a "merge" collapses the cold
+            // left shard to a width-1 remnant and hands the rest of its
+            // range to the right neighbor.
+            let new_start = topo.start_of(left) + 1;
+            if topo.start_of(left + 1) == new_start {
                 return false; // already a width-1 remnant
             }
             if !quiesce_pair(inner, shared, [left, left + 1]) {
                 return false;
             }
-            // The shard count is fixed, so a "merge" collapses the cold
-            // left shard to a width-1 remnant and hands the rest of its
-            // range to the right neighbor.
-            let Ok(new_map) = topo.with_boundary(left + 1, new_start) else {
-                return false;
-            };
-            let moved = exec_extract(&exec_txs[left], new_start, topo.end_of(left));
-            exec_absorb(&exec_txs[left + 1], moved.clone());
-            *topo = new_map;
-            RebalanceEvent {
-                seq: *seq + 1,
-                kind: RebalanceKind::Merge,
-                boundary: left + 1,
-                old_start,
+            let rest = (new_start, topo.end_of(left));
+            (
+                RebalanceKind::Merge,
+                left + 1,
                 new_start,
-                from: left,
-                to: left + 1,
-                moved_keys: moved.len() as u64,
-                forced,
-            }
+                left,
+                left + 1,
+                rest,
+            )
         }
+    };
+    let old_start = topo.start_of(boundary);
+    let Ok(new_map) = topo.with_boundary(boundary, new_start) else {
+        return false;
+    };
+    let (lo, hi) = moved;
+    let pairs: Vec<(u64, u64)> =
+        exec_call(&exec_txs[from], |reply| ExecMsg::Extract { lo, hi, reply });
+    let moved_keys = pairs.len() as u64;
+    exec_call::<()>(&exec_txs[to], |reply| ExecMsg::Absorb { pairs, reply });
+    *topo = new_map;
+    let event = RebalanceEvent {
+        seq: *seq + 1,
+        kind,
+        boundary,
+        old_start,
+        new_start,
+        from,
+        to,
+        moved_keys,
+        forced,
     };
     *seq = event.seq;
     shared.push_event(event.clone());
@@ -2666,8 +2419,8 @@ mod tests {
         let t0 = client.submit(998, OpKind::Upsert(7));
         let t1 = client.submit(1002, OpKind::Delete);
         let t2 = client.submit(995, OpKind::Range { len: 1010 });
-        // Zero-length ranges resolve immediately and are not admitted —
-        // they never draw a timestamp.
+        // Zero-length ranges resolve immediately and are not admitted:
+        // the ticket carries no timestamp.
         let t3 = client.submit(995, OpKind::Range { len: 0 });
         assert_eq!(t3.wait(), Outcome::Done(Response::Range(Vec::new())));
         assert_eq!(t3.timestamp(), None);
@@ -3478,7 +3231,7 @@ mod tests {
     fn epoch_releasing_snapshots_the_push_count_before_anyone_is_back() {
         let state = ShardState::new(4, &QosConfig::disabled());
         let entry = || {
-            let (_ticket, cell) = Ticket::new();
+            let cell = TicketBatch::new(1).cell_ref(0);
             Entry {
                 req: Request::query(1, 0),
                 deadline: None,
@@ -3487,11 +3240,11 @@ mod tests {
                 completion: Completion::Direct(cell),
             }
         };
-        state.queue.push_blocking(entry()).unwrap();
+        state.queue.push_blocking_many(vec![entry()]).unwrap();
         state.epoch_handed_over();
         state.epoch_releasing(2);
         // A caller back before `epoch_finished` runs still counts.
-        state.queue.push_blocking(entry()).unwrap();
+        state.queue.push_blocking_many(vec![entry()]).unwrap();
         state.epoch_finished(Duration::from_micros(100));
         let ex = state.executor();
         assert_eq!((ex.released, ex.pushes_at_release), (2, 1));

@@ -40,7 +40,7 @@ pub(crate) struct TicketCell {
     state: Mutex<CellState>,
     cv: Condvar,
     /// The admission timestamp, once drawn ([`TS_UNSET`] before that and
-    /// for requests that resolve without admission, e.g. empty ranges).
+    /// for requests that resolve without admission: empty ranges, sheds).
     ts: AtomicU64,
 }
 
@@ -143,15 +143,6 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    pub(crate) fn new() -> (Ticket, CellRef) {
-        // Single direct allocation (no intermediate Vec): the unbatched
-        // submit path — including the global-lock bench baseline — pays
-        // exactly one malloc here, same as before batching existed.
-        let cells: Arc<[TicketCell]> = Arc::new([TicketCell::default()]);
-        let batch = TicketBatch { cells };
-        (batch.ticket(0), batch.cell_ref(0))
-    }
-
     /// Blocks until the request resolves.
     pub fn wait(&self) -> Outcome {
         let mut state = self.cell.state.lock().unwrap();
@@ -174,9 +165,10 @@ impl Ticket {
     }
 
     /// The global admission timestamp this request linearizes at, or
-    /// `None` if no timestamp was drawn (empty ranges resolve without
-    /// admission). Stable once the ticket has resolved — waiting clients
-    /// use it to replay a concurrent history in timestamp order.
+    /// `None` if it was never admitted (an empty range, which resolves at
+    /// once; a request shed at submission). Stable once the ticket has
+    /// resolved — waiting clients use it to replay a concurrent history
+    /// in timestamp order.
     pub fn timestamp(&self) -> Option<u64> {
         match self.cell.ts.load(Ordering::Acquire) {
             TS_UNSET => None,
@@ -262,7 +254,7 @@ pub(crate) enum Completion {
 
 impl Completion {
     /// Whether both entries came in through one submission call: they
-    /// then share its ticket block (a lone `submit` allocates its own).
+    /// then share its ticket block (a lone `submit` is a call of one).
     pub(crate) fn same_submission(&self, other: &Completion) -> bool {
         fn block(c: &Completion) -> &Arc<[TicketCell]> {
             match c {
@@ -295,9 +287,15 @@ impl Completion {
 mod tests {
     use super::*;
 
+    /// A lone ticket and its cell: a block of one.
+    fn lone() -> (Ticket, CellRef) {
+        let batch = TicketBatch::new(1);
+        (batch.ticket(0), batch.cell_ref(0))
+    }
+
     #[test]
     fn ticket_resolves_once() {
-        let (t, cell) = Ticket::new();
+        let (t, cell) = lone();
         assert_eq!(t.try_get(), None);
         cell.resolve(Outcome::Done(Response::Done));
         cell.resolve(Outcome::Rejected); // ignored: first resolution wins
@@ -307,7 +305,7 @@ mod tests {
 
     #[test]
     fn parked_waiters_are_counted_and_woken() {
-        let (t, cell) = Ticket::new();
+        let (t, cell) = lone();
         let waiters: Vec<_> = (0..2)
             .map(|_| {
                 let t = t.clone();
@@ -328,7 +326,7 @@ mod tests {
 
     #[test]
     fn range_merge_assembles_parts_in_any_order() {
-        let (t, cell) = Ticket::new();
+        let (t, cell) = lone();
         let merge = RangeMerge::new(5, 2, cell);
         merge.complete_part(3, &[Some(30), None]);
         assert_eq!(t.try_get(), None);
@@ -350,7 +348,7 @@ mod tests {
         // Hash-scatter merging: every shard reports the full window, with
         // `Some` only at its own keys. The union must survive whatever
         // order the parts land in.
-        let (t, cell) = Ticket::new();
+        let (t, cell) = lone();
         let merge = RangeMerge::new(4, 3, cell);
         merge.complete_part(0, &[Some(1), None, None, None]);
         merge.complete_part(0, &[None, None, Some(3), None]);
@@ -363,7 +361,7 @@ mod tests {
 
     #[test]
     fn failed_part_poisons_the_range() {
-        let (t, cell) = Ticket::new();
+        let (t, cell) = lone();
         let merge = RangeMerge::new(4, 2, cell);
         merge.complete_part(0, &[Some(1), Some(2)]);
         merge.fail_part(Outcome::TimedOut);
