@@ -63,6 +63,7 @@
 //!   publishing the new [`ShardMap`] — emitting a [`RebalanceEvent`] per
 //!   published move.
 
+mod admit;
 mod control;
 mod lane;
 mod observe;
