@@ -284,6 +284,9 @@ struct DetState {
     live: usize,
     source: ChoiceSource,
     choices: Vec<u32>,
+    /// [`pick`](Self::pick)'s candidate list, kept between ticks so a
+    /// tick allocates nothing.
+    runnable: Vec<usize>,
     /// First replay divergence detected (see [`ChoiceSource::Replay`]).
     /// The schedule keeps draining on the fallback so every warp finishes
     /// — panicking mid-drive would strand warp threads parked on the
@@ -322,9 +325,9 @@ impl DetState {
     }
 
     fn pick(&mut self) -> usize {
-        let runnable: Vec<usize> = (0..self.finished.len())
-            .filter(|&w| self.eligible(w))
-            .collect();
+        let mut runnable = std::mem::take(&mut self.runnable);
+        runnable.clear();
+        runnable.extend((0..self.finished.len()).filter(|&w| self.eligible(w)));
         debug_assert!(!runnable.is_empty());
         let step = self.choices.len();
         let w = match &mut self.source {
@@ -366,6 +369,7 @@ impl DetState {
                 }
             }
         };
+        self.runnable = runnable;
         self.choices.push(w as u32);
         if let Some(ws) = &mut self.workers {
             if !ws.started[w] {
@@ -410,6 +414,7 @@ impl DetScheduler {
                 live: num_warps,
                 source,
                 choices: Vec::new(),
+                runnable: Vec::with_capacity(num_warps),
                 diverged: None,
                 workers: None,
             }),

@@ -1,6 +1,7 @@
 //! What a launch allocates depends on how many workers run it, not on how
-//! many warps it has. Counted exactly with a counting global allocator;
-//! this file holds one test, so nothing else allocates meanwhile.
+//! many warps it has nor — under the deterministic scheduler — on how many
+//! ticks it takes. Counted exactly with a counting global allocator; this
+//! file holds one test, so nothing else allocates meanwhile.
 
 use eirene_sim::{Device, DeviceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -34,7 +35,12 @@ static GLOBAL: Counting = Counting;
 const WORKERS: usize = 8;
 
 #[test]
-fn launch_allocations_scale_with_workers_not_warps() {
+fn launch_allocations_scale_with_workers_not_warps_or_ticks() {
+    os_launches();
+    det_launches();
+}
+
+fn os_launches() {
     let dev = Device::new(
         1 << 12,
         DeviceConfig {
@@ -64,4 +70,36 @@ fn launch_allocations_scale_with_workers_not_warps() {
     let (few, many) = (allocs_of(64), allocs_of(864));
     assert_eq!(few, many, "64 warps vs 864 warps");
     assert!(many <= 4 * WORKERS as u64, "{many} allocations");
+}
+
+/// Every deterministic tick goes through `DetState::pick`, which used to
+/// collect its candidate list afresh; what still grows with the ticks is
+/// the recorded choice sequence, one doubling at a time.
+fn det_launches() {
+    const WARPS: usize = 16;
+    let dev = Device::new(
+        1 << 12,
+        DeviceConfig::default().with_deterministic_sched(7),
+    );
+    let cell = dev.mem().alloc(1);
+    // (allocator calls, scheduler ticks) of one launch.
+    let run = |reads: usize| {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        dev.launch("reads", WARPS, |_, ctx| {
+            for _ in 0..reads {
+                ctx.read(cell);
+            }
+        });
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let log = dev.take_schedule_log();
+        (allocs, log.launches[0].choices.len() as u64)
+    };
+    run(64); // warm-up: spawns the pool
+    let ((few, short), (many, long)) = (run(64), run(64 * 64));
+    assert!(long >= 32 * short, "{short} ticks vs {long}");
+    let doublings = u64::from((long / short).ilog2()) + 2;
+    assert!(
+        many <= few + doublings,
+        "{few} allocations over {short} ticks, {many} over {long}"
+    );
 }
