@@ -334,7 +334,6 @@ impl Inner {
         }
         let num_shards = self.shards.len();
         let batch = TicketBatch::new(n);
-        let mut tickets = Vec::with_capacity(n);
         // Sized for a roughly uniform spread plus slack; a skewed batch
         // costs at most one regrowth per shard.
         let bucket_cap = n / num_shards + n / 8 + 4;
@@ -399,22 +398,21 @@ impl Inner {
                     }
                     route.shards().for_each(|shard| avail[shard] -= 1);
                 }
+                let whole = |cell: CellRef| {
+                    cell.set_ts(ts);
+                    Entry {
+                        req: Request { key, op, ts },
+                        deadline,
+                        arrival,
+                        tenant,
+                        completion: Completion::Direct(cell),
+                    }
+                };
                 match route {
                     Route::Empty => cell.resolve(Outcome::Done(Response::Range(Vec::new()))),
-                    Route::One(shard) => {
-                        cell.set_ts(ts);
-                        buckets[shard].push(Entry {
-                            req: Request { key, op, ts },
-                            deadline,
-                            arrival,
-                            tenant,
-                            completion: Completion::Direct(cell),
-                        });
-                    }
+                    Route::One(shard) => buckets[shard].push(whole(cell)),
                     Route::Split(parts) => {
-                        for (shard, part) in
-                            split_entries(&parts, op, ts, deadline, arrival, tenant, cell)
-                        {
+                        for (shard, part) in split_entries(&parts, whole(cell)) {
                             buckets[shard].push(part);
                         }
                     }
@@ -436,7 +434,6 @@ impl Inner {
                 }
             }
         }
-        tickets.extend((0..n).map(|i| batch.ticket(i)));
 
         for (shard, bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
@@ -445,57 +442,42 @@ impl Inner {
                 continue;
             }
             let state = &self.shards[shard];
-            match self.policy {
-                AdmitPolicy::Shed => {
-                    // Fill through the grant; its unspent remainder is
-                    // released when the guard drops below.
-                    let mut grant = grants[shard]
-                        .take()
-                        .expect("grant reserved in the pre-pass");
-                    match grant.push_many(bucket) {
-                        Ok((pushed, depth)) => state.record_enqueue(pushed as u64, depth),
-                        Err(rest) => {
-                            for e in rest {
-                                e.completion.resolve_fail(Outcome::Rejected);
-                            }
-                        }
-                    }
-                }
-                AdmitPolicy::Block => match state.queue.push_blocking_many(bucket) {
-                    Ok((pushed, high)) => state.record_enqueue(pushed as u64, high),
-                    Err((pushed, high, rest)) => {
-                        state.record_enqueue(pushed as u64, high);
-                        for e in rest {
-                            e.completion.resolve_fail(Outcome::Rejected);
-                        }
-                    }
-                },
+            let (pushed, depth, refused) = match self.policy {
+                // Fill through the grant; its unspent remainder is
+                // released when the guard drops here.
+                AdmitPolicy::Shed => grants[shard]
+                    .take()
+                    .expect("grant reserved in the pre-pass")
+                    .push_many(bucket),
+                AdmitPolicy::Block => state.queue.push_blocking_many(bucket),
+            };
+            state.record_enqueue(pushed as u64, depth);
+            for e in refused {
+                e.completion.resolve_fail(Outcome::Rejected);
             }
         }
-        tickets
+        (0..n).map(|i| batch.ticket(i)).collect()
     }
 }
 
-/// The per-shard entries of one split range: every part carries the
-/// range's timestamp `ts` and reports into one shared [`RangeMerge`]
-/// behind `cell`.
-fn split_entries(
-    parts: &[RangePart],
-    op: OpKind,
-    ts: u64,
-    deadline: Option<Instant>,
-    arrival: u64,
-    tenant: TenantId,
-    cell: CellRef,
-) -> impl Iterator<Item = (ShardId, Entry)> + '_ {
-    let OpKind::Range { len } = op else {
-        unreachable!("only ranges split")
+/// The per-shard entries of one split range, from the timestamped
+/// `whole` request: every part carries its timestamp and reports into
+/// one shared [`RangeMerge`] behind its ticket cell.
+fn split_entries(parts: &[RangePart], whole: Entry) -> impl Iterator<Item = (ShardId, Entry)> + '_ {
+    let Entry {
+        req,
+        deadline,
+        arrival,
+        tenant,
+        completion,
+    } = whole;
+    let (OpKind::Range { len }, Completion::Direct(cell)) = (req.op, completion) else {
+        unreachable!("only whole range requests split")
     };
-    cell.set_ts(ts);
     let merge = Arc::new(RangeMerge::new(len as usize, parts.len(), cell));
     parts.iter().map(move |p| {
         let part = Entry {
-            req: Request::range(p.lo, p.len, ts),
+            req: Request::range(p.lo, p.len, req.ts),
             deadline,
             arrival,
             tenant,
@@ -572,32 +554,26 @@ fn admit_lane_entry(
     state: &ShardState,
     shard: ShardId,
     reorder: &mut Reorder,
-    entry: Entry,
+    mut entry: Entry,
     route: Route,
 ) {
-    let Entry {
-        mut req,
-        deadline,
-        arrival,
-        tenant,
-        completion,
-    } = entry;
-    let Completion::Direct(cell) = completion else {
-        unreachable!("lane entries are whole requests")
-    };
     let mut grants = Vec::new();
     for peer in route.shards().filter(|&s| s != shard) {
         match inner.shards[peer].queue.try_reserve(1) {
             Some(g) => grants.push(g),
             None => {
                 // Dropping `grants` releases the earlier reservations.
-                inner.shards[peer].record_shed(1, tenant);
-                cell.resolve(Outcome::Rejected);
+                inner.shards[peer].record_shed(1, entry.tenant);
+                entry.completion.resolve_fail(Outcome::Rejected);
                 return;
             }
         }
     }
     let ts = inner.next_ts.fetch_add(1, Ordering::SeqCst);
+    entry.req.ts = ts;
+    if let Completion::Direct(cell) = &entry.completion {
+        cell.set_ts(ts);
+    }
     let mut grants = grants.into_iter();
     let mut place = |s: ShardId, e: Entry| {
         if s == shard {
@@ -613,25 +589,8 @@ fn admit_lane_entry(
     };
     match route {
         Route::Empty => unreachable!("empty ranges resolve at submission"),
-        Route::One(s) => {
-            req.ts = ts;
-            cell.set_ts(ts);
-            let completion = Completion::Direct(cell);
-            place(
-                s,
-                Entry {
-                    req,
-                    deadline,
-                    arrival,
-                    tenant,
-                    completion,
-                },
-            );
-        }
-        Route::Split(parts) => {
-            split_entries(&parts, req.op, ts, deadline, arrival, tenant, cell)
-                .for_each(|(s, part)| place(s, part));
-        }
+        Route::One(s) => place(s, entry),
+        Route::Split(parts) => split_entries(&parts, entry).for_each(|(s, part)| place(s, part)),
     }
 }
 

@@ -113,6 +113,10 @@ pub(crate) struct Drained {
     pub finished: bool,
 }
 
+/// What a bulk ingress push did: entries pushed, the (high-water) depth
+/// they reached, and the entries a closed queue refused, in order.
+pub(crate) type Pushed = (usize, usize, Vec<Entry>);
+
 /// Outcome of a bulk lane push: entries the lanes refused, partitioned
 /// by cause so the caller can count quota sheds separately.
 #[derive(Debug, Default)]
@@ -147,19 +151,34 @@ impl Reservation<'_> {
     pub(crate) fn forward(&mut self, entry: Entry) -> Result<usize, Entry> {
         debug_assert!(self.count >= 1, "forward on an exhausted Reservation");
         self.count -= 1;
-        self.queue.fill_reserved(entry)
+        let mut st = self.queue.state.lock().unwrap();
+        st.reserved -= 1;
+        if st.closed {
+            return Err(entry);
+        }
+        st.entries.push_back(entry);
+        self.queue.not_empty.notify_one();
+        Ok(st.entries.len())
     }
 
     /// Fills `entries.len()` reserved slots under one lock acquisition.
-    /// On a closed queue the entries come back. Returns
-    /// `(pushed, resulting depth)`.
-    pub(crate) fn push_many(&mut self, entries: Vec<Entry>) -> Result<(usize, usize), Vec<Entry>> {
+    /// A closed queue refuses them all.
+    pub(crate) fn push_many(&mut self, entries: Vec<Entry>) -> Pushed {
         debug_assert!(
             self.count >= entries.len(),
             "push_many beyond the Reservation"
         );
-        self.count -= entries.len();
-        self.queue.fill_reserved_many(entries)
+        let n = entries.len();
+        self.count -= n;
+        let mut st = self.queue.state.lock().unwrap();
+        st.reserved -= n;
+        if st.closed {
+            return (0, 0, entries);
+        }
+        st.entries.extend(entries);
+        st.pushes += 1;
+        self.queue.not_empty.notify_one();
+        (n, st.entries.len(), Vec::new())
     }
 }
 
@@ -257,40 +276,10 @@ impl IngressQueue {
         self.not_full.notify_all();
     }
 
-    fn fill_reserved(&self, entry: Entry) -> Result<usize, Entry> {
-        let mut st = self.state.lock().unwrap();
-        debug_assert!(st.reserved >= 1, "forward without a reservation");
-        st.reserved -= 1;
-        if st.closed {
-            return Err(entry);
-        }
-        st.entries.push_back(entry);
-        self.not_empty.notify_one();
-        Ok(st.entries.len())
-    }
-
-    fn fill_reserved_many(&self, entries: Vec<Entry>) -> Result<(usize, usize), Vec<Entry>> {
-        let n = entries.len();
-        let mut st = self.state.lock().unwrap();
-        debug_assert!(st.reserved >= n, "push_many without reservations");
-        st.reserved -= n;
-        if st.closed {
-            return Err(entries);
-        }
-        st.entries.extend(entries);
-        st.pushes += 1;
-        self.not_empty.notify_one();
-        Ok((n, st.entries.len()))
-    }
-
-    /// Blocking bulk push (block policy): takes the lock once and pushes every entry,
-    /// waiting on the consumer whenever the queue is full. If the queue
-    /// closes mid-way the unpushed tail comes back. Returns
-    /// `(pushed, high-water depth)`.
-    pub(crate) fn push_blocking_many(
-        &self,
-        entries: Vec<Entry>,
-    ) -> Result<(usize, usize), (usize, usize, Vec<Entry>)> {
+    /// Blocking bulk push (block policy): takes the lock once and pushes
+    /// every entry, waiting on the consumer whenever the queue is full. If
+    /// the queue closes mid-way the unpushed tail is refused.
+    pub(crate) fn push_blocking_many(&self, entries: Vec<Entry>) -> Pushed {
         let mut st = self.state.lock().unwrap();
         let (mut pushed, mut high) = (0usize, 0usize);
         let mut it = entries.into_iter();
@@ -302,7 +291,7 @@ impl IngressQueue {
             if st.closed {
                 let mut rest = vec![entry];
                 rest.extend(it);
-                return Err((pushed, high, rest));
+                return (pushed, high, rest);
             }
             st.entries.push_back(entry);
             pushed += 1;
@@ -310,7 +299,7 @@ impl IngressQueue {
         }
         st.pushes += 1;
         self.not_empty.notify_one();
-        Ok((pushed, high))
+        (pushed, high, Vec::new())
     }
 
     /// Stages entries on `tenant`'s lane (QoS mode) under one lock.
@@ -492,16 +481,24 @@ mod tests {
         }
     }
 
+    /// The depth an unrefused bulk push reached.
+    fn landed((pushed, depth, refused): Pushed) -> Result<usize, Vec<Entry>> {
+        if refused.is_empty() {
+            assert!(pushed > 0);
+            Ok(depth)
+        } else {
+            Err(refused)
+        }
+    }
+
     // The one-element forms of the three bulk pushes, as a lone `submit`
-    // makes them; the first two return the resulting depth.
+    // makes them.
     fn fill(r: &mut Reservation<'_>, e: Entry) -> Result<usize, Vec<Entry>> {
-        r.push_many(vec![e]).map(|(_, depth)| depth)
+        landed(r.push_many(vec![e]))
     }
 
     fn push_blocking(q: &IngressQueue, e: Entry) -> Result<usize, Vec<Entry>> {
-        q.push_blocking_many(vec![e])
-            .map(|(_, high)| high)
-            .map_err(|(_, _, rest)| rest)
+        landed(q.push_blocking_many(vec![e]))
     }
 
     fn push_lane(q: &IngressQueue, tenant: TenantId, e: Entry) -> Result<(), LaneBulkReject> {
@@ -610,8 +607,8 @@ mod tests {
     fn bulk_reserved_push_fills_in_one_shot() {
         let q = IngressQueue::new(8);
         let mut r = q.try_reserve(3).unwrap();
-        let (pushed, depth) = r.push_many(vec![entry(0), entry(1), entry(2)]).unwrap();
-        assert_eq!((pushed, depth), (3, 3));
+        let (pushed, depth, refused) = r.push_many(vec![entry(0), entry(1), entry(2)]);
+        assert_eq!((pushed, depth, refused.len()), (3, 3, 0));
         assert_eq!(drain_ts(&q, 8), [0, 1, 2]);
     }
 
@@ -625,10 +622,10 @@ mod tests {
         fill(&mut q.try_reserve(1).unwrap(), entry(0)).unwrap();
         assert_eq!(q.pushes(), 1);
         let mut r = q.try_reserve(3).unwrap();
-        r.push_many(vec![entry(1), entry(2), entry(3)]).unwrap();
+        landed(r.push_many(vec![entry(1), entry(2), entry(3)])).unwrap();
         assert_eq!(q.pushes(), 2, "a bulk fill is one call");
         push_blocking(&q, entry(4)).unwrap();
-        q.push_blocking_many(vec![entry(5), entry(6)]).unwrap();
+        landed(q.push_blocking_many(vec![entry(5), entry(6)])).unwrap();
         assert_eq!(q.pushes(), 4);
         push_lane(&q, 0, entry(u64::MAX)).unwrap();
         assert_eq!(q.pushes(), 5);
@@ -651,9 +648,9 @@ mod tests {
         q.close();
         assert!(fill(&mut r, entry(8)).is_err());
         assert!(r.forward(entry(8)).is_err());
-        assert!(r.push_many(vec![entry(8), entry(9)]).is_err());
+        assert_eq!(r.push_many(vec![entry(8), entry(9)]).2.len(), 2);
         assert!(push_blocking(&q, entry(10)).is_err());
-        assert!(q.push_blocking_many(vec![entry(11), entry(12)]).is_err());
+        assert_eq!(q.push_blocking_many(vec![entry(11), entry(12)]).2.len(), 2);
         assert!(push_lane(&q, 0, entry(u64::MAX)).is_err());
         assert_eq!(q.pushes(), 6);
     }
@@ -694,8 +691,8 @@ mod tests {
         while got.len() < 7 {
             got.extend(q.drain(16, None).entries.into_iter().map(|e| e.req.ts));
         }
-        let (pushed, high) = pusher.join().unwrap().unwrap();
-        assert_eq!(pushed, 7);
+        let (pushed, high, refused) = pusher.join().unwrap();
+        assert_eq!((pushed, refused.len()), (7, 0));
         assert!(high <= 2);
         assert_eq!(got, (0..7).collect::<Vec<u64>>());
     }
@@ -725,7 +722,7 @@ mod tests {
         let pusher = std::thread::spawn(move || q2.push_blocking_many((0..5).map(entry).collect()));
         std::thread::sleep(Duration::from_millis(20));
         q.close();
-        let (pushed, _high, rest) = pusher.join().unwrap().unwrap_err();
+        let (pushed, _high, rest) = pusher.join().unwrap();
         assert_eq!(pushed, 2);
         assert_eq!(rest.len(), 3);
         assert_eq!(q.drain(8, Some(Duration::ZERO)).entries.len(), 2);

@@ -2624,11 +2624,11 @@ mod tests {
                 completion: Completion::Direct(cell),
             }
         };
-        state.queue.push_blocking_many(vec![entry()]).unwrap();
+        state.queue.push_blocking_many(vec![entry()]);
         state.epoch_handed_over();
         state.epoch_releasing(2);
         // A caller back before `epoch_finished` runs still counts.
-        state.queue.push_blocking_many(vec![entry()]).unwrap();
+        state.queue.push_blocking_many(vec![entry()]);
         state.epoch_finished(Duration::from_micros(100));
         let ex = state.executor();
         assert_eq!((ex.released, ex.pushes_at_release), (2, 1));
