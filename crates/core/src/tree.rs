@@ -31,7 +31,8 @@ pub struct EireneOptions {
     pub target_warps: usize,
     /// Coalesced run dispatch through the snapshot pivot cache (leaf-run
     /// groups, one descent per run). Off = per-request execution, the
-    /// comparison baseline of the `combine_path` bench.
+    /// comparison baseline of `tests/coalesce_floor.rs`, `plan_equiv.rs`
+    /// and `fuzz --coalesce`.
     pub coalesce: bool,
 }
 

@@ -22,6 +22,10 @@
 //! slots *after* reading `next_ts`. So the scan observes either the slot
 //! (value `<= t`, contradicting `t < watermark`) or its clearance — which
 //! only happens after the request is fully enqueued. ∎
+//!
+//! The invariant is about the shard *queues* and says nothing yet about a
+//! combiner's reorder heap: [`Reorder::offer`]'s precondition is what
+//! carries it there (`reorder` module docs).
 
 use crate::lane::{QosConfig, TenantId};
 use crate::queue::{AdmitPolicy, Entry};
@@ -434,6 +438,9 @@ impl Inner {
                 }
             }
         }
+        // Before the fill: once the entries are queued, all that should
+        // stand between them and the combiner is this call's slot.
+        let tickets = (0..n).map(|i| batch.ticket(i)).collect();
 
         for (shard, bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
@@ -456,7 +463,7 @@ impl Inner {
                 e.completion.resolve_fail(Outcome::Rejected);
             }
         }
-        (0..n).map(|i| batch.ticket(i)).collect()
+        tickets
     }
 }
 

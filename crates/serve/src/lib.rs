@@ -13,8 +13,8 @@
 //!   admits a whole request vector with one timestamp range-claim and one
 //!   bulk enqueue per shard. Admission is lock-free: a bare atomic
 //!   timestamp counter plus a watermark of in-flight submissions that
-//!   lets each combiner restore timestamp order (see the `service`
-//!   module docs).
+//!   lets each combiner restore timestamp order (see the `admit`,
+//!   `reorder` and `service` module docs).
 //! - **Epoch pipelining** — per shard, a combiner thread forms and plans
 //!   epoch N+1 (host work) while the executor runs epoch N on the device,
 //!   exploiting that [`build_plan`](eirene_core::plan::build_plan) needs

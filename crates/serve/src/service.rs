@@ -1,5 +1,6 @@
-//! The sharded service: admission control, timestamp assignment, and the
-//! per-shard combiner/executor epoch pipelines.
+//! The sharded service: configuration, the per-shard combiner/executor
+//! epoch pipelines, sampling, and the rebalancer. The front door —
+//! timestamp assignment and admission — is the `admit` module.
 //!
 //! # Linearizability without a submission lock
 //!
@@ -9,25 +10,31 @@
 //! order when many clients interleave between drawing a timestamp and
 //! enqueueing. Order is restored per shard by the combiner's bounded
 //! **reorder stage**: a pending min-heap keyed by timestamp, gated by a
-//! **low watermark** of in-flight submissions.
+//! **low watermark** of in-flight submissions. The argument has three
+//! steps, each stated beside the code that carries it.
 //!
-//! The invariant is about the *queue*; the heap inherits it only through a
-//! drain made after the read. A combiner therefore reads the watermark,
-//! drains its queue into the heap, and emits an epoch only from entries
-//! with `ts < watermark`, in ascending order; a turn that leaves the queue
-//! alone (the heap already holds two epochs' worth) pops under the
-//! watermark of its last drain, because entries below a fresher one may
-//! still be queued behind larger timestamps the heap already has. Epochs
-//! carry strictly ascending timestamp slices and successive epochs are
-//! mutually ordered, so each shard still executes its slice of the
-//! history in global timestamp order and the whole service linearizes at
-//! admission timestamps — a flat
-//! [`SequentialOracle`](eirene_workloads::SequentialOracle) over the
-//! timestamp-sorted submissions remains a valid oracle even with
-//! concurrent lock-free clients. Split range queries reuse the *same*
-//! timestamp on every shard and all their parts are enqueued before the
-//! slot clears, so no combiner can close an epoch between two parts of
-//! one range.
+//! 1. **The watermark invariant is about the queue** (`admit` module
+//!    docs, with its proof): any request with a timestamp below a
+//!    watermark is fully enqueued at the moment the watermark was read.
+//! 2. **`Reorder::offer`'s precondition carries it to the heap**
+//!    (`reorder` module docs, the drain ↔ pop lemma): the stage takes a
+//!    watermark only together with a complete drain made after it was
+//!    read, and releases under no other. A turn that leaves the queue
+//!    alone (the stage already holds two epochs' worth) therefore cannot
+//!    release under a fresher one, below which entries may still be
+//!    queued behind larger timestamps the heap already has.
+//! 3. **Cross-epoch order is the conclusion**, and what the executor
+//!    counts breaks of (`ShardReport::epoch_order_violations`): epochs
+//!    carry strictly ascending timestamp slices and successive epochs are
+//!    mutually ordered, so each shard executes its slice of the history
+//!    in global timestamp order and the whole service linearizes at
+//!    admission timestamps — a flat
+//!    [`SequentialOracle`](eirene_workloads::SequentialOracle) over the
+//!    timestamp-sorted submissions remains a valid oracle even with
+//!    concurrent lock-free clients. Split range queries reuse the *same*
+//!    timestamp on every shard and all their parts are enqueued before
+//!    the slot clears, so no combiner can close an epoch between two
+//!    parts of one range.
 //!
 //! # Pipelining
 //!

@@ -77,10 +77,7 @@ fn os_launches() {
 /// the recorded choice sequence, one doubling at a time.
 fn det_launches() {
     const WARPS: usize = 16;
-    let dev = Device::new(
-        1 << 12,
-        DeviceConfig::default().with_deterministic_sched(7),
-    );
+    let dev = Device::new(1 << 12, DeviceConfig::default().with_deterministic_sched(7));
     let cell = dev.mem().alloc(1);
     // (allocator calls, scheduler ticks) of one launch.
     let run = |reads: usize| {
