@@ -72,9 +72,9 @@ fn os_launches() {
     assert!(many <= 4 * WORKERS as u64, "{many} allocations");
 }
 
-/// Every deterministic tick goes through `DetState::pick`, which used to
-/// collect its candidate list afresh; what still grows with the ticks is
-/// the recorded choice sequence, one doubling at a time.
+/// Every deterministic tick goes through `DetState::pick`: anything it
+/// allocates per tick shows here as calls growing with the ticks. What may
+/// grow is the recorded choice sequence, one doubling at a time.
 fn det_launches() {
     const WARPS: usize = 16;
     let dev = Device::new(1 << 12, DeviceConfig::default().with_deterministic_sched(7));
