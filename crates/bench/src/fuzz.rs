@@ -1,8 +1,8 @@
-//! The `fuzz` subcommand: the differential fuzz harness of `eirene-check`
-//! behind a CLI.
+//! The `fuzz` subcommand: picks a leg of the `eirene-check` driver from
+//! the arguments and prints the outcome.
 //!
 //! ```text
-//! cargo run -p eirene-bench --release -- fuzz                       # defaults
+//! cargo run -p eirene-bench --release -- fuzz                       # tree leg, defaults
 //! cargo run -p eirene-bench --release -- fuzz --seed 1 --batches 500
 //! cargo run -p eirene-bench --release -- fuzz --tree eirene --os-sched
 //! cargo run -p eirene-bench --release -- fuzz --inject-fault        # self-test
@@ -11,323 +11,52 @@
 //! cargo run -p eirene-bench --release -- fuzz --coalesce            # combine-path leg
 //! ```
 //!
-//! `--serve` routes the same adversarial request streams through the
-//! sharded serving layer (`eirene-serve`) instead of a single tree —
-//! shard routing, epoch pipelining, and cross-shard range merging all sit
-//! between the generator and the oracle.
-//!
-//! `--churn` keeps one tree alive across many consecutive delete-heavy
-//! batches: keys flicker in and out, leaves merge and borrow, merged-away
-//! nodes retire through the slab arena, and every batch boundary advances
-//! the reclamation epoch. On top of the differential checks each case
-//! asserts the arena's live occupancy stays within a bound of the
-//! post-build node count (no leak) and that quarantine drains. A serve
-//! leg pushes the same streams through a sharded service with racing
-//! submitters and a forced rebalance.
-//!
-//! `--coalesce` targets the combine path: duplicate-key clusters with
-//! colliding timestamps, range queries straddling leaf-run boundaries,
-//! and a build → split-invalidate → rebuild pivot-cache cycle, with every
-//! round checked against the flat oracle AND a coalesce-disabled twin
-//! tree. Cases also assert the machinery fired (cache rebuilds and hits),
-//! so a silently disabled combine path fails rather than trivially passes.
-//!
-//! Exit status: 0 when every case agrees with the sequential oracle, 1
-//! when a violation was found (the shrunk reproducer and its seeds are
-//! printed), 2 on usage errors.
+//! The flags of each leg are its table in `eirene_check::driver`
+//! ([`Leg::usage`] prints them). Exit status: 0 when every case agrees
+//! with its oracle, 1 when a violation was found (the report and its
+//! replay line are printed), 2 on usage errors.
 
-use eirene_check::{ChurnOptions, ChurnOutcome, FaultSpec, FuzzOptions, FuzzOutcome, FuzzTree};
-use eirene_check::{CoalesceOptions, CoalesceOutcome};
-use eirene_check::{ServeFuzzOptions, ServeFuzzOutcome};
+use eirene_check::{Fuzz, Leg, Outcome};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: eirene-bench fuzz [--seed N] [--repro-seed HEX] [--batches N] [--batch N] \
-         [--domain N] [--initial-keys N] [--tree {}] [--os-sched] [--inject-fault] \
-         [--serve [--shards N] [--submitters N] [--epoch-limit N] [--adaptive] [--tenants N] \
-         [--rebalance] [--hash] [--det]] \
-         [--churn [--cases N] [--rounds N] [--serve-cases N] [--occupancy-factor N] \
-         [--deterministic]] \
-         [--coalesce [--cases N] [--deterministic]]",
-        FuzzTree::ALL
-            .iter()
-            .map(|t| t.label())
-            .collect::<Vec<_>>()
-            .join("|")
-    );
-    std::process::exit(2);
+/// Every leg's usage line.
+pub fn usage() -> String {
+    Leg::ALL.map(Leg::usage).join("\n")
 }
 
-fn parse_num<T: std::str::FromStr>(v: Option<&String>) -> T {
-    v.unwrap_or_else(|| usage())
-        .parse()
-        .unwrap_or_else(|_| usage())
-}
-
-/// Seeds are printed in `{:#x}` form by failure reports, so accept both
-/// `0x`-prefixed hex and decimal.
-fn parse_seed(v: Option<&String>) -> u64 {
-    let s = v.unwrap_or_else(|| usage());
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    }
-    .unwrap_or_else(|_| usage())
-}
-
-/// Parses `fuzz --serve` arguments and runs the serving-layer harness;
-/// accepts exactly the flag set that [`ServeFuzzFailure`]'s replay command
-/// prints (`eirene_check::ServeFuzzFailure`).
-fn run_serve(args: &[String]) -> i32 {
-    let mut opts = ServeFuzzOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--serve" => {}
-            "--seed" => opts.seed = parse_seed(it.next()),
-            "--repro-seed" => opts.repro = Some(parse_seed(it.next())),
-            "--batches" | "--cases" => opts.cases = parse_num(it.next()),
-            "--batch" => opts.batch_size = parse_num(it.next()),
-            "--domain" => opts.domain = parse_num(it.next()),
-            "--initial-keys" => opts.initial_keys = parse_num(it.next()),
-            "--shards" => opts.shards = parse_num(it.next()),
-            "--submitters" => opts.submitters = parse_num(it.next()),
-            "--epoch-limit" => opts.epoch_limit = parse_num(it.next()),
-            "--adaptive" => opts.adaptive = true,
-            "--tenants" => opts.tenants = parse_num(it.next()),
-            "--rebalance" => opts.rebalance = true,
-            "--hash" => opts.hash = true,
-            "--os-sched" => opts.deterministic = false,
-            "--det" => opts.deterministic = true,
-            _ => usage(),
-        }
-    }
-    eprintln!(
-        "fuzz --serve: {}, {} batches x {} requests, domain {}, {} shards, {} submitter(s), \
-         epoch limit {}{}{}{}, {}",
-        match opts.repro {
-            Some(s) => format!("replaying batch seed {s:#x}"),
-            None => format!("seed {:#x}", opts.seed),
-        },
-        opts.cases,
-        opts.batch_size,
-        opts.domain,
-        opts.shards,
-        opts.submitters.max(1),
-        opts.epoch_limit,
-        if opts.adaptive { " (adaptive)" } else { "" },
-        if opts.tenants > 1 {
-            format!(", {} tenant lanes", opts.tenants)
-        } else {
-            String::new()
-        },
-        if opts.rebalance {
-            ", forced rebalancing"
-        } else if opts.hash {
-            ", hash sharding"
-        } else {
-            ""
-        },
-        if opts.deterministic {
-            "deterministic scheduling"
-        } else {
-            "OS scheduling"
-        },
-    );
-    match eirene_check::run_serve_fuzz(&opts) {
-        ServeFuzzOutcome::Passed { cases } => {
-            println!(
-                "fuzz --serve: {cases} cases across {} shards, all consistent with the \
-                 sequential oracle",
-                opts.shards
-            );
-            0
-        }
-        ServeFuzzOutcome::Failed(f) => {
-            println!("{f}");
-            1
-        }
-    }
-}
-
-/// Parses `fuzz --churn` arguments and runs the churn/reclamation
-/// harness; accepts the flag set [`ChurnFailure`]'s replay command prints
-/// (`eirene_check::ChurnFailure`).
-fn run_churn(args: &[String]) -> i32 {
-    let mut opts = ChurnOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--churn" => {}
-            "--seed" => opts.seed = parse_seed(it.next()),
-            "--repro-seed" => opts.repro = Some(parse_seed(it.next())),
-            "--batches" | "--cases" => opts.cases = parse_num(it.next()),
-            "--rounds" => opts.rounds = parse_num(it.next()),
-            "--batch" => opts.batch_size = parse_num(it.next()),
-            "--domain" => opts.domain = parse_num(it.next()),
-            "--initial-keys" => opts.initial_keys = parse_num(it.next()),
-            "--serve-cases" => opts.serve_cases = parse_num(it.next()),
-            "--occupancy-factor" => opts.occupancy_factor = parse_num(it.next()),
-            "--deterministic" | "--det" => opts.deterministic = true,
-            "--os-sched" => opts.deterministic = false,
-            _ => usage(),
-        }
-    }
-    eprintln!(
-        "fuzz --churn: {}, {} cases x {} rounds x {} requests (+{} serve cases), \
-         domain {}, occupancy bound {}x, {}",
-        match opts.repro {
-            Some(s) => format!("replaying case seed {s:#x}"),
-            None => format!("seed {:#x}", opts.seed),
-        },
-        opts.cases,
-        opts.rounds,
-        opts.batch_size,
-        opts.serve_cases,
-        opts.domain,
-        opts.occupancy_factor,
-        if opts.deterministic {
-            "deterministic scheduling"
-        } else {
-            "OS scheduling"
-        },
-    );
-    match eirene_check::run_churn_fuzz(&opts) {
-        ChurnOutcome::Passed {
-            cases,
-            worst_occupancy_pct,
-        } => {
-            println!(
-                "fuzz --churn: {cases} cases, all consistent with the sequential oracle; \
-                 worst arena occupancy {}.{:02}x of post-build",
-                worst_occupancy_pct / 100,
-                worst_occupancy_pct % 100
-            );
-            0
-        }
-        ChurnOutcome::Failed(f) => {
-            println!("{f}");
-            1
-        }
-    }
-}
-
-/// Parses `fuzz --coalesce` arguments and runs the combine-path harness;
-/// accepts the flag set [`CoalesceFailure`]'s replay command prints
-/// (`eirene_check::CoalesceFailure`).
-fn run_coalesce(args: &[String]) -> i32 {
-    let mut opts = CoalesceOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--coalesce" => {}
-            "--seed" => opts.seed = parse_seed(it.next()),
-            "--repro-seed" => opts.repro = Some(parse_seed(it.next())),
-            "--batches" | "--cases" => opts.cases = parse_num(it.next()),
-            "--batch" => opts.batch_size = parse_num(it.next()),
-            "--domain" => opts.domain = parse_num(it.next()),
-            "--initial-keys" => opts.initial_keys = parse_num(it.next()),
-            "--deterministic" | "--det" => opts.deterministic = true,
-            "--os-sched" => opts.deterministic = false,
-            _ => usage(),
-        }
-    }
-    eprintln!(
-        "fuzz --coalesce: {}, {} cases x {} rounds x {} requests, domain {}, {}",
-        match opts.repro {
-            Some(s) => format!("replaying case seed {s:#x}"),
-            None => format!("seed {:#x}", opts.seed),
-        },
-        opts.cases,
-        eirene_check::coalesce::RoundKind::SEQUENCE.len(),
-        opts.batch_size,
-        opts.domain,
-        if opts.deterministic {
-            "deterministic scheduling"
-        } else {
-            "OS scheduling"
-        },
-    );
-    match eirene_check::run_coalesce_fuzz(&opts) {
-        CoalesceOutcome::Passed { cases, cache_hits } => {
-            println!(
-                "fuzz --coalesce: {cases} cases, all consistent with the sequential oracle \
-                 and the uncoalesced twin; {cache_hits} pivot-cache hits exercised"
-            );
-            0
-        }
-        CoalesceOutcome::Failed(f) => {
-            println!("{f}");
-            1
-        }
-    }
-}
-
-/// Parses `fuzz` arguments and runs the harness; returns the process exit
-/// code.
+/// Parses `fuzz` arguments and runs the driver; returns the exit code.
 pub fn run(args: &[String]) -> i32 {
-    if args.iter().any(|a| a == "--serve") {
-        return run_serve(args);
-    }
-    if args.iter().any(|a| a == "--churn") {
-        return run_churn(args);
-    }
-    if args.iter().any(|a| a == "--coalesce") {
-        return run_coalesce(args);
-    }
-    let mut opts = FuzzOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => opts.seed = parse_seed(it.next()),
-            "--repro-seed" => opts.repro = Some(parse_seed(it.next())),
-            "--batches" => opts.batches = parse_num(it.next()),
-            "--batch" => opts.batch_size = parse_num(it.next()),
-            "--domain" => opts.domain = parse_num(it.next()),
-            "--initial-keys" => opts.initial_keys = parse_num(it.next()),
-            "--tree" => {
-                let name = it.next().unwrap_or_else(|| usage());
-                match FuzzTree::parse(name) {
-                    Some(t) => opts.trees = vec![t],
-                    None => usage(),
-                }
-            }
-            "--os-sched" => opts.deterministic = false,
-            "--inject-fault" => opts.fault = Some(FaultSpec::default()),
-            _ => usage(),
+    let fuzz = match Fuzz::parse(args) {
+        Ok(fuzz) => fuzz,
+        Err(e) => {
+            eprintln!("{e}\nusage:\n{}", usage());
+            return 2;
         }
-    }
-    eprintln!(
-        "fuzz: {}, {} batches x {} requests, domain {}, trees [{}], {}{}",
-        match opts.repro {
-            Some(s) => format!("replaying batch seed {s:#x}"),
-            None => format!("seed {:#x}", opts.seed),
-        },
-        opts.batches,
-        opts.batch_size,
-        opts.domain,
-        opts.trees
-            .iter()
-            .map(|t| t.label())
-            .collect::<Vec<_>>()
-            .join(", "),
-        if opts.deterministic {
-            "deterministic scheduling"
-        } else {
-            "OS scheduling"
-        },
-        if opts.fault.is_some() {
-            ", fault injection ON"
-        } else {
-            ""
-        },
-    );
-    match eirene_check::run_fuzz(&opts) {
-        FuzzOutcome::Passed { cases } => {
-            println!("fuzz: {cases} cases, all consistent with the sequential oracle");
+    };
+    let sched = if fuzz.deterministic {
+        "deterministic"
+    } else {
+        "OS"
+    };
+    eprintln!("{}  ({sched} scheduling)", fuzz.command());
+    match fuzz.run() {
+        Outcome::Passed { cases, coverage } => {
+            let name = fuzz
+                .leg
+                .switch()
+                .map_or("fuzz".into(), |s| format!("fuzz {s}"));
+            let coverage = match fuzz.leg {
+                Leg::Churn => format!(
+                    "; worst arena occupancy {}.{:02}x of post-build",
+                    coverage / 100,
+                    coverage % 100
+                ),
+                Leg::Coalesce => format!("; {coverage} pivot-cache hits exercised"),
+                Leg::Tree | Leg::Serve => String::new(),
+            };
+            println!("{name}: {cases} cases, all consistent with the sequential oracle{coverage}");
             0
         }
-        FuzzOutcome::Failed(f) => {
+        Outcome::Failed(f) => {
             println!("{f}");
             1
         }

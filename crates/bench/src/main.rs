@@ -16,18 +16,15 @@ fn usage() -> ! {
          ablate-threshold|ablate-protection|ablate-iteration|ablate-distribution|\
          ablate-batch|ablate-mix|ablate-all> \
          [--paper-scale] [--smoke] [--batch N] [--repeats N] [--exps a,b,c] \
-         [--jobs N] [--json PATH] [--trace PATH]\n       \
-         eirene-bench fuzz [--seed N] [--batches N] [--batch N] [--tree T] \
-         [--os-sched] [--inject-fault]   (differential fuzz harness)\n       \
-         eirene-bench fuzz --serve [--shards N] [--submitters N] [--batches N] [--batch N] \
-         [--domain N] [--initial-keys N] [--epoch-limit N] [--seed N] [--repro-seed H] \
-         [--os-sched|--det]   (sharded-serving fuzz)\n       \
-         eirene-bench fuzz --churn [--cases N] [--rounds N] [--serve-cases N] \
-         [--occupancy-factor N] [--seed N] [--repro-seed H] [--deterministic]   \
-         (churn/reclamation fuzz on one long-lived tree)\n       \
+         [--jobs N] [--json PATH] [--trace PATH]\n{}\n       \
          eirene-bench serve [--smoke] [--shards a,b,c] [--loads f,f] [--tree-exp N] \
          [--requests N] [--batch-limit N] [--straddle F] [--clients N] [--seed N]   \
-         (sharded-serving throughput/QoS sweep)"
+         (sharded-serving throughput/QoS sweep)",
+        eirene_bench::fuzz::usage()
+            .lines()
+            .map(|line| format!("       {line}"))
+            .collect::<Vec<_>>()
+            .join("\n")
     );
     std::process::exit(2);
 }

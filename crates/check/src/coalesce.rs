@@ -1,7 +1,7 @@
 //! Coalescing fuzz leg: adversarial batches aimed at the combine-path
 //! machinery — sorted-plan leaf runs and the snapshot pivot cache.
 //!
-//! The single-batch fuzzer already covers linearizability in general; this
+//! The tree leg already covers linearizability in general; this
 //! leg targets the failure surfaces coalescing adds:
 //!
 //! * **Duplicate-key / equal-timestamp clusters**: long same-key runs make
@@ -17,57 +17,23 @@
 //!   reads both the old and the freshly split regions — a stale frontier
 //!   or fence set would misroute exactly here.
 //!
-//! Every round runs against one persistent coalesced tree, one persistent
-//! coalesce-disabled twin, and one flat [`SequentialOracle`]: responses
-//! are checked positionally against the oracle for *both* trees, final
-//! contents and structure are validated, and the case additionally asserts
+//! Every round runs against one persistent coalesced tree and one
+//! persistent coalesce-disabled twin, each with its own flat
+//! [`SequentialOracle`](eirene_workloads::SequentialOracle): after every
+//! round both twins' responses, structure and contents are checked
+//! against their oracle, and the case additionally asserts
 //! the machinery actually fired (cache rebuilds after the split round,
 //! cache hits in the query round) so a silently disabled combine path
 //! cannot pass.
 
-use crate::diff::Violation;
+use crate::diff::{check_against_oracle, oracle_over, Violation};
+use crate::driver::{mix, At, Fuzz};
 use crate::gen::{dense_pairs, GenOptions};
-use eirene_baselines::common::ConcurrentTree;
 use eirene_core::{EireneOptions, EireneTree};
 use eirene_sim::DeviceConfig;
-use eirene_workloads::{Batch, OpKind, Oracle, Request, SequentialOracle};
+use eirene_workloads::{Batch, OpKind, Request};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// Configuration of one coalescing fuzz run.
-#[derive(Clone, Debug)]
-pub struct CoalesceOptions {
-    /// Master seed; per-case seeds derive from it.
-    pub seed: u64,
-    /// Cases (fresh tree pair + one round sequence) to run.
-    pub cases: usize,
-    /// Requests per round.
-    pub batch_size: usize,
-    /// Key domain of the mixed/query rounds; the split round upserts into
-    /// `domain+1 ..= domain+batch_size` (kept empty by the others).
-    pub domain: u32,
-    /// Keys pre-loaded into every fresh tree (`1..=initial_keys`).
-    pub initial_keys: u32,
-    /// Run devices under the seeded deterministic scheduler.
-    pub deterministic: bool,
-    /// Replay mode: use this value directly as the case seed and run one
-    /// case — the round sequence regenerates bit-for-bit.
-    pub repro: Option<u64>,
-}
-
-impl Default for CoalesceOptions {
-    fn default() -> Self {
-        CoalesceOptions {
-            seed: 0xC0A1E5CE,
-            cases: 200,
-            batch_size: 256,
-            domain: 4096,
-            initial_keys: 1024,
-            deterministic: false,
-            repro: None,
-        }
-    }
-}
 
 /// The fixed round sequence every case runs: build the cache, invalidate
 /// it with splits, then read through the rebuilt snapshot.
@@ -94,97 +60,6 @@ impl RoundKind {
         RoundKind::QueryHeavy,
         RoundKind::Mixed,
     ];
-}
-
-/// How a coalescing case failed.
-#[derive(Clone, Debug)]
-pub enum CoalesceViolation {
-    /// A tree diverged from the oracle (response/structure/contents).
-    Differential {
-        round: usize,
-        /// Which twin diverged: true for the coalesced tree.
-        coalesced: bool,
-        violation: Violation,
-    },
-    /// The coalesced and uncoalesced twins disagreed with each other
-    /// (caught even if both happen to agree with the oracle on responses
-    /// but drift in contents).
-    Divergence { round: usize, detail: String },
-    /// The combine path never fired: the counters that prove the cache
-    /// was built, invalidated, rebuilt, and hit stayed flat.
-    MachineryIdle { detail: String },
-}
-
-impl std::fmt::Display for CoalesceViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CoalesceViolation::Differential {
-                round,
-                coalesced,
-                violation,
-            } => write!(
-                f,
-                "round {round} ({} tree): {violation}",
-                if *coalesced {
-                    "coalesced"
-                } else {
-                    "uncoalesced"
-                }
-            ),
-            CoalesceViolation::Divergence { round, detail } => {
-                write!(f, "round {round}: twins diverged: {detail}")
-            }
-            CoalesceViolation::MachineryIdle { detail } => {
-                write!(f, "combine path never fired: {detail}")
-            }
-        }
-    }
-}
-
-/// A coalescing-fuzz-found violation. Cases are round sequences against
-/// persistent trees, so the seed replays the whole case instead of a
-/// ddmin shrink.
-#[derive(Clone, Debug)]
-pub struct CoalesceFailure {
-    pub case: usize,
-    pub case_seed: u64,
-    pub violation: CoalesceViolation,
-    /// Self-contained `eirene-bench fuzz --coalesce` replay command.
-    pub replay: String,
-}
-
-impl std::fmt::Display for CoalesceFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "coalescing violation (case {}, case seed {:#x})",
-            self.case, self.case_seed
-        )?;
-        writeln!(f, "  {}", self.violation)?;
-        write!(f, "  replay: {}", self.replay)
-    }
-}
-
-/// Result of a coalescing fuzz run.
-#[derive(Debug)]
-pub enum CoalesceOutcome {
-    Passed {
-        /// Total cases executed.
-        cases: usize,
-        /// Cache hits accumulated across all cases' coalesced trees — a
-        /// coverage signal the CLI prints.
-        cache_hits: u64,
-    },
-    Failed(Box<CoalesceFailure>),
-}
-
-/// SplitMix64 step (same scheme as the other harnesses).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Generates one round's batch (deterministic in `(seed, kind, opts)`).
@@ -274,49 +149,17 @@ fn build_twin(
     )
 }
 
-fn check_against_oracle(
-    round: usize,
-    coalesced: bool,
-    batch: &Batch,
-    got: &[eirene_workloads::Response],
-    want: &[eirene_workloads::Response],
-) -> Result<(), CoalesceViolation> {
-    for i in 0..batch.len() {
-        if got[i] != want[i] {
-            return Err(CoalesceViolation::Differential {
-                round,
-                coalesced,
-                violation: Violation::Response {
-                    index: i,
-                    request: batch.requests[i],
-                    got: got[i].clone(),
-                    want: want[i].clone(),
-                },
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Runs one coalescing case: the [`RoundKind::SEQUENCE`] against a
-/// persistent coalesced tree, its coalesce-disabled twin, and a flat
-/// oracle. Returns the coalesced tree's accumulated cache hits.
-pub fn run_coalesce_case(opts: &CoalesceOptions, case_seed: u64) -> Result<u64, CoalesceViolation> {
-    use eirene_btree::{refops, validate::validate};
+/// persistent coalesced tree and its coalesce-disabled twin, each beside
+/// its own oracle. Returns the coalesced tree's accumulated cache hits.
+pub fn run_coalesce_case(opts: &Fuzz, case_seed: u64) -> Result<u64, (Violation, At)> {
     let pairs = dense_pairs(opts.initial_keys);
-    let cfg = |salt: u64| {
-        if opts.deterministic {
-            DeviceConfig::test_small().with_deterministic_sched(mix(case_seed ^ salt))
-        } else {
-            DeviceConfig::test_small()
-        }
-    };
+    let cfg = |salt: u64| opts.device(mix(case_seed ^ salt));
     // Headroom covers the split round's fresh region plus churn slack.
     let headroom = (opts.batch_size * 4).max(1 << 12);
     let mut on = build_twin(&pairs, cfg(1), headroom, true);
     let mut off = build_twin(&pairs, cfg(2), headroom, false);
-    let pairs32: Vec<(u32, u32)> = pairs.iter().map(|&(k, v)| (k as u32, v as u32)).collect();
-    let mut oracle = SequentialOracle::load(&pairs32);
+    let (mut on_oracle, mut off_oracle) = (oracle_over(&pairs), oracle_over(&pairs));
     let gen_opts = GenOptions {
         domain: opts.domain,
         batch_size: opts.batch_size,
@@ -324,145 +167,75 @@ pub fn run_coalesce_case(opts: &CoalesceOptions, case_seed: u64) -> Result<u64, 
     let (mut hits, mut rebuilds, mut saved) = (0u64, 0u64, 0u64);
     for (round, &kind) in RoundKind::SEQUENCE.iter().enumerate() {
         let batch = coalesce_batch(mix(case_seed ^ round as u64), kind, &gen_opts);
-        let run_on = on.run_batch(&batch);
-        let run_off = off.run_batch(&batch);
-        let want = oracle.run_batch(&batch);
-        check_against_oracle(round, true, &batch, &run_on.responses, &want)?;
-        check_against_oracle(round, false, &batch, &run_off.responses, &want)?;
-        hits += run_on.stats.totals.pivot_cache_hits;
-        rebuilds += run_on.stats.totals.pivot_cache_rebuilds;
-        saved += run_on.stats.totals.descents_saved;
-        if run_off.stats.totals.pivot_cache_hits != 0 || run_off.stats.totals.descents_saved != 0 {
-            return Err(CoalesceViolation::MachineryIdle {
-                detail: "coalesce-disabled twin reported combine-path counters".to_string(),
-            });
+        let at = |twin| {
+            move |v| {
+                (
+                    v,
+                    At {
+                        round: Some(round),
+                        twin: Some(twin),
+                    },
+                )
+            }
+        };
+        let on = check_against_oracle(&mut on, &mut on_oracle, &batch)
+            .map_err(at("coalesced"))?
+            .stats
+            .totals;
+        let off = check_against_oracle(&mut off, &mut off_oracle, &batch)
+            .map_err(at("uncoalesced"))?
+            .stats
+            .totals;
+        hits += on.pivot_cache_hits;
+        rebuilds += on.pivot_cache_rebuilds;
+        saved += on.descents_saved;
+        if off.pivot_cache_hits != 0 || off.descents_saved != 0 {
+            let detail = "coalesce-disabled twin reported combine-path counters";
+            return Err((Violation::MachineryIdle(detail.into()), At::round(round)));
         }
-        // Twin contents must match after every round, not just at the end
-        // — a divergence localized to its round shrinks the search space.
-        let c_on = refops::contents(on.device().mem(), on.handle());
-        let c_off = refops::contents(off.device().mem(), off.handle());
-        if c_on != c_off {
-            return Err(CoalesceViolation::Divergence {
-                round,
-                detail: format!(
-                    "coalesced tree holds {} keys, uncoalesced holds {}",
-                    c_on.len(),
-                    c_off.len()
-                ),
-            });
-        }
-    }
-    let last = RoundKind::SEQUENCE.len() - 1;
-    for (coalesced, tree) in [(true, &on), (false, &off)] {
-        if let Err(e) = validate(tree.device().mem(), tree.handle()) {
-            return Err(CoalesceViolation::Differential {
-                round: last,
-                coalesced,
-                violation: Violation::Structure(e),
-            });
-        }
-    }
-    let tree_contents = refops::contents(on.device().mem(), on.handle());
-    let oracle_contents: Vec<(u64, u64)> = oracle
-        .contents()
-        .iter()
-        .map(|(&k, &v)| (k as u64, v as u64))
-        .collect();
-    if tree_contents != oracle_contents {
-        return Err(CoalesceViolation::Differential {
-            round: last,
-            coalesced: true,
-            violation: Violation::Contents(format!(
-                "tree holds {} keys, oracle holds {}",
-                tree_contents.len(),
-                oracle_contents.len()
-            )),
-        });
     }
     // The invalidation cycle must actually have happened: the first round
     // builds the cache, the split round kills it, a later round rebuilds.
-    if rebuilds < 2 {
-        return Err(CoalesceViolation::MachineryIdle {
-            detail: format!("{rebuilds} cache rebuilds across the sequence, expected >= 2"),
-        });
-    }
-    if hits == 0 || saved == 0 {
-        return Err(CoalesceViolation::MachineryIdle {
-            detail: format!("{hits} cache hits, {saved} descents saved"),
-        });
-    }
-    Ok(hits)
-}
-
-fn replay_command(opts: &CoalesceOptions, case_seed: u64) -> String {
-    let mut cmd = format!(
-        "eirene-bench fuzz --coalesce --batch {} --domain {} \
-         --initial-keys {} --repro-seed {case_seed:#x}",
-        opts.batch_size, opts.domain, opts.initial_keys,
-    );
-    if opts.deterministic {
-        cmd.push_str(" --deterministic");
-    }
-    cmd
-}
-
-/// Runs the coalescing fuzz loop; stops at the first violation. In replay
-/// mode (`repro`) the given seed runs one case.
-pub fn run_coalesce_fuzz(opts: &CoalesceOptions) -> CoalesceOutcome {
-    let case_seeds: Vec<(usize, u64)> = match opts.repro {
-        Some(seed) => vec![(0, seed)],
-        None => (0..opts.cases)
-            .map(|case| (case, mix(opts.seed ^ mix(case as u64) ^ 0xC0A1)))
-            .collect(),
+    let idle = if rebuilds < 2 {
+        format!("{rebuilds} cache rebuilds across the sequence, expected >= 2")
+    } else if hits == 0 || saved == 0 {
+        format!("{hits} cache hits, {saved} descents saved")
+    } else {
+        return Ok(hits);
     };
-    let mut cache_hits = 0u64;
-    for (case, case_seed) in &case_seeds {
-        match run_coalesce_case(opts, *case_seed) {
-            Ok(hits) => cache_hits += hits,
-            Err(violation) => {
-                return CoalesceOutcome::Failed(Box::new(CoalesceFailure {
-                    case: *case,
-                    case_seed: *case_seed,
-                    violation,
-                    replay: replay_command(opts, *case_seed),
-                }))
-            }
-        }
-    }
-    CoalesceOutcome::Passed {
-        cases: case_seeds.len(),
-        cache_hits,
-    }
+    Err((Violation::MachineryIdle(idle), At::default()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn short_opts() -> CoalesceOptions {
-        CoalesceOptions {
+    use crate::driver::{Leg, Outcome};
+
+    fn short_opts() -> Fuzz {
+        Fuzz {
             cases: 3,
             batch_size: 128,
             domain: 1024,
             initial_keys: 512,
-            ..Default::default()
+            ..Fuzz::new(Leg::Coalesce)
         }
     }
 
     #[test]
     fn coalesce_fuzz_passes_a_short_run() {
-        match run_coalesce_fuzz(&short_opts()) {
-            CoalesceOutcome::Passed { cases, cache_hits } => {
+        match short_opts().run() {
+            Outcome::Passed { cases, coverage } => {
                 assert_eq!(cases, 3);
-                assert!(cache_hits > 0, "cases must exercise the pivot cache");
+                assert!(coverage > 0, "cases must exercise the pivot cache");
             }
-            CoalesceOutcome::Failed(f) => panic!("unexpected violation:\n{f}"),
+            Outcome::Failed(f) => panic!("unexpected violation:\n{f}"),
         }
     }
 
     #[test]
     fn coalesce_cases_replay_from_their_seed() {
-        let opts = CoalesceOptions {
+        let opts = Fuzz {
             deterministic: true,
             ..short_opts()
         };
@@ -488,7 +261,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_batches_collide_keys_and_timestamps() {
+    fn the_mixed_round_collides_keys_and_timestamps() {
         let o = GenOptions {
             batch_size: 256,
             domain: 1024,

@@ -1,10 +1,12 @@
-//! Differential execution: one generated case, one tree, one oracle.
+//! Differential execution: the fuzzed trees, the one [`Violation`] type
+//! every leg reports, and the one oracle check the tree-level legs share.
 
-use eirene_baselines::common::ConcurrentTree;
+use eirene_baselines::common::{BatchRun, ConcurrentTree};
 use eirene_baselines::{LockTree, StmTree};
 use eirene_btree::refops;
 use eirene_btree::validate::validate;
 use eirene_core::{EireneOptions, EireneTree, UpdateProtection};
+use eirene_serve::Outcome;
 use eirene_sim::DeviceConfig;
 use eirene_workloads::{Batch, Oracle, Request, Response, SequentialOracle};
 
@@ -85,20 +87,41 @@ pub fn build_tree(
     }
 }
 
-/// How a differential case failed.
+/// How a case failed — every leg's checks report through this one type.
 #[derive(Clone, Debug)]
 pub enum Violation {
-    /// A response diverged from the oracle's.
+    /// A response (or serve ticket) diverged from the oracle's.
     Response {
         index: usize,
         request: Request,
         got: Response,
         want: Response,
     },
-    /// `btree::validate` rejected the post-batch structure.
+    /// A serve ticket resolved without executing (shed or timed out)
+    /// although the case neither sets deadlines nor saturates the queues.
+    NotExecuted {
+        index: usize,
+        request: Request,
+        outcome: Outcome,
+    },
+    /// `btree::validate` rejected the structure.
     Structure(String),
-    /// Responses matched but the final key/value contents diverged.
+    /// Responses matched but the key/value contents diverged.
     Contents(String),
+    /// A serve report's own accounting is inconsistent (counter balance,
+    /// phase rows, spans, arena gauges, sample series).
+    Accounting(String),
+    /// Live node blocks exceeded the churn occupancy bound.
+    Occupancy {
+        live: u64,
+        bound: u64,
+        post_build: u64,
+    },
+    /// Quarantined blocks survived the batch-boundary epoch advance.
+    Quarantine { retired: u64 },
+    /// The combine path never fired: the counters that prove the pivot
+    /// cache was built, invalidated, rebuilt and hit stayed flat.
+    MachineryIdle(String),
 }
 
 impl std::fmt::Display for Violation {
@@ -113,15 +136,43 @@ impl std::fmt::Display for Violation {
                 f,
                 "response {index} diverges for {request:?}: got {got:?}, oracle says {want:?}"
             ),
+            Violation::NotExecuted {
+                index,
+                request,
+                outcome,
+            } => write!(
+                f,
+                "ticket {index} for {request:?} resolved {outcome:?} without executing"
+            ),
             Violation::Structure(e) => write!(f, "structural invariant violated: {e}"),
             Violation::Contents(e) => write!(f, "final contents diverge: {e}"),
+            Violation::Accounting(e) => write!(f, "report accounting inconsistent: {e}"),
+            Violation::Occupancy {
+                live,
+                bound,
+                post_build,
+            } => write!(
+                f,
+                "arena leak: {live} live node blocks after churn, bound {bound} \
+                 ({post_build} post-build)"
+            ),
+            Violation::Quarantine { retired } => write!(
+                f,
+                "{retired} blocks still quarantined after the batch-boundary epoch advance"
+            ),
+            Violation::MachineryIdle(e) => write!(f, "combine path never fired: {e}"),
         }
     }
 }
 
+/// A fresh sequential oracle holding `pairs`.
+pub(crate) fn oracle_over(pairs: &[(u64, u64)]) -> SequentialOracle {
+    let pairs32: Vec<(u32, u32)> = pairs.iter().map(|&(k, v)| (k as u32, v as u32)).collect();
+    SequentialOracle::load(&pairs32)
+}
+
 /// Runs `reqs` as one batch on a fresh `sel` tree built over `pairs` and
-/// checks it against a fresh sequential oracle: positional response
-/// equality, then `btree::validate`, then final-contents equality.
+/// checks it with [`check_against_oracle`].
 ///
 /// A fresh tree per case keeps every reproducer self-contained: replaying
 /// a failure needs only `(tree, pairs, requests)` — plus the device seed
@@ -137,7 +188,7 @@ pub fn check_case(
     check_tree_case(tree.as_mut(), pairs, reqs)
 }
 
-/// [`check_case`] against an already-built tree (used by the harness to
+/// [`check_case`] against an already-built tree (used by the tree leg to
 /// interpose the [fault injector](crate::fault::FaultyTree)). The tree
 /// must be fresh and loaded with exactly `pairs`.
 pub fn check_tree_case(
@@ -145,46 +196,61 @@ pub fn check_tree_case(
     pairs: &[(u64, u64)],
     reqs: &[Request],
 ) -> Result<(), Violation> {
-    let pairs32: Vec<(u32, u32)> = pairs.iter().map(|&(k, v)| (k as u32, v as u32)).collect();
-    let mut oracle = SequentialOracle::load(&pairs32);
-    let batch = Batch::new(reqs.to_vec());
-    let got = tree.run_batch(&batch).responses;
-    let want = oracle.run_batch(&batch);
-    for i in 0..batch.len() {
-        if got[i] != want[i] {
+    check_against_oracle(tree, &mut oracle_over(pairs), &Batch::new(reqs.to_vec())).map(drop)
+}
+
+/// The oracle check every tree-level leg shares: runs `batch` on `tree`
+/// and on `oracle`, then compares the responses by position, re-validates
+/// the structure with `btree::validate`, and diffs the contents. Returns
+/// the tree's run for the caller's counters.
+pub fn check_against_oracle(
+    tree: &mut dyn ConcurrentTree,
+    oracle: &mut SequentialOracle,
+    batch: &Batch,
+) -> Result<BatchRun, Violation> {
+    let run = tree.run_batch(batch);
+    let want = oracle.run_batch(batch);
+    for (index, (got, want)) in run.responses.iter().zip(want).enumerate() {
+        if *got != want {
             return Err(Violation::Response {
-                index: i,
-                request: batch.requests[i],
-                got: got[i].clone(),
-                want: want[i].clone(),
+                index,
+                request: batch.requests[index],
+                got: got.clone(),
+                want,
             });
         }
     }
     validate(tree.device().mem(), tree.handle()).map_err(Violation::Structure)?;
-    let tree_contents = refops::contents(tree.device().mem(), tree.handle());
-    let oracle_contents: Vec<(u64, u64)> = oracle
+    check_contents(
+        &refops::contents(tree.device().mem(), tree.handle()),
+        oracle,
+    )?;
+    Ok(run)
+}
+
+/// Diffs final `(key, value)` contents against the oracle's, naming the
+/// first sorted position where they part.
+pub(crate) fn check_contents(
+    got: &[(u64, u64)],
+    oracle: &SequentialOracle,
+) -> Result<(), Violation> {
+    let want: Vec<(u64, u64)> = oracle
         .contents()
         .iter()
         .map(|(&k, &v)| (k as u64, v as u64))
         .collect();
-    if tree_contents != oracle_contents {
-        let detail = first_contents_diff(&tree_contents, &oracle_contents);
-        return Err(Violation::Contents(detail));
+    if got == want {
+        return Ok(());
     }
-    Ok(())
-}
-
-fn first_contents_diff(got: &[(u64, u64)], want: &[(u64, u64)]) -> String {
-    let n = got.len().min(want.len());
-    for i in 0..n {
-        if got[i] != want[i] {
-            return format!(
-                "at sorted position {i}: tree has {:?}, oracle has {:?}",
+    Err(Violation::Contents(
+        match got.iter().zip(&want).position(|(g, w)| g != w) {
+            Some(i) => format!(
+                "at sorted position {i}: got {:?}, oracle has {:?}",
                 got[i], want[i]
-            );
-        }
-    }
-    format!("tree holds {} keys, oracle holds {}", got.len(), want.len())
+            ),
+            None => format!("got {} keys, oracle holds {}", got.len(), want.len()),
+        },
+    ))
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use eirene_workloads::{Batch, Response};
 
 /// Which responses to corrupt: point-query results for keys congruent to
 /// `residue` modulo `key_mod` come back off by one.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
     pub key_mod: u32,
     pub residue: u32,

@@ -2,8 +2,9 @@
 //! (`eirene-serve`): adversarial request streams submitted through a
 //! service — boundary-straddling ranges, delete churn, duplicate-heavy key
 //! mixes from the existing generators — checked ticket-by-ticket against
-//! the [`SequentialOracle`], with ddmin shrinking to a minimal cross-shard
-//! counterexample.
+//! the [`SequentialOracle`] — the serve leg's checker; the
+//! [driver](crate::driver) shrinks a failing stream to a minimal
+//! cross-shard counterexample.
 //!
 //! The oracle side leans on the service's linearizability contract: every
 //! admitted request linearizes at its admission timestamp (exposed through
@@ -17,186 +18,19 @@
 //! (each submitter chops its stream into pseudo-random single/batched
 //! chunks derived from the case seed).
 
-use crate::gen::{adversarial_batch, dense_pairs, GenOptions, Profile};
-use crate::shrink::shrink;
+use crate::diff::{check_contents, oracle_over, Violation};
+use crate::driver::{mix, Fuzz};
+use crate::gen::dense_pairs;
 use eirene_serve::{
     reconcile_samples, AdmitPolicy, AimdSpec, Client, EpochSizing, FaultPlan, ObserveConfig,
     Outcome, QosConfig, RebalanceAction, RebalanceKind, RebalanceSpec, SeriesCollector,
     ServeConfig, Service, ShardMap, Sharding, Ticket,
 };
 use eirene_sim::DeviceConfig;
-use eirene_workloads::{Batch, Key, OpKind, Oracle, Request, Response, SequentialOracle};
+#[cfg(doc)]
+use eirene_workloads::SequentialOracle;
+use eirene_workloads::{Batch, Key, OpKind, Oracle, Request, Response};
 use std::time::Duration;
-
-/// Configuration of one serve-mode fuzz run.
-#[derive(Clone, Debug)]
-pub struct ServeFuzzOptions {
-    /// Master seed; per-case batch seeds derive from it.
-    pub seed: u64,
-    /// Adversarial batches to push through fresh services.
-    pub cases: usize,
-    /// Requests per case.
-    pub batch_size: usize,
-    /// Key domain of generated requests.
-    pub domain: u32,
-    /// Keys pre-loaded into every fresh service (`1..=initial_keys`).
-    pub initial_keys: u32,
-    /// Shards per service; boundaries are spread across the generation
-    /// domain so generated ranges actually straddle them.
-    pub shards: usize,
-    /// Epoch size limit, chosen well below `batch_size` so every case
-    /// exercises multiple epoch boundaries per shard.
-    pub epoch_limit: usize,
-    /// Concurrent submitter threads per case (contiguous slices of the
-    /// request stream race through the lock-free admission path).
-    pub submitters: usize,
-    /// Drive epoch sizes with the AIMD controller instead of a fixed
-    /// limit: targets start at `epoch_limit / 4` and move every epoch, so
-    /// cases exercise epoch boundaries at shifting batch sizes.
-    pub adaptive: bool,
-    /// QoS tenant lanes per shard (0 or 1 disables lanes). Submissions
-    /// rotate across tenants, so admission goes through lane staging and
-    /// the WRR drain; quotas are sized so nothing is shed and the oracle
-    /// contract is unchanged (lanes reorder admission, not timestamps).
-    pub tenants: usize,
-    /// Run shard devices under the seeded deterministic scheduler.
-    pub deterministic: bool,
-    /// Exercise online rebalancing: half the stream is submitted, then a
-    /// split of shard 0 and a merge of shard 0 into shard 1 are forced
-    /// (migrating live keys) before the rest of the stream races the new
-    /// topology. The unmodified flat oracle must still reproduce every
-    /// response — topology changes are invisible to linearizability.
-    pub rebalance: bool,
-    /// Serve with [`Sharding::Hash`] instead of key ranges: every range
-    /// query scatter-gathers across all shards and must merge to exactly
-    /// what the range-partitioned service (and the flat oracle) produce.
-    pub hash: bool,
-    /// Replay mode: use this value directly as the batch seed and try each
-    /// generator profile once (same contract as
-    /// [`FuzzOptions::repro`](crate::FuzzOptions)).
-    pub repro: Option<u64>,
-}
-
-impl Default for ServeFuzzOptions {
-    fn default() -> Self {
-        ServeFuzzOptions {
-            seed: 0x5E4E5E,
-            cases: 500,
-            batch_size: 192,
-            domain: 4096,
-            initial_keys: 1024,
-            shards: 4,
-            epoch_limit: 48,
-            submitters: 1,
-            adaptive: false,
-            tenants: 0,
-            deterministic: false,
-            rebalance: false,
-            hash: false,
-            repro: None,
-        }
-    }
-}
-
-/// How a serve-mode case failed.
-#[derive(Clone, Debug)]
-pub enum ServeViolation {
-    /// A ticket's response diverged from the oracle's.
-    Response {
-        index: usize,
-        request: Request,
-        got: Response,
-        want: Response,
-    },
-    /// A ticket resolved without executing (shed or timed out) although the
-    /// case neither sets deadlines nor saturates the queues.
-    NotExecuted {
-        index: usize,
-        request: Request,
-        outcome: Outcome,
-    },
-    /// A shard tree failed `btree::validate` after the run.
-    Structure(String),
-    /// Responses matched but the merged final contents diverged.
-    Contents(String),
-    /// The report's own accounting is inconsistent (counter balance or
-    /// phase rows).
-    Accounting(String),
-}
-
-impl std::fmt::Display for ServeViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeViolation::Response {
-                index,
-                request,
-                got,
-                want,
-            } => write!(
-                f,
-                "ticket {index} diverges for {request:?}: got {got:?}, oracle says {want:?}"
-            ),
-            ServeViolation::NotExecuted {
-                index,
-                request,
-                outcome,
-            } => write!(
-                f,
-                "ticket {index} for {request:?} resolved {outcome:?} without executing"
-            ),
-            ServeViolation::Structure(e) => write!(f, "structural invariant violated: {e}"),
-            ServeViolation::Contents(e) => write!(f, "final contents diverge: {e}"),
-            ServeViolation::Accounting(e) => write!(f, "report accounting inconsistent: {e}"),
-        }
-    }
-}
-
-/// A serve-fuzz-found violation, shrunk to a minimal reproducer.
-#[derive(Clone, Debug)]
-pub struct ServeFuzzFailure {
-    pub iteration: usize,
-    pub profile: Profile,
-    pub batch_seed: u64,
-    /// Base device seed (deterministic mode only; per-shard seeds derive
-    /// from it through [`Cluster`](eirene_sim::Cluster)).
-    pub device_seed: Option<u64>,
-    pub shards: usize,
-    /// The minimal failing submission sequence (timestamps are positional).
-    pub shrunk: Vec<Request>,
-    pub violation: ServeViolation,
-    /// Self-contained `eirene-bench fuzz --serve` replay command.
-    pub replay: String,
-}
-
-impl std::fmt::Display for ServeFuzzFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "serve differential violation across {} shards (iteration {}, profile {:?}, batch seed {:#x}{})",
-            self.shards,
-            self.iteration,
-            self.profile,
-            self.batch_seed,
-            match self.device_seed {
-                Some(s) => format!(", device seed {s:#x}"),
-                None => ", OS scheduling".to_string(),
-            }
-        )?;
-        writeln!(f, "  {}", self.violation)?;
-        writeln!(f, "  minimal reproducer ({} requests):", self.shrunk.len())?;
-        for r in &self.shrunk {
-            writeln!(f, "    {r:?}")?;
-        }
-        write!(f, "  replay: {}", self.replay)
-    }
-}
-
-/// Result of a serve-mode fuzz run.
-#[derive(Debug)]
-pub enum ServeFuzzOutcome {
-    Passed { cases: usize },
-    Failed(Box<ServeFuzzFailure>),
-}
 
 /// The shard map the fuzzer services use: boundaries spread uniformly
 /// across the *generation domain* (not the full `u32` space), so generated
@@ -208,15 +42,6 @@ pub fn fuzz_shard_map(shards: usize, domain: u32) -> ShardMap {
     let width = (domain / shards as u32).max(1);
     ShardMap::from_starts((0..shards as u32).map(|i| i * width).collect())
         .expect("valid shard starts")
-}
-
-/// SplitMix64 step (same scheme as the single-tree harness).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Submits one stream as a pseudo-random mix of single `submit` calls
@@ -244,7 +69,7 @@ fn submit_stream(clients: &[Client], reqs: &[Request], seed: u64) -> Vec<Ticket>
 }
 
 /// One client per tenant (just the default client when lanes are off).
-fn tenant_clients(svc: &Service, opts: &ServeFuzzOptions) -> Vec<Client> {
+fn tenant_clients(svc: &Service, opts: &Fuzz) -> Vec<Client> {
     let base = svc.client();
     if opts.tenants > 1 {
         (0..opts.tenants).map(|t| base.for_tenant(t)).collect()
@@ -281,17 +106,12 @@ fn submit_phase(clients: &[Client], reqs: &[Request], submitters: usize, seed: u
 /// contents, the structures, and the report accounting against the
 /// sequential oracle replayed in admission-timestamp order.
 pub fn run_serve_case(
-    opts: &ServeFuzzOptions,
+    opts: &Fuzz,
     map: &ShardMap,
     pairs: &[(u64, u64)],
     device_seed: u64,
     reqs: &[Request],
-) -> Result<(), ServeViolation> {
-    let device = if opts.deterministic {
-        DeviceConfig::test_small().with_deterministic_sched(device_seed)
-    } else {
-        DeviceConfig::test_small()
-    };
+) -> Result<(), Violation> {
     // Observability rides along on every case: span recording plus a live
     // sample collector, cross-checked against the final report below.
     let collector = SeriesCollector::new();
@@ -323,7 +143,7 @@ pub fn run_serve_case(
             Sharding::Range
         },
         rebalance: do_rebalance.then(RebalanceSpec::manual),
-        device,
+        device: opts.device(device_seed),
         sizing,
         qos,
         // Generous: every entry (split ranges make one per covered shard)
@@ -351,7 +171,7 @@ pub fn run_serve_case(
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         while svc.rebalance_attempts() < 2 {
             if std::time::Instant::now() > deadline {
-                return Err(ServeViolation::Accounting(
+                return Err(Violation::Accounting(
                     "forced rebalance attempts did not complete within 30s".into(),
                 ));
             }
@@ -370,7 +190,7 @@ pub fn run_serve_case(
         let has =
             |kind: RebalanceKind| report.rebalances.iter().any(|e| e.kind == kind && e.forced);
         if !has(RebalanceKind::Split) || !has(RebalanceKind::Merge) {
-            return Err(ServeViolation::Accounting(format!(
+            return Err(Violation::Accounting(format!(
                 "forced rebalance published {:?}: want at least one forced split and one forced merge",
                 report.rebalances
             )));
@@ -390,7 +210,7 @@ pub fn run_serve_case(
                 match ticket.wait() {
                     Outcome::Done(got) if got == want => {}
                     Outcome::Done(got) => {
-                        return Err(ServeViolation::Response {
+                        return Err(Violation::Response {
                             index,
                             request: reqs[index],
                             got,
@@ -398,7 +218,7 @@ pub fn run_serve_case(
                         })
                     }
                     outcome => {
-                        return Err(ServeViolation::NotExecuted {
+                        return Err(Violation::NotExecuted {
                             index,
                             request: reqs[index],
                             outcome,
@@ -409,8 +229,7 @@ pub fn run_serve_case(
         }
     }
     order.sort_unstable();
-    let pairs32: Vec<(u32, u32)> = pairs.iter().map(|&(k, v)| (k as u32, v as u32)).collect();
-    let mut oracle = SequentialOracle::load(&pairs32);
+    let mut oracle = oracle_over(pairs);
     let batch = Batch::new(
         order
             .iter()
@@ -426,7 +245,7 @@ pub fn run_serve_case(
         match tickets[index].wait() {
             Outcome::Done(got) => {
                 if got != want {
-                    return Err(ServeViolation::Response {
+                    return Err(Violation::Response {
                         index,
                         request: batch.requests[pos],
                         got,
@@ -435,7 +254,7 @@ pub fn run_serve_case(
                 }
             }
             outcome => {
-                return Err(ServeViolation::NotExecuted {
+                return Err(Violation::NotExecuted {
                     index,
                     request: batch.requests[pos],
                     outcome,
@@ -443,35 +262,24 @@ pub fn run_serve_case(
             }
         }
     }
-    report.structure().map_err(ServeViolation::Structure)?;
-    let got_contents = report.contents();
-    let want_contents: Vec<(u64, u64)> = oracle
-        .contents()
-        .iter()
-        .map(|(&k, &v)| (k as u64, v as u64))
-        .collect();
-    if got_contents != want_contents {
-        return Err(ServeViolation::Contents(contents_diff(
-            &got_contents,
-            &want_contents,
-        )));
-    }
+    report.structure().map_err(Violation::Structure)?;
+    check_contents(&report.contents(), &oracle)?;
     if report.shed() != 0 || report.timed_out() != 0 {
-        return Err(ServeViolation::Accounting(format!(
+        return Err(Violation::Accounting(format!(
             "unexpected shed={} timed_out={}",
             report.shed(),
             report.timed_out()
         )));
     }
     if report.enqueued() != report.executed() {
-        return Err(ServeViolation::Accounting(format!(
+        return Err(Violation::Accounting(format!(
             "enqueued {} != executed {}",
             report.enqueued(),
             report.executed()
         )));
     }
     if !report.phase_rows_sum_to_totals() {
-        return Err(ServeViolation::Accounting(
+        return Err(Violation::Accounting(
             "phase rows do not sum to totals".to_string(),
         ));
     }
@@ -481,7 +289,7 @@ pub fn run_serve_case(
     // the shard's reported latency histogram.
     for shard in &report.shards {
         if shard.spans.len() as u64 + shard.spans_dropped != shard.executed {
-            return Err(ServeViolation::Accounting(format!(
+            return Err(Violation::Accounting(format!(
                 "shard {}: {} spans + {} dropped != {} executed",
                 shard.shard,
                 shard.spans.len(),
@@ -491,13 +299,13 @@ pub fn run_serve_case(
         }
         for span in &shard.spans {
             if !span.is_monotone() {
-                return Err(ServeViolation::Accounting(format!(
+                return Err(Violation::Accounting(format!(
                     "shard {}: span {} stamps regress: {:?}",
                     shard.shard, span.id, span.stamps
                 )));
             }
             if span.phase_deltas().iter().sum::<u64>() != span.total_cycles() {
-                return Err(ServeViolation::Accounting(format!(
+                return Err(Violation::Accounting(format!(
                     "shard {}: span {} phase deltas do not telescope",
                     shard.shard, span.id
                 )));
@@ -506,7 +314,7 @@ pub fn run_serve_case(
         if shard.spans_dropped == 0 {
             let span_sum: u64 = shard.spans.iter().map(|s| s.total_cycles()).sum();
             if span_sum != shard.latency.sum() {
-                return Err(ServeViolation::Accounting(format!(
+                return Err(Violation::Accounting(format!(
                     "shard {}: span latency sum {span_sum} != histogram sum {}",
                     shard.shard,
                     shard.latency.sum()
@@ -522,14 +330,14 @@ pub fn run_serve_case(
     // sentinel, the root chain, and near-empty shards) is leaking nodes.
     for shard in &report.shards {
         if shard.arena_retired != 0 {
-            return Err(ServeViolation::Accounting(format!(
+            return Err(Violation::Accounting(format!(
                 "shard {}: {} blocks still quarantined at shutdown",
                 shard.shard, shard.arena_retired
             )));
         }
         let bound = shard.key_count + 16;
         if shard.arena_live > bound {
-            return Err(ServeViolation::Accounting(format!(
+            return Err(Violation::Accounting(format!(
                 "shard {}: {} live node blocks for {} keys (bound {bound}): arena leak",
                 shard.shard, shard.arena_live, shard.key_count
             )));
@@ -537,7 +345,7 @@ pub fn run_serve_case(
     }
     // The live sample series (epoch ids, terminal counter snapshots) must
     // reconcile exactly with the report's totals.
-    reconcile_samples(&collector.samples(), &report).map_err(ServeViolation::Accounting)?;
+    reconcile_samples(&collector.samples(), &report).map_err(Violation::Accounting)?;
     Ok(())
 }
 
@@ -611,212 +419,93 @@ pub fn run_reservation_fault_case(queue_depth: usize) -> Result<(), String> {
     Ok(())
 }
 
-fn contents_diff(got: &[(u64, u64)], want: &[(u64, u64)]) -> String {
-    let n = got.len().min(want.len());
-    for i in 0..n {
-        if got[i] != want[i] {
-            return format!(
-                "at sorted position {i}: service has {:?}, oracle has {:?}",
-                got[i], want[i]
-            );
-        }
-    }
-    format!(
-        "service holds {} keys, oracle holds {}",
-        got.len(),
-        want.len()
-    )
-}
-
-fn replay_command(opts: &ServeFuzzOptions, batch_seed: u64) -> String {
-    let mut cmd = format!(
-        "eirene-bench fuzz --serve --shards {} --batch {} --domain {} --initial-keys {} --repro-seed {batch_seed:#x}",
-        opts.shards, opts.batch_size, opts.domain, opts.initial_keys,
-    );
-    if opts.submitters > 1 {
-        cmd.push_str(&format!(" --submitters {}", opts.submitters));
-    }
-    if opts.adaptive {
-        cmd.push_str(" --adaptive");
-    }
-    if opts.tenants > 1 {
-        cmd.push_str(&format!(" --tenants {}", opts.tenants));
-    }
-    if opts.rebalance {
-        cmd.push_str(" --rebalance");
-    }
-    if opts.hash {
-        cmd.push_str(" --hash");
-    }
-    if !opts.deterministic {
-        cmd.push_str(" --os-sched");
-    }
-    cmd
-}
-
-/// Runs the serve-mode differential fuzz loop. On the first violation the
-/// failing submission sequence is ddmin-shrunk (re-running a fresh service
-/// per probe, same shard map and device seed) and returned.
-pub fn run_serve_fuzz(opts: &ServeFuzzOptions) -> ServeFuzzOutcome {
-    let pairs = dense_pairs(opts.initial_keys);
-    let map = fuzz_shard_map(opts.shards, opts.domain);
-    let gen_opts = GenOptions {
-        domain: opts.domain,
-        batch_size: opts.batch_size,
-    };
-    let iters = match opts.repro {
-        Some(_) => Profile::ALL.len(),
-        None => opts.cases,
-    };
-    for iter in 0..iters {
-        let batch_seed = match opts.repro {
-            Some(s) => s,
-            None => mix(opts.seed ^ mix(iter as u64)),
-        };
-        let device_seed = mix(batch_seed);
-        let profile = Profile::ALL[iter % Profile::ALL.len()];
-        // The generated timestamps are discarded: the serving layer assigns
-        // timestamps at admission, so only the submission *order* matters.
-        let reqs = adversarial_batch(batch_seed, profile, &gen_opts).requests;
-        if let Err(first) = run_serve_case(opts, &map, &pairs, device_seed, &reqs) {
-            let shrunk = shrink(&reqs, |cand| {
-                run_serve_case(opts, &map, &pairs, device_seed, cand).is_err()
-            });
-            let violation = run_serve_case(opts, &map, &pairs, device_seed, &shrunk)
-                .err()
-                .unwrap_or(first);
-            return ServeFuzzOutcome::Failed(Box::new(ServeFuzzFailure {
-                iteration: iter,
-                profile,
-                batch_seed,
-                device_seed: opts.deterministic.then_some(device_seed),
-                shards: opts.shards,
-                shrunk,
-                violation,
-                replay: replay_command(opts, batch_seed),
-            }));
-        }
-    }
-    ServeFuzzOutcome::Passed { cases: iters }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{Leg, Outcome as Run};
 
-    fn short_opts() -> ServeFuzzOptions {
-        ServeFuzzOptions {
-            cases: 12, // two passes over every generator profile
+    fn passes(fuzz: Fuzz) {
+        match fuzz.run() {
+            Run::Passed { cases, .. } => assert_eq!(cases, fuzz.cases),
+            Run::Failed(f) => panic!("unexpected violation:\n{f}"),
+        }
+    }
+
+    fn short(cases: usize) -> Fuzz {
+        Fuzz {
+            cases,
             batch_size: 96,
             domain: 1024,
             initial_keys: 512,
             epoch_limit: 24,
-            ..Default::default()
+            ..Fuzz::new(Leg::Serve)
         }
     }
 
     #[test]
     fn serve_fuzz_passes_a_short_run() {
-        match run_serve_fuzz(&short_opts()) {
-            ServeFuzzOutcome::Passed { cases } => assert_eq!(cases, 12),
-            ServeFuzzOutcome::Failed(f) => panic!("unexpected violation:\n{f}"),
-        }
+        passes(short(12)); // two passes over every generator profile
     }
 
     #[test]
     fn serve_fuzz_passes_with_racing_submitters() {
-        let opts = ServeFuzzOptions {
-            cases: 6,
+        passes(Fuzz {
             submitters: 4,
-            ..short_opts()
-        };
-        match run_serve_fuzz(&opts) {
-            ServeFuzzOutcome::Passed { cases } => assert_eq!(cases, 6),
-            ServeFuzzOutcome::Failed(f) => panic!("unexpected violation:\n{f}"),
-        }
+            ..short(6)
+        });
     }
 
     #[test]
     fn serve_fuzz_passes_with_adaptive_sizing_and_tenant_lanes() {
-        let opts = ServeFuzzOptions {
-            cases: 6,
+        passes(Fuzz {
             adaptive: true,
             tenants: 4,
-            ..short_opts()
-        };
-        match run_serve_fuzz(&opts) {
-            ServeFuzzOutcome::Passed { cases } => assert_eq!(cases, 6),
-            ServeFuzzOutcome::Failed(f) => panic!("unexpected violation:\n{f}"),
-        }
+            ..short(6)
+        });
     }
 
     #[test]
     fn serve_fuzz_passes_with_adaptive_tenants_and_racing_submitters() {
-        let opts = ServeFuzzOptions {
-            cases: 4,
+        passes(Fuzz {
             adaptive: true,
             tenants: 3,
             submitters: 4,
-            ..short_opts()
-        };
-        match run_serve_fuzz(&opts) {
-            ServeFuzzOutcome::Passed { cases } => assert_eq!(cases, 4),
-            ServeFuzzOutcome::Failed(f) => panic!("unexpected violation:\n{f}"),
-        }
+            ..short(4)
+        });
     }
 
     #[test]
     fn serve_fuzz_passes_with_forced_rebalancing() {
-        let opts = ServeFuzzOptions {
-            cases: 6,
+        passes(Fuzz {
             rebalance: true,
-            ..short_opts()
-        };
-        match run_serve_fuzz(&opts) {
-            ServeFuzzOutcome::Passed { cases } => assert_eq!(cases, 6),
-            ServeFuzzOutcome::Failed(f) => panic!("unexpected violation:\n{f}"),
-        }
+            ..short(6)
+        });
     }
 
     #[test]
     fn serve_fuzz_passes_with_rebalancing_and_racing_submitters() {
-        let opts = ServeFuzzOptions {
-            cases: 4,
+        passes(Fuzz {
             rebalance: true,
             submitters: 4,
-            ..short_opts()
-        };
-        match run_serve_fuzz(&opts) {
-            ServeFuzzOutcome::Passed { cases } => assert_eq!(cases, 4),
-            ServeFuzzOutcome::Failed(f) => panic!("unexpected violation:\n{f}"),
-        }
+            ..short(4)
+        });
     }
 
     #[test]
     fn serve_fuzz_passes_under_hash_sharding() {
-        let opts = ServeFuzzOptions {
-            cases: 6,
+        passes(Fuzz {
             hash: true,
-            ..short_opts()
-        };
-        match run_serve_fuzz(&opts) {
-            ServeFuzzOutcome::Passed { cases } => assert_eq!(cases, 6),
-            ServeFuzzOutcome::Failed(f) => panic!("unexpected violation:\n{f}"),
-        }
+            ..short(6)
+        });
     }
 
     #[test]
     fn serve_fuzz_passes_under_deterministic_scheduling() {
-        let opts = ServeFuzzOptions {
-            cases: 2,
+        passes(Fuzz {
             batch_size: 64,
             deterministic: true,
-            ..short_opts()
-        };
-        match run_serve_fuzz(&opts) {
-            ServeFuzzOutcome::Passed { cases } => assert_eq!(cases, 2),
-            ServeFuzzOutcome::Failed(f) => panic!("unexpected violation:\n{f}"),
-        }
+            ..short(2)
+        });
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Acceptance: the fuzz harness, pointed at a deliberately injected
+//! Acceptance: the fuzz driver, pointed at a deliberately injected
 //! off-by-one, finds the violation and shrinks it to ≤ 8 requests.
 
-use eirene_check::{FaultSpec, FuzzOptions, FuzzOutcome, FuzzTree, Violation};
+use eirene_check::{FaultSpec, Fuzz, FuzzTree, Leg, Outcome, Violation};
 
 #[test]
 fn harness_finds_and_shrinks_injected_off_by_one() {
-    let opts = FuzzOptions {
+    let fuzz = Fuzz {
         seed: 7,
-        batches: 50,
+        cases: 50,
         batch_size: 128,
         domain: 1024,
         initial_keys: 1024,
@@ -17,18 +17,19 @@ fn harness_finds_and_shrinks_injected_off_by_one() {
             key_mod: 64,
             residue: 7,
         }),
-        repro: None,
+        ..Fuzz::new(Leg::Tree)
     };
-    let failure = match eirene_check::run_fuzz(&opts) {
-        FuzzOutcome::Failed(f) => f,
-        FuzzOutcome::Passed { cases } => {
+    let failure = match fuzz.run() {
+        Outcome::Failed(f) => f,
+        Outcome::Passed { cases, .. } => {
             panic!("fuzzer missed the injected off-by-one across {cases} cases")
         }
     };
+    let shrunk = failure.shrunk.as_ref().expect("tree cases shrink");
     assert!(
-        failure.shrunk.len() <= 8,
+        shrunk.len() <= 8,
         "reproducer not minimal: {} requests\n{failure}",
-        failure.shrunk.len()
+        shrunk.len()
     );
     match &failure.violation {
         Violation::Response { request, .. } => {
@@ -44,13 +45,14 @@ fn harness_finds_and_shrinks_injected_off_by_one() {
     let report = failure.to_string();
     assert!(report.contains("batch seed"));
     assert!(report.contains("minimal reproducer"));
+    assert!(report.contains("replay"));
 }
 
 #[test]
 fn harness_also_fires_under_deterministic_scheduling() {
-    let opts = FuzzOptions {
+    let fuzz = Fuzz {
         seed: 11,
-        batches: 20,
+        cases: 20,
         batch_size: 96,
         domain: 512,
         initial_keys: 512,
@@ -60,17 +62,17 @@ fn harness_also_fires_under_deterministic_scheduling() {
             key_mod: 32,
             residue: 3,
         }),
-        repro: None,
+        ..Fuzz::new(Leg::Tree)
     };
-    match eirene_check::run_fuzz(&opts) {
-        FuzzOutcome::Failed(f) => {
+    match fuzz.run() {
+        Outcome::Failed(f) => {
+            assert!(f.deterministic, "deterministic runs report it");
             assert!(
-                f.device_seed.is_some(),
-                "deterministic runs report the seed"
+                f.shrunk.as_ref().is_some_and(|s| s.len() <= 8),
+                "reproducer not minimal:\n{f}"
             );
-            assert!(f.shrunk.len() <= 8, "reproducer not minimal:\n{f}");
         }
-        FuzzOutcome::Passed { cases } => {
+        Outcome::Passed { cases, .. } => {
             panic!("fuzzer missed the injected fault across {cases} cases")
         }
     }

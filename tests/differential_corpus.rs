@@ -9,8 +9,7 @@
 //! cases with key conflicts run only on the linearizable Eirene variants;
 //! conflict-free cases run on all five.
 
-use eirene::check::{check_case, run_serve_case, run_serve_fuzz, FuzzTree};
-use eirene::check::{ServeFuzzOptions, ServeFuzzOutcome};
+use eirene::check::{check_case, run_serve_case, Fuzz, FuzzTree, Leg, Outcome};
 use eirene::serve::ShardMap;
 use eirene::sim::DeviceConfig;
 use eirene::workloads::Request;
@@ -163,13 +162,13 @@ fn delete_heavy_churn_on_a_small_key_set() {
 // ---------------------------------------------------------------------
 
 fn check_serve(map: ShardMap, pairs: &[(u64, u64)], reqs: &[Request]) {
-    let opts = ServeFuzzOptions {
+    let opts = Fuzz {
         epoch_limit: 8, // small epochs: every corpus case spans several
-        ..ServeFuzzOptions::default()
+        ..Fuzz::new(Leg::Serve)
     };
     // Once under OS scheduling, once under a deterministic warp schedule.
     run_serve_case(&opts, &map, pairs, 0, reqs).unwrap_or_else(|v| panic!("os-sched: {v}"));
-    let det = ServeFuzzOptions {
+    let det = Fuzz {
         deterministic: true,
         ..opts
     };
@@ -240,13 +239,13 @@ fn serve_fuzz_repro_seeds_stay_green() {
     // Pinned repro seeds (the exact replay path a failure report prints):
     // each runs every adversarial profile once through a 4-shard service.
     for seed in [0x5E4E5E_u64, 0xB0A7, 0xD15C0] {
-        let opts = ServeFuzzOptions {
+        let fuzz = Fuzz {
             repro: Some(seed),
-            ..ServeFuzzOptions::default()
+            ..Fuzz::new(Leg::Serve)
         };
-        match run_serve_fuzz(&opts) {
-            ServeFuzzOutcome::Passed { .. } => {}
-            ServeFuzzOutcome::Failed(f) => panic!("repro seed {seed:#x} diverged: {f}"),
+        match fuzz.run() {
+            Outcome::Passed { .. } => {}
+            Outcome::Failed(f) => panic!("repro seed {seed:#x} diverged: {f}"),
         }
     }
 }
