@@ -167,23 +167,16 @@ pub fn run_coalesce_case(opts: &Fuzz, case_seed: u64) -> Result<u64, (Violation,
     let (mut hits, mut rebuilds, mut saved) = (0u64, 0u64, 0u64);
     for (round, &kind) in RoundKind::SEQUENCE.iter().enumerate() {
         let batch = coalesce_batch(mix(case_seed ^ round as u64), kind, &gen_opts);
-        let at = |twin| {
-            move |v| {
-                (
-                    v,
-                    At {
-                        round: Some(round),
-                        twin: Some(twin),
-                    },
-                )
-            }
+        let at = |twin| At {
+            round: Some(round),
+            twin: Some(twin),
         };
         let on = check_against_oracle(&mut on, &mut on_oracle, &batch)
-            .map_err(at("coalesced"))?
+            .map_err(|v| (v, at("coalesced")))?
             .stats
             .totals;
         let off = check_against_oracle(&mut off, &mut off_oracle, &batch)
-            .map_err(at("uncoalesced"))?
+            .map_err(|v| (v, at("uncoalesced")))?
             .stats
             .totals;
         hits += on.pivot_cache_hits;
@@ -209,7 +202,6 @@ pub fn run_coalesce_case(opts: &Fuzz, case_seed: u64) -> Result<u64, (Violation,
 #[cfg(test)]
 mod tests {
     use super::*;
-
     use crate::driver::{Leg, Outcome};
 
     fn short_opts() -> Fuzz {

@@ -210,7 +210,8 @@ pub fn check_against_oracle(
 ) -> Result<BatchRun, Violation> {
     let run = tree.run_batch(batch);
     let want = oracle.run_batch(batch);
-    for (index, (got, want)) in run.responses.iter().zip(want).enumerate() {
+    for (index, want) in want.into_iter().enumerate() {
+        let got = &run.responses[index];
         if *got != want {
             return Err(Violation::Response {
                 index,

@@ -69,10 +69,7 @@ impl Leg {
 
     /// The leg's usage line, generated from its flag table.
     pub fn usage(self) -> String {
-        let mut line = String::from("eirene-bench fuzz");
-        for word in self.switch().into_iter() {
-            let _ = write!(line, " {word}");
-        }
+        let mut line = Fuzz::new(self).command();
         for flag in self.flags() {
             let _ = match flag.kind {
                 FlagKind::Value(arg, ..) => write!(line, " [{} {arg}]", flag.names.join("|")),
@@ -367,8 +364,8 @@ impl Fuzz {
     pub fn command(&self) -> String {
         let default = Fuzz::new(self.leg);
         let mut cmd = String::from("eirene-bench fuzz");
-        for word in self.leg.switch().into_iter() {
-            let _ = write!(cmd, " {word}");
+        if let Some(switch) = self.leg.switch() {
+            let _ = write!(cmd, " {switch}");
         }
         for flag in self.leg.flags() {
             let _ = match flag.kind {
