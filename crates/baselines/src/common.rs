@@ -2,7 +2,7 @@
 //! trait, device construction, and device-side node loads.
 
 use eirene_btree::build::{arena_budget, bulk_build, TreeHandle};
-use eirene_btree::node::{meta_is_locked, ParsedNode, NODE_WORDS, OFF_META, OFF_VERSION};
+use eirene_btree::node::{meta_is_locked, ParsedNode, OFF_META, OFF_VERSION};
 use eirene_sim::{Addr, Device, DeviceConfig, KernelStats, WarpCtx};
 use eirene_workloads::{Batch, Response};
 
@@ -90,28 +90,19 @@ pub fn charge_request_io(ctx: &mut WarpCtx<'_>) {
     ctx.charge_request_io();
 }
 
-/// Plain (unsynchronized) cooperative node load: one block read, counted
-/// as a vertical traversal step by the caller.
-pub fn plain_load(ctx: &mut WarpCtx<'_>, addr: Addr) -> ParsedNode {
-    let mut w = [0u64; NODE_WORDS];
-    ctx.read_block(addr, &mut w);
-    ParsedNode::from_words(&w)
-}
-
-/// Seqlock-style consistent node load used by the Lock GB-tree: loads the
-/// block, then re-reads META and VERSION; if the node was locked or its
-/// version moved during the read, the load retries
-/// (`stats.version_conflicts` counts the retries).
-pub fn seqlock_load(ctx: &mut WarpCtx<'_>, addr: Addr) -> ParsedNode {
+/// Seqlock-style consistent node load into `node`, used by the Lock
+/// GB-tree: loads the block, then re-reads META and VERSION; if the node
+/// was locked or its version moved during the read, the load retries
+/// (`stats.version_conflicts` counts the retries). A plain, unsynchronized
+/// load is [`ParsedNode::load`] itself.
+pub fn seqlock_load(ctx: &mut WarpCtx<'_>, addr: Addr, node: &mut ParsedNode) {
     loop {
-        let mut w = [0u64; NODE_WORDS];
-        ctx.read_block(addr, &mut w);
-        let node = ParsedNode::from_words(&w);
+        node.load(ctx, addr);
         let meta2 = ctx.read(addr + OFF_META);
         let ver2 = ctx.read(addr + OFF_VERSION);
         ctx.control(2);
-        if !meta_is_locked(node.meta) && !meta_is_locked(meta2) && node.version == ver2 {
-            return node;
+        if !meta_is_locked(node.meta()) && !meta_is_locked(meta2) && node.version() == ver2 {
+            return;
         }
         ctx.version_conflict();
         ctx.charge_cycles(20);
@@ -207,7 +198,8 @@ mod tests {
         let root = base.handle.root(base.device.mem());
         let mut stats = WarpStats::default();
         let mut ctx = WarpCtx::new(base.device.mem(), base.device.config(), 0, &mut stats);
-        let snap = seqlock_load(&mut ctx, root);
+        let mut snap = ParsedNode::default();
+        seqlock_load(&mut ctx, root, &mut snap);
         assert!(snap.count() > 0);
         assert_eq!(ctx.stats.version_conflicts, 0);
     }

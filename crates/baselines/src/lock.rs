@@ -17,8 +17,8 @@
 //! the same key resolve in lock-acquisition order, not timestamp order.
 
 use crate::common::{
-    charge_request_io, plain_load, seqlock_load, warp_span, warps_for, BatchRun, ConcurrentTree,
-    ResponseBuf, TreeBase, HOP_CONTROL, NODE_SEARCH_CONTROL,
+    charge_request_io, seqlock_load, warp_span, warps_for, BatchRun, ConcurrentTree, ResponseBuf,
+    TreeBase, HOP_CONTROL, NODE_SEARCH_CONTROL,
 };
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{
@@ -86,16 +86,16 @@ fn split_locked(ctx: &mut WarpCtx<'_>, addr: Addr, node: &ParsedNode) -> (Addr, 
     let mut w = [0u64; NODE_WORDS];
     w[OFF_META as usize] = pack_meta(node.is_leaf(), true, FANOUT - half);
     w[OFF_VERSION as usize] = 0;
-    w[OFF_NEXT as usize] = node.next;
-    w[OFF_RF as usize] = node.rf;
-    w[OFF_HIGH as usize] = node.high;
-    w[OFF_LOW as usize] = node.keys[half];
+    w[OFF_NEXT as usize] = node.next();
+    w[OFF_RF as usize] = node.rf();
+    w[OFF_HIGH as usize] = node.high();
+    w[OFF_LOW as usize] = node.keys()[half];
     for i in 0..FANOUT {
         w[OFF_KEYS as usize + i] = u64::MAX;
     }
     for i in half..FANOUT {
-        w[OFF_KEYS as usize + (i - half)] = node.keys[i];
-        w[OFF_VALS as usize + (i - half)] = node.vals[i];
+        w[OFF_KEYS as usize + (i - half)] = node.keys()[i];
+        w[OFF_VALS as usize + (i - half)] = node.vals()[i];
     }
     ctx.write_block(raddr, &w);
     // Shrink the left half in place (lock bit stays set); the fence
@@ -103,13 +103,13 @@ fn split_locked(ctx: &mut WarpCtx<'_>, addr: Addr, node: &ParsedNode) -> (Addr, 
     for i in half..FANOUT {
         ctx.write(addr + OFF_KEYS + i as u64, u64::MAX);
     }
-    ctx.write(addr + OFF_HIGH, node.keys[half]);
+    ctx.write(addr + OFF_HIGH, node.keys()[half]);
     ctx.write(addr + OFF_NEXT, raddr);
     ctx.write(addr + OFF_META, pack_meta(node.is_leaf(), true, half));
     ctx.control(4);
     ctx.emit(TraceEventKind::NodeSplit, addr);
     ctx.set_phase(prev);
-    (raddr, node.keys[half])
+    (raddr, node.keys()[half])
 }
 
 /// Inserts a fence entry into a locked, non-full inner node at the slot
@@ -128,8 +128,8 @@ fn insert_fence(
     let slot = after + 1;
     let mut i = c;
     while i > slot {
-        ctx.write(addr + OFF_KEYS + i as u64, node.keys[i - 1]);
-        ctx.write(addr + OFF_VALS + i as u64, node.vals[i - 1]);
+        ctx.write(addr + OFF_KEYS + i as u64, node.keys()[i - 1]);
+        ctx.write(addr + OFF_VALS + i as u64, node.vals()[i - 1]);
         i -= 1;
     }
     ctx.write(addr + OFF_KEYS + slot as u64, fence);
@@ -154,7 +154,7 @@ fn split_root(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, root_addr: Addr, node:
     for i in 0..FANOUT {
         w[OFF_KEYS as usize + i] = u64::MAX;
     }
-    w[OFF_KEYS as usize] = node.keys[0];
+    w[OFF_KEYS as usize] = node.keys()[0];
     w[OFF_VALS as usize] = root_addr;
     w[OFF_KEYS as usize + 1] = rfence;
     w[OFF_VALS as usize + 1] = raddr;
@@ -170,15 +170,18 @@ fn split_root(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, root_addr: Addr, node:
 }
 
 /// Lock-coupled descent to the leaf owning `key`. Returns the *locked*
-/// leaf and its snapshot. With `may_insert`, full nodes on the path are
+/// leaf and its snapshot, which lives in one of `bufs` (a parent and its
+/// child are held at once). With `may_insert`, full nodes on the path are
 /// split preemptively so the returned leaf always has room.
-fn locked_descend(
+fn locked_descend<'b>(
     ctx: &mut WarpCtx<'_>,
     handle: &TreeHandle,
     key: u64,
     may_insert: bool,
-) -> (Addr, ParsedNode) {
+    bufs: &'b mut [ParsedNode; 2],
+) -> (Addr, &'b ParsedNode) {
     let outer = ctx.set_phase(Phase::VerticalTraversal);
+    let [mut node, mut child] = bufs.each_mut();
     'retry: loop {
         let root_addr = ctx.read(handle.root_word);
         lock(ctx, root_addr);
@@ -190,10 +193,10 @@ fn locked_descend(
         }
         ctx.stats.vertical_traversals += 1;
         let mut cur = root_addr;
-        let mut node = plain_load(ctx, cur);
+        node.load(ctx, cur);
         ctx.stats.vertical_steps += 1;
         if may_insert && node.count() == FANOUT {
-            split_root(ctx, handle, cur, &node);
+            split_root(ctx, handle, cur, node);
             unlock(ctx, cur, true);
             continue 'retry;
         }
@@ -202,15 +205,14 @@ fn locked_descend(
                 // Right-hop with lock coupling across concurrent splits
                 // (key >= high means the key moved right, Lehman-Yao).
                 let vprev = ctx.set_phase(Phase::HorizontalTraversal);
-                while key >= node.high && node.next != 0 {
+                while key >= node.high() && node.next() != 0 {
                     ctx.control(HOP_CONTROL);
-                    let nxt_addr = node.next;
+                    let nxt_addr = node.next();
                     lock(ctx, nxt_addr);
-                    let nxt = plain_load(ctx, nxt_addr);
+                    node.load(ctx, nxt_addr);
                     ctx.stats.horizontal_steps += 1;
                     unlock(ctx, cur, false);
                     cur = nxt_addr;
-                    node = nxt;
                 }
                 ctx.set_phase(vprev);
                 ctx.control(1);
@@ -230,21 +232,21 @@ fn locked_descend(
             }
             let slot = node.child_slot(key);
             ctx.control(NODE_SEARCH_CONTROL);
-            let mut child_addr = node.vals[slot];
+            let mut child_addr = node.vals()[slot];
             lock(ctx, child_addr);
-            let mut child = plain_load(ctx, child_addr);
+            child.load(ctx, child_addr);
             ctx.stats.vertical_steps += 1;
             let mut parent_modified = false;
             if may_insert && child.count() == FANOUT {
                 // Preemptive split: parent (cur) is locked and non-full.
-                let child_low = child.low;
-                let (raddr, rfence) = split_locked(ctx, child_addr, &child);
-                if rfence < node.keys[slot] {
+                let child_low = child.low();
+                let (raddr, rfence) = split_locked(ctx, child_addr, child);
+                if rfence < node.keys()[slot] {
                     // Clamp case (leftmost spine): lower the stale fence
                     // to the child's true bound before inserting.
                     ctx.write(cur + OFF_KEYS + slot as u64, child_low);
                 }
-                insert_fence(ctx, cur, &node, slot, rfence, raddr);
+                insert_fence(ctx, cur, node, slot, rfence, raddr);
                 parent_modified = true;
                 if key >= rfence {
                     unlock(ctx, child_addr, true);
@@ -252,46 +254,45 @@ fn locked_descend(
                 } else {
                     unlock(ctx, raddr, false);
                 }
-                child = plain_load(ctx, child_addr);
+                child.load(ctx, child_addr);
             }
             unlock(ctx, cur, parent_modified);
             cur = child_addr;
-            node = child;
+            std::mem::swap(&mut node, &mut child);
         }
     }
 }
 
-/// Seqlock descent for queries, with right-hops.
-fn descend_seq(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64) -> ParsedNode {
+/// Seqlock descent for queries, with right-hops, into `node`.
+fn descend_seq(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, node: &mut ParsedNode) {
     let outer = ctx.set_phase(Phase::VerticalTraversal);
-    let mut addr = ctx.read(handle.root_word);
+    let root = ctx.read(handle.root_word);
     ctx.stats.vertical_traversals += 1;
-    let mut node = seqlock_load(ctx, addr);
+    seqlock_load(ctx, root, node);
     ctx.stats.vertical_steps += 1;
     while !node.is_leaf() {
         ctx.control(NODE_SEARCH_CONTROL);
-        addr = node.vals[node.child_slot(key)];
-        node = seqlock_load(ctx, addr);
+        seqlock_load(ctx, node.vals()[node.child_slot(key)], node);
         ctx.stats.vertical_steps += 1;
     }
     ctx.set_phase(Phase::HorizontalTraversal);
-    while key >= node.high && node.next != 0 {
+    while key >= node.high() && node.next() != 0 {
         ctx.control(HOP_CONTROL);
-        node = seqlock_load(ctx, node.next);
+        seqlock_load(ctx, node.next(), node);
         ctx.stats.horizontal_steps += 1;
     }
     ctx.control(1);
     ctx.set_phase(outer);
-    node
 }
 
 fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind) -> Response {
+    let leaf = &mut ParsedNode::default();
     match op {
         OpKind::Query => {
-            let leaf = descend_seq(ctx, handle, key);
+            descend_seq(ctx, handle, key, leaf);
             let prev = ctx.set_phase(Phase::LeafOp);
             ctx.control(NODE_SEARCH_CONTROL);
-            let resp = Response::Value(leaf.find(key).map(|i| leaf.vals[i] as u32));
+            let resp = Response::Value(leaf.find(key).map(|i| leaf.vals()[i] as u32));
             ctx.set_phase(prev);
             resp
         }
@@ -308,21 +309,21 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
             let Some((lo, hi)) = range_window(key, len) else {
                 return Response::Range(out);
             };
-            let mut leaf = descend_seq(ctx, handle, lo);
+            descend_seq(ctx, handle, lo, leaf);
             let prev = ctx.set_phase(Phase::LeafOp);
             loop {
                 for i in 0..leaf.count() {
-                    let k = leaf.keys[i];
+                    let k = leaf.keys()[i];
                     if k >= lo && k <= hi {
-                        out[(k - lo) as usize] = Some(leaf.vals[i] as u32);
+                        out[(k - lo) as usize] = Some(leaf.vals()[i] as u32);
                     }
                 }
                 ctx.control(leaf.count() as u64 + 2);
-                if hi < leaf.high || leaf.next == 0 {
+                if hi < leaf.high() || leaf.next() == 0 {
                     break;
                 }
                 ctx.set_phase(Phase::HorizontalTraversal);
-                leaf = seqlock_load(ctx, leaf.next);
+                seqlock_load(ctx, leaf.next(), leaf);
                 ctx.stats.horizontal_steps += 1;
                 ctx.set_phase(Phase::LeafOp);
             }
@@ -338,21 +339,22 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
 /// mode is built on this. Returns the previous value, or `u64::MAX` when
 /// the key was absent.
 pub fn locked_upsert(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, val: u64) -> u64 {
-    let (addr, leaf) = locked_descend(ctx, handle, key, true);
+    let mut bufs = Default::default();
+    let (addr, leaf) = locked_descend(ctx, handle, key, true, &mut bufs);
     let prev = ctx.set_phase(Phase::LeafOp);
     ctx.control(NODE_SEARCH_CONTROL);
     let old = if let Some(slot) = leaf.find(key) {
-        let old = leaf.vals[slot];
+        let old = leaf.vals()[slot];
         ctx.write(addr + OFF_VALS + slot as u64, val);
         old
     } else {
         let c = leaf.count();
         debug_assert!(c < FANOUT, "preemptive split guarantees room");
-        let slot = (0..c).take_while(|&i| leaf.keys[i] < key).count();
+        let slot = (0..c).take_while(|&i| leaf.keys()[i] < key).count();
         let mut i = c;
         while i > slot {
-            ctx.write(addr + OFF_KEYS + i as u64, leaf.keys[i - 1]);
-            ctx.write(addr + OFF_VALS + i as u64, leaf.vals[i - 1]);
+            ctx.write(addr + OFF_KEYS + i as u64, leaf.keys()[i - 1]);
+            ctx.write(addr + OFF_VALS + i as u64, leaf.vals()[i - 1]);
             i -= 1;
         }
         ctx.write(addr + OFF_KEYS + slot as u64, key);
@@ -369,7 +371,8 @@ pub fn locked_upsert(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, val: 
 /// Latch-protected delete; see [`locked_upsert`]. Returns the previous
 /// value, or `u64::MAX` when the key was absent.
 pub fn locked_delete(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64) -> u64 {
-    let (addr, leaf) = locked_descend(ctx, handle, key, false);
+    let mut bufs = Default::default();
+    let (addr, leaf) = locked_descend(ctx, handle, key, false, &mut bufs);
     let prev = ctx.set_phase(Phase::LeafOp);
     ctx.control(NODE_SEARCH_CONTROL);
     let old = match leaf.find(key) {
@@ -378,11 +381,11 @@ pub fn locked_delete(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64) -> u6
             u64::MAX
         }
         Some(slot) => {
-            let old = leaf.vals[slot];
+            let old = leaf.vals()[slot];
             let c = leaf.count();
             for i in slot..c - 1 {
-                ctx.write(addr + OFF_KEYS + i as u64, leaf.keys[i + 1]);
-                ctx.write(addr + OFF_VALS + i as u64, leaf.vals[i + 1]);
+                ctx.write(addr + OFF_KEYS + i as u64, leaf.keys()[i + 1]);
+                ctx.write(addr + OFF_VALS + i as u64, leaf.vals()[i + 1]);
             }
             ctx.write(addr + OFF_KEYS + (c - 1) as u64, u64::MAX);
             ctx.write(addr + OFF_META, pack_meta(true, true, c - 1));

@@ -10,8 +10,8 @@
 //! pointers stay immutable and traversals always terminate.
 
 use crate::common::{
-    charge_request_io, plain_load, warp_span, warps_for, BatchRun, ConcurrentTree, ResponseBuf,
-    TreeBase, HOP_CONTROL, NODE_SEARCH_CONTROL,
+    charge_request_io, warp_span, warps_for, BatchRun, ConcurrentTree, ResponseBuf, TreeBase,
+    HOP_CONTROL, NODE_SEARCH_CONTROL,
 };
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{pack_meta, ParsedNode, FANOUT, OFF_KEYS, OFF_META, OFF_VALS};
@@ -33,51 +33,53 @@ impl NoCcTree {
 }
 
 /// Descends from the root to the leaf responsible for `key` using plain
-/// loads, hopping right across leaf splits/empties. Returns the leaf
-/// address and snapshot.
+/// loads into `node`, hopping right across leaf splits/empties. Returns the
+/// leaf address; `node` holds its snapshot.
 pub(crate) fn descend_plain(
     ctx: &mut WarpCtx<'_>,
     handle: &TreeHandle,
     key: u64,
-) -> (Addr, ParsedNode) {
+    node: &mut ParsedNode,
+) -> Addr {
     let outer = ctx.set_phase(Phase::VerticalTraversal);
     let mut addr = ctx.read(handle.root_word);
     ctx.stats.vertical_traversals += 1;
-    let mut node = plain_load(ctx, addr);
+    node.load(ctx, addr);
     ctx.stats.vertical_steps += 1;
     while !node.is_leaf() {
         ctx.control(NODE_SEARCH_CONTROL);
         let slot = node.child_slot(key);
-        addr = node.vals[slot];
-        node = plain_load(ctx, addr);
+        addr = node.vals()[slot];
+        node.load(ctx, addr);
         ctx.stats.vertical_steps += 1;
     }
     // Right-hop across the leaf chain if the key lies beyond this leaf's
     // high bound (Lehman-Yao).
     ctx.set_phase(Phase::HorizontalTraversal);
-    while key >= node.high && node.next != 0 {
+    while key >= node.high() && node.next() != 0 {
         ctx.control(HOP_CONTROL);
-        addr = node.next;
-        node = plain_load(ctx, addr);
+        addr = node.next();
+        node.load(ctx, addr);
         ctx.stats.horizontal_steps += 1;
     }
     ctx.control(1);
     ctx.set_phase(outer);
-    (addr, node)
+    addr
 }
 
 fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind) -> Response {
+    let leaf = &mut ParsedNode::default();
     match op {
         OpKind::Query => {
-            let (_, leaf) = descend_plain(ctx, handle, key);
+            descend_plain(ctx, handle, key, leaf);
             let prev = ctx.set_phase(Phase::LeafOp);
             ctx.control(NODE_SEARCH_CONTROL);
-            let resp = Response::Value(leaf.find(key).map(|i| leaf.vals[i] as u32));
+            let resp = Response::Value(leaf.find(key).map(|i| leaf.vals()[i] as u32));
             ctx.set_phase(prev);
             resp
         }
         OpKind::Upsert(v) => {
-            let (addr, leaf) = descend_plain(ctx, handle, key);
+            let addr = descend_plain(ctx, handle, key, leaf);
             let prev = ctx.set_phase(Phase::LeafOp);
             ctx.control(NODE_SEARCH_CONTROL);
             if let Some(slot) = leaf.find(key) {
@@ -85,11 +87,11 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
             } else if leaf.count() < FANOUT {
                 // Unsynchronized sorted insert (racy by design).
                 let c = leaf.count();
-                let slot = (0..c).take_while(|&i| leaf.keys[i] < key).count();
+                let slot = (0..c).take_while(|&i| leaf.keys()[i] < key).count();
                 let mut i = c;
                 while i > slot {
-                    ctx.write(addr + OFF_KEYS + i as u64, leaf.keys[i - 1]);
-                    ctx.write(addr + OFF_VALS + i as u64, leaf.vals[i - 1]);
+                    ctx.write(addr + OFF_KEYS + i as u64, leaf.keys()[i - 1]);
+                    ctx.write(addr + OFF_VALS + i as u64, leaf.vals()[i - 1]);
                     i -= 1;
                 }
                 ctx.write(addr + OFF_KEYS + slot as u64, key);
@@ -102,14 +104,14 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
             Response::Done
         }
         OpKind::Delete => {
-            let (addr, leaf) = descend_plain(ctx, handle, key);
+            let addr = descend_plain(ctx, handle, key, leaf);
             let prev = ctx.set_phase(Phase::LeafOp);
             ctx.control(NODE_SEARCH_CONTROL);
             if let Some(slot) = leaf.find(key) {
                 let c = leaf.count();
                 for i in slot..c - 1 {
-                    ctx.write(addr + OFF_KEYS + i as u64, leaf.keys[i + 1]);
-                    ctx.write(addr + OFF_VALS + i as u64, leaf.vals[i + 1]);
+                    ctx.write(addr + OFF_KEYS + i as u64, leaf.keys()[i + 1]);
+                    ctx.write(addr + OFF_VALS + i as u64, leaf.vals()[i + 1]);
                 }
                 ctx.write(addr + OFF_KEYS + (c - 1) as u64, u64::MAX);
                 ctx.write(addr + OFF_META, pack_meta(true, false, c - 1));
@@ -123,21 +125,21 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
             let Some((lo, hi)) = range_window(key, len) else {
                 return Response::Range(out);
             };
-            let (_, mut leaf) = descend_plain(ctx, handle, lo);
+            descend_plain(ctx, handle, lo, leaf);
             let prev = ctx.set_phase(Phase::LeafOp);
             loop {
                 for i in 0..leaf.count() {
-                    let k = leaf.keys[i];
+                    let k = leaf.keys()[i];
                     if k >= lo && k <= hi {
-                        out[(k - lo) as usize] = Some(leaf.vals[i] as u32);
+                        out[(k - lo) as usize] = Some(leaf.vals()[i] as u32);
                     }
                 }
                 ctx.control(leaf.count() as u64 + 2);
-                if hi < leaf.high || leaf.next == 0 {
+                if hi < leaf.high() || leaf.next() == 0 {
                     break;
                 }
                 ctx.set_phase(Phase::HorizontalTraversal);
-                leaf = plain_load(ctx, leaf.next);
+                leaf.load(ctx, leaf.next());
                 ctx.stats.horizontal_steps += 1;
                 ctx.set_phase(Phase::LeafOp);
             }

@@ -34,7 +34,7 @@
 //! Nodes are allocated 16-word aligned so a cooperative node load always
 //! touches exactly three 128-byte transactions.
 
-use eirene_sim::{Addr, GlobalMemory};
+use eirene_sim::{Addr, GlobalMemory, WarpCtx};
 
 /// Maximum entries per node.
 pub const FANOUT: usize = 16;
@@ -266,59 +266,83 @@ impl NodeRef {
     }
 }
 
-/// A node snapshot parsed from a cooperative block load — device kernels
-/// load the node words once through `WarpCtx::read_block` (paying exactly one
-/// node's traffic) and then interpret the copy for free.
-#[derive(Clone, Copy, Debug)]
-pub struct ParsedNode {
-    pub meta: u64,
-    pub version: u64,
-    pub next: Addr,
-    pub rf: u64,
-    /// Exclusive upper bound of this node's key range (Lehman-Yao).
-    pub high: u64,
-    /// Inclusive lower bound of this node's key range.
-    pub low: u64,
-    pub keys: [u64; FANOUT],
-    pub vals: [u64; FANOUT],
+/// A device kernel's node buffer: the node's 38-word record, word for word.
+/// [`load`](Self::load) fills it in place with one cooperative
+/// `WarpCtx::read_block` (exactly one node's traffic), and the accessors read
+/// each field at its `OFF_*` word, so a load copies nothing on the host. A
+/// traversal keeps one buffer and loads every node it visits into it;
+/// whoever needs two nodes at once keeps two buffers (there is no `Clone`).
+#[derive(Debug)]
+pub struct ParsedNode([u64; NODE_WORDS]);
+
+impl Default for ParsedNode {
+    fn default() -> Self {
+        ParsedNode([0; NODE_WORDS])
+    }
+}
+
+/// One `ParsedNode` accessor per single-word field, reading the field's word.
+macro_rules! word_fields {
+    ($($(#[$doc:meta])* $name:ident = $off:ident;)*) => {$(
+        $(#[$doc])*
+        #[inline]
+        pub fn $name(&self) -> u64 {
+            self.0[$off as usize]
+        }
+    )*};
 }
 
 impl ParsedNode {
-    pub fn from_words(w: &[u64; NODE_WORDS]) -> Self {
-        // A whole-node snapshot of the poison sentinel means a stale
-        // pointer crossed an epoch boundary into reclaimed memory — a
-        // reclamation bug, not a benign optimistic race (torn reads can
-        // hit one poisoned word, but META *and* VERSION both poisoned
-        // only happens on a reclaimed block).
+    /// Loads the node at `addr` into this buffer (one warp memory operation).
+    #[inline]
+    pub fn load(&mut self, ctx: &mut WarpCtx<'_>, addr: Addr) {
+        ctx.read_block(addr, &mut self.0);
+        // META *and* VERSION poisoned is a stale pointer into a reclaimed block,
+        // not a benign optimistic race (a torn read can hit one poisoned word).
         debug_assert!(
-            !(w[0] == eirene_sim::POISON_WORD && w[1] == eirene_sim::POISON_WORD),
+            !(self.meta() == eirene_sim::POISON_WORD && self.version() == eirene_sim::POISON_WORD),
             "snapshot of a reclaimed node — a stale pointer outlived its epoch"
         );
-        let mut keys = [0u64; FANOUT];
-        let mut vals = [0u64; FANOUT];
-        keys.copy_from_slice(&w[OFF_KEYS as usize..OFF_KEYS as usize + FANOUT]);
-        vals.copy_from_slice(&w[OFF_VALS as usize..OFF_VALS as usize + FANOUT]);
-        ParsedNode {
-            meta: w[0],
-            version: w[1],
-            next: w[2],
-            rf: w[3],
-            high: w[4],
-            low: w[5],
-            keys,
-            vals,
-        }
+    }
+
+    /// The record as loaded.
+    #[inline]
+    pub fn words(&self) -> &[u64; NODE_WORDS] {
+        &self.0
+    }
+
+    word_fields! {
+        meta = OFF_META;
+        version = OFF_VERSION;
+        next = OFF_NEXT;
+        rf = OFF_RF;
+        /// Exclusive upper bound of this node's key range (Lehman-Yao).
+        high = OFF_HIGH;
+        /// Inclusive lower bound of this node's key range.
+        low = OFF_LOW;
+    }
+
+    /// All [`FANOUT`] key slots.
+    #[inline]
+    pub fn keys(&self) -> &[u64] {
+        &self.0[OFF_KEYS as usize..OFF_VALS as usize]
+    }
+
+    /// All [`FANOUT`] payload slots.
+    #[inline]
+    pub fn vals(&self) -> &[u64] {
+        &self.0[OFF_VALS as usize..]
     }
 
     #[inline]
     pub fn is_leaf(&self) -> bool {
-        meta_is_leaf(self.meta)
+        meta_is_leaf(self.meta())
     }
 
     /// True if the snapshot carries the merged-away tombstone.
     #[inline]
     pub fn is_dead(&self) -> bool {
-        meta_is_dead(self.meta)
+        meta_is_dead(self.meta())
     }
 
     /// Entry count, clamped to [`FANOUT`]: device snapshots may observe
@@ -327,7 +351,7 @@ impl ParsedNode {
     /// before trusting the data).
     #[inline]
     pub fn count(&self) -> usize {
-        meta_count(self.meta).min(FANOUT)
+        meta_count(self.meta()).min(FANOUT)
     }
 
     /// Inner-node search: index of the child to descend into — the last
@@ -338,7 +362,7 @@ impl ParsedNode {
         debug_assert!(c > 0);
         let mut slot = 0;
         for i in 0..c {
-            if self.keys[i] <= key {
+            if self.keys()[i] <= key {
                 slot = i;
             } else {
                 break;
@@ -350,14 +374,14 @@ impl ParsedNode {
     /// Leaf search: slot of `key` if present.
     pub fn find(&self, key: u64) -> Option<usize> {
         let c = self.count();
-        (0..c).find(|&i| self.keys[i] == key)
+        (0..c).find(|&i| self.keys()[i] == key)
     }
 
     /// Largest key in the node (node must be non-empty).
     pub fn max_key(&self) -> u64 {
         let c = self.count();
         debug_assert!(c > 0);
-        self.keys[c - 1]
+        self.keys()[c - 1]
     }
 }
 
@@ -415,6 +439,17 @@ mod tests {
         assert_eq!(n.version(&mem), 2);
     }
 
+    /// Block-loads the node at `addr` the way a kernel does.
+    fn load(mem: &GlobalMemory, addr: Addr) -> ParsedNode {
+        let cfg = eirene_sim::DeviceConfig::test_small();
+        let mut stats = eirene_sim::WarpStats::default();
+        let mut ctx = WarpCtx::new(mem, &cfg, 0, &mut stats);
+        let mut p = ParsedNode::default();
+        p.load(&mut ctx, addr);
+        assert_eq!(ctx.stats.mem_words, NODE_WORDS as u64, "one node's traffic");
+        p
+    }
+
     #[test]
     fn parsed_node_matches_stored_node() {
         let mem = GlobalMemory::new(1 << 12);
@@ -425,14 +460,54 @@ mod tests {
         }
         n.set_count(&mem, 5);
         n.set_next(&mem, 77);
-        let mut w = [0u64; NODE_WORDS];
-        mem.read_slice(n.addr, &mut w);
-        let p = ParsedNode::from_words(&w);
+        let p = load(&mem, n.addr);
         assert!(p.is_leaf());
         assert_eq!(p.count(), 5);
-        assert_eq!(p.next, 77);
-        assert_eq!(p.keys[2], 30);
+        assert_eq!(p.next(), 77);
+        assert_eq!(p.keys()[2], 30);
         assert_eq!(p.max_key(), 50);
+    }
+
+    /// The buffer *is* the record: every field written through `NodeRef`
+    /// comes back from the accessor reading its `OFF_*` word, and the type
+    /// is exactly one record wide.
+    #[test]
+    fn node_image_layout_is_the_record() {
+        assert_eq!(std::mem::size_of::<ParsedNode>(), NODE_WORDS * 8);
+        let mem = GlobalMemory::new(1 << 12);
+        let n = NodeRef::alloc(&mem, false);
+        n.set_count(&mem, 9);
+        n.bump_version(&mem);
+        n.bump_version(&mem);
+        n.set_next(&mem, 0x1230);
+        n.set_rf(&mem, 0x4560);
+        n.set_high(&mem, 0x7890);
+        n.set_low(&mem, 0x0ab0);
+        for i in 0..FANOUT {
+            n.set_key(&mem, i, 1000 + i as u64);
+            n.set_val(&mem, i, 2000 + i as u64);
+        }
+        let p = load(&mem, n.addr);
+        let mut fields = vec![
+            (p.meta(), OFF_META, pack_meta(false, false, 9)),
+            (p.version(), OFF_VERSION, 2),
+            (p.next(), OFF_NEXT, 0x1230),
+            (p.rf(), OFF_RF, 0x4560),
+            (p.high(), OFF_HIGH, 0x7890),
+            (p.low(), OFF_LOW, 0x0ab0),
+        ];
+        assert_eq!((p.keys().len(), p.vals().len()), (FANOUT, FANOUT));
+        for i in 0..FANOUT as u64 {
+            fields.push((p.keys()[i as usize], OFF_KEYS + i, 1000 + i));
+            fields.push((p.vals()[i as usize], OFF_VALS + i, 2000 + i));
+        }
+        for (got, off, written) in fields {
+            assert_eq!(got, mem.read(n.addr + off), "accessor of word {off}");
+            assert_eq!(got, written, "word {off}");
+        }
+        let mut w = [0u64; NODE_WORDS];
+        mem.read_slice(n.addr, &mut w);
+        assert_eq!(p.words(), &w);
     }
 
     #[test]
@@ -442,7 +517,7 @@ mod tests {
         w[OFF_KEYS as usize] = 10;
         w[OFF_KEYS as usize + 1] = 20;
         w[OFF_KEYS as usize + 2] = 30;
-        let p = ParsedNode::from_words(&w);
+        let p = ParsedNode(w);
         assert_eq!(p.child_slot(5), 0, "below minimum clamps to first child");
         assert_eq!(p.child_slot(10), 0);
         assert_eq!(p.child_slot(19), 0);
@@ -456,7 +531,7 @@ mod tests {
         w[0] = pack_meta(true, false, 2);
         w[OFF_KEYS as usize] = 7;
         w[OFF_KEYS as usize + 1] = 9;
-        let p = ParsedNode::from_words(&w);
+        let p = ParsedNode(w);
         assert_eq!(p.find(7), Some(0));
         assert_eq!(p.find(9), Some(1));
         assert_eq!(p.find(8), None);

@@ -23,7 +23,8 @@ use eirene_baselines::common::{charge_request_io, BatchRun};
 use eirene_btree::access::{NodeAccess, TxAccess};
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{
-    meta_count, meta_is_dead, meta_is_leaf, MIN_OCCUPANCY, OFF_LOW, OFF_META, OFF_VERSION,
+    meta_count, meta_is_dead, meta_is_leaf, ParsedNode, MIN_OCCUPANCY, OFF_LOW, OFF_META,
+    OFF_VERSION,
 };
 use eirene_btree::ops::{
     delete_at_leaf, delete_rebalancing, descend, hop_right, upsert_at_leaf, LeafDelete, LeafUpsert,
@@ -175,7 +176,9 @@ pub fn execute(
         // No synchronization because nothing is written: results cannot
         // depend on warp interleaving, so the launch need not pay for any.
         true,
-        |ctx, loc, _: &mut (), item| match *item {
+        // A range's later leaves load into the worker slot's buffer: the
+        // locator's keeps the leaf it lent, where the next RG's walk starts.
+        |ctx, loc, walk: &mut ParsedNode, item| match *item {
             QkItem::Query { run, key } => {
                 ctx.begin_request();
                 charge_request_io(ctx);
@@ -186,7 +189,7 @@ pub fn execute(
                 let (_, leaf) = loc.locate(ctx, handle, key);
                 let prev = ctx.set_phase(Phase::LeafOp);
                 ctx.control(12);
-                let v = leaf.find(key).map_or(NO_VALUE, |i| leaf.vals[i]);
+                let v = leaf.find(key).map_or(NO_VALUE, |i| leaf.vals()[i]);
                 ctx.set_phase(prev);
                 old_vals[run as usize].store(v, Ordering::Relaxed);
                 ctx.end_request();
@@ -199,18 +202,18 @@ pub fn execute(
                 let prev = ctx.set_phase(Phase::LeafOp);
                 loop {
                     for i in 0..leaf.count() {
-                        let k = leaf.keys[i];
+                        let k = leaf.keys()[i];
                         if k >= lo && k <= hi {
-                            slots[(k - lo) as usize].store(leaf.vals[i], Ordering::Relaxed);
+                            slots[(k - lo) as usize].store(leaf.vals()[i], Ordering::Relaxed);
                         }
                     }
                     ctx.control(leaf.count() as u64 + 2);
-                    if hi < leaf.high || leaf.next == 0 {
+                    if hi < leaf.high() || leaf.next() == 0 {
                         break;
                     }
-                    let next = leaf.next;
                     ctx.set_phase(Phase::HorizontalTraversal);
-                    leaf = crate::locality::load_node(ctx, next);
+                    walk.load(ctx, leaf.next());
+                    leaf = walk;
                     ctx.stats.horizontal_steps += 1;
                     ctx.set_phase(Phase::LeafOp);
                 }
@@ -330,7 +333,7 @@ fn update_one(
         // Optimistic pass: unprotected inner traversal (lines 28-29),
         // leaf-version validation + STM-protected leaf region (37-45).
         let (addr, node) = loc.locate(ctx, handle, key);
-        let leafvers = node.version;
+        let leafvers = node.version();
         let mut need_smo = false;
         let outer = ctx.set_phase(Phase::LeafOp);
         let attempt = {

@@ -2,10 +2,11 @@
 //!
 //! After combining, issued requests are key-sorted, so adjacent request
 //! groups (RGs) target the same or adjacent leaves. Each *iteration warp*
-//! processes several adjacent RGs in a loop, keeping a buffer with the
-//! last accessed leaf and that leaf's RF (range field). At each RG
-//! boundary the warp compares the RG's maximal key with the buffered RF
-//! to choose between:
+//! processes several adjacent RGs in a loop with one node buffer, which
+//! every traversal loads into in place, so it holds the last accessed leaf
+//! and that leaf's RF (range field); `locate` lends that leaf, uncopied. At
+//! each RG boundary the warp compares the RG's maximal key with the
+//! buffered RF to choose between:
 //!
 //! * **horizontal traversal** — walk the leaf chain rightward from the
 //!   buffered leaf (cheap when the target is within `height` hops);
@@ -18,7 +19,7 @@
 
 use crate::pivot::PivotCache;
 use eirene_btree::build::TreeHandle;
-use eirene_btree::node::{ParsedNode, NODE_WORDS, OFF_RF};
+use eirene_btree::node::{ParsedNode, OFF_RF};
 use eirene_sim::{Addr, Phase, WarpCtx};
 
 /// Per-warp traversal state implementing the RF-guided choice.
@@ -28,26 +29,18 @@ pub struct WarpLocator<'c> {
     /// start from a cached frontier node instead of the root when the
     /// cached node still validates (see [`crate::pivot`]).
     cache: Option<&'c PivotCache>,
-    /// Last accessed leaf (address + snapshot), if reusable.
-    cur: Option<(Addr, ParsedNode)>,
+    /// The warp's node buffer: after `locate` it holds the leaf lent to the
+    /// caller, where the next RG's horizontal walk starts, so nothing but
+    /// this locator's traversals may load into it.
+    buf: ParsedNode,
+    /// Address of the leaf in `buf`, if reusable. Only an enabled locator
+    /// sets it.
+    cur: Option<Addr>,
 }
-
-/// Cooperative block load of one node (one warp memory operation).
-pub fn load_node(ctx: &mut WarpCtx<'_>, addr: Addr) -> ParsedNode {
-    let mut w = [0u64; NODE_WORDS];
-    ctx.read_block(addr, &mut w);
-    ParsedNode::from_words(&w)
-}
-
-use load_node as load;
 
 impl<'c> WarpLocator<'c> {
     pub fn new(enabled: bool) -> Self {
-        WarpLocator {
-            enabled,
-            cache: None,
-            cur: None,
-        }
+        Self::with_cache(enabled, None)
     }
 
     /// Locator whose vertical descents consult the snapshot pivot cache.
@@ -55,6 +48,7 @@ impl<'c> WarpLocator<'c> {
         WarpLocator {
             enabled,
             cache,
+            buf: ParsedNode::default(),
             cur: None,
         }
     }
@@ -63,14 +57,8 @@ impl<'c> WarpLocator<'c> {
     /// RF check (§5) and drops the buffer when a vertical start is the
     /// better choice.
     pub fn begin_rg(&mut self, rg_max_key: u64) {
-        if !self.enabled {
+        if rg_max_key > self.buf.rf() {
             self.cur = None;
-            return;
-        }
-        if let Some((_, node)) = &self.cur {
-            if rg_max_key > node.rf {
-                self.cur = None;
-            }
         }
     }
 
@@ -82,51 +70,43 @@ impl<'c> WarpLocator<'c> {
 
     /// Locates the leaf owning `key`, horizontally from the buffered leaf
     /// when possible, vertically otherwise. Returns the leaf address and
-    /// snapshot (unprotected reads — callers that mutate re-validate
-    /// transactionally).
+    /// lends its snapshot (unprotected reads — callers that mutate
+    /// re-validate transactionally).
     pub fn locate(
         &mut self,
         ctx: &mut WarpCtx<'_>,
         handle: &TreeHandle,
         key: u64,
-    ) -> (Addr, ParsedNode) {
+    ) -> (Addr, &ParsedNode) {
         let height = handle.height(ctx.raw_mem());
-        if self.enabled {
-            if let Some((addr, node)) = self.cur.take() {
-                match self.walk_right(ctx, addr, node, key, height) {
-                    Some(hit) => {
-                        self.cur = Some(hit);
-                        return hit;
-                    }
-                    None => {
-                        // Overshot: fall through to a vertical descent.
-                    }
-                }
-            }
-        }
-        let hit = self.descend(ctx, handle, key);
-        self.cur = self.enabled.then_some(hit);
-        hit
+        // An overshot walk falls through to a vertical descent.
+        let walked = self
+            .cur
+            .take()
+            .and_then(|start| self.walk_right(ctx, start, key, height));
+        let addr = walked.unwrap_or_else(|| self.descend(ctx, handle, key));
+        self.cur = self.enabled.then_some(addr);
+        (addr, &self.buf)
     }
 
-    /// Horizontal traversal with the height+1 overshoot bound and RF
-    /// refresh. Returns `None` when the walk aborted to vertical.
+    /// Horizontal traversal from the buffered leaf at `start_addr`, with
+    /// the height+1 overshoot bound and RF refresh. Returns `None` when the
+    /// walk aborted to vertical.
     fn walk_right(
         &mut self,
         ctx: &mut WarpCtx<'_>,
         start_addr: Addr,
-        start_node: ParsedNode,
         key: u64,
         height: u64,
-    ) -> Option<(Addr, ParsedNode)> {
+    ) -> Option<Addr> {
         let prev = ctx.set_phase(Phase::HorizontalTraversal);
         ctx.stats.horizontal_traversals += 1;
+        let node = &mut self.buf;
         let mut addr = start_addr;
-        let mut node = start_node;
         let mut steps = 0u64;
         // Lehman-Yao walk: the owning leaf is the first one whose high
         // bound exceeds the key.
-        while key >= node.high && node.next != 0 {
+        while key >= node.high() && node.next() != 0 {
             ctx.control(4);
             steps += 1;
             if steps > height {
@@ -135,33 +115,29 @@ impl<'c> WarpLocator<'c> {
                 // descend vertically (§5).
                 // A hint store: RF only steers `begin_rg`'s horizontal-or-
                 // vertical choice, so the read-only query kernel may issue it.
-                ctx.write_hint(start_addr + OFF_RF, node.high.min(node.rf));
+                ctx.write_hint(start_addr + OFF_RF, node.high().min(node.rf()));
                 ctx.control(1);
                 ctx.set_phase(prev);
                 return None;
             }
-            addr = node.next;
-            node = load(ctx, addr);
+            addr = node.next();
+            node.load(ctx, addr);
             ctx.stats.horizontal_steps += 1;
         }
         ctx.control(1);
         ctx.set_phase(prev);
-        Some((addr, node))
+        Some(addr)
     }
 
-    /// Vertical descent from the root with right-hops at the leaf level.
+    /// Vertical descent from the root with right-hops at the leaf level,
+    /// into the warp's buffer.
     ///
     /// This traversal is *unprotected* (Alg. 1 line 29): it can observe
     /// another transaction's uncommitted or rolled-back eager writes, so
     /// everything it reads is treated as a hint — malformed nodes (empty
     /// inners, null children, runaway depth) restart the descent, and the
     /// caller's STM leaf region re-validates ownership before mutating.
-    fn descend(
-        &mut self,
-        ctx: &mut WarpCtx<'_>,
-        handle: &TreeHandle,
-        key: u64,
-    ) -> (Addr, ParsedNode) {
+    fn descend(&mut self, ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64) -> Addr {
         let outer = ctx.set_phase(Phase::VerticalTraversal);
         // One cache consultation per descent: binary-search the staged
         // frontier fences for the node owning `key`. The hit is a *hint*
@@ -173,6 +149,7 @@ impl<'c> WarpLocator<'c> {
             ctx.set_phase(prev);
             cache.lookup(key)
         });
+        let node = &mut self.buf;
         'restart: loop {
             ctx.set_phase(Phase::VerticalTraversal);
             ctx.stats.vertical_traversals += 1;
@@ -180,14 +157,14 @@ impl<'c> WarpLocator<'c> {
                 Some(hint) => (hint, true),
                 None => (ctx.read(handle.root_word), false),
             };
-            let mut node = load(ctx, addr);
+            node.load(ctx, addr);
             ctx.stats.vertical_steps += 1;
             if from_cache {
                 // Validate the snapshot start: alive and owning the key
                 // between its fences (a split since the snapshot shrinks
                 // HIGH; a merge sets the dead bit).
                 ctx.control(4);
-                if node.is_dead() || node.count() == 0 || key < node.low || key >= node.high {
+                if node.is_dead() || node.count() == 0 || key < node.low() || key >= node.high() {
                     ctx.charge_cycles(50);
                     continue 'restart;
                 }
@@ -201,31 +178,31 @@ impl<'c> WarpLocator<'c> {
                     ctx.charge_cycles(50);
                     continue 'restart;
                 }
-                let child = node.vals[node.child_slot(key)];
+                let child = node.vals()[node.child_slot(key)];
                 if child == 0 {
                     ctx.charge_cycles(50);
                     continue 'restart;
                 }
                 addr = child;
-                node = load(ctx, addr);
+                node.load(ctx, addr);
                 ctx.stats.vertical_steps += 1;
             }
             ctx.set_phase(Phase::HorizontalTraversal);
             let mut hops = 0u32;
-            while key >= node.high && node.next != 0 {
+            while key >= node.high() && node.next() != 0 {
                 ctx.control(4);
                 hops += 1;
                 if hops > 256 {
                     ctx.charge_cycles(50);
                     continue 'restart;
                 }
-                addr = node.next;
-                node = load(ctx, addr);
+                addr = node.next();
+                node.load(ctx, addr);
                 ctx.stats.horizontal_steps += 1;
             }
             ctx.control(1);
             ctx.set_phase(outer);
-            return (addr, node);
+            return addr;
         }
     }
 }
@@ -250,7 +227,7 @@ mod tests {
         let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
         let mut loc = WarpLocator::new(true);
         let (_, leaf) = loc.locate(&mut ctx, &t, 500);
-        assert_eq!(leaf.find(500).map(|i| leaf.vals[i]), Some(501));
+        assert_eq!(leaf.find(500).map(|i| leaf.vals()[i]), Some(501));
         assert_eq!(ctx.stats.vertical_traversals, 1);
         assert_eq!(ctx.stats.horizontal_traversals, 0);
     }
@@ -265,7 +242,7 @@ mod tests {
         let v_before = ctx.stats.vertical_traversals;
         // Next key is nearby: must reuse the buffer.
         let (_, leaf) = loc.locate(&mut ctx, &t, 530);
-        assert_eq!(leaf.find(530).map(|i| leaf.vals[i]), Some(531));
+        assert_eq!(leaf.find(530).map(|i| leaf.vals()[i]), Some(531));
         assert_eq!(
             ctx.stats.vertical_traversals, v_before,
             "no new vertical descent"
@@ -282,7 +259,7 @@ mod tests {
         let (start_addr, _) = loc.locate(&mut ctx, &t, 2);
         let rf_before = dev.mem().read(start_addr + OFF_RF);
         let (_, leaf) = loc.locate(&mut ctx, &t, 9000);
-        assert_eq!(leaf.find(9000).map(|i| leaf.vals[i]), Some(9001));
+        assert_eq!(leaf.find(9000).map(|i| leaf.vals()[i]), Some(9001));
         assert_eq!(ctx.stats.vertical_traversals, 2, "fallback descent");
         let rf_after = dev.mem().read(start_addr + OFF_RF);
         assert!(rf_after <= rf_before, "overshoot must refresh the RF bound");
@@ -327,6 +304,6 @@ mod tests {
         // And keys beyond the maximum.
         let (_, leaf) = loc.locate(&mut ctx, &t, 99_999);
         assert_eq!(leaf.find(99_999), None);
-        assert_eq!(leaf.next, 0, "must land on the rightmost leaf");
+        assert_eq!(leaf.next(), 0, "must land on the rightmost leaf");
     }
 }
