@@ -7,9 +7,9 @@
 //! registered observer the moment a shard finishes an epoch — epoch
 //! boundaries are the natural sampling points of the combining pipeline
 //! (every counter is quiescent for the sampled epoch, and the shard's
-//! virtual clock has a well-defined value). The controllers the roadmap
-//! plans (adaptive epoch sizing, hot-shard splitting) consume exactly
-//! these signals.
+//! virtual clock has a well-defined value). The batch controller
+//! (adaptive epoch sizing) and the rebalancer (hot-shard splitting) feed
+//! on exactly these signals.
 //!
 //! Overhead when disabled: with [`ObserveConfig::enabled`] false the
 //! admission hot path is untouched (the always-on accounting counters are
@@ -116,58 +116,39 @@ impl CloseCounts {
 
 impl ShardMetrics {
     pub fn new(tenants: usize) -> Self {
-        let mut reg = MetricsRegistry::new();
-        let enqueued = reg.register_counter("enqueued");
-        let shed = reg.register_counter("shed");
-        let timed_out = reg.register_counter("timed_out");
-        let completed = reg.register_counter("completed");
-        let epochs = reg.register_counter("epochs");
-        let max_depth = reg.register_gauge("max_queue_depth");
-        let queue_depth = reg.register_gauge("queue_depth");
-        let reorder_pending = reg.register_gauge("reorder_pending");
-        let watermark_lag = reg.register_gauge("watermark_lag");
-        let inflight = reg.register_gauge("inflight");
-        let epoch_batch = reg.register_gauge("epoch_batch");
-        let batch_target = reg.register_gauge("batch_target");
-        let lane_pending = reg.register_gauge("lane_pending");
-        let key_count = reg.register_gauge("key_count");
-        let arena_live = reg.register_gauge("arena_live");
-        let arena_retired = reg.register_gauge("arena_retired");
-        let descents_saved = reg.register_gauge("descents_saved");
-        let pivot_cache_hits = reg.register_gauge("pivot_cache_hits");
-        let tenant_shed = (0..tenants.max(1))
-            .map(|t| reg.register_counter(&format!("tenant{t}_shed")))
-            .collect();
-        let closed = [
-            "closed_full",
-            "closed_linger",
-            "closed_idle",
-            "closed_returned",
-            "closed_drain",
-        ]
-        .map(|name| reg.register_counter(name));
+        // Registration order is each metric's id: keep it.
+        let mut r = MetricsRegistry::new();
         ShardMetrics {
-            reg,
-            enqueued,
-            shed,
-            timed_out,
-            completed,
-            epochs,
-            max_depth,
-            queue_depth,
-            reorder_pending,
-            watermark_lag,
-            inflight,
-            epoch_batch,
-            batch_target,
-            lane_pending,
-            key_count,
-            arena_live,
-            arena_retired,
-            descents_saved,
-            pivot_cache_hits,
-            tenant_shed,
-            closed,
+            enqueued: r.register_counter("enqueued"),
+            shed: r.register_counter("shed"),
+            timed_out: r.register_counter("timed_out"),
+            completed: r.register_counter("completed"),
+            epochs: r.register_counter("epochs"),
+            max_depth: r.register_gauge("max_queue_depth"),
+            queue_depth: r.register_gauge("queue_depth"),
+            reorder_pending: r.register_gauge("reorder_pending"),
+            watermark_lag: r.register_gauge("watermark_lag"),
+            inflight: r.register_gauge("inflight"),
+            epoch_batch: r.register_gauge("epoch_batch"),
+            batch_target: r.register_gauge("batch_target"),
+            lane_pending: r.register_gauge("lane_pending"),
+            key_count: r.register_gauge("key_count"),
+            arena_live: r.register_gauge("arena_live"),
+            arena_retired: r.register_gauge("arena_retired"),
+            descents_saved: r.register_gauge("descents_saved"),
+            pivot_cache_hits: r.register_gauge("pivot_cache_hits"),
+            tenant_shed: (0..tenants.max(1))
+                .map(|t| r.register_counter(&format!("tenant{t}_shed")))
+                .collect(),
+            closed: [
+                "closed_full",
+                "closed_linger",
+                "closed_idle",
+                "closed_returned",
+                "closed_drain",
+            ]
+            .map(|name| r.register_counter(name)),
+            reg: r,
         }
     }
 
