@@ -89,8 +89,9 @@ pub struct EireneTree {
     stm: Stm,
     opts: EireneOptions,
     /// Snapshot pivot cache, rebuilt lazily at batch boundaries and
-    /// dropped when a structure-modifying epoch invalidates it.
-    pivot: Option<PivotCache>,
+    /// cleared (its buffers kept for the next rebuild) when a
+    /// structure-modifying epoch invalidates it.
+    pivot: PivotCache,
 }
 
 impl EireneTree {
@@ -110,7 +111,7 @@ impl EireneTree {
             base,
             stm,
             opts,
-            pivot: None,
+            pivot: PivotCache::default(),
         }
     }
 
@@ -145,28 +146,17 @@ impl EireneTree {
         // — the quiescent point where the snapshot is safe to take. A
         // cache from an earlier batch survives as long as no structure
         // modification changed the slab signature since.
-        let mut rebuild_cost = None;
-        if self.opts.coalesce {
-            let mem = self.base.device.mem();
-            let valid = self
-                .pivot
-                .as_ref()
-                .is_some_and(|c| c.is_valid(mem, &self.base.handle));
-            if !valid {
-                let (cache, cost) =
-                    PivotCache::build(mem, &self.base.handle, self.base.device.config());
-                self.pivot = Some(cache);
-                rebuild_cost = Some(cost);
-            }
-        }
+        let (mem, handle) = (self.base.device.mem(), &self.base.handle);
+        let rebuild_cost = (self.opts.coalesce && !self.pivot.is_valid(mem, handle))
+            .then(|| self.pivot.rebuild(mem, handle, self.base.device.config()));
         let mut run = execute(
             &self.base.device,
-            &self.base.handle,
+            handle,
             &self.stm,
             &exec_opts,
             batch,
             plan,
-            self.pivot.as_ref(),
+            Some(&self.pivot),
         );
         if let Some(cost) = rebuild_cost {
             let cfg = self.base.device.config();
@@ -179,19 +169,15 @@ impl EireneTree {
         // aborted splits retire) leaves a changed slab signature: drop
         // the snapshot before the epoch advance below recycles the
         // retired nodes it may still reference.
-        if self
-            .pivot
-            .as_ref()
-            .is_some_and(|c| !c.is_valid(self.base.device.mem(), &self.base.handle))
-        {
-            self.pivot = None;
+        if !self.pivot.is_valid(mem, handle) {
+            self.pivot.clear();
         }
         // The batch boundary is a quiescent point: kernel launches are
         // synchronous, and nothing outside the launch holds node
         // addresses (pending serve tickets carry only keys). Advancing
         // the reclamation epoch here lets nodes retired by this batch's
         // merges and aborted splits be recycled by the next batch.
-        self.base.device.mem().advance_epoch();
+        mem.advance_epoch();
         run
     }
 }

@@ -3,9 +3,11 @@
 //! The paper's combining phase sorts each request batch with CUB's radix
 //! sort (§7) and explicitly *includes the sorting time* in every Eirene
 //! measurement (§8.1). This crate provides the equivalent:
-//! [`radix_sort_pairs`], a stable LSD radix sort over `u64` keys with `u32`
-//! payloads (the composite `(key, timestamp-rank)` sort the combining phase
-//! needs).
+//! [`radix_sort_pairs`], a stable LSD radix sort over `u32` or `u64` keys
+//! with `u32` payloads. The combining phase sorts bare 32-bit keys stably
+//! from timestamp order, which yields the `(key, timestamp)` order of the
+//! device's composite-key sort, and charges that composite sort
+//! ([`radix_sort_cost`]).
 //!
 //! The computation is executed for real, as a plain loop on the calling
 //! host thread — no thread is created or woken on the request path; its
@@ -21,4 +23,4 @@ mod cost;
 mod sort;
 
 pub use cost::PrimCost;
-pub use sort::radix_sort_pairs;
+pub use sort::{radix_sort_cost, radix_sort_pairs, RadixKey};
