@@ -284,7 +284,9 @@ impl Inner {
         for (i, (key, op, arrival)) in ops.enumerate() {
             let cell = batch.cell_ref(i);
             let Some(home) = self.route(&topo, key, op).shards().next() else {
-                cell.resolve(Outcome::Done(Response::Range(Vec::new())));
+                // A store, not a resolve: no caller holds the tickets
+                // before this call returns, so none is parked.
+                cell.store(Outcome::Done(Response::Range(Vec::new())));
                 continue;
             };
             buckets[home].push(Entry {
@@ -395,7 +397,8 @@ impl Inner {
                     // shard it lands on, or is shed whole.
                     if let Some(full) = route.shards().find(|&shard| avail[shard] == 0) {
                         self.shards[full].record_shed(1, tenant);
-                        cell.resolve(Outcome::Rejected);
+                        // Stored, not resolved: nobody holds the tickets yet.
+                        cell.store(Outcome::Rejected);
                         return;
                     }
                     route.shards().for_each(|shard| avail[shard] -= 1);
@@ -411,7 +414,7 @@ impl Inner {
                     }
                 };
                 match route {
-                    Route::Empty => cell.resolve(Outcome::Done(Response::Range(Vec::new()))),
+                    Route::Empty => cell.store(Outcome::Done(Response::Range(Vec::new()))),
                     Route::One(shard) => buckets[shard].push(whole(cell)),
                     Route::Split(parts) => {
                         for (shard, part) in split_entries(&parts, whole(cell)) {

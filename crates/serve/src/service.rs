@@ -48,7 +48,7 @@ use crate::rebalance::{
 };
 use crate::report::{ServeReport, ShardReport};
 use crate::shard::{hash_shard, ShardId, ShardMap, Sharding};
-use crate::ticket::{Outcome, Ticket};
+use crate::ticket::{settle, submission_runs, Outcome, Ticket};
 use eirene_baselines::common::ConcurrentTree;
 use eirene_core::plan::build_plan;
 use eirene_core::{EireneOptions, EireneTree};
@@ -206,9 +206,10 @@ impl ShardState {
         self.executor.lock().unwrap().inflight += 1;
     }
 
-    /// Executor side: call *before* the epoch's first ticket resolves — a
-    /// released caller can be back before [`epoch_finished`] runs, and its
-    /// push must land after the snapshot to count as a return.
+    /// Executor side: call *before* the epoch's first outcome is stored — a
+    /// caller reads a stored outcome without waiting for its wake, can be
+    /// back before [`epoch_finished`] runs, and its push must land after
+    /// the snapshot to count as a return.
     ///
     /// [`epoch_finished`]: Self::epoch_finished
     fn epoch_releasing(&self, released: u64) {
@@ -678,10 +679,8 @@ fn combiner_loop(
             Effect::HandOver { entries, close } => {
                 let batch = Batch::new(entries.iter().map(|e| e.req).collect());
                 let plan = build_plan(&batch, plan_cfg);
-                let released = 1 + entries
-                    .windows(2)
-                    .filter(|w| !w[0].completion.same_submission(&w[1].completion))
-                    .count() as u64;
+                let released =
+                    submission_runs(entries.iter().map(|e| &e.completion)).count() as u64;
                 let (watermark_lag, inflight) = if observe { inner.gauges() } else { (0, 0) };
                 let epoch = Epoch {
                     batch,
@@ -785,9 +784,8 @@ fn executor_loop(
         // Release the callers first: the books read only the entries and
         // the run's counters, and nobody should wait on them.
         state.epoch_releasing(epoch.released);
-        for (entry, resp) in epoch.entries.iter().zip(run.responses) {
-            entry.completion.resolve_ok(resp);
-        }
+        let wakes = settle(epoch.entries.iter().map(|e| &e.completion), run.responses);
+        debug_assert_eq!(wakes, epoch.released, "one wake per released submission");
         state.epoch_finished(received.elapsed());
         if let Some(feedback) = books.record(&epoch, run.stats) {
             controller.on_epoch(&feedback);

@@ -3,7 +3,7 @@
 
 use eirene_workloads::{Response, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Sentinel for "no timestamp assigned yet" in [`TicketCell::ts`].
 const TS_UNSET: u64 = u64::MAX;
@@ -33,81 +33,77 @@ impl Outcome {
     }
 }
 
-/// Shared slot a [`Ticket`] waits on. First resolution wins; later ones
-/// are ignored (a split range can race a timeout against a merge).
+/// One-shot slot a [`Ticket`] reads without a lock. The first store wins;
+/// later ones are ignored (a split range can race a timeout against a
+/// merge).
 #[derive(Debug)]
 pub(crate) struct TicketCell {
-    state: Mutex<CellState>,
-    cv: Condvar,
+    outcome: OnceLock<Outcome>,
     /// The admission timestamp, once drawn ([`TS_UNSET`] before that and
     /// for requests that resolve without admission: empty ranges, sheds).
     ts: AtomicU64,
 }
 
-#[derive(Debug, Default)]
-struct CellState {
-    outcome: Option<Outcome>,
-    /// Threads parked in [`Ticket::wait`]. `resolve` notifies only when
-    /// this is non-zero: a condvar notify enters the kernel even with
-    /// nobody parked, and an executor resolves a whole epoch of tickets
-    /// whose owners are almost never waiting on that very cell yet.
-    waiters: u32,
-}
-
-impl Default for TicketCell {
-    fn default() -> Self {
-        TicketCell {
-            state: Mutex::new(CellState::default()),
-            cv: Condvar::new(),
-            ts: AtomicU64::new(TS_UNSET),
-        }
-    }
-}
-
 impl TicketCell {
-    pub(crate) fn resolve(&self, outcome: Outcome) {
-        let mut state = self.state.lock().unwrap();
-        if state.outcome.is_none() {
-            state.outcome = Some(outcome);
-            if state.waiters > 0 {
-                self.cv.notify_all();
-            }
-        }
-    }
-
     pub(crate) fn set_ts(&self, ts: u64) {
         self.ts.store(ts, Ordering::Release);
     }
 }
 
-/// One block of ticket cells allocated together. Batched submission
-/// ([`Client::submit_many`](crate::Client::submit_many)) makes ONE shared
-/// allocation per call instead of one `Arc` per request — the dominant
-/// per-op malloc on the ingress hot path. Individual [`Ticket`]s and
-/// [`Completion`]s address into the block by index via [`CellRef`]; the
-/// block is freed when the last of them drops.
+/// One block of ticket cells allocated together, and the one place the
+/// callers of its submission park. Batched submission
+/// ([`Client::submit_many`](crate::Client::submit_many)) makes one block
+/// per call instead of one `Arc` per request — the dominant per-op malloc
+/// on the ingress hot path. Individual [`Ticket`]s and [`Completion`]s
+/// address into the block by index via [`CellRef`]; the block is freed
+/// when the last of them drops.
 pub(crate) struct TicketBatch {
-    cells: Arc<[TicketCell]>,
+    cells: Box<[TicketCell]>,
+    /// Threads parked in [`Ticket::wait`] on any cell of the block. A wake
+    /// notifies only when this is non-zero: a condvar notify enters the
+    /// kernel even with nobody parked.
+    parked: Mutex<u32>,
+    cv: Condvar,
 }
 
 impl TicketBatch {
-    pub(crate) fn new(n: usize) -> TicketBatch {
-        TicketBatch {
-            cells: (0..n).map(|_| TicketCell::default()).collect(),
-        }
+    pub(crate) fn new(n: usize) -> Arc<TicketBatch> {
+        Arc::new(TicketBatch {
+            cells: (0..n)
+                .map(|_| TicketCell {
+                    outcome: OnceLock::new(),
+                    ts: AtomicU64::new(TS_UNSET),
+                })
+                .collect(),
+            parked: Mutex::new(0),
+            cv: Condvar::new(),
+        })
     }
 
-    pub(crate) fn cell_ref(&self, idx: usize) -> CellRef {
+    pub(crate) fn cell_ref(self: &Arc<Self>, idx: usize) -> CellRef {
         debug_assert!(idx < self.cells.len());
         CellRef {
-            cells: self.cells.clone(),
+            batch: self.clone(),
             idx: idx as u32,
         }
     }
 
-    pub(crate) fn ticket(&self, idx: usize) -> Ticket {
+    pub(crate) fn ticket(self: &Arc<Self>, idx: usize) -> Ticket {
         Ticket {
             cell: self.cell_ref(idx),
+        }
+    }
+
+    /// Wakes every caller parked on the block. Call only after the stores
+    /// it announces: a waiter re-checks its slot under this mutex before it
+    /// parks, so taking the mutex after the stores means it either sees the
+    /// outcome or is counted here — never neither.
+    fn wake(&self) {
+        // Recovered, not unwrapped: the lock guards only the parked count,
+        // which no panic can leave half-written.
+        let parked = self.parked.lock().unwrap_or_else(PoisonError::into_inner);
+        if *parked > 0 {
+            self.cv.notify_all();
         }
     }
 }
@@ -116,15 +112,31 @@ impl TicketBatch {
 /// to the cell, so call sites read like the old `Arc<TicketCell>`.
 #[derive(Clone)]
 pub(crate) struct CellRef {
-    cells: Arc<[TicketCell]>,
+    batch: Arc<TicketBatch>,
     idx: u32,
+}
+
+impl CellRef {
+    /// Stores the outcome without waking anyone. For a ticket nobody can
+    /// be waiting on yet (its submission call has not returned), or with a
+    /// wake of the block to follow.
+    pub(crate) fn store(&self, outcome: Outcome) {
+        let _ = self.outcome.set(outcome);
+    }
+
+    /// Stores the outcome and wakes the block's parked callers at once.
+    pub(crate) fn resolve(&self, outcome: Outcome) {
+        if self.outcome.set(outcome).is_ok() {
+            self.batch.wake();
+        }
+    }
 }
 
 impl std::ops::Deref for CellRef {
     type Target = TicketCell;
 
     fn deref(&self) -> &TicketCell {
-        &self.cells[self.idx as usize]
+        &self.batch.cells[self.idx as usize]
     }
 }
 
@@ -143,25 +155,35 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// Blocks until the request resolves.
+    /// Blocks until the request resolves. Takes no lock once the outcome
+    /// is stored.
     pub fn wait(&self) -> Outcome {
-        let mut state = self.cell.state.lock().unwrap();
+        if let Some(o) = self.cell.outcome.get() {
+            return o.clone();
+        }
+        let batch = &self.cell.batch;
+        // Recovered, not unwrapped: the lock guards only the parked count,
+        // which no panic can leave half-written.
+        let mut parked = batch.parked.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(o) = state.outcome.as_ref() {
+            // Re-checked under the block's mutex, which a waker takes only
+            // after its stores (`TicketBatch::wake`).
+            if let Some(o) = self.cell.outcome.get() {
                 return o.clone();
             }
-            // Counted under the cell's mutex before parking, so a
-            // resolver either sees the waiter or has already stored the
-            // outcome this loop just missed — never neither.
-            state.waiters += 1;
-            state = self.cell.cv.wait(state).unwrap();
-            state.waiters -= 1;
+            *parked += 1;
+            // Recovered for the same reason as the lock above.
+            parked = batch
+                .cv
+                .wait(parked)
+                .unwrap_or_else(PoisonError::into_inner);
+            *parked -= 1;
         }
     }
 
     /// The outcome if already resolved, without blocking.
     pub fn try_get(&self) -> Option<Outcome> {
-        self.cell.state.lock().unwrap().outcome.clone()
+        self.cell.outcome.get().cloned()
     }
 
     /// The global admission timestamp this request linearizes at, or
@@ -253,21 +275,25 @@ pub(crate) enum Completion {
 }
 
 impl Completion {
+    fn batch(&self) -> &Arc<TicketBatch> {
+        match self {
+            Completion::Direct(cell) => &cell.batch,
+            Completion::Part { merge, .. } => &merge.cell.batch,
+        }
+    }
+
     /// Whether both entries came in through one submission call: they
     /// then share its ticket block (a lone `submit` is a call of one).
     pub(crate) fn same_submission(&self, other: &Completion) -> bool {
-        fn block(c: &Completion) -> &Arc<[TicketCell]> {
-            match c {
-                Completion::Direct(cell) => &cell.cells,
-                Completion::Part { merge, .. } => &merge.cell.cells,
-            }
-        }
-        Arc::ptr_eq(block(self), block(other))
+        Arc::ptr_eq(self.batch(), other.batch())
     }
 
-    pub(crate) fn resolve_ok(&self, resp: Response) {
+    /// Executor side: stores the response without waking anyone — the
+    /// epoch's [`settle`] wakes each submission once. A split range's part
+    /// goes into its merge instead, and the last part stores and wakes.
+    fn store_ok(&self, resp: Response) {
         match self {
-            Completion::Direct(cell) => cell.resolve(Outcome::Done(resp)),
+            Completion::Direct(cell) => cell.store(Outcome::Done(resp)),
             Completion::Part { merge, offset } => match resp {
                 Response::Range(slots) => merge.complete_part(*offset, &slots),
                 other => panic!("range part resolved with non-range response {other:?}"),
@@ -275,6 +301,7 @@ impl Completion {
         }
     }
 
+    /// Stores a failure and wakes at once (sheds, timeouts, rejects).
     pub(crate) fn resolve_fail(&self, outcome: Outcome) {
         match self {
             Completion::Direct(cell) => cell.resolve(outcome),
@@ -283,14 +310,98 @@ impl Completion {
     }
 }
 
+/// The first completion of every run of adjacent entries from one
+/// submission: the runs an epoch's `released` counts, and the ones
+/// [`settle`] wakes.
+pub(crate) fn submission_runs<'a>(
+    completions: impl IntoIterator<Item = &'a Completion>,
+) -> impl Iterator<Item = &'a Completion> {
+    let mut last: Option<&Completion> = None;
+    completions.into_iter().filter(move |c| {
+        let head = !last.is_some_and(|l| l.same_submission(c));
+        last = Some(c);
+        head
+    })
+}
+
+/// Resolves an executed epoch: stores every response, then wakes each
+/// run of adjacent same-submission entries once — after the last store,
+/// so no waiter sleeps through its outcome. Returns the wakes.
+pub(crate) fn settle<'a>(
+    completions: impl Iterator<Item = &'a Completion> + Clone,
+    responses: impl IntoIterator<Item = Response>,
+) -> u64 {
+    for (completion, resp) in completions.clone().zip(responses) {
+        completion.store_ok(resp);
+    }
+    let mut wakes = 0;
+    for head in submission_runs(completions) {
+        head.batch().wake();
+        wakes += 1;
+    }
+    wakes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
 
     /// A lone ticket and its cell: a block of one.
     fn lone() -> (Ticket, CellRef) {
         let batch = TicketBatch::new(1);
         (batch.ticket(0), batch.cell_ref(0))
+    }
+
+    /// Runs `body` on its own thread and fails unless it returns within a
+    /// minute — next to the milliseconds each scenario takes, so a lost
+    /// wake-up fails the test instead of hanging it.
+    fn watchdog(body: impl FnOnce() + Send + 'static) {
+        let limit = Duration::from_secs(60);
+        let (done, finished) = mpsc::channel();
+        let runner = thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(limit) {
+            panic!("no return within {limit:?}: a waiter slept through its wake-up");
+        }
+        if let Err(cause) = runner.join() {
+            std::panic::resume_unwind(cause);
+        }
+    }
+
+    fn parked(batch: &TicketBatch) -> u32 {
+        *batch.parked.lock().unwrap()
+    }
+
+    /// Waiter threads on cells `idx` of `batch`, returned once `idx.len()`
+    /// callers are parked on the block.
+    fn park_on(
+        batch: &Arc<TicketBatch>,
+        idx: impl IntoIterator<Item = usize>,
+    ) -> Vec<thread::JoinHandle<Outcome>> {
+        let waiters: Vec<_> = idx
+            .into_iter()
+            .map(|i| {
+                let t = batch.ticket(i);
+                thread::spawn(move || t.wait())
+            })
+            .collect();
+        while (parked(batch) as usize) < waiters.len() {
+            thread::yield_now();
+        }
+        waiters
+    }
+
+    /// Completions for cells `idx` of `batch`, as one submission's entries.
+    fn direct(batch: &Arc<TicketBatch>, idx: impl IntoIterator<Item = usize>) -> Vec<Completion> {
+        idx.into_iter()
+            .map(|i| Completion::Direct(batch.cell_ref(i)))
+            .collect()
     }
 
     #[test]
@@ -299,29 +410,92 @@ mod tests {
         assert_eq!(t.try_get(), None);
         cell.resolve(Outcome::Done(Response::Done));
         cell.resolve(Outcome::Rejected); // ignored: first resolution wins
+        cell.store(Outcome::TimedOut); // so is a later store
         assert_eq!(t.try_get(), Some(Outcome::Done(Response::Done)));
         assert_eq!(t.wait(), Outcome::Done(Response::Done));
     }
 
     #[test]
     fn parked_waiters_are_counted_and_woken() {
-        let (t, cell) = lone();
-        let waiters: Vec<_> = (0..2)
-            .map(|_| {
-                let t = t.clone();
-                std::thread::spawn(move || t.wait())
-            })
-            .collect();
-        // Resolve only once both are parked: the notify then has to reach
-        // both, and it is the waiter count that triggers it.
-        while cell.state.lock().unwrap().waiters < 2 {
-            std::thread::yield_now();
+        watchdog(|| {
+            let batch = TicketBatch::new(1);
+            // Resolve only once both are parked: the notify then has to
+            // reach both, and it is the block's parked count that
+            // triggers it.
+            let waiters = park_on(&batch, [0, 0]);
+            batch.cell_ref(0).resolve(Outcome::TimedOut);
+            for w in waiters {
+                assert_eq!(w.join().unwrap(), Outcome::TimedOut);
+            }
+            assert_eq!(parked(&batch), 0);
+        });
+    }
+
+    #[test]
+    fn one_wake_releases_every_parked_waiter_of_a_block() {
+        const K: usize = 4;
+        watchdog(|| {
+            let batch = TicketBatch::new(K);
+            let waiters = park_on(&batch, 0..K);
+            let responses = (0..K).map(|i| Response::Value(Some(i as Value)));
+            assert_eq!(settle(direct(&batch, 0..K).iter(), responses), 1);
+            for (i, w) in waiters.into_iter().enumerate() {
+                let want = Outcome::Done(Response::Value(Some(i as Value)));
+                assert_eq!(w.join().unwrap(), want);
+            }
+            assert_eq!(parked(&batch), 0);
+        });
+    }
+
+    #[test]
+    fn a_waiter_parking_between_the_stores_and_the_wake_is_woken() {
+        // A submission long enough that the waiter, released as the stores
+        // begin, often parks on the last cell before it is stored.
+        const RUN: usize = 64;
+        watchdog(|| {
+            for _ in 0..10_000 {
+                let batch = TicketBatch::new(RUN);
+                let completions = direct(&batch, 0..RUN);
+                let last = batch.ticket(RUN - 1);
+                let (ready, go) = (AtomicBool::new(false), AtomicBool::new(false));
+                thread::scope(|s| {
+                    let waiter = s.spawn(|| {
+                        ready.store(true, Ordering::Release);
+                        while !go.load(Ordering::Acquire) {
+                            std::hint::spin_loop();
+                        }
+                        last.wait()
+                    });
+                    while !ready.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                    go.store(true, Ordering::Release);
+                    settle(completions.iter(), (0..RUN).map(|_| Response::Done));
+                    assert_eq!(waiter.join().unwrap(), Outcome::Done(Response::Done));
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn an_epoch_wakes_each_submission_run_once() {
+        let blocks = [TicketBatch::new(1), TicketBatch::new(1)];
+        let (a, b) = (0, 1);
+        for (epoch, wakes) in [
+            (&[a, a, b, b, a][..], 3),
+            (&[a, a, a, a], 1), // a single-submission epoch
+            (&[a], 1),
+            (&[a, b, a, b], 4),
+        ] {
+            let completions: Vec<_> = epoch
+                .iter()
+                .map(|&blk| Completion::Direct(blocks[blk].cell_ref(0)))
+                .collect();
+            let runs = submission_runs(&completions).count() as u64;
+            assert_eq!(runs, wakes, "{epoch:?}");
+            let responses = epoch.iter().map(|_| Response::Done);
+            assert_eq!(settle(completions.iter(), responses), wakes, "{epoch:?}");
         }
-        cell.resolve(Outcome::TimedOut);
-        for w in waiters {
-            assert_eq!(w.join().unwrap(), Outcome::TimedOut);
-        }
-        assert_eq!(cell.state.lock().unwrap().waiters, 0);
     }
 
     #[test]
