@@ -25,14 +25,16 @@
 //!
 //! The invariant is about the shard *queues* and says nothing yet about a
 //! combiner's reorder heap: [`Reorder::offer`]'s precondition is what
-//! carries it there (`reorder` module docs).
+//! carries it there (`reorder` module docs). Every draw is one contiguous
+//! range — a submission call's, or a lane segment's — and what one draw
+//! sends one shard travels as one [`Segment`].
 
-use crate::lane::{QosConfig, TenantId};
-use crate::queue::{AdmitPolicy, Entry};
+use crate::lane::{LaneReject, QosConfig, TenantId};
+use crate::queue::{AdmitPolicy, Segment};
 use crate::reorder::Reorder;
 use crate::service::{FaultPlan, ShardState};
 use crate::shard::{hash_shard, window_end, RangePart, ShardId, ShardMap, Sharding};
-use crate::ticket::{CellRef, Completion, Outcome, RangeMerge, Ticket, TicketBatch};
+use crate::ticket::{CellRef, Outcome, RangeMerge, Slot, Ticket, TicketBatch};
 use eirene_workloads::{Key, OpKind, Request, Response};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -265,11 +267,11 @@ impl Inner {
     }
 
     /// QoS-lane path: every op parks — *untimestamped* — on its home
-    /// shard's lane for the submitting tenant, each shard's slice pushed
-    /// under one lane lock; the shard's combiner draws the timestamps at
-    /// admission ([`admit_lanes`]). A split range's home is its first
-    /// part's shard: the combiner re-routes and fans the parts out when
-    /// it admits the entry. Quota sheds resolve `Rejected` individually.
+    /// shard's lane for the submitting tenant, each shard's share pushed
+    /// as one segment under one lane lock; the shard's combiner draws the
+    /// timestamps at admission ([`admit_lanes`]). A split range's home is
+    /// its first part's shard: the combiner re-routes and fans the parts
+    /// out when it admits the request. Quota sheds resolve `Rejected`.
     fn submit_many_lanes(
         &self,
         n: usize,
@@ -277,52 +279,51 @@ impl Inner {
         deadline: Option<Instant>,
         tenant: TenantId,
     ) -> Vec<Ticket> {
-        let num_shards = self.shards.len();
         let batch = TicketBatch::new(n);
-        let mut buckets: Vec<Vec<Entry>> = (0..num_shards).map(|_| Vec::new()).collect();
+        let mut buckets: Vec<Segment> = (0..self.shards.len())
+            .map(|_| Segment::new(batch.clone(), deadline, tenant, 0))
+            .collect();
         let topo = self.topology.read().unwrap();
-        for (i, (key, op, arrival)) in ops.enumerate() {
-            let cell = batch.cell_ref(i);
+        for (i, (key, op, arrival)) in (0u32..).zip(ops) {
             let Some(home) = self.route(&topo, key, op).shards().next() else {
                 // A store, not a resolve: no caller holds the tickets
                 // before this call returns, so none is parked.
-                cell.store(Outcome::Done(Response::Range(Vec::new())));
+                let empty = Outcome::Done(Response::Range(Vec::new()));
+                batch.cell(i).store(empty);
                 continue;
             };
-            buckets[home].push(Entry {
-                req: Request {
-                    key,
-                    op,
-                    ts: u64::MAX,
-                },
-                deadline,
-                arrival,
-                tenant,
-                completion: Completion::Direct(cell),
-            });
+            let staged = Request {
+                key,
+                op,
+                ts: u64::MAX,
+            };
+            buckets[home].push(staged, Slot::Cell(i), arrival);
         }
         for (shard, bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
             let state = &self.shards[shard];
-            let (_, reject) = state.queue.push_lane_many(tenant, bucket);
-            if !reject.over_quota.is_empty() {
-                state.record_shed(reject.over_quota.len() as u64, tenant);
-            }
-            for e in reject.over_quota.into_iter().chain(reject.closed) {
-                e.completion.resolve_fail(Outcome::Rejected);
-            }
+            let refused = match state.queue.push_lane(tenant, bucket) {
+                None => continue,
+                Some(LaneReject::OverQuota(rest)) => {
+                    state.record_shed(rest.len() as u64, tenant);
+                    rest
+                }
+                Some(LaneReject::Closed(rest)) => rest,
+            };
+            refused.fail(&Outcome::Rejected);
         }
-        (0..n).map(|i| batch.ticket(i)).collect()
+        (0..n as u32).map(|i| batch.ticket(i)).collect()
     }
 
     /// Batched admission: routes every op, claims the whole timestamp
     /// range with ONE `fetch_add`, allocates every ticket cell in ONE
-    /// shared block ([`TicketBatch`]), and enqueues per shard in bulk
-    /// (one queue-lock acquisition per shard instead of one per request).
-    /// Request `i` gets timestamp `base + i`, so a single caller's batch
-    /// linearizes in its own order. `ops` must yield exactly `n` items.
+    /// shared block ([`TicketBatch`]), and enqueues each shard's share as
+    /// one segment (one queue-lock acquisition per shard instead of one
+    /// per request). Request `i` gets timestamp `base + i`, so a single
+    /// caller's batch linearizes in its own order. `ops` must yield
+    /// exactly `n` items.
     pub(crate) fn submit_many(
         &self,
         n: usize,
@@ -341,8 +342,8 @@ impl Inner {
         // Sized for a roughly uniform spread plus slack; a skewed batch
         // costs at most one regrowth per shard.
         let bucket_cap = n / num_shards + n / 8 + 4;
-        let mut buckets: Vec<Vec<Entry>> = (0..num_shards)
-            .map(|_| Vec::with_capacity(bucket_cap))
+        let mut buckets: Vec<Segment> = (0..num_shards)
+            .map(|_| Segment::new(batch.clone(), deadline, tenant, bucket_cap))
             .collect();
         // Shed mode: one RAII capacity grant per shard; `avail` mirrors
         // the unspent slots during routing, and any still unspent when
@@ -352,12 +353,12 @@ impl Inner {
         let mut avail = vec![0usize; num_shards];
         let topo = self.topology.read().unwrap();
 
-        // Under Shed the per-shard demand must be known before any entry
-        // is built, so that path routes in a pre-pass and grabs capacity
-        // credits up front (one reservation call per shard); requests
-        // whose shards ran out are shed individually, split ranges
-        // all-or-nothing. Block needs no credits, so it routes inline —
-        // a single pass with no intermediate routed Vec.
+        // Under Shed the per-shard demand must be known before any
+        // request is placed, so that path routes in a pre-pass and grabs
+        // capacity credits up front (one reservation call per shard);
+        // requests whose shards ran out are shed individually, split
+        // ranges all-or-nothing. Block needs no credits, so it routes
+        // inline — a single pass with no intermediate routed Vec.
         let mut ops = Some(ops);
         let routed: Option<Vec<(Key, OpKind, u64, Route)>> = match self.policy {
             AdmitPolicy::Block => None,
@@ -389,9 +390,8 @@ impl Inner {
         }
 
         {
-            let mut admit_one = |i: usize, key: Key, op: OpKind, arrival: u64, route: Route| {
-                let cell = batch.cell_ref(i);
-                let ts = base + i as u64;
+            let mut admit_one = |i: u32, key: Key, op: OpKind, arrival: u64, route: Route| {
+                let cell = batch.cell(i);
                 if self.policy == AdmitPolicy::Shed {
                     // All or nothing: a request spends one credit on every
                     // shard it lands on, or is shed whole.
@@ -403,45 +403,40 @@ impl Inner {
                     }
                     route.shards().for_each(|shard| avail[shard] -= 1);
                 }
-                let whole = |cell: CellRef| {
-                    cell.set_ts(ts);
-                    Entry {
-                        req: Request { key, op, ts },
-                        deadline,
-                        arrival,
-                        tenant,
-                        completion: Completion::Direct(cell),
-                    }
-                };
+                let ts = base + u64::from(i);
+                let req = Request { key, op, ts };
                 match route {
                     Route::Empty => cell.store(Outcome::Done(Response::Range(Vec::new()))),
-                    Route::One(shard) => buckets[shard].push(whole(cell)),
+                    Route::One(shard) => {
+                        cell.set_ts(ts);
+                        buckets[shard].push(req, Slot::Cell(i), arrival);
+                    }
                     Route::Split(parts) => {
-                        for (shard, part) in split_entries(&parts, whole(cell)) {
-                            buckets[shard].push(part);
+                        cell.set_ts(ts);
+                        for (shard, part, slot) in split_parts(&parts, req, batch.cell_ref(i)) {
+                            buckets[shard].push(part, slot, arrival);
                         }
                     }
                 }
             };
             match routed {
                 Some(routed) => {
-                    for (i, (key, op, arrival, route)) in routed.into_iter().enumerate() {
+                    for (i, (key, op, arrival, route)) in (0u32..).zip(routed) {
                         admit_one(i, key, op, arrival, route);
                     }
                 }
                 None => {
-                    for (i, (key, op, arrival)) in
-                        ops.take().expect("ops iterator consumed twice").enumerate()
-                    {
+                    let ops = ops.take().expect("ops iterator consumed twice");
+                    for (i, (key, op, arrival)) in (0u32..).zip(ops) {
                         let route = self.route(&topo, key, op);
                         admit_one(i, key, op, arrival, route);
                     }
                 }
             }
         }
-        // Before the fill: once the entries are queued, all that should
+        // Before the fill: once the segments are queued, all that should
         // stand between them and the combiner is this call's slot.
-        let tickets = (0..n).map(|i| batch.ticket(i)).collect();
+        let tickets = (0..n as u32).map(|i| batch.ticket(i)).collect();
 
         for (shard, bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
@@ -453,58 +448,55 @@ impl Inner {
             let (pushed, depth, refused) = match self.policy {
                 // Fill through the grant; its unspent remainder is
                 // released when the guard drops here.
-                AdmitPolicy::Shed => grants[shard]
-                    .take()
-                    .expect("grant reserved in the pre-pass")
-                    .push_many(bucket),
-                AdmitPolicy::Block => state.queue.push_blocking_many(bucket),
+                AdmitPolicy::Shed => {
+                    let mut grant = grants[shard]
+                        .take()
+                        .expect("grant reserved in the pre-pass");
+                    let n = bucket.len();
+                    match grant.push(bucket) {
+                        Ok(depth) => (n, depth, None),
+                        Err(refused) => (0, 0, Some(refused)),
+                    }
+                }
+                AdmitPolicy::Block => state.queue.push_blocking(bucket),
             };
             state.record_enqueue(pushed as u64, depth);
-            for e in refused {
-                e.completion.resolve_fail(Outcome::Rejected);
+            if let Some(refused) = refused {
+                refused.fail(&Outcome::Rejected);
             }
         }
         tickets
     }
 }
 
-/// The per-shard entries of one split range, from the timestamped
-/// `whole` request: every part carries its timestamp and reports into
-/// one shared [`RangeMerge`] behind its ticket cell.
-fn split_entries(parts: &[RangePart], whole: Entry) -> impl Iterator<Item = (ShardId, Entry)> + '_ {
-    let Entry {
-        req,
-        deadline,
-        arrival,
-        tenant,
-        completion,
-    } = whole;
-    let (OpKind::Range { len }, Completion::Direct(cell)) = (req.op, completion) else {
-        unreachable!("only whole range requests split")
+/// The per-shard parts of one split range `req`, already timestamped:
+/// every part carries its timestamp and reports into one shared
+/// [`RangeMerge`] behind the range's ticket `cell`.
+fn split_parts(
+    parts: &[RangePart],
+    req: Request,
+    cell: CellRef,
+) -> impl Iterator<Item = (ShardId, Request, Slot)> + '_ {
+    let OpKind::Range { len } = req.op else {
+        unreachable!("only range requests split")
     };
     let merge = Arc::new(RangeMerge::new(len as usize, parts.len(), cell));
     parts.iter().map(move |p| {
-        let part = Entry {
-            req: Request::range(p.lo, p.len, req.ts),
-            deadline,
-            arrival,
-            tenant,
-            completion: Completion::Part {
-                merge: merge.clone(),
-                offset: p.offset,
-            },
+        let slot = Slot::Part {
+            merge: merge.clone(),
+            offset: p.offset,
         };
-        (p.shard, part)
+        (p.shard, Request::range(p.lo, p.len, req.ts), slot)
     })
 }
 
-/// Admits one WRR-drained batch of staged lane entries: draws timestamps
-/// just-in-time under the in-flight-slot protocol (one slot covers the
-/// whole batch) and parks each entry in the home reorder stage — or, for
-/// a split range's peer parts, in the peer shards' ingress queues with
-/// all-or-nothing shed-on-full reservations. The admitting combiner never
-/// blocks on a peer queue: blocking there could deadlock two combiners
-/// admitting toward each other's full queues.
+/// Admits one WRR-drained batch of staged lane segments: draws each
+/// segment's timestamps just-in-time under the in-flight-slot protocol
+/// (one slot covers the whole batch) and parks what lives here in the
+/// home reorder stage — or, for a split range's peer parts, in the peer
+/// shards' ingress queues with all-or-nothing shed-on-full reservations.
+/// The admitting combiner never blocks on a peer queue: blocking there
+/// could deadlock two combiners admitting toward each other's full queues.
 pub(crate) fn admit_lanes(
     inner: &Inner,
     state: &ShardState,
@@ -515,9 +507,9 @@ pub(crate) fn admit_lanes(
     // Never block on the topology here: the rebalancer holds the write
     // lock while quiescing this very combiner's shard, and a combiner
     // parked on the read lock could never drain — deadlock. Skip the
-    // admission pass instead (entries stay staged); the short sleep keeps
-    // the loop from hot-spinning meanwhile, since staged lane entries
-    // defeat the ingress drain's idle wait.
+    // admission pass instead (segments stay staged); the short sleep
+    // keeps the loop from hot-spinning meanwhile, since staged lane
+    // requests defeat the ingress drain's idle wait.
     let Ok(topo) = inner.topology.try_read() else {
         std::thread::sleep(Duration::from_micros(50));
         return;
@@ -529,76 +521,100 @@ pub(crate) fn admit_lanes(
     let now = Instant::now();
     {
         // Publish the slot before drawing any timestamp: peer combiners
-        // must not emit an epoch past these entries until every one —
+        // must not emit an epoch past these requests until every one —
         // cross-shard parts included — sits in its queue or reorder stage.
         let _slot = inner.open_admission();
-        for entry in drained {
-            if entry.deadline.is_some_and(|d| now >= d) {
+        for seg in drained {
+            if seg.deadline.is_some_and(|d| now >= d) {
                 // Dead on admission. Count it enqueued + timed out so the
                 // per-tenant books still balance (enqueued = executed +
                 // timed_out).
-                state.record_enqueue(1, 0);
-                state.record_timeout(1);
-                entry.completion.resolve_fail(Outcome::TimedOut);
+                let n = seg.len() as u64;
+                state.record_enqueue(n, 0);
+                state.record_timeout(n);
+                seg.fail(&Outcome::TimedOut);
                 continue;
             }
-            let route = inner.route(&topo, entry.req.key, entry.req.op);
-            admit_lane_entry(inner, state, shard, reorder, entry, route);
+            admit_lane_segment(inner, &topo, state, shard, reorder, seg);
         }
     }
     state.queue.lane_drain_done();
 }
 
-/// Timestamps one lane-staged request and places it: what lives on this
-/// shard goes straight into this combiner's reorder stage; what lives on
-/// a peer — the other parts of a split range, or the whole request when a
-/// rebalance moved the boundary between staging and admission — goes into
-/// the peer's queue through RAII reservations taken up front
-/// (all-or-nothing; any full peer sheds the whole request without
-/// blocking). The caller's in-flight slot covers the timestamp until the
-/// last push lands.
-fn admit_lane_entry(
+/// Timestamps one lane-drained segment with one range draw and places
+/// each request: what lives on this shard goes, as one segment, straight
+/// into this combiner's reorder stage; what lives on a peer — the other
+/// parts of a split range, or the whole request when a rebalance moved
+/// the boundary between staging and admission — goes into the peer's
+/// queue as a one-request segment, through reservations taken before any
+/// of the request is placed (all-or-nothing; any full peer sheds the
+/// whole request without blocking). The caller's in-flight slot covers
+/// the timestamps until the last push lands.
+fn admit_lane_segment(
     inner: &Inner,
+    topo: &ShardMap,
     state: &ShardState,
     shard: ShardId,
     reorder: &mut Reorder,
-    mut entry: Entry,
-    route: Route,
+    seg: Segment,
 ) {
-    let mut grants = Vec::new();
-    for peer in route.shards().filter(|&s| s != shard) {
-        match inner.shards[peer].queue.try_reserve(1) {
-            Some(g) => grants.push(g),
-            None => {
-                // Dropping `grants` releases the earlier reservations.
-                inner.shards[peer].record_shed(1, entry.tenant);
-                entry.completion.resolve_fail(Outcome::Rejected);
+    let base = inner.next_ts.fetch_add(seg.len() as u64, Ordering::SeqCst);
+    let (batch, mut home) = (&seg.batch, seg.sibling());
+    let mut shed = false;
+    for (i, (&req, slot)) in seg.reqs.iter().zip(&seg.slots).enumerate() {
+        let &Slot::Cell(idx) = slot else {
+            unreachable!("a lane stages whole requests")
+        };
+        let arrival = seg.arrivals[i];
+        let route = inner.route(topo, req.key, req.op);
+        let mut grants = Vec::new();
+        let mut full = None;
+        for peer in route.shards().filter(|&s| s != shard) {
+            match inner.shards[peer].queue.try_reserve(1) {
+                Some(grant) => grants.push(grant),
+                None => {
+                    full = Some(peer);
+                    break;
+                }
+            }
+        }
+        if let Some(peer) = full {
+            // Dropping `grants` releases the earlier reservations.
+            inner.shards[peer].record_shed(1, home.tenant);
+            batch.cell(idx).store(Outcome::Rejected);
+            shed = true;
+            continue;
+        }
+        let ts = base + i as u64;
+        batch.cell(idx).set_ts(ts);
+        let req = Request { ts, ..req };
+        let mut grants = grants.into_iter();
+        let mut place = |s: ShardId, req: Request, slot: Slot| {
+            if s == shard {
+                home.push(req, slot, arrival);
                 return;
             }
-        }
-    }
-    let ts = inner.next_ts.fetch_add(1, Ordering::SeqCst);
-    entry.req.ts = ts;
-    if let Completion::Direct(cell) = &entry.completion {
-        cell.set_ts(ts);
-    }
-    let mut grants = grants.into_iter();
-    let mut place = |s: ShardId, e: Entry| {
-        if s == shard {
-            state.record_enqueue(1, 0);
-            reorder.admit(e);
-        } else {
-            let peer = &inner.shards[s];
-            match grants.next().expect("one grant per peer part").forward(e) {
-                Ok(depth) => peer.record_enqueue(1, depth),
-                Err(e) => e.completion.resolve_fail(Outcome::Rejected),
+            let mut part = home.sibling();
+            part.push(req, slot, arrival);
+            let mut grant = grants.next().expect("one grant per peer part");
+            match grant.forward(part) {
+                Ok(depth) => inner.shards[s].record_enqueue(1, depth),
+                Err(part) => part.fail(&Outcome::Rejected),
             }
+        };
+        match route {
+            Route::Empty => unreachable!("empty ranges resolve at submission"),
+            Route::One(s) => place(s, req, Slot::Cell(idx)),
+            Route::Split(parts) => split_parts(&parts, req, batch.cell_ref(idx))
+                .for_each(|(s, part, slot)| place(s, part, slot)),
         }
-    };
-    match route {
-        Route::Empty => unreachable!("empty ranges resolve at submission"),
-        Route::One(s) => place(s, entry),
-        Route::Split(parts) => split_entries(&parts, entry).for_each(|(s, part)| place(s, part)),
+    }
+    if shed {
+        batch.wake();
+    }
+    if !home.is_empty() {
+        state.record_enqueue(home.len() as u64, 0);
+        reorder.admit(home);
     }
 }
 

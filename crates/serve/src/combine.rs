@@ -6,14 +6,14 @@
 //!
 //! # One turn
 //!
-//! Given a [`TurnView`], the machine resolves gathered entries whose
+//! Given a [`TurnView`], the machine resolves gathered segments whose
 //! deadline has passed; or hands the epoch over when it is full, the queue
 //! has finished or [`linger_step`] closes it; or else admits staged lane
-//! entries, drains the queue under a watermark read just before (the
+//! segments, drains the queue under a watermark read just before (the
 //! drain ↔ pop coupling of the `reorder` module) and releases what that
 //! drain vouched for. The drain is skipped while the stage holds two
 //! epochs' worth and nothing is stalled. It does not wait while the stage
-//! holds entries; otherwise it waits for an arrival, and with an epoch in
+//! holds requests; otherwise it waits for an arrival, and with an epoch in
 //! hand only until the linger's wake-up, the earliest gathered deadline, or
 //! the executor going idle. A non-empty stage that releases nothing backs
 //! off — a submitter that drew an earlier timestamp is still enqueueing —
@@ -38,7 +38,8 @@
 //!
 //! `Returned` counts the callers instead of guessing how long they take.
 //! Just before an epoch's first ticket resolves, the executor publishes how
-//! many distinct submissions it carried (`released`) and the queue's
+//! many segments it carried (`released`: one per submission, but for a
+//! call the batch target or a full queue cut in two) and the queue's
 //! cumulative push-call count (`pushes_at_release`). A released caller
 //! comes back with one push call, and only after that snapshot, so once the
 //! queue has seen `released` more calls — all drained and gathered — a
@@ -62,7 +63,7 @@
 //! during a rebalance, keep `Returned` shut but not the grace.
 
 use crate::observe::CloseCause;
-use crate::queue::{Drained, Entry};
+use crate::queue::{Drained, Segment};
 use crate::reorder::Reorder;
 use std::time::{Duration, Instant};
 
@@ -78,8 +79,9 @@ pub(crate) struct ExecutorState {
     /// Smoothed host service time per epoch, from receipt to the last
     /// ticket resolved. `None` until the first epoch has been measured.
     pub(crate) service: Option<Duration>,
-    /// Distinct submissions in the epoch whose tickets resolved last: the
-    /// callers it released. 0 until an epoch has resolved.
+    /// Segments in the epoch whose tickets resolved last: the callers it
+    /// released, one per submission and shard. 0 until an epoch has
+    /// resolved.
     pub(crate) released: u64,
     /// The shard queue's cumulative push-call count
     /// ([`IngressQueue::pushes`]) just before the first of those tickets
@@ -165,7 +167,7 @@ pub(crate) enum Effect {
     /// Nothing more this turn.
     NextTurn,
     /// Resolve these `TimedOut`.
-    Expire(Vec<Entry>),
+    Expire(Vec<Segment>),
     /// Admit up to `admit` staged lane entries into [`Combiner::stage`];
     /// then read the watermark, drain the whole queue with this `wait`
     /// (`IngressQueue::drain`) and hand both to [`Combiner::drained`].
@@ -175,9 +177,9 @@ pub(crate) enum Effect {
     },
     /// Yield the CPU (zero), or sleep this long.
     BackOff(Duration),
-    /// Plan these entries as one epoch and send it to the executor.
+    /// Plan these segments as one epoch and send it to the executor.
     HandOver {
-        entries: Vec<Entry>,
+        segments: Vec<Segment>,
         close: CloseCause,
     },
     /// The queue has finished and everything is handed over.
@@ -194,9 +196,10 @@ pub(crate) struct Combiner {
     pushes: u64,
     /// Turns in a row on which a non-empty stage released nothing.
     stalls: u32,
-    /// The epoch being gathered, ascending; the first turn that found it
-    /// non-empty began at `gather_start`.
-    gathered: Vec<Entry>,
+    /// The epoch being gathered, ascending, and the requests in it; the
+    /// first turn that found it non-empty began at `gather_start`.
+    gathered: Vec<Segment>,
+    gathered_len: usize,
     gather_start: Option<Instant>,
     target: usize,
 }
@@ -212,6 +215,7 @@ impl Combiner {
             pushes: 0,
             stalls: 0,
             gathered: Vec::new(),
+            gathered_len: 0,
             gather_start: None,
             target: 1,
         }
@@ -226,12 +230,13 @@ impl Combiner {
     /// Opens a turn.
     pub(crate) fn turn(&mut self, view: TurnView) -> Effect {
         self.target = view.target;
-        let live = |e: &Entry| e.deadline.is_none_or(|d| view.now < d);
+        let live = |s: &Segment| s.deadline.is_none_or(|d| view.now < d);
         if !self.gathered.iter().all(live) {
             let expired;
             (self.gathered, expired) = std::mem::take(&mut self.gathered)
                 .into_iter()
                 .partition(live);
+            self.gathered_len = self.gathered.iter().map(Segment::len).sum();
             return Effect::Expire(expired);
         }
         let mut wake = None;
@@ -239,7 +244,7 @@ impl Combiner {
             self.gather_start = None;
         } else {
             let start = *self.gather_start.get_or_insert(view.now);
-            let step = if self.gathered.len() >= view.target {
+            let step = if self.gathered_len >= view.target {
                 LingerStep::Close(CloseCause::Full)
             } else if self.finished {
                 LingerStep::Close(CloseCause::Drain)
@@ -257,23 +262,25 @@ impl Combiner {
             match step {
                 LingerStep::Close(close) => {
                     debug_assert!(
-                        self.gathered.windows(2).all(|w| w[0].req.ts < w[1].req.ts),
+                        (self.gathered.iter().flat_map(|s| &s.reqs))
+                            .is_sorted_by(|a, b| a.ts < b.ts),
                         "epoch must carry a strictly ascending timestamp slice"
                     );
                     self.gather_start = None;
-                    let entries = std::mem::take(&mut self.gathered);
-                    return Effect::HandOver { entries, close };
+                    self.gathered_len = 0;
+                    let segments = std::mem::take(&mut self.gathered);
+                    return Effect::HandOver { segments, close };
                 }
-                // No later than the earliest gathered deadline, so an entry
-                // expiring mid-linger resolves then.
+                // No later than the earliest gathered deadline, so a
+                // segment expiring mid-linger resolves then.
                 LingerStep::WakeAt(at) => {
-                    let deadlines = self.gathered.iter().filter_map(|e| e.deadline);
+                    let deadlines = self.gathered.iter().filter_map(|s| s.deadline);
                     wake = deadlines.fold(at, |acc, d| Some(acc.map_or(d, |a| a.min(d))));
                 }
             }
         }
         let admit = (view.staged > 0 && !self.finished)
-            .then(|| view.target.saturating_sub(self.gathered.len()).max(1));
+            .then(|| view.target.saturating_sub(self.gathered_len).max(1));
         // A finished queue is closed and empty — the stage holds all there
         // is — and draining it again only moves the watermark.
         if admit.is_none() && !self.finished && !self.stage.wants_drain(self.stalls > 0) {
@@ -294,7 +301,7 @@ impl Combiner {
     /// Closes a turn with the drain it asked for and the watermark read
     /// before that drain started.
     pub(crate) fn drained(&mut self, wm: u64, drained: Drained) -> Effect {
-        self.stage.offer(drained.entries, wm);
+        self.stage.offer(drained.segments, wm);
         (self.finished, self.pushes) = (drained.finished, drained.pushes);
         self.pop()
     }
@@ -308,9 +315,10 @@ impl Combiner {
                 Effect::NextTurn
             };
         }
-        let before = self.gathered.len();
-        self.stage.pop(self.target, &mut self.gathered);
-        if self.gathered.len() > before || before >= self.target {
+        let before = self.gathered_len;
+        let room = self.target.saturating_sub(before);
+        self.gathered_len += self.stage.pop(room, &mut self.gathered);
+        if self.gathered_len > before || before >= self.target {
             self.stalls = 0;
             return Effect::NextTurn;
         }
@@ -324,7 +332,7 @@ impl Combiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ticket::{Completion, TicketBatch};
+    use crate::ticket::{Slot, TicketBatch};
     use eirene_workloads::Request;
 
     #[test]
@@ -708,7 +716,7 @@ mod tests {
         }
     }
 
-    /// What a test sees of an [`Effect`]: timestamps, not entries, and
+    /// What a test sees of an [`Effect`]: timestamps, not segments, and
     /// waits in µs.
     #[derive(Debug, PartialEq)]
     enum Seen {
@@ -722,14 +730,17 @@ mod tests {
 
     impl From<Effect> for Seen {
         fn from(effect: Effect) -> Self {
-            let ts = |entries: Vec<Entry>| entries.iter().map(|e| e.req.ts).collect();
+            let ts = |segments: Vec<Segment>| {
+                let reqs = segments.iter().flat_map(|s| &s.reqs);
+                reqs.map(|r| r.ts).collect()
+            };
             let us = |d: Duration| d.as_micros() as u64;
             match effect {
                 Effect::NextTurn => Seen::Next,
                 Effect::Expire(entries) => Seen::Expire(ts(entries)),
                 Effect::Drain { admit, wait } => Seen::Drain(admit, wait.map(us)),
                 Effect::BackOff(pause) => Seen::BackOff(us(pause)),
-                Effect::HandOver { entries, close } => Seen::HandOver(ts(entries), close),
+                Effect::HandOver { segments, close } => Seen::HandOver(ts(segments), close),
                 Effect::Exit => Seen::Exit,
             }
         }
@@ -738,10 +749,12 @@ mod tests {
     enum Step {
         /// A turn at this µs offset, with this many entries staged.
         Turn(u64, usize),
-        /// The drain the machine asked for brought these timestamps under
-        /// this watermark; the queue had seen this many push calls, and is
-        /// (or is not) finished.
+        /// The drain the machine asked for brought these timestamps, one
+        /// call each, under this watermark; the queue had seen this many
+        /// push calls, and is (or is not) finished.
         Drain(&'static [u64], u64, u64, bool),
+        /// The same, for one call's segment of all these timestamps.
+        DrainCall(&'static [u64], u64, u64, bool),
     }
 
     /// (case, batch target, executor, deadlines as (ts, µs), script).
@@ -756,7 +769,7 @@ mod tests {
     #[test]
     fn combiner_script_table() {
         use CloseCause::{Full, Linger, Returned};
-        use Step::{Drain, Turn};
+        use Step::{Drain, DrainCall, Turn};
         // Instants are offsets in µs from one base; nothing sleeps.
         let base = Instant::now();
         let at = |us: u64| base + Duration::from_micros(us);
@@ -851,6 +864,23 @@ mod tests {
                 ],
             ),
             (
+                "the batch target takes a prefix of a call, and its rest leads \
+                 the next epoch",
+                3,
+                busy,
+                &[],
+                vec![
+                    (Turn(0, 0), drain(None, None)),
+                    (DrainCall(&[1, 2, 3, 4, 5], 10, 1, false), next()),
+                    (Turn(1, 0), hand_over(&[1, 2, 3], Full)),
+                    // The rest is at the heap target: released undrained.
+                    (Turn(2, 0), next()),
+                    (Turn(3, 0), drain(None, Some(1000))),
+                    (Drain(&[], 10, 1, false), next()),
+                    (Turn(1003, 0), hand_over(&[4, 5], Linger)),
+                ],
+            ),
+            (
                 "a finished queue closes Drain, then exits",
                 8,
                 busy,
@@ -865,18 +895,17 @@ mod tests {
             ),
         ];
         for (case, target, executor, deadlines, script) in table {
-            let entry = |ts: u64| {
+            // One call's segment, due at the deadline of its first request.
+            let call = |ts: &[u64]| {
                 let deadline = deadlines
                     .iter()
-                    .find(|&&(t, _)| t == ts)
+                    .find(|&&(t, _)| t == ts[0])
                     .map(|&(_, us)| at(us));
-                Entry {
-                    req: Request::query(1, ts),
-                    deadline,
-                    arrival: 0,
-                    tenant: 0,
-                    completion: Completion::Direct(TicketBatch::new(1).cell_ref(0)),
+                let mut seg = Segment::new(TicketBatch::new(ts.len()), deadline, 0, ts.len());
+                for (i, &t) in (0u32..).zip(ts) {
+                    seg.push(Request::query(1, t), Slot::Cell(i), 0);
                 }
+                seg
             };
             let mut combiner = Combiner {
                 stage: Reorder::new(2),
@@ -893,7 +922,15 @@ mod tests {
                     Drain(ts, wm, pushes, finished) => combiner.drained(
                         wm,
                         Drained {
-                            entries: ts.iter().map(|&t| entry(t)).collect(),
+                            segments: ts.iter().map(|&t| call(&[t])).collect(),
+                            pushes,
+                            finished,
+                        },
+                    ),
+                    DrainCall(ts, wm, pushes, finished) => combiner.drained(
+                        wm,
+                        Drained {
+                            segments: vec![call(ts)],
                             pushes,
                             finished,
                         },

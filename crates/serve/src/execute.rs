@@ -8,7 +8,7 @@ use crate::control::EpochFeedback;
 use crate::observe::{
     CloseCause, LatencySummary, ObserveConfig, ShardMetrics, ShardSample, SloBreach, SloMonitor,
 };
-use crate::queue::Entry;
+use crate::queue::Segment;
 use crate::report::ShardReport;
 use crate::shard::ShardId;
 use eirene_core::plan::CombinePlan;
@@ -21,25 +21,23 @@ use eirene_workloads::Batch;
 const INGRESS_CONTROL_PER_REQUEST: u64 = 8;
 
 /// One planned epoch in flight from a shard's combiner to its executor.
-/// `entries` aligns positionally with `batch.requests`.
 pub(crate) struct Epoch {
     pub(crate) batch: Batch,
     pub(crate) plan: CombinePlan,
-    pub(crate) entries: Vec<Entry>,
+    /// The epoch's requests by segment: concatenated, they are
+    /// `batch.requests`. Each segment is one submission call's (or a piece
+    /// of one), so their count is what `ExecutorState::released` is set
+    /// from.
+    pub(crate) segments: Vec<Segment>,
     /// Why the combiner stopped gathering.
     pub(crate) close: CloseCause,
-    /// Distinct submissions among `entries`: runs of adjacent entries
-    /// sharing one ticket block (a `submit_many` draws one contiguous
-    /// timestamp block, so in an ascending epoch its entries are
-    /// adjacent). What `ExecutorState::released` is set from.
-    pub(crate) released: u64,
     /// Ingress-queue depth left behind after forming this epoch: always
     /// read, since the adaptive controller feeds on it too.
     pub(crate) queue_depth: u64,
-    /// Entries still parked in the reorder heap (admitted but above the
+    /// Requests still parked in the reorder heap (admitted but above the
     /// watermark or beyond the batch target).
     pub(crate) reorder_pending: u64,
-    /// Entries still staged on tenant lanes (0 without QoS).
+    /// Requests still staged on tenant lanes (0 without QoS).
     pub(crate) lane_depth: u64,
     /// `next_ts - watermark` and the occupied in-flight slots at hand-over:
     /// how far submissions in flight held the watermark back. They cost
@@ -109,38 +107,42 @@ impl Books {
     pub(crate) fn record(&mut self, epoch: &Epoch, run: KernelStats) -> Option<EpochFeedback> {
         // What the reorder stage exists for: successive epochs are mutually
         // ordered (within an epoch the combiner asserts it).
-        let first_ts = epoch.entries.first().map(|e| e.req.ts);
-        self.epoch_order_violations += u64::from(self.last_ts >= first_ts);
-        self.last_ts = epoch.entries.last().map(|e| e.req.ts);
+        let requests = &epoch.batch.requests;
+        self.epoch_order_violations += u64::from(self.last_ts >= requests.first().map(|r| r.ts));
+        self.last_ts = requests.last().map(|r| r.ts);
         // Virtual-clock model: an epoch cannot start before the shard is
         // free *and* its last member has arrived.
-        let arrived = epoch.entries.iter().map(|e| e.arrival).max().unwrap_or(0);
+        let arrivals = epoch.segments.iter().flat_map(|s| &s.arrivals);
+        let arrived = arrivals.copied().max().unwrap_or(0);
         let start = self.clock.max(arrived);
         let makespan = run.makespan_cycles.ceil() as u64;
         let end = start + makespan;
         // The per-epoch histogram also feeds the adaptive controller's
         // p99 signal, so it is computed whenever either consumer needs it.
         let mut epoch_latency = (self.observe || self.adaptive).then(CycleHistogram::new);
-        for entry in &epoch.entries {
-            self.queue_wait += start - entry.arrival;
-            let lat = end - entry.arrival;
-            self.latency.record(lat);
-            self.tenant_latency[entry.tenant].record(lat);
-            if let Some(h) = epoch_latency.as_mut() {
-                h.record(lat);
-            }
-            if let Some(ring) = self.spans.as_mut() {
-                // Stamps on the shard's virtual clock: admission is host
-                // work with zero virtual duration (submit == enqueue at
-                // arrival), reorder-release/combine/execute coincide at
-                // epoch start, complete at epoch end. Monotone, and the
-                // deltas telescope to the reported latency.
-                ring.push(LifecycleSpan {
-                    id: entry.req.ts,
-                    track: self.shard as u32,
-                    epoch: self.epochs + 1,
-                    stamps: [entry.arrival, entry.arrival, start, start, start, end],
-                });
+        for seg in &epoch.segments {
+            for (req, &arrival) in seg.reqs.iter().zip(&seg.arrivals) {
+                self.queue_wait += start - arrival;
+                let lat = end - arrival;
+                self.latency.record(lat);
+                self.tenant_latency[seg.tenant].record(lat);
+                if let Some(h) = epoch_latency.as_mut() {
+                    h.record(lat);
+                }
+                if let Some(ring) = self.spans.as_mut() {
+                    // Stamps on the shard's virtual clock: admission is
+                    // host work with zero virtual duration (submit ==
+                    // enqueue at arrival), reorder-release/combine/execute
+                    // coincide at epoch start, complete at epoch end.
+                    // Monotone, and the deltas telescope to the reported
+                    // latency.
+                    ring.push(LifecycleSpan {
+                        id: req.ts,
+                        track: self.shard as u32,
+                        epoch: self.epochs + 1,
+                        stamps: [arrival, arrival, start, start, start, end],
+                    });
+                }
             }
         }
         let n = epoch.batch.len() as u64;
@@ -267,32 +269,25 @@ impl Books {
 mod tests {
     use super::*;
     use crate::report::ServeReport;
-    use crate::ticket::{Completion, TicketBatch};
+    use crate::ticket::{Slot, TicketBatch};
     use eirene_core::plan::build_plan;
     use eirene_sim::DeviceConfig;
     use eirene_workloads::Request;
 
-    /// An epoch of point queries at these timestamps, each arriving at
-    /// `arrival` cycles.
+    /// An epoch of one segment of point queries at these timestamps, each
+    /// arriving at `arrival` cycles.
     fn epoch(ts: &[u64], arrival: u64) -> Epoch {
-        let entries: Vec<Entry> = ts
-            .iter()
-            .map(|&t| Entry {
-                req: Request::query(1, t),
-                deadline: None,
-                arrival,
-                tenant: 0,
-                completion: Completion::Direct(TicketBatch::new(1).cell_ref(0)),
-            })
-            .collect();
-        let batch = Batch::new(entries.iter().map(|e| e.req).collect());
+        let mut seg = Segment::new(TicketBatch::new(ts.len()), None, 0, ts.len());
+        for (i, &t) in (0u32..).zip(ts) {
+            seg.push(Request::query(1, t), Slot::Cell(i), arrival);
+        }
+        let batch = Batch::new(seg.reqs.clone());
         let plan = build_plan(&batch, &DeviceConfig::test_small());
         Epoch {
             batch,
             plan,
-            entries,
+            segments: vec![seg],
             close: CloseCause::Full,
-            released: 1,
             queue_depth: 0,
             reorder_pending: 0,
             lane_depth: 0,
@@ -312,8 +307,8 @@ mod tests {
             };
             books.record(epoch, run);
             m.record_epoch(epoch.close);
-            m.add(m.enqueued, epoch.entries.len() as u64);
-            m.add(m.completed, epoch.entries.len() as u64);
+            m.add(m.enqueued, epoch.batch.len() as u64);
+            m.add(m.completed, epoch.batch.len() as u64);
         }
         let (terminal, _) = books.sample(&m, true);
         std::mem::take(books).finish(terminal, 8, ScheduleLog::default(), Vec::new(), Ok(()))

@@ -1,10 +1,11 @@
-//! Bounded MPSC ingress queue feeding one shard's epoch pipeline.
+//! Bounded MPSC ingress queue feeding one shard's epoch pipeline, and the
+//! [`Segment`] it carries.
 //!
-//! Since the lock-free admission rework the queue carries entries in
+//! Since the lock-free admission rework the queue carries segments in
 //! *arrival* order, which may differ slightly from timestamp order (many
-//! submitters interleave between drawing a timestamp and enqueueing); the
-//! combiner's reorder stage restores timestamp order. The queue's job is
-//! bounded buffering with race-free admission accounting:
+//! submitters interleave between drawing a timestamp range and
+//! enqueueing); the combiner's reorder stage restores timestamp order. The
+//! queue's job is bounded buffering with race-free admission accounting:
 //!
 //! - **Reservations** make shed-vs-admit decisions atomic: a submitter
 //!   reserves capacity first ([`IngressQueue::try_reserve`] /
@@ -14,15 +15,16 @@
 //!   Reservations are RAII: a guard dropped with unfilled slots — normal
 //!   return, early shed, or a *panicking* submitter — releases them, so a
 //!   killed submitter can never strand capacity and wedge admission.
-//! - **Every push is a bulk push**: [`Reservation::push_many`] (shed
-//!   policy), [`IngressQueue::push_blocking_many`] (block policy) and
-//!   [`IngressQueue::push_lane_many`] (QoS staging) take the queue lock
-//!   once per call, however many entries it carries — the amortization
+//!   Capacity counts requests, not segments.
+//! - **Every push is one segment**: [`Reservation::push`] (shed policy),
+//!   [`IngressQueue::push_blocking`] (block policy) and
+//!   [`IngressQueue::push_lane`] (QoS staging) take the queue lock once per
+//!   call, however many requests the segment carries — the amortization
 //!   behind [`Client::submit_many`](crate::Client::submit_many), of which
-//!   a lone `submit` is the one-element case. The one single-entry door is
-//!   [`Reservation::forward`], a peer combiner handing an entry on.
+//!   a lone `submit` is the one-request case. [`Reservation::forward`] is
+//!   a peer combiner handing a segment on.
 //! - **Tenant lanes** (QoS mode) live *inside* the queue's mutex: staged,
-//!   not-yet-timestamped entries the combiner admits with weighted
+//!   not-yet-timestamped segments the combiner admits with weighted
 //!   round-robin. Sharing the mutex lets a lane push wake a combiner
 //!   blocked in [`drain`](IngressQueue::drain) through the same condvar
 //!   as a direct enqueue.
@@ -32,10 +34,10 @@
 //!   epoch — without polling.
 
 use crate::lane::{LaneReject, LaneSet, QosConfig, TenantId};
-use crate::ticket::Completion;
-use eirene_workloads::Request;
+use crate::ticket::{Outcome, Slot, TicketBatch};
+use eirene_workloads::{Request, Response};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// What admission control does when a shard's ingress queue is full.
@@ -48,42 +50,129 @@ pub enum AdmitPolicy {
     Block,
 }
 
-/// One admitted request, queued on its shard.
-#[derive(Clone, Debug)]
-pub(crate) struct Entry {
-    /// The request as the shard's tree will see it (sub-range keys for
-    /// split ranges; the admission timestamp in `ts`, or `u64::MAX`
-    /// while staged on a tenant lane before a timestamp is drawn).
-    pub req: Request,
-    /// Wall-clock deadline; expired entries resolve `TimedOut` at epoch
-    /// formation without executing.
+/// One submission call's requests to one shard: the unit the queue, the
+/// reorder stage and the epoch carry. A call claims one contiguous
+/// timestamp range, so no other call has a timestamp between a segment's
+/// first and last, and segments order exactly by their first timestamp
+/// (`reorder` module docs). When the batch target cuts a segment, the
+/// epoch takes a prefix and the rest stays first in line.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    /// Ascending by timestamp (`u64::MAX` while staged on a tenant lane,
+    /// before a timestamp is drawn); a split range's part carries its
+    /// sub-range.
+    pub reqs: Vec<Request>,
+    /// Where each request's outcome goes, positionally.
+    pub slots: Vec<Slot>,
+    /// Virtual arrival per request in device cycles (0 = at service
+    /// start, as for live submissions). An epoch cannot start before its
+    /// last member arrived; offered-load benchmarks use this to model
+    /// open-loop arrival.
+    pub arrivals: Vec<u64>,
+    /// The call's wall-clock deadline: an expired segment resolves
+    /// `TimedOut` at epoch formation without executing.
     pub deadline: Option<Instant>,
-    /// Virtual arrival time in device cycles (0 = at service start). The
-    /// epoch pipeline cannot start an epoch before its last member
-    /// arrived; offered-load benchmarks use this to model open-loop
-    /// arrival, and live submissions leave it 0.
-    pub arrival: u64,
     /// Submitting tenant (0 when QoS lanes are disabled).
     pub tenant: TenantId,
-    pub completion: Completion,
+    /// The call's ticket block.
+    pub batch: Arc<TicketBatch>,
+}
+
+impl Segment {
+    pub(crate) fn new(
+        batch: Arc<TicketBatch>,
+        deadline: Option<Instant>,
+        tenant: TenantId,
+        capacity: usize,
+    ) -> Self {
+        Segment {
+            reqs: Vec::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            arrivals: Vec::with_capacity(capacity),
+            deadline,
+            tenant,
+            batch,
+        }
+    }
+
+    /// An empty segment of the same call.
+    pub(crate) fn sibling(&self) -> Self {
+        Segment::new(self.batch.clone(), self.deadline, self.tenant, 0)
+    }
+
+    /// Appends a request with a timestamp above every one held.
+    pub(crate) fn push(&mut self, req: Request, slot: Slot, arrival: u64) {
+        self.reqs.push(req);
+        self.slots.push(slot);
+        self.arrivals.push(arrival);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.reqs.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.reqs.is_empty()
+    }
+
+    pub(crate) fn first_ts(&self) -> u64 {
+        self.reqs[0].ts
+    }
+
+    /// Keeps the first `at` requests and returns the rest, as a segment of
+    /// the same call.
+    pub(crate) fn split_off(&mut self, at: usize) -> Segment {
+        Segment {
+            reqs: self.reqs.split_off(at),
+            slots: self.slots.split_off(at),
+            arrivals: self.arrivals.split_off(at),
+            ..self.sibling()
+        }
+    }
+
+    /// Takes the first `n` requests as a segment of the same call.
+    pub(crate) fn split_front(&mut self, n: usize) -> Segment {
+        let rest = self.split_off(n);
+        std::mem::replace(self, rest)
+    }
+
+    /// Executor side: stores one response per request, in order, then
+    /// wakes the call's parked callers once — after the last store, so none
+    /// sleeps through its outcome. Takes no more responses than requests.
+    pub(crate) fn settle(&self, responses: impl IntoIterator<Item = Response>) {
+        for (slot, resp) in self.slots.iter().zip(responses) {
+            self.batch.store(slot, Outcome::Done(resp));
+        }
+        self.batch.wake();
+    }
+
+    /// Resolves every request with `outcome` (sheds, timeouts, rejects),
+    /// then wakes once.
+    pub(crate) fn fail(&self, outcome: &Outcome) {
+        for slot in &self.slots {
+            self.batch.store(slot, outcome.clone());
+        }
+        self.batch.wake();
+    }
 }
 
 #[derive(Debug, Default)]
 struct QueueState {
-    entries: VecDeque<Entry>,
-    /// Capacity promised to in-flight submitters but not yet filled.
-    /// `entries.len() + reserved <= capacity` always holds.
+    segments: VecDeque<Segment>,
+    /// Requests in `segments`, and capacity promised to in-flight
+    /// submitters but not yet filled: `len + reserved <= capacity` always
+    /// holds.
+    len: usize,
     reserved: usize,
     closed: bool,
     /// Set by [`IngressQueue::wake`], consumed by the next `drain`.
     woken: bool,
     /// Successful push calls by submitters (ingress or lane), cumulative:
-    /// one per call, however many entries it carried; a refused push, one
+    /// one per call, however many requests it carried; a refused push, one
     /// that met a closed queue, or a peer combiner's
     /// [`forward`](Reservation::forward) does not count. A closed-loop
-    /// caller comes back with exactly one such call per shard it touches
-    /// (a split range: one per part), which is what the combiner's
-    /// `Returned` exit counts.
+    /// caller comes back with exactly one such call per shard it touches,
+    /// which is what the combiner's `Returned` exit counts.
     pushes: u64,
     /// Tenant lanes (QoS mode only).
     lanes: Option<LaneSet>,
@@ -91,21 +180,26 @@ struct QueueState {
 
 impl QueueState {
     fn room(&self, capacity: usize) -> usize {
-        capacity - self.entries.len() - self.reserved
+        capacity - self.len - self.reserved
     }
 
     fn lane_pending(&self) -> usize {
         self.lanes.as_ref().map_or(0, |l| l.pending())
+    }
+
+    fn push(&mut self, seg: Segment) {
+        self.len += seg.len();
+        self.segments.push_back(seg);
     }
 }
 
 /// Everything one [`IngressQueue::drain`] call popped.
 #[derive(Debug)]
 pub(crate) struct Drained {
-    pub entries: Vec<Entry>,
-    /// [`IngressQueue::pushes`] under the same lock as the pop: with an
-    /// unbounded `max`, every ingress push it counts has all its entries
-    /// in `entries` or in an earlier drain.
+    pub segments: Vec<Segment>,
+    /// [`IngressQueue::pushes`] under the same lock as the pop: every
+    /// ingress push it counts has all its requests in `segments` or in an
+    /// earlier drain.
     pub pushes: u64,
     /// The queue is closed and nothing more will ever come (lanes
     /// included): the combiner may finish once its reorder stage is
@@ -113,20 +207,8 @@ pub(crate) struct Drained {
     pub finished: bool,
 }
 
-/// What a bulk ingress push did: entries pushed, the (high-water) depth
-/// they reached, and the entries a closed queue refused, in order.
-pub(crate) type Pushed = (usize, usize, Vec<Entry>);
-
-/// Outcome of a bulk lane push: entries the lanes refused, partitioned
-/// by cause so the caller can count quota sheds separately.
-#[derive(Debug, Default)]
-pub(crate) struct LaneBulkReject {
-    pub over_quota: Vec<Entry>,
-    pub closed: Vec<Entry>,
-}
-
 /// RAII capacity grant on one [`IngressQueue`]. Fill it with
-/// [`push_many`](Reservation::push_many) (or, from a peer combiner,
+/// [`push`](Reservation::push) (or, from a peer combiner,
 /// [`forward`](Reservation::forward)); any slots still held when the
 /// guard drops — including an unwinding submitter — are released back to
 /// the queue.
@@ -143,42 +225,35 @@ impl Reservation<'_> {
         self.count
     }
 
-    /// Fills one reserved slot for a peer shard's combiner handing an
-    /// entry on: no caller came back with it, so it is not counted in
-    /// [`IngressQueue::pushes`]. Fails only on a closed queue (the entry
-    /// comes back; the slot is consumed either way — a closed queue has
-    /// no capacity to return to). Returns the resulting depth.
-    pub(crate) fn forward(&mut self, entry: Entry) -> Result<usize, Entry> {
-        debug_assert!(self.count >= 1, "forward on an exhausted Reservation");
-        self.count -= 1;
-        let mut st = self.queue.state.lock().unwrap();
-        st.reserved -= 1;
-        if st.closed {
-            return Err(entry);
-        }
-        st.entries.push_back(entry);
-        self.queue.not_empty.notify_one();
-        Ok(st.entries.len())
+    /// Fills `seg.len()` reserved slots with one submitter's segment under
+    /// one lock acquisition, counted as one push call. Returns the
+    /// resulting depth; a closed queue hands the segment back.
+    pub(crate) fn push(&mut self, seg: Segment) -> Result<usize, Segment> {
+        self.fill(seg, true)
     }
 
-    /// Fills `entries.len()` reserved slots under one lock acquisition.
-    /// A closed queue refuses them all.
-    pub(crate) fn push_many(&mut self, entries: Vec<Entry>) -> Pushed {
-        debug_assert!(
-            self.count >= entries.len(),
-            "push_many beyond the Reservation"
-        );
-        let n = entries.len();
+    /// [`push`](Self::push) for a peer shard's combiner handing a segment
+    /// on: no caller came back with it, so it is not counted in
+    /// [`IngressQueue::pushes`].
+    pub(crate) fn forward(&mut self, seg: Segment) -> Result<usize, Segment> {
+        self.fill(seg, false)
+    }
+
+    /// The slots are consumed either way: a closed queue has no capacity to
+    /// return them to.
+    fn fill(&mut self, seg: Segment, counted: bool) -> Result<usize, Segment> {
+        let n = seg.len();
+        debug_assert!(self.count >= n, "fill beyond the Reservation");
         self.count -= n;
         let mut st = self.queue.state.lock().unwrap();
         st.reserved -= n;
         if st.closed {
-            return (0, 0, entries);
+            return Err(seg);
         }
-        st.entries.extend(entries);
-        st.pushes += 1;
+        st.push(seg);
+        st.pushes += u64::from(counted);
         self.queue.not_empty.notify_one();
-        (n, st.entries.len(), Vec::new())
+        Ok(st.len)
     }
 }
 
@@ -201,13 +276,7 @@ impl IngressQueue {
     pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ingress queue capacity must be positive");
         IngressQueue {
-            state: Mutex::new(QueueState {
-                // Pre-size the ring (capped for very deep queues) so bulk
-                // pushes on the ingress hot path don't pay repeated growth
-                // memcpys while the queue fills.
-                entries: VecDeque::with_capacity(capacity.min(1 << 15)),
-                ..QueueState::default()
-            }),
+            state: Mutex::new(QueueState::default()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
@@ -223,8 +292,9 @@ impl IngressQueue {
         q
     }
 
+    /// Requests queued.
     pub(crate) fn depth(&self) -> usize {
-        self.state.lock().unwrap().entries.len()
+        self.state.lock().unwrap().len
     }
 
     /// Cumulative successful submitter push calls, ingress and lane: one
@@ -276,62 +346,49 @@ impl IngressQueue {
         self.not_full.notify_all();
     }
 
-    /// Blocking bulk push (block policy): takes the lock once and pushes
-    /// every entry, waiting on the consumer whenever the queue is full. If
-    /// the queue closes mid-way the unpushed tail is refused.
-    pub(crate) fn push_blocking_many(&self, entries: Vec<Entry>) -> Pushed {
+    /// Blocking push (block policy): takes the lock once and pushes the
+    /// segment, a front piece at a time whenever it does not fit, waiting
+    /// on the consumer in between. If the queue closes mid-way the rest is
+    /// refused. Returns `(pushed, high-water depth, refused rest)`.
+    pub(crate) fn push_blocking(&self, mut seg: Segment) -> (usize, usize, Option<Segment>) {
         let mut st = self.state.lock().unwrap();
         let (mut pushed, mut high) = (0usize, 0usize);
-        let mut it = entries.into_iter();
-        for entry in it.by_ref() {
+        while !seg.is_empty() {
             while !st.closed && st.room(self.capacity) == 0 {
                 self.not_empty.notify_one();
                 st = self.not_full.wait(st).unwrap();
             }
             if st.closed {
-                let mut rest = vec![entry];
-                rest.extend(it);
-                return (pushed, high, rest);
+                return (pushed, high, Some(seg));
             }
-            st.entries.push_back(entry);
-            pushed += 1;
-            high = high.max(st.entries.len());
+            let piece = seg.split_front(st.room(self.capacity).min(seg.len()));
+            pushed += piece.len();
+            st.push(piece);
+            high = high.max(st.len);
         }
         st.pushes += 1;
         self.not_empty.notify_one();
-        (pushed, high, Vec::new())
+        (pushed, high, None)
     }
 
-    /// Stages entries on `tenant`'s lane (QoS mode) under one lock.
-    /// Returns the accepted count and the refused entries partitioned by
+    /// Stages a segment on `tenant`'s lane (QoS mode) under one lock, as
+    /// far as the tenant's quota allows. Returns the refused rest with its
     /// cause.
-    pub(crate) fn push_lane_many(
-        &self,
-        tenant: TenantId,
-        entries: Vec<Entry>,
-    ) -> (usize, LaneBulkReject) {
+    pub(crate) fn push_lane(&self, tenant: TenantId, seg: Segment) -> Option<LaneReject> {
         let mut st = self.state.lock().unwrap();
-        let lanes = st.lanes.as_mut().expect("push_lane_many without lanes");
-        let mut accepted = 0usize;
-        let mut reject = LaneBulkReject::default();
-        for entry in entries {
-            match lanes.push(tenant, entry) {
-                Ok(_) => accepted += 1,
-                Err(LaneReject::OverQuota(e)) => reject.over_quota.push(e),
-                Err(LaneReject::Closed(e)) => reject.closed.push(e),
-            }
-        }
+        let lanes = st.lanes.as_mut().expect("push_lane without lanes");
+        let (accepted, reject) = lanes.push(tenant, seg);
         if accepted > 0 {
             st.pushes += 1;
             self.not_empty.notify_one();
         }
-        (accepted, reject)
+        reject
     }
 
-    /// WRR-drains up to `budget` staged lane entries for admission. A
+    /// WRR-drains up to `budget` staged lane requests for admission. A
     /// non-empty result marks the lanes mid-drain until
     /// [`lane_drain_done`](Self::lane_drain_done).
-    pub(crate) fn drain_lanes(&self, budget: usize) -> Vec<Entry> {
+    pub(crate) fn drain_lanes(&self, budget: usize) -> Vec<Segment> {
         let mut st = self.state.lock().unwrap();
         match st.lanes.as_mut() {
             Some(lanes) => lanes.drain_wrr(budget),
@@ -348,7 +405,7 @@ impl IngressQueue {
         }
     }
 
-    /// Staged lane entries not yet admitted.
+    /// Staged lane requests not yet admitted.
     pub(crate) fn lane_pending(&self) -> usize {
         self.state.lock().unwrap().lane_pending()
     }
@@ -364,7 +421,7 @@ impl IngressQueue {
             .map_or(1, |l| l.num_tenants())
     }
 
-    /// Refuses future lane pushes; staged entries still drain.
+    /// Refuses future lane pushes; staged segments still drain.
     pub(crate) fn close_lanes(&self) {
         let mut st = self.state.lock().unwrap();
         if let Some(lanes) = st.lanes.as_mut() {
@@ -396,17 +453,17 @@ impl IngressQueue {
         self.not_empty.notify_one();
     }
 
-    /// Drains up to `max` entries in arrival order. With `wait: None` the
-    /// call blocks until at least one entry exists (directly queued *or*
+    /// Drains every queued segment, in arrival order. With `wait: None`
+    /// the call blocks until at least one exists (directly queued *or*
     /// staged on a lane — lane arrivals need the combiner awake to admit
     /// them) or the queue closes; `Some(d)` bounds that wait
     /// (`Duration::ZERO` = non-blocking; a `d` too large to add to the
     /// clock = no time bound) and also returns early on a
     /// [`wake`](Self::wake). `finished` is set once the queue is closed
     /// and fully drained, lanes included.
-    pub(crate) fn drain(&self, max: usize, wait: Option<Duration>) -> Drained {
+    pub(crate) fn drain(&self, wait: Option<Duration>) -> Drained {
         let mut st = self.state.lock().unwrap();
-        let idle = |st: &QueueState| st.entries.is_empty() && st.lane_pending() == 0 && !st.closed;
+        let idle = |st: &QueueState| st.segments.is_empty() && st.lane_pending() == 0 && !st.closed;
         if idle(&st) {
             match wait {
                 None => {
@@ -437,20 +494,20 @@ impl IngressQueue {
             }
         }
         st.woken = false;
-        let n = st.entries.len().min(max);
-        let entries: Vec<Entry> = st.entries.drain(..n).collect();
-        if n > 0 {
+        st.len = 0;
+        let segments: Vec<Segment> = st.segments.drain(..).collect();
+        if !segments.is_empty() {
             self.not_full.notify_all();
         }
         Drained {
-            entries,
+            segments,
             pushes: st.pushes,
-            finished: st.closed && st.entries.is_empty() && st.lane_pending() == 0,
+            finished: st.closed && st.lane_pending() == 0,
         }
     }
 
     /// Closes the queue: future pushes and reservations fail, blocked
-    /// pushers wake with their entries back, and `drain` reports
+    /// pushers wake with their segments back, and `drain` reports
     /// `finished` once the remainder is popped.
     pub(crate) fn close(&self) {
         let mut st = self.state.lock().unwrap();
@@ -466,53 +523,37 @@ impl IngressQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ticket::TicketBatch;
-    use eirene_workloads::Request;
+    use crate::ticket::RangeMerge;
     use std::sync::Arc;
 
-    fn entry(ts: u64) -> Entry {
-        let cell = TicketBatch::new(1).cell_ref(0);
-        Entry {
-            req: Request::query(1, ts),
-            deadline: None,
-            arrival: 0,
-            tenant: 0,
-            completion: Completion::Direct(cell),
+    /// One call's segment of point queries at these timestamps.
+    fn seg(ts: &[u64]) -> Segment {
+        let mut seg = Segment::new(TicketBatch::new(ts.len()), None, 0, ts.len());
+        for (i, &t) in (0u32..).zip(ts) {
+            seg.push(Request::query(1, t), Slot::Cell(i), 0);
+        }
+        seg
+    }
+
+    /// One call staged on a lane: requests not yet timestamped.
+    fn staged(n: usize) -> Segment {
+        seg(&vec![u64::MAX; n])
+    }
+
+    /// The depth an unrefused blocking push reached.
+    fn push_blocking(q: &IngressQueue, s: Segment) -> Result<usize, Segment> {
+        match q.push_blocking(s) {
+            (_, high, None) => Ok(high),
+            (_, _, Some(rest)) => Err(rest),
         }
     }
 
-    /// The depth an unrefused bulk push reached.
-    fn landed((pushed, depth, refused): Pushed) -> Result<usize, Vec<Entry>> {
-        if refused.is_empty() {
-            assert!(pushed > 0);
-            Ok(depth)
-        } else {
-            Err(refused)
-        }
-    }
-
-    // The one-element forms of the three bulk pushes, as a lone `submit`
-    // makes them.
-    fn fill(r: &mut Reservation<'_>, e: Entry) -> Result<usize, Vec<Entry>> {
-        landed(r.push_many(vec![e]))
-    }
-
-    fn push_blocking(q: &IngressQueue, e: Entry) -> Result<usize, Vec<Entry>> {
-        landed(q.push_blocking_many(vec![e]))
-    }
-
-    fn push_lane(q: &IngressQueue, tenant: TenantId, e: Entry) -> Result<(), LaneBulkReject> {
-        match q.push_lane_many(tenant, vec![e]) {
-            (1, _) => Ok(()),
-            (_, reject) => Err(reject),
-        }
-    }
-
-    fn drain_ts(q: &IngressQueue, max: usize) -> Vec<u64> {
-        q.drain(max, Some(Duration::ZERO))
-            .entries
+    fn drain_ts(q: &IngressQueue) -> Vec<u64> {
+        let d = q.drain(Some(Duration::ZERO));
+        d.segments
             .iter()
-            .map(|e| e.req.ts)
+            .flat_map(|s| &s.reqs)
+            .map(|r| r.ts)
             .collect()
     }
 
@@ -524,8 +565,8 @@ mod tests {
         // Capacity is fully promised: a third reservation must fail even
         // though nothing has been pushed yet.
         assert!(q.try_reserve(1).is_none());
-        assert_eq!(fill(&mut r1, entry(0)).unwrap(), 1);
-        assert_eq!(fill(&mut r2, entry(1)).unwrap(), 2);
+        assert_eq!(r1.push(seg(&[0])).unwrap(), 1);
+        assert_eq!(r2.push(seg(&[1])).unwrap(), 2);
         assert!(q.try_reserve(1).is_none());
         assert_eq!(q.depth(), 2);
     }
@@ -553,8 +594,8 @@ mod tests {
         });
         assert!(t.join().is_err());
         let mut r = q.try_reserve(1).expect("capacity recovered after panic");
-        assert_eq!(fill(&mut r, entry(7)).unwrap(), 1);
-        assert_eq!(drain_ts(&q, 4), [7]);
+        assert_eq!(r.push(seg(&[7])).unwrap(), 1);
+        assert_eq!(drain_ts(&q), [7]);
     }
 
     #[test]
@@ -562,7 +603,7 @@ mod tests {
         let q = IngressQueue::new(4);
         {
             let mut r = q.try_reserve(3).unwrap();
-            fill(&mut r, entry(0)).unwrap();
+            r.push(seg(&[0])).unwrap();
             assert_eq!(r.count(), 2);
             // Two unfilled slots release here.
         }
@@ -581,7 +622,7 @@ mod tests {
         let r = q.reserve_up_to(2);
         assert_eq!(r.count(), 2);
         drop(r);
-        assert_eq!(push_blocking(&q, entry(9)).unwrap(), 1);
+        assert_eq!(push_blocking(&q, seg(&[9])).unwrap(), 1);
         assert_eq!(q.reserve_up_to(9).count(), 3);
     }
 
@@ -604,12 +645,14 @@ mod tests {
     }
 
     #[test]
-    fn bulk_reserved_push_fills_in_one_shot() {
+    fn a_reserved_segment_lands_whole_in_one_push() {
         let q = IngressQueue::new(8);
         let mut r = q.try_reserve(3).unwrap();
-        let (pushed, depth, refused) = r.push_many(vec![entry(0), entry(1), entry(2)]);
-        assert_eq!((pushed, depth, refused.len()), (3, 3, 0));
-        assert_eq!(drain_ts(&q, 8), [0, 1, 2]);
+        assert_eq!(r.push(seg(&[0, 1, 2])).unwrap(), 3);
+        let d = q.drain(Some(Duration::ZERO));
+        assert_eq!(d.segments.len(), 1);
+        assert_eq!(d.segments[0].len(), 3);
+        assert_eq!((d.pushes, q.depth()), (1, 0));
     }
 
     #[test]
@@ -617,115 +660,124 @@ mod tests {
         let qos = QosConfig::uniform(1, 2);
         let q = IngressQueue::with_lanes(9, &qos);
         assert_eq!(q.pushes(), 0);
-        // One per call, whether it carries one entry (a lone `submit`) or
-        // a window.
-        fill(&mut q.try_reserve(1).unwrap(), entry(0)).unwrap();
+        // One per call, whether it carries one request (a lone `submit`)
+        // or a window.
+        q.try_reserve(1).unwrap().push(seg(&[0])).unwrap();
         assert_eq!(q.pushes(), 1);
-        let mut r = q.try_reserve(3).unwrap();
-        landed(r.push_many(vec![entry(1), entry(2), entry(3)])).unwrap();
-        assert_eq!(q.pushes(), 2, "a bulk fill is one call");
-        push_blocking(&q, entry(4)).unwrap();
-        landed(q.push_blocking_many(vec![entry(5), entry(6)])).unwrap();
+        q.try_reserve(3).unwrap().push(seg(&[1, 2, 3])).unwrap();
+        assert_eq!(q.pushes(), 2, "a segment is one call");
+        push_blocking(&q, seg(&[4])).unwrap();
+        push_blocking(&q, seg(&[5, 6])).unwrap();
         assert_eq!(q.pushes(), 4);
-        push_lane(&q, 0, entry(u64::MAX)).unwrap();
+        assert!(q.push_lane(0, staged(1)).is_none());
         assert_eq!(q.pushes(), 5);
-        // A peer combiner's forward lands the entry but is nobody's return.
-        q.try_reserve(1).unwrap().forward(entry(7)).unwrap();
+        // A peer combiner's forward lands the segment but is nobody's
+        // return.
+        q.try_reserve(1).unwrap().forward(seg(&[7])).unwrap();
         assert_eq!((q.pushes(), q.depth()), (5, 8));
-        // One lane slot left: the bulk push lands one entry and counts
-        // once; the next is refused whole and does not count.
-        let (accepted, _) = q.push_lane_many(0, vec![entry(u64::MAX), entry(u64::MAX)]);
-        assert_eq!((accepted, q.pushes()), (1, 6));
-        assert!(push_lane(&q, 0, entry(u64::MAX)).is_err());
+        // One lane slot left: the push lands one request and counts once;
+        // the next is refused whole and does not count.
+        let over = q.push_lane(0, staged(2));
+        assert!(matches!(over, Some(LaneReject::OverQuota(rest)) if rest.len() == 1));
+        assert_eq!(q.pushes(), 6);
+        let over = q.push_lane(0, staged(1));
+        assert!(matches!(over, Some(LaneReject::OverQuota(_))));
         assert_eq!(q.pushes(), 6);
         // Reserving, cancelling and draining are not pushes, and the drain
         // reports the count it ran under.
         drop(q.try_reserve(1).unwrap());
-        let d = q.drain(usize::MAX, Some(Duration::ZERO));
-        assert_eq!((d.entries.len(), d.pushes, q.pushes()), (8, 6, 6));
+        let d = q.drain(Some(Duration::ZERO));
+        assert_eq!((d.segments.len(), d.pushes, q.pushes()), (5, 6, 6));
         // Nothing lands on a closed queue, through any door.
         let mut r = q.try_reserve(4).unwrap();
         q.close();
-        assert!(fill(&mut r, entry(8)).is_err());
-        assert!(r.forward(entry(8)).is_err());
-        assert_eq!(r.push_many(vec![entry(8), entry(9)]).2.len(), 2);
-        assert!(push_blocking(&q, entry(10)).is_err());
-        assert_eq!(q.push_blocking_many(vec![entry(11), entry(12)]).2.len(), 2);
-        assert!(push_lane(&q, 0, entry(u64::MAX)).is_err());
+        assert!(r.push(seg(&[8])).is_err());
+        assert!(r.forward(seg(&[8])).is_err());
+        assert_eq!(r.push(seg(&[8, 9])).unwrap_err().len(), 2);
+        assert!(push_blocking(&q, seg(&[10])).is_err());
+        assert_eq!(push_blocking(&q, seg(&[11, 12])).unwrap_err().len(), 2);
+        let closed = q.push_lane(0, staged(1));
+        assert!(matches!(closed, Some(LaneReject::Closed(_))));
         assert_eq!(q.pushes(), 6);
     }
 
     #[test]
-    fn drain_bounds_size_and_reports_finished() {
+    fn drain_takes_every_segment_and_reports_finished() {
         let q = IngressQueue::new(16);
         for ts in 0..5 {
-            let mut r = q.try_reserve(1).unwrap();
-            fill(&mut r, entry(ts)).unwrap();
+            q.try_reserve(1).unwrap().push(seg(&[ts])).unwrap();
         }
-        assert_eq!(drain_ts(&q, 3), [0, 1, 2]);
-        let d = q.drain(3, Some(Duration::ZERO));
-        assert_eq!(d.entries.len(), 2);
+        assert_eq!(q.depth(), 5);
+        assert_eq!(drain_ts(&q), [0, 1, 2, 3, 4]);
+        let d = q.drain(Some(Duration::ZERO));
+        assert!(d.segments.is_empty());
         assert!(!d.finished);
+        assert_eq!(q.depth(), 0);
         q.close();
-        assert!(q.drain(3, Some(Duration::ZERO)).finished);
+        assert!(q.drain(Some(Duration::ZERO)).finished);
     }
 
     #[test]
     fn blocked_pusher_wakes_on_drain() {
         let q = Arc::new(IngressQueue::new(1));
-        push_blocking(&q, entry(0)).unwrap();
+        push_blocking(&q, seg(&[0])).unwrap();
         let q2 = q.clone();
-        let pusher = std::thread::spawn(move || push_blocking(&q2, entry(1)).is_ok());
+        let pusher = std::thread::spawn(move || push_blocking(&q2, seg(&[1])).is_ok());
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.drain(1, None).entries.len(), 1);
+        assert_eq!(q.drain(None).segments.len(), 1);
         assert!(pusher.join().unwrap());
         assert_eq!(q.depth(), 1);
     }
 
     #[test]
-    fn blocking_bulk_push_streams_through_a_tiny_queue() {
+    fn blocking_push_streams_a_segment_through_a_tiny_queue() {
         let q = Arc::new(IngressQueue::new(2));
         let q2 = q.clone();
-        let pusher = std::thread::spawn(move || q2.push_blocking_many((0..7).map(entry).collect()));
+        let pusher = std::thread::spawn(move || q2.push_blocking(seg(&[0, 1, 2, 3, 4, 5, 6])));
         let mut got = Vec::new();
         while got.len() < 7 {
-            got.extend(q.drain(16, None).entries.into_iter().map(|e| e.req.ts));
+            let d = q.drain(None);
+            // Pieces of the one call, each at most what the queue holds.
+            assert!(d.segments.iter().all(|s| s.len() <= 2));
+            got.extend(d.segments.iter().flat_map(|s| &s.reqs).map(|r| r.ts));
         }
         let (pushed, high, refused) = pusher.join().unwrap();
-        assert_eq!((pushed, refused.len()), (7, 0));
+        assert_eq!((pushed, refused.is_none()), (7, true));
         assert!(high <= 2);
         assert_eq!(got, (0..7).collect::<Vec<u64>>());
+        assert_eq!(q.pushes(), 1, "one call, however many pieces");
     }
 
     #[test]
     fn close_fails_pending_and_future_pushes() {
         let q = Arc::new(IngressQueue::new(1));
-        push_blocking(&q, entry(0)).unwrap();
+        push_blocking(&q, seg(&[0])).unwrap();
         let q2 = q.clone();
-        let pusher = std::thread::spawn(move || push_blocking(&q2, entry(1)).is_err());
+        let pusher = std::thread::spawn(move || push_blocking(&q2, seg(&[1])).is_err());
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(pusher.join().unwrap(), "blocked pusher must fail on close");
         assert!(q.try_reserve(1).is_none());
         assert_eq!(q.reserve_up_to(1).count(), 0);
-        // The already-queued entry still drains, then the queue reports
+        // The already-queued segment still drains, then the queue reports
         // finished.
-        let d = q.drain(8, Some(Duration::ZERO));
-        assert_eq!(d.entries.len(), 1);
+        let d = q.drain(Some(Duration::ZERO));
+        assert_eq!(d.segments.len(), 1);
         assert!(d.finished);
     }
 
     #[test]
-    fn bulk_blocking_push_returns_tail_on_close() {
+    fn blocking_push_returns_the_rest_on_close() {
         let q = Arc::new(IngressQueue::new(2));
         let q2 = q.clone();
-        let pusher = std::thread::spawn(move || q2.push_blocking_many((0..5).map(entry).collect()));
+        let pusher = std::thread::spawn(move || q2.push_blocking(seg(&[0, 1, 2, 3, 4])));
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         let (pushed, _high, rest) = pusher.join().unwrap();
         assert_eq!(pushed, 2);
-        assert_eq!(rest.len(), 3);
-        assert_eq!(q.drain(8, Some(Duration::ZERO)).entries.len(), 2);
+        let rest: Vec<u64> = rest.unwrap().reqs.iter().map(|r| r.ts).collect();
+        assert_eq!(rest, [2, 3, 4]);
+        assert_eq!(drain_ts(&q), [0, 1]);
     }
 
     #[test]
@@ -734,12 +786,12 @@ mod tests {
         // Sticky: a wake that lands before the wait still ends it, and a
         // wait too long to add to the clock is unbounded, not a panic.
         q.wake();
-        let d = q.drain(8, Some(Duration::MAX));
-        assert!(d.entries.is_empty());
+        let d = q.drain(Some(Duration::MAX));
+        assert!(d.segments.is_empty());
         assert!(!d.finished);
         // Consumed: the next bounded wait runs its full course.
         let start = Instant::now();
-        q.drain(8, Some(Duration::from_millis(30)));
+        q.drain(Some(Duration::from_millis(30)));
         assert!(start.elapsed() >= Duration::from_millis(30));
     }
 
@@ -747,13 +799,13 @@ mod tests {
     fn wake_does_not_end_an_unbounded_wait() {
         let q = Arc::new(IngressQueue::new(4));
         let q2 = q.clone();
-        let drainer = std::thread::spawn(move || q2.drain(8, None));
+        let drainer = std::thread::spawn(move || q2.drain(None));
         std::thread::sleep(Duration::from_millis(20));
         q.wake();
         std::thread::sleep(Duration::from_millis(20));
         assert!(!drainer.is_finished(), "only an arrival ends wait: None");
-        push_blocking(&q, entry(5)).unwrap();
-        assert_eq!(drainer.join().unwrap().entries.len(), 1);
+        push_blocking(&q, seg(&[5])).unwrap();
+        assert_eq!(drainer.join().unwrap().segments.len(), 1);
     }
 
     #[test]
@@ -761,13 +813,13 @@ mod tests {
         let qos = QosConfig::uniform(2, 8);
         let q = Arc::new(IngressQueue::with_lanes(16, &qos));
         let q2 = q.clone();
-        let drainer = std::thread::spawn(move || q2.drain(8, None));
+        let drainer = std::thread::spawn(move || q2.drain(None));
         std::thread::sleep(Duration::from_millis(20));
-        push_lane(&q, 1, entry(u64::MAX)).unwrap();
+        assert!(q.push_lane(1, staged(1)).is_none());
         // The drainer wakes (lane pending breaks the idle predicate) with
-        // no direct entries; the combiner then admits from the lanes.
+        // nothing queued directly; the combiner then admits from the lanes.
         let d = drainer.join().unwrap();
-        assert!(d.entries.is_empty());
+        assert!(d.segments.is_empty());
         assert!(!d.finished);
         assert_eq!(q.lane_pending(), 1);
         assert_eq!(q.drain_lanes(4).len(), 1);
@@ -778,33 +830,64 @@ mod tests {
     fn lane_quiesce_tracks_drain_in_progress() {
         let qos = QosConfig::uniform(1, 4);
         let q = IngressQueue::with_lanes(8, &qos);
-        push_lane(&q, 0, entry(u64::MAX)).unwrap();
+        assert!(q.push_lane(0, staged(1)).is_none());
         q.close_lanes();
-        let refused = push_lane(&q, 0, entry(u64::MAX)).unwrap_err();
-        assert_eq!((refused.over_quota.len(), refused.closed.len()), (0, 1));
+        let refused = q.push_lane(0, staged(1));
+        assert!(matches!(refused, Some(LaneReject::Closed(_))));
         assert!(!q.lanes_quiesced());
         let batch = q.drain_lanes(8);
         assert_eq!(batch.len(), 1);
         assert!(!q.lanes_quiesced(), "drained batch still being admitted");
         q.lane_drain_done();
         assert!(q.lanes_quiesced());
-        // Direct entries still flow after lanes close.
-        let mut r = q.try_reserve(1).unwrap();
-        fill(&mut r, entry(3)).unwrap();
-        assert_eq!(drain_ts(&q, 4), [3]);
+        // Direct segments still flow after lanes close.
+        q.try_reserve(1).unwrap().push(seg(&[3])).unwrap();
+        assert_eq!(drain_ts(&q), [3]);
     }
 
     #[test]
-    fn bulk_lane_push_partitions_rejects() {
+    fn lane_push_refuses_the_rest_by_cause() {
         let qos = QosConfig::uniform(1, 2);
         let q = IngressQueue::with_lanes(8, &qos);
-        let (accepted, rej) = q.push_lane_many(0, (0..4).map(entry).collect());
-        assert_eq!(accepted, 2);
-        assert_eq!(rej.over_quota.len(), 2);
-        assert!(rej.closed.is_empty());
+        let over = q.push_lane(0, seg(&[0, 1, 2, 3]));
+        let Some(LaneReject::OverQuota(rest)) = over else {
+            panic!("the quota refuses the tail: {over:?}")
+        };
+        assert_eq!(rest.reqs.iter().map(|r| r.ts).collect::<Vec<_>>(), [2, 3]);
         q.close();
-        let (accepted, rej) = q.push_lane_many(0, (0..2).map(entry).collect());
-        assert_eq!(accepted, 0);
-        assert_eq!(rej.closed.len(), 2);
+        let closed = q.push_lane(0, seg(&[4, 5]));
+        assert!(matches!(closed, Some(LaneReject::Closed(s)) if s.len() == 2));
+    }
+
+    #[test]
+    fn a_segment_splits_and_settles_positionally() {
+        // Arrivals stay beside their requests through a split, and a split
+        // range's part goes into its merge, which resolves the range's own
+        // ticket once its last part lands.
+        let batch = TicketBatch::new(3);
+        let merge = Arc::new(RangeMerge::new(2, 2, batch.cell_ref(1)));
+        let mut s = Segment::new(batch.clone(), None, 0, 3);
+        s.push(Request::query(1, 10), Slot::Cell(0), 0);
+        let part = Slot::Part {
+            merge: merge.clone(),
+            offset: 0,
+        };
+        s.push(Request::range(2, 1, 11), part, 700);
+        s.push(Request::query(3, 12), Slot::Cell(2), 0);
+        let head = s.split_front(2);
+        assert_eq!(
+            (head.arrivals.as_slice(), s.arrivals.as_slice()),
+            (&[0, 700][..], &[0][..])
+        );
+        assert_eq!((head.first_ts(), s.first_ts()), (10, 12));
+        head.settle([Response::Value(Some(5)), Response::Range(vec![Some(6)])]);
+        let ticket = |i| batch.ticket(i).try_get();
+        assert_eq!(ticket(0), Some(Outcome::Done(Response::Value(Some(5)))));
+        assert_eq!(ticket(1), None, "one part of two has landed");
+        merge.complete_part(1, &[Some(7)]);
+        let range = Response::Range(vec![Some(6), Some(7)]);
+        assert_eq!(ticket(1), Some(Outcome::Done(range)));
+        s.fail(&Outcome::TimedOut);
+        assert_eq!(ticket(2), Some(Outcome::TimedOut));
     }
 }

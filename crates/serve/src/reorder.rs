@@ -1,5 +1,6 @@
-//! The combiner's reorder stage: a timestamp min-heap that releases
-//! entries only below the watermark of the last complete drain.
+//! The combiner's reorder stage (the reorder heap): parked segments in
+//! first-timestamp order, released only below the watermark of the last
+//! complete drain.
 //!
 //! The `admit` module proves the watermark invariant, which is about the
 //! shard's *queue*: every request with a timestamp below a watermark was
@@ -9,60 +10,51 @@
 //!
 //! **Lemma (drain ↔ pop coupling).** Let `wm` be a watermark and let a
 //! drain that empties the shard's queue start after `wm` was read. Once
-//! [`Reorder::offer`] has that drain's entries and `wm`, every entry of
+//! [`Reorder::offer`] has that drain's segments and `wm`, every request of
 //! this shard with `ts < wm` that has not been popped is in the heap.
 //!
-//! *Proof.* By the watermark invariant such an entry had reached this
+//! *Proof.* By the watermark invariant such a request had reached this
 //! shard when `wm` was read: it was in the queue, or an earlier drain had
 //! taken it (so it is in the heap or popped), or this combiner drew its
 //! timestamp itself and put it in the heap with [`Reorder::admit`]
 //! before its slot cleared. A complete drain that starts after the read
 //! takes whatever was still queued. ∎
 //!
-//! [`Reorder::pop`] releases ascending while `ts < wm`, so an epoch is a
-//! strictly ascending slice, and by the lemma nothing the stage receives
-//! later — through a later `offer`, or an `admit`, whose timestamp is
-//! drawn after every watermark read so far — is below `wm`: everything a
-//! later pop releases is above everything an earlier one did. That is the
-//! cross-epoch order `ShardReport::epoch_order_violations` counts breaks
-//! of. The lemma says nothing about a watermark no drain followed — a
-//! fresher one may cover entries still queued behind larger timestamps
-//! the heap already holds — which is why `pop` takes no watermark: the
-//! only one it can use is the one `offer` was given.
+//! **Segments.** A segment is one timestamp draw's requests to this shard
+//! (or a piece of them), and draws are disjoint ranges: no other segment
+//! of this shard has a timestamp between a segment's first and last. So
+//! ordering segments by their first timestamp orders every request, and
+//! releasing a segment whose first timestamp is below `wm` *whole*
+//! releases nothing out of order: whatever lies inside its span is its
+//! own, and every other segment lies wholly below or above it.
+//!
+//! [`Reorder::pop`] releases ascending while the head's first `ts < wm`,
+//! so an epoch is a strictly ascending slice, and by the lemma nothing the
+//! stage receives later — through a later `offer`, or an `admit`, whose
+//! timestamps are drawn after every watermark read so far — lies below
+//! what it released: everything a later pop releases is above everything
+//! an earlier one did. That is the cross-epoch order
+//! `ShardReport::epoch_order_violations` counts breaks of. The lemma says
+//! nothing about a watermark no drain followed — a fresher one may cover
+//! requests still queued behind larger timestamps the heap already holds
+//! — which is why `pop` takes no watermark: the only one it can use is the
+//! one `offer` was given.
 
-use crate::queue::Entry;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Min-heap wrapper ordering pending entries by admission timestamp.
-/// Timestamps are globally unique and a split range puts at most one part
-/// on each shard, so ties cannot occur within one shard's heap.
-struct ByTs(Entry);
-
-impl PartialEq for ByTs {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.req.ts == other.0.req.ts
-    }
-}
-impl Eq for ByTs {}
-impl PartialOrd for ByTs {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ByTs {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.req.ts.cmp(&other.0.req.ts)
-    }
-}
+use crate::queue::Segment;
+use std::collections::BTreeMap;
 
 /// One shard's reorder stage (module docs).
 pub(crate) struct Reorder {
-    heap: BinaryHeap<Reverse<ByTs>>,
+    /// Parked segments by first timestamp. Timestamps are globally unique
+    /// and a split range puts at most one part on each shard, so no two
+    /// segments of one shard share a key.
+    segments: BTreeMap<u64, Segment>,
+    /// Requests in `segments`.
+    parked: usize,
     /// The watermark of the last [`offer`](Self::offer): everything of
-    /// this shard below it is in `heap` or already popped.
+    /// this shard below it is parked or already popped.
     drained_wm: u64,
-    /// Parked entries at which the combiner stops draining its queue:
+    /// Parked requests at which the combiner stops draining its queue:
     /// back-pressure, so `AdmitPolicy::Block` submitters wait on the
     /// bounded queue instead of the heap growing with the offered load.
     /// A pause, not a bound — one drain takes whatever the queue holds,
@@ -73,82 +65,103 @@ pub(crate) struct Reorder {
 impl Reorder {
     pub(crate) fn new(heap_target: usize) -> Self {
         Reorder {
-            heap: BinaryHeap::new(),
+            segments: BTreeMap::new(),
+            parked: 0,
             drained_wm: 0,
             heap_target,
         }
     }
 
-    /// Takes the entries of a *complete* drain of the shard's queue that
+    /// Takes the segments of a *complete* drain of the shard's queue that
     /// started after `wm` was read, and moves the release watermark to
     /// `wm` — the only way it moves (module docs). A regressed `wm` only
     /// delays releases.
-    pub(crate) fn offer(&mut self, entries: Vec<Entry>, wm: u64) {
-        self.heap
-            .extend(entries.into_iter().map(|e| Reverse(ByTs(e))));
+    pub(crate) fn offer(&mut self, segments: Vec<Segment>, wm: u64) {
+        for seg in segments {
+            self.admit(seg);
+        }
         self.drained_wm = wm;
     }
 
-    /// Parks an entry the combiner timestamped itself (a lane admission).
-    /// Its timestamp was drawn after the last watermark read, so it waits
+    /// Parks a segment the combiner timestamped itself (a lane admission).
+    /// Its timestamps were drawn after the last watermark read, so it waits
     /// for a later [`offer`](Self::offer).
-    pub(crate) fn admit(&mut self, entry: Entry) {
-        self.heap.push(Reverse(ByTs(entry)));
+    pub(crate) fn admit(&mut self, seg: Segment) {
+        if !seg.is_empty() {
+            self.parked += seg.len();
+            self.segments.insert(seg.first_ts(), seg);
+        }
     }
 
     /// Whether the combiner should drain its queue this turn: below
-    /// `heap_target`, or whenever emission is `stalled` — the entry that
+    /// `heap_target`, or whenever emission is `stalled` — the segment that
     /// unblocks the head of the heap may be a `Block` submitter's, which
     /// holds its watermark slot while it waits for queue room.
     pub(crate) fn wants_drain(&self, stalled: bool) -> bool {
-        stalled || self.heap.len() < self.heap_target
+        stalled || self.parked < self.heap_target
     }
 
+    /// Requests parked.
     pub(crate) fn len(&self) -> usize {
-        self.heap.len()
+        self.parked
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.parked == 0
     }
 
-    /// Moves entries below the last offered watermark to `out`, ascending,
-    /// until `out` holds `limit`.
-    pub(crate) fn pop(&mut self, limit: usize, out: &mut Vec<Entry>) {
-        while out.len() < limit {
-            match self.heap.peek() {
-                Some(Reverse(p)) if p.0.req.ts < self.drained_wm => {
-                    out.push(self.heap.pop().expect("peeked entry").0 .0);
-                }
-                _ => break,
+    /// Moves up to `room` requests, ascending, to `out`, from segments
+    /// whose first timestamp is below the last offered watermark: whole
+    /// segments, then a prefix of the one `room` cuts, whose rest stays
+    /// first in line. Returns the requests moved.
+    pub(crate) fn pop(&mut self, room: usize, out: &mut Vec<Segment>) -> usize {
+        let mut moved = 0;
+        while moved < room {
+            let Some(head) = self.segments.first_entry() else {
+                break;
+            };
+            if *head.key() >= self.drained_wm {
+                break;
             }
+            let mut seg = head.remove();
+            if seg.len() > room - moved {
+                let rest = seg.split_off(room - moved);
+                self.segments.insert(rest.first_ts(), rest);
+            }
+            moved += seg.len();
+            out.push(seg);
         }
+        self.parked -= moved;
+        moved
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ticket::{Completion, TicketBatch};
+    use crate::ticket::{Slot, TicketBatch};
     use eirene_workloads::Request;
 
-    fn entry(ts: u64) -> Entry {
-        Entry {
-            req: Request::query(1, ts),
-            deadline: None,
-            arrival: 0,
-            tenant: 0,
-            completion: Completion::Direct(TicketBatch::new(1).cell_ref(0)),
+    /// One call's segment of point queries at these timestamps.
+    fn seg(ts: &[u64]) -> Segment {
+        let mut seg = Segment::new(TicketBatch::new(ts.len()), None, 0, ts.len());
+        for (i, &t) in (0u32..).zip(ts) {
+            seg.push(Request::query(1, t), Slot::Cell(i), 0);
         }
+        seg
+    }
+
+    fn flat(out: &[Segment]) -> Vec<u64> {
+        out.iter().flat_map(|s| &s.reqs).map(|r| r.ts).collect()
     }
 
     #[derive(Debug)]
     enum Step {
-        /// A complete drain brought these timestamps, under this watermark.
-        Offer(&'static [u64], u64),
+        /// A complete drain brought these segments, under this watermark.
+        Offer(&'static [&'static [u64]], u64),
         /// A lane admission.
-        Admit(u64),
-        /// `pop` with a fresh `out` and this limit releases exactly these.
+        Admit(&'static [u64]),
+        /// `pop` with a fresh `out` and this room releases exactly these.
         Pop(usize, &'static [u64]),
         /// `wants_drain(stalled)` answers this.
         WantsDrain(bool, bool),
@@ -158,7 +171,7 @@ mod tests {
     #[test]
     fn reorder_releases_only_under_the_watermark_of_its_last_drain() {
         // (case, heap_target, steps on one fresh stage)
-        let table: [(&str, usize, &[Step]); 5] = [
+        let table: [(&str, usize, &[Step]); 9] = [
             (
                 // ROADMAP item 1. The heap is at its target after the first
                 // pop, so the combiner's next turn skips the drain; ts 535
@@ -168,11 +181,11 @@ mod tests {
                 "a turn that skips its drain releases nothing new",
                 2,
                 &[
-                    Offer(&[510, 532, 537], 530),
+                    Offer(&[&[510], &[532], &[537]], 530),
                     Pop(1, &[510]),
                     WantsDrain(false, false),
                     Pop(8, &[]),
-                    Offer(&[535], 540),
+                    Offer(&[&[535]], 540),
                     Pop(8, &[532, 535, 537]),
                 ],
             ),
@@ -180,11 +193,11 @@ mod tests {
                 "admit does not move the watermark",
                 64,
                 &[
-                    Offer(&[3], 5),
-                    Admit(6),
-                    Admit(7),
+                    Offer(&[&[3]], 5),
+                    Admit(&[6]),
+                    Admit(&[7]),
                     Pop(8, &[3]),
-                    Admit(8),
+                    Admit(&[8]),
                     Pop(8, &[]),
                     Offer(&[], 8),
                     Pop(8, &[6, 7]),
@@ -193,10 +206,10 @@ mod tests {
                 ],
             ),
             (
-                "pop stops at the limit and resumes ascending",
+                "pop stops at the room and resumes ascending",
                 64,
                 &[
-                    Offer(&[9, 2, 7, 4], 8),
+                    Offer(&[&[9], &[2], &[7], &[4]], 8),
                     Pop(2, &[2, 4]),
                     Pop(0, &[]),
                     Pop(2, &[7]),
@@ -207,7 +220,7 @@ mod tests {
                 "a regressed watermark only delays",
                 64,
                 &[
-                    Offer(&[11, 14], 15),
+                    Offer(&[&[11], &[14]], 15),
                     Offer(&[], 12),
                     Pop(8, &[11]),
                     Offer(&[], 15),
@@ -219,12 +232,12 @@ mod tests {
                 2,
                 &[
                     WantsDrain(false, true),
-                    Offer(&[5], 0),
+                    Offer(&[&[5]], 0),
                     WantsDrain(false, true),
-                    Offer(&[6], 0),
+                    Offer(&[&[6]], 0),
                     WantsDrain(false, false),
                     WantsDrain(true, true),
-                    Admit(9),
+                    Admit(&[9]),
                     WantsDrain(false, false),
                     Offer(&[], 6),
                     Pop(8, &[5]),
@@ -234,26 +247,67 @@ mod tests {
                     WantsDrain(false, true),
                 ],
             ),
+            (
+                "segments order by their first timestamp, whatever order they came in",
+                64,
+                &[
+                    Offer(&[&[7, 9], &[1, 3], &[5]], 10),
+                    Pop(8, &[1, 3, 5, 7, 9]),
+                ],
+            ),
+            (
+                // Nothing of another call can lie inside the span of a
+                // segment whose first timestamp the watermark vouches for.
+                "a segment under the watermark leaves whole, even past it",
+                64,
+                &[
+                    Offer(&[&[3, 5, 9], &[12]], 4),
+                    Pop(8, &[3, 5, 9]),
+                    Offer(&[], 12),
+                    Pop(8, &[]),
+                    Offer(&[], 13),
+                    Pop(8, &[12]),
+                ],
+            ),
+            (
+                "the room cuts a segment, and its rest stays first in line",
+                64,
+                &[
+                    Offer(&[&[2, 4, 6, 8], &[10]], 20),
+                    Pop(3, &[2, 4, 6]),
+                    Pop(3, &[8, 10]),
+                ],
+            ),
+            (
+                "the heap target counts requests, not segments",
+                4,
+                &[
+                    Offer(&[&[1, 2, 3, 4, 5]], 9),
+                    WantsDrain(false, false),
+                    Pop(2, &[1, 2]),
+                    WantsDrain(false, true),
+                ],
+            ),
         ];
         for (case, heap_target, steps) in table {
             let mut stage = Reorder::new(heap_target);
             let mut parked = 0;
             for (i, step) in steps.iter().enumerate() {
                 match *step {
-                    Offer(ts, wm) => {
-                        stage.offer(ts.iter().copied().map(entry).collect(), wm);
-                        parked += ts.len();
+                    Offer(segments, wm) => {
+                        stage.offer(segments.iter().map(|ts| seg(ts)).collect(), wm);
+                        parked += segments.iter().map(|ts| ts.len()).sum::<usize>();
                     }
                     Admit(ts) => {
-                        stage.admit(entry(ts));
-                        parked += 1;
+                        stage.admit(seg(ts));
+                        parked += ts.len();
                     }
-                    Pop(limit, want) => {
+                    Pop(room, want) => {
                         let mut out = Vec::new();
-                        stage.pop(limit, &mut out);
-                        let got: Vec<u64> = out.iter().map(|e| e.req.ts).collect();
-                        assert_eq!(got, want, "{case}: step {i} {step:?}");
-                        parked -= got.len();
+                        let moved = stage.pop(room, &mut out);
+                        assert_eq!(flat(&out), want, "{case}: step {i} {step:?}");
+                        assert_eq!(moved, want.len(), "{case}: step {i} {step:?}");
+                        parked -= moved;
                     }
                     WantsDrain(stalled, want) => {
                         assert_eq!(
@@ -272,11 +326,10 @@ mod tests {
     #[test]
     fn pop_appends_to_what_is_already_gathered() {
         let mut stage = Reorder::new(64);
-        stage.offer(vec![entry(1), entry(2), entry(3)], 9);
-        let mut out = vec![entry(0)];
-        stage.pop(3, &mut out);
-        let got: Vec<u64> = out.iter().map(|e| e.req.ts).collect();
-        assert_eq!(got, [0, 1, 2], "the limit bounds the epoch, not the call");
+        stage.offer(vec![seg(&[1, 2, 3])], 9);
+        let mut out = vec![seg(&[0])];
+        assert_eq!(stage.pop(2, &mut out), 2, "the room bounds the call");
+        assert_eq!(flat(&out), [0, 1, 2]);
         assert_eq!(stage.len(), 1);
     }
 }

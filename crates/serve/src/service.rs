@@ -42,13 +42,13 @@ use crate::control::{BatchController, EpochSizing};
 use crate::execute::{Books, Epoch};
 use crate::lane::{QosConfig, TenantId};
 use crate::observe::{ObserveConfig, ShardMetrics, ShardSample, SloBreach};
-use crate::queue::{AdmitPolicy, IngressQueue};
+use crate::queue::{AdmitPolicy, IngressQueue, Segment};
 use crate::rebalance::{
     rebalancer_loop, RebalanceAction, RebalanceEvent, RebalanceFeed, RebalanceShared, RebalanceSpec,
 };
 use crate::report::{ServeReport, ShardReport};
 use crate::shard::{hash_shard, ShardId, ShardMap, Sharding};
-use crate::ticket::{settle, submission_runs, Outcome, Ticket};
+use crate::ticket::{Outcome, Ticket};
 use eirene_baselines::common::ConcurrentTree;
 use eirene_core::plan::build_plan;
 use eirene_core::{EireneOptions, EireneTree};
@@ -665,29 +665,32 @@ fn combiner_loop(
             // `Reorder::offer` requires. Lane entries admitted earlier drew
             // their timestamps before this read, so it covers them too.
             let wm = inner.watermark();
-            effect = combiner.drained(wm, state.queue.drain(usize::MAX, wait));
+            effect = combiner.drained(wm, state.queue.drain(wait));
         }
         match effect {
             Effect::Expire(expired) => {
-                state.record_timeout(expired.len() as u64);
-                for entry in &expired {
-                    entry.completion.resolve_fail(Outcome::TimedOut);
+                let timed_out = expired.iter().map(Segment::len).sum::<usize>();
+                state.record_timeout(timed_out as u64);
+                for seg in &expired {
+                    seg.fail(&Outcome::TimedOut);
                 }
             }
             Effect::BackOff(pause) if pause.is_zero() => std::thread::yield_now(),
             Effect::BackOff(pause) => std::thread::sleep(pause),
-            Effect::HandOver { entries, close } => {
-                let batch = Batch::new(entries.iter().map(|e| e.req).collect());
+            Effect::HandOver { segments, close } => {
+                let n = segments.iter().map(Segment::len).sum();
+                let mut requests = Vec::with_capacity(n);
+                for seg in &segments {
+                    requests.extend_from_slice(&seg.reqs);
+                }
+                let batch = Batch::new(requests);
                 let plan = build_plan(&batch, plan_cfg);
-                let released =
-                    submission_runs(entries.iter().map(|e| &e.completion)).count() as u64;
                 let (watermark_lag, inflight) = if observe { inner.gauges() } else { (0, 0) };
                 let epoch = Epoch {
                     batch,
                     plan,
-                    entries,
+                    segments,
                     close,
-                    released,
                     queue_depth: state.queue.depth() as u64,
                     reorder_pending: combiner.stage().len() as u64,
                     lane_depth: lane_pending() as u64,
@@ -781,11 +784,14 @@ fn executor_loop(
         };
         let received = Instant::now();
         let run = tree.run_planned(&epoch.batch, &epoch.plan);
-        // Release the callers first: the books read only the entries and
-        // the run's counters, and nobody should wait on them.
-        state.epoch_releasing(epoch.released);
-        let wakes = settle(epoch.entries.iter().map(|e| &e.completion), run.responses);
-        debug_assert_eq!(wakes, epoch.released, "one wake per released submission");
+        // Release the callers first: the books read only the segments and
+        // the run's counters, and nobody should wait on them. Each segment
+        // stores its outcomes, then wakes its callers once.
+        state.epoch_releasing(epoch.segments.len() as u64);
+        let mut responses = run.responses.into_iter();
+        for seg in &epoch.segments {
+            seg.settle(responses.by_ref());
+        }
         state.epoch_finished(received.elapsed());
         if let Some(feedback) = books.record(&epoch, run.stats) {
             controller.on_epoch(&feedback);
@@ -794,7 +800,7 @@ fn executor_loop(
             books.epoch_order_violations,
             0,
             "successive epochs must be timestamp-ordered: this one starts at ts {:?}",
-            epoch.entries.first().map(|e| e.req.ts)
+            epoch.batch.requests.first().map(|r| r.ts)
         );
         m.record_epoch(epoch.close);
         m.add(m.completed, epoch.batch.len() as u64);
@@ -879,9 +885,8 @@ fn emit(observe: &ObserveConfig, sample: &ShardSample, breaches: &[SloBreach]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::Entry;
     use crate::rebalance::RebalanceKind;
-    use crate::ticket::{Completion, TicketBatch};
+    use crate::ticket::{Slot, TicketBatch};
     use eirene_workloads::{Oracle, Request, Response, SequentialOracle};
 
     fn boundary_map() -> ShardMap {
@@ -1413,21 +1418,16 @@ mod tests {
     #[test]
     fn epoch_releasing_snapshots_the_push_count_before_anyone_is_back() {
         let state = ShardState::new(4, &QosConfig::disabled());
-        let entry = || {
-            let cell = TicketBatch::new(1).cell_ref(0);
-            Entry {
-                req: Request::query(1, 0),
-                deadline: None,
-                arrival: 0,
-                tenant: 0,
-                completion: Completion::Direct(cell),
-            }
+        let call = || {
+            let mut seg = Segment::new(TicketBatch::new(1), None, 0, 1);
+            seg.push(Request::query(1, 0), Slot::Cell(0), 0);
+            seg
         };
-        state.queue.push_blocking_many(vec![entry()]);
+        state.queue.push_blocking(call());
         state.epoch_handed_over();
         state.epoch_releasing(2);
         // A caller back before `epoch_finished` runs still counts.
-        state.queue.push_blocking_many(vec![entry()]);
+        state.queue.push_blocking(call());
         state.epoch_finished(Duration::from_micros(100));
         let ex = state.executor();
         assert_eq!((ex.released, ex.pushes_at_release), (2, 1));
@@ -1452,7 +1452,7 @@ mod tests {
         assert_eq!(ex.service, Some(Duration::from_micros(500)));
         // Going idle woke the queue: a bounded drain returns at once.
         let start = Instant::now();
-        state.queue.drain(1, Some(Duration::from_secs(5)));
+        state.queue.drain(Some(Duration::from_secs(5)));
         assert!(start.elapsed() < Duration::from_secs(1));
     }
 }

@@ -48,15 +48,24 @@ impl TicketCell {
     pub(crate) fn set_ts(&self, ts: u64) {
         self.ts.store(ts, Ordering::Release);
     }
+
+    /// Stores the outcome without waking anyone. For a ticket nobody can
+    /// be waiting on yet (its submission call has not returned), or with a
+    /// wake of the block to follow.
+    pub(crate) fn store(&self, outcome: Outcome) {
+        let _ = self.outcome.set(outcome);
+    }
 }
 
 /// One block of ticket cells allocated together, and the one place the
 /// callers of its submission park. Batched submission
 /// ([`Client::submit_many`](crate::Client::submit_many)) makes one block
 /// per call instead of one `Arc` per request — the dominant per-op malloc
-/// on the ingress hot path. Individual [`Ticket`]s and [`Completion`]s
-/// address into the block by index via [`CellRef`]; the block is freed
-/// when the last of them drops.
+/// on the ingress hot path. [`Ticket`]s address into the block by index
+/// via [`CellRef`]; inside the pipeline a segment holds the block once and
+/// each of its requests a [`Slot`]. The block is freed when the last of
+/// them drops.
+#[derive(Debug)]
 pub(crate) struct TicketBatch {
     cells: Box<[TicketCell]>,
     /// Threads parked in [`Ticket::wait`] on any cell of the block. A wake
@@ -80,17 +89,37 @@ impl TicketBatch {
         })
     }
 
-    pub(crate) fn cell_ref(self: &Arc<Self>, idx: usize) -> CellRef {
-        debug_assert!(idx < self.cells.len());
+    pub(crate) fn cell(&self, idx: u32) -> &TicketCell {
+        &self.cells[idx as usize]
+    }
+
+    pub(crate) fn cell_ref(self: &Arc<Self>, idx: u32) -> CellRef {
+        debug_assert!((idx as usize) < self.cells.len());
         CellRef {
             batch: self.clone(),
-            idx: idx as u32,
+            idx,
         }
     }
 
-    pub(crate) fn ticket(self: &Arc<Self>, idx: usize) -> Ticket {
+    pub(crate) fn ticket(self: &Arc<Self>, idx: u32) -> Ticket {
         Ticket {
             cell: self.cell_ref(idx),
+        }
+    }
+
+    /// Stores `outcome` for the request behind `slot` without waking the
+    /// block. A split range's part goes into its merge instead, and the
+    /// last part stores and wakes.
+    pub(crate) fn store(&self, slot: &Slot, outcome: Outcome) {
+        match (slot, outcome) {
+            (Slot::Cell(idx), outcome) => self.cell(*idx).store(outcome),
+            (Slot::Part { merge, offset }, Outcome::Done(Response::Range(part))) => {
+                merge.complete_part(*offset, &part)
+            }
+            (Slot::Part { .. }, Outcome::Done(other)) => {
+                panic!("range part resolved with non-range response {other:?}")
+            }
+            (Slot::Part { merge, .. }, failed) => merge.fail_part(failed),
         }
     }
 
@@ -98,7 +127,7 @@ impl TicketBatch {
     /// it announces: a waiter re-checks its slot under this mutex before it
     /// parks, so taking the mutex after the stores means it either sees the
     /// outcome or is counted here — never neither.
-    fn wake(&self) {
+    pub(crate) fn wake(&self) {
         // Recovered, not unwrapped: the lock guards only the parked count,
         // which no panic can leave half-written.
         let parked = self.parked.lock().unwrap_or_else(PoisonError::into_inner);
@@ -106,6 +135,17 @@ impl TicketBatch {
             self.cv.notify_all();
         }
     }
+}
+
+/// Where one request of a segment reports back. The segment holds the
+/// ticket block; a slot only names the cell, so a request in the pipeline
+/// holds no reference count of its own.
+#[derive(Debug)]
+pub(crate) enum Slot {
+    /// The whole request lives on one shard: this cell of the block.
+    Cell(u32),
+    /// One part of a split range query.
+    Part { merge: Arc<RangeMerge>, offset: u32 },
 }
 
 /// Shared-ownership handle to one cell inside a [`TicketBatch`]. Derefs
@@ -117,13 +157,6 @@ pub(crate) struct CellRef {
 }
 
 impl CellRef {
-    /// Stores the outcome without waking anyone. For a ticket nobody can
-    /// be waiting on yet (its submission call has not returned), or with a
-    /// wake of the block to follow.
-    pub(crate) fn store(&self, outcome: Outcome) {
-        let _ = self.outcome.set(outcome);
-    }
-
     /// Stores the outcome and wakes the block's parked callers at once.
     pub(crate) fn resolve(&self, outcome: Outcome) {
         if self.outcome.set(outcome).is_ok() {
@@ -136,7 +169,7 @@ impl std::ops::Deref for CellRef {
     type Target = TicketCell;
 
     fn deref(&self) -> &TicketCell {
-        &self.batch.cells[self.idx as usize]
+        self.batch.cell(self.idx)
     }
 }
 
@@ -265,86 +298,11 @@ impl RangeMerge {
     }
 }
 
-/// How an executed (or failed) shard entry reports back.
-#[derive(Clone, Debug)]
-pub(crate) enum Completion {
-    /// The whole request lives on one shard.
-    Direct(CellRef),
-    /// One part of a split range query.
-    Part { merge: Arc<RangeMerge>, offset: u32 },
-}
-
-impl Completion {
-    fn batch(&self) -> &Arc<TicketBatch> {
-        match self {
-            Completion::Direct(cell) => &cell.batch,
-            Completion::Part { merge, .. } => &merge.cell.batch,
-        }
-    }
-
-    /// Whether both entries came in through one submission call: they
-    /// then share its ticket block (a lone `submit` is a call of one).
-    pub(crate) fn same_submission(&self, other: &Completion) -> bool {
-        Arc::ptr_eq(self.batch(), other.batch())
-    }
-
-    /// Executor side: stores the response without waking anyone — the
-    /// epoch's [`settle`] wakes each submission once. A split range's part
-    /// goes into its merge instead, and the last part stores and wakes.
-    fn store_ok(&self, resp: Response) {
-        match self {
-            Completion::Direct(cell) => cell.store(Outcome::Done(resp)),
-            Completion::Part { merge, offset } => match resp {
-                Response::Range(slots) => merge.complete_part(*offset, &slots),
-                other => panic!("range part resolved with non-range response {other:?}"),
-            },
-        }
-    }
-
-    /// Stores a failure and wakes at once (sheds, timeouts, rejects).
-    pub(crate) fn resolve_fail(&self, outcome: Outcome) {
-        match self {
-            Completion::Direct(cell) => cell.resolve(outcome),
-            Completion::Part { merge, .. } => merge.fail_part(outcome),
-        }
-    }
-}
-
-/// The first completion of every run of adjacent entries from one
-/// submission: the runs an epoch's `released` counts, and the ones
-/// [`settle`] wakes.
-pub(crate) fn submission_runs<'a>(
-    completions: impl IntoIterator<Item = &'a Completion>,
-) -> impl Iterator<Item = &'a Completion> {
-    let mut last: Option<&Completion> = None;
-    completions.into_iter().filter(move |c| {
-        let head = !last.is_some_and(|l| l.same_submission(c));
-        last = Some(c);
-        head
-    })
-}
-
-/// Resolves an executed epoch: stores every response, then wakes each
-/// run of adjacent same-submission entries once — after the last store,
-/// so no waiter sleeps through its outcome. Returns the wakes.
-pub(crate) fn settle<'a>(
-    completions: impl Iterator<Item = &'a Completion> + Clone,
-    responses: impl IntoIterator<Item = Response>,
-) -> u64 {
-    for (completion, resp) in completions.clone().zip(responses) {
-        completion.store_ok(resp);
-    }
-    let mut wakes = 0;
-    for head in submission_runs(completions) {
-        head.batch().wake();
-        wakes += 1;
-    }
-    wakes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::Segment;
+    use eirene_workloads::Request;
     use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
     use std::thread;
@@ -382,7 +340,7 @@ mod tests {
     /// callers are parked on the block.
     fn park_on(
         batch: &Arc<TicketBatch>,
-        idx: impl IntoIterator<Item = usize>,
+        idx: impl IntoIterator<Item = u32>,
     ) -> Vec<thread::JoinHandle<Outcome>> {
         let waiters: Vec<_> = idx
             .into_iter()
@@ -397,11 +355,13 @@ mod tests {
         waiters
     }
 
-    /// Completions for cells `idx` of `batch`, as one submission's entries.
-    fn direct(batch: &Arc<TicketBatch>, idx: impl IntoIterator<Item = usize>) -> Vec<Completion> {
-        idx.into_iter()
-            .map(|i| Completion::Direct(batch.cell_ref(i)))
-            .collect()
+    /// Cells `0..n` of `batch` as one segment of point queries.
+    fn segment(batch: &Arc<TicketBatch>, n: u32) -> Segment {
+        let mut seg = Segment::new(batch.clone(), None, 0, n as usize);
+        for i in 0..n {
+            seg.push(Request::query(1, i.into()), Slot::Cell(i), 0);
+        }
+        seg
     }
 
     #[test]
@@ -433,12 +393,12 @@ mod tests {
 
     #[test]
     fn one_wake_releases_every_parked_waiter_of_a_block() {
-        const K: usize = 4;
+        const K: u32 = 4;
         watchdog(|| {
-            let batch = TicketBatch::new(K);
+            let batch = TicketBatch::new(K as usize);
             let waiters = park_on(&batch, 0..K);
             let responses = (0..K).map(|i| Response::Value(Some(i as Value)));
-            assert_eq!(settle(direct(&batch, 0..K).iter(), responses), 1);
+            segment(&batch, K).settle(responses);
             for (i, w) in waiters.into_iter().enumerate() {
                 let want = Outcome::Done(Response::Value(Some(i as Value)));
                 assert_eq!(w.join().unwrap(), want);
@@ -451,11 +411,11 @@ mod tests {
     fn a_waiter_parking_between_the_stores_and_the_wake_is_woken() {
         // A submission long enough that the waiter, released as the stores
         // begin, often parks on the last cell before it is stored.
-        const RUN: usize = 64;
+        const RUN: u32 = 64;
         watchdog(|| {
             for _ in 0..10_000 {
-                let batch = TicketBatch::new(RUN);
-                let completions = direct(&batch, 0..RUN);
+                let batch = TicketBatch::new(RUN as usize);
+                let seg = segment(&batch, RUN);
                 let last = batch.ticket(RUN - 1);
                 let (ready, go) = (AtomicBool::new(false), AtomicBool::new(false));
                 thread::scope(|s| {
@@ -470,32 +430,11 @@ mod tests {
                         std::hint::spin_loop();
                     }
                     go.store(true, Ordering::Release);
-                    settle(completions.iter(), (0..RUN).map(|_| Response::Done));
+                    seg.settle((0..RUN).map(|_| Response::Done));
                     assert_eq!(waiter.join().unwrap(), Outcome::Done(Response::Done));
                 });
             }
         });
-    }
-
-    #[test]
-    fn an_epoch_wakes_each_submission_run_once() {
-        let blocks = [TicketBatch::new(1), TicketBatch::new(1)];
-        let (a, b) = (0, 1);
-        for (epoch, wakes) in [
-            (&[a, a, b, b, a][..], 3),
-            (&[a, a, a, a], 1), // a single-submission epoch
-            (&[a], 1),
-            (&[a, b, a, b], 4),
-        ] {
-            let completions: Vec<_> = epoch
-                .iter()
-                .map(|&blk| Completion::Direct(blocks[blk].cell_ref(0)))
-                .collect();
-            let runs = submission_runs(&completions).count() as u64;
-            assert_eq!(runs, wakes, "{epoch:?}");
-            let responses = epoch.iter().map(|_| Response::Done);
-            assert_eq!(settle(completions.iter(), responses), wakes, "{epoch:?}");
-        }
     }
 
     #[test]
