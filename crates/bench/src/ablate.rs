@@ -1,6 +1,7 @@
 //! Ablation studies beyond the paper's figures — one sweep per design
 //! choice that DESIGN.md calls out. Each prints a table and writes a CSV.
 
+use crate::figures::Command;
 use crate::harness::{default_mix, measure, spec_for, write_csv, Scale, TreeKind};
 use eirene_baselines::common::ConcurrentTree;
 use eirene_core::{EireneOptions, EireneTree, UpdateProtection};
@@ -97,18 +98,7 @@ pub fn ablate_protection(scale: &Scale) {
         };
         print!("{label:<22}");
         for upsert in [0.05, 0.20, 0.50] {
-            let spec = WorkloadSpec {
-                tree_size: 1 << scale.default_exp,
-                batch_size: scale.batch_size,
-                mix: Mix {
-                    upsert,
-                    delete: 0.0,
-                    range: 0.0,
-                    range_len: 4,
-                },
-                distribution: Distribution::Uniform,
-                seed: 22,
-            };
+            let spec = spec_for(scale.default_exp, scale.batch_size, upserts(upsert), 22);
             let opts = EireneOptions {
                 protection,
                 ..eirene_opts(scale.batch_size + (1 << 12))
@@ -158,6 +148,40 @@ pub fn ablate_iteration_warps(scale: &Scale) {
     );
 }
 
+/// Point queries with `upsert` of them updates instead.
+fn upserts(upsert: f64) -> Mix {
+    Mix {
+        upsert,
+        delete: 0.0,
+        range: 0.0,
+        range_len: 4,
+    }
+}
+
+/// A tree × setting table in Mreq/s, one `{:>width.digits}` cell per
+/// column measured on `spec(column)`; returns the CSV rows
+/// `tree,{name(column)},throughput`.
+fn tree_rows<C: Copy>(
+    scale: &Scale,
+    kinds: &[TreeKind],
+    columns: &[C],
+    (width, digits): (usize, usize),
+    spec: impl Fn(C) -> WorkloadSpec,
+    name: impl Fn(C) -> String,
+) -> Vec<String> {
+    let mut rows = Vec::new();
+    for &kind in kinds {
+        print!("{:<18}", kind.label());
+        for &column in columns {
+            let tput = measure(kind, &spec(column), scale.repeats.min(3)).throughput;
+            print!("{:>width$.digits$}", tput / 1e6);
+            rows.push(format!("{},{},{tput:.0}", kind.label(), name(column)));
+        }
+        println!();
+    }
+    rows
+}
+
 /// Key-distribution sweep (extension: the paper only evaluates Uniform).
 pub fn ablate_distribution(scale: &Scale) {
     crate::metrics::set_context("ablate-distribution");
@@ -166,29 +190,21 @@ pub fn ablate_distribution(scale: &Scale) {
         "{:<18}{:>14}{:>14}{:>14}",
         "tree", "uniform", "zipf 0.8", "zipf 0.99"
     );
-    let mut rows = Vec::new();
-    for kind in [TreeKind::Stm, TreeKind::Lock, TreeKind::Eirene] {
-        print!("{:<18}", kind.label());
-        for dist in [
-            Distribution::Uniform,
-            Distribution::Zipfian { theta: 0.8 },
-            Distribution::Zipfian { theta: 0.99 },
-        ] {
-            let mut spec = spec_for(scale.default_exp, scale.batch_size, default_mix(), 24);
-            spec.distribution = dist;
-            let m = measure(kind, &spec, scale.repeats.min(3));
-            print!("{:>14.1}", m.throughput / 1e6);
-            rows.push(format!("{},{dist:?},{:.0}", kind.label(), m.throughput));
-        }
-        println!();
-    }
+    let kinds = [TreeKind::Stm, TreeKind::Lock, TreeKind::Eirene];
+    let dists = [
+        Distribution::Uniform,
+        Distribution::Zipfian { theta: 0.8 },
+        Distribution::Zipfian { theta: 0.99 },
+    ];
+    let spec = |distribution| WorkloadSpec {
+        distribution,
+        ..spec_for(scale.default_exp, scale.batch_size, default_mix(), 24)
+    };
+    let rows = tree_rows(scale, &kinds, &dists, (14, 1), spec, |d| format!("{d:?}"));
     println!("(Mreq/s; skew concentrates requests on hot keys: baselines conflict,");
     println!(" Eirene combines — duplicates are resolved without tree traversals)");
-    write_csv(
-        "ablate_distribution",
-        "tree,distribution,throughput_req_s",
-        &rows,
-    );
+    let header = "tree,distribution,throughput_req_s";
+    write_csv("ablate_distribution", header, &rows);
 }
 
 /// Batch-size sweep: combining's fixed costs (sort, kernel launches)
@@ -202,17 +218,9 @@ pub fn ablate_batch_size(scale: &Scale) {
         print!("{b:>10}");
     }
     println!();
-    let mut rows = Vec::new();
-    for kind in [TreeKind::Lock, TreeKind::Eirene] {
-        print!("{:<18}", kind.label());
-        for b in batches {
-            let spec = spec_for(scale.default_exp, b, default_mix(), 25);
-            let m = measure(kind, &spec, scale.repeats.min(3));
-            print!("{:>10.0}", m.throughput / 1e6);
-            rows.push(format!("{},{b},{:.0}", kind.label(), m.throughput));
-        }
-        println!();
-    }
+    let kinds = [TreeKind::Lock, TreeKind::Eirene];
+    let spec = |b| spec_for(scale.default_exp, b, default_mix(), 25);
+    let rows = tree_rows(scale, &kinds, &batches, (10, 0), spec, |b| b.to_string());
     println!("(Mreq/s; Eirene needs large batches to amortize its sort + 4 launches,");
     println!(" exactly why the paper buffers 1M requests per transfer)");
     write_csv("ablate_batch", "tree,batch_size,throughput_req_s", &rows);
@@ -228,37 +236,23 @@ pub fn ablate_mix(scale: &Scale) {
         print!("{:>10}", format!("{:.0}%", r * 100.0));
     }
     println!();
-    let mut rows = Vec::new();
-    for kind in [TreeKind::Stm, TreeKind::Lock, TreeKind::Eirene] {
-        print!("{:<18}", kind.label());
-        for upsert in ratios {
-            let mix = Mix {
-                upsert,
-                delete: 0.0,
-                range: 0.0,
-                range_len: 4,
-            };
-            let spec = spec_for(scale.default_exp, scale.batch_size, mix, 26);
-            let m = measure(kind, &spec, scale.repeats.min(3));
-            print!("{:>10.0}", m.throughput / 1e6);
-            rows.push(format!("{},{upsert},{:.0}", kind.label(), m.throughput));
-        }
-        println!();
-    }
+    let kinds = [TreeKind::Stm, TreeKind::Lock, TreeKind::Eirene];
+    let spec = |upsert| spec_for(scale.default_exp, scale.batch_size, upserts(upsert), 26);
+    let rows = tree_rows(scale, &kinds, &ratios, (10, 0), spec, |u| u.to_string());
     write_csv("ablate_mix", "tree,update_ratio,throughput_req_s", &rows);
 }
 
+/// Every ablation, in the order `ablate-all` runs them.
+pub(crate) const ABLATIONS: [Command; 6] = [
+    ("ablate-threshold", ablate_threshold),
+    ("ablate-protection", ablate_protection),
+    ("ablate-iteration", ablate_iteration_warps),
+    ("ablate-distribution", ablate_distribution),
+    ("ablate-batch", ablate_batch_size),
+    ("ablate-mix", ablate_mix),
+];
+
 /// Runs every ablation.
 pub fn all(scale: &Scale) {
-    ablate_threshold(scale);
-    println!();
-    ablate_protection(scale);
-    println!();
-    ablate_iteration_warps(scale);
-    println!();
-    ablate_distribution(scale);
-    println!();
-    ablate_batch_size(scale);
-    println!();
-    ablate_mix(scale);
+    crate::figures::run_each(&ABLATIONS, scale);
 }

@@ -92,7 +92,7 @@ impl TreeKind {
 }
 
 /// Experiment scale: which tree sizes to sweep and how large batches are.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scale {
     /// Tree-size exponents swept by the size figures (paper: 23..=26).
     pub tree_exps: Vec<u32>,

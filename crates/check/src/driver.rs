@@ -6,25 +6,20 @@
 //! the same flag table that parses the command line.
 
 use crate::churn::{run_churn_case, run_churn_serve_case};
+use crate::cli::{self, Cli, Flag, FlagKind};
 use crate::coalesce::run_coalesce_case;
 use crate::diff::{build_tree, check_tree_case, FuzzTree, Violation};
 use crate::fault::{FaultSpec, FaultyTree};
+use crate::flag;
 use crate::gen::{adversarial_batch, dense_pairs, disjoint_batch, GenOptions, Profile};
 use crate::serve::{fuzz_shard_map, run_serve_case};
 use crate::shrink::shrink;
 use eirene_baselines::common::ConcurrentTree;
 use eirene_sim::DeviceConfig;
 use eirene_workloads::Request;
-use std::fmt::Write as _;
 
 /// SplitMix64 step: every case, round and device seed derives through it.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+pub(crate) use eirene_sim::mix64 as mix;
 
 /// The four case providers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,32 +52,15 @@ impl Leg {
         self.switch().map_or("tree", |s| &s[2..])
     }
 
-    fn flags(self) -> impl Iterator<Item = &'static Flag> {
-        let own: &'static [Flag] = match self {
-            Leg::Tree => TREE_FLAGS,
-            Leg::Serve => SERVE_FLAGS,
-            Leg::Churn => CHURN_FLAGS,
-            Leg::Coalesce => &[],
-        };
-        COMMON_FLAGS.iter().chain(own)
-    }
-
     /// The leg's usage line, generated from its flag table.
     pub fn usage(self) -> String {
-        let mut line = Fuzz::new(self).command();
-        for flag in self.flags() {
-            let _ = match flag.kind {
-                FlagKind::Value(arg, ..) => write!(line, " [{} {arg}]", flag.names.join("|")),
-                FlagKind::Switch(..) => write!(line, " [{}]", flag.names.join("|")),
-            };
-        }
         let about = match self {
             Leg::Tree => "differential fuzz of five trees",
             Leg::Serve => "sharded-serving fuzz",
             Leg::Churn => "churn/reclamation fuzz on one long-lived tree",
             Leg::Coalesce => "combine-path fuzz against a coalesce-off twin",
         };
-        format!("{line}   ({about})")
+        format!("{}   ({about})", cli::usage::<Fuzz>(&[self]))
     }
 }
 
@@ -330,55 +308,46 @@ impl Fuzz {
     }
 
     /// Parses `eirene-bench fuzz` arguments: a leg switch anywhere picks
-    /// the leg (serve before churn before coalesce), whose flag table
-    /// then reads every other argument.
+    /// the leg, whose flag table then reads every other argument.
     pub fn parse(args: &[String]) -> Result<Fuzz, String> {
-        let leg = Leg::ALL
-            .into_iter()
-            .find(|l| l.switch().is_some_and(|s| args.iter().any(|a| a == s)))
-            .unwrap_or(Leg::Tree);
-        let mut fuzz = Fuzz::new(leg);
-        let mut args = args.iter();
-        while let Some(arg) = args.next() {
-            if leg.switch() == Some(arg.as_str()) {
-                continue;
-            }
-            let flag = leg
-                .flags()
-                .find(|f| f.names.contains(&arg.as_str()))
-                .ok_or_else(|| format!("the {} leg takes no {arg}", leg.name()))?;
-            match flag.kind {
-                FlagKind::Value(_, _, set) => {
-                    let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
-                    set(&mut fuzz, value).ok_or_else(|| format!("bad {arg} value {value}"))?;
-                }
-                FlagKind::Switch(_, set) => set(&mut fuzz),
-            }
-        }
-        Ok(fuzz)
+        cli::parse(args)
     }
 
     /// The command line [`parse`](Self::parse) reads back into exactly
-    /// these settings: the leg switch, then every flag of the leg's table
-    /// whose setting is off the leg's default.
+    /// these settings.
     pub fn command(&self) -> String {
-        let default = Fuzz::new(self.leg);
-        let mut cmd = String::from("eirene-bench fuzz");
-        if let Some(switch) = self.leg.switch() {
-            let _ = write!(cmd, " {switch}");
-        }
-        for flag in self.leg.flags() {
-            let _ = match flag.kind {
-                FlagKind::Value(_, get, _) if get(self) != get(&default) => {
-                    write!(cmd, " {} {}", flag.names[0], get(self))
-                }
-                FlagKind::Switch(on, _) if on(self) && !on(&default) => {
-                    write!(cmd, " {}", flag.names[0])
-                }
-                _ => Ok(()),
-            };
-        }
-        cmd
+        cli::command(self)
+    }
+}
+
+impl Cli for Fuzz {
+    type Mode = Leg;
+    const MODES: &'static [Leg] = &Leg::ALL;
+
+    fn switch(leg: Leg) -> Option<&'static str> {
+        leg.switch()
+    }
+
+    fn defaults(leg: Leg) -> Fuzz {
+        Fuzz::new(leg)
+    }
+
+    fn mode(&self) -> Leg {
+        self.leg
+    }
+
+    fn flags(leg: Leg) -> Vec<&'static Flag<Fuzz>> {
+        let own: &'static [Flag<Fuzz>] = match leg {
+            Leg::Tree => TREE_FLAGS,
+            Leg::Serve => SERVE_FLAGS,
+            Leg::Churn => CHURN_FLAGS,
+            Leg::Coalesce => &[],
+        };
+        COMMON_FLAGS.iter().chain(own).collect()
+    }
+
+    fn head(&self) -> String {
+        "eirene-bench fuzz".into()
     }
 }
 
@@ -502,49 +471,6 @@ pub enum Outcome {
     Failed(Box<Failure>),
 }
 
-/// One command-line flag: its spellings and the [`Fuzz`] field behind it.
-struct Flag {
-    /// Accepted spellings; command lines print the first.
-    names: &'static [&'static str],
-    kind: FlagKind,
-}
-
-enum FlagKind {
-    /// Usage placeholder, the field as printed, and its parser.
-    Value(
-        &'static str,
-        fn(&Fuzz) -> String,
-        fn(&mut Fuzz, &str) -> Option<()>,
-    ),
-    /// Whether the switch is in effect, and what it sets.
-    Switch(fn(&Fuzz) -> bool, fn(&mut Fuzz)),
-}
-
-macro_rules! number {
-    ([$($name:literal),+], $field:ident) => {
-        Flag {
-            names: &[$($name),+],
-            kind: FlagKind::Value(
-                "N",
-                |f| f.$field.to_string(),
-                |f, v| {
-                    f.$field = v.parse().ok()?;
-                    Some(())
-                },
-            ),
-        }
-    };
-}
-
-macro_rules! switch {
-    ([$($name:literal),+], $field:ident) => {
-        Flag {
-            names: &[$($name),+],
-            kind: FlagKind::Switch(|f| f.$field, |f| f.$field = true),
-        }
-    };
-}
-
 /// Seeds print as `{:#x}`; decimal parses too.
 fn parse_seed(s: &str) -> Option<u64> {
     match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -553,58 +479,26 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
-const COMMON_FLAGS: &[Flag] = &[
-    Flag {
-        names: &["--seed"],
-        kind: FlagKind::Value(
-            "N",
-            |f| format!("{:#x}", f.seed),
-            |f, v| {
-                f.seed = parse_seed(v)?;
-                Some(())
-            },
-        ),
-    },
-    number!(["--cases", "--batches"], cases),
-    number!(["--batch"], batch_size),
-    number!(["--domain"], domain),
-    number!(["--initial-keys"], initial_keys),
-    switch!(["--det", "--deterministic"], deterministic),
+const COMMON_FLAGS: &[Flag<Fuzz>] = &[
+    flag!(@value ["--seed"] "N", |f| format!("{:#x}", f.seed), |f, v| f.seed = parse_seed(v)?),
+    flag!(["--cases", "--batches"] "N", cases),
+    flag!(["--batch"] "N", batch_size),
+    flag!(["--domain"] "N", domain),
+    flag!(["--initial-keys"] "N", initial_keys),
+    flag!(["--det", "--deterministic"], deterministic),
     Flag {
         names: &["--os-sched"],
         kind: FlagKind::Switch(|f| !f.deterministic, |f| f.deterministic = false),
     },
-    Flag {
-        names: &["--repro-seed"],
-        kind: FlagKind::Value(
-            "HEX",
-            |f| f.repro.map(|s| format!("{s:#x}")).unwrap_or_default(),
-            |f, v| {
-                f.repro = Some(parse_seed(v)?);
-                Some(())
-            },
-        ),
-    },
+    flag!(@value ["--repro-seed"] "HEX",
+        |f| f.repro.map(|s| format!("{s:#x}")).unwrap_or_default(),
+        |f, v| f.repro = Some(parse_seed(v)?)),
 ];
 
-const TREE_FLAGS: &[Flag] = &[
-    Flag {
-        names: &["--tree"],
-        kind: FlagKind::Value(
-            "eirene|eirene-combining|eirene-lockleaf|stm|lock[,...]",
-            |f| {
-                f.trees
-                    .iter()
-                    .map(|t| t.label())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            },
-            |f, v| {
-                f.trees = v.split(',').map(FuzzTree::parse).collect::<Option<_>>()?;
-                Some(())
-            },
-        ),
-    },
+const TREE_FLAGS: &[Flag<Fuzz>] = &[
+    flag!(@value ["--tree"] "eirene|eirene-combining|eirene-lockleaf|stm|lock[,...]",
+        |f| f.trees.iter().map(|t| t.label()).collect::<Vec<_>>().join(","),
+        |f, v| f.trees = v.split(',').map(FuzzTree::parse).collect::<Option<_>>()?),
     Flag {
         names: &["--inject-fault"],
         kind: FlagKind::Switch(
@@ -614,20 +508,20 @@ const TREE_FLAGS: &[Flag] = &[
     },
 ];
 
-const SERVE_FLAGS: &[Flag] = &[
-    number!(["--shards"], shards),
-    number!(["--submitters"], submitters),
-    number!(["--epoch-limit"], epoch_limit),
-    switch!(["--adaptive"], adaptive),
-    number!(["--tenants"], tenants),
-    switch!(["--rebalance"], rebalance),
-    switch!(["--hash"], hash),
+const SERVE_FLAGS: &[Flag<Fuzz>] = &[
+    flag!(["--shards"] "N", shards),
+    flag!(["--submitters"] "N", submitters),
+    flag!(["--epoch-limit"] "N", epoch_limit),
+    flag!(["--adaptive"], adaptive),
+    flag!(["--tenants"] "N", tenants),
+    flag!(["--rebalance"], rebalance),
+    flag!(["--hash"], hash),
 ];
 
-const CHURN_FLAGS: &[Flag] = &[
-    number!(["--rounds"], rounds),
-    number!(["--serve-cases"], serve_cases),
-    number!(["--occupancy-factor"], occupancy_factor),
+const CHURN_FLAGS: &[Flag<Fuzz>] = &[
+    flag!(["--rounds"] "N", rounds),
+    flag!(["--serve-cases"] "N", serve_cases),
+    flag!(["--occupancy-factor"] "N", occupancy_factor),
 ];
 
 #[cfg(test)]

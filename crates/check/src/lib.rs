@@ -13,6 +13,9 @@
 //!   reports the same [`Failure`] — case, seeds, violation, reproducer
 //!   and a replay line printed by the same flag table that parses the
 //!   command line, so a replay line names every setting the run used.
+//! * [`cli`] is that flag table, generic over the settings it fills: the
+//!   one command-line vocabulary of `eirene-bench` (fuzz, serve and the
+//!   figures), which parses a line, prints it back and writes its usage.
 //! * The providers, one per [`Leg`]:
 //!   - **tree** ([`diff`]): one [`gen`]erated batch on a fresh tree —
 //!     Eirene, its two ablations, and the STM/Lock baselines (which get
@@ -44,6 +47,7 @@
 //! deterministic scheduling).
 
 pub mod churn;
+pub mod cli;
 pub mod coalesce;
 pub mod diff;
 pub mod driver;
