@@ -455,7 +455,7 @@ pub fn parse(args: &[String]) -> Result<FigureRun, String> {
 
 /// Parses a figure or ablation line and runs it; returns the exit code
 /// (2 on a usage error, with the usage printed).
-pub fn run(args: &[String]) -> i32 {
+pub(crate) fn run(args: &[String]) -> i32 {
     let run = match parse(args) {
         Ok(run) => run,
         Err(e) => {

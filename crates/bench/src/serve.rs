@@ -688,7 +688,7 @@ fn verdict(ok: bool, passed: &str) -> i32 {
 }
 
 /// The usage line, generated from the flag table.
-pub fn usage() -> String {
+pub(crate) fn usage() -> String {
     let line = cli::usage::<ServeScale>(ServeScale::MODES);
     format!("{line}   (sharded-serving throughput/QoS sweep)")
 }
