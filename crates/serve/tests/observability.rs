@@ -1,7 +1,8 @@
 //! Integration tests for the live-observability surface: report
 //! accounting invariants under mixed shed + timeout + batched traffic
-//! with sampling on, series/report reconciliation, and the degenerate
-//! zero-makespan throughput case.
+//! with sampling on, series/report reconciliation, the degenerate
+//! zero-makespan throughput case, and the bounded size of what a shard
+//! keeps across epochs.
 
 use eirene_serve::{
     reconcile_samples, AdmitPolicy, EpochSizing, ObserveConfig, Outcome, SeriesCollector,
@@ -149,5 +150,66 @@ fn sample_series_is_monotone_and_ends_quiescent() {
         let sr = &report.shards[shard];
         assert_eq!(last.completed, sr.executed);
         assert_eq!(last.enqueued, sr.enqueued);
+    }
+}
+
+/// A shard books one composite kernel name per epoch into its report's
+/// stats. Over hundreds of small closed-loop epochs that name must stay
+/// the set of kernels the shard ran — each listed once, a few dozen
+/// bytes — not grow by one copy per epoch.
+#[test]
+fn shard_kernel_name_stays_bounded_over_many_epochs() {
+    const WINDOWS: u32 = 320;
+    let half = 1u32 << 31;
+    let pairs: Vec<(u64, u64)> = (1..=256u64)
+        .flat_map(|k| [(k, k), (half as u64 + k, k)])
+        .collect();
+    let svc = Service::new(&pairs, ServeConfig::test_small(2));
+    let client = svc.client();
+    for w in 0..WINDOWS {
+        // Four requests per shard: queries, an upsert and a range, so
+        // every epoch runs several kernels.
+        let k = 1 + w % 200;
+        let ops = [
+            (k, OpKind::Query),
+            (k + 1, OpKind::Upsert(w)),
+            (k + 2, OpKind::Range { len: 4 }),
+            (k + 40, OpKind::Query),
+            (half + k, OpKind::Query),
+            (half + k + 1, OpKind::Upsert(w)),
+            (half + k + 2, OpKind::Range { len: 4 }),
+            (half + k + 40, OpKind::Query),
+        ];
+        for ticket in client.submit_many(&ops) {
+            assert!(matches!(ticket.wait(), Outcome::Done(_)));
+        }
+    }
+    let report = svc.shutdown();
+    report.assert_consistent();
+    for s in &report.shards {
+        assert!(
+            s.epochs >= 300,
+            "shard {}: closed-loop windows must book >= 300 epochs, got {}",
+            s.shard,
+            s.epochs
+        );
+        let name = &s.stats.name;
+        let kernels: Vec<&str> = name.split('+').collect();
+        for (i, k) in kernels.iter().enumerate() {
+            assert!(!k.is_empty(), "shard {}: empty kernel in {name:?}", s.shard);
+            assert!(
+                !kernels[..i].contains(k),
+                "shard {}: kernel {k:?} listed twice in a {}-byte name",
+                s.shard,
+                name.len()
+            );
+        }
+        assert!(
+            name.len() < 256,
+            "shard {}: kernel name grew to {} bytes over {} epochs",
+            s.shard,
+            name.len(),
+            s.epochs
+        );
     }
 }

@@ -210,15 +210,12 @@ impl KernelStats {
     }
 
     /// Merges another kernel's stats into this one (sequential composition:
-    /// makespans add, counters accumulate). Repeated component names are
-    /// not re-appended, so merging homogeneous runs keeps a bounded name.
+    /// makespans add, counters accumulate). The name becomes the union of
+    /// the two names' `+`-separated kernels, in first-seen order, so an
+    /// accumulator's name lists each kernel it has merged exactly once and
+    /// stays the same length however many runs are merged into it.
     pub fn merge(&mut self, other: &KernelStats) {
-        if self.name.is_empty() {
-            self.name = other.name.clone();
-        } else if !other.name.is_empty() && !self.name.split('+').any(|part| part == other.name) {
-            self.name.push('+');
-            self.name.push_str(&other.name);
-        }
+        self.add_kernel_names(&other.name);
         self.warps += other.warps;
         self.totals.merge(&other.totals);
         self.makespan_cycles += other.makespan_cycles;
@@ -228,15 +225,24 @@ impl KernelStats {
     /// moving its trace events instead of cloning them (see
     /// [`WarpStats::absorb`]).
     pub fn absorb(&mut self, other: KernelStats) {
-        if self.name.is_empty() {
-            self.name = other.name;
-        } else if !other.name.is_empty() && !self.name.split('+').any(|part| part == other.name) {
-            self.name.push('+');
-            self.name.push_str(&other.name);
-        }
+        self.add_kernel_names(&other.name);
         self.warps += other.warps;
         self.totals.absorb(other.totals);
         self.makespan_cycles += other.makespan_cycles;
+    }
+
+    /// Appends each kernel of the `+`-separated `names` that this name
+    /// does not list yet: O(kernels²) string compares, however many runs
+    /// were merged before.
+    fn add_kernel_names(&mut self, names: &str) {
+        for kernel in names.split('+').filter(|k| !k.is_empty()) {
+            if !self.name.split('+').any(|have| have == kernel) {
+                if !self.name.is_empty() {
+                    self.name.push('+');
+                }
+                self.name.push_str(kernel);
+            }
+        }
     }
 }
 
@@ -345,19 +351,40 @@ mod tests {
         assert_eq!(a.name, "q+u");
     }
 
+    fn named(name: &str) -> KernelStats {
+        KernelStats {
+            name: name.into(),
+            ..Default::default()
+        }
+    }
+
+    /// A name is the ordered set of kernels merged into it: each
+    /// `+`-separated kernel is listed once, in first-seen order, whether
+    /// it arrives alone or inside a composite name, by `merge` and
+    /// `absorb` alike. Merging the same runs again changes nothing, so an
+    /// accumulator that books one composite name per epoch (a serve
+    /// shard's) keeps a bounded name.
     #[test]
     fn kernel_merge_does_not_repeat_names() {
-        let mut a = KernelStats {
-            name: "q".into(),
-            ..Default::default()
-        };
-        let b = KernelStats {
-            name: "u".into(),
-            ..Default::default()
-        };
-        for _ in 0..10 {
-            a.merge(&b);
+        let epoch = "eirene-combine+eirene-query+eirene-update+eirene-resolve";
+        let cases: [(&str, &[&str], &str); 6] = [
+            ("q", &["u"], "q+u"),
+            ("a+b", &["b+c"], "a+b+c"),
+            (epoch, &[epoch], epoch),
+            ("", &["q", "q+u", "", "u+r+q", "r", "s+q", "s"], "q+u+r+s"),
+            ("q+u", &[""], "q+u"),
+            ("", &[""], ""),
+        ];
+        for (start, runs, want) in cases {
+            let (mut merged, mut absorbed) = (named(start), named(start));
+            for _ in 0..1_000 {
+                for run in runs {
+                    merged.merge(&named(run));
+                    absorbed.absorb(named(run));
+                }
+            }
+            assert_eq!(merged.name, want, "merge {runs:?} into {start:?}");
+            assert_eq!(absorbed.name, want, "absorb {runs:?} into {start:?}");
         }
-        assert_eq!(a.name, "q+u");
     }
 }
