@@ -148,7 +148,7 @@ pub(crate) struct Inner {
     /// Range or hash-scatter placement. Immutable for the service's
     /// lifetime.
     pub(crate) sharding: Sharding,
-    pub(crate) shards: Vec<Arc<ShardState>>,
+    pub(crate) shards: Vec<ShardState>,
     pub(crate) next_ts: AtomicU64,
     pub(crate) inflight: Inflight,
     /// `true` while the epoch gate is held (combiners blocked).
@@ -644,7 +644,7 @@ mod tests {
         let inner = Inner {
             topology: RwLock::new(ShardMap::uniform(1)),
             sharding: Sharding::Range,
-            shards: vec![Arc::new(ShardState::new(4, &QosConfig::disabled()))],
+            shards: vec![ShardState::new(4, &QosConfig::disabled())],
             next_ts: AtomicU64::new(10),
             inflight: Inflight::new(),
             gate: Mutex::new(false),

@@ -1,8 +1,8 @@
 //! The combiner as a step machine. [`Combiner`] owns what a shard's
 //! combiner keeps across turns; [`Combiner::turn`] and [`Combiner::drained`]
-//! answer what its thread (in `service.rs`) read with one [`Effect`] for the
-//! thread to carry out. The machine reads no clock, takes no lock and
-//! touches no queue or channel.
+//! answer what the shard thread (in `service.rs`) read with one [`Effect`]
+//! for the thread to carry out. The machine reads no clock, takes no lock
+//! and touches no queue or channel.
 //!
 //! # One turn
 //!
@@ -14,30 +14,30 @@
 //! drain vouched for. The drain is skipped while the stage holds two
 //! epochs' worth and nothing is stalled. It does not wait while the stage
 //! holds requests; otherwise it waits for an arrival, and with an epoch in
-//! hand only until the linger's wake-up, the earliest gathered deadline, or
-//! the executor going idle. A non-empty stage that releases nothing backs
-//! off — a submitter that drew an earlier timestamp is still enqueueing —
-//! and makes the next turn drain: that submitter may be blocked on the full
-//! queue.
+//! hand only until the linger's wake-up or the earliest gathered deadline.
+//! A non-empty stage that releases nothing backs off — a submitter that
+//! drew an earlier timestamp is still enqueueing — and makes the next turn
+//! drain: that submitter may be blocked on the full queue.
 //!
 //! # When an epoch closes
 //!
 //! A combiner with at least one entry gathered hands the epoch over at the
 //! first of four exits ([`linger_step`] decides the last three): the batch
-//! target is reached; [`linger`](crate::ServeConfig::linger) has elapsed; the executor is
-//! *idle* and every caller the last epoch released is back (`Returned`); or
-//! the executor is idle and has been for one grace, `min(linger, service
-//! time)`, counted from the later of the first gathered entry and the
-//! instant it went idle (`Idle`). While the executor is busy, gathering
-//! costs nothing — the epoch could not start anyway — so the combiner
-//! batches what arrives, as the paper's combiner does; once it is idle,
-//! waiting is pure added latency. Counting the grace from the idle instant
-//! keeps closed-loop clients in phase: a window that arrived mid-epoch
-//! would otherwise find its grace spent when the executor frees up, go out
-//! alone, and split the clients into half-sized epochs for good.
+//! target is reached; [`linger`](crate::ServeConfig::linger) has elapsed;
+//! every caller the last epoch released is back (`Returned`); or one grace,
+//! `min(linger, service time)`, has run from the later of the first
+//! gathered entry and the instant the last epoch finished (`Idle`). The
+//! shard thread runs each epoch it hands over before its next turn, so a
+//! turn always finds the device idle and any wait is pure added latency.
+//! What arrives while an epoch runs waits in the queue and is gathered at
+//! the next turn: a window that arrived mid-epoch starts its grace when
+//! the epoch ends, beside the window of the caller that epoch released,
+//! which keeps closed-loop clients in phase instead of splitting them into
+//! half-sized epochs for good. A shard that has not measured an epoch yet
+//! waits out the whole linger.
 //!
 //! `Returned` counts the callers instead of guessing how long they take.
-//! Just before an epoch's first ticket resolves, the executor publishes how
+//! Just before an epoch's first ticket resolves, the shard thread notes how
 //! many segments it carried (`released`: one per submission, but for a
 //! call the batch target or a full queue cut in two) and the queue's
 //! cumulative push-call count (`pushes_at_release`). A released caller
@@ -48,7 +48,7 @@
 //! pushed before the snapshot, and waits for the caller just released. A
 //! count that comes up short (a caller that went away, QoS lanes, a window
 //! cut by the batch target) only falls back to the grace; an open-loop
-//! arrival mistaken for a return closes an epoch the executor was idle for
+//! arrival mistaken for a return closes an epoch the device was idle for
 //! anyway (argued, not measured). Entries a peer combiner forwards here are
 //! nobody's return and are not counted.
 //!
@@ -56,7 +56,7 @@
 //! while some of their entries still sit in the stage above the watermark:
 //! their submitter is still enqueueing the rest of its window, and closing
 //! ahead of it makes a half-sized epoch now and another right behind it.
-//! That is the one place an idle executor waits longer than the grace — as
+//! That is the one place a turn waits longer than the grace — as
 //! long as those entries must anyway, within `linger`. A submitter holds
 //! its slot only under the topology read lock, so a rebalance never finds a
 //! combiner waiting this way; staged lane entries, which cannot be admitted
@@ -67,17 +67,15 @@ use crate::queue::{Drained, Segment};
 use crate::reorder::Reorder;
 use std::time::{Duration, Instant};
 
-/// What a shard's executor publishes for its combiner's linger decision
-/// ([`linger_step`]).
+/// What the shard thread knows of the epochs it has run, for its
+/// combiner's linger decision ([`linger_step`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ExecutorState {
-    /// Epochs handed over and not yet finished: 0 is idle; up to two are
-    /// in flight behind the depth-1 channel (one executing, one queued).
-    pub(crate) inflight: u32,
-    /// When `inflight` last fell to 0.
+    /// When the last epoch finished.
     pub(crate) idle_since: Option<Instant>,
-    /// Smoothed host service time per epoch, from receipt to the last
-    /// ticket resolved. `None` until the first epoch has been measured.
+    /// Smoothed host service time per epoch, from the start of its run to
+    /// the last ticket resolved. `None` until the first epoch has been
+    /// measured.
     pub(crate) service: Option<Duration>,
     /// Segments in the epoch whose tickets resolved last: the callers it
     /// released, one per submission and shard. 0 until an epoch has
@@ -104,16 +102,15 @@ pub(crate) enum LingerStep {
 /// The linger decision, free of clocks and threads: whether a combiner
 /// that began gathering at `start` should close its partial epoch at
 /// `now`. `linger` always bounds the wait (unbounded if `start + linger`
-/// overflows the clock). Short of that the epoch closes only while the
-/// executor is idle. `Returned`, at once, when every caller the last epoch
-/// released is back: `pushes` (the queue's push-call count as of the
+/// overflows the clock). `Returned`, at once, when every caller the last
+/// epoch released is back: `pushes` (the queue's push-call count as of the
 /// combiner's last drain) has moved `released` past `pushes_at_release`,
 /// and nothing it counts is still short of the gathered epoch — `parked`
 /// in the reorder heap or `staged` in the lanes. `Idle` otherwise, one
 /// grace — `min(linger, service time)` — after the later of `start` and
-/// the instant it went idle; except that with all of them back and some
-/// still parked, the wait is for those (module docs). A busy executor, or
-/// one that has not measured an epoch yet, waits out the linger.
+/// the instant the last epoch finished; except that with all of them back
+/// and some still parked, the wait is for those (module docs). A shard that
+/// has not measured an epoch yet waits out the linger.
 pub(crate) fn linger_step(
     now: Instant,
     start: Instant,
@@ -127,7 +124,7 @@ pub(crate) fn linger_step(
     if deadline.is_some_and(|d| now >= d) {
         return LingerStep::Close(CloseCause::Linger);
     }
-    let (0, Some(service)) = (executor.inflight, executor.service) else {
+    let Some(service) = executor.service else {
         return LingerStep::WakeAt(deadline);
     };
     // A drain older than the snapshot reads as nobody back yet.
@@ -150,7 +147,7 @@ pub(crate) fn linger_step(
     }
 }
 
-/// What the combiner thread reads at the top of a turn.
+/// What the shard thread reads at the top of a turn.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TurnView {
     pub(crate) now: Instant,
@@ -177,7 +174,7 @@ pub(crate) enum Effect {
     },
     /// Yield the CPU (zero), or sleep this long.
     BackOff(Duration),
-    /// Plan these segments as one epoch and send it to the executor.
+    /// Plan these segments as one epoch and run it before the next turn.
     HandOver {
         segments: Vec<Segment>,
         close: CloseCause,
@@ -341,11 +338,17 @@ mod tests {
         // Instants are offsets in µs from one base; nothing sleeps.
         let base = Instant::now();
         let at = |us: u64| base + Duration::from_micros(us);
-        let exec = |inflight: u32, idle_since: Option<u64>, service: Option<u64>| ExecutorState {
-            inflight,
-            idle_since: idle_since.map(at),
-            service: service.map(Duration::from_micros),
-            ..ExecutorState::default()
+        // Rows name the epochs in flight first: a turn never sees one.
+        let exec = |in_flight: u32, idle_since: Option<u64>, service: Option<u64>| {
+            assert_eq!(
+                in_flight, 0,
+                "the shard thread runs its epochs between turns"
+            );
+            ExecutorState {
+                idle_since: idle_since.map(at),
+                service: service.map(Duration::from_micros),
+                ..ExecutorState::default()
+            }
         };
         // The last epoch released `released` callers when the queue had
         // seen `pushes_at_release` push calls.
@@ -363,22 +366,6 @@ mod tests {
         // (case, now, linger, executor, (pushes, parked, staged), expected) —
         // gathering began at START.
         let table = [
-            (
-                "busy: gathers until linger",
-                START + 999,
-                ms,
-                exec(1, Some(5_000), Some(200)),
-                (0, 0, 0),
-                wake(START + 1000),
-            ),
-            (
-                "busy: closes at linger",
-                START + 1000,
-                ms,
-                exec(2, None, Some(200)),
-                (0, 0, 0),
-                close(Linger),
-            ),
             (
                 "idle: waits out the grace",
                 START + 199,
@@ -428,14 +415,6 @@ mod tests {
                 close(Linger),
             ),
             (
-                "zero linger never lingers",
-                START,
-                Duration::ZERO,
-                exec(1, None, None),
-                (0, 0, 0),
-                close(Linger),
-            ),
-            (
                 "zero linger never lingers, idle or not",
                 START,
                 Duration::ZERO,
@@ -458,14 +437,6 @@ mod tests {
                 exec(0, Some(START + 900), Some(200)),
                 (0, 0, 0),
                 wake(START + 1000),
-            ),
-            (
-                "unbounded linger, busy: only a wake ends the wait",
-                START + 5_000_000,
-                Duration::MAX,
-                exec(1, None, Some(200)),
-                (0, 0, 0),
-                LingerStep::WakeAt(None),
             ),
             (
                 "unbounded linger, idle: the grace still closes it",
@@ -572,14 +543,6 @@ mod tests {
                 close(Linger),
             ),
             (
-                "busy executor: returns do not close",
-                START + 10,
-                ms,
-                after(exec(1, Some(5_000), Some(200)), 2, 40),
-                (42, 0, 0),
-                wake(START + 1000),
-            ),
-            (
                 "unmeasured first epoch: returns do not close",
                 START + 10,
                 ms,
@@ -643,8 +606,8 @@ mod tests {
             if now >= deadline {
                 return close(Linger);
             }
-            match (executor.inflight, executor.service) {
-                (0, Some(service)) => {
+            match executor.service {
+                Some(service) => {
                     let end =
                         executor.idle_since.map_or(start, |idle| idle.max(start)) + service.min(ms);
                     if now >= end {
@@ -653,62 +616,52 @@ mod tests {
                         LingerStep::WakeAt(Some(end.min(deadline)))
                     }
                 }
-                _ => LingerStep::WakeAt(Some(deadline)),
+                None => LingerStep::WakeAt(Some(deadline)),
             }
         };
         // Whatever the executor and the counters say: `Returned` closes
-        // an idle executor's epoch then and there, where the old decision
+        // a measured shard's epoch then and there, where the old decision
         // was still waiting or closing on the grace; every caller back and
         // one still parked is the one state that waits longer, and only
         // to `linger`; everything else decides exactly as before.
-        for inflight in 0..3 {
-            for idle_since in [None, Some(0), Some(START + 400), Some(START + 5_000)] {
-                for service in [None, Some(0), Some(300), Some(50_000)] {
-                    for (released, at_release, pushes, parked, staged) in [
-                        (0, 0, 0, 0, 0),
-                        (0, 2, 9, 0, 0),
-                        (0, 2, 9, 1, 1),
-                        (1, 2, 2, 0, 0),
-                        (1, 2, 3, 0, 0),
-                        (3, 2, 4, 0, 0),
-                        (3, 2, 4, 1, 0),
-                        (3, 2, 5, 0, 0),
-                        (3, 2, 5, 1, 0),
-                        (3, 2, 5, 0, 1),
-                        (3, 2, 5, 1, 1),
-                        (3, 7, 5, 0, 0),
-                    ] {
-                        let executor =
-                            after(exec(inflight, idle_since, service), released, at_release);
-                        let is_idle = inflight == 0 && service.is_some();
-                        let all_back = released > 0 && pushes >= at_release + released;
-                        for now in [START, START + 300, START + 500, START + 999, START + 1000] {
-                            let got = linger_step(
-                                at(now),
-                                at(START),
-                                ms,
-                                executor,
-                                pushes,
-                                parked,
-                                staged,
+        for idle_since in [None, Some(0), Some(START + 400), Some(START + 5_000)] {
+            for service in [None, Some(0), Some(300), Some(50_000)] {
+                for (released, at_release, pushes, parked, staged) in [
+                    (0, 0, 0, 0, 0),
+                    (0, 2, 9, 0, 0),
+                    (0, 2, 9, 1, 1),
+                    (1, 2, 2, 0, 0),
+                    (1, 2, 3, 0, 0),
+                    (3, 2, 4, 0, 0),
+                    (3, 2, 4, 1, 0),
+                    (3, 2, 5, 0, 0),
+                    (3, 2, 5, 1, 0),
+                    (3, 2, 5, 0, 1),
+                    (3, 2, 5, 1, 1),
+                    (3, 7, 5, 0, 0),
+                ] {
+                    let executor = after(exec(0, idle_since, service), released, at_release);
+                    let measured = service.is_some();
+                    let all_back = released > 0 && pushes >= at_release + released;
+                    for now in [START, START + 300, START + 500, START + 999, START + 1000] {
+                        let got =
+                            linger_step(at(now), at(START), ms, executor, pushes, parked, staged);
+                        let was = before(now, executor);
+                        if was == close(Linger) {
+                            assert_eq!(got, was);
+                        } else if measured && all_back && parked + staged == 0 {
+                            assert_eq!(got, close(Returned));
+                        } else if measured && all_back && parked > 0 {
+                            assert_eq!(
+                                got,
+                                if was == close(Idle) {
+                                    wake(START + 1000)
+                                } else {
+                                    was
+                                }
                             );
-                            let was = before(now, executor);
-                            if was == close(Linger) {
-                                assert_eq!(got, was);
-                            } else if is_idle && all_back && parked + staged == 0 {
-                                assert_eq!(got, close(Returned));
-                            } else if is_idle && all_back && parked > 0 {
-                                assert_eq!(
-                                    got,
-                                    if was == close(Idle) {
-                                        wake(START + 1000)
-                                    } else {
-                                        was
-                                    }
-                                );
-                            } else {
-                                assert_eq!(got, was);
-                            }
+                        } else {
+                            assert_eq!(got, was);
                         }
                     }
                 }
@@ -773,14 +726,11 @@ mod tests {
         // Instants are offsets in µs from one base; nothing sleeps.
         let base = Instant::now();
         let at = |us: u64| base + Duration::from_micros(us);
-        let busy = ExecutorState {
-            inflight: 1,
-            ..ExecutorState::default()
-        };
+        // Nothing measured yet: every epoch waits out the linger.
+        let unmeasured = ExecutorState::default();
         // Idle since 0 with a 500 µs grace; the last epoch released one
         // caller when the queue had seen 4 push calls.
         let idle = ExecutorState {
-            inflight: 0,
             idle_since: Some(at(0)),
             service: Some(Duration::from_micros(500)),
             released: 1,
@@ -795,7 +745,7 @@ mod tests {
                 "a head-of-line entry above the watermark backs off, and the \
                  next turn drains though the stage is at its heap target",
                 8,
-                busy,
+                unmeasured,
                 &[],
                 vec![
                     (Turn(0, 0), drain(None, None)),
@@ -812,7 +762,7 @@ mod tests {
                 "a turn that skipped the drain releases nothing above the last \
                  drain's watermark",
                 1,
-                busy,
+                unmeasured,
                 &[],
                 vec![
                     (Turn(0, 0), drain(None, None)),
@@ -831,7 +781,7 @@ mod tests {
                 "an entry whose deadline falls mid-linger resolves TimedOut at \
                  the deadline, and the epoch closes without it",
                 8,
-                busy,
+                unmeasured,
                 &[(1, 300)],
                 vec![
                     (Turn(0, 0), drain(None, None)),
@@ -867,7 +817,7 @@ mod tests {
                 "the batch target takes a prefix of a call, and its rest leads \
                  the next epoch",
                 3,
-                busy,
+                unmeasured,
                 &[],
                 vec![
                     (Turn(0, 0), drain(None, None)),
@@ -883,7 +833,7 @@ mod tests {
             (
                 "a finished queue closes Drain, then exits",
                 8,
-                busy,
+                unmeasured,
                 &[],
                 vec![
                     (Turn(0, 0), drain(None, None)),
@@ -925,6 +875,7 @@ mod tests {
                             segments: ts.iter().map(|&t| call(&[t])).collect(),
                             pushes,
                             finished,
+                            migration: None,
                         },
                     ),
                     DrainCall(ts, wm, pushes, finished) => combiner.drained(
@@ -933,6 +884,7 @@ mod tests {
                             segments: vec![call(ts)],
                             pushes,
                             finished,
+                            migration: None,
                         },
                     ),
                 };

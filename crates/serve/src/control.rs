@@ -2,13 +2,11 @@
 //!
 //! The paper tunes a *fixed* batch size per workload; the serving layer
 //! instead closes the loop that the observability plane opened. Each
-//! executor finishes an epoch with exactly the signals a controller
+//! shard thread finishes an epoch with exactly the signals a controller
 //! needs — realized batch, ingress queue depth, reorder backlog, and
-//! the epoch's p99 latency in device cycles — and feeds them to a
-//! [`BatchController`]. The controller publishes the *next* epoch's
-//! batch target through a single atomic that the combiner reads at the
-//! top of its loop, so control decisions never add locking to either
-//! side of the pipeline.
+//! the epoch's p99 latency in device cycles — and feeds them to its
+//! [`BatchController`], whose target the same thread reads at the top of
+//! its next turn: one owner, no sharing.
 //!
 //! The policy is classic AIMD, bounded to `[min_batch, max_batch]`:
 //!
@@ -29,8 +27,6 @@
 //! `EpochSizing::Fixed` keeps the old fixed limit available for
 //! ablation: the controller degenerates to a constant and `on_epoch`
 //! is a no-op.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Parameters of the adaptive (AIMD) epoch-sizing policy.
 #[derive(Clone, Debug, PartialEq)]
@@ -109,7 +105,7 @@ impl EpochSizing {
     }
 }
 
-/// Signals from one finished epoch, gathered by the executor.
+/// Signals from one finished epoch, gathered by the shard thread.
 #[derive(Clone, Copy, Debug)]
 pub struct EpochFeedback {
     /// Entries the epoch actually executed.
@@ -122,14 +118,12 @@ pub struct EpochFeedback {
     pub epoch_p99: u64,
 }
 
-/// Per-shard batch-target state shared by the combiner (reader) and the
-/// executor (writer). All accesses are relaxed: the target is a tuning
-/// knob, not a synchronization edge — an epoch formed against a stale
-/// target is merely sized like the previous one.
+/// One shard's batch target and the sizing that moves it, owned by the
+/// shard thread that both reads the target and feeds it epochs.
 #[derive(Debug)]
 pub struct BatchController {
     sizing: EpochSizing,
-    target: AtomicUsize,
+    target: usize,
 }
 
 impl BatchController {
@@ -152,16 +146,13 @@ impl BatchController {
                 spec.initial.clamp(spec.min_batch, spec.max_batch)
             }
         };
-        BatchController {
-            sizing,
-            target: AtomicUsize::new(target),
-        }
+        BatchController { sizing, target }
     }
 
     /// Batch target for the next epoch.
     #[inline]
     pub fn target(&self) -> usize {
-        self.target.load(Ordering::Relaxed)
+        self.target
     }
 
     /// Upper bound on any target this controller can publish.
@@ -174,12 +165,12 @@ impl BatchController {
     }
 
     /// Applies one epoch's feedback. No-op for fixed sizing.
-    pub fn on_epoch(&self, fb: &EpochFeedback) {
+    pub fn on_epoch(&mut self, fb: &EpochFeedback) {
         let spec = match &self.sizing {
             EpochSizing::Fixed(_) => return,
             EpochSizing::Adaptive(spec) => spec,
         };
-        let cur = self.target.load(Ordering::Relaxed);
+        let cur = self.target;
         let backlog = fb.queue_depth + fb.reorder_pending;
         let over_budget = spec
             .p99_budget_cycles
@@ -192,7 +183,7 @@ impl BatchController {
             && fb.batch < (cur / 4).max(1) as u64
             && cur > spec.min_batch;
         let deep_backlog = backlog >= (cur as u64).saturating_mul(4);
-        let next = if over_budget || stale_target {
+        self.target = if over_budget || stale_target {
             ((cur as f64 * spec.decrease) as usize).max(spec.min_batch)
         } else if deep_backlog && spec.p99_budget_cycles.is_none() {
             // Nothing to protect: open straight up to the backlog.
@@ -205,9 +196,6 @@ impl BatchController {
         } else {
             cur
         };
-        if next != cur {
-            self.target.store(next, Ordering::Relaxed);
-        }
     }
 }
 
@@ -226,7 +214,7 @@ mod tests {
 
     #[test]
     fn fixed_sizing_never_moves() {
-        let c = BatchController::new(EpochSizing::Fixed(4096));
+        let mut c = BatchController::new(EpochSizing::Fixed(4096));
         assert_eq!(c.target(), 4096);
         c.on_epoch(&fb(4096, 1 << 20, 0, u64::MAX));
         assert_eq!(c.target(), 4096);
@@ -243,7 +231,7 @@ mod tests {
             decrease: 0.5,
             p99_budget_cycles: None,
         };
-        let c = BatchController::new(EpochSizing::Adaptive(spec));
+        let mut c = BatchController::new(EpochSizing::Adaptive(spec));
         assert_eq!(c.target(), 64);
         // Backlogs below the 4x slow-start threshold grow additively.
         c.on_epoch(&fb(64, 128, 0, 10));
@@ -261,13 +249,13 @@ mod tests {
     fn deep_backlog_opens_up_fast() {
         // No budget: nothing to protect, jump straight to the backlog
         // (capped at max_batch) instead of creeping additively.
-        let c = BatchController::new(EpochSizing::Adaptive(AimdSpec::bounded(64, 16384)));
+        let mut c = BatchController::new(EpochSizing::Adaptive(AimdSpec::bounded(64, 16384)));
         c.on_epoch(&fb(64, 1 << 20, 0, 10));
         assert_eq!(c.target(), 16384, "huge backlog jumps the target to max");
 
         // Budgeted: double per epoch so the p99 brake keeps authority.
         let spec = AimdSpec::bounded(64, 16384).with_p99_budget(1_000);
-        let c = BatchController::new(EpochSizing::Adaptive(spec));
+        let mut c = BatchController::new(EpochSizing::Adaptive(spec));
         c.on_epoch(&fb(64, 1 << 20, 0, 500));
         assert_eq!(c.target(), 128);
         c.on_epoch(&fb(128, 1 << 20, 0, 500));
@@ -286,7 +274,7 @@ mod tests {
             decrease: 0.5,
             p99_budget_cycles: Some(1_000),
         };
-        let c = BatchController::new(EpochSizing::Adaptive(spec));
+        let mut c = BatchController::new(EpochSizing::Adaptive(spec));
         c.on_epoch(&fb(4096, 1 << 20, 0, 2_000));
         assert_eq!(c.target(), 2048, "budget breach beats backlog");
         for _ in 0..10 {
@@ -305,7 +293,7 @@ mod tests {
             decrease: 0.5,
             p99_budget_cycles: Some(1_000),
         };
-        let c = BatchController::new(EpochSizing::Adaptive(spec));
+        let mut c = BatchController::new(EpochSizing::Adaptive(spec));
         c.on_epoch(&fb(512, 1024, 0, 500));
         assert_eq!(c.target(), 640);
         // Light load inside budget: hold steady, don't thrash.
@@ -323,7 +311,7 @@ mod tests {
             decrease: 0.5,
             p99_budget_cycles: None,
         };
-        let c = BatchController::new(EpochSizing::Adaptive(spec));
+        let mut c = BatchController::new(EpochSizing::Adaptive(spec));
         // Tiny epoch, empty queues: the 4096 target is stale.
         c.on_epoch(&fb(3, 0, 0, 10));
         assert_eq!(c.target(), 2048);

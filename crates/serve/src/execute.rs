@@ -1,8 +1,8 @@
-//! The executor's books: what a shard's executor keeps across epochs
+//! The executor's books: what a shard keeps across the epochs it runs,
 //! apart from its tree. They book each executed epoch, take the shard's
 //! samples and write its [`ShardReport`]; they read no clock, take no lock
-//! and touch no channel. The executor thread in `service.rs` runs the
-//! tree, resolves the tickets and carries out the rest.
+//! and touch no channel. The shard thread in `service.rs` runs the tree,
+//! resolves the tickets and carries out the rest.
 
 use crate::control::EpochFeedback;
 use crate::observe::{
@@ -20,7 +20,7 @@ use eirene_workloads::Batch;
 /// `ingress` telemetry phase (route lookup, timestamp fetch, queue push).
 const INGRESS_CONTROL_PER_REQUEST: u64 = 8;
 
-/// One planned epoch in flight from a shard's combiner to its executor.
+/// One planned epoch, as the shard thread runs and books it.
 pub(crate) struct Epoch {
     pub(crate) batch: Batch,
     pub(crate) plan: CombinePlan,

@@ -15,11 +15,10 @@
 //!   timestamp counter plus a watermark of in-flight submissions that
 //!   lets each combiner restore timestamp order (see the `admit`,
 //!   `reorder` and `service` module docs).
-//! - **Epoch pipelining** — per shard, a combiner thread forms and plans
-//!   epoch N+1 (host work) while the executor runs epoch N on the device,
-//!   exploiting that [`build_plan`](eirene_core::plan::build_plan) needs
-//!   no tree access. A partial epoch keeps gathering while the executor
-//!   is busy (that batching costs nothing); once the executor is idle it
+//! - **One thread per shard** — each shard's thread combines an epoch
+//!   (gathers, orders, expires), plans it with
+//!   [`build_plan`](eirene_core::plan::build_plan), runs it on the device
+//!   and settles its tickets before it combines the next. A partial epoch
 //!   closes as soon as every caller the last epoch released is back, or
 //!   after one epoch's service time — at most [`ServeConfig::linger`]
 //!   after its first request.

@@ -299,7 +299,8 @@ pub struct ShardSample {
     /// far. The signal a dashboard watches to see *why* batches are the
     /// size they are: mostly `returned` under closed-loop load, `idle`
     /// when callers come and go, `full` under backlog, `linger` when
-    /// arrivals trickle in behind a busy executor.
+    /// the shard has no service time measured yet, or the service time
+    /// outlasts the linger.
     pub closed: CloseCounts,
     /// Completion-latency histogram of *this epoch's* entries.
     pub epoch_latency: CycleHistogram,
@@ -448,7 +449,7 @@ struct WindowEntry {
 }
 
 /// Evaluates an [`SloSpec`] over a sliding window of one shard's epoch
-/// samples. Owned by the shard's executor thread — no locking.
+/// samples. Owned by the shard thread — no locking.
 #[derive(Debug)]
 pub struct SloMonitor {
     spec: SloSpec,
@@ -527,9 +528,9 @@ impl SloMonitor {
 
 /// Subscription API: implement this and register it in
 /// [`ObserveConfig::observer`] to receive live samples and breach events.
-/// Callbacks run on the emitting shard's executor thread — keep them
-/// short (push to a channel or a lock-briefly buffer) so they do not
-/// stall the epoch pipeline.
+/// Callbacks run on the emitting shard's thread between its epochs — keep
+/// them short (push to a channel or a lock-briefly buffer) so they do not
+/// stall the shard.
 pub trait ServiceObserver: Send + Sync {
     /// One shard finished an epoch (or shut down, for terminal samples).
     fn on_sample(&self, _sample: &ShardSample) {}

@@ -28,12 +28,13 @@
 //!   round-robin. Sharing the mutex lets a lane push wake a combiner
 //!   blocked in [`drain`](IngressQueue::drain) through the same condvar
 //!   as a direct enqueue.
-//! - **Executor wake** ([`IngressQueue::wake`]) rides the same condvar: a
-//!   shard's executor going idle interrupts its combiner's bounded
-//!   (linger) wait, so the combiner can re-evaluate whether to close the
-//!   epoch — without polling.
+//! - **The migration slot** ([`IngressQueue::migrate`]) rides the same
+//!   condvar: the rebalancer's one pending request to the shard thread
+//!   ends any drain, bounded or not, so a shard thread parked on an idle
+//!   queue still serves it.
 
 use crate::lane::{LaneReject, LaneSet, QosConfig, TenantId};
+use crate::rebalance::Migration;
 use crate::ticket::{Outcome, Slot, TicketBatch};
 use eirene_workloads::{Request, Response};
 use std::collections::VecDeque;
@@ -165,8 +166,8 @@ struct QueueState {
     len: usize,
     reserved: usize,
     closed: bool,
-    /// Set by [`IngressQueue::wake`], consumed by the next `drain`.
-    woken: bool,
+    /// Set by [`IngressQueue::migrate`], taken by the next `drain`.
+    migration: Option<Migration>,
     /// Successful push calls by submitters (ingress or lane), cumulative:
     /// one per call, however many requests it carried; a refused push, one
     /// that met a closed queue, or a peer combiner's
@@ -205,6 +206,9 @@ pub(crate) struct Drained {
     /// included): the combiner may finish once its reorder stage is
     /// empty too.
     pub finished: bool,
+    /// The rebalancer's pending request, for the shard thread to serve
+    /// before the machine sees the drain.
+    pub migration: Option<Migration>,
 }
 
 /// RAII capacity grant on one [`IngressQueue`]. Fill it with
@@ -441,29 +445,28 @@ impl IngressQueue {
             .is_none_or(|l| l.quiesced())
     }
 
-    /// Interrupts the consumer's bounded wait in [`drain`](Self::drain)
-    /// (the shard's executor calls this when it goes idle). The flag is
-    /// sticky until the next `drain` returns, so a wake that lands between
-    /// the consumer's decision to wait and the wait itself is not lost. An
-    /// unbounded (`wait: None`) drain waits for arrivals only and sleeps
-    /// through it.
-    pub(crate) fn wake(&self) {
+    /// Hands the rebalancer's request to the shard thread: the next
+    /// [`drain`](Self::drain) returns it, and one waiting now returns at
+    /// once. The rebalancer waits for each reply, so the slot is free.
+    pub(crate) fn migrate(&self, migration: Migration) {
         let mut st = self.state.lock().unwrap();
-        st.woken = true;
+        debug_assert!(st.migration.is_none(), "one migration at a time");
+        st.migration = Some(migration);
         self.not_empty.notify_one();
     }
 
     /// Drains every queued segment, in arrival order. With `wait: None`
     /// the call blocks until at least one exists (directly queued *or*
     /// staged on a lane — lane arrivals need the combiner awake to admit
-    /// them) or the queue closes; `Some(d)` bounds that wait
-    /// (`Duration::ZERO` = non-blocking; a `d` too large to add to the
-    /// clock = no time bound) and also returns early on a
-    /// [`wake`](Self::wake). `finished` is set once the queue is closed
-    /// and fully drained, lanes included.
+    /// them), a migration is posted or the queue closes; `Some(d)` bounds
+    /// that wait (`Duration::ZERO` = non-blocking; a `d` too large to add
+    /// to the clock = no time bound). `finished` is set once the queue is
+    /// closed and fully drained, lanes included.
     pub(crate) fn drain(&self, wait: Option<Duration>) -> Drained {
         let mut st = self.state.lock().unwrap();
-        let idle = |st: &QueueState| st.segments.is_empty() && st.lane_pending() == 0 && !st.closed;
+        let idle = |st: &QueueState| {
+            st.segments.is_empty() && st.lane_pending() == 0 && !st.closed && st.migration.is_none()
+        };
         if idle(&st) {
             match wait {
                 None => {
@@ -473,7 +476,7 @@ impl IngressQueue {
                 }
                 Some(d) if !d.is_zero() => {
                     let deadline = Instant::now().checked_add(d);
-                    while idle(&st) && !st.woken {
+                    while idle(&st) {
                         let Some(deadline) = deadline else {
                             st = self.not_empty.wait(st).unwrap();
                             continue;
@@ -493,7 +496,6 @@ impl IngressQueue {
                 Some(_) => {}
             }
         }
-        st.woken = false;
         st.len = 0;
         let segments: Vec<Segment> = st.segments.drain(..).collect();
         if !segments.is_empty() {
@@ -503,6 +505,7 @@ impl IngressQueue {
             segments,
             pushes: st.pushes,
             finished: st.closed && st.lane_pending() == 0,
+            migration: st.migration.take(),
         }
     }
 
@@ -781,31 +784,44 @@ mod tests {
     }
 
     #[test]
-    fn wake_interrupts_a_bounded_wait_once() {
-        let q = IngressQueue::new(4);
-        // Sticky: a wake that lands before the wait still ends it, and a
-        // wait too long to add to the clock is unbounded, not a panic.
-        q.wake();
-        let d = q.drain(Some(Duration::MAX));
-        assert!(d.segments.is_empty());
-        assert!(!d.finished);
-        // Consumed: the next bounded wait runs its full course.
-        let start = Instant::now();
-        q.drain(Some(Duration::from_millis(30)));
-        assert!(start.elapsed() >= Duration::from_millis(30));
-    }
-
-    #[test]
-    fn wake_does_not_end_an_unbounded_wait() {
+    fn a_migration_ends_any_drain() {
+        let probe = || {
+            let (reply, _) = std::sync::mpsc::channel();
+            Migration::Probe {
+                lo: 0,
+                hi: 9,
+                reply,
+            }
+        };
         let q = Arc::new(IngressQueue::new(4));
-        let q2 = q.clone();
-        let drainer = std::thread::spawn(move || q2.drain(None));
-        std::thread::sleep(Duration::from_millis(20));
-        q.wake();
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!drainer.is_finished(), "only an arrival ends wait: None");
-        push_blocking(&q, seg(&[5])).unwrap();
-        assert_eq!(drainer.join().unwrap().segments.len(), 1);
+        // Posted before the wait: a wait too long to add to the clock is
+        // unbounded, not a panic, and returns at once with it.
+        q.migrate(probe());
+        let d = q.drain(Some(Duration::MAX));
+        assert!(d.segments.is_empty() && !d.finished);
+        assert!(matches!(
+            d.migration,
+            Some(Migration::Probe { lo: 0, hi: 9, .. })
+        ));
+        // Taken: the next bounded wait runs its full course.
+        let start = Instant::now();
+        assert!(q.drain(Some(Duration::from_millis(30))).migration.is_none());
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        // Posted during a wait, bounded or not, it ends the wait.
+        for wait in [None, Some(Duration::from_secs(60))] {
+            let q2 = q.clone();
+            let drainer = std::thread::spawn(move || q2.drain(wait));
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(!drainer.is_finished(), "nothing to return yet");
+            q.migrate(probe());
+            let limit = Instant::now() + Duration::from_secs(10);
+            while !drainer.is_finished() && Instant::now() < limit {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(drainer.is_finished(), "the migration did not end {wait:?}");
+            let d = drainer.join().unwrap();
+            assert!(d.segments.is_empty() && d.migration.is_some());
+        }
     }
 
     #[test]

@@ -10,14 +10,40 @@
 
 use crate::admit::Inner;
 use crate::observe::{ServiceObserver, ShardSample, SloBreach};
-use crate::service::ExecMsg;
+use crate::queue::IngressQueue;
 use crate::shard::ShardId;
 use eirene_telemetry::JsonValue;
 use eirene_workloads::Key;
 use std::collections::VecDeque;
-use std::sync::mpsc::{Sender, SyncSender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// A request from the rebalancer to a shard thread, posted in the shard's
+/// queue ([`IngressQueue::migrate`]). The rebalancer only posts while it
+/// holds the topology write lock and the shard pair is quiescent, so a
+/// migration never meets an epoch in progress.
+#[derive(Debug)]
+pub(crate) enum Migration {
+    /// Report the keys currently in `[lo, hi]` (the rebalancer picks the
+    /// donor's median key from this).
+    Probe {
+        lo: Key,
+        hi: Key,
+        reply: Sender<Vec<Key>>,
+    },
+    /// Remove (in place) and return every pair in `[lo, hi]`.
+    Extract {
+        lo: Key,
+        hi: Key,
+        reply: Sender<Vec<(u64, u64)>>,
+    },
+    /// Fold migrated pairs into this shard's tree (rebuild).
+    Absorb {
+        pairs: Vec<(u64, u64)>,
+        reply: Sender<()>,
+    },
+}
 
 /// Policy knobs of the online rebalancer. Thresholds are *relative*
 /// (hot vs the runner-up shard, cold vs the median backlog), with
@@ -230,7 +256,7 @@ pub(crate) fn decide(depths: &[u64], streaks: &mut [i64], spec: &RebalanceSpec) 
     Decision::None
 }
 
-/// State shared between the sample feed (executor threads, via the
+/// State shared between the sample feed (shard threads, via the
 /// observer wrapper), the public force/inspect API, and the rebalancer
 /// thread.
 #[derive(Debug, Default)]
@@ -397,13 +423,11 @@ impl ServiceObserver for RebalanceFeed {
 
 /// The rebalancer thread: sleeps on the shared state, runs the hysteresis
 /// policy over each fresh round of backlog samples, and executes
-/// policy-chosen or forced boundary moves. Owns a sender clone of every
-/// executor channel for the migration messages.
+/// policy-chosen or forced boundary moves.
 pub(crate) fn rebalancer_loop(
     inner: &Inner,
     shared: &RebalanceShared,
     spec: &RebalanceSpec,
-    exec_txs: &[SyncSender<ExecMsg>],
     observer: Option<Arc<dyn ServiceObserver>>,
 ) {
     let mut streaks = vec![0i64; inner.shards.len()];
@@ -430,9 +454,7 @@ pub(crate) fn rebalancer_loop(
         let Some((action, forced)) = action else {
             continue;
         };
-        let published = execute_rebalance(
-            inner, shared, spec, exec_txs, &observer, action, forced, &mut seq,
-        );
+        let published = execute_rebalance(inner, shared, spec, &observer, action, forced, &mut seq);
         // Whatever happened, this streak is consumed; on a publish let the
         // queues re-equilibrate before judging the new map.
         streaks.iter_mut().for_each(|s| *s = 0);
@@ -446,7 +468,7 @@ pub(crate) fn rebalancer_loop(
 /// Blocks until both pair shards have drained completely — every admitted
 /// entry executed or timed out, which (with the topology write lock held,
 /// so no new admissions) also means empty ingress queue, empty reorder
-/// heap, and no epoch in the executor channel. Returns false if shutdown
+/// heap, and no epoch gathered or running. Returns false if shutdown
 /// was requested mid-wait (the gate being held also parks us here until
 /// then: callers must not quiesce a gated service).
 fn quiesce_pair(inner: &Inner, shared: &RebalanceShared, pair: [ShardId; 2]) -> bool {
@@ -465,14 +487,12 @@ fn quiesce_pair(inner: &Inner, shared: &RebalanceShared, pair: [ShardId; 2]) -> 
     }
 }
 
-/// One request/reply round trip with a shard's executor: `msg` wraps a
-/// fresh reply channel into the request. An executor that is gone
-/// answers `R::default()`.
-fn exec_call<R: Default>(tx: &SyncSender<ExecMsg>, msg: impl FnOnce(Sender<R>) -> ExecMsg) -> R {
+/// One request/reply round trip with a shard thread through its queue's
+/// migration slot: `msg` wraps a fresh reply channel into the request. A
+/// request dropped unserved answers `R::default()`.
+fn shard_call<R: Default>(queue: &IngressQueue, msg: impl FnOnce(Sender<R>) -> Migration) -> R {
     let (reply, rx) = std::sync::mpsc::channel();
-    if tx.send(msg(reply)).is_err() {
-        return R::default();
-    }
+    queue.migrate(msg(reply));
     rx.recv().unwrap_or_default()
 }
 
@@ -482,18 +502,17 @@ fn exec_call<R: Default>(tx: &SyncSender<ExecMsg>, msg: impl FnOnce(Sender<R>) -
 /// trees, then publish the moved boundary and release. Returns whether a
 /// change was published (infeasible actions — degenerate spans, missing
 /// neighbors, already-merged pairs — are skipped, not errors).
-#[allow(clippy::too_many_arguments)]
 fn execute_rebalance(
     inner: &Inner,
     shared: &RebalanceShared,
     spec: &RebalanceSpec,
-    exec_txs: &[SyncSender<ExecMsg>],
     observer: &Option<Arc<dyn ServiceObserver>>,
     action: RebalanceAction,
     forced: bool,
     seq: &mut u64,
 ) -> bool {
     let n = inner.shards.len();
+    let queue = |s: ShardId| &inner.shards[s].queue;
     if n < 2 {
         return false;
     }
@@ -526,7 +545,7 @@ fn execute_rebalance(
             // under skew the hot mass sits in a narrow band, and halving
             // the keys (instead of the range) is what halves the load.
             let keys: Vec<Key> =
-                exec_call(&exec_txs[shard], |reply| ExecMsg::Probe { lo, hi, reply });
+                shard_call(queue(shard), |reply| Migration::Probe { lo, hi, reply });
             if keys.is_empty() {
                 return false;
             }
@@ -571,9 +590,9 @@ fn execute_rebalance(
     };
     let (lo, hi) = moved;
     let pairs: Vec<(u64, u64)> =
-        exec_call(&exec_txs[from], |reply| ExecMsg::Extract { lo, hi, reply });
+        shard_call(queue(from), |reply| Migration::Extract { lo, hi, reply });
     let moved_keys = pairs.len() as u64;
-    exec_call::<()>(&exec_txs[to], |reply| ExecMsg::Absorb { pairs, reply });
+    shard_call::<()>(queue(to), |reply| Migration::Absorb { pairs, reply });
     *topo = new_map;
     let event = RebalanceEvent {
         seq: *seq + 1,

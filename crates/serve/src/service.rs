@@ -1,8 +1,8 @@
 //! The sharded service: configuration, the public handles, and the
 //! per-shard threads. The front door — timestamps and admission — is the
 //! `admit` module. What a shard's combiner and executor decide is the step
-//! machines of `combine` and `execute`; their threads here only carry out
-//! the effects. The rebalancer's thread lives in `rebalance`.
+//! machines of `combine` and `execute`; the shard thread here only carries
+//! out the effects. The rebalancer's thread lives in `rebalance`.
 //!
 //! # Linearizability without a submission lock
 //!
@@ -29,12 +29,16 @@
 //!    all enqueued before its slot clears, so no combiner can close an
 //!    epoch between two of them.
 //!
-//! # Pipelining
+//! # One thread per shard
 //!
-//! Each shard runs two threads joined by a depth-1 channel: the combiner
-//! gathers, orders, expires and plans epoch N+1 (host work) while the
-//! executor runs epoch N on the shard's device — the paper's pipelined
-//! epochs at service scope.
+//! Each shard runs one thread. It takes its combiner's turns, and when a
+//! turn hands an epoch over it plans the epoch, runs it on the shard's
+//! device, settles its tickets and books it before the next turn. What
+//! arrives meanwhile waits in the ingress queue: a closed-loop caller
+//! cannot come back before its epoch settles, so nothing is lost by not
+//! planning epoch N+1 while N runs, and no epoch waits for a second thread
+//! to wake. The rebalancer reaches the thread through its queue's
+//! migration slot.
 
 use crate::admit::{admit_lanes, Inflight, Inner};
 use crate::combine::{Combiner, Effect, ExecutorState, TurnView};
@@ -44,18 +48,19 @@ use crate::lane::{QosConfig, TenantId};
 use crate::observe::{ObserveConfig, ShardMetrics, ShardSample, SloBreach};
 use crate::queue::{AdmitPolicy, IngressQueue, Segment};
 use crate::rebalance::{
-    rebalancer_loop, RebalanceAction, RebalanceEvent, RebalanceFeed, RebalanceShared, RebalanceSpec,
+    rebalancer_loop, Migration, RebalanceAction, RebalanceEvent, RebalanceFeed, RebalanceShared,
+    RebalanceSpec,
 };
 use crate::report::{ServeReport, ShardReport};
 use crate::shard::{hash_shard, ShardId, ShardMap, Sharding};
 use crate::ticket::{Outcome, Ticket};
 use eirene_baselines::common::ConcurrentTree;
+use eirene_btree::refops;
 use eirene_core::plan::build_plan;
 use eirene_core::{EireneOptions, EireneTree};
 use eirene_sim::{Cluster, DeviceConfig, GlobalMemory, ScheduleLog};
 use eirene_workloads::{Batch, Key, OpKind};
 use std::sync::atomic::AtomicU64;
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,15 +117,15 @@ pub struct ServeConfig {
     /// What admission does when a shard's queue is full.
     pub policy: AdmitPolicy,
     /// Upper bound on how long a combiner waits for an epoch to fill
-    /// toward the batch target once it has at least one request; the
-    /// combiner closes earlier once its executor is idle and either every
-    /// caller the last epoch released has submitted again or one epoch's
-    /// service time has passed (see "When an epoch closes" in the
-    /// `combine` module docs). Zero never waits. A value too large to add to the
-    /// clock (`Duration::MAX`) means "until full or the executor idles" —
-    /// where an idle executor whose released callers are all back waits
-    /// for the last of them to finish its submission call, however long
-    /// that takes, instead of for the service time.
+    /// toward the batch target once it has at least one request; once the
+    /// shard has measured an epoch, it closes earlier when every caller
+    /// the last epoch released has submitted again or one epoch's service
+    /// time has passed (see "When an epoch closes" in the `combine` module
+    /// docs). Zero never waits. A value too large to add to the clock
+    /// (`Duration::MAX`) means "until full, or until the grace" — where a
+    /// shard whose released callers are all back waits for the last of
+    /// them to finish its submission call, however long that takes,
+    /// instead of for the service time.
     pub linger: Duration,
     /// Start with the epoch gate held: combiners do not consume until
     /// [`Service::release`]. Tests use this to make epoch composition
@@ -182,9 +187,6 @@ impl ServeConfig {
 pub(crate) struct ShardState {
     pub(crate) queue: IngressQueue,
     pub(crate) metrics: ShardMetrics,
-    /// Written by the shard's combiner (hand-over) and executor (finish),
-    /// read by the combiner's linger decision.
-    executor: Mutex<ExecutorState>,
 }
 
 impl ShardState {
@@ -192,49 +194,6 @@ impl ShardState {
         ShardState {
             queue: IngressQueue::with_lanes(capacity, qos),
             metrics: ShardMetrics::new(qos.num_tenants()),
-            executor: Mutex::new(ExecutorState::default()),
-        }
-    }
-
-    fn executor(&self) -> ExecutorState {
-        *self.executor.lock().unwrap()
-    }
-
-    /// Combiner side: call *before* sending the epoch, so the executor's
-    /// matching [`epoch_finished`](Self::epoch_finished) never runs first.
-    fn epoch_handed_over(&self) {
-        self.executor.lock().unwrap().inflight += 1;
-    }
-
-    /// Executor side: call *before* the epoch's first outcome is stored — a
-    /// caller reads a stored outcome without waiting for its wake, can be
-    /// back before [`epoch_finished`] runs, and its push must land after
-    /// the snapshot to count as a return.
-    ///
-    /// [`epoch_finished`]: Self::epoch_finished
-    fn epoch_releasing(&self, released: u64) {
-        let pushes = self.queue.pushes();
-        let mut ex = self.executor.lock().unwrap();
-        ex.released = released;
-        ex.pushes_at_release = pushes;
-    }
-
-    /// Executor side: folds one epoch's service time into the smoothed
-    /// estimate and, if that was the last epoch in flight, stamps the idle
-    /// instant and wakes a lingering combiner to act on it.
-    fn epoch_finished(&self, took: Duration) {
-        let idle = {
-            let mut ex = self.executor.lock().unwrap();
-            ex.inflight -= 1;
-            ex.service = Some(ex.service.map_or(took, |old| (old * 3 + took) / 4));
-            let idle = ex.inflight == 0;
-            if idle {
-                ex.idle_since = Some(Instant::now());
-            }
-            idle
-        };
-        if idle {
-            self.queue.wake();
         }
     }
 
@@ -266,32 +225,6 @@ impl Inner {
         *self.gate.lock().unwrap() = false;
         self.gate_cv.notify_all();
     }
-}
-
-/// What flows over a shard's combiner→executor channel. Epochs come from
-/// the combiner; the migration messages come from the rebalancer, which
-/// only sends them while it holds the topology write lock and the shard
-/// pair is quiescent — so they never interleave with an epoch in flight.
-pub(crate) enum ExecMsg {
-    Epoch(Box<Epoch>),
-    /// Report the keys currently in `[lo, hi]` (the rebalancer picks the
-    /// donor's median key from this).
-    Probe {
-        lo: Key,
-        hi: Key,
-        reply: Sender<Vec<Key>>,
-    },
-    /// Remove (in place) and return every pair in `[lo, hi]`.
-    Extract {
-        lo: Key,
-        hi: Key,
-        reply: Sender<Vec<(u64, u64)>>,
-    },
-    /// Fold migrated pairs into this shard's tree (rebuild).
-    Absorb {
-        pairs: Vec<(u64, u64)>,
-        reply: Sender<()>,
-    },
 }
 
 /// Cloneable submission handle to a running [`Service`]. Handles carry
@@ -383,8 +316,7 @@ impl Client {
 /// and one Eirene GB-tree, fed by bounded ingress queues.
 pub struct Service {
     inner: Arc<Inner>,
-    combiners: Vec<JoinHandle<()>>,
-    executors: Vec<JoinHandle<ShardReport>>,
+    shards: Vec<JoinHandle<ShardReport>>,
     device: DeviceConfig,
     /// Present iff [`ServeConfig::rebalance`] was set.
     rebalance: Option<Arc<RebalanceShared>>,
@@ -394,7 +326,7 @@ pub struct Service {
 impl Service {
     /// Builds the service from strictly-ascending initial `(key, value)`
     /// pairs (keys must fit the `u32` request domain), partitioned onto the
-    /// shard trees, and spawns every shard's combiner/executor pair.
+    /// shard trees, and spawns one thread per shard.
     pub fn new(pairs: &[(u64, u64)], mut cfg: ServeConfig) -> Self {
         let num_shards = cfg.map.num_shards();
         if let Some(replay) = &cfg.replay {
@@ -442,13 +374,12 @@ impl Service {
         for sp in &mut shard_pairs {
             sp.push((SENTINEL_KEY, 0));
         }
-        let states: Vec<Arc<ShardState>> = (0..num_shards)
-            .map(|_| Arc::new(ShardState::new(cfg.queue_depth, &cfg.qos)))
-            .collect();
         let inner = Arc::new(Inner {
             topology: RwLock::new(cfg.map.clone()),
             sharding: cfg.sharding,
-            shards: states.clone(),
+            shards: (0..num_shards)
+                .map(|_| ShardState::new(cfg.queue_depth, &cfg.qos))
+                .collect(),
             next_ts: AtomicU64::new(0),
             inflight: Inflight::new(),
             gate: Mutex::new(cfg.hold_gate),
@@ -462,59 +393,45 @@ impl Service {
             Some(logs) => logs.into_iter().map(Some).collect(),
             None => vec![None; num_shards],
         };
-        let mut combiners = Vec::with_capacity(num_shards);
-        let mut executors = Vec::with_capacity(num_shards);
-        // The rebalancer keeps a clone of every executor channel for its
-        // migration messages; the clones exist only when rebalancing is
-        // configured, so executors still exit when their combiner (and
-        // the joined rebalancer) drop their senders.
-        let mut exec_txs: Vec<SyncSender<ExecMsg>> = Vec::new();
+        let mut shards = Vec::with_capacity(num_shards);
         for (shard, pairs) in shard_pairs.into_iter().enumerate() {
-            let shard_cfg = cluster.config(shard).clone();
-            let (tx, rx) = std::sync::mpsc::sync_channel::<ExecMsg>(1);
-            if rebalance_shared.is_some() {
-                exec_txs.push(tx.clone());
-            }
-            // One controller per shard, shared combiner-side (reads the
-            // target) and executor-side (feeds epoch signals back).
-            let controller = Arc::new(BatchController::new(cfg.sizing.clone()));
-            let (inner2, combine_ctl) = (inner.clone(), controller.clone());
-            let (plan_cfg, linger, observe) = (shard_cfg.clone(), cfg.linger, cfg.observe.enabled);
-            combiners.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-combine-{shard}"))
-                    .spawn(move || {
-                        combiner_loop(&inner2, shard, &plan_cfg, &combine_ctl, linger, observe, tx)
-                    })
-                    .expect("spawn combiner"),
-            );
-            let state = states[shard].clone();
+            let device = cluster.config(shard).clone();
             let books = Books::new(
                 shard,
-                state.queue.num_tenants(),
-                shard_cfg.control_latency,
+                inner.shards[shard].queue.num_tenants(),
+                device.control_latency,
                 &cfg.observe,
                 cfg.sizing.is_adaptive(),
             );
             let opts = EireneOptions {
-                device: shard_cfg,
+                device,
                 headroom_nodes: cfg.headroom_nodes,
                 ..Default::default()
             };
-            let (replay, observe) = (replays[shard].take(), cfg.observe.clone());
-            executors.push(
+            let controller = BatchController::new(cfg.sizing.clone());
+            let (inner, replay) = (inner.clone(), replays[shard].take());
+            let (observe, linger) = (cfg.observe.clone(), cfg.linger);
+            shards.push(
                 std::thread::Builder::new()
-                    .name(format!("serve-exec-{shard}"))
+                    .name(format!("serve-shard-{shard}"))
                     .spawn(move || {
-                        // `opts` outlives the first build: rebalance
-                        // migrations rebuild the tree with the same options.
-                        let tree = fresh_tree(&state, &pairs, &opts);
+                        let state = &inner.shards[shard];
+                        let tree = fresh_tree(state, &pairs, &opts);
                         if let Some(log) = replay {
                             tree.device().set_replay_log(log);
                         }
-                        executor_loop(&state, tree, &opts, books, &observe, &controller, &rx)
+                        let executor = Executor {
+                            state,
+                            tree,
+                            opts,
+                            books,
+                            controller,
+                            observe,
+                            view: ExecutorState::default(),
+                        };
+                        shard_loop(&inner, shard, executor, linger)
                     })
-                    .expect("spawn executor"),
+                    .expect("spawn shard thread"),
             );
         }
         let rebalancer = cfg.rebalance.map(|spec| {
@@ -525,13 +442,12 @@ impl Service {
             let observer = cfg.observe.observer.clone();
             std::thread::Builder::new()
                 .name("serve-rebalance".into())
-                .spawn(move || rebalancer_loop(&inner2, &shared, &spec, &exec_txs, observer))
+                .spawn(move || rebalancer_loop(&inner2, &shared, &spec, observer))
                 .expect("spawn rebalancer")
         });
         Service {
             inner,
-            combiners,
-            executors,
+            shards,
             device: cfg.device,
             rebalance: rebalance_shared,
             rebalancer,
@@ -585,14 +501,15 @@ impl Service {
     }
 
     /// Drains and stops the service: closes admission, executes every
-    /// already-admitted epoch, joins the pipelines, and returns the final
-    /// report.
+    /// already-admitted epoch, joins the shard threads, and returns the
+    /// final report.
     pub fn shutdown(mut self) -> ServeReport {
-        // Stop the rebalancer first: it holds executor channel senders
-        // (joined executors below require every sender dropped), and no
-        // topology change may race the close sequence.
+        // Stop the rebalancer first: no topology change may race the close
+        // sequence. A shard thread held at the gate could not serve the
+        // migration it may be waiting on, so the gate opens before.
         let rebalances = match (self.rebalancer.take(), self.rebalance.take()) {
             (Some(handle), Some(shared)) => {
+                self.inner.release_gate();
                 shared.stop();
                 handle.join().expect("rebalancer panicked");
                 shared.events()
@@ -617,13 +534,10 @@ impl Service {
             state.queue.close();
         }
         self.inner.release_gate();
-        for handle in self.combiners {
-            handle.join().expect("combiner panicked");
-        }
         let mut shards: Vec<ShardReport> = self
-            .executors
+            .shards
             .into_iter()
-            .map(|handle| handle.join().expect("executor panicked"))
+            .map(|handle| handle.join().expect("shard thread panicked"))
             .collect();
         shards.sort_by_key(|r| r.shard);
         ServeReport {
@@ -634,27 +548,21 @@ impl Service {
     }
 }
 
-/// The combiner's thread: carries out what its [`Combiner`] asks, until
-/// it exits or the executor is gone.
-fn combiner_loop(
-    inner: &Inner,
-    shard: ShardId,
-    plan_cfg: &DeviceConfig,
-    controller: &BatchController,
-    linger: Duration,
-    observe: bool,
-    tx: SyncSender<ExecMsg>,
-) {
-    let state = &*inner.shards[shard];
+/// The shard's thread: takes its [`Combiner`]'s turns and carries out each
+/// effect until the queue has finished, then reports. A hand-over is
+/// planned, run and booked here before the next turn; a migration a drain
+/// brings is served before the machine sees that drain.
+fn shard_loop(inner: &Inner, shard: ShardId, mut ex: Executor, linger: Duration) -> ShardReport {
+    let state = ex.state;
     let qos = inner.qos.enabled();
     let lane_pending = || if qos { state.queue.lane_pending() } else { 0 };
-    let mut combiner = Combiner::new(controller.max_target(), linger);
+    let mut combiner = Combiner::new(ex.controller.max_target(), linger);
     loop {
         inner.wait_gate();
         let mut effect = combiner.turn(TurnView {
             now: Instant::now(),
-            target: controller.target().max(1),
-            executor: state.executor(),
+            target: ex.controller.target().max(1),
+            executor: ex.view,
             staged: lane_pending(),
         });
         if let Effect::Drain { admit, wait } = effect {
@@ -665,7 +573,11 @@ fn combiner_loop(
             // `Reorder::offer` requires. Lane entries admitted earlier drew
             // their timestamps before this read, so it covers them too.
             let wm = inner.watermark();
-            effect = combiner.drained(wm, state.queue.drain(wait));
+            let mut drained = state.queue.drain(wait);
+            if let Some(migration) = drained.migration.take() {
+                ex.migrate(migration);
+            }
+            effect = combiner.drained(wm, drained);
         }
         match effect {
             Effect::Expire(expired) => {
@@ -684,9 +596,10 @@ fn combiner_loop(
                     requests.extend_from_slice(&seg.reqs);
                 }
                 let batch = Batch::new(requests);
-                let plan = build_plan(&batch, plan_cfg);
-                let (watermark_lag, inflight) = if observe { inner.gauges() } else { (0, 0) };
-                let epoch = Epoch {
+                let plan = build_plan(&batch, &ex.opts.device);
+                let observing = ex.observe.enabled;
+                let (watermark_lag, inflight) = if observing { inner.gauges() } else { (0, 0) };
+                ex.run(Epoch {
                     batch,
                     plan,
                     segments,
@@ -696,13 +609,9 @@ fn combiner_loop(
                     lane_depth: lane_pending() as u64,
                     watermark_lag,
                     inflight,
-                };
-                state.epoch_handed_over();
-                if tx.send(ExecMsg::Epoch(Box::new(epoch))).is_err() {
-                    return; // executor gone
-                }
+                });
             }
-            Effect::Exit => return,
+            Effect::Exit => return ex.finish(),
             // `drained` never asks for another drain.
             Effect::NextTurn | Effect::Drain { .. } => {}
         }
@@ -720,81 +629,46 @@ fn fresh_tree(state: &ShardState, pairs: &[(u64, u64)], opts: &EireneOptions) ->
     tree
 }
 
-/// The executor's thread: runs epochs and the rebalancer's migrations on
-/// the shard's tree, resolves tickets in the order the combiner's
-/// `Returned` exit counts on, keeps the registry, and feeds its [`Books`].
-fn executor_loop(
-    state: &ShardState,
-    mut tree: EireneTree,
-    opts: &EireneOptions,
-    mut books: Books,
-    observe: &ObserveConfig,
-    controller: &BatchController,
-    rx: &Receiver<ExecMsg>,
-) -> ShardReport {
-    let m = &state.metrics;
-    while let Ok(msg) = rx.recv() {
-        let epoch = match msg {
-            ExecMsg::Epoch(epoch) => *epoch,
-            ExecMsg::Probe { lo, hi, reply } => {
-                let keys = eirene_btree::refops::contents(tree.device().mem(), tree.handle())
-                    .into_iter()
-                    .filter_map(|(k, _)| (k >= lo as u64 && k <= hi as u64).then_some(k as Key))
-                    .collect();
-                let _ = reply.send(keys);
-                continue;
-            }
-            ExecMsg::Extract { lo, hi, reply } => {
-                // Donor-side migration runs in place: every donated key
-                // goes through the merging delete path, so emptied donor
-                // nodes are tombstoned and retired into the shard's slab
-                // arena — and recycled at the epoch advance below — rather
-                // than discarded by a tree rebuild. The sentinel key sits
-                // above the u32 domain (`hi` is a u32 key), so the tree
-                // never empties. Migration is host work: it charges no
-                // virtual cycles and leaves the shard clock alone.
-                let all = eirene_btree::refops::contents(tree.device().mem(), tree.handle());
-                let (moved, keep): (Vec<_>, Vec<_>) = all
-                    .into_iter()
-                    .partition(|&(k, _)| k >= lo as u64 && k <= hi as u64);
-                for &(k, _) in &moved {
-                    eirene_btree::refops::delete(tree.device().mem(), tree.handle(), k);
-                }
-                // The pair is quiescent (no epoch in flight), so the
-                // retired donor nodes are reclaimable immediately.
-                tree.device().mem().advance_epoch();
-                m.set(m.key_count, keep.len() as u64 - 1);
-                set_arena_gauges(state, tree.device().mem());
-                let _ = reply.send(moved);
-                continue;
-            }
-            ExecMsg::Absorb {
-                pairs: migrated,
-                reply,
-            } => {
-                let mut all = eirene_btree::refops::contents(tree.device().mem(), tree.handle());
-                all.extend(migrated);
-                // Shards own disjoint key sets, so the merge has no
-                // duplicates; bulk_build wants ascending keys.
-                all.sort_unstable();
-                tree = fresh_tree(state, &all, opts);
-                let _ = reply.send(());
-                continue;
-            }
-        };
-        let received = Instant::now();
-        let run = tree.run_planned(&epoch.batch, &epoch.plan);
+/// What the shard thread keeps beside its [`Combiner`]: the tree, what
+/// its epochs are booked into, and what the linger decision reads of them.
+struct Executor<'s> {
+    state: &'s ShardState,
+    tree: EireneTree,
+    /// Migrations rebuild the tree with the same options.
+    opts: EireneOptions,
+    books: Books,
+    controller: BatchController,
+    observe: ObserveConfig,
+    view: ExecutorState,
+}
+
+impl Executor<'_> {
+    /// Runs one epoch on the shard's tree, resolves its tickets in the
+    /// order the combiner's `Returned` exit counts on, keeps the registry
+    /// and feeds the [`Books`].
+    fn run(&mut self, epoch: Epoch) {
+        let (state, m) = (self.state, &self.state.metrics);
+        let started = Instant::now();
+        let run = self.tree.run_planned(&epoch.batch, &epoch.plan);
         // Release the callers first: the books read only the segments and
-        // the run's counters, and nobody should wait on them. Each segment
-        // stores its outcomes, then wakes its callers once.
-        state.epoch_releasing(epoch.segments.len() as u64);
+        // the run's counters, and nobody should wait on them. The push
+        // count is read before the first outcome is stored: a caller reads
+        // a stored outcome without waiting for its wake, and its push must
+        // land after the snapshot to count as a return. Each segment stores
+        // its outcomes, then wakes its callers once.
+        self.view.released = epoch.segments.len() as u64;
+        self.view.pushes_at_release = state.queue.pushes();
         let mut responses = run.responses.into_iter();
         for seg in &epoch.segments {
             seg.settle(responses.by_ref());
         }
-        state.epoch_finished(received.elapsed());
+        let took = started.elapsed();
+        let service = self.view.service.map_or(took, |old| (old * 3 + took) / 4);
+        self.view.service = Some(service);
+        self.view.idle_since = Some(Instant::now());
+        let books = &mut self.books;
         if let Some(feedback) = books.record(&epoch, run.stats) {
-            controller.on_epoch(&feedback);
+            self.controller.on_epoch(&feedback);
         }
         debug_assert_eq!(
             books.epoch_order_violations,
@@ -808,59 +682,110 @@ fn executor_loop(
         // terminal sample (and hence the report) reconciles exactly.
         m.set(m.descents_saved, books.stats.totals.descents_saved);
         m.set(m.pivot_cache_hits, books.stats.totals.pivot_cache_hits);
-        if observe.enabled {
+        if self.observe.enabled {
             m.set(m.epoch_batch, epoch.batch.len() as u64);
             m.set(m.queue_depth, epoch.queue_depth);
             m.set(m.reorder_pending, epoch.reorder_pending);
             m.set(m.lane_pending, epoch.lane_depth);
-            m.set(m.batch_target, controller.target() as u64);
+            m.set(m.batch_target, self.controller.target() as u64);
             m.set(m.watermark_lag, epoch.watermark_lag);
             m.set(m.inflight, epoch.inflight);
             // `run_planned` advanced the reclamation epoch at the batch
             // boundary, so `retired` here is quarantine that survived the
             // advance (normally 0).
-            set_arena_gauges(state, tree.device().mem());
+            set_arena_gauges(state, self.tree.device().mem());
             let (sample, breaches) = books.sample(m, false);
-            emit(observe, &sample, breaches);
+            emit(&self.observe, &sample, breaches);
         }
     }
-    // Terminal sample: one final snapshot after the pipeline drained. The
-    // combiner has exited, so every admission counter is final — the
-    // report's totals are taken FROM this snapshot, which is what makes
-    // live sampled series reconcile exactly with the final report.
-    if observe.enabled {
-        m.set(m.queue_depth, state.queue.depth() as u64);
-        m.set(m.epoch_batch, 0);
-        m.set(m.reorder_pending, 0);
-        m.set(m.watermark_lag, 0);
-        m.set(m.inflight, 0);
-        m.set(m.lane_pending, 0);
-        // The terminal sample keeps the controller's final target, so a
-        // sampled series ends on the value the report carries.
-        m.set(m.batch_target, controller.target() as u64);
+
+    /// Serves one of the rebalancer's requests on the shard's tree.
+    fn migrate(&mut self, migration: Migration) {
+        let (state, m) = (self.state, &self.state.metrics);
+        let (mem, root) = (self.tree.device().mem(), self.tree.handle());
+        let inside = |k: u64, lo: Key, hi: Key| (lo as u64..=hi as u64).contains(&k);
+        match migration {
+            Migration::Probe { lo, hi, reply } => {
+                let keys = refops::contents(mem, root)
+                    .into_iter()
+                    .filter_map(|(k, _)| inside(k, lo, hi).then_some(k as Key))
+                    .collect();
+                let _ = reply.send(keys);
+            }
+            Migration::Extract { lo, hi, reply } => {
+                // Donor-side migration runs in place: every donated key
+                // goes through the merging delete path, so emptied donor
+                // nodes are tombstoned and retired into the shard's slab
+                // arena — and recycled at the epoch advance below — rather
+                // than discarded by a tree rebuild. The sentinel key sits
+                // above the u32 domain (`hi` is a u32 key), so the tree
+                // never empties. Migration is host work: it charges no
+                // virtual cycles and leaves the shard clock alone.
+                let (moved, keep): (Vec<_>, Vec<_>) = refops::contents(mem, root)
+                    .into_iter()
+                    .partition(|&(k, _)| inside(k, lo, hi));
+                for &(k, _) in &moved {
+                    refops::delete(mem, root, k);
+                }
+                // The pair is quiescent (no epoch gathered or running), so
+                // the retired donor nodes are reclaimable immediately.
+                mem.advance_epoch();
+                m.set(m.key_count, keep.len() as u64 - 1);
+                set_arena_gauges(state, mem);
+                let _ = reply.send(moved);
+            }
+            Migration::Absorb { pairs, reply } => {
+                let mut all = refops::contents(mem, root);
+                all.extend(pairs);
+                // Shards own disjoint key sets, so the merge has no
+                // duplicates; bulk_build wants ascending keys.
+                all.sort_unstable();
+                self.tree = fresh_tree(state, &all, &self.opts);
+                let _ = reply.send(());
+            }
+        }
     }
-    let structure = eirene_btree::validate::validate(tree.device().mem(), tree.handle())
-        .map(|_| ())
-        .map_err(|e| e.to_string());
-    let contents: Vec<(u64, u64)> =
-        eirene_btree::refops::contents(tree.device().mem(), tree.handle())
+
+    /// The terminal sample and the shard's report, once every epoch ran.
+    fn finish(mut self) -> ShardReport {
+        let (state, m) = (self.state, &self.state.metrics);
+        let (mem, root) = (self.tree.device().mem(), self.tree.handle());
+        // Terminal sample: one final snapshot after the queue finished, so
+        // every admission counter is final — the report's totals are taken
+        // FROM this snapshot, which is what makes live sampled series
+        // reconcile exactly with the final report.
+        if self.observe.enabled {
+            m.set(m.queue_depth, state.queue.depth() as u64);
+            m.set(m.epoch_batch, 0);
+            m.set(m.reorder_pending, 0);
+            m.set(m.watermark_lag, 0);
+            m.set(m.inflight, 0);
+            m.set(m.lane_pending, 0);
+            // The terminal sample keeps the controller's final target, so a
+            // sampled series ends on the value the report carries.
+            m.set(m.batch_target, self.controller.target() as u64);
+        }
+        let structure = eirene_btree::validate::validate(mem, root)
+            .map(|_| ())
+            .map_err(|e| e.to_string());
+        let contents: Vec<(u64, u64)> = refops::contents(mem, root)
             .into_iter()
             .filter(|&(k, _)| k != SENTINEL_KEY)
             .collect();
-    // Contents are final here (the pipeline has drained), so the
-    // terminal sample's key_count is exact — mid-run the gauge only
-    // tracks builds and migrations, not per-epoch mutations.
-    m.set(m.key_count, contents.len() as u64);
-    set_arena_gauges(state, tree.device().mem());
-    let (terminal, breaches) = books.sample(m, true);
-    if observe.enabled {
-        emit(observe, &terminal, breaches);
+        // Contents are final here, so the terminal sample's key_count is
+        // exact — mid-run the gauge only tracks builds and migrations, not
+        // per-epoch mutations.
+        m.set(m.key_count, contents.len() as u64);
+        set_arena_gauges(state, mem);
+        let (terminal, breaches) = self.books.sample(m, true);
+        if self.observe.enabled {
+            emit(&self.observe, &terminal, breaches);
+        }
+        let target = self.controller.target() as u64;
+        let schedule = self.tree.device().take_schedule_log();
+        self.books
+            .finish(terminal, target, schedule, contents, structure)
     }
-    let (target, schedule) = (
-        controller.target() as u64,
-        tree.device().take_schedule_log(),
-    );
-    books.finish(terminal, target, schedule, contents, structure)
 }
 
 /// Refreshes the shard's slab-arena occupancy gauges from its device.
@@ -886,7 +811,6 @@ fn emit(observe: &ObserveConfig, sample: &ShardSample, breaches: &[SloBreach]) {
 mod tests {
     use super::*;
     use crate::rebalance::RebalanceKind;
-    use crate::ticket::{Slot, TicketBatch};
     use eirene_workloads::{Oracle, Request, Response, SequentialOracle};
 
     fn boundary_map() -> ShardMap {
@@ -1123,6 +1047,38 @@ mod tests {
             .collect();
         assert_eq!(report.contents(), want_contents);
         report.assert_consistent();
+    }
+
+    #[test]
+    fn an_idle_service_serves_a_forced_split_and_merge() {
+        // No traffic: both shard threads sit parked in an unbounded drain,
+        // which only the migration slot can end.
+        crate::ticket::tests::watchdog(|| {
+            let map = ShardMap::from_starts(vec![0, 1000]).expect("valid shard starts");
+            let mut cfg = small_cfg(map);
+            cfg.rebalance = Some(RebalanceSpec::manual());
+            let svc = Service::new(&initial_pairs(), cfg);
+            std::thread::sleep(Duration::from_millis(20));
+            for (n, action) in [
+                RebalanceAction::Split { shard: 1 },
+                RebalanceAction::Merge { left: 0 },
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                svc.force_rebalance(action);
+                while svc.rebalance_attempts() <= n as u64 {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            }
+            let report = svc.shutdown();
+            let events = &report.rebalances;
+            let kinds: Vec<RebalanceKind> = events.iter().map(|e| e.kind).collect();
+            assert_eq!(kinds, [RebalanceKind::Split, RebalanceKind::Merge]);
+            assert!(events.iter().all(|e| e.moved_keys > 0), "{events:?}");
+            assert_eq!(report.contents(), initial_pairs());
+            report.assert_consistent();
+        });
     }
 
     #[test]
@@ -1413,46 +1369,5 @@ mod tests {
             assert!(s.breaches.is_empty());
         }
         report.assert_consistent();
-    }
-
-    #[test]
-    fn epoch_releasing_snapshots_the_push_count_before_anyone_is_back() {
-        let state = ShardState::new(4, &QosConfig::disabled());
-        let call = || {
-            let mut seg = Segment::new(TicketBatch::new(1), None, 0, 1);
-            seg.push(Request::query(1, 0), Slot::Cell(0), 0);
-            seg
-        };
-        state.queue.push_blocking(call());
-        state.epoch_handed_over();
-        state.epoch_releasing(2);
-        // A caller back before `epoch_finished` runs still counts.
-        state.queue.push_blocking(call());
-        state.epoch_finished(Duration::from_micros(100));
-        let ex = state.executor();
-        assert_eq!((ex.released, ex.pushes_at_release), (2, 1));
-        assert_eq!(state.queue.pushes() - ex.pushes_at_release, 1);
-    }
-
-    #[test]
-    fn executor_state_counts_inflight_and_smooths_service_time() {
-        let state = ShardState::new(4, &QosConfig::disabled());
-        state.epoch_handed_over();
-        state.epoch_handed_over();
-        state.epoch_finished(Duration::from_micros(400));
-        let ex = state.executor();
-        assert_eq!(ex.inflight, 1);
-        assert_eq!(ex.idle_since, None, "one epoch is still in flight");
-        assert_eq!(ex.service, Some(Duration::from_micros(400)));
-        state.epoch_finished(Duration::from_micros(800));
-        let ex = state.executor();
-        assert_eq!(ex.inflight, 0);
-        assert!(ex.idle_since.is_some());
-        // (3 * 400 + 800) / 4
-        assert_eq!(ex.service, Some(Duration::from_micros(500)));
-        // Going idle woke the queue: a bounded drain returns at once.
-        let start = Instant::now();
-        state.queue.drain(Some(Duration::from_secs(5)));
-        assert!(start.elapsed() < Duration::from_secs(1));
     }
 }

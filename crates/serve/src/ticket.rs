@@ -299,7 +299,7 @@ impl RangeMerge {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::queue::Segment;
     use eirene_workloads::Request;
@@ -317,7 +317,7 @@ mod tests {
     /// Runs `body` on its own thread and fails unless it returns within a
     /// minute — next to the milliseconds each scenario takes, so a lost
     /// wake-up fails the test instead of hanging it.
-    fn watchdog(body: impl FnOnce() + Send + 'static) {
+    pub(crate) fn watchdog(body: impl FnOnce() + Send + 'static) {
         let limit = Duration::from_secs(60);
         let (done, finished) = mpsc::channel();
         let runner = thread::spawn(move || {
