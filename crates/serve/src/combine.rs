@@ -89,6 +89,22 @@ pub(crate) struct ExecutorState {
     pub(crate) pushes_at_release: u64,
 }
 
+impl ExecutorState {
+    /// An epoch of `released` segments is about to store its first
+    /// outcome, and the queue has seen `pushes` push calls.
+    pub(crate) fn releasing(&mut self, released: u64, pushes: u64) {
+        self.released = released;
+        self.pushes_at_release = pushes;
+    }
+
+    /// The epoch's last ticket resolved `took` after its run began; the
+    /// shard is idle from `now`.
+    pub(crate) fn finished(&mut self, took: Duration, now: Instant) {
+        self.service = Some(self.service.map_or(took, |old| (old * 3 + took) / 4));
+        self.idle_since = Some(now);
+    }
+}
+
 /// What a lingering combiner does next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LingerStep {
@@ -338,17 +354,10 @@ mod tests {
         // Instants are offsets in µs from one base; nothing sleeps.
         let base = Instant::now();
         let at = |us: u64| base + Duration::from_micros(us);
-        // Rows name the epochs in flight first: a turn never sees one.
-        let exec = |in_flight: u32, idle_since: Option<u64>, service: Option<u64>| {
-            assert_eq!(
-                in_flight, 0,
-                "the shard thread runs its epochs between turns"
-            );
-            ExecutorState {
-                idle_since: idle_since.map(at),
-                service: service.map(Duration::from_micros),
-                ..ExecutorState::default()
-            }
+        let exec = |idle_since: Option<u64>, service: Option<u64>| ExecutorState {
+            idle_since: idle_since.map(at),
+            service: service.map(Duration::from_micros),
+            ..ExecutorState::default()
         };
         // The last epoch released `released` callers when the queue had
         // seen `pushes_at_release` push calls.
@@ -358,7 +367,7 @@ mod tests {
                 pushes_at_release,
                 ..executor
             };
-        let idle = exec(0, Some(5_000), Some(200));
+        let idle = exec(Some(5_000), Some(200));
         let close = LingerStep::Close;
         let wake = |us: u64| LingerStep::WakeAt(Some(at(us)));
         let ms = Duration::from_millis(1);
@@ -386,7 +395,7 @@ mod tests {
                 "grace counts from a later idle instant",
                 START + 300,
                 ms,
-                exec(0, Some(START + 150), Some(200)),
+                exec(Some(START + 150), Some(200)),
                 (0, 0, 0),
                 wake(START + 350),
             ),
@@ -394,7 +403,7 @@ mod tests {
                 "and closes once it has run from there",
                 START + 350,
                 ms,
-                exec(0, Some(START + 150), Some(200)),
+                exec(Some(START + 150), Some(200)),
                 (0, 0, 0),
                 close(Idle),
             ),
@@ -402,7 +411,7 @@ mod tests {
                 "unmeasured service time: as without the exit",
                 START + 999,
                 ms,
-                exec(0, None, None),
+                exec(None, None),
                 (0, 0, 0),
                 wake(START + 1000),
             ),
@@ -410,7 +419,7 @@ mod tests {
                 "unmeasured service time: closes at linger",
                 START + 1000,
                 ms,
-                exec(0, None, None),
+                exec(None, None),
                 (0, 0, 0),
                 close(Linger),
             ),
@@ -418,7 +427,7 @@ mod tests {
                 "zero linger never lingers, idle or not",
                 START,
                 Duration::ZERO,
-                exec(0, Some(START), Some(200)),
+                exec(Some(START), Some(200)),
                 (0, 0, 0),
                 close(Linger),
             ),
@@ -426,7 +435,7 @@ mod tests {
                 "grace is capped by linger",
                 START + 999,
                 ms,
-                exec(0, Some(5_000), Some(5_000)),
+                exec(Some(5_000), Some(5_000)),
                 (0, 0, 0),
                 wake(START + 1000),
             ),
@@ -434,7 +443,7 @@ mod tests {
                 "a late idle instant cannot push past linger",
                 START + 950,
                 ms,
-                exec(0, Some(START + 900), Some(200)),
+                exec(Some(START + 900), Some(200)),
                 (0, 0, 0),
                 wake(START + 1000),
             ),
@@ -546,7 +555,7 @@ mod tests {
                 "unmeasured first epoch: returns do not close",
                 START + 10,
                 ms,
-                after(exec(0, None, None), 2, 40),
+                after(exec(None, None), 2, 40),
                 (42, 0, 0),
                 wake(START + 1000),
             ),
@@ -640,7 +649,7 @@ mod tests {
                     (3, 2, 5, 1, 1),
                     (3, 7, 5, 0, 0),
                 ] {
-                    let executor = after(exec(0, idle_since, service), released, at_release);
+                    let executor = after(exec(idle_since, service), released, at_release);
                     let measured = service.is_some();
                     let all_back = released > 0 && pushes >= at_release + released;
                     for now in [START, START + 300, START + 500, START + 999, START + 1000] {

@@ -31,7 +31,8 @@
 //! - **The migration slot** ([`IngressQueue::migrate`]) rides the same
 //!   condvar: the rebalancer's one pending request to the shard thread
 //!   ends any drain, bounded or not, so a shard thread parked on an idle
-//!   queue still serves it.
+//!   queue still serves it. A queue whose shard thread is gone
+//!   ([`IngressQueue::abandon`]) drops migrations instead.
 
 use crate::lane::{LaneReject, LaneSet, QosConfig, TenantId};
 use crate::rebalance::Migration;
@@ -168,6 +169,9 @@ struct QueueState {
     closed: bool,
     /// Set by [`IngressQueue::migrate`], taken by the next `drain`.
     migration: Option<Migration>,
+    /// The shard thread is gone ([`IngressQueue::abandon`]): nobody will
+    /// serve a migration again.
+    abandoned: bool,
     /// Successful push calls by submitters (ingress or lane), cumulative:
     /// one per call, however many requests it carried; a refused push, one
     /// that met a closed queue, or a peer combiner's
@@ -447,12 +451,27 @@ impl IngressQueue {
 
     /// Hands the rebalancer's request to the shard thread: the next
     /// [`drain`](Self::drain) returns it, and one waiting now returns at
-    /// once. The rebalancer waits for each reply, so the slot is free.
+    /// once. The rebalancer waits for each reply, so the slot is free. On
+    /// an abandoned queue the request is dropped, and with it its reply
+    /// channel.
     pub(crate) fn migrate(&self, migration: Migration) {
         let mut st = self.state.lock().unwrap();
+        if st.abandoned {
+            return;
+        }
         debug_assert!(st.migration.is_none(), "one migration at a time");
         st.migration = Some(migration);
         self.not_empty.notify_one();
+    }
+
+    /// The shard thread is leaving, by return or by unwinding: drops the
+    /// posted migration, if any, and every later one, so that a rebalancer
+    /// waiting on a reply sees its channel close instead of waiting for
+    /// ever.
+    pub(crate) fn abandon(&self) {
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.abandoned = true;
+        st.migration = None;
     }
 
     /// Drains every queued segment, in arrival order. With `wait: None`
@@ -822,6 +841,32 @@ mod tests {
             let d = drainer.join().unwrap();
             assert!(d.segments.is_empty() && d.migration.is_some());
         }
+    }
+
+    #[test]
+    fn an_abandoned_queue_drops_migrations() {
+        let q = IngressQueue::new(4);
+        let probe = || {
+            let (reply, rx) = std::sync::mpsc::channel::<Vec<u32>>();
+            (
+                Migration::Probe {
+                    lo: 0,
+                    hi: 9,
+                    reply,
+                },
+                rx,
+            )
+        };
+        // Posted before the shard thread left, and posted after: both
+        // reply channels close unanswered.
+        let (posted, before) = probe();
+        q.migrate(posted);
+        q.abandon();
+        assert!(before.recv().is_err());
+        let (late, after) = probe();
+        q.migrate(late);
+        assert!(after.recv().is_err());
+        assert!(q.drain(Some(Duration::ZERO)).migration.is_none());
     }
 
     #[test]

@@ -489,7 +489,8 @@ fn quiesce_pair(inner: &Inner, shared: &RebalanceShared, pair: [ShardId; 2]) -> 
 
 /// One request/reply round trip with a shard thread through its queue's
 /// migration slot: `msg` wraps a fresh reply channel into the request. A
-/// request dropped unserved answers `R::default()`.
+/// request the shard thread is gone for is dropped unserved and answers
+/// `R::default()`.
 fn shard_call<R: Default>(queue: &IngressQueue, msg: impl FnOnce(Sender<R>) -> Migration) -> R {
     let (reply, rx) = std::sync::mpsc::channel();
     queue.migrate(msg(reply));

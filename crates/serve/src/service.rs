@@ -416,6 +416,7 @@ impl Service {
                     .name(format!("serve-shard-{shard}"))
                     .spawn(move || {
                         let state = &inner.shards[shard];
+                        let _leaving = Leaving(&state.queue);
                         let tree = fresh_tree(state, &pairs, &opts);
                         if let Some(log) = replay {
                             tree.device().set_replay_log(log);
@@ -618,6 +619,17 @@ fn shard_loop(inner: &Inner, shard: ShardId, mut ex: Executor, linger: Duration)
     }
 }
 
+/// Abandons the shard's queue when its thread leaves, unwinding included,
+/// so that a rebalancer waiting on the thread's reply reads the reply's
+/// default instead of hanging.
+struct Leaving<'q>(&'q IngressQueue);
+
+impl Drop for Leaving<'_> {
+    fn drop(&mut self) {
+        self.0.abandon();
+    }
+}
+
 /// A shard tree over `pairs` (sentinel included), with the shard's key
 /// count and arena gauges set from it.
 fn fresh_tree(state: &ShardState, pairs: &[(u64, u64)], opts: &EireneOptions) -> EireneTree {
@@ -656,16 +668,13 @@ impl Executor<'_> {
         // a stored outcome without waiting for its wake, and its push must
         // land after the snapshot to count as a return. Each segment stores
         // its outcomes, then wakes its callers once.
-        self.view.released = epoch.segments.len() as u64;
-        self.view.pushes_at_release = state.queue.pushes();
+        self.view
+            .releasing(epoch.segments.len() as u64, state.queue.pushes());
         let mut responses = run.responses.into_iter();
         for seg in &epoch.segments {
             seg.settle(responses.by_ref());
         }
-        let took = started.elapsed();
-        let service = self.view.service.map_or(took, |old| (old * 3 + took) / 4);
-        self.view.service = Some(service);
-        self.view.idle_since = Some(Instant::now());
+        self.view.finished(started.elapsed(), Instant::now());
         let books = &mut self.books;
         if let Some(feedback) = books.record(&epoch, run.stats) {
             self.controller.on_epoch(&feedback);
@@ -811,6 +820,7 @@ fn emit(observe: &ObserveConfig, sample: &ShardSample, breaches: &[SloBreach]) {
 mod tests {
     use super::*;
     use crate::rebalance::RebalanceKind;
+    use crate::ticket::{Slot, TicketBatch};
     use eirene_workloads::{Oracle, Request, Response, SequentialOracle};
 
     fn boundary_map() -> ShardMap {
@@ -1079,6 +1089,72 @@ mod tests {
             assert_eq!(report.contents(), initial_pairs());
             report.assert_consistent();
         });
+    }
+
+    #[test]
+    fn a_dead_shard_thread_does_not_hang_a_forced_split() {
+        /// Panics on shard 1's first epoch sample, which kills its thread
+        /// after the epoch's tickets resolved.
+        struct Faulty;
+        impl crate::observe::ServiceObserver for Faulty {
+            fn on_sample(&self, sample: &ShardSample) {
+                assert!(sample.shard != 1, "observer fault on shard 1");
+            }
+        }
+        crate::ticket::tests::watchdog(|| {
+            let map = ShardMap::from_starts(vec![0, 1000]).expect("valid shard starts");
+            let mut cfg = small_cfg(map);
+            cfg.rebalance = Some(RebalanceSpec::manual());
+            cfg.observe = ObserveConfig::with_observer(Arc::new(Faulty));
+            let svc = Service::new(&initial_pairs(), cfg);
+            let ticket = svc.client().submit(1500, OpKind::Query);
+            assert!(matches!(ticket.wait(), Outcome::Done(_)));
+            // The probe reaches shard 1 before or after its thread died:
+            // either way the split is skipped, not waited on.
+            svc.force_rebalance(RebalanceAction::Split { shard: 1 });
+            while svc.rebalance_attempts() < 1 {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            assert!(svc.rebalance_events().is_empty());
+            let shutdown =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.shutdown()));
+            let Err(cause) = shutdown else {
+                panic!("shutdown did not report the dead shard thread");
+            };
+            let cause = cause.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(cause.starts_with("shard thread panicked"), "{cause}");
+        });
+    }
+
+    #[test]
+    fn epoch_releasing_snapshots_the_push_count_before_anyone_is_back() {
+        let state = ShardState::new(4, &QosConfig::disabled());
+        let call = || {
+            let mut seg = Segment::new(TicketBatch::new(1), None, 0, 1);
+            seg.push(Request::query(1, 0), Slot::Cell(0), 0);
+            seg
+        };
+        state.queue.push_blocking(call());
+        let mut ex = ExecutorState::default();
+        ex.releasing(2, state.queue.pushes());
+        // A caller back before the epoch finishes still counts.
+        state.queue.push_blocking(call());
+        ex.finished(Duration::from_micros(100), Instant::now());
+        assert_eq!((ex.released, ex.pushes_at_release), (2, 1));
+        assert_eq!(state.queue.pushes() - ex.pushes_at_release, 1);
+    }
+
+    #[test]
+    fn executor_state_smooths_service_time_and_goes_idle() {
+        let mut ex = ExecutorState::default();
+        let (first, second) = (Instant::now(), Instant::now() + Duration::from_millis(1));
+        ex.finished(Duration::from_micros(400), first);
+        assert_eq!(ex.service, Some(Duration::from_micros(400)));
+        assert_eq!(ex.idle_since, Some(first));
+        ex.finished(Duration::from_micros(800), second);
+        // (3 * 400 + 800) / 4
+        assert_eq!(ex.service, Some(Duration::from_micros(500)));
+        assert_eq!(ex.idle_since, Some(second));
     }
 
     #[test]
