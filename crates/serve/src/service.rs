@@ -101,8 +101,10 @@ pub struct ServeConfig {
     /// rebalancer feeds on epoch samples.
     pub rebalance: Option<RebalanceSpec>,
     /// Base device configuration, specialized per shard by
-    /// [`Cluster`](eirene_sim::Cluster) (worker split in OS mode, derived
-    /// seeds in deterministic mode).
+    /// [`Cluster`](eirene_sim::Cluster). OS mode ignores `worker_threads`:
+    /// every shard runs its kernels on its own thread and spawns no worker
+    /// pool. Deterministic mode honours it (the slot bound shapes the
+    /// captured schedules) and derives a seed per shard.
     pub device: DeviceConfig,
     /// How each shard sizes its epochs: a fixed batch limit (the paper's
     /// model, kept for ablation) or the closed-loop AIMD controller.

@@ -2,16 +2,16 @@
 //! serving layer.
 //!
 //! The sharded service (`eirene-serve`) owns one [`Device`](crate::Device)
-//! per shard, each with its own lazily-created worker pool. Running N
-//! independent pools each sized for the whole host would oversubscribe it
-//! N-fold, so a [`Cluster`] derives one [`DeviceConfig`] per shard from a
-//! base config:
+//! per shard, driven by that shard's own thread. A [`Cluster`] derives one
+//! [`DeviceConfig`] per shard from a base config:
 //!
-//! * **Worker split (OS mode).** In auto mode (`worker_threads == 0`) the
-//!   host's worker budget is divided across shards with a floor of 4, the
-//!   same policy `eirene-bench` applies to parallel sweep jobs. An
-//!   explicitly pinned `worker_threads` is left untouched — it is part of
-//!   the configuration a reproducer ships.
+//! * **One worker (OS mode).** Every shard config gets `worker_threads = 1`,
+//!   whatever the base says, so every launch runs on the shard thread that
+//!   issued it and a shard's device never spawns a worker pool. The shards
+//!   already supply the host parallelism; a pool per shard would only add
+//!   hand-offs and threads competing with the other shards for the same
+//!   cores. Nothing simulated changes: a one-worker pool ran the warps one
+//!   at a time in warp-id order, exactly as the launching thread does.
 //! * **Seed derivation (deterministic mode).** Each shard's device gets an
 //!   independent scheduler seed (SplitMix64 of the base seed and the shard
 //!   index) so shard interleavings are uncorrelated but still replay from
@@ -39,14 +39,9 @@ pub fn mix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Minimum workers a shard's device keeps after the split, mirroring the
-/// bench harness's per-job floor: enough to preserve genuine warp
-/// interleaving even on small hosts.
-pub const MIN_WORKERS_PER_SHARD: usize = 4;
-
 impl Cluster {
     /// Derives `shards` per-shard configs from `base` (see module docs for
-    /// the worker-split and seed-derivation policy).
+    /// the one-worker and seed-derivation policy).
     ///
     /// # Panics
     /// Panics if `shards` is zero.
@@ -61,12 +56,7 @@ impl Cluster {
                             seed: mix64(seed ^ mix64(i as u64)),
                         };
                     }
-                    SchedMode::Os => {
-                        if base.worker_threads == 0 {
-                            cfg.worker_threads =
-                                (base.effective_workers() / shards).max(MIN_WORKERS_PER_SHARD);
-                        }
-                    }
+                    SchedMode::Os => cfg.worker_threads = 1,
                 }
                 cfg
             })
@@ -99,32 +89,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn os_mode_divides_auto_workers_with_floor() {
-        let base = DeviceConfig::test_small();
-        let shards = 4;
-        let c = Cluster::new(&base, shards);
-        assert_eq!(c.len(), shards);
-        let expect = (base.effective_workers() / shards).max(MIN_WORKERS_PER_SHARD);
-        for cfg in c.configs() {
-            assert_eq!(cfg.worker_threads, expect);
-            assert!(cfg.effective_workers() >= MIN_WORKERS_PER_SHARD);
+    fn os_mode_shards_get_one_worker_whatever_the_base() {
+        for (base_workers, shards) in [(0, 4), (0, 1024), (6, 4)] {
+            let base = DeviceConfig {
+                worker_threads: base_workers,
+                ..DeviceConfig::test_small()
+            };
+            let c = Cluster::new(&base, shards);
+            assert_eq!(c.len(), shards);
+            assert!(
+                c.configs().iter().all(|cfg| cfg.worker_threads == 1),
+                "base worker_threads {base_workers}, {shards} shards"
+            );
         }
-        // A huge shard count still leaves the floor.
-        let many = Cluster::new(&base, 1024);
-        assert!(many
-            .configs()
-            .iter()
-            .all(|cfg| cfg.worker_threads == MIN_WORKERS_PER_SHARD));
-    }
-
-    #[test]
-    fn pinned_workers_are_left_untouched() {
-        let base = DeviceConfig {
-            worker_threads: 6,
-            ..DeviceConfig::test_small()
-        };
-        let c = Cluster::new(&base, 4);
-        assert!(c.configs().iter().all(|cfg| cfg.worker_threads == 6));
     }
 
     #[test]

@@ -76,19 +76,21 @@ fn resume_kernel_panic(name: &str, failure: KernelPanic) -> ! {
     ))
 }
 
-/// The whole policy of who runs an OS-mode launch: one too small for a
-/// pool hand-off to pay for itself runs its warps, in warp-id order, on the
-/// thread that launched it. The hand-off is two condvar wakes (≈ 40 µs,
-/// what the benchmark's `sim.launch_host_us.w1` read while a 1-warp launch
-/// still paid it) and buys little even when paid: the first worker to wake
-/// drains a short launch before the others are scheduled. The numbers
-/// below are from the sizing of the change (2 vCPUs, 4 workers).
+/// The whole policy of who runs an OS-mode launch: one whose pool would
+/// have a single worker, or one too small for a pool hand-off to pay for
+/// itself, runs its warps, in warp-id order, on the thread that launched
+/// it. The hand-off is two condvar wakes (≈ 40 µs, what the benchmark's
+/// `sim.launch_host_us.w1` read while a 1-warp launch still paid it).
 ///
-/// * **Read-only, 64.** Results cannot depend on how the warps interleave,
-///   the pool ran 2 886 of 3 000 launches of 9–32 warps (3 000 of 3 000 at
-///   33–64) on a single slot anyway, and 64 light warps ≈ 64 µs of work
-///   against the ≈ 40 µs hand-off is break-even even on a host with many
-///   idle cores. On a 2-vCPU host the launcher wins far beyond it (query
+/// * **One worker** (every serve shard's device, see `Cluster`). A
+///   one-worker pool runs the warps one at a time in warp-id order, as the
+///   launcher does, so only the hand-off and futile yields are saved.
+/// * **Read-only, 64** (sized on 2 vCPUs, 4 workers; the first worker to
+///   wake drains a short launch before the others are scheduled anyway).
+///   Results cannot depend on how the warps interleave, the pool ran
+///   2 886 of 3 000 launches of 9–32 warps (3 000 of 3 000 at 33–64) on a
+///   single slot anyway, and 64 light warps ≈ 64 µs of work against the
+///   ≈ 40 µs hand-off is break-even even on a host with many idle cores. On a 2-vCPU host the launcher wins far beyond it (query
 ///   kernel, 4 workers: 58 warps 32 vs 91 µs, 115 warps 49–57 vs 105–136,
 ///   230 warps 87–109 vs 144–202, 460 warps 168–177 vs 186–189, 900 warps
 ///   338–382 vs 331–366) — recorded, not exploited.
@@ -101,8 +103,8 @@ fn resume_kernel_panic(name: &str, failure: KernelPanic) -> ! {
 ///   small. Launches of 5–8 warps use 3–4 slots in 90 % of runs: running
 ///   those here would change what runs concurrently, so they stay pooled.
 #[inline]
-pub(crate) fn runs_on_launcher(read_only: bool, num_warps: usize) -> bool {
-    num_warps <= if read_only { 64 } else { 4 }
+pub(crate) fn runs_on_launcher(read_only: bool, num_warps: usize, workers: usize) -> bool {
+    workers == 1 || num_warps <= if read_only { 64 } else { 4 }
 }
 
 /// A simulated GPU: a global-memory arena plus a configuration, able to
@@ -120,9 +122,9 @@ pub(crate) fn runs_on_launcher(read_only: bool, num_warps: usize) -> bool {
 ///
 /// Scheduling: under [`SchedMode::Os`] (default) warps run in parallel on
 /// OS threads — except in a launch too small to share (at most 64
-/// read-only or 4 read-write warps), which runs on the thread that issued
-/// it. Under [`SchedMode::Deterministic`] the launch serializes warps
-/// beneath a seeded cooperative scheduler
+/// read-only or 4 read-write warps) or on a one-worker device, which runs
+/// on the thread that issued it. Under [`SchedMode::Deterministic`] the
+/// launch serializes warps beneath a seeded cooperative scheduler
 /// ([`DetScheduler`](crate::DetScheduler)) so the interleaving — and with
 /// it every conflict, allocation, and statistic — replays bit-for-bit for
 /// a given seed; each launch's warp-grant sequence is captured and can be
@@ -237,11 +239,11 @@ impl Device {
     /// coarsely until a warp reports a conflict, at memory-access
     /// granularity while one is live — device-side synchronization exhibits
     /// real contention regardless of how many host cores exist. A launch of
-    /// at most 64 read-only or 4 read-write warps skips all of that: the
-    /// launching thread runs its warps in warp-id order, without a yield
-    /// (`runs_on_launcher` in this file has the reasons for the two
-    /// numbers). In deterministic mode warps multiplex over a small
-    /// **host-independent** number of pool slots
+    /// at most 64 read-only or 4 read-write warps, or any launch on a
+    /// one-worker device, skips all of that: the launching thread runs its
+    /// warps in warp-id order, without a yield (`runs_on_launcher` in this
+    /// file has the reasons). In deterministic mode warps multiplex over a
+    /// small **host-independent** number of pool slots
     /// ([`DeviceConfig::det_workers`]) and a seeded scheduler serializes
     /// their stepping, so a `(seed, config, kernel)` triple replays the same
     /// interleaving on any machine.
@@ -379,7 +381,7 @@ impl Device {
         S: Default + Send,
         F: Fn(usize, &mut WarpCtx, &mut S) + Sync,
     {
-        if runs_on_launcher(read_only, num_warps) {
+        if runs_on_launcher(read_only, num_warps, self.cfg.effective_workers()) {
             // No warp of a serial launch is runnable elsewhere, so no tick
             // is worth a yield — the read-only regime, whatever the kernel
             // declared. Neither the pool nor its launch mutex is touched.
@@ -691,21 +693,54 @@ mod tests {
 
     #[test]
     fn small_launches_run_on_the_launcher() {
-        for (read_only, warps, expect) in [
-            (false, 1, true),
-            (false, 4, true),
-            (false, 5, false),
-            (false, 864, false),
-            (true, 1, true),
-            (true, 64, true),
-            (true, 65, false),
-            (true, 864, false),
+        for (read_only, warps, workers, expect) in [
+            (false, 1, 4, true),
+            (false, 4, 4, true),
+            (false, 5, 4, false),
+            (false, 864, 4, false),
+            (true, 1, 4, true),
+            (true, 64, 4, true),
+            (true, 65, 4, false),
+            (true, 864, 4, false),
+            (false, 5, 1, true),
+            (false, 864, 1, true),
+            (true, 65, 1, true),
+            (true, 864, 1, true),
         ] {
             assert_eq!(
-                runs_on_launcher(read_only, warps),
+                runs_on_launcher(read_only, warps, workers),
                 expect,
-                "read_only {read_only}, {warps} warps"
+                "read_only {read_only}, {warps} warps, {workers} workers"
             );
+        }
+    }
+
+    #[test]
+    fn a_one_worker_device_never_spawns_its_pool() {
+        let cfg = DeviceConfig {
+            worker_threads: 1,
+            ..DeviceConfig::test_small()
+        };
+        let (dev, seq) = (Device::new(1 << 12, cfg.clone()), Device::new(1 << 12, cfg));
+        let cells = dev.mem().alloc(865);
+        assert_eq!(seq.mem().alloc(865), cells);
+        // Every warp bumps one shared counter and stores what it read: the
+        // launch's results and counters depend on the warps' order.
+        let kernel = |wid: usize, ctx: &mut WarpCtx| {
+            ctx.begin_request();
+            let seen = ctx.atomic_add(cells, 1);
+            ctx.write(cells + 1 + wid as u64, seen);
+            ctx.control(wid as u64 % 7);
+            ctx.end_request();
+        };
+        let stats = dev.launch("rw", 864, kernel);
+        assert!(
+            dev.pool.get().is_none(),
+            "a one-worker launch spawned the pool"
+        );
+        assert_eq!(stats, seq.launch_seq("rw", 864, kernel));
+        for word in cells..cells + 865 {
+            assert_eq!(dev.mem().read(word), seq.mem().read(word), "word {word}");
         }
     }
 

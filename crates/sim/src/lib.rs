@@ -34,7 +34,7 @@ mod slab;
 mod stats;
 mod warp;
 
-pub use cluster::{mix64, Cluster, MIN_WORKERS_PER_SHARD};
+pub use cluster::{mix64, Cluster};
 pub use config::DeviceConfig;
 pub use device::Device;
 pub use mem::{Addr, GlobalMemory, NULL_ADDR};

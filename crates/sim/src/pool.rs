@@ -12,12 +12,12 @@
 //! wakes the workers, and waits for an exact completion count. Launch
 //! overhead becomes a few condvar wakes instead of N thread spawns.
 //!
-//! A launch too small for the hand-off to pay for itself never gets here:
-//! at most 64 read-only or 4 read-write warps run on the thread that
+//! An OS-mode launch that a pool would not speed up never gets here: at
+//! most 64 read-only or 4 read-write warps, and every launch of a
+//! one-worker device (each serve shard's), run on the thread that
 //! launched them (`runs_on_launcher` in `device.rs`), which neither spawns
 //! this pool nor takes its launch mutex. The hand-off costs two condvar
-//! wakes, ≈ 40 µs, and such a launch was drained by the first worker to
-//! wake anyway.
+//! wakes, ≈ 40 µs, and buys such a launch no concurrency.
 //!
 //! The same pool serves both scheduling modes:
 //! * OS mode, pooled launches: one item per worker slot; a slot claims warp
