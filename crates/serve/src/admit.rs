@@ -497,13 +497,15 @@ fn split_parts(
 /// shards' ingress queues with all-or-nothing shed-on-full reservations.
 /// The admitting combiner never blocks on a peer queue: blocking there
 /// could deadlock two combiners admitting toward each other's full queues.
+/// Returns how many requests were dead on admission, for the shard
+/// thread's books.
 pub(crate) fn admit_lanes(
     inner: &Inner,
     state: &ShardState,
     shard: ShardId,
     budget: usize,
     reorder: &mut Reorder,
-) {
+) -> u64 {
     // Never block on the topology here: the rebalancer holds the write
     // lock while quiescing this very combiner's shard, and a combiner
     // parked on the read lock could never drain — deadlock. Skip the
@@ -512,13 +514,13 @@ pub(crate) fn admit_lanes(
     // requests defeat the ingress drain's idle wait.
     let Ok(topo) = inner.topology.try_read() else {
         std::thread::sleep(Duration::from_micros(50));
-        return;
+        return 0;
     };
     let drained = state.queue.drain_lanes(budget);
     if drained.is_empty() {
-        return;
+        return 0;
     }
-    let now = Instant::now();
+    let (now, mut expired) = (Instant::now(), 0);
     {
         // Publish the slot before drawing any timestamp: peer combiners
         // must not emit an epoch past these requests until every one —
@@ -531,7 +533,7 @@ pub(crate) fn admit_lanes(
                 // timed_out).
                 let n = seg.len() as u64;
                 state.record_enqueue(n, 0);
-                state.record_timeout(n);
+                expired += n;
                 seg.fail(&Outcome::TimedOut);
                 continue;
             }
@@ -539,6 +541,7 @@ pub(crate) fn admit_lanes(
         }
     }
     state.queue.lane_drain_done();
+    expired
 }
 
 /// Timestamps one lane-drained segment with one range draw and places

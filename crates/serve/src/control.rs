@@ -24,9 +24,8 @@
 //!   no latency budget is set, or by doubling when one is, so the
 //!   budget brake still gets a chance to catch an overshoot.
 //!
-//! `EpochSizing::Fixed` keeps the old fixed limit available for
-//! ablation: the controller degenerates to a constant and `on_epoch`
-//! is a no-op.
+//! `EpochSizing::Fixed`, the paper's constant limit, is the default: the
+//! controller degenerates to a constant and `on_epoch` is a no-op.
 
 /// Parameters of the adaptive (AIMD) epoch-sizing policy.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,7 +83,7 @@ impl AimdSpec {
 /// How a shard sizes its epochs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EpochSizing {
-    /// The paper's model: a constant batch limit (ablation baseline).
+    /// The paper's model: a constant batch limit (the default, at 4 096).
     Fixed(usize),
     /// Closed-loop AIMD sizing driven by epoch-boundary feedback.
     Adaptive(AimdSpec),

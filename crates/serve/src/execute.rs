@@ -6,15 +6,17 @@
 
 use crate::control::EpochFeedback;
 use crate::observe::{
-    CloseCause, LatencySummary, ObserveConfig, ShardMetrics, ShardSample, SloBreach, SloMonitor,
+    CloseCause, CloseCounts, LatencySummary, ObserveConfig, ShardSample, SloBreach, SloMonitor,
 };
 use crate::queue::Segment;
 use crate::report::ShardReport;
+use crate::service::ShardState;
 use crate::shard::ShardId;
 use eirene_core::plan::CombinePlan;
-use eirene_sim::{CycleHistogram, KernelStats, Phase, ScheduleLog};
+use eirene_sim::{CycleHistogram, KernelStats, Phase, ScheduleLog, SlabStats};
 use eirene_telemetry::{LifecycleSpan, SpanRing};
 use eirene_workloads::Batch;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Host control-flow instructions charged per admitted request for the
 /// `ingress` telemetry phase (route lookup, timestamp fetch, queue push).
@@ -49,7 +51,7 @@ pub(crate) struct Epoch {
 /// One shard's books (module docs).
 #[derive(Default)]
 pub(crate) struct Books {
-    shard: ShardId,
+    pub(crate) shard: ShardId,
     /// Observability is on (spans, samples, SLOs); sizing is adaptive.
     observe: bool,
     adaptive: bool,
@@ -58,7 +60,13 @@ pub(crate) struct Books {
     clock: u64,
     busy_cycles: u64,
     epochs: u64,
+    closed: CloseCounts,
     executed: u64,
+    /// Entries that expired before their epoch formed.
+    pub(crate) timed_out: u64,
+    /// Keys in the shard's tree as of its last build or migration, and
+    /// exact at the terminal sample (set by the shard thread).
+    pub(crate) key_count: u64,
     /// The device's counters over every booked epoch.
     pub(crate) stats: KernelStats,
     /// The serving layer's own rows — ingress control instructions and
@@ -151,6 +159,7 @@ impl Books {
         self.clock = end;
         self.busy_cycles += makespan;
         self.epochs += 1;
+        self.closed.record(epoch.close);
         self.executed += n;
         // Close the loop: this epoch's realized batch, the backlog left
         // behind it (ingress + reorder + staged lanes), and its p99 set the
@@ -165,39 +174,48 @@ impl Books {
         feedback
     }
 
-    /// A [`ShardSample`] of the epoch booked last — or, `terminal`, of the
-    /// whole run — and the SLO breaches it tripped.
+    /// A [`ShardSample`] of `epoch`, the epoch booked last — or, given
+    /// `None`, of the whole run (the terminal sample) — and the SLO
+    /// breaches it tripped. `batch_target` is the controller's target for
+    /// the next epoch and `arena` the device's slab occupancy now.
     pub(crate) fn sample(
         &mut self,
-        m: &ShardMetrics,
-        terminal: bool,
+        epoch: Option<&Epoch>,
+        shared: &ShardState,
+        batch_target: u64,
+        arena: SlabStats,
     ) -> (ShardSample, &[SloBreach]) {
+        let terminal = epoch.is_none();
         let epoch_latency = self.epoch_latency.take().filter(|_| !terminal);
         let epoch_latency = epoch_latency.unwrap_or_default();
+        // At the end the queue has finished: nothing waits, is parked or
+        // staged, and nothing is in flight.
+        let gauge = |read: fn(&Epoch) -> u64| epoch.map_or(0, read);
+        let load = |cell: &AtomicU64| cell.load(Relaxed);
         let sample = ShardSample {
             shard: self.shard,
             epoch: self.epochs + u64::from(terminal),
             terminal,
             clock_cycles: self.clock,
             batch_size: epoch_latency.count(),
-            queue_depth: m.get(m.queue_depth),
-            reorder_pending: m.get(m.reorder_pending),
-            watermark_lag: m.get(m.watermark_lag),
-            inflight: m.get(m.inflight),
-            enqueued: m.get(m.enqueued),
-            shed: m.get(m.shed),
-            timed_out: m.get(m.timed_out),
-            completed: m.get(m.completed),
-            max_queue_depth: m.get(m.max_depth),
-            closed: m.closed(),
-            batch_target: m.get(m.batch_target),
-            lane_pending: m.get(m.lane_pending),
-            key_count: m.get(m.key_count),
-            arena_live: m.get(m.arena_live),
-            arena_retired: m.get(m.arena_retired),
-            descents_saved: m.get(m.descents_saved),
-            pivot_cache_hits: m.get(m.pivot_cache_hits),
-            tenant_shed: m.tenant_shed.iter().map(|&id| m.get(id)).collect(),
+            queue_depth: gauge(|e| e.queue_depth),
+            reorder_pending: gauge(|e| e.reorder_pending),
+            watermark_lag: gauge(|e| e.watermark_lag),
+            inflight: gauge(|e| e.inflight),
+            enqueued: load(&shared.enqueued),
+            shed: load(&shared.shed),
+            timed_out: self.timed_out,
+            completed: self.executed,
+            max_queue_depth: load(&shared.max_depth),
+            closed: self.closed,
+            batch_target,
+            lane_pending: gauge(|e| e.lane_depth),
+            key_count: self.key_count,
+            arena_live: arena.live,
+            arena_retired: arena.retired,
+            descents_saved: self.stats.totals.descents_saved,
+            pivot_cache_hits: self.stats.totals.pivot_cache_hits,
+            tenant_shed: shared.tenant_shed.iter().map(load).collect(),
             latency: LatencySummary::from_hist(&self.latency),
             epoch_latency,
         };
@@ -213,7 +231,6 @@ impl Books {
     pub(crate) fn finish(
         mut self,
         terminal: ShardSample,
-        batch_target: u64,
         schedule: ScheduleLog,
         contents: Vec<(u64, u64)>,
         structure: Result<(), String>,
@@ -243,14 +260,14 @@ impl Books {
             shed: terminal.shed,
             timed_out: terminal.timed_out,
             max_queue_depth: terminal.max_queue_depth,
-            batch_target,
+            batch_target: terminal.batch_target,
             tenant_shed: terminal.tenant_shed,
             tenant_latency: self.tenant_latency,
             latency: self.latency,
             busy_cycles: self.busy_cycles,
             clock_cycles: self.clock,
             schedule,
-            key_count: contents.len() as u64,
+            key_count: terminal.key_count,
             arena_live: terminal.arena_live,
             arena_retired: terminal.arena_retired,
             descents_saved: terminal.descents_saved,
@@ -268,6 +285,8 @@ impl Books {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::{BatchController, EpochSizing};
+    use crate::lane::QosConfig;
     use crate::report::ServeReport;
     use crate::ticket::{Slot, TicketBatch};
     use eirene_core::plan::build_plan;
@@ -296,22 +315,61 @@ mod tests {
         }
     }
 
-    /// The books' report over `epochs` of 100 cycles each, with a registry
-    /// that balances.
+    /// The books' report over `epochs` of 100 cycles each, with admission
+    /// counters that balance.
     fn report(books: &mut Books, epochs: &[Epoch]) -> ShardReport {
-        let m = ShardMetrics::new(1);
+        let state = ShardState::new(4, &QosConfig::disabled());
         for epoch in epochs {
             let run = KernelStats {
                 makespan_cycles: 100.0,
                 ..KernelStats::default()
             };
             books.record(epoch, run);
-            m.record_epoch(epoch.close);
-            m.add(m.enqueued, epoch.batch.len() as u64);
-            m.add(m.completed, epoch.batch.len() as u64);
+            state.record_enqueue(epoch.batch.len() as u64, 0);
         }
-        let (terminal, _) = books.sample(&m, true);
-        std::mem::take(books).finish(terminal, 8, ScheduleLog::default(), Vec::new(), Ok(()))
+        let (terminal, _) = books.sample(None, &state, 8, SlabStats::default());
+        std::mem::take(books).finish(terminal, ScheduleLog::default(), Vec::new(), Ok(()))
+    }
+
+    #[test]
+    fn books_sample_the_epoch_gauges_and_end_on_a_terminal_sample_of_the_run() {
+        let state = ShardState::new(4, &QosConfig::uniform(3, 8));
+        let controller = BatchController::new(EpochSizing::Fixed(48));
+        let mut books = Books::new(0, 3, 1, &ObserveConfig::live(), false);
+        let causes = [CloseCause::Idle, CloseCause::Returned, CloseCause::Idle];
+        for (i, close) in (0u64..).zip(causes) {
+            let epoch = Epoch {
+                close,
+                queue_depth: 1,
+                reorder_pending: 2,
+                lane_depth: 3,
+                watermark_lag: 4,
+                inflight: 5,
+                ..epoch(&[2 * i, 2 * i + 1], 0)
+            };
+            state.record_enqueue(2, 6);
+            books.record(&epoch, KernelStats::default());
+            let (s, _) = books.sample(Some(&epoch), &state, 48, SlabStats::default());
+            let gauges = (s.queue_depth, s.reorder_pending, s.lane_pending);
+            assert_eq!((gauges, s.watermark_lag, s.inflight), ((1, 2, 3), 4, 5));
+            assert_eq!((s.epoch, s.batch_size, s.closed.total()), (i + 1, 2, i + 1));
+        }
+        state.record_shed(5, 2);
+        let arena = SlabStats {
+            live: 7,
+            ..SlabStats::default()
+        };
+        let target = controller.target() as u64;
+        let (t, _) = books.sample(None, &state, target, arena);
+        assert!(t.terminal);
+        let gauges = (t.queue_depth, t.reorder_pending, t.lane_pending);
+        assert_eq!((gauges, t.watermark_lag, t.inflight), ((0, 0, 0), 0, 0));
+        assert_eq!((t.epoch, t.batch_size, t.batch_target), (4, 0, 48));
+        assert_eq!(t.closed.total(), t.epoch - 1);
+        assert_eq!((t.closed.idle, t.closed.returned), (2, 1));
+        assert_eq!((t.enqueued, t.completed, t.max_queue_depth), (6, 6, 6));
+        assert_eq!((t.shed, t.arena_live), (5, 7));
+        assert_eq!(t.tenant_shed, [0, 0, 5]);
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //! - **Closed-loop epoch sizing** — [`EpochSizing::Adaptive`] replaces
 //!   the fixed batch limit with a per-shard AIMD controller fed by the
 //!   epoch-boundary signals (queue depth, reorder backlog, epoch p99);
-//!   [`EpochSizing::Fixed`] keeps the paper's constant-batch model for
-//!   ablation.
+//!   [`EpochSizing::Fixed`], the paper's constant-batch model, stays the
+//!   default.
 //! - **Per-tenant QoS lanes** — with a [`QosConfig`] installed, each
 //!   submission stages on its home shard's lane for the submitting
 //!   tenant ([`Client::for_tenant`]); combiners admit lanes by weighted

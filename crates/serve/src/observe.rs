@@ -7,67 +7,22 @@
 //! registered observer the moment a shard finishes an epoch — epoch
 //! boundaries are the natural sampling points of the combining pipeline
 //! (every counter is quiescent for the sampled epoch, and the shard's
-//! virtual clock has a well-defined value). The batch controller
-//! (adaptive epoch sizing) and the rebalancer (hot-shard splitting) feed
-//! on exactly these signals.
+//! virtual clock has a well-defined value). A sample is built only to be
+//! exported: the batch controller and the rebalancer take their signals
+//! from the shard thread directly, so neither turns observability on.
 //!
 //! Overhead when disabled: with [`ObserveConfig::enabled`] false the
-//! admission hot path is untouched (the always-on accounting counters are
-//! the same relaxed atomics the report already needed), combiners skip the
-//! gauge reads, and executors record no spans and emit no samples.
+//! admission hot path is untouched (its counters are the relaxed atomics
+//! the report needs anyway), and shard threads skip the gauge reads, record
+//! no spans and build no sample but the terminal one, which the report is
+//! taken from.
 
 use crate::rebalance::RebalanceEvent;
 use crate::report::ServeReport;
 use crate::shard::ShardId;
-use eirene_telemetry::{CycleHistogram, JsonValue, MetricId, MetricsRegistry};
+use eirene_telemetry::{CycleHistogram, JsonValue};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-
-/// The per-shard metric registry: always-on admission counters plus
-/// gauges refreshed at epoch boundaries. One instance per shard, shared
-/// between submitters (counter bumps), the combiner (timeout counter),
-/// and the executor (gauges, sampling).
-#[derive(Debug)]
-pub(crate) struct ShardMetrics {
-    reg: MetricsRegistry,
-    pub enqueued: MetricId,
-    pub shed: MetricId,
-    pub timed_out: MetricId,
-    pub completed: MetricId,
-    pub epochs: MetricId,
-    pub max_depth: MetricId,
-    pub queue_depth: MetricId,
-    pub reorder_pending: MetricId,
-    pub watermark_lag: MetricId,
-    pub inflight: MetricId,
-    pub epoch_batch: MetricId,
-    /// Controller's batch target for the next epoch.
-    pub batch_target: MetricId,
-    /// Entries staged on QoS lanes (0 when lanes are disabled).
-    pub lane_pending: MetricId,
-    /// Keys owned by the shard's tree as of its last build or rebalance
-    /// migration (sentinel excluded). Not updated per epoch — upserts and
-    /// deletes move it only at the terminal snapshot, where it is exact.
-    pub key_count: MetricId,
-    /// Live node blocks in the shard device's slab arena (allocated minus
-    /// retired), refreshed at epoch boundaries.
-    pub arena_live: MetricId,
-    /// Node blocks quarantined in the slab arena awaiting their epoch to
-    /// pass; refreshed at epoch boundaries, right after the reclamation
-    /// epoch advanced (so it shows the steady-state backlog, usually 0).
-    pub arena_retired: MetricId,
-    /// Upper-level descents avoided by leaf-run coalescing (cumulative
-    /// device total, refreshed at epoch boundaries).
-    pub descents_saved: MetricId,
-    /// Run dispatches resolved from the snapshot pivot cache instead of
-    /// device-memory upper levels (cumulative, refreshed per epoch).
-    pub pivot_cache_hits: MetricId,
-    /// Per-tenant shed counters; `tenant_shed[t]` sums into `shed`.
-    pub tenant_shed: Vec<MetricId>,
-    /// Epochs by close cause, indexed by [`CloseCause`]; bumped together
-    /// with `epochs`, so the five always sum to it.
-    closed: [MetricId; 5],
-}
 
 /// Why the combiner stopped gathering an epoch and handed it over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,81 +67,16 @@ impl CloseCounts {
     pub fn total(&self) -> u64 {
         self.full + self.linger + self.idle + self.returned + self.drain
     }
-}
 
-impl ShardMetrics {
-    pub fn new(tenants: usize) -> Self {
-        // Registration order is each metric's id: keep it.
-        let mut r = MetricsRegistry::new();
-        ShardMetrics {
-            enqueued: r.register_counter("enqueued"),
-            shed: r.register_counter("shed"),
-            timed_out: r.register_counter("timed_out"),
-            completed: r.register_counter("completed"),
-            epochs: r.register_counter("epochs"),
-            max_depth: r.register_gauge("max_queue_depth"),
-            queue_depth: r.register_gauge("queue_depth"),
-            reorder_pending: r.register_gauge("reorder_pending"),
-            watermark_lag: r.register_gauge("watermark_lag"),
-            inflight: r.register_gauge("inflight"),
-            epoch_batch: r.register_gauge("epoch_batch"),
-            batch_target: r.register_gauge("batch_target"),
-            lane_pending: r.register_gauge("lane_pending"),
-            key_count: r.register_gauge("key_count"),
-            arena_live: r.register_gauge("arena_live"),
-            arena_retired: r.register_gauge("arena_retired"),
-            descents_saved: r.register_gauge("descents_saved"),
-            pivot_cache_hits: r.register_gauge("pivot_cache_hits"),
-            tenant_shed: (0..tenants.max(1))
-                .map(|t| r.register_counter(&format!("tenant{t}_shed")))
-                .collect(),
-            closed: [
-                "closed_full",
-                "closed_linger",
-                "closed_idle",
-                "closed_returned",
-                "closed_drain",
-            ]
-            .map(|name| r.register_counter(name)),
-            reg: r,
-        }
-    }
-
-    /// Counts one executed epoch under the cause that closed it.
-    pub fn record_epoch(&self, cause: CloseCause) {
-        self.reg.add(self.epochs, 1);
-        self.reg.add(self.closed[cause as usize], 1);
-    }
-
-    pub fn closed(&self) -> CloseCounts {
-        let [full, linger, idle, returned, drain] = self.closed.map(|id| self.reg.get(id));
-        CloseCounts {
-            full,
-            linger,
-            idle,
-            returned,
-            drain,
-        }
-    }
-
-    #[inline]
-    pub fn add(&self, id: MetricId, n: u64) {
-        self.reg.add(id, n);
-    }
-
-    #[inline]
-    pub fn set(&self, id: MetricId, v: u64) {
-        self.reg.set(id, v);
-    }
-
-    #[inline]
-    pub fn record_max(&self, id: MetricId, v: u64) {
-        self.reg.record_max(id, v);
-    }
-
-    #[inline]
-    pub fn get(&self, id: MetricId) -> u64 {
-        self.reg.get(id)
+    /// Counts one epoch closed by `cause`.
+    pub(crate) fn record(&mut self, cause: CloseCause) {
+        *match cause {
+            CloseCause::Full => &mut self.full,
+            CloseCause::Linger => &mut self.linger,
+            CloseCause::Idle => &mut self.idle,
+            CloseCause::Returned => &mut self.returned,
+            CloseCause::Drain => &mut self.drain,
+        } += 1;
     }
 }
 
@@ -858,30 +748,5 @@ mod tests {
             doc.get("samples").and_then(|v| v.as_arr()).unwrap().len(),
             3
         );
-    }
-
-    #[test]
-    fn shard_metrics_register_the_standard_set() {
-        let m = ShardMetrics::new(3);
-        m.add(m.enqueued, 7);
-        m.set(m.queue_depth, 3);
-        m.record_max(m.max_depth, 9);
-        assert_eq!(m.get(m.enqueued), 7);
-        assert_eq!(m.get(m.queue_depth), 3);
-        assert_eq!(m.get(m.max_depth), 9);
-        assert_eq!(m.get(m.shed), 0);
-        assert_eq!(m.tenant_shed.len(), 3);
-        m.add(m.tenant_shed[2], 5);
-        assert_eq!(m.get(m.tenant_shed[2]), 5);
-        assert_eq!(m.get(m.batch_target), 0);
-        m.record_epoch(CloseCause::Idle);
-        m.record_epoch(CloseCause::Idle);
-        m.record_epoch(CloseCause::Returned);
-        m.record_epoch(CloseCause::Drain);
-        let closed = m.closed();
-        assert_eq!((closed.idle, closed.returned, closed.drain), (2, 1, 1));
-        assert_eq!(closed.total(), m.get(m.epochs));
-        // Even tenant-less services carry the implicit tenant 0.
-        assert_eq!(ShardMetrics::new(0).tenant_shed.len(), 1);
     }
 }

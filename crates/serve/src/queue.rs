@@ -439,14 +439,11 @@ impl IngressQueue {
     }
 
     /// True when lanes are absent, or closed with nothing staged and no
-    /// drained batch still being admitted.
+    /// drained batch still being admitted, or when the shard thread has
+    /// left: nobody will ever drain what it staged.
     pub(crate) fn lanes_quiesced(&self) -> bool {
-        self.state
-            .lock()
-            .unwrap()
-            .lanes
-            .as_ref()
-            .is_none_or(|l| l.quiesced())
+        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.abandoned || st.lanes.as_ref().is_none_or(|l| l.quiesced())
     }
 
     /// Hands the rebalancer's request to the shard thread: the next

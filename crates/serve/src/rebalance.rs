@@ -1,7 +1,7 @@
-//! Online shard rebalancing: the policy that watches the per-shard
-//! [`ShardSample`] stream for a sustained hot (or cold) shard, and the
-//! thread that carries a decision out — quiesce the shard pair, migrate
-//! keys between their trees, atomically publish the new
+//! Online shard rebalancing: the policy that watches each shard's load,
+//! fed by the shard threads after every epoch, for a sustained hot (or
+//! cold) shard, and the thread that carries a decision out — quiesce the
+//! shard pair, migrate keys between their trees, atomically publish the new
 //! [`ShardMap`](crate::ShardMap). Every rebalance moves exactly ONE
 //! interior boundary between two ADJACENT shards
 //! ([`ShardMap::with_boundary`](crate::ShardMap::with_boundary)), so only
@@ -9,12 +9,13 @@
 //! toward balance.
 
 use crate::admit::Inner;
-use crate::observe::{ServiceObserver, ShardSample, SloBreach};
+use crate::observe::ServiceObserver;
 use crate::queue::IngressQueue;
 use crate::shard::ShardId;
 use eirene_telemetry::JsonValue;
 use eirene_workloads::Key;
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -62,10 +63,10 @@ pub struct RebalanceSpec {
     /// Decision rounds ignored after a topology change (lets queues
     /// re-equilibrate under the new map before judging it).
     pub cooldown_epochs: u32,
-    /// Decision rounds ignored at service start. Shards sample at their
+    /// Decision rounds ignored at service start. Shards report at their
     /// own epoch boundaries, so a saturated shard grinding through its
     /// first big epoch reports *after* the light shards — acting before
-    /// every shard has spoken splits whichever light shard sampled first.
+    /// every shard has spoken splits whichever light shard reported first.
     pub warmup_rounds: u32,
     /// Never split a shard whose key span is below this width.
     pub min_span: u32,
@@ -143,7 +144,7 @@ pub struct RebalanceEvent {
     pub moved_keys: u64,
     /// True when the action came from
     /// [`Service::force_rebalance`](crate::Service::force_rebalance)
-    /// rather than the sample-driven policy.
+    /// rather than the load-driven policy.
     pub forced: bool,
 }
 
@@ -193,7 +194,7 @@ pub enum RebalanceAction {
     Merge { left: ShardId },
 }
 
-/// What the sample-driven policy wants to do this round.
+/// What the load-driven policy wants to do this round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Decision {
     Act(RebalanceAction),
@@ -201,8 +202,7 @@ pub(crate) enum Decision {
 }
 
 /// One round of the hysteresis policy over the latest per-shard loads
-/// (standing backlog plus arrivals since the shard's previous sample —
-/// see [`RebalanceFeed`]). `streaks[s]` carries shard `s`'s
+/// (see [`RebalanceShared::note_load`]). `streaks[s]` carries shard `s`'s
 /// consecutive qualifying rounds between calls, signed: positive counts
 /// hot rounds, negative cold rounds, and a transition restarts from the
 /// new side — a long-cold shard that suddenly spikes must still sustain
@@ -256,9 +256,8 @@ pub(crate) fn decide(depths: &[u64], streaks: &mut [i64], spec: &RebalanceSpec) 
     Decision::None
 }
 
-/// State shared between the sample feed (shard threads, via the
-/// observer wrapper), the public force/inspect API, and the rebalancer
-/// thread.
+/// State shared between the load feed (the shard threads), the public
+/// force/inspect API, and the rebalancer thread.
 #[derive(Debug, Default)]
 pub(crate) struct RebalanceShared {
     state: Mutex<FeedState>,
@@ -267,10 +266,9 @@ pub(crate) struct RebalanceShared {
 
 #[derive(Debug, Default)]
 struct FeedState {
-    /// Latest load per shard (standing backlog + arrivals since the
-    /// shard's previous sample).
+    /// Latest load per shard (see [`RebalanceShared::note_load`]).
     depths: Vec<u64>,
-    /// Samples folded in since the last decision round.
+    /// Loads fed since the last decision round.
     fresh: u64,
     /// Explicitly requested actions, FIFO.
     forced: VecDeque<RebalanceAction>,
@@ -287,13 +285,12 @@ pub(crate) enum Wake {
     Stop,
     Forced(RebalanceAction),
     /// A fresh decision round over the latest backlogs.
-    Samples(Vec<u64>),
+    Loads(Vec<u64>),
 }
 
 impl RebalanceShared {
-    /// Pre-sizes the backlog vector so idle shards (which emit no
-    /// epoch-boundary samples) still count as zero-depth in every
-    /// decision round.
+    /// Pre-sizes the load vector so idle shards (which run no epochs)
+    /// still count as zero-load in every decision round.
     pub(crate) fn set_shards(&self, shards: usize) {
         let mut st = self.state.lock().unwrap();
         if st.depths.len() < shards {
@@ -301,15 +298,21 @@ impl RebalanceShared {
         }
     }
 
-    pub(crate) fn note_sample(&self, shard: ShardId, backlog: u64, terminal: bool) {
+    /// A shard thread's load after one of its epochs: its standing backlog
+    /// (ingress depth + reorder heap + staged lanes) *plus* its arrivals
+    /// since its previous epoch. Shards simulate device time on a virtual
+    /// clock while draining queues at host speed, so a hot shard can run
+    /// epoch after epoch with an empty ingress queue — its heat shows up
+    /// in the arrival rate, not the instantaneous depth. The rate term
+    /// exposes it either way; under real backpressure the depth term
+    /// dominates instead.
+    pub(crate) fn note_load(&self, shard: ShardId, load: u64) {
         let mut st = self.state.lock().unwrap();
         if shard >= st.depths.len() {
             st.depths.resize(shard + 1, 0);
         }
-        st.depths[shard] = backlog;
-        if !terminal {
-            st.fresh += 1;
-        }
+        st.depths[shard] = load;
+        st.fresh += 1;
         self.cv.notify_all();
     }
 
@@ -329,7 +332,7 @@ impl RebalanceShared {
     }
 
     /// Blocks until there is something to do. Decision rounds fire once
-    /// at least one shard reported a fresh (non-terminal) sample.
+    /// at least one shard fed a fresh load.
     pub(crate) fn wait(&self) -> Wake {
         let mut st = self.state.lock().unwrap();
         loop {
@@ -341,7 +344,7 @@ impl RebalanceShared {
             }
             if st.fresh > 0 {
                 st.fresh = 0;
-                return Wake::Samples(st.depths.clone());
+                return Wake::Loads(st.depths.clone());
             }
             st = self.cv.wait(st).unwrap();
         }
@@ -370,59 +373,8 @@ impl RebalanceShared {
     }
 }
 
-/// Observer shim installed when rebalancing is configured: forwards every
-/// callback to the user's observer (if any) and feeds each shard's load
-/// into the rebalancer's shared state. The load signal is the shard's
-/// standing backlog (ingress depth + reorder heap + staged lanes) *plus*
-/// its arrivals since the previous sample: executors simulate device time
-/// on a virtual clock while draining queues at host speed, so a hot shard
-/// can run epoch after epoch with an empty ingress queue — its heat shows
-/// up in the arrival rate, not the instantaneous depth. The rate term
-/// exposes it either way; under real backpressure the depth term
-/// dominates instead.
-pub(crate) struct RebalanceFeed {
-    pub(crate) shared: Arc<RebalanceShared>,
-    pub(crate) user: Option<Arc<dyn ServiceObserver>>,
-    /// Cumulative `enqueued` per shard at its previous sample.
-    pub(crate) last_enqueued: Mutex<Vec<u64>>,
-}
-
-impl ServiceObserver for RebalanceFeed {
-    fn on_sample(&self, sample: &ShardSample) {
-        let arrivals = {
-            let mut last = self.last_enqueued.lock().unwrap();
-            if sample.shard >= last.len() {
-                last.resize(sample.shard + 1, 0);
-            }
-            let d = sample.enqueued.saturating_sub(last[sample.shard]);
-            last[sample.shard] = sample.enqueued;
-            d
-        };
-        self.shared.note_sample(
-            sample.shard,
-            sample.queue_depth + sample.reorder_pending + sample.lane_pending + arrivals,
-            sample.terminal,
-        );
-        if let Some(user) = &self.user {
-            user.on_sample(sample);
-        }
-    }
-
-    fn on_breach(&self, breach: &SloBreach) {
-        if let Some(user) = &self.user {
-            user.on_breach(breach);
-        }
-    }
-
-    fn on_rebalance(&self, event: &RebalanceEvent) {
-        if let Some(user) = &self.user {
-            user.on_rebalance(event);
-        }
-    }
-}
-
 /// The rebalancer thread: sleeps on the shared state, runs the hysteresis
-/// policy over each fresh round of backlog samples, and executes
+/// policy over each fresh round of loads, and executes
 /// policy-chosen or forced boundary moves.
 pub(crate) fn rebalancer_loop(
     inner: &Inner,
@@ -432,7 +384,7 @@ pub(crate) fn rebalancer_loop(
 ) {
     let mut streaks = vec![0i64; inner.shards.len()];
     // Warmup doubles as an initial cooldown: early rounds are skipped so
-    // the first decisions see a sample from every busy shard, not just
+    // the first decisions see a load from every busy shard, not just
     // the quick light ones.
     let mut cooldown = spec.warmup_rounds;
     let mut seq = 0u64;
@@ -440,7 +392,7 @@ pub(crate) fn rebalancer_loop(
         let action = match shared.wait() {
             Wake::Stop => return,
             Wake::Forced(action) => Some((action, true)),
-            Wake::Samples(depths) => {
+            Wake::Loads(depths) => {
                 if cooldown > 0 {
                     cooldown -= 1;
                     continue;
@@ -477,8 +429,8 @@ fn quiesce_pair(inner: &Inner, shared: &RebalanceShared, pair: [ShardId; 2]) -> 
             return false;
         }
         let drained = pair.iter().all(|&s| {
-            let m = &inner.shards[s].metrics;
-            m.get(m.enqueued) == m.get(m.completed) + m.get(m.timed_out)
+            let state = &inner.shards[s];
+            state.enqueued.load(Relaxed) == state.settled.load(Relaxed)
         });
         if drained {
             return true;
@@ -727,7 +679,7 @@ mod tests {
     #[test]
     fn shared_state_queues_forced_actions_and_events() {
         let sh = RebalanceShared::default();
-        sh.note_sample(2, 40, false);
+        sh.note_load(2, 40);
         assert_eq!(sh.depths(), vec![0, 0, 40]);
         sh.force(RebalanceAction::Merge { left: 0 });
         match sh.wait() {
@@ -735,8 +687,8 @@ mod tests {
             _ => panic!("forced action must win the wakeup"),
         }
         match sh.wait() {
-            Wake::Samples(d) => assert_eq!(d, vec![0, 0, 40]),
-            _ => panic!("fresh samples pending"),
+            Wake::Loads(d) => assert_eq!(d, vec![0, 0, 40]),
+            _ => panic!("fresh loads pending"),
         }
         sh.attempt_done();
         assert_eq!(sh.attempts_done(), 1);

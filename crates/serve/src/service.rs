@@ -45,11 +45,10 @@ use crate::combine::{Combiner, Effect, ExecutorState, TurnView};
 use crate::control::{BatchController, EpochSizing};
 use crate::execute::{Books, Epoch};
 use crate::lane::{QosConfig, TenantId};
-use crate::observe::{ObserveConfig, ShardMetrics, ShardSample, SloBreach};
+use crate::observe::{ObserveConfig, ShardSample, SloBreach};
 use crate::queue::{AdmitPolicy, IngressQueue, Segment};
 use crate::rebalance::{
-    rebalancer_loop, Migration, RebalanceAction, RebalanceEvent, RebalanceFeed, RebalanceShared,
-    RebalanceSpec,
+    rebalancer_loop, Migration, RebalanceAction, RebalanceEvent, RebalanceShared, RebalanceSpec,
 };
 use crate::report::{ServeReport, ShardReport};
 use crate::shard::{hash_shard, ShardId, ShardMap, Sharding};
@@ -58,9 +57,10 @@ use eirene_baselines::common::ConcurrentTree;
 use eirene_btree::refops;
 use eirene_core::plan::build_plan;
 use eirene_core::{EireneOptions, EireneTree};
-use eirene_sim::{Cluster, DeviceConfig, GlobalMemory, ScheduleLog};
+use eirene_sim::{DeviceConfig, ScheduleLog};
 use eirene_workloads::{Batch, Key, OpKind};
 use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -93,21 +93,20 @@ pub struct ServeConfig {
     pub map: ShardMap,
     /// Range (default) or hash-scatter key placement.
     pub sharding: Sharding,
-    /// Online shard rebalancing: watch the per-shard sample stream and
+    /// Online shard rebalancing: watch each shard's load and
     /// move a hot (or cold) range boundary at an epoch boundary. `None`
     /// (the default) keeps the topology static. Requires range sharding;
     /// incompatible with schedule replay (migrations rebuild shard
-    /// trees). Setting this forces [`ObserveConfig::enabled`] on — the
-    /// rebalancer feeds on epoch samples.
+    /// trees).
     pub rebalance: Option<RebalanceSpec>,
     /// Base device configuration, specialized per shard by
-    /// [`Cluster`](eirene_sim::Cluster). OS mode ignores `worker_threads`:
+    /// [`DeviceConfig::for_shard`]. OS mode ignores `worker_threads`:
     /// every shard runs its kernels on its own thread and spawns no worker
     /// pool. Deterministic mode honours it (the slot bound shapes the
     /// captured schedules) and derives a seed per shard.
     pub device: DeviceConfig,
     /// How each shard sizes its epochs: a fixed batch limit (the paper's
-    /// model, kept for ablation) or the closed-loop AIMD controller.
+    /// model, and the default at 4 096) or the closed-loop AIMD controller.
     pub sizing: EpochSizing,
     /// Per-tenant QoS lanes and quotas; [`QosConfig::disabled`] (the
     /// default) bypasses lanes entirely.
@@ -181,37 +180,46 @@ impl ServeConfig {
     }
 }
 
-/// Shared per-shard state: the ingress queue plus the metric registry
-/// holding the admission counters (always on — the final report needs
-/// them) and the epoch-boundary gauges (refreshed only when observability
-/// is enabled).
+/// Shared per-shard state: the ingress queue and the counters other
+/// threads than the shard's own write or read. Submitters and peer
+/// combiners count admissions and sheds; the rebalancer compares
+/// `enqueued` with `settled`. Everything only the shard thread touches
+/// lives in its [`Books`].
 #[derive(Debug)]
 pub(crate) struct ShardState {
     pub(crate) queue: IngressQueue,
-    pub(crate) metrics: ShardMetrics,
+    /// Entries admitted to this shard, cumulative.
+    pub(crate) enqueued: AtomicU64,
+    /// Requests shed at this shard's full queue, in all and per tenant.
+    pub(crate) shed: AtomicU64,
+    pub(crate) tenant_shed: Vec<AtomicU64>,
+    /// High-water mark of the ingress-queue depth.
+    pub(crate) max_depth: AtomicU64,
+    /// Entries executed or timed out: equal to `enqueued` once the shard
+    /// has drained.
+    pub(crate) settled: AtomicU64,
 }
 
 impl ShardState {
     pub(crate) fn new(capacity: usize, qos: &QosConfig) -> Self {
         ShardState {
             queue: IngressQueue::with_lanes(capacity, qos),
-            metrics: ShardMetrics::new(qos.num_tenants()),
+            enqueued: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            tenant_shed: (0..qos.num_tenants()).map(|_| AtomicU64::new(0)).collect(),
+            max_depth: AtomicU64::new(0),
+            settled: AtomicU64::new(0),
         }
     }
 
     pub(crate) fn record_enqueue(&self, n: u64, depth: usize) {
-        self.metrics.add(self.metrics.enqueued, n);
-        self.metrics
-            .record_max(self.metrics.max_depth, depth as u64);
+        self.enqueued.fetch_add(n, Relaxed);
+        self.max_depth.fetch_max(depth as u64, Relaxed);
     }
 
     pub(crate) fn record_shed(&self, n: u64, tenant: TenantId) {
-        self.metrics.add(self.metrics.shed, n);
-        self.metrics.add(self.metrics.tenant_shed[tenant], n);
-    }
-
-    pub(crate) fn record_timeout(&self, n: u64) {
-        self.metrics.add(self.metrics.timed_out, n);
+        self.shed.fetch_add(n, Relaxed);
+        self.tenant_shed[tenant].fetch_add(n, Relaxed);
     }
 }
 
@@ -329,7 +337,7 @@ impl Service {
     /// Builds the service from strictly-ascending initial `(key, value)`
     /// pairs (keys must fit the `u32` request domain), partitioned onto the
     /// shard trees, and spawns one thread per shard.
-    pub fn new(pairs: &[(u64, u64)], mut cfg: ServeConfig) -> Self {
+    pub fn new(pairs: &[(u64, u64)], cfg: ServeConfig) -> Self {
         let num_shards = cfg.map.num_shards();
         if let Some(replay) = &cfg.replay {
             assert_eq!(replay.len(), num_shards, "one replay log per shard");
@@ -344,23 +352,12 @@ impl Service {
                 cfg.replay.is_none(),
                 "online rebalancing rebuilds shard trees, invalidating schedule replay"
             );
-            // The rebalancer feeds on the epoch sample stream; span
-            // recording still honors span_capacity (0 records none).
-            cfg.observe.enabled = true;
         }
-        let rebalance_shared = cfg
-            .rebalance
-            .as_ref()
-            .map(|_| Arc::new(RebalanceShared::default()));
-        if let Some(shared) = &rebalance_shared {
+        let rebalance_shared = cfg.rebalance.as_ref().map(|_| {
+            let shared = Arc::new(RebalanceShared::default());
             shared.set_shards(num_shards);
-            cfg.observe.observer = Some(Arc::new(RebalanceFeed {
-                shared: shared.clone(),
-                user: cfg.observe.observer.take(),
-                last_enqueued: Mutex::new(vec![0; num_shards]),
-            }));
-        }
-        let cluster = Cluster::new(&cfg.device, num_shards);
+            shared
+        });
         let mut shard_pairs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); num_shards];
         for &(k, v) in pairs {
             assert!(
@@ -397,8 +394,8 @@ impl Service {
         };
         let mut shards = Vec::with_capacity(num_shards);
         for (shard, pairs) in shard_pairs.into_iter().enumerate() {
-            let device = cluster.config(shard).clone();
-            let books = Books::new(
+            let device = cfg.device.for_shard(shard);
+            let mut books = Books::new(
                 shard,
                 inner.shards[shard].queue.num_tenants(),
                 device.control_latency,
@@ -413,13 +410,16 @@ impl Service {
             let controller = BatchController::new(cfg.sizing.clone());
             let (inner, replay) = (inner.clone(), replays[shard].take());
             let (observe, linger) = (cfg.observe.clone(), cfg.linger);
+            let rebalance = rebalance_shared.clone();
             shards.push(
                 std::thread::Builder::new()
                     .name(format!("serve-shard-{shard}"))
                     .spawn(move || {
                         let state = &inner.shards[shard];
                         let _leaving = Leaving(&state.queue);
-                        let tree = fresh_tree(state, &pairs, &opts);
+                        let tree = EireneTree::new(&pairs, opts.clone());
+                        // Sentinel excluded: the books count client-visible keys.
+                        books.key_count = pairs.len() as u64 - 1;
                         if let Some(log) = replay {
                             tree.device().set_replay_log(log);
                         }
@@ -431,6 +431,8 @@ impl Service {
                             controller,
                             observe,
                             view: ExecutorState::default(),
+                            rebalance,
+                            fed_enqueued: 0,
                         };
                         shard_loop(&inner, shard, executor, linger)
                     })
@@ -472,7 +474,7 @@ impl Service {
     }
 
     /// Queues an explicit topology change on the rebalancer, bypassing
-    /// the sample-driven policy (tests and the fuzzer use this with
+    /// the load-driven policy (tests and the fuzzer use this with
     /// [`RebalanceSpec::manual`] for deterministic splits/merges). The
     /// action runs asynchronously; poll [`rebalance_attempts`]
     /// (monotone, bumped once per processed action — published or
@@ -570,7 +572,8 @@ fn shard_loop(inner: &Inner, shard: ShardId, mut ex: Executor, linger: Duration)
         });
         if let Effect::Drain { admit, wait } = effect {
             if let Some(budget) = admit {
-                admit_lanes(inner, state, shard, budget, combiner.stage());
+                let expired = admit_lanes(inner, state, shard, budget, combiner.stage());
+                ex.time_out(expired);
             }
             // The watermark first, *then* the drain: the order
             // `Reorder::offer` requires. Lane entries admitted earlier drew
@@ -584,8 +587,7 @@ fn shard_loop(inner: &Inner, shard: ShardId, mut ex: Executor, linger: Duration)
         }
         match effect {
             Effect::Expire(expired) => {
-                let timed_out = expired.iter().map(Segment::len).sum::<usize>();
-                state.record_timeout(timed_out as u64);
+                ex.time_out(expired.iter().map(Segment::len).sum::<usize>() as u64);
                 for seg in &expired {
                     seg.fail(&Outcome::TimedOut);
                 }
@@ -632,17 +634,6 @@ impl Drop for Leaving<'_> {
     }
 }
 
-/// A shard tree over `pairs` (sentinel included), with the shard's key
-/// count and arena gauges set from it.
-fn fresh_tree(state: &ShardState, pairs: &[(u64, u64)], opts: &EireneOptions) -> EireneTree {
-    let tree = EireneTree::new(pairs, opts.clone());
-    // Sentinel excluded: the gauge counts client-visible keys.
-    let m = &state.metrics;
-    m.set(m.key_count, pairs.len() as u64 - 1);
-    set_arena_gauges(state, tree.device().mem());
-    tree
-}
-
 /// What the shard thread keeps beside its [`Combiner`]: the tree, what
 /// its epochs are booked into, and what the linger decision reads of them.
 struct Executor<'s> {
@@ -654,14 +645,18 @@ struct Executor<'s> {
     controller: BatchController,
     observe: ObserveConfig,
     view: ExecutorState,
+    /// The rebalancer's load feed, if it runs, and `state.enqueued` when
+    /// this shard last fed it.
+    rebalance: Option<Arc<RebalanceShared>>,
+    fed_enqueued: u64,
 }
 
 impl Executor<'_> {
     /// Runs one epoch on the shard's tree, resolves its tickets in the
-    /// order the combiner's `Returned` exit counts on, keeps the registry
-    /// and feeds the [`Books`].
+    /// order the combiner's `Returned` exit counts on, books it, and feeds
+    /// the rebalancer and the observer.
     fn run(&mut self, epoch: Epoch) {
-        let (state, m) = (self.state, &self.state.metrics);
+        let state = self.state;
         let started = Instant::now();
         let run = self.tree.run_planned(&epoch.batch, &epoch.plan);
         // Release the callers first: the books read only the segments and
@@ -687,32 +682,35 @@ impl Executor<'_> {
             "successive epochs must be timestamp-ordered: this one starts at ts {:?}",
             epoch.batch.requests.first().map(|r| r.ts)
         );
-        m.record_epoch(epoch.close);
-        m.add(m.completed, epoch.batch.len() as u64);
-        // Combine-path gauges mirror the cumulative device totals, so the
-        // terminal sample (and hence the report) reconciles exactly.
-        m.set(m.descents_saved, books.stats.totals.descents_saved);
-        m.set(m.pivot_cache_hits, books.stats.totals.pivot_cache_hits);
+        state.settled.fetch_add(epoch.batch.len() as u64, Relaxed);
+        if let Some(feed) = &self.rebalance {
+            // The standing backlog plus the arrivals since the last epoch
+            // (see `RebalanceShared::note_load`).
+            let enqueued = state.enqueued.load(Relaxed);
+            let arrivals = enqueued - std::mem::replace(&mut self.fed_enqueued, enqueued);
+            let backlog = epoch.queue_depth + epoch.reorder_pending + epoch.lane_depth;
+            feed.note_load(books.shard, backlog + arrivals);
+        }
         if self.observe.enabled {
-            m.set(m.epoch_batch, epoch.batch.len() as u64);
-            m.set(m.queue_depth, epoch.queue_depth);
-            m.set(m.reorder_pending, epoch.reorder_pending);
-            m.set(m.lane_pending, epoch.lane_depth);
-            m.set(m.batch_target, self.controller.target() as u64);
-            m.set(m.watermark_lag, epoch.watermark_lag);
-            m.set(m.inflight, epoch.inflight);
             // `run_planned` advanced the reclamation epoch at the batch
-            // boundary, so `retired` here is quarantine that survived the
-            // advance (normally 0).
-            set_arena_gauges(state, self.tree.device().mem());
-            let (sample, breaches) = books.sample(m, false);
+            // boundary, so the arena's `retired` is quarantine that
+            // survived the advance (normally 0).
+            let arena = self.tree.device().mem().slab_stats();
+            let target = self.controller.target() as u64;
+            let (sample, breaches) = books.sample(Some(&epoch), state, target, arena);
             emit(&self.observe, &sample, breaches);
         }
     }
 
-    /// Serves one of the rebalancer's requests on the shard's tree.
+    /// Counts `n` entries that expired before their epoch formed.
+    fn time_out(&mut self, n: u64) {
+        self.books.timed_out += n;
+        self.state.settled.fetch_add(n, Relaxed);
+    }
+
+    /// Serves one of the rebalancer's requests on the shard's tree. The
+    /// books' key count follows the tree (sentinel excluded).
     fn migrate(&mut self, migration: Migration) {
-        let (state, m) = (self.state, &self.state.metrics);
         let (mem, root) = (self.tree.device().mem(), self.tree.handle());
         let inside = |k: u64, lo: Key, hi: Key| (lo as u64..=hi as u64).contains(&k);
         match migration {
@@ -741,8 +739,7 @@ impl Executor<'_> {
                 // The pair is quiescent (no epoch gathered or running), so
                 // the retired donor nodes are reclaimable immediately.
                 mem.advance_epoch();
-                m.set(m.key_count, keep.len() as u64 - 1);
-                set_arena_gauges(state, mem);
+                self.books.key_count = keep.len() as u64 - 1;
                 let _ = reply.send(moved);
             }
             Migration::Absorb { pairs, reply } => {
@@ -751,7 +748,8 @@ impl Executor<'_> {
                 // Shards own disjoint key sets, so the merge has no
                 // duplicates; bulk_build wants ascending keys.
                 all.sort_unstable();
-                self.tree = fresh_tree(state, &all, &self.opts);
+                self.books.key_count = all.len() as u64 - 1;
+                self.tree = EireneTree::new(&all, self.opts.clone());
                 let _ = reply.send(());
             }
         }
@@ -759,23 +757,7 @@ impl Executor<'_> {
 
     /// The terminal sample and the shard's report, once every epoch ran.
     fn finish(mut self) -> ShardReport {
-        let (state, m) = (self.state, &self.state.metrics);
         let (mem, root) = (self.tree.device().mem(), self.tree.handle());
-        // Terminal sample: one final snapshot after the queue finished, so
-        // every admission counter is final — the report's totals are taken
-        // FROM this snapshot, which is what makes live sampled series
-        // reconcile exactly with the final report.
-        if self.observe.enabled {
-            m.set(m.queue_depth, state.queue.depth() as u64);
-            m.set(m.epoch_batch, 0);
-            m.set(m.reorder_pending, 0);
-            m.set(m.watermark_lag, 0);
-            m.set(m.inflight, 0);
-            m.set(m.lane_pending, 0);
-            // The terminal sample keeps the controller's final target, so a
-            // sampled series ends on the value the report carries.
-            m.set(m.batch_target, self.controller.target() as u64);
-        }
         let structure = eirene_btree::validate::validate(mem, root)
             .map(|_| ())
             .map_err(|e| e.to_string());
@@ -783,28 +765,22 @@ impl Executor<'_> {
             .into_iter()
             .filter(|&(k, _)| k != SENTINEL_KEY)
             .collect();
-        // Contents are final here, so the terminal sample's key_count is
-        // exact — mid-run the gauge only tracks builds and migrations, not
-        // per-epoch mutations.
-        m.set(m.key_count, contents.len() as u64);
-        set_arena_gauges(state, mem);
-        let (terminal, breaches) = self.books.sample(m, true);
+        // Contents are final here, so the terminal key count is exact —
+        // mid-run it only tracks builds and migrations, not per-epoch
+        // mutations.
+        self.books.key_count = contents.len() as u64;
+        // Terminal sample: one final snapshot after the queue finished, so
+        // every admission counter is final — the report's totals are taken
+        // FROM this snapshot, which is what makes live sampled series
+        // reconcile exactly with the final report.
+        let (target, arena) = (self.controller.target() as u64, mem.slab_stats());
+        let (terminal, breaches) = self.books.sample(None, self.state, target, arena);
         if self.observe.enabled {
             emit(&self.observe, &terminal, breaches);
         }
-        let target = self.controller.target() as u64;
         let schedule = self.tree.device().take_schedule_log();
-        self.books
-            .finish(terminal, target, schedule, contents, structure)
+        self.books.finish(terminal, schedule, contents, structure)
     }
-}
-
-/// Refreshes the shard's slab-arena occupancy gauges from its device.
-fn set_arena_gauges(state: &ShardState, mem: &GlobalMemory) {
-    let st = mem.slab_stats();
-    let m = &state.metrics;
-    m.set(m.arena_live, st.live);
-    m.set(m.arena_retired, st.retired);
 }
 
 /// Hands one sample, then the SLO breaches it tripped, to the registered
@@ -1129,6 +1105,37 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_shard_thread_does_not_hang_a_qos_shutdown() {
+        /// Panics on shard 1's first epoch sample, which kills its thread
+        /// after the epoch's tickets resolved.
+        struct Faulty;
+        impl crate::observe::ServiceObserver for Faulty {
+            fn on_sample(&self, sample: &ShardSample) {
+                assert!(sample.shard != 1, "observer fault on shard 1");
+            }
+        }
+        crate::ticket::tests::watchdog(|| {
+            let map = ShardMap::from_starts(vec![0, 1000]).expect("valid shard starts");
+            let mut cfg = small_cfg(map);
+            cfg.qos = QosConfig::uniform(2, 1024);
+            cfg.observe = ObserveConfig::with_observer(Arc::new(Faulty));
+            let svc = Service::new(&initial_pairs(), cfg);
+            let client = svc.client();
+            let served = client.submit(1500, OpKind::Query);
+            assert!(matches!(served.wait(), Outcome::Done(_)));
+            // Staged on shard 1's lane, which its dead thread never drains.
+            let _staged = client.submit(1501, OpKind::Query);
+            let shutdown =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.shutdown()));
+            let Err(cause) = shutdown else {
+                panic!("shutdown did not report the dead shard thread");
+            };
+            let cause = cause.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(cause.starts_with("shard thread panicked"), "{cause}");
+        });
+    }
+
+    #[test]
     fn epoch_releasing_snapshots_the_push_count_before_anyone_is_back() {
         let state = ShardState::new(4, &QosConfig::disabled());
         let call = || {
@@ -1195,6 +1202,8 @@ mod tests {
         assert_eq!(events[0].kind, RebalanceKind::Split);
         assert!(!events[0].forced);
         assert_eq!(events[0].from, 0);
+        // The rebalancer needs no observability: none was turned on.
+        assert!(report.shards.iter().all(|s| !s.spans_enabled));
         report.assert_consistent();
     }
 

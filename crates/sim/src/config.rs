@@ -2,6 +2,16 @@
 
 use crate::sched::SchedMode;
 
+/// SplitMix64 step: derives the per-shard scheduler seeds (the same
+/// generator the fuzz harness uses for per-case seeds).
+pub fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E3779B97F4A7C15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// Geometry and cost model of the simulated device.
 ///
 /// Defaults approximate an NVIDIA A100 (108 SMs, 32-lane warps, 1.41 GHz).
@@ -99,6 +109,29 @@ impl DeviceConfig {
     pub fn with_deterministic_sched(mut self, seed: u64) -> Self {
         self.sched = SchedMode::Deterministic { seed };
         self
+    }
+
+    /// Shard `shard`'s device config in the sharded service, derived from
+    /// this base. In OS mode every shard gets `worker_threads = 1`, whatever
+    /// the base says: every launch runs on the shard thread that issued it
+    /// and no shard device spawns a pool (the shards already supply the host
+    /// parallelism, and a one-worker pool ran warps in warp-id order exactly
+    /// as the launching thread does, so nothing simulated changes). In
+    /// deterministic mode each shard gets its own scheduler seed, derived
+    /// from the base seed and the shard index so one base seed still replays
+    /// every shard, and `worker_threads` is kept: the slot bound shapes
+    /// captured schedules (see [`det_workers`](Self::det_workers)).
+    pub fn for_shard(&self, shard: usize) -> Self {
+        let mut cfg = self.clone();
+        match self.sched {
+            SchedMode::Deterministic { seed } => {
+                cfg.sched = SchedMode::Deterministic {
+                    seed: mix64(seed ^ mix64(shard as u64)),
+                };
+            }
+            SchedMode::Os => cfg.worker_threads = 1,
+        }
+        cfg
     }
 
     /// Words (u64) per coalesced transaction.
@@ -210,6 +243,44 @@ mod tests {
         };
         assert_eq!(pinned.det_workers(), 5);
         assert_eq!(pinned.effective_workers(), 5);
+    }
+
+    #[test]
+    fn shard_configs_take_one_worker_in_os_mode_and_their_own_seed_in_det_mode() {
+        let det = DeviceConfig::test_small().with_deterministic_sched(42);
+        let os = |worker_threads| DeviceConfig {
+            worker_threads,
+            ..DeviceConfig::test_small()
+        };
+        // (base, shards, worker_threads of every shard config, distinct seeds)
+        for (base, shards, workers, seeds) in [
+            (os(0), 1024, 1, 0),
+            (os(6), 4, 1, 0),
+            (det.clone(), 4, 0, 4),
+        ] {
+            let configs: Vec<DeviceConfig> = (0..shards).map(|i| base.for_shard(i)).collect();
+            assert!(configs.iter().all(|c| c.worker_threads == workers));
+            // The derivation is a pure function of (base, shard).
+            assert_eq!(
+                configs,
+                (0..shards).map(|i| base.for_shard(i)).collect::<Vec<_>>()
+            );
+            let mut derived: Vec<u64> = configs
+                .iter()
+                .filter_map(|c| match c.sched {
+                    SchedMode::Deterministic { seed } => Some(seed),
+                    SchedMode::Os => None,
+                })
+                .collect();
+            derived.sort_unstable();
+            derived.dedup();
+            assert_eq!(derived.len(), seeds);
+        }
+        // Det mode keeps the host-independent slot bound.
+        assert_eq!(
+            det.for_shard(3).det_workers(),
+            DeviceConfig::DET_WORKER_SLOTS
+        );
     }
 
     #[test]

@@ -82,8 +82,8 @@ fn resume_kernel_panic(name: &str, failure: KernelPanic) -> ! {
 /// it. The hand-off is two condvar wakes (≈ 40 µs, what the benchmark's
 /// `sim.launch_host_us.w1` read while a 1-warp launch still paid it).
 ///
-/// * **One worker** (every serve shard's device, see `Cluster`). A
-///   one-worker pool runs the warps one at a time in warp-id order, as the
+/// * **One worker** (every serve shard's device, [`DeviceConfig::for_shard`]).
+///   A one-worker pool runs the warps one at a time in warp-id order, as the
 ///   launcher does, so only the hand-off and futile yields are saved.
 /// * **Read-only, 64** (sized on 2 vCPUs, 4 workers; the first worker to
 ///   wake drains a short launch before the others are scheduled anyway).

@@ -24,7 +24,6 @@
 //! Units: device memory is addressed in 64-bit **words**; [`Addr`] is a word
 //! index into the arena. Address 0 is reserved as a null pointer.
 
-mod cluster;
 mod config;
 mod device;
 mod mem;
@@ -34,8 +33,7 @@ mod slab;
 mod stats;
 mod warp;
 
-pub use cluster::{mix64, Cluster};
-pub use config::DeviceConfig;
+pub use config::{mix64, DeviceConfig};
 pub use device::Device;
 pub use mem::{Addr, GlobalMemory, NULL_ADDR};
 pub use sched::{

@@ -164,12 +164,6 @@ impl GlobalMemory {
         epoch
     }
 
-    /// Current reclamation epoch (starts at 0, bumped by
-    /// [`advance_epoch`](Self::advance_epoch)).
-    pub fn current_epoch(&self) -> u64 {
-        self.slab.epoch()
-    }
-
     /// Occupancy snapshot of the slab layer (blocks live / quarantined /
     /// reusable, cumulative reuse and bump counts).
     pub fn slab_stats(&self) -> SlabStats {
@@ -191,13 +185,6 @@ impl GlobalMemory {
     #[inline]
     pub fn write(&self, addr: Addr, value: u64) {
         self.word(addr).store(value, Ordering::Release);
-    }
-
-    /// Uninstrumented relaxed read, for statistics words where ordering is
-    /// irrelevant.
-    #[inline]
-    pub fn read_relaxed(&self, addr: Addr) -> u64 {
-        self.word(addr).load(Ordering::Relaxed)
     }
 
     /// Compare-and-swap; returns `Ok(previous)` on success and

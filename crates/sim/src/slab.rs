@@ -168,11 +168,6 @@ impl SlabArena {
         (epoch, recycled)
     }
 
-    /// Current reclamation epoch.
-    pub fn epoch(&self) -> u64 {
-        self.inner.lock().unwrap().epoch
-    }
-
     /// Occupancy snapshot across all classes.
     pub fn stats(&self) -> SlabStats {
         let g = self.inner.lock().unwrap();

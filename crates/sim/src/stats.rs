@@ -160,16 +160,6 @@ impl KernelStats {
         ratio(self.totals.mem_insts, self.totals.requests)
     }
 
-    /// Per-request control-flow instructions.
-    pub fn control_insts_per_request(&self) -> f64 {
-        ratio(self.totals.control_insts, self.totals.requests)
-    }
-
-    /// Per-request conflicts of all classes.
-    pub fn conflicts_per_request(&self) -> f64 {
-        ratio(self.totals.conflicts(), self.totals.requests)
-    }
-
     /// Per-request traversal steps.
     pub fn steps_per_request(&self) -> f64 {
         ratio(self.totals.traversal_steps(), self.totals.requests)
@@ -303,7 +293,6 @@ mod tests {
             makespan_cycles: 0.0,
         };
         assert_eq!(k.mem_insts_per_request(), 10.0);
-        assert_eq!(k.control_insts_per_request(), 5.0);
     }
 
     #[test]

@@ -381,14 +381,6 @@ impl<'a> WarpCtx<'a> {
         self.stats.latency.record(dt);
         self.stats.requests += 1;
     }
-
-    /// Records a completed request whose cost is known externally (used for
-    /// combined/unissued requests resolved outside a traversal).
-    #[inline]
-    pub fn record_request_cycles(&mut self, cycles: u64) {
-        self.stats.latency.record(cycles);
-        self.stats.requests += 1;
-    }
 }
 
 #[cfg(test)]

@@ -177,11 +177,6 @@ impl CycleHistogram {
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
     }
-
-    /// Number of allocated buckets (bounded by [`MAX_BUCKETS`]).
-    pub fn num_buckets(&self) -> usize {
-        self.counts.len()
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! The paper's whole argument is observational — per-phase instruction and
 //! conflict profiles (Figs. 1, 9, 12) and response-time QoS curves
 //! (Figs. 2, 8) — so the simulator needs a software analogue of Nsight
-//! Compute. This crate provides the four pieces, dependency-free:
+//! Compute. This crate provides five pieces, dependency-free:
 //!
 //! * [`Phase`] / [`PhaseStats`] / [`PhaseTable`] — a phase taxonomy and
 //!   per-phase sub-counter rows, accumulated by `WarpCtx` so every memory,
@@ -18,22 +18,15 @@
 //! * [`TraceEvent`] / [`MetricsSink`] — structured export: a sink that
 //!   collects per-run measurement documents and tables and serializes
 //!   them to JSON, plus a chrome://tracing exporter for event timelines.
-//!
-//! Live serving observability adds two more:
-//!
-//! * [`MetricsRegistry`] — a lock-light table of named atomic counters
-//!   and gauges, updated from hot paths with single relaxed atomics and
-//!   sampled at epoch boundaries.
-//! * [`LifecycleSpan`] / [`SpanRing`] — per-ticket lifecycle spans
-//!   (submit → enqueue → reorder-release → combine → execute → complete,
-//!   stamped in virtual-clock cycles) in a bounded per-shard ring, with
-//!   JSON-lines export and a chrome://tracing merge
+//! * [`LifecycleSpan`] / [`SpanRing`] — the serving layer's per-ticket
+//!   lifecycle spans (submit → enqueue → reorder-release → combine →
+//!   execute → complete, stamped in virtual-clock cycles) in a bounded
+//!   per-shard ring, with JSON-lines export and a chrome://tracing merge
 //!   ([`chrome_trace_with_spans`], one track per shard).
 
 mod hist;
 mod json;
 mod phase;
-mod registry;
 mod sink;
 mod span;
 mod trace;
@@ -41,7 +34,6 @@ mod trace;
 pub use hist::{CycleHistogram, MAX_BUCKETS};
 pub use json::JsonValue;
 pub use phase::{Phase, PhaseStats, PhaseTable, PHASE_COUNT};
-pub use registry::{MetricId, MetricKind, MetricsRegistry};
 pub use sink::MetricsSink;
 pub use span::{spans_from_jsonl, spans_to_jsonl, LifecycleSpan, SpanPhase, SpanRing, SPAN_PHASES};
 pub use trace::{chrome_trace, chrome_trace_with_spans, TraceEvent, TraceEventKind};
