@@ -13,13 +13,24 @@
 //! **Snapshot rule.** The cache is built at a batch boundary — the same
 //! quiescent point where the slab reclamation epoch advances (DESIGN.md
 //! §14): no kernel is in flight and nothing outside the tree holds node
-//! addresses. A snapshot stays valid as long as no structure modification
-//! has happened since it was taken; every structure modification either
-//! allocates (splits, root growth) or retires (merges, aborted splits)
-//! slab blocks, so the slab counters `(live, reused, bump_allocs)` form a
-//! cheap signature that changes iff the node population changed. Epochs
-//! that only mutate leaf *contents* keep every internal node's address and
-//! fences intact, so the snapshot survives them.
+//! addresses. A snapshot counts as valid while the node population is the
+//! one it was taken from: splits and root growth allocate slab blocks,
+//! merges, root collapses and aborted splits retire them, so the slab
+//! counters `(live, reused, bump_allocs)` form a cheap signature that
+//! changes iff the population changed. Epochs that only mutate leaf
+//! *contents* keep every node's address and fences intact, so the
+//! snapshot survives them.
+//!
+//! **Borrows are invisible to that rule.** A borrow (`borrow_from_left` /
+//! `borrow_from_right` in `eirene_btree::ops`) moves one entry between two
+//! siblings and rewrites the fence between them, in both nodes and in
+//! their parent, without allocating or retiring anything. A snapshot then
+//! stays valid while its leaf fences — and, after a borrow between
+//! internal nodes, its frontier fences — are stale. That is safe because
+//! neither is trusted: leaf runs only group requests (each request's leaf
+//! is found by the warp's locator, whose walks follow the nodes' own HIGH
+//! fences), and a descent re-validates its cached start node (the safety
+//! net below).
 //!
 //! **Safety net.** Validity checking is per-epoch, but the update kernel
 //! can split nodes *during* an epoch that started with a valid snapshot.
@@ -207,8 +218,9 @@ mod tests {
     use crate::{EireneOptions, EireneTree};
     use eirene_baselines::common::ConcurrentTree;
     use eirene_btree::build::{arena_budget, bulk_build};
+    use eirene_btree::node::MIN_OCCUPANCY;
     use eirene_sim::Device;
-    use eirene_workloads::{Batch, Request};
+    use eirene_workloads::{Batch, Oracle, Request, SequentialOracle};
 
     fn tree(n: u64) -> (Device, TreeHandle) {
         let dev = Device::new(arena_budget(n as usize, 64), DeviceConfig::test_small());
@@ -283,6 +295,66 @@ mod tests {
         assert!(cache.is_valid(dev.mem(), &t));
         spare.retire(dev.mem());
         assert!(!cache.is_valid(dev.mem(), &t));
+    }
+
+    #[test]
+    fn a_borrow_keeps_the_snapshot_valid_with_stale_fences_and_answers_stay_right() {
+        let init: Vec<(u32, u32)> = (1..=1000).map(|i| (2 * i, 2 * i + 1)).collect();
+        let pairs: Vec<(u64, u64)> = init.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+        let mut t = EireneTree::new(&pairs, EireneOptions::test_small());
+        let mut oracle = SequentialOracle::load(&init);
+        let mut ts = 0u64;
+        let mut run = |t: &mut EireneTree, reqs: Vec<(u64, bool)>| {
+            let batch = Batch::new(
+                reqs.into_iter()
+                    .map(|(key, delete)| {
+                        ts += 1;
+                        let key = key as u32;
+                        if delete {
+                            Request::delete(key, ts)
+                        } else {
+                            Request::query(key, ts)
+                        }
+                    })
+                    .collect(),
+            );
+            let got = t.run_batch(&batch);
+            assert_eq!(got.responses, oracle.run_batch(&batch), "responses");
+            got.stats.totals
+        };
+        let (mem, cfg) = (t.device().mem(), t.device().config());
+        let (before, _) = PivotCache::build(mem, t.handle(), cfg);
+        let fences = before.leaf_fences().to_vec();
+        // Leaf 5 and its right sibling sit under the first leaf parent.
+        let (lo, hi) = (fences[5], fences[6]);
+        let leaf: Vec<u64> = (lo..hi).filter(|k| k % 2 == 0).collect();
+        assert!(
+            leaf.len() > MIN_OCCUPANCY + 1,
+            "{} keys in leaf 5",
+            leaf.len()
+        );
+        // 1. Leaf-local deletes take leaf 5 down to the occupancy floor;
+        //    one more underflows it, and its rich right sibling lends it
+        //    an entry: a borrow, which neither allocates nor retires.
+        let sig = slab_sig(t.device().mem());
+        let floor = leaf.len() - MIN_OCCUPANCY;
+        run(&mut t, leaf[..floor].iter().map(|&k| (k, true)).collect());
+        run(&mut t, vec![(leaf[floor], true)]);
+        let mem = t.device().mem();
+        assert_eq!(slab_sig(mem), sig, "no node was allocated or retired");
+        assert!(before.is_valid(mem, t.handle()), "the snapshot survives");
+        let (after, _) = PivotCache::build(mem, t.handle(), t.device().config());
+        assert_eq!(after.leaf_fences()[6], hi + 2, "the fence moved right");
+        assert_ne!(before.leaf_fences(), after.leaf_fences(), "stale fences");
+        // 2. A later batch queries around the moved fence through the
+        //    stale snapshot, and 3. answers as the oracle does.
+        let around = (lo - 8..fences[7] + 8).map(|k| (k, false)).collect();
+        let stats = run(&mut t, around);
+        assert_eq!(stats.pivot_cache_rebuilds, 0, "no rebuild");
+        assert!(
+            stats.pivot_cache_hits > 0,
+            "dispatched through the snapshot"
+        );
     }
 
     #[test]

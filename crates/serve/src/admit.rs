@@ -286,7 +286,7 @@ impl Inner {
         let topo = self.topology.read().unwrap();
         for (i, (key, op, arrival)) in (0u32..).zip(ops) {
             let Some(home) = self.route(&topo, key, op).shards().next() else {
-                // A store, not a resolve: no caller holds the tickets
+                // A store without a wake: no caller holds the tickets
                 // before this call returns, so none is parked.
                 let empty = Outcome::Done(Response::Range(Vec::new()));
                 batch.cell(i).store(empty);
@@ -397,7 +397,7 @@ impl Inner {
                     // shard it lands on, or is shed whole.
                     if let Some(full) = route.shards().find(|&shard| avail[shard] == 0) {
                         self.shards[full].record_shed(1, tenant);
-                        // Stored, not resolved: nobody holds the tickets yet.
+                        // Stored without a wake: nobody holds the tickets yet.
                         cell.store(Outcome::Rejected);
                         return;
                     }

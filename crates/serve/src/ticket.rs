@@ -109,7 +109,9 @@ impl TicketBatch {
 
     /// Stores `outcome` for the request behind `slot` without waking the
     /// block. A split range's part goes into its merge instead, and the
-    /// last part stores and wakes.
+    /// last part stores the merged outcome; the segment that carried it
+    /// wakes the block with the rest of its stores (every part of a split
+    /// range travels in a segment of the range's own block).
     pub(crate) fn store(&self, slot: &Slot, outcome: Outcome) {
         match (slot, outcome) {
             (Slot::Cell(idx), outcome) => self.cell(*idx).store(outcome),
@@ -154,15 +156,6 @@ pub(crate) enum Slot {
 pub(crate) struct CellRef {
     batch: Arc<TicketBatch>,
     idx: u32,
-}
-
-impl CellRef {
-    /// Stores the outcome and wakes the block's parked callers at once.
-    pub(crate) fn resolve(&self, outcome: Outcome) {
-        if self.outcome.set(outcome).is_ok() {
-            self.batch.wake();
-        }
-    }
 }
 
 impl std::ops::Deref for CellRef {
@@ -233,7 +226,9 @@ impl Ticket {
 }
 
 /// Merge state of one cross-shard range query: each shard part fills its
-/// slice of the slot vector; the last part to arrive resolves the ticket.
+/// slice of the slot vector; the last part to arrive stores the ticket's
+/// outcome, and wakes nobody — the segment settling or failing that part
+/// wakes the block once, after all of its stores.
 /// Any failed part (deadline expiry) poisons the whole range — sub-queries
 /// are read-only, so a partially executed range mutates nothing.
 #[derive(Debug)]
@@ -264,14 +259,11 @@ impl RangeMerge {
     fn finish(&self, state: &mut MergeState) {
         state.pending -= 1;
         if state.pending == 0 {
-            match state.failed.take() {
-                Some(o) => self.cell.resolve(o),
-                None => self
-                    .cell
-                    .resolve(Outcome::Done(Response::Range(std::mem::take(
-                        &mut state.slots,
-                    )))),
-            }
+            let outcome = match state.failed.take() {
+                Some(failed) => failed,
+                None => Outcome::Done(Response::Range(std::mem::take(&mut state.slots))),
+            };
+            self.cell.store(outcome);
         }
     }
 
@@ -368,9 +360,9 @@ pub(crate) mod tests {
     fn ticket_resolves_once() {
         let (t, cell) = lone();
         assert_eq!(t.try_get(), None);
-        cell.resolve(Outcome::Done(Response::Done));
-        cell.resolve(Outcome::Rejected); // ignored: first resolution wins
-        cell.store(Outcome::TimedOut); // so is a later store
+        cell.store(Outcome::Done(Response::Done));
+        cell.store(Outcome::Rejected); // ignored: first store wins
+        cell.store(Outcome::TimedOut); // so is any later one
         assert_eq!(t.try_get(), Some(Outcome::Done(Response::Done)));
         assert_eq!(t.wait(), Outcome::Done(Response::Done));
     }
@@ -383,7 +375,8 @@ pub(crate) mod tests {
             // reach both, and it is the block's parked count that
             // triggers it.
             let waiters = park_on(&batch, [0, 0]);
-            batch.cell_ref(0).resolve(Outcome::TimedOut);
+            batch.cell(0).store(Outcome::TimedOut);
+            batch.wake();
             for w in waiters {
                 assert_eq!(w.join().unwrap(), Outcome::TimedOut);
             }
@@ -434,6 +427,36 @@ pub(crate) mod tests {
                     assert_eq!(waiter.join().unwrap(), Outcome::Done(Response::Done));
                 });
             }
+        });
+    }
+
+    #[test]
+    fn the_segment_carrying_a_split_range_s_last_part_releases_its_caller() {
+        watchdog(|| {
+            // Cell 0 is a range split over two shards, cell 1 a point
+            // query riding with the range's last part.
+            let batch = TicketBatch::new(2);
+            let merge = Arc::new(RangeMerge::new(3, 2, batch.cell_ref(0)));
+            let part = |offset| Slot::Part {
+                merge: merge.clone(),
+                offset,
+            };
+            let mut first = Segment::new(batch.clone(), None, 0, 1);
+            first.push(Request::range(10, 2, 0), part(0), 0);
+            let mut last = Segment::new(batch.clone(), None, 0, 2);
+            last.push(Request::range(12, 1, 0), part(2), 0);
+            last.push(Request::query(20, 1), Slot::Cell(1), 0);
+            let waiter = park_on(&batch, [0]).pop().unwrap();
+            first.settle([Response::Range(vec![Some(1), None])]);
+            assert_eq!(batch.ticket(0).try_get(), None, "one part of two");
+            last.settle([Response::Range(vec![Some(3)]), Response::Value(Some(7))]);
+            let merged = Response::Range(vec![Some(1), None, Some(3)]);
+            assert_eq!(waiter.join().unwrap(), Outcome::Done(merged));
+            assert_eq!(
+                batch.ticket(1).try_get(),
+                Some(Outcome::Done(Response::Value(Some(7))))
+            );
+            assert_eq!(parked(&batch), 0);
         });
     }
 

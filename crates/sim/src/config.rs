@@ -177,15 +177,12 @@ impl DeviceConfig {
     /// Worker-slot bound for deterministic-mode launches.
     ///
     /// Unlike [`effective_workers`](Self::effective_workers) this is a
-    /// pure function of the configuration — never of the host. Under
-    /// bounded multiplexing the slot limit shapes the captured schedule
-    /// (an unstarted warp is only eligible for a grant while a slot is
-    /// free), so deriving it from `available_parallelism` would make the
-    /// same seed produce different interleavings on hosts with different
-    /// core counts and silently invalidate schedule logs exchanged between
-    /// machines. An explicit `worker_threads` is honored — it is part of
-    /// the `DeviceConfig` a reproducer must ship — while the auto (`0`)
-    /// default resolves to [`Self::DET_WORKER_SLOTS`].
+    /// pure function of the configuration — never of the host: the slot
+    /// limit shapes the captured schedule (an unstarted warp is only
+    /// eligible for a grant while a slot is free), so a host-derived limit
+    /// would replay one seed differently on different machines. An
+    /// explicit `worker_threads` is honored; auto (`0`) resolves to
+    /// [`Self::DET_WORKER_SLOTS`].
     pub fn det_workers(&self) -> usize {
         if self.worker_threads != 0 {
             return self.worker_threads;

@@ -88,12 +88,10 @@ fn resume_kernel_panic(name: &str, failure: KernelPanic) -> ! {
 /// * **Read-only, 64** (sized on 2 vCPUs, 4 workers; the first worker to
 ///   wake drains a short launch before the others are scheduled anyway).
 ///   Results cannot depend on how the warps interleave, the pool ran
-///   2 886 of 3 000 launches of 9–32 warps (3 000 of 3 000 at 33–64) on a
-///   single slot anyway, and 64 light warps ≈ 64 µs of work against the
-///   ≈ 40 µs hand-off is break-even even on a host with many idle cores. On a 2-vCPU host the launcher wins far beyond it (query
-///   kernel, 4 workers: 58 warps 32 vs 91 µs, 115 warps 49–57 vs 105–136,
-///   230 warps 87–109 vs 144–202, 460 warps 168–177 vs 186–189, 900 warps
-///   338–382 vs 331–366) — recorded, not exploited.
+///   almost every launch of 9–64 warps on a single slot anyway, and 64
+///   light warps ≈ 64 µs of work against the ≈ 40 µs hand-off is
+///   break-even even on a host with many idle cores (DESIGN §9 has the
+///   sizing tables).
 /// * **Read-write, 4.** Below five warps the pool's own schedule is serial
 ///   a quarter to half of the time already (2, 3, 4 warps: one slot in
 ///   50 %, 24 %, 15 % of launches — decided by wake latency, not by the
@@ -234,19 +232,12 @@ impl Device {
     /// statistics. The closure receives the warp id and its context.
     ///
     /// In OS mode warps execute on a pool of **oversubscribed** OS threads
-    /// ([`DeviceConfig::effective_workers`]); combined with the cooperative
-    /// yields a per-launch [`OsScheduler`] takes at [`WarpCtx`] ticks —
-    /// coarsely until a warp reports a conflict, at memory-access
-    /// granularity while one is live — device-side synchronization exhibits
-    /// real contention regardless of how many host cores exist. A launch of
-    /// at most 64 read-only or 4 read-write warps, or any launch on a
-    /// one-worker device, skips all of that: the launching thread runs its
-    /// warps in warp-id order, without a yield (`runs_on_launcher` in this
-    /// file has the reasons). In deterministic mode warps multiplex over a
-    /// small **host-independent** number of pool slots
-    /// ([`DeviceConfig::det_workers`]) and a seeded scheduler serializes
-    /// their stepping, so a `(seed, config, kernel)` triple replays the same
-    /// interleaving on any machine.
+    /// ([`DeviceConfig::effective_workers`]); with the cooperative yields a
+    /// per-launch [`OsScheduler`] takes at [`WarpCtx`] ticks, device-side
+    /// synchronization contends for real however few host cores exist. A
+    /// launch too small to share runs on the launching thread instead (see
+    /// the type's docs); deterministic mode multiplexes warps over
+    /// [`DeviceConfig::det_workers`] slots under a seeded scheduler.
     ///
     /// # Panics
     /// If the kernel panics in any warp, the launch re-raises the first

@@ -24,6 +24,17 @@ pub const NULL_ADDR: Addr = 0;
 const RESERVED_WORDS: usize = 64;
 
 /// The global-memory arena.
+///
+/// The arena is one zeroed allocation at the natural alignment, which the
+/// system allocator serves with `calloc`: fresh OS pages in every build
+/// profile, each zeroed lazily by the fault of whoever touches it first,
+/// so headroom and table words nobody writes are never backed. On Linux the
+/// whole 2 MiB pages inside it are advised `MADV_HUGEPAGE` before anything
+/// writes them: with transparent huge pages `enabled` at `madvise` or
+/// `always`, the first write into such a region faults in one huge page
+/// instead of 512 small ones, and node, record and ownership-word accesses
+/// stop missing the TLB. With `never`, or if the call fails, the arena
+/// keeps 4 KiB pages; nothing simulated depends on which.
 pub struct GlobalMemory {
     words: Box<[AtomicU64]>,
     next: AtomicUsize,
@@ -31,16 +42,8 @@ pub struct GlobalMemory {
 }
 
 impl GlobalMemory {
-    /// Creates a zeroed arena of `num_words` 64-bit words.
-    ///
-    /// In an optimized build the zero fill below is folded into a zeroed
-    /// allocation, which for an arena of any size is fresh pages from the
-    /// OS: creation is microseconds whatever `num_words` is, and each page
-    /// is zeroed *lazily*, by the page fault of whoever touches it first.
-    /// For most pages that is the bulk build; for a large table nobody
-    /// initializes (an STM ownership table) it is whichever kernel first
-    /// reads a record there, which then pays the fault inside its launch.
-    /// A debug build really writes every word here.
+    /// Creates a zeroed arena of `num_words` 64-bit words, in microseconds
+    /// whatever `num_words` is (see the type's docs for how it is backed).
     ///
     /// # Panics
     /// Panics if `num_words` is not larger than the reserved prefix.
@@ -49,10 +52,12 @@ impl GlobalMemory {
             num_words > RESERVED_WORDS,
             "arena must exceed the {RESERVED_WORDS}-word reserved prefix"
         );
-        let mut v = Vec::with_capacity(num_words);
-        v.resize_with(num_words, || AtomicU64::new(0));
+        // SAFETY: all-zero bytes are a valid `AtomicU64` (zero).
+        let words = unsafe { Box::<[AtomicU64]>::new_zeroed_slice(num_words).assume_init() };
+        #[cfg(target_os = "linux")]
+        advise_huge_pages(&words);
         GlobalMemory {
-            words: v.into_boxed_slice(),
+            words,
             next: AtomicUsize::new(RESERVED_WORDS),
             slab: SlabArena::default(),
         }
@@ -77,15 +82,7 @@ impl GlobalMemory {
     /// condition.
     pub fn alloc(&self, words: usize) -> Addr {
         assert!(words > 0, "zero-sized allocation");
-        let base = self.next.fetch_add(words, Ordering::Relaxed);
-        let end = base + words;
-        assert!(
-            end <= self.words.len(),
-            "device arena exhausted: need {} words, capacity {}",
-            end,
-            self.words.len()
-        );
-        base as Addr
+        self.alloc_aligned(words, 1)
     }
 
     /// Aligns the bump pointer up to a multiple of `align` words, then
@@ -257,6 +254,26 @@ impl GlobalMemory {
             *slot = word.load(Ordering::Relaxed);
         }
         fence(Ordering::Acquire);
+    }
+}
+
+/// Advises `MADV_HUGEPAGE` on the whole 2 MiB pages inside `words`, which
+/// nothing has written yet; a failure leaves them on 4 KiB pages.
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(words: &[AtomicU64]) {
+    use std::ffi::{c_int, c_void};
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    const HUGE_PAGE: usize = 2 << 20;
+    const MADV_HUGEPAGE: c_int = 14;
+    let lo = (words.as_ptr() as usize).next_multiple_of(HUGE_PAGE);
+    let hi = (words.as_ptr() as usize + size_of_val(words)) & !(HUGE_PAGE - 1);
+    if lo < hi {
+        // SAFETY: `lo..hi` is page-aligned and inside the arena's
+        // allocation, which outlives the call; the advice changes how the
+        // kernel backs those pages, never what they hold.
+        unsafe { madvise(lo as *mut c_void, hi - lo, MADV_HUGEPAGE) };
     }
 }
 

@@ -1,16 +1,11 @@
 //! Persistent worker pool: long-lived threads that execute launch
 //! "epochs" instead of being spawned and joined per kernel launch.
 //!
-//! The old `Device::launch_os` built its entire execution substrate on
-//! every launch: `std::thread::scope` spawned `effective_workers()` OS
-//! threads, ran the kernel, and joined them again. For launch-heavy
-//! workloads (Eirene issues several kernels per batch; the fuzzer issues
-//! thousands of small batches) the spawn/join cost dwarfed the simulated
-//! work. This module keeps one set of workers parked on a condvar for the
-//! lifetime of the [`Device`](crate::Device); a launch publishes an
-//! *epoch* — an indexed set of work items behind an atomic claim counter —
-//! wakes the workers, and waits for an exact completion count. Launch
-//! overhead becomes a few condvar wakes instead of N thread spawns.
+//! One set of workers stays parked on a condvar for the lifetime of the
+//! [`Device`](crate::Device); a launch publishes an *epoch* — an indexed
+//! set of work items behind an atomic claim counter — wakes the workers,
+//! and waits for an exact completion count: a few condvar wakes per
+//! launch instead of a spawn and a join per worker.
 //!
 //! An OS-mode launch that a pool would not speed up never gets here: at
 //! most 64 read-only or 4 read-write warps, and every launch of a

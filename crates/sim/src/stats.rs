@@ -9,9 +9,8 @@
 //!
 //! Three observability layers ride on top of the raw totals:
 //! per-[`Phase`] sub-counter rows (the software Nsight breakdown), a
-//! bounded [`CycleHistogram`] of per-request response times (replacing the
-//! old unbounded `request_cycles: Vec<u64>`, whose memory and merge cost
-//! grew with request count), and an optional per-warp [`TraceEvent`] log.
+//! bounded [`CycleHistogram`] of per-request response times, and an
+//! optional per-warp [`TraceEvent`] log.
 
 use eirene_telemetry::{CycleHistogram, PhaseStats, PhaseTable, TraceEvent};
 
