@@ -20,13 +20,11 @@
 
 use crate::diff::{check_contents, oracle_over, Violation};
 use crate::driver::{mix, Fuzz};
-use crate::gen::dense_pairs;
 use eirene_serve::{
-    reconcile_samples, AdmitPolicy, AimdSpec, Client, EpochSizing, FaultPlan, ObserveConfig,
-    Outcome, QosConfig, RebalanceAction, RebalanceKind, RebalanceSpec, SeriesCollector,
-    ServeConfig, Service, ShardMap, Sharding, Ticket,
+    reconcile_samples, AdmitPolicy, AimdSpec, Client, EpochSizing, ObserveConfig, Outcome,
+    QosConfig, RebalanceAction, RebalanceKind, RebalanceSpec, SeriesCollector, ServeConfig,
+    Service, ShardMap, Sharding, Ticket,
 };
-use eirene_sim::DeviceConfig;
 #[cfg(doc)]
 use eirene_workloads::SequentialOracle;
 use eirene_workloads::{Batch, Key, OpKind, Oracle, Request, Response};
@@ -349,76 +347,6 @@ pub fn run_serve_case(
     Ok(())
 }
 
-/// Fault-injection probe for the admission reservation guard (the
-/// "submitter killed between reserve and push" leak): arms
-/// [`FaultPlan::panic_on_admit`] so the first admission panics on its own
-/// scratch thread *inside* the reserve→push window, then proves the slot
-/// was recovered during unwind — the full queue depth must still admit
-/// without shedding, every ticket must execute, and the drained report
-/// must balance. Before the guard existed this wedged admission at
-/// `queue_depth - 1` forever.
-pub fn run_reservation_fault_case(queue_depth: usize) -> Result<(), String> {
-    let pairs = dense_pairs(64);
-    let cfg = ServeConfig {
-        map: ShardMap::from_starts(vec![0]).expect("valid shard starts"),
-        device: DeviceConfig::test_small(),
-        sizing: EpochSizing::Fixed(64),
-        queue_depth,
-        policy: AdmitPolicy::Shed,
-        linger: Duration::ZERO,
-        hold_gate: true,
-        fault: FaultPlan {
-            panic_on_admit: Some(0),
-        },
-        ..ServeConfig::default()
-    };
-    let svc = Service::new(&pairs, cfg);
-    // The victim submission dies mid-admission; the (expected) panic
-    // stays on its scratch thread. Its noisy backtrace in test output is
-    // the injection working.
-    let victim = {
-        let client = svc.client();
-        std::thread::spawn(move || {
-            let _ = client.submit(1, OpKind::Query);
-        })
-    };
-    if victim.join().is_ok() {
-        return Err("injected admission fault did not trip".into());
-    }
-    // With the slot released, the *full* queue depth still fits behind
-    // the held gate; a leaked reservation would shed the last entry.
-    let client = svc.client();
-    let tickets: Vec<Ticket> = (0..queue_depth)
-        .map(|i| client.submit(1 + i as u32, OpKind::Query))
-        .collect();
-    svc.release();
-    let report = svc.shutdown();
-    for (i, ticket) in tickets.iter().enumerate() {
-        match ticket.wait() {
-            Outcome::Done(_) => {}
-            outcome => {
-                return Err(format!(
-                    "ticket {i} resolved {outcome:?}: leaked reservation starved admission"
-                ))
-            }
-        }
-    }
-    if report.shed() != 0 {
-        return Err(format!(
-            "{} entries shed after the fault: reservation leaked",
-            report.shed()
-        ));
-    }
-    if report.enqueued() != queue_depth as u64 || report.executed() != queue_depth as u64 {
-        return Err(format!(
-            "post-fault accounting off: enqueued {} executed {} (want {queue_depth} each)",
-            report.enqueued(),
-            report.executed()
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,11 +434,6 @@ mod tests {
             deterministic: true,
             ..short(2)
         });
-    }
-
-    #[test]
-    fn killed_submitter_releases_its_reservation() {
-        run_reservation_fault_case(32).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

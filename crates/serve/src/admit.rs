@@ -28,11 +28,23 @@
 //! carries it there (`reorder` module docs). Every draw is one contiguous
 //! range — a submission call's, or a lane segment's — and what one draw
 //! sends one shard travels as one [`Segment`].
+//!
+//! # One placement rule
+//!
+//! Every admission is a driver around [`place`], the pure step that gives
+//! each request of a draw its timestamp, spends its credits and buckets
+//! its parts. The drivers differ only in their credits and in where the
+//! buckets go: `submit_many` under `Block` has unlimited credits and
+//! pushes with `push_blocking`; under `Shed` its credits are the grants
+//! [`Inner::reserve`] takes before the slot opens, and each bucket fills
+//! its grant; the lane admitter ([`admit_lane_segment`]) has unlimited
+//! credits at home and reserved ones on peers, parks the home bucket in
+//! its reorder stage and forwards one segment to each peer.
 
 use crate::lane::{LaneReject, QosConfig, TenantId};
-use crate::queue::{AdmitPolicy, Segment};
+use crate::queue::{AdmitPolicy, Reservation, Segment};
 use crate::reorder::Reorder;
-use crate::service::{FaultPlan, ShardState};
+use crate::service::ShardState;
 use crate::shard::{hash_shard, window_end, RangePart, ShardId, ShardMap, Sharding};
 use crate::ticket::{CellRef, Outcome, RangeMerge, Slot, Ticket, TicketBatch};
 use eirene_workloads::{Key, OpKind, Request, Response};
@@ -156,10 +168,6 @@ pub(crate) struct Inner {
     pub(crate) gate_cv: Condvar,
     pub(crate) policy: AdmitPolicy,
     pub(crate) qos: QosConfig,
-    pub(crate) fault: FaultPlan,
-    /// Counts shed-mode submission calls, solely to locate the one the
-    /// [`FaultPlan`] kills. Untouched (and unread) when no fault is armed.
-    pub(crate) admit_seq: AtomicU64,
 }
 
 impl Inner {
@@ -194,61 +202,53 @@ impl Inner {
         (n - wm, self.inflight.occupancy())
     }
 
-    /// Routes one request under `map` (the caller's topology read guard).
+    /// Routes the request in ticket `cell` under `map` (the caller's
+    /// topology read guard); it stays untimestamped until [`place`].
     /// Hash mode ignores the range structure of the map entirely: points
     /// go to their hash shard, ranges scatter-gather to every shard —
     /// each part covers the *full* clipped window and returns `Some` only
     /// at the keys its shard owns; the positional union reassembles the
     /// window ([`RangeMerge::complete_part`]).
-    fn route(&self, map: &ShardMap, key: Key, op: OpKind) -> Route {
-        match self.sharding {
-            Sharding::Range => match op {
-                OpKind::Range { len } => {
-                    let parts = map.split_range(key, len);
-                    match parts.len() {
-                        0 => Route::Empty,
-                        1 => Route::One(parts[0].shard),
-                        _ => Route::Split(parts),
-                    }
+    fn route(&self, map: &ShardMap, cell: u32, (key, op, arrival): (Key, OpKind, u64)) -> Routed {
+        let n = self.shards.len();
+        let route = match (self.sharding, op) {
+            (Sharding::Range, OpKind::Range { len }) => {
+                let parts = map.split_range(key, len);
+                match parts.len() {
+                    0 => Route::Empty,
+                    1 => Route::One(parts[0].shard),
+                    _ => Route::Split(parts),
                 }
-                _ => Route::One(map.shard_of(key)),
-            },
-            Sharding::Hash => match op {
-                OpKind::Range { len } => {
-                    let n = self.shards.len();
-                    let Some(hi) = window_end(key, len) else {
-                        return Route::Empty;
-                    };
-                    if n == 1 {
-                        return Route::One(0);
-                    }
-                    // Clip at the domain edge like split_range: slots past
-                    // the edge stay None, matching the oracle.
-                    let clipped = hi - key + 1;
-                    Route::Split(
-                        (0..n)
-                            .map(|shard| RangePart {
-                                shard,
-                                lo: key,
-                                len: clipped,
-                                offset: 0,
-                            })
-                            .collect(),
-                    )
-                }
-                _ => Route::One(hash_shard(key, self.shards.len())),
-            },
-        }
-    }
-
-    /// Trips the armed admission fault, if any (tests only): dies between
-    /// the capacity reservations and the enqueue with the in-flight slot
-    /// held, the exact window the two RAII guards exist to cover.
-    fn maybe_trip_fault(&self) {
-        if let Some(n) = self.fault.panic_on_admit {
-            if self.admit_seq.fetch_add(1, Ordering::Relaxed) == n {
-                panic!("injected fault: submitter killed between reserve and push");
             }
+            (Sharding::Range, _) => Route::One(map.shard_of(key)),
+            // Clip at the domain edge like split_range: slots past the
+            // edge stay None, matching the oracle.
+            (Sharding::Hash, OpKind::Range { len }) => match window_end(key, len) {
+                None => Route::Empty,
+                Some(_) if n == 1 => Route::One(0),
+                Some(hi) => Route::Split(
+                    (0..n)
+                        .map(|shard| RangePart {
+                            shard,
+                            lo: key,
+                            len: hi - key + 1,
+                            offset: 0,
+                        })
+                        .collect(),
+                ),
+            },
+            (Sharding::Hash, _) => Route::One(hash_shard(key, n)),
+        };
+        let req = Request {
+            key,
+            op,
+            ts: u64::MAX,
+        };
+        Routed {
+            cell,
+            req,
+            arrival,
+            route,
         }
     }
 
@@ -284,20 +284,16 @@ impl Inner {
             .map(|_| Segment::new(batch.clone(), deadline, tenant, 0))
             .collect();
         let topo = self.topology.read().unwrap();
-        for (i, (key, op, arrival)) in (0u32..).zip(ops) {
-            let Some(home) = self.route(&topo, key, op).shards().next() else {
+        for (i, op) in (0u32..).zip(ops) {
+            let r = self.route(&topo, i, op);
+            let Some(home) = r.route.shards().next() else {
                 // A store without a wake: no caller holds the tickets
                 // before this call returns, so none is parked.
                 let empty = Outcome::Done(Response::Range(Vec::new()));
                 batch.cell(i).store(empty);
                 continue;
             };
-            let staged = Request {
-                key,
-                op,
-                ts: u64::MAX,
-            };
-            buckets[home].push(staged, Slot::Cell(i), arrival);
+            buckets[home].push(r.req, Slot::Cell(i), r.arrival);
         }
         for (shard, bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
@@ -317,13 +313,39 @@ impl Inner {
         (0..n as u32).map(|i| batch.ticket(i)).collect()
     }
 
+    /// Reserves, on every shard but `home`, as much of the routed draw's
+    /// demand as fits, and records each grant in `avail`. The grants are
+    /// RAII: whatever is still unfilled when they drop — a shed, a normal
+    /// return, or an unwinding caller — goes back to its queue.
+    fn reserve(
+        &self,
+        routed: &[Routed],
+        home: Option<ShardId>,
+        avail: &mut [usize],
+    ) -> Vec<Option<Reservation<'_>>> {
+        let mut demand = vec![0usize; self.shards.len()];
+        let touched = routed.iter().flat_map(|r| r.route.shards());
+        touched.for_each(|shard| demand[shard] += 1);
+        (0..self.shards.len())
+            .map(|shard| {
+                if demand[shard] == 0 || Some(shard) == home {
+                    return None;
+                }
+                let grant = self.shards[shard].queue.reserve_up_to(demand[shard]);
+                avail[shard] = grant.count();
+                Some(grant)
+            })
+            .collect()
+    }
+
     /// Batched admission: routes every op, claims the whole timestamp
     /// range with ONE `fetch_add`, allocates every ticket cell in ONE
-    /// shared block ([`TicketBatch`]), and enqueues each shard's share as
-    /// one segment (one queue-lock acquisition per shard instead of one
-    /// per request). Request `i` gets timestamp `base + i`, so a single
-    /// caller's batch linearizes in its own order. `ops` must yield
-    /// exactly `n` items.
+    /// shared block ([`TicketBatch`]), places the window ([`place`]) and
+    /// enqueues each shard's share as one segment (one queue-lock
+    /// acquisition per shard instead of one per request). Under `Shed`
+    /// the credits are the grants reserved before the slot opens; under
+    /// `Block` they are unlimited and the push waits for room. `ops` must
+    /// yield exactly `n` items.
     pub(crate) fn submit_many(
         &self,
         n: usize,
@@ -345,94 +367,21 @@ impl Inner {
         let mut buckets: Vec<Segment> = (0..num_shards)
             .map(|_| Segment::new(batch.clone(), deadline, tenant, bucket_cap))
             .collect();
-        // Shed mode: one RAII capacity grant per shard; `avail` mirrors
-        // the unspent slots during routing, and any still unspent when
-        // the grants drop are released automatically.
-        let mut grants: Vec<Option<crate::queue::Reservation<'_>>> =
-            (0..num_shards).map(|_| None).collect();
-        let mut avail = vec![0usize; num_shards];
         let topo = self.topology.read().unwrap();
-
-        // Under Shed the per-shard demand must be known before any
-        // request is placed, so that path routes in a pre-pass and grabs
-        // capacity credits up front (one reservation call per shard);
-        // requests whose shards ran out are shed individually, split
-        // ranges all-or-nothing. Block needs no credits, so it routes
-        // inline — a single pass with no intermediate routed Vec.
-        let mut ops = Some(ops);
-        let routed: Option<Vec<(Key, OpKind, u64, Route)>> = match self.policy {
-            AdmitPolicy::Block => None,
-            AdmitPolicy::Shed => {
-                let routed: Vec<(Key, OpKind, u64, Route)> = ops
-                    .take()
-                    .expect("ops iterator consumed twice")
-                    .map(|(key, op, arrival)| (key, op, arrival, self.route(&topo, key, op)))
-                    .collect();
-                let mut demand = vec![0usize; num_shards];
-                for (_, _, _, route) in &routed {
-                    route.shards().for_each(|shard| demand[shard] += 1);
-                }
-                for (shard, &d) in demand.iter().enumerate() {
-                    if d > 0 {
-                        let grant = self.shards[shard].queue.reserve_up_to(d);
-                        avail[shard] = grant.count();
-                        grants[shard] = Some(grant);
-                    }
-                }
-                Some(routed)
-            }
+        let routed: Vec<Routed> = (0u32..)
+            .zip(ops)
+            .map(|(cell, op)| self.route(&topo, cell, op))
+            .collect();
+        let mut avail = vec![usize::MAX; num_shards];
+        let mut grants = match self.policy {
+            AdmitPolicy::Shed => self.reserve(&routed, None, &mut avail),
+            AdmitPolicy::Block => Vec::new(),
         };
 
         let _slot = self.open_admission();
         let base = self.next_ts.fetch_add(n as u64, Ordering::SeqCst);
-        if self.policy == AdmitPolicy::Shed {
-            self.maybe_trip_fault();
-        }
-
-        {
-            let mut admit_one = |i: u32, key: Key, op: OpKind, arrival: u64, route: Route| {
-                let cell = batch.cell(i);
-                if self.policy == AdmitPolicy::Shed {
-                    // All or nothing: a request spends one credit on every
-                    // shard it lands on, or is shed whole.
-                    if let Some(full) = route.shards().find(|&shard| avail[shard] == 0) {
-                        self.shards[full].record_shed(1, tenant);
-                        // Stored without a wake: nobody holds the tickets yet.
-                        cell.store(Outcome::Rejected);
-                        return;
-                    }
-                    route.shards().for_each(|shard| avail[shard] -= 1);
-                }
-                let ts = base + u64::from(i);
-                let req = Request { key, op, ts };
-                match route {
-                    Route::Empty => cell.store(Outcome::Done(Response::Range(Vec::new()))),
-                    Route::One(shard) => {
-                        cell.set_ts(ts);
-                        buckets[shard].push(req, Slot::Cell(i), arrival);
-                    }
-                    Route::Split(parts) => {
-                        cell.set_ts(ts);
-                        for (shard, part, slot) in split_parts(&parts, req, batch.cell_ref(i)) {
-                            buckets[shard].push(part, slot, arrival);
-                        }
-                    }
-                }
-            };
-            match routed {
-                Some(routed) => {
-                    for (i, (key, op, arrival, route)) in (0u32..).zip(routed) {
-                        admit_one(i, key, op, arrival, route);
-                    }
-                }
-                None => {
-                    let ops = ops.take().expect("ops iterator consumed twice");
-                    for (i, (key, op, arrival)) in (0u32..).zip(ops) {
-                        let route = self.route(&topo, key, op);
-                        admit_one(i, key, op, arrival, route);
-                    }
-                }
-            }
+        for full in place(routed, base, &mut avail, &batch, &mut buckets) {
+            self.shards[full].record_shed(1, tenant);
         }
         // Before the fill: once the segments are queued, all that should
         // stand between them and the combiner is this call's slot.
@@ -447,11 +396,9 @@ impl Inner {
             let state = &self.shards[shard];
             let (pushed, depth, refused) = match self.policy {
                 // Fill through the grant; its unspent remainder is
-                // released when the guard drops here.
+                // released when the guard drops.
                 AdmitPolicy::Shed => {
-                    let mut grant = grants[shard]
-                        .take()
-                        .expect("grant reserved in the pre-pass");
+                    let grant = grants[shard].as_mut().expect("a bucket spent its grant");
                     let n = bucket.len();
                     match grant.push(bucket) {
                         Ok(depth) => (n, depth, None),
@@ -467,6 +414,59 @@ impl Inner {
         }
         tickets
     }
+}
+
+/// One request of a timestamp draw, routed under the topology read guard.
+struct Routed {
+    /// The request's cell in its call's ticket block.
+    cell: u32,
+    /// Untimestamped.
+    req: Request,
+    arrival: u64,
+    route: Route,
+}
+
+/// The one placement rule of every admission. Request `i` of the draw
+/// gets timestamp `base + i` and spends one credit (`avail`) on every
+/// shard its route touches; if any of them has none left, the request is
+/// shed whole — its cell stores `Rejected` and the full shard is
+/// returned, once per shed request, for the driver to book. An empty
+/// range resolves `Done(Range([]))` with no timestamp and no credit; a
+/// split range goes into the buckets as the parts [`split_parts`] cuts.
+/// Takes no lock, reads no clock and touches no queue; cells are stored
+/// without a wake, which the driver owes if anybody may be parked.
+fn place(
+    routed: Vec<Routed>,
+    base: u64,
+    avail: &mut [usize],
+    batch: &Arc<TicketBatch>,
+    buckets: &mut [Segment],
+) -> Vec<ShardId> {
+    let mut shed = Vec::new();
+    for (ts, r) in (base..).zip(routed) {
+        let cell = batch.cell(r.cell);
+        if let Some(full) = r.route.shards().find(|&shard| avail[shard] == 0) {
+            cell.store(Outcome::Rejected);
+            shed.push(full);
+            continue;
+        }
+        r.route.shards().for_each(|shard| avail[shard] -= 1);
+        let req = Request { ts, ..r.req };
+        match r.route {
+            Route::Empty => cell.store(Outcome::Done(Response::Range(Vec::new()))),
+            Route::One(shard) => {
+                cell.set_ts(ts);
+                buckets[shard].push(req, Slot::Cell(r.cell), r.arrival);
+            }
+            Route::Split(parts) => {
+                cell.set_ts(ts);
+                for (shard, part, slot) in split_parts(&parts, req, batch.cell_ref(r.cell)) {
+                    buckets[shard].push(part, slot, r.arrival);
+                }
+            }
+        }
+    }
+    shed
 }
 
 /// The per-shard parts of one split range `req`, already timestamped:
@@ -494,7 +494,7 @@ fn split_parts(
 /// segment's timestamps just-in-time under the in-flight-slot protocol
 /// (one slot covers the whole batch) and parks what lives here in the
 /// home reorder stage — or, for a split range's peer parts, in the peer
-/// shards' ingress queues with all-or-nothing shed-on-full reservations.
+/// shards' ingress queues with shed-on-full reservations.
 /// The admitting combiner never blocks on a peer queue: blocking there
 /// could deadlock two combiners admitting toward each other's full queues.
 /// Returns how many requests were dead on admission, for the shard
@@ -544,15 +544,12 @@ pub(crate) fn admit_lanes(
     expired
 }
 
-/// Timestamps one lane-drained segment with one range draw and places
-/// each request: what lives on this shard goes, as one segment, straight
-/// into this combiner's reorder stage; what lives on a peer — the other
-/// parts of a split range, or the whole request when a rebalance moved
-/// the boundary between staging and admission — goes into the peer's
-/// queue as a one-request segment, through reservations taken before any
-/// of the request is placed (all-or-nothing; any full peer sheds the
-/// whole request without blocking). The caller's in-flight slot covers
-/// the timestamps until the last push lands.
+/// Timestamps one lane-drained segment with one range draw and places it
+/// ([`place`]), unlimited at home and within the grants reserved on
+/// peers: the home bucket goes straight into this combiner's reorder
+/// stage; each peer's — the other parts of split ranges, or requests a
+/// rebalance moved since staging — is forwarded as one segment. Never
+/// blocks on a peer; the caller's in-flight slot covers the draw.
 fn admit_lane_segment(
     inner: &Inner,
     topo: &ShardMap,
@@ -561,69 +558,62 @@ fn admit_lane_segment(
     reorder: &mut Reorder,
     seg: Segment,
 ) {
+    let routed: Vec<Routed> = (seg.reqs.iter().zip(&seg.slots).zip(&seg.arrivals))
+        .map(|((req, slot), &arrival)| {
+            let &Slot::Cell(cell) = slot else {
+                unreachable!("a lane stages whole requests")
+            };
+            inner.route(topo, cell, (req.key, req.op, arrival))
+        })
+        .collect();
+    let mut avail = vec![usize::MAX; inner.shards.len()];
+    let mut grants = inner.reserve(&routed, Some(shard), &mut avail);
     let base = inner.next_ts.fetch_add(seg.len() as u64, Ordering::SeqCst);
-    let (batch, mut home) = (&seg.batch, seg.sibling());
-    let mut shed = false;
-    for (i, (&req, slot)) in seg.reqs.iter().zip(&seg.slots).enumerate() {
-        let &Slot::Cell(idx) = slot else {
-            unreachable!("a lane stages whole requests")
-        };
-        let arrival = seg.arrivals[i];
-        let route = inner.route(topo, req.key, req.op);
-        let mut grants = Vec::new();
-        let mut full = None;
-        for peer in route.shards().filter(|&s| s != shard) {
-            match inner.shards[peer].queue.try_reserve(1) {
-                Some(grant) => grants.push(grant),
-                None => {
-                    full = Some(peer);
-                    break;
-                }
-            }
-        }
-        if let Some(peer) = full {
-            // Dropping `grants` releases the earlier reservations.
-            inner.shards[peer].record_shed(1, home.tenant);
-            batch.cell(idx).store(Outcome::Rejected);
-            shed = true;
+    let mut buckets: Vec<Segment> = (0..inner.shards.len()).map(|_| seg.sibling()).collect();
+    let shed = place(routed, base, &mut avail, &seg.batch, &mut buckets);
+    shed.iter()
+        .for_each(|&full| inner.shards[full].record_shed(1, seg.tenant));
+    if !shed.is_empty() {
+        seg.batch.wake();
+    }
+    for (peer, bucket) in buckets.into_iter().enumerate() {
+        if bucket.is_empty() {
             continue;
         }
-        let ts = base + i as u64;
-        batch.cell(idx).set_ts(ts);
-        let req = Request { ts, ..req };
-        let mut grants = grants.into_iter();
-        let mut place = |s: ShardId, req: Request, slot: Slot| {
-            if s == shard {
-                home.push(req, slot, arrival);
-                return;
-            }
-            let mut part = home.sibling();
-            part.push(req, slot, arrival);
-            let mut grant = grants.next().expect("one grant per peer part");
-            match grant.forward(part) {
-                Ok(depth) => inner.shards[s].record_enqueue(1, depth),
-                Err(part) => part.fail(&Outcome::Rejected),
-            }
-        };
-        match route {
-            Route::Empty => unreachable!("empty ranges resolve at submission"),
-            Route::One(s) => place(s, req, Slot::Cell(idx)),
-            Route::Split(parts) => split_parts(&parts, req, batch.cell_ref(idx))
-                .for_each(|(s, part, slot)| place(s, part, slot)),
+        if peer == shard {
+            state.record_enqueue(bucket.len() as u64, 0);
+            reorder.admit(bucket);
+            continue;
         }
-    }
-    if shed {
-        batch.wake();
-    }
-    if !home.is_empty() {
-        state.record_enqueue(home.len() as u64, 0);
-        reorder.admit(home);
+        let n = bucket.len() as u64;
+        let grant = grants[peer].as_mut().expect("a bucket spent its grant");
+        match grant.forward(bucket) {
+            Ok(depth) => inner.shards[peer].record_enqueue(n, depth),
+            Err(part) => part.fail(&Outcome::Rejected),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn inner(shards: usize, depth: usize) -> Inner {
+        Inner {
+            topology: RwLock::new(ShardMap::uniform(shards)),
+            sharding: Sharding::Range,
+            shards: (0..shards)
+                .map(|_| ShardState::new(depth, &QosConfig::disabled()))
+                .collect(),
+            next_ts: AtomicU64::new(10),
+            inflight: Inflight::new(),
+            gate: Mutex::new(false),
+            gate_cv: Condvar::new(),
+            policy: AdmitPolicy::Shed,
+            qos: QosConfig::disabled(),
+        }
+    }
 
     #[test]
     fn inflight_slots_claim_release_and_minimum() {
@@ -644,23 +634,190 @@ mod tests {
     fn watermark_never_admits_unenqueued_timestamps() {
         // Deterministic schedule of the protocol: a claimed slot with a
         // lower bound below next_ts must cap the watermark.
-        let inner = Inner {
-            topology: RwLock::new(ShardMap::uniform(1)),
-            sharding: Sharding::Range,
-            shards: vec![ShardState::new(4, &QosConfig::disabled())],
-            next_ts: AtomicU64::new(10),
-            inflight: Inflight::new(),
-            gate: Mutex::new(false),
-            gate_cv: Condvar::new(),
-            policy: AdmitPolicy::Block,
-            qos: QosConfig::disabled(),
-            fault: FaultPlan::default(),
-            admit_seq: AtomicU64::new(0),
-        };
+        let inner = inner(1, 4);
         assert_eq!(inner.watermark(), 10);
         let slot = inner.inflight.claim(6);
         assert_eq!(inner.watermark(), 6);
         drop(slot);
         assert_eq!(inner.watermark(), 10);
+    }
+
+    /// What `place` did with one request of the draw.
+    #[derive(Debug, PartialEq)]
+    enum Placed {
+        /// Bucketed at `base + position`.
+        At(u64),
+        Shed,
+        Empty,
+    }
+
+    /// One row of the `place` table: a draw and everything it must end as.
+    struct Row {
+        name: &'static str,
+        credits: Vec<usize>,
+        /// `(cell, op, route)` in draw order.
+        draw: Vec<(u32, OpKind, Route)>,
+        /// What each request of the draw became.
+        placed: Vec<Placed>,
+        /// Each shard's bucket as `(cell, ts)`; a split part has no cell.
+        buckets: [Vec<(Option<u32>, u64)>; 2],
+        shed: Vec<ShardId>,
+        credits_left: Vec<usize>,
+    }
+
+    #[test]
+    fn place_table() {
+        const U: usize = usize::MAX;
+        let (query, range) = (OpKind::Query, OpKind::Range { len: 4 });
+        let split = || {
+            let part = |shard, lo, offset| RangePart {
+                shard,
+                lo,
+                len: 2,
+                offset,
+            };
+            Route::Split(vec![part(0, 5, 0), part(1, 7, 2)])
+        };
+        let rows = [
+            Row {
+                name: "Block: every credit unlimited",
+                credits: vec![U, U],
+                draw: vec![
+                    (0, query, Route::One(0)),
+                    (1, query, Route::One(1)),
+                    (2, query, Route::One(0)),
+                ],
+                placed: vec![Placed::At(100), Placed::At(101), Placed::At(102)],
+                buckets: [vec![(Some(0), 100), (Some(2), 102)], vec![(Some(1), 101)]],
+                shed: vec![],
+                credits_left: vec![U - 2, U - 1],
+            },
+            Row {
+                name: "Shed: credits run out mid-window",
+                credits: vec![2, 1],
+                draw: (0..5)
+                    .map(|cell| (cell, query, Route::One(usize::from(cell >= 3))))
+                    .collect(),
+                placed: vec![
+                    Placed::At(100),
+                    Placed::At(101),
+                    Placed::Shed,
+                    Placed::At(103),
+                    Placed::Shed,
+                ],
+                buckets: [vec![(Some(0), 100), (Some(1), 101)], vec![(Some(3), 103)]],
+                shed: vec![0, 1],
+                credits_left: vec![0, 0],
+            },
+            Row {
+                name: "a split range with one shard full is shed whole",
+                credits: vec![5, 0],
+                draw: vec![(0, range, split())],
+                placed: vec![Placed::Shed],
+                buckets: [vec![], vec![]],
+                shed: vec![1],
+                credits_left: vec![5, 0],
+            },
+            Row {
+                name: "a split range spends one credit on each shard",
+                credits: vec![5, 1],
+                draw: vec![(0, range, split())],
+                placed: vec![Placed::At(100)],
+                buckets: [vec![(None, 100)], vec![(None, 100)]],
+                shed: vec![],
+                credits_left: vec![4, 0],
+            },
+            Row {
+                name: "an empty range spends no credit and gets no timestamp",
+                credits: vec![0, 0],
+                draw: vec![(0, range, Route::Empty)],
+                placed: vec![Placed::Empty],
+                buckets: [vec![], vec![]],
+                shed: vec![],
+                credits_left: vec![0, 0],
+            },
+            Row {
+                name: "a lane segment: staged cells, home unlimited, one peer credit",
+                credits: vec![U, 1],
+                draw: vec![
+                    (4, query, Route::One(0)),
+                    (7, query, Route::One(1)),
+                    (2, range, split()),
+                ],
+                placed: vec![Placed::At(100), Placed::At(101), Placed::Shed],
+                buckets: [vec![(Some(4), 100)], vec![(Some(7), 101)]],
+                shed: vec![1],
+                credits_left: vec![U - 1, 0],
+            },
+        ];
+        for row in rows {
+            let (name, mut avail) = (row.name, row.credits);
+            let batch = TicketBatch::new(8);
+            let cells: Vec<u32> = row.draw.iter().map(|(cell, ..)| *cell).collect();
+            let routed = row.draw.into_iter().map(|(cell, op, route)| Routed {
+                cell,
+                req: Request {
+                    op,
+                    ..Request::query(5, u64::MAX)
+                },
+                arrival: 0,
+                route,
+            });
+            let mut buckets: Vec<Segment> = (0..2)
+                .map(|_| Segment::new(batch.clone(), None, 0, 0))
+                .collect();
+            let shed = place(routed.collect(), 100, &mut avail, &batch, &mut buckets);
+            let placed: Vec<Placed> = cells
+                .iter()
+                .map(|&cell| {
+                    let ticket = batch.ticket(cell);
+                    match (ticket.try_get(), ticket.timestamp()) {
+                        (None, Some(ts)) => Placed::At(ts),
+                        (Some(Outcome::Rejected), None) => Placed::Shed,
+                        (Some(Outcome::Done(Response::Range(r))), None) if r.is_empty() => {
+                            Placed::Empty
+                        }
+                        other => panic!("{name}: cell {cell} ended as {other:?}"),
+                    }
+                })
+                .collect();
+            let held = |seg: &Segment| -> Vec<(Option<u32>, u64)> {
+                let cell = |slot: &Slot| match slot {
+                    &Slot::Cell(c) => Some(c),
+                    Slot::Part { .. } => None,
+                };
+                let ts = seg.reqs.iter().map(|r| r.ts);
+                seg.slots.iter().map(cell).zip(ts).collect()
+            };
+            assert_eq!(placed, row.placed, "{name}");
+            let buckets = [held(&buckets[0]), held(&buckets[1])];
+            assert_eq!(buckets, row.buckets, "{name}");
+            assert_eq!((shed, avail), (row.shed, row.credits_left), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_killed_submitter_releases_its_grants_and_its_slot() {
+        // The window the two RAII guards exist for: `submit_many` has
+        // reserved under Shed, opened its slot and drawn its timestamps,
+        // and dies before it pushes.
+        let depth = 4;
+        let inner = inner(1, depth);
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            let topo = inner.topology.read().unwrap();
+            let routed: Vec<Routed> = (0..depth as u32)
+                .map(|cell| inner.route(&topo, cell, (cell, OpKind::Query, 0)))
+                .collect();
+            let mut avail = vec![0; 1];
+            let _grants = inner.reserve(&routed, None, &mut avail);
+            assert_eq!(avail, [depth]);
+            let _slot = inner.open_admission();
+            let _base = inner.next_ts.fetch_add(depth as u64, Ordering::SeqCst);
+            assert_eq!(inner.watermark(), 10);
+            panic!("submitter killed between the draw and the push");
+        }));
+        assert!(died.is_err());
+        assert_eq!(inner.watermark(), inner.next_ts.load(Ordering::SeqCst));
+        assert_eq!(inner.shards[0].queue.reserve_up_to(depth).count(), depth);
     }
 }

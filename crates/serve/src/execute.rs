@@ -270,8 +270,6 @@ impl Books {
             key_count: terminal.key_count,
             arena_live: terminal.arena_live,
             arena_retired: terminal.arena_retired,
-            descents_saved: terminal.descents_saved,
-            pivot_cache_hits: terminal.pivot_cache_hits,
             contents,
             structure,
             spans,

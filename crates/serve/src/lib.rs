@@ -86,7 +86,7 @@ pub use observe::{
 pub use queue::AdmitPolicy;
 pub use rebalance::{RebalanceAction, RebalanceEvent, RebalanceKind, RebalanceSpec};
 pub use report::{ServeReport, ShardReport};
-pub use service::{Client, FaultPlan, ServeConfig, Service};
+pub use service::{Client, ServeConfig, Service};
 pub use shard::{hash_shard, RangePart, ShardId, ShardMap, ShardMapError, Sharding};
 pub use ticket::{Outcome, Ticket};
 

@@ -603,6 +603,7 @@ pub fn reconcile_samples(samples: &[ShardSample], report: &ServeReport) -> Resul
     for shard in &report.shards {
         let t = terminal[shard.shard]
             .ok_or_else(|| format!("shard {}: no terminal sample", shard.shard))?;
+        let totals = &shard.stats.totals;
         let pairs = [
             ("enqueued", t.enqueued, shard.enqueued),
             ("shed", t.shed, shard.shed),
@@ -616,11 +617,11 @@ pub fn reconcile_samples(samples: &[ShardSample], report: &ServeReport) -> Resul
             ("key_count", t.key_count, shard.key_count),
             ("arena_live", t.arena_live, shard.arena_live),
             ("arena_retired", t.arena_retired, shard.arena_retired),
-            ("descents_saved", t.descents_saved, shard.descents_saved),
+            ("descents_saved", t.descents_saved, totals.descents_saved),
             (
                 "pivot_cache_hits",
                 t.pivot_cache_hits,
-                shard.pivot_cache_hits,
+                totals.pivot_cache_hits,
             ),
         ];
         for (name, sampled, reported) in pairs {

@@ -7,10 +7,10 @@
 //! enqueueing); the combiner's reorder stage restores timestamp order. The
 //! queue's job is bounded buffering with race-free admission accounting:
 //!
-//! - **Reservations** make shed-vs-admit decisions atomic: a submitter
-//!   reserves capacity first ([`IngressQueue::try_reserve`] /
-//!   [`IngressQueue::reserve_up_to`]) and then fills the reservation
-//!   through the returned [`Reservation`] guard, so two submitters racing
+//! - **Reservations** make shed-vs-admit decisions atomic: before it
+//!   draws, an admission reserves what fits of each shard's demand
+//!   ([`IngressQueue::reserve_up_to`]), spends it as credits and fills it
+//!   through the returned [`Reservation`] guard, so two admissions racing
 //!   one remaining slot can never both admit past the configured depth.
 //!   Reservations are RAII: a guard dropped with unfilled slots — normal
 //!   return, early shed, or a *panicking* submitter — releases them, so a
@@ -311,21 +311,6 @@ impl IngressQueue {
         self.state.lock().unwrap().pushes
     }
 
-    /// Atomically reserves `n` slots (all or nothing). Returns `None` on
-    /// a closed queue or insufficient room; concurrent reservers can
-    /// never jointly over-commit the capacity.
-    pub(crate) fn try_reserve(&self, n: usize) -> Option<Reservation<'_>> {
-        let mut st = self.state.lock().unwrap();
-        if st.closed || st.room(self.capacity) < n {
-            return None;
-        }
-        st.reserved += n;
-        Some(Reservation {
-            queue: self,
-            count: n,
-        })
-    }
-
     /// Reserves as many of `n` slots as currently fit; the guard's
     /// `count` reports the grant (0 on a closed queue).
     pub(crate) fn reserve_up_to(&self, n: usize) -> Reservation<'_> {
@@ -579,40 +564,41 @@ mod tests {
     #[test]
     fn reservations_gate_admission_at_capacity() {
         let q = IngressQueue::new(2);
-        let mut r1 = q.try_reserve(1).unwrap();
-        let mut r2 = q.try_reserve(1).unwrap();
-        // Capacity is fully promised: a third reservation must fail even
-        // though nothing has been pushed yet.
-        assert!(q.try_reserve(1).is_none());
+        let mut r1 = q.reserve_up_to(1);
+        let mut r2 = q.reserve_up_to(1);
+        // Capacity is fully promised: a third reservation is granted
+        // nothing even though nothing has been pushed yet.
+        assert_eq!(q.reserve_up_to(1).count(), 0);
         assert_eq!(r1.push(seg(&[0])).unwrap(), 1);
         assert_eq!(r2.push(seg(&[1])).unwrap(), 2);
-        assert!(q.try_reserve(1).is_none());
+        assert_eq!(q.reserve_up_to(1).count(), 0);
         assert_eq!(q.depth(), 2);
     }
 
     #[test]
     fn dropped_reservations_free_room() {
         let q = IngressQueue::new(2);
-        let r = q.try_reserve(2).unwrap();
-        assert!(q.try_reserve(1).is_none());
+        let r = q.reserve_up_to(2);
+        assert_eq!(q.reserve_up_to(1).count(), 0);
         drop(r);
-        let r = q.try_reserve(2).unwrap();
+        let r = q.reserve_up_to(2);
         assert_eq!(r.count(), 2);
     }
 
     #[test]
     fn panicking_reserver_releases_capacity() {
         // The RAII guard must release on unwind: a submitter killed
-        // between try_reserve and push no longer leaks the slot (which
+        // between reserve_up_to and push no longer leaks the slot (which
         // used to wedge admission at capacity forever).
         let q = Arc::new(IngressQueue::new(1));
         let q2 = q.clone();
         let t = std::thread::spawn(move || {
-            let _res = q2.try_reserve(1).expect("slot free");
+            let _res = q2.reserve_up_to(1);
             panic!("submitter dies mid-admission");
         });
         assert!(t.join().is_err());
-        let mut r = q.try_reserve(1).expect("capacity recovered after panic");
+        let mut r = q.reserve_up_to(1);
+        assert_eq!(r.count(), 1, "capacity recovered after panic");
         assert_eq!(r.push(seg(&[7])).unwrap(), 1);
         assert_eq!(drain_ts(&q), [7]);
     }
@@ -621,7 +607,7 @@ mod tests {
     fn partially_used_reservation_returns_the_rest() {
         let q = IngressQueue::new(4);
         {
-            let mut r = q.try_reserve(3).unwrap();
+            let mut r = q.reserve_up_to(3);
             r.push(seg(&[0])).unwrap();
             assert_eq!(r.count(), 2);
             // Two unfilled slots release here.
@@ -632,7 +618,7 @@ mod tests {
     #[test]
     fn reserve_up_to_grants_partial_room() {
         let q = IngressQueue::new(4);
-        let r3 = q.try_reserve(3).unwrap();
+        let r3 = q.reserve_up_to(3);
         let r1 = q.reserve_up_to(5);
         assert_eq!(r1.count(), 1);
         assert_eq!(q.reserve_up_to(5).count(), 0);
@@ -655,8 +641,13 @@ mod tests {
             let q = q.clone();
             handles.push(std::thread::spawn(move || {
                 (0..2)
-                    .filter(|_| q.try_reserve(1).map(std::mem::forget).is_some())
-                    .count()
+                    .map(|_| {
+                        let r = q.reserve_up_to(1);
+                        let won = r.count();
+                        std::mem::forget(r);
+                        won
+                    })
+                    .sum::<usize>()
             }));
         }
         let won: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
@@ -666,7 +657,7 @@ mod tests {
     #[test]
     fn a_reserved_segment_lands_whole_in_one_push() {
         let q = IngressQueue::new(8);
-        let mut r = q.try_reserve(3).unwrap();
+        let mut r = q.reserve_up_to(3);
         assert_eq!(r.push(seg(&[0, 1, 2])).unwrap(), 3);
         let d = q.drain(Some(Duration::ZERO));
         assert_eq!(d.segments.len(), 1);
@@ -681,9 +672,9 @@ mod tests {
         assert_eq!(q.pushes(), 0);
         // One per call, whether it carries one request (a lone `submit`)
         // or a window.
-        q.try_reserve(1).unwrap().push(seg(&[0])).unwrap();
+        q.reserve_up_to(1).push(seg(&[0])).unwrap();
         assert_eq!(q.pushes(), 1);
-        q.try_reserve(3).unwrap().push(seg(&[1, 2, 3])).unwrap();
+        q.reserve_up_to(3).push(seg(&[1, 2, 3])).unwrap();
         assert_eq!(q.pushes(), 2, "a segment is one call");
         push_blocking(&q, seg(&[4])).unwrap();
         push_blocking(&q, seg(&[5, 6])).unwrap();
@@ -692,7 +683,7 @@ mod tests {
         assert_eq!(q.pushes(), 5);
         // A peer combiner's forward lands the segment but is nobody's
         // return.
-        q.try_reserve(1).unwrap().forward(seg(&[7])).unwrap();
+        q.reserve_up_to(1).forward(seg(&[7])).unwrap();
         assert_eq!((q.pushes(), q.depth()), (5, 8));
         // One lane slot left: the push lands one request and counts once;
         // the next is refused whole and does not count.
@@ -704,11 +695,11 @@ mod tests {
         assert_eq!(q.pushes(), 6);
         // Reserving, cancelling and draining are not pushes, and the drain
         // reports the count it ran under.
-        drop(q.try_reserve(1).unwrap());
+        drop(q.reserve_up_to(1));
         let d = q.drain(Some(Duration::ZERO));
         assert_eq!((d.segments.len(), d.pushes, q.pushes()), (5, 6, 6));
         // Nothing lands on a closed queue, through any door.
-        let mut r = q.try_reserve(4).unwrap();
+        let mut r = q.reserve_up_to(4);
         q.close();
         assert!(r.push(seg(&[8])).is_err());
         assert!(r.forward(seg(&[8])).is_err());
@@ -724,7 +715,7 @@ mod tests {
     fn drain_takes_every_segment_and_reports_finished() {
         let q = IngressQueue::new(16);
         for ts in 0..5 {
-            q.try_reserve(1).unwrap().push(seg(&[ts])).unwrap();
+            q.reserve_up_to(1).push(seg(&[ts])).unwrap();
         }
         assert_eq!(q.depth(), 5);
         assert_eq!(drain_ts(&q), [0, 1, 2, 3, 4]);
@@ -776,7 +767,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(pusher.join().unwrap(), "blocked pusher must fail on close");
-        assert!(q.try_reserve(1).is_none());
         assert_eq!(q.reserve_up_to(1).count(), 0);
         // The already-queued segment still drains, then the queue reports
         // finished.
@@ -899,7 +889,7 @@ mod tests {
         q.lane_drain_done();
         assert!(q.lanes_quiesced());
         // Direct segments still flow after lanes close.
-        q.try_reserve(1).unwrap().push(seg(&[3])).unwrap();
+        q.reserve_up_to(1).push(seg(&[3])).unwrap();
         assert_eq!(drain_ts(&q), [3]);
     }
 

@@ -258,7 +258,7 @@ pub(crate) fn decide(depths: &[u64], streaks: &mut [i64], spec: &RebalanceSpec) 
 
 /// State shared between the load feed (the shard threads), the public
 /// force/inspect API, and the rebalancer thread.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct RebalanceShared {
     state: Mutex<FeedState>,
     cv: Condvar,
@@ -289,12 +289,17 @@ pub(crate) enum Wake {
 }
 
 impl RebalanceShared {
-    /// Pre-sizes the load vector so idle shards (which run no epochs)
-    /// still count as zero-load in every decision round.
-    pub(crate) fn set_shards(&self, shards: usize) {
-        let mut st = self.state.lock().unwrap();
-        if st.depths.len() < shards {
-            st.depths.resize(shards, 0);
+    /// One load per shard, zero until the shard feeds one: an idle shard
+    /// (which runs no epochs) counts as zero-load in every decision round.
+    pub(crate) fn new(shards: usize) -> Self {
+        let depths = vec![0; shards];
+        let state = Mutex::new(FeedState {
+            depths,
+            ..FeedState::default()
+        });
+        RebalanceShared {
+            state,
+            cv: Condvar::new(),
         }
     }
 
@@ -308,9 +313,6 @@ impl RebalanceShared {
     /// dominates instead.
     pub(crate) fn note_load(&self, shard: ShardId, load: u64) {
         let mut st = self.state.lock().unwrap();
-        if shard >= st.depths.len() {
-            st.depths.resize(shard + 1, 0);
-        }
         st.depths[shard] = load;
         st.fresh += 1;
         self.cv.notify_all();
@@ -678,7 +680,8 @@ mod tests {
 
     #[test]
     fn shared_state_queues_forced_actions_and_events() {
-        let sh = RebalanceShared::default();
+        let sh = RebalanceShared::new(3);
+        assert_eq!(sh.depths(), vec![0, 0, 0]);
         sh.note_load(2, 40);
         assert_eq!(sh.depths(), vec![0, 0, 40]);
         sh.force(RebalanceAction::Merge { left: 0 });

@@ -65,14 +65,6 @@ pub struct ShardReport {
     /// final epoch advance has already run, so this is normally 0);
     /// matches the terminal sample's `arena_retired` gauge.
     pub arena_retired: u64,
-    /// Upper-level descents the shard avoided via leaf-run coalescing
-    /// over its lifetime; equals `stats.totals.descents_saved` and the
-    /// terminal sample's `descents_saved` gauge.
-    pub descents_saved: u64,
-    /// Run dispatches the shard resolved from its snapshot pivot cache;
-    /// equals `stats.totals.pivot_cache_hits` and the terminal sample's
-    /// `pivot_cache_hits` gauge.
-    pub pivot_cache_hits: u64,
     /// Result of `btree::validate` on the final tree structure.
     pub structure: Result<(), String>,
     /// Lifecycle spans retained by this shard's bounded ring, oldest

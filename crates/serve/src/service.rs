@@ -72,19 +72,6 @@ use std::time::{Duration, Instant};
 /// from shard contents.
 pub(crate) const SENTINEL_KEY: u64 = u64::MAX - 1;
 
-/// Test-only fault injection for the admission path. `Default` injects
-/// nothing; benchmarks never set this.
-#[derive(Clone, Debug, Default)]
-pub struct FaultPlan {
-    /// Panic inside the Nth (0-based) shed-mode submission call, *after*
-    /// the capacity reservations and the timestamp draw and *before* the
-    /// enqueue — the window where a killed submitter used to leak the
-    /// reservation and wedge admission at capacity forever, and where it
-    /// holds its in-flight slot. `eirene-check` uses this to prove both
-    /// RAII guards release on unwind.
-    pub panic_on_admit: Option<u64>,
-}
-
 /// Configuration of a [`Service`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -111,8 +98,6 @@ pub struct ServeConfig {
     /// Per-tenant QoS lanes and quotas; [`QosConfig::disabled`] (the
     /// default) bypasses lanes entirely.
     pub qos: QosConfig,
-    /// Admission-path fault injection for tests; inert by default.
-    pub fault: FaultPlan,
     /// Bounded ingress-queue capacity per shard.
     pub queue_depth: usize,
     /// What admission does when a shard's queue is full.
@@ -154,7 +139,6 @@ impl Default for ServeConfig {
             device: DeviceConfig::default(),
             sizing: EpochSizing::Fixed(4096),
             qos: QosConfig::disabled(),
-            fault: FaultPlan::default(),
             queue_depth: 1 << 16,
             policy: AdmitPolicy::Block,
             linger: Duration::from_millis(1),
@@ -353,11 +337,10 @@ impl Service {
                 "online rebalancing rebuilds shard trees, invalidating schedule replay"
             );
         }
-        let rebalance_shared = cfg.rebalance.as_ref().map(|_| {
-            let shared = Arc::new(RebalanceShared::default());
-            shared.set_shards(num_shards);
-            shared
-        });
+        let rebalance_shared = cfg
+            .rebalance
+            .as_ref()
+            .map(|_| Arc::new(RebalanceShared::new(num_shards)));
         let mut shard_pairs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); num_shards];
         for &(k, v) in pairs {
             assert!(
@@ -385,8 +368,6 @@ impl Service {
             gate_cv: Condvar::new(),
             policy: cfg.policy,
             qos: cfg.qos.clone(),
-            fault: cfg.fault.clone(),
-            admit_seq: AtomicU64::new(0),
         });
         let mut replays: Vec<Option<ScheduleLog>> = match cfg.replay {
             Some(logs) => logs.into_iter().map(Some).collect(),
