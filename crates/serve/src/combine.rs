@@ -884,7 +884,6 @@ mod tests {
                             segments: ts.iter().map(|&t| call(&[t])).collect(),
                             pushes,
                             finished,
-                            migration: None,
                         },
                     ),
                     DrainCall(ts, wm, pushes, finished) => combiner.drained(
@@ -893,7 +892,6 @@ mod tests {
                             segments: vec![call(ts)],
                             pushes,
                             finished,
-                            migration: None,
                         },
                     ),
                 };

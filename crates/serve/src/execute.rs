@@ -12,7 +12,6 @@ use crate::queue::Segment;
 use crate::report::ShardReport;
 use crate::service::ShardState;
 use crate::shard::ShardId;
-use eirene_core::plan::CombinePlan;
 use eirene_sim::{CycleHistogram, KernelStats, Phase, ScheduleLog, SlabStats};
 use eirene_telemetry::{LifecycleSpan, SpanRing};
 use eirene_workloads::Batch;
@@ -22,10 +21,9 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 /// `ingress` telemetry phase (route lookup, timestamp fetch, queue push).
 const INGRESS_CONTROL_PER_REQUEST: u64 = 8;
 
-/// One planned epoch, as the shard thread runs and books it.
+/// One epoch, as the shard thread runs and books it.
 pub(crate) struct Epoch {
     pub(crate) batch: Batch,
-    pub(crate) plan: CombinePlan,
     /// The epoch's requests by segment: concatenated, they are
     /// `batch.requests`. Each segment is one submission call's (or a piece
     /// of one), so their count is what `ExecutorState::released` is set
@@ -64,9 +62,6 @@ pub(crate) struct Books {
     executed: u64,
     /// Entries that expired before their epoch formed.
     pub(crate) timed_out: u64,
-    /// Keys in the shard's tree as of its last build or migration, and
-    /// exact at the terminal sample (set by the shard thread).
-    pub(crate) key_count: u64,
     /// The device's counters over every booked epoch.
     pub(crate) stats: KernelStats,
     /// The serving layer's own rows — ingress control instructions and
@@ -210,7 +205,7 @@ impl Books {
             closed: self.closed,
             batch_target,
             lane_pending: gauge(|e| e.lane_depth),
-            key_count: self.key_count,
+            key_count: load(&shared.key_count),
             arena_live: arena.live,
             arena_retired: arena.retired,
             descents_saved: self.stats.totals.descents_saved,
@@ -287,7 +282,6 @@ mod tests {
     use crate::lane::QosConfig;
     use crate::report::ServeReport;
     use crate::ticket::{Slot, TicketBatch};
-    use eirene_core::plan::build_plan;
     use eirene_sim::DeviceConfig;
     use eirene_workloads::Request;
 
@@ -298,11 +292,8 @@ mod tests {
         for (i, &t) in (0u32..).zip(ts) {
             seg.push(Request::query(1, t), Slot::Cell(i), arrival);
         }
-        let batch = Batch::new(seg.reqs.clone());
-        let plan = build_plan(&batch, &DeviceConfig::test_small());
         Epoch {
-            batch,
-            plan,
+            batch: Batch::new(seg.reqs.clone()),
             segments: vec![seg],
             close: CloseCause::Full,
             queue_depth: 0,

@@ -28,14 +28,11 @@
 //!   round-robin. Sharing the mutex lets a lane push wake a combiner
 //!   blocked in [`drain`](IngressQueue::drain) through the same condvar
 //!   as a direct enqueue.
-//! - **The migration slot** ([`IngressQueue::migrate`]) rides the same
-//!   condvar: the rebalancer's one pending request to the shard thread
-//!   ends any drain, bounded or not, so a shard thread parked on an idle
-//!   queue still serves it. A queue whose shard thread is gone
-//!   ([`IngressQueue::abandon`]) drops migrations instead.
+//!
+//! The rebalancer does not use the queue: it moves keys between the
+//! locked trees of a settled shard pair (`rebalance` module docs).
 
 use crate::lane::{LaneReject, LaneSet, QosConfig, TenantId};
-use crate::rebalance::Migration;
 use crate::ticket::{Outcome, Slot, TicketBatch};
 use eirene_workloads::{Request, Response};
 use std::collections::VecDeque;
@@ -167,10 +164,8 @@ struct QueueState {
     len: usize,
     reserved: usize,
     closed: bool,
-    /// Set by [`IngressQueue::migrate`], taken by the next `drain`.
-    migration: Option<Migration>,
     /// The shard thread is gone ([`IngressQueue::abandon`]): nobody will
-    /// serve a migration again.
+    /// drain its lanes again.
     abandoned: bool,
     /// Successful push calls by submitters (ingress or lane), cumulative:
     /// one per call, however many requests it carried; a refused push, one
@@ -210,9 +205,6 @@ pub(crate) struct Drained {
     /// included): the combiner may finish once its reorder stage is
     /// empty too.
     pub finished: bool,
-    /// The rebalancer's pending request, for the shard thread to serve
-    /// before the machine sees the drain.
-    pub migration: Option<Migration>,
 }
 
 /// RAII capacity grant on one [`IngressQueue`]. Fill it with
@@ -431,43 +423,25 @@ impl IngressQueue {
         st.abandoned || st.lanes.as_ref().is_none_or(|l| l.quiesced())
     }
 
-    /// Hands the rebalancer's request to the shard thread: the next
-    /// [`drain`](Self::drain) returns it, and one waiting now returns at
-    /// once. The rebalancer waits for each reply, so the slot is free. On
-    /// an abandoned queue the request is dropped, and with it its reply
-    /// channel.
-    pub(crate) fn migrate(&self, migration: Migration) {
-        let mut st = self.state.lock().unwrap();
-        if st.abandoned {
-            return;
-        }
-        debug_assert!(st.migration.is_none(), "one migration at a time");
-        st.migration = Some(migration);
-        self.not_empty.notify_one();
-    }
-
-    /// The shard thread is leaving, by return or by unwinding: drops the
-    /// posted migration, if any, and every later one, so that a rebalancer
-    /// waiting on a reply sees its channel close instead of waiting for
-    /// ever.
+    /// The shard thread is leaving, by return or by unwinding: a shutdown
+    /// waiting for its lanes to quiesce stops waiting for them.
     pub(crate) fn abandon(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.abandoned = true;
-        st.migration = None;
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .abandoned = true;
     }
 
     /// Drains every queued segment, in arrival order. With `wait: None`
     /// the call blocks until at least one exists (directly queued *or*
     /// staged on a lane — lane arrivals need the combiner awake to admit
-    /// them), a migration is posted or the queue closes; `Some(d)` bounds
+    /// them) or the queue closes; `Some(d)` bounds
     /// that wait (`Duration::ZERO` = non-blocking; a `d` too large to add
     /// to the clock = no time bound). `finished` is set once the queue is
     /// closed and fully drained, lanes included.
     pub(crate) fn drain(&self, wait: Option<Duration>) -> Drained {
         let mut st = self.state.lock().unwrap();
-        let idle = |st: &QueueState| {
-            st.segments.is_empty() && st.lane_pending() == 0 && !st.closed && st.migration.is_none()
-        };
+        let idle = |st: &QueueState| st.segments.is_empty() && st.lane_pending() == 0 && !st.closed;
         if idle(&st) {
             match wait {
                 None => {
@@ -506,7 +480,6 @@ impl IngressQueue {
             segments,
             pushes: st.pushes,
             finished: st.closed && st.lane_pending() == 0,
-            migration: st.migration.take(),
         }
     }
 
@@ -790,70 +763,28 @@ mod tests {
     }
 
     #[test]
-    fn a_migration_ends_any_drain() {
-        let probe = || {
-            let (reply, _) = std::sync::mpsc::channel();
-            Migration::Probe {
-                lo: 0,
-                hi: 9,
-                reply,
-            }
-        };
+    fn a_bounded_drain_waits_out_its_bound_and_a_push_ends_any_drain() {
         let q = Arc::new(IngressQueue::new(4));
-        // Posted before the wait: a wait too long to add to the clock is
-        // unbounded, not a panic, and returns at once with it.
-        q.migrate(probe());
-        let d = q.drain(Some(Duration::MAX));
-        assert!(d.segments.is_empty() && !d.finished);
-        assert!(matches!(
-            d.migration,
-            Some(Migration::Probe { lo: 0, hi: 9, .. })
-        ));
-        // Taken: the next bounded wait runs its full course.
+        // Nothing comes: a bounded wait runs its full course.
         let start = Instant::now();
-        assert!(q.drain(Some(Duration::from_millis(30))).migration.is_none());
+        assert!(q.drain(Some(Duration::from_millis(30))).segments.is_empty());
         assert!(start.elapsed() >= Duration::from_millis(30));
-        // Posted during a wait, bounded or not, it ends the wait.
-        for wait in [None, Some(Duration::from_secs(60))] {
+        // A wait too long to add to the clock is unbounded, not a panic.
+        // A push ends it, as it ends a bounded or an unbounded one.
+        for (ts, wait) in (0..).zip([Some(Duration::MAX), Some(Duration::from_secs(60)), None]) {
             let q2 = q.clone();
             let drainer = std::thread::spawn(move || q2.drain(wait));
             std::thread::sleep(Duration::from_millis(20));
             assert!(!drainer.is_finished(), "nothing to return yet");
-            q.migrate(probe());
+            q.reserve_up_to(1).push(seg(&[ts])).unwrap();
             let limit = Instant::now() + Duration::from_secs(10);
             while !drainer.is_finished() && Instant::now() < limit {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            assert!(drainer.is_finished(), "the migration did not end {wait:?}");
+            assert!(drainer.is_finished(), "the push did not end {wait:?}");
             let d = drainer.join().unwrap();
-            assert!(d.segments.is_empty() && d.migration.is_some());
+            assert_eq!((d.segments.len(), d.finished), (1, false));
         }
-    }
-
-    #[test]
-    fn an_abandoned_queue_drops_migrations() {
-        let q = IngressQueue::new(4);
-        let probe = || {
-            let (reply, rx) = std::sync::mpsc::channel::<Vec<u32>>();
-            (
-                Migration::Probe {
-                    lo: 0,
-                    hi: 9,
-                    reply,
-                },
-                rx,
-            )
-        };
-        // Posted before the shard thread left, and posted after: both
-        // reply channels close unanswered.
-        let (posted, before) = probe();
-        q.migrate(posted);
-        q.abandon();
-        assert!(before.recv().is_err());
-        let (late, after) = probe();
-        q.migrate(late);
-        assert!(after.recv().is_err());
-        assert!(q.drain(Some(Duration::ZERO)).migration.is_none());
     }
 
     #[test]

@@ -1,50 +1,31 @@
 //! Online shard rebalancing: the policy that watches each shard's load,
 //! fed by the shard threads after every epoch, for a sustained hot (or
 //! cold) shard, and the thread that carries a decision out — quiesce the
-//! shard pair, migrate keys between their trees, atomically publish the new
-//! [`ShardMap`](crate::ShardMap). Every rebalance moves exactly ONE
+//! shard pair, lock both trees and move the keys itself, atomically publish
+//! the new [`ShardMap`](crate::ShardMap). Every rebalance moves exactly ONE
 //! interior boundary between two ADJACENT shards
 //! ([`ShardMap::with_boundary`](crate::ShardMap::with_boundary)), so only
 //! that pair ever quiesces; repeated single-boundary moves cascade load
-//! toward balance.
+//! toward balance. An action that would leave the boundary where it was is
+//! skipped before any key moves.
+//!
+//! Lock order: the topology write lock, then the trees, lower shard first.
+//! A shard thread takes only its own tree, and never the topology lock
+//! while it holds the tree.
 
 use crate::admit::Inner;
 use crate::observe::ServiceObserver;
-use crate::queue::IngressQueue;
+use crate::service::ShardState;
 use crate::shard::ShardId;
+use eirene_baselines::common::ConcurrentTree;
+use eirene_btree::refops;
+use eirene_core::EireneTree;
 use eirene_telemetry::JsonValue;
 use eirene_workloads::Key;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// A request from the rebalancer to a shard thread, posted in the shard's
-/// queue ([`IngressQueue::migrate`]). The rebalancer only posts while it
-/// holds the topology write lock and the shard pair is quiescent, so a
-/// migration never meets an epoch in progress.
-#[derive(Debug)]
-pub(crate) enum Migration {
-    /// Report the keys currently in `[lo, hi]` (the rebalancer picks the
-    /// donor's median key from this).
-    Probe {
-        lo: Key,
-        hi: Key,
-        reply: Sender<Vec<Key>>,
-    },
-    /// Remove (in place) and return every pair in `[lo, hi]`.
-    Extract {
-        lo: Key,
-        hi: Key,
-        reply: Sender<Vec<(u64, u64)>>,
-    },
-    /// Fold migrated pairs into this shard's tree (rebuild).
-    Absorb {
-        pairs: Vec<(u64, u64)>,
-        reply: Sender<()>,
-    },
-}
 
 /// Policy knobs of the online rebalancer. Thresholds are *relative*
 /// (hot vs the runner-up shard, cold vs the median backlog), with
@@ -419,44 +400,83 @@ pub(crate) fn rebalancer_loop(
     }
 }
 
-/// Blocks until both pair shards have drained completely — every admitted
-/// entry executed or timed out, which (with the topology write lock held,
-/// so no new admissions) also means empty ingress queue, empty reorder
-/// heap, and no epoch gathered or running. Returns false if shutdown
-/// was requested mid-wait (the gate being held also parks us here until
-/// then: callers must not quiesce a gated service).
-fn quiesce_pair(inner: &Inner, shared: &RebalanceShared, pair: [ShardId; 2]) -> bool {
-    loop {
+/// A quiesced shard as the rebalancer holds it: its counters and its
+/// locked tree.
+struct Held<'a>(&'a ShardState, MutexGuard<'a, EireneTree>);
+
+/// Blocks until both shards of the pair have built their trees and settled
+/// every admitted entry (executed or timed out), which — with the topology
+/// write lock held, so no new admissions — also means empty ingress queue,
+/// empty reorder heap, and no epoch gathered; then locks both trees, lower
+/// shard first, which waits out an epoch still booking under its lock.
+/// Returns the pair in the order given. `None` if shutdown was requested
+/// mid-wait (the gate being held also parks us here until then: callers
+/// must not quiesce a gated service) or a tree is poisoned: its thread
+/// died inside an epoch.
+fn quiesce_pair<'a>(
+    inner: &'a Inner,
+    shared: &RebalanceShared,
+    pair: [ShardId; 2],
+) -> Option<[Held<'a>; 2]> {
+    let states = pair.map(|s| &inner.shards[s]);
+    let settled = |s: &ShardState| s.enqueued.load(Relaxed) == s.settled.load(Relaxed);
+    let trees = loop {
         if shared.stopping() {
-            return false;
+            return None;
         }
-        let drained = pair.iter().all(|&s| {
-            let state = &inner.shards[s];
-            state.enqueued.load(Relaxed) == state.settled.load(Relaxed)
-        });
-        if drained {
-            return true;
+        if let [Some(a), Some(b)] = states.map(|s| s.tree.get()) {
+            if a.is_poisoned() || b.is_poisoned() {
+                return None;
+            }
+            if states.iter().all(|s| settled(s)) {
+                break [a, b];
+            }
         }
         std::thread::sleep(Duration::from_micros(50));
-    }
+    };
+    let lock = |i: usize| trees[i].lock().ok().map(|tree| Held(states[i], tree));
+    let (a, b) = if pair[0] < pair[1] { (0, 1) } else { (1, 0) };
+    let [x, y] = [lock(a)?, lock(b)?];
+    Some(if a == 0 { [x, y] } else { [y, x] })
 }
 
-/// One request/reply round trip with a shard thread through its queue's
-/// migration slot: `msg` wraps a fresh reply channel into the request. A
-/// request the shard thread is gone for is dropped unserved and answers
-/// `R::default()`.
-fn shard_call<R: Default>(queue: &IngressQueue, msg: impl FnOnce(Sender<R>) -> Migration) -> R {
-    let (reply, rx) = std::sync::mpsc::channel();
-    queue.migrate(msg(reply));
-    rx.recv().unwrap_or_default()
+/// Moves every pair in `[lo, hi]` from the donor's tree to the receiver's
+/// and returns how many moved. The donor deletes them in place through the
+/// merging delete, so emptied nodes are tombstoned and retired into its
+/// slab arena, and recycled at once: the pair is quiescent, so nothing
+/// holds their addresses. The receiver is rebuilt with its own options.
+/// Both key counts follow (sentinel excluded; it sits above the `u32`
+/// domain, so neither tree empties). Host work: it charges no virtual
+/// cycles and leaves the shard clocks alone.
+fn move_keys(donor: &mut Held, receiver: &mut Held, lo: Key, hi: Key) -> u64 {
+    let (Held(from, donor), Held(to, receiver)) = (donor, receiver);
+    let (mem, root) = (donor.device().mem(), donor.handle());
+    let (moved, keep): (Vec<_>, Vec<_>) = refops::contents(mem, root)
+        .into_iter()
+        .partition(|&(k, _)| (lo as u64..=hi as u64).contains(&k));
+    for &(k, _) in &moved {
+        refops::delete(mem, root, k);
+    }
+    mem.advance_epoch();
+    from.key_count.store(keep.len() as u64 - 1, Relaxed);
+    let (mem, root) = (receiver.device().mem(), receiver.handle());
+    let mut all = refops::contents(mem, root);
+    all.extend_from_slice(&moved);
+    // Shards own disjoint key sets, so the merge has no duplicates;
+    // bulk_build wants ascending keys.
+    all.sort_unstable();
+    to.key_count.store(all.len() as u64 - 1, Relaxed);
+    **receiver = EireneTree::new(&all, receiver.options().clone());
+    moved.len() as u64
 }
 
 /// Executes one topology change end to end: write-lock the topology
 /// (stalling new admissions; in-flight read-held admissions finish
-/// first), quiesce the affected adjacent pair, migrate keys between their
-/// trees, then publish the moved boundary and release. Returns whether a
-/// change was published (infeasible actions — degenerate spans, missing
-/// neighbors, already-merged pairs — are skipped, not errors).
+/// first), quiesce the affected adjacent pair and lock its trees, move keys
+/// between them, then publish the moved boundary and release. Returns
+/// whether a change was published (infeasible actions — degenerate spans,
+/// missing neighbors, a boundary that would not move — are skipped, not
+/// errors).
 fn execute_rebalance(
     inner: &Inner,
     shared: &RebalanceShared,
@@ -467,20 +487,17 @@ fn execute_rebalance(
     seq: &mut u64,
 ) -> bool {
     let n = inner.shards.len();
-    let queue = |s: ShardId| &inner.shards[s].queue;
     if n < 2 {
         return false;
     }
     let mut topo = inner.topology.write().unwrap();
-    // The move: boundary `boundary` goes to `new_start`, and the keys in
-    // `moved` (inclusive) go from shard `from` to shard `to`.
-    let (kind, boundary, new_start, from, to, moved) = match action {
+    // The donor and the receiver, adjacent.
+    let (kind, [from, to]) = match action {
         RebalanceAction::Split { shard } => {
             if shard >= n {
                 return false;
             }
-            let (lo, hi) = (topo.start_of(shard), topo.end_of(shard));
-            if !forced && (hi - lo) < spec.min_span {
+            if !forced && (topo.end_of(shard) - topo.start_of(shard)) < spec.min_span {
                 return false;
             }
             // Donate toward the lighter adjacent neighbor (edge shards
@@ -493,61 +510,54 @@ fn execute_rebalance(
                 (true, true) => weight(shard + 1) <= weight(shard - 1),
             };
             let receiver = if give_right { shard + 1 } else { shard - 1 };
-            if !quiesce_pair(inner, shared, [shard, receiver]) {
-                return false;
-            }
-            // Median key of the *actual* keys, not the span midpoint:
-            // under skew the hot mass sits in a narrow band, and halving
-            // the keys (instead of the range) is what halves the load.
-            let keys: Vec<Key> =
-                shard_call(queue(shard), |reply| Migration::Probe { lo, hi, reply });
+            (RebalanceKind::Split, [shard, receiver])
+        }
+        // The shard count is fixed, so a "merge" collapses the cold left
+        // shard to a width-1 remnant and hands the rest of its range to the
+        // right neighbor.
+        RebalanceAction::Merge { left } if left + 1 < n => (RebalanceKind::Merge, [left, left + 1]),
+        RebalanceAction::Merge { .. } => return false,
+    };
+    let Some([mut donor, mut receiver]) = quiesce_pair(inner, shared, [from, to]) else {
+        return false;
+    };
+    // The donor's range [lo, hi] splits at `new_start`: the side toward the
+    // receiver moves, and `new_start` becomes the start of the shard on the
+    // right.
+    let (lo, hi) = (topo.start_of(from), topo.end_of(from));
+    let new_start = match kind {
+        // Median key of the *actual* keys, not the span midpoint: under
+        // skew the hot mass sits in a narrow band, and halving the keys
+        // (instead of the range) is what halves the load.
+        RebalanceKind::Split => {
+            let (mem, root) = (donor.1.device().mem(), donor.1.handle());
+            let keys: Vec<Key> = refops::contents(mem, root)
+                .into_iter()
+                .filter_map(|(k, _)| (lo as u64..=hi as u64).contains(&k).then_some(k as Key))
+                .collect();
             if keys.is_empty() {
                 return false;
             }
-            // b > lo keeps the donor non-empty.
-            let b = keys[keys.len() / 2].max(lo + 1);
-            if give_right {
-                // Donor keeps [lo, b-1], receiver gains [b, hi].
-                (RebalanceKind::Split, receiver, b, shard, receiver, (b, hi))
-            } else {
-                // Donor keeps [b, hi], receiver gains [lo, b-1].
-                (RebalanceKind::Split, shard, b, shard, receiver, (lo, b - 1))
-            }
+            // > lo keeps the donor non-empty.
+            keys[keys.len() / 2].max(lo + 1)
         }
-        RebalanceAction::Merge { left } => {
-            if left + 1 >= n {
-                return false;
-            }
-            // The shard count is fixed, so a "merge" collapses the cold
-            // left shard to a width-1 remnant and hands the rest of its
-            // range to the right neighbor.
-            let new_start = topo.start_of(left) + 1;
-            if topo.start_of(left + 1) == new_start {
-                return false; // already a width-1 remnant
-            }
-            if !quiesce_pair(inner, shared, [left, left + 1]) {
-                return false;
-            }
-            let rest = (new_start, topo.end_of(left));
-            (
-                RebalanceKind::Merge,
-                left + 1,
-                new_start,
-                left,
-                left + 1,
-                rest,
-            )
-        }
+        RebalanceKind::Merge => lo + 1,
+    };
+    let (boundary, moved) = if to > from {
+        (to, (new_start, hi))
+    } else {
+        (from, (lo, new_start - 1))
     };
     let old_start = topo.start_of(boundary);
+    // A width-1 remnant's split, or its merge, would move nothing: skip it
+    // before any key moves.
+    if new_start == old_start {
+        return false;
+    }
     let Ok(new_map) = topo.with_boundary(boundary, new_start) else {
         return false;
     };
-    let (lo, hi) = moved;
-    let pairs: Vec<(u64, u64)> =
-        shard_call(queue(from), |reply| Migration::Extract { lo, hi, reply });
-    let moved_keys = pairs.len() as u64;
-    shard_call::<()>(queue(to), |reply| Migration::Absorb { pairs, reply });
+    let moved_keys = move_keys(&mut donor, &mut receiver, moved.0, moved.1);
     *topo = new_map;
     let event = RebalanceEvent {
         seq: *seq + 1,
@@ -562,7 +572,7 @@ fn execute_rebalance(
     };
     *seq = event.seq;
     shared.push_event(event.clone());
-    drop(topo); // publish before notifying observers
+    drop((donor, receiver, topo)); // publish before notifying observers
     if let Some(obs) = observer {
         obs.on_rebalance(&event);
     }
@@ -572,6 +582,70 @@ fn execute_rebalance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane::QosConfig;
+    use crate::service::SENTINEL_KEY;
+    use eirene_core::EireneOptions;
+
+    /// A shard whose tree holds `keys` (value `k + 1`) and the sentinel,
+    /// with its key count set as its thread sets it.
+    fn shard(keys: impl Iterator<Item = u64>) -> ShardState {
+        let state = ShardState::new(4, &QosConfig::disabled());
+        let mut pairs: Vec<(u64, u64)> = keys.map(|k| (k, k + 1)).collect();
+        state.key_count.store(pairs.len() as u64, Relaxed);
+        pairs.push((SENTINEL_KEY, 0));
+        let tree = EireneTree::new(&pairs, EireneOptions::test_small());
+        assert!(state.tree.set(Mutex::new(tree)).is_ok());
+        state
+    }
+
+    fn hold(state: &ShardState) -> Held<'_> {
+        Held(state, state.tree.get().unwrap().lock().unwrap())
+    }
+
+    fn contents(held: &Held) -> Vec<(u64, u64)> {
+        refops::contents(held.1.device().mem(), held.1.handle())
+    }
+
+    #[test]
+    fn move_keys_table() {
+        // Shard 0 holds the even keys below 1 000, shard 1 those from 1 000
+        // to 1 998; each row moves [lo, hi] from the donor to the receiver.
+        let rows = [
+            ("split right", 0, 500, 999, 250),
+            ("split left", 1, 1000, 1499, 250),
+            ("merge", 0, 1, 999, 499),
+            ("empty range", 0, 1001, 1000, 0),
+        ];
+        for (case, donor, lo, hi, want) in rows {
+            let states = [
+                shard((0..500).map(|i| 2 * i)),
+                shard((500..1000).map(|i| 2 * i)),
+            ];
+            let [mut a, mut b] = [hold(&states[0]), hold(&states[1])];
+            let mut before: Vec<(u64, u64)> = [contents(&a), contents(&b)].concat();
+            before.sort_unstable();
+            let (from, to) = if donor == 0 {
+                (&mut a, &mut b)
+            } else {
+                (&mut b, &mut a)
+            };
+            assert_eq!(move_keys(from, to, lo, hi), want, "{case}");
+            let inside = |k: u64| (lo as u64..=hi as u64).contains(&k);
+            assert!(contents(from).iter().all(|&(k, _)| !inside(k)), "{case}");
+            let retired = from.1.device().mem().slab_stats().retired;
+            assert_eq!(retired, 0, "{case}: the donor's retired nodes are recycled");
+            for held in [&a, &b] {
+                let (mem, root) = (held.1.device().mem(), held.1.handle());
+                let valid = eirene_btree::validate::validate(mem, root);
+                assert!(valid.is_ok(), "{case}: {valid:?}");
+                let count = held.0.key_count.load(Relaxed);
+                assert_eq!(count, contents(held).len() as u64 - 1, "{case}");
+            }
+            let mut after: Vec<(u64, u64)> = [contents(&a), contents(&b)].concat();
+            after.sort_unstable();
+            assert_eq!(after, before, "{case}: keys are conserved");
+        }
+    }
 
     fn spec() -> RebalanceSpec {
         RebalanceSpec {

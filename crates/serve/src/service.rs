@@ -37,8 +37,10 @@
 //! arrives meanwhile waits in the ingress queue: a closed-loop caller
 //! cannot come back before its epoch settles, so nothing is lost by not
 //! planning epoch N+1 while N runs, and no epoch waits for a second thread
-//! to wake. The rebalancer reaches the thread through its queue's
-//! migration slot.
+//! to wake. The shard's tree sits behind a lock that the thread holds for
+//! the whole of an epoch; the rebalancer takes it only once the shard has
+//! settled everything admitted, and moves keys itself (`rebalance` module
+//! docs), so it sends the thread nothing.
 
 use crate::admit::{admit_lanes, Inflight, Inner};
 use crate::combine::{Combiner, Effect, ExecutorState, TurnView};
@@ -48,20 +50,19 @@ use crate::lane::{QosConfig, TenantId};
 use crate::observe::{ObserveConfig, ShardSample, SloBreach};
 use crate::queue::{AdmitPolicy, IngressQueue, Segment};
 use crate::rebalance::{
-    rebalancer_loop, Migration, RebalanceAction, RebalanceEvent, RebalanceShared, RebalanceSpec,
+    rebalancer_loop, RebalanceAction, RebalanceEvent, RebalanceShared, RebalanceSpec,
 };
 use crate::report::{ServeReport, ShardReport};
 use crate::shard::{hash_shard, ShardId, ShardMap, Sharding};
 use crate::ticket::{Outcome, Ticket};
 use eirene_baselines::common::ConcurrentTree;
 use eirene_btree::refops;
-use eirene_core::plan::build_plan;
 use eirene_core::{EireneOptions, EireneTree};
 use eirene_sim::{DeviceConfig, ScheduleLog};
 use eirene_workloads::{Batch, Key, OpKind};
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -164,14 +165,20 @@ impl ServeConfig {
     }
 }
 
-/// Shared per-shard state: the ingress queue and the counters other
-/// threads than the shard's own write or read. Submitters and peer
+/// Shared per-shard state: the ingress queue, the tree and the counters
+/// other threads than the shard's own write or read. Submitters and peer
 /// combiners count admissions and sheds; the rebalancer compares
-/// `enqueued` with `settled`. Everything only the shard thread touches
-/// lives in its [`Books`].
-#[derive(Debug)]
+/// `enqueued` with `settled`, then moves keys between locked trees.
+/// Everything only the shard thread touches lives in its [`Books`].
 pub(crate) struct ShardState {
     pub(crate) queue: IngressQueue,
+    /// Set by the shard thread once its bulk load is done, so trees build
+    /// in parallel. The thread holds the lock for the whole of an epoch,
+    /// so one that dies inside an epoch poisons it.
+    pub(crate) tree: OnceLock<Mutex<EireneTree>>,
+    /// Keys in the tree as of its build or its last migration, and exact
+    /// at the terminal sample (sentinel excluded).
+    pub(crate) key_count: AtomicU64,
     /// Entries admitted to this shard, cumulative.
     pub(crate) enqueued: AtomicU64,
     /// Requests shed at this shard's full queue, in all and per tenant.
@@ -188,6 +195,8 @@ impl ShardState {
     pub(crate) fn new(capacity: usize, qos: &QosConfig) -> Self {
         ShardState {
             queue: IngressQueue::with_lanes(capacity, qos),
+            tree: OnceLock::new(),
+            key_count: AtomicU64::new(0),
             enqueued: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             tenant_shed: (0..qos.num_tenants()).map(|_| AtomicU64::new(0)).collect(),
@@ -376,7 +385,7 @@ impl Service {
         let mut shards = Vec::with_capacity(num_shards);
         for (shard, pairs) in shard_pairs.into_iter().enumerate() {
             let device = cfg.device.for_shard(shard);
-            let mut books = Books::new(
+            let books = Books::new(
                 shard,
                 inner.shards[shard].queue.num_tenants(),
                 device.control_latency,
@@ -398,16 +407,18 @@ impl Service {
                     .spawn(move || {
                         let state = &inner.shards[shard];
                         let _leaving = Leaving(&state.queue);
-                        let tree = EireneTree::new(&pairs, opts.clone());
-                        // Sentinel excluded: the books count client-visible keys.
-                        books.key_count = pairs.len() as u64 - 1;
-                        if let Some(log) = replay {
-                            tree.device().set_replay_log(log);
-                        }
+                        // Sentinel excluded: the count is of client-visible keys.
+                        state.key_count.store(pairs.len() as u64 - 1, Relaxed);
+                        let tree = state.tree.get_or_init(|| {
+                            let tree = EireneTree::new(&pairs, opts);
+                            if let Some(log) = replay {
+                                tree.device().set_replay_log(log);
+                            }
+                            Mutex::new(tree)
+                        });
                         let executor = Executor {
                             state,
                             tree,
-                            opts,
                             books,
                             controller,
                             observe,
@@ -491,8 +502,10 @@ impl Service {
     /// final report.
     pub fn shutdown(mut self) -> ServeReport {
         // Stop the rebalancer first: no topology change may race the close
-        // sequence. A shard thread held at the gate could not serve the
-        // migration it may be waiting on, so the gate opens before.
+        // sequence. A pair it is quiescing stops waiting to settle; the
+        // gate opens first, so a submitter blocked on a full queue, which
+        // holds the topology lock the rebalancer may be waiting for, gets
+        // through.
         let rebalances = match (self.rebalancer.take(), self.rebalance.take()) {
             (Some(handle), Some(shared)) => {
                 self.inner.release_gate();
@@ -536,8 +549,7 @@ impl Service {
 
 /// The shard's thread: takes its [`Combiner`]'s turns and carries out each
 /// effect until the queue has finished, then reports. A hand-over is
-/// planned, run and booked here before the next turn; a migration a drain
-/// brings is served before the machine sees that drain.
+/// planned, run and booked here before the next turn.
 fn shard_loop(inner: &Inner, shard: ShardId, mut ex: Executor, linger: Duration) -> ShardReport {
     let state = ex.state;
     let qos = inner.qos.enabled();
@@ -560,11 +572,7 @@ fn shard_loop(inner: &Inner, shard: ShardId, mut ex: Executor, linger: Duration)
             // `Reorder::offer` requires. Lane entries admitted earlier drew
             // their timestamps before this read, so it covers them too.
             let wm = inner.watermark();
-            let mut drained = state.queue.drain(wait);
-            if let Some(migration) = drained.migration.take() {
-                ex.migrate(migration);
-            }
-            effect = combiner.drained(wm, drained);
+            effect = combiner.drained(wm, state.queue.drain(wait));
         }
         match effect {
             Effect::Expire(expired) => {
@@ -581,13 +589,10 @@ fn shard_loop(inner: &Inner, shard: ShardId, mut ex: Executor, linger: Duration)
                 for seg in &segments {
                     requests.extend_from_slice(&seg.reqs);
                 }
-                let batch = Batch::new(requests);
-                let plan = build_plan(&batch, &ex.opts.device);
                 let observing = ex.observe.enabled;
                 let (watermark_lag, inflight) = if observing { inner.gauges() } else { (0, 0) };
                 ex.run(Epoch {
-                    batch,
-                    plan,
+                    batch: Batch::new(requests),
                     segments,
                     close,
                     queue_depth: state.queue.depth() as u64,
@@ -605,8 +610,8 @@ fn shard_loop(inner: &Inner, shard: ShardId, mut ex: Executor, linger: Duration)
 }
 
 /// Abandons the shard's queue when its thread leaves, unwinding included,
-/// so that a rebalancer waiting on the thread's reply reads the reply's
-/// default instead of hanging.
+/// so that a QoS shutdown waiting for the shard's lanes to quiesce does not
+/// wait for ever.
 struct Leaving<'q>(&'q IngressQueue);
 
 impl Drop for Leaving<'_> {
@@ -619,9 +624,8 @@ impl Drop for Leaving<'_> {
 /// its epochs are booked into, and what the linger decision reads of them.
 struct Executor<'s> {
     state: &'s ShardState,
-    tree: EireneTree,
-    /// Migrations rebuild the tree with the same options.
-    opts: EireneOptions,
+    /// `state.tree`, once built.
+    tree: &'s Mutex<EireneTree>,
     books: Books,
     controller: BatchController,
     observe: ObserveConfig,
@@ -632,14 +636,25 @@ struct Executor<'s> {
     fed_enqueued: u64,
 }
 
-impl Executor<'_> {
-    /// Runs one epoch on the shard's tree, resolves its tickets in the
-    /// order the combiner's `Returned` exit counts on, books it, and feeds
-    /// the rebalancer and the observer.
+impl<'s> Executor<'s> {
+    /// The shard's tree, locked. Only a rebalancer that died mid-move can
+    /// have poisoned it: the tree's keys are then in doubt.
+    fn tree(&self) -> MutexGuard<'s, EireneTree> {
+        self.tree
+            .lock()
+            .expect("the rebalancer died moving this shard's keys")
+    }
+
+    /// Plans and runs one epoch on the shard's tree, resolves its tickets
+    /// in the order the combiner's `Returned` exit counts on, books it, and
+    /// feeds the rebalancer and the observer, all under the tree's lock:
+    /// the rebalancer, which waits for `settled`, takes the tree only once
+    /// the epoch is done with it.
     fn run(&mut self, epoch: Epoch) {
-        let state = self.state;
+        let (state, mut tree) = (self.state, self.tree());
         let started = Instant::now();
-        let run = self.tree.run_planned(&epoch.batch, &epoch.plan);
+        let plan = tree.plan(&epoch.batch);
+        let run = tree.run_planned(&epoch.batch, &plan);
         // Release the callers first: the books read only the segments and
         // the run's counters, and nobody should wait on them. The push
         // count is read before the first outcome is stored: a caller reads
@@ -676,7 +691,7 @@ impl Executor<'_> {
             // `run_planned` advanced the reclamation epoch at the batch
             // boundary, so the arena's `retired` is quarantine that
             // survived the advance (normally 0).
-            let arena = self.tree.device().mem().slab_stats();
+            let arena = tree.device().mem().slab_stats();
             let target = self.controller.target() as u64;
             let (sample, breaches) = books.sample(Some(&epoch), state, target, arena);
             emit(&self.observe, &sample, breaches);
@@ -689,56 +704,10 @@ impl Executor<'_> {
         self.state.settled.fetch_add(n, Relaxed);
     }
 
-    /// Serves one of the rebalancer's requests on the shard's tree. The
-    /// books' key count follows the tree (sentinel excluded).
-    fn migrate(&mut self, migration: Migration) {
-        let (mem, root) = (self.tree.device().mem(), self.tree.handle());
-        let inside = |k: u64, lo: Key, hi: Key| (lo as u64..=hi as u64).contains(&k);
-        match migration {
-            Migration::Probe { lo, hi, reply } => {
-                let keys = refops::contents(mem, root)
-                    .into_iter()
-                    .filter_map(|(k, _)| inside(k, lo, hi).then_some(k as Key))
-                    .collect();
-                let _ = reply.send(keys);
-            }
-            Migration::Extract { lo, hi, reply } => {
-                // Donor-side migration runs in place: every donated key
-                // goes through the merging delete path, so emptied donor
-                // nodes are tombstoned and retired into the shard's slab
-                // arena — and recycled at the epoch advance below — rather
-                // than discarded by a tree rebuild. The sentinel key sits
-                // above the u32 domain (`hi` is a u32 key), so the tree
-                // never empties. Migration is host work: it charges no
-                // virtual cycles and leaves the shard clock alone.
-                let (moved, keep): (Vec<_>, Vec<_>) = refops::contents(mem, root)
-                    .into_iter()
-                    .partition(|&(k, _)| inside(k, lo, hi));
-                for &(k, _) in &moved {
-                    refops::delete(mem, root, k);
-                }
-                // The pair is quiescent (no epoch gathered or running), so
-                // the retired donor nodes are reclaimable immediately.
-                mem.advance_epoch();
-                self.books.key_count = keep.len() as u64 - 1;
-                let _ = reply.send(moved);
-            }
-            Migration::Absorb { pairs, reply } => {
-                let mut all = refops::contents(mem, root);
-                all.extend(pairs);
-                // Shards own disjoint key sets, so the merge has no
-                // duplicates; bulk_build wants ascending keys.
-                all.sort_unstable();
-                self.books.key_count = all.len() as u64 - 1;
-                self.tree = EireneTree::new(&all, self.opts.clone());
-                let _ = reply.send(());
-            }
-        }
-    }
-
     /// The terminal sample and the shard's report, once every epoch ran.
     fn finish(mut self) -> ShardReport {
-        let (mem, root) = (self.tree.device().mem(), self.tree.handle());
+        let tree = self.tree();
+        let (mem, root) = (tree.device().mem(), tree.handle());
         let structure = eirene_btree::validate::validate(mem, root)
             .map(|_| ())
             .map_err(|e| e.to_string());
@@ -749,7 +718,7 @@ impl Executor<'_> {
         // Contents are final here, so the terminal key count is exact —
         // mid-run it only tracks builds and migrations, not per-epoch
         // mutations.
-        self.books.key_count = contents.len() as u64;
+        self.state.key_count.store(contents.len() as u64, Relaxed);
         // Terminal sample: one final snapshot after the queue finished, so
         // every admission counter is final — the report's totals are taken
         // FROM this snapshot, which is what makes live sampled series
@@ -759,7 +728,7 @@ impl Executor<'_> {
         if self.observe.enabled {
             emit(&self.observe, &terminal, breaches);
         }
-        let schedule = self.tree.device().take_schedule_log();
+        let schedule = tree.device().take_schedule_log();
         self.books.finish(terminal, schedule, contents, structure)
     }
 }
@@ -1021,7 +990,7 @@ mod tests {
     #[test]
     fn an_idle_service_serves_a_forced_split_and_merge() {
         // No traffic: both shard threads sit parked in an unbounded drain,
-        // which only the migration slot can end.
+        // and the rebalancer moves the keys without waking them.
         crate::ticket::tests::watchdog(|| {
             let map = ShardMap::from_starts(vec![0, 1000]).expect("valid shard starts");
             let mut cfg = small_cfg(map);
@@ -1051,6 +1020,58 @@ mod tests {
     }
 
     #[test]
+    fn a_forced_split_right_after_new_is_served() {
+        // No sleep: the split lands before the shard threads have built
+        // their trees, and must wait for them rather than be skipped.
+        crate::ticket::tests::watchdog(|| {
+            for _ in 0..20 {
+                let map = ShardMap::from_starts(vec![0, 1000]).expect("valid shard starts");
+                let mut cfg = small_cfg(map);
+                cfg.rebalance = Some(RebalanceSpec::manual());
+                let svc = Service::new(&initial_pairs(), cfg);
+                svc.force_rebalance(RebalanceAction::Split { shard: 1 });
+                while svc.rebalance_attempts() < 1 {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                let report = svc.shutdown();
+                let events = &report.rebalances;
+                assert_eq!(events.len(), 1, "{events:?}");
+                assert!(events[0].moved_keys > 0, "{events:?}");
+                assert_eq!(report.contents(), initial_pairs());
+                report.assert_consistent();
+            }
+        });
+    }
+
+    #[test]
+    fn a_split_that_leaves_the_boundary_in_place_is_skipped() {
+        // The merge leaves shard 1 the width-1 remnant [1000, 1000]; its
+        // split toward shard 2 would move the boundary from 1001 to 1001.
+        crate::ticket::tests::watchdog(|| {
+            let mut cfg = small_cfg(boundary_map());
+            cfg.rebalance = Some(RebalanceSpec::manual());
+            let svc = Service::new(&initial_pairs(), cfg);
+            for (n, action) in [
+                RebalanceAction::Merge { left: 1 },
+                RebalanceAction::Split { shard: 1 },
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                svc.force_rebalance(action);
+                while svc.rebalance_attempts() <= n as u64 {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            }
+            let report = svc.shutdown();
+            let kinds: Vec<RebalanceKind> = report.rebalances.iter().map(|e| e.kind).collect();
+            assert_eq!(kinds, [RebalanceKind::Merge], "{:?}", report.rebalances);
+            assert_eq!(report.contents(), initial_pairs());
+            report.assert_consistent();
+        });
+    }
+
+    #[test]
     fn a_dead_shard_thread_does_not_hang_a_forced_split() {
         /// Panics on shard 1's first epoch sample, which kills its thread
         /// after the epoch's tickets resolved.
@@ -1068,8 +1089,9 @@ mod tests {
             let svc = Service::new(&initial_pairs(), cfg);
             let ticket = svc.client().submit(1500, OpKind::Query);
             assert!(matches!(ticket.wait(), Outcome::Done(_)));
-            // The probe reaches shard 1 before or after its thread died:
-            // either way the split is skipped, not waited on.
+            // The rebalancer finds shard 1's tree poisoned, before or after
+            // its thread died: either way the split is skipped, not waited
+            // on.
             svc.force_rebalance(RebalanceAction::Split { shard: 1 });
             while svc.rebalance_attempts() < 1 {
                 std::thread::sleep(Duration::from_micros(50));
