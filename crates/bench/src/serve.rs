@@ -21,9 +21,10 @@
 //! each cell's sampled series against its report; `--monitor-out` and
 //! `--spans` export the series and the last cell's lifecycle spans.
 //!
-//! Exit status: 0 when every report is consistent (phase rows sum to
-//! totals, trees validate, series reconcile) and the flow's own checks
-//! hold, 1 otherwise, 2 on a usage error.
+//! Exit status: 0 when every report passes `ServeReport::check` (its
+//! accounting balances, phase rows sum to totals, spans hold, trees
+//! validate), every monitored series reconciles with its report and the
+//! flow's own checks hold, 1 otherwise, 2 on a usage error.
 
 mod flows;
 
@@ -31,8 +32,8 @@ use eirene_check::cli::{self, Cli, Flag};
 use eirene_check::flag;
 use eirene_serve::{
     reconcile_samples, spans_to_jsonl, AdmitPolicy, AimdSpec, EpochSizing, ObserveConfig,
-    QosConfig, RebalanceEvent, SeriesCollector, ServeConfig, ServeReport, Service, ServiceObserver,
-    ShardMap, ShardSample, SloBreach, SloSpec, TenantId,
+    QosConfig, SeriesCollector, ServeConfig, ServeEvent, ServeReport, Service, ServiceObserver,
+    ShardMap, SloSpec, TenantId,
 };
 use eirene_sim::DeviceConfig;
 use eirene_telemetry::JsonValue;
@@ -354,22 +355,17 @@ fn workload_map(shards: usize, key_domain: u64) -> ShardMap {
 }
 
 /// Observer for `--monitor`: accumulates the series and prints SLO
-/// breaches to stderr the moment a shard's executor emits them.
+/// breaches and topology changes to stderr the moment they happen.
 struct MonitorObserver(Arc<SeriesCollector>);
 
 impl ServiceObserver for MonitorObserver {
-    fn on_sample(&self, sample: &ShardSample) {
-        self.0.on_sample(sample);
-    }
-
-    fn on_breach(&self, breach: &SloBreach) {
-        eprintln!("serve: {breach}");
-        self.0.on_breach(breach);
-    }
-
-    fn on_rebalance(&self, event: &RebalanceEvent) {
-        eprintln!("serve: {event}");
-        self.0.on_rebalance(event);
+    fn on_event(&self, event: &ServeEvent) {
+        match event {
+            ServeEvent::Sample(_) => {}
+            ServeEvent::Breach(breach) => eprintln!("serve: {breach}"),
+            ServeEvent::Rebalance(change) => eprintln!("serve: {change}"),
+        }
+        self.0.on_event(event);
     }
 }
 
@@ -450,9 +446,8 @@ fn run_cell(
     let collector = scale.monitor.then(SeriesCollector::new);
     let observe = match &collector {
         Some(coll) => ObserveConfig {
-            slo: slo_spec(scale),
             observer: Some(Arc::new(MonitorObserver(coll.clone()))),
-            ..ObserveConfig::live()
+            slo: slo_spec(scale),
         },
         None => ObserveConfig::default(),
     };
@@ -541,19 +536,6 @@ fn print_row(
     );
 }
 
-fn check_report(report: &ServeReport, label: &str) -> bool {
-    let mut ok = true;
-    if !report.phase_rows_sum_to_totals() {
-        eprintln!("serve: {label}: telemetry phase rows do not sum to totals");
-        ok = false;
-    }
-    if let Err(e) = report.structure() {
-        eprintln!("serve: {label}: structure validation failed: {e}");
-        ok = false;
-    }
-    ok
-}
-
 /// Per-tenant outcome table for QoS cells: executed, shed, p50/p99.
 fn print_tenant_table(device: &DeviceConfig, report: &ServeReport) {
     for t in 0..report.num_tenants() {
@@ -625,7 +607,10 @@ fn run_sweep(scale: &ServeScale) -> i32 {
             let label = format!("{shards} shards {mode}");
             let (report, ingress, series) =
                 run_cell(scale, shards, load.map(|load| load * capacity), &label);
-            all_ok &= check_report(&report, &label);
+            if let Err(e) = report.check() {
+                eprintln!("serve: {label}: {e}");
+                all_ok = false;
+            }
             // Cross-check the live series against the cell's final report.
             if let Some(series) = series {
                 if let Err(e) = reconcile_samples(&series.samples(), &report) {
@@ -674,7 +659,7 @@ fn run_sweep(scale: &ServeScale) -> i32 {
     }
     verdict(
         all_ok,
-        "per-shard telemetry rows sum to totals on every cell; all trees validated",
+        "every cell's report passes ServeReport::check (phase rows sum to totals, trees validate)",
     )
 }
 

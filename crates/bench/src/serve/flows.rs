@@ -4,7 +4,7 @@
 //! module's config, streams and client loop.
 
 use super::*;
-use eirene_serve::{RebalanceSpec, Sharding};
+use eirene_serve::{RebalanceEvent, RebalanceSpec, Sharding};
 use eirene_sim::mix64;
 use eirene_workloads::Zipfian;
 
@@ -49,7 +49,10 @@ impl PaperFlow<'_> {
         let sizing = batch.map_or("adaptive".into(), |b| format!("fixed-{b}"));
         let label = format!("{theta} {loop_mode} {sizing}");
         let (report, ..) = run_cell(&s, self.shards, rate, &label);
-        self.ok &= check_report(&report, &label);
+        if let Err(e) = report.check() {
+            eprintln!("serve: {label}: {e}");
+            self.ok = false;
+        }
         let (device, lat, tput) = (s.device(), report.latency(), report.throughput());
         let p99_us = cycles_to_us(&device, lat.p99());
         let targets: Vec<u64> = report.shards.iter().map(|sh| sh.batch_target).collect();
@@ -280,7 +283,6 @@ fn skew_rebalance_spec(batch_limit: usize) -> RebalanceSpec {
         cooldown_epochs: 1,
         warmup_rounds: 8,
         min_depth: (batch_limit as u64 / 2).max(64),
-        ..RebalanceSpec::default()
     }
 }
 

@@ -183,10 +183,11 @@ pub(crate) enum Effect {
     Expire(Vec<Segment>),
     /// Admit up to `admit` staged lane entries into [`Combiner::stage`];
     /// then read the watermark, drain the whole queue with this `wait`
-    /// (`IngressQueue::drain`) and hand both to [`Combiner::drained`].
+    /// (`IngressQueue::drain`: `Duration::MAX` is unbounded) and hand both
+    /// to [`Combiner::drained`].
     Drain {
         admit: Option<usize>,
-        wait: Option<Duration>,
+        wait: Duration,
     },
     /// Yield the CPU (zero), or sleep this long.
     BackOff(Duration),
@@ -301,12 +302,10 @@ impl Combiner {
         }
         // Entries in the stage have left the queue, and no arrival will end
         // a wait on their behalf: try them against a fresh watermark now.
-        let wait = if admit.is_some() || !self.stage.is_empty() {
-            Some(Duration::ZERO)
-        } else if self.gathered.is_empty() {
-            None
-        } else {
-            Some(wake.map_or(Duration::MAX, |w| w.saturating_duration_since(view.now)))
+        let wait = match wake {
+            _ if admit.is_some() || !self.stage.is_empty() => Duration::ZERO,
+            Some(w) if !self.gathered.is_empty() => w.saturating_duration_since(view.now),
+            _ => Duration::MAX,
         };
         Effect::Drain { admit, wait }
     }
@@ -679,7 +678,7 @@ mod tests {
     }
 
     /// What a test sees of an [`Effect`]: timestamps, not segments, and
-    /// waits in µs.
+    /// waits in µs (`None`: unbounded).
     #[derive(Debug, PartialEq)]
     enum Seen {
         Next,
@@ -700,7 +699,9 @@ mod tests {
             match effect {
                 Effect::NextTurn => Seen::Next,
                 Effect::Expire(entries) => Seen::Expire(ts(entries)),
-                Effect::Drain { admit, wait } => Seen::Drain(admit, wait.map(us)),
+                Effect::Drain { admit, wait } => {
+                    Seen::Drain(admit, (wait != Duration::MAX).then(|| us(wait)))
+                }
                 Effect::BackOff(pause) => Seen::BackOff(us(pause)),
                 Effect::HandOver { segments, close } => Seen::HandOver(ts(segments), close),
                 Effect::Exit => Seen::Exit,

@@ -45,19 +45,6 @@ pub struct AimdSpec {
     pub p99_budget_cycles: Option<u64>,
 }
 
-impl Default for AimdSpec {
-    fn default() -> Self {
-        AimdSpec {
-            min_batch: 64,
-            max_batch: 1 << 14,
-            initial: 512,
-            increase: 256,
-            decrease: 0.5,
-            p99_budget_cycles: None,
-        }
-    }
-}
-
 impl AimdSpec {
     /// A spec bounded to `[min, max]` with defaults scaled to fit.
     pub fn bounded(min_batch: usize, max_batch: usize) -> Self {

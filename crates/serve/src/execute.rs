@@ -6,7 +6,7 @@
 
 use crate::control::EpochFeedback;
 use crate::observe::{
-    CloseCause, CloseCounts, LatencySummary, ObserveConfig, ShardSample, SloBreach, SloMonitor,
+    CloseCause, CloseCounts, LatencySummary, ObserveConfig, ServeEvent, ShardSample, SloMonitor,
 };
 use crate::queue::Segment;
 use crate::report::ShardReport;
@@ -20,6 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 /// Host control-flow instructions charged per admitted request for the
 /// `ingress` telemetry phase (route lookup, timestamp fetch, queue push).
 const INGRESS_CONTROL_PER_REQUEST: u64 = 8;
+
+/// Capacity of an observed shard's span ring: bounded memory however long
+/// the service runs, deep enough that tests and smoke benches keep every span.
+const SPAN_CAPACITY: usize = 1 << 14;
 
 /// One epoch, as the shard thread runs and books it.
 pub(crate) struct Epoch {
@@ -50,7 +54,7 @@ pub(crate) struct Epoch {
 #[derive(Default)]
 pub(crate) struct Books {
     pub(crate) shard: ShardId,
-    /// Observability is on (spans, samples, SLOs); sizing is adaptive.
+    /// An observer is registered (spans, samples, SLOs); sizing adapts.
     observe: bool,
     adaptive: bool,
     control_latency: u64,
@@ -75,7 +79,6 @@ pub(crate) struct Books {
     epoch_latency: Option<CycleHistogram>,
     spans: Option<SpanRing>,
     slo: Option<SloMonitor>,
-    breaches: Vec<SloBreach>,
     /// The last timestamp of the previous epoch, and how often the next
     /// one did not start above it.
     last_ts: Option<u64>,
@@ -90,16 +93,15 @@ impl Books {
         observe: &ObserveConfig,
         adaptive: bool,
     ) -> Self {
+        let observing = observe.observer.is_some();
         Books {
             shard,
-            observe: observe.enabled,
+            observe: observing,
             adaptive,
             control_latency,
             tenant_latency: vec![CycleHistogram::new(); tenants],
-            spans: observe
-                .enabled
-                .then(|| SpanRing::new(observe.span_capacity)),
-            slo: observe.slo.filter(|_| observe.enabled).map(SloMonitor::new),
+            spans: observing.then(|| SpanRing::new(SPAN_CAPACITY)),
+            slo: observe.slo.filter(|_| observing).map(SloMonitor::new),
             ..Books::default()
         }
     }
@@ -170,16 +172,16 @@ impl Books {
     }
 
     /// A [`ShardSample`] of `epoch`, the epoch booked last — or, given
-    /// `None`, of the whole run (the terminal sample) — and the SLO
-    /// breaches it tripped. `batch_target` is the controller's target for
-    /// the next epoch and `arena` the device's slab occupancy now.
+    /// `None`, of the whole run (the terminal sample). `batch_target` is
+    /// the controller's target for the next epoch and `arena` the device's
+    /// slab occupancy now.
     pub(crate) fn sample(
         &mut self,
         epoch: Option<&Epoch>,
         shared: &ShardState,
         batch_target: u64,
         arena: SlabStats,
-    ) -> (ShardSample, &[SloBreach]) {
+    ) -> ShardSample {
         let terminal = epoch.is_none();
         let epoch_latency = self.epoch_latency.take().filter(|_| !terminal);
         let epoch_latency = epoch_latency.unwrap_or_default();
@@ -187,7 +189,7 @@ impl Books {
         // staged, and nothing is in flight.
         let gauge = |read: fn(&Epoch) -> u64| epoch.map_or(0, read);
         let load = |cell: &AtomicU64| cell.load(Relaxed);
-        let sample = ShardSample {
+        ShardSample {
             shard: self.shard,
             epoch: self.epochs + u64::from(terminal),
             terminal,
@@ -213,12 +215,20 @@ impl Books {
             tenant_shed: shared.tenant_shed.iter().map(load).collect(),
             latency: LatencySummary::from_hist(&self.latency),
             epoch_latency,
-        };
-        let seen = self.breaches.len();
-        if let Some(monitor) = self.slo.as_mut() {
-            self.breaches.extend(monitor.observe(&sample));
         }
-        (sample, &self.breaches[seen..])
+    }
+
+    /// `sample` as the observer receives it: the sample, then the SLO
+    /// breaches it tripped.
+    pub(crate) fn events(&mut self, sample: ShardSample) -> Vec<ServeEvent> {
+        let breaches = self
+            .slo
+            .as_mut()
+            .map_or_else(Vec::new, |m| m.observe(&sample));
+        let breaches = breaches.into_iter().map(ServeEvent::Breach);
+        std::iter::once(ServeEvent::Sample(Box::new(sample)))
+            .chain(breaches)
+            .collect()
     }
 
     /// The shard's report, from the books, the terminal sample and what
@@ -270,7 +280,6 @@ impl Books {
             spans,
             spans_dropped,
             spans_enabled: self.observe,
-            breaches: self.breaches,
         }
     }
 }
@@ -280,9 +289,7 @@ mod tests {
     use super::*;
     use crate::control::{BatchController, EpochSizing};
     use crate::lane::QosConfig;
-    use crate::report::ServeReport;
     use crate::ticket::{Slot, TicketBatch};
-    use eirene_sim::DeviceConfig;
     use eirene_workloads::Request;
 
     /// An epoch of one segment of point queries at these timestamps, each
@@ -316,7 +323,7 @@ mod tests {
             books.record(epoch, run);
             state.record_enqueue(epoch.batch.len() as u64, 0);
         }
-        let (terminal, _) = books.sample(None, &state, 8, SlabStats::default());
+        let terminal = books.sample(None, &state, 8, SlabStats::default());
         std::mem::take(books).finish(terminal, ScheduleLog::default(), Vec::new(), Ok(()))
     }
 
@@ -324,7 +331,8 @@ mod tests {
     fn books_sample_the_epoch_gauges_and_end_on_a_terminal_sample_of_the_run() {
         let state = ShardState::new(4, &QosConfig::uniform(3, 8));
         let controller = BatchController::new(EpochSizing::Fixed(48));
-        let mut books = Books::new(0, 3, 1, &ObserveConfig::live(), false);
+        let observe = ObserveConfig::with_observer(crate::observe::SeriesCollector::new());
+        let mut books = Books::new(0, 3, 1, &observe, false);
         let causes = [CloseCause::Idle, CloseCause::Returned, CloseCause::Idle];
         for (i, close) in (0u64..).zip(causes) {
             let epoch = Epoch {
@@ -338,7 +346,7 @@ mod tests {
             };
             state.record_enqueue(2, 6);
             books.record(&epoch, KernelStats::default());
-            let (s, _) = books.sample(Some(&epoch), &state, 48, SlabStats::default());
+            let s = books.sample(Some(&epoch), &state, 48, SlabStats::default());
             let gauges = (s.queue_depth, s.reorder_pending, s.lane_pending);
             assert_eq!((gauges, s.watermark_lag, s.inflight), ((1, 2, 3), 4, 5));
             assert_eq!((s.epoch, s.batch_size, s.closed.total()), (i + 1, 2, i + 1));
@@ -349,7 +357,7 @@ mod tests {
             ..SlabStats::default()
         };
         let target = controller.target() as u64;
-        let (t, _) = books.sample(None, &state, target, arena);
+        let t = books.sample(None, &state, target, arena);
         assert!(t.terminal);
         let gauges = (t.queue_depth, t.reorder_pending, t.lane_pending);
         assert_eq!((gauges, t.watermark_lag, t.inflight), ((0, 0, 0), 0, 0));
@@ -362,17 +370,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "successive epochs must be timestamp-ordered")]
     fn books_count_an_epoch_out_of_timestamp_order() {
         let mut books = Books::new(0, 1, 1, &ObserveConfig::default(), false);
         let report = report(&mut books, &[epoch(&[5, 6], 0), epoch(&[4], 0)]);
         assert_eq!(report.epoch_order_violations, 1);
-        ServeReport {
-            shards: vec![report],
-            device: DeviceConfig::test_small(),
-            rebalances: Vec::new(),
-        }
-        .assert_consistent();
+        let err = report.check().unwrap_err();
+        assert!(
+            err.contains("successive epochs must be timestamp-ordered"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -388,6 +394,6 @@ mod tests {
         assert_eq!((t.control_insts, t.cycles), (8 * 5, 8 * 5 * 7 + 2 * 60));
         assert_eq!(report.clock_cycles, 200);
         assert_eq!(report.epoch_order_violations, 0);
-        assert!(report.phase_rows_sum_to_totals());
+        report.check().unwrap();
     }
 }

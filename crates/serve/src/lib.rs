@@ -44,15 +44,18 @@
 //!   round-robin and enforce per-tenant quotas, so an abusive tenant
 //!   sheds at its own quota while well-behaved tenants keep their
 //!   latency (see the `lane` module docs).
-//! - **Live observability** — with [`ObserveConfig`] enabled, each shard
-//!   emits a [`ShardSample`] of counters, gauges, and latency summaries
-//!   at every epoch boundary, records per-ticket lifecycle spans
-//!   (submit → enqueue → reorder-release → combine → execute → complete)
-//!   into a bounded ring, and evaluates [`SloSpec`] objectives over
-//!   sliding epoch windows, pushing samples and [`SloBreach`] events to a
-//!   registered [`ServiceObserver`]. A final *terminal* sample snapshots
-//!   each shard's totals, so sampled series reconcile exactly with the
-//!   shutdown [`ServeReport`] ([`reconcile_samples`]).
+//! - **Live observability** — on exactly when a [`ServiceObserver`] is
+//!   registered in [`ObserveConfig`]: each shard then emits a
+//!   [`ShardSample`] of counters, gauges, and latency summaries at every
+//!   epoch boundary, records per-ticket lifecycle spans (submit → enqueue
+//!   → reorder-release → combine → execute → complete) into a bounded
+//!   ring, and evaluates [`SloSpec`] objectives over sliding epoch
+//!   windows. Samples, the [`SloBreach`]es each one trips and the
+//!   rebalancer's topology changes reach the observer as one stream of
+//!   [`ServeEvent`]s. A final *terminal* sample snapshots each shard's
+//!   totals, so sampled series reconcile exactly with the shutdown
+//!   [`ServeReport`] ([`reconcile_samples`]), whose own invariants
+//!   [`ServeReport::check`] tests.
 //! - **Skew resilience** — two answers to the hot-shard problem. With
 //!   [`Sharding::Hash`] keys scatter by multiplicative hash, so Zipf-hot
 //!   key *ranges* cannot pile onto one shard (ranges are served by
@@ -80,7 +83,7 @@ mod ticket;
 pub use control::{AimdSpec, BatchController, EpochFeedback, EpochSizing};
 pub use lane::{QosConfig, TenantId, TenantSpec};
 pub use observe::{
-    reconcile_samples, CloseCounts, LatencySummary, ObserveConfig, SeriesCollector,
+    reconcile_samples, CloseCounts, LatencySummary, ObserveConfig, SeriesCollector, ServeEvent,
     ServiceObserver, ShardSample, SloBreach, SloMonitor, SloObjective, SloSpec,
 };
 pub use queue::AdmitPolicy;

@@ -11,18 +11,22 @@
 //! exported: the batch controller and the rebalancer take their signals
 //! from the shard thread directly, so neither turns observability on.
 //!
-//! Overhead when disabled: with [`ObserveConfig::enabled`] false the
-//! admission hot path is untouched (its counters are the relaxed atomics
-//! the report needs anyway), and shard threads skip the gauge reads, record
-//! no spans and build no sample but the terminal one, which the report is
-//! taken from.
+//! One switch: a service observes exactly when an observer is registered
+//! in [`ObserveConfig::observer`]. One stream: samples, the SLO breaches
+//! each sample trips and the rebalancer's topology changes all reach it as
+//! [`ServeEvent`]s through [`ServiceObserver::on_event`].
+//!
+//! Overhead without an observer: the admission hot path is untouched (its
+//! counters are the relaxed atomics the report needs anyway), and shard
+//! threads skip the gauge reads, record no spans, evaluate no SLO and build
+//! no sample but the terminal one, which the report is taken from.
 
 use crate::rebalance::RebalanceEvent;
 use crate::report::ServeReport;
 use crate::shard::ShardId;
 use eirene_telemetry::{CycleHistogram, JsonValue};
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Why the combiner stopped gathering an epoch and handed it over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -416,35 +420,34 @@ impl SloMonitor {
     }
 }
 
-/// Subscription API: implement this and register it in
-/// [`ObserveConfig::observer`] to receive live samples and breach events.
-/// Callbacks run on the emitting shard's thread between its epochs — keep
-/// them short (push to a channel or a lock-briefly buffer) so they do not
-/// stall the shard.
-pub trait ServiceObserver: Send + Sync {
-    /// One shard finished an epoch (or shut down, for terminal samples).
-    fn on_sample(&self, _sample: &ShardSample) {}
-
-    /// A configured objective was breached at a sample.
-    fn on_breach(&self, _breach: &SloBreach) {}
-
-    /// The rebalancer published a topology change. Runs on the
+/// One live event of a running service.
+#[derive(Clone, Debug)]
+pub enum ServeEvent {
+    /// A shard finished an epoch (or shut down: the terminal sample).
+    /// Boxed: a sample is many times the size of the other events.
+    Sample(Box<ShardSample>),
+    /// A configured objective was breached at the sample delivered just
+    /// before it on the same shard.
+    Breach(SloBreach),
+    /// The rebalancer published a topology change; delivered on the
     /// rebalancer thread, after the new shard map is live.
-    fn on_rebalance(&self, _event: &RebalanceEvent) {}
+    Rebalance(RebalanceEvent),
 }
 
-/// Built-in observer that accumulates the full sample series and breach
-/// list, for dashboards and JSON export.
+/// Subscription API: implement this and register it in
+/// [`ObserveConfig::observer`] to receive every [`ServeEvent`] as it
+/// happens. Samples and breaches arrive on the emitting shard's thread
+/// between its epochs — keep the callback short (push to a channel or a
+/// lock-briefly buffer) so it does not stall the shard.
+pub trait ServiceObserver: Send + Sync {
+    fn on_event(&self, event: &ServeEvent);
+}
+
+/// Built-in observer that keeps every event, in arrival order, for
+/// dashboards and JSON export.
 #[derive(Debug, Default)]
 pub struct SeriesCollector {
-    state: Mutex<SeriesState>,
-}
-
-#[derive(Debug, Default)]
-struct SeriesState {
-    samples: Vec<ShardSample>,
-    breaches: Vec<SloBreach>,
-    rebalances: Vec<RebalanceEvent>,
+    events: Mutex<Vec<ServeEvent>>,
 }
 
 impl SeriesCollector {
@@ -452,117 +455,106 @@ impl SeriesCollector {
         Arc::new(SeriesCollector::default())
     }
 
-    /// Snapshot of every sample collected so far (arrival order:
-    /// interleaved across shards, monotone epoch ids within a shard).
+    /// The series, locked: no push panics holding it, so it is never
+    /// poisoned.
+    fn series(&self) -> MutexGuard<'_, Vec<ServeEvent>> {
+        self.events.lock().expect("never poisoned")
+    }
+
+    /// Snapshot of every event so far, in arrival order (interleaved
+    /// across shards; within a shard, each sample precedes its breaches).
+    pub fn events(&self) -> Vec<ServeEvent> {
+        self.series().clone()
+    }
+
+    /// The events `pick` selects, in arrival order.
+    fn filter<T: Clone>(&self, pick: impl Fn(&ServeEvent) -> Option<&T>) -> Vec<T> {
+        self.series().iter().filter_map(pick).cloned().collect()
+    }
+
+    /// Every sample so far (monotone epoch ids within a shard).
     pub fn samples(&self) -> Vec<ShardSample> {
-        self.state.lock().unwrap().samples.clone()
+        self.filter(|e| match e {
+            ServeEvent::Sample(s) => Some(&**s),
+            _ => None,
+        })
     }
 
-    /// Snapshot of every breach event so far.
+    /// Every breach event so far.
     pub fn breaches(&self) -> Vec<SloBreach> {
-        self.state.lock().unwrap().breaches.clone()
+        self.filter(|e| match e {
+            ServeEvent::Breach(b) => Some(b),
+            _ => None,
+        })
     }
 
-    /// Snapshot of every rebalance event so far, in publication order.
+    /// Every rebalance event so far, in publication order.
     pub fn rebalances(&self) -> Vec<RebalanceEvent> {
-        self.state.lock().unwrap().rebalances.clone()
+        self.filter(|e| match e {
+            ServeEvent::Rebalance(r) => Some(r),
+            _ => None,
+        })
     }
 
     /// Latest sample per shard, in shard order.
     pub fn latest_per_shard(&self) -> Vec<ShardSample> {
-        let st = self.state.lock().unwrap();
-        let mut latest: Vec<Option<ShardSample>> = Vec::new();
-        for s in &st.samples {
-            if s.shard >= latest.len() {
-                latest.resize(s.shard + 1, None);
-            }
-            latest[s.shard] = Some(s.clone());
-        }
-        latest.into_iter().flatten().collect()
+        let latest: BTreeMap<_, _> = self.samples().into_iter().map(|s| (s.shard, s)).collect();
+        latest.into_values().collect()
     }
 
     /// The collected series as one JSON document (`schema_version` 1).
     pub fn to_json(&self) -> JsonValue {
-        let st = self.state.lock().unwrap();
+        let (mut samples, mut breaches, mut rebalances) = (Vec::new(), Vec::new(), Vec::new());
+        for event in self.series().iter() {
+            match event {
+                ServeEvent::Sample(s) => samples.push(s.to_json()),
+                ServeEvent::Breach(b) => breaches.push(b.to_json()),
+                ServeEvent::Rebalance(r) => rebalances.push(r.to_json()),
+            }
+        }
         JsonValue::obj(vec![
             ("schema_version", JsonValue::from(1u64)),
-            (
-                "samples",
-                JsonValue::Arr(st.samples.iter().map(|s| s.to_json()).collect()),
-            ),
-            (
-                "breaches",
-                JsonValue::Arr(st.breaches.iter().map(|b| b.to_json()).collect()),
-            ),
-            (
-                "rebalances",
-                JsonValue::Arr(st.rebalances.iter().map(|r| r.to_json()).collect()),
-            ),
+            ("samples", JsonValue::Arr(samples)),
+            ("breaches", JsonValue::Arr(breaches)),
+            ("rebalances", JsonValue::Arr(rebalances)),
         ])
     }
 }
 
 impl ServiceObserver for SeriesCollector {
-    fn on_sample(&self, sample: &ShardSample) {
-        self.state.lock().unwrap().samples.push(sample.clone());
-    }
-
-    fn on_breach(&self, breach: &SloBreach) {
-        self.state.lock().unwrap().breaches.push(breach.clone());
-    }
-
-    fn on_rebalance(&self, event: &RebalanceEvent) {
-        self.state.lock().unwrap().rebalances.push(event.clone());
+    fn on_event(&self, event: &ServeEvent) {
+        self.series().push(event.clone());
     }
 }
 
-/// Observability configuration of a [`Service`](crate::Service).
+/// Observability configuration of a [`Service`](crate::Service). A
+/// service observes exactly when an observer is registered: it then
+/// samples every epoch, records lifecycle spans into a bounded ring and
+/// evaluates `slo`. Without one (the default) the epoch pipeline does
+/// none of that work.
 #[derive(Clone, Default)]
 pub struct ObserveConfig {
-    /// Master switch. Off (the default) guarantees the epoch pipeline
-    /// does no sampling, span recording, gauge refreshing, or SLO work.
-    pub enabled: bool,
-    /// Per-shard lifecycle-span ring capacity; 0 disables span recording
-    /// even when `enabled` (dropped spans are still counted).
-    pub span_capacity: usize,
+    /// Live subscriber for every [`ServeEvent`].
+    pub observer: Option<Arc<dyn ServiceObserver>>,
     /// Objectives to evaluate per shard at every sample.
     pub slo: Option<SloSpec>,
-    /// Live subscriber for samples and breaches.
-    pub observer: Option<Arc<dyn ServiceObserver>>,
 }
 
 impl std::fmt::Debug for ObserveConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObserveConfig")
-            .field("enabled", &self.enabled)
-            .field("span_capacity", &self.span_capacity)
-            .field("slo", &self.slo)
             .field("observer", &self.observer.as_ref().map(|_| "dyn"))
+            .field("slo", &self.slo)
             .finish()
     }
 }
 
 impl ObserveConfig {
-    /// Default capacity of the per-shard span ring when observability is
-    /// on: bounded memory however long the service runs, deep enough that
-    /// tests and smoke benches keep every span.
-    pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 14;
-
-    /// Everything on with the default span capacity.
-    pub fn live() -> Self {
-        ObserveConfig {
-            enabled: true,
-            span_capacity: Self::DEFAULT_SPAN_CAPACITY,
-            slo: None,
-            observer: None,
-        }
-    }
-
-    /// `live()` plus an observer.
+    /// Observation on, delivering to `observer`, with no objectives.
     pub fn with_observer(observer: Arc<dyn ServiceObserver>) -> Self {
         ObserveConfig {
             observer: Some(observer),
-            ..Self::live()
+            slo: None,
         }
     }
 }
@@ -735,9 +727,15 @@ mod tests {
     #[test]
     fn collector_orders_and_snapshots() {
         let coll = SeriesCollector::new();
-        coll.on_sample(&sample(1, 1, 5, 0, &[10]));
-        coll.on_sample(&sample(0, 1, 3, 0, &[20]));
-        coll.on_sample(&sample(1, 2, 9, 0, &[30]));
+        for (shard, epoch) in [(1, 1), (0, 1), (1, 2)] {
+            coll.on_event(&ServeEvent::Sample(Box::new(sample(
+                shard,
+                epoch,
+                5,
+                0,
+                &[10],
+            ))));
+        }
         assert_eq!(coll.samples().len(), 3);
         let latest = coll.latest_per_shard();
         assert_eq!(latest.len(), 2);

@@ -432,43 +432,27 @@ impl IngressQueue {
             .abandoned = true;
     }
 
-    /// Drains every queued segment, in arrival order. With `wait: None`
-    /// the call blocks until at least one exists (directly queued *or*
-    /// staged on a lane — lane arrivals need the combiner awake to admit
-    /// them) or the queue closes; `Some(d)` bounds
-    /// that wait (`Duration::ZERO` = non-blocking; a `d` too large to add
-    /// to the clock = no time bound). `finished` is set once the queue is
-    /// closed and fully drained, lanes included.
-    pub(crate) fn drain(&self, wait: Option<Duration>) -> Drained {
+    /// Drains every queued segment, in arrival order. While none exists
+    /// (directly queued *or* staged on a lane — lane arrivals need the
+    /// combiner awake to admit them) and the queue is open, the call waits
+    /// up to `wait`: `Duration::ZERO` does not block, and `Duration::MAX`
+    /// (or any wait too large to add to the clock) has no time bound.
+    /// `finished` is set once the queue is closed and fully drained, lanes
+    /// included.
+    pub(crate) fn drain(&self, wait: Duration) -> Drained {
         let mut st = self.state.lock().unwrap();
         let idle = |st: &QueueState| st.segments.is_empty() && st.lane_pending() == 0 && !st.closed;
-        if idle(&st) {
-            match wait {
-                None => {
-                    while idle(&st) {
-                        st = self.not_empty.wait(st).unwrap();
-                    }
+        if idle(&st) && !wait.is_zero() {
+            // An unbounded wait reads no clock.
+            let deadline = (wait != Duration::MAX)
+                .then(|| Instant::now().checked_add(wait))
+                .flatten();
+            while idle(&st) {
+                match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                    None => st = self.not_empty.wait(st).unwrap(),
+                    Some(left) if left.is_zero() => break,
+                    Some(left) => st = self.not_empty.wait_timeout(st, left).unwrap().0,
                 }
-                Some(d) if !d.is_zero() => {
-                    let deadline = Instant::now().checked_add(d);
-                    while idle(&st) {
-                        let Some(deadline) = deadline else {
-                            st = self.not_empty.wait(st).unwrap();
-                            continue;
-                        };
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (st2, timeout) =
-                            self.not_empty.wait_timeout(st, deadline - now).unwrap();
-                        st = st2;
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
-                }
-                Some(_) => {}
             }
         }
         st.len = 0;
@@ -526,7 +510,7 @@ mod tests {
     }
 
     fn drain_ts(q: &IngressQueue) -> Vec<u64> {
-        let d = q.drain(Some(Duration::ZERO));
+        let d = q.drain(Duration::ZERO);
         d.segments
             .iter()
             .flat_map(|s| &s.reqs)
@@ -632,7 +616,7 @@ mod tests {
         let q = IngressQueue::new(8);
         let mut r = q.reserve_up_to(3);
         assert_eq!(r.push(seg(&[0, 1, 2])).unwrap(), 3);
-        let d = q.drain(Some(Duration::ZERO));
+        let d = q.drain(Duration::ZERO);
         assert_eq!(d.segments.len(), 1);
         assert_eq!(d.segments[0].len(), 3);
         assert_eq!((d.pushes, q.depth()), (1, 0));
@@ -669,7 +653,7 @@ mod tests {
         // Reserving, cancelling and draining are not pushes, and the drain
         // reports the count it ran under.
         drop(q.reserve_up_to(1));
-        let d = q.drain(Some(Duration::ZERO));
+        let d = q.drain(Duration::ZERO);
         assert_eq!((d.segments.len(), d.pushes, q.pushes()), (5, 6, 6));
         // Nothing lands on a closed queue, through any door.
         let mut r = q.reserve_up_to(4);
@@ -692,12 +676,12 @@ mod tests {
         }
         assert_eq!(q.depth(), 5);
         assert_eq!(drain_ts(&q), [0, 1, 2, 3, 4]);
-        let d = q.drain(Some(Duration::ZERO));
+        let d = q.drain(Duration::ZERO);
         assert!(d.segments.is_empty());
         assert!(!d.finished);
         assert_eq!(q.depth(), 0);
         q.close();
-        assert!(q.drain(Some(Duration::ZERO)).finished);
+        assert!(q.drain(Duration::ZERO).finished);
     }
 
     #[test]
@@ -707,7 +691,7 @@ mod tests {
         let q2 = q.clone();
         let pusher = std::thread::spawn(move || push_blocking(&q2, seg(&[1])).is_ok());
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.drain(None).segments.len(), 1);
+        assert_eq!(q.drain(Duration::MAX).segments.len(), 1);
         assert!(pusher.join().unwrap());
         assert_eq!(q.depth(), 1);
     }
@@ -719,7 +703,7 @@ mod tests {
         let pusher = std::thread::spawn(move || q2.push_blocking(seg(&[0, 1, 2, 3, 4, 5, 6])));
         let mut got = Vec::new();
         while got.len() < 7 {
-            let d = q.drain(None);
+            let d = q.drain(Duration::MAX);
             // Pieces of the one call, each at most what the queue holds.
             assert!(d.segments.iter().all(|s| s.len() <= 2));
             got.extend(d.segments.iter().flat_map(|s| &s.reqs).map(|r| r.ts));
@@ -743,7 +727,7 @@ mod tests {
         assert_eq!(q.reserve_up_to(1).count(), 0);
         // The already-queued segment still drains, then the queue reports
         // finished.
-        let d = q.drain(Some(Duration::ZERO));
+        let d = q.drain(Duration::ZERO);
         assert_eq!(d.segments.len(), 1);
         assert!(d.finished);
     }
@@ -767,11 +751,12 @@ mod tests {
         let q = Arc::new(IngressQueue::new(4));
         // Nothing comes: a bounded wait runs its full course.
         let start = Instant::now();
-        assert!(q.drain(Some(Duration::from_millis(30))).segments.is_empty());
+        assert!(q.drain(Duration::from_millis(30)).segments.is_empty());
         assert!(start.elapsed() >= Duration::from_millis(30));
         // A wait too long to add to the clock is unbounded, not a panic.
         // A push ends it, as it ends a bounded or an unbounded one.
-        for (ts, wait) in (0..).zip([Some(Duration::MAX), Some(Duration::from_secs(60)), None]) {
+        let too_long = Duration::from_secs(u64::MAX);
+        for (ts, wait) in (0..).zip([too_long, Duration::from_secs(60), Duration::MAX]) {
             let q2 = q.clone();
             let drainer = std::thread::spawn(move || q2.drain(wait));
             std::thread::sleep(Duration::from_millis(20));
@@ -792,7 +777,7 @@ mod tests {
         let qos = QosConfig::uniform(2, 8);
         let q = Arc::new(IngressQueue::with_lanes(16, &qos));
         let q2 = q.clone();
-        let drainer = std::thread::spawn(move || q2.drain(None));
+        let drainer = std::thread::spawn(move || q2.drain(Duration::MAX));
         std::thread::sleep(Duration::from_millis(20));
         assert!(q.push_lane(1, staged(1)).is_none());
         // The drainer wakes (lane pending breaks the idle predicate) with

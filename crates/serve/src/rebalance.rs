@@ -14,7 +14,7 @@
 //! while it holds the tree.
 
 use crate::admit::Inner;
-use crate::observe::ServiceObserver;
+use crate::observe::{ServeEvent, ServiceObserver};
 use crate::service::ShardState;
 use crate::shard::ShardId;
 use eirene_baselines::common::ConcurrentTree;
@@ -27,18 +27,22 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
+/// Split when one shard's backlog exceeds this many times the
+/// second-hottest shard's backlog (sustained).
+const HOT_RATIO: f64 = 2.0;
+/// Merge an adjacent pair when both backlogs stay below this fraction of
+/// the median (sustained) while some shard is busy.
+const COLD_RATIO: f64 = 0.25;
+/// Never split a shard whose key span is below this width, unless forced.
+const MIN_SPAN: u32 = 16;
+
 /// Policy knobs of the online rebalancer. Thresholds are *relative*
-/// (hot vs the runner-up shard, cold vs the median backlog), with
-/// hysteresis (`sustain_epochs`) and a post-action cooldown so one noisy
-/// epoch cannot thrash the topology.
+/// (hot: twice the runner-up shard's backlog; cold: a quarter of the
+/// median), with hysteresis (`sustain_epochs`) and a post-action cooldown
+/// so one noisy epoch cannot thrash the topology. Shards narrower than 16
+/// keys are split only when forced.
 #[derive(Clone, Debug)]
 pub struct RebalanceSpec {
-    /// Split when one shard's backlog exceeds `hot_ratio x` the
-    /// second-hottest shard's backlog (sustained).
-    pub hot_ratio: f64,
-    /// Merge an adjacent pair when both backlogs stay below
-    /// `cold_ratio x` the median (sustained) while some shard is busy.
-    pub cold_ratio: f64,
     /// Consecutive qualifying decision rounds before acting.
     pub sustain_epochs: u32,
     /// Decision rounds ignored after a topology change (lets queues
@@ -49,8 +53,6 @@ pub struct RebalanceSpec {
     /// first big epoch reports *after* the light shards — acting before
     /// every shard has spoken splits whichever light shard reported first.
     pub warmup_rounds: u32,
-    /// Never split a shard whose key span is below this width.
-    pub min_span: u32,
     /// Backlogs below this are noise: no shard with a smaller backlog is
     /// ever considered hot.
     pub min_depth: u64,
@@ -59,26 +61,22 @@ pub struct RebalanceSpec {
 impl Default for RebalanceSpec {
     fn default() -> Self {
         RebalanceSpec {
-            hot_ratio: 2.0,
-            cold_ratio: 0.25,
             sustain_epochs: 3,
             cooldown_epochs: 8,
             warmup_rounds: 4,
-            min_span: 16,
             min_depth: 64,
         }
     }
 }
 
 impl RebalanceSpec {
-    /// A spec whose automatic triggers can never fire: only
+    /// A spec whose automatic triggers can never fire — no streak lasts
+    /// `u32::MAX` rounds — so only
     /// [`Service::force_rebalance`](crate::Service::force_rebalance)
     /// actions run. The fuzzer uses this to keep topology changes
     /// deterministic.
     pub fn manual() -> Self {
         RebalanceSpec {
-            hot_ratio: f64::INFINITY,
-            cold_ratio: 0.0,
             sustain_epochs: u32::MAX,
             ..Self::default()
         }
@@ -201,8 +199,8 @@ pub(crate) fn decide(depths: &[u64], streaks: &mut [i64], spec: &RebalanceSpec) 
     // relative cut can never fire at 2 shards (the hot shard is its own
     // median) and misses a lone spike among drained shards.
     let second = sorted[n - 2].max(1);
-    let hot_cut = (spec.hot_ratio * second as f64).max(spec.min_depth as f64);
-    let cold_cut = spec.cold_ratio * median as f64;
+    let hot_cut = (HOT_RATIO * second as f64).max(spec.min_depth as f64);
+    let cold_cut = COLD_RATIO * median as f64;
 
     // Hot first: the single worst shard drives the streak.
     let (hot, &hot_depth) = depths
@@ -389,7 +387,7 @@ pub(crate) fn rebalancer_loop(
         let Some((action, forced)) = action else {
             continue;
         };
-        let published = execute_rebalance(inner, shared, spec, &observer, action, forced, &mut seq);
+        let published = execute_rebalance(inner, shared, &observer, action, forced, &mut seq);
         // Whatever happened, this streak is consumed; on a publish let the
         // queues re-equilibrate before judging the new map.
         streaks.iter_mut().for_each(|s| *s = 0);
@@ -480,7 +478,6 @@ fn move_keys(donor: &mut Held, receiver: &mut Held, lo: Key, hi: Key) -> u64 {
 fn execute_rebalance(
     inner: &Inner,
     shared: &RebalanceShared,
-    spec: &RebalanceSpec,
     observer: &Option<Arc<dyn ServiceObserver>>,
     action: RebalanceAction,
     forced: bool,
@@ -497,7 +494,7 @@ fn execute_rebalance(
             if shard >= n {
                 return false;
             }
-            if !forced && (topo.end_of(shard) - topo.start_of(shard)) < spec.min_span {
+            if !forced && (topo.end_of(shard) - topo.start_of(shard)) < MIN_SPAN {
                 return false;
             }
             // Donate toward the lighter adjacent neighbor (edge shards
@@ -574,7 +571,7 @@ fn execute_rebalance(
     shared.push_event(event.clone());
     drop((donor, receiver, topo)); // publish before notifying observers
     if let Some(obs) = observer {
-        obs.on_rebalance(&event);
+        obs.on_event(&ServeEvent::Rebalance(event));
     }
     true
 }

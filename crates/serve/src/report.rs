@@ -1,6 +1,6 @@
 //! Final reports returned by [`Service::shutdown`](crate::Service::shutdown).
 
-use crate::observe::{CloseCounts, SloBreach};
+use crate::observe::CloseCounts;
 use crate::rebalance::RebalanceEvent;
 use crate::shard::ShardId;
 use eirene_sim::{CycleHistogram, DeviceConfig, KernelStats, PhaseStats, ScheduleLog};
@@ -68,33 +68,123 @@ pub struct ShardReport {
     /// Result of `btree::validate` on the final tree structure.
     pub structure: Result<(), String>,
     /// Lifecycle spans retained by this shard's bounded ring, oldest
-    /// first (empty when observability was off).
+    /// first (empty without an observer).
     pub spans: Vec<LifecycleSpan>,
     /// Spans evicted to respect the ring's capacity bound.
     pub spans_dropped: u64,
-    /// Whether span recording ran; gates the span invariants in
-    /// [`ServeReport::assert_consistent`].
+    /// Whether span recording ran (an observer was registered); gates the
+    /// span invariants in [`ServeReport::check`].
     pub spans_enabled: bool,
-    /// SLO breach events this shard emitted, in sample order.
-    pub breaches: Vec<SloBreach>,
 }
 
 impl ShardReport {
-    /// Whether this shard's per-phase telemetry rows sum exactly to its
-    /// counter totals (the invariant the device guarantees, extended here
-    /// to the serving-layer rows).
-    pub fn phase_rows_sum_to_totals(&self) -> bool {
-        let sums: PhaseStats = self.stats.totals.phase_sums();
-        let t = &self.stats.totals;
-        sums.mem_insts == t.mem_insts
-            && sums.mem_words == t.mem_words
-            && sums.mem_transactions == t.mem_transactions
-            && sums.control_insts == t.control_insts
-            && sums.atomic_insts == t.atomic_insts
-            && sums.lock_conflicts == t.lock_conflicts
-            && sums.stm_aborts == t.stm_aborts
-            && sums.version_conflicts == t.version_conflicts
-            && sums.cycles == t.cycles
+    /// The first of this shard's invariants that does not hold (see
+    /// [`ServeReport::check`]).
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let fail = |why: String| Err(format!("shard {}: {why}", self.shard));
+        let (t, rows) = (&self.stats.totals, self.stats.totals.phase_sums());
+        let tenant_executed = self.tenant_latency.iter().map(CycleHistogram::count);
+        let pairs = [
+            (
+                "admitted entries must execute or time out",
+                self.enqueued,
+                self.executed + self.timed_out,
+            ),
+            (
+                "one latency sample per executed entry",
+                self.latency.count(),
+                self.executed,
+            ),
+            (
+                "every epoch closes for exactly one cause",
+                self.closed.total(),
+                self.epochs,
+            ),
+            (
+                "successive epochs must be timestamp-ordered",
+                self.epoch_order_violations,
+                0,
+            ),
+            (
+                "per-tenant shed counts must sum to shed",
+                self.tenant_shed.iter().sum(),
+                self.shed,
+            ),
+            (
+                "tenant vectors must agree on the tenant count",
+                self.tenant_shed.len() as u64,
+                self.tenant_latency.len() as u64,
+            ),
+            (
+                "per-tenant latency counts must sum to executed",
+                tenant_executed.sum(),
+                self.executed,
+            ),
+            (
+                "key_count must match the final contents",
+                self.key_count,
+                self.contents.len() as u64,
+            ),
+        ];
+        for (invariant, got, want) in pairs {
+            if got != want {
+                return fail(format!("{invariant} ({got} != {want})"));
+            }
+        }
+        let totals = PhaseStats {
+            mem_insts: t.mem_insts,
+            mem_words: t.mem_words,
+            mem_transactions: t.mem_transactions,
+            control_insts: t.control_insts,
+            atomic_insts: t.atomic_insts,
+            lock_conflicts: t.lock_conflicts,
+            stm_aborts: t.stm_aborts,
+            version_conflicts: t.version_conflicts,
+            cycles: t.cycles,
+        };
+        if rows != totals {
+            return fail(format!(
+                "phase rows must sum to totals ({rows:?} != {totals:?})"
+            ));
+        }
+        if self.clock_cycles < self.busy_cycles {
+            return fail(format!(
+                "virtual clock ran backwards ({} cycles, {} busy)",
+                self.clock_cycles, self.busy_cycles
+            ));
+        }
+        if self.spans_enabled {
+            let spans = self.spans.len() as u64 + self.spans_dropped;
+            if spans != self.executed {
+                return fail(format!(
+                    "one lifecycle span per executed entry ({spans} != {})",
+                    self.executed
+                ));
+            }
+            for span in &self.spans {
+                let deltas: u64 = span.phase_deltas().iter().sum();
+                if !span.is_monotone() || deltas != span.total_cycles() {
+                    return fail(format!(
+                        "span {} stamps regress: {:?}",
+                        span.id, span.stamps
+                    ));
+                }
+            }
+            // With no evictions the retained spans cover every executed
+            // entry, so their end-to-end cycles sum to the latency
+            // histogram's exact sum.
+            let span_sum: u64 = self.spans.iter().map(|sp| sp.total_cycles()).sum();
+            if self.spans_dropped == 0 && span_sum != self.latency.sum() {
+                return fail(format!(
+                    "span latencies must sum to the histogram's ({span_sum} != {})",
+                    self.latency.sum()
+                ));
+            }
+        }
+        match &self.structure {
+            Err(e) => fail(format!("structure validation failed: {e}")),
+            Ok(()) => Ok(()),
+        }
     }
 }
 
@@ -161,14 +251,6 @@ impl ServeReport {
             .collect()
     }
 
-    /// Every SLO breach, across shards.
-    pub fn breaches(&self) -> Vec<SloBreach> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.breaches.iter().cloned())
-            .collect()
-    }
-
     /// End-to-end latency histogram merged across shards.
     pub fn latency(&self) -> CycleHistogram {
         let mut merged = CycleHistogram::new();
@@ -207,11 +289,6 @@ impl ServeReport {
             .sum()
     }
 
-    /// Whether every shard's telemetry rows sum exactly to its totals.
-    pub fn phase_rows_sum_to_totals(&self) -> bool {
-        self.shards.iter().all(|s| s.phase_rows_sum_to_totals())
-    }
-
     /// Final contents of the whole service, merged across shards in key
     /// order.
     pub fn contents(&self) -> Vec<(u64, u64)> {
@@ -234,107 +311,113 @@ impl ServeReport {
         Ok(())
     }
 
-    /// Panics unless the report's internal accounting is consistent:
-    /// admission counters balance, every executed entry has a latency
-    /// sample, telemetry rows sum to totals, and every shard tree
-    /// validated.
-    pub fn assert_consistent(&self) {
-        for s in &self.shards {
-            assert_eq!(
-                s.enqueued,
-                s.executed + s.timed_out,
-                "shard {}: admitted entries must execute or time out",
-                s.shard
-            );
-            assert_eq!(
-                s.latency.count(),
-                s.executed,
-                "shard {}: one latency sample per executed entry",
-                s.shard
-            );
-            assert_eq!(
-                s.closed.total(),
-                s.epochs,
-                "shard {}: every epoch closes for exactly one cause",
-                s.shard
-            );
-            assert_eq!(
-                s.epoch_order_violations, 0,
-                "shard {}: successive epochs must be timestamp-ordered",
-                s.shard
-            );
-            assert!(
-                s.phase_rows_sum_to_totals(),
-                "shard {}: phase rows do not sum to totals",
-                s.shard
-            );
-            assert!(
-                s.clock_cycles >= s.busy_cycles,
-                "shard {}: virtual clock ran backwards",
-                s.shard
-            );
-            assert_eq!(
-                s.tenant_shed.iter().sum::<u64>(),
-                s.shed,
-                "shard {}: per-tenant shed counts must sum to shed",
-                s.shard
-            );
-            assert_eq!(
-                s.tenant_shed.len(),
-                s.tenant_latency.len(),
-                "shard {}: tenant vectors disagree on tenant count",
-                s.shard
-            );
-            assert_eq!(
-                s.tenant_latency.iter().map(|h| h.count()).sum::<u64>(),
-                s.executed,
-                "shard {}: per-tenant latency counts must sum to executed",
-                s.shard
-            );
-            assert_eq!(
-                s.key_count,
-                s.contents.len() as u64,
-                "shard {}: key_count gauge disagrees with the final contents",
-                s.shard
-            );
-            if s.spans_enabled {
-                assert_eq!(
-                    s.spans.len() as u64 + s.spans_dropped,
-                    s.executed,
-                    "shard {}: one lifecycle span per executed entry",
-                    s.shard
-                );
-                for span in &s.spans {
-                    assert!(
-                        span.is_monotone(),
-                        "shard {}: span {} stamps regress",
-                        s.shard,
-                        span.id
-                    );
-                    assert_eq!(
-                        span.phase_deltas().iter().sum::<u64>(),
-                        span.total_cycles(),
-                        "shard {}: span {} phase deltas do not telescope",
-                        s.shard,
-                        span.id
-                    );
-                }
-                if s.spans_dropped == 0 {
-                    // With no evictions the retained spans cover every
-                    // executed entry, so their end-to-end cycles must sum
-                    // to the latency histogram's exact sum.
-                    let span_sum: u64 = s.spans.iter().map(|sp| sp.total_cycles()).sum();
-                    assert_eq!(
-                        span_sum,
-                        s.latency.sum(),
-                        "shard {}: span latencies disagree with the histogram",
-                        s.shard
-                    );
-                }
-            }
+    /// The first broken invariant of the report, if any. For every
+    /// shard: admitted entries executed or timed out; one latency sample,
+    /// and one sample per tenant, per executed entry; every epoch closed
+    /// for one cause and in timestamp order; the telemetry phase rows sum
+    /// to the totals; the virtual clock covers the busy cycles; tenant shed
+    /// counts sum to the shed; `key_count` matches the contents; with spans
+    /// recorded, one monotone span per executed entry whose deltas
+    /// telescope and, with none evicted, whose cycles sum to the latency
+    /// histogram's; and the tree validated.
+    pub fn check(&self) -> Result<(), String> {
+        self.shards.iter().try_for_each(ShardReport::check)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::observe::{ObserveConfig, SeriesCollector};
+    use crate::service::{ServeConfig, Service};
+    use crate::shard::ShardMap;
+    use eirene_workloads::OpKind;
+
+    /// The report of a small observed service: two shards, spans on.
+    fn clean() -> ServeReport {
+        let pairs: Vec<(u64, u64)> = (0..64u64).map(|k| (k, k + 1)).collect();
+        let cfg = ServeConfig {
+            map: ShardMap::from_starts(vec![0, 32]).expect("valid shard starts"),
+            observe: ObserveConfig::with_observer(SeriesCollector::new()),
+            ..ServeConfig::test_small(2)
+        };
+        let svc = Service::new(&pairs, cfg);
+        let ops: Vec<_> = (0..48u32)
+            .map(|k| {
+                (
+                    k,
+                    if k % 3 == 0 {
+                        OpKind::Upsert(7)
+                    } else {
+                        OpKind::Query
+                    },
+                )
+            })
+            .collect();
+        for ticket in svc.client().submit_many(&ops) {
+            ticket.wait();
         }
-        if let Err(e) = self.structure() {
-            panic!("structure validation failed: {e}");
+        svc.shutdown()
+    }
+
+    #[test]
+    fn check_names_the_invariant_each_row_breaks() {
+        let report = clean();
+        report.check().unwrap();
+        assert!(!report.shards[0].spans.is_empty());
+        type Row = (&'static str, fn(&mut ShardReport));
+        let table: [Row; 14] = [
+            ("admitted entries must execute or time out", |s| {
+                s.enqueued += 1
+            }),
+            ("one latency sample per executed entry", |s| {
+                s.latency.record(5)
+            }),
+            ("every epoch closes for exactly one cause", |s| {
+                s.closed.linger += 1
+            }),
+            ("successive epochs must be timestamp-ordered", |s| {
+                s.epoch_order_violations = 1
+            }),
+            ("phase rows must sum to totals", |s| {
+                s.stats.totals.cycles += 1
+            }),
+            ("virtual clock ran backwards", |s| {
+                s.busy_cycles = s.clock_cycles + 1
+            }),
+            ("per-tenant shed counts must sum to shed", |s| {
+                s.tenant_shed[0] += 1
+            }),
+            ("tenant vectors must agree on the tenant count", |s| {
+                s.tenant_shed.push(0)
+            }),
+            ("per-tenant latency counts must sum to executed", |s| {
+                s.tenant_latency[0].record(5)
+            }),
+            ("key_count must match the final contents", |s| {
+                s.key_count += 1
+            }),
+            ("one lifecycle span per executed entry", |s| {
+                s.spans.truncate(1)
+            }),
+            ("stamps regress", |s| {
+                s.spans[0].stamps[2] = s.spans[0].stamps[5] + 1
+            }),
+            ("span latencies must sum to the histogram", |s| {
+                s.spans[0].stamps[5] += 1
+            }),
+            ("structure validation failed", |s| {
+                s.structure = Err("broken".into())
+            }),
+        ];
+        for (invariant, break_it) in table {
+            let mut broken = report.clone();
+            break_it(&mut broken.shards[0]);
+            let err = broken.check().unwrap_err();
+            assert!(
+                err.starts_with("shard 0: ") && err.contains(invariant),
+                "{invariant}: {err}"
+            );
         }
     }
 }

@@ -47,7 +47,7 @@ use crate::combine::{Combiner, Effect, ExecutorState, TurnView};
 use crate::control::{BatchController, EpochSizing};
 use crate::execute::{Books, Epoch};
 use crate::lane::{QosConfig, TenantId};
-use crate::observe::{ObserveConfig, ShardSample, SloBreach};
+use crate::observe::{ObserveConfig, ServiceObserver};
 use crate::queue::{AdmitPolicy, IngressQueue, Segment};
 use crate::rebalance::{
     rebalancer_loop, RebalanceAction, RebalanceEvent, RebalanceShared, RebalanceSpec,
@@ -126,8 +126,9 @@ pub struct ServeConfig {
     /// mode); one log per shard, in shard order.
     pub replay: Option<Vec<ScheduleLog>>,
     /// Live observability: epoch-boundary metric samples, per-ticket
-    /// lifecycle spans, and SLO evaluation. Disabled by default; when
-    /// disabled the epoch pipeline does none of that work.
+    /// lifecycle spans, and SLO evaluation, on exactly when an observer is
+    /// registered. Off by default; then the epoch pipeline does none of
+    /// that work.
     pub observe: ObserveConfig,
 }
 
@@ -399,7 +400,7 @@ impl Service {
             };
             let controller = BatchController::new(cfg.sizing.clone());
             let (inner, replay) = (inner.clone(), replays[shard].take());
-            let (observe, linger) = (cfg.observe.clone(), cfg.linger);
+            let (observer, linger) = (cfg.observe.observer.clone(), cfg.linger);
             let rebalance = rebalance_shared.clone();
             shards.push(
                 std::thread::Builder::new()
@@ -421,7 +422,7 @@ impl Service {
                             tree,
                             books,
                             controller,
-                            observe,
+                            observer,
                             view: ExecutorState::default(),
                             rebalance,
                             fed_enqueued: 0,
@@ -589,7 +590,7 @@ fn shard_loop(inner: &Inner, shard: ShardId, mut ex: Executor, linger: Duration)
                 for seg in &segments {
                     requests.extend_from_slice(&seg.reqs);
                 }
-                let observing = ex.observe.enabled;
+                let observing = ex.observer.is_some();
                 let (watermark_lag, inflight) = if observing { inner.gauges() } else { (0, 0) };
                 ex.run(Epoch {
                     batch: Batch::new(requests),
@@ -628,7 +629,7 @@ struct Executor<'s> {
     tree: &'s Mutex<EireneTree>,
     books: Books,
     controller: BatchController,
-    observe: ObserveConfig,
+    observer: Option<Arc<dyn ServiceObserver>>,
     view: ExecutorState,
     /// The rebalancer's load feed, if it runs, and `state.enqueued` when
     /// this shard last fed it.
@@ -687,14 +688,16 @@ impl<'s> Executor<'s> {
             let backlog = epoch.queue_depth + epoch.reorder_pending + epoch.lane_depth;
             feed.note_load(books.shard, backlog + arrivals);
         }
-        if self.observe.enabled {
+        if let Some(observer) = &self.observer {
             // `run_planned` advanced the reclamation epoch at the batch
             // boundary, so the arena's `retired` is quarantine that
             // survived the advance (normally 0).
             let arena = tree.device().mem().slab_stats();
             let target = self.controller.target() as u64;
-            let (sample, breaches) = books.sample(Some(&epoch), state, target, arena);
-            emit(&self.observe, &sample, breaches);
+            let sample = books.sample(Some(&epoch), state, target, arena);
+            for event in books.events(sample) {
+                observer.on_event(&event);
+            }
         }
     }
 
@@ -724,29 +727,21 @@ impl<'s> Executor<'s> {
         // FROM this snapshot, which is what makes live sampled series
         // reconcile exactly with the final report.
         let (target, arena) = (self.controller.target() as u64, mem.slab_stats());
-        let (terminal, breaches) = self.books.sample(None, self.state, target, arena);
-        if self.observe.enabled {
-            emit(&self.observe, &terminal, breaches);
+        let terminal = self.books.sample(None, self.state, target, arena);
+        if let Some(observer) = &self.observer {
+            for event in self.books.events(terminal.clone()) {
+                observer.on_event(&event);
+            }
         }
         let schedule = tree.device().take_schedule_log();
         self.books.finish(terminal, schedule, contents, structure)
     }
 }
 
-/// Hands one sample, then the SLO breaches it tripped, to the registered
-/// observer.
-fn emit(observe: &ObserveConfig, sample: &ShardSample, breaches: &[SloBreach]) {
-    if let Some(observer) = &observe.observer {
-        observer.on_sample(sample);
-        for breach in breaches {
-            observer.on_breach(breach);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::ServeEvent;
     use crate::rebalance::RebalanceKind;
     use crate::ticket::{Slot, TicketBatch};
     use eirene_workloads::{Oracle, Request, Response, SequentialOracle};
@@ -821,7 +816,7 @@ mod tests {
             .map(|(&k, &v)| (k as u64, v as u64))
             .collect();
         assert_eq!(report.contents(), want_contents);
-        report.assert_consistent();
+        report.check().unwrap();
     }
 
     #[test]
@@ -874,7 +869,7 @@ mod tests {
         // The range window [995, 2004] split into three parts (shards 0,
         // 1 and 2), so 2 point entries + 3 range parts were admitted.
         assert_eq!(report.enqueued(), 5);
-        report.assert_consistent();
+        report.check().unwrap();
     }
 
     #[test]
@@ -917,7 +912,7 @@ mod tests {
         assert_eq!(report.contents(), want_contents);
         // Each range fanned out to all 4 shards: 10 points + 2 * 4 parts.
         assert_eq!(report.enqueued(), 18);
-        report.assert_consistent();
+        report.check().unwrap();
     }
 
     #[test]
@@ -984,7 +979,7 @@ mod tests {
             .map(|(&k, &v)| (k as u64, v as u64))
             .collect();
         assert_eq!(report.contents(), want_contents);
-        report.assert_consistent();
+        report.check().unwrap();
     }
 
     #[test]
@@ -1015,7 +1010,7 @@ mod tests {
             assert_eq!(kinds, [RebalanceKind::Split, RebalanceKind::Merge]);
             assert!(events.iter().all(|e| e.moved_keys > 0), "{events:?}");
             assert_eq!(report.contents(), initial_pairs());
-            report.assert_consistent();
+            report.check().unwrap();
         });
     }
 
@@ -1038,7 +1033,7 @@ mod tests {
                 assert_eq!(events.len(), 1, "{events:?}");
                 assert!(events[0].moved_keys > 0, "{events:?}");
                 assert_eq!(report.contents(), initial_pairs());
-                report.assert_consistent();
+                report.check().unwrap();
             }
         });
     }
@@ -1067,7 +1062,7 @@ mod tests {
             let kinds: Vec<RebalanceKind> = report.rebalances.iter().map(|e| e.kind).collect();
             assert_eq!(kinds, [RebalanceKind::Merge], "{:?}", report.rebalances);
             assert_eq!(report.contents(), initial_pairs());
-            report.assert_consistent();
+            report.check().unwrap();
         });
     }
 
@@ -1076,9 +1071,11 @@ mod tests {
         /// Panics on shard 1's first epoch sample, which kills its thread
         /// after the epoch's tickets resolved.
         struct Faulty;
-        impl crate::observe::ServiceObserver for Faulty {
-            fn on_sample(&self, sample: &ShardSample) {
-                assert!(sample.shard != 1, "observer fault on shard 1");
+        impl ServiceObserver for Faulty {
+            fn on_event(&self, event: &ServeEvent) {
+                if let ServeEvent::Sample(sample) = event {
+                    assert!(sample.shard != 1, "observer fault on shard 1");
+                }
             }
         }
         crate::ticket::tests::watchdog(|| {
@@ -1112,9 +1109,11 @@ mod tests {
         /// Panics on shard 1's first epoch sample, which kills its thread
         /// after the epoch's tickets resolved.
         struct Faulty;
-        impl crate::observe::ServiceObserver for Faulty {
-            fn on_sample(&self, sample: &ShardSample) {
-                assert!(sample.shard != 1, "observer fault on shard 1");
+        impl ServiceObserver for Faulty {
+            fn on_event(&self, event: &ServeEvent) {
+                if let ServeEvent::Sample(sample) = event {
+                    assert!(sample.shard != 1, "observer fault on shard 1");
+                }
             }
         }
         crate::ticket::tests::watchdog(|| {
@@ -1207,7 +1206,7 @@ mod tests {
         assert_eq!(events[0].from, 0);
         // The rebalancer needs no observability: none was turned on.
         assert!(report.shards.iter().all(|s| !s.spans_enabled));
-        report.assert_consistent();
+        report.check().unwrap();
     }
 
     #[test]
@@ -1240,7 +1239,7 @@ mod tests {
         assert_eq!(report.shards[0].executed, 4);
         assert_eq!(report.shards[0].max_queue_depth, 4);
         assert_eq!(report.shards[1].shed, 0);
-        report.assert_consistent();
+        report.check().unwrap();
     }
 
     #[test]
@@ -1277,7 +1276,7 @@ mod tests {
         assert_eq!(report.shed(), (THREADS * PER_THREAD) as u64 - 4);
         assert_eq!(report.executed(), 4);
         assert_eq!(report.shards[0].max_queue_depth, 4);
-        report.assert_consistent();
+        report.check().unwrap();
     }
 
     #[test]
@@ -1302,7 +1301,7 @@ mod tests {
         let report = svc.shutdown();
         assert_eq!(report.executed(), 2);
         assert_eq!(report.shed(), 0);
-        report.assert_consistent();
+        report.check().unwrap();
     }
 
     #[test]
@@ -1324,7 +1323,7 @@ mod tests {
         assert_eq!(report.executed(), 1);
         assert_eq!(report.enqueued(), 2);
         assert!(report.contents().iter().all(|&(k, _)| k != 50));
-        report.assert_consistent();
+        report.check().unwrap();
     }
 
     #[test]
@@ -1367,9 +1366,9 @@ mod tests {
         for t in &tickets {
             assert!(matches!(t.wait(), Outcome::Done(_)));
         }
-        // assert_consistent now also checks the span invariants (count,
-        // monotonicity, telescoping, histogram-sum agreement).
-        report.assert_consistent();
+        // check also tests the span invariants (count, monotonicity,
+        // telescoping, histogram-sum agreement).
+        report.check().unwrap();
         assert!(report.shards.iter().all(|s| s.spans_enabled));
         assert_eq!(report.spans().len() as u64, report.executed());
         for span in report.spans() {
@@ -1395,11 +1394,20 @@ mod tests {
             samples.iter().filter(|s| s.terminal).count(),
             report.shards.len()
         );
-        // The impossible SLO tripped, and breaches reached both the
-        // observer and the report.
-        let live = collector.breaches();
-        assert!(!live.is_empty());
-        assert_eq!(report.breaches().len(), live.len());
+        // The impossible SLO tripped, and every breach reached the
+        // observer after the sample of its shard and epoch.
+        assert!(!collector.breaches().is_empty());
+        let mut sampled = std::collections::HashSet::new();
+        for event in collector.events() {
+            match event {
+                ServeEvent::Sample(s) => assert!(sampled.insert((s.shard, s.epoch))),
+                ServeEvent::Breach(b) => assert!(
+                    sampled.contains(&(b.shard, b.epoch)),
+                    "breach before its sample: {b}"
+                ),
+                ServeEvent::Rebalance(_) => {}
+            }
+        }
     }
 
     #[test]
@@ -1419,7 +1427,7 @@ mod tests {
         let report = svc.shutdown();
         assert!(matches!(t0.wait(), Outcome::Done(_)));
         assert!(matches!(t1.wait(), Outcome::Done(_)));
-        report.assert_consistent();
+        report.check().unwrap();
         let spans = report.spans();
         assert_eq!(spans.len(), 2);
         let by_ts = |ts: u64| *spans.iter().find(|s| s.id == ts).unwrap();
@@ -1444,6 +1452,11 @@ mod tests {
     fn disabled_observability_reports_no_spans_or_samples() {
         let mut cfg = small_cfg(boundary_map());
         cfg.hold_gate = true;
+        // Objectives without an observer turn nothing on.
+        cfg.observe.slo = Some(crate::observe::SloSpec {
+            p99_max_cycles: Some(1),
+            ..Default::default()
+        });
         let svc = Service::new(&initial_pairs(), cfg);
         let client = svc.client();
         let tickets = client.submit_many(&boundary_ops());
@@ -1456,8 +1469,7 @@ mod tests {
             assert!(!s.spans_enabled);
             assert!(s.spans.is_empty());
             assert_eq!(s.spans_dropped, 0);
-            assert!(s.breaches.is_empty());
         }
-        report.assert_consistent();
+        report.check().unwrap();
     }
 }

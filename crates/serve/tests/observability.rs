@@ -18,7 +18,7 @@ fn zero_makespan_throughput_is_zero_not_nan() {
     let pairs: Vec<(u64, u64)> = (1..=64u64).map(|k| (k, k + 1)).collect();
     let svc = Service::new(&pairs, ServeConfig::test_small(2));
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     assert_eq!(report.executed(), 0);
     assert_eq!(report.makespan_cycles(), 0);
     let tput = report.throughput();
@@ -60,7 +60,7 @@ fn mixed_shed_timeout_batched_accounting_reconciles() {
     let tickets = client.submit_many(&ops);
     svc.release();
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     for probe in probes {
         assert_eq!(probe.wait(), Outcome::TimedOut);
     }
@@ -119,7 +119,7 @@ fn sample_series_is_monotone_and_ends_quiescent() {
     }
     svc.release();
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     reconcile_samples(&collector.samples(), &report).expect("series must reconcile");
 
     let samples = collector.samples();
@@ -185,7 +185,7 @@ fn shard_kernel_name_stays_bounded_over_many_epochs() {
         }
     }
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     for s in &report.shards {
         assert!(
             s.epochs >= 300,

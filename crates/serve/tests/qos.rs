@@ -77,7 +77,7 @@ fn deadline_expires_during_linger_not_after_it() {
          (linger {linger:?}, deadline {deadline:?})"
     );
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     assert_eq!(report.timed_out(), 1);
     assert_eq!(report.executed(), 0);
 }
@@ -120,7 +120,7 @@ fn idle_executor_closes_a_lone_request_long_before_linger() {
         );
     }
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     let closed = report.shards[0].closed;
     assert_eq!(
         (closed.linger, closed.idle, closed.returned),
@@ -154,7 +154,7 @@ fn lone_closed_loop_caller_does_not_wait_out_the_grace() {
     (1..WINDOWS).for_each(run);
     let took = start.elapsed();
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     let shard = &report.shards[0];
     assert_eq!(shard.epochs, WINDOWS, "one epoch per window");
     let closed = shard.closed;
@@ -205,7 +205,7 @@ fn two_closed_loop_callers_stay_merged() {
         }
     });
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     let epochs: u64 = report.shards.iter().map(|s| s.epochs).sum();
     let mean = report.executed() as f64 / epochs as f64;
     assert!(
@@ -281,7 +281,7 @@ fn rebalance_does_not_wait_out_the_linger_over_staged_lanes() {
     });
     let took = start.elapsed();
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     assert!(!report.rebalances.is_empty(), "no boundary moved");
     assert!(
         took < linger,
@@ -321,7 +321,7 @@ fn unrepresentable_linger_waits_for_a_full_epoch_without_panicking() {
         Some(Outcome::Done(_))
     ));
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     assert_eq!(report.executed(), 3);
 }
 
@@ -350,7 +350,7 @@ fn adaptive_target_grows_under_closed_loop_backlog() {
     let tickets = client.submit_many(&ops);
     svc.release();
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     for t in &tickets {
         assert!(matches!(t.wait(), Outcome::Done(_)));
     }
@@ -420,7 +420,7 @@ fn isolation_run(hog: bool, quota: usize) -> ServeReport {
     });
     svc.release();
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     report
 }
 

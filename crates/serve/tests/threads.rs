@@ -157,6 +157,6 @@ fn a_service_runs_its_kernels_on_its_shard_threads() {
     }
 
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     assert_eq!(report.contents(), oracle.into_iter().collect::<Vec<_>>());
 }

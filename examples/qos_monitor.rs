@@ -28,32 +28,28 @@
 
 use eirene::serve::{
     reconcile_samples, AdmitPolicy, EpochSizing, ObserveConfig, Outcome, RebalanceAction,
-    RebalanceEvent, RebalanceSpec, SeriesCollector, ServeConfig, Service, ServiceObserver,
-    ShardMap, ShardSample, SloBreach, SloSpec,
+    RebalanceSpec, SeriesCollector, ServeConfig, ServeEvent, Service, ServiceObserver, ShardMap,
+    SloSpec,
 };
 use eirene::sim::DeviceConfig;
 use eirene::workloads::OpKind;
 use std::sync::Arc;
 
 /// Forwards every event into a [`SeriesCollector`] for post-hoc analysis
-/// and additionally prints breaches the moment the executor emits them.
+/// and additionally prints breaches and topology changes the moment they
+/// happen.
 struct LiveObserver {
     collector: Arc<SeriesCollector>,
 }
 
 impl ServiceObserver for LiveObserver {
-    fn on_sample(&self, sample: &ShardSample) {
-        self.collector.on_sample(sample);
-    }
-
-    fn on_breach(&self, breach: &SloBreach) {
-        println!("   !! {breach}");
-        self.collector.on_breach(breach);
-    }
-
-    fn on_rebalance(&self, event: &RebalanceEvent) {
-        println!("   >> {event}");
-        self.collector.on_rebalance(event);
+    fn on_event(&self, event: &ServeEvent) {
+        match event {
+            ServeEvent::Sample(_) => {}
+            ServeEvent::Breach(breach) => println!("   !! {breach}"),
+            ServeEvent::Rebalance(change) => println!("   >> {change}"),
+        }
+        self.collector.on_event(event);
     }
 }
 
@@ -84,7 +80,6 @@ fn steady_state() {
             observer: Some(Arc::new(LiveObserver {
                 collector: collector.clone(),
             })),
-            ..ObserveConfig::live()
         },
         ..ServeConfig::test_small(2)
     };
@@ -95,7 +90,7 @@ fn steady_state() {
     }
     svc.release();
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
 
     let device = report.device.clone();
     println!("   shard  epoch  batch  queue    lag   keys  cum p99(us)");
@@ -149,7 +144,6 @@ fn overload_burst() {
             observer: Some(Arc::new(LiveObserver {
                 collector: collector.clone(),
             })),
-            ..ObserveConfig::live()
         },
         ..ServeConfig::test_small(2)
     };
@@ -169,7 +163,7 @@ fn overload_burst() {
     }
     svc.release();
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     reconcile_samples(&collector.samples(), &report).expect("sampled series must reconcile");
 
     let breaches = collector.breaches();
@@ -215,12 +209,9 @@ fn hot_shard_rebalance() {
         // Manual spec: the rebalancer thread runs but only acts when
         // told to, so the demo is deterministic.
         rebalance: Some(RebalanceSpec::manual()),
-        observe: ObserveConfig {
-            observer: Some(Arc::new(LiveObserver {
-                collector: collector.clone(),
-            })),
-            ..ObserveConfig::live()
-        },
+        observe: ObserveConfig::with_observer(Arc::new(LiveObserver {
+            collector: collector.clone(),
+        })),
         ..ServeConfig::test_small(2)
     };
     let svc = Service::new(&pairs, cfg);
@@ -241,7 +232,7 @@ fn hot_shard_rebalance() {
         client.submit((i % 2047) + 1, OpKind::Query);
     }
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     reconcile_samples(&collector.samples(), &report).expect("sampled series must reconcile");
 
     let events = collector.rebalances();

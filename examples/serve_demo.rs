@@ -67,7 +67,7 @@ fn async_clients() {
         other => panic!("range failed: {other:?}"),
     }
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     println!(
         "   {} requests over {} shards, {} epochs, p99 latency {:.1} us\n",
         report.executed(),
@@ -141,7 +141,7 @@ fn shard_scaling() {
         }
         svc.release();
         let report = svc.shutdown();
-        report.assert_consistent();
+        report.check().unwrap();
         let tput = report.throughput();
         if base == 0.0 {
             base = tput;

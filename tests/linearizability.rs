@@ -390,7 +390,7 @@ fn check_service_against_oracle(
         .map(|(&k, &v)| (k as u64, v as u64))
         .collect();
     assert_eq!(report.contents(), oracle_contents, "final state diverges");
-    report.assert_consistent();
+    report.check().unwrap();
 }
 
 #[test]
@@ -426,7 +426,7 @@ fn deterministic_serving_capture_replay_round_trips() {
         (outcomes, schedules, report)
     };
     let (out1, sched1, report1) = run(None);
-    report1.assert_consistent();
+    report1.check().unwrap();
     assert!(
         sched1.iter().any(|s| !s.launches.is_empty()),
         "deterministic devices must capture non-empty schedules"
@@ -434,7 +434,7 @@ fn deterministic_serving_capture_replay_round_trips() {
     // Second run replays those schedules: identical responses AND the
     // re-captured logs must match the originals bit-for-bit.
     let (out2, sched2, report2) = run(Some(sched1.clone()));
-    report2.assert_consistent();
+    report2.check().unwrap();
     assert_eq!(out1, out2, "replayed responses diverge");
     assert_eq!(sched1, sched2, "replayed schedules diverge");
 }
@@ -500,7 +500,7 @@ fn concurrent_clients_preserve_session_order() {
         }
     });
     let report = svc.shutdown();
-    report.assert_consistent();
+    report.check().unwrap();
     let contents: Vec<(u64, u64)> = expected.into_iter().collect();
     assert_eq!(report.contents(), contents, "final state diverges");
 }
@@ -604,7 +604,7 @@ fn multi_client_stress(linger: Duration, closed_loop: bool) -> ServeReport {
     let report = svc.shutdown();
     assert_eq!(report.shed(), 0, "generous queues must not shed");
     assert_eq!(report.timed_out(), 0, "no deadlines were set");
-    report.assert_consistent();
+    report.check().unwrap();
 
     // Replay the concurrent history in admission-timestamp order.
     let mut ordered: Vec<(u64, u32, OpKind, Ticket)> = per_thread
