@@ -144,6 +144,7 @@ fn insert_fence(
 /// (and must release) the old root's latch.
 fn split_root(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, root_addr: Addr, node: &ParsedNode) {
     let prev = ctx.set_phase(Phase::StructureMod);
+    handle.bump_inner_gen(ctx.raw_mem());
     let (raddr, rfence) = split_locked(ctx, root_addr, node);
     let new_root = ctx.raw_mem().alloc_aligned(NODE_WORDS, 16);
     ctx.charge_alloc();
@@ -240,6 +241,10 @@ fn locked_descend<'b>(
             if may_insert && child.count() == FANOUT {
                 // Preemptive split: parent (cur) is locked and non-full.
                 let child_low = child.low();
+                if !child.is_leaf() {
+                    // An inner sibling is born (uncharged bookkeeping).
+                    handle.bump_inner_gen(ctx.raw_mem());
+                }
                 let (raddr, rfence) = split_locked(ctx, child_addr, child);
                 if rfence < node.keys()[slot] {
                     // Clamp case (leftmost spine): lower the stale fence

@@ -11,11 +11,13 @@
 //! | read / write | `Tx::read` / `Tx::write` (ownership records, undo log), may abort | plain arena load / store, cannot fail |
 //! | alloc | `alloc_reuse` + `Tx::retire_on_abort` + one charged atomic | `alloc_reuse` |
 //! | retire | `Tx::defer_retire`: quarantined only if the transaction commits | quarantined at once |
+//! | inner generation | bumped through `raw_mem`, uncharged, kept on abort | bumped |
 //! | abort | undo log unlinks the node; fresh blocks retire, deferred retirements are dropped | — (`Infallible`) |
 //! | cost hooks | charged to the warp, in the current phase | no-ops |
 //!
 //! A versioned (MVCC) tree would be a third policy here, not a third tree.
 
+use crate::build::TreeHandle;
 use crate::node::NODE_WORDS;
 use eirene_sim::{Addr, GlobalMemory, Phase, TraceEventKind, WarpCtx};
 use eirene_stm::{Abort, Tx};
@@ -51,6 +53,11 @@ pub trait NodeAccess {
     /// Gives back a node the caller has just unlinked and tombstoned. Its
     /// words stay readable until the arena's next epoch advance.
     fn retire_node(&mut self, addr: Addr);
+
+    /// Counts an inner node born or retired in `handle`'s tree
+    /// ([`TreeHandle::gen_word`]): uncharged, and kept if the change is
+    /// later undone.
+    fn bump_inner_gen(&mut self, handle: &TreeHandle);
 
     /// Charges `n` control-flow instructions.
     fn control(&mut self, _n: u64) {}
@@ -92,6 +99,10 @@ impl NodeAccess for Direct<'_> {
     fn retire_node(&mut self, addr: Addr) {
         self.0.retire(addr, NODE_WORDS, 16);
     }
+
+    fn bump_inner_gen(&mut self, handle: &TreeHandle) {
+        handle.bump_inner_gen(self.0);
+    }
 }
 
 /// Access through an open STM transaction on one warp: every word goes
@@ -132,6 +143,12 @@ impl NodeAccess for TxAccess<'_, '_, '_> {
     /// Deferred to commit: a rolled-back tree still links the node.
     fn retire_node(&mut self, addr: Addr) {
         self.tx.defer_retire(addr, NODE_WORDS, 16);
+    }
+
+    /// Outside the transaction: an abort keeps the bump, so a snapshot
+    /// taken before the change is never trusted after it.
+    fn bump_inner_gen(&mut self, handle: &TreeHandle) {
+        handle.bump_inner_gen(self.ctx.raw_mem());
     }
 
     #[inline]

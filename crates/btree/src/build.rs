@@ -3,18 +3,35 @@
 use crate::node::{build_fill_for, NodeRef, BUILD_FILL, MIN_OCCUPANCY};
 use eirene_sim::{Addr, GlobalMemory};
 
-/// Handle to a tree living in device memory. Only two words of state: the
-/// current root address and the height, both in the arena so device code
-/// can read them (the root changes when a root split occurs).
+/// Handle to a tree living in device memory. Three words of state, all in
+/// the arena so device code can reach them: the current root address and
+/// the height (the root changes when a root split occurs), and the
+/// inner-structure generation.
 #[derive(Clone, Copy, Debug)]
 pub struct TreeHandle {
     /// Arena word holding the root node address.
     pub root_word: Addr,
     /// Arena word holding the height (number of levels; 1 = root is leaf).
     pub height_word: Addr,
+    /// Arena word counting the inner nodes born or retired: every split
+    /// of an inner node or of the root, every inner merge and every root
+    /// collapse bumps it, leaf splits and merges do not. Host-visible
+    /// bookkeeping, written uncharged and never rolled back (an aborted
+    /// split still counts), so it only ever over-reports a change.
+    pub gen_word: Addr,
 }
 
 impl TreeHandle {
+    /// Allocates the handle's three words (zeroed: no root, generation 0).
+    pub fn alloc(mem: &GlobalMemory) -> Self {
+        let root_word = mem.alloc(3);
+        TreeHandle {
+            root_word,
+            height_word: root_word + 1,
+            gen_word: root_word + 2,
+        }
+    }
+
     pub fn root(&self, mem: &GlobalMemory) -> Addr {
         mem.read(self.root_word)
     }
@@ -26,6 +43,16 @@ impl TreeHandle {
     pub fn set_root(&self, mem: &GlobalMemory, root: Addr, height: u64) {
         mem.write(self.root_word, root);
         mem.write(self.height_word, height);
+    }
+
+    /// The inner-structure generation (see [`gen_word`](Self::gen_word)).
+    pub fn inner_gen(&self, mem: &GlobalMemory) -> u64 {
+        mem.read(self.gen_word)
+    }
+
+    /// Counts one inner node born or retired.
+    pub fn bump_inner_gen(&self, mem: &GlobalMemory) {
+        mem.fetch_add(self.gen_word, 1);
     }
 
     /// CAS the root (used by device-side root splits). Returns whether the
@@ -115,11 +142,7 @@ pub fn bulk_build(mem: &GlobalMemory, pairs: &[(u64, u64)]) -> TreeHandle {
         leaves[i].set_rf(mem, rf);
     }
 
-    let root_word = mem.alloc(2);
-    let handle = TreeHandle {
-        root_word,
-        height_word: root_word + 1,
-    };
+    let handle = TreeHandle::alloc(mem);
     handle.set_root(mem, entries[0].1, height);
     handle
 }

@@ -166,6 +166,10 @@ fn split<A: NodeAccess>(
     leaf: bool,
 ) -> Result<(), A::Abort> {
     in_phase(a, Phase::StructureMod, |a| {
+        if !leaf || matches!(parent, SplitParent::Root) {
+            // An inner sibling or a new root is born.
+            a.bump_inner_gen(handle);
+        }
         let half = FANOUT / 2;
         let raddr = a.alloc_node();
         for i in half..FANOUT {
@@ -329,6 +333,7 @@ fn descend_merging<A: NodeAccess>(
         // the full key range, so no re-fencing is needed.
         while !meta_is_leaf(meta) && meta_count(meta) == 1 {
             let child = a.read(cur + OFF_VALS)?;
+            a.bump_inner_gen(handle);
             a.write(handle.root_word, child)?;
             let h = a.read(handle.height_word)?;
             a.write(handle.height_word, h - 1)?;
@@ -360,7 +365,7 @@ fn descend_merging<A: NodeAccess>(
             let child = a.read(val_word(cur, slot))?;
             let cmeta = a.read(child + OFF_META)?;
             if meta_count(cmeta) <= MIN_OCCUPANCY && count > 1 {
-                fix_child(a, cur, count, slot, meta_is_leaf(cmeta))?;
+                fix_child(a, handle, cur, count, slot, meta_is_leaf(cmeta))?;
                 continue 'restart;
             }
             at_root = false;
@@ -375,6 +380,7 @@ fn descend_merging<A: NodeAccess>(
 /// merged node holds at most `2 * MIN_OCCUPANCY <= FANOUT` entries).
 fn fix_child<A: NodeAccess>(
     a: &mut A,
+    handle: &TreeHandle,
     parent: Addr,
     pcount: usize,
     slot: usize,
@@ -399,6 +405,9 @@ fn fix_child<A: NodeAccess>(
             }
         }
         let right_slot = if slot + 1 < pcount { slot + 1 } else { slot };
+        if !leaf {
+            a.bump_inner_gen(handle);
+        }
         merge_into_left(a, parent, pcount, right_slot, leaf)
     })
 }

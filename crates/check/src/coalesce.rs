@@ -12,10 +12,11 @@
 //!   several leaf-run groups, so the horizontal leaf-chain walk crosses
 //!   the partition the planner chose.
 //! * **Pivot-cache invalidation**: a mixed round builds the cache, a
-//!   split-heavy round (dense upserts into a previously empty key region)
-//!   allocates nodes and invalidates the snapshot, and a query round then
-//!   reads both the old and the freshly split regions — a stale frontier
-//!   or fence set would misroute exactly here.
+//!   leaf-split round fills one leaf below the domain edge past capacity
+//!   (the snapshot survives with a stale fence set), a query round reads
+//!   across that edge through it, and a split-heavy round (dense upserts
+//!   above `domain`) splits an inner node and invalidates the snapshot
+//!   before a second query round reads both regions.
 //!
 //! Every round runs against one persistent coalesced tree and one
 //! persistent coalesce-disabled twin, each with its own flat
@@ -29,33 +30,41 @@
 use crate::diff::{check_against_oracle, oracle_over, Violation};
 use crate::driver::{mix, At, Fuzz};
 use crate::gen::{dense_pairs, GenOptions};
+use eirene_btree::node::FANOUT;
 use eirene_core::{EireneOptions, EireneTree};
 use eirene_sim::DeviceConfig;
 use eirene_workloads::{Batch, OpKind, Request};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// The fixed round sequence every case runs: build the cache, invalidate
-/// it with splits, then read through the rebuilt snapshot.
+/// The fixed round sequence every case runs: build the cache, keep it
+/// across leaf splits, invalidate it with an inner split, then read
+/// through the rebuilt snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoundKind {
     /// Duplicate-key clusters with colliding timestamps plus straddling
     /// ranges over the pre-loaded domain. Builds (and exercises) the
     /// pivot cache.
     Mixed,
-    /// Dense upserts into the empty region above `domain`: forces leaf
-    /// splits, which allocate nodes and invalidate the snapshot.
+    /// Upserts of the 24 keys just below `domain - 8`: the leaf holding
+    /// them overflows and splits, and the snapshot is kept.
+    LeafSplit,
+    /// Upserts of `2 * FANOUT²` (or a batch of) fresh keys above `domain`:
+    /// more new leaves than one leaf parent holds, so an inner node splits
+    /// and the snapshot is invalidated.
     SplitHeavy,
-    /// Point and straddling range reads over BOTH regions, dispatched
-    /// through the freshly rebuilt cache.
+    /// Point and straddling range reads over BOTH regions and across the
+    /// leaf-split window, dispatched through the current snapshot.
     QueryHeavy,
 }
 
 impl RoundKind {
-    /// Round order within a case. `Mixed` runs twice so the cache is
-    /// exercised both before and after the invalidation cycle.
-    pub const SEQUENCE: [RoundKind; 4] = [
+    /// Round order within a case: the first query round reads through the
+    /// kept, stale-fenced snapshot, the second through the rebuilt one.
+    pub const SEQUENCE: [RoundKind; 6] = [
         RoundKind::Mixed,
+        RoundKind::LeafSplit,
+        RoundKind::QueryHeavy,
         RoundKind::SplitHeavy,
         RoundKind::QueryHeavy,
         RoundKind::Mixed,
@@ -92,16 +101,14 @@ pub fn coalesce_batch(seed: u64, kind: RoundKind, opts: &GenOptions) -> Batch {
                 }
             }
         }
-        RoundKind::SplitHeavy => {
-            // Dense fresh keys above the domain; every leaf in the region
-            // fills and splits. Unique ascending timestamps.
-            for i in 0..n {
-                let key = opts.domain + 1 + rng.gen_range(0..n as u32);
-                reqs.push(Request {
-                    key,
-                    op: OpKind::Upsert(rng.gen()),
-                    ts: i as u64,
-                });
+        RoundKind::LeafSplit | RoundKind::SplitHeavy => {
+            let d = opts.domain;
+            let keys = match kind {
+                RoundKind::LeafSplit => d.saturating_sub(32)..d.saturating_sub(8),
+                _ => d + 1..d + 1 + n.max(2 * FANOUT * FANOUT) as u32,
+            };
+            for (ts, key) in (0..).zip(keys) {
+                reqs.push(Request::upsert(key, rng.gen(), ts));
             }
         }
         RoundKind::QueryHeavy => {
@@ -188,7 +195,7 @@ pub fn run_coalesce_case(opts: &Fuzz, case_seed: u64) -> Result<u64, (Violation,
         }
     }
     // The invalidation cycle must actually have happened: the first round
-    // builds the cache, the split round kills it, a later round rebuilds.
+    // builds the cache, the inner split kills it, a later round rebuilds.
     let idle = if rebuilds < 2 {
         format!("{rebuilds} cache rebuilds across the sequence, expected >= 2")
     } else if hits == 0 || saved == 0 {
@@ -235,6 +242,34 @@ mod tests {
         let b = run_coalesce_case(&opts, 97).expect("case passes");
         // Deterministic scheduling: identical cache-hit counts.
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn only_the_split_heavy_round_invalidates_the_snapshot() {
+        let opts = Fuzz {
+            deterministic: true,
+            ..Fuzz::new(Leg::Coalesce)
+        };
+        let gen_opts = GenOptions {
+            domain: opts.domain,
+            batch_size: opts.batch_size,
+        };
+        for seed in 1..=3u64 {
+            let pairs = dense_pairs(opts.initial_keys);
+            let mut tree = build_twin(&pairs, opts.device(seed), 1 << 12, true);
+            let mut oracle = oracle_over(&pairs);
+            let rebuilds: Vec<u64> = (0..)
+                .zip(RoundKind::SEQUENCE)
+                .map(|(round, kind)| {
+                    let batch = coalesce_batch(mix(seed ^ round), kind, &gen_opts);
+                    let run = check_against_oracle(&mut tree, &mut oracle, &batch).unwrap();
+                    run.stats.totals.pivot_cache_rebuilds
+                })
+                .collect();
+            // Built once; kept across the leaf splits and the first query
+            // round; rebuilt after the split-heavy round only.
+            assert_eq!(rebuilds, [1, 0, 0, 0, 1, 0], "seed {seed}");
+        }
     }
 
     #[test]

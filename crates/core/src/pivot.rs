@@ -13,24 +13,24 @@
 //! **Snapshot rule.** The cache is built at a batch boundary — the same
 //! quiescent point where the slab reclamation epoch advances (DESIGN.md
 //! §14): no kernel is in flight and nothing outside the tree holds node
-//! addresses. A snapshot counts as valid while the node population is the
-//! one it was taken from: splits and root growth allocate slab blocks,
-//! merges, root collapses and aborted splits retire them, so the slab
-//! counters `(live, reused, bump_allocs)` form a cheap signature that
-//! changes iff the population changed. Epochs that only mutate leaf
-//! *contents* keep every node's address and fences intact, so the
-//! snapshot survives them.
+//! addresses. A snapshot counts as valid while its tree's root and
+//! *inner-structure generation* ([`TreeHandle::gen_word`]) are the ones
+//! it was taken with. The generation counts inner nodes born or retired —
+//! inner and root splits, inner merges, root collapses, and splits whose
+//! transaction later aborts — so while it stands, every frontier node is
+//! alive at its address with its fences, and the frontier is exact.
 //!
-//! **Borrows are invisible to that rule.** A borrow (`borrow_from_left` /
-//! `borrow_from_right` in `eirene_btree::ops`) moves one entry between two
-//! siblings and rewrites the fence between them, in both nodes and in
-//! their parent, without allocating or retiring anything. A snapshot then
-//! stays valid while its leaf fences — and, after a borrow between
-//! internal nodes, its frontier fences — are stale. That is safe because
-//! neither is trusted: leaf runs only group requests (each request's leaf
-//! is found by the warp's locator, whose walks follow the nodes' own HIGH
-//! fences), and a descent re-validates its cached start node (the safety
-//! net below).
+//! **Leaf changes are invisible to that rule.** A leaf split or merge, and
+//! a borrow between two siblings (`borrow_from_left` /
+//! `borrow_from_right` in `eirene_btree::ops`, which rewrites the fence
+//! between them in both nodes and in their parent), keeps the snapshot
+//! valid while its leaf fences — and, after a borrow between internal
+//! nodes, its frontier fences — are stale. That is safe because neither is
+//! trusted: leaf runs only group requests (each request's leaf is found by
+//! the warp's locator, whose walks follow the nodes' own HIGH fences, so a
+//! run that spans a split leaf steps right onto its sibling, and two runs
+//! that share a merged leaf are serialised by the update kernel's STM), and
+//! a descent re-validates its cached start node (the safety net below).
 //!
 //! **Safety net.** Validity checking is per-epoch, but the update kernel
 //! can split nodes *during* an epoch that started with a valid snapshot.
@@ -50,27 +50,6 @@ use eirene_sim::{Addr, DeviceConfig, GlobalMemory};
 /// comfortably fit the shared-memory budget the staging cost models.
 pub const FRONTIER_CAP: usize = 4096;
 
-/// Slab-layer signature used to detect structure modifications between
-/// batch boundaries. `(live, reused, bump_allocs)` changes whenever a
-/// node is allocated or retired; the reclamation epoch itself is excluded
-/// because it advances every batch regardless of structure changes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SlabSig {
-    live: u64,
-    reused: u64,
-    bump_allocs: u64,
-}
-
-/// Reads the current structure signature at a quiescent point.
-pub fn slab_sig(mem: &GlobalMemory) -> SlabSig {
-    let s = mem.slab_stats();
-    SlabSig {
-        live: s.live,
-        reused: s.reused,
-        bump_allocs: s.bump_allocs,
-    }
-}
-
 /// The snapshot pivot cache (see module docs). The default value is an
 /// empty cache, which is never valid.
 #[derive(Default)]
@@ -86,8 +65,8 @@ pub struct PivotCache {
     /// rebuild reuses their buffers.
     level: Vec<(u64, Addr)>,
     below: Vec<(u64, Addr)>,
-    /// Signature of the slab layer when the snapshot was taken.
-    sig: SlabSig,
+    /// Inner-structure generation when the snapshot was taken.
+    gen: u64,
     /// Root address when the snapshot was taken.
     root: Addr,
     /// Control instructions charged per frontier lookup
@@ -121,7 +100,7 @@ impl PivotCache {
         cfg: &DeviceConfig,
     ) -> PrimCost {
         let root = handle.root(mem);
-        self.sig = slab_sig(mem);
+        self.gen = handle.inner_gen(mem);
         self.root = root;
         self.frontier.clear();
         self.frontier.push((0, root));
@@ -175,10 +154,13 @@ impl PivotCache {
         self.frontier.clear();
     }
 
-    /// True while there is a snapshot and no structure modification has
-    /// happened since it was taken: same slab signature, same root.
+    /// True while there is a snapshot and no inner node was born or
+    /// retired since it was taken: same inner-structure generation, same
+    /// root.
     pub fn is_valid(&self, mem: &GlobalMemory, handle: &TreeHandle) -> bool {
-        !self.frontier.is_empty() && self.sig == slab_sig(mem) && self.root == handle.root(mem)
+        !self.frontier.is_empty()
+            && self.gen == handle.inner_gen(mem)
+            && self.root == handle.root(mem)
     }
 
     /// Frontier node whose subtree owned `key` at snapshot time: binary
@@ -219,8 +201,9 @@ mod tests {
     use eirene_baselines::common::ConcurrentTree;
     use eirene_btree::build::{arena_budget, bulk_build};
     use eirene_btree::node::MIN_OCCUPANCY;
-    use eirene_sim::Device;
-    use eirene_workloads::{Batch, Oracle, Request, SequentialOracle};
+    use eirene_btree::refops;
+    use eirene_sim::{Device, WarpStats};
+    use eirene_workloads::{Batch, OpKind, Oracle, Request, SequentialOracle};
 
     fn tree(n: u64) -> (Device, TreeHandle) {
         let dev = Device::new(arena_budget(n as usize, 64), DeviceConfig::test_small());
@@ -274,56 +257,197 @@ mod tests {
         assert_eq!(count, fences.len());
     }
 
-    #[test]
-    fn signature_tracks_structure_changes() {
-        let (dev, t) = tree(1000);
-        let (cache, _) = PivotCache::build(dev.mem(), &t, dev.config());
-        assert!(cache.is_valid(dev.mem(), &t));
-        // Epoch advances alone must not invalidate.
-        dev.mem().advance_epoch();
-        assert!(cache.is_valid(dev.mem(), &t));
-        // An allocation (as a split would do) must invalidate.
-        let _ = NodeRef::alloc(dev.mem(), true);
-        assert!(!cache.is_valid(dev.mem(), &t));
+    /// `(inner nodes, leaves, height)`, walked level by level.
+    fn shape(mem: &GlobalMemory, t: &TreeHandle) -> (usize, usize, u64) {
+        let (mut level, mut inner) = (vec![t.root(mem)], 0);
+        while !(NodeRef { addr: level[0] }).is_leaf(mem) {
+            inner += level.len();
+            level = level
+                .iter()
+                .flat_map(|&addr| {
+                    let n = NodeRef { addr };
+                    (0..n.count(mem)).map(move |i| n.val(mem, i))
+                })
+                .collect();
+        }
+        (inner, level.len(), t.height(mem))
+    }
+
+    /// What one structure change does to `shape`: `(Δinner, Δleaves,
+    /// Δheight)`; `None` matches anything.
+    type Delta = (Option<isize>, Option<isize>, isize);
+
+    fn delta(before: (usize, usize, u64), after: (usize, usize, u64)) -> (isize, isize, isize) {
+        let d = |a: usize, b: usize| b as isize - a as isize;
+        let height = after.2 as isize - before.2 as isize;
+        (d(before.0, after.0), d(before.1, after.1), height)
+    }
+
+    fn matches(want: Delta, got: (isize, isize, isize)) -> bool {
+        want.0.is_none_or(|i| i == got.0) && want.1.is_none_or(|l| l == got.1) && want.2 == got.2
+    }
+
+    /// A tree of 400 keys — three leaf parents under the root, so two of
+    /// them can merge without collapsing it — with room for a thousand
+    /// more nodes and an STM.
+    fn roomy_tree() -> (Device, TreeHandle, eirene_stm::Stm) {
+        let dev = Device::new(
+            arena_budget(400, 1024) + (1 << 13),
+            DeviceConfig::test_small(),
+        );
+        let pairs: Vec<(u64, u64)> = (1..=400).map(|i| (2 * i, 2 * i + 1)).collect();
+        let t = bulk_build(dev.mem(), &pairs);
+        let stm = eirene_stm::Stm::new(dev.mem(), 1 << 12);
+        (dev, t, stm)
+    }
+
+    /// One step of a drive: appends above the largest key grow the tree
+    /// at its right edge (through the host-side reference operations or
+    /// the lock ablation's latch-coupled upsert, which splits a full child
+    /// one step later: it does not restart after the split below it);
+    /// deletes from the smallest key up shrink it from the left.
+    #[derive(Clone, Copy, Debug)]
+    enum Drive {
+        Append,
+        AppendLocked,
+        DeleteLowest,
+    }
+
+    fn step(dev: &Device, t: &TreeHandle, drive: Drive, i: u64) {
+        let mem = dev.mem();
+        match drive {
+            Drive::Append => drop(refops::upsert(mem, t, 1000 + i, i)),
+            Drive::AppendLocked => {
+                let mut stats = WarpStats::default();
+                let mut ctx = eirene_sim::WarpCtx::new(mem, dev.config(), 0, &mut stats);
+                eirene_baselines::lock::locked_upsert(&mut ctx, t, 1000 + i, i);
+            }
+            Drive::DeleteLowest => drop(refops::delete(mem, t, 2 * (i + 1))),
+        }
+    }
+
+    /// Drives `step`s on a fresh tree until one changes the shape by
+    /// `want`; returns how many steps ran before it.
+    fn steps_before(drive: Drive, want: Delta) -> u64 {
+        let (dev, t, _) = roomy_tree();
+        (0..2000)
+            .find(|&i| {
+                let before = shape(dev.mem(), &t);
+                step(&dev, &t, drive, i);
+                matches(want, delta(before, shape(dev.mem(), &t)))
+            })
+            .unwrap_or_else(|| panic!("no {drive:?} step changed the shape by {want:?}"))
     }
 
     #[test]
-    fn retire_invalidates_signature() {
-        let (dev, t) = tree(1000);
-        let spare = NodeRef::alloc(dev.mem(), true);
-        let (cache, _) = PivotCache::build(dev.mem(), &t, dev.config());
-        assert!(cache.is_valid(dev.mem(), &t));
-        spare.retire(dev.mem());
-        assert!(!cache.is_valid(dev.mem(), &t));
+    fn leaf_changes_keep_the_snapshot_and_inner_changes_invalidate_it() {
+        use eirene_btree::{access::TxAccess, ops::descend};
+        use Drive::*;
+        let inner_split = (Some(1), None, 0);
+        // `(change, drive, shape delta, made by a split-capable descent in
+        // a transaction that then rolls back, snapshot still valid)`.
+        let table: [(&str, Drive, Delta, bool, bool); 8] = [
+            ("leaf split", Append, (Some(0), Some(1), 0), false, true),
+            (
+                "leaf merge",
+                DeleteLowest,
+                (Some(0), Some(-1), 0),
+                false,
+                true,
+            ),
+            ("inner split", Append, inner_split, false, false),
+            (
+                "inner merge",
+                DeleteLowest,
+                (Some(-1), None, 0),
+                false,
+                false,
+            ),
+            ("root split", Append, (None, None, 1), false, false),
+            (
+                "root collapse",
+                DeleteLowest,
+                (None, None, -1),
+                false,
+                false,
+            ),
+            ("aborted inner split", Append, inner_split, true, false),
+            ("lock inner split", AppendLocked, inner_split, false, false),
+        ];
+        for (what, drive, want, aborted, valid) in table {
+            let n = steps_before(drive, want);
+            let (dev, t, stm) = roomy_tree();
+            let mem = dev.mem();
+            (0..n).for_each(|i| step(&dev, &t, drive, i));
+            let (cache, _) = PivotCache::build(mem, &t, dev.config());
+            let before = shape(mem, &t);
+            let got = if aborted {
+                let mut stats = WarpStats::default();
+                let mut ctx = eirene_sim::WarpCtx::new(mem, dev.config(), 0, &mut stats);
+                let mut scratch = eirene_stm::TxScratch::default();
+                let mut tx = stm.begin(&mut scratch);
+                descend(&mut TxAccess::new(&mut tx, &mut ctx), &t, 1000 + n, true).unwrap();
+                let split = delta(before, shape(mem, &t));
+                tx.rollback(&mut ctx);
+                assert_eq!(shape(mem, &t), before, "{what}: rolled back");
+                split
+            } else {
+                step(&dev, &t, drive, n);
+                delta(before, shape(mem, &t))
+            };
+            assert!(matches(want, got), "{what}: shape moved by {got:?}");
+            assert_eq!(cache.is_valid(mem, &t), valid, "{what}");
+        }
+    }
+
+    /// An Eirene tree over the even keys `2..=2000` beside its oracle.
+    struct Checked {
+        t: EireneTree,
+        oracle: SequentialOracle,
+        ts: u64,
+    }
+
+    impl Checked {
+        fn new() -> Self {
+            let init: Vec<(u32, u32)> = (1..=1000).map(|i| (2 * i, 2 * i + 1)).collect();
+            let pairs: Vec<(u64, u64)> = init.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+            Checked {
+                t: EireneTree::new(&pairs, EireneOptions::test_small()),
+                oracle: SequentialOracle::load(&init),
+                ts: 0,
+            }
+        }
+
+        /// Executes `ops` as one batch (timestamps continuing from the
+        /// last), checks every response against the oracle and returns
+        /// the batch's totals.
+        fn run(&mut self, ops: Vec<(u64, OpKind)>) -> WarpStats {
+            let reqs = ops.into_iter().map(|(key, op)| {
+                self.ts += 1;
+                Request {
+                    key: key as u32,
+                    op,
+                    ts: self.ts,
+                }
+            });
+            let batch = Batch::new(reqs.collect());
+            let got = self.t.run_batch(&batch);
+            assert_eq!(got.responses, self.oracle.run_batch(&batch), "responses");
+            got.stats.totals
+        }
+    }
+
+    /// `(live, reused, bump_allocs)` of the arena's slab.
+    fn slab(mem: &GlobalMemory) -> (u64, u64, u64) {
+        let s = mem.slab_stats();
+        (s.live, s.reused, s.bump_allocs)
     }
 
     #[test]
     fn a_borrow_keeps_the_snapshot_valid_with_stale_fences_and_answers_stay_right() {
-        let init: Vec<(u32, u32)> = (1..=1000).map(|i| (2 * i, 2 * i + 1)).collect();
-        let pairs: Vec<(u64, u64)> = init.iter().map(|&(k, v)| (k.into(), v.into())).collect();
-        let mut t = EireneTree::new(&pairs, EireneOptions::test_small());
-        let mut oracle = SequentialOracle::load(&init);
-        let mut ts = 0u64;
-        let mut run = |t: &mut EireneTree, reqs: Vec<(u64, bool)>| {
-            let batch = Batch::new(
-                reqs.into_iter()
-                    .map(|(key, delete)| {
-                        ts += 1;
-                        let key = key as u32;
-                        if delete {
-                            Request::delete(key, ts)
-                        } else {
-                            Request::query(key, ts)
-                        }
-                    })
-                    .collect(),
-            );
-            let got = t.run_batch(&batch);
-            assert_eq!(got.responses, oracle.run_batch(&batch), "responses");
-            got.stats.totals
-        };
-        let (mem, cfg) = (t.device().mem(), t.device().config());
-        let (before, _) = PivotCache::build(mem, t.handle(), cfg);
+        let mut c = Checked::new();
+        let (mem, cfg) = (c.t.device().mem(), c.t.device().config());
+        let (before, _) = PivotCache::build(mem, c.t.handle(), cfg);
         let fences = before.leaf_fences().to_vec();
         // Leaf 5 and its right sibling sit under the first leaf parent.
         let (lo, hi) = (fences[5], fences[6]);
@@ -336,20 +460,64 @@ mod tests {
         // 1. Leaf-local deletes take leaf 5 down to the occupancy floor;
         //    one more underflows it, and its rich right sibling lends it
         //    an entry: a borrow, which neither allocates nor retires.
-        let sig = slab_sig(t.device().mem());
+        let sig = slab(mem);
         let floor = leaf.len() - MIN_OCCUPANCY;
-        run(&mut t, leaf[..floor].iter().map(|&k| (k, true)).collect());
-        run(&mut t, vec![(leaf[floor], true)]);
-        let mem = t.device().mem();
-        assert_eq!(slab_sig(mem), sig, "no node was allocated or retired");
-        assert!(before.is_valid(mem, t.handle()), "the snapshot survives");
-        let (after, _) = PivotCache::build(mem, t.handle(), t.device().config());
+        c.run(leaf[..floor].iter().map(|&k| (k, OpKind::Delete)).collect());
+        c.run(vec![(leaf[floor], OpKind::Delete)]);
+        let mem = c.t.device().mem();
+        assert_eq!(slab(mem), sig, "no node was allocated or retired");
+        assert!(before.is_valid(mem, c.t.handle()), "the snapshot survives");
+        let (after, _) = PivotCache::build(mem, c.t.handle(), c.t.device().config());
         assert_eq!(after.leaf_fences()[6], hi + 2, "the fence moved right");
         assert_ne!(before.leaf_fences(), after.leaf_fences(), "stale fences");
         // 2. A later batch queries around the moved fence through the
         //    stale snapshot, and 3. answers as the oracle does.
-        let around = (lo - 8..fences[7] + 8).map(|k| (k, false)).collect();
-        let stats = run(&mut t, around);
+        let around = (lo - 8..fences[7] + 8)
+            .map(|k| (k, OpKind::Query))
+            .collect();
+        let stats = c.run(around);
+        assert_eq!(stats.pivot_cache_rebuilds, 0, "no rebuild");
+        assert!(
+            stats.pivot_cache_hits > 0,
+            "dispatched through the snapshot"
+        );
+    }
+
+    #[test]
+    fn a_leaf_split_keeps_the_snapshot_and_answers_around_the_new_fence_stay_right() {
+        let mut c = Checked::new();
+        // The first batch takes the tree's snapshot.
+        let first = c.run(vec![(2, OpKind::Query)]);
+        assert_eq!(first.pivot_cache_rebuilds, 1);
+        let (mem, cfg) = (c.t.device().mem(), c.t.device().config());
+        let (before, _) = PivotCache::build(mem, c.t.handle(), cfg);
+        let fences = before.leaf_fences().to_vec();
+        let (lo, hi) = (fences[5], fences[6]);
+        // 1. Every odd key of leaf 5 goes in: it overflows and splits,
+        //    and no inner node is born (its parent has room).
+        let live = slab(mem).0;
+        let fill = (lo..hi)
+            .filter(|k| k % 2 == 1)
+            .map(|k| (k, OpKind::Upsert(7)));
+        let stats = c.run(fill.collect());
+        assert_eq!(stats.pivot_cache_rebuilds, 0, "the snapshot was kept");
+        let mem = c.t.device().mem();
+        assert!(slab(mem).0 > live, "a leaf was born");
+        assert!(before.is_valid(mem, c.t.handle()), "the snapshot survives");
+        let (after, _) = PivotCache::build(mem, c.t.handle(), c.t.device().config());
+        let new_fences = after.leaf_fences().len() - fences.len();
+        assert!(
+            new_fences > 0,
+            "the split published a fence the snapshot lacks"
+        );
+        assert_eq!(after.frontier, before.frontier, "the frontier is exact");
+        // 2. A later batch reads and writes around the new fences through
+        //    the stale snapshot, and 3. answers as the oracle does.
+        let around = (lo - 8..hi + 8).map(|k| match k % 3 {
+            0 => (k, OpKind::Upsert(k as u32)),
+            _ => (k, OpKind::Query),
+        });
+        let stats = c.run(around.collect());
         assert_eq!(stats.pivot_cache_rebuilds, 0, "no rebuild");
         assert!(
             stats.pivot_cache_hits > 0,
@@ -464,11 +632,7 @@ mod tests {
                 .collect();
             height += 1;
         }
-        let root_word = mem.alloc(2);
-        let handle = TreeHandle {
-            root_word,
-            height_word: root_word + 1,
-        };
+        let handle = TreeHandle::alloc(mem);
         handle.set_root(mem, level[0].1, height);
         (dev, handle)
     }

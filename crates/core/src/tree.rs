@@ -89,8 +89,8 @@ pub struct EireneTree {
     stm: Stm,
     opts: EireneOptions,
     /// Snapshot pivot cache, rebuilt lazily at batch boundaries and
-    /// cleared (its buffers kept for the next rebuild) when a
-    /// structure-modifying epoch invalidates it.
+    /// cleared (its buffers kept for the next rebuild) when an epoch that
+    /// bore or retired an inner node invalidates it.
     pivot: PivotCache,
 }
 
@@ -144,8 +144,8 @@ impl EireneTree {
         };
         // Lazily (re)build the snapshot pivot cache at the batch boundary
         // — the quiescent point where the snapshot is safe to take. A
-        // cache from an earlier batch survives as long as no structure
-        // modification changed the slab signature since.
+        // cache from an earlier batch survives as long as no inner node
+        // was born or retired since; leaf splits and merges keep it.
         let (mem, handle) = (self.base.device.mem(), &self.base.handle);
         let rebuild_cost = (self.opts.coalesce && !self.pivot.is_valid(mem, handle))
             .then(|| self.pivot.rebuild(mem, handle, self.base.device.config()));
@@ -165,10 +165,10 @@ impl EireneTree {
             build_stats.totals.pivot_cache_rebuilds = 1;
             run.stats.merge(&build_stats);
         }
-        // A structure-modifying epoch (splits allocate, merges and
-        // aborted splits retire) leaves a changed slab signature: drop
-        // the snapshot before the epoch advance below recycles the
-        // retired nodes it may still reference.
+        // An epoch that bore or retired an inner node moved the tree's
+        // inner-structure generation: drop the snapshot before the epoch
+        // advance below recycles retired inner nodes its frontier may
+        // still reference. (Leaves are referenced only by fence key.)
         if !self.pivot.is_valid(mem, handle) {
             self.pivot.clear();
         }

@@ -209,7 +209,7 @@ impl Inner {
     /// each part covers the *full* clipped window and returns `Some` only
     /// at the keys its shard owns; the positional union reassembles the
     /// window ([`RangeMerge::complete_part`]).
-    fn route(&self, map: &ShardMap, cell: u32, (key, op, arrival): (Key, OpKind, u64)) -> Routed {
+    fn route(&self, map: &ShardMap, cell: u32, (key, op, arrival): Op) -> Routed {
         let n = self.shards.len();
         let route = match (self.sharding, op) {
             (Sharding::Range, OpKind::Range { len }) => {
@@ -258,7 +258,7 @@ impl Inner {
         key: Key,
         op: OpKind,
         deadline: Option<Instant>,
-        arrival: u64,
+        arrival: Option<u64>,
         tenant: TenantId,
     ) -> Ticket {
         self.submit_many(1, std::iter::once((key, op, arrival)), deadline, tenant)
@@ -275,7 +275,7 @@ impl Inner {
     fn submit_many_lanes(
         &self,
         n: usize,
-        ops: impl Iterator<Item = (Key, OpKind, u64)>,
+        ops: impl Iterator<Item = Op>,
         deadline: Option<Instant>,
         tenant: TenantId,
     ) -> Vec<Ticket> {
@@ -293,7 +293,8 @@ impl Inner {
                 batch.cell(i).store(empty);
                 continue;
             };
-            buckets[home].push(r.req, Slot::Cell(i), r.arrival);
+            let clock = self.shards[home].clock.load(Ordering::Relaxed);
+            buckets[home].push(r.req, Slot::Cell(i), r.arrival.unwrap_or(clock));
         }
         for (shard, bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
@@ -349,7 +350,7 @@ impl Inner {
     pub(crate) fn submit_many(
         &self,
         n: usize,
-        ops: impl Iterator<Item = (Key, OpKind, u64)>,
+        ops: impl Iterator<Item = Op>,
         deadline: Option<Instant>,
         tenant: TenantId,
     ) -> Vec<Ticket> {
@@ -380,7 +381,8 @@ impl Inner {
 
         let _slot = self.open_admission();
         let base = self.next_ts.fetch_add(n as u64, Ordering::SeqCst);
-        for full in place(routed, base, &mut avail, &batch, &mut buckets) {
+        let clock = |shard: ShardId| self.shards[shard].clock.load(Ordering::Relaxed);
+        for full in place(routed, base, &mut avail, &batch, &mut buckets, clock) {
             self.shards[full].record_shed(1, tenant);
         }
         // Before the fill: once the segments are queued, all that should
@@ -416,13 +418,16 @@ impl Inner {
     }
 }
 
+/// A request to admit, with its virtual arrival (`None`: live, see [`place`]).
+type Op = (Key, OpKind, Option<u64>);
+
 /// One request of a timestamp draw, routed under the topology read guard.
 struct Routed {
     /// The request's cell in its call's ticket block.
     cell: u32,
     /// Untimestamped.
     req: Request,
-    arrival: u64,
+    arrival: Option<u64>,
     route: Route,
 }
 
@@ -433,14 +438,15 @@ struct Routed {
 /// returned, once per shed request, for the driver to book. An empty
 /// range resolves `Done(Range([]))` with no timestamp and no credit; a
 /// split range goes into the buckets as the parts [`split_parts`] cuts.
-/// Takes no lock, reads no clock and touches no queue; cells are stored
-/// without a wake, which the driver owes if anybody may be parked.
+/// A live request arrives at the `clock` of each shard it goes to. No lock,
+/// no queue: cells are stored without the wake the driver then owes.
 fn place(
     routed: Vec<Routed>,
     base: u64,
     avail: &mut [usize],
     batch: &Arc<TicketBatch>,
     buckets: &mut [Segment],
+    clock: impl Fn(ShardId) -> u64,
 ) -> Vec<ShardId> {
     let mut shed = Vec::new();
     for (ts, r) in (base..).zip(routed) {
@@ -452,16 +458,17 @@ fn place(
         }
         r.route.shards().for_each(|shard| avail[shard] -= 1);
         let req = Request { ts, ..r.req };
+        let arrival = |shard| r.arrival.unwrap_or_else(|| clock(shard));
         match r.route {
             Route::Empty => cell.store(Outcome::Done(Response::Range(Vec::new()))),
             Route::One(shard) => {
                 cell.set_ts(ts);
-                buckets[shard].push(req, Slot::Cell(r.cell), r.arrival);
+                buckets[shard].push(req, Slot::Cell(r.cell), arrival(shard));
             }
             Route::Split(parts) => {
                 cell.set_ts(ts);
                 for (shard, part, slot) in split_parts(&parts, req, batch.cell_ref(r.cell)) {
-                    buckets[shard].push(part, slot, r.arrival);
+                    buckets[shard].push(part, slot, arrival(shard));
                 }
             }
         }
@@ -563,14 +570,14 @@ fn admit_lane_segment(
             let &Slot::Cell(cell) = slot else {
                 unreachable!("a lane stages whole requests")
             };
-            inner.route(topo, cell, (req.key, req.op, arrival))
+            inner.route(topo, cell, (req.key, req.op, Some(arrival)))
         })
         .collect();
     let mut avail = vec![usize::MAX; inner.shards.len()];
     let mut grants = inner.reserve(&routed, Some(shard), &mut avail);
     let base = inner.next_ts.fetch_add(seg.len() as u64, Ordering::SeqCst);
     let mut buckets: Vec<Segment> = (0..inner.shards.len()).map(|_| seg.sibling()).collect();
-    let shed = place(routed, base, &mut avail, &seg.batch, &mut buckets);
+    let shed = place(routed, base, &mut avail, &seg.batch, &mut buckets, |_| 0);
     shed.iter()
         .for_each(|&full| inner.shards[full].record_shed(1, seg.tenant));
     if !shed.is_empty() {
@@ -760,13 +767,21 @@ mod tests {
                     op,
                     ..Request::query(5, u64::MAX)
                 },
-                arrival: 0,
+                arrival: None,
                 route,
             });
             let mut buckets: Vec<Segment> = (0..2)
                 .map(|_| Segment::new(batch.clone(), None, 0, 0))
                 .collect();
-            let shed = place(routed.collect(), 100, &mut avail, &batch, &mut buckets);
+            let clock = |shard: ShardId| 1000 + shard as u64;
+            let shed = place(
+                routed.collect(),
+                100,
+                &mut avail,
+                &batch,
+                &mut buckets,
+                clock,
+            );
             let placed: Vec<Placed> = cells
                 .iter()
                 .map(|&cell| {
@@ -790,6 +805,11 @@ mod tests {
                 seg.slots.iter().map(cell).zip(ts).collect()
             };
             assert_eq!(placed, row.placed, "{name}");
+            // A live request, and each part of a split one, arrives at
+            // its own shard's clock.
+            for (shard, bucket) in buckets.iter().enumerate() {
+                assert!(bucket.arrivals.iter().all(|&a| a == clock(shard)), "{name}");
+            }
             let buckets = [held(&buckets[0]), held(&buckets[1])];
             assert_eq!(buckets, row.buckets, "{name}");
             assert_eq!((shed, avail), (row.shed, row.credits_left), "{name}");
@@ -806,7 +826,7 @@ mod tests {
         let died = catch_unwind(AssertUnwindSafe(|| {
             let topo = inner.topology.read().unwrap();
             let routed: Vec<Routed> = (0..depth as u32)
-                .map(|cell| inner.route(&topo, cell, (cell, OpKind::Query, 0)))
+                .map(|cell| inner.route(&topo, cell, (cell, OpKind::Query, None)))
                 .collect();
             let mut avail = vec![0; 1];
             let _grants = inner.reserve(&routed, None, &mut avail);

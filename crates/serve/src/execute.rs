@@ -59,7 +59,7 @@ pub(crate) struct Books {
     adaptive: bool,
     control_latency: u64,
     /// The shard's virtual clock: the end of its last epoch.
-    clock: u64,
+    pub(crate) clock: u64,
     busy_cycles: u64,
     epochs: u64,
     closed: CloseCounts,

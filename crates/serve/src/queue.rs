@@ -63,10 +63,10 @@ pub(crate) struct Segment {
     pub reqs: Vec<Request>,
     /// Where each request's outcome goes, positionally.
     pub slots: Vec<Slot>,
-    /// Virtual arrival per request in device cycles (0 = at service
-    /// start, as for live submissions). An epoch cannot start before its
-    /// last member arrived; offered-load benchmarks use this to model
-    /// open-loop arrival.
+    /// Virtual arrival per request in device cycles: the shard's clock at
+    /// admission for a live submission, the caller's for `submit_at`
+    /// (open-loop offered load). An epoch cannot start before its last
+    /// member arrived.
     pub arrivals: Vec<u64>,
     /// The call's wall-clock deadline: an expired segment resolves
     /// `TimedOut` at epoch formation without executing.
@@ -257,9 +257,19 @@ impl Reservation<'_> {
     }
 }
 
+/// Returns the unfilled reservations.
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
-        self.queue.cancel_reservation(self.count);
+        if self.count == 0 {
+            return;
+        }
+        let mut st = self.queue.state.lock().unwrap();
+        debug_assert!(
+            st.reserved >= self.count,
+            "cancelling more than was reserved"
+        );
+        st.reserved -= self.count;
+        self.queue.not_full.notify_all();
     }
 }
 
@@ -317,18 +327,6 @@ impl IngressQueue {
             queue: self,
             count: grant,
         }
-    }
-
-    /// Returns `n` unfilled reservations (called by [`Reservation`]'s
-    /// destructor).
-    fn cancel_reservation(&self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        let mut st = self.state.lock().unwrap();
-        debug_assert!(st.reserved >= n, "cancelling more than was reserved");
-        st.reserved -= n;
-        self.not_full.notify_all();
     }
 
     /// Blocking push (block policy): takes the lock once and pushes the

@@ -308,10 +308,6 @@ impl RebalanceShared {
         self.cv.notify_all();
     }
 
-    pub(crate) fn stopping(&self) -> bool {
-        self.state.lock().unwrap().stop
-    }
-
     /// Blocks until there is something to do. Decision rounds fire once
     /// at least one shard fed a fresh load.
     pub(crate) fn wait(&self) -> Wake {
@@ -343,10 +339,6 @@ impl RebalanceShared {
 
     pub(crate) fn attempts_done(&self) -> u64 {
         self.state.lock().unwrap().attempts_done
-    }
-
-    pub(crate) fn push_event(&self, ev: RebalanceEvent) {
-        self.state.lock().unwrap().events.push(ev);
     }
 
     pub(crate) fn events(&self) -> Vec<RebalanceEvent> {
@@ -419,7 +411,7 @@ fn quiesce_pair<'a>(
     let states = pair.map(|s| &inner.shards[s]);
     let settled = |s: &ShardState| s.enqueued.load(Relaxed) == s.settled.load(Relaxed);
     let trees = loop {
-        if shared.stopping() {
+        if shared.state.lock().unwrap().stop {
             return None;
         }
         if let [Some(a), Some(b)] = states.map(|s| s.tree.get()) {
@@ -568,7 +560,7 @@ fn execute_rebalance(
         forced,
     };
     *seq = event.seq;
-    shared.push_event(event.clone());
+    shared.state.lock().unwrap().events.push(event.clone());
     drop((donor, receiver, topo)); // publish before notifying observers
     if let Some(obs) = observer {
         obs.on_event(&ServeEvent::Rebalance(event));

@@ -42,8 +42,9 @@ pub struct ShardReport {
     /// Per-tenant end-to-end latency histograms; counts sum to
     /// `executed`. Same length as `tenant_shed`.
     pub tenant_latency: Vec<CycleHistogram>,
-    /// End-to-end latency per executed entry (cycles): admission (or
-    /// virtual arrival) to end of its epoch on the shard's virtual clock.
+    /// End-to-end latency per executed entry (cycles): its arrival
+    /// (admission, or the `submit_at` time) to the end of its epoch, both
+    /// on the shard's virtual clock.
     pub latency: CycleHistogram,
     /// Cycles the shard's device spent executing epochs.
     pub busy_cycles: u64,

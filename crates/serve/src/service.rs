@@ -190,6 +190,9 @@ pub(crate) struct ShardState {
     /// Entries executed or timed out: equal to `enqueued` once the shard
     /// has drained.
     pub(crate) settled: AtomicU64,
+    /// The virtual clock as of the last booked epoch: a live request
+    /// arrives at it.
+    pub(crate) clock: AtomicU64,
 }
 
 impl ShardState {
@@ -203,6 +206,7 @@ impl ShardState {
             tenant_shed: (0..qos.num_tenants()).map(|_| AtomicU64::new(0)).collect(),
             max_depth: AtomicU64::new(0),
             settled: AtomicU64::new(0),
+            clock: AtomicU64::new(0),
         }
     }
 
@@ -260,9 +264,10 @@ impl Client {
     }
 
     /// Submits a request; the returned [`Ticket`] resolves once its epoch
-    /// executes (or admission sheds it).
+    /// executes (or admission sheds it). It arrives now: at its shard's
+    /// virtual clock, the end of the shard's last booked epoch.
     pub fn submit(&self, key: Key, op: OpKind) -> Ticket {
-        self.inner.submit(key, op, None, 0, self.tenant)
+        self.inner.submit(key, op, None, None, self.tenant)
     }
 
     /// Submits with a deadline: if the deadline passes before the request's
@@ -270,7 +275,7 @@ impl Client {
     pub fn submit_with_deadline(&self, key: Key, op: OpKind, deadline: Duration) -> Ticket {
         // A deadline too far off to represent is no deadline.
         let deadline = Instant::now().checked_add(deadline);
-        self.inner.submit(key, op, deadline, 0, self.tenant)
+        self.inner.submit(key, op, deadline, None, self.tenant)
     }
 
     /// Submits with a virtual arrival time in device cycles (open-loop
@@ -279,28 +284,24 @@ impl Client {
     /// latency is measured from that arrival.
     pub fn submit_at(&self, key: Key, op: OpKind, arrival_cycles: u64) -> Ticket {
         self.inner
-            .submit(key, op, None, arrival_cycles, self.tenant)
+            .submit(key, op, None, Some(arrival_cycles), self.tenant)
     }
 
     /// Batched submission: admits the whole slice with one timestamp
     /// range-claim and one bulk enqueue per involved shard, amortizing
     /// the per-request admission overhead. Request `i` draws timestamp
     /// `base + i`, so the batch linearizes in slice order. Tickets come
-    /// back positionally.
+    /// back positionally. Each request arrives now, as with `submit`.
     pub fn submit_many(&self, ops: &[(Key, OpKind)]) -> Vec<Ticket> {
-        self.inner.submit_many(
-            ops.len(),
-            ops.iter().map(|&(k, o)| (k, o, 0)),
-            None,
-            self.tenant,
-        )
+        let ops = ops.iter().map(|&(k, o)| (k, o, None));
+        self.inner.submit_many(ops.len(), ops, None, self.tenant)
     }
 
     /// [`submit_many`](Client::submit_many) with a virtual arrival time
     /// (device cycles) per request.
     pub fn submit_many_at(&self, ops: &[(Key, OpKind, u64)]) -> Vec<Ticket> {
-        self.inner
-            .submit_many(ops.len(), ops.iter().copied(), None, self.tenant)
+        let ops = ops.iter().map(|&(k, o, at)| (k, o, Some(at)));
+        self.inner.submit_many(ops.len(), ops, None, self.tenant)
     }
 
     /// A snapshot of the service's current shard map. With online
@@ -673,6 +674,7 @@ impl<'s> Executor<'s> {
         if let Some(feedback) = books.record(&epoch, run.stats) {
             self.controller.on_epoch(&feedback);
         }
+        state.clock.store(books.clock, Relaxed);
         debug_assert_eq!(
             books.epoch_order_violations,
             0,
