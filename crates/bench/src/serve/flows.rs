@@ -231,15 +231,24 @@ impl SkewMode {
     }
 }
 
+/// Range-request shares (percent of the stream) the skew grid crosses.
+const SKEW_RANGE_SHARES: [u64; 2] = [5, 50];
+
+/// Range lengths the skew grid crosses. Hash scatter sends a range to
+/// every shard, so long ranges are range sharding's best ground.
+const SKEW_RANGE_LENS: [u32; 2] = [8, 256];
+
 /// A clustered-Zipf request stream: rank `r` maps *monotonically* to key
 /// `r + 1`, so the hot mass is one contiguous band at the bottom of the
 /// key domain. This is the adversarial case for range sharding — the
 /// whole band lands on one shard — where the default generator's
 /// rank-scattering golden-ratio multiply would spread it out and hide the
-/// hot shard entirely. Mix: 70% query, 25% upsert, 5% short ranges.
+/// hot shard entirely. Mix: `range_share` % ranges of `range_len` keys,
+/// 25% upserts, the rest queries.
 fn clustered_zipf_stream(
     tree_size: usize,
     theta: f64,
+    (range_share, range_len): (u64, u32),
     count: usize,
     seed: u64,
 ) -> Vec<(Key, OpKind)> {
@@ -252,12 +261,13 @@ fn clustered_zipf_stream(
         let u = (state >> 11) as f64 / (1u64 << 53) as f64;
         let key = (zipf.rank(u) + 1) as Key;
         state = mix64(state);
-        let op = match state % 100 {
-            0..=69 => OpKind::Query,
-            70..=94 => OpKind::Upsert((state >> 32) as u32),
-            _ => OpKind::Range {
-                len: 64 + ((state >> 32) % 128) as u32,
-            },
+        let pick = state % 100;
+        let op = if pick < range_share {
+            OpKind::Range { len: range_len }
+        } else if pick < range_share + 25 {
+            OpKind::Upsert((state >> 32) as u32)
+        } else {
+            OpKind::Query
         };
         out.push((key, op));
     }
@@ -289,7 +299,9 @@ fn skew_rebalance_spec(batch_limit: usize) -> RebalanceSpec {
 /// Runs one skew cell: `clients` submitter threads stream the clustered
 /// stream through [`submit`] with the gate open (a closed loop with
 /// backpressure — no held-gate preload, so the rebalancer samples live
-/// traffic). Returns the measured pass's report and every boundary move.
+/// traffic). Returns the measured pass's report, its wall-clock rate in
+/// kreq/s (first submission to the return of `shutdown`) and every
+/// boundary move.
 ///
 /// The rebalanced mode measures *steady state*: convergence passes replay
 /// the stream until a pass publishes no topology change (the online
@@ -302,7 +314,8 @@ fn run_skew_cell(
     shards: usize,
     mode: SkewMode,
     theta: f64,
-) -> (ServeReport, Vec<RebalanceEvent>) {
+    ground: (u64, u32),
+) -> (ServeReport, f64, Vec<RebalanceEvent>) {
     let spec = scale.spec(None);
     let pairs = pairs(&spec);
     let pass = |map: ShardMap, seed: u64| {
@@ -318,9 +331,14 @@ fn run_skew_cell(
             ..scale.config(map, SKEW_QUEUE_DEPTH.min(scale.requests + 1), false)
         };
         let svc = Service::new(&pairs, cfg);
-        let reqs = clustered_zipf_stream(spec.tree_size, theta, scale.requests, seed);
+        let reqs = clustered_zipf_stream(spec.tree_size, theta, ground, scale.requests, seed);
+        let start = Instant::now();
         submit(&svc, &streams(&reqs, scale.clients, 0), None);
-        svc.shutdown()
+        let report = svc.shutdown();
+        (
+            report,
+            reqs.len() as f64 / start.elapsed().as_secs_f64() / 1e3,
+        )
     };
     let base_seed = scale.seed ^ (theta * 1e3) as u64;
     let mut map = workload_map(shards, spec.key_domain());
@@ -331,7 +349,7 @@ fn run_skew_cell(
         0
     };
     for n in 0..passes {
-        let report = pass(map.clone(), mix64(base_seed ^ n));
+        let (report, _) = pass(map.clone(), mix64(base_seed ^ n));
         if report.rebalances.is_empty() && n > 0 {
             // The topology stopped moving: converged. Pass 0 never
             // breaks — a single quiet pass can be the startup race (the
@@ -348,9 +366,9 @@ fn run_skew_cell(
         }
         events.extend(report.rebalances);
     }
-    let report = pass(map, base_seed);
+    let (report, wall) = pass(map, base_seed);
     events.extend(report.rebalances.iter().cloned());
-    (report, events)
+    (report, wall, events)
 }
 
 /// Smallest tree (as a power of two) whose cells run enough epochs for
@@ -374,9 +392,10 @@ fn convergence_claim(enforced: bool, held: bool, what: &str) -> bool {
     !enforced
 }
 
-/// The skew sweep: θ × sharding-mode matrix of closed-loop throughput
-/// under the clustered-Zipf stream, with the hot-shard checks the sweep
-/// exists to guard. Rebalancing must beat the static hot shard at the
+/// The skew sweep: θ × range share × range length × sharding-mode grid
+/// of closed-loop throughput under the clustered-Zipf stream, on both
+/// clocks, with the hot-shard checks the sweep exists to guard (each on
+/// every range ground). Rebalancing must beat the static hot shard at the
 /// heaviest skew at every scale. The two claims that presume the policy
 /// converged — the rebalancer moves a boundary at every θ ≥ 1.0, and the
 /// better of rebalanced/hash reaches 2× static at θ = 1.0 — are printed
@@ -387,71 +406,96 @@ pub(super) fn run_skew(scale: &ServeScale) -> i32 {
     let shards = scale.shards.first().copied().unwrap_or(8);
     eprintln!(
         "serve: skew sweep — tree 2^{}, {} requests/cell, {} shards, batch {}, \
-         {} client(s), thetas {:?}",
+         {} client(s), thetas {:?}, seed {}",
         scale.tree_exp,
         scale.requests,
         shards,
         scale.batch_limit,
         scale.clients.max(1),
         scale.thetas,
+        scale.seed,
     );
     println!(
-        "{:>6}  {:<17} {:>10}  {:>10}  {:>9}  {:>9}  {:>6}  {:>6}  {:>6}",
-        "theta", "mode", "tput(M/s)", "vs static", "p50(us)", "p99(us)", "epochs", "moves", "keys"
+        "{:>6}  {:>5}  {:>4}  {:<17} {:>10}  {:>10}  {:>9}  {:>9}  {:>10}  {:>6}  {:>6}  {:>6}",
+        "theta",
+        "range",
+        "len",
+        "mode",
+        "tput(M/s)",
+        "vs static",
+        "p50(us)",
+        "p99(us)",
+        "wall(k/s)",
+        "epochs",
+        "moves",
+        "keys"
     );
     let device = scale.device();
     let enforced = scale.tree_exp >= CONVERGED_TREE_EXP;
-    // Each θ with its modes' throughputs in `SkewMode::ALL` order.
-    let mut tputs: Vec<(f64, [f64; 3])> = Vec::new();
+    // Each cell's θ and range ground with its modes' throughputs in
+    // `SkewMode::ALL` order.
+    let mut tputs: Vec<(f64, (u64, u32), [f64; 3])> = Vec::new();
     let mut all_ok = true;
     for &theta in &scale.thetas {
-        let mut tput = [0.0f64; 3];
-        for (i, mode) in SkewMode::ALL.into_iter().enumerate() {
-            let (report, events) = run_skew_cell(scale, shards, mode, theta);
-            tput[i] = report.throughput();
-            let (shed, timed_out) = (report.shed(), report.timed_out());
-            if shed != 0 || timed_out != 0 {
-                let mode = mode.label();
-                eprintln!(
-                    "serve: skew θ={theta} {mode}: unexpected shed={shed} timed_out={timed_out}"
-                );
-                all_ok = false;
+        for share in SKEW_RANGE_SHARES {
+            for len in SKEW_RANGE_LENS {
+                let ground = (share, len);
+                let mut tput = [0.0f64; 3];
+                for (i, mode) in SkewMode::ALL.into_iter().enumerate() {
+                    let (report, wall, events) = run_skew_cell(scale, shards, mode, theta, ground);
+                    tput[i] = report.throughput();
+                    let (shed, timed_out) = (report.shed(), report.timed_out());
+                    if shed != 0 || timed_out != 0 {
+                        let mode = mode.label();
+                        eprintln!(
+                            "serve: skew θ={theta} {share}%x{len} {mode}: unexpected \
+                             shed={shed} timed_out={timed_out}"
+                        );
+                        all_ok = false;
+                    }
+                    if mode == SkewMode::Rebalanced && theta >= 1.0 {
+                        let claim =
+                            format!("rebalancer_moved_a_boundary_at_theta_{theta}_{share}%x{len}");
+                        all_ok &= convergence_claim(enforced, !events.is_empty(), &claim);
+                    }
+                    let lat = report.latency();
+                    println!(
+                        "{theta:>6.2}  {share:>4}%  {len:>4}  {:<17} {:>10.2}  {:>9.2}x  \
+                         {:>9.1}  {:>9.1}  {:>10.1}  {:>6}  {:>6}  {:>6}",
+                        mode.label(),
+                        tput[i] / 1e6,
+                        if tput[0] > 0.0 {
+                            tput[i] / tput[0]
+                        } else {
+                            0.0
+                        },
+                        cycles_to_us(&device, lat.p50()),
+                        cycles_to_us(&device, lat.p99()),
+                        wall,
+                        report.shards.iter().map(|s| s.epochs).sum::<u64>(),
+                        events.len(),
+                        events.iter().map(|e| e.moved_keys).sum::<u64>(),
+                    );
+                }
+                tputs.push((theta, ground, tput));
             }
-            if mode == SkewMode::Rebalanced && theta >= 1.0 {
-                let claim = format!("rebalancer_moved_a_boundary_at_theta_{theta}");
-                all_ok &= convergence_claim(enforced, !events.is_empty(), &claim);
-            }
-            let lat = report.latency();
-            println!(
-                "{theta:>6.2}  {:<17} {:>10.2}  {:>9.2}x  {:>9.1}  {:>9.1}  {:>6}  {:>6}  {:>6}",
-                mode.label(),
-                tput[i] / 1e6,
-                if tput[0] > 0.0 {
-                    tput[i] / tput[0]
-                } else {
-                    0.0
-                },
-                cycles_to_us(&device, lat.p50()),
-                cycles_to_us(&device, lat.p99()),
-                report.shards.iter().map(|s| s.epochs).sum::<u64>(),
-                events.len(),
-                events.iter().map(|e| e.moved_keys).sum::<u64>(),
-            );
         }
-        tputs.push((theta, tput));
     }
-    // Heaviest swept skew: a moving topology must beat the frozen one.
-    if let Some(&(theta, [fixed, moving, _])) = tputs.iter().max_by(|a, b| a.0.total_cmp(&b.0)) {
-        if moving <= fixed {
-            eprintln!("serve: skew check failed: rebalanced_beats_static_at_theta_{theta}");
+    let heaviest = scale.thetas.iter().copied().fold(f64::MIN, f64::max);
+    for &(theta, (share, len), [fixed, moving, hash]) in &tputs {
+        // Heaviest swept skew: a moving topology must beat the frozen one.
+        if theta == heaviest && moving <= fixed {
+            eprintln!(
+                "serve: skew check failed: rebalanced_beats_static_at_theta_{theta}_{share}%x{len}"
+            );
             all_ok = false;
         }
-    }
-    // Paper-scale claim: at θ = 1.0 the better skew-resilient mode
-    // reaches 2× the static hot shard.
-    if let Some(&(_, [fixed, moving, hash])) = tputs.iter().find(|c| c.0 == 1.0) {
-        let claim = "skew_resilient_2x_static_at_theta_1.0";
-        all_ok &= convergence_claim(enforced, moving.max(hash) >= 2.0 * fixed, claim);
+        // Paper-scale claim: at θ = 1.0 the better skew-resilient mode
+        // reaches 2× the static hot shard.
+        if theta == 1.0 {
+            let claim = format!("skew_resilient_2x_static_at_theta_1.0_{share}%x{len}");
+            all_ok &= convergence_claim(enforced, moving.max(hash) >= 2.0 * fixed, &claim);
+        }
     }
     verdict(all_ok, "skew sweep passed every check")
 }
