@@ -355,15 +355,13 @@ fn workload_map(shards: usize, key_domain: u64) -> ShardMap {
 }
 
 /// Observer for `--monitor`: accumulates the series and prints SLO
-/// breaches and topology changes to stderr the moment they happen.
+/// breaches to stderr the moment they happen.
 struct MonitorObserver(Arc<SeriesCollector>);
 
 impl ServiceObserver for MonitorObserver {
     fn on_event(&self, event: &ServeEvent) {
-        match event {
-            ServeEvent::Sample(_) => {}
-            ServeEvent::Breach(breach) => eprintln!("serve: {breach}"),
-            ServeEvent::Rebalance(change) => eprintln!("serve: {change}"),
+        if let ServeEvent::Breach(breach) = event {
+            eprintln!("serve: {breach}");
         }
         self.0.on_event(event);
     }
@@ -414,15 +412,6 @@ fn render_dashboard(label: &str, device: &DeviceConfig, collector: &SeriesCollec
             s.closed.idle,
             s.closed.returned,
             s.closed.drain,
-        );
-    }
-    // Topology summary: events already printed as they fired; the frame
-    // just carries the running total and the latest move.
-    let rebalances = collector.rebalances();
-    if let Some(last) = rebalances.last() {
-        eprintln!(
-            "monitor[{label}] t={secs:.1}s  {} topology change(s), latest: {last}",
-            rebalances.len()
         );
     }
 }

@@ -4,7 +4,7 @@
 //! module's config, streams and client loop.
 
 use super::*;
-use eirene_serve::{RebalanceEvent, RebalanceSpec, Sharding};
+use eirene_serve::Sharding;
 use eirene_sim::mix64;
 use eirene_workloads::Zipfian;
 
@@ -208,28 +208,10 @@ fn run_isolation(scale: &ServeScale, shards: usize) -> bool {
     ok
 }
 
-/// One sharding mode of the skew sweep.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SkewMode {
-    /// Fixed key-range shards (the hot-shard baseline).
-    Static,
-    /// Key-range shards with the online rebalancer enabled.
-    Rebalanced,
-    /// Hash-scatter shards (fixed topology, skew-immune by construction).
-    Hash,
-}
-
-impl SkewMode {
-    const ALL: [SkewMode; 3] = [SkewMode::Static, SkewMode::Rebalanced, SkewMode::Hash];
-
-    fn label(self) -> &'static str {
-        match self {
-            SkewMode::Static => "static-range",
-            SkewMode::Rebalanced => "rebalanced-range",
-            SkewMode::Hash => "hash",
-        }
-    }
-}
+/// The skew sweep's sharding modes, the hot-shard baseline first, with
+/// their labels.
+const SKEW_MODES: [(Sharding, &str); 2] =
+    [(Sharding::Range, "static-range"), (Sharding::Hash, "hash")];
 
 /// Range-request shares (percent of the stream) the skew grid crosses.
 const SKEW_RANGE_SHARES: [u64; 2] = [5, 50];
@@ -279,129 +261,45 @@ fn clustered_zipf_stream(
 /// backpressure), large enough to keep the pipeline fed.
 const SKEW_QUEUE_DEPTH: usize = 8192;
 
-/// Caps the rebalanced mode's topology-convergence loop.
-const SKEW_CONVERGE_PASSES: u64 = 6;
-
-/// The policy the sweep hands the rebalancer: act after 2 qualifying
-/// rounds with a short cooldown (the runs are seconds, not hours), a
-/// longer warmup so the saturated shard's slow first epochs get to
-/// report before anything fires, and a noise floor of half an epoch's
-/// worth of load so lightly-loaded shards can never look hot.
-fn skew_rebalance_spec(batch_limit: usize) -> RebalanceSpec {
-    RebalanceSpec {
-        sustain_epochs: 2,
-        cooldown_epochs: 1,
-        warmup_rounds: 8,
-        min_depth: (batch_limit as u64 / 2).max(64),
-    }
-}
-
 /// Runs one skew cell: `clients` submitter threads stream the clustered
 /// stream through [`submit`] with the gate open (a closed loop with
-/// backpressure — no held-gate preload, so the rebalancer samples live
-/// traffic). Returns the measured pass's report, its wall-clock rate in
-/// kreq/s (first submission to the return of `shutdown`) and every
-/// boundary move.
-///
-/// The rebalanced mode measures *steady state*: convergence passes replay
-/// the stream until a pass publishes no topology change (the online
-/// rebalancer chases the hot band by repeated median splits, which takes
-/// several publications), then the measured pass starts from the
-/// converged map — with the rebalancer still running. Static and hash
-/// cells are a single measured pass; their topology never moves.
+/// backpressure). Returns the report and the wall-clock rate in kreq/s,
+/// from the first submission to the return of `shutdown`.
 fn run_skew_cell(
     scale: &ServeScale,
     shards: usize,
-    mode: SkewMode,
+    sharding: Sharding,
     theta: f64,
     ground: (u64, u32),
-) -> (ServeReport, f64, Vec<RebalanceEvent>) {
+) -> (ServeReport, f64) {
     let spec = scale.spec(None);
-    let pairs = pairs(&spec);
-    let pass = |map: ShardMap, seed: u64| {
-        let cfg = ServeConfig {
-            sharding: if mode == SkewMode::Hash {
-                Sharding::Hash
-            } else {
-                Sharding::Range
-            },
-            rebalance: (mode == SkewMode::Rebalanced)
-                .then(|| skew_rebalance_spec(scale.batch_limit)),
-            sizing: EpochSizing::Fixed(scale.batch_limit),
-            ..scale.config(map, SKEW_QUEUE_DEPTH.min(scale.requests + 1), false)
-        };
-        let svc = Service::new(&pairs, cfg);
-        let reqs = clustered_zipf_stream(spec.tree_size, theta, ground, scale.requests, seed);
-        let start = Instant::now();
-        submit(&svc, &streams(&reqs, scale.clients, 0), None);
-        let report = svc.shutdown();
-        (
-            report,
-            reqs.len() as f64 / start.elapsed().as_secs_f64() / 1e3,
-        )
+    let map = workload_map(shards, spec.key_domain());
+    let cfg = ServeConfig {
+        sharding,
+        sizing: EpochSizing::Fixed(scale.batch_limit),
+        ..scale.config(map, SKEW_QUEUE_DEPTH.min(scale.requests + 1), false)
     };
-    let base_seed = scale.seed ^ (theta * 1e3) as u64;
-    let mut map = workload_map(shards, spec.key_domain());
-    let mut events: Vec<RebalanceEvent> = Vec::new();
-    let passes = if mode == SkewMode::Rebalanced {
-        SKEW_CONVERGE_PASSES
-    } else {
-        0
-    };
-    for n in 0..passes {
-        let (report, _) = pass(map.clone(), mix64(base_seed ^ n));
-        if report.rebalances.is_empty() && n > 0 {
-            // The topology stopped moving: converged. Pass 0 never
-            // breaks — a single quiet pass can be the startup race (the
-            // hot shard's samples arriving too late to act on), not
-            // convergence.
-            break;
-        }
-        // Replay the published boundary moves onto the map the next pass
-        // (and ultimately the measured pass) starts from.
-        for ev in &report.rebalances {
-            map = map
-                .with_boundary(ev.boundary, ev.new_start)
-                .expect("published boundary moves are valid");
-        }
-        events.extend(report.rebalances);
-    }
-    let (report, wall) = pass(map, base_seed);
-    events.extend(report.rebalances.iter().cloned());
-    (report, wall, events)
+    let svc = Service::new(&pairs(&spec), cfg);
+    let seed = scale.seed ^ (theta * 1e3) as u64;
+    let reqs = clustered_zipf_stream(spec.tree_size, theta, ground, scale.requests, seed);
+    let start = Instant::now();
+    submit(&svc, &streams(&reqs, scale.clients, 0), None);
+    let report = svc.shutdown();
+    let wall = reqs.len() as f64 / start.elapsed().as_secs_f64() / 1e3;
+    (report, wall)
 }
 
-/// Smallest tree (as a power of two) whose cells run enough epochs for
-/// the rebalancing policy to converge.
-const CONVERGED_TREE_EXP: u32 = 20;
-
-/// Reports a claim that presumes a converged rebalancing policy: printed
-/// whenever it does not hold, a failure only where `enforced`. Returns
-/// whether the sweep may still pass.
-fn convergence_claim(enforced: bool, held: bool, what: &str) -> bool {
-    if held {
-        return true;
-    }
-    if enforced {
-        eprintln!("serve: skew check failed: {what}");
-    } else {
-        eprintln!(
-            "serve: skew: {what} did not hold; only enforced at tree >= 2^{CONVERGED_TREE_EXP}"
-        );
-    }
-    !enforced
-}
+/// Smallest tree (as a power of two) at which the 2× claim fails the
+/// sweep: the paper scale.
+const PAPER_TREE_EXP: u32 = 20;
 
 /// The skew sweep: θ × range share × range length × sharding-mode grid
 /// of closed-loop throughput under the clustered-Zipf stream, on both
-/// clocks, with the hot-shard checks the sweep exists to guard (each on
-/// every range ground). Rebalancing must beat the static hot shard at the
-/// heaviest skew at every scale. The two claims that presume the policy
-/// converged — the rebalancer moves a boundary at every θ ≥ 1.0, and the
-/// better of rebalanced/hash reaches 2× static at θ = 1.0 — are printed
-/// at every scale but fail the run only at paper scale (tree ≥ 2^20):
-/// whether a reduced tree's few epochs let the rebalancer act is a
-/// wall-clock race between it and the submitters.
+/// clocks, with the hot-shard checks the sweep exists to guard, each on
+/// every range ground. Hash scatter must beat the static hot shard at the
+/// heaviest skew at every scale, and reach 2× it at θ = 1.0 at paper
+/// scale (tree ≥ 2^20; below it the claim is printed, not enforced).
+/// EXPERIMENTS.md records the grid that retired online rebalancing.
 pub(super) fn run_skew(scale: &ServeScale) -> i32 {
     let shards = scale.shards.first().copied().unwrap_or(8);
     eprintln!(
@@ -416,7 +314,7 @@ pub(super) fn run_skew(scale: &ServeScale) -> i32 {
         scale.seed,
     );
     println!(
-        "{:>6}  {:>5}  {:>4}  {:<17} {:>10}  {:>10}  {:>9}  {:>9}  {:>10}  {:>6}  {:>6}  {:>6}",
+        "{:>6}  {:>5}  {:>4}  {:<13} {:>10}  {:>10}  {:>9}  {:>9}  {:>10}  {:>6}",
         "theta",
         "range",
         "len",
@@ -426,43 +324,32 @@ pub(super) fn run_skew(scale: &ServeScale) -> i32 {
         "p50(us)",
         "p99(us)",
         "wall(k/s)",
-        "epochs",
-        "moves",
-        "keys"
+        "epochs"
     );
     let device = scale.device();
-    let enforced = scale.tree_exp >= CONVERGED_TREE_EXP;
-    // Each cell's θ and range ground with its modes' throughputs in
-    // `SkewMode::ALL` order.
-    let mut tputs: Vec<(f64, (u64, u32), [f64; 3])> = Vec::new();
+    let enforced = scale.tree_exp >= PAPER_TREE_EXP;
+    let heaviest = scale.thetas.iter().copied().fold(f64::MIN, f64::max);
     let mut all_ok = true;
     for &theta in &scale.thetas {
         for share in SKEW_RANGE_SHARES {
             for len in SKEW_RANGE_LENS {
-                let ground = (share, len);
-                let mut tput = [0.0f64; 3];
-                for (i, mode) in SkewMode::ALL.into_iter().enumerate() {
-                    let (report, wall, events) = run_skew_cell(scale, shards, mode, theta, ground);
+                let mut tput = [0.0f64; 2];
+                for (i, (sharding, label)) in SKEW_MODES.into_iter().enumerate() {
+                    let (report, wall) =
+                        run_skew_cell(scale, shards, sharding, theta, (share, len));
                     tput[i] = report.throughput();
                     let (shed, timed_out) = (report.shed(), report.timed_out());
                     if shed != 0 || timed_out != 0 {
-                        let mode = mode.label();
                         eprintln!(
-                            "serve: skew θ={theta} {share}%x{len} {mode}: unexpected \
+                            "serve: skew θ={theta} {share}%x{len} {label}: unexpected \
                              shed={shed} timed_out={timed_out}"
                         );
                         all_ok = false;
                     }
-                    if mode == SkewMode::Rebalanced && theta >= 1.0 {
-                        let claim =
-                            format!("rebalancer_moved_a_boundary_at_theta_{theta}_{share}%x{len}");
-                        all_ok &= convergence_claim(enforced, !events.is_empty(), &claim);
-                    }
                     let lat = report.latency();
                     println!(
-                        "{theta:>6.2}  {share:>4}%  {len:>4}  {:<17} {:>10.2}  {:>9.2}x  \
-                         {:>9.1}  {:>9.1}  {:>10.1}  {:>6}  {:>6}  {:>6}",
-                        mode.label(),
+                        "{theta:>6.2}  {share:>4}%  {len:>4}  {label:<13} {:>10.2}  {:>9.2}x  \
+                         {:>9.1}  {:>9.1}  {:>10.1}  {:>6}",
                         tput[i] / 1e6,
                         if tput[0] > 0.0 {
                             tput[i] / tput[0]
@@ -473,28 +360,26 @@ pub(super) fn run_skew(scale: &ServeScale) -> i32 {
                         cycles_to_us(&device, lat.p99()),
                         wall,
                         report.shards.iter().map(|s| s.epochs).sum::<u64>(),
-                        events.len(),
-                        events.iter().map(|e| e.moved_keys).sum::<u64>(),
                     );
                 }
-                tputs.push((theta, ground, tput));
+                let [fixed, hash] = tput;
+                let cell = format!("theta_{theta}_{share}%x{len}");
+                if theta == heaviest && hash <= fixed {
+                    eprintln!("serve: skew check failed: hash_beats_static_at_{cell}");
+                    all_ok = false;
+                }
+                if theta == 1.0 && hash < 2.0 * fixed {
+                    let claim = format!("hash_2x_static_at_{cell}");
+                    if enforced {
+                        eprintln!("serve: skew check failed: {claim}");
+                        all_ok = false;
+                    } else {
+                        eprintln!(
+                            "serve: skew: {claim} did not hold; enforced at tree >= 2^{PAPER_TREE_EXP}"
+                        );
+                    }
+                }
             }
-        }
-    }
-    let heaviest = scale.thetas.iter().copied().fold(f64::MIN, f64::max);
-    for &(theta, (share, len), [fixed, moving, hash]) in &tputs {
-        // Heaviest swept skew: a moving topology must beat the frozen one.
-        if theta == heaviest && moving <= fixed {
-            eprintln!(
-                "serve: skew check failed: rebalanced_beats_static_at_theta_{theta}_{share}%x{len}"
-            );
-            all_ok = false;
-        }
-        // Paper-scale claim: at θ = 1.0 the better skew-resilient mode
-        // reaches 2× the static hot shard.
-        if theta == 1.0 {
-            let claim = format!("skew_resilient_2x_static_at_theta_1.0_{share}%x{len}");
-            all_ok &= convergence_claim(enforced, moving.max(hash) >= 2.0 * fixed, &claim);
         }
     }
     verdict(all_ok, "skew sweep passed every check")

@@ -66,6 +66,11 @@ fn monitored_smoke_sweep_exports_series_and_spans_that_parse_back() {
     // --smoke sweeps 1 and 4 shards, closed loop plus one open-loop load.
     assert_eq!(cells.len(), 4);
     for cell in cells {
+        let series = cell.get("series").expect("series");
+        assert_eq!(
+            series.get("schema_version").and_then(|v| v.as_u64()),
+            Some(2)
+        );
         let samples = cell
             .get("series")
             .and_then(|s| s.get("samples"))

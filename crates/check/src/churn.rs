@@ -19,9 +19,9 @@
 //!   everything retired during the batch, so nothing stays parked.
 //!
 //! The serve cases ([`run_churn_serve_case`]) push the same churn stream
-//! through a sharded service with racing submitters and a forced
-//! split + merge rebalance, piggybacking on [`run_serve_case`] (which
-//! checks the per-shard arena gauges on every serve case).
+//! through a sharded service with racing submitters, piggybacking on
+//! [`run_serve_case`] (which checks the per-shard arena gauges on every
+//! serve case).
 
 use crate::diff::{build_tree, check_against_oracle, oracle_over, FuzzTree, Violation};
 use crate::driver::{mix, At, Fuzz, Leg};
@@ -73,15 +73,14 @@ pub fn run_churn_case(opts: &Fuzz, case_seed: u64) -> Result<u64, (Violation, At
 }
 
 /// One serve-leg churn case: the concatenated rounds stream through a
-/// 4-shard service with 4 racing submitters and a forced split + merge
-/// rebalance mid-stream, checked by [`run_serve_case`] (tickets vs the
-/// flat oracle, structures, report accounting, per-shard arena gauges).
+/// 4-shard service with 4 racing submitters, checked by
+/// [`run_serve_case`] (tickets vs the flat oracle, structures, report
+/// accounting, per-shard arena gauges).
 pub fn run_churn_serve_case(opts: &Fuzz, case_seed: u64) -> Result<(), Violation> {
     let serve = Fuzz {
         domain: opts.domain,
         initial_keys: opts.initial_keys,
         submitters: 4,
-        rebalance: true,
         ..Fuzz::new(Leg::Serve)
     };
     let map = fuzz_shard_map(serve.shards, serve.domain);

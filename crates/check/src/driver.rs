@@ -103,8 +103,6 @@ pub struct Fuzz {
     pub adaptive: bool,
     /// Serve: QoS tenant lanes per shard (0 or 1: no lanes).
     pub tenants: usize,
-    /// Serve: force a split and a merge half-way through each stream.
-    pub rebalance: bool,
     /// Serve: hash sharding (every range scatter-gathers).
     pub hash: bool,
     /// Churn: rounds applied to each case's tree.
@@ -142,7 +140,6 @@ impl Fuzz {
             submitters: 1,
             adaptive: false,
             tenants: 0,
-            rebalance: false,
             hash: false,
             rounds: 6,
             occupancy_factor: 4,
@@ -374,7 +371,7 @@ pub enum CaseKind {
     /// Churn rounds on one tree.
     Churn,
     /// The churn rounds as one stream through a service with racing
-    /// submitters and a forced rebalance (always OS-scheduled).
+    /// submitters (always OS-scheduled).
     ChurnServe,
     /// Coalesce rounds on the twin trees.
     Coalesce,
@@ -514,7 +511,6 @@ const SERVE_FLAGS: &[Flag<Fuzz>] = &[
     flag!(["--epoch-limit"] "N", epoch_limit),
     flag!(["--adaptive"], adaptive),
     flag!(["--tenants"] "N", tenants),
-    flag!(["--rebalance"], rebalance),
     flag!(["--hash"], hash),
 ];
 

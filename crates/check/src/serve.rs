@@ -22,8 +22,7 @@ use crate::diff::{check_contents, oracle_over, Violation};
 use crate::driver::{mix, Fuzz};
 use eirene_serve::{
     reconcile_samples, AdmitPolicy, AimdSpec, Client, EpochSizing, ObserveConfig, Outcome,
-    QosConfig, RebalanceAction, RebalanceKind, RebalanceSpec, SeriesCollector, ServeConfig,
-    Service, ShardMap, Sharding, Ticket,
+    QosConfig, SeriesCollector, ServeConfig, Service, ShardMap, Sharding, Ticket,
 };
 #[cfg(doc)]
 use eirene_workloads::SequentialOracle;
@@ -76,10 +75,15 @@ fn tenant_clients(svc: &Service, opts: &Fuzz) -> Vec<Client> {
     }
 }
 
-/// Submits one phase of the stream: one client, or `submitters` racing
-/// threads on contiguous slices. Tickets keep submission-slice order so
+/// Submits the stream: one client, or `submitters` racing threads on
+/// contiguous slices. Tickets keep submission-slice order so
 /// `tickets[i]` still belongs to `reqs[i]`.
-fn submit_phase(clients: &[Client], reqs: &[Request], submitters: usize, seed: u64) -> Vec<Ticket> {
+fn submit_racing(
+    clients: &[Client],
+    reqs: &[Request],
+    submitters: usize,
+    seed: u64,
+) -> Vec<Ticket> {
     if submitters <= 1 {
         return submit_stream(clients, reqs, mix(seed));
     }
@@ -132,9 +136,6 @@ pub fn run_serve_case(
     } else {
         QosConfig::disabled()
     };
-    // Hash sharding and online rebalancing are mutually exclusive (the
-    // hash topology is fixed), and rebalancing needs a boundary to move.
-    let do_rebalance = opts.rebalance && !opts.hash && map.num_shards() >= 2;
     let cfg = ServeConfig {
         map: map.clone(),
         sharding: if opts.hash {
@@ -142,7 +143,6 @@ pub fn run_serve_case(
         } else {
             Sharding::Range
         },
-        rebalance: do_rebalance.then(RebalanceSpec::manual),
         device: opts.device(device_seed),
         sizing,
         qos,
@@ -159,43 +159,9 @@ pub fn run_serve_case(
     let svc = Service::new(pairs, cfg);
     let submitters = opts.submitters.max(1);
     let clients = tenant_clients(&svc, opts);
-    let tickets: Vec<Ticket> = if do_rebalance {
-        // Phase 1 races the original topology behind the held gate...
-        let (head, tail) = reqs.split_at(reqs.len() / 2);
-        let mut tickets = submit_phase(&clients, head, submitters, device_seed);
-        svc.release();
-        // ...then a forced split and a forced merge migrate live keys
-        // (quiescing needs the gate released, so forcing comes after)...
-        svc.force_rebalance(RebalanceAction::Split { shard: 0 });
-        svc.force_rebalance(RebalanceAction::Merge { left: 0 });
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while svc.rebalance_attempts() < 2 {
-            if std::time::Instant::now() > deadline {
-                return Err(Violation::Accounting(
-                    "forced rebalance attempts did not complete within 30s".into(),
-                ));
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        // ...and phase 2 races the moved boundaries.
-        tickets.extend(submit_phase(&clients, tail, submitters, mix(device_seed)));
-        tickets
-    } else {
-        let tickets = submit_phase(&clients, reqs, submitters, device_seed);
-        svc.release();
-        tickets
-    };
+    let tickets = submit_racing(&clients, reqs, submitters, device_seed);
+    svc.release();
     let report = svc.shutdown();
-    if do_rebalance {
-        let has =
-            |kind: RebalanceKind| report.rebalances.iter().any(|e| e.kind == kind && e.forced);
-        if !has(RebalanceKind::Split) || !has(RebalanceKind::Merge) {
-            return Err(Violation::Accounting(format!(
-                "forced rebalance published {:?}: want at least one forced split and one forced merge",
-                report.rebalances
-            )));
-        }
-    }
 
     // Replay the oracle in admission-timestamp order — the service's
     // linearization order whatever the submission interleaving was.
@@ -354,23 +320,6 @@ mod tests {
         passes(Fuzz {
             adaptive: true,
             tenants: 3,
-            submitters: 4,
-            ..short(4)
-        });
-    }
-
-    #[test]
-    fn serve_fuzz_passes_with_forced_rebalancing() {
-        passes(Fuzz {
-            rebalance: true,
-            ..short(6)
-        });
-    }
-
-    #[test]
-    fn serve_fuzz_passes_with_rebalancing_and_racing_submitters() {
-        passes(Fuzz {
-            rebalance: true,
             submitters: 4,
             ..short(4)
         });

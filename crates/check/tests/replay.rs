@@ -43,7 +43,6 @@ fn serve_replay_line_round_trips() {
         submitters: 4,
         adaptive: true,
         tenants: 4,
-        rebalance: true,
         hash: true,
         ..off_default(Leg::Serve)
     };

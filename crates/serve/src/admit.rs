@@ -49,8 +49,8 @@ use crate::shard::{hash_shard, window_end, RangePart, ShardId, ShardMap, Shardin
 use crate::ticket::{CellRef, Outcome, RangeMerge, Slot, Ticket, TicketBatch};
 use eirene_workloads::{Key, OpKind, Request, Response};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 /// Empty in-flight slot.
 const SLOT_FREE: u64 = u64::MAX;
@@ -150,15 +150,10 @@ impl Route {
 }
 
 pub(crate) struct Inner {
-    /// The live shard map. Admission paths hold the read lock from
-    /// routing until every part of a request is enqueued (so its shard
-    /// counters are booked under the map that routed it); the rebalancer
-    /// takes the write lock to quiesce admission while it migrates keys
-    /// and publishes a moved boundary. Uncontended reads are a few
-    /// nanoseconds — unmeasurable next to a queue push.
-    pub(crate) topology: RwLock<ShardMap>,
-    /// Range or hash-scatter placement. Immutable for the service's
-    /// lifetime.
+    /// The shard map and the placement rule. Both are immutable for the
+    /// service's lifetime, so a request routes the same way whenever it is
+    /// routed.
+    pub(crate) map: ShardMap,
     pub(crate) sharding: Sharding,
     pub(crate) shards: Vec<ShardState>,
     pub(crate) next_ts: AtomicU64,
@@ -202,15 +197,15 @@ impl Inner {
         (n - wm, self.inflight.occupancy())
     }
 
-    /// Routes the request in ticket `cell` under `map` (the caller's
-    /// topology read guard); it stays untimestamped until [`place`].
+    /// Routes the request in ticket `cell`; it stays untimestamped until
+    /// [`place`].
     /// Hash mode ignores the range structure of the map entirely: points
     /// go to their hash shard, ranges scatter-gather to every shard —
     /// each part covers the *full* clipped window and returns `Some` only
     /// at the keys its shard owns; the positional union reassembles the
     /// window ([`RangeMerge::complete_part`]).
-    fn route(&self, map: &ShardMap, cell: u32, (key, op, arrival): Op) -> Routed {
-        let n = self.shards.len();
+    fn route(&self, cell: u32, (key, op, arrival): Op) -> Routed {
+        let (map, n) = (&self.map, self.shards.len());
         let route = match (self.sharding, op) {
             (Sharding::Range, OpKind::Range { len }) => {
                 let parts = map.split_range(key, len);
@@ -283,9 +278,8 @@ impl Inner {
         let mut buckets: Vec<Segment> = (0..self.shards.len())
             .map(|_| Segment::new(batch.clone(), deadline, tenant, 0))
             .collect();
-        let topo = self.topology.read().unwrap();
         for (i, op) in (0u32..).zip(ops) {
-            let r = self.route(&topo, i, op);
+            let r = self.route(i, op);
             let Some(home) = r.route.shards().next() else {
                 // A store without a wake: no caller holds the tickets
                 // before this call returns, so none is parked.
@@ -368,10 +362,9 @@ impl Inner {
         let mut buckets: Vec<Segment> = (0..num_shards)
             .map(|_| Segment::new(batch.clone(), deadline, tenant, bucket_cap))
             .collect();
-        let topo = self.topology.read().unwrap();
         let routed: Vec<Routed> = (0u32..)
             .zip(ops)
-            .map(|(cell, op)| self.route(&topo, cell, op))
+            .map(|(cell, op)| self.route(cell, op))
             .collect();
         let mut avail = vec![usize::MAX; num_shards];
         let mut grants = match self.policy {
@@ -421,7 +414,7 @@ impl Inner {
 /// A request to admit, with its virtual arrival (`None`: live, see [`place`]).
 type Op = (Key, OpKind, Option<u64>);
 
-/// One request of a timestamp draw, routed under the topology read guard.
+/// One request of a timestamp draw, routed.
 struct Routed {
     /// The request's cell in its call's ticket block.
     cell: u32,
@@ -513,16 +506,6 @@ pub(crate) fn admit_lanes(
     budget: usize,
     reorder: &mut Reorder,
 ) -> u64 {
-    // Never block on the topology here: the rebalancer holds the write
-    // lock while quiescing this very combiner's shard, and a combiner
-    // parked on the read lock could never drain — deadlock. Skip the
-    // admission pass instead (segments stay staged); the short sleep
-    // keeps the loop from hot-spinning meanwhile, since staged lane
-    // requests defeat the ingress drain's idle wait.
-    let Ok(topo) = inner.topology.try_read() else {
-        std::thread::sleep(Duration::from_micros(50));
-        return 0;
-    };
     let drained = state.queue.drain_lanes(budget);
     if drained.is_empty() {
         return 0;
@@ -544,7 +527,7 @@ pub(crate) fn admit_lanes(
                 seg.fail(&Outcome::TimedOut);
                 continue;
             }
-            admit_lane_segment(inner, &topo, state, shard, reorder, seg);
+            admit_lane_segment(inner, state, shard, reorder, seg);
         }
     }
     state.queue.lane_drain_done();
@@ -554,12 +537,11 @@ pub(crate) fn admit_lanes(
 /// Timestamps one lane-drained segment with one range draw and places it
 /// ([`place`]), unlimited at home and within the grants reserved on
 /// peers: the home bucket goes straight into this combiner's reorder
-/// stage; each peer's — the other parts of split ranges, or requests a
-/// rebalance moved since staging — is forwarded as one segment. Never
-/// blocks on a peer; the caller's in-flight slot covers the draw.
+/// stage; each peer's — the other parts of split ranges — is forwarded
+/// as one segment. Never blocks on a peer; the caller's in-flight slot
+/// covers the draw.
 fn admit_lane_segment(
     inner: &Inner,
-    topo: &ShardMap,
     state: &ShardState,
     shard: ShardId,
     reorder: &mut Reorder,
@@ -570,7 +552,7 @@ fn admit_lane_segment(
             let &Slot::Cell(cell) = slot else {
                 unreachable!("a lane stages whole requests")
             };
-            inner.route(topo, cell, (req.key, req.op, Some(arrival)))
+            inner.route(cell, (req.key, req.op, Some(arrival)))
         })
         .collect();
     let mut avail = vec![usize::MAX; inner.shards.len()];
@@ -608,7 +590,7 @@ mod tests {
 
     fn inner(shards: usize, depth: usize) -> Inner {
         Inner {
-            topology: RwLock::new(ShardMap::uniform(shards)),
+            map: ShardMap::uniform(shards),
             sharding: Sharding::Range,
             shards: (0..shards)
                 .map(|_| ShardState::new(depth, &QosConfig::disabled()))
@@ -824,9 +806,8 @@ mod tests {
         let depth = 4;
         let inner = inner(1, depth);
         let died = catch_unwind(AssertUnwindSafe(|| {
-            let topo = inner.topology.read().unwrap();
             let routed: Vec<Routed> = (0..depth as u32)
-                .map(|cell| inner.route(&topo, cell, (cell, OpKind::Query, None)))
+                .map(|cell| inner.route(cell, (cell, OpKind::Query, None)))
                 .collect();
             let mut avail = vec![0; 1];
             let _grants = inner.reserve(&routed, None, &mut avail);

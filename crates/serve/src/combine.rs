@@ -57,10 +57,9 @@
 //! their submitter is still enqueueing the rest of its window, and closing
 //! ahead of it makes a half-sized epoch now and another right behind it.
 //! That is the one place a turn waits longer than the grace — as
-//! long as those entries must anyway, within `linger`. A submitter holds
-//! its slot only under the topology read lock, so a rebalance never finds a
-//! combiner waiting this way; staged lane entries, which cannot be admitted
-//! during a rebalance, keep `Returned` shut but not the grace.
+//! long as those entries must anyway, within `linger`. Staged lane
+//! entries, which a lane budget can leave staged, keep `Returned` shut but
+//! not the grace.
 
 use crate::observe::CloseCause;
 use crate::queue::{Drained, Segment};
@@ -503,7 +502,7 @@ mod tests {
                 wake(START + 200),
             ),
             (
-                "and closes on time: a rebalance may be what keeps it staged",
+                "and closes on time: a lane budget can leave requests staged",
                 START + 200,
                 Duration::MAX,
                 after(idle, 2, 40),

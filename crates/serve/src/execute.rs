@@ -66,6 +66,9 @@ pub(crate) struct Books {
     executed: u64,
     /// Entries that expired before their epoch formed.
     pub(crate) timed_out: u64,
+    /// Keys in the tree (sentinel excluded): the count it was built with,
+    /// and exact once the shard thread has read the final contents.
+    pub(crate) key_count: u64,
     /// The device's counters over every booked epoch.
     pub(crate) stats: KernelStats,
     /// The serving layer's own rows — ingress control instructions and
@@ -207,7 +210,7 @@ impl Books {
             closed: self.closed,
             batch_target,
             lane_pending: gauge(|e| e.lane_depth),
-            key_count: load(&shared.key_count),
+            key_count: self.key_count,
             arena_live: arena.live,
             arena_retired: arena.retired,
             descents_saved: self.stats.totals.descents_saved,

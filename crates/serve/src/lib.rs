@@ -50,21 +50,15 @@
 //!   epoch boundary, records per-ticket lifecycle spans (submit → enqueue
 //!   → reorder-release → combine → execute → complete) into a bounded
 //!   ring, and evaluates [`SloSpec`] objectives over sliding epoch
-//!   windows. Samples, the [`SloBreach`]es each one trips and the
-//!   rebalancer's topology changes reach the observer as one stream of
-//!   [`ServeEvent`]s. A final *terminal* sample snapshots each shard's
-//!   totals, so sampled series reconcile exactly with the shutdown
-//!   [`ServeReport`] ([`reconcile_samples`]), whose own invariants
-//!   [`ServeReport::check`] tests.
-//! - **Skew resilience** — two answers to the hot-shard problem. With
-//!   [`Sharding::Hash`] keys scatter by multiplicative hash, so Zipf-hot
-//!   key *ranges* cannot pile onto one shard (ranges are served by
-//!   scatter-gather to every shard and merged positionally). With range
-//!   sharding plus a [`RebalanceSpec`], an online rebalancer watches each
-//!   shard's backlog and moves shard boundaries live — quiescing the
-//!   affected pair, migrating keys between their trees, and atomically
-//!   publishing the new [`ShardMap`] — emitting a [`RebalanceEvent`] per
-//!   published move.
+//!   windows. Samples and the [`SloBreach`]es each one trips reach the
+//!   observer as one stream of [`ServeEvent`]s. A final *terminal*
+//!   sample snapshots each shard's totals, so sampled series reconcile
+//!   exactly with the shutdown [`ServeReport`] ([`reconcile_samples`]),
+//!   whose own invariants [`ServeReport::check`] tests.
+//! - **Skew resilience** — with [`Sharding::Hash`] keys scatter by
+//!   multiplicative hash, so Zipf-hot key *ranges* cannot pile onto one
+//!   shard (ranges are served by scatter-gather to every shard and merged
+//!   positionally). The shard map is fixed for the service's lifetime.
 
 mod admit;
 mod combine;
@@ -73,7 +67,6 @@ mod execute;
 mod lane;
 mod observe;
 mod queue;
-mod rebalance;
 mod reorder;
 mod report;
 mod service;
@@ -87,7 +80,6 @@ pub use observe::{
     ServiceObserver, ShardSample, SloBreach, SloMonitor, SloObjective, SloSpec,
 };
 pub use queue::AdmitPolicy;
-pub use rebalance::{RebalanceAction, RebalanceEvent, RebalanceKind, RebalanceSpec};
 pub use report::{ServeReport, ShardReport};
 pub use service::{Client, ServeConfig, Service};
 pub use shard::{hash_shard, RangePart, ShardId, ShardMap, ShardMapError, Sharding};

@@ -8,20 +8,19 @@
 //! boundaries are the natural sampling points of the combining pipeline
 //! (every counter is quiescent for the sampled epoch, and the shard's
 //! virtual clock has a well-defined value). A sample is built only to be
-//! exported: the batch controller and the rebalancer take their signals
-//! from the shard thread directly, so neither turns observability on.
+//! exported: the batch controller takes its signals from the shard thread
+//! directly, so it does not turn observability on.
 //!
 //! One switch: a service observes exactly when an observer is registered
-//! in [`ObserveConfig::observer`]. One stream: samples, the SLO breaches
-//! each sample trips and the rebalancer's topology changes all reach it as
-//! [`ServeEvent`]s through [`ServiceObserver::on_event`].
+//! in [`ObserveConfig::observer`]. One stream: samples and the SLO
+//! breaches each sample trips both reach it as [`ServeEvent`]s through
+//! [`ServiceObserver::on_event`].
 //!
 //! Overhead without an observer: the admission hot path is untouched (its
 //! counters are the relaxed atomics the report needs anyway), and shard
 //! threads skip the gauge reads, record no spans, evaluate no SLO and build
 //! no sample but the terminal one, which the report is taken from.
 
-use crate::rebalance::RebalanceEvent;
 use crate::report::ServeReport;
 use crate::shard::ShardId;
 use eirene_telemetry::{CycleHistogram, JsonValue};
@@ -156,9 +155,8 @@ pub struct ShardSample {
     /// Entries staged on QoS lanes when the epoch was emitted (0 with
     /// lanes disabled).
     pub lane_pending: u64,
-    /// Keys owned by this shard's tree as of its last build or rebalance
-    /// migration (exact at the terminal sample). The signal a dashboard
-    /// watches to see load drain off a hot shard.
+    /// Keys owned by this shard's tree as of its build (exact at the
+    /// terminal sample).
     pub key_count: u64,
     /// Live node blocks in the shard device's slab arena when the epoch
     /// finished. The signal a dashboard watches to confirm delete-heavy
@@ -429,9 +427,6 @@ pub enum ServeEvent {
     /// A configured objective was breached at the sample delivered just
     /// before it on the same shard.
     Breach(SloBreach),
-    /// The rebalancer published a topology change; delivered on the
-    /// rebalancer thread, after the new shard map is live.
-    Rebalance(RebalanceEvent),
 }
 
 /// Subscription API: implement this and register it in
@@ -488,35 +483,25 @@ impl SeriesCollector {
         })
     }
 
-    /// Every rebalance event so far, in publication order.
-    pub fn rebalances(&self) -> Vec<RebalanceEvent> {
-        self.filter(|e| match e {
-            ServeEvent::Rebalance(r) => Some(r),
-            _ => None,
-        })
-    }
-
     /// Latest sample per shard, in shard order.
     pub fn latest_per_shard(&self) -> Vec<ShardSample> {
         let latest: BTreeMap<_, _> = self.samples().into_iter().map(|s| (s.shard, s)).collect();
         latest.into_values().collect()
     }
 
-    /// The collected series as one JSON document (`schema_version` 1).
+    /// The collected series as one JSON document (`schema_version` 2).
     pub fn to_json(&self) -> JsonValue {
-        let (mut samples, mut breaches, mut rebalances) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut samples, mut breaches) = (Vec::new(), Vec::new());
         for event in self.series().iter() {
             match event {
                 ServeEvent::Sample(s) => samples.push(s.to_json()),
                 ServeEvent::Breach(b) => breaches.push(b.to_json()),
-                ServeEvent::Rebalance(r) => rebalances.push(r.to_json()),
             }
         }
         JsonValue::obj(vec![
-            ("schema_version", JsonValue::from(1u64)),
+            ("schema_version", JsonValue::from(2u64)),
             ("samples", JsonValue::Arr(samples)),
             ("breaches", JsonValue::Arr(breaches)),
-            ("rebalances", JsonValue::Arr(rebalances)),
         ])
     }
 }
@@ -742,7 +727,11 @@ mod tests {
         assert_eq!((latest[0].shard, latest[0].epoch), (0, 1));
         assert_eq!((latest[1].shard, latest[1].epoch), (1, 2));
         let doc = coll.to_json();
-        assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(doc.get("schema_version").and_then(|v| v.as_u64()), Some(2));
+        assert!(
+            doc.get("rebalances").is_none(),
+            "schema 2 has no rebalances"
+        );
         assert_eq!(
             doc.get("samples").and_then(|v| v.as_arr()).unwrap().len(),
             3

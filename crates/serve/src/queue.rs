@@ -28,9 +28,6 @@
 //!   round-robin. Sharing the mutex lets a lane push wake a combiner
 //!   blocked in [`drain`](IngressQueue::drain) through the same condvar
 //!   as a direct enqueue.
-//!
-//! The rebalancer does not use the queue: it moves keys between the
-//! locked trees of a settled shard pair (`rebalance` module docs).
 
 use crate::lane::{LaneReject, LaneSet, QosConfig, TenantId};
 use crate::ticket::{Outcome, Slot, TicketBatch};

@@ -1,7 +1,6 @@
 //! Final reports returned by [`Service::shutdown`](crate::Service::shutdown).
 
 use crate::observe::CloseCounts;
-use crate::rebalance::RebalanceEvent;
 use crate::shard::ShardId;
 use eirene_sim::{CycleHistogram, DeviceConfig, KernelStats, PhaseStats, ScheduleLog};
 use eirene_telemetry::LifecycleSpan;
@@ -198,10 +197,6 @@ pub struct ServeReport {
     /// The base device configuration the service was built with (cycle ↔
     /// wall-time conversion).
     pub device: DeviceConfig,
-    /// Topology changes the online rebalancer published, in sequence
-    /// order (empty unless [`ServeConfig::rebalance`](crate::ServeConfig)
-    /// was set).
-    pub rebalances: Vec<RebalanceEvent>,
 }
 
 impl ServeReport {

@@ -2,7 +2,7 @@
 //! per-shard threads. The front door — timestamps and admission — is the
 //! `admit` module. What a shard's combiner and executor decide is the step
 //! machines of `combine` and `execute`; the shard thread here only carries
-//! out the effects. The rebalancer's thread lives in `rebalance`.
+//! out the effects.
 //!
 //! # Linearizability without a submission lock
 //!
@@ -37,10 +37,8 @@
 //! arrives meanwhile waits in the ingress queue: a closed-loop caller
 //! cannot come back before its epoch settles, so nothing is lost by not
 //! planning epoch N+1 while N runs, and no epoch waits for a second thread
-//! to wake. The shard's tree sits behind a lock that the thread holds for
-//! the whole of an epoch; the rebalancer takes it only once the shard has
-//! settled everything admitted, and moves keys itself (`rebalance` module
-//! docs), so it sends the thread nothing.
+//! to wake. The shard's tree is a local of its thread: no other thread
+//! reads or writes it, and the shard map that routes to it never changes.
 
 use crate::admit::{admit_lanes, Inflight, Inner};
 use crate::combine::{Combiner, Effect, ExecutorState, TurnView};
@@ -49,9 +47,6 @@ use crate::execute::{Books, Epoch};
 use crate::lane::{QosConfig, TenantId};
 use crate::observe::{ObserveConfig, ServiceObserver};
 use crate::queue::{AdmitPolicy, IngressQueue, Segment};
-use crate::rebalance::{
-    rebalancer_loop, RebalanceAction, RebalanceEvent, RebalanceShared, RebalanceSpec,
-};
 use crate::report::{ServeReport, ShardReport};
 use crate::shard::{hash_shard, ShardId, ShardMap, Sharding};
 use crate::ticket::{Outcome, Ticket};
@@ -62,7 +57,7 @@ use eirene_sim::{DeviceConfig, ScheduleLog};
 use eirene_workloads::{Batch, Key, OpKind};
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -76,17 +71,12 @@ pub(crate) const SENTINEL_KEY: u64 = u64::MAX - 1;
 /// Configuration of a [`Service`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Key-range partition; one device (and tree) per shard. Under
-    /// [`Sharding::Hash`] only the shard *count* is used.
+    /// Key-range partition, fixed for the service's lifetime; one device
+    /// (and tree) per shard. Under [`Sharding::Hash`] only the shard
+    /// *count* is used.
     pub map: ShardMap,
     /// Range (default) or hash-scatter key placement.
     pub sharding: Sharding,
-    /// Online shard rebalancing: watch each shard's load and
-    /// move a hot (or cold) range boundary at an epoch boundary. `None`
-    /// (the default) keeps the topology static. Requires range sharding;
-    /// incompatible with schedule replay (migrations rebuild shard
-    /// trees).
-    pub rebalance: Option<RebalanceSpec>,
     /// Base device configuration, specialized per shard by
     /// [`DeviceConfig::for_shard`]. OS mode ignores `worker_threads`:
     /// every shard runs its kernels on its own thread and spawns no worker
@@ -137,7 +127,6 @@ impl Default for ServeConfig {
         ServeConfig {
             map: ShardMap::uniform(4),
             sharding: Sharding::default(),
-            rebalance: None,
             device: DeviceConfig::default(),
             sizing: EpochSizing::Fixed(4096),
             qos: QosConfig::disabled(),
@@ -166,20 +155,13 @@ impl ServeConfig {
     }
 }
 
-/// Shared per-shard state: the ingress queue, the tree and the counters
-/// other threads than the shard's own write or read. Submitters and peer
-/// combiners count admissions and sheds; the rebalancer compares
-/// `enqueued` with `settled`, then moves keys between locked trees.
-/// Everything only the shard thread touches lives in its [`Books`].
+/// Shared per-shard state: the ingress queue and the counters other
+/// threads than the shard's own write or read. Submitters and peer
+/// combiners count admissions and sheds; submitters read the clock.
+/// Everything only the shard thread touches lives in its [`Books`] or
+/// beside them in its `Executor`, the tree included.
 pub(crate) struct ShardState {
     pub(crate) queue: IngressQueue,
-    /// Set by the shard thread once its bulk load is done, so trees build
-    /// in parallel. The thread holds the lock for the whole of an epoch,
-    /// so one that dies inside an epoch poisons it.
-    pub(crate) tree: OnceLock<Mutex<EireneTree>>,
-    /// Keys in the tree as of its build or its last migration, and exact
-    /// at the terminal sample (sentinel excluded).
-    pub(crate) key_count: AtomicU64,
     /// Entries admitted to this shard, cumulative.
     pub(crate) enqueued: AtomicU64,
     /// Requests shed at this shard's full queue, in all and per tenant.
@@ -187,9 +169,6 @@ pub(crate) struct ShardState {
     pub(crate) tenant_shed: Vec<AtomicU64>,
     /// High-water mark of the ingress-queue depth.
     pub(crate) max_depth: AtomicU64,
-    /// Entries executed or timed out: equal to `enqueued` once the shard
-    /// has drained.
-    pub(crate) settled: AtomicU64,
     /// The virtual clock as of the last booked epoch: a live request
     /// arrives at it.
     pub(crate) clock: AtomicU64,
@@ -199,13 +178,10 @@ impl ShardState {
     pub(crate) fn new(capacity: usize, qos: &QosConfig) -> Self {
         ShardState {
             queue: IngressQueue::with_lanes(capacity, qos),
-            tree: OnceLock::new(),
-            key_count: AtomicU64::new(0),
             enqueued: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             tenant_shed: (0..qos.num_tenants()).map(|_| AtomicU64::new(0)).collect(),
             max_depth: AtomicU64::new(0),
-            settled: AtomicU64::new(0),
             clock: AtomicU64::new(0),
         }
     }
@@ -304,11 +280,9 @@ impl Client {
         self.inner.submit_many(ops.len(), ops, None, self.tenant)
     }
 
-    /// A snapshot of the service's current shard map. With online
-    /// rebalancing enabled the live map can move at any epoch boundary,
-    /// so this returns a clone, not a reference.
-    pub fn map(&self) -> ShardMap {
-        self.inner.topology.read().unwrap().clone()
+    /// The service's shard map.
+    pub fn map(&self) -> &ShardMap {
+        &self.inner.map
     }
 
     /// Current ingress-queue depth of one shard.
@@ -323,9 +297,6 @@ pub struct Service {
     inner: Arc<Inner>,
     shards: Vec<JoinHandle<ShardReport>>,
     device: DeviceConfig,
-    /// Present iff [`ServeConfig::rebalance`] was set.
-    rebalance: Option<Arc<RebalanceShared>>,
-    rebalancer: Option<JoinHandle<()>>,
 }
 
 impl Service {
@@ -337,21 +308,6 @@ impl Service {
         if let Some(replay) = &cfg.replay {
             assert_eq!(replay.len(), num_shards, "one replay log per shard");
         }
-        if cfg.rebalance.is_some() {
-            assert_eq!(
-                cfg.sharding,
-                Sharding::Range,
-                "online rebalancing moves range boundaries; hash scatter has none"
-            );
-            assert!(
-                cfg.replay.is_none(),
-                "online rebalancing rebuilds shard trees, invalidating schedule replay"
-            );
-        }
-        let rebalance_shared = cfg
-            .rebalance
-            .as_ref()
-            .map(|_| Arc::new(RebalanceShared::new(num_shards)));
         let mut shard_pairs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); num_shards];
         for &(k, v) in pairs {
             assert!(
@@ -368,7 +324,7 @@ impl Service {
             sp.push((SENTINEL_KEY, 0));
         }
         let inner = Arc::new(Inner {
-            topology: RwLock::new(cfg.map.clone()),
+            map: cfg.map.clone(),
             sharding: cfg.sharding,
             shards: (0..num_shards)
                 .map(|_| ShardState::new(cfg.queue_depth, &cfg.qos))
@@ -387,13 +343,15 @@ impl Service {
         let mut shards = Vec::with_capacity(num_shards);
         for (shard, pairs) in shard_pairs.into_iter().enumerate() {
             let device = cfg.device.for_shard(shard);
-            let books = Books::new(
+            let mut books = Books::new(
                 shard,
                 inner.shards[shard].queue.num_tenants(),
                 device.control_latency,
                 &cfg.observe,
                 cfg.sizing.is_adaptive(),
             );
+            // Sentinel excluded: the count is of client-visible keys.
+            books.key_count = pairs.len() as u64 - 1;
             let opts = EireneOptions {
                 device,
                 headroom_nodes: cfg.headroom_nodes,
@@ -402,22 +360,17 @@ impl Service {
             let controller = BatchController::new(cfg.sizing.clone());
             let (inner, replay) = (inner.clone(), replays[shard].take());
             let (observer, linger) = (cfg.observe.observer.clone(), cfg.linger);
-            let rebalance = rebalance_shared.clone();
             shards.push(
                 std::thread::Builder::new()
                     .name(format!("serve-shard-{shard}"))
                     .spawn(move || {
                         let state = &inner.shards[shard];
                         let _leaving = Leaving(&state.queue);
-                        // Sentinel excluded: the count is of client-visible keys.
-                        state.key_count.store(pairs.len() as u64 - 1, Relaxed);
-                        let tree = state.tree.get_or_init(|| {
-                            let tree = EireneTree::new(&pairs, opts);
-                            if let Some(log) = replay {
-                                tree.device().set_replay_log(log);
-                            }
-                            Mutex::new(tree)
-                        });
+                        // Built here, so the shard trees build in parallel.
+                        let tree = EireneTree::new(&pairs, opts);
+                        if let Some(log) = replay {
+                            tree.device().set_replay_log(log);
+                        }
                         let executor = Executor {
                             state,
                             tree,
@@ -425,31 +378,16 @@ impl Service {
                             controller,
                             observer,
                             view: ExecutorState::default(),
-                            rebalance,
-                            fed_enqueued: 0,
                         };
                         shard_loop(&inner, shard, executor, linger)
                     })
                     .expect("spawn shard thread"),
             );
         }
-        let rebalancer = cfg.rebalance.map(|spec| {
-            let shared = rebalance_shared
-                .clone()
-                .expect("shared state exists when rebalance is configured");
-            let inner2 = inner.clone();
-            let observer = cfg.observe.observer.clone();
-            std::thread::Builder::new()
-                .name("serve-rebalance".into())
-                .spawn(move || rebalancer_loop(&inner2, &shared, &spec, observer))
-                .expect("spawn rebalancer")
-        });
         Service {
             inner,
             shards,
             device: cfg.device,
-            rebalance: rebalance_shared,
-            rebalancer,
         }
     }
 
@@ -467,56 +405,10 @@ impl Service {
         self.inner.release_gate();
     }
 
-    /// Queues an explicit topology change on the rebalancer, bypassing
-    /// the load-driven policy (tests and the fuzzer use this with
-    /// [`RebalanceSpec::manual`] for deterministic splits/merges). The
-    /// action runs asynchronously; poll [`rebalance_attempts`]
-    /// (monotone, bumped once per processed action — published or
-    /// skipped) to await it. Do not force while the epoch gate is held:
-    /// quiescing a shard pair needs the combiners draining.
-    ///
-    /// # Panics
-    /// Panics if the service was built without [`ServeConfig::rebalance`].
-    ///
-    /// [`rebalance_attempts`]: Service::rebalance_attempts
-    pub fn force_rebalance(&self, action: RebalanceAction) {
-        self.rebalance
-            .as_ref()
-            .expect("service was built without ServeConfig::rebalance")
-            .force(action);
-    }
-
-    /// Rebalance actions fully processed so far (published or skipped as
-    /// no-ops). 0 when rebalancing is not configured.
-    pub fn rebalance_attempts(&self) -> u64 {
-        self.rebalance.as_ref().map_or(0, |s| s.attempts_done())
-    }
-
-    /// Topology changes published so far, in sequence order.
-    pub fn rebalance_events(&self) -> Vec<RebalanceEvent> {
-        self.rebalance
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.events())
-    }
-
     /// Drains and stops the service: closes admission, executes every
     /// already-admitted epoch, joins the shard threads, and returns the
     /// final report.
-    pub fn shutdown(mut self) -> ServeReport {
-        // Stop the rebalancer first: no topology change may race the close
-        // sequence. A pair it is quiescing stops waiting to settle; the
-        // gate opens first, so a submitter blocked on a full queue, which
-        // holds the topology lock the rebalancer may be waiting for, gets
-        // through.
-        let rebalances = match (self.rebalancer.take(), self.rebalance.take()) {
-            (Some(handle), Some(shared)) => {
-                self.inner.release_gate();
-                shared.stop();
-                handle.join().expect("rebalancer panicked");
-                shared.events()
-            }
-            _ => Vec::new(),
-        };
+    pub fn shutdown(self) -> ServeReport {
         if self.inner.qos.enabled() {
             // Two-phase in QoS mode: refuse new lane arrivals first and
             // let the combiners admit everything already staged (a lane
@@ -544,7 +436,6 @@ impl Service {
         ServeReport {
             shards,
             device: self.device,
-            rebalances,
         }
     }
 }
@@ -626,34 +517,19 @@ impl Drop for Leaving<'_> {
 /// its epochs are booked into, and what the linger decision reads of them.
 struct Executor<'s> {
     state: &'s ShardState,
-    /// `state.tree`, once built.
-    tree: &'s Mutex<EireneTree>,
+    tree: EireneTree,
     books: Books,
     controller: BatchController,
     observer: Option<Arc<dyn ServiceObserver>>,
     view: ExecutorState,
-    /// The rebalancer's load feed, if it runs, and `state.enqueued` when
-    /// this shard last fed it.
-    rebalance: Option<Arc<RebalanceShared>>,
-    fed_enqueued: u64,
 }
 
-impl<'s> Executor<'s> {
-    /// The shard's tree, locked. Only a rebalancer that died mid-move can
-    /// have poisoned it: the tree's keys are then in doubt.
-    fn tree(&self) -> MutexGuard<'s, EireneTree> {
-        self.tree
-            .lock()
-            .expect("the rebalancer died moving this shard's keys")
-    }
-
+impl Executor<'_> {
     /// Plans and runs one epoch on the shard's tree, resolves its tickets
-    /// in the order the combiner's `Returned` exit counts on, books it, and
-    /// feeds the rebalancer and the observer, all under the tree's lock:
-    /// the rebalancer, which waits for `settled`, takes the tree only once
-    /// the epoch is done with it.
+    /// in the order the combiner's `Returned` exit counts on, books it and
+    /// feeds the observer.
     fn run(&mut self, epoch: Epoch) {
-        let (state, mut tree) = (self.state, self.tree());
+        let (state, tree) = (self.state, &mut self.tree);
         let started = Instant::now();
         let plan = tree.plan(&epoch.batch);
         let run = tree.run_planned(&epoch.batch, &plan);
@@ -681,15 +557,6 @@ impl<'s> Executor<'s> {
             "successive epochs must be timestamp-ordered: this one starts at ts {:?}",
             epoch.batch.requests.first().map(|r| r.ts)
         );
-        state.settled.fetch_add(epoch.batch.len() as u64, Relaxed);
-        if let Some(feed) = &self.rebalance {
-            // The standing backlog plus the arrivals since the last epoch
-            // (see `RebalanceShared::note_load`).
-            let enqueued = state.enqueued.load(Relaxed);
-            let arrivals = enqueued - std::mem::replace(&mut self.fed_enqueued, enqueued);
-            let backlog = epoch.queue_depth + epoch.reorder_pending + epoch.lane_depth;
-            feed.note_load(books.shard, backlog + arrivals);
-        }
         if let Some(observer) = &self.observer {
             // `run_planned` advanced the reclamation epoch at the batch
             // boundary, so the arena's `retired` is quarantine that
@@ -706,12 +573,11 @@ impl<'s> Executor<'s> {
     /// Counts `n` entries that expired before their epoch formed.
     fn time_out(&mut self, n: u64) {
         self.books.timed_out += n;
-        self.state.settled.fetch_add(n, Relaxed);
     }
 
     /// The terminal sample and the shard's report, once every epoch ran.
     fn finish(mut self) -> ShardReport {
-        let tree = self.tree();
+        let tree = &self.tree;
         let (mem, root) = (tree.device().mem(), tree.handle());
         let structure = eirene_btree::validate::validate(mem, root)
             .map(|_| ())
@@ -721,9 +587,8 @@ impl<'s> Executor<'s> {
             .filter(|&(k, _)| k != SENTINEL_KEY)
             .collect();
         // Contents are final here, so the terminal key count is exact —
-        // mid-run it only tracks builds and migrations, not per-epoch
-        // mutations.
-        self.state.key_count.store(contents.len() as u64, Relaxed);
+        // mid-run it is the count the tree was built with.
+        self.books.key_count = contents.len() as u64;
         // Terminal sample: one final snapshot after the queue finished, so
         // every admission counter is final — the report's totals are taken
         // FROM this snapshot, which is what makes live sampled series
@@ -744,7 +609,6 @@ impl<'s> Executor<'s> {
 mod tests {
     use super::*;
     use crate::observe::ServeEvent;
-    use crate::rebalance::RebalanceKind;
     use crate::ticket::{Slot, TicketBatch};
     use eirene_workloads::{Oracle, Request, Response, SequentialOracle};
 
@@ -918,195 +782,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_split_and_merge_migrate_keys_and_emit_events() {
-        let pairs = initial_pairs();
-        let mut cfg = small_cfg(boundary_map());
-        cfg.rebalance = Some(RebalanceSpec::manual());
-        let svc = Service::new(&pairs, cfg);
-        let client = svc.client();
-
-        // Half the ops before any topology change...
-        let ops = boundary_ops();
-        let (first, second) = ops.split_at(ops.len() / 2);
-        let t1: Vec<Ticket> = first.iter().map(|&(k, op)| client.submit(k, op)).collect();
-
-        // ...then force a split of shard 1 and a merge of shard 0 into
-        // shard 1, waiting for each attempt to finish.
-        svc.force_rebalance(RebalanceAction::Split { shard: 1 });
-        while svc.rebalance_attempts() < 1 {
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        svc.force_rebalance(RebalanceAction::Merge { left: 0 });
-        while svc.rebalance_attempts() < 2 {
-            std::thread::sleep(Duration::from_micros(50));
-        }
-
-        // The published topology is visible to clients and routes the
-        // remaining ops correctly.
-        let map = client.map();
-        assert_eq!(map.num_shards(), 4);
-        let t2: Vec<Ticket> = second.iter().map(|&(k, op)| client.submit(k, op)).collect();
-        let report = svc.shutdown();
-
-        let events = &report.rebalances;
-        assert_eq!(events.len(), 2, "events: {events:?}");
-        assert_eq!(events[0].kind, RebalanceKind::Split);
-        assert!(events[0].forced);
-        assert!(events[0].moved_keys > 0);
-        assert_eq!(events[1].kind, RebalanceKind::Merge);
-        assert_eq!(events[1].from, 0);
-        assert_eq!(events[1].to, 1);
-        // The merge left shard 0 a width-1 remnant.
-        assert_eq!(map.start_of(1), 1);
-
-        let oracle_pairs: Vec<(Key, Key)> =
-            pairs.iter().map(|&(k, v)| (k as Key, v as Key)).collect();
-        let mut oracle = SequentialOracle::load(&oracle_pairs);
-        let reqs: Vec<Request> = ops
-            .iter()
-            .enumerate()
-            .map(|(ts, &(key, op))| Request {
-                key,
-                op,
-                ts: ts as u64,
-            })
-            .collect();
-        let want = oracle.run_batch(&Batch::new(reqs));
-        for (i, (ticket, want)) in t1.iter().chain(&t2).zip(want).enumerate() {
-            assert_eq!(ticket.wait(), Outcome::Done(want), "response {i}");
-        }
-        let want_contents: Vec<(u64, u64)> = oracle
-            .contents()
-            .iter()
-            .map(|(&k, &v)| (k as u64, v as u64))
-            .collect();
-        assert_eq!(report.contents(), want_contents);
-        report.check().unwrap();
-    }
-
-    #[test]
-    fn an_idle_service_serves_a_forced_split_and_merge() {
-        // No traffic: both shard threads sit parked in an unbounded drain,
-        // and the rebalancer moves the keys without waking them.
-        crate::ticket::tests::watchdog(|| {
-            let map = ShardMap::from_starts(vec![0, 1000]).expect("valid shard starts");
-            let mut cfg = small_cfg(map);
-            cfg.rebalance = Some(RebalanceSpec::manual());
-            let svc = Service::new(&initial_pairs(), cfg);
-            std::thread::sleep(Duration::from_millis(20));
-            for (n, action) in [
-                RebalanceAction::Split { shard: 1 },
-                RebalanceAction::Merge { left: 0 },
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                svc.force_rebalance(action);
-                while svc.rebalance_attempts() <= n as u64 {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-            let report = svc.shutdown();
-            let events = &report.rebalances;
-            let kinds: Vec<RebalanceKind> = events.iter().map(|e| e.kind).collect();
-            assert_eq!(kinds, [RebalanceKind::Split, RebalanceKind::Merge]);
-            assert!(events.iter().all(|e| e.moved_keys > 0), "{events:?}");
-            assert_eq!(report.contents(), initial_pairs());
-            report.check().unwrap();
-        });
-    }
-
-    #[test]
-    fn a_forced_split_right_after_new_is_served() {
-        // No sleep: the split lands before the shard threads have built
-        // their trees, and must wait for them rather than be skipped.
-        crate::ticket::tests::watchdog(|| {
-            for _ in 0..20 {
-                let map = ShardMap::from_starts(vec![0, 1000]).expect("valid shard starts");
-                let mut cfg = small_cfg(map);
-                cfg.rebalance = Some(RebalanceSpec::manual());
-                let svc = Service::new(&initial_pairs(), cfg);
-                svc.force_rebalance(RebalanceAction::Split { shard: 1 });
-                while svc.rebalance_attempts() < 1 {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                let report = svc.shutdown();
-                let events = &report.rebalances;
-                assert_eq!(events.len(), 1, "{events:?}");
-                assert!(events[0].moved_keys > 0, "{events:?}");
-                assert_eq!(report.contents(), initial_pairs());
-                report.check().unwrap();
-            }
-        });
-    }
-
-    #[test]
-    fn a_split_that_leaves_the_boundary_in_place_is_skipped() {
-        // The merge leaves shard 1 the width-1 remnant [1000, 1000]; its
-        // split toward shard 2 would move the boundary from 1001 to 1001.
-        crate::ticket::tests::watchdog(|| {
-            let mut cfg = small_cfg(boundary_map());
-            cfg.rebalance = Some(RebalanceSpec::manual());
-            let svc = Service::new(&initial_pairs(), cfg);
-            for (n, action) in [
-                RebalanceAction::Merge { left: 1 },
-                RebalanceAction::Split { shard: 1 },
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                svc.force_rebalance(action);
-                while svc.rebalance_attempts() <= n as u64 {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-            let report = svc.shutdown();
-            let kinds: Vec<RebalanceKind> = report.rebalances.iter().map(|e| e.kind).collect();
-            assert_eq!(kinds, [RebalanceKind::Merge], "{:?}", report.rebalances);
-            assert_eq!(report.contents(), initial_pairs());
-            report.check().unwrap();
-        });
-    }
-
-    #[test]
-    fn a_dead_shard_thread_does_not_hang_a_forced_split() {
-        /// Panics on shard 1's first epoch sample, which kills its thread
-        /// after the epoch's tickets resolved.
-        struct Faulty;
-        impl ServiceObserver for Faulty {
-            fn on_event(&self, event: &ServeEvent) {
-                if let ServeEvent::Sample(sample) = event {
-                    assert!(sample.shard != 1, "observer fault on shard 1");
-                }
-            }
-        }
-        crate::ticket::tests::watchdog(|| {
-            let map = ShardMap::from_starts(vec![0, 1000]).expect("valid shard starts");
-            let mut cfg = small_cfg(map);
-            cfg.rebalance = Some(RebalanceSpec::manual());
-            cfg.observe = ObserveConfig::with_observer(Arc::new(Faulty));
-            let svc = Service::new(&initial_pairs(), cfg);
-            let ticket = svc.client().submit(1500, OpKind::Query);
-            assert!(matches!(ticket.wait(), Outcome::Done(_)));
-            // The rebalancer finds shard 1's tree poisoned, before or after
-            // its thread died: either way the split is skipped, not waited
-            // on.
-            svc.force_rebalance(RebalanceAction::Split { shard: 1 });
-            while svc.rebalance_attempts() < 1 {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            assert!(svc.rebalance_events().is_empty());
-            let shutdown =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.shutdown()));
-            let Err(cause) = shutdown else {
-                panic!("shutdown did not report the dead shard thread");
-            };
-            let cause = cause.downcast_ref::<String>().map_or("", String::as_str);
-            assert!(cause.starts_with("shard thread panicked"), "{cause}");
-        });
-    }
-
-    #[test]
     fn a_dead_shard_thread_does_not_hang_a_qos_shutdown() {
         /// Panics on shard 1's first epoch sample, which kills its thread
         /// after the epoch's tickets resolved.
@@ -1168,47 +843,6 @@ mod tests {
         // (3 * 400 + 800) / 4
         assert_eq!(ex.service, Some(Duration::from_micros(500)));
         assert_eq!(ex.idle_since, Some(second));
-    }
-
-    #[test]
-    fn auto_rebalance_splits_a_hot_shard_under_skew() {
-        // Shard 0 owns the whole hot prefix; hammer it and the policy
-        // must move its boundary toward shard 1.
-        let pairs: Vec<(u64, u64)> = (0..2000u64).map(|i| (i, i + 1)).collect();
-        let mut cfg =
-            small_cfg(ShardMap::from_starts(vec![0, 1 << 20]).expect("valid shard starts"));
-        cfg.rebalance = Some(RebalanceSpec {
-            sustain_epochs: 1,
-            cooldown_epochs: 0,
-            min_depth: 1,
-            ..RebalanceSpec::default()
-        });
-        cfg.sizing = EpochSizing::Fixed(64);
-        let svc = Service::new(&pairs, cfg);
-        let client = svc.client();
-        let mut tickets = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while svc.rebalance_events().is_empty() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "no rebalance after 10s"
-            );
-            for k in 0..512u32 {
-                tickets.push(client.submit(k % 2000, OpKind::Query));
-            }
-        }
-        let report = svc.shutdown();
-        for t in &tickets {
-            assert!(matches!(t.wait(), Outcome::Done(_)));
-        }
-        let events = &report.rebalances;
-        assert!(!events.is_empty());
-        assert_eq!(events[0].kind, RebalanceKind::Split);
-        assert!(!events[0].forced);
-        assert_eq!(events[0].from, 0);
-        // The rebalancer needs no observability: none was turned on.
-        assert!(report.shards.iter().all(|s| !s.spans_enabled));
-        report.check().unwrap();
     }
 
     #[test]
@@ -1407,7 +1041,6 @@ mod tests {
                     sampled.contains(&(b.shard, b.epoch)),
                     "breach before its sample: {b}"
                 ),
-                ServeEvent::Rebalance(_) => {}
             }
         }
     }

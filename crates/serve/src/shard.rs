@@ -134,22 +134,6 @@ impl ShardMap {
         self.starts[1..].to_vec()
     }
 
-    /// A copy of this map with interior boundary `index` (i.e.
-    /// `starts[index]`, `1 <= index < num_shards`) moved to `new_start`.
-    /// This is the only topology change online rebalancing ever makes:
-    /// one boundary between two adjacent shards shifts, so exactly that
-    /// pair exchanges keys.
-    pub fn with_boundary(&self, index: usize, new_start: Key) -> Result<Self, ShardMapError> {
-        assert!(
-            index >= 1 && index < self.starts.len(),
-            "boundary index {index} out of range (1..{})",
-            self.starts.len()
-        );
-        let mut starts = self.starts.clone();
-        starts[index] = new_start;
-        Self::from_starts(starts)
-    }
-
     /// Splits the range window `[lo, lo + len - 1]` into per-shard parts,
     /// in ascending key order. The window is clipped at `Key::MAX` (slots
     /// past the domain edge stay `None` in the merged response, matching
@@ -187,12 +171,10 @@ pub(crate) fn window_end(lo: Key, len: u32) -> Option<Key> {
 /// How keys map to shards.
 ///
 /// `Range` is the default: contiguous key ranges from the service's
-/// [`ShardMap`], optionally moved online by the rebalancer (see
-/// [`RebalanceSpec`](crate::RebalanceSpec)). `Hash` scatters keys by
-/// multiplicative hash — immune to key-space skew by construction, at the
-/// price of serving every range query by scatter-gather to all shards.
-/// The hash topology is fixed: hash mode and online rebalancing are
-/// mutually exclusive.
+/// [`ShardMap`]. `Hash` scatters keys by multiplicative hash — immune to
+/// key-space skew by construction, at the price of serving every range
+/// query by scatter-gather to all shards. Either placement is fixed for
+/// the service's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Sharding {
     /// Contiguous key ranges (the configured `ShardMap`).
@@ -320,16 +302,6 @@ mod tests {
         );
         let err = ShardMap::from_starts(vec![0, 7, 7]).unwrap_err();
         assert!(err.to_string().contains("strictly ascending"));
-    }
-
-    #[test]
-    fn with_boundary_moves_exactly_one_start() {
-        let m = ShardMap::from_starts(vec![0, 100, 200]).unwrap();
-        let moved = m.with_boundary(1, 150).unwrap();
-        assert_eq!(moved.starts(), &[0, 150, 200]);
-        // Collapsing a shard to zero width is rejected.
-        assert!(m.with_boundary(1, 200).is_err());
-        assert!(m.with_boundary(2, 100).is_err());
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! adaptive controller actually moving its target end to end.
 
 use eirene_serve::{
-    AdmitPolicy, AimdSpec, EpochSizing, Outcome, QosConfig, RebalanceAction, RebalanceSpec,
-    ServeConfig, ServeReport, Service, ShardMap, Ticket,
+    AdmitPolicy, AimdSpec, EpochSizing, Outcome, QosConfig, ServeConfig, ServeReport, Service,
+    ShardMap, Ticket,
 };
 use eirene_workloads::OpKind;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// SplitMix64, for cheap uniform test keys.
@@ -212,81 +211,6 @@ fn two_closed_loop_callers_stay_merged() {
         mean >= 24.0,
         "{} requests in {epochs} epochs ({mean:.1} per epoch): the windows split",
         report.executed()
-    );
-}
-
-/// A rebalance quiesces its shard pair under the topology write lock, and
-/// a combiner cannot admit staged lane entries meanwhile. The epoch it
-/// gathered before the lock was taken is what the quiesce waits for: it
-/// has to go out on the grace, staged entries or not, instead of holding
-/// every submitter behind that lock for the rest of the linger (for good,
-/// were the linger `Duration::MAX`).
-#[test]
-fn rebalance_does_not_wait_out_the_linger_over_staged_lanes() {
-    const REBALANCES: u64 = 30;
-    let linger = Duration::from_secs(3);
-    let domain = 1u64 << 12;
-    let pairs: Vec<(u64, u64)> = (1..=domain).map(|k| (k, k + 1)).collect();
-    let cfg = ServeConfig {
-        map: ShardMap::from_starts(vec![0, (domain / 2) as u32]).expect("valid shard starts"),
-        sizing: EpochSizing::Fixed(16),
-        qos: QosConfig::uniform(2, 1 << 10),
-        rebalance: Some(RebalanceSpec::manual()),
-        linger,
-        hold_gate: true,
-        ..ServeConfig::test_small(2)
-    };
-    let svc = Service::new(&pairs, cfg);
-    let window = |seed: u64, len: u64| -> Vec<(u32, OpKind)> {
-        (0..len)
-            .map(|i| ((mix(seed * 64 + i) % domain) as u32 + 1, OpKind::Query))
-            .collect()
-    };
-    // Behind the gate, enough for each shard's first epoch to leave full:
-    // its executor has a service time before anything lingers.
-    let warm_up = svc.client().submit_many(&window(0, 64));
-    svc.release();
-    for ticket in &warm_up {
-        assert!(matches!(ticket.wait(), Outcome::Done(_)));
-    }
-    let start = Instant::now();
-    let done = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for tenant in 0..2 {
-            let client = svc.client().for_tenant(tenant);
-            let done = &done;
-            scope.spawn(move || {
-                // Windows of 4 from two callers never fill the target of
-                // 16: every epoch closes on the linger decision.
-                for w in 1.. {
-                    if done.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    for ticket in client.submit_many(&window(w * 2 + tenant as u64, 4)) {
-                        assert!(matches!(ticket.wait(), Outcome::Done(_)));
-                    }
-                }
-            });
-        }
-        // Each shard in turn gives half its keys to the other.
-        for n in 1..=REBALANCES {
-            svc.force_rebalance(RebalanceAction::Split {
-                shard: (n % 2) as usize,
-            });
-            while svc.rebalance_attempts() < n {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-        done.store(true, Ordering::Relaxed);
-    });
-    let took = start.elapsed();
-    let report = svc.shutdown();
-    report.check().unwrap();
-    assert!(!report.rebalances.is_empty(), "no boundary moved");
-    assert!(
-        took < linger,
-        "{REBALANCES} rebalances under closed-loop lane traffic took {took:?}: \
-         some epoch sat out the {linger:?} linger"
     );
 }
 

@@ -1,18 +1,15 @@
-//! A service's thread census: one thread per shard plus the rebalancer,
-//! and no device worker pool — not at start, not after the epochs of a
-//! mixed workload, and not after a migration rebuilt a shard's tree (its
-//! fresh device would otherwise spawn a pool on the request path, at the
-//! next epoch's first large launch).
+//! A service's thread census: exactly one thread per shard, no other
+//! serve thread and no device worker pool — after the epochs of a mixed
+//! workload have run the kernels a standalone tree would hand to a pool.
 //!
 //! A binary of its own, with one test, so no other test's threads are
 //! counted.
 #![cfg(target_os = "linux")]
 
-use eirene_serve::{RebalanceAction, RebalanceSpec, ServeConfig, Service, ShardMap};
+use eirene_serve::{ServeConfig, Service, ShardMap};
 use eirene_sim::DeviceConfig;
 use eirene_workloads::{OpKind, Response};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// Keys the workload touches; the shard boundary sits in the middle.
 const DOMAIN: u32 = 2048;
@@ -39,12 +36,12 @@ fn thread_names() -> Vec<String> {
 
 fn assert_census(when: &str) {
     let names = thread_names();
-    for expected in ["serve-shard-0", "serve-shard-1", "serve-rebalance"] {
-        assert!(
-            names.iter().any(|n| n == expected),
-            "{when}: no {expected} thread in {names:?}"
-        );
-    }
+    let serve: Vec<&String> = names.iter().filter(|n| n.starts_with("serve-")).collect();
+    assert_eq!(
+        serve,
+        ["serve-shard-0", "serve-shard-1"],
+        "{when}: one serve thread per shard and no other, in {names:?}"
+    );
     assert!(
         !names.iter().any(|n| n.starts_with("eirene-sm-work")),
         "{when}: a device worker pool is running: {names:?}"
@@ -107,22 +104,12 @@ fn assert_contents(svc: &Service, oracle: &BTreeMap<u64, u64>, when: &str) {
     }
 }
 
-/// Forces `action` and waits until the rebalancer has carried it out.
-fn force(svc: &Service, action: RebalanceAction) {
-    let before = svc.rebalance_attempts();
-    svc.force_rebalance(action);
-    while svc.rebalance_attempts() == before {
-        std::thread::sleep(Duration::from_micros(100));
-    }
-}
-
 #[test]
 fn a_service_runs_its_kernels_on_its_shard_threads() {
     let pairs: Vec<(u64, u64)> = (0..DOMAIN as u64 / 2).map(|i| (2 * i, i + 1)).collect();
     let mut oracle: BTreeMap<u64, u64> = pairs.iter().copied().collect();
     let cfg = ServeConfig {
         map: ShardMap::from_starts(vec![0, DOMAIN / 2]).expect("valid shard starts"),
-        rebalance: Some(RebalanceSpec::manual()),
         // A pinned pool size a standalone tree would honour.
         device: DeviceConfig {
             worker_threads: 4,
@@ -135,26 +122,6 @@ fn a_service_runs_its_kernels_on_its_shard_threads() {
     mixed_windows(&svc, &mut oracle, 1, 200);
     assert_census("after 200 mixed windows");
     assert_contents(&svc, &oracle, "after 200 mixed windows");
-
-    // Each migration rebuilds the absorbing shard's tree; the windows
-    // after it run the fresh tree's first epochs.
-    for (n, (action, when)) in [
-        (RebalanceAction::Split { shard: 1 }, "after a forced split"),
-        (RebalanceAction::Merge { left: 0 }, "after a forced merge"),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        force(&svc, action);
-        assert_eq!(
-            svc.rebalance_events().len(),
-            n + 1,
-            "{when}: not carried out"
-        );
-        mixed_windows(&svc, &mut oracle, 2 + n as u64, 50);
-        assert_census(when);
-        assert_contents(&svc, &oracle, when);
-    }
 
     let report = svc.shutdown();
     report.check().unwrap();

@@ -11,12 +11,7 @@
 //!    `AdmitPolicy::Shed` takes a 4x-capacity burst aimed at one shard.
 //!    Most of the burst is shed at admission, and the sliding-window
 //!    shed-rate objective trips on the very first epoch, emitting
-//!    structured breach events in real time;
-//! 3. **hot-shard rebalance** — every request targets one shard of a
-//!    two-shard map. A forced split halves the hot range mid-run: the
-//!    observer streams the topology-change event as it publishes, and
-//!    the per-shard `key_count` gauge shows the migrated keys land on
-//!    the neighbor.
+//!    structured breach events in real time.
 //!
 //! At the end, the sampled counter series is reconciled *exactly*
 //! against the shutdown report — live telemetry and final accounting are
@@ -27,27 +22,23 @@
 //! ```
 
 use eirene::serve::{
-    reconcile_samples, AdmitPolicy, EpochSizing, ObserveConfig, Outcome, RebalanceAction,
-    RebalanceSpec, SeriesCollector, ServeConfig, ServeEvent, Service, ServiceObserver, ShardMap,
-    SloSpec,
+    reconcile_samples, AdmitPolicy, EpochSizing, ObserveConfig, Outcome, SeriesCollector,
+    ServeConfig, ServeEvent, Service, ServiceObserver, ShardMap, SloSpec,
 };
 use eirene::sim::DeviceConfig;
 use eirene::workloads::OpKind;
 use std::sync::Arc;
 
 /// Forwards every event into a [`SeriesCollector`] for post-hoc analysis
-/// and additionally prints breaches and topology changes the moment they
-/// happen.
+/// and additionally prints breaches the moment they happen.
 struct LiveObserver {
     collector: Arc<SeriesCollector>,
 }
 
 impl ServiceObserver for LiveObserver {
     fn on_event(&self, event: &ServeEvent) {
-        match event {
-            ServeEvent::Sample(_) => {}
-            ServeEvent::Breach(breach) => println!("   !! {breach}"),
-            ServeEvent::Rebalance(change) => println!("   >> {change}"),
+        if let ServeEvent::Breach(breach) = event {
+            println!("   !! {breach}");
         }
         self.collector.on_event(event);
     }
@@ -56,7 +47,6 @@ impl ServiceObserver for LiveObserver {
 fn main() {
     steady_state();
     overload_burst();
-    hot_shard_rebalance();
 }
 
 /// A comfortably provisioned service: the sample stream shows the epoch
@@ -190,69 +180,5 @@ fn overload_burst() {
     println!(
         "\nThe same counters drive both views: the live series the observer \
          streamed and the shutdown report reconcile field-for-field.\n"
-    );
-}
-
-/// All traffic lands on shard 0 of a two-shard map; a forced split moves
-/// the hot boundary mid-run. The observer streams the topology event,
-/// and the per-shard key counts show the migrated half on the neighbor.
-fn hot_shard_rebalance() {
-    println!("== hot-shard rebalance: live topology-change events ==");
-    let pairs: Vec<(u64, u64)> = (1..=4096u64).map(|k| (k, k + 1)).collect();
-    let collector = SeriesCollector::new();
-    let cfg = ServeConfig {
-        // Shard 0 owns [0, 2048): with the whole stream aimed there,
-        // shard 1 idles while shard 0 does all the work.
-        map: ShardMap::from_starts(vec![0, 1 << 11]).expect("valid shard starts"),
-        sizing: EpochSizing::Fixed(256),
-        queue_depth: 1 << 14,
-        // Manual spec: the rebalancer thread runs but only acts when
-        // told to, so the demo is deterministic.
-        rebalance: Some(RebalanceSpec::manual()),
-        observe: ObserveConfig::with_observer(Arc::new(LiveObserver {
-            collector: collector.clone(),
-        })),
-        ..ServeConfig::test_small(2)
-    };
-    let svc = Service::new(&pairs, cfg);
-    let client = svc.client();
-    for i in 0..1024u32 {
-        client.submit((i % 2047) + 1, OpKind::Query);
-    }
-    // Split the hot shard: quiesce the pair, migrate the upper half of
-    // its keys to shard 1, publish the new map. The event prints above
-    // via the observer the moment the topology lands.
-    svc.force_rebalance(RebalanceAction::Split { shard: 0 });
-    while svc.rebalance_attempts() < 1 {
-        std::thread::sleep(std::time::Duration::from_micros(50));
-    }
-    // Clients pick up the published map: the same key band now spreads
-    // across both shards.
-    for i in 0..1024u32 {
-        client.submit((i % 2047) + 1, OpKind::Query);
-    }
-    let report = svc.shutdown();
-    report.check().unwrap();
-    reconcile_samples(&collector.samples(), &report).expect("sampled series must reconcile");
-
-    let events = collector.rebalances();
-    assert_eq!(events.len(), 1, "exactly the forced split publishes");
-    let ev = &events[0];
-    assert!(ev.forced && ev.moved_keys > 0);
-    println!(
-        "   boundary[{}] moved {} -> {}: {} keys migrated shard {} -> {}",
-        ev.boundary, ev.old_start, ev.new_start, ev.moved_keys, ev.from, ev.to,
-    );
-    println!("   final keys per shard:");
-    for s in &report.shards {
-        println!("   {:>5}  {:>5} keys", s.shard, s.key_count);
-    }
-    assert!(
-        report.shards[1].key_count > 0,
-        "the split must hand shard 1 a share of the keys"
-    );
-    println!(
-        "\nThe live event stream and the report agree: rebalances are part \
-         of the same observed history as samples and breaches."
     );
 }
