@@ -299,7 +299,7 @@ const PAPER_TREE_EXP: u32 = 20;
 /// every range ground. Hash scatter must beat the static hot shard at the
 /// heaviest skew at every scale, and reach 2× it at θ = 1.0 at paper
 /// scale (tree ≥ 2^20; below it the claim is printed, not enforced).
-/// EXPERIMENTS.md records the grid that retired online rebalancing.
+/// EXPERIMENTS.md ("Rebalancing or hash scatter") records a five-seed run.
 pub(super) fn run_skew(scale: &ServeScale) -> i32 {
     let shards = scale.shards.first().copied().unwrap_or(8);
     eprintln!(
