@@ -266,6 +266,7 @@ fn update_one(
             // Fallback: the whole traversal under STM protection
             // (Alg. 1 lines 30-34). Unbounded retries: progress is
             // guaranteed because aborting releases ownership.
+            ctx.stats.fallbacks += 1;
             loc.invalidate();
             let old = stm
                 .run(ctx, scratch, usize::MAX >> 1, |tx, ctx| {

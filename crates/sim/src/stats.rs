@@ -40,6 +40,8 @@ pub struct WarpStats {
     pub stm_aborts: u64,
     /// Version-validation failures between inner traversal and leaf ops.
     pub version_conflicts: u64,
+    /// Requests that entered Alg. 1's full-STM fallback, once each.
+    pub fallbacks: u64,
     /// Nodes visited while traversing from the root ("vertical" steps).
     pub vertical_steps: u64,
     /// Leaf-chain nodes visited during horizontal traversal (§5).
@@ -76,11 +78,6 @@ impl WarpStats {
     /// Total conflicts of all classes.
     pub fn conflicts(&self) -> u64 {
         self.lock_conflicts + self.stm_aborts + self.version_conflicts
-    }
-
-    /// Total traversal steps, vertical plus horizontal.
-    pub fn traversal_steps(&self) -> u64 {
-        self.vertical_steps + self.horizontal_steps
     }
 
     /// Accumulates `other` into `self` (used when merging warp results).
@@ -120,6 +117,7 @@ impl WarpStats {
         self.lock_conflicts += other.lock_conflicts;
         self.stm_aborts += other.stm_aborts;
         self.version_conflicts += other.version_conflicts;
+        self.fallbacks += other.fallbacks;
         self.vertical_steps += other.vertical_steps;
         self.horizontal_steps += other.horizontal_steps;
         self.vertical_traversals += other.vertical_traversals;
@@ -159,9 +157,10 @@ impl KernelStats {
         ratio(self.totals.mem_insts, self.totals.requests)
     }
 
-    /// Per-request traversal steps.
+    /// Per-request traversal steps, vertical plus horizontal.
     pub fn steps_per_request(&self) -> f64 {
-        ratio(self.totals.traversal_steps(), self.totals.requests)
+        let t = &self.totals;
+        ratio(t.vertical_steps + t.horizontal_steps, t.requests)
     }
 
     /// Average response time in cycles across all completed requests
