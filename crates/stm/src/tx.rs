@@ -17,6 +17,11 @@ static NEXT_STM_INSTANCE: AtomicU64 = AtomicU64::new(1);
 /// Transaction ids a [`TxScratch`] takes from [`Stm::next_tx_id`] at once.
 const TX_ID_BLOCK: u64 = 64;
 
+/// Read-log length from which [`Tx::read`] validates the log at every
+/// doubling. A tree operation reads a few hundred words at most; a
+/// transaction past this is looping.
+const RUNAWAY_READS: usize = 1 << 12;
+
 /// STM instance: an ownership table in device memory.
 ///
 /// `stripes` must be a power of two. Each record protects the arena words
@@ -202,6 +207,14 @@ impl<'s> Tx<'s> {
             return Err(Abort); // writer interfered mid-read
         }
         self.log.reads.push((rec, r1));
+        // Nothing re-checks a word once read, so a transaction can run on
+        // a view no commit ever made, and a tree walk that restarts on what
+        // it sees can then loop on its own writes for ever. Such a zombie
+        // fails validation: abort it once its log keeps growing.
+        let n = self.log.reads.len();
+        if n >= RUNAWAY_READS && n.is_power_of_two() && !self.reads_valid(ctx) {
+            return Err(Abort);
+        }
         Ok(value)
     }
 
@@ -236,17 +249,10 @@ impl<'s> Tx<'s> {
     /// Validates the read set and publishes: owned versions advance by 2.
     pub fn commit(self, ctx: &mut WarpCtx<'_>) -> TxResult<()> {
         let prev = ctx.set_phase(Phase::StmCommit);
-        // Validate: every read record still shows the version we saw,
-        // unless we later acquired it ourselves.
-        for &(rec, ver) in &self.log.reads {
-            ctx.control(2);
-            let cur = ctx.read(rec);
-            let ok = cur == ver || (cur == self.marker && self.pre_lock_version(rec) == Some(ver));
-            if !ok {
-                self.rollback(ctx);
-                ctx.set_phase(prev);
-                return Err(Abort);
-            }
+        if !self.reads_valid(ctx) {
+            self.rollback(ctx);
+            ctx.set_phase(prev);
+            return Err(Abort);
         }
         // Publish: bump versions and release locks.
         for &(rec, ver) in &self.log.owned {
@@ -274,6 +280,17 @@ impl<'s> Tx<'s> {
     /// to it published).
     pub fn retire_on_abort(&mut self, addr: Addr, words: usize, align: usize) {
         self.log.abort_retires.push((addr, words, align));
+    }
+
+    /// Whether every read record still shows the version this transaction
+    /// saw, unless it later acquired the record itself. Stops at the first
+    /// that does not.
+    fn reads_valid(&self, ctx: &mut WarpCtx<'_>) -> bool {
+        self.log.reads.iter().all(|&(rec, ver)| {
+            ctx.control(2);
+            let cur = ctx.read(rec);
+            cur == ver || (cur == self.marker && self.pre_lock_version(rec) == Some(ver))
+        })
     }
 
     fn pre_lock_version(&self, rec: Addr) -> Option<u64> {
@@ -380,6 +397,31 @@ mod tests {
         })
         .unwrap();
         assert_eq!(dev.mem().read(a), 42);
+    }
+
+    /// A transaction that keeps reading after a word it read was
+    /// overwritten by a commit aborts once its log doubles past
+    /// `RUNAWAY_READS`; one whose reads all still hold reads on.
+    #[test]
+    fn a_zombie_aborts_once_its_read_log_runs_away() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 1 << 12);
+        let a = dev.mem().alloc(1);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let (mut scratch, mut other) = (TxScratch::default(), TxScratch::default());
+        for stale in [false, true] {
+            let mut tx = stm.begin(&mut scratch);
+            tx.read(&mut ctx, a).unwrap();
+            if stale {
+                let mut writer = stm.begin(&mut other);
+                writer.write(&mut ctx, a, 1).unwrap();
+                writer.commit(&mut ctx).unwrap();
+            }
+            let reads = (1..=2 * RUNAWAY_READS).position(|_| tx.read(&mut ctx, a).is_err());
+            assert_eq!(reads, stale.then_some(RUNAWAY_READS - 2), "stale: {stale}");
+            tx.rollback(&mut ctx);
+        }
     }
 
     #[test]
