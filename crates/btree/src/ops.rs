@@ -17,8 +17,8 @@
 use crate::access::{NodeAccess, Step};
 use crate::build::TreeHandle;
 use crate::node::{
-    meta_count, meta_is_leaf, pack_meta, FANOUT, META_DEAD, MIN_OCCUPANCY, OFF_HIGH, OFF_KEYS,
-    OFF_LOW, OFF_META, OFF_NEXT, OFF_RF, OFF_VALS, OFF_VERSION,
+    meta_count, meta_is_dead, meta_is_leaf, pack_meta, FANOUT, META_DEAD, MIN_OCCUPANCY, OFF_HIGH,
+    OFF_KEYS, OFF_LOW, OFF_META, OFF_NEXT, OFF_RF, OFF_VALS, OFF_VERSION,
 };
 use eirene_sim::{Addr, Phase, TraceEventKind};
 
@@ -238,6 +238,40 @@ fn split<A: NodeAccess>(
         a.emit(TraceEventKind::NodeSplit, addr);
         Ok(())
     })
+}
+
+/// Splits the full leaf `leaf` under `parent`, whose entry `slot` was
+/// found pointing at it by an unprotected traversal, and hops to the half
+/// owning `key`: returns that half and its count. Everything is re-read
+/// through `a` and every index is bounded by [`FANOUT`], since a doomed
+/// transaction can see torn words. Returns `None`, having written nothing,
+/// unless `parent` is a live inner node with `slot < count < FANOUT` whose
+/// entry `slot` is still `leaf`: a split that would have to propagate is
+/// left to the split-capable [`descend`].
+pub fn split_leaf_in_parent<A: NodeAccess>(
+    a: &mut A,
+    handle: &TreeHandle,
+    (parent, slot): (Addr, usize),
+    leaf: Addr,
+    key: u64,
+) -> Result<Option<(Addr, usize)>, A::Abort> {
+    let pmeta = a.read(parent + OFF_META)?;
+    let pcount = meta_count(pmeta);
+    a.control(2);
+    if meta_is_leaf(pmeta) || meta_is_dead(pmeta) || slot >= pcount || pcount >= FANOUT {
+        return Ok(None);
+    }
+    if a.read(val_word(parent, slot))? != leaf {
+        return Ok(None);
+    }
+    split(
+        a,
+        handle,
+        SplitParent::Node(parent, slot, pcount),
+        leaf,
+        true,
+    )?;
+    hop_right(a, leaf, FANOUT / 2, key).map(Some)
 }
 
 /// Right-hops across the leaf chain until reaching the leaf responsible

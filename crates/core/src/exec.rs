@@ -9,7 +9,13 @@
 //!   optimistic scheme: unprotected inner-node traversal (locality-aware,
 //!   §5), an STM-protected leaf region guarded by the leaf-version
 //!   validation of Eunomia, and a full STM-protected descent as the
-//!   fallback once the retry threshold is exceeded.
+//!   fallback once the retry threshold is exceeded. Alg. 1 sends every
+//!   structure change to that fallback; here a full leaf whose parent has
+//!   room splits inside the leaf region instead. The parent comes from an
+//!   unprotected descent that stops one level above the leaves, run only
+//!   for a leaf that reads full, and the transaction re-checks it. A split
+//!   that would propagate (the parent is full, dead or no longer points at
+//!   the leaf) and a delete that would underflow still fall back.
 //!
 //! Both kernels record the *old value* of each issued key; the
 //! **result-calculation** phase then resolves every unissued request from
@@ -25,12 +31,12 @@ use eirene_baselines::common::{charge_request_io, BatchRun};
 use eirene_btree::access::{NodeAccess, TxAccess};
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{
-    meta_count, meta_is_dead, meta_is_leaf, ParsedNode, MIN_OCCUPANCY, OFF_LOW, OFF_META,
+    meta_count, meta_is_dead, meta_is_leaf, ParsedNode, FANOUT, MIN_OCCUPANCY, OFF_LOW, OFF_META,
     OFF_VERSION,
 };
 use eirene_btree::ops::{
-    delete_at_leaf, delete_rebalancing, descend, hop_right, upsert_at_leaf, LeafDelete, LeafUpsert,
-    NO_VALUE,
+    delete_at_leaf, delete_rebalancing, descend, hop_right, split_leaf_in_parent, upsert_at_leaf,
+    LeafDelete, LeafUpsert, NO_VALUE,
 };
 use eirene_primitives::PrimCost;
 use eirene_sim::{Device, DeviceConfig, KernelStats, Phase, TraceEventKind};
@@ -249,7 +255,8 @@ pub fn execute(
     BatchRun { responses, stats }
 }
 
-/// Executes one issued update with the optimistic protocol of Alg. 1.
+/// Executes one issued update with the optimistic protocol of Alg. 1,
+/// splitting a full leaf in the leaf region when its parent has room.
 fn update_one(
     ctx: &mut eirene_sim::WarpCtx<'_>,
     handle: &TreeHandle,
@@ -261,6 +268,11 @@ fn update_one(
 ) -> u64 {
     let WarpState { loc, scratch } = warp;
     let mut retries = 0u32;
+    let upsert = matches!(kind, IssuedKind::Upsert(_));
+    // Set when the leaf region found the leaf full with no parent in hand:
+    // the snapshot read it short of full because the run's earlier upserts
+    // landed after it was loaded.
+    let mut seek_parent = false;
     loop {
         if retries >= opts.retry_threshold {
             // Fallback: the whole traversal under STM protection
@@ -291,7 +303,16 @@ fn update_one(
         // leaf-version validation + STM-protected leaf region (37-45).
         let (addr, node) = loc.locate(ctx, handle, key);
         let leafvers = node.version();
+        // A leaf that already reads full will need a split: find its
+        // parent now, outside the transaction, so the split can run inside
+        // it. Every other update skips this. The parent is a hint like the
+        // leaf: the leaf region re-reads it before splitting.
+        let seek = seek_parent || (upsert && node.count() == FANOUT && node.find(key).is_none());
+        let parent = seek
+            .then(|| loc.leaf_parent(ctx, handle, key, addr))
+            .flatten();
         let mut need_smo = false;
+        let mut split = false;
         let outer = ctx.set_phase(Phase::LeafOp);
         let attempt = {
             let mut tx = stm.begin(scratch);
@@ -322,12 +343,25 @@ fn update_one(
                 }
                 match kind {
                     IssuedKind::Upsert(v) => {
-                        match upsert_at_leaf(a, laddr, lcount, key, v as u64)? {
+                        if let LeafUpsert::Done(old) =
+                            upsert_at_leaf(a, laddr, lcount, key, v as u64)?
+                        {
+                            return Ok(Some(old));
+                        }
+                        // Full: split it here when its parent has room;
+                        // only a split that would propagate falls back.
+                        let half = match parent {
+                            Some(p) => split_leaf_in_parent(a, handle, p, laddr, key)?,
+                            None => None,
+                        };
+                        let Some((half, hcount)) = half else {
+                            need_smo = true;
+                            return Err(Abort);
+                        };
+                        split = true;
+                        match upsert_at_leaf(a, half, hcount, key, v as u64)? {
                             LeafUpsert::Done(old) => Ok(Some(old)),
-                            LeafUpsert::Full => {
-                                need_smo = true;
-                                Err(Abort)
-                            }
+                            LeafUpsert::Full => unreachable!("a split half has room"),
                         }
                     }
                     IssuedKind::Delete => {
@@ -366,11 +400,21 @@ fn update_one(
         };
         ctx.set_phase(outer);
         match attempt {
-            Some(old) => return old,
+            Some(old) => {
+                if split {
+                    // The buffered leaf is the split's pre-image.
+                    loc.invalidate();
+                }
+                return old;
+            }
             None => {
-                if need_smo {
-                    // Structure change required: jump straight to the
-                    // STM-protected path, which can split or merge.
+                if need_smo && upsert && !seek {
+                    // Full after all: find the parent and try once more.
+                    seek_parent = true;
+                } else if need_smo {
+                    // A split that would propagate, or an underflow: jump
+                    // straight to the STM-protected path, which can split
+                    // or merge on the way down.
                     retries = opts.retry_threshold;
                 } else {
                     retries += 1;

@@ -89,6 +89,62 @@ impl<'c> WarpLocator<'c> {
         (addr, &self.buf)
     }
 
+    /// Finds the parent of `leaf`, the leaf owning `key`, and the slot that
+    /// points at it: an unprotected descent, from the snapshot's frontier
+    /// node when there is one, that stops one level above the leaves. Like
+    /// every unprotected read, the result is a hint; `None` when the descent
+    /// meets a leaf, a corpse or an empty node before an entry naming
+    /// `leaf`. Loads into a buffer of its own: the warp's holds `leaf`.
+    pub fn leaf_parent(
+        &self,
+        ctx: &mut WarpCtx<'_>,
+        handle: &TreeHandle,
+        key: u64,
+        leaf: Addr,
+    ) -> Option<(Addr, usize)> {
+        let outer = ctx.set_phase(Phase::VerticalTraversal);
+        let mut start = self.cache.map(|cache| {
+            let prev = ctx.set_phase(Phase::RunDispatch);
+            ctx.control(cache.lookup_cost());
+            ctx.set_phase(prev);
+            cache.lookup(key)
+        });
+        let mut node = ParsedNode::default();
+        let found = 'restart: loop {
+            let (mut addr, mut from_cache) = match start.take() {
+                Some(hint) => (hint, true),
+                None => (ctx.read(handle.root_word), false),
+            };
+            // Bounded like the locator's descent: a torn pointer cannot
+            // send the walk round a cycle.
+            for _ in 0..64 {
+                node.load(ctx, addr);
+                ctx.stats.vertical_steps += 1;
+                ctx.control(12);
+                let stale_start = from_cache && (key < node.low() || key >= node.high());
+                if node.is_leaf() || node.is_dead() || node.count() == 0 || stale_start {
+                    if from_cache {
+                        // The snapshot's node split or merged: start again
+                        // from the root.
+                        ctx.charge_cycles(50);
+                        continue 'restart;
+                    }
+                    break;
+                }
+                let slot = node.child_slot(key);
+                match node.vals()[slot] {
+                    child if child == leaf => break 'restart Some((addr, slot)),
+                    0 => break,
+                    child => addr = child,
+                }
+                from_cache = false;
+            }
+            break None;
+        };
+        ctx.set_phase(outer);
+        found
+    }
+
     /// Horizontal traversal from the buffered leaf at `start_addr`, with
     /// the height+1 overshoot bound and RF refresh. Returns `None` when the
     /// walk aborted to vertical.
