@@ -12,9 +12,11 @@
 //! literal in the same diff and says why.
 //!
 //! Three fixed-seed scenarios, each through `EireneTree` (optimistic leaf
-//! region + full-STM fallback) and `StmTree` (every request one
-//! transaction): split-heavy inserts, delete churn that merges the tree
-//! down and refills it, and a skewed 45/35/10/10 mix. Every scenario is
+//! region, which also splits a full leaf whose parent has room, +
+//! full-STM fallback for every other structure change) and `StmTree`
+//! (every request one transaction): split-heavy inserts, delete churn
+//! that merges the tree down and refills it, and a skewed 45/35/10/10
+//! mix. Every scenario is
 //! pinned twice: under the seeded deterministic scheduler with its eight
 //! worker slots (transactions overlap and abort — the conflict counts are
 //! part of the pin), and on a single worker slot (`*_single_slot`: no
@@ -221,24 +223,25 @@ fn check(got: String, want: &str) {
 #[test]
 fn eirene_split_heavy() {
     let (p, batches) = split_heavy();
-    // Re-pinned for the shifted-address record map: aborts 993 → 211, so
-    // fewer retried descents (1 096 → 303) and abandoned split siblings
-    // (21 → 8); shape, combine and result rows unmoved.
+    // Re-pinned for in-place leaf splits: a full leaf under a parent with
+    // room splits inside its leaf transaction, so fewer full-STM descents
+    // run (descents 303 → 187, vertical mem 1 267 → 921) and fewer
+    // transactions collide (aborts 211 → 126, abandoned split siblings 8 → 7).
     check(
         fingerprint(&mut eirene(&p, device(11)), &batches),
         "other: mem 1266 control 0 atomic 0
          combine: mem 1329 control 45540 atomic 0
-         vertical_traversal: mem 1267 control 2048 atomic 0
-         horizontal_traversal: mem 819 control 1618 atomic 0
-         leaf_op: mem 13015 control 9093 atomic 0
-         structure_mod: mem 2486 control 192 atomic 30
-         stm_access: mem 32127 control 91456 atomic 3119
-         stm_commit: mem 14148 control 21334 atomic 0
+         vertical_traversal: mem 921 control 2214 atomic 0
+         horizontal_traversal: mem 876 control 1692 atomic 0
+         leaf_op: mem 13314 control 9525 atomic 0
+         structure_mod: mem 2394 control 192 atomic 29
+         stm_access: mem 31639 control 89924 atomic 3088
+         stm_commit: mem 13956 control 21122 atomic 0
          result_calc: mem 96 control 6144 atomic 0
-         run_dispatch: mem 40 control 775 atomic 0
-         steps: vertical 318 horizontal 83 descents 303
-         conflicts: aborts 211 version 0
-         slab: live 78 retired 0 free 8 reused 0 bump 86
+         run_dispatch: mem 40 control 1005 atomic 0
+         steps: vertical 283 horizontal 91 descents 187
+         conflicts: aborts 126 version 0
+         slab: live 78 retired 0 free 7 reused 0 bump 85
          shape: height 3 leaves 70 inner 8 keys 840",
     );
 }
@@ -267,24 +270,25 @@ fn stm_split_heavy() {
 #[test]
 fn eirene_delete_churn() {
     let (p, batches) = delete_churn();
-    // Re-pinned for the inner-structure generation: the snapshot survives
-    // leaf merges, so runs grouped by its stale fences share merged leaves
-    // (aborts 5 820 → 7 310) while RunDispatch charges fewer rebuilds.
+    // Re-pinned for in-place leaf splits: the refill batch splits leaves
+    // inside their leaf transactions (descents 8 815 → 8 688, vertical mem
+    // 29 524 → 27 897); fewer structure-mod atomics (102 → 97) and
+    // recycled nodes (102 → 97) follow. The shape is unmoved.
     check(
         fingerprint(&mut eirene(&p, device(21)), &batches),
         "other: mem 4320 control 0 atomic 0
          combine: mem 2025 control 69120 atomic 0
-         vertical_traversal: mem 29524 control 51380 atomic 0
-         horizontal_traversal: mem 2956 control 5512 atomic 0
-         leaf_op: mem 61054 control 31602 atomic 0
-         structure_mod: mem 32308 control 6440 atomic 102
-         stm_access: mem 231263 control 674955 atomic 21793
-         stm_commit: mem 80725 control 107190 atomic 0
+         vertical_traversal: mem 27897 control 50928 atomic 0
+         horizontal_traversal: mem 3247 control 5768 atomic 0
+         leaf_op: mem 61896 control 32874 atomic 0
+         structure_mod: mem 32148 control 6384 atomic 97
+         stm_access: mem 229065 control 668720 atomic 21668
+         stm_commit: mem 79832 control 106606 atomic 0
          result_calc: mem 135 control 8640 atomic 0
-         run_dispatch: mem 45 control 3014 atomic 0
-         steps: vertical 8702 horizontal 198 descents 8815
-         conflicts: aborts 7310 version 0
-         slab: live 98 retired 0 free 39 reused 102 bump 137
+         run_dispatch: mem 45 control 3486 atomic 0
+         steps: vertical 8390 horizontal 264 descents 8688
+         conflicts: aborts 7311 version 0
+         slab: live 98 retired 0 free 39 reused 97 bump 137
          shape: height 3 leaves 89 inner 9 keys 780",
     );
 }
@@ -314,21 +318,23 @@ fn stm_delete_churn() {
 #[test]
 fn eirene_mixed_skew() {
     let (p, batches) = mixed_skew();
-    // Re-pinned for the inner-structure generation: only `run_dispatch`
-    // moves (mem 52 → 30), since leaf splits no longer rebuild the snapshot.
+    // Re-pinned for in-place leaf splits: the cold-key splits run inside
+    // their leaf transactions (descents 83 → 73, vertical mem 434 → 320);
+    // `run_dispatch` control rises 832 → 868 for the parent descents'
+    // frontier lookups. Splits, shape and slab are unmoved.
     check(
         fingerprint(&mut eirene(&p, device(31)), &batches),
         "other: mem 2398 control 0 atomic 0
          combine: mem 2236 control 77640 atomic 0
-         vertical_traversal: mem 434 control 1366 atomic 0
-         horizontal_traversal: mem 1873 control 4154 atomic 0
-         leaf_op: mem 13130 control 16954 atomic 0
+         vertical_traversal: mem 320 control 1246 atomic 0
+         horizontal_traversal: mem 1884 control 4161 atomic 0
+         leaf_op: mem 13156 control 16988 atomic 0
          structure_mod: mem 508 control 48 atomic 5
-         stm_access: mem 26964 control 76014 atomic 2677
-         stm_commit: mem 12549 control 19744 atomic 0
+         stm_access: mem 26803 control 75586 atomic 2677
+         stm_commit: mem 12504 control 19654 atomic 0
          result_calc: mem 160 control 10240 atomic 0
-         run_dispatch: mem 30 control 832 atomic 0
-         steps: vertical 177 horizontal 649 descents 83
+         run_dispatch: mem 30 control 868 atomic 0
+         steps: vertical 153 horizontal 652 descents 73
          conflicts: aborts 0 version 0
          slab: live 100 retired 0 free 0 reused 0 bump 100
          shape: height 3 leaves 91 inner 9 keys 1131",
@@ -361,22 +367,26 @@ fn stm_mixed_skew() {
 #[test]
 fn eirene_split_heavy_single_slot() {
     let (p, batches) = split_heavy();
+    // Re-pinned for in-place leaf splits: descents 97 → 58, vertical mem
+    // 740 → 358. One inner node fewer (9 → 8, live 79 → 78): the fallback's
+    // descent split a full inner node on its way down that the in-place
+    // split, which touches only the leaf and its parent, leaves alone.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 1266 control 0 atomic 0
          combine: mem 1329 control 45540 atomic 0
-         vertical_traversal: mem 740 control 1582 atomic 0
-         horizontal_traversal: mem 819 control 1618 atomic 0
-         leaf_op: mem 13015 control 9093 atomic 0
-         structure_mod: mem 1978 control 184 atomic 23
-         stm_access: mem 29967 control 84993 atomic 2951
-         stm_commit: mem 13630 control 21358 atomic 0
+         vertical_traversal: mem 358 control 1306 atomic 0
+         horizontal_traversal: mem 875 control 1670 atomic 0
+         leaf_op: mem 13213 control 9373 atomic 0
+         structure_mod: mem 1896 control 176 atomic 22
+         stm_access: mem 29523 control 83629 atomic 2927
+         stm_commit: mem 13446 control 21038 atomic 0
          result_calc: mem 96 control 6144 atomic 0
-         run_dispatch: mem 43 control 831 atomic 0
-         steps: vertical 234 horizontal 83 descents 97
+         run_dispatch: mem 40 control 875 atomic 0
+         steps: vertical 156 horizontal 95 descents 58
          conflicts: aborts 0 version 0
-         slab: live 79 retired 0 free 0 reused 0 bump 79
-         shape: height 3 leaves 70 inner 9 keys 840",
+         slab: live 78 retired 0 free 0 reused 0 bump 78
+         shape: height 3 leaves 70 inner 8 keys 840",
     );
 }
 
@@ -402,22 +412,23 @@ fn stm_split_heavy_single_slot() {
 #[test]
 fn eirene_delete_churn_single_slot() {
     let (p, batches) = delete_churn();
-    // Re-pinned for the inner-structure generation: fewer snapshot rebuilds
-    // (`run_dispatch` mem 76 → 47), and runs grouped by stale fences step
-    // right across merged leaves (horizontal 190 → 200, descents 1 544 → 1 541).
+    // Re-pinned for in-place leaf splits: the refill batch's splits run in
+    // their leaf transactions (descents 1 541 → 1 402, vertical mem 13 042 →
+    // 11 718); the run-mates after a split walk right from the split leaf
+    // (horizontal 200 → 268). Shape and slab are unmoved.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 4320 control 0 atomic 0
          combine: mem 2025 control 69120 atomic 0
-         vertical_traversal: mem 13042 control 25804 atomic 0
-         horizontal_traversal: mem 2957 control 5517 atomic 0
-         leaf_op: mem 61100 control 31052 atomic 0
+         vertical_traversal: mem 11718 control 25098 atomic 0
+         horizontal_traversal: mem 3236 control 5735 atomic 0
+         leaf_op: mem 61843 control 32102 atomic 0
          structure_mod: mem 22675 control 4220 atomic 82
-         stm_access: mem 173158 control 508654 atomic 19296
-         stm_commit: mem 73773 control 108954 atomic 0
+         stm_access: mem 171986 control 505605 atomic 19292
+         stm_commit: mem 73158 control 107732 atomic 0
          result_calc: mem 135 control 8640 atomic 0
-         run_dispatch: mem 47 control 3276 atomic 0
-         steps: vertical 3490 horizontal 200 descents 1541
+         run_dispatch: mem 47 control 3576 atomic 0
+         steps: vertical 3227 horizontal 268 descents 1402
          conflicts: aborts 0 version 0
          slab: live 100 retired 0 free 37 reused 82 bump 137
          shape: height 3 leaves 89 inner 11 keys 780",
@@ -449,21 +460,21 @@ fn stm_delete_churn_single_slot() {
 #[test]
 fn eirene_mixed_skew_single_slot() {
     let (p, batches) = mixed_skew();
-    // Re-pinned for the inner-structure generation: only `run_dispatch`
-    // moves (mem 52 → 30), since leaf splits no longer rebuild the snapshot.
+    // Re-pinned for in-place leaf splits; equal to the multi-slot pin, as
+    // it was before.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 2398 control 0 atomic 0
          combine: mem 2236 control 77640 atomic 0
-         vertical_traversal: mem 434 control 1366 atomic 0
-         horizontal_traversal: mem 1873 control 4154 atomic 0
-         leaf_op: mem 13130 control 16954 atomic 0
+         vertical_traversal: mem 320 control 1246 atomic 0
+         horizontal_traversal: mem 1884 control 4161 atomic 0
+         leaf_op: mem 13156 control 16988 atomic 0
          structure_mod: mem 508 control 48 atomic 5
-         stm_access: mem 26964 control 76014 atomic 2677
-         stm_commit: mem 12549 control 19744 atomic 0
+         stm_access: mem 26803 control 75586 atomic 2677
+         stm_commit: mem 12504 control 19654 atomic 0
          result_calc: mem 160 control 10240 atomic 0
-         run_dispatch: mem 30 control 832 atomic 0
-         steps: vertical 177 horizontal 649 descents 83
+         run_dispatch: mem 30 control 868 atomic 0
+         steps: vertical 153 horizontal 652 descents 73
          conflicts: aborts 0 version 0
          slab: live 100 retired 0 free 0 reused 0 bump 100
          shape: height 3 leaves 91 inner 9 keys 1131",
