@@ -130,20 +130,27 @@ fn child_slot<A: NodeAccess>(
     Ok(lo)
 }
 
-/// Search for an exact key in a leaf.
-fn find<A: NodeAccess>(
+/// Searches a leaf for `key`: `Ok(slot)` where it is, or `Err(slot)`
+/// where it would be inserted, as `slice::binary_search` answers.
+fn search<A: NodeAccess>(
     a: &mut A,
     leaf: Addr,
     count: usize,
     key: u64,
-) -> Result<Option<usize>, A::Abort> {
+) -> Result<Result<usize, usize>, A::Abort> {
     if count == 0 {
-        return Ok(None);
+        return Ok(Err(0));
     }
     let slot = child_slot(a, leaf, count, key)?;
     let k = a.read(key_word(leaf, slot))?;
     a.control(1);
-    Ok((k == key).then_some(slot))
+    // `child_slot` gives the last key `<= key`, or slot 0 when every key
+    // is larger.
+    Ok(match k.cmp(&key) {
+        std::cmp::Ordering::Equal => Ok(slot),
+        std::cmp::Ordering::Less => Err(slot + 1),
+        std::cmp::Ordering::Greater => Err(slot),
+    })
 }
 
 /// Where a split publishes its new fence.
@@ -557,24 +564,15 @@ pub fn upsert_at_leaf<A: NodeAccess>(
     val: u64,
 ) -> Result<LeafUpsert, A::Abort> {
     in_phase(a, Phase::LeafOp, |a| {
-        if let Some(slot) = find(a, leaf, count, key)? {
-            let old = a.read(val_word(leaf, slot))?;
-            a.write(val_word(leaf, slot), val)?;
-            return Ok(LeafUpsert::Done(old));
-        }
-        if count == FANOUT {
-            return Ok(LeafUpsert::Full);
-        }
-        // Find the sorted slot.
-        let mut slot = 0;
-        while slot < count {
-            let k = a.read(key_word(leaf, slot))?;
-            a.control(1);
-            if k >= key {
-                break;
+        let slot = match search(a, leaf, count, key)? {
+            Ok(slot) => {
+                let old = a.read(val_word(leaf, slot))?;
+                a.write(val_word(leaf, slot), val)?;
+                return Ok(LeafUpsert::Done(old));
             }
-            slot += 1;
-        }
+            Err(_) if count == FANOUT => return Ok(LeafUpsert::Full),
+            Err(slot) => slot,
+        };
         open_slot(a, leaf, slot, count)?;
         a.write(key_word(leaf, slot), key)?;
         a.write(val_word(leaf, slot), val)?;
@@ -606,10 +604,10 @@ pub fn delete_at_leaf<A: NodeAccess>(
     key: u64,
     floor: usize,
 ) -> Result<LeafDelete, A::Abort> {
-    in_phase(a, Phase::LeafOp, |a| match find(a, leaf, count, key)? {
-        None => Ok(LeafDelete::Done(NO_VALUE)),
-        Some(_) if count <= floor => Ok(LeafDelete::Underflow),
-        Some(slot) => {
+    in_phase(a, Phase::LeafOp, |a| match search(a, leaf, count, key)? {
+        Err(_) => Ok(LeafDelete::Done(NO_VALUE)),
+        Ok(_) if count <= floor => Ok(LeafDelete::Underflow),
+        Ok(slot) => {
             let old = a.read(val_word(leaf, slot))?;
             close_slot(a, leaf, slot, count)?;
             a.write(leaf + OFF_META, pack_meta(true, false, count - 1))?;
@@ -642,9 +640,9 @@ pub fn query_at_leaf<A: NodeAccess>(
     count: usize,
     key: u64,
 ) -> Result<u64, A::Abort> {
-    in_phase(a, Phase::LeafOp, |a| match find(a, leaf, count, key)? {
-        None => Ok(NO_VALUE),
-        Some(slot) => a.read(val_word(leaf, slot)),
+    in_phase(a, Phase::LeafOp, |a| match search(a, leaf, count, key)? {
+        Err(_) => Ok(NO_VALUE),
+        Ok(slot) => a.read(val_word(leaf, slot)),
     })
 }
 #[cfg(test)]

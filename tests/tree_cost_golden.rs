@@ -223,24 +223,24 @@ fn check(got: String, want: &str) {
 #[test]
 fn eirene_split_heavy() {
     let (p, batches) = split_heavy();
-    // Re-pinned for in-place leaf splits: a full leaf under a parent with
-    // room splits inside its leaf transaction, so fewer full-STM descents
-    // run (descents 303 → 187, vertical mem 1 267 → 921) and fewer
-    // transactions collide (aborts 211 → 126, abandoned split siblings 8 → 7).
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf (`leaf_op` mem 13 314 → 11 541), and
+    // the shorter leaf transactions collide less (aborts 126 → 89, descents
+    // 187 → 150). The tree is unmoved.
     check(
         fingerprint(&mut eirene(&p, device(11)), &batches),
         "other: mem 1266 control 0 atomic 0
          combine: mem 1329 control 45540 atomic 0
-         vertical_traversal: mem 921 control 2214 atomic 0
-         horizontal_traversal: mem 876 control 1692 atomic 0
-         leaf_op: mem 13314 control 9525 atomic 0
-         structure_mod: mem 2394 control 192 atomic 29
-         stm_access: mem 31639 control 89924 atomic 3088
-         stm_commit: mem 13956 control 21122 atomic 0
+         vertical_traversal: mem 717 control 1970 atomic 0
+         horizontal_traversal: mem 882 control 1693 atomic 0
+         leaf_op: mem 11541 control 7749 atomic 0
+         structure_mod: mem 2384 control 184 atomic 29
+         stm_access: mem 27654 control 79823 atomic 3086
+         stm_commit: mem 12215 control 17648 atomic 0
          result_calc: mem 96 control 6144 atomic 0
-         run_dispatch: mem 40 control 1005 atomic 0
-         steps: vertical 283 horizontal 91 descents 187
-         conflicts: aborts 126 version 0
+         run_dispatch: mem 40 control 995 atomic 0
+         steps: vertical 249 horizontal 93 descents 150
+         conflicts: aborts 89 version 0
          slab: live 78 retired 0 free 7 reused 0 bump 85
          shape: height 3 leaves 70 inner 8 keys 840",
     );
@@ -249,20 +249,22 @@ fn eirene_split_heavy() {
 #[test]
 fn stm_split_heavy() {
     let (p, batches) = split_heavy();
-    // Re-pinned for the shifted-address record map: aborts 2 918 → 4 719 and
-    // 21 more abandoned split siblings; the tree built is the same.
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf (`leaf_op` mem 19 064 → 16 205), and
+    // shorter transactions collide less (aborts 4 719 → 2 016, abandoned
+    // split siblings 94 → 50). The tree built is the same.
     check(
         fingerprint(&mut stm(&p, device(12)), &batches),
         "other: mem 3072 control 0 atomic 0
-         vertical_traversal: mem 29381 control 41912 atomic 0
-         horizontal_traversal: mem 1690 control 1690 atomic 0
-         leaf_op: mem 19064 control 15341 atomic 0
-         structure_mod: mem 2955 control 248 atomic 120
-         stm_access: mem 107785 control 290408 atomic 4644
-         stm_commit: mem 39317 control 67154 atomic 0
-         steps: vertical 6896 horizontal 0 descents 6286
-         conflicts: aborts 4719 version 0
-         slab: live 82 retired 94 free 0 reused 0 bump 176
+         vertical_traversal: mem 27503 control 38904 atomic 0
+         horizontal_traversal: mem 1655 control 1653 atomic 0
+         leaf_op: mem 16205 control 12915 atomic 0
+         structure_mod: mem 2392 control 224 atomic 76
+         stm_access: mem 94875 control 252496 atomic 4263
+         stm_commit: mem 36631 control 63832 atomic 0
+         steps: vertical 6329 horizontal 1 descents 3580
+         conflicts: aborts 2016 version 0
+         slab: live 82 retired 50 free 0 reused 0 bump 132
          shape: height 3 leaves 73 inner 9 keys 840",
     );
 }
@@ -270,25 +272,25 @@ fn stm_split_heavy() {
 #[test]
 fn eirene_delete_churn() {
     let (p, batches) = delete_churn();
-    // Re-pinned for in-place leaf splits: the refill batch splits leaves
-    // inside their leaf transactions (descents 8 815 → 8 688, vertical mem
-    // 29 524 → 27 897); fewer structure-mod atomics (102 → 97) and
-    // recycled nodes (102 → 97) follow. The shape is unmoved.
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf (`leaf_op` mem 61 896 → 55 048); the
+    // interleaving moves with it (aborts 7 311 → 7 693, descents 8 688 →
+    // 9 086, reused nodes 97 → 114). The shape is unmoved.
     check(
         fingerprint(&mut eirene(&p, device(21)), &batches),
         "other: mem 4320 control 0 atomic 0
          combine: mem 2025 control 69120 atomic 0
-         vertical_traversal: mem 27897 control 50928 atomic 0
-         horizontal_traversal: mem 3247 control 5768 atomic 0
-         leaf_op: mem 61896 control 32874 atomic 0
-         structure_mod: mem 32148 control 6384 atomic 97
-         stm_access: mem 229065 control 668720 atomic 21668
-         stm_commit: mem 79832 control 106606 atomic 0
+         vertical_traversal: mem 28906 control 52098 atomic 0
+         horizontal_traversal: mem 3267 control 5820 atomic 0
+         leaf_op: mem 55048 control 25994 atomic 0
+         structure_mod: mem 33416 control 6448 atomic 114
+         stm_access: mem 220042 control 648230 atomic 22115
+         stm_commit: mem 74760 control 93784 atomic 0
          result_calc: mem 135 control 8640 atomic 0
-         run_dispatch: mem 45 control 3486 atomic 0
-         steps: vertical 8390 horizontal 264 descents 8688
-         conflicts: aborts 7311 version 0
-         slab: live 98 retired 0 free 39 reused 97 bump 137
+         run_dispatch: mem 45 control 3566 atomic 0
+         steps: vertical 8590 horizontal 267 descents 9086
+         conflicts: aborts 7693 version 0
+         slab: live 98 retired 0 free 39 reused 114 bump 137
          shape: height 3 leaves 89 inner 9 keys 780",
     );
 }
@@ -296,42 +298,42 @@ fn eirene_delete_churn() {
 #[test]
 fn stm_delete_churn() {
     let (p, batches) = delete_churn();
-    // Re-pinned for the shifted-address record map: aborts 21 342 → 16 959.
-    // The baseline runs racing deletes in commit order, so which leaves merge
-    // follows the retries: 65 → 68 leaves over the same 780 keys.
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf (`leaf_op` mem 61 186 → 54 654).
+    // The baseline runs racing deletes in commit order, so which leaves
+    // merge follows the retries: aborts 16 959 → 16 902, 68 → 67 leaves.
     check(
         fingerprint(&mut stm(&p, device(22)), &batches),
         "other: mem 4320 control 0 atomic 0
-         vertical_traversal: mem 92365 control 142998 atomic 0
-         horizontal_traversal: mem 2669 control 2669 atomic 0
-         leaf_op: mem 61186 control 24022 atomic 0
-         structure_mod: mem 35483 control 7824 atomic 170
-         stm_access: mem 375687 control 1059465 atomic 24689
-         stm_commit: mem 104565 control 143966 atomic 0
-         steps: vertical 22068 horizontal 0 descents 19812
-         conflicts: aborts 16959 version 0
-         slab: live 75 retired 232 free 0 reused 0 bump 307
-         shape: height 3 leaves 68 inner 7 keys 780",
+         vertical_traversal: mem 91668 control 141950 atomic 0
+         horizontal_traversal: mem 2638 control 2638 atomic 0
+         leaf_op: mem 54654 control 17877 atomic 0
+         structure_mod: mem 35333 control 7824 atomic 148
+         stm_access: mem 361099 control 1021957 atomic 24512
+         stm_commit: mem 99286 control 134378 atomic 0
+         steps: vertical 21969 horizontal 0 descents 19755
+         conflicts: aborts 16902 version 0
+         slab: live 74 retired 211 free 0 reused 0 bump 285
+         shape: height 3 leaves 67 inner 7 keys 780",
     );
 }
 
 #[test]
 fn eirene_mixed_skew() {
     let (p, batches) = mixed_skew();
-    // Re-pinned for in-place leaf splits: the cold-key splits run inside
-    // their leaf transactions (descents 83 → 73, vertical mem 434 → 320);
-    // `run_dispatch` control rises 832 → 868 for the parent descents'
-    // frontier lookups. Splits, shape and slab are unmoved.
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf, so only `leaf_op` and the STM
+    // rows (fewer reads to log and validate) move.
     check(
         fingerprint(&mut eirene(&p, device(31)), &batches),
         "other: mem 2398 control 0 atomic 0
          combine: mem 2236 control 77640 atomic 0
          vertical_traversal: mem 320 control 1246 atomic 0
          horizontal_traversal: mem 1884 control 4161 atomic 0
-         leaf_op: mem 13156 control 16988 atomic 0
+         leaf_op: mem 11837 control 15669 atomic 0
          structure_mod: mem 508 control 48 atomic 5
-         stm_access: mem 26803 control 75586 atomic 2677
-         stm_commit: mem 12504 control 19654 atomic 0
+         stm_access: mem 24187 control 69013 atomic 2677
+         stm_commit: mem 11207 control 17060 atomic 0
          result_calc: mem 160 control 10240 atomic 0
          run_dispatch: mem 30 control 868 atomic 0
          steps: vertical 153 horizontal 652 descents 73
@@ -344,43 +346,43 @@ fn eirene_mixed_skew() {
 #[test]
 fn stm_mixed_skew() {
     let (p, batches) = mixed_skew();
-    // Re-pinned for the shifted-address record map: aborts 1 811 → 1 397.
-    // Thread-per-request has no timestamp order: when an upsert and a delete
-    // of one key race, the later commit wins, so one key (1 127 → 1 126) and
-    // one leaf moved with the retries.
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf (`leaf_op` mem 33 620 → 31 308);
+    // aborts 1 397 → 1 078. Thread-per-request has no timestamp order: when
+    // an upsert and a delete of one key race, the later commit wins, so the
+    // key count follows the retries (1 126 → 1 128).
     check(
         fingerprint(&mut stm(&p, device(32)), &batches),
         "other: mem 5120 control 0 atomic 0
-         vertical_traversal: mem 41630 control 62786 atomic 0
-         horizontal_traversal: mem 3163 control 2998 atomic 0
-         leaf_op: mem 33620 control 26117 atomic 0
-         structure_mod: mem 1012 control 96 atomic 11
-         stm_access: mem 156900 control 410397 atomic 5074
-         stm_commit: mem 65825 control 121300 atomic 0
-         steps: vertical 9602 horizontal 83 descents 3969
-         conflicts: aborts 1397 version 0
-         slab: live 106 retired 0 free 0 reused 0 bump 106
-         shape: height 3 leaves 95 inner 11 keys 1126",
+         vertical_traversal: mem 41286 control 62706 atomic 0
+         horizontal_traversal: mem 3122 control 2955 atomic 0
+         leaf_op: mem 31308 control 24133 atomic 0
+         structure_mod: mem 1024 control 96 atomic 17
+         stm_access: mem 151259 control 395553 atomic 4988
+         stm_commit: mem 63826 control 117506 atomic 0
+         steps: vertical 9583 horizontal 85 descents 3650
+         conflicts: aborts 1078 version 0
+         slab: live 106 retired 6 free 0 reused 0 bump 112
+         shape: height 3 leaves 95 inner 11 keys 1128",
     );
 }
 
 #[test]
 fn eirene_split_heavy_single_slot() {
     let (p, batches) = split_heavy();
-    // Re-pinned for in-place leaf splits: descents 97 → 58, vertical mem
-    // 740 → 358. One inner node fewer (9 → 8, live 79 → 78): the fallback's
-    // descent split a full inner node on its way down that the in-place
-    // split, which touches only the leaf and its parent, leaves alone.
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf, so only `leaf_op` and the STM
+    // rows (fewer reads to log and validate) move.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 1266 control 0 atomic 0
          combine: mem 1329 control 45540 atomic 0
          vertical_traversal: mem 358 control 1306 atomic 0
          horizontal_traversal: mem 875 control 1670 atomic 0
-         leaf_op: mem 13213 control 9373 atomic 0
+         leaf_op: mem 11432 control 7592 atomic 0
          structure_mod: mem 1896 control 176 atomic 22
-         stm_access: mem 29523 control 83629 atomic 2927
-         stm_commit: mem 13446 control 21038 atomic 0
+         stm_access: mem 26018 control 74781 atomic 2927
+         stm_commit: mem 11722 control 17590 atomic 0
          result_calc: mem 96 control 6144 atomic 0
          run_dispatch: mem 40 control 875 atomic 0
          steps: vertical 156 horizontal 95 descents 58
@@ -393,15 +395,18 @@ fn eirene_split_heavy_single_slot() {
 #[test]
 fn stm_split_heavy_single_slot() {
     let (p, batches) = split_heavy();
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf, so only `leaf_op` and the STM
+    // rows (fewer reads to log and validate) move.
     check(
         fingerprint(&mut stm(&p, single_slot()), &batches),
         "other: mem 3072 control 0 atomic 0
          vertical_traversal: mem 19053 control 28750 atomic 0
          horizontal_traversal: mem 1536 control 1536 atomic 0
-         leaf_op: mem 16833 control 14076 atomic 0
+         leaf_op: mem 15203 control 12446 atomic 0
          structure_mod: mem 2096 control 192 atomic 24
-         stm_access: mem 76709 control 202903 atomic 3916
-         stm_commit: mem 37191 control 66550 atomic 0
+         stm_access: mem 73486 control 194790 atomic 3916
+         stm_commit: mem 35598 control 63364 atomic 0
          steps: vertical 4678 horizontal 0 descents 1560
          conflicts: aborts 0 version 0
          slab: live 80 retired 0 free 0 reused 0 bump 80
@@ -412,20 +417,19 @@ fn stm_split_heavy_single_slot() {
 #[test]
 fn eirene_delete_churn_single_slot() {
     let (p, batches) = delete_churn();
-    // Re-pinned for in-place leaf splits: the refill batch's splits run in
-    // their leaf transactions (descents 1 541 → 1 402, vertical mem 13 042 →
-    // 11 718); the run-mates after a split walk right from the split leaf
-    // (horizontal 200 → 268). Shape and slab are unmoved.
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf, so only `leaf_op` and the STM
+    // rows (fewer reads to log and validate) move.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 4320 control 0 atomic 0
          combine: mem 2025 control 69120 atomic 0
          vertical_traversal: mem 11718 control 25098 atomic 0
          horizontal_traversal: mem 3236 control 5735 atomic 0
-         leaf_op: mem 61843 control 32102 atomic 0
+         leaf_op: mem 55100 control 25359 atomic 0
          structure_mod: mem 22675 control 4220 atomic 82
-         stm_access: mem 171986 control 505605 atomic 19292
-         stm_commit: mem 73158 control 107732 atomic 0
+         stm_access: mem 158994 control 472384 atomic 19292
+         stm_commit: mem 66909 control 95234 atomic 0
          result_calc: mem 135 control 8640 atomic 0
          run_dispatch: mem 47 control 3576 atomic 0
          steps: vertical 3227 horizontal 268 descents 1402
@@ -438,18 +442,18 @@ fn eirene_delete_churn_single_slot() {
 #[test]
 fn stm_delete_churn_single_slot() {
     let (p, batches) = delete_churn();
-    // The only single-slot pin the shifted-address record map moved, and only
-    // in the `stm_*` rows: two more record acquisitions (19 334 → 19 336
-    // atomics) in merges whose nodes used to share a record by hash.
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf, so only `leaf_op` and the STM
+    // rows (fewer reads to log and validate) move.
     check(
         fingerprint(&mut stm(&p, single_slot()), &batches),
         "other: mem 4320 control 0 atomic 0
          vertical_traversal: mem 31289 control 50040 atomic 0
          horizontal_traversal: mem 2160 control 2160 atomic 0
-         leaf_op: mem 54593 control 20312 atomic 0
+         leaf_op: mem 49903 control 15622 atomic 0
          structure_mod: mem 19944 control 3924 atomic 58
-         stm_access: mem 197174 control 567224 atomic 19336
-         stm_commit: mem 89188 control 139704 atomic 0
+         stm_access: mem 187898 control 543878 atomic 19336
+         stm_commit: mem 84602 control 130532 atomic 0
          steps: vertical 7336 horizontal 0 descents 2591
          conflicts: aborts 0 version 0
          slab: live 76 retired 119 free 0 reused 0 bump 195
@@ -460,18 +464,19 @@ fn stm_delete_churn_single_slot() {
 #[test]
 fn eirene_mixed_skew_single_slot() {
     let (p, batches) = mixed_skew();
-    // Re-pinned for in-place leaf splits; equal to the multi-slot pin, as
-    // it was before.
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf, so only `leaf_op` and the STM
+    // rows (fewer reads to log and validate) move.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 2398 control 0 atomic 0
          combine: mem 2236 control 77640 atomic 0
          vertical_traversal: mem 320 control 1246 atomic 0
          horizontal_traversal: mem 1884 control 4161 atomic 0
-         leaf_op: mem 13156 control 16988 atomic 0
+         leaf_op: mem 11837 control 15669 atomic 0
          structure_mod: mem 508 control 48 atomic 5
-         stm_access: mem 26803 control 75586 atomic 2677
-         stm_commit: mem 12504 control 19654 atomic 0
+         stm_access: mem 24187 control 69013 atomic 2677
+         stm_commit: mem 11207 control 17060 atomic 0
          result_calc: mem 160 control 10240 atomic 0
          run_dispatch: mem 30 control 868 atomic 0
          steps: vertical 153 horizontal 652 descents 73
@@ -484,15 +489,18 @@ fn eirene_mixed_skew_single_slot() {
 #[test]
 fn stm_mixed_skew_single_slot() {
     let (p, batches) = mixed_skew();
+    // Re-pinned for the insertion point taken from the leaf search: an
+    // insert no longer rescans the leaf, so only `leaf_op` and the STM
+    // rows (fewer reads to log and validate) move.
     check(
         fingerprint(&mut stm(&p, single_slot()), &batches),
         "other: mem 5120 control 0 atomic 0
          vertical_traversal: mem 32390 control 49842 atomic 0
          horizontal_traversal: mem 2706 control 2560 atomic 0
-         leaf_op: mem 32712 control 24761 atomic 0
+         leaf_op: mem 30813 control 22862 atomic 0
          structure_mod: mem 1208 control 112 atomic 13
-         stm_access: mem 134570 control 353309 atomic 5233
-         stm_commit: mem 65554 control 120642 atomic 0
+         stm_access: mem 130780 control 343822 atomic 5233
+         stm_commit: mem 63663 control 116860 atomic 0
          steps: vertical 7719 horizontal 73 descents 2574
          conflicts: aborts 0 version 0
          slab: live 108 retired 0 free 0 reused 0 bump 108
