@@ -103,12 +103,7 @@ impl<'c> WarpLocator<'c> {
         leaf: Addr,
     ) -> Option<(Addr, usize)> {
         let outer = ctx.set_phase(Phase::VerticalTraversal);
-        let mut start = self.cache.map(|cache| {
-            let prev = ctx.set_phase(Phase::RunDispatch);
-            ctx.control(cache.lookup_cost());
-            ctx.set_phase(prev);
-            cache.lookup(key)
-        });
+        let mut start = self.frontier_node(ctx, key);
         let mut node = ParsedNode::default();
         let found = 'restart: loop {
             let (mut addr, mut from_cache) = match start.take() {
@@ -143,6 +138,17 @@ impl<'c> WarpLocator<'c> {
         };
         ctx.set_phase(outer);
         found
+    }
+
+    /// One cache consultation per descent: binary-searches the staged
+    /// frontier fences for the node that owned `key` at snapshot time.
+    fn frontier_node(&self, ctx: &mut WarpCtx<'_>, key: u64) -> Option<Addr> {
+        self.cache.map(|cache| {
+            let prev = ctx.set_phase(Phase::RunDispatch);
+            ctx.control(cache.lookup_cost());
+            ctx.set_phase(prev);
+            cache.lookup(key)
+        })
     }
 
     /// Horizontal traversal from the buffered leaf at `start_addr`, with
@@ -195,16 +201,10 @@ impl<'c> WarpLocator<'c> {
     /// caller's STM leaf region re-validates ownership before mutating.
     fn descend(&mut self, ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64) -> Addr {
         let outer = ctx.set_phase(Phase::VerticalTraversal);
-        // One cache consultation per descent: binary-search the staged
-        // frontier fences for the node owning `key`. The hit is a *hint*
-        // like everything else an unprotected traversal reads — the loaded
-        // node re-validates below and any mismatch restarts from the root.
-        let mut start: Option<Addr> = self.cache.map(|cache| {
-            let prev = ctx.set_phase(Phase::RunDispatch);
-            ctx.control(cache.lookup_cost());
-            ctx.set_phase(prev);
-            cache.lookup(key)
-        });
+        // The frontier node is a *hint* like everything else an unprotected
+        // traversal reads: the loaded node re-validates below and any
+        // mismatch restarts from the root.
+        let mut start = self.frontier_node(ctx, key);
         let node = &mut self.buf;
         'restart: loop {
             ctx.set_phase(Phase::VerticalTraversal);
