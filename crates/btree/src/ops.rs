@@ -271,13 +271,8 @@ pub fn split_leaf_in_parent<A: NodeAccess>(
     if a.read(val_word(parent, slot))? != leaf {
         return Ok(None);
     }
-    split(
-        a,
-        handle,
-        SplitParent::Node(parent, slot, pcount),
-        leaf,
-        true,
-    )?;
+    let under = SplitParent::Node(parent, slot, pcount);
+    split(a, handle, under, leaf, true)?;
     hop_right(a, leaf, FANOUT / 2, key).map(Some)
 }
 
