@@ -18,8 +18,8 @@ static NEXT_STM_INSTANCE: AtomicU64 = AtomicU64::new(1);
 const TX_ID_BLOCK: u64 = 64;
 
 /// Read-log length from which [`Tx::read`] validates the log at every
-/// doubling. A tree operation reads a few hundred words at most; a
-/// transaction past this is looping.
+/// doubling. A tree operation reads a few hundred words, so a transaction
+/// past this is most likely looping on a stale view; a valid one reads on.
 const RUNAWAY_READS: usize = 1 << 12;
 
 /// STM instance: an ownership table in device memory.
