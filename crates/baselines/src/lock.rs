@@ -144,7 +144,6 @@ fn insert_fence(
 /// (and must release) the old root's latch.
 fn split_root(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, root_addr: Addr, node: &ParsedNode) {
     let prev = ctx.set_phase(Phase::StructureMod);
-    handle.bump_inner_gen(ctx.raw_mem());
     let (raddr, rfence) = split_locked(ctx, root_addr, node);
     let new_root = ctx.raw_mem().alloc_aligned(NODE_WORDS, 16);
     ctx.charge_alloc();
@@ -241,10 +240,6 @@ fn locked_descend<'b>(
             if may_insert && child.count() == FANOUT {
                 // Preemptive split: parent (cur) is locked and non-full.
                 let child_low = child.low();
-                if !child.is_leaf() {
-                    // An inner sibling is born (uncharged bookkeeping).
-                    handle.bump_inner_gen(ctx.raw_mem());
-                }
                 let (raddr, rfence) = split_locked(ctx, child_addr, child);
                 if rfence < node.keys()[slot] {
                     // Clamp case (leftmost spine): lower the stale fence
@@ -338,20 +333,15 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
     }
 }
 
-/// Latch-protected upsert usable as a standalone update primitive: the
-/// paper notes (§7) that Eirene's update kernel can use fine-grained
-/// locks instead of STM; Eirene's `UpdateProtection::FineGrainedLocks`
-/// mode is built on this. Returns the previous value, or `u64::MAX` when
-/// the key was absent.
-pub fn locked_upsert(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, val: u64) -> u64 {
+/// Latch-protected upsert: a latch-coupled descent that splits full
+/// children on the way down, then the in-leaf write.
+fn locked_upsert(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, val: u64) {
     let mut bufs = Default::default();
     let (addr, leaf) = locked_descend(ctx, handle, key, true, &mut bufs);
     let prev = ctx.set_phase(Phase::LeafOp);
     ctx.control(NODE_SEARCH_CONTROL);
-    let old = if let Some(slot) = leaf.find(key) {
-        let old = leaf.vals()[slot];
+    if let Some(slot) = leaf.find(key) {
         ctx.write(addr + OFF_VALS + slot as u64, val);
-        old
     } else {
         let c = leaf.count();
         debug_assert!(c < FANOUT, "preemptive split guarantees room");
@@ -366,27 +356,21 @@ pub fn locked_upsert(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, val: 
         ctx.write(addr + OFF_VALS + slot as u64, val);
         ctx.write(addr + OFF_META, pack_meta(true, true, c + 1));
         ctx.control((c - slot) as u64 + 2);
-        u64::MAX
-    };
+    }
     unlock(ctx, addr, true);
     ctx.set_phase(prev);
-    old
 }
 
-/// Latch-protected delete; see [`locked_upsert`]. Returns the previous
-/// value, or `u64::MAX` when the key was absent.
-pub fn locked_delete(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64) -> u64 {
+/// Latch-protected delete: a latch-coupled descent, then the in-leaf
+/// removal. Nothing merges: a leaf may underflow.
+fn locked_delete(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64) {
     let mut bufs = Default::default();
     let (addr, leaf) = locked_descend(ctx, handle, key, false, &mut bufs);
     let prev = ctx.set_phase(Phase::LeafOp);
     ctx.control(NODE_SEARCH_CONTROL);
-    let old = match leaf.find(key) {
-        None => {
-            unlock(ctx, addr, false);
-            u64::MAX
-        }
+    match leaf.find(key) {
+        None => unlock(ctx, addr, false),
         Some(slot) => {
-            let old = leaf.vals()[slot];
             let c = leaf.count();
             for i in slot..c - 1 {
                 ctx.write(addr + OFF_KEYS + i as u64, leaf.keys()[i + 1]);
@@ -396,11 +380,9 @@ pub fn locked_delete(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64) -> u6
             ctx.write(addr + OFF_META, pack_meta(true, true, c - 1));
             ctx.control((c - slot) as u64 + 2);
             unlock(ctx, addr, true);
-            old
         }
-    };
+    }
     ctx.set_phase(prev);
-    old
 }
 
 impl ConcurrentTree for LockTree {

@@ -4,7 +4,7 @@
 use crate::figures::Command;
 use crate::harness::{default_mix, measure, spec_for, write_csv, Scale, TreeKind};
 use eirene_baselines::common::ConcurrentTree;
-use eirene_core::{EireneOptions, EireneTree, UpdateProtection};
+use eirene_core::{EireneOptions, EireneTree};
 use eirene_workloads::{Distribution, Mix, WorkloadGen, WorkloadSpec};
 
 /// One Eirene configuration measured over fresh executions.
@@ -74,46 +74,6 @@ pub fn ablate_threshold(scale: &Scale) {
     write_csv(
         "ablate_threshold",
         "threshold,throughput_req_s,conflicts_per_req",
-        &rows,
-    );
-}
-
-/// Optimistic STM vs fine-grained locks for the update kernel (§7's
-/// "other synchronization schemes" note), across update ratios.
-pub fn ablate_protection(scale: &Scale) {
-    crate::metrics::set_context("ablate-protection");
-    println!("== Ablation: update-kernel protection (STM vs latches) ==");
-    println!(
-        "{:<22}{:>12}{:>12}{:>12}",
-        "update ratio", "5%", "20%", "50%"
-    );
-    let mut rows = Vec::new();
-    for protection in [
-        UpdateProtection::OptimisticStm,
-        UpdateProtection::FineGrainedLocks,
-    ] {
-        let label = match protection {
-            UpdateProtection::OptimisticStm => "optimistic STM",
-            UpdateProtection::FineGrainedLocks => "fine-grained locks",
-        };
-        print!("{label:<22}");
-        for upsert in [0.05, 0.20, 0.50] {
-            let spec = spec_for(scale.default_exp, scale.batch_size, upserts(upsert), 22);
-            let opts = EireneOptions {
-                protection,
-                ..eirene_opts(scale.batch_size + (1 << 12))
-            };
-            let (tput, _, _) = measure_eirene(&opts, &spec, scale.repeats.min(3));
-            print!("{:>12.1}", tput / 1e6);
-            rows.push(format!("{label},{upsert},{tput:.0}"));
-        }
-        println!();
-    }
-    println!("(Mreq/s; latches descend lock-coupled from the root, so they forgo");
-    println!(" the optimistic path's unprotected traversal and locality reuse)");
-    write_csv(
-        "ablate_protection",
-        "protection,update_ratio,throughput_req_s",
         &rows,
     );
 }
@@ -243,9 +203,8 @@ pub fn ablate_mix(scale: &Scale) {
 }
 
 /// Every ablation, in the order `ablate-all` runs them.
-pub(crate) const ABLATIONS: [Command; 6] = [
+pub(crate) const ABLATIONS: [Command; 5] = [
     ("ablate-threshold", ablate_threshold),
-    ("ablate-protection", ablate_protection),
     ("ablate-iteration", ablate_iteration_warps),
     ("ablate-distribution", ablate_distribution),
     ("ablate-batch", ablate_batch_size),

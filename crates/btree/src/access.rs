@@ -6,7 +6,7 @@
 //! discipline lives in the type — monomorphised, never `dyn`, free at run
 //! time. Exactly two policies exist because exactly two callers do:
 //!
-//! | | [`TxAccess`] (device: Eirene update kernel, STM GB-tree) | [`Direct`] (host: `refops`, quiesced shard migration) |
+//! | | [`TxAccess`] (device: Eirene update kernel, STM GB-tree) | [`Direct`] (host: `refops`, the reference `tests/btree_model.rs` checks) |
 //! |---|---|---|
 //! | read / write | `Tx::read` / `Tx::write` (ownership records, undo log), may abort | plain arena load / store, cannot fail |
 //! | alloc | `alloc_reuse` + `Tx::retire_on_abort` + one charged atomic | `alloc_reuse` |

@@ -13,11 +13,14 @@ pub struct TreeHandle {
     pub root_word: Addr,
     /// Arena word holding the height (number of levels; 1 = root is leaf).
     pub height_word: Addr,
-    /// Arena word counting the inner nodes born or retired: every split
-    /// of an inner node or of the root, every inner merge and every root
-    /// collapse bumps it, leaf splits and merges do not. Host-visible
-    /// bookkeeping, written uncharged and never rolled back (an aborted
-    /// split still counts), so it only ever over-reports a change.
+    /// Arena word counting the inner nodes born or retired by the
+    /// structure changes in [`ops`](crate::ops): every split of an inner
+    /// node or of the root, every inner merge and every root collapse bumps
+    /// it, leaf splits and merges do not. A tree that changes its structure
+    /// by other means (the lock baseline's latch-coupled splits) leaves it
+    /// alone. Host-visible bookkeeping, written uncharged and never rolled
+    /// back (an aborted split still counts), so it only ever over-reports a
+    /// change.
     pub gen_word: Addr,
 }
 
@@ -53,17 +56,6 @@ impl TreeHandle {
     /// Counts one inner node born or retired.
     pub fn bump_inner_gen(&self, mem: &GlobalMemory) {
         mem.fetch_add(self.gen_word, 1);
-    }
-
-    /// CAS the root (used by device-side root splits). Returns whether the
-    /// installation succeeded.
-    pub fn cas_root(&self, mem: &GlobalMemory, old: Addr, new: Addr) -> bool {
-        if mem.cas(self.root_word, old, new).is_ok() {
-            mem.fetch_add(self.height_word, 1);
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -342,16 +334,5 @@ mod tests {
         let mem = GlobalMemory::new(arena_budget(n, 64));
         let h = bulk_build(&mem, &pairs(n as u64));
         assert!(h.height(&mem) >= 4);
-    }
-
-    #[test]
-    fn cas_root_installs_once() {
-        let mem = GlobalMemory::new(1 << 12);
-        let h = bulk_build(&mem, &pairs(5));
-        let old = h.root(&mem);
-        assert!(h.cas_root(&mem, old, 0xAB0));
-        assert!(!h.cas_root(&mem, old, 0xAB8), "stale CAS must fail");
-        assert_eq!(h.root(&mem), 0xAB0);
-        assert_eq!(h.height(&mem), 2);
     }
 }

@@ -18,7 +18,8 @@
 //!   host;
 //! * host-side reference operations ([`refops`]: get/upsert/delete are
 //!   the direct-policy instantiation of [`ops`]; range/contents read the
-//!   leaf chain) used by tests, examples, the fuzzers and shard migration;
+//!   leaf chain) used by tests, examples and the fuzzers, and checked
+//!   against a model and the device policy by `tests/btree_model.rs`;
 //! * structural validation ([`validate`]) asserting the B+tree invariants
 //!   (sorted keys, consistent child separators, balanced height, linked
 //!   leaves, occupancy bounds).

@@ -1,10 +1,12 @@
 //! Host-side reference operations: uninstrumented, single-threaded tree
-//! ops used by tests, examples, the differential fuzzers and quiesced
-//! shard migration. `get` / `upsert` / `delete` are the shared algorithm
-//! of [`ops`] under the [`Direct`] policy — the same splits, borrows,
-//! merges and root collapses the device kernels perform through
-//! `TxAccess`, so a host-built tree and a device-built tree have the same
-//! shape. `range` and `contents` are plain leaf-chain readers.
+//! ops used by tests, examples and the differential fuzzers. `get` /
+//! `upsert` / `delete` are the shared algorithm of [`ops`] under the
+//! [`Direct`] policy — the same splits, borrows, merges and root collapses
+//! the device kernels perform through `TxAccess`, so a host-built tree and
+//! a device-built tree have the same shape. `upsert` and `delete` stay as
+//! the host reference: `tests/btree_model.rs` checks them against a
+//! `BTreeMap` model and against the same edits made through `TxAccess`.
+//! `range` and `contents` are plain leaf-chain readers.
 
 use crate::access::Direct;
 use crate::build::TreeHandle;

@@ -5,31 +5,28 @@ use eirene_baselines::common::{BatchRun, ConcurrentTree};
 use eirene_baselines::{LockTree, StmTree};
 use eirene_btree::refops;
 use eirene_btree::validate::validate;
-use eirene_core::{EireneOptions, EireneTree, UpdateProtection};
+use eirene_core::{EireneOptions, EireneTree};
 use eirene_serve::Outcome;
 use eirene_sim::DeviceConfig;
 use eirene_workloads::{Batch, Oracle, Request, Response, SequentialOracle};
 
-/// The five trees the differential fuzzer exercises: full Eirene, its two
-/// ablations (combining without locality, and the fine-grained-lock leaf
-/// protection §7 mentions), and the two baseline GB-trees. The NoCc tree
-/// is deliberately absent — without concurrency control it is *expected*
-/// to lose racing updates, so a differential check against it only
-/// measures the generator's conflict rate.
+/// The four trees the differential fuzzer exercises: full Eirene, its
+/// combining-without-locality ablation, and the two baseline GB-trees. The
+/// NoCc tree is deliberately absent — without concurrency control it is
+/// *expected* to lose racing updates, so a differential check against it
+/// only measures the generator's conflict rate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FuzzTree {
     Eirene,
     EireneCombining,
-    EireneLockLeaf,
     Stm,
     Lock,
 }
 
 impl FuzzTree {
-    pub const ALL: [FuzzTree; 5] = [
+    pub const ALL: [FuzzTree; 4] = [
         FuzzTree::Eirene,
         FuzzTree::EireneCombining,
-        FuzzTree::EireneLockLeaf,
         FuzzTree::Stm,
         FuzzTree::Lock,
     ];
@@ -38,7 +35,6 @@ impl FuzzTree {
         match self {
             FuzzTree::Eirene => "eirene",
             FuzzTree::EireneCombining => "eirene-combining",
-            FuzzTree::EireneLockLeaf => "eirene-lockleaf",
             FuzzTree::Stm => "stm",
             FuzzTree::Lock => "lock",
         }
@@ -53,10 +49,7 @@ impl FuzzTree {
     /// timestamp); the baselines resolve same-key races in lock or commit
     /// order, so they are only checked on key-disjoint batches.
     pub fn linearizable(self) -> bool {
-        matches!(
-            self,
-            FuzzTree::Eirene | FuzzTree::EireneCombining | FuzzTree::EireneLockLeaf
-        )
+        matches!(self, FuzzTree::Eirene | FuzzTree::EireneCombining)
     }
 }
 
@@ -75,11 +68,6 @@ pub fn build_tree(
                 device: cfg,
                 locality: sel != FuzzTree::EireneCombining,
                 headroom_nodes: headroom,
-                protection: if sel == FuzzTree::EireneLockLeaf {
-                    UpdateProtection::FineGrainedLocks
-                } else {
-                    UpdateProtection::OptimisticStm
-                },
                 ..Default::default()
             };
             Box::new(EireneTree::new(pairs, opts))

@@ -24,7 +24,7 @@ pub(crate) use eirene_sim::mix64 as mix;
 /// The four case providers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Leg {
-    /// One adversarial batch on a fresh tree per case, across five trees.
+    /// One adversarial batch on a fresh tree per case, across four trees.
     Tree,
     /// Adversarial streams through a fresh sharded service per case.
     Serve,
@@ -55,7 +55,7 @@ impl Leg {
     /// The leg's usage line, generated from its flag table.
     pub fn usage(self) -> String {
         let about = match self {
-            Leg::Tree => "differential fuzz of five trees",
+            Leg::Tree => "differential fuzz of four trees",
             Leg::Serve => "sharded-serving fuzz",
             Leg::Churn => "churn/reclamation fuzz on one long-lived tree",
             Leg::Coalesce => "combine-path fuzz against a coalesce-off twin",
@@ -493,7 +493,7 @@ const COMMON_FLAGS: &[Flag<Fuzz>] = &[
 ];
 
 const TREE_FLAGS: &[Flag<Fuzz>] = &[
-    flag!(@value ["--tree"] "eirene|eirene-combining|eirene-lockleaf|stm|lock[,...]",
+    flag!(@value ["--tree"] "eirene|eirene-combining|stm|lock[,...]",
         |f| f.trees.iter().map(|t| t.label()).collect::<Vec<_>>().join(","),
         |f, v| f.trees = v.split(',').map(FuzzTree::parse).collect::<Option<_>>()?),
     Flag {

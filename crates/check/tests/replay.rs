@@ -29,7 +29,7 @@ fn off_default(leg: Leg) -> Fuzz {
 #[test]
 fn tree_replay_line_round_trips() {
     round_trips(Fuzz {
-        trees: vec![FuzzTree::Stm, FuzzTree::EireneLockLeaf],
+        trees: vec![FuzzTree::Stm, FuzzTree::EireneCombining],
         fault: Some(FaultSpec::default()),
         ..off_default(Leg::Tree)
     });
@@ -109,10 +109,7 @@ fn default_seeds_run_the_same_cases() {
                 0x01e21228f184c555,
                 Tree(FuzzTree::EireneCombining, Some(Uniform))
             ),
-            (
-                0x2584230311c44c08,
-                Tree(FuzzTree::EireneLockLeaf, Some(Uniform))
-            ),
+            (0xc3f88bf9a6f170c5, Tree(FuzzTree::Stm, None)),
         ]
     );
     assert_eq!(

@@ -27,6 +27,7 @@ use crate::pivot::PivotCache;
 use crate::plan::{
     partition_leaf_runs, Artificial, CombinePlan, IssuedKind, Point, QueryItem, UpdateItem,
 };
+use crate::EireneOptions;
 use eirene_baselines::common::{charge_request_io, BatchRun};
 use eirene_btree::access::{NodeAccess, TxAccess};
 use eirene_btree::build::TreeHandle;
@@ -44,61 +45,6 @@ use eirene_stm::{Abort, Stm, TxScratch};
 use eirene_workloads::{Batch, OpKind, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How the update kernel protects leaf-region operations. The paper's
-/// design uses the optimistic STM scheme of Alg. 1; §7 notes that
-/// "synchronization schemes other than STM can be used in the
-/// implementation, such as fine-grained locks" — that alternative is
-/// provided for the ablation benches.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum UpdateProtection {
-    /// Alg. 1: unprotected inner traversal, STM-protected leaf region with
-    /// version validation, full-STM fallback past the retry threshold.
-    #[default]
-    OptimisticStm,
-    /// Latch-coupled descent with preemptive splits (the Lock GB-tree's
-    /// update machinery) for every issued update. No optimism, and no
-    /// locality reuse on the update path.
-    FineGrainedLocks,
-}
-
-/// Tunables of the execution engine.
-#[derive(Clone, Copy, Debug)]
-pub struct ExecOptions {
-    /// Enable locality-aware warp reorganization (§5). Off = the paper's
-    /// "+ Combining" ablation configuration (Fig. 11).
-    pub locality: bool,
-    /// Optimistic retries before the inner traversal falls back to full
-    /// STM protection (Alg. 1 line 28 THRESHOLD).
-    pub retry_threshold: u32,
-    /// Requests per request group (warp size in the paper).
-    pub rg_size: usize,
-    /// Leaf-region synchronization of the update kernel.
-    pub protection: UpdateProtection,
-    /// Target number of iteration warps per kernel; request groups are
-    /// spread contiguously over this many warps (0 = one per resident
-    /// warp). Smaller values mean more RGs per iteration warp — more
-    /// locality reuse, less parallelism — the trade-off §5 discusses.
-    pub target_warps: usize,
-    /// Coalesced run dispatch: group work items into leaf runs (one
-    /// descent per run, in-leaf application for run-mates) and start
-    /// descents from the snapshot pivot cache. Off = the per-request
-    /// baseline, one full descent per issued request.
-    pub coalesce: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            locality: true,
-            retry_threshold: 3,
-            rg_size: 32,
-            protection: UpdateProtection::OptimisticStm,
-            target_warps: 0,
-            coalesce: true,
-        }
-    }
-}
-
 /// Executes a combined batch on the device. `stm` protects the update
 /// kernel's leaf region. `pivot` is the snapshot pivot cache for the
 /// coalesced dispatch path (`None` = per-request descents from the root).
@@ -106,12 +52,11 @@ pub fn execute(
     device: &Device,
     handle: &TreeHandle,
     stm: &Stm,
-    opts: &ExecOptions,
+    opts: &EireneOptions,
     batch: &Batch,
     plan: &CombinePlan,
     pivot: Option<&PivotCache>,
 ) -> BatchRun {
-    let pivot = pivot.filter(|_| opts.coalesce);
     let n = batch.len();
     // Written only by result calculation, after both kernels.
     let mut responses = vec![Response::Done; n];
@@ -201,24 +146,8 @@ pub fn execute(
             if run_len > 1 {
                 ctx.emit(TraceEventKind::CombineHit, run_len as u64);
             }
-            let old = match opts.protection {
-                UpdateProtection::OptimisticStm => update_one(
-                    ctx,
-                    handle,
-                    stm,
-                    opts,
-                    WarpState { loc, scratch },
-                    key,
-                    kind,
-                ),
-                UpdateProtection::FineGrainedLocks => match kind {
-                    IssuedKind::Upsert(v) => {
-                        eirene_baselines::lock::locked_upsert(ctx, handle, key, v as u64)
-                    }
-                    IssuedKind::Delete => eirene_baselines::lock::locked_delete(ctx, handle, key),
-                    IssuedKind::Query => unreachable!("queries run in the query kernel"),
-                },
-            };
+            let state = WarpState { loc, scratch };
+            let old = update_one(ctx, handle, stm, opts, state, key, kind);
             old_vals[run as usize].store(old, Ordering::Relaxed);
             ctx.end_request();
         },
@@ -261,7 +190,7 @@ fn update_one(
     ctx: &mut eirene_sim::WarpCtx<'_>,
     handle: &TreeHandle,
     stm: &Stm,
-    opts: &ExecOptions,
+    opts: &EireneOptions,
     warp: WarpState<'_, '_>,
     key: u64,
     kind: IssuedKind,
@@ -476,10 +405,10 @@ impl HasKey for UpdateItem {
 /// maximal ascending-key groups targeting the same leaf under the
 /// snapshot's fences — so each group pays one descent and applies the
 /// rest of its items in-leaf; without one, groups are fixed-size RG
-/// blocks (`opts.rg_size`), the per-request baseline.
+/// blocks of one warp's width, the per-request baseline.
 fn launch_grouped<T: HasKey, S: Default + Send>(
     device: &Device,
-    opts: &ExecOptions,
+    opts: &EireneOptions,
     items: &[T],
     pivot: Option<&PivotCache>,
     name: &str,
@@ -500,7 +429,7 @@ fn launch_grouped<T: HasKey, S: Default + Send>(
     };
     // Group boundaries: leaf runs under coalesced dispatch, fixed-size RG
     // blocks otherwise.
-    let rg = opts.rg_size.max(1);
+    let rg = device.config().warp_size.max(1);
     let groups: Vec<(usize, usize)> = match pivot {
         Some(cache) => partition_leaf_runs(items, T::locate_key, cache.leaf_fences()),
         None => (0..n.div_ceil(rg))

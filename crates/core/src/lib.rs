@@ -36,5 +36,4 @@ pub mod pivot;
 pub mod plan;
 mod tree;
 
-pub use exec::UpdateProtection;
 pub use tree::{EireneOptions, EireneTree};

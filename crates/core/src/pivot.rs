@@ -302,14 +302,11 @@ mod tests {
     }
 
     /// One step of a drive: appends above the largest key grow the tree
-    /// at its right edge (through the host-side reference operations or
-    /// the lock ablation's latch-coupled upsert, which splits a full child
-    /// one step later: it does not restart after the split below it);
+    /// at its right edge through the host-side reference operations;
     /// deletes from the smallest key up shrink it from the left.
     #[derive(Clone, Copy, Debug)]
     enum Drive {
         Append,
-        AppendLocked,
         DeleteLowest,
     }
 
@@ -317,11 +314,6 @@ mod tests {
         let mem = dev.mem();
         match drive {
             Drive::Append => drop(refops::upsert(mem, t, 1000 + i, i)),
-            Drive::AppendLocked => {
-                let mut stats = WarpStats::default();
-                let mut ctx = eirene_sim::WarpCtx::new(mem, dev.config(), 0, &mut stats);
-                eirene_baselines::lock::locked_upsert(&mut ctx, t, 1000 + i, i);
-            }
             Drive::DeleteLowest => drop(refops::delete(mem, t, 2 * (i + 1))),
         }
     }
@@ -346,7 +338,7 @@ mod tests {
         let inner_split = (Some(1), None, 0);
         // `(change, drive, shape delta, made by a split-capable descent in
         // a transaction that then rolls back, snapshot still valid)`.
-        let table: [(&str, Drive, Delta, bool, bool); 8] = [
+        let table: [(&str, Drive, Delta, bool, bool); 7] = [
             ("leaf split", Append, (Some(0), Some(1), 0), false, true),
             (
                 "leaf merge",
@@ -372,7 +364,6 @@ mod tests {
                 false,
             ),
             ("aborted inner split", Append, inner_split, true, false),
-            ("lock inner split", AppendLocked, inner_split, false, false),
         ];
         for (what, drive, want, aborted, valid) in table {
             let n = steps_before(drive, want);

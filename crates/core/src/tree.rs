@@ -1,6 +1,6 @@
 //! Public API: the Eirene concurrent GPU B+tree.
 
-use crate::exec::{execute, ExecOptions, UpdateProtection};
+use crate::exec::execute;
 use crate::pivot::PivotCache;
 use crate::plan::build_plan;
 use eirene_baselines::common::{BatchRun, ConcurrentTree, TreeBase};
@@ -23,11 +23,10 @@ pub struct EireneOptions {
     pub retry_threshold: u32,
     /// Arena headroom in nodes for splits across the tree's lifetime.
     pub headroom_nodes: usize,
-    /// Leaf-region synchronization of the update kernel (§7 notes the
-    /// fine-grained-lock alternative to the default optimistic STM).
-    pub protection: UpdateProtection,
-    /// Iteration-warp target (0 = auto); see
-    /// [`ExecOptions::target_warps`](crate::exec::ExecOptions).
+    /// Target number of iteration warps per kernel; request groups are
+    /// spread contiguously over this many warps (0 = one per resident
+    /// warp). Smaller values mean more RGs per iteration warp — more
+    /// locality reuse, less parallelism — the trade-off §5 discusses.
     pub target_warps: usize,
     /// Coalesced run dispatch through the snapshot pivot cache (leaf-run
     /// groups, one descent per run). Off = per-request execution, the
@@ -43,7 +42,6 @@ impl Default for EireneOptions {
             locality: true,
             retry_threshold: 3,
             headroom_nodes: 1 << 16,
-            protection: UpdateProtection::OptimisticStm,
             target_warps: 0,
             coalesce: true,
         }
@@ -134,14 +132,6 @@ impl EireneTree {
     /// paper's pipelined-epoch model, used by `eirene-serve`). The plan
     /// must have been built for this batch and this tree's device config.
     pub fn run_planned(&mut self, batch: &Batch, plan: &crate::plan::CombinePlan) -> BatchRun {
-        let exec_opts = ExecOptions {
-            locality: self.opts.locality,
-            retry_threshold: self.opts.retry_threshold,
-            rg_size: self.base.device.config().warp_size,
-            protection: self.opts.protection,
-            target_warps: self.opts.target_warps,
-            coalesce: self.opts.coalesce,
-        };
         // Lazily (re)build the snapshot pivot cache at the batch boundary
         // — the quiescent point where the snapshot is safe to take. A
         // cache from an earlier batch survives as long as no inner node
@@ -153,10 +143,10 @@ impl EireneTree {
             &self.base.device,
             handle,
             &self.stm,
-            &exec_opts,
+            &self.opts,
             batch,
             plan,
-            Some(&self.pivot),
+            self.opts.coalesce.then_some(&self.pivot),
         );
         if let Some(cost) = rebuild_cost {
             let cfg = self.base.device.config();
@@ -454,90 +444,5 @@ mod tests {
         let em = er.stats.totals.mem_insts as f64 / batch.len() as f64;
         let sm = sr.stats.totals.mem_insts as f64 / batch.len() as f64;
         assert!(em < sm, "eirene {em} vs stm {sm} memory insts per request");
-    }
-}
-
-#[cfg(test)]
-mod protection_tests {
-    use super::*;
-    use crate::exec::UpdateProtection;
-    use eirene_btree::refops;
-    use eirene_btree::validate::validate;
-    use eirene_workloads::{Mix, Oracle, SequentialOracle, WorkloadGen, WorkloadSpec};
-
-    fn lock_opts() -> EireneOptions {
-        EireneOptions {
-            protection: UpdateProtection::FineGrainedLocks,
-            ..EireneOptions::test_small()
-        }
-    }
-
-    #[test]
-    fn lock_protected_updates_match_oracle() {
-        let spec = WorkloadSpec {
-            tree_size: 1 << 10,
-            batch_size: 4096,
-            mix: Mix {
-                upsert: 0.3,
-                delete: 0.1,
-                range: 0.05,
-                range_len: 4,
-            },
-            distribution: eirene_workloads::Distribution::Uniform,
-            seed: 31,
-        };
-        let init = spec.initial_pairs();
-        let p64: Vec<(u64, u64)> = init.iter().map(|&(k, v)| (k as u64, v as u64)).collect();
-        let mut tree = EireneTree::new(&p64, lock_opts());
-        let mut oracle = SequentialOracle::load(&init);
-        let mut gen = WorkloadGen::new(spec);
-        for _ in 0..2 {
-            let batch = gen.next_batch();
-            let got = tree.run_batch(&batch).responses;
-            let want = oracle.run_batch(&batch);
-            assert_eq!(got, want);
-            validate(tree.device().mem(), tree.handle()).unwrap();
-        }
-    }
-
-    #[test]
-    fn both_protections_produce_identical_responses() {
-        let spec = WorkloadSpec {
-            tree_size: 1 << 9,
-            batch_size: 2048,
-            mix: Mix::update_heavy(),
-            distribution: eirene_workloads::Distribution::Uniform,
-            seed: 32,
-        };
-        let p64: Vec<(u64, u64)> = spec
-            .initial_pairs()
-            .iter()
-            .map(|&(k, v)| (k as u64, v as u64))
-            .collect();
-        let batch = WorkloadGen::new(spec).next_batch();
-        let r_stm = EireneTree::new(&p64, EireneOptions::test_small()).run_batch(&batch);
-        let r_lock = EireneTree::new(&p64, lock_opts()).run_batch(&batch);
-        assert_eq!(r_stm.responses, r_lock.responses);
-    }
-
-    #[test]
-    fn lock_protection_splits_stay_valid() {
-        let mut tree = EireneTree::new(
-            &(1..=100u64).map(|i| (2 * i, 0)).collect::<Vec<_>>(),
-            lock_opts(),
-        );
-        let batch = eirene_workloads::Batch::new(
-            (0..800u32)
-                .map(|i| eirene_workloads::Request::upsert(2 * i + 1, i, i as u64))
-                .collect(),
-        );
-        tree.run_batch(&batch);
-        validate(tree.device().mem(), tree.handle()).unwrap();
-        for i in 0..800u32 {
-            assert_eq!(
-                refops::get(tree.device().mem(), tree.handle(), (2 * i + 1) as u64),
-                Some(i as u64)
-            );
-        }
     }
 }

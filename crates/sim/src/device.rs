@@ -442,21 +442,18 @@ impl Device {
                 _ => None,
             }
         };
-        // Warps multiplex over a bounded set of pool worker slots instead
-        // of one (mostly parked) thread per warp: a slot runs its assigned
-        // warp until the warp completes, then picks up the next start
-        // assignment. The token-passing protocol is unchanged; only the
-        // thread mapping is. The slot bound shapes the captured schedule
+        // Warps multiplex over a bounded set of pool worker slots: a slot
+        // runs its assigned warp until the warp completes, then picks up
+        // the next start assignment. The slot bound shapes the captured schedule
         // (an unstarted warp needs a free slot to be grantable), so it
         // must be host-independent — `det_workers()`, never the
         // core-count-derived `effective_workers()` — or the same seed
         // would interleave differently on different machines.
         let workers = self.cfg.det_workers().min(num_warps);
         let sched = match recorded {
-            Some(choices) => DetScheduler::replaying(num_warps, choices),
-            None => DetScheduler::seeded(num_warps, launch_seed(seed, launch_idx)),
-        }
-        .with_worker_limit(workers);
+            Some(choices) => DetScheduler::replaying(num_warps, choices, workers),
+            None => DetScheduler::seeded(num_warps, launch_seed(seed, launch_idx), workers),
+        };
         let run = LaunchStats::<S>::new(workers, num_warps);
         self.pool().run_with_driver(
             workers,

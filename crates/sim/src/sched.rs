@@ -292,16 +292,11 @@ struct DetState {
     /// — panicking mid-drive would strand warp threads parked on the
     /// token — and the launch fails loudly afterwards.
     diverged: Option<String>,
-    /// Bounded-worker multiplexing (None = legacy one-thread-per-warp).
-    /// When set, at most `limit` warps may be mid-execution at once; a
-    /// warp not yet started is only eligible while a worker slot is free,
-    /// and granting it enqueues a start assignment for the worker pool.
-    workers: Option<WorkerState>,
-}
-
-struct WorkerState {
-    /// The configured slot limit (kept for diagnostics; `free` tracks the
-    /// live remainder).
+    /// Worker slots: at most `limit` warps may be mid-execution at once; a
+    /// warp not yet started is only eligible while a slot is free, and
+    /// granting it enqueues a start assignment for the worker pool. The
+    /// configured limit is kept for diagnostics; `free` tracks the live
+    /// remainder.
     limit: usize,
     started: Vec<bool>,
     /// Worker slots not currently owning a started-but-unfinished warp.
@@ -311,17 +306,11 @@ struct WorkerState {
 }
 
 impl DetState {
-    /// A warp is eligible for the next grant if it is unfinished and —
-    /// under bounded workers — either already started (its worker is
-    /// parked at a yield point) or startable on a free worker slot.
+    /// A warp is eligible for the next grant if it is unfinished and
+    /// either already started (its worker is parked at a yield point) or
+    /// startable on a free worker slot.
     fn eligible(&self, w: usize) -> bool {
-        if self.finished[w] {
-            return false;
-        }
-        match &self.workers {
-            None => true,
-            Some(ws) => ws.started[w] || ws.free > 0,
-        }
+        !self.finished[w] && (self.started[w] || self.free > 0)
     }
 
     fn pick(&mut self) -> usize {
@@ -349,7 +338,7 @@ impl DetState {
                          unfinished but cannot be granted (not started and no free slot \
                          under det worker limit {}); the log was captured under a \
                          different worker limit or version",
-                        self.workers.as_ref().map_or(0, |ws| ws.limit),
+                        self.limit,
                     )),
                     Some(c) if c >= self.finished.len() => Some(format!(
                         "schedule replay diverged at step {step}: recorded warp {c} is \
@@ -371,12 +360,10 @@ impl DetState {
         };
         self.runnable = runnable;
         self.choices.push(w as u32);
-        if let Some(ws) = &mut self.workers {
-            if !ws.started[w] {
-                ws.started[w] = true;
-                ws.free -= 1;
-                ws.assignments.push_back(w);
-            }
+        if !self.started[w] {
+            self.started[w] = true;
+            self.free -= 1;
+            self.assignments.push_back(w);
         }
         w
     }
@@ -385,7 +372,13 @@ impl DetState {
 /// Coordinator for one deterministic launch: grants the execution token to
 /// one warp at a time and records every grant.
 ///
-/// Protocol: warp threads call [`warp_begin`](Self::warp_begin) before
+/// Warps multiplex over at most `limit` worker slots: a slot takes a warp
+/// from [`next_assignment`](Self::next_assignment) and runs it to
+/// completion. The grant sequence stays a pure function of the seed
+/// (slot availability at each step is itself determined by the grant
+/// prefix), so capture and replay are unaffected by the thread mapping.
+///
+/// Protocol: workers call [`warp_begin`](Self::warp_begin) before
 /// running the kernel, [`yield_point`](Scheduler::yield_point) (through
 /// `WarpCtx`) inside it, and [`warp_finished`](Self::warp_finished) after
 /// it (on every exit path, panic included); the launching thread runs
@@ -396,17 +389,20 @@ pub struct DetScheduler {
 }
 
 impl DetScheduler {
-    /// PRNG-driven scheduler for `num_warps` warps.
-    pub fn seeded(num_warps: usize, seed: u64) -> Self {
-        Self::with_source(num_warps, ChoiceSource::Rng(SplitMix64::new(seed)))
+    /// PRNG-driven scheduler for `num_warps` warps on `limit` slots.
+    pub fn seeded(num_warps: usize, seed: u64, limit: usize) -> Self {
+        let source = ChoiceSource::Rng(SplitMix64::new(seed));
+        Self::with_source(num_warps, source, limit)
     }
 
-    /// Replay scheduler following a recorded choice sequence.
-    pub fn replaying(num_warps: usize, choices: Vec<u32>) -> Self {
-        Self::with_source(num_warps, ChoiceSource::Replay(choices, 0))
+    /// Replay scheduler following a recorded choice sequence, on `limit`
+    /// slots.
+    pub fn replaying(num_warps: usize, choices: Vec<u32>, limit: usize) -> Self {
+        Self::with_source(num_warps, ChoiceSource::Replay(choices, 0), limit)
     }
 
-    fn with_source(num_warps: usize, source: ChoiceSource) -> Self {
+    fn with_source(num_warps: usize, source: ChoiceSource, limit: usize) -> Self {
+        let limit = limit.max(1);
         DetScheduler {
             state: Mutex::new(DetState {
                 turn: Turn::Coordinator,
@@ -416,32 +412,13 @@ impl DetScheduler {
                 choices: Vec::new(),
                 runnable: Vec::with_capacity(num_warps),
                 diverged: None,
-                workers: None,
+                limit,
+                started: vec![false; num_warps],
+                free: limit,
+                assignments: VecDeque::new(),
             }),
             cv: Condvar::new(),
         }
-    }
-
-    /// Enables bounded-worker multiplexing: at most `limit` warps may be
-    /// mid-execution at once, and warps are started through the assignment
-    /// queue ([`next_assignment`](Self::next_assignment)) instead of
-    /// dedicated per-warp threads. The grant sequence stays a pure
-    /// function of the seed (worker-slot availability at each step is
-    /// itself determined by the grant prefix), so capture/replay is
-    /// unaffected; with `limit >= num_warps` the eligibility constraint
-    /// never binds and the schedule equals the unbounded one.
-    pub fn with_worker_limit(self, limit: usize) -> Self {
-        {
-            let mut st = self.lock();
-            let n = st.finished.len();
-            st.workers = Some(WorkerState {
-                limit: limit.max(1),
-                started: vec![false; n],
-                free: limit.max(1),
-                assignments: VecDeque::new(),
-            });
-        }
-        self
     }
 
     /// Blocks until a warp is assigned to this worker slot, returning
@@ -450,10 +427,8 @@ impl DetScheduler {
     pub fn next_assignment(&self) -> Option<usize> {
         let mut st = self.lock();
         loop {
-            if let Some(ws) = &mut st.workers {
-                if let Some(w) = ws.assignments.pop_front() {
-                    return Some(w);
-                }
+            if let Some(w) = st.assignments.pop_front() {
+                return Some(w);
             }
             if st.live == 0 {
                 return None;
@@ -484,11 +459,9 @@ impl DetScheduler {
         if !st.finished[warp_id] {
             st.finished[warp_id] = true;
             st.live -= 1;
-            if let Some(ws) = &mut st.workers {
-                // The finishing warp's worker slot is free for another
-                // start assignment.
-                ws.free += 1;
-            }
+            // The finishing warp's worker slot is free for another start
+            // assignment.
+            st.free += 1;
         }
         st.turn = Turn::Coordinator;
         drop(st);
@@ -645,64 +618,14 @@ mod tests {
         assert_eq!(launch_seed(9, 3), launch_seed(9, 3));
     }
 
-    #[test]
-    fn det_scheduler_serializes_and_records_choices() {
-        // Three "warps" that each append their id at every step they are
-        // granted; the grant order must equal the recorded choices.
-        let sched = DetScheduler::seeded(3, 42);
+    /// Runs every warp of `sched` (each yielding `yields` times) on the
+    /// scheduler's worker slots, one thread per slot fed through the
+    /// assignment queue. Returns (execution order, recorded choices).
+    fn run_warps(sched: &DetScheduler, yields: usize) -> (Vec<u32>, Vec<u32>) {
         let order = Mutex::new(Vec::new());
+        let slots = sched.lock().limit;
         std::thread::scope(|scope| {
-            for w in 0..3usize {
-                let sched = &sched;
-                let order = &order;
-                scope.spawn(move || {
-                    sched.warp_begin(w);
-                    for _ in 0..5 {
-                        order.lock().unwrap().push(w as u32);
-                        sched.yield_point(w, 0);
-                    }
-                    order.lock().unwrap().push(w as u32);
-                    sched.warp_finished(w);
-                });
-            }
-            sched.drive();
-        });
-        let order = order.into_inner().unwrap();
-        let choices = sched.take_choices();
-        assert_eq!(order.len(), 18, "6 steps per warp");
-        assert_eq!(choices, order, "grant sequence must match execution");
-    }
-
-    /// Runs `num_warps` warps (each yielding `yields` times) under
-    /// `sched`, either on dedicated per-warp threads (`limit == None`,
-    /// the legacy pattern) or multiplexed over `limit` worker slots via
-    /// the assignment queue. Returns (execution order, recorded choices).
-    fn run_warps(sched: DetScheduler, num_warps: usize, yields: usize) -> (Vec<u32>, Vec<u32>) {
-        let order = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for w in 0..num_warps {
-                let sched = &sched;
-                let order = &order;
-                scope.spawn(move || {
-                    sched.warp_begin(w);
-                    for _ in 0..yields {
-                        order.lock().unwrap().push(w as u32);
-                        sched.yield_point(w, 0);
-                    }
-                    order.lock().unwrap().push(w as u32);
-                    sched.warp_finished(w);
-                });
-            }
-            sched.drive();
-        });
-        (order.into_inner().unwrap(), sched.take_choices())
-    }
-
-    fn run_warps_bounded(sched: DetScheduler, limit: usize, yields: usize) -> (Vec<u32>, Vec<u32>) {
-        let order = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _slot in 0..limit {
-                let sched = &sched;
+            for _slot in 0..slots {
                 let order = &order;
                 scope.spawn(move || {
                     while let Some(w) = sched.next_assignment() {
@@ -722,9 +645,17 @@ mod tests {
     }
 
     #[test]
+    fn det_scheduler_serializes_and_records_choices() {
+        // Three warps on three slots, each appending its id at every step
+        // it is granted; the grant order must equal the recorded choices.
+        let (order, choices) = run_warps(&DetScheduler::seeded(3, 42, 3), 5);
+        assert_eq!(order.len(), 18, "6 steps per warp");
+        assert_eq!(choices, order, "grant sequence must match execution");
+    }
+
+    #[test]
     fn bounded_workers_multiplex_deterministically() {
-        let run =
-            |seed| run_warps_bounded(DetScheduler::seeded(6, seed).with_worker_limit(2), 2, 3);
+        let run = |seed| run_warps(&DetScheduler::seeded(6, seed, 2), 3);
         let (o1, c1) = run(99);
         let (o2, c2) = run(99);
         assert_eq!(o1, o2, "bounded schedule must be seed-deterministic");
@@ -735,13 +666,8 @@ mod tests {
 
     #[test]
     fn bounded_replay_follows_recorded_choices() {
-        let (o1, c1) =
-            run_warps_bounded(DetScheduler::seeded(5, 0xFEED).with_worker_limit(2), 2, 4);
-        let (o2, c2) = run_warps_bounded(
-            DetScheduler::replaying(5, c1.clone()).with_worker_limit(2),
-            2,
-            4,
-        );
+        let (o1, c1) = run_warps(&DetScheduler::seeded(5, 0xFEED, 2), 4);
+        let (o2, c2) = run_warps(&DetScheduler::replaying(5, c1.clone(), 2), 4);
         assert_eq!(o1, o2);
         assert_eq!(c1, c2);
     }
@@ -752,22 +678,8 @@ mod tests {
         // concurrent slots; under limit 2 the third start is ineligible.
         // The schedule must still drain (every warp finishes) and the
         // divergence must be reported, not silently substituted.
-        let sched = DetScheduler::replaying(3, vec![0, 1, 2]).with_worker_limit(2);
-        std::thread::scope(|scope| {
-            for _slot in 0..2 {
-                let sched = &sched;
-                scope.spawn(move || {
-                    while let Some(w) = sched.next_assignment() {
-                        sched.warp_begin(w);
-                        for _ in 0..2 {
-                            sched.yield_point(w, 0);
-                        }
-                        sched.warp_finished(w);
-                    }
-                });
-            }
-            sched.drive();
-        });
+        let sched = DetScheduler::replaying(3, vec![0, 1, 2], 2);
+        run_warps(&sched, 2);
         let msg = sched
             .replay_divergence()
             .expect("ineligible recorded choice must be reported");
@@ -777,62 +689,16 @@ mod tests {
 
     #[test]
     fn faithful_bounded_replay_reports_no_divergence() {
-        let (_, c1) = run_warps_bounded(DetScheduler::seeded(5, 0xFEED).with_worker_limit(2), 2, 4);
-        let sched = DetScheduler::replaying(5, c1).with_worker_limit(2);
-        let order = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _slot in 0..2 {
-                let sched = &sched;
-                let order = &order;
-                scope.spawn(move || {
-                    while let Some(w) = sched.next_assignment() {
-                        sched.warp_begin(w);
-                        for _ in 0..4 {
-                            order.lock().unwrap().push(w as u32);
-                            sched.yield_point(w, 0);
-                        }
-                        order.lock().unwrap().push(w as u32);
-                        sched.warp_finished(w);
-                    }
-                });
-            }
-            sched.drive();
-        });
+        let (_, c1) = run_warps(&DetScheduler::seeded(5, 0xFEED, 2), 4);
+        let sched = DetScheduler::replaying(5, c1, 2);
+        run_warps(&sched, 4);
         assert_eq!(sched.replay_divergence(), None);
     }
 
     #[test]
-    fn wide_worker_limit_matches_unbounded_schedule() {
-        // With limit >= num_warps the eligibility constraint never binds,
-        // so the multiplexed schedule equals the per-warp-thread one.
-        let (_, unbounded) = run_warps(DetScheduler::seeded(6, 4242), 6, 3);
-        let (_, wide) = run_warps_bounded(DetScheduler::seeded(6, 4242).with_worker_limit(6), 6, 3);
-        assert_eq!(wide, unbounded);
-    }
-
-    #[test]
     fn replay_follows_recorded_choices() {
-        let run = |sched: DetScheduler| {
-            let order = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for w in 0..3usize {
-                    let sched = &sched;
-                    let order = &order;
-                    scope.spawn(move || {
-                        sched.warp_begin(w);
-                        for _ in 0..4 {
-                            order.lock().unwrap().push(w as u32);
-                            sched.yield_point(w, 0);
-                        }
-                        sched.warp_finished(w);
-                    });
-                }
-                sched.drive();
-            });
-            (order.into_inner().unwrap(), sched.take_choices())
-        };
-        let (order1, choices1) = run(DetScheduler::seeded(3, 1234));
-        let (order2, choices2) = run(DetScheduler::replaying(3, choices1.clone()));
+        let (order1, choices1) = run_warps(&DetScheduler::seeded(3, 1234, 3), 4);
+        let (order2, choices2) = run_warps(&DetScheduler::replaying(3, choices1.clone(), 3), 4);
         assert_eq!(order1, order2);
         assert_eq!(choices1, choices2);
     }

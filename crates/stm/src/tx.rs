@@ -319,16 +319,6 @@ impl<'s> Tx<'s> {
         }
         ctx.set_phase(prev);
     }
-
-    /// Number of words read so far (diagnostics).
-    pub fn read_set_len(&self) -> usize {
-        self.log.reads.len()
-    }
-
-    /// Number of words written so far (diagnostics).
-    pub fn write_set_len(&self) -> usize {
-        self.log.undo.len()
-    }
 }
 
 #[cfg(test)]

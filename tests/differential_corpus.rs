@@ -2,12 +2,12 @@
 //! that previously surfaced bugs or probe known-delicate territory —
 //! boundary keys `0` and `u32::MAX`, duplicate-timestamp batches, empty
 //! batches, and range queries spanning leaf boundaries — each checked
-//! across the five fuzzed trees (Eirene, its two ablations, and the STM
-//! and Lock GB-trees).
+//! across the four fuzzed trees (Eirene, its combining-only ablation, and
+//! the STM and Lock GB-trees).
 //!
 //! The baselines only serialize racing requests on the *same* key, so
 //! cases with key conflicts run only on the linearizable Eirene variants;
-//! conflict-free cases run on all five.
+//! conflict-free cases run on all four.
 
 use eirene::check::{check_case, run_serve_case, Fuzz, FuzzTree, Leg, Outcome};
 use eirene::serve::ShardMap;
@@ -35,7 +35,7 @@ fn check_linearizable(pairs: &[(u64, u64)], reqs: &[Request]) {
 #[test]
 fn boundary_key_zero_full_lifecycle() {
     // Key 0 sits on the leftmost leaf's low fence. Disjoint footprints, so
-    // all five trees must agree.
+    // all four trees must agree.
     let p = pairs(64);
     check_all(
         &p,
@@ -116,7 +116,7 @@ fn empty_batch_is_a_no_op_everywhere() {
 fn range_queries_spanning_leaf_boundaries() {
     // FANOUT is 16, so a bulk-loaded 512-key tree packs multiple leaves;
     // a 64-wide window crosses several leaf boundaries and forces
-    // horizontal traversal. Disjoint from all updates -> all five trees.
+    // horizontal traversal. Disjoint from all updates -> all four trees.
     let p = pairs(512);
     check_all(
         &p,
