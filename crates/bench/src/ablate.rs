@@ -168,12 +168,14 @@ pub fn ablate_distribution(scale: &Scale) {
 }
 
 /// Batch-size sweep: combining's fixed costs (sort, kernel launches)
-/// amortize with batch size — the batching trade-off of §2.1/§7.
+/// amortize with batch size — the batching trade-off of §2.1/§7. Sweeps
+/// b/16, b/4, b and 4b around the scale's batch size b.
 pub fn ablate_batch_size(scale: &Scale) {
     crate::metrics::set_context("ablate-batch");
     println!("== Ablation: batch size (combining amortization) ==");
     print!("{:<18}", "tree \\ batch");
-    let batches = [1usize << 12, 1 << 14, 1 << 16, 1 << 18];
+    let b = scale.batch_size;
+    let batches = [b / 16, b / 4, b, 4 * b].map(|n| n.max(1));
     for b in batches {
         print!("{b:>10}");
     }

@@ -31,9 +31,8 @@ mod flows;
 use eirene_check::cli::{self, Cli, Flag};
 use eirene_check::flag;
 use eirene_serve::{
-    reconcile_samples, spans_to_jsonl, AdmitPolicy, AimdSpec, EpochSizing, ObserveConfig,
-    QosConfig, SeriesCollector, ServeConfig, ServeEvent, ServeReport, Service, ServiceObserver,
-    ShardMap, SloSpec, TenantId,
+    reconcile_samples, spans_to_jsonl, AdmitPolicy, ObserveConfig, QosConfig, SeriesCollector,
+    ServeConfig, ServeEvent, ServeReport, Service, ServiceObserver, ShardMap, SloSpec, TenantId,
 };
 use eirene_sim::DeviceConfig;
 use eirene_telemetry::JsonValue;
@@ -52,7 +51,7 @@ pub enum Preset {
     Sweep,
     /// `--smoke`: the sweep, small enough for CI.
     Smoke,
-    /// `--paper-scale`: the adaptive-sizing and tenant-isolation QoS flow.
+    /// `--paper-scale`: the fixed-limit sweep and tenant-isolation QoS flow.
     Paper,
     /// `--skew-sweep`: the hot-shard θ × sharding-mode grid.
     Skew,
@@ -74,13 +73,6 @@ pub struct ServeScale {
     /// Concurrent submitter threads per cell.
     pub clients: usize,
     pub seed: u64,
-    /// Closed-loop AIMD epoch sizing instead of the fixed batch limit.
-    pub adaptive: bool,
-    /// AIMD bounds.
-    pub min_batch: usize,
-    pub max_batch: usize,
-    /// AIMD latency brake: epoch p99 budget in microseconds.
-    pub p99_budget_us: Option<f64>,
     /// QoS tenant lanes (0 or 1 disables; submitter threads rotate).
     pub tenants: usize,
     /// Per-tenant per-shard lane quota; 0 sizes it so nothing sheds.
@@ -130,10 +122,6 @@ impl Cli for ServeScale {
             straddle: 0.05,
             clients: 1,
             seed: 0x5E44E,
-            adaptive: false,
-            min_batch: 256,
-            max_batch: 1 << 14,
-            p99_budget_us: None,
             tenants: 0,
             quota: 0,
             hog_factor: 10,
@@ -153,8 +141,6 @@ impl Cli for ServeScale {
                 tree_exp: 13,
                 requests: 1 << 13,
                 batch_limit: 512,
-                max_batch: 512,
-                min_batch: 32,
                 ..sweep
             },
             Preset::Paper => ServeScale {
@@ -199,10 +185,6 @@ const SERVE_FLAGS: &[Flag<ServeScale>] = &[
     flag!(["--straddle"] "F", straddle),
     flag!(["--clients"] "N", clients),
     flag!(["--seed"] "N", seed),
-    flag!(["--adaptive"], adaptive),
-    flag!(["--min-batch"] "N", min_batch),
-    flag!(["--max-batch"] "N", max_batch),
-    flag!(["--p99-budget-us"] "F", Some(p99_budget_us), then adaptive),
     flag!(["--tenants"] "N", tenants),
     flag!(["--quota"] "N", quota),
     flag!(["--hog-factor"] "N", hog_factor),
@@ -229,18 +211,6 @@ impl ServeScale {
         (us * 1e-6 * self.device().clock_ghz * 1e9) as u64
     }
 
-    /// The epoch sizing the flags describe.
-    fn sizing(&self) -> EpochSizing {
-        if !self.adaptive {
-            return EpochSizing::Fixed(self.batch_limit);
-        }
-        let spec = AimdSpec::bounded(self.min_batch, self.max_batch);
-        EpochSizing::Adaptive(match self.p99_budget_us {
-            Some(us) => spec.with_p99_budget(self.cycles(us)),
-            None => spec,
-        })
-    }
-
     /// The tenant table the flags describe; quota 0 auto-sizes so the
     /// sweep cells never shed on quota.
     fn qos(&self) -> QosConfig {
@@ -265,12 +235,12 @@ impl ServeScale {
     }
 
     /// The service config every cell starts from: blocking admission, no
-    /// linger, the scale's device and epoch sizing.
+    /// linger, the scale's device and batch limit.
     fn config(&self, map: ShardMap, queue_depth: usize, hold_gate: bool) -> ServeConfig {
         ServeConfig {
             map,
             device: self.device(),
-            sizing: self.sizing(),
+            sizing: self.batch_limit,
             queue_depth,
             policy: AdmitPolicy::Block,
             linger: Duration::ZERO,

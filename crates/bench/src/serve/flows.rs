@@ -1,14 +1,14 @@
 //! The two `serve` flows whose exit code is a verdict: the paper-scale
-//! QoS flow (adaptive sizing against fixed limits, tenant isolation) and
-//! the hot-shard skew sweep. Both build their cells from the parent
-//! module's config, streams and client loop.
+//! QoS flow (a fixed batch-limit sweep, tenant isolation) and the
+//! hot-shard skew sweep. Both build their cells from the parent module's
+//! config, streams and client loop.
 
 use super::*;
 use eirene_serve::Sharding;
 use eirene_sim::mix64;
 use eirene_workloads::Zipfian;
 
-/// Fixed batch limits the paper flow sweeps against the controller.
+/// Batch limits the paper flow sweeps.
 const PAPER_FIXED: [usize; 3] = [1024, 4096, 1 << 14];
 
 /// How much a hog may inflate a well-behaved tenant's p99 before the
@@ -25,71 +25,48 @@ struct PaperFlow<'a> {
 }
 
 impl PaperFlow<'_> {
-    /// Runs one cell — the base scale at `theta` without tenants or
-    /// monitoring, fixed at `batch` or adaptive under `budget` — prints
-    /// its row and returns its throughput and p99 (us).
-    fn cell(
-        &mut self,
-        rate: Option<f64>,
-        theta: Option<f64>,
-        batch: Option<usize>,
-        budget: Option<f64>,
-    ) -> (f64, f64) {
+    /// Runs one cell — the base scale at `theta` and batch limit `batch`,
+    /// without tenants or monitoring — prints its row and returns its
+    /// throughput.
+    fn cell(&mut self, rate: Option<f64>, theta: Option<f64>, batch: usize) -> f64 {
         let s = ServeScale {
             theta,
             tenants: 0,
             monitor: false,
-            adaptive: batch.is_none(),
-            batch_limit: batch.unwrap_or(self.scale.batch_limit),
-            p99_budget_us: budget,
+            batch_limit: batch,
             ..self.scale.clone()
         };
         let loop_mode = if rate.is_some() { "open" } else { "closed" };
         let theta = theta.map_or("uniform".into(), |t| format!("zipf-{t:.2}"));
-        let sizing = batch.map_or("adaptive".into(), |b| format!("fixed-{b}"));
-        let label = format!("{theta} {loop_mode} {sizing}");
+        let label = format!("{theta} {loop_mode} fixed-{batch}");
         let (report, ..) = run_cell(&s, self.shards, rate, &label);
         if let Err(e) = report.check() {
             eprintln!("serve: {label}: {e}");
             self.ok = false;
         }
         let (device, lat, tput) = (s.device(), report.latency(), report.throughput());
-        let p99_us = cycles_to_us(&device, lat.p99());
-        let targets: Vec<u64> = report.shards.iter().map(|sh| sh.batch_target).collect();
         println!(
-            "paper  {:<28} {:>10.2} M/s  p50 {:>9.1}us  p99 {:>9.1}us  p99.9 {:>9.1}us  targets {:?}",
+            "paper  {:<28} {:>10.2} M/s  p50 {:>9.1}us  p99 {:>9.1}us  p99.9 {:>9.1}us",
             label,
             tput / 1e6,
             cycles_to_us(&device, lat.p50()),
-            p99_us,
+            cycles_to_us(&device, lat.p99()),
             cycles_to_us(&device, lat.p999()),
-            targets,
         );
-        (tput, p99_us)
-    }
-
-    /// Fails the flow, saying why, unless `held`.
-    fn check(&mut self, held: bool, why: impl FnOnce() -> String) {
-        if !held {
-            eprintln!("serve: paper: {}", why());
-            self.ok = false;
-        }
+        tput
     }
 }
 
 /// The paper-scale flow: per key distribution (uniform and the paper's
-/// hardest skew point θ = 1.0) a closed-loop fixed-batch sweep plus the
-/// adaptive controller, an open-loop p99 comparison at 90% of the best
-/// fixed capacity under skew, and the tenant-isolation scenario. Exits
-/// non-zero unless the controller stays within 5% of the best fixed
-/// limit's throughput, its open-loop p99 is no worse than the
-/// throughput-best fixed limit's, and the hog stays inside
-/// [`ISOLATION_BOUND`].
+/// hardest skew point θ = 1.0) a closed-loop sweep of the batch limit, an
+/// open-loop sweep at 90% of the best limit's capacity under skew, and
+/// the tenant-isolation scenario. Exits non-zero unless every cell's
+/// report passes its check and the hog stays inside [`ISOLATION_BOUND`].
 pub(super) fn run_paper(scale: &ServeScale) -> i32 {
     let shards = scale.shards.first().copied().unwrap_or(8);
     eprintln!(
-        "serve: paper flow — tree 2^{}, {} requests/cell, {} shards, adaptive [{}, {}]",
-        scale.tree_exp, scale.requests, shards, scale.min_batch, scale.max_batch
+        "serve: paper flow — tree 2^{}, {} requests/cell, {} shards, batch limits {:?}",
+        scale.tree_exp, scale.requests, shards, PAPER_FIXED
     );
     let mut flow = PaperFlow {
         scale,
@@ -97,38 +74,15 @@ pub(super) fn run_paper(scale: &ServeScale) -> i32 {
         ok: true,
     };
     for theta in [None, Some(1.0)] {
-        // Closed-loop capacity: fixed sweep, then the controller.
-        let fixed = PAPER_FIXED.map(|batch| flow.cell(None, theta, Some(batch), None).0);
-        let best =
-            (0..fixed.len()).fold(0, |best, i| if fixed[i] > fixed[best] { i } else { best });
-        let (adaptive, _) = flow.cell(None, theta, None, None);
-        flow.check(adaptive >= 0.95 * fixed[best], || {
-            format!(
-                "adaptive closed-loop tput {:.2} M/s fell below 95% of the best fixed \
-                 ({:.2} M/s at batch {})",
-                adaptive / 1e6,
-                fixed[best] / 1e6,
-                PAPER_FIXED[best]
-            )
-        });
-        if theta != Some(1.0) {
-            continue;
+        let fixed = PAPER_FIXED.map(|batch| flow.cell(None, theta, batch));
+        if theta == Some(1.0) {
+            // Open-loop QoS at the skew point: each limit offered 90% of
+            // the best limit's closed-loop capacity.
+            let rate = Some(0.9 * fixed.iter().copied().fold(0.0, f64::max));
+            for batch in PAPER_FIXED {
+                flow.cell(rate, theta, batch);
+            }
         }
-        // Open-loop QoS comparison at the skew point: p99 under 90% of the
-        // best fixed capacity, fixed sweep vs the latency-braked controller,
-        // whose brake targets the best p99 any fixed limit achieved there.
-        let rate = Some(0.9 * fixed[best]);
-        let open = PAPER_FIXED.map(|batch| flow.cell(rate, theta, Some(batch), None).1);
-        let min_open = open.iter().copied().fold(f64::INFINITY, f64::min);
-        let budget = scale.p99_budget_us.unwrap_or(min_open);
-        let (_, p99) = flow.cell(rate, theta, None, Some(budget));
-        flow.check(p99 <= open[best], || {
-            format!(
-                "adaptive open-loop p99 {p99:.1}us did not improve on the throughput-best \
-                 fixed limit's {:.1}us",
-                open[best]
-            )
-        });
     }
     flow.ok &= run_isolation(scale, shards);
     verdict(flow.ok, "paper flow passed every check")
@@ -276,7 +230,6 @@ fn run_skew_cell(
     let map = workload_map(shards, spec.key_domain());
     let cfg = ServeConfig {
         sharding,
-        sizing: EpochSizing::Fixed(scale.batch_limit),
         ..scale.config(map, SKEW_QUEUE_DEPTH.min(scale.requests + 1), false)
     };
     let svc = Service::new(&pairs(&spec), cfg);

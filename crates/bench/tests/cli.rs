@@ -37,10 +37,6 @@ fn serve_off_default(preset: Preset) -> ServeScale {
         straddle: 0.125,
         clients: d.clients + 1,
         seed: 99,
-        adaptive: true,
-        min_batch: d.min_batch + 1,
-        max_batch: d.max_batch + 1,
-        p99_budget_us: Some(150.5),
         tenants: 3,
         quota: 7,
         hog_factor: d.hog_factor + 1,

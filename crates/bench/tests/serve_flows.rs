@@ -19,11 +19,10 @@ fn serve(args: &[&str]) -> i32 {
 
 /// The reduced paper-scale QoS flow (same per-shard backlog depth as the
 /// recorded full-scale run, EXPERIMENTS.md "Recorded baselines"). The
-/// flow itself fails unless the adaptive controller stays within 5 % of
-/// the best fixed batch limit's closed-loop throughput (uniform and
-/// θ = 1.0), its open-loop p99 is no worse than the throughput-best fixed
-/// limit's, the 10x hog is shed at its quota while no well-behaved tenant
-/// sheds, and the hog moves their p99 by less than 3x.
+/// flow itself fails unless every cell of its batch-limit sweep (closed
+/// loop uniform and at θ = 1.0, open loop at θ = 1.0) passes
+/// `ServeReport::check`, the 10x hog is shed at its quota while no
+/// well-behaved tenant sheds, and the hog moves their p99 by less than 3x.
 #[test]
 fn reduced_paper_scale_qos_flow_passes_every_check() {
     let rc = serve(&[
@@ -34,7 +33,6 @@ fn reduced_paper_scale_qos_flow_passes_every_check() {
         "524288",
         "--shards",
         "4",
-        "--adaptive",
         "--tenants",
         "4",
     ]);

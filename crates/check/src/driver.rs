@@ -99,8 +99,6 @@ pub struct Fuzz {
     pub epoch_limit: usize,
     /// Serve: racing submitter threads per case.
     pub submitters: usize,
-    /// Serve: AIMD epoch sizing starting at `epoch_limit / 4`.
-    pub adaptive: bool,
     /// Serve: QoS tenant lanes per shard (0 or 1: no lanes).
     pub tenants: usize,
     /// Serve: hash sharding (every range scatter-gathers).
@@ -138,7 +136,6 @@ impl Fuzz {
             shards: 4,
             epoch_limit: 48,
             submitters: 1,
-            adaptive: false,
             tenants: 0,
             hash: false,
             rounds: 6,
@@ -509,7 +506,6 @@ const SERVE_FLAGS: &[Flag<Fuzz>] = &[
     flag!(["--shards"] "N", shards),
     flag!(["--submitters"] "N", submitters),
     flag!(["--epoch-limit"] "N", epoch_limit),
-    flag!(["--adaptive"], adaptive),
     flag!(["--tenants"] "N", tenants),
     flag!(["--hash"], hash),
 ];

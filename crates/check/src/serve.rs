@@ -21,8 +21,8 @@
 use crate::diff::{check_contents, oracle_over, Violation};
 use crate::driver::{mix, Fuzz};
 use eirene_serve::{
-    reconcile_samples, AdmitPolicy, AimdSpec, Client, EpochSizing, ObserveConfig, Outcome,
-    QosConfig, SeriesCollector, ServeConfig, Service, ShardMap, Sharding, Ticket,
+    reconcile_samples, AdmitPolicy, Client, ObserveConfig, Outcome, QosConfig, SeriesCollector,
+    ServeConfig, Service, ShardMap, Sharding, Ticket,
 };
 #[cfg(doc)]
 use eirene_workloads::SequentialOracle;
@@ -119,16 +119,6 @@ pub fn run_serve_case(
     // turns span recording on, and both are cross-checked against the
     // final report below.
     let collector = SeriesCollector::new();
-    let sizing = if opts.adaptive {
-        // Start well below the limit so the controller's moves are what
-        // pick each epoch's size, not the bound.
-        EpochSizing::Adaptive(AimdSpec::bounded(
-            (opts.epoch_limit / 4).max(1),
-            opts.epoch_limit.max(1),
-        ))
-    } else {
-        EpochSizing::Fixed(opts.epoch_limit.max(1))
-    };
     let qos = if opts.tenants > 1 {
         // Quota fits the whole case staged on one lane, so lanes never
         // shed and the zero-shed accounting check below still holds.
@@ -144,7 +134,7 @@ pub fn run_serve_case(
             Sharding::Range
         },
         device: opts.device(device_seed),
-        sizing,
+        sizing: opts.epoch_limit,
         qos,
         // Generous: every entry (split ranges make one per covered shard)
         // fits queued at once, so nothing is shed even with the gate held.
@@ -307,18 +297,16 @@ mod tests {
     }
 
     #[test]
-    fn serve_fuzz_passes_with_adaptive_sizing_and_tenant_lanes() {
+    fn serve_fuzz_passes_with_tenant_lanes() {
         passes(Fuzz {
-            adaptive: true,
             tenants: 4,
             ..short(6)
         });
     }
 
     #[test]
-    fn serve_fuzz_passes_with_adaptive_tenants_and_racing_submitters() {
+    fn serve_fuzz_passes_with_tenant_lanes_and_racing_submitters() {
         passes(Fuzz {
-            adaptive: true,
             tenants: 3,
             submitters: 4,
             ..short(4)

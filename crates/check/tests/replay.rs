@@ -41,7 +41,6 @@ fn serve_replay_line_round_trips() {
         shards: 3,
         epoch_limit: 20,
         submitters: 4,
-        adaptive: true,
         tenants: 4,
         hash: true,
         ..off_default(Leg::Serve)

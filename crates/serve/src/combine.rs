@@ -166,7 +166,6 @@ pub(crate) fn linger_step(
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TurnView {
     pub(crate) now: Instant,
-    pub(crate) target: usize,
     pub(crate) executor: ExecutorState,
     /// Entries staged on the QoS lanes (0 without QoS).
     pub(crate) staged: usize,
@@ -218,19 +217,20 @@ pub(crate) struct Combiner {
 }
 
 impl Combiner {
-    /// `max_target` is the largest batch target the shard's controller can
-    /// set: draining pauses at two epochs' worth of it (at least 64).
-    pub(crate) fn new(max_target: usize, linger: Duration) -> Self {
+    /// `target` is the service's batch limit (0 reads as 1): draining pauses
+    /// at two epochs' worth of it (at least 64).
+    pub(crate) fn new(target: usize, linger: Duration) -> Self {
+        let target = target.max(1);
         Combiner {
             linger,
-            stage: Reorder::new(max_target.saturating_mul(2).max(64)),
+            stage: Reorder::new(target.saturating_mul(2).max(64)),
             finished: false,
             pushes: 0,
             stalls: 0,
             gathered: Vec::new(),
             gathered_len: 0,
             gather_start: None,
-            target: 1,
+            target,
         }
     }
 
@@ -242,7 +242,6 @@ impl Combiner {
 
     /// Opens a turn.
     pub(crate) fn turn(&mut self, view: TurnView) -> Effect {
-        self.target = view.target;
         let live = |s: &Segment| s.deadline.is_none_or(|d| view.now < d);
         if !self.gathered.iter().all(live) {
             let expired;
@@ -257,7 +256,7 @@ impl Combiner {
             self.gather_start = None;
         } else {
             let start = *self.gather_start.get_or_insert(view.now);
-            let step = if self.gathered_len >= view.target {
+            let step = if self.gathered_len >= self.target {
                 LingerStep::Close(CloseCause::Full)
             } else if self.finished {
                 LingerStep::Close(CloseCause::Drain)
@@ -293,7 +292,7 @@ impl Combiner {
             }
         }
         let admit = (view.staged > 0 && !self.finished)
-            .then(|| view.target.saturating_sub(self.gathered_len).max(1));
+            .then(|| self.target.saturating_sub(self.gathered_len).max(1));
         // A finished queue is closed and empty — the stage holds all there
         // is — and draining it again only moves the watermark.
         if admit.is_none() && !self.finished && !self.stage.wants_drain(self.stalls > 0) {
@@ -874,7 +873,6 @@ mod tests {
                 let effect = match step {
                     Turn(us, staged) => combiner.turn(TurnView {
                         now: at(us),
-                        target,
                         executor,
                         staged,
                     }),

@@ -4,7 +4,6 @@
 //! and touch no channel. The shard thread in `service.rs` runs the tree,
 //! resolves the tickets and carries out the rest.
 
-use crate::control::EpochFeedback;
 use crate::observe::{
     CloseCause, CloseCounts, LatencySummary, ObserveConfig, ServeEvent, ShardSample, SloMonitor,
 };
@@ -35,13 +34,13 @@ pub(crate) struct Epoch {
     pub(crate) segments: Vec<Segment>,
     /// Why the combiner stopped gathering.
     pub(crate) close: CloseCause,
-    /// Ingress-queue depth left behind after forming this epoch: always
-    /// read, since the adaptive controller feeds on it too.
-    pub(crate) queue_depth: u64,
     /// Requests still parked in the reorder heap (admitted but above the
-    /// watermark or beyond the batch target).
+    /// watermark or beyond the batch limit).
     pub(crate) reorder_pending: u64,
-    /// Requests still staged on tenant lanes (0 without QoS).
+    /// The ingress-queue depth left behind after forming this epoch, and
+    /// the requests still staged on tenant lanes (0 without QoS). Both take
+    /// the queue's lock, so they are read only when observing (0 otherwise).
+    pub(crate) queue_depth: u64,
     pub(crate) lane_depth: u64,
     /// `next_ts - watermark` and the occupied in-flight slots at hand-over:
     /// how far submissions in flight held the watermark back. They cost
@@ -54,9 +53,8 @@ pub(crate) struct Epoch {
 #[derive(Default)]
 pub(crate) struct Books {
     pub(crate) shard: ShardId,
-    /// An observer is registered (spans, samples, SLOs); sizing adapts.
+    /// An observer is registered (spans, samples, SLOs).
     observe: bool,
-    adaptive: bool,
     control_latency: u64,
     /// The shard's virtual clock: the end of its last epoch.
     pub(crate) clock: u64,
@@ -94,13 +92,11 @@ impl Books {
         tenants: usize,
         control_latency: u64,
         observe: &ObserveConfig,
-        adaptive: bool,
     ) -> Self {
         let observing = observe.observer.is_some();
         Books {
             shard,
             observe: observing,
-            adaptive,
             control_latency,
             tenant_latency: vec![CycleHistogram::new(); tenants],
             spans: observing.then(|| SpanRing::new(SPAN_CAPACITY)),
@@ -110,9 +106,8 @@ impl Books {
     }
 
     /// Books one executed epoch: its order, its place on the virtual clock,
-    /// its latencies, spans and device counters. Returns what the adaptive
-    /// controller sizes the next epoch from (`None` under fixed sizing).
-    pub(crate) fn record(&mut self, epoch: &Epoch, run: KernelStats) -> Option<EpochFeedback> {
+    /// its latencies, spans and device counters.
+    pub(crate) fn record(&mut self, epoch: &Epoch, run: KernelStats) {
         // What the reorder stage exists for: successive epochs are mutually
         // ordered (within an epoch the combiner asserts it).
         let requests = &epoch.batch.requests;
@@ -125,9 +120,8 @@ impl Books {
         let start = self.clock.max(arrived);
         let makespan = run.makespan_cycles.ceil() as u64;
         let end = start + makespan;
-        // The per-epoch histogram also feeds the adaptive controller's
-        // p99 signal, so it is computed whenever either consumer needs it.
-        let mut epoch_latency = (self.observe || self.adaptive).then(CycleHistogram::new);
+        // The per-epoch histogram is for the epoch's sample alone.
+        let mut epoch_latency = self.observe.then(CycleHistogram::new);
         for seg in &epoch.segments {
             for (req, &arrival) in seg.reqs.iter().zip(&seg.arrivals) {
                 self.queue_wait += start - arrival;
@@ -161,28 +155,16 @@ impl Books {
         self.epochs += 1;
         self.closed.record(epoch.close);
         self.executed += n;
-        // Close the loop: this epoch's realized batch, the backlog left
-        // behind it (ingress + reorder + staged lanes), and its p99 set the
-        // next epoch's target.
-        let feedback = self.adaptive.then(|| EpochFeedback {
-            batch: n,
-            queue_depth: epoch.queue_depth + epoch.lane_depth,
-            reorder_pending: epoch.reorder_pending,
-            epoch_p99: epoch_latency.as_ref().map_or(0, |h| h.p99()),
-        });
         self.epoch_latency = epoch_latency;
-        feedback
     }
 
     /// A [`ShardSample`] of `epoch`, the epoch booked last — or, given
-    /// `None`, of the whole run (the terminal sample). `batch_target` is
-    /// the controller's target for the next epoch and `arena` the device's
-    /// slab occupancy now.
+    /// `None`, of the whole run (the terminal sample). `arena` is the
+    /// device's slab occupancy now.
     pub(crate) fn sample(
         &mut self,
         epoch: Option<&Epoch>,
         shared: &ShardState,
-        batch_target: u64,
         arena: SlabStats,
     ) -> ShardSample {
         let terminal = epoch.is_none();
@@ -208,7 +190,6 @@ impl Books {
             completed: self.executed,
             max_queue_depth: load(&shared.max_depth),
             closed: self.closed,
-            batch_target,
             lane_pending: gauge(|e| e.lane_depth),
             key_count: self.key_count,
             arena_live: arena.live,
@@ -268,7 +249,6 @@ impl Books {
             shed: terminal.shed,
             timed_out: terminal.timed_out,
             max_queue_depth: terminal.max_queue_depth,
-            batch_target: terminal.batch_target,
             tenant_shed: terminal.tenant_shed,
             tenant_latency: self.tenant_latency,
             latency: self.latency,
@@ -290,7 +270,6 @@ impl Books {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{BatchController, EpochSizing};
     use crate::lane::QosConfig;
     use crate::ticket::{Slot, TicketBatch};
     use eirene_workloads::Request;
@@ -326,16 +305,15 @@ mod tests {
             books.record(epoch, run);
             state.record_enqueue(epoch.batch.len() as u64, 0);
         }
-        let terminal = books.sample(None, &state, 8, SlabStats::default());
+        let terminal = books.sample(None, &state, SlabStats::default());
         std::mem::take(books).finish(terminal, ScheduleLog::default(), Vec::new(), Ok(()))
     }
 
     #[test]
     fn books_sample_the_epoch_gauges_and_end_on_a_terminal_sample_of_the_run() {
         let state = ShardState::new(4, &QosConfig::uniform(3, 8));
-        let controller = BatchController::new(EpochSizing::Fixed(48));
         let observe = ObserveConfig::with_observer(crate::observe::SeriesCollector::new());
-        let mut books = Books::new(0, 3, 1, &observe, false);
+        let mut books = Books::new(0, 3, 1, &observe);
         let causes = [CloseCause::Idle, CloseCause::Returned, CloseCause::Idle];
         for (i, close) in (0u64..).zip(causes) {
             let epoch = Epoch {
@@ -349,7 +327,7 @@ mod tests {
             };
             state.record_enqueue(2, 6);
             books.record(&epoch, KernelStats::default());
-            let s = books.sample(Some(&epoch), &state, 48, SlabStats::default());
+            let s = books.sample(Some(&epoch), &state, SlabStats::default());
             let gauges = (s.queue_depth, s.reorder_pending, s.lane_pending);
             assert_eq!((gauges, s.watermark_lag, s.inflight), ((1, 2, 3), 4, 5));
             assert_eq!((s.epoch, s.batch_size, s.closed.total()), (i + 1, 2, i + 1));
@@ -359,12 +337,11 @@ mod tests {
             live: 7,
             ..SlabStats::default()
         };
-        let target = controller.target() as u64;
-        let t = books.sample(None, &state, target, arena);
+        let t = books.sample(None, &state, arena);
         assert!(t.terminal);
         let gauges = (t.queue_depth, t.reorder_pending, t.lane_pending);
         assert_eq!((gauges, t.watermark_lag, t.inflight), ((0, 0, 0), 0, 0));
-        assert_eq!((t.epoch, t.batch_size, t.batch_target), (4, 0, 48));
+        assert_eq!((t.epoch, t.batch_size), (4, 0));
         assert_eq!(t.closed.total(), t.epoch - 1);
         assert_eq!((t.closed.idle, t.closed.returned), (2, 1));
         assert_eq!((t.enqueued, t.completed, t.max_queue_depth), (6, 6, 6));
@@ -374,7 +351,7 @@ mod tests {
 
     #[test]
     fn books_count_an_epoch_out_of_timestamp_order() {
-        let mut books = Books::new(0, 1, 1, &ObserveConfig::default(), false);
+        let mut books = Books::new(0, 1, 1, &ObserveConfig::default());
         let report = report(&mut books, &[epoch(&[5, 6], 0), epoch(&[4], 0)]);
         assert_eq!(report.epoch_order_violations, 1);
         let err = report.check().unwrap_err();
@@ -388,7 +365,7 @@ mod tests {
     fn books_book_the_serve_rows_once_at_the_end() {
         // Epochs of 3 and 2 requests: the first runs at once over cycles
         // 0–100, the second's requests arrive at 40 and wait for it.
-        let mut books = Books::new(0, 1, 7, &ObserveConfig::default(), false);
+        let mut books = Books::new(0, 1, 7, &ObserveConfig::default());
         let report = report(&mut books, &[epoch(&[1, 2, 3], 0), epoch(&[4, 5], 40)]);
         let t = &report.stats.totals;
         let ingress = t.phases.row(Phase::Ingress);

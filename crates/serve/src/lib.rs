@@ -33,11 +33,9 @@
 //!   serving-only `ingress` / `queue_wait` phases, end-to-end latency
 //!   histograms, captured schedules, and aggregate views
 //!   ([`ServeReport`]).
-//! - **Closed-loop epoch sizing** — [`EpochSizing::Adaptive`] replaces
-//!   the fixed batch limit with a per-shard AIMD controller fed by the
-//!   epoch-boundary signals (queue depth, reorder backlog, epoch p99);
-//!   [`EpochSizing::Fixed`], the paper's constant-batch model, stays the
-//!   default.
+//! - **One batch limit** — as in the paper, every epoch of a service is
+//!   capped at one fixed size, [`ServeConfig::sizing`]; an epoch the load
+//!   cannot fill closes by the rules above instead.
 //! - **Per-tenant QoS lanes** — with a [`QosConfig`] installed, each
 //!   submission stages on its home shard's lane for the submitting
 //!   tenant ([`Client::for_tenant`]); combiners admit lanes by weighted
@@ -62,7 +60,6 @@
 
 mod admit;
 mod combine;
-mod control;
 mod execute;
 mod lane;
 mod observe;
@@ -73,7 +70,6 @@ mod service;
 mod shard;
 mod ticket;
 
-pub use control::{AimdSpec, BatchController, EpochFeedback, EpochSizing};
 pub use lane::{QosConfig, TenantId, TenantSpec};
 pub use observe::{
     reconcile_samples, CloseCounts, LatencySummary, ObserveConfig, SeriesCollector, ServeEvent,

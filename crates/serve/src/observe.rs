@@ -8,8 +8,7 @@
 //! boundaries are the natural sampling points of the combining pipeline
 //! (every counter is quiescent for the sampled epoch, and the shard's
 //! virtual clock has a well-defined value). A sample is built only to be
-//! exported: the batch controller takes its signals from the shard thread
-//! directly, so it does not turn observability on.
+//! exported, and nothing on the epoch path reads one.
 //!
 //! One switch: a service observes exactly when an observer is registered
 //! in [`ObserveConfig::observer`]. One stream: samples and the SLO
@@ -149,9 +148,6 @@ pub struct ShardSample {
     pub watermark_lag: u64,
     /// Occupied slots of the in-flight submission registry.
     pub inflight: u64,
-    /// The batch controller's target for the *next* epoch (constant under
-    /// [`EpochSizing::Fixed`](crate::EpochSizing::Fixed)).
-    pub batch_target: u64,
     /// Entries staged on QoS lanes when the epoch was emitted (0 with
     /// lanes disabled).
     pub lane_pending: u64,
@@ -212,7 +208,6 @@ impl ShardSample {
             ("reorder_pending", JsonValue::from(self.reorder_pending)),
             ("watermark_lag", JsonValue::from(self.watermark_lag)),
             ("inflight", JsonValue::from(self.inflight)),
-            ("batch_target", JsonValue::from(self.batch_target)),
             ("lane_pending", JsonValue::from(self.lane_pending)),
             ("key_count", JsonValue::from(self.key_count)),
             ("arena_live", JsonValue::from(self.arena_live)),
@@ -609,12 +604,6 @@ pub fn reconcile_samples(samples: &[ShardSample], report: &ServeReport) -> Resul
                 ));
             }
         }
-        if t.batch_target != shard.batch_target {
-            return Err(format!(
-                "shard {}: terminal sample batch_target = {} but report says {}",
-                shard.shard, t.batch_target, shard.batch_target
-            ));
-        }
         if t.closed != shard.closed {
             return Err(format!(
                 "shard {}: terminal sample closed = {:?} but report says {:?}",
@@ -650,7 +639,6 @@ mod tests {
             reorder_pending: 0,
             watermark_lag: 0,
             inflight: 0,
-            batch_target: 0,
             lane_pending: 0,
             key_count: 0,
             arena_live: 0,

@@ -32,9 +32,6 @@ pub struct ShardReport {
     pub timed_out: u64,
     /// High-water mark of the ingress-queue depth.
     pub max_queue_depth: u64,
-    /// The batch controller's final target (constant under
-    /// [`EpochSizing::Fixed`](crate::EpochSizing::Fixed)).
-    pub batch_target: u64,
     /// Per-tenant shed counts; sums to `shed`. Length is the service's
     /// tenant count (1 when QoS lanes are disabled).
     pub tenant_shed: Vec<u64>,

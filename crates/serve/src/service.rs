@@ -42,7 +42,6 @@
 
 use crate::admit::{admit_lanes, Inflight, Inner};
 use crate::combine::{Combiner, Effect, ExecutorState, TurnView};
-use crate::control::{BatchController, EpochSizing};
 use crate::execute::{Books, Epoch};
 use crate::lane::{QosConfig, TenantId};
 use crate::observe::{ObserveConfig, ServiceObserver};
@@ -83,9 +82,9 @@ pub struct ServeConfig {
     /// pool. Deterministic mode honours it (the slot bound shapes the
     /// captured schedules) and derives a seed per shard.
     pub device: DeviceConfig,
-    /// How each shard sizes its epochs: a fixed batch limit (the paper's
-    /// model, and the default at 4 096) or the closed-loop AIMD controller.
-    pub sizing: EpochSizing,
+    /// The batch limit: the most requests one epoch of a shard carries
+    /// (the paper's fixed batch size; 4 096 by default, and 0 reads as 1).
+    pub sizing: usize,
     /// Per-tenant QoS lanes and quotas; [`QosConfig::disabled`] (the
     /// default) bypasses lanes entirely.
     pub qos: QosConfig,
@@ -128,7 +127,7 @@ impl Default for ServeConfig {
             map: ShardMap::uniform(4),
             sharding: Sharding::default(),
             device: DeviceConfig::default(),
-            sizing: EpochSizing::Fixed(4096),
+            sizing: 4096,
             qos: QosConfig::disabled(),
             queue_depth: 1 << 16,
             policy: AdmitPolicy::Block,
@@ -147,7 +146,7 @@ impl ServeConfig {
         ServeConfig {
             map: ShardMap::uniform(shards),
             device: DeviceConfig::test_small(),
-            sizing: EpochSizing::Fixed(1024),
+            sizing: 1024,
             queue_depth: 1 << 12,
             headroom_nodes: 1 << 12,
             ..Default::default()
@@ -348,7 +347,6 @@ impl Service {
                 inner.shards[shard].queue.num_tenants(),
                 device.control_latency,
                 &cfg.observe,
-                cfg.sizing.is_adaptive(),
             );
             // Sentinel excluded: the count is of client-visible keys.
             books.key_count = pairs.len() as u64 - 1;
@@ -357,9 +355,9 @@ impl Service {
                 headroom_nodes: cfg.headroom_nodes,
                 ..Default::default()
             };
-            let controller = BatchController::new(cfg.sizing.clone());
             let (inner, replay) = (inner.clone(), replays[shard].take());
-            let (observer, linger) = (cfg.observe.observer.clone(), cfg.linger);
+            let observer = cfg.observe.observer.clone();
+            let (sizing, linger) = (cfg.sizing, cfg.linger);
             shards.push(
                 std::thread::Builder::new()
                     .name(format!("serve-shard-{shard}"))
@@ -375,11 +373,10 @@ impl Service {
                             state,
                             tree,
                             books,
-                            controller,
                             observer,
                             view: ExecutorState::default(),
                         };
-                        shard_loop(&inner, shard, executor, linger)
+                        shard_loop(&inner, executor, Combiner::new(sizing, linger))
                     })
                     .expect("spawn shard thread"),
             );
@@ -443,16 +440,14 @@ impl Service {
 /// The shard's thread: takes its [`Combiner`]'s turns and carries out each
 /// effect until the queue has finished, then reports. A hand-over is
 /// planned, run and booked here before the next turn.
-fn shard_loop(inner: &Inner, shard: ShardId, mut ex: Executor, linger: Duration) -> ShardReport {
-    let state = ex.state;
+fn shard_loop(inner: &Inner, mut ex: Executor, mut combiner: Combiner) -> ShardReport {
+    let (state, shard) = (ex.state, ex.books.shard);
     let qos = inner.qos.enabled();
     let lane_pending = || if qos { state.queue.lane_pending() } else { 0 };
-    let mut combiner = Combiner::new(ex.controller.max_target(), linger);
     loop {
         inner.wait_gate();
         let mut effect = combiner.turn(TurnView {
             now: Instant::now(),
-            target: ex.controller.target().max(1),
             executor: ex.view,
             staged: lane_pending(),
         });
@@ -484,13 +479,18 @@ fn shard_loop(inner: &Inner, shard: ShardId, mut ex: Executor, linger: Duration)
                 }
                 let observing = ex.observer.is_some();
                 let (watermark_lag, inflight) = if observing { inner.gauges() } else { (0, 0) };
+                let (queue_depth, lane_depth) = if observing {
+                    (state.queue.depth(), lane_pending())
+                } else {
+                    (0, 0)
+                };
                 ex.run(Epoch {
                     batch: Batch::new(requests),
                     segments,
                     close,
-                    queue_depth: state.queue.depth() as u64,
+                    queue_depth: queue_depth as u64,
                     reorder_pending: combiner.stage().len() as u64,
-                    lane_depth: lane_pending() as u64,
+                    lane_depth: lane_depth as u64,
                     watermark_lag,
                     inflight,
                 });
@@ -519,7 +519,6 @@ struct Executor<'s> {
     state: &'s ShardState,
     tree: EireneTree,
     books: Books,
-    controller: BatchController,
     observer: Option<Arc<dyn ServiceObserver>>,
     view: ExecutorState,
 }
@@ -547,9 +546,7 @@ impl Executor<'_> {
         }
         self.view.finished(started.elapsed(), Instant::now());
         let books = &mut self.books;
-        if let Some(feedback) = books.record(&epoch, run.stats) {
-            self.controller.on_epoch(&feedback);
-        }
+        books.record(&epoch, run.stats);
         state.clock.store(books.clock, Relaxed);
         debug_assert_eq!(
             books.epoch_order_violations,
@@ -562,8 +559,7 @@ impl Executor<'_> {
             // boundary, so the arena's `retired` is quarantine that
             // survived the advance (normally 0).
             let arena = tree.device().mem().slab_stats();
-            let target = self.controller.target() as u64;
-            let sample = books.sample(Some(&epoch), state, target, arena);
+            let sample = books.sample(Some(&epoch), state, arena);
             for event in books.events(sample) {
                 observer.on_event(&event);
             }
@@ -593,8 +589,7 @@ impl Executor<'_> {
         // every admission counter is final — the report's totals are taken
         // FROM this snapshot, which is what makes live sampled series
         // reconcile exactly with the final report.
-        let (target, arena) = (self.controller.target() as u64, mem.slab_stats());
-        let terminal = self.books.sample(None, self.state, target, arena);
+        let terminal = self.books.sample(None, self.state, mem.slab_stats());
         if let Some(observer) = &self.observer {
             for event in self.books.events(terminal.clone()) {
                 observer.on_event(&event);

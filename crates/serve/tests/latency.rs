@@ -4,7 +4,7 @@
 //! service start instead, it would measure how long the service had been
 //! running, and grow with the run.
 
-use eirene_serve::{EpochSizing, Outcome, ServeConfig, Service, ShardMap};
+use eirene_serve::{Outcome, ServeConfig, Service, ShardMap};
 use eirene_workloads::OpKind;
 
 /// SplitMix64, for cheap uniform test keys.
@@ -24,7 +24,7 @@ fn closed_loop(windows: u64) -> (u64, u64) {
     let pairs: Vec<(u64, u64)> = (1..=domain).map(|k| (k, k + 1)).collect();
     let cfg = ServeConfig {
         map: ShardMap::from_starts(vec![0, (domain / 2) as u32]).expect("valid shard starts"),
-        sizing: EpochSizing::Fixed(4096),
+        sizing: 4096,
         ..ServeConfig::test_small(2)
     };
     let svc = Service::new(&pairs, cfg);

@@ -5,8 +5,8 @@
 //! keeps across epochs.
 
 use eirene_serve::{
-    reconcile_samples, AdmitPolicy, EpochSizing, ObserveConfig, Outcome, SeriesCollector,
-    ServeConfig, Service, ShardMap,
+    reconcile_samples, AdmitPolicy, ObserveConfig, Outcome, SeriesCollector, ServeConfig, Service,
+    ShardMap,
 };
 use eirene_workloads::OpKind;
 use std::time::Duration;
@@ -106,7 +106,7 @@ fn sample_series_is_monotone_and_ends_quiescent() {
     let collector = SeriesCollector::new();
     let cfg = ServeConfig {
         map: ShardMap::from_starts(vec![0, 1024]).expect("valid shard starts"),
-        sizing: EpochSizing::Fixed(128),
+        sizing: 128,
         queue_depth: 1 << 14,
         hold_gate: true,
         observe: ObserveConfig::with_observer(collector.clone()),

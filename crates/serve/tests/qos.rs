@@ -3,12 +3,10 @@
 //! formation), the linger as a bound rather than a sleep (an idle
 //! executor closes the epoch early — when the callers it released are
 //! back, else after one service time; an unrepresentably long linger is
-//! legal), tenant-lane isolation under an abusive tenant, and the
-//! adaptive controller actually moving its target end to end.
+//! legal), and tenant-lane isolation under an abusive tenant.
 
 use eirene_serve::{
-    AdmitPolicy, AimdSpec, EpochSizing, Outcome, QosConfig, ServeConfig, ServeReport, Service,
-    ShardMap, Ticket,
+    AdmitPolicy, Outcome, QosConfig, ServeConfig, ServeReport, Service, ShardMap, Ticket,
 };
 use eirene_workloads::OpKind;
 use std::time::{Duration, Instant};
@@ -42,7 +40,7 @@ fn one_shard(linger: Duration, target: usize) -> Service {
     let pairs: Vec<(u64, u64)> = (1..=256u64).map(|k| (k, k + 1)).collect();
     let cfg = ServeConfig {
         map: ShardMap::from_starts(vec![0]).expect("valid shard starts"),
-        sizing: EpochSizing::Fixed(target),
+        sizing: target,
         linger,
         ..ServeConfig::test_small(1)
     };
@@ -181,7 +179,7 @@ fn two_closed_loop_callers_stay_merged() {
     let pairs: Vec<(u64, u64)> = (1..=domain).map(|k| (k, k + 1)).collect();
     let cfg = ServeConfig {
         map: ShardMap::from_starts(vec![0, (domain / 2) as u32]).expect("valid shard starts"),
-        sizing: EpochSizing::Fixed(4096),
+        sizing: 4096,
         ..ServeConfig::test_small(2)
     };
     let svc = Service::new(&pairs, cfg);
@@ -249,46 +247,6 @@ fn unrepresentable_linger_waits_for_a_full_epoch_without_panicking() {
     assert_eq!(report.executed(), 3);
 }
 
-/// The adaptive controller must actually move under load: a closed-loop
-/// burst leaves every epoch with a deep backlog, so the published target
-/// has to grow above its floor by shutdown (visible in the report's
-/// `batch_target` controller gauge).
-#[test]
-fn adaptive_target_grows_under_closed_loop_backlog() {
-    let requests = 20_000usize;
-    let pairs: Vec<(u64, u64)> = (1..=4096u64).map(|k| (k, k + 1)).collect();
-    let cfg = ServeConfig {
-        map: ShardMap::from_starts(vec![0, 2048]).expect("valid shard starts"),
-        sizing: EpochSizing::Adaptive(AimdSpec::bounded(64, 4096)),
-        queue_depth: requests + 1,
-        policy: AdmitPolicy::Block,
-        linger: Duration::ZERO,
-        hold_gate: true,
-        ..ServeConfig::test_small(2)
-    };
-    let svc = Service::new(&pairs, cfg);
-    let client = svc.client();
-    let ops: Vec<(u32, OpKind)> = (0..requests)
-        .map(|i| ((mix(i as u64) % 4096) as u32 + 1, OpKind::Query))
-        .collect();
-    let tickets = client.submit_many(&ops);
-    svc.release();
-    let report = svc.shutdown();
-    report.check().unwrap();
-    for t in &tickets {
-        assert!(matches!(t.wait(), Outcome::Done(_)));
-    }
-    assert!(
-        report.shards.iter().any(|s| s.batch_target > 64),
-        "no shard's controller grew its target above the floor: {:?}",
-        report
-            .shards
-            .iter()
-            .map(|s| s.batch_target)
-            .collect::<Vec<_>>()
-    );
-}
-
 const ISO_SHARDS: usize = 2;
 const ISO_TENANTS: usize = 3;
 /// Requests per well-behaved tenant in the isolation runs.
@@ -303,7 +261,7 @@ fn isolation_run(hog: bool, quota: usize) -> ServeReport {
     let hog_load = 10 * quota * ISO_SHARDS;
     let cfg = ServeConfig {
         map: ShardMap::from_starts(vec![0, (domain / 2) as u32]).expect("valid shard starts"),
-        sizing: EpochSizing::Adaptive(AimdSpec::bounded(64, 1024)),
+        sizing: 1024,
         qos: QosConfig::uniform(ISO_TENANTS, quota),
         queue_depth: (ISO_TENANTS * ISO_LOAD + hog_load + 16) * ISO_SHARDS,
         policy: AdmitPolicy::Block,

@@ -61,16 +61,6 @@ impl Mix {
         }
     }
 
-    /// Balanced update-heavy mix used for stress tests.
-    pub fn update_heavy() -> Self {
-        Mix {
-            upsert: 0.45,
-            delete: 0.05,
-            range: 0.0,
-            range_len: 4,
-        }
-    }
-
     /// YCSB workload A: 50% reads / 50% updates.
     pub fn ycsb_a() -> Self {
         Mix {

@@ -22,8 +22,8 @@
 //! ```
 
 use eirene::serve::{
-    reconcile_samples, AdmitPolicy, EpochSizing, ObserveConfig, Outcome, SeriesCollector,
-    ServeConfig, ServeEvent, Service, ServiceObserver, ShardMap, SloSpec,
+    reconcile_samples, AdmitPolicy, ObserveConfig, Outcome, SeriesCollector, ServeConfig,
+    ServeEvent, Service, ServiceObserver, ShardMap, SloSpec,
 };
 use eirene::sim::DeviceConfig;
 use eirene::workloads::OpKind;
@@ -57,7 +57,7 @@ fn steady_state() {
     let collector = SeriesCollector::new();
     let cfg = ServeConfig {
         map: ShardMap::from_starts(vec![0, 1 << 11]).expect("valid shard starts"),
-        sizing: EpochSizing::Fixed(256),
+        sizing: 256,
         queue_depth: 1 << 14,
         hold_gate: true,
         observe: ObserveConfig {

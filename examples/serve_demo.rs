@@ -13,7 +13,7 @@
 //! cargo run --release --example serve_demo
 //! ```
 
-use eirene::serve::{AdmitPolicy, EpochSizing, Outcome, ServeConfig, Service, ShardMap};
+use eirene::serve::{AdmitPolicy, Outcome, ServeConfig, Service, ShardMap};
 use eirene::sim::DeviceConfig;
 use eirene::workloads::{Distribution, Mix, OpKind, Response, WorkloadGen, WorkloadSpec};
 use std::time::Duration;
@@ -33,7 +33,7 @@ fn async_clients() {
     let cfg = ServeConfig {
         map,
         device: DeviceConfig::test_small(),
-        sizing: EpochSizing::Fixed(256),
+        sizing: 256,
         linger: Duration::from_micros(100),
         ..ServeConfig::test_small(4)
     };
@@ -129,7 +129,7 @@ fn shard_scaling() {
         let cfg = ServeConfig {
             map: ShardMap::from_starts((0..shards as u32).map(|i| i * width).collect())
                 .expect("valid shard starts"),
-            sizing: EpochSizing::Fixed(512),
+            sizing: 512,
             queue_depth: 1 << 14,
             hold_gate: true,
             ..ServeConfig::test_small(shards)

@@ -9,9 +9,7 @@ use eirene::baselines::common::ConcurrentTree;
 use eirene::btree::refops;
 use eirene::btree::validate::validate;
 use eirene::core::{EireneOptions, EireneTree};
-use eirene::serve::{
-    AdmitPolicy, EpochSizing, Outcome, ServeConfig, ServeReport, Service, ShardMap, Ticket,
-};
+use eirene::serve::{AdmitPolicy, Outcome, ServeConfig, ServeReport, Service, ShardMap, Ticket};
 use eirene::sim::DeviceConfig;
 use eirene::workloads::{
     Batch, Distribution, Mix, OpKind, Oracle, Request, Response, SequentialOracle, WorkloadGen,
@@ -327,7 +325,7 @@ fn serve_config(device: DeviceConfig) -> ServeConfig {
     ServeConfig {
         map: test_map(),
         device,
-        sizing: EpochSizing::Fixed(64), // force multi-epoch histories
+        sizing: 64, // force multi-epoch histories
         queue_depth: 1 << 12,
         policy: AdmitPolicy::Block,
         linger: Duration::ZERO,
