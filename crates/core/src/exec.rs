@@ -17,10 +17,10 @@
 //!   that would propagate (the parent is full, dead or no longer points at
 //!   the leaf) and a delete that would underflow still fall back.
 //!
-//! Both kernels record the *old value* of each issued key; the
-//! **result-calculation** phase then resolves every unissued request from
-//! its run's dependence chain and patches range-query slots from
-//! artificial queries — all without touching the tree.
+//! The warp that gets a run's old value then resolves the run (**result
+//! calculation**): it answers the run-mates from the dependence chain and,
+//! in the update kernel, patches the range slots the query launch filled
+//! from artificial queries — all without touching the tree.
 
 use crate::locality::WarpLocator;
 use crate::pivot::PivotCache;
@@ -39,9 +39,8 @@ use eirene_btree::ops::{
     delete_at_leaf, delete_rebalancing, descend, hop_right, split_leaf_in_parent, upsert_at_leaf,
     LeafDelete, LeafUpsert, NO_VALUE,
 };
-use eirene_primitives::PrimCost;
-use eirene_sim::{Device, DeviceConfig, KernelStats, Phase, TraceEventKind};
-use eirene_stm::{Abort, Stm, TxScratch};
+use eirene_sim::{Device, KernelStats, Phase, TraceEventKind, WarpCtx};
+use eirene_stm::{Abort, Stm, Tx, TxScratch};
 use eirene_workloads::{Batch, OpKind, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,17 +56,30 @@ pub fn execute(
     plan: &CombinePlan,
     pivot: Option<&PivotCache>,
 ) -> BatchRun {
-    let n = batch.len();
-    // Written only by result calculation, after both kernels.
-    let mut responses = vec![Response::Done; n];
-    // Old value per run, retrieved by the run's issued request.
-    let old_vals: Vec<AtomicU64> = (0..plan.runs.len())
-        .map(|_| AtomicU64::new(NO_VALUE))
-        .collect();
-
-    // Range results are accumulated here (written by the query kernel,
-    // patched by result calculation) and installed into `responses` last.
+    // One answer slot per point, in run order: a warp's stores stay
+    // contiguous, where stores at batch positions thrash the host's caches.
+    // The host installs the responses from the slots last.
+    let answers: Vec<AtomicU64> = plan.points.iter().map(|_| AtomicU64::new(0)).collect();
     let range_results = RangeSlots::new(plan.ranges.iter().map(|r| r.len as usize));
+    // Result calculation (Alg. 1 line 6, RESULT_CAL) of run `run` by the
+    // warp that issued it, once its request ended with `old`. Only run-mates
+    // and patches are charged (the issued request's answer is request I/O),
+    // per warp-wide chunk, and the charges tick no scheduler.
+    let resolve = |ctx: &mut WarpCtx<'_>, run: u32, old: u64| {
+        let (r, arts) = (&plan.runs[run as usize], plan.run_artificial(run));
+        let slots = &answers[r.start as usize..][..r.len as usize];
+        resolve_run(plan.run_points(r), slots, arts, old, &range_results);
+        if r.len > 1 {
+            ctx.emit(TraceEventKind::CombineHit, r.len as u64);
+        }
+        let points = u64::from(r.len - 1) + arts.len() as u64;
+        let prev = ctx.set_phase(Phase::ResultCalc);
+        for _ in 0..points.div_ceil(ctx.config().warp_size as u64) {
+            ctx.charge_request_io();
+        }
+        ctx.control(4 * points);
+        ctx.set_phase(prev);
+    };
 
     // ------------------------- Query kernel ----------------------------
     // Both kernels' work lists (Alg. 1 l.3) come laid out in the plan.
@@ -87,17 +99,13 @@ pub fn execute(
                 let key = key as u64;
                 ctx.begin_request();
                 charge_request_io(ctx);
-                let run_len = plan.runs[run as usize].len;
-                if run_len > 1 {
-                    ctx.emit(TraceEventKind::CombineHit, run_len as u64);
-                }
                 let (_, leaf) = loc.locate(ctx, handle, key);
                 let prev = ctx.set_phase(Phase::LeafOp);
                 ctx.control(12);
                 let v = leaf.find(key).map_or(NO_VALUE, |i| leaf.vals()[i]);
                 ctx.set_phase(prev);
-                old_vals[run as usize].store(v, Ordering::Relaxed);
                 ctx.end_request();
+                resolve(ctx, run, v);
             }
             QueryItem::Range { range_idx, .. } => {
                 let (lo, hi) = item.window();
@@ -142,43 +150,41 @@ pub fn execute(
             let key = key as u64;
             ctx.begin_request();
             charge_request_io(ctx);
-            let run_len = plan.runs[run as usize].len;
-            if run_len > 1 {
-                ctx.emit(TraceEventKind::CombineHit, run_len as u64);
-            }
             let state = WarpState { loc, scratch };
             let old = update_one(ctx, handle, stm, opts, state, key, kind);
-            old_vals[run as usize].store(old, Ordering::Relaxed);
             ctx.end_request();
+            resolve(ctx, run, old);
         },
     );
 
-    // ----------------------- Result calculation ------------------------
-    let cfg = device.config();
-    let resolve_cost = resolve(cfg, plan, &old_vals, &mut responses, &range_results);
-
-    // Install range responses.
+    // Upserts and deletes answer `Done`.
+    let mut responses = vec![Response::Done; batch.len()];
+    for (p, slot) in plan.points.iter().zip(&answers) {
+        if p.op == OpKind::Query {
+            responses[p.orig as usize] = Response::Value(found(slot.load(Ordering::Relaxed)));
+        }
+    }
     for (idx, r) in plan.ranges.iter().enumerate() {
-        let values = range_results.of(idx as u32).iter().map(|slot| {
-            let v = slot.load(Ordering::Relaxed);
-            (v != NO_VALUE).then_some(v as u32)
-        });
+        let values = range_results.of(idx as u32).iter();
+        let values = values.map(|slot| found(slot.load(Ordering::Relaxed)));
         responses[r.orig_idx as usize] = Response::Range(values.collect());
     }
 
     // ----------------------------- Stats --------------------------------
+    let cfg = device.config();
     let mut stats = plan
         .cost
         .into_phased_kernel_stats("eirene-combine", cfg, Phase::Combine);
-    stats.merge(&query_stats);
-    stats.merge(&update_stats);
-    stats.merge(&resolve_cost.into_phased_kernel_stats("eirene-resolve", cfg, Phase::ResultCalc));
-    if let Some(cache) = pivot {
-        // Staging the frontier fences into shared memory, once per kernel
-        // that dispatched through the cache.
-        let mut staging = cache.staging_cost(cfg);
-        staging.merge(cache.staging_cost(cfg));
-        stats.merge(&staging.into_phased_kernel_stats("eirene-dispatch", cfg, Phase::RunDispatch));
+    for mut kernel in [query_stats, update_stats] {
+        if let Some(cache) = pivot {
+            // Prologue: staging the frontier fences costs the makespan share
+            // a launch of its own would, without the launch.
+            let staging = cache.staging_cost(cfg);
+            kernel.makespan_cycles += staging.cycles as f64 / cfg.resident_warps() as f64;
+            let staged = staging.into_phased_kernel_stats("", cfg, Phase::RunDispatch);
+            kernel.totals.merge(&staged.totals);
+        }
+        stats.absorb(kernel);
     }
 
     BatchRun { responses, stats }
@@ -217,7 +223,8 @@ fn update_one(
                             let (addr, count) = descend(a, handle, key, true)?;
                             match upsert_at_leaf(a, addr, count, key, v as u64)? {
                                 LeafUpsert::Done(old) => Ok(old),
-                                LeafUpsert::Full => unreachable!("descent guarantees room"),
+                                // The descent split every full node on the way down.
+                                LeafUpsert::Full => torn_view(tx, ctx, addr),
                             }
                         }
                         IssuedKind::Delete => delete_rebalancing(a, handle, key),
@@ -290,7 +297,8 @@ fn update_one(
                         split = true;
                         match upsert_at_leaf(a, half, hcount, key, v as u64)? {
                             LeafUpsert::Done(old) => Ok(Some(old)),
-                            LeafUpsert::Full => unreachable!("a split half has room"),
+                            // The split left each half at most half full.
+                            LeafUpsert::Full => torn_view(&tx, ctx, half),
                         }
                     }
                     IssuedKind::Delete => {
@@ -355,6 +363,15 @@ fn update_one(
             }
         }
     }
+}
+
+/// A transaction body met a full leaf where its reads rule one out: on a
+/// torn view that is an abort, for the retry or commit to decide; on a view
+/// that still validates it is a bug, reported at the caller, not a livelock.
+#[track_caller]
+fn torn_view<T>(tx: &Tx<'_>, ctx: &mut WarpCtx<'_>, leaf: u64) -> Result<T, Abort> {
+    assert!(!tx.reads_valid(ctx), "leaf {leaf:#x} full, view valid");
+    Err(Abort)
 }
 
 /// What an issued update is handed besides the tree, each with the lifetime
@@ -480,27 +497,9 @@ fn launch_grouped<T: HasKey, S: Default + Send>(
     device.launch_with(name, warp_groups.len(), read_only, kernel)
 }
 
-/// Result calculation (Alg. 1 line 6, RESULT_CAL): resolves every point
-/// request from its run's dependence chain and patches range slots from
-/// artificial queries, reading each run's points and artificial queries in
-/// order. A plain loop on the calling thread; the modelled device cost is a
-/// streaming pass over the batch.
-fn resolve(
-    cfg: &DeviceConfig,
-    plan: &CombinePlan,
-    old_vals: &[AtomicU64],
-    responses: &mut [Response],
-    range_results: &RangeSlots,
-) -> PrimCost {
-    let mut arts = plan.artificial.as_slice();
-    for (i, (run, old)) in plan.runs.iter().zip(old_vals).enumerate() {
-        let mine = arts.iter().take_while(|a| a.run == i as u32).count();
-        let (mine, rest) = arts.split_at(mine);
-        arts = rest;
-        let old = old.load(Ordering::Relaxed);
-        resolve_run(plan.run_points(run), mine, old, responses, range_results);
-    }
-    PrimCost::streaming(cfg, responses.len() as u64, 1, 4)
+/// The answer a stored word gives (`NO_VALUE` = no such key).
+fn found(v: u64) -> Option<u32> {
+    (v != NO_VALUE).then_some(v as u32)
 }
 
 /// State of a key while replaying its run in timestamp order.
@@ -512,12 +511,13 @@ enum KeyState {
     Value(u32),
 }
 
-/// Replays one run from `old`, the value its issued request retrieved.
+/// Replays one run from `old`, the value its issued request retrieved,
+/// storing each query's answer in its slot of `answers`.
 fn resolve_run(
     points: &[Point],
+    answers: &[AtomicU64],
     arts: &[Artificial],
     old: u64,
-    responses: &mut [Response],
     range_results: &RangeSlots,
 ) {
     let mut state = KeyState::Old;
@@ -532,7 +532,7 @@ fn resolve_run(
         range_results.of(a.range_idx)[a.offset as usize].store(value_at(state), Ordering::Relaxed);
     };
     let mut arts = arts.iter().peekable();
-    for p in points {
+    for (p, answer) in points.iter().zip(answers) {
         // Artificial queries with earlier timestamp *ranks* resolve first.
         // Ranks (position in the `(ts, batch index)` order) rather than raw
         // timestamps: on an equal timestamp, the request earlier in the
@@ -543,11 +543,7 @@ fn resolve_run(
             patch(a, state);
         }
         match p.op {
-            OpKind::Query => {
-                let v = value_at(state);
-                responses[p.orig as usize] = Response::Value((v != NO_VALUE).then_some(v as u32));
-            }
-            // Upserts and deletes answer `Done`, the buffer's initial value.
+            OpKind::Query => answer.store(value_at(state), Ordering::Relaxed),
             OpKind::Upsert(v) => state = KeyState::Value(v),
             OpKind::Delete => state = KeyState::Deleted,
             OpKind::Range { .. } => unreachable!("ranges are not in runs"),
@@ -560,7 +556,7 @@ fn resolve_run(
 
 /// Result slots of every range query of a batch in one buffer (`NO_VALUE`
 /// = empty), written across warps by the query kernel and patched by the
-/// resolution pass.
+/// update kernel's run resolution.
 struct RangeSlots {
     slots: Vec<AtomicU64>,
     /// Range `i` owns `slots[starts[i]..starts[i + 1]]`.

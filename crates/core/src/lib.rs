@@ -27,8 +27,10 @@
 //! 5. **Result calculation** ([`exec`]): unissued requests compute their
 //!    responses from the dependence chain and the issued requests'
 //!    retrieved old values; range results are patched from artificial
-//!    queries. The outcome is linearizable in logical-timestamp order
-//!    (§6) — property-tested against the sequential oracle.
+//!    queries. It runs inside the two kernels, in the warp that issued each
+//!    run, not as a pass of its own, so a batch makes three launches. The
+//!    outcome is linearizable in logical-timestamp order (§6) —
+//!    property-tested against the sequential oracle.
 
 pub mod exec;
 pub mod locality;

@@ -160,6 +160,15 @@ impl CombinePlan {
         &self.points[run.start as usize..][..run.len as usize]
     }
 
+    /// The artificial queries of run `run`, in timestamp-rank order.
+    pub fn run_artificial(&self, run: u32) -> &[Artificial] {
+        if !self.runs[run as usize].has_state_ops {
+            return &[]; // only updates generate them
+        }
+        let from = &self.artificial[self.artificial.partition_point(|a| a.run < run)..];
+        &from[..from.partition_point(|a| a.run == run)]
+    }
+
     /// Closes the run of `key` — the points from `start` on — whose last
     /// state-changing operation makes it issue `kind`: records the run,
     /// its issued request and work item, and the artificial queries of

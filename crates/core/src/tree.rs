@@ -224,12 +224,19 @@ mod tests {
     fn result_calc_is_costed_on_the_launching_device() {
         // A latency model other than the A100 default: the `ResultCalc`
         // row must follow it (it was once costed on `DeviceConfig::default()`).
+        // Four queries per key, so each of the 1 024 runs' issued queries
+        // resolves three run-mates: distinct keys would leave nothing to
+        // resolve, since an issued request's own answer is request I/O.
         let slow = DeviceConfig {
             mem_latency: 3 * DeviceConfig::default().mem_latency,
-            transaction_bytes: DeviceConfig::default().transaction_bytes / 2,
+            control_latency: 2 * DeviceConfig::default().control_latency,
             ..DeviceConfig::test_small()
         };
-        let batch = Batch::new((0..4096u32).map(|i| Request::query(i, i as u64)).collect());
+        let batch = Batch::new(
+            (0..4096u32)
+                .map(|i| Request::query(i / 4, i as u64))
+                .collect(),
+        );
         let result_calc = |device: DeviceConfig| {
             let opts = EireneOptions {
                 device: device.clone(),
@@ -237,15 +244,16 @@ mod tests {
             };
             let run = EireneTree::new(&pairs(3000), opts).run_batch(&batch);
             let row = *run.stats.totals.phases.row(Phase::ResultCalc);
-            let want = eirene_primitives::PrimCost::streaming(&device, 4096, 1, 4);
+            // Per run: one warp-wide load and store, four control per mate.
             assert_eq!(
-                (row.cycles, row.mem_transactions),
-                (want.cycles, want.mem_transactions)
+                (row.mem_insts, row.mem_transactions, row.control_insts),
+                (2 * 1024, 1024, 12 * 1024)
             );
+            let per_run = device.mem_latency + 12 * device.control_latency;
+            assert_eq!(row.cycles, 1024 * per_run);
             row
         };
         let (base, scaled) = (result_calc(DeviceConfig::test_small()), result_calc(slow));
-        assert_eq!(scaled.mem_transactions, 2 * base.mem_transactions);
         assert!(scaled.cycles > 2 * base.cycles, "{scaled:?} vs {base:?}");
     }
 

@@ -41,8 +41,9 @@ const UPDATES: u32 = 4096;
 /// Allocator calls of the second of two update-only batches (4 096 upserts
 /// of distinct keys, a third of them new) on a fresh 2^14-key tree cut into
 /// `target_warps` iteration warps. The first batch spawns the pool and
-/// builds the pivot cache; with no query the second is one plan, one update
-/// launch and one resolve (≈ 260 calls). OS scheduling on eight workers: the
+/// builds the pivot cache; with no query the second is one plan and one
+/// update launch, whose warps resolve their runs (≈ 210 calls, as before the
+/// resolve pass moved into it). OS scheduling on eight workers: the
 /// deterministic scheduler allocates a candidate list per tick, which would
 /// drown what is counted here.
 fn update_batch_allocs(target_warps: usize) -> u64 {

@@ -284,8 +284,9 @@ impl<'s> Tx<'s> {
 
     /// Whether every read record still shows the version this transaction
     /// saw, unless it later acquired the record itself. Stops at the first
-    /// that does not.
-    fn reads_valid(&self, ctx: &mut WarpCtx<'_>) -> bool {
+    /// that does not. A body that meets a state its reads rule out asks
+    /// this to tell a torn view (abort) from a real bug (panic).
+    pub fn reads_valid(&self, ctx: &mut WarpCtx<'_>) -> bool {
         self.log.reads.iter().all(|&(rec, ver)| {
             ctx.control(2);
             let cur = ctx.read(rec);

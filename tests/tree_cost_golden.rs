@@ -223,10 +223,12 @@ fn check(got: String, want: &str) {
 #[test]
 fn eirene_split_heavy() {
     let (p, batches) = split_heavy();
-    // Re-pinned for the insertion point taken from the leaf search: an
-    // insert no longer rescans the leaf (`leaf_op` mem 13 314 → 11 541), and
-    // the shorter leaf transactions collide less (aborts 126 → 89, descents
-    // 187 → 150). The tree is unmoved.
+    // Re-pinned for result calculation in the warp that issued each run:
+    // only the run-mates are charged now, one warp-wide load and store per
+    // run and four control per mate, instead of a streaming pass over the
+    // batch. 1 536 upserts on 240 keys leave ≈ 150 runs with mates per
+    // batch, so mem rises (96 → 926) and control falls (6 144 → 3 612).
+    // Every other row, the steps, conflicts, slab and shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, device(11)), &batches),
         "other: mem 1266 control 0 atomic 0
@@ -237,7 +239,7 @@ fn eirene_split_heavy() {
          structure_mod: mem 2384 control 184 atomic 29
          stm_access: mem 27654 control 79823 atomic 3086
          stm_commit: mem 12215 control 17648 atomic 0
-         result_calc: mem 96 control 6144 atomic 0
+         result_calc: mem 926 control 3612 atomic 0
          run_dispatch: mem 40 control 995 atomic 0
          steps: vertical 249 horizontal 93 descents 150
          conflicts: aborts 89 version 0
@@ -272,10 +274,11 @@ fn stm_split_heavy() {
 #[test]
 fn eirene_delete_churn() {
     let (p, batches) = delete_churn();
-    // Re-pinned for the insertion point taken from the leaf search: an
-    // insert no longer rescans the leaf (`leaf_op` mem 61 896 → 55 048); the
-    // interleaving moves with it (aborts 7 311 → 7 693, descents 8 688 →
-    // 9 086, reused nodes 97 → 114). The shape is unmoved.
+    // Re-pinned for result calculation in the warp that issued each run:
+    // only run-mates and artificial queries are charged now, and every
+    // request of this scenario has a key of its own, so the `result_calc`
+    // row (was mem 135 control 8 640) is gone. Every other row, the steps,
+    // conflicts, slab and shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, device(21)), &batches),
         "other: mem 4320 control 0 atomic 0
@@ -286,7 +289,6 @@ fn eirene_delete_churn() {
          structure_mod: mem 33416 control 6448 atomic 114
          stm_access: mem 220042 control 648230 atomic 22115
          stm_commit: mem 74760 control 93784 atomic 0
-         result_calc: mem 135 control 8640 atomic 0
          run_dispatch: mem 45 control 3566 atomic 0
          steps: vertical 8590 horizontal 267 descents 9086
          conflicts: aborts 7693 version 0
@@ -321,9 +323,12 @@ fn stm_delete_churn() {
 #[test]
 fn eirene_mixed_skew() {
     let (p, batches) = mixed_skew();
-    // Re-pinned for the insertion point taken from the leaf search: an
-    // insert no longer rescans the leaf, so only `leaf_op` and the STM
-    // rows (fewer reads to log and validate) move.
+    // Re-pinned for result calculation in the warp that issued each run:
+    // only run-mates and artificial queries are charged now, one warp-wide
+    // load and store per run and four control per point, instead of a
+    // streaming pass over the batch. The hot keys give many short runs, so
+    // mem rises (160 → 708) and control falls (10 240 → 6 608). Every other
+    // row, the steps, conflicts, slab and shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, device(31)), &batches),
         "other: mem 2398 control 0 atomic 0
@@ -334,7 +339,7 @@ fn eirene_mixed_skew() {
          structure_mod: mem 508 control 48 atomic 5
          stm_access: mem 24187 control 69013 atomic 2677
          stm_commit: mem 11207 control 17060 atomic 0
-         result_calc: mem 160 control 10240 atomic 0
+         result_calc: mem 708 control 6608 atomic 0
          run_dispatch: mem 30 control 868 atomic 0
          steps: vertical 153 horizontal 652 descents 73
          conflicts: aborts 0 version 0
@@ -370,9 +375,12 @@ fn stm_mixed_skew() {
 #[test]
 fn eirene_split_heavy_single_slot() {
     let (p, batches) = split_heavy();
-    // Re-pinned for the insertion point taken from the leaf search: an
-    // insert no longer rescans the leaf, so only `leaf_op` and the STM
-    // rows (fewer reads to log and validate) move.
+    // Re-pinned for result calculation in the warp that issued each run:
+    // only the run-mates are charged now, one warp-wide load and store per
+    // run and four control per mate, instead of a streaming pass over the
+    // batch. 1 536 upserts on 240 keys leave ≈ 150 runs with mates per
+    // batch, so mem rises (96 → 926) and control falls (6 144 → 3 612).
+    // Every other row, the steps, conflicts, slab and shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 1266 control 0 atomic 0
@@ -383,7 +391,7 @@ fn eirene_split_heavy_single_slot() {
          structure_mod: mem 1896 control 176 atomic 22
          stm_access: mem 26018 control 74781 atomic 2927
          stm_commit: mem 11722 control 17590 atomic 0
-         result_calc: mem 96 control 6144 atomic 0
+         result_calc: mem 926 control 3612 atomic 0
          run_dispatch: mem 40 control 875 atomic 0
          steps: vertical 156 horizontal 95 descents 58
          conflicts: aborts 0 version 0
@@ -417,9 +425,11 @@ fn stm_split_heavy_single_slot() {
 #[test]
 fn eirene_delete_churn_single_slot() {
     let (p, batches) = delete_churn();
-    // Re-pinned for the insertion point taken from the leaf search: an
-    // insert no longer rescans the leaf, so only `leaf_op` and the STM
-    // rows (fewer reads to log and validate) move.
+    // Re-pinned for result calculation in the warp that issued each run:
+    // only run-mates and artificial queries are charged now, and every
+    // request of this scenario has a key of its own, so the `result_calc`
+    // row (was mem 135 control 8 640) is gone. Every other row, the steps,
+    // conflicts, slab and shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 4320 control 0 atomic 0
@@ -430,7 +440,6 @@ fn eirene_delete_churn_single_slot() {
          structure_mod: mem 22675 control 4220 atomic 82
          stm_access: mem 158994 control 472384 atomic 19292
          stm_commit: mem 66909 control 95234 atomic 0
-         result_calc: mem 135 control 8640 atomic 0
          run_dispatch: mem 47 control 3576 atomic 0
          steps: vertical 3227 horizontal 268 descents 1402
          conflicts: aborts 0 version 0
@@ -464,9 +473,12 @@ fn stm_delete_churn_single_slot() {
 #[test]
 fn eirene_mixed_skew_single_slot() {
     let (p, batches) = mixed_skew();
-    // Re-pinned for the insertion point taken from the leaf search: an
-    // insert no longer rescans the leaf, so only `leaf_op` and the STM
-    // rows (fewer reads to log and validate) move.
+    // Re-pinned for result calculation in the warp that issued each run:
+    // only run-mates and artificial queries are charged now, one warp-wide
+    // load and store per run and four control per point, instead of a
+    // streaming pass over the batch. The hot keys give many short runs, so
+    // mem rises (160 → 708) and control falls (10 240 → 6 608). Every other
+    // row, the steps, conflicts, slab and shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 2398 control 0 atomic 0
@@ -477,7 +489,7 @@ fn eirene_mixed_skew_single_slot() {
          structure_mod: mem 508 control 48 atomic 5
          stm_access: mem 24187 control 69013 atomic 2677
          stm_commit: mem 11207 control 17060 atomic 0
-         result_calc: mem 160 control 10240 atomic 0
+         result_calc: mem 708 control 6608 atomic 0
          run_dispatch: mem 30 control 868 atomic 0
          steps: vertical 153 horizontal 652 descents 73
          conflicts: aborts 0 version 0
