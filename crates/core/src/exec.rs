@@ -17,10 +17,12 @@
 //!   that would propagate (the parent is full, dead or no longer points at
 //!   the leaf) and a delete that would underflow still fall back.
 //!
-//! The warp that gets a run's old value then resolves the run (**result
-//! calculation**): it answers the run-mates from the dependence chain and,
-//! in the update kernel, patches the range slots the query launch filled
-//! from artificial queries — all without touching the tree.
+//! The two kernels run as the `query` and `update` phases of one launch,
+//! `eirene-batch`, split by a grid barrier (DESIGN §6). The warp that gets
+//! a run's old value then resolves the run (**result calculation**): it
+//! answers the run-mates from the dependence chain and, in the update
+//! phase, patches the range slots the query phase filled from artificial
+//! queries — all without touching the tree.
 
 use crate::locality::WarpLocator;
 use crate::pivot::PivotCache;
@@ -39,7 +41,7 @@ use eirene_btree::ops::{
     delete_at_leaf, delete_rebalancing, descend, hop_right, split_leaf_in_parent, upsert_at_leaf,
     LeafDelete, LeafUpsert, NO_VALUE,
 };
-use eirene_sim::{Device, KernelStats, Phase, TraceEventKind, WarpCtx};
+use eirene_sim::{Device, Launch, Phase, TraceEventKind, WarpCtx};
 use eirene_stm::{Abort, Stm, Tx, TxScratch};
 use eirene_workloads::{Batch, OpKind, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,8 +66,8 @@ pub fn execute(
     // Result calculation (Alg. 1 line 6, RESULT_CAL) of run `run` by the
     // warp that issued it, once its request ended with `old`. Only run-mates
     // and patches are charged (the issued request's answer is request I/O),
-    // per warp-wide chunk, and the charges tick no scheduler.
-    let resolve = |ctx: &mut WarpCtx<'_>, run: u32, old: u64| {
+    // in warp-wide chunks over the warp's runs with adjacent answer slots.
+    let resolve = |ctx: &mut WarpCtx<'_>, chunk: &mut ResultChunk, run: u32, old: u64| {
         let (r, arts) = (&plan.runs[run as usize], plan.run_artificial(run));
         let slots = &answers[r.start as usize..][..r.len as usize];
         resolve_run(plan.run_points(r), slots, arts, old, &range_results);
@@ -73,28 +75,27 @@ pub fn execute(
             ctx.emit(TraceEventKind::CombineHit, r.len as u64);
         }
         let points = u64::from(r.len - 1) + arts.len() as u64;
-        let prev = ctx.set_phase(Phase::ResultCalc);
-        for _ in 0..points.div_ceil(ctx.config().warp_size as u64) {
-            ctx.charge_request_io();
-        }
-        ctx.control(4 * points);
-        ctx.set_phase(prev);
+        chunk.add(ctx, r.start, r.len, points);
     };
 
-    // ------------------------- Query kernel ----------------------------
-    // Both kernels' work lists (Alg. 1 l.3) come laid out in the plan.
-    let query_stats = launch_grouped(
-        device,
+    // The barrier between the two phases keeps every update out of the
+    // query phase's descents, which is what lets the queries run without
+    // synchronization. Their work lists (Alg. 1 l.3) come laid out in the
+    // plan.
+    let mut launch = device.begin_launch("eirene-batch");
+    // ------------------------- Query phase -----------------------------
+    launch_grouped(
+        &mut launch,
         opts,
         &plan.query_items,
         pivot,
-        "eirene-query",
+        "query",
         // No synchronization because nothing is written: results cannot
-        // depend on warp interleaving, so the launch need not pay for any.
+        // depend on warp interleaving, so the phase need not pay for any.
         true,
         // A range's later leaves load into the worker slot's buffer: the
         // locator's keeps the leaf it lent, where the next RG's walk starts.
-        |ctx, loc, walk: &mut ParsedNode, item| match *item {
+        |ctx, loc, walk: &mut ParsedNode, chunk, item| match *item {
             QueryItem::Query { run, key } => {
                 let key = key as u64;
                 ctx.begin_request();
@@ -105,7 +106,7 @@ pub fn execute(
                 let v = leaf.find(key).map_or(NO_VALUE, |i| leaf.vals()[i]);
                 ctx.set_phase(prev);
                 ctx.end_request();
-                resolve(ctx, run, v);
+                resolve(ctx, chunk, run, v);
             }
             QueryItem::Range { range_idx, .. } => {
                 let (lo, hi) = item.window();
@@ -137,15 +138,15 @@ pub fn execute(
         },
     );
 
-    // ------------------------- Update kernel ---------------------------
-    let update_stats = launch_grouped(
-        device,
+    // ------------------------- Update phase ----------------------------
+    launch_grouped(
+        &mut launch,
         opts,
         &plan.update_items,
         pivot,
-        "eirene-update",
+        "update",
         false,
-        |ctx, loc, scratch: &mut TxScratch, item| {
+        |ctx, loc, scratch: &mut TxScratch, chunk, item| {
             let UpdateItem { run, key, kind } = *item;
             let key = key as u64;
             ctx.begin_request();
@@ -153,7 +154,7 @@ pub fn execute(
             let state = WarpState { loc, scratch };
             let old = update_one(ctx, handle, stm, opts, state, key, kind);
             ctx.end_request();
-            resolve(ctx, run, old);
+            resolve(ctx, chunk, run, old);
         },
     );
 
@@ -175,17 +176,17 @@ pub fn execute(
     let mut stats = plan
         .cost
         .into_phased_kernel_stats("eirene-combine", cfg, Phase::Combine);
-    for mut kernel in [query_stats, update_stats] {
-        if let Some(cache) = pivot {
-            // Prologue: staging the frontier fences costs the makespan share
-            // a launch of its own would, without the launch.
-            let staging = cache.staging_cost(cfg);
-            kernel.makespan_cycles += staging.cycles as f64 / cfg.resident_warps() as f64;
-            let staged = staging.into_phased_kernel_stats("", cfg, Phase::RunDispatch);
-            kernel.totals.merge(&staged.totals);
-        }
-        stats.absorb(kernel);
+    let mut kernel = launch.end();
+    if let Some(cache) = pivot.filter(|_| kernel.warps > 0) {
+        // Prologue: staging the frontier fences into shared memory, once
+        // per launch (shared memory outlives the grid barrier), costs the
+        // makespan share a launch of its own would, without the launch.
+        let staging = cache.staging_cost(cfg);
+        kernel.makespan_cycles += staging.cycles as f64 / cfg.resident_warps() as f64;
+        let staged = staging.into_phased_kernel_stats("", cfg, Phase::RunDispatch);
+        kernel.totals.merge(&staged.totals);
     }
+    stats.absorb(kernel);
 
     BatchRun { responses, stats }
 }
@@ -193,7 +194,7 @@ pub fn execute(
 /// Executes one issued update with the optimistic protocol of Alg. 1,
 /// splitting a full leaf in the leaf region when its parent has room.
 fn update_one(
-    ctx: &mut eirene_sim::WarpCtx<'_>,
+    ctx: &mut WarpCtx<'_>,
     handle: &TreeHandle,
     stm: &Stm,
     opts: &EireneOptions,
@@ -413,10 +414,11 @@ impl HasKey for UpdateItem {
     }
 }
 
-/// Launches `items` over iteration warps: contiguous blocks of request
-/// groups per warp, so adjacent RGs share one [`WarpLocator`], the leaf
-/// buffer of §5. `body` also gets the `S` of the worker slot the warp
-/// happens to run on ([`Device::launch_with`]).
+/// Runs `items` as phase `label` of `launch`, over iteration warps:
+/// contiguous blocks of request groups per warp, so adjacent RGs share one
+/// [`WarpLocator`], the leaf buffer of §5. `body` also gets the `S` of the
+/// worker slot the warp happens to run on ([`Launch::phase`]) and the
+/// warp's [`ResultChunk`], which the warp flushes when it ends.
 ///
 /// With a pivot cache (`pivot = Some`), request groups are *leaf runs* —
 /// maximal ascending-key groups targeting the same leaf under the
@@ -424,21 +426,16 @@ impl HasKey for UpdateItem {
 /// rest of its items in-leaf; without one, groups are fixed-size RG
 /// blocks of one warp's width, the per-request baseline.
 fn launch_grouped<T: HasKey, S: Default + Send>(
-    device: &Device,
+    launch: &mut Launch<'_>,
     opts: &EireneOptions,
     items: &[T],
     pivot: Option<&PivotCache>,
-    name: &str,
+    label: &str,
     read_only: bool,
-    body: impl Fn(&mut eirene_sim::WarpCtx<'_>, &mut WarpLocator<'_>, &mut S, &T) + Sync,
-) -> KernelStats {
+    body: impl Fn(&mut WarpCtx<'_>, &mut WarpLocator<'_>, &mut S, &mut ResultChunk, &T) + Sync,
+) {
     let n = items.len();
-    if n == 0 {
-        return KernelStats {
-            name: name.to_string(),
-            ..Default::default()
-        };
-    }
+    let device = launch.device();
     let target = if opts.target_warps > 0 {
         opts.target_warps
     } else {
@@ -475,8 +472,9 @@ fn launch_grouped<T: HasKey, S: Default + Send>(
         warp_groups.push((glo, groups.len()));
     }
     let coalesced = pivot.is_some();
-    let kernel = |wid: usize, ctx: &mut eirene_sim::WarpCtx<'_>, slot: &mut S| {
+    let kernel = |wid: usize, ctx: &mut WarpCtx<'_>, slot: &mut S| {
         let mut loc = WarpLocator::with_cache(opts.locality, pivot);
+        let mut chunk = ResultChunk::default();
         let (wg_lo, wg_hi) = warp_groups[wid];
         for &(lo, hi) in &groups[wg_lo..wg_hi] {
             // RF decision per group uses the group's maximal key (§5);
@@ -484,7 +482,7 @@ fn launch_grouped<T: HasKey, S: Default + Send>(
             loc.begin_rg(items[hi - 1].item_key());
             for (i, item) in items[lo..hi].iter().enumerate() {
                 let verticals_before = ctx.stats.vertical_traversals;
-                body(ctx, &mut loc, slot, item);
+                body(ctx, &mut loc, slot, &mut chunk, item);
                 // A run-mate that finished without a fresh vertical
                 // traversal rode the run's descent: an upper-level walk
                 // the per-request baseline would have paid.
@@ -493,8 +491,47 @@ fn launch_grouped<T: HasKey, S: Default + Send>(
                 }
             }
         }
+        chunk.flush(ctx);
     };
-    device.launch_with(name, warp_groups.len(), read_only, kernel)
+    launch.phase(label, warp_groups.len(), read_only, kernel);
+}
+
+/// The run-mates and patches a warp has resolved but not yet charged: those
+/// of its latest runs whose answer slots follow one another in
+/// [`CombinePlan::points`], which warp-wide stores cover together. The
+/// charge ticks no scheduler.
+#[derive(Default)]
+struct ResultChunk {
+    /// One past the latest run's last answer slot.
+    end: u32,
+    points: u64,
+}
+
+impl ResultChunk {
+    /// Adds `points` of the run whose answer slots start at `start`,
+    /// charging what came before first unless those slots end there.
+    fn add(&mut self, ctx: &mut WarpCtx<'_>, start: u32, len: u32, points: u64) {
+        if start != self.end {
+            self.flush(ctx);
+        }
+        self.end = start + len;
+        self.points += points;
+    }
+
+    /// Charges the points so far: one warp-wide load and store per chunk,
+    /// four control per point.
+    fn flush(&mut self, ctx: &mut WarpCtx<'_>) {
+        let points = std::mem::take(&mut self.points);
+        if points == 0 {
+            return;
+        }
+        let prev = ctx.set_phase(Phase::ResultCalc);
+        for _ in 0..points.div_ceil(ctx.config().warp_size as u64) {
+            ctx.charge_request_io();
+        }
+        ctx.control(4 * points);
+        ctx.set_phase(prev);
+    }
 }
 
 /// The answer a stored word gives (`NO_VALUE` = no such key).

@@ -161,6 +161,17 @@ impl DeviceConfig {
         self.num_sms * self.warps_per_sm
     }
 
+    /// Cycles of one grid-wide barrier across `sms` SMs, in the
+    /// contention-free gather/release shape of Stuart & Owens: each SM
+    /// stores its arrival flag, one block gathers the `sms` 8-byte flags in
+    /// coalesced transactions, checking each, then stores the release flag
+    /// every SM polls — a chain of memory round trips, not `sms` atomics
+    /// serialised on one counter.
+    pub fn grid_barrier_cycles(&self, sms: usize) -> u64 {
+        let gather = (sms * std::mem::size_of::<u64>()).div_ceil(self.transaction_bytes) as u64;
+        (1 + gather + 1 + 1) * self.mem_latency + sms as u64 * self.control_latency
+    }
+
     /// Resolved worker-thread count for kernel launches.
     ///
     /// Host-dependent by design (auto mode scales with the machine's

@@ -269,19 +269,10 @@ impl Device {
         })
     }
 
-    /// The launch every other one is a case of: `kernel` also receives a
-    /// `&mut S` that belongs to the worker slot running the warp. Each slot
-    /// starts from `S::default()`, lends the same value to every warp it
-    /// runs, one after the other, and drops it when the launch ends — the
-    /// place for working memory worth keeping warm across warps (a
-    /// transaction's logs), which a launch of hundreds of short warps would
-    /// otherwise build hundreds of times. How many slots there are, and
-    /// which warps share one, is the launcher's business: a kernel's
-    /// results must not depend on what an earlier warp left in `S`, and a
-    /// kernel must not make one warp wait for another to *start* — under
-    /// the deterministic scheduler, and in a launch run by its launching
-    /// thread, the other warp may not run until this one returns.
-    /// `read_only` is the declaration of [`launch_read_only`](Self::launch_read_only).
+    /// A [`Launch`] of one phase, which every other one-phase launch is a
+    /// case of: `kernel` also receives the `&mut S` of the worker slot
+    /// running the warp ([`Launch::phase`]). `read_only` is the declaration
+    /// of [`launch_read_only`](Self::launch_read_only).
     pub fn launch_with<S, F>(
         &self,
         name: &str,
@@ -293,11 +284,23 @@ impl Device {
         S: Default + Send,
         F: Fn(usize, &mut WarpCtx, &mut S) + Sync,
     {
-        match self.cfg.sched {
-            SchedMode::Os => self.launch_os(name, num_warps, read_only, kernel),
-            SchedMode::Deterministic { seed } => {
-                self.launch_det(name, num_warps, seed, read_only, kernel)
-            }
+        let mut launch = self.begin_launch(name);
+        launch.phase("", num_warps, read_only, kernel);
+        launch.end()
+    }
+
+    /// Opens a launch of ordered phases ([`Launch::phase`]), closed by
+    /// [`Launch::end`]: one persistent kernel whose phases a grid-wide
+    /// barrier splits, so it pays [`DeviceConfig::launch_overhead`] once.
+    pub fn begin_launch(&self, name: &str) -> Launch<'_> {
+        Launch {
+            device: self,
+            stats: KernelStats {
+                name: name.to_string(),
+                ..KernelStats::default()
+            },
+            phases: 0,
+            sms: 0,
         }
     }
 
@@ -417,9 +420,6 @@ impl Device {
         F: Fn(usize, &mut WarpCtx, &mut S) + Sync,
     {
         let launch_idx = self.launches.fetch_add(1, Ordering::Relaxed);
-        if num_warps == 0 {
-            return self.aggregate(name, LaunchStats::<S>::new(0, 0));
-        }
         // Replay takes precedence over fresh PRNG decisions.
         let recorded: Option<Vec<u32>> = {
             let mut guard = self.replay.lock().unwrap();
@@ -513,11 +513,14 @@ impl Device {
         S: Default,
         F: FnMut(usize, &mut WarpCtx, &mut S),
     {
-        self.launch_serial(name, num_warps, &OS_SCHEDULER, false, kernel)
+        let mut launch = self.begin_launch(name);
+        launch.add(self.launch_serial(name, num_warps, &OS_SCHEDULER, false, kernel));
+        launch.end()
     }
 
-    /// Folds what a launch recorded into its [`KernelStats`], or re-raises
-    /// the kernel's panic if a warp failed.
+    /// Folds what one phase recorded into its [`KernelStats`] (makespan:
+    /// the slowest SM; no launch overhead), or re-raises the kernel's panic,
+    /// under the phase's `name`, if a warp failed.
     fn aggregate<S>(&self, name: &str, run: LaunchStats<S>) -> KernelStats {
         if let Some(f) = run.failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
             resume_kernel_panic(name, f);
@@ -555,12 +558,11 @@ impl Device {
             .filter(|&&(_, warps)| warps > 0)
             .map(|&(cycles, warps)| cycles as f64 / warps.min(self.cfg.warps_per_sm) as f64)
             .fold(0.0f64, f64::max);
-        let makespan = slowest_sm + self.cfg.launch_overhead as f64;
         KernelStats {
-            name: name.to_string(),
+            name: String::new(),
             warps,
             totals,
-            makespan_cycles: makespan,
+            makespan_cycles: slowest_sm,
         }
     }
 
@@ -570,6 +572,92 @@ impl Device {
             return 0.0;
         }
         requests as f64 / self.cfg.cycles_to_secs(makespan_cycles)
+    }
+}
+
+/// A launch in progress ([`Device::begin_launch`]): ordered phases, each
+/// run to completion before the next starts, as a persistent kernel's
+/// phases are held apart by a grid-wide barrier. Each phase keeps its own
+/// warps, read-only declaration and deterministic schedule entry. The
+/// launch's makespan is the sum of its phases' slowest-SM makespans, plus
+/// one [`grid_barrier_cycles`](DeviceConfig::grid_barrier_cycles) between
+/// each two phases that ran warps, plus the launch overhead once; a launch
+/// whose phases ran no warp costs nothing.
+pub struct Launch<'d> {
+    device: &'d Device,
+    /// The launch's name and what its phases have summed so far.
+    stats: KernelStats,
+    /// Phases that ran at least one warp.
+    phases: u32,
+    /// SMs hosting a warp of the launch: the widest phase's.
+    sms: usize,
+}
+
+impl<'d> Launch<'d> {
+    /// The device the launch runs on.
+    pub fn device(&self) -> &'d Device {
+        self.device
+    }
+
+    /// Runs one phase of `num_warps` warps. `label` names it in the
+    /// schedule log and in a kernel panic, as `<launch>/<label>` (the empty
+    /// label: the launch's own name). An empty phase runs nothing: it draws
+    /// no schedule seed and makes no barrier.
+    ///
+    /// `kernel` also receives a `&mut S` that belongs to the worker slot
+    /// running the warp. Each slot starts from `S::default()`, lends the
+    /// same value to every warp it runs, one after the other, and drops it
+    /// when the phase ends — the place for working memory worth keeping warm
+    /// across warps (a transaction's logs), which hundreds of short warps
+    /// would otherwise build hundreds of times. How many slots there are,
+    /// and which warps share one, is the launcher's business: a kernel's
+    /// results must not depend on what an earlier warp left in `S`, and a
+    /// kernel must not make one warp wait for another to *start* — under
+    /// the deterministic scheduler, and in a phase run by its launching
+    /// thread, the other warp may not run until this one returns.
+    pub fn phase<S, F>(&mut self, label: &str, num_warps: usize, read_only: bool, kernel: F)
+    where
+        S: Default + Send,
+        F: Fn(usize, &mut WarpCtx, &mut S) + Sync,
+    {
+        if num_warps == 0 {
+            return;
+        }
+        let name = match label {
+            "" => self.stats.name.clone(),
+            _ => format!("{}/{label}", self.stats.name),
+        };
+        let dev = self.device;
+        self.add(match dev.cfg.sched {
+            SchedMode::Os => dev.launch_os(&name, num_warps, read_only, kernel),
+            SchedMode::Deterministic { seed } => {
+                dev.launch_det(&name, num_warps, seed, read_only, kernel)
+            }
+        });
+    }
+
+    /// Folds one phase's stats into the launch.
+    fn add(&mut self, phase: KernelStats) {
+        if phase.warps == 0 {
+            return;
+        }
+        self.phases += 1;
+        let sms = (phase.warps as usize).min(self.device.cfg.num_sms);
+        self.sms = self.sms.max(sms);
+        self.stats.warps += phase.warps;
+        self.stats.totals.absorb(phase.totals);
+        self.stats.makespan_cycles += phase.makespan_cycles;
+    }
+
+    /// Closes the launch: its phases' stats, with the launch overhead and
+    /// the barriers added to the makespan.
+    pub fn end(mut self) -> KernelStats {
+        if self.phases > 0 {
+            let cfg = &self.device.cfg;
+            let barriers = u64::from(self.phases - 1) * cfg.grid_barrier_cycles(self.sms);
+            self.stats.makespan_cycles += (cfg.launch_overhead + barriers) as f64;
+        }
+        self.stats
     }
 }
 
@@ -677,6 +765,59 @@ mod tests {
         });
         let expect = 3.0 * cfg.mem_latency as f64 / 3.0;
         assert!((stats.makespan_cycles - expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn phases_share_one_overhead_and_pay_a_barrier_between_them() {
+        let cfg = DeviceConfig::test_small();
+        let (dev, overhead) = (
+            Device::new(1 << 12, cfg.clone()),
+            cfg.launch_overhead as f64,
+        );
+        let a = dev.mem().alloc(1);
+        let reads = |n: usize| {
+            move |_: usize, ctx: &mut WarpCtx, _: &mut ()| {
+                for _ in 0..n {
+                    ctx.read(a);
+                }
+            }
+        };
+        // The makespan each phase has as a launch of its own, overhead off.
+        let alone = |warps, n| {
+            dev.launch_with("alone", warps, false, reads(n))
+                .makespan_cycles
+        };
+        let (first, second) = (alone(3, 5) - overhead, alone(8, 2) - overhead);
+
+        let mut two = dev.begin_launch("two");
+        two.phase("first", 3, true, reads(5));
+        two.phase("second", 8, false, reads(2));
+        let two = two.end();
+        // The widest phase spreads over all four SMs.
+        let barrier = cfg.grid_barrier_cycles(4) as f64;
+        assert_eq!(two.makespan_cycles, first + second + overhead + barrier);
+        assert_eq!((two.name.as_str(), two.warps), ("two", 11));
+
+        // An empty phase makes no barrier; a launch of empty phases, no launch.
+        let mut one = dev.begin_launch("one");
+        one.phase("empty", 0, true, reads(1));
+        one.phase("only", 3, true, reads(5));
+        assert_eq!(one.end().makespan_cycles, first + overhead);
+        let mut none = dev.begin_launch("none");
+        none.phase("empty", 0, false, reads(1));
+        assert_eq!(
+            none.end(),
+            KernelStats {
+                name: "none".into(),
+                ..KernelStats::default()
+            }
+        );
+
+        // The barrier grows with the SMs it gathers, never shrinks.
+        let default = DeviceConfig::default();
+        let barriers: Vec<u64> = (1..=256).map(|k| default.grid_barrier_cycles(k)).collect();
+        assert!(barriers.windows(2).all(|w| w[0] <= w[1]), "{barriers:?}");
+        assert_eq!((barriers[1], barriers[107]), (82, 308));
     }
 
     #[test]

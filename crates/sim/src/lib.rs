@@ -34,7 +34,7 @@ mod stats;
 mod warp;
 
 pub use config::{mix64, DeviceConfig};
-pub use device::Device;
+pub use device::{Device, Launch};
 pub use mem::{Addr, GlobalMemory, NULL_ADDR};
 pub use sched::{
     DetScheduler, LaunchSchedule, OsScheduler, SchedMode, ScheduleLog, Scheduler, OS_SCHEDULER,

@@ -584,7 +584,7 @@ mod tests {
         let log = ScheduleLog {
             launches: vec![
                 LaunchSchedule {
-                    name: "eirene-query".into(),
+                    name: "eirene-batch/query".into(),
                     num_warps: 4,
                     choices: vec![0, 2, 2, 1, 3, 0],
                 },

@@ -353,7 +353,7 @@ mod tests {
     /// shard's) keeps a bounded name.
     #[test]
     fn kernel_merge_does_not_repeat_names() {
-        let epoch = "eirene-combine+eirene-query+eirene-update+eirene-resolve";
+        let epoch = "eirene-combine+eirene-batch+eirene-pivot-build";
         let cases: [(&str, &[&str], &str); 6] = [
             ("q", &["u"], "q+u"),
             ("a+b", &["b+c"], "a+b+c"),

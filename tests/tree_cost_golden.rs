@@ -223,11 +223,12 @@ fn check(got: String, want: &str) {
 #[test]
 fn eirene_split_heavy() {
     let (p, batches) = split_heavy();
-    // Re-pinned for result calculation in the warp that issued each run:
-    // only the run-mates are charged now, one warp-wide load and store per
-    // run and four control per mate, instead of a streaming pass over the
-    // batch. 1 536 upserts on 240 keys leave ≈ 150 runs with mates per
-    // batch, so mem rises (96 → 926) and control falls (6 144 → 3 612).
+    // Re-pinned for one persistent launch per batch. Result calculation is
+    // charged per warp over runs whose answer slots follow one another, not
+    // per run: the warp's runs share warp-wide chunks (`result_calc` mem
+    // 926 → 82; control, four per point, is unmoved). Every batch is all
+    // upserts, so the empty query phase no longer stages the frontier:
+    // staged once per batch (`run_dispatch` mem 40 → 37, control 995 → 976).
     // Every other row, the steps, conflicts, slab and shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, device(11)), &batches),
@@ -239,8 +240,8 @@ fn eirene_split_heavy() {
          structure_mod: mem 2384 control 184 atomic 29
          stm_access: mem 27654 control 79823 atomic 3086
          stm_commit: mem 12215 control 17648 atomic 0
-         result_calc: mem 926 control 3612 atomic 0
-         run_dispatch: mem 40 control 995 atomic 0
+         result_calc: mem 82 control 3612 atomic 0
+         run_dispatch: mem 37 control 976 atomic 0
          steps: vertical 249 horizontal 93 descents 150
          conflicts: aborts 89 version 0
          slab: live 78 retired 0 free 7 reused 0 bump 85
@@ -274,11 +275,12 @@ fn stm_split_heavy() {
 #[test]
 fn eirene_delete_churn() {
     let (p, batches) = delete_churn();
-    // Re-pinned for result calculation in the warp that issued each run:
-    // only run-mates and artificial queries are charged now, and every
-    // request of this scenario has a key of its own, so the `result_calc`
-    // row (was mem 135 control 8 640) is gone. Every other row, the steps,
-    // conflicts, slab and shape are unmoved.
+    // Re-pinned for one persistent launch per batch: the frontier is staged
+    // once per launch, not once per kernel; every batch here is all deletes
+    // or all upserts, so the empty query phase's staging is gone
+    // (`run_dispatch` mem 45 → 41, control 3 566 → 3 531). No run has mates, so there is still no `result_calc`
+    // row. Every other row, the steps, conflicts, slab and shape are
+    // unmoved.
     check(
         fingerprint(&mut eirene(&p, device(21)), &batches),
         "other: mem 4320 control 0 atomic 0
@@ -289,7 +291,7 @@ fn eirene_delete_churn() {
          structure_mod: mem 33416 control 6448 atomic 114
          stm_access: mem 220042 control 648230 atomic 22115
          stm_commit: mem 74760 control 93784 atomic 0
-         run_dispatch: mem 45 control 3566 atomic 0
+         run_dispatch: mem 41 control 3531 atomic 0
          steps: vertical 8590 horizontal 267 descents 9086
          conflicts: aborts 7693 version 0
          slab: live 98 retired 0 free 39 reused 114 bump 137
@@ -323,12 +325,14 @@ fn stm_delete_churn() {
 #[test]
 fn eirene_mixed_skew() {
     let (p, batches) = mixed_skew();
-    // Re-pinned for result calculation in the warp that issued each run:
-    // only run-mates and artificial queries are charged now, one warp-wide
-    // load and store per run and four control per point, instead of a
-    // streaming pass over the batch. The hot keys give many short runs, so
-    // mem rises (160 → 708) and control falls (10 240 → 6 608). Every other
-    // row, the steps, conflicts, slab and shape are unmoved.
+    // Re-pinned for one persistent launch per batch. Result calculation is
+    // charged per warp over runs whose answer slots follow one another, not
+    // per run; query and update runs interleave in the plan, so a phase's
+    // chunks break where the other phase's runs sit (`result_calc` mem
+    // 708 → 478; control, four per point, is unmoved). The frontier is
+    // staged once per launch, not once per kernel (`run_dispatch` mem
+    // 30 → 26, control 868 → 836). Every other row, the steps, conflicts,
+    // slab and shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, device(31)), &batches),
         "other: mem 2398 control 0 atomic 0
@@ -339,8 +343,8 @@ fn eirene_mixed_skew() {
          structure_mod: mem 508 control 48 atomic 5
          stm_access: mem 24187 control 69013 atomic 2677
          stm_commit: mem 11207 control 17060 atomic 0
-         result_calc: mem 708 control 6608 atomic 0
-         run_dispatch: mem 30 control 868 atomic 0
+         result_calc: mem 478 control 6608 atomic 0
+         run_dispatch: mem 26 control 836 atomic 0
          steps: vertical 153 horizontal 652 descents 73
          conflicts: aborts 0 version 0
          slab: live 100 retired 0 free 0 reused 0 bump 100
@@ -375,12 +379,12 @@ fn stm_mixed_skew() {
 #[test]
 fn eirene_split_heavy_single_slot() {
     let (p, batches) = split_heavy();
-    // Re-pinned for result calculation in the warp that issued each run:
-    // only the run-mates are charged now, one warp-wide load and store per
-    // run and four control per mate, instead of a streaming pass over the
-    // batch. 1 536 upserts on 240 keys leave ≈ 150 runs with mates per
-    // batch, so mem rises (96 → 926) and control falls (6 144 → 3 612).
-    // Every other row, the steps, conflicts, slab and shape are unmoved.
+    // Re-pinned for one persistent launch per batch. Result calculation is
+    // charged per warp over runs whose answer slots follow one another, not
+    // per run (`result_calc` mem 926 → 82), and the empty query phase of
+    // these all-upsert batches no longer stages the frontier (`run_dispatch`
+    // mem 40 → 37, control 875 → 856). Every other row, the steps,
+    // conflicts, slab and shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 1266 control 0 atomic 0
@@ -391,8 +395,8 @@ fn eirene_split_heavy_single_slot() {
          structure_mod: mem 1896 control 176 atomic 22
          stm_access: mem 26018 control 74781 atomic 2927
          stm_commit: mem 11722 control 17590 atomic 0
-         result_calc: mem 926 control 3612 atomic 0
-         run_dispatch: mem 40 control 875 atomic 0
+         result_calc: mem 82 control 3612 atomic 0
+         run_dispatch: mem 37 control 856 atomic 0
          steps: vertical 156 horizontal 95 descents 58
          conflicts: aborts 0 version 0
          slab: live 78 retired 0 free 0 reused 0 bump 78
@@ -425,11 +429,11 @@ fn stm_split_heavy_single_slot() {
 #[test]
 fn eirene_delete_churn_single_slot() {
     let (p, batches) = delete_churn();
-    // Re-pinned for result calculation in the warp that issued each run:
-    // only run-mates and artificial queries are charged now, and every
-    // request of this scenario has a key of its own, so the `result_calc`
-    // row (was mem 135 control 8 640) is gone. Every other row, the steps,
-    // conflicts, slab and shape are unmoved.
+    // Re-pinned for one persistent launch per batch: the frontier is staged
+    // once per launch, not once per kernel (`run_dispatch` mem 47 → 43,
+    // control 3 576 → 3 540). No run has mates, so there is still no
+    // `result_calc` row. Every other row, the steps, conflicts, slab and
+    // shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 4320 control 0 atomic 0
@@ -440,7 +444,7 @@ fn eirene_delete_churn_single_slot() {
          structure_mod: mem 22675 control 4220 atomic 82
          stm_access: mem 158994 control 472384 atomic 19292
          stm_commit: mem 66909 control 95234 atomic 0
-         run_dispatch: mem 47 control 3576 atomic 0
+         run_dispatch: mem 43 control 3540 atomic 0
          steps: vertical 3227 horizontal 268 descents 1402
          conflicts: aborts 0 version 0
          slab: live 100 retired 0 free 37 reused 82 bump 137
@@ -473,12 +477,11 @@ fn stm_delete_churn_single_slot() {
 #[test]
 fn eirene_mixed_skew_single_slot() {
     let (p, batches) = mixed_skew();
-    // Re-pinned for result calculation in the warp that issued each run:
-    // only run-mates and artificial queries are charged now, one warp-wide
-    // load and store per run and four control per point, instead of a
-    // streaming pass over the batch. The hot keys give many short runs, so
-    // mem rises (160 → 708) and control falls (10 240 → 6 608). Every other
-    // row, the steps, conflicts, slab and shape are unmoved.
+    // Re-pinned for one persistent launch per batch: result calculation per
+    // warp over runs with adjacent answer slots (`result_calc` mem
+    // 708 → 478), the frontier staged once per launch (`run_dispatch` mem
+    // 30 → 26, control 868 → 836). Every other row, the steps, conflicts,
+    // slab and shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 2398 control 0 atomic 0
@@ -489,8 +492,8 @@ fn eirene_mixed_skew_single_slot() {
          structure_mod: mem 508 control 48 atomic 5
          stm_access: mem 24187 control 69013 atomic 2677
          stm_commit: mem 11207 control 17060 atomic 0
-         result_calc: mem 708 control 6608 atomic 0
-         run_dispatch: mem 30 control 868 atomic 0
+         result_calc: mem 478 control 6608 atomic 0
+         run_dispatch: mem 26 control 836 atomic 0
          steps: vertical 153 horizontal 652 descents 73
          conflicts: aborts 0 version 0
          slab: live 100 retired 0 free 0 reused 0 bump 100
