@@ -73,9 +73,9 @@ pub struct ServeScale {
     /// Concurrent submitter threads per cell.
     pub clients: usize,
     pub seed: u64,
-    /// QoS tenant lanes (0 or 1 disables; submitter threads rotate).
+    /// QoS tenants (0 or 1 disables; submitter threads rotate).
     pub tenants: usize,
-    /// Per-tenant per-shard lane quota; 0 sizes it so nothing sheds.
+    /// Per-tenant per-shard quota; 0 sizes it so nothing sheds.
     pub quota: usize,
     /// Isolation scenario: the abusive tenant offers this multiple of
     /// its admissible (quota × shards) load.
@@ -263,8 +263,8 @@ fn requests(spec: WorkloadSpec, n: usize) -> Vec<(Key, OpKind)> {
     reqs.iter().map(|r| (r.key, r.op)).collect()
 }
 
-/// `reqs` cut into `clients` contiguous streams; with tenant lanes on,
-/// stream `t` belongs to tenant `t % tenants`, so every lane sees traffic.
+/// `reqs` cut into `clients` contiguous streams; with tenants on, stream
+/// `t` belongs to tenant `t % tenants`, so every tenant sees traffic.
 fn streams(
     reqs: &[(Key, OpKind)],
     clients: usize,

@@ -90,9 +90,10 @@ pub(super) fn run_paper(scale: &ServeScale) -> i32 {
 
 /// Tenant-isolation scenario: `tenants - 1` well-behaved tenants submit
 /// equal closed-loop loads; the hog (tenant 0) additionally offers
-/// `hog_factor ×` its admissible load in the second run. Lanes must shed
-/// the hog at its quota and hold the well-behaved p99 within
-/// [`ISOLATION_BOUND`] of the solo run; returns whether they did.
+/// `hog_factor ×` its admissible load in the second run. Quotas must shed
+/// the hog at its quota, execute at most quota × shards of its load and
+/// hold the well-behaved p99 within [`ISOLATION_BOUND`] of the solo run;
+/// returns whether they did.
 fn run_isolation(scale: &ServeScale, shards: usize) -> bool {
     let tenants = scale.tenants.max(2);
     let per_tenant = (scale.requests / tenants).max(1);
@@ -133,18 +134,24 @@ fn run_isolation(scale: &ServeScale, shards: usize) -> bool {
     } else {
         f64::INFINITY
     };
-    let hog_shed = hogged.tenant_shed(0);
+    let (hog_shed, hog_done) = (hogged.tenant_shed(0), hogged.tenant_latency(0).count());
     let mut ok = true;
     if hog_shed == 0 {
         eprintln!("serve: isolation: hog was never shed — quota not enforced");
         ok = false;
     }
+    if hog_done > (quota * shards) as u64 {
+        eprintln!("serve: isolation: hog executed {hog_done}, above quota × shards");
+        ok = false;
+    }
+    let mut well_shed = 0;
     for t in 1..tenants {
         let shed = solo.tenant_shed(t) + hogged.tenant_shed(t);
         if shed != 0 {
             eprintln!("serve: isolation: well-behaved tenant {t} shed {shed} requests");
             ok = false;
         }
+        well_shed += shed;
     }
     if ratio > ISOLATION_BOUND {
         eprintln!(
@@ -156,7 +163,8 @@ fn run_isolation(scale: &ServeScale, shards: usize) -> bool {
     println!(
         "paper  isolation ({tenants} tenants, quota {quota}, hog {}x): \
          solo p99 {solo_p99_us:.1}us, hogged p99 {hog_p99_us:.1}us ({ratio:.2}x, bound \
-         {ISOLATION_BOUND:.1}x), hog shed {hog_shed}",
+         {ISOLATION_BOUND:.1}x), hog shed {hog_shed}, hog executed {hog_done}, \
+         well-behaved shed {well_shed}",
         scale.hog_factor
     );
     ok

@@ -99,7 +99,8 @@ pub struct Fuzz {
     pub epoch_limit: usize,
     /// Serve: racing submitter threads per case.
     pub submitters: usize,
-    /// Serve: QoS tenant lanes per shard (0 or 1: no lanes).
+    /// Serve: tenants, each with a quota below its per-shard share (0 or 1:
+    /// no tenants).
     pub tenants: usize,
     /// Serve: hash sharding (every range scatter-gathers).
     pub hash: bool,

@@ -22,8 +22,8 @@
 //!     key-disjoint batches: they only serialize same-key races);
 //!   - **serve** ([`serve`]): the same adversarial streams through the
 //!     sharded service — epoch splitting, cross-shard range merging,
-//!     shard routing, lanes, hash scatter — replayed through the oracle in
-//!     admission-timestamp order;
+//!     shard routing, tenant quotas, hash scatter — replayed through the
+//!     oracle in admission-timestamp order;
 //!   - **churn** ([`churn`]): one tree kept alive across many
 //!     delete-heavy rounds, hunting reclamation bugs — merge/borrow,
 //!     epoch-quarantined node reuse, bounded arena occupancy;

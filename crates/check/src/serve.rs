@@ -65,7 +65,7 @@ fn submit_stream(clients: &[Client], reqs: &[Request], seed: u64) -> Vec<Ticket>
     tickets
 }
 
-/// One client per tenant (just the default client when lanes are off).
+/// One client per tenant (just the default client without tenants).
 fn tenant_clients(svc: &Service, opts: &Fuzz) -> Vec<Client> {
     let base = svc.client();
     if opts.tenants > 1 {
@@ -107,7 +107,8 @@ fn submit_racing(
 /// `submit_many` either way — and checks every ticket, the merged
 /// contents and the structures against the sequential oracle replayed in
 /// admission-timestamp order, then the report's own invariants
-/// ([`ServeReport::check`](eirene_serve::ServeReport::check)).
+/// ([`ServeReport::check`](eirene_serve::ServeReport::check)). Only
+/// tenants shed, at quotas below their shares: `Rejected`, untimestamped.
 pub fn run_serve_case(
     opts: &Fuzz,
     map: &ShardMap,
@@ -119,13 +120,11 @@ pub fn run_serve_case(
     // turns span recording on, and both are cross-checked against the
     // final report below.
     let collector = SeriesCollector::new();
-    let qos = if opts.tenants > 1 {
-        // Quota fits the whole case staged on one lane, so lanes never
-        // shed and the zero-shed accounting check below still holds.
-        QosConfig::uniform(opts.tenants, reqs.len() + 1)
-    } else {
-        QosConfig::disabled()
-    };
+    // With tenants, half a tenant's per-shard share: the gate is held, so
+    // nothing drains and the tenants cross their quotas mid-call.
+    let quotas = opts.tenants > 1;
+    let share = reqs.len() / (opts.tenants * map.num_shards()).max(1);
+    let qos = QosConfig::uniform(if quotas { opts.tenants } else { 0 }, share / 2);
     let cfg = ServeConfig {
         map: map.clone(),
         sharding: if opts.hash {
@@ -156,8 +155,10 @@ pub fn run_serve_case(
     // Replay the oracle in admission-timestamp order — the service's
     // linearization order whatever the submission interleaving was.
     // Empty-window ranges are never admitted (no timestamp): they must
-    // resolve to an empty range response and touch nothing.
+    // resolve to an empty range response and touch nothing. Neither are
+    // requests shed at a tenant's quota.
     let mut order: Vec<(u64, usize)> = Vec::with_capacity(tickets.len());
+    let mut rejected = 0;
     for (index, ticket) in tickets.iter().enumerate() {
         match ticket.timestamp() {
             Some(ts) => order.push((ts, index)),
@@ -165,6 +166,7 @@ pub fn run_serve_case(
                 let want = Response::Range(Vec::new());
                 match ticket.wait() {
                     Outcome::Done(got) if got == want => {}
+                    Outcome::Rejected if quotas => rejected += 1,
                     Outcome::Done(got) => {
                         return Err(Violation::Response {
                             index,
@@ -220,9 +222,10 @@ pub fn run_serve_case(
     }
     report.structure().map_err(Violation::Structure)?;
     check_contents(&report.contents(), &oracle)?;
-    if report.shed() != 0 || report.timed_out() != 0 {
+    let tenant_shed: u64 = report.shards.iter().flat_map(|s| &s.tenant_shed).sum();
+    if report.shed() != rejected || tenant_shed != rejected || report.timed_out() != 0 {
         return Err(Violation::Accounting(format!(
-            "unexpected shed={} timed_out={}",
+            "{rejected} tickets rejected, but shed={} (by tenant {tenant_shed}) timed_out={}",
             report.shed(),
             report.timed_out()
         )));
@@ -297,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_fuzz_passes_with_tenant_lanes() {
+    fn serve_fuzz_passes_with_tenant_quotas() {
         passes(Fuzz {
             tenants: 4,
             ..short(6)
@@ -305,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_fuzz_passes_with_tenant_lanes_and_racing_submitters() {
+    fn serve_fuzz_passes_with_tenant_quotas_and_racing_submitters() {
         passes(Fuzz {
             tenants: 3,
             submitters: 4,

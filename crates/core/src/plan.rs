@@ -144,11 +144,6 @@ impl CombinePlan {
         self.artificial.len()
     }
 
-    /// Number of issued update-kernel requests.
-    pub fn issued_updates(&self) -> usize {
-        self.update_items.len()
-    }
-
     /// Requests whose tree traversal was eliminated by combining (unissued
     /// point requests).
     pub fn combined_away(&self) -> usize {
@@ -560,7 +555,6 @@ mod tests {
         let p = plan_of(reqs);
         assert_eq!(p.issued.len(), 10);
         assert_eq!(p.combined_away(), 90);
-        assert_eq!(p.issued_updates(), 10);
         // Issued value must be the latest-timestamp value per key.
         for is in &p.issued {
             let expect = 90 + (is.key - 1);

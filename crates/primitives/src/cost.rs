@@ -49,14 +49,8 @@ impl PrimCost {
     /// Converts the cost into a [`KernelStats`] with a makespan under the
     /// same occupancy model as real launches, assuming the primitive's work
     /// is perfectly balanced across resident warps (radix sort and scan
-    /// are; that is why GPUs run them well).
-    pub fn into_kernel_stats(self, name: &str, cfg: &DeviceConfig) -> KernelStats {
-        self.into_phased_kernel_stats(name, cfg, Phase::Other)
-    }
-
-    /// Like [`into_kernel_stats`](Self::into_kernel_stats), but attributes
-    /// the whole cost to `phase` so the per-phase rows still sum to the
-    /// kernel totals after the conversion.
+    /// are; that is why GPUs run them well). The whole cost is attributed
+    /// to `phase`, so the per-phase rows still sum to the kernel totals.
     pub fn into_phased_kernel_stats(
         self,
         name: &str,
@@ -130,7 +124,7 @@ mod tests {
     fn kernel_stats_conversion_divides_by_parallelism() {
         let cfg = DeviceConfig::default();
         let c = PrimCost::streaming(&cfg, 1 << 20, 8, 2);
-        let ks = c.into_kernel_stats("sort", &cfg);
+        let ks = c.into_phased_kernel_stats("sort", &cfg, Phase::Other);
         let expected = c.cycles as f64 / cfg.resident_warps() as f64 + cfg.launch_overhead as f64;
         assert!((ks.makespan_cycles - expected).abs() < 1e-6);
         assert_eq!(ks.totals.mem_transactions, c.mem_transactions);

@@ -1,6 +1,5 @@
 //! The front door: timestamp assignment under the in-flight watermark,
-//! routing, and admission — by submitters into the shard queues, by
-//! combiners out of the QoS lanes.
+//! routing, and admission into the shard queues.
 //!
 //! # The watermark invariant
 //!
@@ -25,25 +24,24 @@
 //!
 //! The invariant is about the shard *queues* and says nothing yet about a
 //! combiner's reorder heap: [`Reorder::offer`]'s precondition is what
-//! carries it there (`reorder` module docs). Every draw is one contiguous
-//! range — a submission call's, or a lane segment's — and what one draw
-//! sends one shard travels as one [`Segment`].
+//! carries it there (`reorder` module docs). Every timestamp is drawn here,
+//! by [`Inner::submit_many`]: one contiguous range per submission call,
+//! and what one call sends one shard travels as one [`Segment`].
 //!
 //! # One placement rule
 //!
 //! Every admission is a driver around [`place`], the pure step that gives
 //! each request of a draw its timestamp, spends its credits and buckets
-//! its parts. The drivers differ only in their credits and in where the
-//! buckets go: `submit_many` under `Block` has unlimited credits and
-//! pushes with `push_blocking`; under `Shed` its credits are the grants
-//! [`Inner::reserve`] takes before the slot opens, and each bucket fills
-//! its grant; the lane admitter ([`admit_lane_segment`]) has unlimited
-//! credits at home and reserved ones on peers, parks the home bucket in
-//! its reorder stage and forwards one segment to each peer.
+//! its parts. The two drivers differ only in their credits: `submit_many`
+//! under `Block` without tenant quotas has unlimited credits and pushes
+//! with `push_blocking`; otherwise its credits are the grants
+//! [`Inner::reserve`] takes before the slot opens — queue slots under
+//! `Shed`, capped by the tenant's quota room under quotas — and each
+//! bucket is pushed through its grant. Under `Block` with quotas the grant
+//! is quota room alone, and its push still waits for queue room.
 
-use crate::lane::{LaneReject, QosConfig, TenantId};
+use crate::lane::{QosConfig, TenantId};
 use crate::queue::{AdmitPolicy, Reservation, Segment};
-use crate::reorder::Reorder;
 use crate::service::ShardState;
 use crate::shard::{hash_shard, window_end, RangePart, ShardId, ShardMap, Sharding};
 use crate::ticket::{CellRef, Outcome, RangeMerge, Slot, Ticket, TicketBatch};
@@ -190,6 +188,13 @@ impl Inner {
         self.inflight.claim(lb)
     }
 
+    /// Draws `n` consecutive timestamps: the one place a timestamp is
+    /// drawn, always under a slot [`open_admission`](Self::open_admission)
+    /// published first. Returns the first.
+    fn draw(&self, n: usize) -> u64 {
+        self.next_ts.fetch_add(n as u64, Ordering::SeqCst)
+    }
+
     /// `(next_ts - watermark, occupied in-flight slots)` as of now: the
     /// pipeline-state gauges an epoch carries when observing.
     pub(crate) fn gauges(&self) -> (u64, u64) {
@@ -261,72 +266,29 @@ impl Inner {
             .expect("one ticket per op")
     }
 
-    /// QoS-lane path: every op parks — *untimestamped* — on its home
-    /// shard's lane for the submitting tenant, each shard's share pushed
-    /// as one segment under one lane lock; the shard's combiner draws the
-    /// timestamps at admission ([`admit_lanes`]). A split range's home is
-    /// its first part's shard: the combiner re-routes and fans the parts
-    /// out when it admits the request. Quota sheds resolve `Rejected`.
-    fn submit_many_lanes(
-        &self,
-        n: usize,
-        ops: impl Iterator<Item = Op>,
-        deadline: Option<Instant>,
-        tenant: TenantId,
-    ) -> Vec<Ticket> {
-        let batch = TicketBatch::new(n);
-        let mut buckets: Vec<Segment> = (0..self.shards.len())
-            .map(|_| Segment::new(batch.clone(), deadline, tenant, 0))
-            .collect();
-        for (i, op) in (0u32..).zip(ops) {
-            let r = self.route(i, op);
-            let Some(home) = r.route.shards().next() else {
-                // A store without a wake: no caller holds the tickets
-                // before this call returns, so none is parked.
-                let empty = Outcome::Done(Response::Range(Vec::new()));
-                batch.cell(i).store(empty);
-                continue;
-            };
-            let clock = self.shards[home].clock.load(Ordering::Relaxed);
-            buckets[home].push(r.req, Slot::Cell(i), r.arrival.unwrap_or(clock));
-        }
-        for (shard, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let state = &self.shards[shard];
-            let refused = match state.queue.push_lane(tenant, bucket) {
-                None => continue,
-                Some(LaneReject::OverQuota(rest)) => {
-                    state.record_shed(rest.len() as u64, tenant);
-                    rest
-                }
-                Some(LaneReject::Closed(rest)) => rest,
-            };
-            refused.fail(&Outcome::Rejected);
-        }
-        (0..n as u32).map(|i| batch.ticket(i)).collect()
-    }
-
-    /// Reserves, on every shard but `home`, as much of the routed draw's
-    /// demand as fits, and records each grant in `avail`. The grants are
-    /// RAII: whatever is still unfilled when they drop — a shed, a normal
-    /// return, or an unwinding caller — goes back to its queue.
+    /// Reserves for `tenant`, on every shard, as much of the routed draw's
+    /// demand as fits — queue slots under `Shed`, quota room under quotas
+    /// — and records each grant in `avail`. The grants are RAII: whatever
+    /// is still unfilled when they drop — a shed, a normal return, or an
+    /// unwinding caller — goes back to its queue.
     fn reserve(
         &self,
         routed: &[Routed],
-        home: Option<ShardId>,
+        tenant: TenantId,
         avail: &mut [usize],
     ) -> Vec<Option<Reservation<'_>>> {
+        let slots = self.policy == AdmitPolicy::Shed;
         let mut demand = vec![0usize; self.shards.len()];
         let touched = routed.iter().flat_map(|r| r.route.shards());
         touched.for_each(|shard| demand[shard] += 1);
         (0..self.shards.len())
             .map(|shard| {
-                if demand[shard] == 0 || Some(shard) == home {
+                if demand[shard] == 0 {
                     return None;
                 }
-                let grant = self.shards[shard].queue.reserve_up_to(demand[shard]);
+                let grant = self.shards[shard]
+                    .queue
+                    .reserve(tenant, demand[shard], slots);
                 avail[shard] = grant.count();
                 Some(grant)
             })
@@ -337,10 +299,10 @@ impl Inner {
     /// range with ONE `fetch_add`, allocates every ticket cell in ONE
     /// shared block ([`TicketBatch`]), places the window ([`place`]) and
     /// enqueues each shard's share as one segment (one queue-lock
-    /// acquisition per shard instead of one per request). Under `Shed`
-    /// the credits are the grants reserved before the slot opens; under
-    /// `Block` they are unlimited and the push waits for room. `ops` must
-    /// yield exactly `n` items.
+    /// acquisition per shard instead of one per request). The credits are
+    /// the grants reserved before the slot opens — unlimited under `Block`
+    /// without quotas — and a push without queue slots waits for room.
+    /// `ops` must yield exactly `n` items.
     pub(crate) fn submit_many(
         &self,
         n: usize,
@@ -350,9 +312,6 @@ impl Inner {
     ) -> Vec<Ticket> {
         if n == 0 {
             return Vec::new();
-        }
-        if self.qos.enabled() {
-            return self.submit_many_lanes(n, ops, deadline, tenant);
         }
         let num_shards = self.shards.len();
         let batch = TicketBatch::new(n);
@@ -367,13 +326,14 @@ impl Inner {
             .map(|(cell, op)| self.route(cell, op))
             .collect();
         let mut avail = vec![usize::MAX; num_shards];
-        let mut grants = match self.policy {
-            AdmitPolicy::Shed => self.reserve(&routed, None, &mut avail),
-            AdmitPolicy::Block => Vec::new(),
+        let mut grants = if self.policy == AdmitPolicy::Shed || self.qos.enabled() {
+            self.reserve(&routed, tenant, &mut avail)
+        } else {
+            Vec::new()
         };
 
         let _slot = self.open_admission();
-        let base = self.next_ts.fetch_add(n as u64, Ordering::SeqCst);
+        let base = self.draw(n);
         let clock = |shard: ShardId| self.shards[shard].clock.load(Ordering::Relaxed);
         for full in place(routed, base, &mut avail, &batch, &mut buckets, clock) {
             self.shards[full].record_shed(1, tenant);
@@ -389,18 +349,14 @@ impl Inner {
                 continue;
             }
             let state = &self.shards[shard];
-            let (pushed, depth, refused) = match self.policy {
-                // Fill through the grant; its unspent remainder is
+            let (pushed, depth, refused) = match grants.get_mut(shard) {
+                // Push through the grant; its unspent remainder is
                 // released when the guard drops.
-                AdmitPolicy::Shed => {
-                    let grant = grants[shard].as_mut().expect("a bucket spent its grant");
-                    let n = bucket.len();
-                    match grant.push(bucket) {
-                        Ok(depth) => (n, depth, None),
-                        Err(refused) => (0, 0, Some(refused)),
-                    }
-                }
-                AdmitPolicy::Block => state.queue.push_blocking(bucket),
+                Some(grant) => grant
+                    .as_mut()
+                    .expect("a bucket spent its grant")
+                    .push(bucket),
+                None => state.queue.push_blocking(bucket),
             };
             state.record_enqueue(pushed as u64, depth);
             if let Some(refused) = refused {
@@ -488,99 +444,6 @@ fn split_parts(
         };
         (p.shard, Request::range(p.lo, p.len, req.ts), slot)
     })
-}
-
-/// Admits one WRR-drained batch of staged lane segments: draws each
-/// segment's timestamps just-in-time under the in-flight-slot protocol
-/// (one slot covers the whole batch) and parks what lives here in the
-/// home reorder stage — or, for a split range's peer parts, in the peer
-/// shards' ingress queues with shed-on-full reservations.
-/// The admitting combiner never blocks on a peer queue: blocking there
-/// could deadlock two combiners admitting toward each other's full queues.
-/// Returns how many requests were dead on admission, for the shard
-/// thread's books.
-pub(crate) fn admit_lanes(
-    inner: &Inner,
-    state: &ShardState,
-    shard: ShardId,
-    budget: usize,
-    reorder: &mut Reorder,
-) -> u64 {
-    let drained = state.queue.drain_lanes(budget);
-    if drained.is_empty() {
-        return 0;
-    }
-    let (now, mut expired) = (Instant::now(), 0);
-    {
-        // Publish the slot before drawing any timestamp: peer combiners
-        // must not emit an epoch past these requests until every one —
-        // cross-shard parts included — sits in its queue or reorder stage.
-        let _slot = inner.open_admission();
-        for seg in drained {
-            if seg.deadline.is_some_and(|d| now >= d) {
-                // Dead on admission. Count it enqueued + timed out so the
-                // per-tenant books still balance (enqueued = executed +
-                // timed_out).
-                let n = seg.len() as u64;
-                state.record_enqueue(n, 0);
-                expired += n;
-                seg.fail(&Outcome::TimedOut);
-                continue;
-            }
-            admit_lane_segment(inner, state, shard, reorder, seg);
-        }
-    }
-    state.queue.lane_drain_done();
-    expired
-}
-
-/// Timestamps one lane-drained segment with one range draw and places it
-/// ([`place`]), unlimited at home and within the grants reserved on
-/// peers: the home bucket goes straight into this combiner's reorder
-/// stage; each peer's — the other parts of split ranges — is forwarded
-/// as one segment. Never blocks on a peer; the caller's in-flight slot
-/// covers the draw.
-fn admit_lane_segment(
-    inner: &Inner,
-    state: &ShardState,
-    shard: ShardId,
-    reorder: &mut Reorder,
-    seg: Segment,
-) {
-    let routed: Vec<Routed> = (seg.reqs.iter().zip(&seg.slots).zip(&seg.arrivals))
-        .map(|((req, slot), &arrival)| {
-            let &Slot::Cell(cell) = slot else {
-                unreachable!("a lane stages whole requests")
-            };
-            inner.route(cell, (req.key, req.op, Some(arrival)))
-        })
-        .collect();
-    let mut avail = vec![usize::MAX; inner.shards.len()];
-    let mut grants = inner.reserve(&routed, Some(shard), &mut avail);
-    let base = inner.next_ts.fetch_add(seg.len() as u64, Ordering::SeqCst);
-    let mut buckets: Vec<Segment> = (0..inner.shards.len()).map(|_| seg.sibling()).collect();
-    let shed = place(routed, base, &mut avail, &seg.batch, &mut buckets, |_| 0);
-    shed.iter()
-        .for_each(|&full| inner.shards[full].record_shed(1, seg.tenant));
-    if !shed.is_empty() {
-        seg.batch.wake();
-    }
-    for (peer, bucket) in buckets.into_iter().enumerate() {
-        if bucket.is_empty() {
-            continue;
-        }
-        if peer == shard {
-            state.record_enqueue(bucket.len() as u64, 0);
-            reorder.admit(bucket);
-            continue;
-        }
-        let n = bucket.len() as u64;
-        let grant = grants[peer].as_mut().expect("a bucket spent its grant");
-        match grant.forward(bucket) {
-            Ok(depth) => inner.shards[peer].record_enqueue(n, depth),
-            Err(part) => part.fail(&Outcome::Rejected),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -726,17 +589,18 @@ mod tests {
                 credits_left: vec![0, 0],
             },
             Row {
-                name: "a lane segment: staged cells, home unlimited, one peer credit",
-                credits: vec![U, 1],
+                name: "Block with quotas: the tenant's quota room caps the call",
+                credits: vec![1, 2],
                 draw: vec![
-                    (4, query, Route::One(0)),
-                    (7, query, Route::One(1)),
-                    (2, range, split()),
+                    (0, query, Route::One(0)),
+                    (1, query, Route::One(1)),
+                    (2, query, Route::One(0)),
+                    (3, range, split()),
                 ],
-                placed: vec![Placed::At(100), Placed::At(101), Placed::Shed],
-                buckets: [vec![(Some(4), 100)], vec![(Some(7), 101)]],
-                shed: vec![1],
-                credits_left: vec![U - 1, 0],
+                placed: vec![Placed::At(100), Placed::At(101), Placed::Shed, Placed::Shed],
+                buckets: [vec![(Some(0), 100)], vec![(Some(1), 101)]],
+                shed: vec![0, 0],
+                credits_left: vec![0, 1],
             },
         ];
         for row in rows {
@@ -810,15 +674,15 @@ mod tests {
                 .map(|cell| inner.route(cell, (cell, OpKind::Query, None)))
                 .collect();
             let mut avail = vec![0; 1];
-            let _grants = inner.reserve(&routed, None, &mut avail);
+            let _grants = inner.reserve(&routed, 0, &mut avail);
             assert_eq!(avail, [depth]);
             let _slot = inner.open_admission();
-            let _base = inner.next_ts.fetch_add(depth as u64, Ordering::SeqCst);
+            let _base = inner.draw(depth);
             assert_eq!(inner.watermark(), 10);
             panic!("submitter killed between the draw and the push");
         }));
         assert!(died.is_err());
         assert_eq!(inner.watermark(), inner.next_ts.load(Ordering::SeqCst));
-        assert_eq!(inner.shards[0].queue.reserve_up_to(depth).count(), depth);
+        assert_eq!(inner.shards[0].queue.reserve(0, depth, true).count(), depth);
     }
 }

@@ -8,10 +8,9 @@
 //!
 //! Given a [`TurnView`], the machine resolves gathered segments whose
 //! deadline has passed; or hands the epoch over when it is full, the queue
-//! has finished or [`linger_step`] closes it; or else admits staged lane
-//! segments, drains the queue under a watermark read just before (the
-//! drain ↔ pop coupling of the `reorder` module) and releases what that
-//! drain vouched for. The drain is skipped while the stage holds two
+//! has finished or [`linger_step`] closes it; or else drains the queue
+//! under a watermark read just before (the drain ↔ pop coupling of the
+//! `reorder` module) and releases what that drain vouched for. The drain is skipped while the stage holds two
 //! epochs' worth and nothing is stalled. It does not wait while the stage
 //! holds requests; otherwise it waits for an arrival, and with an epoch in
 //! hand only until the linger's wake-up or the earliest gathered deadline.
@@ -46,20 +45,17 @@
 //! closed loop has nobody left to wait for. The count is of returns *since
 //! release*, not of callers gathered: a window gathered mid-epoch was
 //! pushed before the snapshot, and waits for the caller just released. A
-//! count that comes up short (a caller that went away, QoS lanes, a window
-//! cut by the batch target) only falls back to the grace; an open-loop
-//! arrival mistaken for a return closes an epoch the device was idle for
-//! anyway (argued, not measured). Entries a peer combiner forwards here are
-//! nobody's return and are not counted.
+//! count that comes up short (a caller that went away, a call shed whole,
+//! a window cut by the batch target) only falls back to the grace; an
+//! open-loop arrival mistaken for a return closes an epoch the device was
+//! idle for anyway (argued, not measured).
 //!
 //! Once every released caller is back, the grace does not close the epoch
 //! while some of their entries still sit in the stage above the watermark:
 //! their submitter is still enqueueing the rest of its window, and closing
 //! ahead of it makes a half-sized epoch now and another right behind it.
 //! That is the one place a turn waits longer than the grace — as
-//! long as those entries must anyway, within `linger`. Staged lane
-//! entries, which a lane budget can leave staged, keep `Returned` shut but
-//! not the grace.
+//! long as those entries must anyway, within `linger`.
 
 use crate::observe::CloseCause;
 use crate::queue::{Drained, Segment};
@@ -120,8 +116,8 @@ pub(crate) enum LingerStep {
 /// overflows the clock). `Returned`, at once, when every caller the last
 /// epoch released is back: `pushes` (the queue's push-call count as of the
 /// combiner's last drain) has moved `released` past `pushes_at_release`,
-/// and nothing it counts is still short of the gathered epoch — `parked`
-/// in the reorder heap or `staged` in the lanes. `Idle` otherwise, one
+/// and nothing it counts is still `parked` in the reorder heap short of
+/// the gathered epoch. `Idle` otherwise, one
 /// grace — `min(linger, service time)` — after the later of `start` and
 /// the instant the last epoch finished; except that with all of them back
 /// and some still parked, the wait is for those (module docs). A shard that
@@ -133,7 +129,6 @@ pub(crate) fn linger_step(
     executor: ExecutorState,
     pushes: u64,
     parked: usize,
-    staged: usize,
 ) -> LingerStep {
     let deadline = start.checked_add(linger);
     if deadline.is_some_and(|d| now >= d) {
@@ -145,7 +140,7 @@ pub(crate) fn linger_step(
     // A drain older than the snapshot reads as nobody back yet.
     let returned = pushes.saturating_sub(executor.pushes_at_release);
     let all_back = executor.released > 0 && returned >= executor.released;
-    if all_back && parked + staged == 0 {
+    if all_back && parked == 0 {
         return LingerStep::Close(CloseCause::Returned);
     }
     let grace_end = executor
@@ -167,8 +162,6 @@ pub(crate) fn linger_step(
 pub(crate) struct TurnView {
     pub(crate) now: Instant,
     pub(crate) executor: ExecutorState,
-    /// Entries staged on the QoS lanes (0 without QoS).
-    pub(crate) staged: usize,
 }
 
 /// What the machine asks its thread to do. Every effect but `Drain` ends
@@ -179,14 +172,10 @@ pub(crate) enum Effect {
     NextTurn,
     /// Resolve these `TimedOut`.
     Expire(Vec<Segment>),
-    /// Admit up to `admit` staged lane entries into [`Combiner::stage`];
-    /// then read the watermark, drain the whole queue with this `wait`
+    /// Read the watermark, drain the whole queue with this `wait`
     /// (`IngressQueue::drain`: `Duration::MAX` is unbounded) and hand both
     /// to [`Combiner::drained`].
-    Drain {
-        admit: Option<usize>,
-        wait: Duration,
-    },
+    Drain { wait: Duration },
     /// Yield the CPU (zero), or sleep this long.
     BackOff(Duration),
     /// Plan these segments as one epoch and run it before the next turn.
@@ -234,10 +223,9 @@ impl Combiner {
         }
     }
 
-    /// The reorder stage: the lane admitter parks entries in it, and what
-    /// it holds is the epoch's `reorder_pending`.
-    pub(crate) fn stage(&mut self) -> &mut Reorder {
-        &mut self.stage
+    /// Requests parked in the reorder stage: an epoch's `reorder_pending`.
+    pub(crate) fn parked(&self) -> usize {
+        self.stage.len()
     }
 
     /// Opens a turn.
@@ -268,7 +256,6 @@ impl Combiner {
                     view.executor,
                     self.pushes,
                     self.stage.len(),
-                    view.staged,
                 )
             };
             match step {
@@ -291,21 +278,19 @@ impl Combiner {
                 }
             }
         }
-        let admit = (view.staged > 0 && !self.finished)
-            .then(|| self.target.saturating_sub(self.gathered_len).max(1));
         // A finished queue is closed and empty — the stage holds all there
         // is — and draining it again only moves the watermark.
-        if admit.is_none() && !self.finished && !self.stage.wants_drain(self.stalls > 0) {
+        if !self.finished && !self.stage.wants_drain(self.stalls > 0) {
             return self.pop();
         }
         // Entries in the stage have left the queue, and no arrival will end
         // a wait on their behalf: try them against a fresh watermark now.
         let wait = match wake {
-            _ if admit.is_some() || !self.stage.is_empty() => Duration::ZERO,
+            _ if !self.stage.is_empty() => Duration::ZERO,
             Some(w) if !self.gathered.is_empty() => w.saturating_duration_since(view.now),
             _ => Duration::MAX,
         };
-        Effect::Drain { admit, wait }
+        Effect::Drain { wait }
     }
 
     /// Closes a turn with the drain it asked for and the watermark read
@@ -369,7 +354,7 @@ mod tests {
         let wake = |us: u64| LingerStep::WakeAt(Some(at(us)));
         let ms = Duration::from_millis(1);
         const START: u64 = 10_000;
-        // (case, now, linger, executor, (pushes, parked, staged), expected) —
+        // (case, now, linger, executor, (pushes, parked), expected) —
         // gathering began at START.
         let table = [
             (
@@ -377,7 +362,7 @@ mod tests {
                 START + 199,
                 ms,
                 idle,
-                (0, 0, 0),
+                (0, 0),
                 wake(START + 200),
             ),
             (
@@ -385,7 +370,7 @@ mod tests {
                 START + 200,
                 ms,
                 idle,
-                (0, 0, 0),
+                (0, 0),
                 close(Idle),
             ),
             (
@@ -393,7 +378,7 @@ mod tests {
                 START + 300,
                 ms,
                 exec(Some(START + 150), Some(200)),
-                (0, 0, 0),
+                (0, 0),
                 wake(START + 350),
             ),
             (
@@ -401,7 +386,7 @@ mod tests {
                 START + 350,
                 ms,
                 exec(Some(START + 150), Some(200)),
-                (0, 0, 0),
+                (0, 0),
                 close(Idle),
             ),
             (
@@ -409,7 +394,7 @@ mod tests {
                 START + 999,
                 ms,
                 exec(None, None),
-                (0, 0, 0),
+                (0, 0),
                 wake(START + 1000),
             ),
             (
@@ -417,7 +402,7 @@ mod tests {
                 START + 1000,
                 ms,
                 exec(None, None),
-                (0, 0, 0),
+                (0, 0),
                 close(Linger),
             ),
             (
@@ -425,7 +410,7 @@ mod tests {
                 START,
                 Duration::ZERO,
                 exec(Some(START), Some(200)),
-                (0, 0, 0),
+                (0, 0),
                 close(Linger),
             ),
             (
@@ -433,7 +418,7 @@ mod tests {
                 START + 999,
                 ms,
                 exec(Some(5_000), Some(5_000)),
-                (0, 0, 0),
+                (0, 0),
                 wake(START + 1000),
             ),
             (
@@ -441,7 +426,7 @@ mod tests {
                 START + 950,
                 ms,
                 exec(Some(START + 900), Some(200)),
-                (0, 0, 0),
+                (0, 0),
                 wake(START + 1000),
             ),
             (
@@ -449,7 +434,7 @@ mod tests {
                 START + 200,
                 Duration::MAX,
                 idle,
-                (0, 0, 0),
+                (0, 0),
                 close(Idle),
             ),
             (
@@ -457,7 +442,7 @@ mod tests {
                 START + 200,
                 ms,
                 idle,
-                (0, 1, 0),
+                (0, 1),
                 close(Idle),
             ),
             (
@@ -465,7 +450,7 @@ mod tests {
                 START + 200,
                 ms,
                 after(idle, 2, 40),
-                (41, 1, 0),
+                (41, 1),
                 close(Idle),
             ),
             (
@@ -473,7 +458,7 @@ mod tests {
                 START + 200,
                 ms,
                 after(idle, 2, 40),
-                (42, 1, 0),
+                (42, 1),
                 wake(START + 1000),
             ),
             (
@@ -481,7 +466,7 @@ mod tests {
                 START + 1000,
                 ms,
                 after(idle, 2, 40),
-                (42, 1, 0),
+                (42, 1),
                 close(Linger),
             ),
             (
@@ -489,31 +474,15 @@ mod tests {
                 START + 200,
                 Duration::MAX,
                 after(idle, 2, 40),
-                (42, 1, 0),
+                (42, 1),
                 LingerStep::WakeAt(None),
-            ),
-            (
-                "all back, one staged in a lane: the count is not exact, the grace decides",
-                START + 10,
-                ms,
-                after(idle, 2, 40),
-                (42, 0, 1),
-                wake(START + 200),
-            ),
-            (
-                "and closes on time: a lane budget can leave requests staged",
-                START + 200,
-                Duration::MAX,
-                after(idle, 2, 40),
-                (42, 0, 1),
-                close(Idle),
             ),
             (
                 "idle, both released callers back: closes before the grace",
                 START + 10,
                 ms,
                 after(idle, 2, 40),
-                (42, 0, 0),
+                (42, 0),
                 close(Returned),
             ),
             (
@@ -521,7 +490,7 @@ mod tests {
                 START + 10,
                 ms,
                 after(idle, 2, 40),
-                (41, 0, 0),
+                (41, 0),
                 wake(START + 200),
             ),
             (
@@ -529,7 +498,7 @@ mod tests {
                 START + 200,
                 ms,
                 after(idle, 2, 40),
-                (41, 0, 0),
+                (41, 0),
                 close(Idle),
             ),
             (
@@ -537,7 +506,7 @@ mod tests {
                 START + 200,
                 ms,
                 after(idle, 2, 40),
-                (42, 0, 0),
+                (42, 0),
                 close(Returned),
             ),
             (
@@ -545,7 +514,7 @@ mod tests {
                 START + 1000,
                 ms,
                 after(idle, 2, 40),
-                (42, 0, 0),
+                (42, 0),
                 close(Linger),
             ),
             (
@@ -553,7 +522,7 @@ mod tests {
                 START + 10,
                 ms,
                 after(exec(None, None), 2, 40),
-                (42, 0, 0),
+                (42, 0),
                 wake(START + 1000),
             ),
             (
@@ -561,7 +530,7 @@ mod tests {
                 START + 10,
                 ms,
                 after(idle, 2, 40),
-                (42, 1, 0),
+                (42, 1),
                 wake(START + 200),
             ),
             (
@@ -569,7 +538,7 @@ mod tests {
                 START + 10,
                 ms,
                 after(idle, 0, 3),
-                (7, 0, 0),
+                (7, 0),
                 wake(START + 200),
             ),
             (
@@ -577,7 +546,7 @@ mod tests {
                 START + 10,
                 ms,
                 after(idle, 1, 41),
-                (41, 0, 0),
+                (41, 0),
                 wake(START + 200),
             ),
             (
@@ -585,7 +554,7 @@ mod tests {
                 START + 60,
                 ms,
                 after(idle, 1, 41),
-                (42, 0, 0),
+                (42, 0),
                 close(Returned),
             ),
             (
@@ -593,13 +562,13 @@ mod tests {
                 START + 10,
                 ms,
                 after(idle, 1, 41),
-                (39, 0, 0),
+                (39, 0),
                 wake(START + 200),
             ),
         ];
-        for (case, now, linger, executor, (pushes, parked, staged), want) in table {
+        for (case, now, linger, executor, (pushes, parked), want) in table {
             assert_eq!(
-                linger_step(at(now), at(START), linger, executor, pushes, parked, staged),
+                linger_step(at(now), at(START), linger, executor, pushes, parked),
                 want,
                 "{case}"
             );
@@ -632,30 +601,27 @@ mod tests {
         // to `linger`; everything else decides exactly as before.
         for idle_since in [None, Some(0), Some(START + 400), Some(START + 5_000)] {
             for service in [None, Some(0), Some(300), Some(50_000)] {
-                for (released, at_release, pushes, parked, staged) in [
-                    (0, 0, 0, 0, 0),
-                    (0, 2, 9, 0, 0),
-                    (0, 2, 9, 1, 1),
-                    (1, 2, 2, 0, 0),
-                    (1, 2, 3, 0, 0),
-                    (3, 2, 4, 0, 0),
-                    (3, 2, 4, 1, 0),
-                    (3, 2, 5, 0, 0),
-                    (3, 2, 5, 1, 0),
-                    (3, 2, 5, 0, 1),
-                    (3, 2, 5, 1, 1),
-                    (3, 7, 5, 0, 0),
+                for (released, at_release, pushes, parked) in [
+                    (0, 0, 0, 0),
+                    (0, 2, 9, 0),
+                    (0, 2, 9, 1),
+                    (1, 2, 2, 0),
+                    (1, 2, 3, 0),
+                    (3, 2, 4, 0),
+                    (3, 2, 4, 1),
+                    (3, 2, 5, 0),
+                    (3, 2, 5, 1),
+                    (3, 7, 5, 0),
                 ] {
                     let executor = after(exec(idle_since, service), released, at_release);
                     let measured = service.is_some();
                     let all_back = released > 0 && pushes >= at_release + released;
                     for now in [START, START + 300, START + 500, START + 999, START + 1000] {
-                        let got =
-                            linger_step(at(now), at(START), ms, executor, pushes, parked, staged);
+                        let got = linger_step(at(now), at(START), ms, executor, pushes, parked);
                         let was = before(now, executor);
                         if was == close(Linger) {
                             assert_eq!(got, was);
-                        } else if measured && all_back && parked + staged == 0 {
+                        } else if measured && all_back && parked == 0 {
                             assert_eq!(got, close(Returned));
                         } else if measured && all_back && parked > 0 {
                             assert_eq!(
@@ -681,7 +647,7 @@ mod tests {
     enum Seen {
         Next,
         Expire(Vec<u64>),
-        Drain(Option<usize>, Option<u64>),
+        Drain(Option<u64>),
         BackOff(u64),
         HandOver(Vec<u64>, CloseCause),
         Exit,
@@ -697,9 +663,7 @@ mod tests {
             match effect {
                 Effect::NextTurn => Seen::Next,
                 Effect::Expire(entries) => Seen::Expire(ts(entries)),
-                Effect::Drain { admit, wait } => {
-                    Seen::Drain(admit, (wait != Duration::MAX).then(|| us(wait)))
-                }
+                Effect::Drain { wait } => Seen::Drain((wait != Duration::MAX).then(|| us(wait))),
                 Effect::BackOff(pause) => Seen::BackOff(us(pause)),
                 Effect::HandOver { segments, close } => Seen::HandOver(ts(segments), close),
                 Effect::Exit => Seen::Exit,
@@ -708,8 +672,8 @@ mod tests {
     }
 
     enum Step {
-        /// A turn at this µs offset, with this many entries staged.
-        Turn(u64, usize),
+        /// A turn at this µs offset.
+        Turn(u64),
         /// The drain the machine asked for brought these timestamps, one
         /// call each, under this watermark; the queue had seen this many
         /// push calls, and is (or is not) finished.
@@ -756,14 +720,14 @@ mod tests {
                 unmeasured,
                 &[],
                 vec![
-                    (Turn(0, 0), drain(None, None)),
+                    (Turn(0), drain(None)),
                     (Drain(&[5, 6], 5, 1, false), Seen::BackOff(0)),
-                    (Turn(1, 0), drain(None, Some(0))),
+                    (Turn(1), drain(Some(0))),
                     (Drain(&[4], 7, 2, false), next()),
                     // Gathering starts at the turn that finds the epoch.
-                    (Turn(2, 0), drain(None, Some(1000))),
+                    (Turn(2), drain(Some(1000))),
                     (Drain(&[], 7, 2, false), next()),
-                    (Turn(1002, 0), hand_over(&[4, 5, 6], Linger)),
+                    (Turn(1002), hand_over(&[4, 5, 6], Linger)),
                 ],
             ),
             (
@@ -773,16 +737,16 @@ mod tests {
                 unmeasured,
                 &[],
                 vec![
-                    (Turn(0, 0), drain(None, None)),
+                    (Turn(0), drain(None)),
                     (Drain(&[510, 532, 537], 530, 1, false), next()),
-                    (Turn(1, 0), hand_over(&[510], Full)),
+                    (Turn(1), hand_over(&[510], Full)),
                     // 535 is still queued; the stage is at its heap target.
-                    (Turn(2, 0), Seen::BackOff(0)),
-                    (Turn(3, 0), drain(None, Some(0))),
+                    (Turn(2), Seen::BackOff(0)),
+                    (Turn(3), drain(Some(0))),
                     (Drain(&[535], 540, 2, false), next()),
-                    (Turn(4, 0), hand_over(&[532], Full)),
-                    (Turn(5, 0), next()),
-                    (Turn(6, 0), hand_over(&[535], Full)),
+                    (Turn(4), hand_over(&[532], Full)),
+                    (Turn(5), next()),
+                    (Turn(6), hand_over(&[535], Full)),
                 ],
             ),
             (
@@ -792,33 +756,30 @@ mod tests {
                 unmeasured,
                 &[(1, 300)],
                 vec![
-                    (Turn(0, 0), drain(None, None)),
+                    (Turn(0), drain(None)),
                     (Drain(&[1, 2], 10, 1, false), next()),
-                    (Turn(100, 0), drain(None, Some(200))),
+                    (Turn(100), drain(Some(200))),
                     (Drain(&[], 10, 1, false), next()),
-                    (Turn(300, 0), Seen::Expire(vec![1])),
-                    (Turn(301, 0), drain(None, Some(799))),
+                    (Turn(300), Seen::Expire(vec![1])),
+                    (Turn(301), drain(Some(799))),
                     (Drain(&[], 10, 1, false), next()),
-                    (Turn(1100, 0), hand_over(&[2], Linger)),
+                    (Turn(1100), hand_over(&[2], Linger)),
                 ],
             ),
             (
-                "Returned closes only once nothing is parked or staged",
+                "Returned closes only once nothing is parked",
                 8,
                 idle,
                 &[],
                 vec![
-                    (Turn(0, 0), drain(None, None)),
+                    (Turn(0), drain(None)),
                     // The caller is back, but 5 is parked above the watermark.
                     (Drain(&[3, 5], 4, 5, false), next()),
-                    (Turn(10, 0), drain(None, Some(0))),
+                    (Turn(10), drain(Some(0))),
                     (Drain(&[], 4, 5, false), Seen::BackOff(0)),
-                    (Turn(20, 0), drain(None, Some(0))),
+                    (Turn(20), drain(Some(0))),
                     (Drain(&[], 6, 5, false), next()),
-                    // Nothing parked, but one entry staged on a lane.
-                    (Turn(30, 1), Seen::Drain(Some(6), Some(0))),
-                    (Drain(&[], 6, 5, false), next()),
-                    (Turn(40, 0), hand_over(&[3, 5], Returned)),
+                    (Turn(40), hand_over(&[3, 5], Returned)),
                 ],
             ),
             (
@@ -828,14 +789,14 @@ mod tests {
                 unmeasured,
                 &[],
                 vec![
-                    (Turn(0, 0), drain(None, None)),
+                    (Turn(0), drain(None)),
                     (DrainCall(&[1, 2, 3, 4, 5], 10, 1, false), next()),
-                    (Turn(1, 0), hand_over(&[1, 2, 3], Full)),
+                    (Turn(1), hand_over(&[1, 2, 3], Full)),
                     // The rest is at the heap target: released undrained.
-                    (Turn(2, 0), next()),
-                    (Turn(3, 0), drain(None, Some(1000))),
+                    (Turn(2), next()),
+                    (Turn(3), drain(Some(1000))),
                     (Drain(&[], 10, 1, false), next()),
-                    (Turn(1003, 0), hand_over(&[4, 5], Linger)),
+                    (Turn(1003), hand_over(&[4, 5], Linger)),
                 ],
             ),
             (
@@ -844,10 +805,10 @@ mod tests {
                 unmeasured,
                 &[],
                 vec![
-                    (Turn(0, 0), drain(None, None)),
+                    (Turn(0), drain(None)),
                     (Drain(&[1, 2], 3, 1, true), next()),
-                    (Turn(10, 0), hand_over(&[1, 2], CloseCause::Drain)),
-                    (Turn(11, 0), drain(None, None)),
+                    (Turn(10), hand_over(&[1, 2], CloseCause::Drain)),
+                    (Turn(11), drain(None)),
                     (Drain(&[], 3, 1, true), Seen::Exit),
                 ],
             ),
@@ -871,10 +832,9 @@ mod tests {
             };
             for (i, (step, want)) in script.into_iter().enumerate() {
                 let effect = match step {
-                    Turn(us, staged) => combiner.turn(TurnView {
+                    Turn(us) => combiner.turn(TurnView {
                         now: at(us),
                         executor,
-                        staged,
                     }),
                     Drain(ts, wm, pushes, finished) => combiner.drained(
                         wm,

@@ -37,11 +37,10 @@ pub(crate) struct Epoch {
     /// Requests still parked in the reorder heap (admitted but above the
     /// watermark or beyond the batch limit).
     pub(crate) reorder_pending: u64,
-    /// The ingress-queue depth left behind after forming this epoch, and
-    /// the requests still staged on tenant lanes (0 without QoS). Both take
-    /// the queue's lock, so they are read only when observing (0 otherwise).
+    /// The ingress-queue depth left behind after forming this epoch. It
+    /// takes the queue's lock, so it is read only when observing (0
+    /// otherwise).
     pub(crate) queue_depth: u64,
-    pub(crate) lane_depth: u64,
     /// `next_ts - watermark` and the occupied in-flight slots at hand-over:
     /// how far submissions in flight held the watermark back. They cost
     /// SeqCst scans, so they are read only when observing (0 otherwise).
@@ -171,7 +170,7 @@ impl Books {
         let epoch_latency = self.epoch_latency.take().filter(|_| !terminal);
         let epoch_latency = epoch_latency.unwrap_or_default();
         // At the end the queue has finished: nothing waits, is parked or
-        // staged, and nothing is in flight.
+        // in flight.
         let gauge = |read: fn(&Epoch) -> u64| epoch.map_or(0, read);
         let load = |cell: &AtomicU64| cell.load(Relaxed);
         ShardSample {
@@ -190,7 +189,6 @@ impl Books {
             completed: self.executed,
             max_queue_depth: load(&shared.max_depth),
             closed: self.closed,
-            lane_pending: gauge(|e| e.lane_depth),
             key_count: self.key_count,
             arena_live: arena.live,
             arena_retired: arena.retired,
@@ -287,7 +285,6 @@ mod tests {
             close: CloseCause::Full,
             queue_depth: 0,
             reorder_pending: 0,
-            lane_depth: 0,
             watermark_lag: 0,
             inflight: 0,
         }
@@ -320,7 +317,6 @@ mod tests {
                 close,
                 queue_depth: 1,
                 reorder_pending: 2,
-                lane_depth: 3,
                 watermark_lag: 4,
                 inflight: 5,
                 ..epoch(&[2 * i, 2 * i + 1], 0)
@@ -328,8 +324,8 @@ mod tests {
             state.record_enqueue(2, 6);
             books.record(&epoch, KernelStats::default());
             let s = books.sample(Some(&epoch), &state, SlabStats::default());
-            let gauges = (s.queue_depth, s.reorder_pending, s.lane_pending);
-            assert_eq!((gauges, s.watermark_lag, s.inflight), ((1, 2, 3), 4, 5));
+            let gauges = (s.queue_depth, s.reorder_pending);
+            assert_eq!((gauges, s.watermark_lag, s.inflight), ((1, 2), 4, 5));
             assert_eq!((s.epoch, s.batch_size, s.closed.total()), (i + 1, 2, i + 1));
         }
         state.record_shed(5, 2);
@@ -339,8 +335,8 @@ mod tests {
         };
         let t = books.sample(None, &state, arena);
         assert!(t.terminal);
-        let gauges = (t.queue_depth, t.reorder_pending, t.lane_pending);
-        assert_eq!((gauges, t.watermark_lag, t.inflight), ((0, 0, 0), 0, 0));
+        let gauges = (t.queue_depth, t.reorder_pending);
+        assert_eq!((gauges, t.watermark_lag, t.inflight), ((0, 0), 0, 0));
         assert_eq!((t.epoch, t.batch_size), (4, 0));
         assert_eq!(t.closed.total(), t.epoch - 1);
         assert_eq!((t.closed.idle, t.closed.returned), (2, 1));

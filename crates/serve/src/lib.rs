@@ -36,12 +36,12 @@
 //! - **One batch limit** — as in the paper, every epoch of a service is
 //!   capped at one fixed size, [`ServeConfig::sizing`]; an epoch the load
 //!   cannot fill closes by the rules above instead.
-//! - **Per-tenant QoS lanes** — with a [`QosConfig`] installed, each
-//!   submission stages on its home shard's lane for the submitting
-//!   tenant ([`Client::for_tenant`]); combiners admit lanes by weighted
-//!   round-robin and enforce per-tenant quotas, so an abusive tenant
-//!   sheds at its own quota while well-behaved tenants keep their
-//!   latency (see the `lane` module docs).
+//! - **Tenant quotas** — with a [`QosConfig`] installed, a tenant
+//!   ([`Client::for_tenant`]) may hold at most its quota of entries on
+//!   each shard, queued or in admission; admission spends the quota room
+//!   as one more credit, so an abusive tenant sheds at its own quota —
+//!   `Rejected`, with no timestamp and without blocking — while
+//!   well-behaved tenants keep their latency (see the `lane` module docs).
 //! - **Live observability** — on exactly when a [`ServiceObserver`] is
 //!   registered in [`ObserveConfig`]: each shard then emits a
 //!   [`ShardSample`] of counters, gauges, and latency summaries at every
@@ -70,7 +70,7 @@ mod service;
 mod shard;
 mod ticket;
 
-pub use lane::{QosConfig, TenantId, TenantSpec};
+pub use lane::{QosConfig, TenantId};
 pub use observe::{
     reconcile_samples, CloseCounts, LatencySummary, ObserveConfig, SeriesCollector, ServeEvent,
     ServiceObserver, ShardSample, SloBreach, SloMonitor, SloObjective, SloSpec,

@@ -148,9 +148,6 @@ pub struct ShardSample {
     pub watermark_lag: u64,
     /// Occupied slots of the in-flight submission registry.
     pub inflight: u64,
-    /// Entries staged on QoS lanes when the epoch was emitted (0 with
-    /// lanes disabled).
-    pub lane_pending: u64,
     /// Keys owned by this shard's tree as of its build (exact at the
     /// terminal sample).
     pub key_count: u64,
@@ -175,7 +172,8 @@ pub struct ShardSample {
     pub tenant_shed: Vec<u64>,
     /// Cumulative entries admitted to this shard's queue.
     pub enqueued: u64,
-    /// Cumulative requests shed at this shard's full queue.
+    /// Cumulative requests shed at this shard (a full queue or a tenant at
+    /// quota).
     pub shed: u64,
     /// Cumulative entries that expired before their epoch formed.
     pub timed_out: u64,
@@ -208,7 +206,6 @@ impl ShardSample {
             ("reorder_pending", JsonValue::from(self.reorder_pending)),
             ("watermark_lag", JsonValue::from(self.watermark_lag)),
             ("inflight", JsonValue::from(self.inflight)),
-            ("lane_pending", JsonValue::from(self.lane_pending)),
             ("key_count", JsonValue::from(self.key_count)),
             ("arena_live", JsonValue::from(self.arena_live)),
             ("arena_retired", JsonValue::from(self.arena_retired)),
@@ -639,7 +636,6 @@ mod tests {
             reorder_pending: 0,
             watermark_lag: 0,
             inflight: 0,
-            lane_pending: 0,
             key_count: 0,
             arena_live: 0,
             arena_retired: 0,

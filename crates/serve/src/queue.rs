@@ -9,27 +9,23 @@
 //!
 //! - **Reservations** make shed-vs-admit decisions atomic: before it
 //!   draws, an admission reserves what fits of each shard's demand
-//!   ([`IngressQueue::reserve_up_to`]), spends it as credits and fills it
+//!   ([`IngressQueue::reserve`]), spends it as credits and fills it
 //!   through the returned [`Reservation`] guard, so two admissions racing
 //!   one remaining slot can never both admit past the configured depth.
-//!   Reservations are RAII: a guard dropped with unfilled slots — normal
-//!   return, early shed, or a *panicking* submitter — releases them, so a
-//!   killed submitter can never strand capacity and wedge admission.
-//!   Capacity counts requests, not segments.
-//! - **Every push is one segment**: [`Reservation::push`] (shed policy),
-//!   [`IngressQueue::push_blocking`] (block policy) and
-//!   [`IngressQueue::push_lane`] (QoS staging) take the queue lock once per
-//!   call, however many requests the segment carries — the amortization
-//!   behind [`Client::submit_many`](crate::Client::submit_many), of which
-//!   a lone `submit` is the one-request case. [`Reservation::forward`] is
-//!   a peer combiner handing a segment on.
-//! - **Tenant lanes** (QoS mode) live *inside* the queue's mutex: staged,
-//!   not-yet-timestamped segments the combiner admits with weighted
-//!   round-robin. Sharing the mutex lets a lane push wake a combiner
-//!   blocked in [`drain`](IngressQueue::drain) through the same condvar
-//!   as a direct enqueue.
+//!   Under tenant quotas the grant is also capped by the tenant's quota
+//!   room, which the queue counts per tenant, queued or reserved, and
+//!   frees when the combiner drains. Reservations are RAII: a guard
+//!   dropped with unfilled slots — normal return, early shed, or a
+//!   *panicking* submitter — releases them, so a killed submitter can
+//!   never strand capacity or quota and wedge admission. Capacity counts
+//!   requests, not segments.
+//! - **Every push is one segment**: [`Reservation::push`] and
+//!   [`IngressQueue::push_blocking`] take the queue lock once per call,
+//!   however many requests the segment carries — the amortization behind
+//!   [`Client::submit_many`](crate::Client::submit_many), of which a lone
+//!   `submit` is the one-request case.
 
-use crate::lane::{LaneReject, LaneSet, QosConfig, TenantId};
+use crate::lane::{QosConfig, TenantId};
 use crate::ticket::{Outcome, Slot, TicketBatch};
 use eirene_workloads::{Request, Response};
 use std::collections::VecDeque;
@@ -54,9 +50,7 @@ pub enum AdmitPolicy {
 /// epoch takes a prefix and the rest stays first in line.
 #[derive(Debug)]
 pub(crate) struct Segment {
-    /// Ascending by timestamp (`u64::MAX` while staged on a tenant lane,
-    /// before a timestamp is drawn); a split range's part carries its
-    /// sub-range.
+    /// Ascending by timestamp; a split range's part carries its sub-range.
     pub reqs: Vec<Request>,
     /// Where each request's outcome goes, positionally.
     pub slots: Vec<Slot>,
@@ -68,7 +62,7 @@ pub(crate) struct Segment {
     /// The call's wall-clock deadline: an expired segment resolves
     /// `TimedOut` at epoch formation without executing.
     pub deadline: Option<Instant>,
-    /// Submitting tenant (0 when QoS lanes are disabled).
+    /// Submitting tenant (0 when quotas are disabled).
     pub tenant: TenantId,
     /// The call's ticket block.
     pub batch: Arc<TicketBatch>,
@@ -161,27 +155,20 @@ struct QueueState {
     len: usize,
     reserved: usize,
     closed: bool,
-    /// The shard thread is gone ([`IngressQueue::abandon`]): nobody will
-    /// drain its lanes again.
-    abandoned: bool,
-    /// Successful push calls by submitters (ingress or lane), cumulative:
-    /// one per call, however many requests it carried; a refused push, one
-    /// that met a closed queue, or a peer combiner's
-    /// [`forward`](Reservation::forward) does not count. A closed-loop
-    /// caller comes back with exactly one such call per shard it touches,
-    /// which is what the combiner's `Returned` exit counts.
+    /// Successful push calls by submitters, cumulative: one per call,
+    /// however many requests it carried; a refused push, or one that met a
+    /// closed queue, does not count. A closed-loop caller comes back with
+    /// exactly one such call per shard it touches, which is what the
+    /// combiner's `Returned` exit counts.
     pushes: u64,
-    /// Tenant lanes (QoS mode only).
-    lanes: Option<LaneSet>,
+    /// Entries per tenant, queued or reserved (with quotas only; empty
+    /// otherwise): `held[t] <= quota` always holds.
+    held: Vec<usize>,
 }
 
 impl QueueState {
     fn room(&self, capacity: usize) -> usize {
         capacity - self.len - self.reserved
-    }
-
-    fn lane_pending(&self) -> usize {
-        self.lanes.as_ref().map_or(0, |l| l.pending())
     }
 
     fn push(&mut self, seg: Segment) {
@@ -195,78 +182,81 @@ impl QueueState {
 pub(crate) struct Drained {
     pub segments: Vec<Segment>,
     /// [`IngressQueue::pushes`] under the same lock as the pop: every
-    /// ingress push it counts has all its requests in `segments` or in an
-    /// earlier drain.
+    /// push it counts has all its requests in `segments` or in an earlier
+    /// drain.
     pub pushes: u64,
-    /// The queue is closed and nothing more will ever come (lanes
-    /// included): the combiner may finish once its reorder stage is
-    /// empty too.
+    /// The queue is closed and nothing more will ever come: the combiner
+    /// may finish once its reorder stage is empty too.
     pub finished: bool,
 }
 
-/// RAII capacity grant on one [`IngressQueue`]. Fill it with
-/// [`push`](Reservation::push) (or, from a peer combiner,
-/// [`forward`](Reservation::forward)); any slots still held when the
-/// guard drops — including an unwinding submitter — are released back to
-/// the queue.
+/// RAII credit grant on one [`IngressQueue`]: queue slots under the shed
+/// policy, a tenant's quota room under quotas, or both. Fill it with
+/// [`push`](Reservation::push); whatever it still holds when the guard
+/// drops — including for an unwinding submitter — goes back to the queue.
 #[derive(Debug)]
-#[must_use = "dropping a Reservation immediately releases the reserved capacity"]
+#[must_use = "dropping a Reservation immediately releases the reserved credits"]
 pub(crate) struct Reservation<'q> {
     queue: &'q IngressQueue,
     count: usize,
+    /// The grant holds queue slots (shed policy); otherwise a push waits
+    /// for room.
+    slots: bool,
+    tenant: TenantId,
 }
 
 impl Reservation<'_> {
-    /// Slots still held by this guard.
+    /// Credits still held by this guard.
     pub(crate) fn count(&self) -> usize {
         self.count
     }
 
-    /// Fills `seg.len()` reserved slots with one submitter's segment under
-    /// one lock acquisition, counted as one push call. Returns the
-    /// resulting depth; a closed queue hands the segment back.
-    pub(crate) fn push(&mut self, seg: Segment) -> Result<usize, Segment> {
-        self.fill(seg, true)
-    }
-
-    /// [`push`](Self::push) for a peer shard's combiner handing a segment
-    /// on: no caller came back with it, so it is not counted in
-    /// [`IngressQueue::pushes`].
-    pub(crate) fn forward(&mut self, seg: Segment) -> Result<usize, Segment> {
-        self.fill(seg, false)
-    }
-
-    /// The slots are consumed either way: a closed queue has no capacity to
-    /// return them to.
-    fn fill(&mut self, seg: Segment, counted: bool) -> Result<usize, Segment> {
-        let n = seg.len();
-        debug_assert!(self.count >= n, "fill beyond the Reservation");
-        self.count -= n;
-        let mut st = self.queue.state.lock().unwrap();
-        st.reserved -= n;
-        if st.closed {
-            return Err(seg);
-        }
-        st.push(seg);
-        st.pushes += u64::from(counted);
-        self.queue.not_empty.notify_one();
-        Ok(st.len)
+    /// Pushes one submitter's segment of at most `count` requests, counted
+    /// as one push call: into the reserved slots under one lock
+    /// acquisition, or, without slots, as [`IngressQueue::push_blocking`]
+    /// does. Returns `(pushed, depth, refused rest)`; a closed queue
+    /// refuses, and the refused part's credits go back when the guard
+    /// drops.
+    pub(crate) fn push(&mut self, seg: Segment) -> (usize, usize, Option<Segment>) {
+        debug_assert!(self.count >= seg.len(), "push beyond the Reservation");
+        let done = if self.slots {
+            let mut st = self.queue.state.lock().unwrap();
+            if st.closed {
+                return (0, 0, Some(seg));
+            }
+            let n = seg.len();
+            st.reserved -= n;
+            st.push(seg);
+            st.pushes += 1;
+            self.queue.not_empty.notify_one();
+            (n, st.len, None)
+        } else {
+            self.queue.push_blocking(seg)
+        };
+        // What was pushed stays held for its tenant until drained.
+        self.count -= done.0;
+        done
     }
 }
 
-/// Returns the unfilled reservations.
+/// Returns the unfilled credits.
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         if self.count == 0 {
             return;
         }
         let mut st = self.queue.state.lock().unwrap();
-        debug_assert!(
-            st.reserved >= self.count,
-            "cancelling more than was reserved"
-        );
-        st.reserved -= self.count;
-        self.queue.not_full.notify_all();
+        if self.slots {
+            debug_assert!(
+                st.reserved >= self.count,
+                "cancelling more than was reserved"
+            );
+            st.reserved -= self.count;
+            self.queue.not_full.notify_all();
+        }
+        if self.queue.quota.is_some() {
+            st.held[self.tenant] -= self.count;
+        }
     }
 }
 
@@ -277,26 +267,25 @@ pub(crate) struct IngressQueue {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
+    /// The per-tenant quota, with quotas enabled.
+    quota: Option<usize>,
 }
 
 impl IngressQueue {
-    pub(crate) fn new(capacity: usize) -> Self {
+    /// A queue that enforces `qos`'s per-tenant quota (none when disabled).
+    pub(crate) fn new(capacity: usize, qos: &QosConfig) -> Self {
         assert!(capacity > 0, "ingress queue capacity must be positive");
+        let state = QueueState {
+            held: vec![0; if qos.enabled() { qos.tenants } else { 0 }],
+            ..QueueState::default()
+        };
         IngressQueue {
-            state: Mutex::new(QueueState::default()),
+            state: Mutex::new(state),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity,
+            quota: qos.enabled().then_some(qos.quota),
         }
-    }
-
-    /// A queue with tenant lanes attached (no-op for a disabled config).
-    pub(crate) fn with_lanes(capacity: usize, qos: &QosConfig) -> Self {
-        let q = Self::new(capacity);
-        if qos.enabled() {
-            q.state.lock().unwrap().lanes = Some(LaneSet::new(qos));
-        }
-        q
     }
 
     /// Requests queued.
@@ -304,25 +293,31 @@ impl IngressQueue {
         self.state.lock().unwrap().len
     }
 
-    /// Cumulative successful submitter push calls, ingress and lane: one
-    /// per call.
+    /// Cumulative successful submitter push calls: one per call.
     pub(crate) fn pushes(&self) -> u64 {
         self.state.lock().unwrap().pushes
     }
 
-    /// Reserves as many of `n` slots as currently fit; the guard's
-    /// `count` reports the grant (0 on a closed queue).
-    pub(crate) fn reserve_up_to(&self, n: usize) -> Reservation<'_> {
+    /// Reserves as many of `n` credits for `tenant` as currently fit: queue
+    /// slots when `slots` (the shed policy), and, with quotas, the tenant's
+    /// quota room. The guard's `count` reports the grant (0 on a closed
+    /// queue).
+    pub(crate) fn reserve(&self, tenant: TenantId, n: usize, slots: bool) -> Reservation<'_> {
         let mut st = self.state.lock().unwrap();
-        let grant = if st.closed {
-            0
-        } else {
-            st.room(self.capacity).min(n)
-        };
-        st.reserved += grant;
+        let mut grant = if st.closed { 0 } else { n };
+        if slots {
+            grant = grant.min(st.room(self.capacity));
+            st.reserved += grant;
+        }
+        if let Some(quota) = self.quota {
+            grant = grant.min(quota - st.held[tenant]);
+            st.held[tenant] += grant;
+        }
         Reservation {
             queue: self,
             count: grant,
+            slots,
+            tenant,
         }
     }
 
@@ -351,92 +346,15 @@ impl IngressQueue {
         (pushed, high, None)
     }
 
-    /// Stages a segment on `tenant`'s lane (QoS mode) under one lock, as
-    /// far as the tenant's quota allows. Returns the refused rest with its
-    /// cause.
-    pub(crate) fn push_lane(&self, tenant: TenantId, seg: Segment) -> Option<LaneReject> {
-        let mut st = self.state.lock().unwrap();
-        let lanes = st.lanes.as_mut().expect("push_lane without lanes");
-        let (accepted, reject) = lanes.push(tenant, seg);
-        if accepted > 0 {
-            st.pushes += 1;
-            self.not_empty.notify_one();
-        }
-        reject
-    }
-
-    /// WRR-drains up to `budget` staged lane requests for admission. A
-    /// non-empty result marks the lanes mid-drain until
-    /// [`lane_drain_done`](Self::lane_drain_done).
-    pub(crate) fn drain_lanes(&self, budget: usize) -> Vec<Segment> {
-        let mut st = self.state.lock().unwrap();
-        match st.lanes.as_mut() {
-            Some(lanes) => lanes.drain_wrr(budget),
-            None => Vec::new(),
-        }
-    }
-
-    /// Marks the admission of the last [`drain_lanes`](Self::drain_lanes)
-    /// batch complete (shutdown waits for this before closing queues).
-    pub(crate) fn lane_drain_done(&self) {
-        let mut st = self.state.lock().unwrap();
-        if let Some(lanes) = st.lanes.as_mut() {
-            lanes.drain_done();
-        }
-    }
-
-    /// Staged lane requests not yet admitted.
-    pub(crate) fn lane_pending(&self) -> usize {
-        self.state.lock().unwrap().lane_pending()
-    }
-
-    /// Number of tenants the lanes were configured with (1 when lanes
-    /// are disabled: the implicit tenant 0).
-    pub(crate) fn num_tenants(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap()
-            .lanes
-            .as_ref()
-            .map_or(1, |l| l.num_tenants())
-    }
-
-    /// Refuses future lane pushes; staged segments still drain.
-    pub(crate) fn close_lanes(&self) {
-        let mut st = self.state.lock().unwrap();
-        if let Some(lanes) = st.lanes.as_mut() {
-            lanes.close();
-        }
-        self.not_empty.notify_all();
-    }
-
-    /// True when lanes are absent, or closed with nothing staged and no
-    /// drained batch still being admitted, or when the shard thread has
-    /// left: nobody will ever drain what it staged.
-    pub(crate) fn lanes_quiesced(&self) -> bool {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.abandoned || st.lanes.as_ref().is_none_or(|l| l.quiesced())
-    }
-
-    /// The shard thread is leaving, by return or by unwinding: a shutdown
-    /// waiting for its lanes to quiesce stops waiting for them.
-    pub(crate) fn abandon(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .abandoned = true;
-    }
-
-    /// Drains every queued segment, in arrival order. While none exists
-    /// (directly queued *or* staged on a lane — lane arrivals need the
-    /// combiner awake to admit them) and the queue is open, the call waits
-    /// up to `wait`: `Duration::ZERO` does not block, and `Duration::MAX`
-    /// (or any wait too large to add to the clock) has no time bound.
-    /// `finished` is set once the queue is closed and fully drained, lanes
-    /// included.
+    /// Drains every queued segment, in arrival order, and frees its
+    /// tenant's quota room. While none exists and the queue is open, the
+    /// call waits up to `wait`: `Duration::ZERO` does not block, and
+    /// `Duration::MAX` (or any wait too large to add to the clock) has no
+    /// time bound. `finished` is set once the queue is closed and fully
+    /// drained.
     pub(crate) fn drain(&self, wait: Duration) -> Drained {
         let mut st = self.state.lock().unwrap();
-        let idle = |st: &QueueState| st.segments.is_empty() && st.lane_pending() == 0 && !st.closed;
+        let idle = |st: &QueueState| st.segments.is_empty() && !st.closed;
         if idle(&st) && !wait.is_zero() {
             // An unbounded wait reads no clock.
             let deadline = (wait != Duration::MAX)
@@ -455,10 +373,15 @@ impl IngressQueue {
         if !segments.is_empty() {
             self.not_full.notify_all();
         }
+        if self.quota.is_some() {
+            for seg in &segments {
+                st.held[seg.tenant] -= seg.len();
+            }
+        }
         Drained {
             segments,
             pushes: st.pushes,
-            finished: st.closed && st.lane_pending() == 0,
+            finished: st.closed,
         }
     }
 
@@ -468,9 +391,6 @@ impl IngressQueue {
     pub(crate) fn close(&self) {
         let mut st = self.state.lock().unwrap();
         st.closed = true;
-        if let Some(lanes) = st.lanes.as_mut() {
-            lanes.close();
-        }
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
@@ -491,9 +411,26 @@ mod tests {
         seg
     }
 
-    /// One call staged on a lane: requests not yet timestamped.
-    fn staged(n: usize) -> Segment {
-        seg(&vec![u64::MAX; n])
+    /// This call's segment of `tenant`.
+    fn of(tenant: TenantId, ts: &[u64]) -> Segment {
+        Segment { tenant, ..seg(ts) }
+    }
+
+    fn queue(capacity: usize) -> IngressQueue {
+        IngressQueue::new(capacity, &QosConfig::disabled())
+    }
+
+    /// `n` queue slots for tenant 0, as the shed policy reserves them.
+    fn slots(q: &IngressQueue, n: usize) -> Reservation<'_> {
+        q.reserve(0, n, true)
+    }
+
+    /// The depth a reserved push reached, or the refused segment.
+    fn fill(r: &mut Reservation, s: Segment) -> Result<usize, Segment> {
+        match r.push(s) {
+            (_, depth, None) => Ok(depth),
+            (_, _, Some(rest)) => Err(rest),
+        }
     }
 
     /// The depth an unrefused blocking push reached.
@@ -515,86 +452,86 @@ mod tests {
 
     #[test]
     fn reservations_gate_admission_at_capacity() {
-        let q = IngressQueue::new(2);
-        let mut r1 = q.reserve_up_to(1);
-        let mut r2 = q.reserve_up_to(1);
+        let q = queue(2);
+        let mut r1 = slots(&q, 1);
+        let mut r2 = slots(&q, 1);
         // Capacity is fully promised: a third reservation is granted
         // nothing even though nothing has been pushed yet.
-        assert_eq!(q.reserve_up_to(1).count(), 0);
-        assert_eq!(r1.push(seg(&[0])).unwrap(), 1);
-        assert_eq!(r2.push(seg(&[1])).unwrap(), 2);
-        assert_eq!(q.reserve_up_to(1).count(), 0);
+        assert_eq!(slots(&q, 1).count(), 0);
+        assert_eq!(fill(&mut r1, seg(&[0])).unwrap(), 1);
+        assert_eq!(fill(&mut r2, seg(&[1])).unwrap(), 2);
+        assert_eq!(slots(&q, 1).count(), 0);
         assert_eq!(q.depth(), 2);
     }
 
     #[test]
     fn dropped_reservations_free_room() {
-        let q = IngressQueue::new(2);
-        let r = q.reserve_up_to(2);
-        assert_eq!(q.reserve_up_to(1).count(), 0);
+        let q = queue(2);
+        let r = slots(&q, 2);
+        assert_eq!(slots(&q, 1).count(), 0);
         drop(r);
-        let r = q.reserve_up_to(2);
+        let r = slots(&q, 2);
         assert_eq!(r.count(), 2);
     }
 
     #[test]
     fn panicking_reserver_releases_capacity() {
         // The RAII guard must release on unwind: a submitter killed
-        // between reserve_up_to and push no longer leaks the slot (which
+        // between reserve and push no longer leaks the slot (which
         // used to wedge admission at capacity forever).
-        let q = Arc::new(IngressQueue::new(1));
+        let q = Arc::new(queue(1));
         let q2 = q.clone();
         let t = std::thread::spawn(move || {
-            let _res = q2.reserve_up_to(1);
+            let _res = slots(&q2, 1);
             panic!("submitter dies mid-admission");
         });
         assert!(t.join().is_err());
-        let mut r = q.reserve_up_to(1);
+        let mut r = slots(&q, 1);
         assert_eq!(r.count(), 1, "capacity recovered after panic");
-        assert_eq!(r.push(seg(&[7])).unwrap(), 1);
+        assert_eq!(fill(&mut r, seg(&[7])).unwrap(), 1);
         assert_eq!(drain_ts(&q), [7]);
     }
 
     #[test]
     fn partially_used_reservation_returns_the_rest() {
-        let q = IngressQueue::new(4);
+        let q = queue(4);
         {
-            let mut r = q.reserve_up_to(3);
-            r.push(seg(&[0])).unwrap();
+            let mut r = slots(&q, 3);
+            fill(&mut r, seg(&[0])).unwrap();
             assert_eq!(r.count(), 2);
             // Two unfilled slots release here.
         }
-        assert_eq!(q.reserve_up_to(9).count(), 3);
+        assert_eq!(slots(&q, 9).count(), 3);
     }
 
     #[test]
-    fn reserve_up_to_grants_partial_room() {
-        let q = IngressQueue::new(4);
-        let r3 = q.reserve_up_to(3);
-        let r1 = q.reserve_up_to(5);
+    fn reserve_grants_partial_room() {
+        let q = queue(4);
+        let r3 = slots(&q, 3);
+        let r1 = slots(&q, 5);
         assert_eq!(r1.count(), 1);
-        assert_eq!(q.reserve_up_to(5).count(), 0);
+        assert_eq!(slots(&q, 5).count(), 0);
         drop(r3);
         drop(r1);
-        let r = q.reserve_up_to(2);
+        let r = slots(&q, 2);
         assert_eq!(r.count(), 2);
         drop(r);
         assert_eq!(push_blocking(&q, seg(&[9])).unwrap(), 1);
-        assert_eq!(q.reserve_up_to(9).count(), 3);
+        assert_eq!(slots(&q, 9).count(), 3);
     }
 
     #[test]
     fn racing_reservers_never_over_admit() {
         // 4 threads race 8 single-slot reservations against capacity 3:
         // exactly 3 must win in aggregate, no matter the interleaving.
-        let q = Arc::new(IngressQueue::new(3));
+        let q = Arc::new(queue(3));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let q = q.clone();
             handles.push(std::thread::spawn(move || {
                 (0..2)
                     .map(|_| {
-                        let r = q.reserve_up_to(1);
+                        let r = slots(&q, 1);
                         let won = r.count();
                         std::mem::forget(r);
                         won
@@ -608,9 +545,9 @@ mod tests {
 
     #[test]
     fn a_reserved_segment_lands_whole_in_one_push() {
-        let q = IngressQueue::new(8);
-        let mut r = q.reserve_up_to(3);
-        assert_eq!(r.push(seg(&[0, 1, 2])).unwrap(), 3);
+        let q = queue(8);
+        let mut r = slots(&q, 3);
+        assert_eq!(fill(&mut r, seg(&[0, 1, 2])).unwrap(), 3);
         let d = q.drain(Duration::ZERO);
         assert_eq!(d.segments.len(), 1);
         assert_eq!(d.segments[0].len(), 3);
@@ -619,55 +556,40 @@ mod tests {
 
     #[test]
     fn every_push_path_counts_one_per_successful_call() {
-        let qos = QosConfig::uniform(1, 2);
-        let q = IngressQueue::with_lanes(9, &qos);
+        let q = queue(9);
         assert_eq!(q.pushes(), 0);
         // One per call, whether it carries one request (a lone `submit`)
-        // or a window.
-        q.reserve_up_to(1).push(seg(&[0])).unwrap();
+        // or a window, into reserved slots or not.
+        fill(&mut slots(&q, 1), seg(&[0])).unwrap();
         assert_eq!(q.pushes(), 1);
-        q.reserve_up_to(3).push(seg(&[1, 2, 3])).unwrap();
+        fill(&mut slots(&q, 3), seg(&[1, 2, 3])).unwrap();
         assert_eq!(q.pushes(), 2, "a segment is one call");
         push_blocking(&q, seg(&[4])).unwrap();
         push_blocking(&q, seg(&[5, 6])).unwrap();
         assert_eq!(q.pushes(), 4);
-        assert!(q.push_lane(0, staged(1)).is_none());
-        assert_eq!(q.pushes(), 5);
-        // A peer combiner's forward lands the segment but is nobody's
-        // return.
-        q.reserve_up_to(1).forward(seg(&[7])).unwrap();
+        fill(&mut q.reserve(0, 1, false), seg(&[7])).unwrap();
         assert_eq!((q.pushes(), q.depth()), (5, 8));
-        // One lane slot left: the push lands one request and counts once;
-        // the next is refused whole and does not count.
-        let over = q.push_lane(0, staged(2));
-        assert!(matches!(over, Some(LaneReject::OverQuota(rest)) if rest.len() == 1));
-        assert_eq!(q.pushes(), 6);
-        let over = q.push_lane(0, staged(1));
-        assert!(matches!(over, Some(LaneReject::OverQuota(_))));
-        assert_eq!(q.pushes(), 6);
         // Reserving, cancelling and draining are not pushes, and the drain
         // reports the count it ran under.
-        drop(q.reserve_up_to(1));
+        drop(slots(&q, 1));
         let d = q.drain(Duration::ZERO);
-        assert_eq!((d.segments.len(), d.pushes, q.pushes()), (5, 6, 6));
+        assert_eq!((d.segments.len(), d.pushes, q.pushes()), (5, 5, 5));
         // Nothing lands on a closed queue, through any door.
-        let mut r = q.reserve_up_to(4);
+        let (mut r, mut quota) = (slots(&q, 4), q.reserve(0, 4, false));
         q.close();
-        assert!(r.push(seg(&[8])).is_err());
-        assert!(r.forward(seg(&[8])).is_err());
-        assert_eq!(r.push(seg(&[8, 9])).unwrap_err().len(), 2);
+        assert!(fill(&mut r, seg(&[8])).is_err());
+        assert_eq!(fill(&mut r, seg(&[8, 9])).unwrap_err().len(), 2);
+        assert_eq!(fill(&mut quota, seg(&[8, 9])).unwrap_err().len(), 2);
         assert!(push_blocking(&q, seg(&[10])).is_err());
         assert_eq!(push_blocking(&q, seg(&[11, 12])).unwrap_err().len(), 2);
-        let closed = q.push_lane(0, staged(1));
-        assert!(matches!(closed, Some(LaneReject::Closed(_))));
-        assert_eq!(q.pushes(), 6);
+        assert_eq!(q.pushes(), 5);
     }
 
     #[test]
     fn drain_takes_every_segment_and_reports_finished() {
-        let q = IngressQueue::new(16);
+        let q = queue(16);
         for ts in 0..5 {
-            q.reserve_up_to(1).push(seg(&[ts])).unwrap();
+            fill(&mut slots(&q, 1), seg(&[ts])).unwrap();
         }
         assert_eq!(q.depth(), 5);
         assert_eq!(drain_ts(&q), [0, 1, 2, 3, 4]);
@@ -681,7 +603,7 @@ mod tests {
 
     #[test]
     fn blocked_pusher_wakes_on_drain() {
-        let q = Arc::new(IngressQueue::new(1));
+        let q = Arc::new(queue(1));
         push_blocking(&q, seg(&[0])).unwrap();
         let q2 = q.clone();
         let pusher = std::thread::spawn(move || push_blocking(&q2, seg(&[1])).is_ok());
@@ -693,7 +615,7 @@ mod tests {
 
     #[test]
     fn blocking_push_streams_a_segment_through_a_tiny_queue() {
-        let q = Arc::new(IngressQueue::new(2));
+        let q = Arc::new(queue(2));
         let q2 = q.clone();
         let pusher = std::thread::spawn(move || q2.push_blocking(seg(&[0, 1, 2, 3, 4, 5, 6])));
         let mut got = Vec::new();
@@ -712,14 +634,14 @@ mod tests {
 
     #[test]
     fn close_fails_pending_and_future_pushes() {
-        let q = Arc::new(IngressQueue::new(1));
+        let q = Arc::new(queue(1));
         push_blocking(&q, seg(&[0])).unwrap();
         let q2 = q.clone();
         let pusher = std::thread::spawn(move || push_blocking(&q2, seg(&[1])).is_err());
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(pusher.join().unwrap(), "blocked pusher must fail on close");
-        assert_eq!(q.reserve_up_to(1).count(), 0);
+        assert_eq!(slots(&q, 1).count(), 0);
         // The already-queued segment still drains, then the queue reports
         // finished.
         let d = q.drain(Duration::ZERO);
@@ -729,7 +651,7 @@ mod tests {
 
     #[test]
     fn blocking_push_returns_the_rest_on_close() {
-        let q = Arc::new(IngressQueue::new(2));
+        let q = Arc::new(queue(2));
         let q2 = q.clone();
         let pusher = std::thread::spawn(move || q2.push_blocking(seg(&[0, 1, 2, 3, 4])));
         std::thread::sleep(Duration::from_millis(20));
@@ -743,7 +665,7 @@ mod tests {
 
     #[test]
     fn a_bounded_drain_waits_out_its_bound_and_a_push_ends_any_drain() {
-        let q = Arc::new(IngressQueue::new(4));
+        let q = Arc::new(queue(4));
         // Nothing comes: a bounded wait runs its full course.
         let start = Instant::now();
         assert!(q.drain(Duration::from_millis(30)).segments.is_empty());
@@ -756,7 +678,7 @@ mod tests {
             let drainer = std::thread::spawn(move || q2.drain(wait));
             std::thread::sleep(Duration::from_millis(20));
             assert!(!drainer.is_finished(), "nothing to return yet");
-            q.reserve_up_to(1).push(seg(&[ts])).unwrap();
+            fill(&mut slots(&q, 1), seg(&[ts])).unwrap();
             let limit = Instant::now() + Duration::from_secs(10);
             while !drainer.is_finished() && Instant::now() < limit {
                 std::thread::sleep(Duration::from_millis(1));
@@ -768,54 +690,37 @@ mod tests {
     }
 
     #[test]
-    fn lane_push_wakes_a_blocked_drainer() {
-        let qos = QosConfig::uniform(2, 8);
-        let q = Arc::new(IngressQueue::with_lanes(16, &qos));
+    fn quota_room_caps_each_tenants_grant_and_frees_once_drained() {
+        let q = IngressQueue::new(8, &QosConfig::uniform(2, 3));
+        // Room is per tenant, and the queue's room caps it under Shed.
+        let mut a = q.reserve(0, 5, true);
+        assert_eq!(a.count(), 3);
+        assert_eq!(q.reserve(0, 1, false).count(), 0, "tenant 0 is at quota");
+        assert_eq!(q.reserve(1, 9, true).count(), 3);
+        assert_eq!(q.reserve(1, 9, false).count(), 3, "the last grant dropped");
+        // Pushed entries stay held until the combiner drains them.
+        fill(&mut a, of(0, &[0, 1])).unwrap();
+        drop(a);
+        assert_eq!(q.reserve(0, 9, false).count(), 1);
+        let mut b = q.reserve(1, 2, false);
+        fill(&mut b, of(1, &[2, 3])).unwrap();
+        assert_eq!(q.reserve(0, 9, true).count(), 1);
+        assert_eq!(q.reserve(1, 9, true).count(), 1);
+        assert_eq!(drain_ts(&q), [0, 1, 2, 3]);
+        assert_eq!(q.reserve(0, 9, true).count(), 3);
+        assert_eq!(q.reserve(1, 9, false).count(), 3);
+    }
+
+    #[test]
+    fn a_killed_submitter_returns_its_quota_room() {
+        let q = Arc::new(IngressQueue::new(8, &QosConfig::uniform(1, 2)));
         let q2 = q.clone();
-        let drainer = std::thread::spawn(move || q2.drain(Duration::MAX));
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(q.push_lane(1, staged(1)).is_none());
-        // The drainer wakes (lane pending breaks the idle predicate) with
-        // nothing queued directly; the combiner then admits from the lanes.
-        let d = drainer.join().unwrap();
-        assert!(d.segments.is_empty());
-        assert!(!d.finished);
-        assert_eq!(q.lane_pending(), 1);
-        assert_eq!(q.drain_lanes(4).len(), 1);
-        q.lane_drain_done();
-    }
-
-    #[test]
-    fn lane_quiesce_tracks_drain_in_progress() {
-        let qos = QosConfig::uniform(1, 4);
-        let q = IngressQueue::with_lanes(8, &qos);
-        assert!(q.push_lane(0, staged(1)).is_none());
-        q.close_lanes();
-        let refused = q.push_lane(0, staged(1));
-        assert!(matches!(refused, Some(LaneReject::Closed(_))));
-        assert!(!q.lanes_quiesced());
-        let batch = q.drain_lanes(8);
-        assert_eq!(batch.len(), 1);
-        assert!(!q.lanes_quiesced(), "drained batch still being admitted");
-        q.lane_drain_done();
-        assert!(q.lanes_quiesced());
-        // Direct segments still flow after lanes close.
-        q.reserve_up_to(1).push(seg(&[3])).unwrap();
-        assert_eq!(drain_ts(&q), [3]);
-    }
-
-    #[test]
-    fn lane_push_refuses_the_rest_by_cause() {
-        let qos = QosConfig::uniform(1, 2);
-        let q = IngressQueue::with_lanes(8, &qos);
-        let over = q.push_lane(0, seg(&[0, 1, 2, 3]));
-        let Some(LaneReject::OverQuota(rest)) = over else {
-            panic!("the quota refuses the tail: {over:?}")
-        };
-        assert_eq!(rest.reqs.iter().map(|r| r.ts).collect::<Vec<_>>(), [2, 3]);
-        q.close();
-        let closed = q.push_lane(0, seg(&[4, 5]));
-        assert!(matches!(closed, Some(LaneReject::Closed(s)) if s.len() == 2));
+        let died = std::thread::spawn(move || {
+            let _grant = q2.reserve(0, 2, false);
+            panic!("submitter dies mid-admission");
+        });
+        assert!(died.join().is_err());
+        assert_eq!(q.reserve(0, 2, true).count(), 2);
     }
 
     #[test]

@@ -14,11 +14,9 @@
 //! this shard with `ts < wm` that has not been popped is in the heap.
 //!
 //! *Proof.* By the watermark invariant such a request had reached this
-//! shard when `wm` was read: it was in the queue, or an earlier drain had
-//! taken it (so it is in the heap or popped), or this combiner drew its
-//! timestamp itself and put it in the heap with [`Reorder::admit`]
-//! before its slot cleared. A complete drain that starts after the read
-//! takes whatever was still queued. ∎
+//! shard's queue when `wm` was read: it was still in the queue, or an
+//! earlier drain had taken it (so it is in the heap or popped). A complete
+//! drain that starts after the read takes whatever was still queued. ∎
 //!
 //! **Segments.** A segment is one timestamp draw's requests to this shard
 //! (or a piece of them), and draws are disjoint ranges: no other segment
@@ -30,10 +28,8 @@
 //!
 //! [`Reorder::pop`] releases ascending while the head's first `ts < wm`,
 //! so an epoch is a strictly ascending slice, and by the lemma nothing the
-//! stage receives later — through a later `offer`, or an `admit`, whose
-//! timestamps are drawn after every watermark read so far — lies below
-//! what it released: everything a later pop releases is above everything
-//! an earlier one did. That is the cross-epoch order
+//! stage receives through a later `offer` lies below what it released:
+//! everything a later pop releases is above everything an earlier one did. That is the cross-epoch order
 //! `ShardReport::epoch_order_violations` counts breaks of. The lemma says
 //! nothing about a watermark no drain followed — a fresher one may cover
 //! requests still queued behind larger timestamps the heap already holds
@@ -57,8 +53,8 @@ pub(crate) struct Reorder {
     /// Parked requests at which the combiner stops draining its queue:
     /// back-pressure, so `AdmitPolicy::Block` submitters wait on the
     /// bounded queue instead of the heap growing with the offered load.
-    /// A pause, not a bound — one drain takes whatever the queue holds,
-    /// lane admissions come on top, and a stalled stage drains anyway.
+    /// A pause, not a bound — one drain takes whatever the queue holds, and
+    /// a stalled stage drains anyway.
     heap_target: usize,
 }
 
@@ -77,20 +73,11 @@ impl Reorder {
     /// `wm` — the only way it moves (module docs). A regressed `wm` only
     /// delays releases.
     pub(crate) fn offer(&mut self, segments: Vec<Segment>, wm: u64) {
-        for seg in segments {
-            self.admit(seg);
-        }
-        self.drained_wm = wm;
-    }
-
-    /// Parks a segment the combiner timestamped itself (a lane admission).
-    /// Its timestamps were drawn after the last watermark read, so it waits
-    /// for a later [`offer`](Self::offer).
-    pub(crate) fn admit(&mut self, seg: Segment) {
-        if !seg.is_empty() {
+        for seg in segments.into_iter().filter(|s| !s.is_empty()) {
             self.parked += seg.len();
             self.segments.insert(seg.first_ts(), seg);
         }
+        self.drained_wm = wm;
     }
 
     /// Whether the combiner should drain its queue this turn: below
@@ -159,19 +146,17 @@ mod tests {
     enum Step {
         /// A complete drain brought these segments, under this watermark.
         Offer(&'static [&'static [u64]], u64),
-        /// A lane admission.
-        Admit(&'static [u64]),
         /// `pop` with a fresh `out` and this room releases exactly these.
         Pop(usize, &'static [u64]),
         /// `wants_drain(stalled)` answers this.
         WantsDrain(bool, bool),
     }
-    use Step::{Admit, Offer, Pop, WantsDrain};
+    use Step::{Offer, Pop, WantsDrain};
 
     #[test]
     fn reorder_releases_only_under_the_watermark_of_its_last_drain() {
         // (case, heap_target, steps on one fresh stage)
-        let table: [(&str, usize, &[Step]); 9] = [
+        let table: [(&str, usize, &[Step]); 8] = [
             (
                 // ROADMAP item 1. The heap is at its target after the first
                 // pop, so the combiner's next turn skips the drain; ts 535
@@ -187,22 +172,6 @@ mod tests {
                     Pop(8, &[]),
                     Offer(&[&[535]], 540),
                     Pop(8, &[532, 535, 537]),
-                ],
-            ),
-            (
-                "admit does not move the watermark",
-                64,
-                &[
-                    Offer(&[&[3]], 5),
-                    Admit(&[6]),
-                    Admit(&[7]),
-                    Pop(8, &[3]),
-                    Admit(&[8]),
-                    Pop(8, &[]),
-                    Offer(&[], 8),
-                    Pop(8, &[6, 7]),
-                    Offer(&[], 9),
-                    Pop(8, &[8]),
                 ],
             ),
             (
@@ -237,11 +206,9 @@ mod tests {
                     Offer(&[&[6]], 0),
                     WantsDrain(false, false),
                     WantsDrain(true, true),
-                    Admit(&[9]),
-                    WantsDrain(false, false),
                     Offer(&[], 6),
                     Pop(8, &[5]),
-                    WantsDrain(false, false),
+                    WantsDrain(false, true),
                     Offer(&[], 7),
                     Pop(8, &[6]),
                     WantsDrain(false, true),
@@ -297,10 +264,6 @@ mod tests {
                     Offer(segments, wm) => {
                         stage.offer(segments.iter().map(|ts| seg(ts)).collect(), wm);
                         parked += segments.iter().map(|ts| ts.len()).sum::<usize>();
-                    }
-                    Admit(ts) => {
-                        stage.admit(seg(ts));
-                        parked += ts.len();
                     }
                     Pop(room, want) => {
                         let mut out = Vec::new();

@@ -40,7 +40,7 @@
 //! to wake. The shard's tree is a local of its thread: no other thread
 //! reads or writes it, and the shard map that routes to it never changes.
 
-use crate::admit::{admit_lanes, Inflight, Inner};
+use crate::admit::{Inflight, Inner};
 use crate::combine::{Combiner, Effect, ExecutorState, TurnView};
 use crate::execute::{Books, Epoch};
 use crate::lane::{QosConfig, TenantId};
@@ -85,8 +85,8 @@ pub struct ServeConfig {
     /// The batch limit: the most requests one epoch of a shard carries
     /// (the paper's fixed batch size; 4 096 by default, and 0 reads as 1).
     pub sizing: usize,
-    /// Per-tenant QoS lanes and quotas; [`QosConfig::disabled`] (the
-    /// default) bypasses lanes entirely.
+    /// Tenant quotas; [`QosConfig::disabled`] (the default) counts no
+    /// tenants.
     pub qos: QosConfig,
     /// Bounded ingress-queue capacity per shard.
     pub queue_depth: usize,
@@ -155,15 +155,16 @@ impl ServeConfig {
 }
 
 /// Shared per-shard state: the ingress queue and the counters other
-/// threads than the shard's own write or read. Submitters and peer
-/// combiners count admissions and sheds; submitters read the clock.
+/// threads than the shard's own write or read. Submitters count
+/// admissions and sheds and read the clock.
 /// Everything only the shard thread touches lives in its [`Books`] or
 /// beside them in its `Executor`, the tree included.
 pub(crate) struct ShardState {
     pub(crate) queue: IngressQueue,
     /// Entries admitted to this shard, cumulative.
     pub(crate) enqueued: AtomicU64,
-    /// Requests shed at this shard's full queue, in all and per tenant.
+    /// Requests shed at this shard (a full queue or a tenant at quota), in
+    /// all and per tenant.
     pub(crate) shed: AtomicU64,
     pub(crate) tenant_shed: Vec<AtomicU64>,
     /// High-water mark of the ingress-queue depth.
@@ -176,7 +177,7 @@ pub(crate) struct ShardState {
 impl ShardState {
     pub(crate) fn new(capacity: usize, qos: &QosConfig) -> Self {
         ShardState {
-            queue: IngressQueue::with_lanes(capacity, qos),
+            queue: IngressQueue::new(capacity, qos),
             enqueued: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             tenant_shed: (0..qos.num_tenants()).map(|_| AtomicU64::new(0)).collect(),
@@ -212,7 +213,7 @@ impl Inner {
 
 /// Cloneable submission handle to a running [`Service`]. Handles carry
 /// the tenant they submit as (tenant 0 unless [`Client::for_tenant`]
-/// re-bound it); without QoS lanes the tenant is purely a label.
+/// re-bound it); without quotas the tenant is purely a label.
 #[derive(Clone)]
 pub struct Client {
     inner: Arc<Inner>,
@@ -344,7 +345,7 @@ impl Service {
             let device = cfg.device.for_shard(shard);
             let mut books = Books::new(
                 shard,
-                inner.shards[shard].queue.num_tenants(),
+                cfg.qos.num_tenants(),
                 device.control_latency,
                 &cfg.observe,
             );
@@ -363,7 +364,6 @@ impl Service {
                     .name(format!("serve-shard-{shard}"))
                     .spawn(move || {
                         let state = &inner.shards[shard];
-                        let _leaving = Leaving(&state.queue);
                         // Built here, so the shard trees build in parallel.
                         let tree = EireneTree::new(&pairs, opts);
                         if let Some(log) = replay {
@@ -406,20 +406,6 @@ impl Service {
     /// already-admitted epoch, joins the shard threads, and returns the
     /// final report.
     pub fn shutdown(self) -> ServeReport {
-        if self.inner.qos.enabled() {
-            // Two-phase in QoS mode: refuse new lane arrivals first and
-            // let the combiners admit everything already staged (a lane
-            // admission may still fan split parts into *peer* ingress
-            // queues); only close the queues once every shard's lanes
-            // have quiesced, so no admitted part hits a closed queue.
-            for state in &self.inner.shards {
-                state.queue.close_lanes();
-            }
-            self.inner.release_gate();
-            while !self.inner.shards.iter().all(|s| s.queue.lanes_quiesced()) {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
         for state in &self.inner.shards {
             state.queue.close();
         }
@@ -441,24 +427,16 @@ impl Service {
 /// effect until the queue has finished, then reports. A hand-over is
 /// planned, run and booked here before the next turn.
 fn shard_loop(inner: &Inner, mut ex: Executor, mut combiner: Combiner) -> ShardReport {
-    let (state, shard) = (ex.state, ex.books.shard);
-    let qos = inner.qos.enabled();
-    let lane_pending = || if qos { state.queue.lane_pending() } else { 0 };
+    let state = ex.state;
     loop {
         inner.wait_gate();
         let mut effect = combiner.turn(TurnView {
             now: Instant::now(),
             executor: ex.view,
-            staged: lane_pending(),
         });
-        if let Effect::Drain { admit, wait } = effect {
-            if let Some(budget) = admit {
-                let expired = admit_lanes(inner, state, shard, budget, combiner.stage());
-                ex.time_out(expired);
-            }
+        if let Effect::Drain { wait } = effect {
             // The watermark first, *then* the drain: the order
-            // `Reorder::offer` requires. Lane entries admitted earlier drew
-            // their timestamps before this read, so it covers them too.
+            // `Reorder::offer` requires.
             let wm = inner.watermark();
             effect = combiner.drained(wm, state.queue.drain(wait));
         }
@@ -479,18 +457,13 @@ fn shard_loop(inner: &Inner, mut ex: Executor, mut combiner: Combiner) -> ShardR
                 }
                 let observing = ex.observer.is_some();
                 let (watermark_lag, inflight) = if observing { inner.gauges() } else { (0, 0) };
-                let (queue_depth, lane_depth) = if observing {
-                    (state.queue.depth(), lane_pending())
-                } else {
-                    (0, 0)
-                };
+                let queue_depth = if observing { state.queue.depth() } else { 0 };
                 ex.run(Epoch {
                     batch: Batch::new(requests),
                     segments,
                     close,
                     queue_depth: queue_depth as u64,
-                    reorder_pending: combiner.stage().len() as u64,
-                    lane_depth: lane_depth as u64,
+                    reorder_pending: combiner.parked() as u64,
                     watermark_lag,
                     inflight,
                 });
@@ -499,17 +472,6 @@ fn shard_loop(inner: &Inner, mut ex: Executor, mut combiner: Combiner) -> ShardR
             // `drained` never asks for another drain.
             Effect::NextTurn | Effect::Drain { .. } => {}
         }
-    }
-}
-
-/// Abandons the shard's queue when its thread leaves, unwinding included,
-/// so that a QoS shutdown waiting for the shard's lanes to quiesce does not
-/// wait for ever.
-struct Leaving<'q>(&'q IngressQueue);
-
-impl Drop for Leaving<'_> {
-    fn drop(&mut self) {
-        self.0.abandon();
     }
 }
 
@@ -797,7 +759,7 @@ mod tests {
             let client = svc.client();
             let served = client.submit(1500, OpKind::Query);
             assert!(matches!(served.wait(), Outcome::Done(_)));
-            // Staged on shard 1's lane, which its dead thread never drains.
+            // Queued on shard 1, whose dead thread never drains it.
             let _staged = client.submit(1501, OpKind::Query);
             let shutdown =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.shutdown()));
@@ -807,6 +769,44 @@ mod tests {
             let cause = cause.downcast_ref::<String>().map_or("", String::as_str);
             assert!(cause.starts_with("shard thread panicked"), "{cause}");
         });
+    }
+
+    #[test]
+    fn the_over_quota_part_of_a_call_is_rejected_without_a_timestamp() {
+        for policy in [AdmitPolicy::Shed, AdmitPolicy::Block] {
+            // Under Block the over-quota part must not wait: the gate is
+            // held, so nothing would ever make room.
+            crate::ticket::tests::watchdog(move || {
+                let map = ShardMap::from_starts(vec![0, 1000]).expect("valid shard starts");
+                let mut cfg = small_cfg(map);
+                cfg.qos = QosConfig::uniform(2, 3);
+                cfg.policy = policy;
+                cfg.hold_gate = true;
+                let svc = Service::new(&initial_pairs(), cfg);
+                let hog = svc.client().for_tenant(1);
+                // Five to shard 0, one to shard 1: shard 0's quota room of
+                // 3 admits the first three in draw order.
+                let ops = [10, 11, 1500, 12, 13, 14].map(|k| (k, OpKind::Query));
+                let tickets = hog.submit_many(&ops);
+                let rejected = [false, false, false, false, true, true];
+                for (ticket, rejected) in tickets.iter().zip(rejected) {
+                    assert_eq!(ticket.timestamp().is_none(), rejected, "{policy:?}");
+                    let shed = ticket.try_get() == Some(Outcome::Rejected);
+                    assert_eq!(shed, rejected, "{policy:?}");
+                }
+                // Another tenant's room on the same shard is its own.
+                let other = svc.client().for_tenant(0).submit_many(&ops[..3]);
+                assert!(other.iter().all(|t| t.timestamp().is_some()));
+                svc.release();
+                let report = svc.shutdown();
+                for ticket in tickets.iter().take(4).chain(&other) {
+                    assert!(matches!(ticket.wait(), Outcome::Done(_)));
+                }
+                assert_eq!((report.shed(), report.tenant_shed(1)), (2, 2));
+                assert_eq!(report.executed(), 7);
+                report.check().unwrap();
+            });
+        }
     }
 
     #[test]

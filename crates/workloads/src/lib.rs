@@ -14,7 +14,7 @@ mod request;
 mod spec;
 mod zipf;
 
-pub use oracle::{EpochedOracle, Oracle, SequentialOracle};
+pub use oracle::{Oracle, SequentialOracle};
 pub use request::{range_window, Batch, Key, OpKind, Request, Response, Value, NULL_VALUE};
 pub use spec::{Distribution, Mix, ShardedGen, WorkloadGen, WorkloadSpec};
 pub use zipf::Zipfian;

@@ -86,74 +86,6 @@ impl Oracle for SequentialOracle {
     }
 }
 
-/// [`SequentialOracle`] extended to model *epoch boundaries*: the serving
-/// layer chops a request stream into epochs (bounded batches executed
-/// back-to-back on a shard), and this oracle executes exactly that
-/// structure — each epoch is linearized internally in timestamp order,
-/// and epochs are linearized against each other in submission order.
-///
-/// For a stream whose timestamps ascend across epoch boundaries (which
-/// per-shard ingress order guarantees when timestamps are assigned at
-/// admission), the epoched execution is equivalent to one flat
-/// timestamp-ordered execution — `epoch_split_is_transparent` in the tests
-/// pins that equivalence, and the serve differential fuzzer relies on it.
-#[derive(Clone, Debug, Default)]
-pub struct EpochedOracle {
-    inner: SequentialOracle,
-    epochs: u64,
-    applied: u64,
-}
-
-impl EpochedOracle {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bulk-loads the initial contents (mirrors the tree's bulk build).
-    pub fn load(pairs: &[(Key, Value)]) -> Self {
-        EpochedOracle {
-            inner: SequentialOracle::load(pairs),
-            epochs: 0,
-            applied: 0,
-        }
-    }
-
-    /// Executes one epoch: requests linearize in timestamp order *within*
-    /// the epoch, after everything in all previous epochs.
-    ///
-    /// # Panics
-    /// Panics if the epoch's minimum timestamp precedes a timestamp already
-    /// applied — such a stream has no equivalent flat timestamp order, so
-    /// treating it as linearizable would be a test-harness bug, not a tree
-    /// bug.
-    pub fn run_epoch(&mut self, batch: &Batch) -> Vec<Response> {
-        if let Some(min) = batch.requests.iter().map(|r| r.ts).min() {
-            assert!(
-                min >= self.applied,
-                "epoch {} opens at ts {min} but ts {} was already applied \
-                 (stream is not epoch-splittable)",
-                self.epochs,
-                self.applied
-            );
-        }
-        if let Some(max) = batch.requests.iter().map(|r| r.ts).max() {
-            self.applied = self.applied.max(max.saturating_add(1));
-        }
-        self.epochs += 1;
-        self.inner.run_batch(batch)
-    }
-
-    /// Epochs executed so far.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Read-only view of the current contents.
-    pub fn contents(&self) -> &BTreeMap<Key, Value> {
-        self.inner.contents()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,42 +145,6 @@ mod tests {
         let b = Batch::from_ops(vec![(u32::MAX - 1, OpKind::Range { len: 4 })]);
         let r = o.run_batch(&b);
         assert_eq!(r[0], Response::Range(vec![None, Some(1), None, None]));
-    }
-
-    #[test]
-    fn epoch_split_is_transparent() {
-        // Splitting a ts-ascending stream into epochs at any boundary must
-        // not change any response or the final state.
-        let reqs: Vec<Request> = (0..40u64)
-            .map(|ts| match ts % 4 {
-                0 => Request::upsert((ts % 7) as u32, ts as u32, ts),
-                1 => Request::query((ts % 7) as u32, ts),
-                2 => Request::delete((ts % 5) as u32, ts),
-                _ => Request::range(0, 6, ts),
-            })
-            .collect();
-        let mut flat = SequentialOracle::load(&[(1, 10), (3, 30)]);
-        let want = flat.run_batch(&Batch::new(reqs.clone()));
-        for split in [1usize, 7, 13, 20, 39] {
-            let mut epoched = EpochedOracle::load(&[(1, 10), (3, 30)]);
-            let mut got = Vec::new();
-            for chunk in reqs.chunks(split) {
-                got.extend(epoched.run_epoch(&Batch::new(chunk.to_vec())));
-            }
-            assert_eq!(got, want, "split {split}");
-            assert_eq!(epoched.contents(), flat.contents());
-            assert_eq!(epoched.epochs(), reqs.chunks(split).count() as u64);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not epoch-splittable")]
-    fn epoch_oracle_rejects_timestamp_regression() {
-        let mut o = EpochedOracle::new();
-        o.run_epoch(&Batch::new(vec![Request::upsert(1, 1, 5)]));
-        // ts 3 < already-applied ts 5: the stream cannot be linearized in
-        // a single flat timestamp order.
-        o.run_epoch(&Batch::new(vec![Request::query(1, 3)]));
     }
 
     #[test]

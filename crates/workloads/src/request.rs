@@ -47,12 +47,6 @@ impl OpKind {
         matches!(self, OpKind::Upsert(_) | OpKind::Delete)
     }
 
-    /// True for point queries (not range queries).
-    #[inline]
-    pub fn is_point_query(self) -> bool {
-        matches!(self, OpKind::Query)
-    }
-
     /// True for range queries.
     #[inline]
     pub fn is_range(self) -> bool {
@@ -161,8 +155,6 @@ mod tests {
         assert!(OpKind::Delete.is_update());
         assert!(!OpKind::Query.is_update());
         assert!(!OpKind::Range { len: 4 }.is_update());
-        assert!(OpKind::Query.is_point_query());
-        assert!(!OpKind::Range { len: 4 }.is_point_query());
         assert!(OpKind::Range { len: 4 }.is_range());
     }
 

@@ -71,24 +71,9 @@ impl Mix {
         }
     }
 
-    /// YCSB workload B: 95% reads / 5% updates (the paper's default).
-    pub fn ycsb_b() -> Self {
-        Self::read_heavy()
-    }
-
     /// YCSB workload C: read-only.
     pub fn ycsb_c() -> Self {
         Self::query_only()
-    }
-
-    /// YCSB workload E: short range scans (95%) with inserts (5%).
-    pub fn ycsb_e(range_len: u32) -> Self {
-        Mix {
-            upsert: 0.05,
-            delete: 0.0,
-            range: 0.95,
-            range_len,
-        }
     }
 
     fn validate(&self) {
@@ -380,12 +365,10 @@ mod tests {
 
     #[test]
     fn ycsb_presets_are_consistent() {
-        for m in [Mix::ycsb_a(), Mix::ycsb_b(), Mix::ycsb_c(), Mix::ycsb_e(8)] {
+        for m in [Mix::ycsb_a(), Mix::ycsb_c()] {
             m.validate();
         }
-        assert_eq!(Mix::ycsb_b(), Mix::read_heavy());
         assert_eq!(Mix::ycsb_a().upsert, 0.5);
-        assert_eq!(Mix::ycsb_e(8).range, 0.95);
     }
 
     #[test]
