@@ -86,7 +86,7 @@ impl Segment {
     }
 
     /// An empty segment of the same call.
-    pub(crate) fn sibling(&self) -> Self {
+    fn sibling(&self) -> Self {
         Segment::new(self.batch.clone(), self.deadline, self.tenant, 0)
     }
 
