@@ -32,7 +32,7 @@ use eirene_check::cli::{self, Cli, Flag};
 use eirene_check::flag;
 use eirene_serve::{
     reconcile_samples, spans_to_jsonl, AdmitPolicy, ObserveConfig, QosConfig, SeriesCollector,
-    ServeConfig, ServeEvent, ServeReport, Service, ServiceObserver, ShardMap, SloSpec, TenantId,
+    ServeConfig, ServeReport, Service, ServiceObserver, ShardMap, ShardSample, SloSpec, TenantId,
 };
 use eirene_sim::DeviceConfig;
 use eirene_telemetry::JsonValue;
@@ -329,11 +329,11 @@ fn workload_map(shards: usize, key_domain: u64) -> ShardMap {
 struct MonitorObserver(Arc<SeriesCollector>);
 
 impl ServiceObserver for MonitorObserver {
-    fn on_event(&self, event: &ServeEvent) {
-        if let ServeEvent::Breach(breach) = event {
+    fn on_sample(&self, sample: &ShardSample) {
+        for breach in &sample.breaches {
             eprintln!("serve: {breach}");
         }
-        self.0.on_event(event);
+        self.0.on_sample(sample);
     }
 }
 
@@ -403,12 +403,11 @@ fn run_cell(
     let spec = scale.spec(scale.theta);
     let map = workload_map(shards, spec.key_domain());
     let collector = scale.monitor.then(SeriesCollector::new);
-    let observe = match &collector {
-        Some(coll) => ObserveConfig {
-            observer: Some(Arc::new(MonitorObserver(coll.clone()))),
-            slo: slo_spec(scale),
-        },
-        None => ObserveConfig::default(),
+    // Without an observer the SLO evaluates nothing.
+    let observer = collector.clone().map(MonitorObserver);
+    let observe = ObserveConfig {
+        observer: observer.map(|o| Arc::new(o) as Arc<dyn ServiceObserver>),
+        slo: slo_spec(scale),
     };
     // Everything fits queued while the gate is held.
     let cfg = ServeConfig {
@@ -440,10 +439,7 @@ fn run_cell(
     let report = std::thread::scope(|scope| {
         if let Some(coll) = &collector {
             scope.spawn(|| {
-                for tick in 1.. {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
+                for tick in (1..).take_while(|_| !stop.load(Ordering::Relaxed)) {
                     std::thread::sleep(Duration::from_millis(10));
                     if tick % 25 == 0 {
                         frame(coll);
@@ -512,14 +508,12 @@ fn print_tenant_table(device: &DeviceConfig, report: &ServeReport) {
 /// Writes an export when its flag named a path; false if writing failed.
 fn export(path: Option<&str>, what: &str, body: impl FnOnce() -> String) -> bool {
     let Some(path) = path else { return true };
-    match std::fs::write(path, body()) {
+    let written = std::fs::write(path, body());
+    match &written {
         Ok(()) => eprintln!("serve: wrote {what} to {path}"),
-        Err(e) => {
-            eprintln!("serve: could not write {path}: {e}");
-            return false;
-        }
+        Err(e) => eprintln!("serve: could not write {path}: {e}"),
     }
-    true
+    written.is_ok()
 }
 
 /// The shard-count × offered-load sweep (the default and `--smoke`): per

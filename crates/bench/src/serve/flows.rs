@@ -13,8 +13,8 @@ const PAPER_FIXED: [usize; 3] = [1024, 4096, 1 << 14];
 
 /// How much a hog may inflate a well-behaved tenant's p99 before the
 /// isolation scenario fails. The hog's *admitted* share is bounded by
-/// its quota (≈ 1.25× one tenant's load), so fair WRR draining keeps the
-/// slowdown well under this.
+/// its quota (≈ 1.25× one tenant's load), which keeps the slowdown well
+/// under this.
 const ISOLATION_BOUND: f64 = 3.0;
 
 /// The paper flow's cells and the verdict they add up to.
@@ -114,14 +114,20 @@ fn run_isolation(scale: &ServeScale, shards: usize) -> bool {
             ..scale.config(map.clone(), scale.requests + hog_load + 16, true)
         };
         let svc = Service::new(&pairs, cfg);
-        let mut loads: Vec<(TenantId, Vec<(Key, OpKind)>)> = (1..tenants)
+        let hog = hog.then(|| (0, requests(spec.for_client(0xB16_B07), hog_load)));
+        let loads: Vec<(TenantId, _)> = (1..tenants)
             .map(|t| (t, requests(spec.for_client(t as u64), per_tenant)))
+            .chain(hog)
             .collect();
-        if hog {
-            loads.push((0, requests(spec.for_client(0xB16_B07), hog_load)));
+        // One thread submits the tenants' windows round-robin while the
+        // gate is held, so every run draws the same timestamps.
+        for round in 0..hog_load.max(per_tenant).div_ceil(SUBMIT_CHUNK) {
+            for (tenant, reqs) in &loads {
+                if let Some(window) = reqs.chunks(SUBMIT_CHUNK).nth(round) {
+                    let _ = svc.client().for_tenant(*tenant).submit_many(window);
+                }
+            }
         }
-        let streams: Vec<_> = loads.iter().map(|(t, reqs)| (*t, &reqs[..])).collect();
-        submit(&svc, &streams, None);
         svc.release();
         svc.shutdown()
     };

@@ -47,7 +47,7 @@ use crate::shard::{hash_shard, window_end, RangePart, ShardId, ShardMap, Shardin
 use crate::ticket::{CellRef, Outcome, RangeMerge, Slot, Ticket, TicketBatch};
 use eirene_workloads::{Key, OpKind, Request, Response};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Empty in-flight slot.
@@ -156,9 +156,6 @@ pub(crate) struct Inner {
     pub(crate) shards: Vec<ShardState>,
     pub(crate) next_ts: AtomicU64,
     pub(crate) inflight: Inflight,
-    /// `true` while the epoch gate is held (combiners blocked).
-    pub(crate) gate: Mutex<bool>,
-    pub(crate) gate_cv: Condvar,
     pub(crate) policy: AdmitPolicy,
     pub(crate) qos: QosConfig,
 }
@@ -456,12 +453,10 @@ mod tests {
             map: ShardMap::uniform(shards),
             sharding: Sharding::Range,
             shards: (0..shards)
-                .map(|_| ShardState::new(depth, &QosConfig::disabled()))
+                .map(|_| ShardState::new(depth, &QosConfig::disabled(), false))
                 .collect(),
             next_ts: AtomicU64::new(10),
             inflight: Inflight::new(),
-            gate: Mutex::new(false),
-            gate_cv: Condvar::new(),
             policy: AdmitPolicy::Shed,
             qos: QosConfig::disabled(),
         }

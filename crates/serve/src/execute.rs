@@ -5,7 +5,7 @@
 //! resolves the tickets and carries out the rest.
 
 use crate::observe::{
-    CloseCause, CloseCounts, LatencySummary, ObserveConfig, ServeEvent, ShardSample, SloMonitor,
+    CloseCause, CloseCounts, LatencySummary, ObserveConfig, ShardSample, SloMonitor,
 };
 use crate::queue::Segment;
 use crate::report::ShardReport;
@@ -131,17 +131,13 @@ impl Books {
                     h.record(lat);
                 }
                 if let Some(ring) = self.spans.as_mut() {
-                    // Stamps on the shard's virtual clock: admission is
-                    // host work with zero virtual duration (submit ==
-                    // enqueue at arrival), reorder-release/combine/execute
-                    // coincide at epoch start, complete at epoch end.
-                    // Monotone, and the deltas telescope to the reported
-                    // latency.
                     ring.push(LifecycleSpan {
                         id: req.ts,
                         track: self.shard as u32,
                         epoch: self.epochs + 1,
-                        stamps: [arrival, arrival, start, start, start, end],
+                        arrival,
+                        start,
+                        end,
                     });
                 }
             }
@@ -158,8 +154,8 @@ impl Books {
     }
 
     /// A [`ShardSample`] of `epoch`, the epoch booked last — or, given
-    /// `None`, of the whole run (the terminal sample). `arena` is the
-    /// device's slab occupancy now.
+    /// `None`, of the whole run (the terminal sample) — with the SLO
+    /// breaches it trips. `arena` is the device's slab occupancy now.
     pub(crate) fn sample(
         &mut self,
         epoch: Option<&Epoch>,
@@ -173,7 +169,7 @@ impl Books {
         // in flight.
         let gauge = |read: fn(&Epoch) -> u64| epoch.map_or(0, read);
         let load = |cell: &AtomicU64| cell.load(Relaxed);
-        ShardSample {
+        let mut sample = ShardSample {
             shard: self.shard,
             epoch: self.epochs + u64::from(terminal),
             terminal,
@@ -197,20 +193,12 @@ impl Books {
             tenant_shed: shared.tenant_shed.iter().map(load).collect(),
             latency: LatencySummary::from_hist(&self.latency),
             epoch_latency,
+            breaches: Vec::new(),
+        };
+        if let Some(slo) = self.slo.as_mut() {
+            sample.breaches = slo.observe(&sample);
         }
-    }
-
-    /// `sample` as the observer receives it: the sample, then the SLO
-    /// breaches it tripped.
-    pub(crate) fn events(&mut self, sample: ShardSample) -> Vec<ServeEvent> {
-        let breaches = self
-            .slo
-            .as_mut()
-            .map_or_else(Vec::new, |m| m.observe(&sample));
-        let breaches = breaches.into_iter().map(ServeEvent::Breach);
-        std::iter::once(ServeEvent::Sample(Box::new(sample)))
-            .chain(breaches)
-            .collect()
+        sample
     }
 
     /// The shard's report, from the books, the terminal sample and what
@@ -293,7 +281,7 @@ mod tests {
     /// The books' report over `epochs` of 100 cycles each, with admission
     /// counters that balance.
     fn report(books: &mut Books, epochs: &[Epoch]) -> ShardReport {
-        let state = ShardState::new(4, &QosConfig::disabled());
+        let state = ShardState::new(4, &QosConfig::disabled(), false);
         for epoch in epochs {
             let run = KernelStats {
                 makespan_cycles: 100.0,
@@ -308,7 +296,7 @@ mod tests {
 
     #[test]
     fn books_sample_the_epoch_gauges_and_end_on_a_terminal_sample_of_the_run() {
-        let state = ShardState::new(4, &QosConfig::uniform(3, 8));
+        let state = ShardState::new(4, &QosConfig::uniform(3, 8), false);
         let observe = ObserveConfig::with_observer(crate::observe::SeriesCollector::new());
         let mut books = Books::new(0, 3, 1, &observe);
         let causes = [CloseCause::Idle, CloseCause::Returned, CloseCause::Idle];

@@ -45,14 +45,15 @@
 //! - **Live observability** — on exactly when a [`ServiceObserver`] is
 //!   registered in [`ObserveConfig`]: each shard then emits a
 //!   [`ShardSample`] of counters, gauges, and latency summaries at every
-//!   epoch boundary, records per-ticket lifecycle spans (submit → enqueue
-//!   → reorder-release → combine → execute → complete) into a bounded
-//!   ring, and evaluates [`SloSpec`] objectives over sliding epoch
-//!   windows. Samples and the [`SloBreach`]es each one trips reach the
-//!   observer as one stream of [`ServeEvent`]s. A final *terminal*
-//!   sample snapshots each shard's totals, so sampled series reconcile
-//!   exactly with the shutdown [`ServeReport`] ([`reconcile_samples`]),
-//!   whose own invariants [`ServeReport::check`] tests.
+//!   epoch boundary, records a [`LifecycleSpan`] per ticket — its
+//!   arrival, its epoch's start and its epoch's end on the virtual clock
+//!   — into a bounded ring, and evaluates [`SloSpec`] objectives over
+//!   sliding epoch windows. The observer's one method,
+//!   [`ServiceObserver::on_sample`], receives each sample with the
+//!   [`SloBreach`]es it tripped. A final *terminal* sample snapshots each
+//!   shard's totals, so sampled series reconcile exactly with the
+//!   shutdown [`ServeReport`] ([`reconcile_samples`]), whose own
+//!   invariants [`ServeReport::check`] tests.
 //! - **Skew resilience** — with [`Sharding::Hash`] keys scatter by
 //!   multiplicative hash, so Zipf-hot key *ranges* cannot pile onto one
 //!   shard (ranges are served by scatter-gather to every shard and merged
@@ -72,7 +73,7 @@ mod ticket;
 
 pub use lane::{QosConfig, TenantId};
 pub use observe::{
-    reconcile_samples, CloseCounts, LatencySummary, ObserveConfig, SeriesCollector, ServeEvent,
+    reconcile_samples, CloseCounts, LatencySummary, ObserveConfig, SeriesCollector,
     ServiceObserver, ShardSample, SloBreach, SloMonitor, SloObjective, SloSpec,
 };
 pub use queue::AdmitPolicy;
@@ -83,7 +84,4 @@ pub use ticket::{Outcome, Ticket};
 
 // Span types live in `eirene-telemetry`; re-exported here because the
 // serving layer is what records them.
-pub use eirene_telemetry::{
-    chrome_trace_with_spans, spans_from_jsonl, spans_to_jsonl, LifecycleSpan, SpanPhase, SpanRing,
-    SPAN_PHASES,
-};
+pub use eirene_telemetry::{spans_from_jsonl, spans_to_jsonl, LifecycleSpan, SpanRing};

@@ -11,9 +11,9 @@
 //! exported, and nothing on the epoch path reads one.
 //!
 //! One switch: a service observes exactly when an observer is registered
-//! in [`ObserveConfig::observer`]. One stream: samples and the SLO
-//! breaches each sample trips both reach it as [`ServeEvent`]s through
-//! [`ServiceObserver::on_event`].
+//! in [`ObserveConfig::observer`]. One stream: every sample reaches it
+//! through [`ServiceObserver::on_sample`], carrying the SLO breaches it
+//! tripped in [`ShardSample::breaches`].
 //!
 //! Overhead without an observer: the admission hot path is untouched (its
 //! counters are the relaxed atomics the report needs anyway), and shard
@@ -192,6 +192,9 @@ pub struct ShardSample {
     pub epoch_latency: CycleHistogram,
     /// Summary of the cumulative completion-latency histogram.
     pub latency: LatencySummary,
+    /// The SLO breaches this sample tripped (at most one per objective;
+    /// empty without an [`SloSpec`]).
+    pub breaches: Vec<SloBreach>,
 }
 
 impl ShardSample {
@@ -410,31 +413,20 @@ impl SloMonitor {
     }
 }
 
-/// One live event of a running service.
-#[derive(Clone, Debug)]
-pub enum ServeEvent {
-    /// A shard finished an epoch (or shut down: the terminal sample).
-    /// Boxed: a sample is many times the size of the other events.
-    Sample(Box<ShardSample>),
-    /// A configured objective was breached at the sample delivered just
-    /// before it on the same shard.
-    Breach(SloBreach),
-}
-
 /// Subscription API: implement this and register it in
-/// [`ObserveConfig::observer`] to receive every [`ServeEvent`] as it
-/// happens. Samples and breaches arrive on the emitting shard's thread
-/// between its epochs — keep the callback short (push to a channel or a
-/// lock-briefly buffer) so it does not stall the shard.
+/// [`ObserveConfig::observer`] to receive every [`ShardSample`], with the
+/// SLO breaches it tripped, as it happens. Samples arrive on the emitting
+/// shard's thread between its epochs — keep the callback short (push to a
+/// channel or a lock-briefly buffer) so it does not stall the shard.
 pub trait ServiceObserver: Send + Sync {
-    fn on_event(&self, event: &ServeEvent);
+    fn on_sample(&self, sample: &ShardSample);
 }
 
-/// Built-in observer that keeps every event, in arrival order, for
+/// Built-in observer that keeps every sample, in arrival order, for
 /// dashboards and JSON export.
 #[derive(Debug, Default)]
 pub struct SeriesCollector {
-    events: Mutex<Vec<ServeEvent>>,
+    samples: Mutex<Vec<ShardSample>>,
 }
 
 impl SeriesCollector {
@@ -444,35 +436,22 @@ impl SeriesCollector {
 
     /// The series, locked: no push panics holding it, so it is never
     /// poisoned.
-    fn series(&self) -> MutexGuard<'_, Vec<ServeEvent>> {
-        self.events.lock().expect("never poisoned")
+    fn series(&self) -> MutexGuard<'_, Vec<ShardSample>> {
+        self.samples.lock().expect("never poisoned")
     }
 
-    /// Snapshot of every event so far, in arrival order (interleaved
-    /// across shards; within a shard, each sample precedes its breaches).
-    pub fn events(&self) -> Vec<ServeEvent> {
+    /// Every sample so far, in arrival order (interleaved across shards;
+    /// monotone epoch ids within a shard).
+    pub fn samples(&self) -> Vec<ShardSample> {
         self.series().clone()
     }
 
-    /// The events `pick` selects, in arrival order.
-    fn filter<T: Clone>(&self, pick: impl Fn(&ServeEvent) -> Option<&T>) -> Vec<T> {
-        self.series().iter().filter_map(pick).cloned().collect()
-    }
-
-    /// Every sample so far (monotone epoch ids within a shard).
-    pub fn samples(&self) -> Vec<ShardSample> {
-        self.filter(|e| match e {
-            ServeEvent::Sample(s) => Some(&**s),
-            _ => None,
-        })
-    }
-
-    /// Every breach event so far.
+    /// Every breach so far, in the order of the samples that tripped them.
     pub fn breaches(&self) -> Vec<SloBreach> {
-        self.filter(|e| match e {
-            ServeEvent::Breach(b) => Some(b),
-            _ => None,
-        })
+        self.series()
+            .iter()
+            .flat_map(|s| s.breaches.iter().cloned())
+            .collect()
     }
 
     /// Latest sample per shard, in shard order.
@@ -484,11 +463,9 @@ impl SeriesCollector {
     /// The collected series as one JSON document (`schema_version` 2).
     pub fn to_json(&self) -> JsonValue {
         let (mut samples, mut breaches) = (Vec::new(), Vec::new());
-        for event in self.series().iter() {
-            match event {
-                ServeEvent::Sample(s) => samples.push(s.to_json()),
-                ServeEvent::Breach(b) => breaches.push(b.to_json()),
-            }
+        for s in self.series().iter() {
+            samples.push(s.to_json());
+            breaches.extend(s.breaches.iter().map(SloBreach::to_json));
         }
         JsonValue::obj(vec![
             ("schema_version", JsonValue::from(2u64)),
@@ -499,8 +476,8 @@ impl SeriesCollector {
 }
 
 impl ServiceObserver for SeriesCollector {
-    fn on_event(&self, event: &ServeEvent) {
-        self.series().push(event.clone());
+    fn on_sample(&self, sample: &ShardSample) {
+        self.series().push(sample.clone());
     }
 }
 
@@ -511,7 +488,7 @@ impl ServiceObserver for SeriesCollector {
 /// none of that work.
 #[derive(Clone, Default)]
 pub struct ObserveConfig {
-    /// Live subscriber for every [`ServeEvent`].
+    /// Live subscriber for every [`ShardSample`].
     pub observer: Option<Arc<dyn ServiceObserver>>,
     /// Objectives to evaluate per shard at every sample.
     pub slo: Option<SloSpec>,
@@ -653,6 +630,7 @@ mod tests {
             },
             latency: LatencySummary::from_hist(&epoch_latency),
             epoch_latency,
+            breaches: Vec::new(),
         }
     }
 
@@ -696,15 +674,21 @@ mod tests {
     #[test]
     fn collector_orders_and_snapshots() {
         let coll = SeriesCollector::new();
+        let mut mon = SloMonitor::new(SloSpec {
+            p99_max_cycles: Some(1),
+            ..SloSpec::default()
+        });
         for (shard, epoch) in [(1, 1), (0, 1), (1, 2)] {
-            coll.on_event(&ServeEvent::Sample(Box::new(sample(
-                shard,
-                epoch,
-                5,
-                0,
-                &[10],
-            ))));
+            let mut s = sample(shard, epoch, 5, 0, &[10]);
+            if shard == 0 {
+                s.breaches = mon.observe(&s);
+            }
+            coll.on_sample(&s);
         }
+        // The breach rides on the sample that tripped it, and the export
+        // still lists it at the top level.
+        assert_eq!(coll.breaches().len(), 1);
+        assert_eq!((coll.breaches()[0].shard, coll.breaches()[0].epoch), (0, 1));
         assert_eq!(coll.samples().len(), 3);
         let latest = coll.latest_per_shard();
         assert_eq!(latest.len(), 2);
@@ -719,6 +703,10 @@ mod tests {
         assert_eq!(
             doc.get("samples").and_then(|v| v.as_arr()).unwrap().len(),
             3
+        );
+        assert_eq!(
+            doc.get("breaches").and_then(|v| v.as_arr()).unwrap().len(),
+            1
         );
     }
 }

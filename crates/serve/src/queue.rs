@@ -164,9 +164,29 @@ struct QueueState {
     /// Entries per tenant, queued or reserved (with quotas only; empty
     /// otherwise): `held[t] <= quota` always holds.
     held: Vec<usize>,
+    gate: Gate,
+}
+
+/// The epoch gate of a queue built gated
+/// ([`ServeConfig::hold_gate`](crate::ServeConfig::hold_gate)): `drain`
+/// blocks while it is `Held`, and the first drain after its release
+/// returns nothing and opens it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Gate {
+    #[default]
+    Open,
+    Held,
+    Released,
 }
 
 impl QueueState {
+    /// Releases a held gate.
+    fn open_gate(&mut self) {
+        if self.gate == Gate::Held {
+            self.gate = Gate::Released;
+        }
+    }
+
     fn room(&self, capacity: usize) -> usize {
         capacity - self.len - self.reserved
     }
@@ -178,7 +198,7 @@ impl QueueState {
 }
 
 /// Everything one [`IngressQueue::drain`] call popped.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Drained {
     pub segments: Vec<Segment>,
     /// [`IngressQueue::pushes`] under the same lock as the pop: every
@@ -272,11 +292,13 @@ pub(crate) struct IngressQueue {
 }
 
 impl IngressQueue {
-    /// A queue that enforces `qos`'s per-tenant quota (none when disabled).
-    pub(crate) fn new(capacity: usize, qos: &QosConfig) -> Self {
+    /// A queue that enforces `qos`'s per-tenant quota (none when disabled)
+    /// and, when `gated`, drains nothing until released.
+    pub(crate) fn new(capacity: usize, qos: &QosConfig, gated: bool) -> Self {
         assert!(capacity > 0, "ingress queue capacity must be positive");
         let state = QueueState {
             held: vec![0; if qos.enabled() { qos.tenants } else { 0 }],
+            gate: if gated { Gate::Held } else { Gate::Open },
             ..QueueState::default()
         };
         IngressQueue {
@@ -347,13 +369,25 @@ impl IngressQueue {
     }
 
     /// Drains every queued segment, in arrival order, and frees its
-    /// tenant's quota room. While none exists and the queue is open, the
-    /// call waits up to `wait`: `Duration::ZERO` does not block, and
-    /// `Duration::MAX` (or any wait too large to add to the clock) has no
-    /// time bound. `finished` is set once the queue is closed and fully
-    /// drained.
+    /// tenant's quota room. The first call on a gated queue blocks,
+    /// whatever `wait`, until the queue is released or closed, and returns
+    /// nothing.
+    /// Otherwise, while no segment exists and the queue is open, it waits
+    /// up to `wait`: `Duration::ZERO` does not block, and `Duration::MAX`
+    /// (or any wait too large to add to the clock) has no time bound.
+    /// `finished` is set once the queue is closed and fully drained.
     pub(crate) fn drain(&self, wait: Duration) -> Drained {
         let mut st = self.state.lock().unwrap();
+        if st.gate != Gate::Open {
+            // The caller may have read its watermark before the release:
+            // gather nothing under it, and let the next drain read one
+            // taken after.
+            while st.gate == Gate::Held {
+                st = self.not_empty.wait(st).unwrap();
+            }
+            st.gate = Gate::Open;
+            return Drained::default();
+        }
         let idle = |st: &QueueState| st.segments.is_empty() && !st.closed;
         if idle(&st) && !wait.is_zero() {
             // An unbounded wait reads no clock.
@@ -385,12 +419,19 @@ impl IngressQueue {
         }
     }
 
-    /// Closes the queue: future pushes and reservations fail, blocked
-    /// pushers wake with their segments back, and `drain` reports
-    /// `finished` once the remainder is popped.
+    /// Opens the epoch gate: `drain` gathers again.
+    pub(crate) fn release(&self) {
+        self.state.lock().unwrap().open_gate();
+        self.not_empty.notify_all();
+    }
+
+    /// Closes the queue, releasing its gate: future pushes and reservations
+    /// fail, blocked pushers wake with their segments back, and `drain`
+    /// reports `finished` once the remainder is popped.
     pub(crate) fn close(&self) {
         let mut st = self.state.lock().unwrap();
         st.closed = true;
+        st.open_gate();
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
@@ -417,7 +458,7 @@ mod tests {
     }
 
     fn queue(capacity: usize) -> IngressQueue {
-        IngressQueue::new(capacity, &QosConfig::disabled())
+        IngressQueue::new(capacity, &QosConfig::disabled(), false)
     }
 
     /// `n` queue slots for tenant 0, as the shed policy reserves them.
@@ -690,8 +731,42 @@ mod tests {
     }
 
     #[test]
+    fn a_gated_queue_drains_nothing_until_released_or_closed() {
+        crate::ticket::tests::watchdog(|| {
+            for close in [false, true] {
+                let q = Arc::new(IngressQueue::new(4, &QosConfig::disabled(), true));
+                fill(&mut slots(&q, 1), seg(&[0])).unwrap();
+                // Even a drain that would not wait blocks while gated, and
+                // returns nothing once the gate opens: the next drain gathers.
+                let q2 = q.clone();
+                let drainer = std::thread::spawn(move || q2.drain(Duration::ZERO));
+                std::thread::sleep(Duration::from_millis(20));
+                assert!(!drainer.is_finished(), "a gated queue drained");
+                assert_eq!(q.depth(), 1);
+                if close {
+                    q.close();
+                } else {
+                    q.release();
+                }
+                let d = drainer.join().unwrap();
+                assert_eq!((d.segments.len(), d.pushes, d.finished), (0, 0, false));
+                let d = q.drain(Duration::ZERO);
+                assert_eq!((d.segments.len(), d.pushes, d.finished), (1, 1, close));
+            }
+            // Released before its first drain, whose caller may have read
+            // its watermark while the gate was held: that drain still
+            // returns nothing.
+            let q = IngressQueue::new(4, &QosConfig::disabled(), true);
+            fill(&mut slots(&q, 1), seg(&[0])).unwrap();
+            q.release();
+            assert!(q.drain(Duration::ZERO).segments.is_empty());
+            assert_eq!(drain_ts(&q), [0]);
+        });
+    }
+
+    #[test]
     fn quota_room_caps_each_tenants_grant_and_frees_once_drained() {
-        let q = IngressQueue::new(8, &QosConfig::uniform(2, 3));
+        let q = IngressQueue::new(8, &QosConfig::uniform(2, 3), false);
         // Room is per tenant, and the queue's room caps it under Shed.
         let mut a = q.reserve(0, 5, true);
         assert_eq!(a.count(), 3);
@@ -713,7 +788,7 @@ mod tests {
 
     #[test]
     fn a_killed_submitter_returns_its_quota_room() {
-        let q = Arc::new(IngressQueue::new(8, &QosConfig::uniform(1, 2)));
+        let q = Arc::new(IngressQueue::new(8, &QosConfig::uniform(1, 2), false));
         let q2 = q.clone();
         let died = std::thread::spawn(move || {
             let _grant = q2.reserve(0, 2, false);

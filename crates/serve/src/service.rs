@@ -47,7 +47,7 @@ use crate::lane::{QosConfig, TenantId};
 use crate::observe::{ObserveConfig, ServiceObserver};
 use crate::queue::{AdmitPolicy, IngressQueue, Segment};
 use crate::report::{ServeReport, ShardReport};
-use crate::shard::{hash_shard, ShardId, ShardMap, Sharding};
+use crate::shard::{hash_shard, ShardMap, Sharding};
 use crate::ticket::{Outcome, Ticket};
 use eirene_baselines::common::ConcurrentTree;
 use eirene_btree::refops;
@@ -56,7 +56,7 @@ use eirene_sim::{DeviceConfig, ScheduleLog};
 use eirene_workloads::{Batch, Key, OpKind};
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,11 +103,11 @@ pub struct ServeConfig {
     /// them to finish its submission call, however long that takes,
     /// instead of for the service time.
     pub linger: Duration,
-    /// Start with the epoch gate held: combiners do not consume until
-    /// [`Service::release`]. Tests use this to make epoch composition
-    /// deterministic. With [`AdmitPolicy::Block`], submitting more than
-    /// the total queue capacity while the gate is held deadlocks (nothing
-    /// drains) — release the gate from another thread first.
+    /// Start with every shard's ingress queue gated: combiners gather
+    /// nothing until [`Service::release`]. Tests use this to make epoch
+    /// composition deterministic. With [`AdmitPolicy::Block`], submitting
+    /// more than the total queue capacity while the gate is held deadlocks
+    /// (nothing drains) — release the gate from another thread first.
     pub hold_gate: bool,
     /// Per-shard arena headroom in nodes.
     pub headroom_nodes: usize,
@@ -175,9 +175,11 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    pub(crate) fn new(capacity: usize, qos: &QosConfig) -> Self {
+    /// A shard whose queue holds `capacity` requests, enforces `qos`'s
+    /// quota and starts `gated` (see [`ServeConfig::hold_gate`]).
+    pub(crate) fn new(capacity: usize, qos: &QosConfig, gated: bool) -> Self {
         ShardState {
-            queue: IngressQueue::new(capacity, qos),
+            queue: IngressQueue::new(capacity, qos, gated),
             enqueued: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             tenant_shed: (0..qos.num_tenants()).map(|_| AtomicU64::new(0)).collect(),
@@ -194,20 +196,6 @@ impl ShardState {
     pub(crate) fn record_shed(&self, n: u64, tenant: TenantId) {
         self.shed.fetch_add(n, Relaxed);
         self.tenant_shed[tenant].fetch_add(n, Relaxed);
-    }
-}
-
-impl Inner {
-    fn wait_gate(&self) {
-        let mut held = self.gate.lock().unwrap();
-        while *held {
-            held = self.gate_cv.wait(held).unwrap();
-        }
-    }
-
-    fn release_gate(&self) {
-        *self.gate.lock().unwrap() = false;
-        self.gate_cv.notify_all();
     }
 }
 
@@ -232,11 +220,6 @@ impl Client {
             inner: self.inner.clone(),
             tenant,
         }
-    }
-
-    /// The tenant this handle submits as.
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
     }
 
     /// Submits a request; the returned [`Ticket`] resolves once its epoch
@@ -279,16 +262,6 @@ impl Client {
         let ops = ops.iter().map(|&(k, o, at)| (k, o, Some(at)));
         self.inner.submit_many(ops.len(), ops, None, self.tenant)
     }
-
-    /// The service's shard map.
-    pub fn map(&self) -> &ShardMap {
-        &self.inner.map
-    }
-
-    /// Current ingress-queue depth of one shard.
-    pub fn queue_depth(&self, shard: ShardId) -> usize {
-        self.inner.shards[shard].queue.depth()
-    }
 }
 
 /// A running sharded serving instance: `N` shards, each owning one device
@@ -327,12 +300,10 @@ impl Service {
             map: cfg.map.clone(),
             sharding: cfg.sharding,
             shards: (0..num_shards)
-                .map(|_| ShardState::new(cfg.queue_depth, &cfg.qos))
+                .map(|_| ShardState::new(cfg.queue_depth, &cfg.qos, cfg.hold_gate))
                 .collect(),
             next_ts: AtomicU64::new(0),
             inflight: Inflight::new(),
-            gate: Mutex::new(cfg.hold_gate),
-            gate_cv: Condvar::new(),
             policy: cfg.policy,
             qos: cfg.qos.clone(),
         });
@@ -396,20 +367,21 @@ impl Service {
         }
     }
 
-    /// Opens the epoch gate (no-op unless the service was built with
-    /// [`ServeConfig::hold_gate`]).
+    /// Opens every shard queue's epoch gate (no-op unless the service was
+    /// built with [`ServeConfig::hold_gate`]).
     pub fn release(&self) {
-        self.inner.release_gate();
+        for state in &self.inner.shards {
+            state.queue.release();
+        }
     }
 
-    /// Drains and stops the service: closes admission, executes every
-    /// already-admitted epoch, joins the shard threads, and returns the
-    /// final report.
+    /// Drains and stops the service: closes admission (which opens any
+    /// held gate), executes every already-admitted epoch, joins the shard
+    /// threads, and returns the final report.
     pub fn shutdown(self) -> ServeReport {
         for state in &self.inner.shards {
             state.queue.close();
         }
-        self.inner.release_gate();
         let mut shards: Vec<ShardReport> = self
             .shards
             .into_iter()
@@ -429,7 +401,6 @@ impl Service {
 fn shard_loop(inner: &Inner, mut ex: Executor, mut combiner: Combiner) -> ShardReport {
     let state = ex.state;
     loop {
-        inner.wait_gate();
         let mut effect = combiner.turn(TurnView {
             now: Instant::now(),
             executor: ex.view,
@@ -521,10 +492,7 @@ impl Executor<'_> {
             // boundary, so the arena's `retired` is quarantine that
             // survived the advance (normally 0).
             let arena = tree.device().mem().slab_stats();
-            let sample = books.sample(Some(&epoch), state, arena);
-            for event in books.events(sample) {
-                observer.on_event(&event);
-            }
+            observer.on_sample(&books.sample(Some(&epoch), state, arena));
         }
     }
 
@@ -553,9 +521,7 @@ impl Executor<'_> {
         // reconcile exactly with the final report.
         let terminal = self.books.sample(None, self.state, mem.slab_stats());
         if let Some(observer) = &self.observer {
-            for event in self.books.events(terminal.clone()) {
-                observer.on_event(&event);
-            }
+            observer.on_sample(&terminal);
         }
         let schedule = tree.device().take_schedule_log();
         self.books.finish(terminal, schedule, contents, structure)
@@ -565,7 +531,7 @@ impl Executor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::ServeEvent;
+    use crate::observe::{ShardSample, SloBreach};
     use crate::ticket::{Slot, TicketBatch};
     use eirene_workloads::{Oracle, Request, Response, SequentialOracle};
 
@@ -744,10 +710,8 @@ mod tests {
         /// after the epoch's tickets resolved.
         struct Faulty;
         impl ServiceObserver for Faulty {
-            fn on_event(&self, event: &ServeEvent) {
-                if let ServeEvent::Sample(sample) = event {
-                    assert!(sample.shard != 1, "observer fault on shard 1");
-                }
+            fn on_sample(&self, sample: &ShardSample) {
+                assert!(sample.shard != 1, "observer fault on shard 1");
             }
         }
         crate::ticket::tests::watchdog(|| {
@@ -811,7 +775,7 @@ mod tests {
 
     #[test]
     fn epoch_releasing_snapshots_the_push_count_before_anyone_is_back() {
-        let state = ShardState::new(4, &QosConfig::disabled());
+        let state = ShardState::new(4, &QosConfig::disabled(), false);
         let call = || {
             let mut seg = Segment::new(TicketBatch::new(1), None, 0, 1);
             seg.push(Request::query(1, 0), Slot::Cell(0), 0);
@@ -997,8 +961,8 @@ mod tests {
         for t in &tickets {
             assert!(matches!(t.wait(), Outcome::Done(_)));
         }
-        // check also tests the span invariants (count, monotonicity,
-        // telescoping, histogram-sum agreement).
+        // check also tests the span invariants (count, arrival <= start <=
+        // end, histogram-sum agreement).
         report.check().unwrap();
         assert!(report.shards.iter().all(|s| s.spans_enabled));
         assert_eq!(report.spans().len() as u64, report.executed());
@@ -1025,19 +989,16 @@ mod tests {
             samples.iter().filter(|s| s.terminal).count(),
             report.shards.len()
         );
-        // The impossible SLO tripped, and every breach reached the
-        // observer after the sample of its shard and epoch.
+        // The impossible SLO tripped, and each breach sits on the sample
+        // of its shard and epoch.
         assert!(!collector.breaches().is_empty());
-        let mut sampled = std::collections::HashSet::new();
-        for event in collector.events() {
-            match event {
-                ServeEvent::Sample(s) => assert!(sampled.insert((s.shard, s.epoch))),
-                ServeEvent::Breach(b) => assert!(
-                    sampled.contains(&(b.shard, b.epoch)),
-                    "breach before its sample: {b}"
-                ),
-            }
+        for s in &samples {
+            let on_its_sample = |b: &SloBreach| (b.shard, b.epoch) == (s.shard, s.epoch);
+            assert!(s.breaches.iter().all(on_its_sample));
         }
+        assert!(samples
+            .iter()
+            .any(|s| !s.terminal && !s.breaches.is_empty()));
     }
 
     #[test]
@@ -1062,14 +1023,12 @@ mod tests {
         assert_eq!(spans.len(), 2);
         let by_ts = |ts: u64| *spans.iter().find(|s| s.id == ts).unwrap();
         let (s0, s1) = (by_ts(0), by_ts(1));
-        // Submit and enqueue stamp the virtual arrival.
-        assert_eq!(s0.stamps[0], 100);
-        assert_eq!(s1.stamps[0], 700);
-        // Same epoch: both released at the same epoch start, which waits
-        // for the later arrival.
+        assert_eq!((s0.arrival, s1.arrival), (100, 700));
+        // Same epoch: both start at the same epoch start, which waits for
+        // the later arrival.
         if s0.epoch == s1.epoch {
-            assert_eq!(s0.stamps[2], s1.stamps[2]);
-            assert!(s0.stamps[2] >= 700);
+            assert_eq!(s0.start, s1.start);
+            assert!(s0.start >= 700);
         }
         // Per-span totals sum to the histogram's exact latency sum.
         assert_eq!(

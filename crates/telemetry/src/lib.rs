@@ -19,10 +19,8 @@
 //!   collects per-run measurement documents and tables and serializes
 //!   them to JSON, plus a chrome://tracing exporter for event timelines.
 //! * [`LifecycleSpan`] / [`SpanRing`] — the serving layer's per-ticket
-//!   lifecycle spans (submit → enqueue → reorder-release → combine →
-//!   execute → complete, stamped in virtual-clock cycles) in a bounded
-//!   per-shard ring, with JSON-lines export and a chrome://tracing merge
-//!   ([`chrome_trace_with_spans`], one track per shard).
+//!   lifecycle spans (arrival, epoch start and epoch end, in virtual-clock
+//!   cycles) in a bounded per-shard ring, with JSON-lines export.
 
 mod hist;
 mod json;
@@ -35,5 +33,5 @@ pub use hist::{CycleHistogram, MAX_BUCKETS};
 pub use json::JsonValue;
 pub use phase::{Phase, PhaseStats, PhaseTable, PHASE_COUNT};
 pub use sink::MetricsSink;
-pub use span::{spans_from_jsonl, spans_to_jsonl, LifecycleSpan, SpanPhase, SpanRing, SPAN_PHASES};
-pub use trace::{chrome_trace, chrome_trace_with_spans, TraceEvent, TraceEventKind};
+pub use span::{spans_from_jsonl, spans_to_jsonl, LifecycleSpan, SpanRing};
+pub use trace::{chrome_trace, TraceEvent, TraceEventKind};

@@ -1,68 +1,21 @@
 //! Per-ticket lifecycle spans and the bounded ring that holds them.
 //!
-//! A [`LifecycleSpan`] records the virtual-clock cycle at which one served
-//! request crossed each pipeline phase boundary — submit, enqueue,
-//! reorder-release, combine, execute, complete — together with the epoch
-//! it executed in and the track (shard) it ran on. Stamps are
-//! non-decreasing, so consecutive differences are per-phase dwell times
-//! and they telescope: the deltas sum exactly to `complete - submit`, the
-//! request's reported end-to-end latency.
+//! A [`LifecycleSpan`] records the three virtual-clock instants a served
+//! request has — it arrived at its shard, its epoch started, its epoch
+//! ended — together with the epoch it executed in and the track (shard) it
+//! ran on. `start - arrival` is the request's queue wait, `end - start` its
+//! epoch's service time, and `end - arrival` its reported end-to-end
+//! latency.
 //!
 //! Spans are recorded into a bounded per-shard [`SpanRing`]: O(capacity)
 //! memory however long the service runs, with a drop counter so exports
-//! can state what was truncated. Export formats: JSON-lines
-//! ([`spans_to_jsonl`], one span per line, streaming-friendly) and
-//! chrome://tracing via
-//! [`chrome_trace_with_spans`](crate::trace::chrome_trace_with_spans).
+//! can state what was truncated. Export format: JSON-lines
+//! ([`spans_to_jsonl`], one span per line, streaming-friendly).
 
 use crate::json::JsonValue;
 use std::collections::VecDeque;
 
-/// Number of lifecycle phases a span stamps.
-pub const SPAN_PHASES: usize = 6;
-
-/// The lifecycle phase boundaries of a served request, in order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpanPhase {
-    /// Timestamp drawn; the request entered admission (its virtual
-    /// arrival time for offered-load runs, 0 for live submissions).
-    Submit,
-    /// Fully enqueued on its shard's ingress queue.
-    Enqueue,
-    /// Released from the reorder stage (its timestamp passed under the
-    /// watermark and it was popped into an epoch).
-    ReorderRelease,
-    /// Its epoch's combine plan was built.
-    Combine,
-    /// Its epoch began executing on the shard's device.
-    Execute,
-    /// Its epoch finished; the ticket resolved.
-    Complete,
-}
-
-impl SpanPhase {
-    pub const ALL: [SpanPhase; SPAN_PHASES] = [
-        SpanPhase::Submit,
-        SpanPhase::Enqueue,
-        SpanPhase::ReorderRelease,
-        SpanPhase::Combine,
-        SpanPhase::Execute,
-        SpanPhase::Complete,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanPhase::Submit => "submit",
-            SpanPhase::Enqueue => "enqueue",
-            SpanPhase::ReorderRelease => "reorder_release",
-            SpanPhase::Combine => "combine",
-            SpanPhase::Execute => "execute",
-            SpanPhase::Complete => "complete",
-        }
-    }
-}
-
-/// One request's recorded lifecycle.
+/// One request's recorded lifecycle, in virtual-clock cycles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LifecycleSpan {
     /// The request's globally unique admission timestamp.
@@ -71,31 +24,23 @@ pub struct LifecycleSpan {
     pub track: u32,
     /// Epoch the request executed in (per-track, starting at 1).
     pub epoch: u64,
-    /// Virtual-clock cycle of each [`SpanPhase`] boundary, in
-    /// [`SpanPhase::ALL`] order. Non-decreasing.
-    pub stamps: [u64; SPAN_PHASES],
+    /// The request arrived at its shard: admission, or its `submit_at` time.
+    pub arrival: u64,
+    /// Its epoch began executing on the shard's device.
+    pub start: u64,
+    /// Its epoch finished; the ticket resolved.
+    pub end: u64,
 }
 
 impl LifecycleSpan {
-    /// Whether the stamps are non-decreasing in phase order.
+    /// Whether `arrival <= start <= end`.
     pub fn is_monotone(&self) -> bool {
-        self.stamps.windows(2).all(|w| w[0] <= w[1])
+        self.arrival <= self.start && self.start <= self.end
     }
 
-    /// Cycles spent between consecutive phase boundaries.
-    pub fn phase_deltas(&self) -> [u64; SPAN_PHASES - 1] {
-        let mut d = [0u64; SPAN_PHASES - 1];
-        for (i, slot) in d.iter_mut().enumerate() {
-            *slot = self.stamps[i + 1].saturating_sub(self.stamps[i]);
-        }
-        d
-    }
-
-    /// End-to-end cycles, submit to complete. Equals the sum of
-    /// [`phase_deltas`](LifecycleSpan::phase_deltas) whenever the span is
-    /// monotone (the deltas telescope).
+    /// End-to-end cycles, arrival to end.
     pub fn total_cycles(&self) -> u64 {
-        self.stamps[SPAN_PHASES - 1].saturating_sub(self.stamps[0])
+        self.end.saturating_sub(self.arrival)
     }
 
     pub fn to_json(&self) -> JsonValue {
@@ -103,30 +48,21 @@ impl LifecycleSpan {
             ("ticket", JsonValue::from(self.id)),
             ("shard", JsonValue::from(self.track)),
             ("epoch", JsonValue::from(self.epoch)),
-            (
-                "stamps",
-                JsonValue::Obj(
-                    SpanPhase::ALL
-                        .iter()
-                        .zip(self.stamps.iter())
-                        .map(|(p, &c)| (p.name().to_string(), JsonValue::from(c)))
-                        .collect(),
-                ),
-            ),
+            ("arrival", JsonValue::from(self.arrival)),
+            ("start", JsonValue::from(self.start)),
+            ("end", JsonValue::from(self.end)),
         ])
     }
 
     pub fn from_json(doc: &JsonValue) -> Option<LifecycleSpan> {
-        let stamps_doc = doc.get("stamps")?;
-        let mut stamps = [0u64; SPAN_PHASES];
-        for (i, p) in SpanPhase::ALL.iter().enumerate() {
-            stamps[i] = stamps_doc.get(p.name())?.as_u64()?;
-        }
+        let field = |name| doc.get(name)?.as_u64();
         Some(LifecycleSpan {
-            id: doc.get("ticket")?.as_u64()?,
-            track: doc.get("shard")?.as_u64()? as u32,
-            epoch: doc.get("epoch")?.as_u64()?,
-            stamps,
+            id: field("ticket")?,
+            track: u32::try_from(field("shard")?).ok()?,
+            epoch: field("epoch")?,
+            arrival: field("arrival")?,
+            start: field("start")?,
+            end: field("end")?,
         })
     }
 }
@@ -220,23 +156,31 @@ mod tests {
             id,
             track: 2,
             epoch: 5,
-            stamps: [base, base, base + 10, base + 10, base + 12, base + 40],
+            arrival: base,
+            start: base + 10,
+            end: base + 40,
         }
     }
 
     #[test]
-    fn deltas_telescope_to_total() {
+    fn total_runs_from_arrival_to_end() {
         let s = span(9, 100);
         assert!(s.is_monotone());
-        assert_eq!(s.phase_deltas().iter().sum::<u64>(), s.total_cycles());
         assert_eq!(s.total_cycles(), 40);
     }
 
     #[test]
     fn non_monotone_spans_are_detected() {
-        let mut s = span(1, 50);
-        s.stamps[3] = 10;
-        assert!(!s.is_monotone());
+        let early_start = LifecycleSpan {
+            start: 40,
+            ..span(1, 50)
+        };
+        let early_end = LifecycleSpan {
+            end: 55,
+            ..span(1, 50)
+        };
+        assert!(!early_start.is_monotone());
+        assert!(!early_end.is_monotone());
     }
 
     #[test]
@@ -260,9 +204,13 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips() {
+    fn jsonl_round_trips_the_three_stamps() {
         let spans = vec![span(1, 0), span(2, 1000)];
         let text = spans_to_jsonl(&spans);
+        assert_eq!(
+            text.lines().next(),
+            Some(r#"{"ticket":1,"shard":2,"epoch":5,"arrival":0,"start":10,"end":40}"#)
+        );
         assert_eq!(text.lines().count(), 2);
         let back = spans_from_jsonl(&text).unwrap();
         assert_eq!(back, spans);

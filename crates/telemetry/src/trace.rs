@@ -7,7 +7,6 @@
 //! per warp, timestamped in simulated cycles.
 
 use crate::json::JsonValue;
-use crate::span::{LifecycleSpan, SpanPhase, SPAN_PHASES};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEventKind {
@@ -51,8 +50,9 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-fn instant_entries(events: &[TraceEvent]) -> Vec<JsonValue> {
-    events
+/// Renders events in Trace Event Format.
+pub fn chrome_trace(events: &[TraceEvent]) -> JsonValue {
+    let entries = events
         .iter()
         .map(|e| {
             JsonValue::obj(vec![
@@ -68,56 +68,7 @@ fn instant_entries(events: &[TraceEvent]) -> Vec<JsonValue> {
                 ),
             ])
         })
-        .collect()
-}
-
-/// Serve-layer track: pid 1 keeps lifecycle spans apart from the warp
-/// instant events on pid 0, with one tid (track) per shard.
-const SPAN_PID: u64 = 1;
-
-/// Renders one lifecycle span as duration ("ph":"X") segments on its
-/// shard's track — one segment per phase interval, named after the phase
-/// the request was leaving (e.g. the `enqueue` segment is the queue wait
-/// between enqueue and reorder-release). Zero-length intervals are kept:
-/// they show the pipeline order even when phases coincide on the virtual
-/// clock.
-fn span_entries(span: &LifecycleSpan, out: &mut Vec<JsonValue>) {
-    for i in 0..SPAN_PHASES - 1 {
-        out.push(JsonValue::obj(vec![
-            ("name", JsonValue::from(SpanPhase::ALL[i].name())),
-            ("ph", JsonValue::from("X")),
-            ("ts", JsonValue::from(span.stamps[i])),
-            (
-                "dur",
-                JsonValue::from(span.stamps[i + 1].saturating_sub(span.stamps[i])),
-            ),
-            ("pid", JsonValue::from(SPAN_PID)),
-            ("tid", JsonValue::from(span.track as u64)),
-            (
-                "args",
-                JsonValue::obj(vec![
-                    ("ticket", JsonValue::from(span.id)),
-                    ("epoch", JsonValue::from(span.epoch)),
-                ]),
-            ),
-        ]));
-    }
-}
-
-/// Renders events in Trace Event Format.
-pub fn chrome_trace(events: &[TraceEvent]) -> JsonValue {
-    chrome_trace_with_spans(events, &[])
-}
-
-/// Renders warp instant events merged with per-ticket lifecycle spans:
-/// warp events keep their per-warp tracks on pid 0, spans get one track
-/// per shard on pid 1, both on the same simulated-cycle timeline.
-pub fn chrome_trace_with_spans(events: &[TraceEvent], spans: &[LifecycleSpan]) -> JsonValue {
-    let mut entries = instant_entries(events);
-    entries.reserve(spans.len() * (SPAN_PHASES - 1));
-    for span in spans {
-        span_entries(span, &mut entries);
-    }
+        .collect();
     JsonValue::obj(vec![
         ("traceEvents", JsonValue::Arr(entries)),
         ("displayTimeUnit", JsonValue::from("ns")),
@@ -159,48 +110,6 @@ mod tests {
                 .and_then(|a| a.get("arg"))
                 .and_then(|v| v.as_u64()),
             Some(5)
-        );
-    }
-
-    #[test]
-    fn spans_merge_as_duration_events_on_shard_tracks() {
-        let warp_events = [TraceEvent {
-            kind: TraceEventKind::NodeSplit,
-            warp: 1,
-            cycle: 10,
-            arg: 0,
-        }];
-        let span = LifecycleSpan {
-            id: 42,
-            track: 3,
-            epoch: 2,
-            stamps: [0, 0, 100, 100, 110, 200],
-        };
-        let doc = chrome_trace_with_spans(&warp_events, &[span]);
-        let entries = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
-        // 1 instant event + 5 phase segments.
-        assert_eq!(entries.len(), 1 + SPAN_PHASES - 1);
-        let seg = &entries[1];
-        assert_eq!(seg.get("ph").and_then(|v| v.as_str()), Some("X"));
-        assert_eq!(seg.get("pid").and_then(|v| v.as_u64()), Some(SPAN_PID));
-        assert_eq!(seg.get("tid").and_then(|v| v.as_u64()), Some(3));
-        // Segment durations tile the span: they sum to complete - submit.
-        let total: u64 = entries[1..]
-            .iter()
-            .map(|e| e.get("dur").and_then(|v| v.as_u64()).unwrap())
-            .sum();
-        assert_eq!(total, span.total_cycles());
-        // The execute segment carries the ticket id for cross-referencing
-        // with the JSON-lines export.
-        let exec = entries
-            .iter()
-            .find(|e| e.get("name").and_then(|v| v.as_str()) == Some("execute"))
-            .unwrap();
-        assert_eq!(
-            exec.get("args")
-                .and_then(|a| a.get("ticket"))
-                .and_then(|v| v.as_u64()),
-            Some(42)
         );
     }
 }

@@ -15,6 +15,6 @@ mod spec;
 mod zipf;
 
 pub use oracle::{Oracle, SequentialOracle};
-pub use request::{range_window, Batch, Key, OpKind, Request, Response, Value, NULL_VALUE};
+pub use request::{range_window, Batch, Key, OpKind, Request, Response, Value};
 pub use spec::{Distribution, Mix, ShardedGen, WorkloadGen, WorkloadSpec};
 pub use zipf::Zipfian;

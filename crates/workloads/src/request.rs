@@ -5,10 +5,6 @@ pub type Key = u32;
 /// Value type: the paper evaluates 32-bit values (§8.1).
 pub type Value = u32;
 
-/// Sentinel used inside device memory to mean "no value". Keys and values
-/// produced by the generators never collide with it.
-pub const NULL_VALUE: u64 = u64::MAX;
-
 /// The inclusive key window `[lo, hi]` a range query of `len` keys
 /// starting at `lo` covers: `None` when `len == 0` (the response is the
 /// empty vector and no tree is touched), saturating at the top of the key

@@ -22,25 +22,25 @@
 //! ```
 
 use eirene::serve::{
-    reconcile_samples, AdmitPolicy, ObserveConfig, Outcome, SeriesCollector, ServeConfig,
-    ServeEvent, Service, ServiceObserver, ShardMap, SloSpec,
+    reconcile_samples, AdmitPolicy, ObserveConfig, Outcome, SeriesCollector, ServeConfig, Service,
+    ServiceObserver, ShardMap, ShardSample, SloSpec,
 };
 use eirene::sim::DeviceConfig;
 use eirene::workloads::OpKind;
 use std::sync::Arc;
 
-/// Forwards every event into a [`SeriesCollector`] for post-hoc analysis
-/// and additionally prints breaches the moment they happen.
+/// Forwards every sample into a [`SeriesCollector`] for post-hoc analysis
+/// and additionally prints the breaches it carries the moment they happen.
 struct LiveObserver {
     collector: Arc<SeriesCollector>,
 }
 
 impl ServiceObserver for LiveObserver {
-    fn on_event(&self, event: &ServeEvent) {
-        if let ServeEvent::Breach(breach) = event {
+    fn on_sample(&self, sample: &ShardSample) {
+        for breach in &sample.breaches {
             println!("   !! {breach}");
         }
-        self.collector.on_event(event);
+        self.collector.on_sample(sample);
     }
 }
 
