@@ -1,10 +1,13 @@
 //! Shared infrastructure for all concurrent trees: the batch-execution
-//! trait, device construction, and device-side node loads.
+//! trait, device construction, device-side node loads, and the code every
+//! tree runs the same way — the thread-per-request batch loop, the plain
+//! descent, the leaf lookup and the leaf-chain range scan — so their
+//! charges are one definition, not copies that agree.
 
 use eirene_btree::build::{arena_budget, bulk_build, TreeHandle};
 use eirene_btree::node::{meta_is_locked, ParsedNode, OFF_META, OFF_VERSION};
-use eirene_sim::{Addr, Device, DeviceConfig, KernelStats, WarpCtx};
-use eirene_workloads::{Batch, Response};
+use eirene_sim::{Addr, Device, DeviceConfig, KernelStats, Phase, WarpCtx};
+use eirene_workloads::{Batch, Request, Response};
 
 /// Result of running one batch: positionally-aligned responses plus the
 /// merged execution statistics (all kernels, and for Eirene the combining
@@ -59,9 +62,9 @@ impl TreeBase {
 }
 
 /// Request indices processed by warp `wid` when `n` requests are assigned
-/// 32 per warp in order.
+/// `warp_size` per warp in order.
 #[inline]
-pub fn warp_span(n: usize, wid: usize, warp_size: usize) -> std::ops::Range<usize> {
+fn warp_span(n: usize, wid: usize, warp_size: usize) -> std::ops::Range<usize> {
     let lo = wid * warp_size;
     let hi = ((wid + 1) * warp_size).min(n);
     lo..hi
@@ -69,7 +72,7 @@ pub fn warp_span(n: usize, wid: usize, warp_size: usize) -> std::ops::Range<usiz
 
 /// Number of warps needed for `n` requests.
 #[inline]
-pub fn warps_for(n: usize, warp_size: usize) -> usize {
+fn warps_for(n: usize, warp_size: usize) -> usize {
     n.div_ceil(warp_size)
 }
 
@@ -81,21 +84,122 @@ pub const NODE_SEARCH_CONTROL: u64 = 12;
 /// Control-flow cost of one leaf-chain hop decision.
 pub const HOP_CONTROL: u64 = 4;
 
-/// Charges the device cost of fetching one request from the batch array
-/// and writing its result back (coalesced across the warp in the real
-/// system; identical for every tree, so it cancels in comparisons but
-/// keeps absolute per-request instruction counts honest).
+/// Runs `batch` on `base` thread-per-request as kernel `name`: warp `w`
+/// serves requests `w * warp_size ..` one at a time, each between
+/// `begin_request` and `end_request` and charged its request I/O, and
+/// `process` answers it with the worker slot's `S` lent.
+pub(crate) fn run_per_request<S: Default + Send>(
+    base: &TreeBase,
+    name: &str,
+    batch: &Batch,
+    process: impl Fn(&mut WarpCtx<'_>, &mut S, &TreeHandle, Request) -> Response + Sync,
+) -> BatchRun {
+    let TreeBase { device, handle } = base;
+    let (n, ws) = (batch.len(), device.config().warp_size);
+    let buf = ResponseBuf::new(n);
+    let stats = device.launch_with(name, warps_for(n, ws), false, |wid, ctx, slot: &mut S| {
+        for i in warp_span(n, wid, ws) {
+            ctx.begin_request();
+            ctx.charge_request_io();
+            let resp = process(ctx, slot, handle, batch.requests[i]);
+            buf.set(i, resp);
+            ctx.end_request();
+        }
+    });
+    BatchRun {
+        responses: buf.into_vec(),
+        stats,
+    }
+}
+
+/// Descends from the root to the leaf responsible for `key`, loading each
+/// node into `node` with `load` ([`ParsedNode::load`] or
+/// [`seqlock_load`]), and hops right across leaf splits
+/// (Lehman-Yao). Returns the leaf address; `node` holds its snapshot.
+pub(crate) fn descend(
+    ctx: &mut WarpCtx<'_>,
+    handle: &TreeHandle,
+    key: u64,
+    node: &mut ParsedNode,
+    load: impl Fn(&mut ParsedNode, &mut WarpCtx<'_>, Addr),
+) -> Addr {
+    let outer = ctx.set_phase(Phase::VerticalTraversal);
+    let mut addr = ctx.read(handle.root_word);
+    ctx.stats.vertical_traversals += 1;
+    load(node, ctx, addr);
+    ctx.stats.vertical_steps += 1;
+    while !node.is_leaf() {
+        ctx.control(NODE_SEARCH_CONTROL);
+        addr = node.vals()[node.child_slot(key)];
+        load(node, ctx, addr);
+        ctx.stats.vertical_steps += 1;
+    }
+    ctx.set_phase(Phase::HorizontalTraversal);
+    while key >= node.high() && node.next() != 0 {
+        ctx.control(HOP_CONTROL);
+        addr = node.next();
+        load(node, ctx, addr);
+        ctx.stats.horizontal_steps += 1;
+    }
+    ctx.control(1);
+    ctx.set_phase(outer);
+    addr
+}
+
+/// The leaf operation of a point lookup: searches the loaded `leaf` for
+/// `key` and returns its value.
 #[inline]
-pub fn charge_request_io(ctx: &mut WarpCtx<'_>) {
-    ctx.charge_request_io();
+pub fn find_in_leaf(ctx: &mut WarpCtx<'_>, leaf: &ParsedNode, key: u64) -> Option<u64> {
+    let prev = ctx.set_phase(Phase::LeafOp);
+    ctx.control(NODE_SEARCH_CONTROL);
+    let value = leaf.find(key).map(|i| leaf.vals()[i]);
+    ctx.set_phase(prev);
+    value
+}
+
+/// The leaf operation of a range query over `lo..=hi`: scans the leaf
+/// chain from `first`, the loaded leaf owning `lo`, and hands each key in
+/// the window to `hit` as `(key - lo, value)`. Later leaves load with
+/// `load` into `walk`, a buffer the caller lends, so `first` is read in
+/// place.
+pub fn scan_leaves(
+    ctx: &mut WarpCtx<'_>,
+    first: &ParsedNode,
+    walk: &mut ParsedNode,
+    (lo, hi): (u64, u64),
+    load: impl Fn(&mut ParsedNode, &mut WarpCtx<'_>, Addr),
+    mut hit: impl FnMut(usize, u64),
+) {
+    let prev = ctx.set_phase(Phase::LeafOp);
+    let mut leaf = first;
+    loop {
+        for i in 0..leaf.count() {
+            let k = leaf.keys()[i];
+            if k >= lo && k <= hi {
+                hit((k - lo) as usize, leaf.vals()[i]);
+            }
+        }
+        ctx.control(leaf.count() as u64 + 2);
+        if hi < leaf.high() || leaf.next() == 0 {
+            break;
+        }
+        ctx.set_phase(Phase::HorizontalTraversal);
+        let next = leaf.next();
+        load(walk, ctx, next);
+        leaf = walk;
+        ctx.stats.horizontal_steps += 1;
+        ctx.set_phase(Phase::LeafOp);
+    }
+    ctx.set_phase(prev);
 }
 
 /// Seqlock-style consistent node load into `node`, used by the Lock
 /// GB-tree: loads the block, then re-reads META and VERSION; if the node
 /// was locked or its version moved during the read, the load retries
 /// (`stats.version_conflicts` counts the retries). A plain, unsynchronized
-/// load is [`ParsedNode::load`] itself.
-pub fn seqlock_load(ctx: &mut WarpCtx<'_>, addr: Addr, node: &mut ParsedNode) {
+/// load is [`ParsedNode::load`] itself, whose argument order this shares,
+/// so either is the node loader of the plain descent and [`scan_leaves`].
+pub fn seqlock_load(node: &mut ParsedNode, ctx: &mut WarpCtx<'_>, addr: Addr) {
     loop {
         node.load(ctx, addr);
         let meta2 = ctx.read(addr + OFF_META);
@@ -114,7 +218,7 @@ pub fn seqlock_load(ctx: &mut WarpCtx<'_>, addr: Addr, node: &mut ParsedNode) {
 /// Each request index is owned by exactly one warp (the one its request is
 /// assigned to), so disjoint writes need no synchronization — the same
 /// discipline as a device-side results array.
-pub struct ResponseBuf {
+struct ResponseBuf {
     data: std::cell::UnsafeCell<Vec<Response>>,
 }
 
@@ -123,7 +227,7 @@ pub struct ResponseBuf {
 unsafe impl Sync for ResponseBuf {}
 
 impl ResponseBuf {
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         ResponseBuf {
             data: std::cell::UnsafeCell::new(vec![Response::Done; n]),
         }
@@ -132,7 +236,7 @@ impl ResponseBuf {
     /// Stores the response for request `idx`. Must be called at most once
     /// per index across all warps.
     #[allow(clippy::mut_from_ref)]
-    pub fn set(&self, idx: usize, resp: Response) {
+    fn set(&self, idx: usize, resp: Response) {
         // SAFETY: disjoint-index discipline documented on the type; the
         // write goes through a raw element pointer so no &mut to the whole
         // vector is ever formed.
@@ -144,7 +248,7 @@ impl ResponseBuf {
         }
     }
 
-    pub fn into_vec(self) -> Vec<Response> {
+    fn into_vec(self) -> Vec<Response> {
         self.data.into_inner()
     }
 }
@@ -199,7 +303,7 @@ mod tests {
         let mut stats = WarpStats::default();
         let mut ctx = WarpCtx::new(base.device.mem(), base.device.config(), 0, &mut stats);
         let mut snap = ParsedNode::default();
-        seqlock_load(&mut ctx, root, &mut snap);
+        seqlock_load(&mut snap, &mut ctx, root);
         assert!(snap.count() > 0);
         assert_eq!(ctx.stats.version_conflicts, 0);
     }

@@ -11,7 +11,9 @@
 //!   word-based eager STM.
 //!
 //! All three run on the same simulator and the same node layout as Eirene,
-//! so instruction counts, conflicts and makespans are directly comparable.
+//! so instruction counts, conflicts and makespans are directly comparable;
+//! the leaf lookup and range scan (Eirene's query phase too), the plain
+//! descent and the per-request batch loop are one copy, in [`common`].
 //! None of them is linearizable — requests race on keys exactly as in the
 //! original systems, which the linearizability tests demonstrate.
 

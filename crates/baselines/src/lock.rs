@@ -17,7 +17,7 @@
 //! the same key resolve in lock-acquisition order, not timestamp order.
 
 use crate::common::{
-    charge_request_io, seqlock_load, warp_span, warps_for, BatchRun, ConcurrentTree, ResponseBuf,
+    descend, find_in_leaf, run_per_request, scan_leaves, seqlock_load, BatchRun, ConcurrentTree,
     TreeBase, HOP_CONTROL, NODE_SEARCH_CONTROL,
 };
 use eirene_btree::build::TreeHandle;
@@ -26,7 +26,7 @@ use eirene_btree::node::{
     OFF_NEXT, OFF_RF, OFF_VALS, OFF_VERSION,
 };
 use eirene_sim::{Addr, Device, DeviceConfig, Phase, TraceEventKind, WarpCtx};
-use eirene_workloads::{range_window, Batch, OpKind, Response};
+use eirene_workloads::{range_window, Batch, OpKind, Request, Response};
 
 /// The lock-based tree.
 pub struct LockTree {
@@ -263,38 +263,13 @@ fn locked_descend<'b>(
     }
 }
 
-/// Seqlock descent for queries, with right-hops, into `node`.
-fn descend_seq(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, node: &mut ParsedNode) {
-    let outer = ctx.set_phase(Phase::VerticalTraversal);
-    let root = ctx.read(handle.root_word);
-    ctx.stats.vertical_traversals += 1;
-    seqlock_load(ctx, root, node);
-    ctx.stats.vertical_steps += 1;
-    while !node.is_leaf() {
-        ctx.control(NODE_SEARCH_CONTROL);
-        seqlock_load(ctx, node.vals()[node.child_slot(key)], node);
-        ctx.stats.vertical_steps += 1;
-    }
-    ctx.set_phase(Phase::HorizontalTraversal);
-    while key >= node.high() && node.next() != 0 {
-        ctx.control(HOP_CONTROL);
-        seqlock_load(ctx, node.next(), node);
-        ctx.stats.horizontal_steps += 1;
-    }
-    ctx.control(1);
-    ctx.set_phase(outer);
-}
-
-fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind) -> Response {
-    let leaf = &mut ParsedNode::default();
-    match op {
+/// Answers one request; the tree keeps no per-slot state.
+fn process_one(ctx: &mut WarpCtx<'_>, _: &mut (), handle: &TreeHandle, req: Request) -> Response {
+    let (key, leaf) = (req.key as u64, &mut ParsedNode::default());
+    match req.op {
         OpKind::Query => {
-            descend_seq(ctx, handle, key, leaf);
-            let prev = ctx.set_phase(Phase::LeafOp);
-            ctx.control(NODE_SEARCH_CONTROL);
-            let resp = Response::Value(leaf.find(key).map(|i| leaf.vals()[i] as u32));
-            ctx.set_phase(prev);
-            resp
+            descend(ctx, handle, key, leaf, seqlock_load);
+            Response::Value(find_in_leaf(ctx, leaf, key).map(|v| v as u32))
         }
         OpKind::Upsert(v) => {
             locked_upsert(ctx, handle, key, v as u64);
@@ -306,28 +281,14 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
         }
         OpKind::Range { len } => {
             let mut out = vec![None; len as usize];
-            let Some((lo, hi)) = range_window(key, len) else {
+            let Some(window) = range_window(key, len) else {
                 return Response::Range(out);
             };
-            descend_seq(ctx, handle, lo, leaf);
-            let prev = ctx.set_phase(Phase::LeafOp);
-            loop {
-                for i in 0..leaf.count() {
-                    let k = leaf.keys()[i];
-                    if k >= lo && k <= hi {
-                        out[(k - lo) as usize] = Some(leaf.vals()[i] as u32);
-                    }
-                }
-                ctx.control(leaf.count() as u64 + 2);
-                if hi < leaf.high() || leaf.next() == 0 {
-                    break;
-                }
-                ctx.set_phase(Phase::HorizontalTraversal);
-                seqlock_load(ctx, leaf.next(), leaf);
-                ctx.stats.horizontal_steps += 1;
-                ctx.set_phase(Phase::LeafOp);
-            }
-            ctx.set_phase(prev);
+            descend(ctx, handle, window.0, leaf, seqlock_load);
+            let walk = &mut ParsedNode::default();
+            scan_leaves(ctx, leaf, walk, window, seqlock_load, |i, v| {
+                out[i] = Some(v as u32)
+            });
             Response::Range(out)
         }
     }
@@ -387,27 +348,7 @@ fn locked_delete(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64) {
 
 impl ConcurrentTree for LockTree {
     fn run_batch(&mut self, batch: &Batch) -> BatchRun {
-        let n = batch.len();
-        let ws = self.base.device.config().warp_size;
-        let buf = ResponseBuf::new(n);
-        let handle = self.base.handle;
-        let stats = self
-            .base
-            .device
-            .launch("lock-gbtree", warps_for(n, ws), |wid, ctx| {
-                for i in warp_span(n, wid, ws) {
-                    let req = batch.requests[i];
-                    ctx.begin_request();
-                    charge_request_io(ctx);
-                    let resp = process_one(ctx, &handle, req.key as u64, req.op);
-                    buf.set(i, resp);
-                    ctx.end_request();
-                }
-            });
-        BatchRun {
-            responses: buf.into_vec(),
-            stats,
-        }
+        run_per_request(&self.base, "lock-gbtree", batch, process_one)
     }
 
     fn device(&self) -> &Device {

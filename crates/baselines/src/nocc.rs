@@ -10,13 +10,13 @@
 //! pointers stay immutable and traversals always terminate.
 
 use crate::common::{
-    charge_request_io, warp_span, warps_for, BatchRun, ConcurrentTree, ResponseBuf, TreeBase,
-    HOP_CONTROL, NODE_SEARCH_CONTROL,
+    descend, find_in_leaf, run_per_request, scan_leaves, BatchRun, ConcurrentTree, TreeBase,
+    NODE_SEARCH_CONTROL,
 };
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{pack_meta, ParsedNode, FANOUT, OFF_KEYS, OFF_META, OFF_VALS};
-use eirene_sim::{Addr, Device, DeviceConfig, Phase, WarpCtx};
-use eirene_workloads::{range_window, Batch, OpKind, Response};
+use eirene_sim::{Device, DeviceConfig, Phase, WarpCtx};
+use eirene_workloads::{range_window, Batch, OpKind, Request, Response};
 
 /// The no-concurrency-control tree.
 pub struct NoCcTree {
@@ -32,54 +32,16 @@ impl NoCcTree {
     }
 }
 
-/// Descends from the root to the leaf responsible for `key` using plain
-/// loads into `node`, hopping right across leaf splits/empties. Returns the
-/// leaf address; `node` holds its snapshot.
-pub(crate) fn descend_plain(
-    ctx: &mut WarpCtx<'_>,
-    handle: &TreeHandle,
-    key: u64,
-    node: &mut ParsedNode,
-) -> Addr {
-    let outer = ctx.set_phase(Phase::VerticalTraversal);
-    let mut addr = ctx.read(handle.root_word);
-    ctx.stats.vertical_traversals += 1;
-    node.load(ctx, addr);
-    ctx.stats.vertical_steps += 1;
-    while !node.is_leaf() {
-        ctx.control(NODE_SEARCH_CONTROL);
-        let slot = node.child_slot(key);
-        addr = node.vals()[slot];
-        node.load(ctx, addr);
-        ctx.stats.vertical_steps += 1;
-    }
-    // Right-hop across the leaf chain if the key lies beyond this leaf's
-    // high bound (Lehman-Yao).
-    ctx.set_phase(Phase::HorizontalTraversal);
-    while key >= node.high() && node.next() != 0 {
-        ctx.control(HOP_CONTROL);
-        addr = node.next();
-        node.load(ctx, addr);
-        ctx.stats.horizontal_steps += 1;
-    }
-    ctx.control(1);
-    ctx.set_phase(outer);
-    addr
-}
-
-fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind) -> Response {
-    let leaf = &mut ParsedNode::default();
-    match op {
+/// Answers one request; the tree keeps no per-slot state.
+fn process_one(ctx: &mut WarpCtx<'_>, _: &mut (), handle: &TreeHandle, req: Request) -> Response {
+    let (key, leaf) = (req.key as u64, &mut ParsedNode::default());
+    match req.op {
         OpKind::Query => {
-            descend_plain(ctx, handle, key, leaf);
-            let prev = ctx.set_phase(Phase::LeafOp);
-            ctx.control(NODE_SEARCH_CONTROL);
-            let resp = Response::Value(leaf.find(key).map(|i| leaf.vals()[i] as u32));
-            ctx.set_phase(prev);
-            resp
+            descend(ctx, handle, key, leaf, ParsedNode::load);
+            Response::Value(find_in_leaf(ctx, leaf, key).map(|v| v as u32))
         }
         OpKind::Upsert(v) => {
-            let addr = descend_plain(ctx, handle, key, leaf);
+            let addr = descend(ctx, handle, key, leaf, ParsedNode::load);
             let prev = ctx.set_phase(Phase::LeafOp);
             ctx.control(NODE_SEARCH_CONTROL);
             if let Some(slot) = leaf.find(key) {
@@ -104,7 +66,7 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
             Response::Done
         }
         OpKind::Delete => {
-            let addr = descend_plain(ctx, handle, key, leaf);
+            let addr = descend(ctx, handle, key, leaf, ParsedNode::load);
             let prev = ctx.set_phase(Phase::LeafOp);
             ctx.control(NODE_SEARCH_CONTROL);
             if let Some(slot) = leaf.find(key) {
@@ -122,28 +84,14 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
         }
         OpKind::Range { len } => {
             let mut out = vec![None; len as usize];
-            let Some((lo, hi)) = range_window(key, len) else {
+            let Some(window) = range_window(key, len) else {
                 return Response::Range(out);
             };
-            descend_plain(ctx, handle, lo, leaf);
-            let prev = ctx.set_phase(Phase::LeafOp);
-            loop {
-                for i in 0..leaf.count() {
-                    let k = leaf.keys()[i];
-                    if k >= lo && k <= hi {
-                        out[(k - lo) as usize] = Some(leaf.vals()[i] as u32);
-                    }
-                }
-                ctx.control(leaf.count() as u64 + 2);
-                if hi < leaf.high() || leaf.next() == 0 {
-                    break;
-                }
-                ctx.set_phase(Phase::HorizontalTraversal);
-                leaf.load(ctx, leaf.next());
-                ctx.stats.horizontal_steps += 1;
-                ctx.set_phase(Phase::LeafOp);
-            }
-            ctx.set_phase(prev);
+            descend(ctx, handle, window.0, leaf, ParsedNode::load);
+            let walk = &mut ParsedNode::default();
+            scan_leaves(ctx, leaf, walk, window, ParsedNode::load, |i, v| {
+                out[i] = Some(v as u32)
+            });
             Response::Range(out)
         }
     }
@@ -151,27 +99,7 @@ fn process_one(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, op: OpKind)
 
 impl ConcurrentTree for NoCcTree {
     fn run_batch(&mut self, batch: &Batch) -> BatchRun {
-        let n = batch.len();
-        let ws = self.base.device.config().warp_size;
-        let buf = ResponseBuf::new(n);
-        let handle = self.base.handle;
-        let stats = self
-            .base
-            .device
-            .launch("nocc", warps_for(n, ws), |wid, ctx| {
-                for i in warp_span(n, wid, ws) {
-                    let req = batch.requests[i];
-                    ctx.begin_request();
-                    charge_request_io(ctx);
-                    let resp = process_one(ctx, &handle, req.key as u64, req.op);
-                    buf.set(i, resp);
-                    ctx.end_request();
-                }
-            });
-        BatchRun {
-            responses: buf.into_vec(),
-            stats,
-        }
+        run_per_request(&self.base, "nocc", batch, process_one)
     }
 
     fn device(&self) -> &Device {

@@ -14,9 +14,7 @@
 //! original design), so a warp serializes its 32 divergent transactions —
 //! the SIMT penalty the paper describes.
 
-use crate::common::{
-    charge_request_io, warp_span, warps_for, BatchRun, ConcurrentTree, ResponseBuf, TreeBase,
-};
+use crate::common::{run_per_request, BatchRun, ConcurrentTree, TreeBase};
 use eirene_btree::access::TxAccess;
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{meta_count, OFF_KEYS, OFF_META, OFF_NEXT, OFF_VALS};
@@ -25,7 +23,7 @@ use eirene_btree::ops::{
 };
 use eirene_sim::{Device, DeviceConfig, Phase, WarpCtx};
 use eirene_stm::{Stm, Tx, TxResult, TxScratch};
-use eirene_workloads::{range_window, Batch, OpKind, Response};
+use eirene_workloads::{range_window, Batch, OpKind, Request, Response};
 
 /// The STM-based tree.
 pub struct StmTree {
@@ -54,10 +52,10 @@ fn tx_process(
     tx: &mut Tx<'_>,
     ctx: &mut WarpCtx<'_>,
     handle: &TreeHandle,
-    key: u64,
-    op: OpKind,
+    req: Request,
 ) -> TxResult<Response> {
-    match op {
+    let key = req.key as u64;
+    match req.op {
         OpKind::Query => {
             let a = &mut TxAccess::new(tx, ctx);
             let (addr, count) = descend(a, handle, key, false)?;
@@ -125,35 +123,14 @@ fn tx_process(
 
 impl ConcurrentTree for StmTree {
     fn run_batch(&mut self, batch: &Batch) -> BatchRun {
-        let n = batch.len();
-        let ws = self.base.device.config().warp_size;
-        let buf = ResponseBuf::new(n);
-        let handle = self.base.handle;
-        let stm = &self.stm;
         // One set of transaction logs per worker slot, not per warp.
-        let stats = self.base.device.launch_with(
-            "stm-gbtree",
-            warps_for(n, ws),
-            false,
-            |wid, ctx, scratch: &mut TxScratch| {
-                for i in warp_span(n, wid, ws) {
-                    let req = batch.requests[i];
-                    ctx.begin_request();
-                    charge_request_io(ctx);
-                    let resp = stm
-                        .run(ctx, scratch, usize::MAX >> 1, |tx, ctx| {
-                            tx_process(tx, ctx, &handle, req.key as u64, req.op)
-                        })
-                        .expect("unbounded retries cannot exhaust");
-                    buf.set(i, resp);
-                    ctx.end_request();
-                }
-            },
-        );
-        BatchRun {
-            responses: buf.into_vec(),
-            stats,
-        }
+        let process = |ctx: &mut WarpCtx<'_>, scratch: &mut TxScratch, handle: &_, req| {
+            let resp = self.stm.run(ctx, scratch, usize::MAX >> 1, |tx, ctx| {
+                tx_process(tx, ctx, handle, req)
+            });
+            resp.expect("unbounded retries cannot exhaust")
+        };
+        run_per_request(&self.base, "stm-gbtree", batch, process)
     }
 
     fn device(&self) -> &Device {

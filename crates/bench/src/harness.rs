@@ -1,8 +1,8 @@
 //! Shared measurement machinery: tree construction, batch execution,
 //! metric extraction.
 
-use eirene_baselines::{common::ConcurrentTree, LockTree, NoCcTree, StmTree};
-use eirene_core::{EireneOptions, EireneTree};
+use eirene_check::build_tree;
+pub use eirene_check::TreeKind;
 use eirene_sim::{DeviceConfig, KernelStats};
 use eirene_workloads::{Batch, Mix, WorkloadGen, WorkloadSpec};
 use std::path::{Path, PathBuf};
@@ -61,34 +61,6 @@ pub(crate) fn run_indexed<R: Send>(n: usize, work: &(dyn Fn(usize) -> R + Sync))
                 .expect("every claimed unit stores a result")
         })
         .collect()
-}
-
-/// Which concurrent tree to measure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TreeKind {
-    /// GB-tree without concurrency control (Fig. 1 ideal floor).
-    NoCc,
-    /// STM GB-tree (Holey & Zhai).
-    Stm,
-    /// Lock GB-tree (Awad et al.).
-    Lock,
-    /// Eirene with combining only (locality off) — the "+ Combining"
-    /// ablation bar of Fig. 11.
-    EireneCombining,
-    /// Full Eirene (combining + locality-aware warp reorganization).
-    Eirene,
-}
-
-impl TreeKind {
-    pub fn label(self) -> &'static str {
-        match self {
-            TreeKind::NoCc => "GB-tree w/o concurrent control",
-            TreeKind::Stm => "STM GB-tree",
-            TreeKind::Lock => "Lock GB-tree",
-            TreeKind::EireneCombining => "+ Combining",
-            TreeKind::Eirene => "Eirene",
-        }
-    }
 }
 
 /// Experiment scale: which tree sizes to sweep and how large batches are.
@@ -198,28 +170,6 @@ pub fn spec_for(exp: u32, batch: usize, mix: Mix, seed: u64) -> WorkloadSpec {
         mix,
         distribution: eirene_workloads::Distribution::Uniform,
         seed,
-    }
-}
-
-fn build_tree(
-    kind: TreeKind,
-    pairs: &[(u64, u64)],
-    cfg: DeviceConfig,
-    headroom: usize,
-) -> Box<dyn ConcurrentTree> {
-    match kind {
-        TreeKind::NoCc => Box::new(NoCcTree::new(pairs, cfg)),
-        TreeKind::Stm => Box::new(StmTree::new(pairs, cfg, headroom)),
-        TreeKind::Lock => Box::new(LockTree::new(pairs, cfg, headroom)),
-        TreeKind::EireneCombining | TreeKind::Eirene => {
-            let opts = EireneOptions {
-                device: cfg,
-                locality: kind == TreeKind::Eirene,
-                headroom_nodes: headroom,
-                ..Default::default()
-            };
-            Box::new(EireneTree::new(pairs, opts))
-        }
     }
 }
 

@@ -23,7 +23,7 @@
 //! [`run_serve_case`] (which checks the per-shard arena gauges on every
 //! serve case).
 
-use crate::diff::{build_tree, check_against_oracle, oracle_over, FuzzTree, Violation};
+use crate::diff::{build_tree, check_against_oracle, oracle_over, TreeKind, Violation};
 use crate::driver::{mix, At, Fuzz, Leg};
 use crate::gen::{adversarial_batch, dense_pairs, GenOptions, Profile};
 use crate::serve::{fuzz_shard_map, run_serve_case};
@@ -47,7 +47,7 @@ pub fn run_churn_case(opts: &Fuzz, case_seed: u64) -> Result<u64, (Violation, At
     let pairs = dense_pairs(opts.initial_keys);
     let headroom = (opts.batch_size * 2).max(1 << 12);
     let cfg = opts.device(mix(case_seed));
-    let mut tree = build_tree(FuzzTree::Eirene, &pairs, cfg, headroom);
+    let mut tree = build_tree(TreeKind::Eirene, &pairs, cfg, headroom);
     let post_build = tree.device().mem().slab_stats().live;
     let mut oracle = oracle_over(&pairs);
     for (round, batch) in rounds(opts, case_seed).enumerate() {

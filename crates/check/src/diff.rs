@@ -2,7 +2,7 @@
 //! every leg reports, and the one oracle check the tree-level legs share.
 
 use eirene_baselines::common::{BatchRun, ConcurrentTree};
-use eirene_baselines::{LockTree, StmTree};
+use eirene_baselines::{LockTree, NoCcTree, StmTree};
 use eirene_btree::refops;
 use eirene_btree::validate::validate;
 use eirene_core::{EireneOptions, EireneTree};
@@ -10,38 +10,60 @@ use eirene_serve::Outcome;
 use eirene_sim::DeviceConfig;
 use eirene_workloads::{Batch, Oracle, Request, Response, SequentialOracle};
 
-/// The four trees the differential fuzzer exercises: full Eirene, its
-/// combining-without-locality ablation, and the two baseline GB-trees. The
-/// NoCc tree is deliberately absent — without concurrency control it is
-/// *expected* to lose racing updates, so a differential check against it
-/// only measures the generator's conflict rate.
+/// Every concurrent tree the figures measure and the fuzzer checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FuzzTree {
-    Eirene,
-    EireneCombining,
+pub enum TreeKind {
+    /// GB-tree without concurrency control (Fig. 1 ideal floor).
+    NoCc,
+    /// STM GB-tree (Holey & Zhai).
     Stm,
+    /// Lock GB-tree (Awad et al.).
     Lock,
+    /// Eirene with combining only (locality off) — the "+ Combining"
+    /// ablation bar of Fig. 11.
+    EireneCombining,
+    /// Full Eirene (combining + locality-aware warp reorganization).
+    Eirene,
 }
 
-impl FuzzTree {
-    pub const ALL: [FuzzTree; 4] = [
-        FuzzTree::Eirene,
-        FuzzTree::EireneCombining,
-        FuzzTree::Stm,
-        FuzzTree::Lock,
+impl TreeKind {
+    /// The four trees the differential fuzzer exercises. The NoCc tree is
+    /// deliberately absent — without concurrency control it is *expected*
+    /// to lose racing updates, so a differential check against it only
+    /// measures the generator's conflict rate.
+    pub const FUZZED: [TreeKind; 4] = [
+        TreeKind::Eirene,
+        TreeKind::EireneCombining,
+        TreeKind::Stm,
+        TreeKind::Lock,
     ];
 
+    /// The tree's name in figures and CSV files.
     pub fn label(self) -> &'static str {
         match self {
-            FuzzTree::Eirene => "eirene",
-            FuzzTree::EireneCombining => "eirene-combining",
-            FuzzTree::Stm => "stm",
-            FuzzTree::Lock => "lock",
+            TreeKind::NoCc => "GB-tree w/o concurrent control",
+            TreeKind::Stm => "STM GB-tree",
+            TreeKind::Lock => "Lock GB-tree",
+            TreeKind::EireneCombining => "+ Combining",
+            TreeKind::Eirene => "Eirene",
         }
     }
 
-    pub fn parse(s: &str) -> Option<FuzzTree> {
-        FuzzTree::ALL.into_iter().find(|t| t.label() == s)
+    /// The tree's name on the fuzzer's command line and in its reports;
+    /// its length salts the tree's case seeds.
+    pub fn token(self) -> &'static str {
+        match self {
+            TreeKind::NoCc => "nocc",
+            TreeKind::Eirene => "eirene",
+            TreeKind::EireneCombining => "eirene-combining",
+            TreeKind::Stm => "stm",
+            TreeKind::Lock => "lock",
+        }
+    }
+
+    /// The fuzzed tree named `s`.
+    pub fn parse(s: &str) -> Option<TreeKind> {
+        TreeKind::FUZZED.into_iter().find(|t| t.token() == s)
     }
 
     /// Whether the tree is linearizable under arbitrary key conflicts.
@@ -49,24 +71,26 @@ impl FuzzTree {
     /// timestamp); the baselines resolve same-key races in lock or commit
     /// order, so they are only checked on key-disjoint batches.
     pub fn linearizable(self) -> bool {
-        matches!(self, FuzzTree::Eirene | FuzzTree::EireneCombining)
+        matches!(self, TreeKind::Eirene | TreeKind::EireneCombining)
     }
 }
 
-/// Builds a fresh instance of the selected tree over `pairs`.
+/// Builds a fresh instance of the selected tree over `pairs`, with
+/// `headroom` nodes of split headroom (the NoCc tree never splits).
 pub fn build_tree(
-    sel: FuzzTree,
+    kind: TreeKind,
     pairs: &[(u64, u64)],
     cfg: DeviceConfig,
     headroom: usize,
 ) -> Box<dyn ConcurrentTree> {
-    match sel {
-        FuzzTree::Stm => Box::new(StmTree::new(pairs, cfg, headroom)),
-        FuzzTree::Lock => Box::new(LockTree::new(pairs, cfg, headroom)),
-        sel => {
+    match kind {
+        TreeKind::NoCc => Box::new(NoCcTree::new(pairs, cfg)),
+        TreeKind::Stm => Box::new(StmTree::new(pairs, cfg, headroom)),
+        TreeKind::Lock => Box::new(LockTree::new(pairs, cfg, headroom)),
+        TreeKind::EireneCombining | TreeKind::Eirene => {
             let opts = EireneOptions {
                 device: cfg,
-                locality: sel != FuzzTree::EireneCombining,
+                locality: kind == TreeKind::Eirene,
                 headroom_nodes: headroom,
                 ..Default::default()
             };
@@ -166,7 +190,7 @@ pub(crate) fn oracle_over(pairs: &[(u64, u64)]) -> SequentialOracle {
 /// a failure needs only `(tree, pairs, requests)` — plus the device seed
 /// when the config schedules deterministically.
 pub fn check_case(
-    sel: FuzzTree,
+    sel: TreeKind,
     pairs: &[(u64, u64)],
     cfg: &DeviceConfig,
     headroom: usize,
@@ -259,9 +283,9 @@ mod tests {
             domain: 2048,
         };
         let reqs = disjoint_batch(5, &opts).requests;
-        for sel in FuzzTree::ALL {
+        for sel in TreeKind::FUZZED {
             check_case(sel, &pairs, &cfg(), 1 << 12, &reqs)
-                .unwrap_or_else(|v| panic!("{}: {v}", sel.label()));
+                .unwrap_or_else(|v| panic!("{}: {v}", sel.token()));
         }
     }
 
@@ -274,18 +298,18 @@ mod tests {
         };
         for (i, profile) in Profile::ALL.into_iter().enumerate() {
             let reqs = adversarial_batch(40 + i as u64, profile, &opts).requests;
-            for sel in FuzzTree::ALL.into_iter().filter(|t| t.linearizable()) {
+            for sel in TreeKind::FUZZED.into_iter().filter(|t| t.linearizable()) {
                 check_case(sel, &pairs, &cfg(), 1 << 12, &reqs)
-                    .unwrap_or_else(|v| panic!("{} / {profile:?}: {v}", sel.label()));
+                    .unwrap_or_else(|v| panic!("{} / {profile:?}: {v}", sel.token()));
             }
         }
     }
 
     #[test]
     fn tree_labels_round_trip() {
-        for t in FuzzTree::ALL {
-            assert_eq!(FuzzTree::parse(t.label()), Some(t));
+        for t in TreeKind::FUZZED {
+            assert_eq!(TreeKind::parse(t.token()), Some(t));
         }
-        assert_eq!(FuzzTree::parse("nope"), None);
+        assert_eq!(TreeKind::parse("nope"), None);
     }
 }

@@ -8,7 +8,7 @@
 use crate::churn::{run_churn_case, run_churn_serve_case};
 use crate::cli::{self, Cli, Flag, FlagKind};
 use crate::coalesce::run_coalesce_case;
-use crate::diff::{build_tree, check_tree_case, FuzzTree, Violation};
+use crate::diff::{build_tree, check_tree_case, TreeKind, Violation};
 use crate::fault::{FaultSpec, FaultyTree};
 use crate::flag;
 use crate::gen::{adversarial_batch, dense_pairs, disjoint_batch, GenOptions, Profile};
@@ -89,7 +89,7 @@ pub struct Fuzz {
     /// coalesce. A [`Failure`]'s replay line sets it.
     pub repro: Option<u64>,
     /// Tree leg: trees to fuzz.
-    pub trees: Vec<FuzzTree>,
+    pub trees: Vec<TreeKind>,
     /// Tree leg: corrupt responses (testing the driver itself).
     pub fault: Option<FaultSpec>,
     /// Serve: shards per service, boundaries spread over the domain.
@@ -132,7 +132,7 @@ impl Fuzz {
             initial_keys: 1024,
             deterministic: leg == Leg::Tree,
             repro: None,
-            trees: FuzzTree::ALL.to_vec(),
+            trees: TreeKind::FUZZED.to_vec(),
             fault: None,
             shards: 4,
             epoch_limit: 48,
@@ -183,7 +183,7 @@ impl Fuzz {
                 .flat_map(|i| {
                     self.trees.iter().map(move |&t| {
                         let p = t.linearizable().then(|| profile(i));
-                        case(i, t.label().len() as u64, CaseKind::Tree(t, p))
+                        case(i, t.token().len() as u64, CaseKind::Tree(t, p))
                     })
                 })
                 .collect(),
@@ -363,7 +363,7 @@ pub struct Case {
 pub enum CaseKind {
     /// One batch on a fresh tree: adversarial under a profile, or
     /// key-disjoint (`None`) for the baselines.
-    Tree(FuzzTree, Option<Profile>),
+    Tree(TreeKind, Option<Profile>),
     /// One adversarial stream through a fresh service.
     Serve(Profile),
     /// Churn rounds on one tree.
@@ -413,8 +413,8 @@ impl std::fmt::Display for Failure {
         let case = &self.case;
         write!(f, "{} violation (case {}", self.leg.name(), case.index)?;
         match case.kind {
-            CaseKind::Tree(t, Some(p)) => write!(f, ", {}, profile {p:?}", t.label())?,
-            CaseKind::Tree(t, None) => write!(f, ", {}, key-disjoint batch", t.label())?,
+            CaseKind::Tree(t, Some(p)) => write!(f, ", {}, profile {p:?}", t.token())?,
+            CaseKind::Tree(t, None) => write!(f, ", {}, key-disjoint batch", t.token())?,
             CaseKind::Serve(p) => write!(f, ", profile {p:?}")?,
             CaseKind::ChurnServe => write!(f, ", serve leg")?,
             CaseKind::Churn | CaseKind::Coalesce => {}
@@ -492,8 +492,8 @@ const COMMON_FLAGS: &[Flag<Fuzz>] = &[
 
 const TREE_FLAGS: &[Flag<Fuzz>] = &[
     flag!(@value ["--tree"] "eirene|eirene-combining|stm|lock[,...]",
-        |f| f.trees.iter().map(|t| t.label()).collect::<Vec<_>>().join(","),
-        |f, v| f.trees = v.split(',').map(FuzzTree::parse).collect::<Option<_>>()?),
+        |f| f.trees.iter().map(|t| t.token()).collect::<Vec<_>>().join(","),
+        |f, v| f.trees = v.split(',').map(TreeKind::parse).collect::<Option<_>>()?),
     Flag {
         names: &["--inject-fault"],
         kind: FlagKind::Switch(
@@ -532,7 +532,7 @@ mod tests {
             ..Fuzz::new(Leg::Tree)
         };
         match fuzz.run() {
-            Outcome::Passed { cases, .. } => assert_eq!(cases, 3 * FuzzTree::ALL.len()),
+            Outcome::Passed { cases, .. } => assert_eq!(cases, 3 * TreeKind::FUZZED.len()),
             Outcome::Failed(f) => panic!("unexpected violation:\n{f}"),
         }
     }
@@ -545,7 +545,7 @@ mod tests {
             batch_size: 64,
             domain: 512,
             initial_keys: 512,
-            trees: vec![FuzzTree::Eirene],
+            trees: vec![TreeKind::Eirene],
             deterministic: false,
             fault: Some(FaultSpec::default()),
             ..Fuzz::new(Leg::Tree)

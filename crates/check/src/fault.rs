@@ -78,7 +78,7 @@ impl ConcurrentTree for FaultyTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::{build_tree, FuzzTree};
+    use crate::diff::{build_tree, TreeKind};
     use crate::gen::dense_pairs;
     use eirene_sim::DeviceConfig;
     use eirene_workloads::Request;
@@ -92,7 +92,7 @@ mod tests {
         };
         let mut tree = FaultyTree::new(
             build_tree(
-                FuzzTree::Eirene,
+                TreeKind::Eirene,
                 &pairs,
                 DeviceConfig::test_small(),
                 1 << 12,
@@ -108,7 +108,7 @@ mod tests {
         // faulty and honest answers coincide here by construction, which
         // is exactly why the harness needs the oracle to tell them apart.
         let mut honest = build_tree(
-            FuzzTree::Eirene,
+            TreeKind::Eirene,
             &pairs,
             DeviceConfig::test_small(),
             1 << 12,

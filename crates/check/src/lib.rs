@@ -58,7 +58,7 @@ pub mod shrink;
 
 pub use churn::run_churn_case;
 pub use coalesce::run_coalesce_case;
-pub use diff::{build_tree, check_against_oracle, check_case, FuzzTree, Violation};
+pub use diff::{build_tree, check_against_oracle, check_case, TreeKind, Violation};
 pub use driver::{At, Case, CaseKind, Failure, Fuzz, Leg, Outcome};
 pub use fault::{FaultSpec, FaultyTree};
 pub use gen::{adversarial_batch, dense_pairs, disjoint_batch, GenOptions, Profile};

@@ -1,7 +1,7 @@
 //! Acceptance: the same `(seed, workload)` pair under the deterministic
 //! scheduler yields bit-identical responses, schedules, and KernelStats.
 
-use eirene_check::{adversarial_batch, build_tree, dense_pairs, FuzzTree, GenOptions, Profile};
+use eirene_check::{adversarial_batch, build_tree, dense_pairs, GenOptions, Profile, TreeKind};
 use eirene_sim::{DeviceConfig, KernelStats, ScheduleLog};
 use eirene_workloads::Response;
 
@@ -13,7 +13,7 @@ fn one_run(device_seed: u64, batch_seed: u64) -> (Vec<Response>, KernelStats, St
     };
     let batch = adversarial_batch(batch_seed, Profile::Skewed, &opts);
     let cfg = DeviceConfig::test_small().with_deterministic_sched(device_seed);
-    let mut tree = build_tree(FuzzTree::Eirene, &pairs, cfg, 1 << 12);
+    let mut tree = build_tree(TreeKind::Eirene, &pairs, cfg, 1 << 12);
     let run = tree.run_batch(&batch);
     let log = tree.device().take_schedule_log().serialize();
     (run.responses, run.stats, log)
@@ -46,7 +46,7 @@ fn captured_schedule_log_round_trips_and_replays() {
     let batch = adversarial_batch(0xBA7C4, Profile::Skewed, &opts);
     // Different PRNG seed: the replay log, not the seed, drives stepping.
     let cfg = DeviceConfig::test_small().with_deterministic_sched(0);
-    let mut tree = build_tree(FuzzTree::Eirene, &pairs, cfg, 1 << 12);
+    let mut tree = build_tree(TreeKind::Eirene, &pairs, cfg, 1 << 12);
     tree.device().set_replay_log(log);
     let run = tree.run_batch(&batch);
     assert_eq!(run.responses, r1);

@@ -1,7 +1,7 @@
 //! Acceptance: the fuzz driver, pointed at a deliberately injected
 //! off-by-one, finds the violation and shrinks it to ≤ 8 requests.
 
-use eirene_check::{FaultSpec, Fuzz, FuzzTree, Leg, Outcome, Violation};
+use eirene_check::{FaultSpec, Fuzz, Leg, Outcome, TreeKind, Violation};
 
 #[test]
 fn harness_finds_and_shrinks_injected_off_by_one() {
@@ -11,7 +11,7 @@ fn harness_finds_and_shrinks_injected_off_by_one() {
         batch_size: 128,
         domain: 1024,
         initial_keys: 1024,
-        trees: vec![FuzzTree::Eirene],
+        trees: vec![TreeKind::Eirene],
         deterministic: false,
         fault: Some(FaultSpec {
             key_mod: 64,
@@ -56,7 +56,7 @@ fn harness_also_fires_under_deterministic_scheduling() {
         batch_size: 96,
         domain: 512,
         initial_keys: 512,
-        trees: vec![FuzzTree::EireneCombining],
+        trees: vec![TreeKind::EireneCombining],
         deterministic: true,
         fault: Some(FaultSpec {
             key_mod: 32,

@@ -3,7 +3,7 @@
 //! leg at its default `--seed` still runs the cases it ran before the
 //! four fuzzers became one driver (seeds pinned from that code).
 
-use eirene_check::{CaseKind, FaultSpec, Fuzz, FuzzTree, Leg, Profile};
+use eirene_check::{CaseKind, FaultSpec, Fuzz, Leg, Profile, TreeKind};
 
 fn round_trips(fuzz: Fuzz) {
     let line = fuzz.command();
@@ -29,7 +29,7 @@ fn off_default(leg: Leg) -> Fuzz {
 #[test]
 fn tree_replay_line_round_trips() {
     round_trips(Fuzz {
-        trees: vec![FuzzTree::Stm, FuzzTree::EireneCombining],
+        trees: vec![TreeKind::Stm, TreeKind::EireneCombining],
         fault: Some(FaultSpec::default()),
         ..off_default(Leg::Tree)
     });
@@ -87,7 +87,7 @@ fn aliases_and_defaults_parse_in_every_leg() {
             2 + switch.len().min(1)
         );
     }
-    let labels: Vec<&str> = FuzzTree::ALL.iter().map(|t| t.label()).collect();
+    let labels: Vec<&str> = TreeKind::FUZZED.iter().map(|t| t.token()).collect();
     assert!(Leg::Tree.usage().contains(&labels.join("|")));
 }
 
@@ -103,12 +103,12 @@ fn default_seeds_run_the_same_cases() {
     assert_eq!(
         first_three(Leg::Tree),
         [
-            (0x5d4a0813de6a1b0a, Tree(FuzzTree::Eirene, Some(Uniform))),
+            (0x5d4a0813de6a1b0a, Tree(TreeKind::Eirene, Some(Uniform))),
             (
                 0x01e21228f184c555,
-                Tree(FuzzTree::EireneCombining, Some(Uniform))
+                Tree(TreeKind::EireneCombining, Some(Uniform))
             ),
-            (0xc3f88bf9a6f170c5, Tree(FuzzTree::Stm, None)),
+            (0xc3f88bf9a6f170c5, Tree(TreeKind::Stm, None)),
         ]
     );
     assert_eq!(

@@ -30,7 +30,7 @@ use crate::plan::{
     partition_leaf_runs, Artificial, CombinePlan, IssuedKind, Point, QueryItem, UpdateItem,
 };
 use crate::EireneOptions;
-use eirene_baselines::common::{charge_request_io, BatchRun};
+use eirene_baselines::common::{find_in_leaf, scan_leaves, BatchRun};
 use eirene_btree::access::{NodeAccess, TxAccess};
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{
@@ -99,40 +99,21 @@ pub fn execute(
             QueryItem::Query { run, key } => {
                 let key = key as u64;
                 ctx.begin_request();
-                charge_request_io(ctx);
+                ctx.charge_request_io();
                 let (_, leaf) = loc.locate(ctx, handle, key);
-                let prev = ctx.set_phase(Phase::LeafOp);
-                ctx.control(12);
-                let v = leaf.find(key).map_or(NO_VALUE, |i| leaf.vals()[i]);
-                ctx.set_phase(prev);
+                let v = find_in_leaf(ctx, leaf, key).unwrap_or(NO_VALUE);
                 ctx.end_request();
                 resolve(ctx, chunk, run, v);
             }
             QueryItem::Range { range_idx, .. } => {
-                let (lo, hi) = item.window();
                 ctx.begin_request();
-                charge_request_io(ctx);
-                let (_, mut leaf) = loc.locate(ctx, handle, lo);
+                ctx.charge_request_io();
+                let window = item.window();
+                let (_, leaf) = loc.locate(ctx, handle, window.0);
                 let slots = range_results.of(range_idx);
-                let prev = ctx.set_phase(Phase::LeafOp);
-                loop {
-                    for i in 0..leaf.count() {
-                        let k = leaf.keys()[i];
-                        if k >= lo && k <= hi {
-                            slots[(k - lo) as usize].store(leaf.vals()[i], Ordering::Relaxed);
-                        }
-                    }
-                    ctx.control(leaf.count() as u64 + 2);
-                    if hi < leaf.high() || leaf.next() == 0 {
-                        break;
-                    }
-                    ctx.set_phase(Phase::HorizontalTraversal);
-                    walk.load(ctx, leaf.next());
-                    leaf = walk;
-                    ctx.stats.horizontal_steps += 1;
-                    ctx.set_phase(Phase::LeafOp);
-                }
-                ctx.set_phase(prev);
+                scan_leaves(ctx, leaf, walk, window, ParsedNode::load, |i, v| {
+                    slots[i].store(v, Ordering::Relaxed)
+                });
                 ctx.end_request();
             }
         },
@@ -150,7 +131,7 @@ pub fn execute(
             let UpdateItem { run, key, kind } = *item;
             let key = key as u64;
             ctx.begin_request();
-            charge_request_io(ctx);
+            ctx.charge_request_io();
             let state = WarpState { loc, scratch };
             let old = update_one(ctx, handle, stm, opts, state, key, kind);
             ctx.end_request();

@@ -18,6 +18,7 @@
 //! adaptive rule of §5.
 
 use crate::pivot::PivotCache;
+use eirene_baselines::common::{HOP_CONTROL, NODE_SEARCH_CONTROL};
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{ParsedNode, OFF_RF};
 use eirene_sim::{Addr, Phase, WarpCtx};
@@ -115,7 +116,7 @@ impl<'c> WarpLocator<'c> {
             for _ in 0..64 {
                 node.load(ctx, addr);
                 ctx.stats.vertical_steps += 1;
-                ctx.control(12);
+                ctx.control(NODE_SEARCH_CONTROL);
                 let stale_start = from_cache && (key < node.low() || key >= node.high());
                 if node.is_leaf() || node.is_dead() || node.count() == 0 || stale_start {
                     if from_cache {
@@ -169,7 +170,7 @@ impl<'c> WarpLocator<'c> {
         // Lehman-Yao walk: the owning leaf is the first one whose high
         // bound exceeds the key.
         while key >= node.high() && node.next() != 0 {
-            ctx.control(4);
+            ctx.control(HOP_CONTROL);
             steps += 1;
             if steps > height {
                 // Overshoot: refresh the starting leaf's RF with the high
@@ -218,8 +219,9 @@ impl<'c> WarpLocator<'c> {
             if from_cache {
                 // Validate the snapshot start: alive and owning the key
                 // between its fences (a split since the snapshot shrinks
-                // HIGH; a merge sets the dead bit).
-                ctx.control(4);
+                // HIGH; a merge sets the dead bit): a fence test, charged
+                // as a hop decision.
+                ctx.control(HOP_CONTROL);
                 if node.is_dead() || node.count() == 0 || key < node.low() || key >= node.high() {
                     ctx.charge_cycles(50);
                     continue 'restart;
@@ -228,7 +230,7 @@ impl<'c> WarpLocator<'c> {
             }
             let mut depth = 0u32;
             while !node.is_leaf() {
-                ctx.control(12);
+                ctx.control(NODE_SEARCH_CONTROL);
                 depth += 1;
                 if depth > 64 || node.count() == 0 {
                     ctx.charge_cycles(50);
@@ -246,7 +248,7 @@ impl<'c> WarpLocator<'c> {
             ctx.set_phase(Phase::HorizontalTraversal);
             let mut hops = 0u32;
             while key >= node.high() && node.next() != 0 {
-                ctx.control(4);
+                ctx.control(HOP_CONTROL);
                 hops += 1;
                 if hops > 256 {
                     ctx.charge_cycles(50);

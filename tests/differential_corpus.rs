@@ -9,7 +9,7 @@
 //! cases with key conflicts run only on the linearizable Eirene variants;
 //! conflict-free cases run on all four.
 
-use eirene::check::{check_case, run_serve_case, Fuzz, FuzzTree, Leg, Outcome};
+use eirene::check::{check_case, run_serve_case, Fuzz, Leg, Outcome, TreeKind};
 use eirene::serve::ShardMap;
 use eirene::sim::DeviceConfig;
 use eirene::workloads::Request;
@@ -19,16 +19,16 @@ fn pairs(n: u64) -> Vec<(u64, u64)> {
 }
 
 fn check_all(pairs: &[(u64, u64)], reqs: &[Request]) {
-    for sel in FuzzTree::ALL {
+    for sel in TreeKind::FUZZED {
         check_case(sel, pairs, &DeviceConfig::test_small(), 1 << 12, reqs)
-            .unwrap_or_else(|v| panic!("{}: {v}", sel.label()));
+            .unwrap_or_else(|v| panic!("{}: {v}", sel.token()));
     }
 }
 
 fn check_linearizable(pairs: &[(u64, u64)], reqs: &[Request]) {
-    for sel in FuzzTree::ALL.into_iter().filter(|t| t.linearizable()) {
+    for sel in TreeKind::FUZZED.into_iter().filter(|t| t.linearizable()) {
         check_case(sel, pairs, &DeviceConfig::test_small(), 1 << 12, reqs)
-            .unwrap_or_else(|v| panic!("{}: {v}", sel.label()));
+            .unwrap_or_else(|v| panic!("{}: {v}", sel.token()));
     }
 }
 
