@@ -5,7 +5,9 @@
 //! charges are one definition, not copies that agree.
 
 use eirene_btree::build::{arena_budget, bulk_build, TreeHandle};
-use eirene_btree::node::{meta_is_locked, ParsedNode, OFF_META, OFF_VERSION};
+use eirene_btree::node::{
+    meta_is_locked, pack_meta, ParsedNode, OFF_KEYS, OFF_META, OFF_VALS, OFF_VERSION,
+};
 use eirene_sim::{Addr, Device, DeviceConfig, KernelStats, Phase, WarpCtx};
 use eirene_workloads::{Batch, Request, Response};
 
@@ -191,6 +193,43 @@ pub fn scan_leaves(
         ctx.set_phase(Phase::LeafOp);
     }
     ctx.set_phase(prev);
+}
+
+/// Rewrites the loaded `node` at `addr` in place with `entry` inserted at
+/// `slot`, or with the entry at `slot` removed (`None`): the entries after
+/// `slot` shift one place, then META takes the new count and the latch bit
+/// `latched`. Charges `(count - slot) + 2` control: one per entry shifted
+/// or past the end, two for the slot and META.
+pub fn shift_entries(
+    ctx: &mut WarpCtx<'_>,
+    addr: Addr,
+    node: &ParsedNode,
+    slot: usize,
+    entry: Option<(u64, u64)>,
+    latched: bool,
+) {
+    let (c, keys, vals) = (node.count(), node.keys(), node.vals());
+    let count = match entry {
+        Some((key, val)) => {
+            for i in (slot + 1..=c).rev() {
+                ctx.write(addr + OFF_KEYS + i as u64, keys[i - 1]);
+                ctx.write(addr + OFF_VALS + i as u64, vals[i - 1]);
+            }
+            ctx.write(addr + OFF_KEYS + slot as u64, key);
+            ctx.write(addr + OFF_VALS + slot as u64, val);
+            c + 1
+        }
+        None => {
+            for i in slot..c - 1 {
+                ctx.write(addr + OFF_KEYS + i as u64, keys[i + 1]);
+                ctx.write(addr + OFF_VALS + i as u64, vals[i + 1]);
+            }
+            ctx.write(addr + OFF_KEYS + (c - 1) as u64, u64::MAX);
+            c - 1
+        }
+    };
+    ctx.write(addr + OFF_META, pack_meta(node.is_leaf(), latched, count));
+    ctx.control((c - slot) as u64 + 2);
 }
 
 /// Seqlock-style consistent node load into `node`, used by the Lock

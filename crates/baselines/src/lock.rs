@@ -17,8 +17,8 @@
 //! the same key resolve in lock-acquisition order, not timestamp order.
 
 use crate::common::{
-    descend, find_in_leaf, run_per_request, scan_leaves, seqlock_load, BatchRun, ConcurrentTree,
-    TreeBase, HOP_CONTROL, NODE_SEARCH_CONTROL,
+    descend, find_in_leaf, run_per_request, scan_leaves, seqlock_load, shift_entries, BatchRun,
+    ConcurrentTree, TreeBase, HOP_CONTROL, NODE_SEARCH_CONTROL,
 };
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{
@@ -123,19 +123,8 @@ fn insert_fence(
     child: Addr,
 ) {
     let prev = ctx.set_phase(Phase::StructureMod);
-    let c = node.count();
-    debug_assert!(c < FANOUT);
-    let slot = after + 1;
-    let mut i = c;
-    while i > slot {
-        ctx.write(addr + OFF_KEYS + i as u64, node.keys()[i - 1]);
-        ctx.write(addr + OFF_VALS + i as u64, node.vals()[i - 1]);
-        i -= 1;
-    }
-    ctx.write(addr + OFF_KEYS + slot as u64, fence);
-    ctx.write(addr + OFF_VALS + slot as u64, child);
-    ctx.write(addr + OFF_META, pack_meta(false, true, c + 1));
-    ctx.control((c - slot) as u64 + 2);
+    debug_assert!(node.count() < FANOUT);
+    shift_entries(ctx, addr, node, after + 1, Some((fence, child)), true);
     ctx.set_phase(prev);
 }
 
@@ -306,17 +295,8 @@ fn locked_upsert(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, val: u64)
     } else {
         let c = leaf.count();
         debug_assert!(c < FANOUT, "preemptive split guarantees room");
-        let slot = (0..c).take_while(|&i| leaf.keys()[i] < key).count();
-        let mut i = c;
-        while i > slot {
-            ctx.write(addr + OFF_KEYS + i as u64, leaf.keys()[i - 1]);
-            ctx.write(addr + OFF_VALS + i as u64, leaf.vals()[i - 1]);
-            i -= 1;
-        }
-        ctx.write(addr + OFF_KEYS + slot as u64, key);
-        ctx.write(addr + OFF_VALS + slot as u64, val);
-        ctx.write(addr + OFF_META, pack_meta(true, true, c + 1));
-        ctx.control((c - slot) as u64 + 2);
+        let slot = leaf.keys()[..c].partition_point(|&k| k < key);
+        shift_entries(ctx, addr, &leaf, slot, Some((key, val)), true);
     }
     unlock(ctx, addr, true);
     ctx.set_phase(prev);
@@ -332,14 +312,7 @@ fn locked_delete(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64) {
     match leaf.find(key) {
         None => unlock(ctx, addr, false),
         Some(slot) => {
-            let c = leaf.count();
-            for i in slot..c - 1 {
-                ctx.write(addr + OFF_KEYS + i as u64, leaf.keys()[i + 1]);
-                ctx.write(addr + OFF_VALS + i as u64, leaf.vals()[i + 1]);
-            }
-            ctx.write(addr + OFF_KEYS + (c - 1) as u64, u64::MAX);
-            ctx.write(addr + OFF_META, pack_meta(true, true, c - 1));
-            ctx.control((c - slot) as u64 + 2);
+            shift_entries(ctx, addr, &leaf, slot, None, true);
             unlock(ctx, addr, true);
         }
     }

@@ -10,11 +10,11 @@
 //! pointers stay immutable and traversals always terminate.
 
 use crate::common::{
-    descend, find_in_leaf, run_per_request, scan_leaves, BatchRun, ConcurrentTree, TreeBase,
-    NODE_SEARCH_CONTROL,
+    descend, find_in_leaf, run_per_request, scan_leaves, shift_entries, BatchRun, ConcurrentTree,
+    TreeBase, NODE_SEARCH_CONTROL,
 };
 use eirene_btree::build::TreeHandle;
-use eirene_btree::node::{pack_meta, ParsedNode, FANOUT, OFF_KEYS, OFF_META, OFF_VALS};
+use eirene_btree::node::{ParsedNode, FANOUT, OFF_VALS};
 use eirene_sim::{Device, DeviceConfig, Phase, WarpCtx};
 use eirene_workloads::{range_window, Batch, OpKind, Request, Response};
 
@@ -48,18 +48,8 @@ fn process_one(ctx: &mut WarpCtx<'_>, _: &mut (), handle: &TreeHandle, req: Requ
                 ctx.write(addr + OFF_VALS + slot as u64, v as u64);
             } else if leaf.count() < FANOUT {
                 // Unsynchronized sorted insert (racy by design).
-                let c = leaf.count();
-                let slot = (0..c).take_while(|&i| leaf.keys()[i] < key).count();
-                let mut i = c;
-                while i > slot {
-                    ctx.write(addr + OFF_KEYS + i as u64, leaf.keys()[i - 1]);
-                    ctx.write(addr + OFF_VALS + i as u64, leaf.vals()[i - 1]);
-                    i -= 1;
-                }
-                ctx.write(addr + OFF_KEYS + slot as u64, key);
-                ctx.write(addr + OFF_VALS + slot as u64, v as u64);
-                ctx.write(addr + OFF_META, pack_meta(true, false, c + 1));
-                ctx.control(c as u64 + 2);
+                let slot = leaf.keys()[..leaf.count()].partition_point(|&k| k < key);
+                shift_entries(ctx, addr, leaf, slot, Some((key, v as u64)), false);
             }
             // Full leaf: insert dropped (this tree never splits).
             ctx.set_phase(prev);
@@ -70,14 +60,7 @@ fn process_one(ctx: &mut WarpCtx<'_>, _: &mut (), handle: &TreeHandle, req: Requ
             let prev = ctx.set_phase(Phase::LeafOp);
             ctx.control(NODE_SEARCH_CONTROL);
             if let Some(slot) = leaf.find(key) {
-                let c = leaf.count();
-                for i in slot..c - 1 {
-                    ctx.write(addr + OFF_KEYS + i as u64, leaf.keys()[i + 1]);
-                    ctx.write(addr + OFF_VALS + i as u64, leaf.vals()[i + 1]);
-                }
-                ctx.write(addr + OFF_KEYS + (c - 1) as u64, u64::MAX);
-                ctx.write(addr + OFF_META, pack_meta(true, false, c - 1));
-                ctx.control(c as u64);
+                shift_entries(ctx, addr, leaf, slot, None, false);
             }
             ctx.set_phase(prev);
             Response::Done

@@ -19,7 +19,7 @@ use eirene_btree::access::TxAccess;
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{meta_count, OFF_KEYS, OFF_META, OFF_NEXT, OFF_VALS};
 use eirene_btree::ops::{
-    delete_rebalancing, descend, query_at_leaf, upsert_at_leaf, LeafUpsert, NO_VALUE,
+    delete_rebalancing, descend, query_at_leaf, torn_view, upsert_at_leaf, LeafUpsert, NO_VALUE,
 };
 use eirene_sim::{Device, DeviceConfig, Phase, WarpCtx};
 use eirene_stm::{Stm, Tx, TxResult, TxScratch};
@@ -67,7 +67,7 @@ fn tx_process(
             let (addr, count) = descend(a, handle, key, true)?;
             match upsert_at_leaf(a, addr, count, key, v as u64)? {
                 LeafUpsert::Done(_) => Ok(Response::Done),
-                LeafUpsert::Full => unreachable!("insert-capable descent guarantees room"),
+                LeafUpsert::Full => torn_view(a, addr, "the insert-capable descent left no room"),
             }
         }
         OpKind::Delete => {

@@ -14,6 +14,7 @@
 //! | inner generation | bumped through `raw_mem`, uncharged, kept on abort | bumped |
 //! | abort | undo log unlinks the node; fresh blocks retire, deferred retirements are dropped | — (`Infallible`) |
 //! | cost hooks | charged to the warp, in the current phase | no-ops |
+//! | torn view | an abort when the read set fails validation | never: a contradiction panics |
 //!
 //! A versioned (MVCC) tree would be a third policy here, not a third tree.
 
@@ -72,6 +73,13 @@ pub trait NodeAccess {
 
     /// Records a split or merge of `node` in the warp's trace.
     fn emit(&mut self, _kind: TraceEventKind, _node: Addr) {}
+
+    /// The abort for a view no commit made (for [`TxAccess`], a read set
+    /// that fails validation), `None` while the view holds. See
+    /// [`torn_view`](crate::ops::torn_view).
+    fn torn(&mut self) -> Option<Self::Abort> {
+        None
+    }
 }
 
 /// Uninstrumented, single-threaded access for host-side code. The caller
@@ -174,5 +182,9 @@ impl NodeAccess for TxAccess<'_, '_, '_> {
     #[inline]
     fn emit(&mut self, kind: TraceEventKind, node: Addr) {
         self.ctx.emit(kind, node);
+    }
+
+    fn torn(&mut self) -> Option<Abort> {
+        (!self.tx.reads_valid(self.ctx)).then_some(Abort)
     }
 }

@@ -257,13 +257,6 @@ impl NodeRef {
         debug_assert!(self.count(mem) > 0);
         self.key(mem, 0)
     }
-
-    /// Largest key stored in the node (must be non-empty).
-    pub fn max_key(&self, mem: &GlobalMemory) -> u64 {
-        let c = self.count(mem);
-        debug_assert!(c > 0);
-        self.key(mem, c - 1)
-    }
 }
 
 /// A device kernel's node buffer: the node's 38-word record, word for word.
@@ -376,13 +369,6 @@ impl ParsedNode {
         let c = self.count();
         (0..c).find(|&i| self.keys()[i] == key)
     }
-
-    /// Largest key in the node (node must be non-empty).
-    pub fn max_key(&self) -> u64 {
-        let c = self.count();
-        debug_assert!(c > 0);
-        self.keys()[c - 1]
-    }
 }
 
 #[cfg(test)]
@@ -465,7 +451,7 @@ mod tests {
         assert_eq!(p.count(), 5);
         assert_eq!(p.next(), 77);
         assert_eq!(p.keys()[2], 30);
-        assert_eq!(p.max_key(), 50);
+        assert_eq!(p.keys()[4], 50);
     }
 
     /// The buffer *is* the record: every field written through `NodeRef`

@@ -624,7 +624,18 @@ pub fn delete_rebalancing<A: NodeAccess>(
     let (leaf, count, floor) = descend_merging(a, handle, key)?;
     match delete_at_leaf(a, leaf, count, key, floor)? {
         LeafDelete::Done(old) => Ok(old),
-        LeafDelete::Underflow => unreachable!("merging descent guarantees slack above the floor"),
+        LeafDelete::Underflow => torn_view(a, leaf, "the merging descent left no slack"),
+    }
+}
+
+/// A body met a state its reads rule out, `claim` about `node`: on a torn
+/// view ([`NodeAccess::torn`]) that is an abort, for the retry to decide;
+/// on a view that still validates it is a bug, not a livelock.
+#[track_caller]
+pub fn torn_view<A: NodeAccess, T>(a: &mut A, node: Addr, claim: &str) -> Result<T, A::Abort> {
+    match a.torn() {
+        Some(abort) => Err(abort),
+        None => panic!("node {node:#x}: {claim}, yet the view validates"),
     }
 }
 
@@ -643,12 +654,12 @@ pub fn query_at_leaf<A: NodeAccess>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::TxAccess;
+    use crate::access::{Direct, TxAccess};
     use crate::build::{arena_budget, bulk_build};
     use crate::refops;
     use crate::validate::validate;
     use eirene_sim::{Device, DeviceConfig, WarpCtx, WarpStats};
-    use eirene_stm::{Stm, TxScratch};
+    use eirene_stm::{Abort, Stm, TxScratch};
 
     fn setup(n: u64) -> (Device, TreeHandle, Stm) {
         let dev = Device::new(
@@ -674,6 +685,47 @@ mod tests {
             })
             .unwrap();
         assert_eq!(v, 501);
+    }
+
+    /// The one rule for a state the reads rule out: an abort on a view a
+    /// commit has since overwritten, a panic naming the node on a view that
+    /// still validates, and always a panic under `Direct`.
+    #[test]
+    fn a_torn_view_aborts_and_a_valid_one_panics() {
+        let (dev, t, stm) = setup(200);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let (mut scratch, mut other) = (TxScratch::default(), TxScratch::default());
+        let claim = |a: &mut dyn FnMut() -> Result<(), Abort>| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(a))
+        };
+        for overwritten in [true, false] {
+            let mut tx = stm.begin(&mut scratch);
+            let a = &mut TxAccess::new(&mut tx, &mut ctx);
+            let (leaf, _) = descend(a, &t, 7, false).unwrap();
+            if overwritten {
+                // A commit rewrites a word the descent read, value unchanged.
+                let mut writer = stm.begin(&mut other);
+                let meta = dev.mem().read(leaf + OFF_META);
+                writer.write(&mut ctx, leaf + OFF_META, meta).unwrap();
+                writer.commit(&mut ctx).unwrap();
+            }
+            let a = &mut TxAccess::new(&mut tx, &mut ctx);
+            let got = claim(&mut || torn_view(a, leaf, "the leaf contradicts itself"));
+            if overwritten {
+                assert_eq!(got.unwrap(), Err(Abort));
+            } else {
+                let msg = *got.unwrap_err().downcast::<String>().unwrap();
+                assert!(
+                    msg.starts_with(&format!("node {leaf:#x}: the leaf")),
+                    "{msg}"
+                );
+            }
+            tx.rollback(&mut ctx);
+        }
+        let direct = &mut Direct(dev.mem());
+        let direct = claim(&mut || Ok(torn_view(direct, 64, "a contradiction").unwrap()));
+        assert!(direct.is_err());
     }
 
     #[test]

@@ -38,11 +38,11 @@ use eirene_btree::node::{
     OFF_VERSION,
 };
 use eirene_btree::ops::{
-    delete_at_leaf, delete_rebalancing, descend, hop_right, split_leaf_in_parent, upsert_at_leaf,
-    LeafDelete, LeafUpsert, NO_VALUE,
+    delete_at_leaf, delete_rebalancing, descend, hop_right, split_leaf_in_parent, torn_view,
+    upsert_at_leaf, LeafDelete, LeafUpsert, NO_VALUE,
 };
 use eirene_sim::{Device, Launch, Phase, TraceEventKind, WarpCtx};
-use eirene_stm::{Abort, Stm, Tx, TxScratch};
+use eirene_stm::{Abort, Stm, TxScratch};
 use eirene_workloads::{Batch, OpKind, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -205,8 +205,7 @@ fn update_one(
                             let (addr, count) = descend(a, handle, key, true)?;
                             match upsert_at_leaf(a, addr, count, key, v as u64)? {
                                 LeafUpsert::Done(old) => Ok(old),
-                                // The descent split every full node on the way down.
-                                LeafUpsert::Full => torn_view(tx, ctx, addr),
+                                LeafUpsert::Full => torn_view(a, addr, "the descent split it"),
                             }
                         }
                         IssuedKind::Delete => delete_rebalancing(a, handle, key),
@@ -279,8 +278,7 @@ fn update_one(
                         split = true;
                         match upsert_at_leaf(a, half, hcount, key, v as u64)? {
                             LeafUpsert::Done(old) => Ok(Some(old)),
-                            // The split left each half at most half full.
-                            LeafUpsert::Full => torn_view(&tx, ctx, half),
+                            LeafUpsert::Full => torn_view(a, half, "split in half"),
                         }
                     }
                     IssuedKind::Delete => {
@@ -345,15 +343,6 @@ fn update_one(
             }
         }
     }
-}
-
-/// A transaction body met a full leaf where its reads rule one out: on a
-/// torn view that is an abort, for the retry or commit to decide; on a view
-/// that still validates it is a bug, reported at the caller, not a livelock.
-#[track_caller]
-fn torn_view<T>(tx: &Tx<'_>, ctx: &mut WarpCtx<'_>, leaf: u64) -> Result<T, Abort> {
-    assert!(!tx.reads_valid(ctx), "leaf {leaf:#x} full, view valid");
-    Err(Abort)
 }
 
 /// What an issued update is handed besides the tree, each with the lifetime

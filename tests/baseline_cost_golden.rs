@@ -164,12 +164,17 @@ fn lock_mixed() {
 #[test]
 fn nocc_mixed_single_slot() {
     let (p, batches) = mixed();
+    // Re-pinned for the in-leaf shift the Lock tree shares: an insert or a
+    // delete at slot `s` of a `c`-entry leaf charges `(c - s) + 2` control,
+    // where an insert charged `c + 2` and a delete `c` (`leaf_op` control
+    // 22 990 → 21 666). The writes, every other row and the answers are
+    // unmoved.
     check(
         fingerprint(&mut NoCcTree::new(&p, single_slot()), &batches),
         "other: mem 3072 control 0 atomic 0
          vertical_traversal: mem 10752 control 36864 atomic 0
          horizontal_traversal: mem 84 control 1536 atomic 0
-         leaf_op: mem 3934 control 22990 atomic 0
+         leaf_op: mem 3934 control 21666 atomic 0
          steps: vertical 4608 horizontal 42 descents 1536
          conflicts: lock 0 version 0
          answers: found 1252 sum 1330159011903",
