@@ -34,8 +34,8 @@ use eirene_baselines::common::{find_in_leaf, scan_leaves, BatchRun};
 use eirene_btree::access::{NodeAccess, TxAccess};
 use eirene_btree::build::TreeHandle;
 use eirene_btree::node::{
-    meta_count, meta_is_dead, meta_is_leaf, ParsedNode, FANOUT, MIN_OCCUPANCY, OFF_LOW, OFF_META,
-    OFF_VERSION,
+    meta_count, meta_is_dead, meta_is_leaf, ParsedNode, FANOUT, MIN_OCCUPANCY, NODE_WORDS, OFF_LOW,
+    OFF_META, OFF_VERSION,
 };
 use eirene_btree::ops::{
     delete_at_leaf, delete_rebalancing, descend, hop_right, split_leaf_in_parent, torn_view,
@@ -233,6 +233,8 @@ fn update_one(
         let outer = ctx.set_phase(Phase::LeafOp);
         let attempt = {
             let mut tx = stm.begin(scratch);
+            // One warp-wide load the STM checks: the locator's was unprotected.
+            tx.snapshot(ctx, addr, NODE_WORDS);
             let r = (|| {
                 let a = &mut TxAccess::new(&mut tx, ctx);
                 let v2 = a.read(addr + OFF_VERSION)?;

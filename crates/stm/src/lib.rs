@@ -20,6 +20,15 @@
 //!   transaction aborts immediately (no waiting — so no deadlock). Commit
 //!   validates the read set, bumps owned versions by 2, and releases.
 //!   Abort rolls the undo log back and restores versions.
+//! * A transaction may load one node warp-wide ([`Tx::snapshot`]): its
+//!   records, its words and its records again, in three coalesced loads.
+//!   Reads and writes of that node's words are then served from the
+//!   snapshot with the same per-word checks, at the snapshot-time version,
+//!   and commit validates the node's records read in one more load. It is
+//!   still a word-based STM: the conflict set is the words' records, and
+//!   a record the snapshot cannot vouch for sends its words down the
+//!   scalar path. Eirene's update kernel snapshots the leaf it located;
+//!   the STM GB-tree never does.
 //!
 //! Like the original, the STM provides conflict-serializability but not
 //! opacity: a doomed transaction may observe an inconsistent snapshot

@@ -22,6 +22,9 @@ const TX_ID_BLOCK: u64 = 64;
 /// past this is most likely looping on a stale view; a valid one reads on.
 const RUNAWAY_READS: usize = 1 << 12;
 
+/// Most ownership records one [`Tx::snapshot`] covers: a 128-word node.
+const SNAP_RECORDS: usize = 64;
+
 /// STM instance: an ownership table in device memory.
 ///
 /// `stripes` must be a power of two. Each record protects the arena words
@@ -63,9 +66,41 @@ pub struct TxScratch {
     /// reachable and the list is dropped; on rollback the undo log
     /// unlinks them, so they are retired instead of leaking.
     abort_retires: Vec<(Addr, usize, usize)>,
+    /// The node loaded warp-wide by [`Tx::snapshot`], if any.
+    snap: Snapshot,
     /// Leased ids not yet spent, valid on `Stm` instance `lease_of` only.
     lease: std::ops::Range<u64>,
     lease_of: u64,
+}
+
+/// The node a [`Tx::snapshot`] loaded: words `base..base + len` and their
+/// ownership records `rec_base..rec_base + vers.len()`. Bit `j` of a mask
+/// stands for record `rec_base + j`.
+#[derive(Debug, Default)]
+struct Snapshot {
+    base: Addr,
+    /// Words covered; 0 = no snapshot.
+    len: usize,
+    rec_base: Addr,
+    words: Vec<u64>,
+    /// Each record's version at snapshot time.
+    vers: Vec<u64>,
+    /// Records whose words are read and written through the scalar path:
+    /// locked or moving at snapshot time, or moved since.
+    live: u64,
+    /// Records the body read from the snapshot, validated at their
+    /// snapshot-time versions.
+    read: u64,
+    /// Reads served, counted with the read log by the runaway valve.
+    served: usize,
+}
+
+impl Snapshot {
+    fn clear(&mut self) {
+        self.len = 0;
+        self.read = 0;
+        self.served = 0;
+    }
 }
 
 impl Stm {
@@ -115,6 +150,7 @@ impl Stm {
         scratch.owned.clear();
         scratch.retires.clear();
         scratch.abort_retires.clear();
+        scratch.snap.clear();
         Tx {
             stm: self,
             marker: (id << 1) | 1,
@@ -173,14 +209,103 @@ impl<'s> Tx<'s> {
         self.log.owned.iter().any(|&(r, _)| r == rec)
     }
 
-    /// Transactional read with eager conflict detection.
+    /// Loads `words` words at `base` warp-wide for [`read`](Self::read) and
+    /// [`write`](Self::write) to serve: the words' ownership records, the
+    /// words, the records again — three coalesced loads, where a scalar
+    /// read pays three loads per word. Conflict detection stays per word:
+    /// a read checks and logs the word's record at its snapshot-time
+    /// version, a write acquires it from that version, and commit validates
+    /// the records read with one more coalesced load. A record that was
+    /// locked, or that moved between the two loads, leaves its words to the
+    /// scalar path; so does the whole node if its records wrap the table.
+    /// One snapshot per transaction.
+    pub fn snapshot(&mut self, ctx: &mut WarpCtx<'_>, base: Addr, words: usize) {
+        let snap = &mut self.log.snap;
+        assert_eq!(snap.len, 0, "one snapshot per transaction");
+        let end = base + words as u64 - 1;
+        let records = ((end >> 1) - (base >> 1) + 1) as usize;
+        assert!(
+            records <= SNAP_RECORDS,
+            "{words} words need too many records"
+        );
+        let (first, last) = (self.stm.record_addr(base), self.stm.record_addr(end));
+        if last < first || (last - first) as usize != records - 1 {
+            return;
+        }
+        let (mut r1, mut r2) = ([0; SNAP_RECORDS], [0; SNAP_RECORDS]);
+        let (r1, r2) = (&mut r1[..records], &mut r2[..records]);
+        snap.words.resize(words, 0);
+        // The records are STM overhead, the words the caller's own load.
+        let prev = ctx.set_phase(Phase::StmAccess);
+        ctx.read_block(first, r1);
+        ctx.set_phase(prev);
+        ctx.read_block(base, &mut snap.words);
+        ctx.set_phase(Phase::StmAccess);
+        ctx.read_block(first, r2);
+        // Each lane compares its record's two loads; a ballot collects them.
+        ctx.control(2);
+        ctx.set_phase(prev);
+        snap.vers.clear();
+        snap.vers.extend_from_slice(r1);
+        snap.live = (0..records)
+            .filter(|&j| r1[j] & 1 == 1 || r1[j] != r2[j])
+            .fold(0, |live, j| live | 1 << j);
+        (snap.base, snap.len, snap.rec_base) = (base, words, first);
+    }
+
+    /// Where the snapshot still holds `addr`'s current value: its word
+    /// index, its record index, and whether this transaction owns the
+    /// record. A record it acquired at another version than the snapshot's
+    /// goes live here.
+    fn trusted(&mut self, addr: Addr) -> Option<(usize, usize, bool)> {
+        let snap = &self.log.snap;
+        let i = addr.wrapping_sub(snap.base) as usize;
+        if i >= snap.len {
+            return None;
+        }
+        let j = ((addr >> 1) - (snap.base >> 1)) as usize;
+        if snap.live >> j & 1 == 1 {
+            return None;
+        }
+        match self.pre_lock_version(snap.rec_base + j as u64) {
+            None => Some((i, j, false)),
+            Some(ver) if ver == snap.vers[j] => Some((i, j, true)),
+            Some(_) => {
+                self.log.snap.live |= 1 << j;
+                None
+            }
+        }
+    }
+
+    /// Transactional read with eager conflict detection, served from the
+    /// snapshot when it holds the word ([`snapshot`](Self::snapshot)).
+    pub fn read(&mut self, ctx: &mut WarpCtx<'_>, addr: Addr) -> TxResult<u64> {
+        let Some((i, j, owned)) = self.trusted(addr) else {
+            return self.read_live(ctx, addr);
+        };
+        // The scalar read's ownership check, read-set append and decode,
+        // on the record the snapshot loaded.
+        let prev = ctx.set_phase(Phase::StmAccess);
+        ctx.control(4);
+        ctx.set_phase(prev);
+        let snap = &mut self.log.snap;
+        let value = snap.words[i];
+        if !owned {
+            snap.read |= 1 << j;
+            snap.served += 1;
+            self.runaway(ctx)?;
+        }
+        Ok(value)
+    }
+
+    /// Transactional read of the live word.
     ///
     /// TL2-style post-validation: the ownership record is read *before and
     /// after* the data word. Without the second check, a concurrent writer
     /// could install a value, hand it to this reader, and then abort —
     /// restoring the record's version so that commit-time validation would
     /// miss the dirty read entirely.
-    pub fn read(&mut self, ctx: &mut WarpCtx<'_>, addr: Addr) -> TxResult<u64> {
+    fn read_live(&mut self, ctx: &mut WarpCtx<'_>, addr: Addr) -> TxResult<u64> {
         let rec = self.stm.record_addr(addr);
         // Ownership-record traffic is STM overhead; the data-word access
         // below stays attributed to the caller's phase so tree-level phase
@@ -207,19 +332,48 @@ impl<'s> Tx<'s> {
             return Err(Abort); // writer interfered mid-read
         }
         self.log.reads.push((rec, r1));
-        // Nothing re-checks a word once read, so a transaction can run on
-        // a view no commit ever made, and a tree walk that restarts on what
-        // it sees can then loop on its own writes for ever. Such a zombie
-        // fails validation: abort it once its log keeps growing.
-        let n = self.log.reads.len();
-        if n >= RUNAWAY_READS && n.is_power_of_two() && !self.reads_valid(ctx) {
-            return Err(Abort);
-        }
+        self.runaway(ctx)?;
         Ok(value)
     }
 
+    /// Nothing re-checks a word once read, so a transaction can run on a
+    /// view no commit ever made, and a tree walk that restarts on what it
+    /// sees can then loop on its own writes for ever. Such a zombie fails
+    /// validation: abort it once its reads keep growing.
+    fn runaway(&self, ctx: &mut WarpCtx<'_>) -> TxResult<()> {
+        let n = self.log.reads.len() + self.log.snap.served;
+        if n >= RUNAWAY_READS && n.is_power_of_two() && !self.reads_valid(ctx) {
+            return Err(Abort);
+        }
+        Ok(())
+    }
+
     /// Transactional write with encounter-time locking and undo logging.
+    /// A word the snapshot holds acquires its record from the snapshot's
+    /// version and undoes to the snapshot's value; if the record moved
+    /// since, the write takes the scalar path, which loads both live.
     pub fn write(&mut self, ctx: &mut WarpCtx<'_>, addr: Addr, value: u64) -> TxResult<()> {
+        if let Some((i, j, owned)) = self.trusted(addr) {
+            let (rec, ver) = (self.log.snap.rec_base + j as u64, self.log.snap.vers[j]);
+            let prev = ctx.set_phase(Phase::StmAccess);
+            ctx.control(6);
+            let acquired = owned || ctx.atomic_cas(rec, ver, self.marker).is_ok();
+            ctx.set_phase(prev);
+            if acquired {
+                if !owned {
+                    self.log.owned.push((rec, ver));
+                }
+                let old = std::mem::replace(&mut self.log.snap.words[i], value);
+                self.log.undo.push((addr, old));
+                ctx.write(addr, value);
+                return Ok(());
+            }
+            self.log.snap.live |= 1 << j;
+        }
+        self.write_live(ctx, addr, value)
+    }
+
+    fn write_live(&mut self, ctx: &mut WarpCtx<'_>, addr: Addr, value: u64) -> TxResult<()> {
         let rec = self.stm.record_addr(addr);
         // Stripe acquisition and undo logging are STM overhead; only the
         // final data-word store stays in the caller's phase.
@@ -287,11 +441,26 @@ impl<'s> Tx<'s> {
     /// that does not. A body that meets a state its reads rule out asks
     /// this to tell a torn view (abort) from a real bug (panic).
     pub fn reads_valid(&self, ctx: &mut WarpCtx<'_>) -> bool {
-        self.log.reads.iter().all(|&(rec, ver)| {
-            ctx.control(2);
-            let cur = ctx.read(rec);
+        let holds = |rec: Addr, cur: u64, ver: u64| {
             cur == ver || (cur == self.marker && self.pre_lock_version(rec) == Some(ver))
-        })
+        };
+        let logged = self.log.reads.iter().all(|&(rec, ver)| {
+            ctx.control(2);
+            holds(rec, ctx.read(rec), ver)
+        });
+        let snap = &self.log.snap;
+        if !logged || snap.read == 0 {
+            return logged;
+        }
+        // The snapshot's records in one coalesced load; each lane checks
+        // its own and a ballot collects the verdicts.
+        let mut cur = [0; SNAP_RECORDS];
+        let cur = &mut cur[..snap.vers.len()];
+        ctx.read_block(snap.rec_base, cur);
+        ctx.control(2);
+        (0..cur.len())
+            .filter(|&j| snap.read >> j & 1 == 1)
+            .all(|j| holds(snap.rec_base + j as u64, cur[j], snap.vers[j]))
     }
 
     fn pre_lock_version(&self, rec: Addr) -> Option<u64> {
@@ -739,6 +908,268 @@ mod tests {
         assert_eq!(dev.mem().slab_stats().retired, 1);
         dev.mem().advance_epoch();
         assert_eq!(dev.mem().alloc_reuse(38, 16), orphan);
+    }
+
+    /// Words of a 16-aligned 38-word node, each `100 + offset`.
+    const NODE: usize = 38;
+
+    fn node(dev: &Device) -> Addr {
+        let base = dev.mem().alloc_aligned(NODE, 16);
+        for i in 0..NODE as u64 {
+            dev.mem().write(base + i, 100 + i);
+        }
+        base
+    }
+
+    /// Another transaction's commit of `value` to `addr`, made outside the
+    /// warp under test.
+    fn commit_elsewhere(dev: &Device, stm: &Stm, addr: Addr, value: u64) {
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 9, &mut stats);
+        let mut scratch = TxScratch::default();
+        let mut tx = stm.begin(&mut scratch);
+        tx.write(&mut ctx, addr, value).unwrap();
+        tx.commit(&mut ctx).unwrap();
+    }
+
+    /// Runs `hook` at one tick of the warp it schedules. With a yield
+    /// interval of 1 every load ticks first, so tick `at` falls just
+    /// before the warp's `at`-th load: a snapshot's records load on ticks
+    /// 1 and 3, its words on tick 2.
+    struct At<F> {
+        at: u32,
+        hook: F,
+    }
+
+    impl<F: Fn() + Sync> eirene_sim::Scheduler for At<F> {
+        fn yield_point(&self, _: usize, tick: u32) -> bool {
+            if tick == self.at {
+                (self.hook)();
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn a_word_locked_at_snapshot_time_is_never_served() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let base = node(&dev);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let (mut scratch, mut other) = (TxScratch::default(), TxScratch::default());
+        for rolls_back in [false, true] {
+            // A dirty 7 sits in word 10 while the snapshot loads.
+            let mut writer = stm.begin(&mut other);
+            writer.write(&mut ctx, base + 10, 7).unwrap();
+            let mut tx = stm.begin(&mut scratch);
+            tx.snapshot(&mut ctx, base, NODE);
+            assert_eq!(tx.read(&mut ctx, base + 10), Err(Abort), "still locked");
+            tx.rollback(&mut ctx);
+            let mut tx = stm.begin(&mut scratch);
+            tx.snapshot(&mut ctx, base, NODE);
+            let want = if rolls_back {
+                writer.rollback(&mut ctx);
+                110
+            } else {
+                writer.commit(&mut ctx).unwrap();
+                7
+            };
+            // Word 11 shares the record, word 12 does not.
+            assert_eq!(tx.read(&mut ctx, base + 10), Ok(want));
+            assert_eq!(tx.read(&mut ctx, base + 11), Ok(111));
+            assert_eq!(tx.read(&mut ctx, base + 12), Ok(112));
+            tx.commit(&mut ctx).unwrap();
+            dev.mem().write(base + 10, 110);
+        }
+    }
+
+    #[test]
+    fn a_record_that_moves_between_the_record_loads_is_read_live() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let base = node(&dev);
+        let cfg = DeviceConfig {
+            yield_interval: 1,
+            ..*dev.config()
+        };
+        // Word 20 commits after the words load, before the records reload.
+        let sched = At {
+            at: 3,
+            hook: || commit_elsewhere(&dev, &stm, base + 20, 5),
+        };
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::with_scheduler(dev.mem(), &cfg, 0, &mut stats, &sched);
+        let mut scratch = TxScratch::default();
+        let mut tx = stm.begin(&mut scratch);
+        tx.snapshot(&mut ctx, base, NODE);
+        assert_eq!(tx.log.snap.words[20], 120, "the words loaded first");
+        assert_eq!(tx.read(&mut ctx, base + 20), Ok(5));
+        assert_eq!(tx.read(&mut ctx, base + 22), Ok(122));
+        tx.commit(&mut ctx).unwrap();
+    }
+
+    #[test]
+    fn a_write_whose_record_moved_undoes_to_the_live_value() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let base = node(&dev);
+        let rec = stm.record_addr(base + 30);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
+        let mut tx = stm.begin(&mut scratch);
+        tx.snapshot(&mut ctx, base, NODE);
+        commit_elsewhere(&dev, &stm, base + 30, 8);
+        let committed = dev.mem().read(rec);
+        // The CAS from the snapshot's version fails; the scalar path
+        // acquires the record at its live version.
+        tx.write(&mut ctx, base + 30, 1).unwrap();
+        tx.write(&mut ctx, base + 31, 2).unwrap();
+        tx.write(&mut ctx, base + 2, 3).unwrap();
+        assert_eq!(
+            ctx.stats.atomic_insts,
+            1 + 1 + 1,
+            "failed CAS, scalar CAS, snapshot CAS"
+        );
+        tx.rollback(&mut ctx);
+        let words: Vec<u64> = (0..NODE as u64).map(|i| dev.mem().read(base + i)).collect();
+        let want: Vec<u64> = (0..NODE as u64)
+            .map(|i| if i == 30 { 8 } else { 100 + i })
+            .collect();
+        assert_eq!(words, want, "rollback restores memory exactly");
+        assert_eq!(dev.mem().read(rec), committed);
+    }
+
+    #[test]
+    fn a_commit_on_a_read_word_after_the_snapshot_fails_validation() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let base = node(&dev);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
+        for (landed, valid) in [(base + 7, false), (base + 8, true)] {
+            let mut tx = stm.begin(&mut scratch);
+            tx.snapshot(&mut ctx, base, NODE);
+            assert_eq!(tx.read(&mut ctx, base + 6), Ok(106));
+            tx.write(&mut ctx, base + 37, 0).unwrap();
+            commit_elsewhere(&dev, &stm, landed, 1);
+            // Word 7 shares word 6's record; word 8 is the next pair's.
+            assert_eq!(tx.reads_valid(&mut ctx), valid);
+            assert_eq!(tx.commit(&mut ctx).is_ok(), valid);
+            assert_eq!(dev.mem().read(base + 37), if valid { 0 } else { 137 });
+        }
+    }
+
+    /// A record the transaction acquired through another word mapping to
+    /// it, at a version the snapshot never saw, vouches for none of the
+    /// snapshot's words: they are read live.
+    #[test]
+    fn a_record_acquired_through_an_alias_after_it_moved_is_read_live() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 32);
+        let base = (0..)
+            .map(|_| node(&dev))
+            .find(|&b| stm.record_addr(b + NODE as u64 - 1) > stm.record_addr(b))
+            .unwrap();
+        let alias = dev.mem().alloc(128) + 64 - 1;
+        let alias = alias - alias % 64 + base % 64 + 4;
+        assert_eq!(stm.record_addr(alias), stm.record_addr(base + 4));
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
+        let mut tx = stm.begin(&mut scratch);
+        tx.snapshot(&mut ctx, base, NODE);
+        assert_eq!(ctx.stats.mem_insts, 4, "the node is loaded");
+        commit_elsewhere(&dev, &stm, base + 4, 9);
+        tx.write(&mut ctx, alias, 1).unwrap();
+        assert_eq!(tx.read(&mut ctx, base + 4), Ok(9));
+        assert_eq!(tx.read(&mut ctx, base + 5), Ok(105));
+        tx.commit(&mut ctx).unwrap();
+    }
+
+    /// A word the snapshot does not cover costs and logs what it did
+    /// before snapshots existed, and the commit loads no snapshot records.
+    #[test]
+    fn words_outside_the_snapshot_behave_as_before() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let (base, x) = (node(&dev), dev.mem().alloc(1));
+        let mut scratch = TxScratch::default();
+        let mut run = |snapshot: bool| {
+            let mut stats = WarpStats::default();
+            let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+            let mut tx = stm.begin(&mut scratch);
+            if snapshot {
+                tx.snapshot(&mut ctx, base, NODE);
+            }
+            let before = ctx.stats.clone();
+            let v = tx.read(&mut ctx, x).unwrap();
+            tx.write(&mut ctx, x, v + 1).unwrap();
+            tx.commit(&mut ctx).unwrap();
+            let s = &ctx.stats;
+            [
+                s.mem_insts - before.mem_insts,
+                s.control_insts - before.control_insts,
+                s.atomic_insts - before.atomic_insts,
+                s.cycles - before.cycles,
+            ]
+        };
+        assert_eq!(run(true), run(false));
+        assert_eq!(dev.mem().read(x), 2);
+    }
+
+    #[test]
+    fn a_snapshot_costs_four_mem_insts_and_its_validation_one() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let base = node(&dev);
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
+        let mut tx = stm.begin(&mut scratch);
+        ctx.set_phase(Phase::LeafOp);
+        tx.snapshot(&mut ctx, base, NODE);
+        let row = |ctx: &WarpCtx<'_>, phase| ctx.stats.phases.row(phase).mem_insts;
+        // 19 records, 38 words, 19 records: 1 + 2 + 1.
+        assert_eq!(ctx.stats.mem_insts, 4);
+        assert_eq!(
+            (row(&ctx, Phase::StmAccess), row(&ctx, Phase::LeafOp)),
+            (2, 2)
+        );
+        for i in 0..NODE as u64 {
+            assert_eq!(tx.read(&mut ctx, base + i), Ok(100 + i));
+        }
+        assert_eq!(ctx.stats.mem_insts, 4, "reads are served from the snapshot");
+        tx.commit(&mut ctx).unwrap();
+        assert_eq!(
+            row(&ctx, Phase::StmCommit),
+            1,
+            "one load validates every read"
+        );
+        assert_eq!(ctx.stats.mem_insts, 5);
+    }
+
+    /// A node whose records wrap the ownership table is not loaded: every
+    /// word takes the scalar path.
+    #[test]
+    fn a_node_whose_records_wrap_the_table_is_not_loaded() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 32);
+        let base = (0..)
+            .map(|_| node(&dev))
+            .find(|&b| stm.record_addr(b + NODE as u64 - 1) < stm.record_addr(b))
+            .unwrap();
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::new(dev.mem(), dev.config(), 0, &mut stats);
+        let mut scratch = TxScratch::default();
+        let mut tx = stm.begin(&mut scratch);
+        tx.snapshot(&mut ctx, base, NODE);
+        assert_eq!(ctx.stats.mem_insts, 0);
+        assert_eq!(tx.read(&mut ctx, base + 3), Ok(103));
+        assert_eq!(ctx.stats.mem_insts, 3);
+        tx.commit(&mut ctx).unwrap();
     }
 
     #[test]
