@@ -223,28 +223,31 @@ fn check(got: String, want: &str) {
 #[test]
 fn eirene_split_heavy() {
     let (p, batches) = split_heavy();
-    // Re-pinned for one persistent launch per batch. Result calculation is
-    // charged per warp over runs whose answer slots follow one another, not
-    // per run: the warp's runs share warp-wide chunks (`result_calc` mem
-    // 926 → 82; control, four per point, is unmoved). Every batch is all
-    // upserts, so the empty query phase no longer stages the frontier:
-    // staged once per batch (`run_dispatch` mem 40 → 37, control 995 → 976).
-    // Every other row, the steps, conflicts, slab and shape are unmoved.
+    // Re-pinned for the leaf snapshot (see the single-slot pin). Aborts
+    // rise 89 → 849. Systematic, not schedule noise: over seeds 0..24 the
+    // median reads 128 before and 640 after, and fallbacks 6 → 14. Reads
+    // now cost the leaf region no loads while its writes still pay a CAS
+    // and a store, so a larger share of its time holds records, and the
+    // full-STM fallbacks' descents meet them (≈ 45 aborts per fallback,
+    // ≈ 21 before). Padding each served read with a scalar read's three
+    // loads, same semantics, brings the median back to 191; a check of
+    // every served word against memory, while its record still showed the
+    // snapshot's version, never failed.
     check(
         fingerprint(&mut eirene(&p, device(11)), &batches),
         "other: mem 1266 control 0 atomic 0
          combine: mem 1329 control 45540 atomic 0
-         vertical_traversal: mem 717 control 1970 atomic 0
-         horizontal_traversal: mem 882 control 1693 atomic 0
-         leaf_op: mem 11541 control 7749 atomic 0
-         structure_mod: mem 2384 control 184 atomic 29
-         stm_access: mem 27654 control 79823 atomic 3086
-         stm_commit: mem 12215 control 17648 atomic 0
+         vertical_traversal: mem 2640 control 4198 atomic 0
+         horizontal_traversal: mem 195 control 1724 atomic 0
+         leaf_op: mem 5189 control 7915 atomic 0
+         structure_mod: mem 2762 control 184 atomic 40
+         stm_access: mem 11274 control 88986 atomic 3330
+         stm_commit: mem 5498 control 2800 atomic 0
          result_calc: mem 82 control 3612 atomic 0
-         run_dispatch: mem 37 control 976 atomic 0
-         steps: vertical 249 horizontal 93 descents 150
-         conflicts: aborts 89 version 0
-         slab: live 78 retired 0 free 7 reused 0 bump 85
+         run_dispatch: mem 37 control 1131 atomic 0
+         steps: vertical 635 horizontal 90 descents 920
+         conflicts: aborts 849 version 0
+         slab: live 78 retired 0 free 18 reused 0 bump 96
          shape: height 3 leaves 70 inner 8 keys 840",
     );
 }
@@ -275,26 +278,23 @@ fn stm_split_heavy() {
 #[test]
 fn eirene_delete_churn() {
     let (p, batches) = delete_churn();
-    // Re-pinned for one persistent launch per batch: the frontier is staged
-    // once per launch, not once per kernel; every batch here is all deletes
-    // or all upserts, so the empty query phase's staging is gone
-    // (`run_dispatch` mem 45 → 41, control 3 566 → 3 531). No run has mates, so there is still no `result_calc`
-    // row. Every other row, the steps, conflicts, slab and shape are
-    // unmoved.
+    // Re-pinned for the leaf snapshot (see the single-slot pin and
+    // `eirene_split_heavy`). Aborts 7 693 → 8 523: over seeds 0..24 the
+    // median reads 6 638 before and 7 958 after, with fallbacks 314 → 324.
     check(
         fingerprint(&mut eirene(&p, device(21)), &batches),
         "other: mem 4320 control 0 atomic 0
          combine: mem 2025 control 69120 atomic 0
-         vertical_traversal: mem 28906 control 52098 atomic 0
-         horizontal_traversal: mem 3267 control 5820 atomic 0
-         leaf_op: mem 55048 control 25994 atomic 0
-         structure_mod: mem 33416 control 6448 atomic 114
-         stm_access: mem 220042 control 648230 atomic 22115
-         stm_commit: mem 74760 control 93784 atomic 0
-         run_dispatch: mem 41 control 3531 atomic 0
-         steps: vertical 8590 horizontal 267 descents 9086
-         conflicts: aborts 7693 version 0
-         slab: live 98 retired 0 free 39 reused 114 bump 137
+         vertical_traversal: mem 31690 control 56028 atomic 0
+         horizontal_traversal: mem 872 control 5822 atomic 0
+         leaf_op: mem 30975 control 26111 atomic 0
+         structure_mod: mem 30910 control 6260 atomic 111
+         stm_access: mem 132547 control 643041 atomic 22446
+         stm_commit: mem 46393 control 36922 atomic 0
+         run_dispatch: mem 41 control 3625 atomic 0
+         steps: vertical 8974 horizontal 255 descents 9919
+         conflicts: aborts 8523 version 4
+         slab: live 98 retired 0 free 39 reused 111 bump 137
          shape: height 3 leaves 89 inner 9 keys 780",
     );
 }
@@ -325,24 +325,19 @@ fn stm_delete_churn() {
 #[test]
 fn eirene_mixed_skew() {
     let (p, batches) = mixed_skew();
-    // Re-pinned for one persistent launch per batch. Result calculation is
-    // charged per warp over runs whose answer slots follow one another, not
-    // per run; query and update runs interleave in the plan, so a phase's
-    // chunks break where the other phase's runs sit (`result_calc` mem
-    // 708 → 478; control, four per point, is unmoved). The frontier is
-    // staged once per launch, not once per kernel (`run_dispatch` mem
-    // 30 → 26, control 868 → 836). Every other row, the steps, conflicts,
-    // slab and shape are unmoved.
+    // Re-pinned for the leaf snapshot (see the single-slot pin). Still no
+    // abort on this seed; over seeds 0..24 none aborted before, and 21
+    // still do not (the other three read 2, 9 and 26 aborts).
     check(
         fingerprint(&mut eirene(&p, device(31)), &batches),
         "other: mem 2398 control 0 atomic 0
          combine: mem 2236 control 77640 atomic 0
          vertical_traversal: mem 320 control 1246 atomic 0
-         horizontal_traversal: mem 1884 control 4161 atomic 0
-         leaf_op: mem 11837 control 15669 atomic 0
-         structure_mod: mem 508 control 48 atomic 5
-         stm_access: mem 24187 control 69013 atomic 2677
-         stm_commit: mem 11207 control 17060 atomic 0
+         horizontal_traversal: mem 1305 control 4161 atomic 0
+         leaf_op: mem 5193 control 15669 atomic 0
+         structure_mod: mem 408 control 48 atomic 5
+         stm_access: mem 1852 control 61723 atomic 2677
+         stm_commit: mem 3368 control 1382 atomic 0
          result_calc: mem 478 control 6608 atomic 0
          run_dispatch: mem 26 control 836 atomic 0
          steps: vertical 153 horizontal 652 descents 73
@@ -379,22 +374,23 @@ fn stm_mixed_skew() {
 #[test]
 fn eirene_split_heavy_single_slot() {
     let (p, batches) = split_heavy();
-    // Re-pinned for one persistent launch per batch. Result calculation is
-    // charged per warp over runs whose answer slots follow one another, not
-    // per run (`result_calc` mem 926 → 82), and the empty query phase of
-    // these all-upsert batches no longer stages the frontier (`run_dispatch`
-    // mem 40 → 37, control 875 → 856). Every other row, the steps,
-    // conflicts, slab and shape are unmoved.
+    // Re-pinned for the leaf snapshot: the leaf region loads the located
+    // leaf with three warp-wide loads (its records, its words, its records)
+    // and serves the leaf's words from them, and commit checks the records
+    // read with one more. Only the mem and control columns of `leaf_op`,
+    // `horizontal_traversal`, `structure_mod`, `stm_access` and
+    // `stm_commit` move (`stm_access` mem 26 018 → 4 012); atomics, steps, conflicts, slab and
+    // shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 1266 control 0 atomic 0
          combine: mem 1329 control 45540 atomic 0
          vertical_traversal: mem 358 control 1306 atomic 0
-         horizontal_traversal: mem 875 control 1670 atomic 0
-         leaf_op: mem 11432 control 7592 atomic 0
-         structure_mod: mem 1896 control 176 atomic 22
-         stm_access: mem 26018 control 74781 atomic 2927
-         stm_commit: mem 11722 control 17590 atomic 0
+         horizontal_traversal: mem 192 control 1670 atomic 0
+         leaf_op: mem 5033 control 7592 atomic 0
+         structure_mod: mem 1536 control 176 atomic 22
+         stm_access: mem 4012 control 67459 atomic 2927
+         stm_commit: mem 3923 control 1992 atomic 0
          result_calc: mem 82 control 3612 atomic 0
          run_dispatch: mem 37 control 856 atomic 0
          steps: vertical 156 horizontal 95 descents 58
@@ -429,21 +425,23 @@ fn stm_split_heavy_single_slot() {
 #[test]
 fn eirene_delete_churn_single_slot() {
     let (p, batches) = delete_churn();
-    // Re-pinned for one persistent launch per batch: the frontier is staged
-    // once per launch, not once per kernel (`run_dispatch` mem 47 → 43,
-    // control 3 576 → 3 540). No run has mates, so there is still no
-    // `result_calc` row. Every other row, the steps, conflicts, slab and
+    // Re-pinned for the leaf snapshot: the leaf region loads the located
+    // leaf with three warp-wide loads (its records, its words, its records)
+    // and serves the leaf's words from them, and commit checks the records
+    // read with one more. Only the mem and control columns of `leaf_op`,
+    // `horizontal_traversal`, `structure_mod`, `stm_access` and
+    // `stm_commit` move (`stm_access` mem 158 994 → 66 143); atomics, steps, conflicts, slab and
     // shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 4320 control 0 atomic 0
          combine: mem 2025 control 69120 atomic 0
          vertical_traversal: mem 11718 control 25098 atomic 0
-         horizontal_traversal: mem 3236 control 5735 atomic 0
-         leaf_op: mem 55100 control 25359 atomic 0
-         structure_mod: mem 22675 control 4220 atomic 82
-         stm_access: mem 158994 control 472384 atomic 19292
-         stm_commit: mem 66909 control 95234 atomic 0
+         horizontal_traversal: mem 865 control 5735 atomic 0
+         leaf_op: mem 29376 control 25359 atomic 0
+         structure_mod: mem 21315 control 4220 atomic 82
+         stm_access: mem 66143 control 443405 atomic 19292
+         stm_commit: mem 38283 control 37982 atomic 0
          run_dispatch: mem 43 control 3540 atomic 0
          steps: vertical 3227 horizontal 268 descents 1402
          conflicts: aborts 0 version 0
@@ -477,21 +475,23 @@ fn stm_delete_churn_single_slot() {
 #[test]
 fn eirene_mixed_skew_single_slot() {
     let (p, batches) = mixed_skew();
-    // Re-pinned for one persistent launch per batch: result calculation per
-    // warp over runs with adjacent answer slots (`result_calc` mem
-    // 708 → 478), the frontier staged once per launch (`run_dispatch` mem
-    // 30 → 26, control 868 → 836). Every other row, the steps, conflicts,
-    // slab and shape are unmoved.
+    // Re-pinned for the leaf snapshot: the leaf region loads the located
+    // leaf with three warp-wide loads (its records, its words, its records)
+    // and serves the leaf's words from them, and commit checks the records
+    // read with one more. Only the mem and control columns of `leaf_op`,
+    // `horizontal_traversal`, `structure_mod`, `stm_access` and
+    // `stm_commit` move (`stm_access` mem 24 187 → 1 852); atomics, steps, conflicts, slab and
+    // shape are unmoved.
     check(
         fingerprint(&mut eirene(&p, single_slot()), &batches),
         "other: mem 2398 control 0 atomic 0
          combine: mem 2236 control 77640 atomic 0
          vertical_traversal: mem 320 control 1246 atomic 0
-         horizontal_traversal: mem 1884 control 4161 atomic 0
-         leaf_op: mem 11837 control 15669 atomic 0
-         structure_mod: mem 508 control 48 atomic 5
-         stm_access: mem 24187 control 69013 atomic 2677
-         stm_commit: mem 11207 control 17060 atomic 0
+         horizontal_traversal: mem 1305 control 4161 atomic 0
+         leaf_op: mem 5193 control 15669 atomic 0
+         structure_mod: mem 408 control 48 atomic 5
+         stm_access: mem 1852 control 61723 atomic 2677
+         stm_commit: mem 3368 control 1382 atomic 0
          result_calc: mem 478 control 6608 atomic 0
          run_dispatch: mem 26 control 836 atomic 0
          steps: vertical 153 horizontal 652 descents 73
