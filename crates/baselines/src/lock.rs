@@ -296,7 +296,7 @@ fn locked_upsert(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64, val: u64)
         let c = leaf.count();
         debug_assert!(c < FANOUT, "preemptive split guarantees room");
         let slot = leaf.keys()[..c].partition_point(|&k| k < key);
-        shift_entries(ctx, addr, &leaf, slot, Some((key, val)), true);
+        shift_entries(ctx, addr, leaf, slot, Some((key, val)), true);
     }
     unlock(ctx, addr, true);
     ctx.set_phase(prev);
@@ -312,7 +312,7 @@ fn locked_delete(ctx: &mut WarpCtx<'_>, handle: &TreeHandle, key: u64) {
     match leaf.find(key) {
         None => unlock(ctx, addr, false),
         Some(slot) => {
-            shift_entries(ctx, addr, &leaf, slot, None, true);
+            shift_entries(ctx, addr, leaf, slot, None, true);
             unlock(ctx, addr, true);
         }
     }

@@ -724,7 +724,10 @@ mod tests {
             tx.rollback(&mut ctx);
         }
         let direct = &mut Direct(dev.mem());
-        let direct = claim(&mut || Ok(torn_view(direct, 64, "a contradiction").unwrap()));
+        let direct = claim(&mut || {
+            torn_view::<_, ()>(direct, 64, "a contradiction").unwrap();
+            Ok(())
+        });
         assert!(direct.is_err());
     }
 

@@ -95,14 +95,6 @@ struct Snapshot {
     served: usize,
 }
 
-impl Snapshot {
-    fn clear(&mut self) {
-        self.len = 0;
-        self.read = 0;
-        self.served = 0;
-    }
-}
-
 impl Stm {
     /// Allocates the ownership table in the arena.
     pub fn new(mem: &GlobalMemory, stripes: usize) -> Self {
@@ -150,7 +142,7 @@ impl Stm {
         scratch.owned.clear();
         scratch.retires.clear();
         scratch.abort_retires.clear();
-        scratch.snap.clear();
+        (scratch.snap.len, scratch.snap.read, scratch.snap.served) = (0, 0, 0);
         Tx {
             stm: self,
             marker: (id << 1) | 1,
