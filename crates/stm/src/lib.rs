@@ -23,7 +23,8 @@
 //! * A transaction may load one node warp-wide ([`Tx::snapshot`]): its
 //!   records, its words and its records again, in three coalesced loads.
 //!   Reads and writes of that node's words are then served from the
-//!   snapshot with the same per-word checks, at the snapshot-time version,
+//!   snapshot with the same per-word checks, at the snapshot-time version;
+//!   a write that acquires a record first checks its words with one load,
 //!   and commit validates the node's records read in one more load. It is
 //!   still a word-based STM: the conflict set is the words' records, and
 //!   a record the snapshot cannot vouch for sends its words down the

@@ -91,6 +91,9 @@ struct Snapshot {
     /// Records the body read from the snapshot, validated at their
     /// snapshot-time versions.
     read: u64,
+    /// Records this transaction acquired from the snapshot's version, with
+    /// their words checked against memory.
+    mine: u64,
     /// Reads served, counted with the read log by the runaway valve.
     served: usize,
 }
@@ -142,7 +145,8 @@ impl Stm {
         scratch.owned.clear();
         scratch.retires.clear();
         scratch.abort_retires.clear();
-        (scratch.snap.len, scratch.snap.read, scratch.snap.served) = (0, 0, 0);
+        let snap = &mut scratch.snap;
+        (snap.len, snap.read, snap.mine, snap.served) = (0, 0, 0, 0);
         Tx {
             stm: self,
             marker: (id << 1) | 1,
@@ -206,11 +210,13 @@ impl<'s> Tx<'s> {
     /// words, the records again — three coalesced loads, where a scalar
     /// read pays three loads per word. Conflict detection stays per word:
     /// a read checks and logs the word's record at its snapshot-time
-    /// version, a write acquires it from that version, and commit validates
-    /// the records read with one more coalesced load. A record that was
-    /// locked, or that moved between the two loads, leaves its words to the
-    /// scalar path; so does the whole node if its records wrap the table.
-    /// One snapshot per transaction.
+    /// version, a write acquires it from that version and then checks the
+    /// record's words with one load (a rollback restores versions, so a
+    /// version alone does not vouch for words loaded beside it), and commit
+    /// validates the records read with one more coalesced load. A record
+    /// that was locked, or that moved between the two loads, leaves its
+    /// words to the scalar path; so does the whole node if its records wrap
+    /// the table. One snapshot per transaction.
     pub fn snapshot(&mut self, ctx: &mut WarpCtx<'_>, base: Addr, words: usize) {
         let snap = &mut self.log.snap;
         assert_eq!(snap.len, 0, "one snapshot per transaction");
@@ -246,9 +252,10 @@ impl<'s> Tx<'s> {
     }
 
     /// Where the snapshot still holds `addr`'s current value: its word
-    /// index, its record index, and whether this transaction owns the
-    /// record. A record it acquired at another version than the snapshot's
-    /// goes live here.
+    /// index, its record index, and whether the record is one this
+    /// transaction acquired from the snapshot. A record it acquired through
+    /// another word mapping to it goes live here: nothing checked its words
+    /// against the snapshot's.
     fn trusted(&mut self, addr: Addr) -> Option<(usize, usize, bool)> {
         let snap = &self.log.snap;
         let i = addr.wrapping_sub(snap.base) as usize;
@@ -259,14 +266,27 @@ impl<'s> Tx<'s> {
         if snap.live >> j & 1 == 1 {
             return None;
         }
-        match self.pre_lock_version(snap.rec_base + j as u64) {
-            None => Some((i, j, false)),
-            Some(ver) if ver == snap.vers[j] => Some((i, j, true)),
-            Some(_) => {
-                self.log.snap.live |= 1 << j;
-                None
-            }
+        if snap.mine >> j & 1 == 1 {
+            return Some((i, j, true));
         }
+        if self.owns(snap.rec_base + j as u64) {
+            self.log.snap.live |= 1 << j;
+            return None;
+        }
+        Some((i, j, false))
+    }
+
+    /// Whether the words of snapshot record `j` still read as the snapshot
+    /// holds them, by one load.
+    fn snapshot_holds(&mut self, ctx: &mut WarpCtx<'_>, j: usize) -> bool {
+        let snap = &self.log.snap;
+        let pair = (snap.base >> 1) + j as u64;
+        let lo = (2 * pair).max(snap.base);
+        let hi = (2 * pair + 2).min(snap.base + snap.len as u64);
+        let live = &mut [0; 2][..(hi - lo) as usize];
+        ctx.read_block(lo, live);
+        let at = (lo - snap.base) as usize;
+        *live == snap.words[at..at + live.len()]
     }
 
     /// Transactional read with eager conflict detection, served from the
@@ -342,27 +362,38 @@ impl<'s> Tx<'s> {
 
     /// Transactional write with encounter-time locking and undo logging.
     /// A word the snapshot holds acquires its record from the snapshot's
-    /// version and undoes to the snapshot's value; if the record moved
-    /// since, the write takes the scalar path, which loads both live.
+    /// version and undoes to the snapshot's value, once a load has shown
+    /// the record's words unchanged; if the record moved since, the write
+    /// takes the scalar path, which loads both live.
     pub fn write(&mut self, ctx: &mut WarpCtx<'_>, addr: Addr, value: u64) -> TxResult<()> {
-        if let Some((i, j, owned)) = self.trusted(addr) {
-            let (rec, ver) = (self.log.snap.rec_base + j as u64, self.log.snap.vers[j]);
-            let prev = ctx.set_phase(Phase::StmAccess);
-            ctx.control(6);
-            let acquired = owned || ctx.atomic_cas(rec, ver, self.marker).is_ok();
-            ctx.set_phase(prev);
-            if acquired {
-                if !owned {
-                    self.log.owned.push((rec, ver));
-                }
-                let old = std::mem::replace(&mut self.log.snap.words[i], value);
-                self.log.undo.push((addr, old));
-                ctx.write(addr, value);
-                return Ok(());
-            }
-            self.log.snap.live |= 1 << j;
+        let Some((i, j, mine)) = self.trusted(addr) else {
+            return self.write_live(ctx, addr, value);
+        };
+        let (rec, ver) = (self.log.snap.rec_base + j as u64, self.log.snap.vers[j]);
+        let prev = ctx.set_phase(Phase::StmAccess);
+        ctx.control(6);
+        let acquired = mine || ctx.atomic_cas(rec, ver, self.marker).is_ok();
+        if acquired && !mine {
+            self.log.owned.push((rec, ver));
         }
-        self.write_live(ctx, addr, value)
+        // A writer that rolled back between the snapshot's record loads
+        // restored the version it found, so the version does not vouch for
+        // the words. Owned now, they cannot move: one load checks them, and
+        // a torn snapshot aborts.
+        let holds = mine || !acquired || self.snapshot_holds(ctx, j);
+        ctx.set_phase(prev);
+        if !acquired {
+            self.log.snap.live |= 1 << j;
+            return self.write_live(ctx, addr, value);
+        }
+        if !holds {
+            return Err(Abort);
+        }
+        self.log.snap.mine |= 1 << j;
+        let old = std::mem::replace(&mut self.log.snap.words[i], value);
+        self.log.undo.push((addr, old));
+        ctx.write(addr, value);
+        Ok(())
     }
 
     fn write_live(&mut self, ctx: &mut WarpCtx<'_>, addr: Addr, value: u64) -> TxResult<()> {
@@ -924,21 +955,23 @@ mod tests {
         tx.commit(&mut ctx).unwrap();
     }
 
-    /// Runs `hook` at one tick of the warp it schedules. With a yield
-    /// interval of 1 every load ticks first, so tick `at` falls just
-    /// before the warp's `at`-th load: a snapshot's records load on ticks
-    /// 1 and 3, its words on tick 2.
-    struct At<F> {
-        at: u32,
-        hook: F,
+    /// Runs its hook on every tick of the warp it schedules. With a yield
+    /// interval of 1 every load ticks first, so tick `n` falls just before
+    /// the warp's `n`-th load: a snapshot's records load on ticks 1 and 3,
+    /// its words on tick 2.
+    struct Hook<F>(F);
+
+    impl<F: Fn(u32) + Sync> eirene_sim::Scheduler for Hook<F> {
+        fn yield_point(&self, _: usize, tick: u32) -> bool {
+            (self.0)(tick);
+            false
+        }
     }
 
-    impl<F: Fn() + Sync> eirene_sim::Scheduler for At<F> {
-        fn yield_point(&self, _: usize, tick: u32) -> bool {
-            if tick == self.at {
-                (self.hook)();
-            }
-            false
+    fn tick_by_load(dev: &Device) -> DeviceConfig {
+        DeviceConfig {
+            yield_interval: 1,
+            ..*dev.config()
         }
     }
 
@@ -981,15 +1014,13 @@ mod tests {
         let dev = device();
         let stm = Stm::new(dev.mem(), 256);
         let base = node(&dev);
-        let cfg = DeviceConfig {
-            yield_interval: 1,
-            ..*dev.config()
-        };
+        let cfg = tick_by_load(&dev);
         // Word 20 commits after the words load, before the records reload.
-        let sched = At {
-            at: 3,
-            hook: || commit_elsewhere(&dev, &stm, base + 20, 5),
-        };
+        let sched = Hook(|tick| {
+            if tick == 3 {
+                commit_elsewhere(&dev, &stm, base + 20, 5);
+            }
+        });
         let mut stats = WarpStats::default();
         let mut ctx = WarpCtx::with_scheduler(dev.mem(), &cfg, 0, &mut stats, &sched);
         let mut scratch = TxScratch::default();
@@ -999,6 +1030,40 @@ mod tests {
         assert_eq!(tx.read(&mut ctx, base + 20), Ok(5));
         assert_eq!(tx.read(&mut ctx, base + 22), Ok(122));
         tx.commit(&mut ctx).unwrap();
+    }
+
+    /// A writer that locks a record, writes and rolls back, all between the
+    /// snapshot's two record loads, leaves its dirty word in the snapshot
+    /// under an unchanged version. A write to that record checks the words
+    /// once it owns it, and aborts instead of logging the dirty undo value.
+    #[test]
+    fn a_writer_rolled_back_between_the_record_loads_is_caught_by_the_write() {
+        let dev = device();
+        let stm = Stm::new(dev.mem(), 256);
+        let base = node(&dev);
+        let (rec, mem) = (stm.record_addr(base + 10), dev.mem());
+        let ver = mem.read(rec);
+        let cfg = tick_by_load(&dev);
+        let sched = Hook(|tick| {
+            if tick == 2 {
+                mem.write(rec, ver | 1);
+                mem.write(base + 10, 7);
+            } else if tick == 3 {
+                mem.write(base + 10, 110);
+                mem.write(rec, ver);
+            }
+        });
+        let mut stats = WarpStats::default();
+        let mut ctx = WarpCtx::with_scheduler(mem, &cfg, 0, &mut stats, &sched);
+        let mut scratch = TxScratch::default();
+        let mut tx = stm.begin(&mut scratch);
+        tx.snapshot(&mut ctx, base, NODE);
+        assert_eq!(tx.log.snap.words[10], 7, "the dirty word was loaded");
+        assert_eq!(tx.write(&mut ctx, base + 12, 1), Ok(()), "another record");
+        assert_eq!(tx.write(&mut ctx, base + 10, 2), Err(Abort));
+        tx.rollback(&mut ctx);
+        assert_eq!((mem.read(base + 10), mem.read(base + 12)), (110, 112));
+        assert_eq!(mem.read(rec), ver);
     }
 
     #[test]
