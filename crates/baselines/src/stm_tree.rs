@@ -67,7 +67,7 @@ fn tx_process(
             let (addr, count) = descend(a, handle, key, true)?;
             match upsert_at_leaf(a, addr, count, key, v as u64)? {
                 LeafUpsert::Done(_) => Ok(Response::Done),
-                LeafUpsert::Full => torn_view(a, addr, "the insert-capable descent left no room"),
+                LeafUpsert::Full => torn_view(a, addr, "full after a splitting descent"),
             }
         }
         OpKind::Delete => {

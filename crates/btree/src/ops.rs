@@ -624,7 +624,7 @@ pub fn delete_rebalancing<A: NodeAccess>(
     let (leaf, count, floor) = descend_merging(a, handle, key)?;
     match delete_at_leaf(a, leaf, count, key, floor)? {
         LeafDelete::Done(old) => Ok(old),
-        LeafDelete::Underflow => torn_view(a, leaf, "the merging descent left no slack"),
+        LeafDelete::Underflow => torn_view(a, leaf, "at the floor after a merging descent"),
     }
 }
 

@@ -205,7 +205,7 @@ fn update_one(
                             let (addr, count) = descend(a, handle, key, true)?;
                             match upsert_at_leaf(a, addr, count, key, v as u64)? {
                                 LeafUpsert::Done(old) => Ok(old),
-                                LeafUpsert::Full => torn_view(a, addr, "the descent split it"),
+                                LeafUpsert::Full => torn_view(a, addr, "full after descent"),
                             }
                         }
                         IssuedKind::Delete => delete_rebalancing(a, handle, key),
@@ -280,7 +280,7 @@ fn update_one(
                         split = true;
                         match upsert_at_leaf(a, half, hcount, key, v as u64)? {
                             LeafUpsert::Done(old) => Ok(Some(old)),
-                            LeafUpsert::Full => torn_view(a, half, "split in half"),
+                            LeafUpsert::Full => torn_view(a, half, "full after a split"),
                         }
                     }
                     IssuedKind::Delete => {

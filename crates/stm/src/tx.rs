@@ -292,7 +292,7 @@ impl<'s> Tx<'s> {
     /// Transactional read with eager conflict detection, served from the
     /// snapshot when it holds the word ([`snapshot`](Self::snapshot)).
     pub fn read(&mut self, ctx: &mut WarpCtx<'_>, addr: Addr) -> TxResult<u64> {
-        let Some((i, j, owned)) = self.trusted(addr) else {
+        let Some((i, j, mine)) = self.trusted(addr) else {
             return self.read_live(ctx, addr);
         };
         // The scalar read's ownership check, read-set append and decode,
@@ -302,7 +302,7 @@ impl<'s> Tx<'s> {
         ctx.set_phase(prev);
         let snap = &mut self.log.snap;
         let value = snap.words[i];
-        if !owned {
+        if !mine {
             snap.read |= 1 << j;
             snap.served += 1;
             self.runaway(ctx)?;
